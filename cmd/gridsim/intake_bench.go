@@ -8,7 +8,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -228,55 +227,34 @@ func benchHTTP() (intakeBenchRow, error) {
 	}, nil
 }
 
-// runIntakeBench produces the bench_intake/v1 report and gates on the
-// committed acceptance target: amortized admission through the batch
-// path at batch >= 8 stays under 10 µs.
-func runIntakeBench(jsonOut bool) error {
-	report := intakeBenchReport{Schema: "bench_intake/v1", TargetNS: intakeBenchTargetNS}
+// Failed gates on the committed acceptance target: amortized admission
+// through the batch path at batch >= 8 stays under 10 µs.
+func (r *intakeBenchReport) Failed() bool { return !r.TargetMet }
+
+// runIntakeBench produces the bench_intake/v1 report.
+func runIntakeBench(*options) (report, error) {
+	rep := &intakeBenchReport{Schema: "bench_intake/v1", TargetNS: intakeBenchTargetNS}
 
 	row, err := benchDirect()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	report.Rows = append(report.Rows, row)
+	rep.Rows = append(rep.Rows, row)
 	for _, batch := range []int{1, 2, 4, 8, 16, 32} {
 		row, err := benchIntake(batch)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		report.Rows = append(report.Rows, row)
+		rep.Rows = append(rep.Rows, row)
 		if batch == 8 {
-			report.AmortizedBatch8NS = row.NsPerAdmission
+			rep.AmortizedBatch8NS = row.NsPerAdmission
 		}
 	}
 	row, err = benchHTTP()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	report.Rows = append(report.Rows, row)
-	report.TargetMet = report.AmortizedBatch8NS <= report.TargetNS
-
-	if jsonOut {
-		out, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(out))
-	} else {
-		header("INTAKE", "amortized admission cost: direct vs group-commit batches vs JSON/HTTP")
-		for _, r := range report.Rows {
-			label := r.Transport
-			if r.Batch > 0 {
-				label = fmt.Sprintf("%s/%d", r.Transport, r.Batch)
-			}
-			fmt.Printf("%-10s admissions=%-5d %10.0f ns/admission\n", label, r.Admissions, r.NsPerAdmission)
-		}
-		fmt.Printf("\namortized batch-8 admission: %.0f ns (target %.0f ns, met=%v)\n",
-			report.AmortizedBatch8NS, report.TargetNS, report.TargetMet)
-	}
-	if !report.TargetMet {
-		return fmt.Errorf("intake bench: amortized batch-8 admission %.0f ns exceeds the %.0f ns target",
-			report.AmortizedBatch8NS, report.TargetNS)
-	}
-	return nil
+	rep.Rows = append(rep.Rows, row)
+	rep.TargetMet = rep.AmortizedBatch8NS <= rep.TargetNS
+	return rep, nil
 }

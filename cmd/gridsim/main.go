@@ -1,34 +1,11 @@
-// Command gridsim regenerates the repository's experiments (DESIGN.md §4):
-// every table and figure artifact of the paper plus the claim experiments
-// C1–C5. Each experiment prints the rows the corresponding section of
-// EXPERIMENTS.md records.
-//
-// Usage:
-//
-//	gridsim -experiment E56          # §5.6 worked-example timeline
-//	gridsim -experiment C1           # utilization: adaptive vs static
-//	gridsim -experiment C2           # failure survival: reserve vs none
-//	gridsim -experiment C3           # best-effort floor
-//	gridsim -experiment C4           # optimizer profit vs baselines
-//	gridsim -experiment C5           # scenario-1 admission gain
-//	gridsim -experiment T1|T3|T4     # the paper's XML artifacts
-//	gridsim -experiment T2           # GARA API lifecycle transcript
-//	gridsim -experiment F4|F6        # broker interaction transcript
-//	gridsim -experiment all          # everything
-//	gridsim -parallel -clients 8 -ops 10000   # concurrent stress + throughput
-//	gridsim -parallel -shards 4               # same, against a 4-shard broker
-//	gridsim -parallel -intake                 # admissions ride the group-commit batch path
-//	gridsim -parallel -transport http         # admissions over the loopback JSON API
-//	gridsim -chaos -seed 7 -faultrate 0.2     # deterministic fault-injection replay
-//	gridsim -chaos -restarts 3 -seed 7        # restart chaos: kill + WAL-recover the broker mid-workload
-//	gridsim -chaos -intake -seed 7            # same replays with batched admissions (still bit-identical per seed)
-//	gridsim -intake-bench -json               # amortized admission cost: direct vs batched vs JSON/HTTP
-//	gridsim -scenario list                    # the workload scenario catalog
-//	gridsim -scenario flash-crowd -seed 7     # replay one scenario, gate on its report
-//	gridsim -scenario all -soak -json         # soak every scenario, emit BENCH_scenarios.json
-//	gridsim -cluster 3 -seed 7                # multi-broker cluster: placement, fallback,
-//	                                          # hand-off crash drill, N=1 parity gate
-//	gridsim -cluster 3 -json                  # same, emit the BENCH_cluster.json shape
+// Command gridsim regenerates the repository's experiments (DESIGN.md §4)
+// — every table and figure artifact of the paper plus the claim
+// experiments C1–C5 — and runs the simulation engine's configurations
+// (DESIGN.md "Simulation engine"). One mode runs per invocation; the mode
+// table below (printed by -h, mirrored in README.md) lists each mode, the
+// flags that select it and the flags it reads. Passing a flag the
+// selected mode does not read is an error. README.md has an example
+// invocation per mode.
 package main
 
 import (
@@ -36,6 +13,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"time"
 
@@ -56,524 +35,186 @@ func main() {
 	}
 }
 
+// options holds every flag value; set records the flags passed
+// explicitly.
+type options struct {
+	experiment, walDir, transport, scenario, shadow, placement string
+	seed                                                       int64
+	clients, ops, phases, shards, restarts, cluster            int
+	faultRate                                                  float64
+	verbose, jsonOut, intake, soak                             bool
+	set                                                        map[string]bool
+}
+
+// report is what a simulation mode hands back: the document -json
+// marshals (printDocument renders the same document for humans) and the
+// one gate every mode is held to. The report is always emitted before
+// the gate fails the process, so CI has an artifact to inspect.
+type report interface{ Failed() bool }
+
+// mode is one row of the mode table.
+type mode struct {
+	name  string
+	about string
+	// when lists the flags that select the mode (all must be set); the
+	// first matching row wins, and the last row has none.
+	when []string
+	// reads lists the other flags the mode consumes.
+	reads []string
+	// run executes the mode. A nil report means it printed its own output
+	// and has no gate.
+	run func(o *options) (report, error)
+}
+
+var modes = []mode{
+	{"intake-bench", "amortized admission cost: direct vs batched intake vs JSON/HTTP (BENCH_intake.json)",
+		[]string{"intake-bench"}, []string{"json"}, runIntakeBench},
+	{"cluster", "N brokers behind the front tier vs a 1-broker baseline over the same workload, their outcome parity, and for N > 1 the hand-off crash drill (BENCH_cluster.json)",
+		[]string{"cluster"}, []string{"clients", "shards", "seed", "placement", "json"}, runCluster},
+	{"scenario", "replay a named traffic scenario (or all, or list); -soak adds runtime-health sampling (BENCH_scenarios.json), -shadow evaluates a candidate policy (BENCH_shadow.json)",
+		[]string{"scenario"}, []string{"soak", "shadow", "seed", "ops", "shards", "json"}, runScenarios},
+	{"restart-chaos", "chaos against a durable broker killed and WAL-recovered mid-workload (BENCH_recovery.json)",
+		[]string{"chaos", "restarts"}, []string{"clients", "ops", "shards", "seed", "faultrate", "wal-dir", "intake", "json"}, runChaos},
+	{"chaos", "stress workload stepped serially under seeded fault injection (BENCH_chaos.json)",
+		[]string{"chaos"}, []string{"clients", "ops", "phases", "shards", "seed", "faultrate", "intake", "json"}, runChaos},
+	{"parallel", "concurrent stress clients vs a serial baseline: throughput and admission latency (BENCH_parallel.json)",
+		[]string{"parallel"}, []string{"clients", "ops", "phases", "shards", "seed", "intake", "transport", "json"}, runParallel},
+	{"experiment", "the paper's tables, figures and claim experiments (the default)",
+		nil, []string{"experiment", "seed", "v"}, runExperiments},
+}
+
+// selector renders the flags that select m, leaving out the flag except
+// (pass "" for all of them).
+func (m *mode) selector(except string) string {
+	var flags []string
+	for _, f := range m.when {
+		if f != except {
+			flags = append(flags, "-"+f)
+		}
+	}
+	if len(flags) == 0 {
+		return "no other mode flag"
+	}
+	return strings.Join(flags, " ")
+}
+
+func (m *mode) knows(flagName string) bool {
+	return slices.Contains(m.when, flagName) || slices.Contains(m.reads, flagName)
+}
+
+// modeTable renders the mode rows as the Markdown table README.md
+// carries; -h prints it above the flag list.
+func modeTable() string {
+	var sb strings.Builder
+	sb.WriteString("| mode | selected by | also reads | what it runs |\n|---|---|---|---|\n")
+	for _, m := range modes {
+		sel := "(default)"
+		if len(m.when) > 0 {
+			sel = "`" + m.selector("") + "`"
+		}
+		fmt.Fprintf(&sb, "| %s | %s | `-%s` | %s |\n", m.name, sel, strings.Join(m.reads, "` `-"), m.about)
+	}
+	return sb.String()
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("gridsim", flag.ContinueOnError)
-	var (
-		experiment  = fs.String("experiment", "all", "experiment id (E56, C1..C5, T1..T4, F4, F6, all)")
-		seed        = fs.Int64("seed", 2003, "workload seed")
-		verbose     = fs.Bool("v", false, "include broker activity logs")
-		parallel    = fs.Bool("parallel", false, "run the concurrent admission stress instead of an experiment")
-		clients     = fs.Int("clients", 8, "concurrent clients for -parallel")
-		ops         = fs.Int("ops", 10000, "total lifecycle operations for -parallel")
-		phases      = fs.Int("phases", 10, "quiesce points for -parallel")
-		shards      = fs.Int("shards", 1, "broker shards for the -parallel run (serial baseline stays monolithic)")
-		jsonOut     = fs.Bool("json", false, "emit -parallel/-chaos results as JSON")
-		chaos       = fs.Bool("chaos", false, "replay the stress workload under deterministic fault injection")
-		faultRate   = fs.Float64("faultrate", 0.2, "per-site fault injection probability for -chaos")
-		restarts    = fs.Int("restarts", 0, "with -chaos: kill and WAL-recover the broker this many times mid-workload")
-		walDir      = fs.String("wal-dir", "", "WAL directory for -chaos -restarts (default: a temporary one)")
-		cache       = fs.String("cache", "on", "hot-path caches for -parallel: on|off")
-		intake      = fs.Bool("intake", false, "route admissions through the group-commit intake for -parallel/-chaos runs")
-		transport   = fs.String("transport", "", "admission transport for -parallel: empty (in-process) or http (loopback JSON API)")
-		intakeBench = fs.Bool("intake-bench", false, "measure amortized admission cost: direct vs batched intake vs JSON/HTTP transport")
-		scenario    = fs.String("scenario", "", "replay a workload scenario by name ('all' for every scenario, 'list' for the catalog)")
-		soak        = fs.Bool("soak", false, "run -scenario in long-run soak mode: bounded working set, runtime health sampling")
-		shadowPol   = fs.String("shadow", "", "with -scenario: evaluate the named candidate policy in shadow (divergence counts + counterfactual deltas, bench_shadow/v1 with -json)")
-		clusterN    = fs.Int("cluster", 0, "run the multi-broker harness with N broker instances behind the front tier")
-		placement   = fs.String("placement", "hash", "front-tier placement for -cluster: hash|least-loaded")
-	)
+	o := &options{set: map[string]bool{}}
+	fs.StringVar(&o.experiment, "experiment", "all", "experiment id (E56, C1..C5, T1..T4, F4, F6, all)")
+	fs.Int64Var(&o.seed, "seed", 2003, "workload seed")
+	fs.BoolVar(&o.verbose, "v", false, "include broker activity logs")
+	fs.Bool("parallel", false, "run the concurrent admission stress")
+	fs.IntVar(&o.clients, "clients", 8, "stress clients; with -cluster the simulated client count (default 100000 there)")
+	fs.IntVar(&o.ops, "ops", 10000, "total operations for the stress and scenario modes")
+	fs.IntVar(&o.phases, "phases", 10, "mid-run quiesce points for -parallel/-chaos")
+	fs.IntVar(&o.shards, "shards", 1, "broker shards (the -parallel serial baseline stays monolithic)")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit the mode's report as JSON")
+	fs.Bool("chaos", false, "replay the stress workload under deterministic fault injection")
+	fs.Float64Var(&o.faultRate, "faultrate", 0.2, "per-site fault injection probability for -chaos (0 = no injector)")
+	fs.IntVar(&o.restarts, "restarts", 0, "with -chaos: kill and WAL-recover the broker this many times mid-workload")
+	fs.StringVar(&o.walDir, "wal-dir", "", "WAL directory for -chaos -restarts (default: a temporary one)")
+	fs.BoolVar(&o.intake, "intake", false, "route admissions through the group-commit intake")
+	fs.StringVar(&o.transport, "transport", "", "admission transport for -parallel: empty (in-process) or http (loopback JSON API)")
+	fs.Bool("intake-bench", false, "measure amortized admission cost: direct vs batched intake vs JSON/HTTP transport")
+	fs.StringVar(&o.scenario, "scenario", "", "replay a workload scenario by name ('all' for every scenario, 'list' for the catalog)")
+	fs.BoolVar(&o.soak, "soak", false, "run -scenario in long-run soak mode: bounded working set, runtime health sampling")
+	fs.StringVar(&o.shadow, "shadow", "", "with -scenario: evaluate the named candidate policy in shadow (divergence counts + counterfactual deltas)")
+	fs.IntVar(&o.cluster, "cluster", 0, "run the multi-broker workload with N broker instances behind the front tier")
+	fs.StringVar(&o.placement, "placement", "hash", "front-tier placement for -cluster: hash|least-loaded")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "Usage of gridsim — one mode per run:\n\n%s\n", modeTable())
+		fs.PrintDefaults()
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var disableCaches bool
-	switch *cache {
-	case "on":
-	case "off":
-		disableCaches = true
-	default:
-		return fmt.Errorf("bad -cache value %q (want on or off)", *cache)
-	}
-	if *intakeBench {
-		return runIntakeBench(*jsonOut)
-	}
-	if *transport != "" && !*parallel {
-		return fmt.Errorf("-transport needs -parallel (the chaos replays stay in-process for determinism)")
-	}
-	if *clusterN > 0 {
-		// -clients doubles as the cluster workload size, but its stress
-		// default (8) is far too small here: unless set explicitly, the
-		// cluster harness drives the acceptance-scale 10⁵ clients.
-		nClients := 100000
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "clients" {
-				nClients = *clients
-			}
-		})
-		return runCluster(*clusterN, nClients, *shards, *seed, *placement, *jsonOut)
-	}
-	if *scenario != "" {
-		if *shadowPol != "" {
-			if *soak {
-				return fmt.Errorf("-shadow and -soak are mutually exclusive (the shadow lab replays each scenario three times itself)")
-			}
-			return runShadow(*scenario, *shadowPol, *seed, *ops, *shards, *jsonOut)
+
+	// The first row whose selecting flags all hold a non-default value
+	// wins ("-restarts 0" stays plain chaos); the last row always matches.
+	unset := func(name string) bool { f := fs.Lookup(name); return f.Value.String() == f.DefValue }
+	m := &modes[slices.IndexFunc(modes, func(m mode) bool { return !slices.ContainsFunc(m.when, unset) })]
+	// Flags the mode ignores are an error: a report must never silently
+	// describe a different run than the command line asked for.
+	var stray error
+	fs.Visit(func(f *flag.Flag) {
+		o.set[f.Name] = true
+		if stray != nil || m.knows(f.Name) {
+			return
 		}
-		return runScenarios(*scenario, *soak, *seed, *ops, *shards, *jsonOut)
-	}
-	if *shadowPol != "" {
-		return fmt.Errorf("-shadow needs -scenario")
-	}
-	if *soak {
-		return fmt.Errorf("-soak needs -scenario")
-	}
-	if *chaos {
-		if *restarts > 0 {
-			return runRestartChaos(*clients, *ops, *restarts, *shards, *seed, *faultRate, *walDir, *intake, *jsonOut)
+		var needs []string
+		for i := range modes {
+			if modes[i].knows(f.Name) {
+				needs = append(needs, modes[i].selector(f.Name))
+			}
 		}
-		return runChaos(*clients, *ops, *phases, *shards, *seed, *faultRate, *intake, *jsonOut)
-	}
-	if *restarts > 0 {
-		return fmt.Errorf("-restarts needs -chaos")
-	}
-	if *parallel {
-		return runParallel(*clients, *ops, *phases, *shards, *seed, *jsonOut, disableCaches, *intake, *transport)
+		stray = fmt.Errorf("-%s needs %s (it is not read in %s mode)", f.Name, strings.Join(needs, " or "), m.name)
+	})
+	if stray != nil {
+		return stray
 	}
 
-	runners := map[string]func(int64, bool) error{
-		"E56": runE56,
-		"C1":  runC1,
-		"C2":  runC2,
-		"C3":  runC3,
-		"C4":  runC4,
-		"C5":  runC5,
-		"T1":  runT1,
-		"T2":  runT2,
-		"T3":  runT3,
-		"T4":  runT4,
-		"F4":  runF4,
-		"F6":  runF6,
+	rep, err := m.run(o)
+	if err != nil {
+		return fmt.Errorf("%s: %w", m.name, err)
 	}
-	id := strings.ToUpper(*experiment)
-	if id == "ALL" {
-		for _, key := range []string{"T1", "T2", "T3", "T4", "F4", "F6", "E56", "C1", "C2", "C3", "C4", "C5"} {
-			if err := runners[key](*seed, *verbose); err != nil {
-				return fmt.Errorf("%s: %w", key, err)
-			}
-		}
+	if rep == nil {
 		return nil
 	}
-	r, ok := runners[id]
-	if !ok {
-		return fmt.Errorf("unknown experiment %q", *experiment)
-	}
-	return r(*seed, *verbose)
-}
-
-// runParallel drives the concurrent admission stress (sim.RunParallel)
-// against a serial baseline with the same total work, checking the
-// invariant suite at every quiesce point. Each run gets its own metrics
-// registry so the serial baseline's counters do not pollute the parallel
-// run's. The JSON form is the shape recorded in BENCH_parallel.json (see
-// README.md "Benchmark artifact").
-func runParallel(clients, ops, phases, shards int, seed int64, jsonOut, disableCaches bool, intake bool, transport string) error {
-	serialObs, parObs := obs.NewRegistry(), obs.NewRegistry()
-	// The serial baseline always takes the direct in-process path; -intake
-	// and -transport only shape the parallel run, so the comparison shows
-	// what the batch path / wire cost changes.
-	serial, err := sim.RunParallel(sim.ParallelConfig{
-		Clients: 1, Ops: ops, Phases: phases, Seed: seed, Obs: serialObs,
-		DisableCaches: disableCaches,
-	})
-	if err != nil {
-		return fmt.Errorf("serial baseline: %w", err)
-	}
-	par, err := sim.RunParallel(sim.ParallelConfig{
-		Clients: clients, Ops: ops, Phases: phases, Seed: seed, Shards: shards, Obs: parObs,
-		DisableCaches: disableCaches, Intake: intake, Transport: transport,
-	})
-	if err != nil {
-		return fmt.Errorf("parallel stress: %w", err)
-	}
-	if jsonOut {
-		out, err := json.MarshalIndent(map[string]*sim.ParallelResult{
-			"serial": serial, "parallel": par,
-		}, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(out))
-		return nil
-	}
-	header("PAR", "concurrent admission stress: serial baseline vs parallel clients")
-	for _, row := range []struct {
-		name string
-		r    *sim.ParallelResult
-	}{{"serial", serial}, {"parallel", par}} {
-		fmt.Printf("%-9s clients=%-3d shards=%-2d ops=%-6d requested=%-5d admitted=%-5d terminated=%-5d checks=%d  %8.0f ops/s\n",
-			row.name, row.r.Clients, row.r.Shards, row.r.Ops, row.r.Requested,
-			row.r.Admitted, row.r.Terminated, row.r.Checks, row.r.OpsPerSec)
-		fmt.Printf("%-9s admission latency p50=%.4fms p95=%.4fms p99=%.4fms over %.1fms\n",
-			"", row.r.AdmitP50MS, row.r.AdmitP95MS, row.r.AdmitP99MS, row.r.ElapsedMS)
-		if row.r.CacheHitRate > 0 {
-			fmt.Printf("%-9s discovery cache hit rate %.1f%%\n", "", row.r.CacheHitRate*100)
-		}
-		if row.r.Intake {
-			fmt.Printf("%-9s intake: mean batch %.2f admissions/flush\n", "", row.r.IntakeBatchMean)
-		}
-		if row.r.Transport != "" {
-			fmt.Printf("%-9s transport: %s\n", "", row.r.Transport)
-		}
-		if row.r.Shards > 1 {
-			fmt.Printf("%-9s shard sessions=%v load=%v\n", "", row.r.ShardSessions, row.r.ShardUtilization)
-		}
-	}
-	fmt.Println("\nall invariant checks passed; no capacity lost or double-spent")
-	fmt.Println("\nparallel-run metrics snapshot:")
-	if err := parObs.WritePrometheus(os.Stdout); err != nil {
-		return err
-	}
-	return nil
-}
-
-// runChaos replays the stress workload under seeded fault injection
-// (sim.RunChaos). Every reported field is deterministic: the same seed,
-// fault rate and shard count yield a byte-identical JSON report. The
-// JSON form is the shape recorded in BENCH_chaos.json (see README.md
-// "Chaos artifact"); CI gates on invariant_violations == 0.
-func runChaos(clients, ops, phases, shards int, seed int64, faultRate float64, intake, jsonOut bool) error {
-	res, err := sim.RunChaos(sim.ChaosConfig{
-		Clients: clients, Ops: ops, Phases: phases, Seed: seed,
-		FaultRate: faultRate, Shards: shards, Intake: intake,
-	})
-	if err != nil {
-		return fmt.Errorf("chaos: %w", err)
-	}
-	if jsonOut {
-		out, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(out))
-	} else {
-		header("CHAOS", "stress workload under deterministic fault injection")
-		fmt.Printf("seed=%d faultrate=%.2f shards=%d ops=%d\n", res.Seed, res.FaultRate, res.Shards, res.Ops)
-		fmt.Printf("requested=%d admitted=%d (%.1f%%) terminated=%d\n",
-			res.Requested, res.Admitted, 100*res.AdmitRate, res.Terminated)
-		fmt.Printf("faults=%d by kind=%v virtual p95=%.1fms\n",
-			res.FaultsInjected, res.FaultsByKind, res.VirtualP95MS)
-		fmt.Printf("retries=%d timeouts=%d unavailable=%d reconciled cancels=%d\n",
-			res.Retries, res.Timeouts, res.Unavailable, res.ReconciledCancels)
-		fmt.Printf("degradations=%d restorations=%d\n", res.Degradations, res.Restorations)
-		if res.Intake {
-			fmt.Printf("intake: mean batch %.2f admissions/flush\n", res.IntakeBatchMean)
-		}
-		fmt.Printf("invariant checks=%d violations=%d\n", res.Checks, res.InvariantViolations)
-	}
-	if res.InvariantViolations != 0 {
-		return fmt.Errorf("chaos run found %d invariant violation(s): %v",
-			res.InvariantViolations, res.Violations)
-	}
-	return nil
-}
-
-// runRestartChaos replays the chaos workload against a durable broker
-// that is killed and WAL-recovered -restarts times mid-run
-// (sim.RunRestartChaos). The JSON form is the shape recorded in
-// BENCH_recovery.json (see README.md "Recovery artifact"); the only
-// wall-clock field is recovery_p95_ms — CI strips it and diffs the rest
-// byte-for-byte across runs, and gates on invariant_violations == 0 and
-// capacity_restored == true.
-func runRestartChaos(clients, ops, restarts, shards int, seed int64, faultRate float64, walDir string, intake, jsonOut bool) error {
-	res, err := sim.RunRestartChaos(sim.RestartChaosConfig{
-		Clients: clients, Ops: ops, Restarts: restarts, Seed: seed,
-		FaultRate: faultRate, Shards: shards, WALDir: walDir, Intake: intake,
-	})
-	if err != nil {
-		return fmt.Errorf("restart chaos: %w", err)
-	}
-	if jsonOut {
-		out, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(out))
-	} else {
-		header("RESTART CHAOS", "durable broker killed and WAL-recovered mid-workload")
-		fmt.Printf("seed=%d faultrate=%.2f shards=%d ops=%d restarts=%d\n",
-			res.Seed, res.FaultRate, res.Shards, res.Ops, res.Restarts)
-		fmt.Printf("requested=%d admitted=%d terminated=%d\n", res.Requested, res.Admitted, res.Terminated)
-		fmt.Printf("replayed=%d records, snapshots at %v, recovery p95=%.2fms\n",
-			res.ReplayedRecords, res.SnapshotSeqs, res.RecoveryP95MS)
-		fmt.Printf("reconcile: adopted=%d refunded=%d parked cleared=%d\n",
-			res.Adopted, res.Refunded, res.ParkedCleared)
-		fmt.Printf("digest matches=%d/%d capacity restored=%v\n",
-			res.DigestMatches, res.Restarts, res.CapacityRestored)
-		fmt.Printf("invariant checks=%d violations=%d\n", res.Checks, res.InvariantViolations)
-	}
-	if res.InvariantViolations != 0 {
-		return fmt.Errorf("restart chaos found %d invariant violation(s): %v",
-			res.InvariantViolations, res.Violations)
-	}
-	if !res.CapacityRestored {
-		return fmt.Errorf("restart chaos: capacity not restored after drain")
-	}
-	if res.DigestMatches != res.Restarts {
-		return fmt.Errorf("restart chaos: %d/%d recoveries matched the pre-kill digest",
-			res.DigestMatches, res.Restarts)
-	}
-	return nil
-}
-
-// runCluster drives the multi-broker harness (sim.RunClusterSim): the
-// N-broker run, a 1-broker baseline over the SAME workload, the N=1 vs
-// N=N outcome-parity comparison, and — for N > 1 — the hand-off crash
-// drill (sim.RunHandoffCrash). The JSON form is the shape recorded in
-// BENCH_cluster.json (see README.md "Cluster artifact"); CI gates on
-// invariant_violations == 0 in both runs, parity == true, and
-// handoff.single_owner == true.
-func runCluster(brokers, clients, shards int, seed int64, placementStr string, jsonOut bool) error {
-	place, err := cluster.ParsePlacement(placementStr)
+	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
 	}
-	scale, err := sim.RunClusterSim(sim.ClusterSimConfig{
-		Brokers: brokers, Clients: clients, Seed: seed, Placement: place, Shards: shards,
-	})
-	if err != nil {
-		return fmt.Errorf("cluster run: %w", err)
-	}
-	baseline, err := sim.RunClusterSim(sim.ClusterSimConfig{
-		Brokers: 1, Clients: clients, Seed: seed, Placement: place, Shards: shards,
-	})
-	if err != nil {
-		return fmt.Errorf("single-broker baseline: %w", err)
-	}
-	parity := scale.OutcomeDigest == baseline.OutcomeDigest
-
-	var handoff *sim.HandoffCrashResult
-	if brokers > 1 {
-		handoff, err = sim.RunHandoffCrash(sim.HandoffCrashConfig{Brokers: brokers, Seed: seed})
-		if err != nil {
-			return fmt.Errorf("handoff crash drill: %w", err)
-		}
-	}
-
-	if jsonOut {
-		out, err := json.MarshalIndent(map[string]any{
-			"schema":   "bench_cluster/v1",
-			"scale":    scale,
-			"baseline": baseline,
-			"parity":   parity,
-			"handoff":  handoff,
-		}, "", "  ")
-		if err != nil {
-			return err
-		}
+	if o.jsonOut {
 		fmt.Println(string(out))
 	} else {
-		header("CLUSTER", fmt.Sprintf("%d-broker front tier vs single-broker baseline (placement %s)", brokers, scale.Placement))
-		for _, row := range []struct {
-			name string
-			r    *sim.ClusterSimResult
-		}{{"baseline", baseline}, {"cluster", scale}} {
-			fmt.Printf("%-9s brokers=%-2d clients=%-7d admitted=%-7d rejected=%-6d errors=%-3d forwarded=%-6d migrations=%d/%d digest=%s\n",
-				row.name, row.r.Brokers, row.r.Clients, row.r.Admitted, row.r.Rejected,
-				row.r.Errors, row.r.Forwarded, row.r.Migrations, row.r.Migrations+row.r.MigrationFailures,
-				row.r.OutcomeDigest)
-		}
-		for _, s := range scale.PerBroker {
-			fmt.Printf("%-9s %-8s final sessions=%-4d load=%.3f\n", "", s.Domain, s.Sessions, s.Load)
-		}
-		fmt.Printf("outcome parity N=1 vs N=%d: %v\n", brokers, parity)
-		if handoff != nil {
-			fmt.Printf("handoff drill: %s %s->%s single_owner=%v owner=%s completed=%d aborted=%d resolved=%d\n",
-				handoff.MigratedID, handoff.Source, handoff.Target, handoff.SingleOwner,
-				handoff.OwnerDomain, handoff.Completed, handoff.Aborted, handoff.HandoffsResolved)
-		}
-		fmt.Printf("invariant checks=%d violations=%d (baseline %d)\n",
-			scale.Checks, scale.InvariantViolations, baseline.InvariantViolations)
-	}
-
-	if scale.InvariantViolations != 0 {
-		return fmt.Errorf("cluster run found %d invariant violation(s): %v",
-			scale.InvariantViolations, scale.Violations)
-	}
-	if baseline.InvariantViolations != 0 {
-		return fmt.Errorf("baseline run found %d invariant violation(s): %v",
-			baseline.InvariantViolations, baseline.Violations)
-	}
-	if !parity {
-		return fmt.Errorf("outcome parity broken: N=1 digest %s vs N=%d digest %s",
-			baseline.OutcomeDigest, brokers, scale.OutcomeDigest)
-	}
-	if handoff != nil {
-		if handoff.InvariantViolations != 0 {
-			return fmt.Errorf("handoff drill found %d invariant violation(s): %v",
-				handoff.InvariantViolations, handoff.Violations)
-		}
-		if !handoff.SingleOwner {
-			return fmt.Errorf("handoff drill: %d owner(s) for %s after recovery, want exactly one on %s",
-				handoff.Owners, handoff.MigratedID, handoff.Target)
-		}
-	}
-	return nil
-}
-
-// runScenarios replays one scenario (or all of them) and gates on the
-// reports: any oracle violation, failed scenario assertion, or — in soak
-// mode — instability verdict exits non-zero, after the report has been
-// emitted so CI always has an artifact. The -json form of `-scenario
-// all` is the shape recorded in BENCH_scenarios.json (see README.md
-// "Scenario artifact"): an object keyed by scenario name. Only the
-// "latency" and "soak" blocks are wall-clock derived; everything else is
-// byte-identical per (scenario, seed, shards, ops).
-func runScenarios(name string, soak bool, seed int64, ops, shards int, jsonOut bool) error {
-	if name == "list" {
-		header("SCENARIOS", "workload scenario catalog")
-		for _, sc := range sim.Scenarios() {
-			fmt.Printf("%-12s %s\n", sc.Name, sc.About)
-		}
-		return nil
-	}
-	var list []sim.Scenario
-	if name == "all" {
-		list = sim.Scenarios()
-	} else {
-		sc, ok := sim.LookupScenario(name)
-		if !ok {
-			return fmt.Errorf("unknown scenario %q (try -scenario list)", name)
-		}
-		list = []sim.Scenario{sc}
-	}
-
-	cfg := sim.ScenarioConfig{Seed: seed, Ops: ops, Shards: shards}
-	reports := make(map[string]any, len(list))
-	var failures []string
-	for _, sc := range list {
-		var (
-			rep    any
-			failed bool
-			err    error
-		)
-		if soak {
-			var r *sim.SoakReport
-			r, err = sim.RunSoak(sc, sim.SoakConfig{ScenarioConfig: cfg})
-			rep, failed = r, r != nil && r.Failed()
-		} else {
-			var r *sim.ScenarioReport
-			r, err = sim.RunScenario(sc, cfg)
-			rep, failed = r, r != nil && r.Failed()
-		}
-		if err != nil {
-			return fmt.Errorf("scenario %s: %w", sc.Name, err)
-		}
-		reports[sc.Name] = rep
-		if failed {
-			failures = append(failures, sc.Name)
-		}
-	}
-
-	if jsonOut {
-		var out []byte
-		var err error
-		if name == "all" {
-			out, err = json.MarshalIndent(reports, "", "  ")
-		} else {
-			out, err = json.MarshalIndent(reports[list[0].Name], "", "  ")
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(out))
-	} else {
-		mode := "scenario"
-		if soak {
-			mode = "soak"
-		}
-		header("SCENARIO", fmt.Sprintf("workload %s replay (seed %d, ops %d, shards %d)", mode, seed, ops, shards))
-		for _, sc := range list {
-			switch r := reports[sc.Name].(type) {
-			case *sim.ScenarioReport:
-				printScenarioSummary(r)
-			case *sim.SoakReport:
-				printScenarioSummary(&r.ScenarioReport)
-				s := r.Soak
-				fmt.Printf("%-12s soak: windows=%d goroutines=%d->%d heap=%d->%d bytes p99 %.3f->%.3fms stable=%v\n",
-					"", len(s.Windows), s.GoroutinesStart, s.GoroutinesMax,
-					s.HeapBaseBytes, s.HeapMaxBytes, s.P99FirstHalfMS, s.P99LastHalfMS, s.Stable)
-				for _, p := range s.Problems {
-					fmt.Printf("%-12s   problem: %s\n", "", p)
-				}
-			}
-		}
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("scenario(s) failed their gates: %s", strings.Join(failures, ", "))
-	}
-	return nil
-}
-
-// runShadow is the policy lab's CLI: it evaluates a registered candidate
-// policy over the chosen scenarios (shadow.Run replays each one three
-// times — active, active+shadow, counterfactual) and emits the
-// bench_shadow/v1 report. The report contains no wall-clock fields, so
-// -json output is byte-identical per (candidate, seed, ops, shards). A
-// non-ok verdict exits non-zero AFTER emitting so CI always has the
-// report to gate on.
-func runShadow(name, candidate string, seed int64, ops, shards int, jsonOut bool) error {
-	var list []sim.Scenario
-	if name == "all" {
-		list = sim.Scenarios()
-	} else {
-		sc, ok := sim.LookupScenario(name)
-		if !ok {
-			return fmt.Errorf("unknown scenario %q (try -scenario list)", name)
-		}
-		list = []sim.Scenario{sc}
-	}
-	rep, err := shadow.Run(list, shadow.Config{Candidate: candidate, Seed: seed, Ops: ops, Shards: shards})
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(out))
-	} else {
-		header("SHADOW", fmt.Sprintf("policy lab: candidate %q vs active \"paper\" (seed %d, ops %d, shards %d)", candidate, seed, ops, shards))
-		for _, sc := range list {
-			sr := rep.Scenarios[sc.Name]
-			fmt.Printf("%-12s evals=%-6d diverged partition=%d optimize=%d ladder=%d placement=%d shadow_clean=%v\n",
-				sc.Name, sr.Evaluations,
-				sr.Divergence["partition"], sr.Divergence["optimize"], sr.Divergence["ladder"], sr.Divergence["placement"],
-				sr.ShadowClean)
-			fmt.Printf("%-12s   counterfactual: admit %.3f->%.3f (%+.3f) revenue %.2f->%.2f (%+.2f) util %.3f->%.3f (%+.3f) verdict=%s\n",
-				"", sr.AdmitRate.Active, sr.AdmitRate.Candidate, sr.AdmitRate.Delta,
-				sr.Revenue.Active, sr.Revenue.Candidate, sr.Revenue.Delta,
-				sr.Utilization.Active, sr.Utilization.Candidate, sr.Utilization.Delta, sr.Verdict)
-			for _, v := range sr.Violations {
-				fmt.Printf("%-12s   violation: %s\n", "", v)
-			}
+		header(strings.ToUpper(m.name), m.about)
+		printDocument(out)
+		if s, ok := rep.(interface{ summary() }); ok {
+			s.summary()
 		}
 	}
 	if rep.Failed() {
-		return fmt.Errorf("shadow evaluation verdict %q (candidate %s)", rep.Verdict, candidate)
+		return fmt.Errorf("%s: the report failed its gates", m.name)
 	}
 	return nil
 }
 
-func printScenarioSummary(r *sim.ScenarioReport) {
-	fmt.Printf("%-12s arrivals=%-6d ops=%-7d admitted=%d/%d (%.1f%%) expired=%d reneg=%d/%d degraded=%d restored=%d revenue=%.2f checks=%d violations=%d verify_errors=%d\n",
-		r.Scenario, r.Arrivals, r.Ops, r.Admitted, r.Requested, 100*r.AdmitRate,
-		r.ExpiredOffers, r.Renegotiations-r.RenegFailures, r.Renegotiations,
-		r.Degradations, r.Restorations, r.Revenue, r.Checks, r.InvariantViolations, len(r.VerifyErrors))
-	for _, v := range r.Violations {
-		fmt.Printf("%-12s   violation: %s\n", "", v)
-	}
-	for _, e := range r.VerifyErrors {
-		fmt.Printf("%-12s   verify: %s\n", "", e)
+// structural matches the punctuation-only lines of an indented JSON
+// document, and jsonKey a line's quoted key.
+var (
+	structural = regexp.MustCompile(`^\s*[\[\]{}]+,?$`)
+	jsonKey    = regexp.MustCompile(`^(\s*)"([^"]+)":`)
+)
+
+// printDocument prints the human-readable form of the document -json
+// emits: the same fields in the same order, one per line, without the
+// JSON punctuation.
+func printDocument(indented []byte) {
+	for _, line := range strings.Split(string(indented), "\n") {
+		if !structural.MatchString(line) {
+			line = strings.TrimSuffix(strings.TrimSuffix(line, ","), " {")
+			fmt.Println(jsonKey.ReplaceAllString(strings.TrimSuffix(line, " ["), "$1$2:"))
+		}
 	}
 }
 
@@ -581,8 +222,229 @@ func header(id, title string) {
 	fmt.Printf("\n=== %s — %s ===\n\n", id, title)
 }
 
+// parallelReport is the BENCH_parallel.json shape: the concurrent run
+// beside a serial baseline with the same total work. Each run gets its
+// own metrics registry so the baseline's counters do not pollute the
+// parallel run's. Oracle findings surface as a run error, so the report
+// itself has no gate.
+type parallelReport struct {
+	Parallel *sim.ParallelResult `json:"parallel"`
+	Serial   *sim.ParallelResult `json:"serial"`
+	obs      *obs.Registry
+}
+
+func (*parallelReport) Failed() bool { return false }
+
+func runParallel(o *options) (report, error) {
+	// The serial baseline always takes the direct in-process path on a
+	// monolithic broker; -shards, -intake and -transport only shape the
+	// parallel run, so the comparison shows what they change.
+	serial, err := sim.RunParallel(sim.StressConfig{Clients: 1, Ops: o.ops, Phases: o.phases, Seed: o.seed})
+	if err != nil {
+		return nil, fmt.Errorf("serial baseline: %w", err)
+	}
+	reg := obs.NewRegistry()
+	par, err := sim.RunParallel(sim.StressConfig{Clients: o.clients, Ops: o.ops, Phases: o.phases, Seed: o.seed,
+		Shards: o.shards, Intake: o.intake, Transport: o.transport, Obs: reg})
+	if err != nil {
+		return nil, err
+	}
+	return &parallelReport{Parallel: par, Serial: serial, obs: reg}, nil
+}
+
+// summary adds the headline numbers and the parallel run's metrics
+// snapshot, which is not part of the JSON document.
+func (r *parallelReport) summary() {
+	for _, row := range []struct {
+		name string
+		r    *sim.ParallelResult
+	}{{"serial", r.Serial}, {"parallel", r.Parallel}} {
+		fmt.Printf("%-9s %8.0f ops/s, admission latency p50=%.4fms p95=%.4fms p99=%.4fms over %.1fms\n",
+			row.name, row.r.OpsPerSec, row.r.AdmitP50MS, row.r.AdmitP95MS, row.r.AdmitP99MS, row.r.ElapsedMS)
+	}
+	fmt.Println("\nall invariant checks passed; no capacity lost or double-spent")
+	fmt.Println("\nparallel-run metrics snapshot:")
+	if err := r.obs.WritePrometheus(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "gridsim: metrics snapshot:", err)
+	}
+}
+
+// runChaos serves both chaos rows. Every field of the chaos report
+// (BENCH_chaos.json) is deterministic: the same seed, fault rate and
+// shard count yield a byte-identical document. The restart report
+// (BENCH_recovery.json) has one wall-clock field, recovery_p95_ms — CI
+// strips it and diffs the rest byte-for-byte across runs.
+func runChaos(o *options) (report, error) {
+	if o.faultRate < 0 {
+		return nil, fmt.Errorf("bad -faultrate %v (want >= 0)", o.faultRate)
+	}
+	cfg := sim.StressConfig{Clients: o.clients, Ops: o.ops, Phases: o.phases, Seed: o.seed, Shards: o.shards,
+		Intake: o.intake, FaultRate: o.faultRate, Restarts: o.restarts, WALDir: o.walDir}
+	if o.restarts > 0 {
+		return sim.RunRestartChaos(cfg)
+	}
+	return sim.RunChaos(cfg)
+}
+
+// clusterReport is the BENCH_cluster.json shape; fields are in the
+// artifact's (alphabetical) key order.
+type clusterReport struct {
+	Baseline *sim.ClusterSimResult   `json:"baseline"`
+	Handoff  *sim.HandoffCrashResult `json:"handoff"`
+	Parity   bool                    `json:"parity"`
+	Scale    *sim.ClusterSimResult   `json:"scale"`
+	Schema   string                  `json:"schema"`
+}
+
+func (r *clusterReport) Failed() bool {
+	return r.Scale.Failed() || r.Baseline.Failed() || !r.Parity || (r.Handoff != nil && r.Handoff.Failed())
+}
+
+func runCluster(o *options) (report, error) {
+	place, err := cluster.ParsePlacement(o.placement)
+	if err != nil {
+		return nil, err
+	}
+	cfg := sim.ClusterSimConfig{Brokers: o.cluster, Clients: o.clients, Seed: o.seed, Placement: place, Shards: o.shards}
+	if !o.set["clients"] {
+		// -clients doubles as the cluster workload size, but its stress
+		// default (8) is far too small here: unless set explicitly, the
+		// cluster run drives the acceptance-scale 10⁵ clients.
+		cfg.Clients = 100000
+	}
+	rep := &clusterReport{Schema: "bench_cluster/v1"}
+	if rep.Scale, err = sim.RunClusterSim(cfg); err != nil {
+		return nil, err
+	}
+	cfg.Brokers = 1
+	if rep.Baseline, err = sim.RunClusterSim(cfg); err != nil {
+		return nil, fmt.Errorf("single-broker baseline: %w", err)
+	}
+	rep.Parity = rep.Scale.OutcomeDigest == rep.Baseline.OutcomeDigest
+	if o.cluster > 1 {
+		rep.Handoff, err = sim.RunHandoffCrash(sim.HandoffCrashConfig{Brokers: o.cluster, Seed: o.seed})
+		if err != nil {
+			return nil, fmt.Errorf("handoff crash drill: %w", err)
+		}
+	}
+	return rep, nil
+}
+
+// scenarioSet is `-scenario all`: the reports keyed by scenario name,
+// the shape recorded in BENCH_scenarios.json (a single scenario emits
+// its bare report). Only the "latency" and "soak" blocks are wall-clock
+// derived; everything else is byte-identical per (scenario, seed,
+// shards, ops).
+type scenarioSet map[string]report
+
+func (s scenarioSet) Failed() bool {
+	for _, r := range s {
+		if r.Failed() {
+			return true
+		}
+	}
+	return false
+}
+
+func runScenarios(o *options) (report, error) {
+	if o.shadow != "" && o.soak {
+		return nil, fmt.Errorf("-shadow and -soak are mutually exclusive (the shadow lab replays each scenario three times itself)")
+	}
+	if o.scenario == "list" {
+		header("SCENARIOS", "workload scenario catalog")
+		for _, sc := range sim.Scenarios() {
+			fmt.Printf("%-12s %s\n", sc.Name, sc.About)
+		}
+		return nil, nil
+	}
+	list := sim.Scenarios()
+	if o.scenario != "all" {
+		sc, ok := sim.LookupScenario(o.scenario)
+		if !ok {
+			return nil, fmt.Errorf("unknown scenario %q (try -scenario list)", o.scenario)
+		}
+		list = []sim.Scenario{sc}
+	}
+	if o.shadow != "" {
+		// The policy lab's bench_shadow/v1 report has no wall-clock fields,
+		// so it is byte-identical per (candidate, seed, ops, shards).
+		return shadow.Run(list, shadow.Config{Candidate: o.shadow, Seed: o.seed, Ops: o.ops, Shards: o.shards})
+	}
+
+	cfg := sim.ScenarioConfig{Seed: o.seed, Ops: o.ops, Shards: o.shards}
+	set := make(scenarioSet, len(list))
+	for _, sc := range list {
+		var err error
+		if o.soak {
+			set[sc.Name], err = sim.RunSoak(sc, sim.SoakConfig{ScenarioConfig: cfg})
+		} else {
+			set[sc.Name], err = sim.RunScenario(sc, cfg)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", sc.Name, err)
+		}
+	}
+	if o.scenario != "all" {
+		return set[list[0].Name], nil
+	}
+	return set, nil
+}
+
+// experiments lists the paper artifacts in the order `-experiment all`
+// prints them.
+var experiments = []struct {
+	id, title string
+	run       func(seed int64, verbose bool) error
+}{
+	{"T1", "Table 1 — SLA resource portion relayed to resource managers", runT1},
+	{"T2", "Table 2 — GARA reservation primitives, lifecycle transcript", runT2},
+	{"T3", "Table 3 — SLA conformance test reply (QoS_Levels)", runT3},
+	{"T4", "Table 4 — negotiated SLA with adaptation options", runT4},
+	{"F4", "Fig. 4 — the five QoS management phases in one session", runF4},
+	{"F6", "Figs. 6–7 — broker activity and client transcript", runF6},
+	{"E56", "§5.6 worked example: composite SLA, failure at t2, recovery at t3", runE56},
+	{"C1", "utilization & admission: adaptive borrowing vs rigid partition",
+		claim(func(seed int64) ([]sim.C1Row, error) { return sim.RunC1(seed, nil) }, sim.FormatC1)},
+	{"C2", "guarantee survival under failures: adaptive reserve vs no reserve",
+		claim(func(seed int64) ([]sim.C2Row, error) { return sim.RunC2(seed, nil) }, sim.FormatC2)},
+	{"C3", "best-effort minimum capacity under guaranteed saturation", claim(sim.RunC3, sim.FormatC3)},
+	{"C4", "optimizer profit: greedy vs exact vs first-fit vs minimum",
+		claim(func(seed int64) ([]sim.C4Row, error) { return sim.RunC4(seed, nil) }, sim.FormatC4)},
+	{"C5", "scenario-1 compensation: admissions vs willingness to degrade",
+		claim(func(seed int64) ([]sim.C5Row, error) { return sim.RunC5(seed, nil) }, sim.FormatC5)},
+}
+
+// claim adapts a claim experiment (rows, then their table) to the
+// experiment signature.
+func claim[R any](rows func(seed int64) ([]R, error), format func([]R) string) func(int64, bool) error {
+	return func(seed int64, _ bool) error {
+		rs, err := rows(seed)
+		if err != nil {
+			return err
+		}
+		fmt.Print(format(rs))
+		return nil
+	}
+}
+
+func runExperiments(o *options) (report, error) {
+	ran := false
+	for _, e := range experiments {
+		if id := strings.ToUpper(o.experiment); id == "ALL" || id == e.id {
+			header(e.id, e.title)
+			if err := e.run(o.seed, o.verbose); err != nil {
+				return nil, fmt.Errorf("%s: %w", e.id, err)
+			}
+			ran = true
+		}
+	}
+	if !ran {
+		return nil, fmt.Errorf("unknown experiment %q", o.experiment)
+	}
+	return nil, nil
+}
+
 func runE56(_ int64, verbose bool) error {
-	header("E56", "§5.6 worked example: composite SLA, failure at t2, recovery at t3")
 	res, err := sim.RunE56()
 	if err != nil {
 		return err
@@ -599,58 +461,7 @@ func runE56(_ int64, verbose bool) error {
 	return nil
 }
 
-func runC1(seed int64, _ bool) error {
-	header("C1", "utilization & admission: adaptive borrowing vs rigid partition")
-	rows, err := sim.RunC1(seed, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Print(sim.FormatC1(rows))
-	return nil
-}
-
-func runC2(seed int64, _ bool) error {
-	header("C2", "guarantee survival under failures: adaptive reserve vs no reserve")
-	rows, err := sim.RunC2(seed, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Print(sim.FormatC2(rows))
-	return nil
-}
-
-func runC3(seed int64, _ bool) error {
-	header("C3", "best-effort minimum capacity under guaranteed saturation")
-	rows, err := sim.RunC3(seed)
-	if err != nil {
-		return err
-	}
-	fmt.Print(sim.FormatC3(rows))
-	return nil
-}
-
-func runC4(seed int64, _ bool) error {
-	header("C4", "optimizer profit: greedy vs exact vs first-fit vs minimum")
-	rows, err := sim.RunC4(seed, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Print(sim.FormatC4(rows))
-	return nil
-}
-
-func runC5(seed int64, _ bool) error {
-	header("C5", "scenario-1 compensation: admissions vs willingness to degrade")
-	rows, err := sim.RunC5(seed, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Print(sim.FormatC5(rows))
-	return nil
-}
-
 func runT1(_ int64, _ bool) error {
-	header("T1", "Table 1 — SLA resource portion relayed to resource managers")
 	spec := gqosm.NewSpec(
 		gqosm.Exact(gqosm.CPU, 4),
 		gqosm.Exact(gqosm.MemoryMB, 64),
@@ -659,7 +470,10 @@ func runT1(_ int64, _ bool) error {
 	spec.SourceIP = "192.200.168.33"
 	spec.DestIP = "135.200.50.101"
 	spec.MaxPacketLossPct = 10
-	doc := sla.EncodeServiceSpecific(spec, resource.Capacity{CPU: 4, MemoryMB: 64, BandwidthMbps: 10})
+	return printXML(sla.EncodeServiceSpecific(spec, resource.Capacity{CPU: 4, MemoryMB: 64, BandwidthMbps: 10}))
+}
+
+func printXML(doc any) error {
 	out, err := sla.MarshalIndent(doc)
 	if err != nil {
 		return err
@@ -669,7 +483,6 @@ func runT1(_ int64, _ bool) error {
 }
 
 func runT2(_ int64, _ bool) error {
-	header("T2", "Table 2 — GARA reservation primitives, lifecycle transcript")
 	stack, err := newPaperStack()
 	if err != nil {
 		return err
@@ -698,23 +511,16 @@ func runT2(_ int64, _ bool) error {
 }
 
 func runT3(_ int64, _ bool) error {
-	header("T3", "Table 3 — SLA conformance test reply (QoS_Levels)")
-	res, err := withLifecycleSession(func(stack *gqosm.Stack, id gqosm.SLAID) (any, error) {
+	return withLifecycleSession(func(stack *gqosm.Stack, id gqosm.SLAID) error {
 		rep, err := stack.Broker.Verify(id)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return sla.MarshalIndent(rep.XML)
+		return printXML(rep.XML)
 	})
-	if err != nil {
-		return err
-	}
-	fmt.Println(string(res.([]byte)))
-	return nil
 }
 
 func runT4(_ int64, _ bool) error {
-	header("T4", "Table 4 — negotiated SLA with adaptation options")
 	stack, err := newPaperStack()
 	if err != nil {
 		return err
@@ -737,36 +543,28 @@ func runT4(_ int64, _ bool) error {
 	if err != nil {
 		return err
 	}
-	out, err := sla.MarshalIndent(sla.EncodeDocument(offer.SLA))
-	if err != nil {
-		return err
-	}
-	fmt.Println(string(out))
-	return nil
+	return printXML(sla.EncodeDocument(offer.SLA))
 }
 
 func runF4(_ int64, _ bool) error {
-	header("F4", "Fig. 4 — the five QoS management phases in one session")
-	_, err := withLifecycleSession(func(stack *gqosm.Stack, id gqosm.SLAID) (any, error) {
+	return withLifecycleSession(func(stack *gqosm.Stack, id gqosm.SLAID) error {
 		// Degrade by failing capacity, then recover (phases 3–5).
 		stack.Broker.NotifyFailure(gqosm.Nodes(3))
 		if _, err := stack.Broker.Verify(id); err != nil {
-			return nil, err
+			return err
 		}
 		stack.Broker.NotifyFailure(gqosm.Capacity{})
 		if err := stack.Broker.Terminate(id, "session complete"); err != nil {
-			return nil, err
+			return err
 		}
 		for _, e := range stack.Broker.Events() {
 			fmt.Println("  " + e.String())
 		}
-		return nil, nil
+		return nil
 	})
-	return err
 }
 
 func runF6(_ int64, _ bool) error {
-	header("F6", "Figs. 6–7 — broker activity and client transcript")
 	stack, err := newPaperStack()
 	if err != nil {
 		return err
@@ -804,23 +602,19 @@ func runF6(_ int64, _ bool) error {
 // newPaperStack builds the §5.6-sized stack on a manual clock.
 func newPaperStack() (*gqosm.Stack, error) {
 	return gqosm.NewStack(gqosm.StackConfig{
-		Domain: "site-a",
-		Clock:  gqosm.NewManualClock(sim.Epoch),
-		Plan: gqosm.CapacityPlan{
-			Guaranteed: gqosm.Capacity{CPU: 15, MemoryMB: 6144, DiskGB: 120},
-			Adaptive:   gqosm.Capacity{CPU: 6, MemoryMB: 2048, DiskGB: 40},
-			BestEffort: gqosm.Capacity{CPU: 5, MemoryMB: 2048, DiskGB: 40},
-		},
+		Domain:        "site-a",
+		Clock:         gqosm.NewManualClock(sim.Epoch),
+		Plan:          sim.DefaultParallelPlan(),
 		ConfirmWindow: time.Hour,
 	})
 }
 
 // withLifecycleSession establishes and invokes a standard guaranteed
 // session, then hands it to f.
-func withLifecycleSession(f func(*gqosm.Stack, gqosm.SLAID) (any, error)) (any, error) {
+func withLifecycleSession(f func(*gqosm.Stack, gqosm.SLAID) error) error {
 	stack, err := newPaperStack()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer stack.Close()
 	now := stack.Clock.Now()
@@ -830,13 +624,13 @@ func withLifecycleSession(f func(*gqosm.Stack, gqosm.SLAID) (any, error)) (any, 
 		Start: now, End: now.Add(5 * time.Hour),
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := stack.Broker.Accept(offer.SLA.ID); err != nil {
-		return nil, err
+		return err
 	}
 	if _, err := stack.Broker.Invoke(offer.SLA.ID); err != nil {
-		return nil, err
+		return err
 	}
 	return f(stack, offer.SLA.ID)
 }

@@ -34,12 +34,73 @@ func TestRunArgumentErrors(t *testing.T) {
 		"unknown-experiment": {"-experiment", "Z9"},
 		"bad-flag":           {"-no-such-flag"},
 		"bad-seed":           {"-seed", "not-a-number"},
+		// Flags the selected mode does not read are rejected, not dropped.
+		"cluster-intake":      {"-cluster", "3", "-intake"},
+		"scenario-faultrate":  {"-scenario", "diurnal", "-faultrate", "0.4"},
+		"restarts-phases":     {"-chaos", "-restarts", "3", "-phases", "5"},
+		"chaos-wal-dir":       {"-chaos", "-wal-dir", "/tmp/x"},
+		"two-modes":           {"-parallel", "-chaos"},
+		"experiment-json":     {"-experiment", "T1", "-json"},
+		"transport-no-mode":   {"-transport", "http"},
+		"transport-chaos":     {"-chaos", "-transport", "http"},
+		"restarts-no-chaos":   {"-restarts", "3"},
+		"shadow-no-scenario":  {"-shadow", "revenue-greedy"},
+		"shadow-and-soak":     {"-scenario", "all", "-shadow", "revenue-greedy", "-soak"},
+		"negative-faultrate":  {"-chaos", "-faultrate", "-0.1"},
+		"removed-cache-knob":  {"-parallel", "-cache", "off"},
+		"bad-transport-value": {"-parallel", "-transport", "carrier-pigeon"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			if _, err := runCapture(t, args...); err == nil {
 				t.Fatalf("args %v: expected error", args)
 			}
 		})
+	}
+}
+
+// The needs-message names the mode flag that would make the stray flag
+// meaningful.
+func TestStrayFlagMessageNamesTheMode(t *testing.T) {
+	for flags, want := range map[string]string{
+		"-transport http -chaos": "-transport needs -parallel",
+		"-restarts 3":            "-restarts needs -chaos",
+		"-soak":                  "-soak needs -scenario",
+	} {
+		_, err := runCapture(t, strings.Fields(flags)...)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want it to contain %q", flags, err, want)
+		}
+	}
+}
+
+// A fault rate of 0 means no injector — the 0-point of a fault-rate
+// sweep — not "unset, use the default".
+func TestChaosFaultRateZero(t *testing.T) {
+	out, err := runCapture(t, "-chaos", "-faultrate", "0", "-ops", "2000", "-json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r sim.ChaosResult
+	if err := json.Unmarshal([]byte(out), &r); err != nil {
+		t.Fatalf("not JSON: %v\n%s", err, out)
+	}
+	if r.FaultRate != 0 || r.FaultsInjected != 0 || r.InvariantViolations != 0 {
+		t.Errorf("fault_rate=%v faults_injected=%d invariant_violations=%d, want all 0",
+			r.FaultRate, r.FaultsInjected, r.InvariantViolations)
+	}
+	if r.Admitted == 0 || r.Checks == 0 {
+		t.Errorf("degenerate fault-free run: %+v", r)
+	}
+}
+
+// README.md carries the mode table rendered from the same rows -h prints.
+func TestReadmeModeTableInSync(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(readme), modeTable()) {
+		t.Errorf("README.md lacks the current gridsim mode table; paste this in:\n%s", modeTable())
 	}
 }
 

@@ -39,7 +39,7 @@ func TestParallelLifecycleStress10K(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-op stress skipped in -short mode")
 	}
-	res, err := sim.RunParallel(sim.ParallelConfig{
+	res, err := sim.RunParallel(sim.StressConfig{
 		Clients: 8, Ops: 10000, Phases: 10, Seed: 1955,
 	})
 	if err != nil {

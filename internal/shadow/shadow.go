@@ -104,7 +104,7 @@ func Digest(r *sim.ScenarioReport) string {
 func observedRun(sc sim.Scenario, cfg sim.ScenarioConfig) (*sim.ScenarioReport, float64, error) {
 	var sum float64
 	var n int
-	rep, err := sim.RunScenarioObserved(sc, cfg, func(run *sim.ScenarioRun, phase int) {
+	rep, err := sim.RunScenario(sc, cfg, func(run *sim.ScenarioRun, phase int) {
 		for _, a := range run.Cluster.Broker.Allocators() {
 			sum += a.Utilization().CPU
 			n++

@@ -12,14 +12,14 @@ import (
 // hit rate; with DisableCaches the field stays zero and is omitted
 // from the JSON, preserving the historical schema.
 func TestParallelCacheHitRate(t *testing.T) {
-	on, err := RunParallel(ParallelConfig{Clients: 4, Ops: 800, Phases: 4, Seed: 11, Obs: obs.NewRegistry()})
+	on, err := RunParallel(StressConfig{Clients: 4, Ops: 800, Phases: 4, Seed: 11, Obs: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if on.CacheHitRate <= 0 {
 		t.Errorf("cache-on run hit rate = %v, want > 0", on.CacheHitRate)
 	}
-	off, err := RunParallel(ParallelConfig{Clients: 4, Ops: 800, Phases: 4, Seed: 11, Obs: obs.NewRegistry(),
+	off, err := RunParallel(StressConfig{Clients: 4, Ops: 800, Phases: 4, Seed: 11, Obs: obs.NewRegistry(),
 		DisableCaches: true})
 	if err != nil {
 		t.Fatal(err)
@@ -42,11 +42,11 @@ func TestParallelCacheHitRate(t *testing.T) {
 	// Caches must not change admission outcomes. Concurrent runs have
 	// nondeterministic interleaving, so the A/B comparison uses serial
 	// runs, whose schedules are pure functions of the seed.
-	serialOn, err := RunParallel(ParallelConfig{Clients: 1, Ops: 800, Phases: 4, Seed: 11, Obs: obs.NewRegistry()})
+	serialOn, err := RunParallel(StressConfig{Clients: 1, Ops: 800, Phases: 4, Seed: 11, Obs: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialOff, err := RunParallel(ParallelConfig{Clients: 1, Ops: 800, Phases: 4, Seed: 11, Obs: obs.NewRegistry(),
+	serialOff, err := RunParallel(StressConfig{Clients: 1, Ops: 800, Phases: 4, Seed: 11, Obs: obs.NewRegistry(),
 		DisableCaches: true})
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestParallelCacheHitRate(t *testing.T) {
 // perturb the deterministic replay.
 func TestChaosDeterministicWithCaches(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		cfg := ChaosConfig{Clients: 4, Ops: 600, Phases: 3, Seed: 7, FaultRate: 0.2, Shards: shards}
+		cfg := StressConfig{Clients: 4, Ops: 600, Phases: 3, Seed: 7, FaultRate: 0.2, Shards: shards}
 		a, err := RunChaos(cfg)
 		if err != nil {
 			t.Fatalf("shards=%d first run: %v", shards, err)

@@ -6,7 +6,7 @@ import (
 )
 
 // chaosRun executes a small chaos run and returns its marshaled report.
-func chaosRun(t *testing.T, cfg ChaosConfig) (*ChaosResult, []byte) {
+func chaosRun(t *testing.T, cfg StressConfig) (*ChaosResult, []byte) {
 	t.Helper()
 	res, err := RunChaos(cfg)
 	if err != nil {
@@ -20,7 +20,7 @@ func chaosRun(t *testing.T, cfg ChaosConfig) (*ChaosResult, []byte) {
 }
 
 func TestRunChaosDeterministic(t *testing.T) {
-	cfg := ChaosConfig{Seed: 7, FaultRate: 0.2, Ops: 2000, Shards: 2}
+	cfg := StressConfig{Seed: 7, FaultRate: 0.2, Ops: 2000, Shards: 2}
 	r1, d1 := chaosRun(t, cfg)
 	_, d2 := chaosRun(t, cfg)
 	if string(d1) != string(d2) {
@@ -34,7 +34,7 @@ func TestRunChaosDeterministic(t *testing.T) {
 	}
 
 	// A different seed must explore a different schedule.
-	_, d3 := chaosRun(t, ChaosConfig{Seed: 8, FaultRate: 0.2, Ops: 2000, Shards: 2})
+	_, d3 := chaosRun(t, StressConfig{Seed: 8, FaultRate: 0.2, Ops: 2000, Shards: 2})
 	if string(d1) == string(d3) {
 		t.Fatal("different seeds produced identical reports")
 	}
@@ -43,7 +43,7 @@ func TestRunChaosDeterministic(t *testing.T) {
 func TestRunChaosZeroViolationsAcrossSeeds(t *testing.T) {
 	for _, seed := range []int64{1, 3} {
 		for _, shards := range []int{1, 4} {
-			res, _ := chaosRun(t, ChaosConfig{Seed: seed, FaultRate: 0.25, Ops: 1500, Shards: shards})
+			res, _ := chaosRun(t, StressConfig{Seed: seed, FaultRate: 0.25, Ops: 1500, Shards: shards})
 			if res.InvariantViolations != 0 {
 				t.Errorf("seed %d shards %d: %v", seed, shards, res.Violations)
 			}
@@ -55,7 +55,7 @@ func TestRunChaosZeroViolationsAcrossSeeds(t *testing.T) {
 }
 
 func TestRunChaosExercisesRetryBudget(t *testing.T) {
-	res, _ := chaosRun(t, ChaosConfig{Seed: 11, FaultRate: 0.4, Ops: 2000})
+	res, _ := chaosRun(t, StressConfig{Seed: 11, FaultRate: 0.4, Ops: 2000})
 	if res.Retries == 0 {
 		t.Error("fault rate 0.4 produced no retries")
 	}

@@ -1,43 +1,32 @@
 package sim
 
-// This file is the multi-broker harness: N independent sim Clusters
-// (each its own core.Broker, pool, GARA, GRAM, registry — exactly what
-// N aqosd processes would own) behind a cluster.Front, driven by one
-// shared manual clock.
+// This file is the multi-broker workload and its two engine
+// configurations, RunClusterSim and RunHandoffCrash: N independent sim
+// Clusters (each its own core.Broker, pool, GARA, GRAM, registry —
+// exactly what N aqosd processes would own) behind a cluster.Front,
+// driven by one shared manual clock.
 //
-// Two runners:
-//
-//   - RunClusterSim drives O(10⁵) simulated clients through front-tier
-//     placement with federation fallback, forced hand-off migrations,
-//     and the cluster-level invariant oracle at fixed cadences. The
-//     per-client outcome sequence is digested (admissions and
-//     rejections only — migrations are cluster-internal rebalancing and
-//     excluded), and the digest is workload-deterministic AND
-//     broker-count-independent: the sliding session window keeps demand
-//     far enough under cluster capacity that every regular admission
-//     succeeds somewhere, and every oversized probe fails everywhere,
-//     so a 3-broker run must reproduce the 1-broker outcome sequence
-//     exactly. gridsim gates on that N=1 vs N=3 parity.
-//
-//   - RunHandoffCrash admits a small durable workload, then kills the
-//     hand-off source broker at the worst point — after the target
-//     committed the import, before CompleteHandoff — recovers it from
-//     its WAL, reconciles, and reports whether exactly one owner
-//     survived.
+// RunClusterSim drives O(10⁵) simulated clients through front-tier
+// placement with federation fallback, forced hand-off migrations, and
+// the oracle at a fixed cadence. The per-client outcome sequence is
+// digested (admissions and rejections only — migrations are
+// cluster-internal rebalancing and excluded), and the digest is
+// workload-deterministic AND broker-count-independent: the sliding
+// session window keeps demand far enough under cluster capacity that
+// every regular admission succeeds somewhere, and every oversized probe
+// fails everywhere, so a 3-broker run must reproduce the 1-broker outcome
+// sequence exactly. gridsim gates on that N=1 vs N=3 parity.
 
 import (
 	"errors"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"time"
 
-	"gqosm/internal/clockx"
 	"gqosm/internal/cluster"
 	"gqosm/internal/core"
-	"gqosm/internal/invariant"
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
 )
@@ -57,16 +46,19 @@ type ClusterSimConfig struct {
 	Placement cluster.Placement
 	// Shards is the per-broker shard count (default 1).
 	Shards int
-	// Window is the live-session cap; the oldest session is terminated
-	// when an admission would exceed it (default 64).
-	Window int
-	// MigrateEvery forces a hand-off of the oldest live session every
-	// that many clients when Brokers > 1 (default 512; 0 disables).
-	MigrateEvery int
-	// CheckEvery is the cluster-invariant cadence in clients (default
-	// 2048).
-	CheckEvery int
 }
+
+// The cluster workload's fixed cadences, in clients.
+const (
+	// clusterWindow is the live-session cap; the oldest session is
+	// terminated when an admission would exceed it.
+	clusterWindow = 64
+	// clusterMigrateEvery forces a hand-off of the oldest live session
+	// every that many clients when Brokers > 1.
+	clusterMigrateEvery = 512
+	// clusterCheckEvery is the oracle cadence.
+	clusterCheckEvery = 2048
+)
 
 // ClusterSimResult reports a RunClusterSim run. Every field is
 // deterministic for a configuration except ElapsedMS.
@@ -102,6 +94,9 @@ type ClusterSimResult struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
+// Failed reports whether CI should gate the run red.
+func (r *ClusterSimResult) Failed() bool { return r.InvariantViolations > 0 }
+
 // ClusterBrokerStat is one member's summary.
 type ClusterBrokerStat struct {
 	Domain   string  `json:"domain"`
@@ -110,7 +105,7 @@ type ClusterBrokerStat struct {
 }
 
 // clusterPlan is the cluster-wide Algorithm-1 partition the multi-broker
-// harness splits across members: roomy enough that the sliding window
+// topology splits across members: roomy enough that the sliding window
 // (64 sessions × ≤3 CPU) never exhausts the cluster, small enough that
 // hash skew overflows single members and exercises the fallback.
 func clusterPlan() core.CapacityPlan {
@@ -121,270 +116,164 @@ func clusterPlan() core.CapacityPlan {
 	}
 }
 
-// clusterMembers assembles n sim Clusters on one shared clock with the
-// cluster-wide plan split across them, plus the front over their slots.
-func clusterMembers(n, shards int, placement cluster.Placement, clock *clockx.Manual, walRoot string) ([]*Cluster, *cluster.Front, error) {
-	plan := clusterPlan()
-	parts := plan.Split(n)
-	members := make([]*Cluster, n)
-	slots := make([]*cluster.Slot, n)
-	for i := 0; i < n; i++ {
-		cfg := ClusterConfig{
-			Plan:   parts[i],
-			Domain: fmt.Sprintf("node-%d", i+1),
-			// Every member advertises the CLUSTER total so discovery
-			// admits any request the cluster could conceivably serve;
-			// the allocator (and the federation fallback) decides.
-			ServiceCapacity: plan.Total(),
-			Shards:          shards,
-			Clock:           clock,
-		}
-		if walRoot != "" {
-			cfg.WAL = core.DurabilityConfig{Dir: filepath.Join(walRoot, cfg.Domain)}
-		}
-		c, err := NewCluster(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		members[i] = c
-		slots[i] = cluster.NewSlot(c.Broker)
-	}
-	front, err := cluster.New(cluster.Config{Placement: placement}, slots...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return members, front, nil
+// windowWorkload admits one guaranteed session per step through the
+// front tier and keeps at most window of them live, terminating the
+// oldest as new ones arrive.
+type windowWorkload struct {
+	topo   *topology
+	rng    *rand.Rand
+	record func(stage string, err error)
+	// request builds step i's admission. It must draw a fixed number of
+	// values from rng per call, so the schedule is identical for every
+	// broker count.
+	request func(w *windowWorkload, i int) core.Request
+	window  int
+	// tick is how many admissions share one simulated second.
+	tick int
+
+	live   []sla.ID
+	digest hash.Hash64
+
+	admitted, rejected, errors, forwarded int
 }
 
-func brokersOf(members []*Cluster) []*core.Broker {
-	out := make([]*core.Broker, len(members))
-	for i, m := range members {
-		out[i] = m.Broker
-	}
-	return out
+func newWindowWorkload(e *engine, seed int64, window, tick int, request func(*windowWorkload, int) core.Request) *windowWorkload {
+	w := &windowWorkload{topo: e.topo, rng: rand.New(rand.NewSource(seed)), record: e.record,
+		request: request, window: window, tick: tick, digest: fnv.New64a()}
+	e.work, e.victim = w, w.oldest
+	return w
 }
 
-// RunClusterSim drives the multi-broker workload described in the file
-// comment. A non-nil error means the harness itself failed; invariant
-// violations are reported in the result for the caller to gate on.
-func RunClusterSim(cfg ClusterSimConfig) (*ClusterSimResult, error) {
-	if cfg.Brokers <= 0 {
-		cfg.Brokers = 3
+// guaranteedRequest is the window workloads' common request shape.
+func (w *windowWorkload) guaranteedRequest(client string, params ...sla.Param) core.Request {
+	now := w.topo.clock.Now()
+	return core.Request{
+		Service: "simulation",
+		Client:  client,
+		Class:   sla.ClassGuaranteed,
+		Spec:    sla.NewSpec(params...),
+		Start:   now,
+		End:     now.Add(1000 * time.Hour),
 	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = 100000
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 64
-	}
-	if cfg.MigrateEvery == 0 {
-		cfg.MigrateEvery = 512
-	}
-	if cfg.CheckEvery <= 0 {
-		cfg.CheckEvery = 2048
-	}
+}
 
-	clock := clockx.NewManual(Epoch)
-	members, front, err := clusterMembers(cfg.Brokers, cfg.Shards, cfg.Placement, clock, "")
-	if err != nil {
-		return nil, err
+func (w *windowWorkload) oldest() sla.ID {
+	if len(w.live) == 0 {
+		return ""
 	}
-	defer func() {
-		for _, m := range members {
-			m.Close()
-		}
-	}()
-	brokers := brokersOf(members)
+	return w.live[0]
+}
 
-	res := &ClusterSimResult{
-		Brokers: cfg.Brokers, Shards: cfg.Shards, Clients: cfg.Clients,
-		Seed: cfg.Seed, Placement: cfg.Placement.String(), Window: cfg.Window,
-	}
-	record := func(stage string, err error) {
-		if err == nil {
-			return
-		}
-		if ie, ok := err.(*invariant.Error); ok {
-			res.InvariantViolations += len(ie.Violations)
-			// Keep the report bounded: the count gates CI, the first few
-			// violations carry the diagnosis.
-			for _, v := range ie.Violations {
-				if len(res.Violations) < 20 {
-					res.Violations = append(res.Violations, stage+": "+v.String())
-				}
-			}
-			return
-		}
-		res.InvariantViolations++
-		if len(res.Violations) < 20 {
-			res.Violations = append(res.Violations, stage+": "+err.Error())
-		}
-	}
+func (w *windowWorkload) outcome(letter byte, counter *int) {
+	*counter++
+	w.digest.Write([]byte{letter})
+}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	digest := fnv.New64a()
-	var live []sla.ID
-	total := clusterPlan().Total()
-	start := time.Now()
-
-	for i := 0; i < cfg.Clients; i++ {
-		// Fixed draw count per client, so the schedule is identical for
-		// every broker count.
-		r1 := rng.Intn(3) + 1 // CPU nodes 1–3
-		r2 := rng.Intn(4) + 1 // memory/disk scale
-
-		name := fmt.Sprintf("client-%06d", i)
-		now := clock.Now()
-		req := core.Request{
-			Service: "simulation",
-			Client:  name,
-			Class:   sla.ClassGuaranteed,
-			Start:   now,
-			End:     now.Add(1000 * time.Hour),
-		}
-		if i%97 == 96 {
-			// Oversized probe: more CPU than the whole cluster owns —
-			// must be rejected by every member, under any placement.
-			req.Spec = sla.NewSpec(sla.Exact(resource.CPU, total.CPU+16))
-		} else {
-			req.Spec = sla.NewSpec(
-				sla.Exact(resource.CPU, float64(r1)),
-				sla.Exact(resource.MemoryMB, float64(128*r2)),
-				sla.Exact(resource.DiskGB, float64(r2)),
-			)
-		}
-
-		offer, err := front.RequestService(req)
-		// Settle the fan-out before the next client: a losing peer's offer
-		// holds a temporary reservation until its asynchronous retraction
-		// lands, and an admission racing that window can see less capacity
-		// than the settled state — a (legal, confirm-window-bounded)
-		// transient that would make the outcome digest timing-dependent
-		// and break the N=1 parity gate this serial driver exists to
-		// enforce.
-		front.Quiesce()
-		switch {
-		case err == nil:
-			if aerr := front.Accept(offer.SLA.ID); aerr != nil {
-				res.Errors++
-				digest.Write([]byte{'E'})
-				break
-			}
-			res.Admitted++
-			if offer.Forwarded {
-				res.Forwarded++
-			}
-			digest.Write([]byte{'A'})
-			live = append(live, offer.SLA.ID)
-			if len(live) > cfg.Window {
-				oldest := live[0]
-				live = live[1:]
-				if terr := front.Terminate(oldest, "window slide"); terr != nil {
-					record(fmt.Sprintf("client %d terminate %s", i, oldest), terr)
-				}
-			}
-		case isClusterReject(err):
-			res.Rejected++
-			digest.Write([]byte{'R'})
-		default:
-			res.Errors++
-			digest.Write([]byte{'E'})
-		}
-
-		// Forced rebalancing migrations — cluster-internal, so they are
-		// deliberately NOT part of the outcome digest.
-		if cfg.Brokers > 1 && cfg.MigrateEvery > 0 && i%cfg.MigrateEvery == cfg.MigrateEvery-1 && len(live) > 0 {
-			id := live[0]
-			if dom, ok := front.Owner(id); ok {
-				var idx int
-				for j, s := range front.Slots() {
-					if s.Domain() == dom {
-						idx = j
-						break
-					}
-				}
-				target := front.Slots()[(idx+1)%cfg.Brokers].Domain()
-				if merr := front.Migrate(id, target); merr == nil {
-					res.Migrations++
-				} else {
-					res.MigrationFailures++
-				}
-			}
-		}
-
-		if i%16 == 15 {
-			clock.Advance(time.Second)
-		}
-		if i%cfg.CheckEvery == cfg.CheckEvery-1 {
-			res.Checks++
-			// Quiesce before checking: a fan-out's slow losers and their
-			// retractions are still committing/tearing down in background
-			// goroutines, and the per-broker suite would read their
-			// half-installed sessions as violations.
-			front.Quiesce()
-			record(fmt.Sprintf("client %d", i), invariant.CheckCluster(brokers...))
-			for _, b := range brokers {
-				b.PruneTerminal()
-			}
-		}
-	}
-
-	// Drain the window, then the full final suite: cluster invariants,
-	// per-broker reservation hygiene, and capacity restoration. Quiesce
-	// first — a losing fan-out offer whose retraction is still in flight
-	// would read as a leaked reservation.
+func (w *windowWorkload) step(i int) {
+	front := w.topo.front
+	offer, err := front.RequestService(w.request(w, i))
+	// Settle the fan-out before the next client: a losing peer's offer
+	// holds a temporary reservation until its asynchronous retraction
+	// lands, and an admission racing that window can see less capacity
+	// than the settled state — a (legal, confirm-window-bounded)
+	// transient that would make the outcome digest timing-dependent
+	// and break the N=1 parity gate this serial workload exists to
+	// enforce.
 	front.Quiesce()
-	for _, id := range live {
-		if err := front.Terminate(id, "drain"); err != nil {
-			record(fmt.Sprintf("drain %s", id), err)
+	switch {
+	case err == nil && front.Accept(offer.SLA.ID) == nil:
+		w.outcome('A', &w.admitted)
+		if offer.Forwarded {
+			w.forwarded++
 		}
-	}
-	res.Checks++
-	record("post-drain", invariant.CheckCluster(brokers...))
-	for i, m := range members {
-		record(fmt.Sprintf("post-drain %s", m.Broker.Domain()),
-			invariant.CheckReservations(m.Broker, m.GARA, invariant.ReservationCheck{Final: true}))
-		for si, alloc := range m.Broker.Allocators() {
-			if users := alloc.GuaranteedUsers(); len(users) != 0 {
-				res.InvariantViolations++
-				if len(res.Violations) < 20 {
-					res.Violations = append(res.Violations, fmt.Sprintf(
-						"drain: broker %d shard %d: %d guaranteed grant(s) survive", i, si, len(users)))
-				}
+		w.live = append(w.live, offer.SLA.ID)
+		if len(w.live) > w.window {
+			oldest := w.live[0]
+			w.live = w.live[1:]
+			if err := front.Terminate(oldest, "window slide"); err != nil {
+				w.record(fmt.Sprintf("client %d terminate %s", i, oldest), err)
 			}
 		}
+	case err != nil && isClusterReject(err):
+		w.outcome('R', &w.rejected)
+	default:
+		w.outcome('E', &w.errors)
 	}
+	if i%w.tick == w.tick-1 {
+		w.topo.clock.Advance(time.Second)
+	}
+}
 
-	for _, b := range brokers {
-		r := b.LoadReport()
-		res.PerBroker = append(res.PerBroker, ClusterBrokerStat{
-			Domain: r.Domain, Sessions: r.Sessions, Load: r.Load,
-		})
+func (w *windowWorkload) drain() {
+	for _, id := range w.live {
+		w.record(fmt.Sprintf("drain %s", id), w.topo.front.Terminate(id, "drain"))
 	}
-	res.OutcomeDigest = fmt.Sprintf("%016x", digest.Sum64())
-	res.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	return res, nil
 }
 
 // isClusterReject classifies the errors that mean "the cluster refused
 // this request" (identical for one broker and many) rather than a
 // harness failure.
 func isClusterReject(err error) bool {
-	return errorIsAny(err,
-		core.ErrNoDomainCanServe, core.ErrCannotHonor,
-		core.ErrNoService, core.ErrOverBudget)
+	return errors.Is(err, core.ErrNoDomainCanServe) || errors.Is(err, core.ErrCannotHonor) ||
+		errors.Is(err, core.ErrNoService) || errors.Is(err, core.ErrOverBudget)
 }
 
-func errorIsAny(err error, targets ...error) bool {
-	for _, t := range targets {
-		if errors.Is(err, t) {
-			return true
-		}
+// RunClusterSim drives the workload described in the file comment. A
+// non-nil error means the harness itself failed; invariant
+// violations are reported in the result for the caller to gate on.
+func RunClusterSim(cfg ClusterSimConfig) (*ClusterSimResult, error) {
+	orDefault(&cfg.Brokers, 3)
+	orDefault(&cfg.Clients, 100000)
+	orDefault(&cfg.Shards, 1)
+
+	plan := clusterPlan()
+	topo, err := newTopology(topoConfig{
+		Base:    ClusterConfig{Plan: plan, Shards: cfg.Shards},
+		Brokers: cfg.Brokers, Placement: cfg.Placement,
+	})
+	if err != nil {
+		return nil, err
 	}
-	return false
+	defer topo.close()
+	e := &engine{topo: topo, steps: cfg.Clients, quiesceEvery: clusterCheckEvery, prune: true}
+	if cfg.Brokers > 1 {
+		e.migrateEvery = clusterMigrateEvery
+	}
+	w := newWindowWorkload(e, cfg.Seed, clusterWindow, 16, func(w *windowWorkload, i int) core.Request {
+		r1 := w.rng.Intn(3) + 1 // CPU nodes 1–3
+		r2 := w.rng.Intn(4) + 1 // memory/disk scale
+		name := fmt.Sprintf("client-%06d", i)
+		if i%97 == 96 {
+			// Oversized probe: more CPU than the whole cluster owns —
+			// must be rejected by every member, under any placement.
+			return w.guaranteedRequest(name, sla.Exact(resource.CPU, plan.Total().CPU+16))
+		}
+		return w.guaranteedRequest(name,
+			sla.Exact(resource.CPU, float64(r1)),
+			sla.Exact(resource.MemoryMB, float64(128*r2)),
+			sla.Exact(resource.DiskGB, float64(r2)))
+	})
+
+	sw := startStopwatch()
+	if err := e.run(); err != nil {
+		return nil, err
+	}
+	res := &ClusterSimResult{
+		Brokers: cfg.Brokers, Shards: cfg.Shards, Clients: cfg.Clients,
+		Seed: cfg.Seed, Placement: cfg.Placement.String(), Window: clusterWindow,
+		Admitted: w.admitted, Rejected: w.rejected, Errors: w.errors, Forwarded: w.forwarded,
+		Migrations: e.out.Migrations, MigrationFailures: e.out.MigrationFailures,
+		Checks: e.out.Checks, InvariantViolations: e.out.InvariantViolations, Violations: e.out.Violations,
+		OutcomeDigest: fmt.Sprintf("%016x", w.digest.Sum64()),
+		ElapsedMS:     sw.ms(),
+	}
+	for _, b := range topo.brokers() {
+		r := b.LoadReport()
+		res.PerBroker = append(res.PerBroker, ClusterBrokerStat{
+			Domain: r.Domain, Sessions: r.Sessions, Load: r.Load,
+		})
+	}
+	return res, nil
 }
 
 // HandoffCrashConfig sizes a RunHandoffCrash run.
@@ -434,162 +323,89 @@ type HandoffCrashResult struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-// RunHandoffCrash drives the satellite-3 interleaving end to end on
-// durable brokers: admit, begin hand-off, import on the target, kill
-// the source before CompleteHandoff, recover it from its WAL, reconcile
-// via the front, and verify the single-owner outcome plus the full
-// invariant suite after a drain.
-func RunHandoffCrash(cfg HandoffCrashConfig) (*HandoffCrashResult, error) {
-	if cfg.Brokers <= 0 {
-		cfg.Brokers = 3
-	}
-	if cfg.Sessions <= 0 {
-		cfg.Sessions = 48
-	}
-	if cfg.Dir == "" {
-		dir, err := os.MkdirTemp("", "gqosm-cluster-wal-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		cfg.Dir = dir
-	}
+// Failed reports whether CI should gate the drill red.
+func (r *HandoffCrashResult) Failed() bool { return r.InvariantViolations > 0 || !r.SingleOwner }
 
-	clock := clockx.NewManual(Epoch)
-	members, front, err := clusterMembers(cfg.Brokers, 1, cluster.PlaceHash, clock, cfg.Dir)
+// RunHandoffCrash drives the crash interleaving end to end on durable
+// brokers: admit, begin hand-off, import on the target, kill the source
+// before CompleteHandoff, recover it from its WAL, reconcile via the
+// front, and verify the single-owner outcome plus the full oracle after
+// a drain.
+func RunHandoffCrash(cfg HandoffCrashConfig) (*HandoffCrashResult, error) {
+	orDefault(&cfg.Brokers, 3)
+	orDefault(&cfg.Sessions, 48)
+	topo, err := newTopology(topoConfig{
+		Base:    ClusterConfig{Plan: clusterPlan(), Shards: 1, WAL: core.DurabilityConfig{Dir: cfg.Dir}},
+		Brokers: cfg.Brokers, Placement: cluster.PlaceHash, Durable: true,
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		for _, m := range members {
-			m.Close()
-		}
-	}()
+	defer topo.close()
+	e := &engine{topo: topo, steps: cfg.Sessions}
+	w := newWindowWorkload(e, cfg.Seed, cfg.Sessions, 8, func(w *windowWorkload, i int) core.Request {
+		return w.guaranteedRequest(fmt.Sprintf("hc-client-%03d", i),
+			sla.Exact(resource.CPU, float64(w.rng.Intn(3)+1)))
+	})
 
 	res := &HandoffCrashResult{Brokers: cfg.Brokers, Sessions: cfg.Sessions, Seed: cfg.Seed}
-	record := func(stage string, err error) {
-		if err == nil {
-			return
-		}
-		if ie, ok := err.(*invariant.Error); ok {
-			res.InvariantViolations += len(ie.Violations)
-			for _, v := range ie.Violations {
-				if len(res.Violations) < 20 {
-					res.Violations = append(res.Violations, stage+": "+v.String())
-				}
-			}
-			return
-		}
-		res.InvariantViolations++
-		if len(res.Violations) < 20 {
-			res.Violations = append(res.Violations, stage+": "+err.Error())
-		}
+	sw := startStopwatch()
+	if err := e.play(); err != nil {
+		return nil, err
 	}
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var live []sla.ID
-	start := time.Now()
-	for i := 0; i < cfg.Sessions; i++ {
-		r1 := rng.Intn(3) + 1
-		now := clock.Now()
-		offer, err := front.RequestService(core.Request{
-			Service: "simulation",
-			Client:  fmt.Sprintf("hc-client-%03d", i),
-			Class:   sla.ClassGuaranteed,
-			Spec:    sla.NewSpec(sla.Exact(resource.CPU, float64(r1))),
-			Start:   now,
-			End:     now.Add(1000 * time.Hour),
-		})
-		// Same per-admission settling as RunClusterSim: every session here
-		// MUST admit, and a still-unretracted losing offer could transiently
-		// crowd one out.
-		front.Quiesce()
-		if err != nil {
-			return res, fmt.Errorf("admission %d: %w", i, err)
-		}
-		if err := front.Accept(offer.SLA.ID); err != nil {
-			return res, fmt.Errorf("accept %d: %w", i, err)
-		}
-		live = append(live, offer.SLA.ID)
-		if i%8 == 7 {
-			clock.Advance(time.Second)
-		}
+	if w.admitted != cfg.Sessions {
+		return nil, fmt.Errorf("only %d of %d drill sessions admitted (%d rejected, %d errors)",
+			w.admitted, cfg.Sessions, w.rejected, w.errors)
 	}
-
-	// Let the fan-out's background retractions settle before the crash
-	// drill and its invariant checkpoints.
-	front.Quiesce()
+	// Let the fan-out's background retractions settle before the crash.
+	topo.settle()
 
 	// Pick a migration pair: the first live session, toward the next
 	// slot. The front is NOT used for the migration itself — the crash
 	// must land between ImportSession and CompleteHandoff, a window
 	// Front.Migrate does not expose.
-	id := live[0]
-	srcDom, ok := front.Owner(id)
+	id := w.live[0]
+	srcIdx, tgtIdx, ok := topo.nextSlot(id)
 	if !ok {
-		return res, fmt.Errorf("no owner recorded for %s", id)
+		return nil, fmt.Errorf("no owner recorded for %s", id)
 	}
-	srcIdx := 0
-	for j, s := range front.Slots() {
-		if s.Domain() == srcDom {
-			srcIdx = j
-			break
-		}
-	}
-	tgtIdx := (srcIdx + 1) % cfg.Brokers
-	srcSlot, tgtSlot := front.Slots()[srcIdx], front.Slots()[tgtIdx]
+	srcSlot, tgtSlot := topo.front.Slots()[srcIdx], topo.front.Slots()[tgtIdx]
 	res.MigratedID, res.Source, res.Target = string(id), srcSlot.Domain(), tgtSlot.Domain()
 
 	st, err := srcSlot.Broker().BeginHandoff(id, tgtSlot.Domain())
 	if err != nil {
-		return res, fmt.Errorf("begin handoff: %w", err)
+		return nil, fmt.Errorf("begin handoff: %w", err)
 	}
 	if err := tgtSlot.Broker().ImportSession(st); err != nil {
-		return res, fmt.Errorf("import: %w", err)
+		return nil, fmt.Errorf("import: %w", err)
 	}
 
 	// The worst crash point: the target committed, the source still
 	// thinks it owns the session and holds the journaled out-intent.
 	srcSlot.MarkRecovering(true)
 	srcSlot.Broker().Crash()
-	stats, err := members[srcIdx].RecoverBroker()
+	stats, err := topo.members[srcIdx].RecoverBroker()
 	if err != nil {
-		return res, fmt.Errorf("recover: %w", err)
+		return nil, fmt.Errorf("recover: %w", err)
 	}
 	res.HandoffsResolved = stats.HandoffsResolved
 	res.ReplayedRecords = stats.ReplayedRecords
-	if err := srcSlot.Swap(members[srcIdx].Broker); err != nil {
-		return res, err
+	if err := srcSlot.Swap(topo.members[srcIdx].Broker); err != nil {
+		return nil, err
 	}
-	res.Completed, res.Aborted = front.ReconcileHandoffs()
+	res.Completed, res.Aborted = topo.front.ReconcileHandoffs()
 
-	brokers := brokersOf(members)
-	owners := 0
-	for _, b := range brokers {
+	for _, b := range topo.brokers() {
 		if doc, err := b.Session(id); err == nil && !doc.State.Terminal() {
-			owners++
+			res.Owners++
 			res.OwnerDomain = b.Domain()
 		}
 	}
-	res.Owners = owners
-	res.SingleOwner = owners == 1 && res.OwnerDomain == tgtSlot.Domain()
-	res.Checks++
-	record("post-reconcile", invariant.CheckCluster(brokers...))
+	res.SingleOwner = res.Owners == 1 && res.OwnerDomain == tgtSlot.Domain()
+	e.quiesce("post-reconcile", false)
 
-	// Drain and run the final suite.
-	for _, sid := range live {
-		if _, ok := front.Owner(sid); ok {
-			if err := front.Terminate(sid, "drain"); err != nil {
-				record(fmt.Sprintf("drain %s", sid), err)
-			}
-		}
-	}
-	res.Checks++
-	record("post-drain", invariant.CheckCluster(brokers...))
-	for _, m := range members {
-		record(fmt.Sprintf("post-drain %s", m.Broker.Domain()),
-			invariant.CheckReservations(m.Broker, m.GARA, invariant.ReservationCheck{Final: true}))
-	}
-	res.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
+	e.finish()
+	res.Checks, res.InvariantViolations, res.Violations = e.out.Checks, e.out.InvariantViolations, e.out.Violations
+	res.ElapsedMS = sw.ms()
 	return res, nil
 }

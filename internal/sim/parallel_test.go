@@ -13,7 +13,7 @@ import (
 // TestRunParallelSmoke runs a small concurrent stress and expects a clean
 // bill of health at every quiesce point and an exact capacity drain.
 func TestRunParallelSmoke(t *testing.T) {
-	res, err := sim.RunParallel(sim.ParallelConfig{
+	res, err := sim.RunParallel(sim.StressConfig{
 		Clients: 4, Ops: 400, Phases: 4, Seed: 7,
 	})
 	if err != nil {
@@ -31,7 +31,7 @@ func TestRunParallelSmoke(t *testing.T) {
 // seed issue the same number of requests (the per-client schedules are
 // deterministic even though the interleaving is not).
 func TestRunParallelDeterministicSchedules(t *testing.T) {
-	cfg := sim.ParallelConfig{Clients: 2, Ops: 200, Phases: 2, Seed: 42}
+	cfg := sim.StressConfig{Clients: 2, Ops: 200, Phases: 2, Seed: 42}
 	a, err := sim.RunParallel(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestRunParallelDeterministicSchedules(t *testing.T) {
 // to misread as milliseconds, so the report must also carry elapsed_ms
 // and the admission-latency percentiles.
 func TestRunParallelReportSchema(t *testing.T) {
-	res, err := sim.RunParallel(sim.ParallelConfig{
+	res, err := sim.RunParallel(sim.StressConfig{
 		Clients: 4, Ops: 400, Phases: 4, Seed: 7,
 	})
 	if err != nil {
@@ -88,7 +88,7 @@ func TestRunParallelReportSchema(t *testing.T) {
 // receives the run's broker metrics and serves them in exposition format.
 func TestRunParallelSharedRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
-	res, err := sim.RunParallel(sim.ParallelConfig{
+	res, err := sim.RunParallel(sim.StressConfig{
 		Clients: 2, Ops: 200, Phases: 2, Seed: 3, Obs: reg,
 	})
 	if err != nil {

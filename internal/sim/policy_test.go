@@ -47,7 +47,7 @@ func TestPaperPolicyScenarioByteIdentity(t *testing.T) {
 }
 
 func TestPaperPolicyChaosByteIdentity(t *testing.T) {
-	base := ChaosConfig{Seed: 7, Ops: 2000, FaultRate: 0.2, Shards: 2}
+	base := StressConfig{Seed: 7, Ops: 2000, FaultRate: 0.2, Shards: 2}
 	named := base
 	named.Policy = "paper"
 
@@ -68,7 +68,7 @@ func TestPaperPolicyChaosByteIdentity(t *testing.T) {
 }
 
 func TestPaperPolicyParallelIdentity(t *testing.T) {
-	base := ParallelConfig{Clients: 1, Ops: 1000, Seed: 7, Shards: 2}
+	base := StressConfig{Clients: 1, Ops: 1000, Seed: 7, Shards: 2}
 	named := base
 	named.Policy = "paper"
 

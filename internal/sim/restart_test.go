@@ -13,8 +13,8 @@ import (
 func TestRestartChaosDeterministicAndClean(t *testing.T) {
 	run := func() *RestartResult {
 		t.Helper()
-		res, err := RunRestartChaos(RestartChaosConfig{
-			Seed: 7, Ops: 1600, Restarts: 3, WALDir: t.TempDir(),
+		res, err := RunRestartChaos(StressConfig{
+			Seed: 7, Ops: 1600, Restarts: 3, FaultRate: 0.1, WALDir: t.TempDir(),
 		})
 		if err != nil {
 			t.Fatalf("RunRestartChaos: %v", err)
@@ -49,8 +49,8 @@ func TestRestartChaosDeterministicAndClean(t *testing.T) {
 // scale: both shard counts stay violation-free.
 func TestRestartChaosShardedSeeds(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		res, err := RunRestartChaos(RestartChaosConfig{
-			Seed: 1, Ops: 800, Restarts: 2, Shards: shards, WALDir: t.TempDir(),
+		res, err := RunRestartChaos(StressConfig{
+			Seed: 1, Ops: 800, Restarts: 2, FaultRate: 0.1, Shards: shards, WALDir: t.TempDir(),
 		})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)

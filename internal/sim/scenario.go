@@ -11,21 +11,20 @@ import (
 
 	"gqosm/internal/clockx"
 	"gqosm/internal/core"
-	"gqosm/internal/invariant"
 	"gqosm/internal/obs"
 	"gqosm/internal/pricing"
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
 )
 
-// This file is the scenario harness: a library of named traffic shapes
-// (see scenarios.go) replayed against a full cluster by one serial,
-// deterministic driver. Scenarios reuse the chaos harness's determinism
-// discipline — one manual clock, serial client behavior, seeded PRNG
-// streams with fixed draw order — so a (scenario, seed, shards) triple
-// produces a byte-identical report, except for the wall-clock latency
-// block, which is kept under a single JSON key so CI can strip it before
-// diffing (jq 'del(.latency)').
+// This file is the scenario workload: a library of named traffic shapes
+// (see scenarios.go) replayed against a single broker by the engine, one
+// arrival per step. Scenarios follow the engine's determinism rules — one
+// manual clock, serial client behavior, seeded PRNG streams with fixed
+// draw order — so a (scenario, seed, shards) triple produces a
+// byte-identical report, except for the wall-clock latency block, which
+// is kept under a single JSON key so CI can strip it before diffing
+// (jq 'del(.latency)').
 
 // OfferAction is a scenario client's reaction to a negotiated offer.
 type OfferAction int
@@ -87,15 +86,9 @@ type ScenarioConfig struct {
 	Phases int
 	// Shards is the broker shard count (default 1).
 	Shards int
-	// Plan is the Algorithm-1 partition; defaults to the §5.6 one.
-	Plan core.CapacityPlan
-	// Obs receives the run's metrics; nil creates a private registry.
+	// Obs receives the run's metrics; nil lets the broker create a
+	// private registry.
 	Obs *obs.Registry
-	// Prune, when set, compacts terminal state (broker sessions, GARA
-	// reservations, GRAM jobs) at every quiesce and bounds the ledger —
-	// the soak harness's working-set bound. Off by default so short
-	// runs keep full post-mortem state.
-	Prune bool
 	// Policy names the broker's adaptation policy ("" = "paper").
 	Policy string
 	// ShadowPolicy, when set, consults the named candidate policy in
@@ -104,21 +97,9 @@ type ScenarioConfig struct {
 }
 
 func (cfg ScenarioConfig) withDefaults() ScenarioConfig {
-	if cfg.Ops <= 0 {
-		cfg.Ops = 6000
-	}
-	if cfg.Phases <= 0 {
-		cfg.Phases = 10
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
-	if cfg.Plan.Total().IsZero() {
-		cfg.Plan = DefaultParallelPlan()
-	}
-	if cfg.Obs == nil {
-		cfg.Obs = obs.NewRegistry()
-	}
+	orDefault(&cfg.Ops, 6000)
+	orDefault(&cfg.Phases, 10)
+	orDefault(&cfg.Shards, 1)
 	return cfg
 }
 
@@ -191,10 +172,9 @@ func (h departureHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h departureHeap) Swap(i, j int)   { h[i], h[j] = h[j], h[i] }
-func (h *departureHeap) Push(x any)     { *h = append(*h, x.(departure)) }
-func (h *departureHeap) Pop() any       { old := *h; n := len(old); d := old[n-1]; *h = old[:n-1]; return d }
-func (h departureHeap) peek() departure { return h[0] }
+func (h departureHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *departureHeap) Push(x any)   { *h = append(*h, x.(departure)) }
+func (h *departureHeap) Pop() any     { old := *h; n := len(old); d := old[n-1]; *h = old[:n-1]; return d }
 
 // ScenarioRun is the driver state a scenario's hooks see.
 type ScenarioRun struct {
@@ -210,17 +190,17 @@ type ScenarioRun struct {
 	Accounts map[string]*pricing.Account
 	Report   *ScenarioReport
 
-	confirmWindow time.Duration
-	departures    departureHeap
-	depSeq        int
+	sc         Scenario
+	engine     *engine
+	trace      []Arrival
+	drainUntil time.Time
+	departures departureHeap
+	depSeq     int
 	// live holds negotiated sessions believed active, for hooks that
 	// pick renegotiation targets; lazily compacted.
 	live []sla.ID
 
 	latencies []float64 // admission wall-clock ms, in call order
-
-	// window aggregation for soak sampling (nil outside RunSoak).
-	onOp func()
 }
 
 // Account returns the named tenant's budget account, creating it with
@@ -242,13 +222,8 @@ func (run *ScenarioRun) Extra(key string, v float64) {
 	run.Report.Extras[key] += v
 }
 
-// op counts one broker API call (and drives soak window sampling).
-func (run *ScenarioRun) op() {
-	run.Report.Ops++
-	if run.onOp != nil {
-		run.onOp()
-	}
-}
+// op counts one broker API call.
+func (run *ScenarioRun) op() { run.Report.Ops++ }
 
 // LiveSessions returns the compacted list of sessions still active —
 // the pool renegotiation hooks draw targets from.
@@ -309,125 +284,125 @@ func LookupScenario(name string) (Scenario, bool) {
 // error means the harness itself failed; oracle violations and scenario
 // assertion failures land in the report (see ScenarioReport.Failed) so
 // CI always has a report to gate on.
-func RunScenario(sc Scenario, cfg ScenarioConfig) (*ScenarioReport, error) {
+//
+// Each observer runs at every phase barrier with the live run, letting a
+// caller sample mid-run state — the shadow lab averages allocator
+// utilization across phases this way.
+func RunScenario(sc Scenario, cfg ScenarioConfig, observers ...func(run *ScenarioRun, phase int)) (*ScenarioReport, error) {
 	run, err := newScenarioRun(sc, cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer run.Cluster.Close()
-	if err := run.play(sc, nil); err != nil {
-		return run.Report, err
+	defer run.engine.topo.close()
+	run.engine.onQuiesce = func(phase int) {
+		for _, observe := range observers {
+			observe(run, phase)
+		}
 	}
-	run.finish(sc)
-	return run.Report, nil
+	return run.play()
 }
 
-// RunScenarioObserved is RunScenario with the soak harness's quiesce hook
-// exposed: afterQuiesce (when non-nil) runs at every phase barrier with
-// the live run, letting a caller sample mid-run state — the shadow lab
-// uses it to average allocator utilization across phases.
-func RunScenarioObserved(sc Scenario, cfg ScenarioConfig, afterQuiesce func(run *ScenarioRun, phase int)) (*ScenarioReport, error) {
-	run, err := newScenarioRun(sc, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer run.Cluster.Close()
-	var hook func(int)
-	if afterQuiesce != nil {
-		hook = func(phase int) { afterQuiesce(run, phase) }
-	}
-	if err := run.play(sc, hook); err != nil {
-		return run.Report, err
-	}
-	run.finish(sc)
-	return run.Report, nil
-}
-
+// newScenarioRun generates the scenario's trace and assembles the engine
+// that will replay it: one arrival per step, the oracle (with the
+// expiry-boundary rules) at every phase barrier.
 func newScenarioRun(sc Scenario, cfg ScenarioConfig) (*ScenarioRun, error) {
 	cfg = cfg.withDefaults()
-	confirm := sc.ConfirmWindow
-	if confirm <= 0 {
-		confirm = 2 * time.Minute
-	}
-	clock := clockx.NewManual(Epoch)
-	cluster, err := NewCluster(ClusterConfig{
-		Plan:          cfg.Plan,
-		Shards:        cfg.Shards,
-		ConfirmWindow: confirm,
-		Obs:           cfg.Obs,
-		Clock:         clock,
-		Policy:        cfg.Policy,
-		ShadowPolicy:  cfg.ShadowPolicy,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &ScenarioRun{
-		Cfg:           cfg,
-		Cluster:       cluster,
-		Clock:         clock,
-		RNG:           rand.New(rand.NewSource(cfg.Seed + 2)),
-		Accounts:      make(map[string]*pricing.Account),
-		confirmWindow: confirm,
-		Report: &ScenarioReport{
-			Scenario: sc.Name,
-			Seed:     cfg.Seed,
-			Shards:   cfg.Shards,
-		},
-	}, nil
-}
-
-// play generates the trace and replays it; quiesce runs the oracle at
-// every phase barrier and afterQuiesce (when non-nil) lets the soak
-// harness sample between phases.
-func (run *ScenarioRun) play(sc Scenario, afterQuiesce func(phase int)) error {
-	cfg := run.Cfg
 	wl := sc.Workload(cfg)
 	wl.Seed = cfg.Seed
 	trace := wl.Trace()
+	if len(trace) == 0 {
+		return nil, fmt.Errorf("sim: scenario %q generated an empty trace", sc.Name)
+	}
 	if sc.Shape != nil {
 		shapeRNG := rand.New(rand.NewSource(cfg.Seed + 1))
 		for i := range trace {
 			trace[i] = sc.Shape(cfg, shapeRNG, i, trace[i])
 		}
 	}
-	run.Report.Arrivals = len(trace)
-	if len(trace) == 0 {
-		return fmt.Errorf("sim: scenario %q generated an empty trace", sc.Name)
+	confirm := sc.ConfirmWindow
+	if confirm <= 0 {
+		confirm = 2 * time.Minute
 	}
+	topo, err := newTopology(topoConfig{Base: ClusterConfig{
+		Plan:          DefaultParallelPlan(),
+		Shards:        cfg.Shards,
+		ConfirmWindow: confirm,
+		Obs:           cfg.Obs,
+		Policy:        cfg.Policy,
+		ShadowPolicy:  cfg.ShadowPolicy,
+	}})
+	if err != nil {
+		return nil, err
+	}
+	run := &ScenarioRun{
+		Cfg:      cfg,
+		Cluster:  topo.members[0],
+		Clock:    topo.clock,
+		RNG:      rand.New(rand.NewSource(cfg.Seed + 2)),
+		Accounts: make(map[string]*pricing.Account),
+		Report: &ScenarioReport{
+			Scenario: sc.Name,
+			Seed:     cfg.Seed,
+			Shards:   cfg.Shards,
+			Arrivals: len(trace),
+		},
+		sc:         sc,
+		trace:      trace,
+		drainUntil: Epoch.Add(wl.Duration).Add(1000 * time.Hour),
+	}
+	run.engine = &engine{topo: topo, work: run, steps: len(trace),
+		quiesceEvery: max(1, len(trace)/cfg.Phases), lifecycle: confirm}
+	return run, nil
+}
 
-	qEvery := len(trace) / cfg.Phases
-	if qEvery < 1 {
-		qEvery = 1
+// play runs the engine and completes the report from its outcome.
+func (run *ScenarioRun) play() (*ScenarioReport, error) {
+	r := run.Report
+	if err := run.engine.run(); err != nil {
+		return r, err
 	}
-	for i, a := range trace {
-		now := Epoch.Add(a.At)
-		run.processDepartures(now)
-		run.Clock.Set(now)
-		run.arrive(sc, i, a)
-		if (i+1)%qEvery == 0 {
-			phase := (i + 1) / qEvery
-			run.quiesce(fmt.Sprintf("phase %d", phase), false)
-			if afterQuiesce != nil {
-				afterQuiesce(phase)
-			}
+	out := &run.engine.out
+	r.Checks, r.InvariantViolations, r.Violations = out.Checks, out.InvariantViolations, out.Violations
+	r.Ops += int64(out.Checks) // the engine's expiry sweep before each oracle pass
+	if r.Requested > 0 {
+		r.AdmitRate = float64(r.Admitted) / float64(r.Requested)
+	}
+	r.Degradations = lifecycleCount(run.Cluster.Obs, "degrade")
+	r.Restorations = lifecycleCount(run.Cluster.Obs, "restore")
+	r.Promotions = lifecycleCount(run.Cluster.Obs, "promote")
+	r.Revenue = run.Cluster.Broker.Ledger().NetRevenue()
+	r.Latency = summarizeLatency(run.latencies)
+	if run.sc.Verify != nil {
+		if err := run.sc.Verify(r); err != nil {
+			r.VerifyErrors = append(r.VerifyErrors, err.Error())
 		}
 	}
+	return r, nil
+}
 
-	// Drain: run out the departure queue, expire everything else, then
-	// hold the final oracle pass to the stricter drain-only rules.
-	run.processDepartures(Epoch.Add(wl.Duration).Add(1000 * time.Hour))
-	run.Clock.Advance(72 * time.Hour)
+// step replays arrival i: run out the departures due before it, move
+// the clock to it, and let the client negotiate.
+func (run *ScenarioRun) step(i int) {
+	a := run.trace[i]
+	now := Epoch.Add(a.At)
+	run.processDepartures(now)
+	run.Clock.Set(now)
+	id, admitted := run.arrive(i, a)
+	if run.sc.AfterArrival != nil {
+		run.sc.AfterArrival(run, i, a, id, admitted)
+	}
+}
+
+// drain runs out the departure queue; the engine's drain then expires
+// everything else (one more broker call, counted here).
+func (run *ScenarioRun) drain() {
+	run.processDepartures(run.drainUntil)
 	run.op()
-	run.Cluster.Broker.ExpireDue()
-	run.Cluster.Broker.ReconcileReservations()
-	run.quiesce("post-drain", true)
-	return nil
 }
 
 func (run *ScenarioRun) processDepartures(until time.Time) {
 	b := run.Cluster.Broker
-	for len(run.departures) > 0 && !run.departures.peek().at.After(until) {
+	for len(run.departures) > 0 && !run.departures[0].at.After(until) {
 		d := heap.Pop(&run.departures).(departure)
 		run.Clock.Set(d.at)
 		run.op()
@@ -441,7 +416,10 @@ func (run *ScenarioRun) processDepartures(until time.Time) {
 	}
 }
 
-func (run *ScenarioRun) arrive(sc Scenario, i int, a Arrival) {
+// arrive negotiates arrival i and reports how it resolved (id is empty
+// for best-effort and failed arrivals).
+func (run *ScenarioRun) arrive(i int, a Arrival) (id sla.ID, admitted bool) {
+	sc := run.sc
 	b := run.Cluster.Broker
 	r := run.Report
 
@@ -451,18 +429,12 @@ func (run *ScenarioRun) arrive(sc Scenario, i int, a Arrival) {
 		r.Requested++
 		if err := b.BestEffortRequest(client, resource.Nodes(a.Nodes)); err != nil {
 			r.Rejected++
-			if sc.AfterArrival != nil {
-				sc.AfterArrival(run, i, a, "", false)
-			}
-			return
+			return "", false
 		}
 		r.Admitted++
 		run.depSeq++
 		heap.Push(&run.departures, departure{at: run.Clock.Now().Add(a.Hold), seq: run.depSeq, client: client})
-		if sc.AfterArrival != nil {
-			sc.AfterArrival(run, i, a, "", true)
-		}
-		return
+		return "", true
 	}
 
 	var req core.Request
@@ -473,9 +445,9 @@ func (run *ScenarioRun) arrive(sc Scenario, i int, a Arrival) {
 	}
 	run.op()
 	r.Requested++
-	wallStart := time.Now()
+	sw := startStopwatch()
 	offer, err := b.RequestService(req)
-	run.latencies = append(run.latencies, float64(time.Since(wallStart))/float64(time.Millisecond))
+	run.latencies = append(run.latencies, sw.ms())
 	if err != nil {
 		r.Rejected++
 		if errors.Is(err, core.ErrOverBudget) {
@@ -484,17 +456,14 @@ func (run *ScenarioRun) arrive(sc Scenario, i int, a Arrival) {
 			// economic scenario gates on this counter.
 			run.Extra("over_budget_rejects", 1)
 		}
-		if sc.AfterArrival != nil {
-			sc.AfterArrival(run, i, a, "", false)
-		}
-		return
+		return "", false
 	}
 
 	action := OfferAccept
 	if sc.OnOffer != nil {
 		action = sc.OnOffer(run, i, a, offer)
 	}
-	id := offer.SLA.ID
+	id = offer.SLA.ID
 	switch action {
 	case OfferReject:
 		run.op()
@@ -518,7 +487,6 @@ func (run *ScenarioRun) arrive(sc Scenario, i int, a Arrival) {
 			run.Extra("boundary_races", 1)
 			id = ""
 		} else {
-			r.Admitted++
 			run.admitted(id, offer.SLA.End)
 		}
 	default:
@@ -527,16 +495,14 @@ func (run *ScenarioRun) arrive(sc Scenario, i int, a Arrival) {
 			r.Rejected++
 			id = ""
 		} else {
-			r.Admitted++
 			run.admitted(id, offer.SLA.End)
 		}
 	}
-	if sc.AfterArrival != nil {
-		sc.AfterArrival(run, i, a, id, id != "")
-	}
+	return id, id != ""
 }
 
 func (run *ScenarioRun) admitted(id sla.ID, end time.Time) {
+	run.Report.Admitted++
 	run.depSeq++
 	heap.Push(&run.departures, departure{at: end, seq: run.depSeq, id: id})
 	run.live = append(run.live, id)
@@ -554,57 +520,6 @@ func (run *ScenarioRun) Renegotiate(id sla.ID, spec sla.Spec) bool {
 	return true
 }
 
-func (run *ScenarioRun) quiesce(stage string, final bool) {
-	b := run.Cluster.Broker
-	now := run.Clock.Now()
-	run.op()
-	b.ExpireDue()
-	if run.Cfg.Prune {
-		b.PruneTerminal()
-		run.Cluster.GARA.PruneCanceled()
-		run.Cluster.GRAM.PruneTerminal()
-	}
-	record := func(err error) {
-		if err == nil {
-			return
-		}
-		if ie, ok := err.(*invariant.Error); ok {
-			run.Report.InvariantViolations += len(ie.Violations)
-			for _, v := range ie.Violations {
-				run.Report.Violations = append(run.Report.Violations, stage+": "+v.String())
-			}
-			return
-		}
-		run.Report.InvariantViolations++
-		run.Report.Violations = append(run.Report.Violations, stage+": "+err.Error())
-	}
-	run.Report.Checks++
-	record(invariant.CheckAll(b, now, run.Cluster.Pool))
-	record(invariant.CheckReservations(b, run.Cluster.GARA, invariant.ReservationCheck{Final: final}))
-	record(invariant.CheckLifecycle(b, now, invariant.LifecycleCheck{ConfirmWindow: run.confirmWindow}))
-}
-
-func (run *ScenarioRun) finish(sc Scenario) {
-	r := run.Report
-	if r.Requested > 0 {
-		r.AdmitRate = float64(r.Admitted) / float64(r.Requested)
-	}
-	lifecycle := func(event string) int64 {
-		return int64(run.Cfg.Obs.Counter("gqosm_broker_lifecycle_total",
-			"SLA lifecycle events by kind", "event", event).Value())
-	}
-	r.Degradations = lifecycle("degrade")
-	r.Restorations = lifecycle("restore")
-	r.Promotions = lifecycle("promote")
-	r.Revenue = run.Cluster.Broker.Ledger().NetRevenue()
-	r.Latency = summarizeLatency(run.latencies)
-	if sc.Verify != nil {
-		if err := sc.Verify(r); err != nil {
-			r.VerifyErrors = append(r.VerifyErrors, err.Error())
-		}
-	}
-}
-
 func summarizeLatency(ms []float64) *LatencySummary {
 	if len(ms) == 0 {
 		return nil
@@ -617,19 +532,4 @@ func summarizeLatency(ms []float64) *LatencySummary {
 		P99MS:   percentile(s, 0.99),
 		Samples: len(s),
 	}
-}
-
-// percentile reads the nearest-rank percentile from an ascending slice.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }

@@ -6,7 +6,7 @@ import (
 	"sort"
 )
 
-// This file is the long-run soak harness: RunSoak replays a scenario for
+// This file is the long-run soak configuration: RunSoak replays a scenario for
 // a large number of broker operations on the virtual clock, with the
 // working set bounded (terminal-state pruning plus ledger retention), and
 // samples process health — goroutine count, heap, rolling admission p99 —
@@ -17,49 +17,29 @@ import (
 // from determinism comparisons.
 
 // SoakConfig sizes a soak run. The embedded ScenarioConfig is used as in
-// RunScenario except that Prune is forced on and Phases is driven by
-// Windows.
+// RunScenario except that Phases is driven by Windows.
 type SoakConfig struct {
 	ScenarioConfig
 	// Windows is the number of sampling windows (default 40).
 	Windows int
-	// LedgerRetention bounds the broker ledger's entry window (default
-	// 4096; aggregates stay exact across eviction).
-	LedgerRetention int
-	// GoroutineSlack is the allowed goroutine growth over the run's
-	// starting count (default 16).
-	GoroutineSlack int
-	// HeapFactor bounds the maximum sampled heap against the first
-	// window's baseline (default 8; a 32 MiB floor absorbs tiny-heap
-	// noise).
-	HeapFactor float64
-	// P99Factor bounds the median window-p99 of the run's second half
-	// against the first half's (default 8; a 50 µs floor absorbs
-	// scheduler noise on very fast admissions).
-	P99Factor float64
 }
 
-func (cfg SoakConfig) withDefaults() SoakConfig {
-	cfg.ScenarioConfig = cfg.ScenarioConfig.withDefaults()
-	if cfg.Windows <= 0 {
-		cfg.Windows = 40
-	}
-	if cfg.LedgerRetention <= 0 {
-		cfg.LedgerRetention = 4096
-	}
-	if cfg.GoroutineSlack <= 0 {
-		cfg.GoroutineSlack = 16
-	}
-	if cfg.HeapFactor <= 0 {
-		cfg.HeapFactor = 8
-	}
-	if cfg.P99Factor <= 0 {
-		cfg.P99Factor = 8
-	}
-	cfg.Prune = true
-	cfg.Phases = cfg.Windows
-	return cfg
-}
+// The stability verdict's bounds.
+const (
+	// soakLedgerRetention bounds the broker ledger's entry window
+	// (aggregates stay exact across eviction).
+	soakLedgerRetention = 4096
+	// soakGoroutineSlack is the allowed goroutine growth over the run's
+	// starting count.
+	soakGoroutineSlack = 16
+	// soakHeapFactor bounds the maximum sampled heap against the first
+	// window's baseline (a 32 MiB floor absorbs tiny-heap noise).
+	soakHeapFactor = 8.0
+	// soakP99Factor bounds the median window-p99 of the run's second half
+	// against the first half's (a 50 µs floor absorbs scheduler noise on
+	// very fast admissions).
+	soakP99Factor = 8.0
+)
 
 // SoakWindow is one sampling point, taken at a quiesce barrier.
 type SoakWindow struct {
@@ -108,17 +88,22 @@ func (r *SoakReport) Failed() bool {
 // means the harness itself failed; oracle violations, assertion failures
 // and instability land in the report (see SoakReport.Failed).
 func RunSoak(sc Scenario, cfg SoakConfig) (*SoakReport, error) {
-	cfg = cfg.withDefaults()
+	orDefault(&cfg.Windows, 40)
+	cfg.Phases = cfg.Windows
 	run, err := newScenarioRun(sc, cfg.ScenarioConfig)
 	if err != nil {
 		return nil, err
 	}
-	defer run.Cluster.Close()
-	run.Cluster.Broker.Ledger().SetRetention(cfg.LedgerRetention)
+	defer run.engine.topo.close()
+	// Bound the working set: terminal state (broker sessions, GARA
+	// reservations, GRAM jobs) is compacted at every window, the ledger
+	// keeps a fixed entry window.
+	run.engine.prune = true
+	run.Cluster.Broker.Ledger().SetRetention(soakLedgerRetention)
 
 	stats := &SoakStats{GoroutinesStart: runtime.NumGoroutine()}
 	lastLat := 0
-	sample := func(window int) {
+	run.engine.onQuiesce = func(window int) {
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
@@ -137,31 +122,24 @@ func RunSoak(sc Scenario, cfg SoakConfig) (*SoakReport, error) {
 		stats.Windows = append(stats.Windows, w)
 	}
 
-	if err := run.play(sc, sample); err != nil {
-		return &SoakReport{ScenarioReport: *run.Report, Soak: stats}, err
+	rep, err := run.play()
+	if err == nil {
+		judge(stats)
 	}
-	run.finish(sc)
-	judge(stats, cfg)
-	return &SoakReport{ScenarioReport: *run.Report, Soak: stats}, nil
+	return &SoakReport{ScenarioReport: *rep, Soak: stats}, err
 }
 
 // judge fills the aggregate fields and the stability verdict.
-func judge(stats *SoakStats, cfg SoakConfig) {
+func judge(stats *SoakStats) {
 	if len(stats.Windows) == 0 {
 		stats.Problems = append(stats.Problems, "no sampling windows")
 		return
 	}
 	stats.HeapBaseBytes = stats.Windows[0].HeapBytes
-	for _, w := range stats.Windows {
-		if w.Goroutines > stats.GoroutinesMax {
-			stats.GoroutinesMax = w.Goroutines
-		}
-		if w.HeapBytes > stats.HeapMaxBytes {
-			stats.HeapMaxBytes = w.HeapBytes
-		}
-	}
 	var p99s []float64
 	for _, w := range stats.Windows {
+		stats.GoroutinesMax = max(stats.GoroutinesMax, w.Goroutines)
+		stats.HeapMaxBytes = max(stats.HeapMaxBytes, w.HeapBytes)
 		if w.Samples > 0 {
 			p99s = append(p99s, w.P99MS)
 		}
@@ -170,35 +148,26 @@ func judge(stats *SoakStats, cfg SoakConfig) {
 	stats.P99FirstHalfMS = medianOf(p99s[:half])
 	stats.P99LastHalfMS = medianOf(p99s[half:])
 
-	if lim := stats.GoroutinesStart + cfg.GoroutineSlack; stats.GoroutinesMax > lim {
+	if lim := stats.GoroutinesStart + soakGoroutineSlack; stats.GoroutinesMax > lim {
 		stats.Problems = append(stats.Problems,
 			fmt.Sprintf("goroutines grew %d -> %d (limit %d): leak", stats.GoroutinesStart, stats.GoroutinesMax, lim))
 	}
-	heapBase := stats.HeapBaseBytes
-	if floor := uint64(32 << 20); heapBase < floor {
-		heapBase = floor
-	}
-	if lim := uint64(float64(heapBase) * cfg.HeapFactor); stats.HeapMaxBytes > lim {
+	heapBase := max(stats.HeapBaseBytes, 32<<20)
+	if lim := uint64(float64(heapBase) * soakHeapFactor); stats.HeapMaxBytes > lim {
 		stats.Problems = append(stats.Problems,
 			fmt.Sprintf("heap grew %d -> %d bytes (limit %d): working set unbounded", stats.HeapBaseBytes, stats.HeapMaxBytes, lim))
 	}
-	first := stats.P99FirstHalfMS
-	if floor := 0.05; first < floor {
-		first = floor
-	}
-	if half > 0 && stats.P99LastHalfMS > cfg.P99Factor*first {
+	first := max(stats.P99FirstHalfMS, 0.05)
+	if half > 0 && stats.P99LastHalfMS > soakP99Factor*first {
 		stats.Problems = append(stats.Problems,
 			fmt.Sprintf("admission p99 rose %.3fms -> %.3fms (limit %.3fms): tail not flat",
-				stats.P99FirstHalfMS, stats.P99LastHalfMS, cfg.P99Factor*first))
+				stats.P99FirstHalfMS, stats.P99LastHalfMS, soakP99Factor*first))
 	}
 	stats.Stable = len(stats.Problems) == 0
 }
 
 // medianOf returns the median of an unsorted slice (0 when empty).
 func medianOf(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
 	s := append([]float64(nil), v...)
 	sort.Float64s(s)
 	return percentile(s, 0.5)
