@@ -1,6 +1,6 @@
 // The -intake-bench mode measures the amortized cost of one admission
-// over the three paths this repo offers — the direct RequestService
-// call, the group-commit intake at increasing batch sizes, and the
+// over the three routes into the one admission pipeline — an inline
+// RequestService call, the group-commit intake at increasing batch sizes, and the
 // compact JSON/HTTP transport over a loopback listener — and emits the
 // bench_intake/v1 report committed as BENCH_intake.json. It exits
 // non-zero when the batched path misses the sub-10 µs amortized target
@@ -85,8 +85,10 @@ func intakeBenchRequest(stack *gqosm.Stack, i int) gqosm.Request {
 	}
 }
 
-// benchDirect times the historical path: one RequestService per
-// admission, rejected (untimed) so the pool never fills.
+// benchDirect times the inline route (no queue): one RequestService per
+// admission, rejected and pruned (untimed) on the cadence of the batch-1
+// intake row, so the two rows differ by the route and not by how many
+// terminal sessions and canceled reservations the tables hold.
 func benchDirect() (intakeBenchRow, error) {
 	stack, err := intakeBenchStack(0)
 	if err != nil {
@@ -105,9 +107,7 @@ func benchDirect() (intakeBenchRow, error) {
 		if err := stack.Broker.Reject(offer.SLA.ID); err != nil {
 			return intakeBenchRow{}, fmt.Errorf("direct reject %d: %w", i, err)
 		}
-		if i%64 == 63 {
-			intakeBenchPrune(stack)
-		}
+		intakeBenchPrune(stack)
 	}
 	return intakeBenchRow{
 		Transport:      "direct",
@@ -169,8 +169,8 @@ func benchIntake(batch int) (intakeBenchRow, error) {
 }
 
 // benchHTTP times the JSON transport end to end: 8 concurrent workers
-// POST /api/v1/request against a loopback listener (the server routes
-// them through SubmitWait, so concurrent requests share batches) and
+// POST /api/v1/request against a loopback listener (the broker's intake
+// is on, so concurrent requests share batches) and
 // reject over the wire, untimed. The row reports mean request latency.
 func benchHTTP() (intakeBenchRow, error) {
 	stack, err := intakeBenchStack(8)

@@ -207,10 +207,9 @@ type StackConfig struct {
 	// package default, 256). Only meaningful with WALDir.
 	WALSnapshotEvery int
 	// Intake enables the group-commit admission intake: concurrent
-	// admissions (notably JSON-API requests, which ride SubmitWait)
-	// queued behind the same flush leader share one allocator pass and
-	// one WAL fsync. The zero value keeps RequestService as the only
-	// admission path.
+	// RequestService calls (in-process, SOAP or JSON) queued behind the
+	// same flush leader share one allocator pass and one WAL fsync. The
+	// zero value admits each request inline on its caller's goroutine.
 	Intake IntakeConfig
 	// Policy names the broker's adaptation policy ("" = "paper", the
 	// historical heuristics). See core.PolicyNames for the registry.

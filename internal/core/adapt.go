@@ -477,11 +477,14 @@ func clampGrant(kind GrantKind, v PartitionView, requested, floor resource.Capac
 }
 
 // GuaranteedAsk is one member of a batch admission (see
-// AllocateGuaranteedBatch).
+// AllocateGuaranteedBatch), which fills in Grant or Err.
 type GuaranteedAsk struct {
 	User      string
 	Requested resource.Capacity
 	Floor     resource.Capacity
+
+	Grant GrantResult
+	Err   error
 }
 
 // AllocateGuaranteedBatch admits asks in order under ONE critical
@@ -490,35 +493,31 @@ type GuaranteedAsk struct {
 // have produced (the book updates between members), but the
 // per-admission lock acquisition, best-effort rebalance and read-view
 // publication are paid once per batch instead of once per request.
-// grants[i] / errs[i] report member i's outcome; failed members
+// Each ask's Grant / Err report its outcome; failed members
 // (ErrCannotHonor, validation) leave the book untouched. The single
 // rebalance's preemptions are returned in aggregate rather than
 // attached to any one grant (every grant's Preempted field is nil).
-func (a *Allocator) AllocateGuaranteedBatch(asks []GuaranteedAsk) (grants []GrantResult, errs []error, preempted []Preemption) {
-	grants = make([]GrantResult, len(asks))
-	errs = make([]error, len(asks))
+func (a *Allocator) AllocateGuaranteedBatch(asks []GuaranteedAsk) (preempted []Preemption) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	granted := false
-	for i, ask := range asks {
-		if !ask.Floor.FitsIn(ask.Requested) {
-			errs[i] = fmt.Errorf("core: floor %v exceeds request %v", ask.Floor, ask.Requested)
-			continue
-		}
-		if !ask.Requested.IsNonNegative() {
-			errs[i] = fmt.Errorf("core: negative request %v", ask.Requested)
-			continue
-		}
-		grants[i], errs[i] = a.allocateGuaranteedLocked(ask.User, ask.Requested, ask.Floor)
-		if errs[i] == nil {
-			granted = true
+	for i := range asks {
+		ask := &asks[i]
+		switch {
+		case !ask.Floor.FitsIn(ask.Requested):
+			ask.Err = fmt.Errorf("core: floor %v exceeds request %v", ask.Floor, ask.Requested)
+		case !ask.Requested.IsNonNegative():
+			ask.Err = fmt.Errorf("core: negative request %v", ask.Requested)
+		default:
+			ask.Grant, ask.Err = a.allocateGuaranteedLocked(ask.User, ask.Requested, ask.Floor)
+			granted = granted || ask.Err == nil
 		}
 	}
 	if granted {
 		preempted = a.rebalanceLocked()
 		a.publishLocked()
 	}
-	return grants, errs, preempted
+	return preempted
 }
 
 // ReleaseGuaranteed frees a guaranteed user's allocation (service

@@ -120,9 +120,9 @@ type Config struct {
 	// Durability enables the write-ahead lifecycle log (see durable.go).
 	// The zero value keeps the historical in-memory-only broker.
 	Durability DurabilityConfig
-	// Intake enables the batched group-commit admission pipeline (see
-	// intake.go). The zero value keeps RequestService as the only
-	// admission path.
+	// Intake puts the group-commit queue (see intake.go) in front of the
+	// admission pipeline. The zero value admits each RequestService
+	// inline on its caller's goroutine.
 	Intake IntakeConfig
 	// Policy names the registered adaptation policy (see adaptpolicy.go)
 	// driving partition grants, optimizer passes, compensation ladders
@@ -237,7 +237,7 @@ type Broker struct {
 	debugHook func(*Broker) error
 
 	// pol applies Config.RMPolicy (and fault injection) to RM-facing
-	// calls; see policy.go.
+	// calls; see retry.go.
 	pol *policyRunner
 
 	// pcMu guards pendingCancels: reservations whose cancel exhausted
@@ -260,8 +260,8 @@ type Broker struct {
 	// site a no-op (the historical in-memory broker). See durable.go.
 	durable *wal.Log
 
-	// intake is the batched group-commit admission pipeline; nil on
-	// brokers built without Config.Intake.Enabled. See intake.go.
+	// intake is the group-commit queue in front of admit; nil on brokers
+	// built without Config.Intake.Enabled. See intake.go.
 	intake *intake
 
 	// recovering is true from the start of Recover until its RM

@@ -130,43 +130,27 @@ func (b *Broker) walAppend(rec wal.Record) {
 	b.met.walRecords.Inc()
 }
 
-// journal captures and appends the absolute post-state of session id
-// while holding its shard lock, so per-session record order equals
-// state order. It is called with no broker locks held (typically right
-// after persist). Unknown ids — pruned or never admitted — journal
-// nothing.
+// journal captures and appends the absolute post-state of session id —
+// a journalBatch of one on the session's shard. It is called with no
+// broker locks held (typically right after persist). Unknown ids —
+// pruned or never admitted — journal nothing.
 func (b *Broker) journal(op string, id sla.ID) {
 	if b.durable == nil {
 		return
 	}
-	sh := b.shardFor(id)
-	if sh == nil {
-		return
+	if sh := b.shardFor(id); sh != nil {
+		b.journalBatch(op, sh, []sla.ID{id})
 	}
-	sh.mu.Lock()
-	if s, ok := sh.sessions[id]; ok {
-		// Append marshals synchronously, so handing it the live doc
-		// pointer under sh.mu is safe and clone-free.
-		b.walAppend(wal.Record{
-			At:      b.clock.Now(),
-			Op:      op,
-			Session: sessionRecordLocked(sh, id, s),
-			Aux:     auxRecord(sh),
-			NextID:  b.nextID.Load(),
-		})
-	}
-	sh.mu.Unlock()
-	b.maybeSnapshot()
 }
 
-// journalBatch journals the absolute post-state of every session a
-// group-commit flush installed on sh, as individual per-session records
-// landed through one wal.AppendBatch — one fsync for the batch, but
-// each record is framed and CRC'd on its own, so replay and the
-// crash-point matrix treat them exactly like serial journal records (a
-// crash mid-batch recovers the CRC-clean prefix; the RM reconciliation
-// sweep refunds the reservations of the unlogged tail, the same
-// guarantee an un-journaled serial proposal has).
+// journalBatch captures and appends the absolute post-state of the given
+// sessions of sh while holding the shard lock, so per-session record
+// order equals state order. The records land through one
+// wal.AppendBatch — one fsync for the batch, but each record is framed
+// and CRC'd on its own, so replay and the crash-point matrix see serial
+// journal records (a crash mid-batch recovers the CRC-clean prefix; the
+// RM reconciliation sweep refunds the reservations of the unlogged tail,
+// the same guarantee an un-journaled proposal has).
 func (b *Broker) journalBatch(op string, sh *shard, ids []sla.ID) {
 	if b.durable == nil || len(ids) == 0 {
 		return
@@ -176,7 +160,7 @@ func (b *Broker) journalBatch(op string, sh *shard, ids []sla.ID) {
 	for _, id := range ids {
 		if s, ok := sh.sessions[id]; ok {
 			// AppendBatch marshals synchronously under the shard lock, so
-			// the live doc pointers are safe and clone-free, as in journal.
+			// handing it the live doc pointers is safe and clone-free.
 			recs = append(recs, wal.Record{
 				At:      b.clock.Now(),
 				Op:      op,
@@ -189,7 +173,7 @@ func (b *Broker) journalBatch(op string, sh *shard, ids []sla.ID) {
 	if len(recs) > 0 {
 		if _, err := b.durable.AppendBatch(recs); err != nil {
 			b.met.walFailures.Inc()
-			b.logf("wal", "", "batch append failed, durable history sealed: %v", err)
+			b.logf("wal", "", "append failed, durable history sealed: %v", err)
 		} else {
 			b.met.walRecords.Add(int64(len(recs)))
 		}

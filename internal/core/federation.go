@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -56,18 +55,13 @@ var ErrNoDomainCanServe = errors.New("core: no domain can serve the request")
 // twice.
 var ErrDuplicatePeer = errors.New("core: peer domain already registered")
 
-// peerUnavailableMsg is the wire-visible marker of ErrPeerUnavailable; a
-// PeerClient maps SOAP faults carrying it back to the typed error so the
-// retry policy on the calling side still recognizes it as transient.
-const peerUnavailableMsg = "peer broker temporarily unavailable (recovering)"
-
 // ErrPeerUnavailable is the recovery-gated refusal: a broker that is
 // mid-Recover (WAL replay and RM reconciliation still in flight) refuses
 // admissions with it instead of answering from half-installed state.
 // Unlike a dead peer's ErrClosed it is transient — retryable() treats it
 // like a flaky wire, so the fan-out retries within its budget and the
 // front tier re-routes the admission instead of failing it.
-var ErrPeerUnavailable = errors.New("core: " + peerUnavailableMsg)
+var ErrPeerUnavailable = errors.New("core: peer broker temporarily unavailable (recovering)")
 
 // Federation fronts a home broker with a set of neighbors. It is safe for
 // concurrent use.
@@ -252,7 +246,7 @@ func isCapacityError(err error) bool {
 // offers carry an extra Domain so clients know where to conclude the SLA.
 func (f *Federation) Mount(mux *soapx.Mux) {
 	f.home.Mount(mux)
-	mux.Handle("service_request", func(body []byte) (any, error) {
+	mux.Handle("service_request", coded(func(body []byte) (any, error) {
 		var req xmlmsg.ServiceRequestXML
 		if err := xml.Unmarshal(body, &req); err != nil {
 			return nil, err
@@ -271,7 +265,7 @@ func (f *Federation) Mount(mux *soapx.Mux) {
 			Expires: offer.Expires.Format(xmlmsg.TimeLayout),
 			Domain:  offer.Domain,
 		}, nil
-	})
+	}))
 }
 
 // PeerClient adapts a remote broker client to the Peer interface.
@@ -289,15 +283,11 @@ func (p *PeerClient) PeerDomain() string { return p.Domain }
 // back into an Offer (the remote broker holds the session; only the
 // document and price travel).
 func (p *PeerClient) PeerRequest(req Request) (*Offer, error) {
+	// Refusals come back typed (Client.call): a recovering remote broker's
+	// ErrPeerUnavailable reaches the caller's retry policy as the transient
+	// refusal it is, not as a dead peer.
 	resp, err := p.Client.RequestService(req)
 	if err != nil {
-		// A recovering remote broker answers with a SOAP fault carrying
-		// the ErrPeerUnavailable marker; map it back to the typed error so
-		// the caller's retry policy sees a transient refusal, not a dead
-		// peer.
-		if strings.Contains(err.Error(), peerUnavailableMsg) {
-			return nil, fmt.Errorf("%w: peer %q", ErrPeerUnavailable, p.Domain)
-		}
 		return nil, err
 	}
 	doc, err := decodeOfferSLA(resp)

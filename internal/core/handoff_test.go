@@ -139,7 +139,7 @@ func TestFederationRecoveringPeerReroutes(t *testing.T) {
 	if !errors.Is(err, ErrNoDomainCanServe) {
 		t.Fatalf("err = %v, want ErrNoDomainCanServe", err)
 	}
-	if !strings.Contains(err.Error(), peerUnavailableMsg) {
+	if !strings.Contains(err.Error(), ErrPeerUnavailable.Error()) {
 		t.Errorf("aggregate decline does not carry the transient marker: %v", err)
 	}
 }
@@ -169,7 +169,7 @@ func TestFederationRestartDuringFanout(t *testing.T) {
 	if !errors.Is(midErr, ErrNoDomainCanServe) {
 		t.Fatalf("mid-recovery fan-out err = %v, want ErrNoDomainCanServe", midErr)
 	}
-	if !strings.Contains(midErr.Error(), peerUnavailableMsg) {
+	if !strings.Contains(midErr.Error(), ErrPeerUnavailable.Error()) {
 		t.Errorf("mid-recovery decline lost the transient marker: %v", midErr)
 	}
 

@@ -1,38 +1,31 @@
 package core
 
-// This file is the group-commit admission intake: a bounded per-shard
-// queue that coalesces compatible admissions and commits them in one
-// allocator pass. The direct path (RequestService) pays per request for
-// a lock acquisition, an allocator rebalance + view publication, two
-// activity-log fmt.Sprintf renders and a WAL fsync; the intake pays each
-// of those once per BATCH and keeps everything else — quality clamping,
-// budget checks, ID issue order, GARA reservation, per-session confirm
-// timers, per-session WAL records — identical to the direct path, so a
-// batch of size 1 produces byte-identical broker state.
+// This file is the group-commit intake queue in front of the admission
+// pipeline (prepare / admit in negotiate.go): a bounded per-shard queue
+// that coalesces prepared admissions so one admit call carries many. The
+// pipeline is the same whatever the batch size — quality clamping, budget
+// checks, ID issue order, GARA reservation, per-session confirm timers,
+// per-session WAL records — so a batch of one produces byte-identical
+// broker state to an unqueued RequestService; what a larger batch buys is
+// that the lock acquisitions, the allocator rebalance + view publication,
+// the activity-log render and the WAL fsync are paid once per BATCH.
 //
-// Flush discipline. Flushes are driven three ways, all deterministic on
+// Flush discipline. Flushes are driven four ways, all deterministic on
 // the manual clock: (1) a queue reaching MaxBatch is flushed inline by
 // the submitter that filled it; (2) FlushIntake drains every shard in
 // index order — the serial harnesses' quiesce primitive; (3) when
 // FlushEvery > 0, an idle timer armed on first enqueue flushes whatever
 // accumulated (it re-arms on the next enqueue, never free-runs, so a
-// 72-hour drain Advance fires it at most once). Concurrent callers use
-// SubmitWait: the first waiter to take the shard's flush mutex becomes
-// the group-commit leader and drains everything queued behind it —
-// batches form naturally under contention, exactly like a WAL group
-// commit.
+// 72-hour drain Advance fires it at most once); (4) RequestService on a
+// queue-configured broker enqueues and then takes the shard's flush
+// mutex: the first waiter in becomes the group-commit leader and drains
+// everything queued behind it — batches form naturally under contention,
+// exactly like a WAL group commit.
 //
-// Failure semantics. Each member of a batch is individually atomic: it
-// either installs completely (grant + reservation + session + route +
-// journal record) or is rolled back completely and its ticket fails —
-// a flushed batch never leaves a partially installed admission (the
-// invariant oracle's proposed-no-reservation rule checks this). Members
-// the batch allocator pass refuses fall back to the direct per-request
-// chain (scenario-1 compensation on the chosen shard, then the
-// cross-shard placement loop), so intake admission decisions equal
-// direct-path decisions. The batch's WAL append is one fsync over
-// per-session records; a crash mid-batch preserves a CRC-clean prefix,
-// so recovery semantics are unchanged (see wal.AppendBatch).
+// Failure semantics. Queued tickets fail with ErrClosed on Close/Crash;
+// everything past the queue is admit's (each member individually atomic,
+// one fsync over per-session records, a crash mid-batch preserves a
+// CRC-clean prefix — see wal.AppendBatch).
 
 import (
 	"errors"
@@ -41,11 +34,7 @@ import (
 	"time"
 
 	"gqosm/internal/clockx"
-	"gqosm/internal/gara"
 	"gqosm/internal/obs"
-	"gqosm/internal/registry"
-	"gqosm/internal/resource"
-	"gqosm/internal/sla"
 )
 
 // ErrIntakeFull is the intake's backpressure signal: the target shard's
@@ -59,9 +48,8 @@ var errIntakeDisabled = errors.New("core: intake not enabled")
 
 // IntakeConfig enables and sizes the group-commit admission intake.
 type IntakeConfig struct {
-	// Enabled turns the intake on. Off (the zero value) keeps the
-	// historical broker: Submit fails and RequestService is the only
-	// admission path.
+	// Enabled turns the queue on. Off (the zero value) Submit fails and
+	// RequestService admits inline on the caller's goroutine.
 	Enabled bool
 	// MaxBatch caps how many queued admissions one flush drains into a
 	// single allocator pass (default 32). A queue reaching MaxBatch is
@@ -73,7 +61,7 @@ type IntakeConfig struct {
 	// FlushEvery, when > 0, bounds how long a queued admission can wait
 	// for company: a timer armed on the first enqueue after an idle
 	// period flushes whatever accumulated. 0 (the default) relies on
-	// size-triggered flushes, SubmitWait leaders and explicit
+	// size-triggered flushes, RequestService leaders and explicit
 	// FlushIntake calls only.
 	FlushEvery time.Duration
 }
@@ -94,7 +82,6 @@ type IntakeTicket struct {
 	done  chan struct{}
 	offer *Offer
 	err   error
-	shard int
 }
 
 // Wait blocks until the admission is flushed (or the broker shuts
@@ -114,22 +101,11 @@ func (t *IntakeTicket) Resolved() bool {
 	}
 }
 
-func (t *IntakeTicket) fulfill(o *Offer) { t.offer = o; close(t.done) }
-func (t *IntakeTicket) fail(err error)   { t.err = err; close(t.done) }
-
-// intakeEntry is one queued admission with its submit-time discovery
-// result, so the flush never re-runs discovery.
-type intakeEntry struct {
-	req    Request
-	floor  resource.Capacity
-	key    registry.Key
-	ticket *IntakeTicket
-}
-
-// shardQueue is one shard's bounded intake queue.
+// shardQueue is one shard's bounded intake queue of prepared admissions
+// (discovery ran at submit time; the flush never re-runs it).
 type shardQueue struct {
 	mu    sync.Mutex
-	queue []*intakeEntry
+	queue []*admission
 }
 
 func (q *shardQueue) depth() int {
@@ -190,9 +166,6 @@ func newIntake(b *Broker, cfg IntakeConfig, reg *obs.Registry) *intake {
 	return in
 }
 
-// IntakeEnabled reports whether the group-commit intake is on.
-func (b *Broker) IntakeEnabled() bool { return b.intake != nil }
-
 // IntakePending counts admissions sitting in the intake queues (0 when
 // the intake is disabled). Harness quiesce points require it to be 0 —
 // every submitted admission was flushed.
@@ -207,83 +180,55 @@ func (b *Broker) IntakePending() int {
 	return n
 }
 
-// Submit enqueues an admission on its placement shard's intake queue
-// and returns a ticket for the outcome. Validation, the closed /
-// recovering gates and discovery run inline (their failures are
-// immediate, exactly as on the direct path); the allocator pass, GARA
-// reservation and session install happen at the next flush. A full
-// queue refuses with ErrIntakeFull — the backpressure contract.
+// Submit prepares an admission, enqueues it on its placement shard's
+// queue and returns a ticket for the outcome. prepare's failures are
+// immediate, exactly as on RequestService; the rest of the pipeline runs
+// at the next flush. A full queue refuses with ErrIntakeFull — the
+// backpressure contract.
 func (b *Broker) Submit(req Request) (*IntakeTicket, error) {
 	in := b.intake
 	if in == nil {
 		return nil, errIntakeDisabled
 	}
-	if err := req.Validate(); err != nil {
-		b.met.requestErrors.Inc()
-		return nil, err
-	}
-	if b.closed.Load() {
-		b.met.requestErrors.Inc()
-		return nil, ErrClosed
-	}
-	if b.recovering.Load() {
-		b.met.requestErrors.Inc()
-		return nil, ErrPeerUnavailable
-	}
-	floor := req.Spec.Floor()
-	key, err := b.discover(req, floor)
+	m, err := b.prepare(req)
 	if err != nil {
-		b.met.requestErrors.Inc()
 		return nil, err
 	}
+	depth, err := in.enqueue(m)
+	if err != nil {
+		return nil, err
+	}
+	if depth >= in.cfg.MaxBatch {
+		in.flushShard(m.order[0].index)
+	} else {
+		in.armTimer()
+	}
+	return &m.IntakeTicket, nil
+}
 
-	// Placement at submit time against the published load views; the
-	// flush commits on this shard and the fallback chain still covers
-	// capacity refusals, mirroring the direct path's order.
-	si := b.placementOrder(req.ShardHint, floor)[0].index
-	t := &IntakeTicket{done: make(chan struct{}), shard: si}
+// enqueue appends m to its placement shard's queue and reports the depth
+// it reached, or refuses with ErrIntakeFull at Depth.
+func (in *intake) enqueue(m *admission) (int, error) {
+	si := m.order[0].index
+	m.done = make(chan struct{})
 	q := in.queues[si]
 	q.mu.Lock()
 	if len(q.queue) >= in.cfg.Depth {
 		q.mu.Unlock()
 		in.rejectedFull.Inc()
-		b.met.requestErrors.Inc()
-		return nil, fmt.Errorf("%w: shard %d at depth %d", ErrIntakeFull, si, in.cfg.Depth)
+		return 0, in.b.refused(fmt.Errorf("%w: shard %d at depth %d", ErrIntakeFull, si, in.cfg.Depth))
 	}
-	q.queue = append(q.queue, &intakeEntry{req: req, floor: floor, key: key, ticket: t})
+	q.queue = append(q.queue, m)
 	depth := len(q.queue)
 	q.mu.Unlock()
 	in.submitted.Inc()
-
-	if b.closed.Load() {
-		// The broker shut down between the gate check and the enqueue;
+	if in.b.closed.Load() {
+		// The broker shut down between prepare's gate and the enqueue;
 		// drain so the ticket cannot hang (idempotent with close()).
 		in.failQueued(ErrClosed)
-		return t, nil
+		return 0, nil
 	}
-	if depth >= in.cfg.MaxBatch {
-		in.flushShard(si)
-	} else {
-		in.armTimer()
-	}
-	return t, nil
-}
-
-// SubmitWait is the concurrent transport's admission call: enqueue,
-// then either ride a running flush or become the group-commit leader.
-// Under contention the first waiter into the flush mutex drains every
-// entry queued behind the running flush — one allocator pass for all of
-// them. With no contention it degenerates to a batch of 1 with direct-
-// path outcomes.
-func (b *Broker) SubmitWait(req Request) (*Offer, error) {
-	t, err := b.Submit(req)
-	if err != nil {
-		return nil, err
-	}
-	if !t.Resolved() {
-		b.intake.flushShard(t.shard)
-	}
-	return t.Wait()
+	return depth, nil
 }
 
 // FlushIntake drains every shard's intake queue now, in shard index
@@ -314,7 +259,7 @@ func (in *intake) flushShard(si int) {
 		if n > in.cfg.MaxBatch {
 			n = in.cfg.MaxBatch
 		}
-		batch := append([]*intakeEntry(nil), q.queue[:n]...)
+		batch := append([]*admission(nil), q.queue[:n]...)
 		rest := copy(q.queue, q.queue[n:])
 		for i := rest; i < len(q.queue); i++ {
 			q.queue[i] = nil
@@ -324,7 +269,7 @@ func (in *intake) flushShard(si int) {
 
 		in.flushes.Inc()
 		in.batchSize.Observe(float64(len(batch)))
-		in.b.admitBatch(in.b.shards[si], batch)
+		in.b.admit(in.b.shards[si], batch)
 	}
 }
 
@@ -372,251 +317,8 @@ func (in *intake) failQueued(err error) {
 		entries := q.queue
 		q.queue = nil
 		q.mu.Unlock()
-		for _, e := range entries {
-			e.ticket.fail(err)
-			in.b.met.requestErrors.Inc()
+		for _, m := range entries {
+			in.b.resolve(m, err)
 		}
-	}
-}
-
-// admitBatch is the group commit: one allocator critical section, one
-// shard-lock install pass, one activity-log line and one WAL fsync for
-// the whole batch; per-member quality/budget/ID/reservation semantics
-// identical to requestOnShard.
-func (b *Broker) admitBatch(sh *shard, entries []*intakeEntry) {
-	defer b.debugCheck("intake-flush")
-	started := time.Now()
-	if b.closed.Load() {
-		for _, e := range entries {
-			e.ticket.fail(ErrClosed)
-			b.met.requestErrors.Inc()
-		}
-		return
-	}
-
-	// Stage 1 — price and identify. Quality is clamped against the
-	// shard's published headroom (the same advisory view the direct
-	// path's pre-clamp reads; the allocator re-validates under its
-	// lock). Budget refusals are final and never burn an SLA ID, so ID
-	// sequences match the direct path exactly.
-	type member struct {
-		e       *intakeEntry
-		id      sla.ID
-		quality resource.Capacity
-		price   float64
-		grant   GrantResult
-		handle  gara.Handle
-		offer   *Offer
-	}
-	members := make([]member, 0, len(entries))
-	asks := make([]GuaranteedAsk, 0, len(entries))
-	for _, e := range entries {
-		quality := e.req.Spec.Best()
-		if e.req.Class == sla.ClassControlledLoad {
-			quality = e.req.Spec.Clamp(quality.Min(sh.alloc.AvailableGuaranteed()))
-			quality = quality.Max(e.floor)
-		}
-		price := b.prices.Cost(e.req.Class, quality)
-		if e.req.Budget > 0 && price > e.req.Budget {
-			if e.req.Class == sla.ClassGuaranteed {
-				e.ticket.fail(fmt.Errorf("%w: price %.2f > budget %.2f", ErrOverBudget, price, e.req.Budget))
-				b.met.requestErrors.Inc()
-				continue
-			}
-			quality = e.floor
-			price = b.prices.Cost(e.req.Class, quality)
-			if price > e.req.Budget {
-				e.ticket.fail(fmt.Errorf("%w: floor price %.2f > budget %.2f", ErrOverBudget, price, e.req.Budget))
-				b.met.requestErrors.Inc()
-				continue
-			}
-		}
-		id := b.newSLAID()
-		members = append(members, member{e: e, id: id, quality: quality, price: price})
-		asks = append(asks, GuaranteedAsk{User: string(id), Requested: quality, Floor: e.floor})
-	}
-	if len(members) == 0 {
-		return
-	}
-
-	// Stage 2 — ONE allocator pass for the whole batch. Refused members
-	// fall back to the direct per-request chain below, which retries
-	// this shard with scenario-1 compensation and then walks the
-	// placement order — intake admission decisions equal direct ones.
-	grants, errs, _ := sh.alloc.AllocateGuaranteedBatch(asks)
-	installees := members[:0]
-	var fallbacks []member
-	for i := range members {
-		if errs[i] != nil {
-			if errors.Is(errs[i], ErrCannotHonor) {
-				fallbacks = append(fallbacks, members[i])
-			} else {
-				members[i].e.ticket.fail(errs[i])
-				b.met.requestErrors.Inc()
-			}
-			continue
-		}
-		members[i].grant = grants[i]
-		installees = append(installees, members[i])
-	}
-
-	// Stage 3 — per-member GARA reservation (idempotent create, same
-	// rollback as the direct path). A reservation failure is final for
-	// that member only; the rest of the batch proceeds.
-	kept := installees[:0]
-	for i := range installees {
-		m := &installees[i]
-		allocated := m.grant.Granted
-		if !m.grant.Shortfall.IsZero() {
-			m.quality = allocated
-			m.price = b.prices.Cost(m.e.req.Class, m.quality)
-		}
-		spec := reservationRSL(m.e.req.Spec, allocated)
-		handle, err := b.pol.callCreate("gara.create", string(m.id), func() (gara.Handle, error) {
-			return b.cfg.GARA.Create(spec, m.e.req.Start, m.e.req.End, string(m.id))
-		})
-		if err != nil {
-			_ = sh.alloc.ReleaseGuaranteed(string(m.id))
-			if h, ok := b.cfg.GARA.FindByTag(string(m.id)); ok {
-				b.parkCancel(m.id, h)
-			}
-			b.journalShardAux("rollback", sh)
-			m.e.ticket.fail(fmt.Errorf("core: reservation: %w", err))
-			b.met.requestErrors.Inc()
-			continue
-		}
-		m.handle = handle
-		kept = append(kept, *m)
-	}
-	installees = kept
-
-	// Stage 4 — install every surviving member under ONE route-lock and
-	// ONE shard-lock acquisition, with per-session confirm timers (so
-	// Accept / Close / prune semantics stay identical) and one activity-
-	// log line for the batch.
-	if len(installees) > 0 {
-		ids := make([]sla.ID, 0, len(installees))
-		b.routeMu.Lock()
-		for i := range installees {
-			b.route[installees[i].id] = sh
-			ids = append(ids, installees[i].id)
-		}
-		b.routeMu.Unlock()
-
-		now := b.clock.Now()
-		expires := now.Add(b.cfg.ConfirmWindow)
-		sh.mu.Lock()
-		if b.closed.Load() {
-			sh.mu.Unlock()
-			b.routeMu.Lock()
-			for _, id := range ids {
-				delete(b.route, id)
-			}
-			b.routeMu.Unlock()
-			for i := range installees {
-				m := &installees[i]
-				_ = sh.alloc.ReleaseGuaranteed(string(m.id))
-				_ = b.cfg.GARA.Cancel(m.handle)
-				m.e.ticket.fail(ErrClosed)
-				b.met.requestErrors.Inc()
-			}
-			b.journalShardAux("rollback", sh)
-			return
-		}
-		for i := range installees {
-			m := &installees[i]
-			id := m.id
-			allocated := m.grant.Granted
-			doc := &sla.Document{
-				ID:       id,
-				Service:  m.e.req.Service,
-				Client:   m.e.req.Client,
-				Provider: b.cfg.Domain,
-				Class:    m.e.req.Class,
-				Spec:     m.e.req.Spec.Clone(),
-				Adapt: sla.AdaptationOptions{
-					AcceptDegradation: m.e.req.AcceptDegradation,
-					AcceptTermination: m.e.req.AcceptTermination,
-					PromotionOffers:   m.e.req.PromotionOptIn,
-					AlternativeQoS:    m.e.floor,
-					HasAlternative:    m.e.req.AcceptDegradation || m.e.req.Class == sla.ClassControlledLoad,
-				},
-				Penalty:   m.e.req.Penalty,
-				Start:     m.e.req.Start,
-				End:       m.e.req.End,
-				Price:     m.price,
-				Allocated: allocated,
-				State:     sla.StateProposed,
-			}
-			sess := &session{doc: doc, handle: m.handle, original: allocated, proposedAt: now}
-			sh.sessions[id] = sess
-			sess.confirm = b.clock.AfterFunc(b.cfg.ConfirmWindow, func() {
-				b.expireOffer(id)
-			})
-			m.offer = &Offer{
-				SLA:        doc.Clone(),
-				Price:      m.price,
-				Expires:    expires,
-				ServiceKey: m.e.key,
-			}
-		}
-		b.logLocked("offer", "", "group-commit: %d offer(s) proposed in one batch (shard %d)",
-			len(installees), sh.index)
-		sh.mu.Unlock()
-
-		// Stage 5 — one WAL append (one fsync) carrying a per-session
-		// record for every member, so replay is unchanged.
-		b.journalBatch("propose", sh, ids)
-
-		// Stage 6 — resolve tickets and record per-admission telemetry.
-		for i := range installees {
-			m := &installees[i]
-			b.met.requests.Inc()
-			b.trace(m.id, noState, sla.StateProposed, m.grant.Granted, "offer proposed")
-			m.e.ticket.fulfill(m.offer)
-		}
-	}
-
-	// Fallback chain for members the batch pass could not honor: the
-	// full direct placement loop with the already-issued ID, including
-	// scenario-1 compensation on this shard.
-	for i := range fallbacks {
-		m := &fallbacks[i]
-		id := m.id
-		ensure := func() sla.ID { return id }
-		order := b.placementOrder(m.e.req.ShardHint, m.e.floor)
-		var offer *Offer
-		var lastErr error
-		for _, sh2 := range order {
-			o, err := b.requestOnShard(sh2, m.e.req, m.e.key, m.e.floor, ensure)
-			if err == nil {
-				offer = o
-				break
-			}
-			lastErr = err
-			if !errors.Is(err, ErrCannotHonor) {
-				break
-			}
-		}
-		switch {
-		case offer != nil:
-			b.met.requests.Inc()
-			b.trace(offer.SLA.ID, noState, sla.StateProposed, offer.SLA.Allocated, "offer proposed")
-			m.e.ticket.fulfill(offer)
-		case len(b.shards) > 1 && errors.Is(lastErr, ErrCannotHonor):
-			m.e.ticket.fail(fmt.Errorf("core: %d shard(s) tried, none can honor: %w", len(order), lastErr))
-			b.met.requestErrors.Inc()
-		default:
-			m.e.ticket.fail(lastErr)
-			b.met.requestErrors.Inc()
-		}
-	}
-
-	// Admission latency parity: the direct path observes one wall-clock
-	// sample per request; the batch observes the amortized per-member
-	// share, so histogram quantiles report what each admission cost.
-	per := time.Since(started) / time.Duration(len(entries))
-	for range entries {
-		b.met.admitSeconds.Observe(per.Seconds())
 	}
 }

@@ -29,8 +29,8 @@ func withIntake(cfg IntakeConfig) func(*Config) {
 
 // TestIntakeGroupCommitOneFsync is the group-commit contract on disk: a
 // batch of eight admissions lands through one wal.AppendBatch — eight
-// journal records, ONE fsync — where the direct path would have paid
-// eight.
+// journal records, ONE fsync — where eight unqueued admissions would have
+// paid eight.
 func TestIntakeGroupCommitOneFsync(t *testing.T) {
 	h := newDurableHarness(t, 0, withIntake(IntakeConfig{Enabled: true, MaxBatch: 32}))
 	b := h.broker
@@ -103,50 +103,9 @@ func TestIntakeBackpressure(t *testing.T) {
 	b.FlushIntake()
 }
 
-// TestIntakeSubmitWaitParity: an admission through the batch path yields
-// the same offer — price, allocation, expiry — as the identical request
-// through the direct path, and inline failures (validation, unknown
-// service, over budget) surface identically.
-func TestIntakeSubmitWaitParity(t *testing.T) {
-	direct := newHarness(t)
-	batched := newHarness(t, withIntake(IntakeConfig{Enabled: true}))
-
-	want, err := direct.broker.RequestService(guaranteedRequest())
-	if err != nil {
-		t.Fatalf("direct RequestService: %v", err)
-	}
-	got, err := batched.broker.SubmitWait(guaranteedRequest())
-	if err != nil {
-		t.Fatalf("SubmitWait: %v", err)
-	}
-	if got.Price != want.Price {
-		t.Errorf("price: batch path %v, direct %v", got.Price, want.Price)
-	}
-	if !got.Expires.Equal(want.Expires) {
-		t.Errorf("expiry: batch path %v, direct %v", got.Expires, want.Expires)
-	}
-	if got.SLA.Class != want.SLA.Class || got.Compensated != want.Compensated {
-		t.Errorf("offer shape differs: batch %+v, direct %+v", got, want)
-	}
-
-	// Inline failure parity: a request for a service nobody registered
-	// fails at Submit, before any ticket exists.
-	bad := guaranteedRequest()
-	bad.Service = "no-such-service"
-	_, directErr := direct.broker.RequestService(bad)
-	_, batchErr := batched.broker.SubmitWait(bad)
-	if !errors.Is(batchErr, ErrNoService) || !errors.Is(directErr, ErrNoService) {
-		t.Errorf("unknown service: batch %v, direct %v, want ErrNoService from both", batchErr, directErr)
-	}
-	empty := Request{}
-	if _, err := batched.broker.Submit(empty); err == nil {
-		t.Error("Submit accepted an invalid request")
-	}
-}
-
 // TestIntakeRecoveryAfterBatchedPropose: sessions journaled by a group
-// commit survive a crash exactly like direct-path sessions — the batch
-// amortizes the fsync, not the durability.
+// commit survive a crash exactly like singly admitted sessions — the
+// batch amortizes the fsync, not the durability.
 func TestIntakeRecoveryAfterBatchedPropose(t *testing.T) {
 	h := newDurableHarness(t, 0, withIntake(IntakeConfig{Enabled: true, MaxBatch: 32}))
 
@@ -180,11 +139,13 @@ func TestIntakeRecoveryAfterBatchedPropose(t *testing.T) {
 		t.Fatalf("state digest changed across crash/recover:\nbefore: %s\nafter:  %s", before, after)
 	}
 	// The recovered broker keeps its configured intake.
-	if !h.broker.IntakeEnabled() {
-		t.Fatal("recovered broker lost its intake")
+	tk, err := h.broker.Submit(intakeRequest("rec-after"))
+	if err != nil {
+		t.Fatalf("Submit on recovered broker: %v", err)
 	}
-	if _, err := h.broker.SubmitWait(intakeRequest("rec-after")); err != nil {
-		t.Fatalf("SubmitWait on recovered broker: %v", err)
+	h.broker.FlushIntake()
+	if _, err := tk.Wait(); err != nil {
+		t.Fatalf("queued admission on recovered broker: %v", err)
 	}
 }
 
@@ -273,14 +234,10 @@ func TestIntakeMaxBatchInlineFlush(t *testing.T) {
 	}
 }
 
-// TestIntakeDisabledByDefault: a broker built without IntakeConfig
-// refuses Submit and reports no intake — the historical direct-path
-// configuration is unchanged.
+// TestIntakeDisabledByDefault: a broker built without IntakeConfig has
+// no queue — Submit is refused and RequestService admits inline.
 func TestIntakeDisabledByDefault(t *testing.T) {
 	h := newHarness(t)
-	if h.broker.IntakeEnabled() {
-		t.Fatal("intake enabled without configuration")
-	}
 	if n := h.broker.IntakePending(); n != 0 {
 		t.Fatalf("IntakePending on disabled intake = %d, want 0", n)
 	}
@@ -321,7 +278,7 @@ func TestIntakeBudgetRefusalBurnsNoID(t *testing.T) {
 
 	// A clean broker admitting only the payer must mint the same ID.
 	ref := newHarness(t, withIntake(IntakeConfig{Enabled: true, MaxBatch: 32}))
-	refOffer, err := ref.broker.SubmitWait(rich)
+	refOffer, err := ref.broker.RequestService(rich)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,233 +81,391 @@ type Offer struct {
 	Compensated bool
 }
 
+// admission is one request moving through the pipeline: prepare fills
+// the first block, admit the second, and the outcome lands on the
+// embedded ticket (whose done channel exists only for queued admissions).
+// Until resolve settles the ticket, its offer / err fields are the
+// pipeline's working state: the offer as installed, the latest refusal.
+type admission struct {
+	IntakeTicket
+	req   Request
+	floor resource.Capacity
+	key   registry.Key
+	// order is the placement chain computed at prepare time; order[at] is
+	// the shard the admission is queued or being admitted on, the shards
+	// after it are the cross-shard fallbacks.
+	order []*shard
+	at    int
+
+	id          sla.ID
+	quality     resource.Capacity
+	price       float64
+	grant       GrantResult
+	handle      gara.Handle
+	compensated bool
+}
+
 // RequestService runs the discovery and negotiation phases: find matching
 // services, verify resource availability (adapting active sessions if
 // necessary — scenario 1), temporarily reserve, and return a priced offer.
+// It is prepare + admit of a batch of one: inline on the caller's
+// goroutine when no intake queue is configured; with one, the admission
+// is enqueued and the caller either rides a flush already running or
+// becomes the group-commit leader and drains everything queued behind it
+// (a full queue refuses with ErrIntakeFull).
 func (b *Broker) RequestService(req Request) (*Offer, error) {
-	// Admission latency is wall-clock (time.Now, not b.clock): the
-	// injected clock measures simulated time, while the histogram
-	// measures how long the broker actually works.
-	started := time.Now()
-	offer, err := b.requestService(req)
-	b.met.admitSeconds.Observe(time.Since(started).Seconds())
+	m, err := b.prepare(req)
 	if err != nil {
-		b.met.requestErrors.Inc()
 		return nil, err
 	}
-	b.met.requests.Inc()
-	b.trace(offer.SLA.ID, noState, sla.StateProposed, offer.SLA.Allocated, "offer proposed")
-	return offer, nil
+	if b.intake == nil {
+		b.admit(m.order[0], []*admission{m})
+		return m.offer, m.err
+	}
+	if _, err := b.intake.enqueue(m); err != nil {
+		return nil, err
+	}
+	if !m.Resolved() {
+		b.intake.flushShard(m.order[0].index)
+	}
+	return m.Wait()
 }
 
-func (b *Broker) requestService(req Request) (*Offer, error) {
-	defer b.debugCheck("request")
+// refused counts a failed admission and hands err back.
+func (b *Broker) refused(err error) error {
+	b.met.requestErrors.Inc()
+	return err
+}
+
+// resolve settles m's ticket — with err, or with the offer commit
+// installed when err is nil — and records the per-admission telemetry.
+func (b *Broker) resolve(m *admission, err error) {
+	if m.err = err; err != nil {
+		m.offer = nil
+		b.met.requestErrors.Inc()
+	} else {
+		b.met.requests.Inc()
+		b.trace(m.id, noState, sla.StateProposed, m.offer.SLA.Allocated, "offer proposed")
+	}
+	if m.done != nil {
+		close(m.done)
+	}
+}
+
+// prepare is the per-request front half of the pipeline: validation, the
+// closed / recovering gates, discovery and shard placement. Its failures
+// are immediate on every route — nothing is queued, no SLA ID is issued.
+func (b *Broker) prepare(req Request) (*admission, error) {
 	if err := req.Validate(); err != nil {
-		return nil, err
+		return nil, b.refused(err)
 	}
 	if b.closed.Load() {
-		return nil, ErrClosed
+		return nil, b.refused(ErrClosed)
 	}
 	if b.recovering.Load() {
 		// Mid-Recover the session table and allocators are still being
 		// installed; refuse with the transient gate so federated callers
 		// retry or re-route instead of treating this broker as dead.
-		return nil, ErrPeerUnavailable
+		return nil, b.refused(ErrPeerUnavailable)
 	}
 	// The floor is read by discovery, placement and admission; compute it
 	// once here instead of re-deriving it from the spec at every layer.
 	floor := req.Spec.Floor()
-	b.logf("discovery", "", "client %q requests %q class=%s spec floor %v",
-		req.Client, req.Service, req.Class, floor)
-
+	if b.intake == nil {
+		// Queued admissions are announced by their flush's activity-log
+		// line; a per-request render is one of the costs the queue
+		// amortizes.
+		b.logf("discovery", "", "client %q requests %q class=%s spec floor %v",
+			req.Client, req.Service, req.Class, floor)
+	}
 	key, err := b.discover(req, floor)
 	if err != nil {
-		return nil, err
+		return nil, b.refused(err)
 	}
-
-	// Placement: try shards least-loaded first (honoring any hint) and
-	// fall back across them on capacity refusals — the intra-domain
-	// mirror of the federation's capacity-error forwarding. The SLA ID is
-	// issued lazily by the first attempt that needs one, so ID sequences
-	// match the single-shard broker exactly (budget refusals never burn
-	// an ID).
-	var id sla.ID
-	ensureID := func() sla.ID {
-		if id == "" {
-			id = b.newSLAID()
-		}
-		return id
-	}
-	order := b.placementOrder(req.ShardHint, floor)
-	var lastErr error
-	for _, sh := range order {
-		offer, err := b.requestOnShard(sh, req, key, floor, ensureID)
-		if err == nil {
-			return offer, nil
-		}
-		lastErr = err
-		if !errors.Is(err, ErrCannotHonor) {
-			// Non-capacity refusals (budget, reservation, shutdown) are
-			// final: no other shard would decide differently.
-			return nil, err
-		}
-	}
-	if len(b.shards) == 1 {
-		return nil, lastErr
-	}
-	return nil, fmt.Errorf("core: %d shard(s) tried, none can honor: %w", len(order), lastErr)
+	// Placement: shards least-loaded first (honoring any hint) against the
+	// published load views. admit commits on the first and falls back
+	// across the rest on capacity refusals — the intra-domain mirror of
+	// the federation's capacity-error forwarding.
+	return &admission{req: req, floor: floor, key: key,
+		order: b.placementOrder(req.ShardHint, floor)}, nil
 }
 
-// requestOnShard runs the negotiation phase against one shard: quality
-// clamp against the shard's headroom, budget check, Algorithm-1 admission
-// with scenario-1 compensation on the shard's own sessions, GARA
-// reservation, and session registration under the shard lock. ensureID
-// issues the global SLA ID on first use.
-func (b *Broker) requestOnShard(sh *shard, req Request, key registry.Key, floor resource.Capacity, ensureID func() sla.ID) (*Offer, error) {
-	// Choose the proposed quality: guaranteed gets the exact request;
-	// controlled-load gets the best level currently free, never below
-	// the floor.
-	quality := req.Spec.Best()
-	if req.Class == sla.ClassControlledLoad {
-		// Offer the best level the shard's headroom carries; Clamp
-		// raises below-floor dimensions back to the floor, in which case
-		// admission relies on scenario-1 compensation below.
-		quality = req.Spec.Clamp(quality.Min(sh.alloc.AvailableGuaranteed()))
-		quality = quality.Max(floor)
+// admit runs the negotiation phase for a batch of prepared admissions
+// placed on sh and resolves every member. It is the pipeline's one entry:
+// the invariant debug hook fires once per call, and the wall-clock
+// admission latency (time.Now, not b.clock: the injected clock measures
+// simulated time, the histogram how long the broker actually works) is
+// observed as each member's amortized share.
+func (b *Broker) admit(sh *shard, batch []*admission) {
+	defer b.debugCheck("admit")
+	started := time.Now()
+	b.admitOn(sh, batch)
+	per := (time.Since(started) / time.Duration(len(batch))).Seconds()
+	for range batch {
+		b.met.admitSeconds.Observe(per)
+	}
+}
+
+// admitOn is the staged negotiation phase against one shard: price +
+// budget, ONE allocator pass, GARA reservation, install and ONE journal
+// append for the members it grants (commit), then — after those are
+// installed — scenario-1 compensation and the cross-shard fallback for
+// the members it refuses. Each member is individually atomic: it installs
+// completely or is rolled back completely and its ticket fails.
+func (b *Broker) admitOn(sh *shard, batch []*admission) {
+	if b.closed.Load() {
+		for _, m := range batch {
+			b.resolve(m, ErrClosed)
+		}
+		return
 	}
 
-	// Budget: degrade controlled-load quality toward the floor until the
-	// price fits.
+	// Stage 1 — price and identify. Budget refusals are final (no other
+	// shard would decide differently) and never burn an SLA ID; the ID is
+	// issued once, by the first shard that needs it, so ID sequences do
+	// not depend on shard count or batch size.
+	priced := batch[:0]      // filtered in place: every caller hands its slice over
+	var one [1]GuaranteedAsk // a batch of one keeps its ask off the heap
+	asks := one[:0]
+	if len(batch) > 1 {
+		asks = make([]GuaranteedAsk, 0, len(batch))
+	}
+	for _, m := range batch {
+		if err := b.quote(sh, m); err != nil {
+			b.resolve(m, err)
+			continue
+		}
+		if m.id == "" {
+			m.id = b.newSLAID()
+		}
+		priced = append(priced, m)
+		asks = append(asks, GuaranteedAsk{User: string(m.id), Requested: m.quality, Floor: m.floor})
+	}
+	if len(priced) == 0 {
+		return
+	}
+
+	// Stage 2 — one Algorithm-1 pass for the whole batch: one allocator
+	// critical section, one rebalance, one view publication.
+	sh.alloc.AllocateGuaranteedBatch(asks)
+	var refused []*admission
+	granted := priced[:0]
+	for i, m := range priced {
+		if m.err = asks[i].Err; m.err != nil {
+			refused = append(refused, m)
+			continue
+		}
+		m.grant = asks[i].Grant
+		granted = append(granted, m)
+	}
+	b.commit(sh, granted)
+
+	// Refused members, in batch order, after the granted ones installed.
+	for _, m := range refused {
+		switch {
+		case !errors.Is(m.err, ErrCannotHonor):
+			b.resolve(m, m.err)
+		case len(asks) > 1:
+			// The book moved under the batch (later grants, rolled-back
+			// reservations): re-price and re-ask alone before adapting
+			// anyone.
+			b.admitOn(sh, []*admission{m})
+		default:
+			b.compensateOrForward(sh, m)
+		}
+	}
+}
+
+// quote chooses m's proposed quality on sh and prices it: guaranteed gets
+// the exact request; controlled-load gets the best level the shard's
+// published headroom carries (an advisory view — the allocator
+// re-validates under its lock), never below the floor, in which case
+// admission relies on scenario-1 compensation. A price over budget
+// degrades controlled-load toward the floor and refuses otherwise.
+func (b *Broker) quote(sh *shard, m *admission) error {
+	req := &m.req
+	quality := req.Spec.Best()
+	if req.Class == sla.ClassControlledLoad {
+		quality = req.Spec.Clamp(quality.Min(sh.alloc.AvailableGuaranteed())).Max(m.floor)
+	}
 	price := b.prices.Cost(req.Class, quality)
 	if req.Budget > 0 && price > req.Budget {
 		if req.Class == sla.ClassGuaranteed {
-			return nil, fmt.Errorf("%w: price %.2f > budget %.2f", ErrOverBudget, price, req.Budget)
+			return fmt.Errorf("%w: price %.2f > budget %.2f", ErrOverBudget, price, req.Budget)
 		}
-		quality = floor
+		quality = m.floor
 		price = b.prices.Cost(req.Class, quality)
 		if price > req.Budget {
-			return nil, fmt.Errorf("%w: floor price %.2f > budget %.2f", ErrOverBudget, price, req.Budget)
+			return fmt.Errorf("%w: floor price %.2f > budget %.2f", ErrOverBudget, price, req.Budget)
 		}
 	}
+	m.quality, m.price = quality, price
+	return nil
+}
 
-	id := ensureID()
-
-	// Capacity admission via Algorithm 1, with scenario-1 compensation
-	// on failure.
-	compensated := false
-	grant, err := sh.alloc.AllocateGuaranteed(string(id), quality, floor)
-	if err != nil {
-		freed, cerr := b.compensate(sh, floor)
-		if cerr != nil {
-			return nil, fmt.Errorf("request %s: %w (compensation: %v)", id, err, cerr)
-		}
-		compensated = freed
-		grant, err = sh.alloc.AllocateGuaranteed(string(id), quality, floor)
-		if err != nil {
-			return nil, fmt.Errorf("request %s after compensation: %w", id, err)
-		}
+// compensateOrForward handles a lone member sh refused for capacity:
+// scenario-1 compensation on sh's own sessions and one retry, then the
+// next shard of its placement chain, then the refusal.
+func (b *Broker) compensateOrForward(sh *shard, m *admission) {
+	err := m.err
+	freed, cerr := b.compensate(sh, m.floor)
+	if cerr != nil {
+		err = fmt.Errorf("request %s: %w (compensation: %v)", m.id, err, cerr)
+	} else if m.grant, err = sh.alloc.AllocateGuaranteed(string(m.id), m.quality, m.floor); err != nil {
+		err = fmt.Errorf("request %s after compensation: %w", m.id, err)
+	} else {
+		m.compensated = freed
+		b.commit(sh, []*admission{m})
+		return
 	}
-	allocated := grant.Granted
-	if !grant.Shortfall.IsZero() {
-		// Only the floor was granted; reprice at what is delivered.
-		quality = allocated
-		price = b.prices.Cost(req.Class, quality)
+	if m.at++; m.at < len(m.order) {
+		b.admitOn(m.order[m.at], []*admission{m})
+		return
 	}
+	if len(b.shards) > 1 {
+		err = fmt.Errorf("core: %d shard(s) tried, none can honor: %w", len(m.order), err)
+	}
+	b.resolve(m, err)
+}
 
-	// Mechanism: temporary GARA reservation, created idempotently: a
+// commit is the back half of the pipeline for members holding an
+// allocator grant on sh: per-member GARA reservation with rollback, one
+// route-lock and one shard-lock install pass with per-session confirm
+// timers, one journal append (one fsync) carrying a per-session record
+// each, then ticket resolution.
+func (b *Broker) commit(sh *shard, granted []*admission) {
+	// Mechanism: temporary GARA reservations, created idempotently — a
 	// retry after a lost reply adopts the reservation already committed
-	// under this SLA's tag instead of double-committing it.
-	spec := reservationRSL(req.Spec, allocated)
-	handle, err := b.pol.callCreate("gara.create", string(id), func() (gara.Handle, error) {
-		return b.cfg.GARA.Create(spec, req.Start, req.End, string(id))
-	})
-	if err != nil {
-		_ = sh.alloc.ReleaseGuaranteed(string(id))
-		// A timed-out or partially-failed attempt may still have
-		// committed the reservation; park it so the reconciliation
-		// sweep cancels it rather than leaking it.
-		if h, ok := b.cfg.GARA.FindByTag(string(id)); ok {
-			b.parkCancel(id, h)
+	// under the SLA's tag instead of double-committing it. A reservation
+	// failure is final for that member only.
+	reserved := granted[:0]
+	for _, m := range granted {
+		id := string(m.id)
+		if !m.grant.Shortfall.IsZero() {
+			// Only the floor was granted; reprice at what is delivered.
+			m.quality = m.grant.Granted
+			m.price = b.prices.Cost(m.req.Class, m.quality)
 		}
-		// The failed admission may have preempted best-effort grants;
-		// journal the shard's post-rollback aux or replay resurrects them.
-		b.journalShardAux("rollback", sh)
-		return nil, fmt.Errorf("core: reservation: %w", err)
+		spec := reservationRSL(m.req.Spec, m.grant.Granted)
+		handle, err := b.pol.callCreate("gara.create", id, func() (gara.Handle, error) {
+			return b.cfg.GARA.Create(spec, m.req.Start, m.req.End, id)
+		})
+		if err != nil {
+			_ = sh.alloc.ReleaseGuaranteed(id)
+			// A timed-out or partially-failed attempt may still have
+			// committed the reservation; park it so the reconciliation
+			// sweep cancels it rather than leaking it.
+			if h, ok := b.cfg.GARA.FindByTag(id); ok {
+				b.parkCancel(m.id, h)
+			}
+			// The failed admission may have preempted best-effort grants;
+			// journal the shard's post-rollback aux or replay resurrects them.
+			b.journalShardAux("rollback", sh)
+			b.resolve(m, fmt.Errorf("core: reservation: %w", err))
+			continue
+		}
+		m.handle = handle
+		reserved = append(reserved, m)
+	}
+	if len(reserved) == 0 {
+		return
 	}
 
-	doc := &sla.Document{
-		ID:       id,
-		Service:  req.Service,
-		Client:   req.Client,
-		Provider: b.cfg.Domain,
-		Class:    req.Class,
-		Spec:     req.Spec.Clone(),
-		Adapt: sla.AdaptationOptions{
-			AcceptDegradation: req.AcceptDegradation,
-			AcceptTermination: req.AcceptTermination,
-			PromotionOffers:   req.PromotionOptIn,
-			AlternativeQoS:    floor,
-			HasAlternative:    req.AcceptDegradation || req.Class == sla.ClassControlledLoad,
-		},
-		Penalty:   req.Penalty,
-		Start:     req.Start,
-		End:       req.End,
-		Price:     price,
-		Allocated: allocated,
-		State:     sla.StateProposed,
+	// Install the routes before the sessions: the confirm timers' expiry
+	// callbacks resolve the shard through them.
+	var one [1]sla.ID // as in admitOn: no heap slice for a batch of one
+	ids := one[:0]
+	if len(reserved) > 1 {
+		ids = make([]sla.ID, 0, len(reserved))
 	}
-	expires := b.clock.Now().Add(b.cfg.ConfirmWindow)
-	sess := &session{doc: doc, handle: handle, original: allocated, proposedAt: b.clock.Now()}
-
-	// Install the route before the session: the confirm timer's expiry
-	// callback resolves the shard through it.
 	b.routeMu.Lock()
-	b.route[id] = sh
+	for _, m := range reserved {
+		ids = append(ids, m.id)
+		b.route[m.id] = sh
+	}
 	b.routeMu.Unlock()
 
+	now := b.clock.Now()
+	expires := now.Add(b.cfg.ConfirmWindow)
 	sh.mu.Lock()
 	if b.closed.Load() {
-		// The broker shut down while this request was negotiating; undo
-		// the reservation rather than leak it into a closed broker.
+		// The broker shut down while the batch was negotiating; undo the
+		// reservations rather than leak them into a closed broker.
 		sh.mu.Unlock()
 		b.routeMu.Lock()
-		delete(b.route, id)
+		for _, id := range ids {
+			delete(b.route, id)
+		}
 		b.routeMu.Unlock()
-		_ = sh.alloc.ReleaseGuaranteed(string(id))
-		_ = b.cfg.GARA.Cancel(handle)
+		for _, m := range reserved {
+			_ = sh.alloc.ReleaseGuaranteed(string(m.id))
+			_ = b.cfg.GARA.Cancel(m.handle)
+			b.resolve(m, ErrClosed)
+		}
 		b.journalShardAux("rollback", sh)
-		return nil, ErrClosed
+		return
 	}
-	sh.sessions[id] = sess
-	// Schedule the auto-cancel only after the session is registered: the
-	// clock may fire the callback the instant it is armed (a concurrent
-	// Advance past the window), and an expiry that finds no session would
-	// silently leave the offer un-expirable. Timer scheduling never fires
-	// callbacks synchronously under the clock's lock, so arming it under
-	// sh.mu cannot deadlock.
-	sess.confirm = b.clock.AfterFunc(b.cfg.ConfirmWindow, func() {
-		b.expireOffer(id)
-	})
-	b.logLocked("offer", id, "proposed %v at price %.2f (expires %s)",
-		allocated, price, expires.Format("15:04:05"))
-	// Snapshot the offer document before releasing the lock: once the
-	// confirm timer is armed, a concurrent clock advance can expire the
-	// offer and mutate doc at any moment.
-	offered := doc.Clone()
+	for _, m := range reserved {
+		id, allocated := m.id, m.grant.Granted
+		doc := &sla.Document{
+			ID:       id,
+			Service:  m.req.Service,
+			Client:   m.req.Client,
+			Provider: b.cfg.Domain,
+			Class:    m.req.Class,
+			Spec:     m.req.Spec.Clone(),
+			Adapt: sla.AdaptationOptions{
+				AcceptDegradation: m.req.AcceptDegradation,
+				AcceptTermination: m.req.AcceptTermination,
+				PromotionOffers:   m.req.PromotionOptIn,
+				AlternativeQoS:    m.floor,
+				HasAlternative:    m.req.AcceptDegradation || m.req.Class == sla.ClassControlledLoad,
+			},
+			Penalty:   m.req.Penalty,
+			Start:     m.req.Start,
+			End:       m.req.End,
+			Price:     m.price,
+			Allocated: allocated,
+			State:     sla.StateProposed,
+		}
+		sess := &session{doc: doc, handle: m.handle, original: allocated, proposedAt: now}
+		sh.sessions[id] = sess
+		// Schedule the auto-cancel only after the session is registered: the
+		// clock may fire the callback the instant it is armed (a concurrent
+		// Advance past the window), and an expiry that finds no session would
+		// silently leave the offer un-expirable. Timer scheduling never fires
+		// callbacks synchronously under the clock's lock, so arming it under
+		// sh.mu cannot deadlock.
+		sess.confirm = b.clock.AfterFunc(b.cfg.ConfirmWindow, func() {
+			b.expireOffer(id)
+		})
+		// Snapshot the offer document before releasing the lock: once the
+		// confirm timer is armed, a concurrent clock advance can expire the
+		// offer and mutate doc at any moment.
+		m.offer = &Offer{
+			SLA:         doc.Clone(),
+			Price:       m.price,
+			Expires:     expires,
+			ServiceKey:  m.key,
+			Compensated: m.compensated,
+		}
+	}
+	if m := reserved[0]; len(reserved) == 1 {
+		b.logLocked("offer", m.id, "proposed %v at price %.2f (expires %s)",
+			m.grant.Granted, m.price, expires.Format("15:04:05"))
+	} else {
+		b.logLocked("offer", "", "group-commit: %d offer(s) proposed in one batch (shard %d)",
+			len(reserved), sh.index)
+	}
 	sh.mu.Unlock()
 
 	// Proposal is the one lifecycle step that never reaches persist —
-	// journal it explicitly: the proposed session holds an allocator
-	// grant and a GARA reservation that recovery must account for.
-	b.journal("propose", id)
-
-	return &Offer{
-		SLA:         offered,
-		Price:       price,
-		Expires:     expires,
-		ServiceKey:  key,
-		Compensated: compensated,
-	}, nil
+	// journal it explicitly: the proposed sessions hold allocator grants
+	// and GARA reservations that recovery must account for.
+	b.journalBatch("propose", sh, ids)
+	for _, m := range reserved {
+		b.resolve(m, nil)
+	}
 }
 
 // discover queries the registry for services matching the request's name

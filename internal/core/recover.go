@@ -26,7 +26,7 @@ package core
 //     exactly like a live teardown.
 //   - parked sweep: the recovered parked-cancel table is swept once,
 //     while the public ReconcileReservations is still gated by
-//     b.recovering (see policy.go).
+//     b.recovering (see retry.go).
 
 import (
 	"errors"

@@ -22,9 +22,13 @@ import (
 // (Accept vs offer expiry, Terminate vs re-grant) in a few thousand
 // iterations.
 
-func stressCluster(t *testing.T) *sim.Cluster {
+func stressCluster(t *testing.T, intake ...core.IntakeConfig) *sim.Cluster {
 	t.Helper()
-	c, err := sim.NewCluster(sim.ClusterConfig{Plan: sim.DefaultParallelPlan()})
+	cfg := sim.ClusterConfig{Plan: sim.DefaultParallelPlan()}
+	if len(intake) > 0 {
+		cfg.Intake = intake[0]
+	}
+	c, err := sim.NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,9 +59,21 @@ func TestParallelLifecycleStress10K(t *testing.T) {
 
 // TestConcurrentAdmissionNoDoubleSpend churns request/accept/terminate
 // cycles from 8 goroutines with no clock movement, then verifies the
-// guaranteed partition drains back to exactly the configured plan.
+// guaranteed partition drains back to exactly the configured plan — with
+// RequestService admitting inline, and with the intake queue on, where
+// the same calls enqueue and race to lead or ride each other's flushes.
 func TestConcurrentAdmissionNoDoubleSpend(t *testing.T) {
-	c := stressCluster(t)
+	t.Run("inline", func(t *testing.T) { churnAdmissions(t, stressCluster(t)) })
+	t.Run("queued", func(t *testing.T) {
+		c := stressCluster(t, core.IntakeConfig{Enabled: true})
+		churnAdmissions(t, c)
+		if err := invariant.CheckIntake(c.Broker); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+func churnAdmissions(t *testing.T, c *sim.Cluster) {
 	b := c.Broker
 	now := c.Clock.Now()
 

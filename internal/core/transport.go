@@ -18,6 +18,18 @@ import (
 // handlers; Client is the typed counterpart used by qosctl and remote
 // applications.
 
+// coded puts the taxonomy code of a handler's error (see errors.go) on
+// its SOAP fault, as the fault detail; Client.call maps it back.
+func coded(h soapx.HandlerFunc) soapx.HandlerFunc {
+	return func(body []byte) (any, error) {
+		resp, err := h(body)
+		if code := WireCode(err); code != "" {
+			err = &soapx.Fault{Code: "soap:Server", String: err.Error(), Detail: code}
+		}
+		return resp, err
+	}
+}
+
 // Mount installs the broker's SOAP handlers on the mux: service_request,
 // sla_action (accept / reject / invoke / terminate / verify /
 // accept_promotion — the Fig. 7 client actions), and best_effort_request.
@@ -35,7 +47,7 @@ func (b *Broker) Mount(mux *soapx.Mux) {
 	loadReports := count("load_report_request")
 	bestEfforts := count("best_effort_request")
 
-	mux.Handle("service_request", func(body []byte) (any, error) {
+	mux.Handle("service_request", coded(func(body []byte) (any, error) {
 		serviceRequests.Inc()
 		var req xmlmsg.ServiceRequestXML
 		if err := xml.Unmarshal(body, &req); err != nil {
@@ -54,9 +66,9 @@ func (b *Broker) Mount(mux *soapx.Mux) {
 			Price:   offer.Price,
 			Expires: offer.Expires.Format(xmlmsg.TimeLayout),
 		}, nil
-	})
+	}))
 
-	mux.Handle("sla_action", func(body []byte) (any, error) {
+	mux.Handle("sla_action", coded(func(body []byte) (any, error) {
 		slaActions.Inc()
 		var req xmlmsg.SLAActionXML
 		if err := xml.Unmarshal(body, &req); err != nil {
@@ -96,9 +108,9 @@ func (b *Broker) Mount(mux *soapx.Mux) {
 			return nil, fmt.Errorf("core: unknown sla_action %q", req.Action)
 		}
 		return &xmlmsg.AckXML{OK: true}, nil
-	})
+	}))
 
-	mux.Handle("renegotiate_request", func(body []byte) (any, error) {
+	mux.Handle("renegotiate_request", coded(func(body []byte) (any, error) {
 		renegotiations.Inc()
 		var req xmlmsg.RenegotiateRequestXML
 		if err := xml.Unmarshal(body, &req); err != nil {
@@ -117,9 +129,9 @@ func (b *Broker) Mount(mux *soapx.Mux) {
 			Detail: fmt.Sprintf("reallocated %v -> %v, price %+.2f",
 				res.Old, res.New, res.PriceDelta),
 		}, nil
-	})
+	}))
 
-	mux.Handle("load_report_request", func(body []byte) (any, error) {
+	mux.Handle("load_report_request", coded(func(body []byte) (any, error) {
 		loadReports.Inc()
 		r := b.LoadReport()
 		return &xmlmsg.LoadReportXML{
@@ -128,9 +140,9 @@ func (b *Broker) Mount(mux *soapx.Mux) {
 			Load:       r.Load,
 			Recovering: r.Recovering,
 		}, nil
-	})
+	}))
 
-	mux.Handle("best_effort_request", func(body []byte) (any, error) {
+	mux.Handle("best_effort_request", coded(func(body []byte) (any, error) {
 		bestEfforts.Inc()
 		var req xmlmsg.BestEffortRequestXML
 		if err := xml.Unmarshal(body, &req); err != nil {
@@ -147,7 +159,7 @@ func (b *Broker) Mount(mux *soapx.Mux) {
 			return nil, err
 		}
 		return &xmlmsg.AckXML{OK: true, Detail: "granted " + amount.String()}, nil
-	})
+	}))
 }
 
 func decodeRequest(req xmlmsg.ServiceRequestXML) (Request, error) {
@@ -201,12 +213,17 @@ func NewClient(endpoint string) *Client {
 }
 
 // call sends one SOAP request under the client's transport-retry
-// budget.
+// budget. A fault carrying a taxonomy code comes back matching the
+// broker sentinel it names (and still matching *soapx.Fault).
 func (c *Client) call(request, response any) error {
 	var err error
 	for attempt := 0; ; attempt++ {
 		err = c.SOAP.Call(request, response)
 		if err == nil || !errors.Is(err, soapx.ErrTransport) || attempt >= c.Retries {
+			var f *soapx.Fault
+			if errors.As(err, &f) {
+				err = WireError(f.Detail, err)
+			}
 			return err
 		}
 		if c.RetryDelay > 0 {

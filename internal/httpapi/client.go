@@ -3,6 +3,7 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -49,27 +50,13 @@ func (c *Client) call(method, op string, body, out any) error {
 	var err error
 	for attempt := 0; ; attempt++ {
 		err = c.do(method, op, payload, out)
-		if err == nil || !isTransportErr(err) || attempt >= c.Retries {
+		if err == nil || !errors.Is(err, ErrTransport) || attempt >= c.Retries {
 			return err
 		}
 		if c.RetryDelay > 0 {
 			time.Sleep(c.RetryDelay)
 		}
 	}
-}
-
-func isTransportErr(err error) bool {
-	for e := err; e != nil; {
-		if e == ErrTransport {
-			return true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
-	}
-	return false
 }
 
 func (c *Client) do(method, op string, payload []byte, out any) error {

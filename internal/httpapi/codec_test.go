@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,35 +13,55 @@ import (
 	"gqosm/internal/sla"
 )
 
+// wantTaxonomy is the wire contract spelled out: sentinel, HTTP status,
+// code. The sentinel ↔ code half lives in core (shared with SOAP), the
+// code → status half in this package; this table pins both.
+var wantTaxonomy = []struct {
+	err    error
+	status int
+	code   string
+}{
+	{core.ErrNoService, 404, "no_service"},
+	{core.ErrUnknownSession, 404, "unknown_session"},
+	{core.ErrOverBudget, 402, "over_budget"},
+	{core.ErrBadState, 409, "bad_state"},
+	{core.ErrCannotHonor, 409, "cannot_honor"},
+	{core.ErrHandoffPending, 409, "handoff_pending"},
+	{core.ErrBestEffortFull, 429, "best_effort_full"},
+	{core.ErrIntakeFull, 429, "intake_full"},
+	{core.ErrClosed, 503, "closed"},
+	{core.ErrPeerUnavailable, 503, "peer_unavailable"},
+	{errBadRequest, 400, "bad_request"},
+}
+
 // TestErrorTaxonomyRoundTrip pins the transport contract: every typed
 // broker error maps to its own (status, code) pair, and decoding the
 // code reconstructs an error that errors.Is-matches the original
 // sentinel — remote callers branch on the same sentinels as in-process
 // ones.
 func TestErrorTaxonomyRoundTrip(t *testing.T) {
-	seen := map[string]error{}
-	for _, row := range taxonomy {
+	for _, row := range wantTaxonomy {
 		status, code := classify(fmt.Errorf("wrapped: %w", row.err))
 		if status != row.status || code != row.code {
 			t.Errorf("classify(%v) = (%d, %q), want (%d, %q)", row.err, status, code, row.status, row.code)
 		}
-		if prev, dup := seen[code]; dup {
-			t.Errorf("code %q maps both %v and %v", code, prev, row.err)
-		}
-		seen[code] = row.err
-
 		decoded := decodeError(code, "boom")
 		if row.err == errBadRequest {
 			// bad_request has no broker sentinel to reconstruct; the
 			// decoded error must still carry the code for operators.
-			if decoded == nil {
-				t.Errorf("decodeError(%q) = nil", code)
+			if decoded == nil || !strings.Contains(decoded.Error(), code) {
+				t.Errorf("decodeError(%q) = %v", code, decoded)
 			}
 			continue
 		}
 		if !errors.Is(decoded, row.err) {
 			t.Errorf("decodeError(%q) does not match %v: %v", code, row.err, decoded)
 		}
+	}
+	// Every code with a status is pinned above (plus internal): a row
+	// added to the map without a sentinel fails here.
+	if len(statuses) != len(wantTaxonomy)+1 {
+		t.Errorf("statuses has %d codes, the contract %d", len(statuses), len(wantTaxonomy)+1)
 	}
 	// Errors outside the table are internal — never leaked as a typed
 	// sentinel on the wire.
@@ -53,19 +74,15 @@ func TestErrorTaxonomyRoundTrip(t *testing.T) {
 }
 
 // TestTaxonomyStatusesAreDistinctPerCode guards against two sentinels
-// silently collapsing onto one wire identity when rows are added.
+// silently collapsing onto one wire identity when rows are added: no
+// sentinel matches another's code.
 func TestTaxonomyStatusesAreDistinctPerCode(t *testing.T) {
-	type key struct {
-		status int
-		code   string
-	}
-	seen := map[key]bool{}
-	for _, row := range taxonomy {
-		k := key{row.status, row.code}
-		if seen[k] {
-			t.Errorf("duplicate wire identity %+v", k)
+	for _, row := range wantTaxonomy {
+		for _, other := range wantTaxonomy {
+			if row.code != other.code && errors.Is(decodeError(row.code, "boom"), other.err) {
+				t.Errorf("code %q also decodes to %v", row.code, other.err)
+			}
 		}
-		seen[k] = true
 	}
 }
 

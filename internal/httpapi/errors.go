@@ -1,11 +1,9 @@
 package httpapi
 
-// The transport's error taxonomy: every typed broker error maps to a
-// distinct (HTTP status, machine-readable code) pair, and the client
-// maps the code back onto the same sentinel, so errors.Is works
-// identically against a remote broker and an in-process one. The table
-// is the contract the round-trip tests pin down — adding a broker
-// sentinel means adding a row here.
+// The broker's error taxonomy (sentinel ↔ wire code) lives in
+// internal/core, shared with the SOAP transport; this file adds what is
+// HTTP's own: the status each code travels under, and the bad_request
+// code for inputs rejected before any broker call.
 
 import (
 	"errors"
@@ -25,57 +23,44 @@ var ErrTransport = errors.New("httpapi: transport error")
 // (unparseable JSON, unknown fields, missing IDs).
 var errBadRequest = errors.New("httpapi: bad request")
 
-// taxonomy maps broker sentinels to wire codes. Order matters only for
-// documentation; classification walks it with errors.Is, so wrapped
-// errors (fmt.Errorf chains) classify like their sentinel.
-var taxonomy = []struct {
-	err    error
-	status int
-	code   string
-}{
-	{core.ErrNoService, http.StatusNotFound, "no_service"},
-	{core.ErrUnknownSession, http.StatusNotFound, "unknown_session"},
-	{core.ErrOverBudget, http.StatusPaymentRequired, "over_budget"},
-	{core.ErrBadState, http.StatusConflict, "bad_state"},
-	{core.ErrCannotHonor, http.StatusConflict, "cannot_honor"},
-	{core.ErrHandoffPending, http.StatusConflict, "handoff_pending"},
-	{core.ErrBestEffortFull, http.StatusTooManyRequests, "best_effort_full"},
-	{core.ErrIntakeFull, http.StatusTooManyRequests, "intake_full"},
-	{core.ErrClosed, http.StatusServiceUnavailable, "closed"},
-	{core.ErrPeerUnavailable, http.StatusServiceUnavailable, "peer_unavailable"},
-	{errBadRequest, http.StatusBadRequest, "bad_request"},
+// statuses maps every wire code to its HTTP status; each (status, code)
+// pair is distinct.
+var statuses = map[string]int{
+	"no_service":       http.StatusNotFound,
+	"unknown_session":  http.StatusNotFound,
+	"over_budget":      http.StatusPaymentRequired,
+	"bad_state":        http.StatusConflict,
+	"cannot_honor":     http.StatusConflict,
+	"handoff_pending":  http.StatusConflict,
+	"best_effort_full": http.StatusTooManyRequests,
+	"intake_full":      http.StatusTooManyRequests,
+	"closed":           http.StatusServiceUnavailable,
+	"peer_unavailable": http.StatusServiceUnavailable,
+	"bad_request":      http.StatusBadRequest,
+	"internal":         http.StatusInternalServerError,
 }
 
-// classify maps a broker error to its wire (status, code); errors
-// outside the taxonomy are internal.
+// classify maps an error to its wire (status, code); errors outside the
+// taxonomy are internal, and so is the status of a code core grew before
+// this table did.
 func classify(err error) (int, string) {
-	for _, t := range taxonomy {
-		if errors.Is(err, t.err) {
-			return t.status, t.code
-		}
+	code := core.WireCode(err)
+	switch {
+	case code != "":
+	case errors.Is(err, errBadRequest):
+		code = "bad_request"
+	default:
+		code = "internal"
 	}
-	return http.StatusInternalServerError, "internal"
-}
-
-// sentinelFor maps a wire code back to the broker sentinel the server
-// classified from, or nil for codes without one (bad_request, internal).
-func sentinelFor(code string) error {
-	for _, t := range taxonomy {
-		if t.code == code {
-			if t.err == errBadRequest {
-				return nil
-			}
-			return t.err
-		}
+	status, ok := statuses[code]
+	if !ok {
+		status = http.StatusInternalServerError
 	}
-	return nil
+	return status, code
 }
 
 // decodeError reconstructs a typed error from a wire (code, message)
 // pair so client-side errors.Is matches the broker's sentinels.
 func decodeError(code, message string) error {
-	if s := sentinelFor(code); s != nil {
-		return fmt.Errorf("httpapi: %s: %w", message, s)
-	}
-	return fmt.Errorf("httpapi: %s (%s)", message, code)
+	return core.WireError(code, fmt.Errorf("httpapi: %s (%s)", message, code))
 }

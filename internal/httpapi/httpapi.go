@@ -2,9 +2,9 @@
 // mounted next to the SOAP endpoint on the same soapx.Mux (via
 // HandleHTTP, so one listener serves both). It is the lean transport
 // for high-volume clients: no envelope parse, no XML reflection,
-// pooled response encoding, and — when the broker's intake is enabled —
-// admissions ride the group-commit batch path via SubmitWait. SOAP
-// remains the paper-faithful reference transport.
+// pooled response encoding. SOAP remains the paper-faithful reference
+// transport; both call the same Broker.RequestService, so on an
+// intake-enabled broker admissions over either share group commits.
 package httpapi
 
 import (
@@ -150,10 +150,7 @@ func (s *Server) writeBody(w http.ResponseWriter, status int, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// handleRequest is the admission endpoint. With the intake enabled the
-// request rides the group-commit batch path: concurrent admissions
-// queued behind the same flush leader land in one allocator pass and
-// one WAL fsync.
+// handleRequest is the admission endpoint.
 func (s *Server) handleRequest(w http.ResponseWriter, body []byte) error {
 	var in RequestJSON
 	if err := json.Unmarshal(body, &in); err != nil {
@@ -163,12 +160,7 @@ func (s *Server) handleRequest(w http.ResponseWriter, body []byte) error {
 	if err != nil {
 		return err
 	}
-	var offer *core.Offer
-	if s.b.IntakeEnabled() {
-		offer, err = s.b.SubmitWait(req)
-	} else {
-		offer, err = s.b.RequestService(req)
-	}
+	offer, err := s.b.RequestService(req)
 	if err != nil {
 		return err
 	}

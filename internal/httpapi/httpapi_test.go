@@ -95,44 +95,121 @@ func TestWireLifecycle(t *testing.T) {
 	}
 }
 
-// TestWireErrorTaxonomy provokes representative taxonomy rows through
-// the real server and checks the client reconstructs the broker's
-// sentinels — plus raw status codes for the rows a typed client never
-// produces.
-func TestWireErrorTaxonomy(t *testing.T) {
-	c, client := apiFixture(t, false)
+// wireClient is the slice of a typed broker client the taxonomy test
+// drives, so one table runs over both transports.
+type wireClient struct {
+	request    func(core.Request) (sla.ID, error)
+	act        func(id sla.ID, action string) error
+	bestEffort func(client string, amount resource.Capacity) error
+}
 
-	if _, err := client.Session("no-such-session"); !errors.Is(err, core.ErrUnknownSession) {
-		t.Errorf("unknown session: %v, want ErrUnknownSession", err)
+func wireClients(url string) map[string]wireClient {
+	js := httpapi.NewClient(url)
+	soap := core.NewClient(url + "/")
+	return map[string]wireClient{
+		"json": {
+			request: func(r core.Request) (sla.ID, error) {
+				offer, err := js.RequestService(r)
+				if err != nil {
+					return "", err
+				}
+				return sla.ID(offer.SLAID), nil
+			},
+			act:        func(id sla.ID, action string) error { _, err := js.Act(id, action, ""); return err },
+			bestEffort: func(c string, amount resource.Capacity) error { return js.BestEffort(c, amount, false) },
+		},
+		"soap": {
+			request: func(r core.Request) (sla.ID, error) {
+				offer, err := soap.RequestService(r)
+				if err != nil {
+					return "", err
+				}
+				return sla.ID(offer.SLA.SLAID), nil
+			},
+			act:        func(id sla.ID, action string) error { _, err := soap.Act(id, action, ""); return err },
+			bestEffort: func(c string, amount resource.Capacity) error { return soap.BestEffort(c, amount, false) },
+		},
 	}
-	if _, err := client.Act("no-such-session", "accept", ""); !errors.Is(err, core.ErrUnknownSession) {
-		t.Errorf("accept unknown: %v, want ErrUnknownSession", err)
-	}
-	req := wireRequest("broke")
-	req.Budget = 0.000001
-	if _, err := client.RequestService(req); !errors.Is(err, core.ErrOverBudget) {
-		t.Errorf("over budget: %v, want ErrOverBudget", err)
-	}
-	req = wireRequest("lost")
-	req.Service = "no-such-service"
-	if _, err := client.RequestService(req); !errors.Is(err, core.ErrNoService) {
-		t.Errorf("no service: %v, want ErrNoService", err)
-	}
-	// Double-accept lands in ErrBadState.
-	offer, err := client.RequestService(wireRequest("dup"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Act(sla.ID(offer.SLAID), "accept", ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Act(sla.ID(offer.SLAID), "accept", ""); !errors.Is(err, core.ErrBadState) {
-		t.Errorf("double accept: %v, want ErrBadState", err)
-	}
-	// A closed broker answers 503/closed.
-	c.Broker.Close()
-	if _, err := client.RequestService(wireRequest("late")); !errors.Is(err, core.ErrClosed) {
-		t.Errorf("closed broker: %v, want ErrClosed", err)
+}
+
+// TestWireErrorTaxonomy provokes every taxonomy row a live broker can be
+// driven into through the real server, over JSON and over SOAP, and
+// checks the client reconstructs the broker's sentinel — the table in
+// core is one source for both. The broker runs with a depth-1 intake so
+// intake_full is reachable; peer_unavailable needs a broker caught
+// mid-Recover, which core's TestFederationRestartDuringFanout does over
+// SOAP and TestErrorTaxonomyRoundTrip covers for the JSON codec.
+func TestWireErrorTaxonomy(t *testing.T) {
+	for _, tr := range []string{"json", "soap"} {
+		t.Run(tr, func(t *testing.T) {
+			c, err := sim.NewCluster(sim.ClusterConfig{
+				Plan:   sim.DefaultParallelPlan(),
+				Intake: core.IntakeConfig{Enabled: true, Depth: 1},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			mux := soapx.NewMux()
+			c.Broker.Mount(mux)
+			httpapi.NewServer(c.Broker).Mount(mux)
+			srv := httptest.NewServer(mux)
+			t.Cleanup(srv.Close)
+			client := wireClients(srv.URL)[tr]
+			want := func(row string, err, sentinel error) {
+				t.Helper()
+				if !errors.Is(err, sentinel) {
+					t.Errorf("%s: %v, want %v", row, err, sentinel)
+				}
+			}
+
+			want("unknown_session", client.act("no-such-session", "accept"), core.ErrUnknownSession)
+			req := wireRequest("broke")
+			req.Budget = 0.000001
+			_, err = client.request(req)
+			want("over_budget", err, core.ErrOverBudget)
+			req = wireRequest("lost")
+			req.Service = "no-such-service"
+			_, err = client.request(req)
+			want("no_service", err, core.ErrNoService)
+			req = wireRequest("greedy")
+			req.Spec = sla.NewSpec(sla.Exact(resource.CPU, 16)) // C_G is 15
+			_, err = client.request(req)
+			want("cannot_honor", err, core.ErrCannotHonor)
+			want("best_effort_full", client.bestEffort("hog", resource.Nodes(1000)), core.ErrBestEffortFull)
+
+			// Double-accept lands in ErrBadState; a draining session
+			// refuses termination with ErrHandoffPending.
+			id, err := client.request(wireRequest("dup"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := client.act(id, "accept"); err != nil {
+				t.Fatal(err)
+			}
+			want("bad_state", client.act(id, "accept"), core.ErrBadState)
+			if _, err := c.Broker.BeginHandoff(id, "elsewhere"); err != nil {
+				t.Fatal(err)
+			}
+			want("handoff_pending", client.act(id, "terminate"), core.ErrHandoffPending)
+
+			// One admission parked in the depth-1 queue: the next is
+			// refused with backpressure, on SOAP as on JSON.
+			parked, err := c.Broker.Submit(wireRequest("parked"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = client.request(wireRequest("pushed-back"))
+			want("intake_full", err, core.ErrIntakeFull)
+			c.Broker.FlushIntake()
+			if _, err := parked.Wait(); err != nil {
+				t.Fatal(err)
+			}
+
+			c.Broker.Close()
+			_, err = client.request(wireRequest("late"))
+			want("closed", err, core.ErrClosed)
+		})
 	}
 }
 

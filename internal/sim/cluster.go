@@ -76,9 +76,9 @@ type ClusterConfig struct {
 	// broker after a crash. The zero value keeps the historical
 	// in-memory broker.
 	WAL core.DurabilityConfig
-	// Intake forwarded to the broker: enables the batched group-commit
-	// admission pipeline (Submit/SubmitWait/FlushIntake). The zero value
-	// keeps RequestService as the only admission path.
+	// Intake forwarded to the broker: enables the group-commit intake
+	// queue (Submit/FlushIntake; RequestService then leads or rides a
+	// flush). The zero value admits inline.
 	Intake core.IntakeConfig
 	// Policy forwarded to the broker: names the adaptation policy
 	// ("" = "paper").

@@ -161,8 +161,8 @@ func newTopology(cfg topoConfig) (_ *topology, err error) {
 	case "":
 	case "http":
 		// Admissions become real POSTs through the codec, the error
-		// taxonomy, and (with the intake on) SubmitWait on the server
-		// side, while the rest of the lifecycle stays in-process.
+		// taxonomy, and (with the intake on) shared group commits on the
+		// server side, while the rest of the lifecycle stays in-process.
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, fmt.Errorf("transport http: %w", err)

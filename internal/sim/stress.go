@@ -61,10 +61,10 @@ type StressConfig struct {
 	// DisableCaches turns the broker's hot-path caches off: the uncached
 	// broker is the reference cache_test.go compares the cached one to.
 	DisableCaches bool
-	// Intake routes every admission through the broker's group-commit
-	// batch path. Goroutine clients call SubmitWait, so concurrent
-	// requests queued behind the same flush leader land in one allocator
-	// pass and one WAL fsync. Serial clients Submit during a round-robin
+	// Intake turns the broker's group-commit intake queue on. Goroutine
+	// clients call RequestService, so concurrent requests queued behind
+	// the same flush leader land in one allocator pass and one WAL
+	// fsync. Serial clients Submit during a round-robin
 	// round and the workload flushes once per round and resolves tickets
 	// in schedule order, so batches form deterministically (up to Clients
 	// admissions per shard per flush) and are journaled — one fsync per
@@ -74,7 +74,7 @@ type StressConfig struct {
 	// (in-process calls) or "http" (a loopback JSON-API server — the
 	// compact non-SOAP transport — with each admission a real POST
 	// /api/v1/request; lifecycle operations stay in-process). Composes
-	// with Intake: the server routes admissions via SubmitWait. The
+	// with Intake: the server's admissions share group commits. The
 	// serial replays stay in-process for determinism.
 	Transport string
 	// Policy names the broker's adaptation policy ("" = "paper").
@@ -295,21 +295,17 @@ func newStress(cfg StressConfig, concurrent bool, kills int) (*engine, *stressWo
 	if err != nil {
 		return nil, nil, err
 	}
-	mode := admitDirect
-	switch {
-	case cfg.Intake && concurrent:
-		mode = admitWait
-	case cfg.Intake:
-		mode = admitQueue
-	}
-	w := &stressWorkload{cluster: topo.members[0], queued: mode == admitQueue}
+	// Serial clients on an intake broker Submit and the workload flushes
+	// once per round; every other configuration calls RequestService
+	// (goroutine clients on an intake broker then share group commits).
+	w := &stressWorkload{cluster: topo.members[0], queued: cfg.Intake && !concurrent}
 	for i := 0; i < cfg.Clients; i++ {
 		w.clients = append(w.clients, &parClient{
-			id:         i,
-			rng:        rand.New(rand.NewSource(cfg.Seed + int64(i))),
-			cluster:    w.cluster,
-			intakeMode: mode,
-			http:       topo.api,
+			id:      i,
+			rng:     rand.New(rand.NewSource(cfg.Seed + int64(i))),
+			cluster: w.cluster,
+			queued:  w.queued,
+			http:    topo.api,
 		})
 	}
 	e := &engine{topo: topo, work: w, kills: kills, concurrent: concurrent}
@@ -517,19 +513,6 @@ func (w *stressWorkload) drain() {
 	}
 }
 
-// Admission paths a parClient can take for its "new request" steps.
-const (
-	// admitDirect calls RequestService — the historical path.
-	admitDirect = iota
-	// admitWait calls SubmitWait: the concurrent group-commit path,
-	// where waiters behind the same flush leader share one allocator
-	// pass. Used by the goroutine clients.
-	admitWait
-	// admitQueue calls Submit and defers resolution to the workload's
-	// per-round flush.
-	admitQueue
-)
-
 // parClient is one client's deterministic schedule and local session
 // bookkeeping.
 type parClient struct {
@@ -537,11 +520,11 @@ type parClient struct {
 	rng     *rand.Rand
 	cluster *Cluster
 
-	// intakeMode selects the admission path (one of the admit*
-	// constants); tickets holds unresolved admitQueue futures between a
-	// round's submits and the workload's flush.
-	intakeMode int
-	tickets    []*core.IntakeTicket
+	// queued clients Submit instead of calling RequestService; tickets
+	// holds their unresolved futures between a round's submits and the
+	// workload's flush.
+	queued  bool
+	tickets []*core.IntakeTicket
 
 	// http, when set, sends "new request" admissions over the loopback
 	// JSON API instead of in-process calls (StressConfig.Transport).
@@ -637,31 +620,23 @@ func (c *parClient) step() {
 }
 
 // request admits req over the client's configured path and records the
-// proposed SLA. In admitQueue mode the outcome is deferred: the workload
+// proposed SLA. A queued client's outcome is deferred: the workload
 // flushes the intake once per round and calls resolveTickets.
 func (c *parClient) request(req core.Request) {
 	b := c.cluster.Broker
 	if c.http != nil {
-		// Over the wire the server picks the path (direct vs SubmitWait);
-		// the client just sees an offer or a typed error.
+		// Over the wire the client just sees an offer or a typed error.
 		if offer, err := c.http.RequestService(req); err == nil {
 			c.proposed = append(c.proposed, sla.ID(offer.SLAID))
 		}
 		return
 	}
-	switch c.intakeMode {
-	case admitWait:
-		if offer, err := b.SubmitWait(req); err == nil {
-			c.proposed = append(c.proposed, offer.SLA.ID)
-		}
-	case admitQueue:
+	if c.queued {
 		if t, err := b.Submit(req); err == nil {
 			c.tickets = append(c.tickets, t)
 		}
-	default:
-		if offer, err := b.RequestService(req); err == nil {
-			c.proposed = append(c.proposed, offer.SLA.ID)
-		}
+	} else if offer, err := b.RequestService(req); err == nil {
+		c.proposed = append(c.proposed, offer.SLA.ID)
 	}
 }
 

@@ -144,8 +144,9 @@ func Unmarshal(data []byte, v any) error {
 
 // HandlerFunc processes one decoded request body and returns the response
 // payload (marshaled into the response envelope) or an error (returned as
-// a fault). The raw body bytes are provided; implementations unmarshal
-// into their request type.
+// a soap:Server fault; an error that is a *Fault is sent as it stands, so
+// a handler can put a machine-readable detail on the wire). The raw body
+// bytes are provided; implementations unmarshal into their request type.
 type HandlerFunc func(body []byte) (any, error)
 
 // Mux dispatches SOAP requests on the body element's local name. Plain
@@ -244,7 +245,11 @@ func (m *Mux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return herr
 	})
 	if err != nil {
-		writeFault(w, http.StatusInternalServerError, "Server", err.Error(), "")
+		var f *Fault
+		if !errors.As(err, &f) {
+			f = &Fault{Code: "soap:Server", String: err.Error()}
+		}
+		writeFaultDoc(w, http.StatusInternalServerError, f)
 		return
 	}
 	buf := getBuf()
@@ -259,11 +264,14 @@ func (m *Mux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func writeFault(w http.ResponseWriter, status int, code, msg, detail string) {
-	f := Fault{Code: "soap:" + code, String: msg, Detail: detail}
+	writeFaultDoc(w, status, &Fault{Code: "soap:" + code, String: msg, Detail: detail})
+}
+
+func writeFaultDoc(w http.ResponseWriter, status int, f *Fault) {
 	buf := getBuf()
-	if err := marshalBuf(buf, &f); err != nil {
+	if err := marshalBuf(buf, f); err != nil {
 		putBuf(buf)
-		http.Error(w, msg, status)
+		http.Error(w, f.String, status)
 		return
 	}
 	w.Header().Set("Content-Type", ContentType)
