@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -151,5 +152,134 @@ func TestProfilerMounted(t *testing.T) {
 	}
 	if body := scrape(t, url+"/debug/pprof/"); !strings.Contains(body, "goroutine") {
 		t.Errorf("pprof index lacks goroutine profile: %q", body)
+	}
+}
+
+// TestPeerForwardingOnBothWires: a daemon built with one -peer whose home
+// domain cannot serve forwards the admission to the neighbor whichever
+// wire it arrived on — federation is installed on the request operation,
+// not on a transport — and both offers name the serving domain. When the
+// neighbor cannot serve either, the refusal is the typed no_domain.
+func TestPeerForwardingOnBothWires(t *testing.T) {
+	_, neighbor := startDaemon(t) // domain site-a, C_G = 15
+	home, err := gqosm.NewStack(gqosm.StackConfig{
+		Domain: "site-small",
+		Plan: gqosm.CapacityPlan{
+			Guaranteed: gqosm.Capacity{CPU: 2, MemoryMB: 1024, DiskGB: 20},
+			Adaptive:   gqosm.Capacity{CPU: 1, MemoryMB: 512, DiskGB: 10},
+			BestEffort: gqosm.Capacity{CPU: 1, MemoryMB: 512, DiskGB: 10},
+		},
+		ConfirmWindow: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(home.Close)
+	srv := httptest.NewServer(newHandler(home, peerFlags{{"site-a", neighbor}}))
+	t.Cleanup(srv.Close)
+
+	now := time.Now()
+	request := func(cpu float64) core.Request {
+		return core.Request{
+			Service: "simulation",
+			Client:  "fed",
+			Class:   sla.ClassGuaranteed,
+			Spec:    gqosm.NewSpec(gqosm.Exact(gqosm.CPU, cpu)),
+			Start:   now,
+			End:     now.Add(time.Hour),
+		}
+	}
+	soap, js := core.NewClient(srv.URL+"/"), gqosm.NewJSONBrokerClient(srv.URL)
+
+	soapOffer, err := soap.RequestService(request(5))
+	if err != nil {
+		t.Fatalf("SOAP request past the home domain: %v", err)
+	}
+	if soapOffer.Domain != "site-a" {
+		t.Errorf("SOAP offer domain = %q, want site-a", soapOffer.Domain)
+	}
+	jsonOffer, err := js.RequestService(request(5))
+	if err != nil {
+		t.Fatalf("JSON request past the home domain: %v", err)
+	}
+	if jsonOffer.Domain != "site-a" || !strings.HasPrefix(jsonOffer.SLAID, "site-a-sla-") {
+		t.Errorf("JSON offer = %+v, want one held by site-a", jsonOffer)
+	}
+	if got := len(home.Broker.Sessions(nil)); got != 0 {
+		t.Errorf("home broker holds %d sessions, want 0", got)
+	}
+
+	// What the home domain can serve stays home, and says so.
+	if jsonOffer, err = js.RequestService(request(1)); err != nil || jsonOffer.Domain != "site-small" {
+		t.Errorf("home-served JSON offer = %+v, %v", jsonOffer, err)
+	}
+
+	if _, err := soap.RequestService(request(100)); !errors.Is(err, core.ErrNoDomainCanServe) {
+		t.Errorf("SOAP request nobody can serve: %v, want ErrNoDomainCanServe", err)
+	}
+	if _, err := js.RequestService(request(100)); !errors.Is(err, core.ErrNoDomainCanServe) {
+		t.Errorf("JSON request nobody can serve: %v, want ErrNoDomainCanServe", err)
+	}
+}
+
+// TestTransportMetricsUnified drives the same lifecycle over SOAP and
+// over JSON and reads /metrics: both transports report the operation
+// table's op vocabulary with the same counts, and a refused request is
+// an error on either wire.
+func TestTransportMetricsUnified(t *testing.T) {
+	_, url := startDaemon(t)
+	soap, js := core.NewClient(url+"/"), gqosm.NewJSONBrokerClient(url)
+	now := time.Now()
+	req := core.Request{
+		Service: "simulation",
+		Client:  "metrics",
+		Class:   sla.ClassGuaranteed,
+		Spec:    gqosm.NewSpec(gqosm.Exact(gqosm.CPU, 2)),
+		Start:   now,
+		End:     now.Add(time.Hour),
+	}
+	type actor interface {
+		Act(id sla.ID, action, reason string) (string, error)
+	}
+	lifecycle := func(c actor, id sla.ID) {
+		t.Helper()
+		for _, action := range []string{"accept", "invoke", "terminate"} {
+			if _, err := c.Act(id, action, ""); err != nil {
+				t.Fatalf("%s: %v", action, err)
+			}
+		}
+		if _, err := c.Act("no-such-session", "accept", ""); !errors.Is(err, core.ErrUnknownSession) {
+			t.Fatalf("accept of unknown session: %v", err)
+		}
+	}
+	soapOffer, err := soap.RequestService(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lifecycle(soap, sla.ID(soapOffer.SLA.SLAID))
+	jsonOffer, err := js.RequestService(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lifecycle(js, sla.ID(jsonOffer.SLAID))
+
+	text := scrape(t, url+"/metrics")
+	for _, op := range core.Ops {
+		want := map[string]float64{"request": 1, "accept": 2, "invoke": 1, "terminate": 1}[op.Name]
+		for _, transport := range []string{"soap", "http"} {
+			series := `gqosm_transport_requests_total{transport="` + transport + `",op="` + op.Name + `"}`
+			if got := metricValue(t, text, series); got != want {
+				t.Errorf("%s = %v, want %v", series, got, want)
+			}
+		}
+	}
+	for _, transport := range []string{"soap", "http"} {
+		series := `gqosm_transport_errors_total{transport="` + transport + `"}`
+		if got := metricValue(t, text, series); got != 1 {
+			t.Errorf("%s = %v, want 1", series, got)
+		}
+	}
+	if n := strings.Count(text, "gqosm_transport_requests_total{"); n != 2*len(core.Ops) {
+		t.Errorf("%d transport request series, want %d (one per op and transport)", n, 2*len(core.Ops))
 	}
 }

@@ -22,8 +22,8 @@
 //
 // The -transport flag picks the wire protocol: soap (default, the
 // paper-faithful reference) or http (the compact JSON API under
-// /api/v1/ — no envelope, typed errors round-trip). verify and
-// accept_promotion are SOAP-only operations.
+// /api/v1/ — no envelope, typed errors round-trip). verify is a
+// SOAP-only operation: its reply is the Table-3 XML document.
 package main
 
 import (
@@ -80,7 +80,7 @@ func run(args []string) error {
 	case "metrics":
 		return doMetrics(*broker, rest)
 	case "load":
-		return doLoad(w, *broker, rest)
+		return doLoad(*transport, *broker, rest)
 	case "policies":
 		return doPolicies(*broker, rest)
 	default:
@@ -88,43 +88,65 @@ func run(args []string) error {
 	}
 }
 
-// wire abstracts the two client transports behind the subcommands:
-// exactly one of soap/json is set.
-type wire struct {
-	soap *core.Client
-	json *httpapi.Client
+// wire is what the subcommands need of a broker client; the SOAP client
+// (*core.Client) and the JSON client (*httpapi.Client) both satisfy it.
+// Admission and verify answer with the wire's own document, so those two
+// subcommands look at the concrete client.
+type wire interface {
+	Act(id sla.ID, action, reason string) (string, error)
+	Renegotiate(id sla.ID, spec sla.Spec) (string, error)
+	BestEffort(client string, amount gqosm.Capacity, release bool) error
+	LoadReport() (core.LoadReport, error)
 }
 
-func newWire(transport, endpoint string) (*wire, error) {
+func newWire(transport, endpoint string) (wire, error) {
 	switch transport {
 	case "soap":
-		return &wire{soap: gqosm.NewBrokerClient(endpoint)}, nil
+		return gqosm.NewBrokerClient(endpoint), nil
 	case "http":
-		return &wire{json: gqosm.NewJSONBrokerClient(endpoint)}, nil
+		return gqosm.NewJSONBrokerClient(endpoint), nil
 	default:
 		return nil, fmt.Errorf("bad -transport %q (want soap or http)", transport)
 	}
 }
 
-// loadReport fetches one endpoint's load report on the wire's transport.
-func (w *wire) loadReport(endpoint string) (core.LoadReport, error) {
-	if w.json != nil {
-		return gqosm.NewJSONBrokerClient(endpoint).LoadReport()
+// specFlags registers the QoS-parameter flags request and renegotiate
+// share and returns the spec they spell once fs is parsed.
+func specFlags(fs *flag.FlagSet) func() sla.Spec {
+	var (
+		cpu    = fs.Float64("cpu", 0, "CPU nodes (exact, or max with -cpu-min)")
+		cpuMin = fs.Float64("cpu-min", 0, "minimum CPU nodes (controlled-load range)")
+		memory = fs.Float64("memory", 0, "memory MB")
+		disk   = fs.Float64("disk", 0, "disk GB")
+		bw     = fs.Float64("bandwidth", 0, "bandwidth Mbps")
+	)
+	return func() sla.Spec {
+		var params []gqosm.Param
+		if *cpu > 0 && *cpuMin > 0 {
+			params = append(params, gqosm.Range(gqosm.CPU, *cpuMin, *cpu))
+		} else if *cpu > 0 {
+			params = append(params, gqosm.Exact(gqosm.CPU, *cpu))
+		}
+		if *memory > 0 {
+			params = append(params, gqosm.Exact(gqosm.MemoryMB, *memory))
+		}
+		if *disk > 0 {
+			params = append(params, gqosm.Exact(gqosm.DiskGB, *disk))
+		}
+		if *bw > 0 {
+			params = append(params, gqosm.Exact(gqosm.BandwidthMbps, *bw))
+		}
+		return gqosm.NewSpec(params...)
 	}
-	return core.NewClient(endpoint).LoadReport()
 }
 
-func doRequest(w *wire, args []string) error {
+func doRequest(w wire, args []string) error {
 	fs := flag.NewFlagSet("request", flag.ContinueOnError)
 	var (
 		service  = fs.String("service", "simulation", "service name")
 		clientID = fs.String("client", "qosctl", "client identity")
 		class    = fs.String("class", "guaranteed", "QoS class: guaranteed | controlled-load")
-		cpu      = fs.Float64("cpu", 0, "CPU nodes (exact, or max with -cpu-min)")
-		cpuMin   = fs.Float64("cpu-min", 0, "minimum CPU nodes (controlled-load range)")
-		memory   = fs.Float64("memory", 0, "memory MB")
-		disk     = fs.Float64("disk", 0, "disk GB")
-		bw       = fs.Float64("bandwidth", 0, "bandwidth Mbps")
+		spec     = specFlags(fs)
 		src      = fs.String("source-ip", "", "flow source IP")
 		dst      = fs.String("dest-ip", "", "flow destination IP")
 		hours    = fs.Float64("hours", 1, "reservation length in hours")
@@ -139,65 +161,52 @@ func doRequest(w *wire, args []string) error {
 	if err != nil {
 		return err
 	}
-	var params []gqosm.Param
-	if *cpu > 0 {
-		if *cpuMin > 0 {
-			params = append(params, gqosm.Range(gqosm.CPU, *cpuMin, *cpu))
-		} else {
-			params = append(params, gqosm.Exact(gqosm.CPU, *cpu))
-		}
-	}
-	if *memory > 0 {
-		params = append(params, gqosm.Exact(gqosm.MemoryMB, *memory))
-	}
-	if *disk > 0 {
-		params = append(params, gqosm.Exact(gqosm.DiskGB, *disk))
-	}
-	if *bw > 0 {
-		params = append(params, gqosm.Exact(gqosm.BandwidthMbps, *bw))
-	}
-	spec := gqosm.NewSpec(params...)
-	spec.SourceIP, spec.DestIP = *src, *dst
-
 	now := time.Now()
 	req := gqosm.Request{
 		Service:           *service,
 		Client:            *clientID,
 		Class:             cls,
-		Spec:              spec,
+		Spec:              spec(),
 		Start:             now,
 		End:               now.Add(time.Duration(*hours * float64(time.Hour))),
 		Budget:            *budget,
 		AcceptDegradation: *degrade,
 		PromotionOptIn:    *promo,
 	}
-	if w.json != nil {
-		offer, err := w.json.RequestService(req)
-		if err != nil {
-			return err
+	req.Spec.SourceIP, req.Spec.DestIP = *src, *dst
+
+	// The offer prints in its wire's own form: the SLA document over
+	// SOAP, the negotiated essentials over JSON.
+	var (
+		id      string
+		price   float64
+		expires any
+		doc     []byte
+	)
+	switch c := w.(type) {
+	case *core.Client:
+		offer, rerr := c.RequestService(req)
+		if rerr != nil {
+			return rerr
 		}
-		fmt.Printf("offer: SLA %s, price %.2f, expires %s\n", offer.SLAID, offer.Price, offer.Expires)
-		out, err := json.MarshalIndent(offer, "", "  ")
-		if err != nil {
-			return err
+		id, price, expires = offer.SLA.SLAID, offer.Price, offer.Expires
+		doc, err = xml.MarshalIndent(offer.SLA, "", "  ")
+	case *httpapi.Client:
+		offer, rerr := c.RequestService(req)
+		if rerr != nil {
+			return rerr
 		}
-		fmt.Println(string(out))
-		return nil
+		id, price, expires = offer.SLAID, offer.Price, offer.Expires
+		doc, err = json.MarshalIndent(offer, "", "  ")
 	}
-	offer, err := w.soap.RequestService(req)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("offer: SLA %s, price %.2f, expires %s\n", offer.SLA.SLAID, offer.Price, offer.Expires)
-	out, err := xml.MarshalIndent(offer.SLA, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Println(string(out))
+	fmt.Printf("offer: SLA %s, price %.2f, expires %s\n%s\n", id, price, expires, doc)
 	return nil
 }
 
-func doAction(w *wire, action string, args []string) error {
+func doAction(w wire, action string, args []string) error {
 	fs := flag.NewFlagSet(action, flag.ContinueOnError)
 	id := fs.String("sla", "", "SLA ID")
 	reason := fs.String("reason", "", "reason (terminate)")
@@ -207,18 +216,7 @@ func doAction(w *wire, action string, args []string) error {
 	if *id == "" {
 		return fmt.Errorf("-sla is required")
 	}
-	var (
-		detail string
-		err    error
-	)
-	if w.json != nil {
-		if action == "accept_promotion" {
-			return fmt.Errorf("accept_promotion is SOAP-only; use -transport soap")
-		}
-		detail, err = w.json.Act(sla.ID(*id), action, *reason)
-	} else {
-		detail, err = w.soap.Act(sla.ID(*id), action, *reason)
-	}
+	detail, err := w.Act(sla.ID(*id), action, *reason)
 	if err != nil {
 		return err
 	}
@@ -230,48 +228,17 @@ func doAction(w *wire, action string, args []string) error {
 	return nil
 }
 
-func doRenegotiate(w *wire, args []string) error {
+func doRenegotiate(w wire, args []string) error {
 	fs := flag.NewFlagSet("renegotiate", flag.ContinueOnError)
-	var (
-		id     = fs.String("sla", "", "SLA ID")
-		cpu    = fs.Float64("cpu", 0, "new CPU nodes (exact, or max with -cpu-min)")
-		cpuMin = fs.Float64("cpu-min", 0, "minimum CPU nodes (controlled-load range)")
-		memory = fs.Float64("memory", 0, "new memory MB")
-		disk   = fs.Float64("disk", 0, "new disk GB")
-		bw     = fs.Float64("bandwidth", 0, "new bandwidth Mbps")
-	)
+	id := fs.String("sla", "", "SLA ID")
+	spec := specFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *id == "" {
 		return fmt.Errorf("-sla is required")
 	}
-	var params []gqosm.Param
-	if *cpu > 0 {
-		if *cpuMin > 0 {
-			params = append(params, gqosm.Range(gqosm.CPU, *cpuMin, *cpu))
-		} else {
-			params = append(params, gqosm.Exact(gqosm.CPU, *cpu))
-		}
-	}
-	if *memory > 0 {
-		params = append(params, gqosm.Exact(gqosm.MemoryMB, *memory))
-	}
-	if *disk > 0 {
-		params = append(params, gqosm.Exact(gqosm.DiskGB, *disk))
-	}
-	if *bw > 0 {
-		params = append(params, gqosm.Exact(gqosm.BandwidthMbps, *bw))
-	}
-	var (
-		detail string
-		err    error
-	)
-	if w.json != nil {
-		detail, err = w.json.Renegotiate(sla.ID(*id), gqosm.NewSpec(params...))
-	} else {
-		detail, err = w.soap.Renegotiate(sla.ID(*id), gqosm.NewSpec(params...))
-	}
+	detail, err := w.Renegotiate(sla.ID(*id), spec())
 	if err != nil {
 		return err
 	}
@@ -279,7 +246,7 @@ func doRenegotiate(w *wire, args []string) error {
 	return nil
 }
 
-func doVerify(w *wire, args []string) error {
+func doVerify(w wire, args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ContinueOnError)
 	id := fs.String("sla", "", "SLA ID")
 	if err := fs.Parse(args); err != nil {
@@ -288,10 +255,11 @@ func doVerify(w *wire, args []string) error {
 	if *id == "" {
 		return fmt.Errorf("-sla is required")
 	}
-	if w.json != nil {
+	soap, ok := w.(*core.Client)
+	if !ok {
 		return fmt.Errorf("verify is SOAP-only; use -transport soap")
 	}
-	levels, err := w.soap.Verify(sla.ID(*id))
+	levels, err := soap.Verify(sla.ID(*id))
 	if err != nil {
 		return err
 	}
@@ -303,7 +271,7 @@ func doVerify(w *wire, args []string) error {
 	return nil
 }
 
-func doBestEffort(w *wire, args []string) error {
+func doBestEffort(w wire, args []string) error {
 	fs := flag.NewFlagSet("besteffort", flag.ContinueOnError)
 	var (
 		clientID = fs.String("client", "qosctl", "client identity")
@@ -316,13 +284,7 @@ func doBestEffort(w *wire, args []string) error {
 		return err
 	}
 	amount := gqosm.Capacity{CPU: *cpu, MemoryMB: *memory, DiskGB: *disk}
-	var err error
-	if w.json != nil {
-		err = w.json.BestEffort(*clientID, amount, *release)
-	} else {
-		err = w.soap.BestEffort(*clientID, amount, *release)
-	}
-	if err != nil {
+	if err := w.BestEffort(*clientID, amount, *release); err != nil {
 		return err
 	}
 	if *release {
@@ -337,7 +299,7 @@ func doBestEffort(w *wire, args []string) error {
 // cluster front tier's least-loaded placement routes on. With
 // -endpoints it walks a comma-separated multi-broker deployment; the
 // default is the single -broker endpoint.
-func doLoad(w *wire, broker string, args []string) error {
+func doLoad(transport, broker string, args []string) error {
 	fs := flag.NewFlagSet("load", flag.ContinueOnError)
 	endpoints := fs.String("endpoints", "", "comma-separated broker endpoints (default: the -broker one)")
 	if err := fs.Parse(args); err != nil {
@@ -354,7 +316,11 @@ func doLoad(w *wire, broker string, args []string) error {
 		if ep == "" {
 			continue
 		}
-		r, err := w.loadReport(ep)
+		w, err := newWire(transport, ep)
+		if err != nil {
+			return err
+		}
+		r, err := w.LoadReport()
 		if err != nil {
 			fmt.Printf("%-24s %-10s %8s %8s  unreachable: %v\n", ep, "-", "-", "-", err)
 			if firstErr == nil {

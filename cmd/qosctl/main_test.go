@@ -263,7 +263,7 @@ func TestPoliciesSubcommand(t *testing.T) {
 		},
 		ConfirmWindow: time.Hour,
 		Policy:        "revenue-greedy",
-		ShadowPolicy:  "upgrade-last",
+		ShadowPolicy:  "paper",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +276,7 @@ func TestPoliciesSubcommand(t *testing.T) {
 	if err != nil {
 		t.Fatalf("policies: %v\n%s", err, out)
 	}
-	for _, want := range []string{"paper", "revenue-greedy", "upgrade-last", "active", "shadow"} {
+	for _, want := range []string{"paper", "revenue-greedy", "active", "shadow"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("policies output missing %q:\n%s", want, out)
 		}
@@ -286,7 +286,7 @@ func TestPoliciesSubcommand(t *testing.T) {
 	if err != nil {
 		t.Fatalf("policies -json: %v\n%s", err, out)
 	}
-	if !strings.Contains(out, `"active": "revenue-greedy"`) || !strings.Contains(out, `"shadow": "upgrade-last"`) {
+	if !strings.Contains(out, `"active": "revenue-greedy"`) || !strings.Contains(out, `"shadow": "paper"`) {
 		t.Errorf("policies -json output unexpected:\n%s", out)
 	}
 }
@@ -294,5 +294,32 @@ func TestPoliciesSubcommand(t *testing.T) {
 func TestPoliciesAgainstDeadBroker(t *testing.T) {
 	if out, err := runCapture(t, "-broker", "http://127.0.0.1:1", "policies"); err == nil {
 		t.Fatalf("expected connection error, got:\n%s", out)
+	}
+}
+
+// TestJSONTransport runs the subcommands over -transport http: the same
+// wire interface serves them, accept_promotion included (the broker, not
+// qosctl, answers that no promotion is open); verify stays SOAP-only.
+func TestJSONTransport(t *testing.T) {
+	stack, url := startBroker(t)
+	out, err := runCapture(t, "-broker", url, "-transport", "http", "request", "-cpu", "2")
+	if err != nil || !strings.Contains(out, `"sla_id": "site-a-sla-`) {
+		t.Fatalf("request over JSON: %v\n%s", err, out)
+	}
+	id := latestSLA(t, stack)
+	for _, action := range []string{"accept", "invoke", "terminate"} {
+		if out, err := runCapture(t, "-broker", url, "-transport", "http", action, "-sla", id); err != nil {
+			t.Fatalf("%s over JSON: %v\n%s", action, err, out)
+		}
+	}
+	_, err = runCapture(t, "-broker", url, "-transport", "http", "accept_promotion", "-sla", id)
+	if err == nil || !strings.Contains(err.Error(), "no open promotion") {
+		t.Errorf("accept_promotion over JSON: %v, want the broker's refusal", err)
+	}
+	if _, err := runCapture(t, "-broker", url, "-transport", "http", "verify", "-sla", id); err == nil {
+		t.Error("verify over JSON succeeded; it is a SOAP-only operation")
+	}
+	if _, err := runCapture(t, "-broker", url, "-transport", "carrier-pigeon", "load"); err == nil {
+		t.Error("unknown -transport accepted")
 	}
 }

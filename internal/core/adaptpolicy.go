@@ -7,9 +7,8 @@ package core
 // candidate heuristics can be swapped in (or consulted in shadow mode,
 // see Config.ShadowPolicy) without touching the broker. The registered
 // "paper" policy reproduces the historical heuristics bit-for-bit; the
-// candidates prove the interface carries weight: "revenue-greedy" admits
-// guaranteed demand into half the adaptive reserve, "upgrade-last" orders
-// compensation ladders by recovered capacity instead of price.
+// "revenue-greedy" candidate proves the interface carries weight: it
+// admits guaranteed demand into half the adaptive reserve.
 //
 // Safety: a policy proposes, the allocator disposes. Whatever a
 // PartitionGrant answers, the allocator clamps the grant to the hard
@@ -150,7 +149,7 @@ func PolicyNames() []string {
 }
 
 func init() {
-	for _, p := range []Policy{paperPolicy{}, revenueGreedyPolicy{}, upgradeLastPolicy{}} {
+	for _, p := range []Policy{paperPolicy{}, revenueGreedyPolicy{}} {
 		if err := RegisterPolicy(p); err != nil {
 			panic(err)
 		}
@@ -225,38 +224,6 @@ func (revenueGreedyPolicy) PartitionGrant(v PartitionView, requested, floor reso
 		return GrantFloor
 	}
 	return GrantRefuse
-}
-
-// upgradeLastPolicy reorders compensation ladders: take the rungs that
-// recover the MOST capacity first, so fewer sessions are degraded per
-// compensation — the clients who negotiated the largest upgrades lose
-// them last-in-first-out, hence the name. Ties fall back to the paper's
-// (price, id) order. Everything else is the paper's.
-type upgradeLastPolicy struct{ paperPolicy }
-
-func (upgradeLastPolicy) Name() string { return "upgrade-last" }
-
-func (upgradeLastPolicy) CompensationOrder(ts []LadderTarget) {
-	sort.Slice(ts, func(i, j int) bool {
-		ri, rj := capacityScalar(ts[i].Recovered), capacityScalar(ts[j].Recovered)
-		if ri != rj {
-			return ri > rj
-		}
-		if ts[i].Price != ts[j].Price {
-			return ts[i].Price < ts[j].Price
-		}
-		return ts[i].ID < ts[j].ID
-	})
-}
-
-// capacityScalar collapses a capacity to one comparable magnitude (the
-// sum over dimensions) for ladder ordering.
-func capacityScalar(c resource.Capacity) float64 {
-	var sum float64
-	for _, k := range resource.Kinds {
-		sum += c.Get(k)
-	}
-	return sum
 }
 
 // Clone deep-copies the problem so a shadow policy can solve (and even

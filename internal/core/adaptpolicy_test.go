@@ -74,7 +74,7 @@ func init() {
 
 func TestPolicyRegistry(t *testing.T) {
 	names := core.PolicyNames()
-	for _, want := range []string{"paper", "revenue-greedy", "upgrade-last"} {
+	for _, want := range []string{"paper", "revenue-greedy"} {
 		found := false
 		for _, n := range names {
 			if n == want {
@@ -192,41 +192,23 @@ func TestRevenueGreedyAdmitsIntoReserve(t *testing.T) {
 	}
 }
 
-// TestCompensationOrders pins both ladder orderings: the paper takes the
-// cheapest session first (price, then ID); upgrade-last takes the rung
-// recovering the most capacity first, falling back to the paper's order
-// on ties.
+// TestCompensationOrders pins the paper's ladder ordering: the cheapest
+// session first (price, then ID), whatever each rung recovers.
 func TestCompensationOrders(t *testing.T) {
-	ladder := func() []core.LadderTarget {
-		return []core.LadderTarget{
-			{ID: "a", Price: 5, Recovered: resource.Nodes(1)},
-			{ID: "c", Price: 2, Recovered: resource.Nodes(3)},
-			{ID: "b", Price: 1, Recovered: resource.Nodes(3)},
-			{ID: "d", Price: 9, Recovered: resource.Capacity{CPU: 2, MemoryMB: 2}},
-		}
+	ts := []core.LadderTarget{
+		{ID: "a", Price: 5, Recovered: resource.Nodes(1)},
+		{ID: "c", Price: 2, Recovered: resource.Nodes(3)},
+		{ID: "b", Price: 1, Recovered: resource.Nodes(3)},
+		{ID: "d", Price: 9, Recovered: resource.Capacity{CPU: 2, MemoryMB: 2}},
 	}
-	order := func(ts []core.LadderTarget) string {
-		ids := make([]string, len(ts))
-		for i, t := range ts {
-			ids[i] = string(t.ID)
-		}
-		return strings.Join(ids, ",")
-	}
-
 	paper, _ := core.LookupPolicy("paper")
-	ts := ladder()
 	paper.CompensationOrder(ts)
-	if got, want := order(ts), "b,c,a,d"; got != want {
-		t.Errorf("paper ladder order = %s, want %s", got, want)
+	ids := make([]string, len(ts))
+	for i, t := range ts {
+		ids[i] = string(t.ID)
 	}
-
-	// upgrade-last: d recovers scalar 4, b and c recover 3 (tie broken by
-	// price: b before c), a recovers 1.
-	last, _ := core.LookupPolicy("upgrade-last")
-	ts = ladder()
-	last.CompensationOrder(ts)
-	if got, want := order(ts), "d,b,c,a"; got != want {
-		t.Errorf("upgrade-last ladder order = %s, want %s", got, want)
+	if got, want := strings.Join(ids, ","), "b,c,a,d"; got != want {
+		t.Errorf("paper ladder order = %s, want %s", got, want)
 	}
 }
 
@@ -436,7 +418,7 @@ func driveTwin(t *testing.T, candidate string, shards int, data []byte) {
 // each candidate — including the hostile mutator — consulted in shadow,
 // and requires byte-identical outcomes to the shadow-off run.
 func TestShadowPolicyIsInert(t *testing.T) {
-	for _, candidate := range []string{"revenue-greedy", "upgrade-last", "test-mutator"} {
+	for _, candidate := range []string{"revenue-greedy", "test-mutator"} {
 		candidate := candidate
 		t.Run(candidate, func(t *testing.T) {
 			driveTwin(t, candidate, 1, seedStream(1955, 300))
@@ -487,14 +469,14 @@ func TestBrokerPolicyWiring(t *testing.T) {
 	}
 
 	shadowed, err := sim.NewCluster(sim.ClusterConfig{
-		Plan: sim.DefaultParallelPlan(), Policy: "revenue-greedy", ShadowPolicy: "upgrade-last",
+		Plan: sim.DefaultParallelPlan(), Policy: "revenue-greedy", ShadowPolicy: "paper",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer shadowed.Close()
 	rep = shadowed.Broker.Policies()
-	if rep.Active != "revenue-greedy" || rep.Shadow != "upgrade-last" {
+	if rep.Active != "revenue-greedy" || rep.Shadow != "paper" {
 		t.Errorf("Policies() = %+v", rep)
 	}
 }

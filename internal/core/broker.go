@@ -240,6 +240,10 @@ type Broker struct {
 	// calls; see retry.go.
 	pol *policyRunner
 
+	// fed, when set by Federation.Mount, is the federation the request
+	// operation admits through (see ops.go).
+	fed atomic.Pointer[Federation]
+
 	// pcMu guards pendingCancels: reservations whose cancel exhausted
 	// its retry budget, kept for ReconcileReservations. A leaf lock.
 	pcMu           sync.Mutex
@@ -529,19 +533,20 @@ func (b *Broker) Recovering() bool { return b.recovering.Load() }
 
 // LoadReport is a broker's self-report for front-tier placement: how
 // loaded its guaranteed partitions are and how many sessions it hosts.
+// It is its own wire document on both transports.
 type LoadReport struct {
 	// Domain names the reporting broker.
-	Domain string `json:"domain"`
+	Domain string `json:"domain" xml:"Domain"`
 	// Sessions counts resident sessions (any state; terminal sessions
 	// linger until pruned, so this tracks working-set size, not live
 	// demand).
-	Sessions int `json:"sessions"`
+	Sessions int `json:"sessions" xml:"Sessions"`
 	// Load is the mean of the shards' guaranteed-partition load factors
 	// (0 idle, ≥ 1 when saturated).
-	Load float64 `json:"load"`
+	Load float64 `json:"load" xml:"Load"`
 	// Recovering is true while a Recover is still in flight; the front
 	// tier skips recovering members when placing admissions.
-	Recovering bool `json:"recovering,omitempty"`
+	Recovering bool `json:"recovering,omitempty" xml:"Recovering,omitempty"`
 }
 
 // LoadReport snapshots the broker's placement-relevant load. It reads

@@ -1,44 +1,56 @@
 package core
 
-import "errors"
+import (
+	"errors"
+	"net/http"
+)
 
 // The broker's error taxonomy, the single source for both transports:
-// every typed broker error has one machine-readable wire code. The
-// server side puts the code on the wire (SOAP in the fault's detail, the
-// JSON API in its error body beside an HTTP status) and the client side
-// maps it back onto the same sentinel, so errors.Is works identically
-// against a remote broker over either transport and an in-process one.
-// Adding a broker sentinel means adding a row here (and an HTTP status in
-// internal/httpapi).
+// every typed broker error has one machine-readable wire code and the
+// HTTP status it travels under. The server side puts the code on the wire
+// (SOAP in the fault's detail, the JSON API in its error body beside the
+// status) and the client side maps it back onto the same sentinel, so
+// errors.Is works identically against a remote broker over either
+// transport and an in-process one. Adding a broker sentinel means adding
+// a row here.
 var taxonomy = []struct {
-	err  error
-	code string
+	err    error
+	code   string
+	status int
 }{
-	{ErrNoService, "no_service"},
-	{ErrUnknownSession, "unknown_session"},
-	{ErrOverBudget, "over_budget"},
-	{ErrBadState, "bad_state"},
-	{ErrCannotHonor, "cannot_honor"},
-	{ErrHandoffPending, "handoff_pending"},
-	{ErrBestEffortFull, "best_effort_full"},
-	{ErrIntakeFull, "intake_full"},
-	{ErrClosed, "closed"},
-	{ErrPeerUnavailable, "peer_unavailable"},
+	{ErrNoService, "no_service", http.StatusNotFound},
+	{ErrUnknownSession, "unknown_session", http.StatusNotFound},
+	{ErrOverBudget, "over_budget", http.StatusPaymentRequired},
+	{ErrBadState, "bad_state", http.StatusConflict},
+	{ErrCannotHonor, "cannot_honor", http.StatusConflict},
+	{ErrHandoffPending, "handoff_pending", http.StatusConflict},
+	{ErrBestEffortFull, "best_effort_full", http.StatusTooManyRequests},
+	{ErrIntakeFull, "intake_full", http.StatusTooManyRequests},
+	{ErrClosed, "closed", http.StatusServiceUnavailable},
+	{ErrPeerUnavailable, "peer_unavailable", http.StatusServiceUnavailable},
+	{ErrNoDomainCanServe, "no_domain", http.StatusServiceUnavailable},
 }
 
-// WireCode classifies err for the wire: the code of the first taxonomy
-// sentinel it wraps (fmt.Errorf chains classify like their sentinel), or
-// "" for nil and for errors outside the taxonomy.
-func WireCode(err error) string {
+// WireStatus classifies err for the wire: the code and HTTP status of the
+// first taxonomy sentinel it wraps (fmt.Errorf chains classify like
+// their sentinel), or ("", 0) for nil and for errors outside the
+// taxonomy.
+func WireStatus(err error) (code string, status int) {
 	if err == nil {
-		return ""
+		return "", 0
 	}
 	for _, t := range taxonomy {
 		if errors.Is(err, t.err) {
-			return t.code
+			return t.code, t.status
 		}
 	}
-	return ""
+	return "", 0
+}
+
+// WireCode is the code half of WireStatus.
+func WireCode(err error) string {
+	code, _ := WireStatus(err)
+	return code
 }
 
 // WireError is WireCode's inverse on the client side: it returns cause —

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"sort"
@@ -241,31 +240,14 @@ func isCapacityError(err error) bool {
 	return errors.Is(err, ErrCannotHonor) || errors.Is(err, ErrBestEffortFull)
 }
 
-// Mount installs the federation's SOAP handlers: everything the home
-// broker serves, with service_request replaced by the federated version —
-// offers carry an extra Domain so clients know where to conclude the SLA.
+// Mount installs the federation as the admit function of the home
+// broker's request operation (ops.go) and mounts the broker's SOAP
+// handlers. Every binding of the home broker — SOAP here, the JSON API
+// wherever it is mounted — then forwards what the domain cannot serve,
+// and offers carry the Domain where the client concludes the SLA.
 func (f *Federation) Mount(mux *soapx.Mux) {
+	f.home.fed.Store(f)
 	f.home.Mount(mux)
-	mux.Handle("service_request", coded(func(body []byte) (any, error) {
-		var req xmlmsg.ServiceRequestXML
-		if err := xml.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		r, err := decodeRequest(req)
-		if err != nil {
-			return nil, err
-		}
-		offer, err := f.RequestService(r)
-		if err != nil {
-			return nil, err
-		}
-		return &xmlmsg.ServiceOfferXML{
-			SLA:     sla.EncodeDocument(offer.SLA),
-			Price:   offer.Price,
-			Expires: offer.Expires.Format(xmlmsg.TimeLayout),
-			Domain:  offer.Domain,
-		}, nil
-	}))
 }
 
 // PeerClient adapts a remote broker client to the Peer interface.
@@ -290,9 +272,9 @@ func (p *PeerClient) PeerRequest(req Request) (*Offer, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc, err := decodeOfferSLA(resp)
+	doc, err := sla.DecodeDocument(resp.SLA)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: decode peer offer: %w", err)
 	}
 	offer := &Offer{SLA: doc, Price: resp.Price}
 	if resp.Expires != "" {

@@ -344,15 +344,15 @@ func FuzzBrokerOps(f *testing.F) {
 func FuzzPolicyDecisions(f *testing.F) {
 	f.Add(append([]byte{0, 0}, seedStream(1955, 40)...))
 	f.Add(append([]byte{1, 0}, seedStream(2003, 40)...))
-	f.Add(append([]byte{2, 0}, seedStream(1789, 40)...))
+	f.Add(append([]byte{0, 1}, seedStream(1789, 40)...))
 	// Saturate the guaranteed partition so revenue-greedy diverges on the
 	// partition family while the paper policy keeps refusing.
 	f.Add(append([]byte{0, 0}, 0, 0x0e, 3, 0, 0, 0x0e, 3, 0, 0, 0x0e, 3, 0, 0, 0x0e))
 	// Degrade-willing sessions under failure pressure: a compensation
-	// ladder with several rungs, where upgrade-last reorders.
+	// ladder with several rungs, which the mutator reorders and rewrites.
 	f.Add(append([]byte{1, 0}, 1, 0xa7, 1, 0xa5, 1, 0xa3, 3, 0, 3, 0, 3, 0, 8, 8, 8, 12))
 	// The mutator on a sharded broker: placement views are copied too.
-	f.Add(append([]byte{2, 2}, seedStream(1955, 40)...))
+	f.Add(append([]byte{1, 2}, seedStream(1955, 40)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 2048 {
 			data = data[:2048]
@@ -360,7 +360,7 @@ func FuzzPolicyDecisions(f *testing.F) {
 		if len(data) < 2 {
 			return
 		}
-		candidates := []string{"revenue-greedy", "upgrade-last", "test-mutator"}
+		candidates := []string{"revenue-greedy", "test-mutator"}
 		candidate := candidates[int(data[0])%len(candidates)]
 		shards := 1 + int(data[1])%3
 		driveTwin(t, candidate, shards, data[2:])

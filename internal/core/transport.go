@@ -4,162 +4,125 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
-	"gqosm/internal/obs"
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
 	"gqosm/internal/soapx"
 	"gqosm/internal/xmlmsg"
 )
 
-// This file exposes the broker over SOAP/HTTP (Fig. 5: "clients send XML
-// messages to the AQoS broker using SOAP over HTTP"): Mount installs the
-// handlers; Client is the typed counterpart used by qosctl and remote
+// This file is the SOAP binding of the operation table (ops.go) — Fig. 5:
+// "clients send XML messages to the AQoS broker using SOAP over HTTP".
+// What is SOAP's own lives here: which message element carries which
+// rows, element → OpArgs, OpResult → reply document, error → coded
+// fault. Client is the typed counterpart used by qosctl and remote
 // applications.
 
-// coded puts the taxonomy code of a handler's error (see errors.go) on
-// its SOAP fault, as the fault detail; Client.call maps it back.
-func coded(h soapx.HandlerFunc) soapx.HandlerFunc {
-	return func(body []byte) (any, error) {
-		resp, err := h(body)
-		if code := WireCode(err); code != "" {
-			err = &soapx.Fault{Code: "soap:Server", String: err.Error(), Detail: code}
-		}
-		return resp, err
-	}
+// soapElement binds one SOAP body element to the table rows it carries.
+type soapElement struct {
+	name string
+	// ops are the rows reachable through the element.
+	ops []string
+	// decode names the row the message asks for and builds its arguments.
+	decode func(body []byte) (op string, a OpArgs, err error)
+	encode func(OpResult) any
 }
 
-// Mount installs the broker's SOAP handlers on the mux: service_request,
-// sla_action (accept / reject / invoke / terminate / verify /
-// accept_promotion — the Fig. 7 client actions), and best_effort_request.
+// soapElements is the SOAP wire surface: service_request, sla_action (the
+// Fig. 7 client actions, one element whose Action names the row),
+// renegotiate_request, load_report_request and best_effort_request.
+var soapElements = []soapElement{
+	{"service_request", []string{"request"},
+		func(body []byte) (string, OpArgs, error) {
+			var req xmlmsg.ServiceRequestXML
+			if err := xml.Unmarshal(body, &req); err != nil {
+				return "", OpArgs{}, err
+			}
+			r, err := decodeRequest(req)
+			return "request", OpArgs{Request: r}, err
+		},
+		func(r OpResult) any {
+			return &xmlmsg.ServiceOfferXML{
+				SLA:     sla.EncodeDocument(r.Offer.SLA),
+				Price:   r.Offer.Price,
+				Expires: r.Offer.Expires.Format(xmlmsg.TimeLayout),
+				Domain:  r.Domain,
+			}
+		}},
+	{"sla_action", []string{"accept", "reject", "invoke", "terminate", "verify", "accept_promotion"},
+		func(body []byte) (string, OpArgs, error) {
+			var req xmlmsg.SLAActionXML
+			err := xml.Unmarshal(body, &req)
+			return req.Action, OpArgs{ID: sla.ID(req.SLAID), Reason: req.Reason}, err
+		},
+		func(r OpResult) any {
+			if r.Levels != nil { // verify answers with the Table-3 document
+				return r.Levels
+			}
+			return ackXML(r)
+		}},
+	{"renegotiate_request", []string{"renegotiate"},
+		func(body []byte) (string, OpArgs, error) {
+			var req xmlmsg.RenegotiateRequestXML
+			if err := xml.Unmarshal(body, &req); err != nil {
+				return "", OpArgs{}, err
+			}
+			spec, err := xmlmsg.DecodeSpec(req.Params, req.SourceIP, req.DestIP, req.MaxLoss)
+			return "renegotiate", OpArgs{ID: sla.ID(req.SLAID), Spec: spec}, err
+		},
+		ackXML},
+	{"load_report_request", []string{"load"},
+		func([]byte) (string, OpArgs, error) { return "load", OpArgs{}, nil },
+		func(r OpResult) any { return &loadReportXML{LoadReport: r.Load} }},
+	{"best_effort_request", []string{"best-effort"},
+		func(body []byte) (string, OpArgs, error) {
+			var req xmlmsg.BestEffortRequestXML
+			err := xml.Unmarshal(body, &req)
+			return "best-effort", OpArgs{
+				Client:  req.Client,
+				Amount:  resource.Capacity{CPU: req.CPU, MemoryMB: req.Memory, DiskGB: req.Disk},
+				Release: req.Release,
+			}, err
+		},
+		ackXML},
+}
+
+func ackXML(r OpResult) any { return &xmlmsg.AckXML{OK: true, Detail: r.Detail} }
+
+// loadReportXML is the load_report reply: the LoadReport under the
+// message's element name.
+type loadReportXML struct {
+	XMLName xml.Name `xml:"load_report"`
+	LoadReport
+}
+
+// Mount installs the broker's SOAP handlers on the mux, one per element
+// of soapElements. A handler's error leaves as a fault whose detail is
+// its taxonomy code (see errors.go); Client.call maps it back.
 func (b *Broker) Mount(mux *soapx.Mux) {
-	// Per-transport traffic counters: the JSON API registers the same
-	// family with transport="http", so dashboards see the split.
-	count := func(op string) *obs.Counter {
-		return b.obs.Counter("gqosm_transport_requests_total",
-			"Requests served per transport and operation",
-			"transport", "soap", "op", op)
+	d := NewDispatcher(b, "soap")
+	for _, el := range soapElements {
+		mux.Handle(el.name, func(body []byte) (any, error) {
+			op, args, err := el.decode(body)
+			if err == nil && !slices.Contains(el.ops, op) {
+				err = fmt.Errorf("core: unknown %s %q", el.name, op)
+			}
+			var res OpResult
+			if err == nil {
+				res, err = d.Run(op, args)
+			}
+			if err != nil {
+				d.Failed()
+				if code := WireCode(err); code != "" {
+					err = &soapx.Fault{Code: "soap:Server", String: err.Error(), Detail: code}
+				}
+				return nil, err
+			}
+			return el.encode(res), nil
+		})
 	}
-	serviceRequests := count("service_request")
-	slaActions := count("sla_action")
-	renegotiations := count("renegotiate_request")
-	loadReports := count("load_report_request")
-	bestEfforts := count("best_effort_request")
-
-	mux.Handle("service_request", coded(func(body []byte) (any, error) {
-		serviceRequests.Inc()
-		var req xmlmsg.ServiceRequestXML
-		if err := xml.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		r, err := decodeRequest(req)
-		if err != nil {
-			return nil, err
-		}
-		offer, err := b.RequestService(r)
-		if err != nil {
-			return nil, err
-		}
-		return &xmlmsg.ServiceOfferXML{
-			SLA:     sla.EncodeDocument(offer.SLA),
-			Price:   offer.Price,
-			Expires: offer.Expires.Format(xmlmsg.TimeLayout),
-		}, nil
-	}))
-
-	mux.Handle("sla_action", coded(func(body []byte) (any, error) {
-		slaActions.Inc()
-		var req xmlmsg.SLAActionXML
-		if err := xml.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		id := sla.ID(req.SLAID)
-		switch req.Action {
-		case "accept":
-			if err := b.Accept(id); err != nil {
-				return nil, err
-			}
-		case "reject":
-			if err := b.Reject(id); err != nil {
-				return nil, err
-			}
-		case "invoke":
-			job, err := b.Invoke(id)
-			if err != nil {
-				return nil, err
-			}
-			return &xmlmsg.AckXML{OK: true, Detail: fmt.Sprintf("job %s pid %d", job.ID, job.PID)}, nil
-		case "terminate":
-			if err := b.Terminate(id, nonEmpty(req.Reason, "terminated by client")); err != nil {
-				return nil, err
-			}
-		case "verify":
-			rep, err := b.Verify(id)
-			if err != nil {
-				return nil, err
-			}
-			return &rep.XML, nil
-		case "accept_promotion":
-			if err := b.AcceptPromotion(id); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("core: unknown sla_action %q", req.Action)
-		}
-		return &xmlmsg.AckXML{OK: true}, nil
-	}))
-
-	mux.Handle("renegotiate_request", coded(func(body []byte) (any, error) {
-		renegotiations.Inc()
-		var req xmlmsg.RenegotiateRequestXML
-		if err := xml.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		spec, err := xmlmsg.DecodeSpec(req.Params, req.SourceIP, req.DestIP, req.MaxLoss)
-		if err != nil {
-			return nil, err
-		}
-		res, err := b.Renegotiate(sla.ID(req.SLAID), spec)
-		if err != nil {
-			return nil, err
-		}
-		return &xmlmsg.AckXML{
-			OK: true,
-			Detail: fmt.Sprintf("reallocated %v -> %v, price %+.2f",
-				res.Old, res.New, res.PriceDelta),
-		}, nil
-	}))
-
-	mux.Handle("load_report_request", coded(func(body []byte) (any, error) {
-		loadReports.Inc()
-		r := b.LoadReport()
-		return &xmlmsg.LoadReportXML{
-			Domain:     r.Domain,
-			Sessions:   r.Sessions,
-			Load:       r.Load,
-			Recovering: r.Recovering,
-		}, nil
-	}))
-
-	mux.Handle("best_effort_request", coded(func(body []byte) (any, error) {
-		bestEfforts.Inc()
-		var req xmlmsg.BestEffortRequestXML
-		if err := xml.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		if req.Release {
-			if err := b.BestEffortRelease(req.Client); err != nil {
-				return nil, err
-			}
-			return &xmlmsg.AckXML{OK: true}, nil
-		}
-		amount := resource.Capacity{CPU: req.CPU, MemoryMB: req.Memory, DiskGB: req.Disk}
-		if err := b.BestEffortRequest(req.Client, amount); err != nil {
-			return nil, err
-		}
-		return &xmlmsg.AckXML{OK: true, Detail: "granted " + amount.String()}, nil
-	}))
 }
 
 func decodeRequest(req xmlmsg.ServiceRequestXML) (Request, error) {
@@ -193,18 +156,39 @@ func decodeRequest(req xmlmsg.ServiceRequestXML) (Request, error) {
 	}, nil
 }
 
-// Client is a typed SOAP client for a remote AQoS broker.
-type Client struct {
-	SOAP soapx.Client
+// WireRetry is the transport-retry budget of a typed broker client,
+// shared by the SOAP and the JSON client.
+type WireRetry struct {
 	// Retries is the number of extra attempts after a transport-level
 	// failure (connection refused/reset, an injected wire fault): the
 	// request may never have reached the broker, so resending is the
-	// right move. SOAP faults are definitive answers and never retried.
-	// 0 keeps the historical single attempt.
+	// right move. Typed answers (SOAP faults, JSON API errors) are
+	// definitive and never retried. 0 keeps a single attempt.
 	Retries int
 	// RetryDelay is the pause between attempts, in real time — the
 	// client talks to live endpoints, not a simulated clock.
 	RetryDelay time.Duration
+}
+
+// Do runs one wire exchange under the budget: call is repeated while it
+// fails with an error matching transport, the wire's own "may not have
+// arrived" sentinel.
+func (r WireRetry) Do(transport error, call func() error) error {
+	for attempt := 0; ; attempt++ {
+		err := call()
+		if err == nil || !errors.Is(err, transport) || attempt >= r.Retries {
+			return err
+		}
+		if r.RetryDelay > 0 {
+			time.Sleep(r.RetryDelay)
+		}
+	}
+}
+
+// Client is a typed SOAP client for a remote AQoS broker.
+type Client struct {
+	SOAP soapx.Client
+	WireRetry
 }
 
 // NewClient returns a client for the broker at endpoint.
@@ -216,20 +200,20 @@ func NewClient(endpoint string) *Client {
 // budget. A fault carrying a taxonomy code comes back matching the
 // broker sentinel it names (and still matching *soapx.Fault).
 func (c *Client) call(request, response any) error {
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = c.SOAP.Call(request, response)
-		if err == nil || !errors.Is(err, soapx.ErrTransport) || attempt >= c.Retries {
-			var f *soapx.Fault
-			if errors.As(err, &f) {
-				err = WireError(f.Detail, err)
-			}
-			return err
-		}
-		if c.RetryDelay > 0 {
-			time.Sleep(c.RetryDelay)
-		}
+	err := c.Do(soapx.ErrTransport, func() error { return c.SOAP.Call(request, response) })
+	var f *soapx.Fault
+	if errors.As(err, &f) {
+		err = WireError(f.Detail, err)
 	}
+	return err
+}
+
+// maxLossXML renders a spec's packet-loss bound in its Table-1 form.
+func maxLossXML(spec sla.Spec) string {
+	if spec.MaxPacketLossPct > 0 {
+		return fmt.Sprintf("LessThan %g%%", spec.MaxPacketLossPct)
+	}
+	return ""
 }
 
 // RequestService sends a service_request and returns the offer.
@@ -241,15 +225,13 @@ func (c *Client) RequestService(r Request) (*xmlmsg.ServiceOfferXML, error) {
 		Params:            xmlmsg.EncodeSpec(r.Spec),
 		SourceIP:          r.Spec.SourceIP,
 		DestIP:            r.Spec.DestIP,
+		MaxLoss:           maxLossXML(r.Spec),
 		Start:             r.Start.Format(xmlmsg.TimeLayout),
 		End:               r.End.Format(xmlmsg.TimeLayout),
 		Budget:            r.Budget,
 		AcceptDegradation: r.AcceptDegradation,
 		AcceptTermination: r.AcceptTermination,
 		PromotionOptIn:    r.PromotionOptIn,
-	}
-	if r.Spec.MaxPacketLossPct > 0 {
-		req.MaxLoss = fmt.Sprintf("LessThan %g%%", r.Spec.MaxPacketLossPct)
 	}
 	var resp xmlmsg.ServiceOfferXML
 	if err := c.call(&req, &resp); err != nil {
@@ -261,12 +243,15 @@ func (c *Client) RequestService(r Request) (*xmlmsg.ServiceOfferXML, error) {
 // Act performs an sla_action ("accept", "reject", "invoke", "terminate",
 // "accept_promotion") and returns the acknowledgement detail.
 func (c *Client) Act(id sla.ID, action, reason string) (string, error) {
+	return c.ack(&xmlmsg.SLAActionXML{SLAID: string(id), Action: action, Reason: reason})
+}
+
+// ack sends a request answered by an acknowledgement and returns its
+// detail.
+func (c *Client) ack(request any) (string, error) {
 	var resp xmlmsg.AckXML
-	err := c.call(&xmlmsg.SLAActionXML{SLAID: string(id), Action: action, Reason: reason}, &resp)
-	if err != nil {
-		return "", err
-	}
-	return resp.Detail, nil
+	err := c.call(request, &resp)
+	return resp.Detail, err
 }
 
 // Verify requests an explicit SLA conformance test, returning the Table-3
@@ -282,26 +267,9 @@ func (c *Client) Verify(id sla.ID) (*QoSLevelsXML, error) {
 // LoadReport fetches the remote broker's current load for front-tier
 // placement.
 func (c *Client) LoadReport() (LoadReport, error) {
-	var resp xmlmsg.LoadReportXML
-	if err := c.call(&xmlmsg.LoadReportRequestXML{}, &resp); err != nil {
-		return LoadReport{}, err
-	}
-	return LoadReport{
-		Domain:     resp.Domain,
-		Sessions:   resp.Sessions,
-		Load:       resp.Load,
-		Recovering: resp.Recovering,
-	}, nil
-}
-
-// decodeOfferSLA converts a wire offer back into the SLA document (used
-// by federation peers).
-func decodeOfferSLA(resp *xmlmsg.ServiceOfferXML) (*sla.Document, error) {
-	doc, err := sla.DecodeDocument(resp.SLA)
-	if err != nil {
-		return nil, fmt.Errorf("core: decode peer offer: %w", err)
-	}
-	return doc, nil
+	var resp loadReportXML
+	err := c.call(&xmlmsg.LoadReportRequestXML{}, &resp)
+	return resp.LoadReport, err
 }
 
 // Renegotiate replaces a live session's QoS specification remotely.
@@ -311,15 +279,9 @@ func (c *Client) Renegotiate(id sla.ID, spec sla.Spec) (string, error) {
 		Params:   xmlmsg.EncodeSpec(spec),
 		SourceIP: spec.SourceIP,
 		DestIP:   spec.DestIP,
+		MaxLoss:  maxLossXML(spec),
 	}
-	if spec.MaxPacketLossPct > 0 {
-		req.MaxLoss = fmt.Sprintf("LessThan %g%%", spec.MaxPacketLossPct)
-	}
-	var resp xmlmsg.AckXML
-	if err := c.call(&req, &resp); err != nil {
-		return "", err
-	}
-	return resp.Detail, nil
+	return c.ack(&req)
 }
 
 // BestEffort requests (or releases) best-effort capacity.
@@ -331,6 +293,6 @@ func (c *Client) BestEffort(client string, amount resource.Capacity, release boo
 		Disk:    amount.DiskGB,
 		Release: release,
 	}
-	var resp xmlmsg.AckXML
-	return c.call(&req, &resp)
+	_, err := c.ack(&req)
+	return err
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -11,10 +12,11 @@ import (
 	"gqosm/internal/soapx"
 )
 
-// TestFigure5Testbed runs the Fig. 5 architecture end to end: a client
-// speaking SOAP over HTTP to the AQoS broker, exercising all four Fig. 7
-// client actions (request with QoS properties, accept offer, verification
-// test, terminate).
+// TestFigure5Testbed is the SOAP-only half of the Fig. 5 testbed: what
+// travels as whole XML documents — the Table-1 SLA in the offer and the
+// Table-3 QoS levels of an explicit verification test (Fig. 7 actions a
+// and d). The lifecycle actions both wires carry are walked by httpapi's
+// TestWireLifecycle.
 func TestFigure5Testbed(t *testing.T) {
 	h := newHarness(t)
 	mux := soapx.NewMux()
@@ -35,23 +37,8 @@ func TestFigure5Testbed(t *testing.T) {
 		t.Errorf("offer class = %q", offer.SLA.Class)
 	}
 	id := sla.ID(offer.SLA.SLAID)
-
-	// (b) Accept the SLA offer.
 	if _, err := client.Act(id, "accept", ""); err != nil {
 		t.Fatalf("remote accept: %v", err)
-	}
-	doc, err := h.broker.Session(id)
-	if err != nil || doc.State != sla.StateEstablished {
-		t.Fatalf("after remote accept: %v %v", doc, err)
-	}
-
-	// Invoke over the wire.
-	detail, err := client.Act(id, "invoke", "")
-	if err != nil {
-		t.Fatalf("remote invoke: %v", err)
-	}
-	if !strings.Contains(detail, "pid") {
-		t.Errorf("invoke detail = %q", detail)
 	}
 
 	// (d) Explicit SLA verification test returns the Table-3 document.
@@ -65,17 +52,11 @@ func TestFigure5Testbed(t *testing.T) {
 	if levels.Network == nil || !strings.Contains(levels.Network.Bandwidth, "Mbps") {
 		t.Errorf("network levels = %+v", levels.Network)
 	}
-
-	// Terminate over the wire.
-	if _, err := client.Act(id, "terminate", "done"); err != nil {
-		t.Fatalf("remote terminate: %v", err)
-	}
-	doc, _ = h.broker.Session(id)
-	if doc.State != sla.StateTerminated {
-		t.Errorf("state = %v", doc.State)
-	}
 }
 
+// TestTransportReject and TestTransportBestEffort look at the substrate
+// behind the SOAP wire from inside the package (the pool, the allocator);
+// TestWireLifecycle checks the same outcomes over both wires.
 func TestTransportReject(t *testing.T) {
 	h := newHarness(t)
 	mux := soapx.NewMux()
@@ -178,5 +159,63 @@ func TestTransportRangeAndListSpecs(t *testing.T) {
 	p, ok = doc.Spec.Param(resource.CPU)
 	if !ok || p.Form != sla.FormRange || p.Min != 2 || p.Max != 8 {
 		t.Errorf("range param lost in transport: %+v", p)
+	}
+}
+
+// TestSOAPBindingCoversTheTable pins the SOAP binding against the
+// operation table: every op an element names is a table row, named once,
+// and the only rows SOAP does not carry are the JSON-only reads session
+// and policies (httpapi's TestRoutesCoverTheTable pins that JSON lacks
+// only verify — so every row is reachable on some wire).
+func TestSOAPBindingCoversTheTable(t *testing.T) {
+	served := map[string]string{}
+	for _, el := range soapElements {
+		for _, op := range el.ops {
+			if prev, dup := served[op]; dup {
+				t.Errorf("op %q is carried by both %s and %s", op, prev, el.name)
+			}
+			served[op] = el.name
+		}
+	}
+	var missing []string
+	rows := map[string]bool{}
+	for _, op := range Ops {
+		rows[op.Name] = true
+		if served[op.Name] == "" {
+			missing = append(missing, op.Name)
+		}
+	}
+	for op, el := range served {
+		if !rows[op] {
+			t.Errorf("%s names %q, which is not a row of Ops", el, op)
+		}
+	}
+	if got := strings.Join(missing, ","); got != "session,policies" {
+		t.Errorf("rows without a SOAP element = %q, want session,policies", got)
+	}
+}
+
+// TestTaxonomyIsComplete is the static half of the error contract: every
+// code is distinct and travels under an HTTP status, and a wire error
+// rebuilt from a code matches its sentinel and no other row's.
+func TestTaxonomyIsComplete(t *testing.T) {
+	codes := map[string]bool{}
+	for _, row := range taxonomy {
+		if row.code == "" || codes[row.code] {
+			t.Errorf("taxonomy code %q is empty or repeated", row.code)
+		}
+		codes[row.code] = true
+		if row.status < 400 || row.status > 599 {
+			t.Errorf("taxonomy code %q has HTTP status %d", row.code, row.status)
+		}
+		if code, status := WireStatus(fmt.Errorf("wrapped: %w", row.err)); code != row.code || status != row.status {
+			t.Errorf("WireStatus(%v) = (%q, %d), want (%q, %d)", row.err, code, status, row.code, row.status)
+		}
+		rebuilt := WireError(row.code, errors.New("from the wire"))
+		for _, other := range taxonomy {
+			if got, want := errors.Is(rebuilt, other.err), other.code == row.code; got != want {
+				t.Errorf("WireError(%q) matches %v = %v", row.code, other.err, got)
+			}
+		}
 	}
 }

@@ -3,11 +3,9 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"gqosm/internal/core"
 	"gqosm/internal/resource"
@@ -15,20 +13,15 @@ import (
 )
 
 // Client is the typed JSON-API counterpart of core.Client: same
-// operations, same retry discipline (transport failures may be
-// resent; typed API errors are definitive answers and never retried),
-// but wire errors come back as the broker's own sentinels — errors.Is
-// against core.ErrOverBudget &c. works through the transport.
+// operations, same retry budget, and wire errors come back as the
+// broker's own sentinels — errors.Is against core.ErrOverBudget &c.
+// works through the transport.
 type Client struct {
 	// Endpoint is the broker's base URL (no /api/v1 suffix).
 	Endpoint string
 	// HTTPClient defaults to http.DefaultClient.
 	HTTPClient *http.Client
-	// Retries is the number of extra attempts after a transport-level
-	// failure; 0 keeps a single attempt.
-	Retries int
-	// RetryDelay is the pause between attempts, in real time.
-	RetryDelay time.Duration
+	core.WireRetry
 }
 
 // NewClient returns a client for the broker at endpoint.
@@ -47,19 +40,10 @@ func (c *Client) call(method, op string, body, out any) error {
 			return fmt.Errorf("httpapi: marshal request: %w", err)
 		}
 	}
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = c.do(method, op, payload, out)
-		if err == nil || !errors.Is(err, ErrTransport) || attempt >= c.Retries {
-			return err
-		}
-		if c.RetryDelay > 0 {
-			time.Sleep(c.RetryDelay)
-		}
-	}
+	return c.Do(ErrTransport, func() error { return c.exchange(method, op, payload, out) })
 }
 
-func (c *Client) do(method, op string, payload []byte, out any) error {
+func (c *Client) exchange(method, op string, payload []byte, out any) error {
 	hc := c.HTTPClient
 	if hc == nil {
 		hc = http.DefaultClient
@@ -121,36 +105,36 @@ func (c *Client) RequestService(r core.Request) (*OfferJSON, error) {
 }
 
 // Act performs a lifecycle action ("accept", "reject", "invoke",
-// "terminate") and returns the acknowledgement detail.
+// "terminate", "accept_promotion") and returns the acknowledgement
+// detail.
 func (c *Client) Act(id sla.ID, action, reason string) (string, error) {
+	return c.ack(action, &ActionJSON{ID: string(id), Reason: reason})
+}
+
+// ack posts a request answered by an acknowledgement and returns its
+// detail.
+func (c *Client) ack(op string, body any) (string, error) {
 	var out AckJSON
-	err := c.call(http.MethodPost, action, &ActionJSON{ID: string(id), Reason: reason}, &out)
-	if err != nil {
-		return "", err
-	}
-	return out.Detail, nil
+	err := c.call(http.MethodPost, op, body, &out)
+	return out.Detail, err
 }
 
 // Renegotiate replaces a live session's QoS specification remotely.
 func (c *Client) Renegotiate(id sla.ID, spec sla.Spec) (string, error) {
 	sj := encodeSpec(spec)
-	var out AckJSON
-	err := c.call(http.MethodPost, "renegotiate", &ActionJSON{ID: string(id), Spec: &sj}, &out)
-	if err != nil {
-		return "", err
-	}
-	return out.Detail, nil
+	return c.ack("renegotiate", &ActionJSON{ID: string(id), Spec: &sj})
 }
 
 // BestEffort requests (or releases) best-effort capacity.
 func (c *Client) BestEffort(client string, amount resource.Capacity, release bool) error {
-	return c.call(http.MethodPost, "best-effort", &BestEffortJSON{
+	_, err := c.ack("best-effort", &BestEffortJSON{
 		Client:   client,
 		CPU:      amount.CPU,
 		MemoryMB: amount.MemoryMB,
 		DiskGB:   amount.DiskGB,
 		Release:  release,
-	}, nil)
+	})
+	return err
 }
 
 // Session fetches a session snapshot.
@@ -166,18 +150,14 @@ func (c *Client) Session(id sla.ID) (*OfferJSON, error) {
 // placement.
 func (c *Client) LoadReport() (core.LoadReport, error) {
 	var out core.LoadReport
-	if err := c.call(http.MethodGet, "load", nil, &out); err != nil {
-		return core.LoadReport{}, err
-	}
-	return out, nil
+	err := c.call(http.MethodGet, "load", nil, &out)
+	return out, err
 }
 
 // Policies fetches the broker's adaptation-policy configuration: the
 // active policy, the shadow candidate (if any), and the registry.
 func (c *Client) Policies() (core.PolicyReport, error) {
 	var out core.PolicyReport
-	if err := c.call(http.MethodGet, "policies", nil, &out); err != nil {
-		return core.PolicyReport{}, err
-	}
-	return out, nil
+	err := c.call(http.MethodGet, "policies", nil, &out)
+	return out, err
 }

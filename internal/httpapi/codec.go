@@ -91,10 +91,13 @@ type OfferJSON struct {
 	State       string       `json:"state"`
 	Class       string       `json:"class"`
 	Price       float64      `json:"price"`
-	Expires     time.Time    `json:"expires,omitempty"`
 	Allocated   CapacityJSON `json:"allocated"`
+	Expires     time.Time    `json:"expires,omitempty"`
 	Compensated bool         `json:"compensated,omitempty"`
 	ServiceKey  string       `json:"service_key,omitempty"`
+	// Domain names the domain whose broker holds the session, set when
+	// the request went through a federation.
+	Domain string `json:"domain,omitempty"`
 }
 
 // AckJSON acknowledges lifecycle posts.
@@ -272,21 +275,18 @@ func appendTime(dst []byte, t time.Time) []byte {
 	return append(dst, '"')
 }
 
-// appendOffer renders the admission response — the JSON transport's
-// hot-path encode.
+// appendOffer renders the admission response of an unfederated broker.
 func appendOffer(dst []byte, o *core.Offer) []byte {
-	dst = append(dst, `{"sla_id":`...)
-	dst = appendString(dst, string(o.SLA.ID))
-	dst = append(dst, `,"state":`...)
-	dst = appendString(dst, o.SLA.State.String())
-	dst = append(dst, `,"class":`...)
-	dst = appendString(dst, o.SLA.Class.String())
-	dst = append(dst, `,"price":`...)
-	dst = appendFloat(dst, o.Price)
+	return encodeOffer(dst, core.OpResult{Offer: o})
+}
+
+// encodeOffer renders the admission response — the JSON transport's
+// hot-path encode — with the serving domain of a federated request.
+func encodeOffer(dst []byte, res core.OpResult) []byte {
+	o := res.Offer
+	dst = appendEssentials(dst, o.SLA, o.Price)
 	dst = append(dst, `,"expires":`...)
 	dst = appendTime(dst, o.Expires)
-	dst = append(dst, `,"allocated":`...)
-	dst = appendCapacity(dst, o.SLA.Allocated)
 	if o.Compensated {
 		dst = append(dst, `,"compensated":true`...)
 	}
@@ -294,11 +294,21 @@ func appendOffer(dst []byte, o *core.Offer) []byte {
 		dst = append(dst, `,"service_key":`...)
 		dst = appendString(dst, string(o.ServiceKey))
 	}
+	if res.Domain != "" {
+		dst = append(dst, `,"domain":`...)
+		dst = appendString(dst, res.Domain)
+	}
 	return append(dst, '}')
 }
 
-// appendSession renders a session snapshot from its SLA document.
-func appendSession(dst []byte, doc *sla.Document) []byte {
+// encodeSession renders a session snapshot from its SLA document.
+func encodeSession(dst []byte, res core.OpResult) []byte {
+	return append(appendEssentials(dst, res.Session, res.Session.Price), '}')
+}
+
+// appendEssentials opens the object an offer and a session snapshot
+// share: the negotiated essentials of an SLA document.
+func appendEssentials(dst []byte, doc *sla.Document, price float64) []byte {
 	dst = append(dst, `{"sla_id":`...)
 	dst = appendString(dst, string(doc.ID))
 	dst = append(dst, `,"state":`...)
@@ -306,18 +316,17 @@ func appendSession(dst []byte, doc *sla.Document) []byte {
 	dst = append(dst, `,"class":`...)
 	dst = appendString(dst, doc.Class.String())
 	dst = append(dst, `,"price":`...)
-	dst = appendFloat(dst, doc.Price)
+	dst = appendFloat(dst, price)
 	dst = append(dst, `,"allocated":`...)
-	dst = appendCapacity(dst, doc.Allocated)
-	return append(dst, '}')
+	return appendCapacity(dst, doc.Allocated)
 }
 
-// appendAck renders the lifecycle acknowledgement.
-func appendAck(dst []byte, detail string) []byte {
+// encodeAck renders the lifecycle acknowledgement.
+func encodeAck(dst []byte, res core.OpResult) []byte {
 	dst = append(dst, `{"ok":true`...)
-	if detail != "" {
+	if res.Detail != "" {
 		dst = append(dst, `,"detail":`...)
-		dst = appendString(dst, detail)
+		dst = appendString(dst, res.Detail)
 	}
 	return append(dst, '}')
 }
@@ -331,13 +340,15 @@ func appendError(dst []byte, code, message string) []byte {
 	return append(dst, `}}`...)
 }
 
-// marshalJSON is the cold-path encoder for responses without a
-// hand-rolled appender (load reports).
-func marshalJSON(v any) []byte {
+// The management reads are cold: encoding/json renders them.
+func encodeLoad(dst []byte, res core.OpResult) []byte     { return appendJSON(dst, res.Load) }
+func encodePolicies(dst []byte, res core.OpResult) []byte { return appendJSON(dst, res.Policies) }
+
+func appendJSON(dst []byte, v any) []byte {
 	b, err := json.Marshal(v)
 	if err != nil {
 		// All marshaled types are plain structs; this cannot fail.
-		return []byte(`{"error":{"code":"internal","message":"encode"}}`)
+		return appendError(dst, "internal", "encode")
 	}
-	return b
+	return append(dst, b...)
 }

@@ -14,8 +14,8 @@ import (
 )
 
 // wantTaxonomy is the wire contract spelled out: sentinel, HTTP status,
-// code. The sentinel ↔ code half lives in core (shared with SOAP), the
-// code → status half in this package; this table pins both.
+// code. The table lives in core (shared with SOAP); bad_request is this
+// binding's own row. This pins both.
 var wantTaxonomy = []struct {
 	err    error
 	status int
@@ -31,6 +31,7 @@ var wantTaxonomy = []struct {
 	{core.ErrIntakeFull, 429, "intake_full"},
 	{core.ErrClosed, 503, "closed"},
 	{core.ErrPeerUnavailable, 503, "peer_unavailable"},
+	{core.ErrNoDomainCanServe, 503, "no_domain"},
 	{errBadRequest, 400, "bad_request"},
 }
 
@@ -58,11 +59,6 @@ func TestErrorTaxonomyRoundTrip(t *testing.T) {
 			t.Errorf("decodeError(%q) does not match %v: %v", code, row.err, decoded)
 		}
 	}
-	// Every code with a status is pinned above (plus internal): a row
-	// added to the map without a sentinel fails here.
-	if len(statuses) != len(wantTaxonomy)+1 {
-		t.Errorf("statuses has %d codes, the contract %d", len(statuses), len(wantTaxonomy)+1)
-	}
 	// Errors outside the table are internal — never leaked as a typed
 	// sentinel on the wire.
 	if status, code := classify(errors.New("disk on fire")); status != 500 || code != "internal" {
@@ -83,6 +79,30 @@ func TestTaxonomyStatusesAreDistinctPerCode(t *testing.T) {
 				t.Errorf("code %q also decodes to %v", row.code, other.err)
 			}
 		}
+	}
+}
+
+// TestRoutesCoverTheTable pins the JSON binding against the operation
+// table: every route is a table row, and the only row JSON does not carry
+// is verify (its reply is the Table-3 XML document). core's
+// TestSOAPBindingCoversTheTable pins the other side — SOAP lacks exactly
+// session and policies — so every row is reachable on some wire.
+func TestRoutesCoverTheTable(t *testing.T) {
+	rows := make(map[string]bool, len(core.Ops))
+	var missing []string
+	for _, op := range core.Ops {
+		rows[op.Name] = true
+		if _, ok := routes[op.Name]; !ok {
+			missing = append(missing, op.Name)
+		}
+	}
+	for name := range routes {
+		if !rows[name] {
+			t.Errorf("route %q is not a row of core.Ops", name)
+		}
+	}
+	if got := strings.Join(missing, ","); got != "verify" {
+		t.Errorf("rows without a JSON route = %q, want verify", got)
 	}
 }
 

@@ -1,9 +1,9 @@
 package httpapi
 
-// The broker's error taxonomy (sentinel ↔ wire code) lives in
-// internal/core, shared with the SOAP transport; this file adds what is
-// HTTP's own: the status each code travels under, and the bad_request
-// code for inputs rejected before any broker call.
+// The broker's error taxonomy (sentinel ↔ wire code ↔ HTTP status) lives
+// in internal/core, shared with the SOAP transport; this file adds what
+// is this binding's own: the bad_request code for inputs rejected before
+// any broker call, and internal for errors outside the taxonomy.
 
 import (
 	"errors"
@@ -23,40 +23,19 @@ var ErrTransport = errors.New("httpapi: transport error")
 // (unparseable JSON, unknown fields, missing IDs).
 var errBadRequest = errors.New("httpapi: bad request")
 
-// statuses maps every wire code to its HTTP status; each (status, code)
-// pair is distinct.
-var statuses = map[string]int{
-	"no_service":       http.StatusNotFound,
-	"unknown_session":  http.StatusNotFound,
-	"over_budget":      http.StatusPaymentRequired,
-	"bad_state":        http.StatusConflict,
-	"cannot_honor":     http.StatusConflict,
-	"handoff_pending":  http.StatusConflict,
-	"best_effort_full": http.StatusTooManyRequests,
-	"intake_full":      http.StatusTooManyRequests,
-	"closed":           http.StatusServiceUnavailable,
-	"peer_unavailable": http.StatusServiceUnavailable,
-	"bad_request":      http.StatusBadRequest,
-	"internal":         http.StatusInternalServerError,
-}
-
-// classify maps an error to its wire (status, code); errors outside the
-// taxonomy are internal, and so is the status of a code core grew before
-// this table did.
+// classify maps an error to its wire (status, code): the taxonomy's pair
+// for a broker sentinel, bad_request for errBadRequest, internal for
+// everything else.
 func classify(err error) (int, string) {
-	code := core.WireCode(err)
+	code, status := core.WireStatus(err)
 	switch {
 	case code != "":
+		return status, code
 	case errors.Is(err, errBadRequest):
-		code = "bad_request"
+		return http.StatusBadRequest, "bad_request"
 	default:
-		code = "internal"
+		return http.StatusInternalServerError, "internal"
 	}
-	status, ok := statuses[code]
-	if !ok {
-		status = http.StatusInternalServerError
-	}
-	return status, code
 }
 
 // decodeError reconstructs a typed error from a wire (code, message)

@@ -1,9 +1,12 @@
 package httpapi_test
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +17,7 @@ import (
 	"gqosm/internal/sim"
 	"gqosm/internal/sla"
 	"gqosm/internal/soapx"
+	"gqosm/internal/xmlmsg"
 )
 
 // apiFixture is a broker with the JSON API mounted beside a SOAP mux on
@@ -46,89 +50,196 @@ func wireRequest(client string) core.Request {
 	}
 }
 
-// TestWireLifecycle drives request → accept → invoke → session →
-// terminate entirely over the JSON transport, on both the direct and
-// the intake-enabled broker.
-func TestWireLifecycle(t *testing.T) {
-	for _, intake := range []bool{false, true} {
-		name := "direct"
-		if intake {
-			name = "intake"
-		}
-		t.Run(name, func(t *testing.T) {
-			_, client := apiFixture(t, intake)
-
-			offer, err := client.RequestService(wireRequest("wire-1"))
-			if err != nil {
-				t.Fatalf("RequestService: %v", err)
-			}
-			if offer.SLAID == "" || offer.Price <= 0 {
-				t.Fatalf("implausible offer: %+v", offer)
-			}
-			id := sla.ID(offer.SLAID)
-			if _, err := client.Act(id, "accept", ""); err != nil {
-				t.Fatalf("accept: %v", err)
-			}
-			if detail, err := client.Act(id, "invoke", ""); err != nil || !strings.Contains(detail, "job") {
-				t.Fatalf("invoke: detail=%q err=%v", detail, err)
-			}
-			sess, err := client.Session(id)
-			if err != nil {
-				t.Fatalf("session: %v", err)
-			}
-			if sess.SLAID != offer.SLAID || sess.Allocated.CPU != 2 {
-				t.Errorf("session snapshot %+v does not match offer %+v", sess, offer)
-			}
-			if _, err := client.Act(id, "terminate", "done"); err != nil {
-				t.Fatalf("terminate: %v", err)
-			}
-			// Terminal sessions linger in the working set until pruned;
-			// the load report must still come back over the wire.
-			load, err := client.LoadReport()
-			if err != nil {
-				t.Fatalf("load: %v", err)
-			}
-			if load.Domain == "" || load.Sessions != 1 {
-				t.Errorf("implausible load report: %+v", load)
-			}
-		})
-	}
+// wire is what the SOAP and the JSON client have in common; request
+// adapts the one method whose reply type is the wire's own.
+type wire interface {
+	Act(id sla.ID, action, reason string) (string, error)
+	Renegotiate(id sla.ID, spec sla.Spec) (string, error)
+	BestEffort(client string, amount resource.Capacity, release bool) error
+	LoadReport() (core.LoadReport, error)
 }
 
-// wireClient is the slice of a typed broker client the taxonomy test
-// drives, so one table runs over both transports.
 type wireClient struct {
-	request    func(core.Request) (sla.ID, error)
-	act        func(id sla.ID, action string) error
-	bestEffort func(client string, amount resource.Capacity) error
+	wire
+	request func(core.Request) (sla.ID, error)
 }
 
 func wireClients(url string) map[string]wireClient {
 	js := httpapi.NewClient(url)
 	soap := core.NewClient(url + "/")
 	return map[string]wireClient{
-		"json": {
-			request: func(r core.Request) (sla.ID, error) {
-				offer, err := js.RequestService(r)
-				if err != nil {
-					return "", err
-				}
-				return sla.ID(offer.SLAID), nil
-			},
-			act:        func(id sla.ID, action string) error { _, err := js.Act(id, action, ""); return err },
-			bestEffort: func(c string, amount resource.Capacity) error { return js.BestEffort(c, amount, false) },
-		},
-		"soap": {
-			request: func(r core.Request) (sla.ID, error) {
-				offer, err := soap.RequestService(r)
-				if err != nil {
-					return "", err
-				}
-				return sla.ID(offer.SLA.SLAID), nil
-			},
-			act:        func(id sla.ID, action string) error { _, err := soap.Act(id, action, ""); return err },
-			bestEffort: func(c string, amount resource.Capacity) error { return soap.BestEffort(c, amount, false) },
-		},
+		"json": {js, func(r core.Request) (sla.ID, error) {
+			offer, err := js.RequestService(r)
+			if err != nil {
+				return "", err
+			}
+			return sla.ID(offer.SLAID), nil
+		}},
+		"soap": {soap, func(r core.Request) (sla.ID, error) {
+			offer, err := soap.RequestService(r)
+			if err != nil {
+				return "", err
+			}
+			return sla.ID(offer.SLA.SLAID), nil
+		}},
+	}
+}
+
+// bothWires serves the broker over SOAP and JSON on one listener — the
+// production topology in miniature.
+func bothWires(t *testing.T, b *core.Broker) string {
+	t.Helper()
+	mux := soapx.NewMux()
+	b.Mount(mux)
+	httpapi.NewServer(b).Mount(mux)
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	return srv.URL
+}
+
+// lifecycleSteps walks the operation table the way a client does. Each
+// step names its row, the session it addresses, and the outcome every
+// transport must produce: the sentinel, the session's state afterwards
+// and the ack detail (a regexp; job and pid numbers are the broker's).
+var lifecycleSteps = []struct {
+	op, sess string
+	err      error
+	state    sla.State
+	detail   string
+}{
+	{"request", "a", nil, sla.StateProposed, ""},
+	{"accept", "a", nil, sla.StateEstablished, "^$"},
+	{"accept", "a", core.ErrBadState, sla.StateEstablished, ""},
+	{"invoke", "a", nil, sla.StateActive, `^job \S+ pid \d+$`},
+	{"renegotiate", "a", nil, sla.StateActive, `^reallocated .*cpu=2.* -> .*cpu=3.*, price \+\d+\.\d\d$`},
+	{"accept_promotion", "a", core.ErrUnknownSession, sla.StateActive, ""}, // no open promotion
+	{"terminate", "a", nil, sla.StateTerminated, "^$"},
+	{"terminate", "a", core.ErrBadState, sla.StateTerminated, ""},
+	{"request", "b", nil, sla.StateProposed, ""},
+	{"reject", "b", nil, sla.StateTerminated, "^$"},
+	{"accept", "ghost", core.ErrUnknownSession, 0, ""},
+	{"best-effort", "grant", nil, 0, ""},
+	{"best-effort", "hog", core.ErrBestEffortFull, 0, ""},
+	{"best-effort", "release", nil, 0, ""},
+	{"load", "", nil, 0, `^site-a 2$`},
+}
+
+// TestWireLifecycle walks lifecycleSteps over SOAP and over JSON, each
+// against a fresh identically configured broker (direct and
+// intake-enabled), and requires the outcomes the table states — so the
+// two wires agree on state, ack detail and sentinel at every step. The
+// rows only one wire carries (verify; session, policies) are pinned by
+// the binding tests.
+func TestWireLifecycle(t *testing.T) {
+	for _, mode := range []string{"direct", "intake"} {
+		t.Run(mode, func(t *testing.T) {
+			for _, tr := range []string{"soap", "json"} {
+				t.Run(tr, func(t *testing.T) { walkLifecycle(t, mode == "intake", tr) })
+			}
+		})
+	}
+}
+
+func walkLifecycle(t *testing.T, intake bool, transport string) {
+	c, err := sim.NewCluster(sim.ClusterConfig{
+		Plan:   sim.DefaultParallelPlan(),
+		Intake: core.IntakeConfig{Enabled: intake},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	w := wireClients(bothWires(t, c.Broker))[transport]
+
+	ids := map[string]sla.ID{"ghost": "no-such-session"}
+	for i, st := range lifecycleSteps {
+		id := ids[st.sess]
+		var detail string
+		switch st.op {
+		case "request":
+			id, err = w.request(wireRequest("wire-" + st.sess))
+			ids[st.sess] = id
+		case "renegotiate":
+			detail, err = w.Renegotiate(id, sla.NewSpec(sla.Exact(resource.CPU, 3)))
+		case "best-effort":
+			amount := resource.Nodes(4)
+			if st.sess == "hog" {
+				amount = resource.Nodes(1000)
+			}
+			err = w.BestEffort("student", amount, st.sess == "release")
+		case "load":
+			var load core.LoadReport
+			load, err = w.LoadReport()
+			detail = fmt.Sprintf("%s %d", load.Domain, load.Sessions)
+		default:
+			detail, err = w.Act(id, st.op, "")
+		}
+		if !errors.Is(err, st.err) {
+			t.Fatalf("step %d %s(%s): err = %v, want %v", i, st.op, st.sess, err, st.err)
+		}
+		if st.detail != "" && !regexp.MustCompile(st.detail).MatchString(detail) {
+			t.Errorf("step %d %s(%s): detail %q does not match %s", i, st.op, st.sess, detail, st.detail)
+		}
+		if st.state != 0 {
+			if doc, err := c.Broker.Session(id); err != nil || doc.State != st.state {
+				t.Errorf("step %d %s(%s): session %v, %v; want state %s", i, st.op, st.sess, doc, err, st.state)
+			}
+		}
+		if st.sess == "grant" {
+			if got, ok := c.Broker.Allocator().BestEffortAllocation("student"); !ok || got.CPU != 4 {
+				t.Errorf("step %d: best-effort allocation = %v, %v", i, got, ok)
+			}
+		}
+	}
+
+	// What the steps left behind: the rejected offer and the terminated
+	// session hold nothing, best-effort capacity went back, and the
+	// default terminate reason was applied — by the table, once.
+	if got := c.Pool.InUse(sim.Epoch).CPU; got != 0 {
+		t.Errorf("pool holds %g CPU after reject and terminate", got)
+	}
+	if _, ok := c.Broker.Allocator().BestEffortAllocation("student"); ok {
+		t.Error("best-effort allocation survived release")
+	}
+	reasons := 0
+	for _, e := range c.Broker.Events() {
+		if e.Kind == "clearing" && strings.Contains(e.Msg, "terminated by client") {
+			reasons++
+		}
+	}
+	if reasons != 1 {
+		t.Errorf("%d clearing events carry the default terminate reason, want 1", reasons)
+	}
+}
+
+// TestBestEffortAckAgrees reads the best-effort acknowledgement below the
+// typed clients (which drop it): the grant detail is the table's, so the
+// two wires carry the same one.
+func TestBestEffortAckAgrees(t *testing.T) {
+	c, err := sim.NewCluster(sim.ClusterConfig{Plan: sim.DefaultParallelPlan()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	url := bothWires(t, c.Broker)
+
+	var soapAck xmlmsg.AckXML
+	sc := soapx.Client{Endpoint: url + "/"}
+	if err := sc.Call(&xmlmsg.BestEffortRequestXML{Client: "s", CPU: 2}, &soapAck); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+httpapi.Prefix+"best-effort", "application/json",
+		strings.NewReader(`{"client":"j","cpu":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var jsonAck httpapi.AckJSON
+	if err := json.NewDecoder(resp.Body).Decode(&jsonAck); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(soapAck.Detail, "granted ") || jsonAck.Detail != soapAck.Detail {
+		t.Errorf("best-effort ack: soap %q, json %q", soapAck.Detail, jsonAck.Detail)
 	}
 }
 
@@ -136,7 +247,8 @@ func wireClients(url string) map[string]wireClient {
 // driven into through the real server, over JSON and over SOAP, and
 // checks the client reconstructs the broker's sentinel — the table in
 // core is one source for both. The broker runs with a depth-1 intake so
-// intake_full is reachable; peer_unavailable needs a broker caught
+// intake_full is reachable, and no_domain comes from a second, federated
+// broker; peer_unavailable needs a broker caught
 // mid-Recover, which core's TestFederationRestartDuringFanout does over
 // SOAP and TestErrorTaxonomyRoundTrip covers for the JSON codec.
 func TestWireErrorTaxonomy(t *testing.T) {
@@ -150,12 +262,8 @@ func TestWireErrorTaxonomy(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(c.Close)
-			mux := soapx.NewMux()
-			c.Broker.Mount(mux)
-			httpapi.NewServer(c.Broker).Mount(mux)
-			srv := httptest.NewServer(mux)
-			t.Cleanup(srv.Close)
-			client := wireClients(srv.URL)[tr]
+			client := wireClients(bothWires(t, c.Broker))[tr]
+			act := func(id sla.ID, action string) error { _, err := client.Act(id, action, ""); return err }
 			want := func(row string, err, sentinel error) {
 				t.Helper()
 				if !errors.Is(err, sentinel) {
@@ -163,7 +271,7 @@ func TestWireErrorTaxonomy(t *testing.T) {
 				}
 			}
 
-			want("unknown_session", client.act("no-such-session", "accept"), core.ErrUnknownSession)
+			want("unknown_session", act("no-such-session", "accept"), core.ErrUnknownSession)
 			req := wireRequest("broke")
 			req.Budget = 0.000001
 			_, err = client.request(req)
@@ -176,7 +284,7 @@ func TestWireErrorTaxonomy(t *testing.T) {
 			req.Spec = sla.NewSpec(sla.Exact(resource.CPU, 16)) // C_G is 15
 			_, err = client.request(req)
 			want("cannot_honor", err, core.ErrCannotHonor)
-			want("best_effort_full", client.bestEffort("hog", resource.Nodes(1000)), core.ErrBestEffortFull)
+			want("best_effort_full", client.BestEffort("hog", resource.Nodes(1000), false), core.ErrBestEffortFull)
 
 			// Double-accept lands in ErrBadState; a draining session
 			// refuses termination with ErrHandoffPending.
@@ -184,14 +292,14 @@ func TestWireErrorTaxonomy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := client.act(id, "accept"); err != nil {
+			if err := act(id, "accept"); err != nil {
 				t.Fatal(err)
 			}
-			want("bad_state", client.act(id, "accept"), core.ErrBadState)
+			want("bad_state", act(id, "accept"), core.ErrBadState)
 			if _, err := c.Broker.BeginHandoff(id, "elsewhere"); err != nil {
 				t.Fatal(err)
 			}
-			want("handoff_pending", client.act(id, "terminate"), core.ErrHandoffPending)
+			want("handoff_pending", act(id, "terminate"), core.ErrHandoffPending)
 
 			// One admission parked in the depth-1 queue: the next is
 			// refused with backpressure, on SOAP as on JSON.
@@ -209,6 +317,23 @@ func TestWireErrorTaxonomy(t *testing.T) {
 			c.Broker.Close()
 			_, err = client.request(wireRequest("late"))
 			want("closed", err, core.ErrClosed)
+
+			// A federated broker (here with no neighbor to turn to)
+			// answers what its domain cannot serve with no_domain.
+			lone, err := sim.NewCluster(sim.ClusterConfig{Plan: sim.DefaultParallelPlan()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(lone.Close)
+			mux := soapx.NewMux()
+			core.NewFederation(lone.Broker).Mount(mux)
+			httpapi.NewServer(lone.Broker).Mount(mux)
+			srv := httptest.NewServer(mux)
+			t.Cleanup(srv.Close)
+			req = wireRequest("nowhere")
+			req.Service = "no-such-service"
+			_, err = wireClients(srv.URL)[tr].request(req)
+			want("no_domain", err, core.ErrNoDomainCanServe)
 		})
 	}
 }
@@ -255,24 +380,18 @@ func TestMountBesideSOAP(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	mux := soapx.NewMux()
-	c.Broker.Mount(mux)
-	httpapi.NewServer(c.Broker).Mount(mux)
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
+	url := bothWires(t, c.Broker)
 
-	soapClient := &core.Client{SOAP: soapx.Client{Endpoint: srv.URL + "/"}}
-	offer, err := soapClient.RequestService(wireRequest("soap-side"))
+	offer, err := core.NewClient(url + "/").RequestService(wireRequest("soap-side"))
 	if err != nil {
 		t.Fatalf("SOAP RequestService beside JSON mount: %v", err)
 	}
-	jsonClient := httpapi.NewClient(srv.URL)
-	sess, err := jsonClient.Session(sla.ID(offer.SLA.SLAID))
+	sess, err := httpapi.NewClient(url).Session(sla.ID(offer.SLA.SLAID))
 	if err != nil {
 		t.Fatalf("JSON Session of SOAP-created session: %v", err)
 	}
-	if sess.SLAID != offer.SLA.SLAID {
-		t.Errorf("cross-transport session mismatch: %q vs %q", sess.SLAID, offer.SLA.SLAID)
+	if sess.SLAID != offer.SLA.SLAID || sess.State != "proposed" || sess.Allocated.CPU != 2 {
+		t.Errorf("JSON snapshot %+v does not match the SOAP offer %q", sess, offer.SLA.SLAID)
 	}
 }
 
@@ -283,7 +402,7 @@ func TestWirePolicies(t *testing.T) {
 	c, err := sim.NewCluster(sim.ClusterConfig{
 		Plan:         sim.DefaultParallelPlan(),
 		Policy:       "revenue-greedy",
-		ShadowPolicy: "upgrade-last",
+		ShadowPolicy: "paper",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -299,10 +418,10 @@ func TestWirePolicies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Policies: %v", err)
 	}
-	if rep.Active != "revenue-greedy" || rep.Shadow != "upgrade-last" {
+	if rep.Active != "revenue-greedy" || rep.Shadow != "paper" {
 		t.Errorf("policies = %+v", rep)
 	}
-	want := map[string]bool{"paper": true, "revenue-greedy": true, "upgrade-last": true}
+	want := map[string]bool{"paper": true, "revenue-greedy": true}
 	for _, name := range rep.Policies {
 		delete(want, name)
 	}

@@ -101,7 +101,7 @@ func TestShadowScenarioByteIdentity(t *testing.T) {
 		t.Fatal("reneg-storm scenario missing")
 	}
 	base := ScenarioConfig{Seed: 7, Ops: 1500, Shards: 2}
-	for _, candidate := range []string{"revenue-greedy", "upgrade-last"} {
+	for _, candidate := range []string{"revenue-greedy"} {
 		candidate := candidate
 		t.Run(candidate, func(t *testing.T) {
 			off, err := RunScenario(sc, base)

@@ -107,22 +107,10 @@ type BestEffortRequestXML struct {
 }
 
 // LoadReportRequestXML asks a broker for its current load, the signal
-// the cluster front tier places admissions by.
+// the cluster front tier places admissions by; the load_report reply is
+// core.LoadReport itself.
 type LoadReportRequestXML struct {
 	XMLName xml.Name `xml:"load_report_request"`
-}
-
-// LoadReportXML is the broker's load answer.
-type LoadReportXML struct {
-	XMLName xml.Name `xml:"load_report"`
-	// Domain names the reporting broker's administrative domain.
-	Domain string `xml:"Domain"`
-	// Sessions counts live (non-terminal) sessions.
-	Sessions int `xml:"Sessions"`
-	// Load is the broker's mean guaranteed-pool demand fraction in [0,1+).
-	Load float64 `xml:"Load"`
-	// Recovering marks a broker still replaying its WAL.
-	Recovering bool `xml:"Recovering,omitempty"`
 }
 
 // EncodeRequest converts broker-level request fields to the wire form.
