@@ -1,11 +1,9 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"gqosm/internal/sim"
@@ -15,28 +13,40 @@ import (
 // byte-for-byte against the committed BENCH_* artifacts (or, for the
 // artifacts too slow to regenerate in tier-1, against values pinned from
 // the same commands at small scale). A simulation-driver refactor that
-// changes any deterministic report field fails here first.
+// changes any deterministic report field fails here first. Re-pin by
+// re-running the command into the artifact, never by editing it.
 
-// dropLines removes every line mentioning key — how the one wall-clock
-// field of an otherwise deterministic report is excluded without
-// re-encoding the rest.
-func dropLines(s, key string) string {
-	var kept []string
-	for _, line := range strings.Split(s, "\n") {
-		if !strings.Contains(line, key) {
-			kept = append(kept, line)
-		}
-	}
-	return strings.Join(kept, "\n")
-}
-
-func readFile(t *testing.T, path ...string) string {
+// withoutLatency re-marshals a -json document with every latency key
+// deleted, the children's included — the one wall-clock carve-out.
+func withoutLatency(t *testing.T, raw string) string {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(path...))
+	var doc map[string]any
+	if err := json.Unmarshal([]byte(raw), &doc); err != nil {
+		t.Fatalf("not JSON: %v\n%s", err, raw)
+	}
+	eachRun("", doc, func(_ string, run map[string]any) { delete(run, "latency") })
+	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(data)
+	return string(out)
+}
+
+// golden runs gridsim and requires its document to equal the committed
+// one outside the latency keys.
+func golden(t *testing.T, args []string, artifact ...string) {
+	t.Helper()
+	got, err := runCapture(t, args...)
+	if err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	want, err := os.ReadFile(filepath.Join(artifact...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := withoutLatency(t, got), withoutLatency(t, string(want)); got != want {
+		t.Errorf("%v diverged from %s:\n got: %s\nwant: %s", args, filepath.Join(artifact...), got, want)
+	}
 }
 
 func TestGoldenCommittedArtifacts(t *testing.T) {
@@ -44,60 +54,24 @@ func TestGoldenCommittedArtifacts(t *testing.T) {
 		name     string
 		args     []string
 		artifact []string
-		strip    string // wall-clock key dropped from both sides
 	}{
 		{"chaos", []string{"-chaos", "-seed", "7", "-faultrate", "0.2", "-json"},
-			[]string{"..", "..", "BENCH_chaos.json"}, ""},
+			[]string{"..", "..", "BENCH_chaos.json"}},
 		{"recovery", []string{"-chaos", "-restarts", "3", "-seed", "7", "-json"},
-			[]string{"..", "..", "BENCH_recovery.json"}, `"recovery_p95_ms"`},
+			[]string{"..", "..", "BENCH_recovery.json"}},
 		{"shadow", []string{"-scenario", "all", "-shadow", "revenue-greedy", "-seed", "7", "-ops", "3000", "-json"},
-			[]string{"..", "..", "BENCH_shadow.json"}, ""},
+			[]string{"..", "..", "BENCH_shadow.json"}},
 		{"chaos-intake", []string{"-chaos", "-intake", "-seed", "7", "-json"},
-			[]string{"testdata", "chaos_intake_seed7.json"}, ""},
+			[]string{"testdata", "chaos_intake_seed7.json"}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := runCapture(t, tc.args...)
-			if err != nil {
-				t.Fatalf("%v: %v", tc.args, err)
-			}
-			want := readFile(t, tc.artifact...)
-			if tc.strip != "" {
-				got, want = dropLines(got, tc.strip), dropLines(want, tc.strip)
-			}
-			if got != want {
-				t.Errorf("%v diverged from %s:\n got: %s\nwant: %s", tc.args, filepath.Join(tc.artifact...), got, want)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { golden(t, tc.args, tc.artifact...) })
 	}
 }
 
 // TestGoldenScenarios pins every deterministic field of the quick
-// scenario replay (the scenario-matrix CI job's command); only the
-// wall-clock latency block is excluded.
+// scenario replay (the scenario-matrix CI job's command).
 func TestGoldenScenarios(t *testing.T) {
-	normalize := func(raw string) []byte {
-		t.Helper()
-		var reports map[string]map[string]any
-		if err := json.Unmarshal([]byte(raw), &reports); err != nil {
-			t.Fatalf("not JSON: %v\n%s", err, raw)
-		}
-		for _, r := range reports {
-			delete(r, "latency")
-		}
-		out, err := json.MarshalIndent(reports, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	out, err := runCapture(t, "-scenario", "all", "-seed", "7", "-ops", "3000", "-json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := normalize(out), normalize(readFile(t, "testdata", "scenarios_seed7_ops3000.json"))
-	if !bytes.Equal(got, want) {
-		t.Errorf("scenario reports diverged from testdata/scenarios_seed7_ops3000.json:\n got: %s\nwant: %s", got, want)
-	}
+	golden(t, []string{"-scenario", "all", "-seed", "7", "-ops", "3000", "-json"}, "testdata", "scenarios_seed7_ops3000.json")
 }
 
 // TestGoldenClusterSmallScale pins the cluster-smoke CI command: the
@@ -107,26 +81,20 @@ func TestGoldenClusterSmallScale(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
-	var rep struct {
-		Parity   bool                  `json:"parity"`
-		Scale    *sim.ClusterSimResult `json:"scale"`
-		Baseline *sim.ClusterSimResult `json:"baseline"`
-		Handoff  struct {
-			SingleOwner bool `json:"single_owner"`
-		} `json:"handoff"`
-	}
+	var rep sim.Report
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, out)
 	}
 	const digest = "455c607a1cf3aa48"
-	if !rep.Parity || rep.Scale.OutcomeDigest != digest || rep.Baseline.OutcomeDigest != digest {
+	scale, baseline := rep.Runs["scale"].Outcome, rep.Runs["baseline"].Outcome
+	if !rep.Oracle.Gates["parity"] || scale.Front.OutcomeDigest != digest || baseline.Front.OutcomeDigest != digest {
 		t.Errorf("parity=%v scale=%s baseline=%s, want parity with digest %s",
-			rep.Parity, rep.Scale.OutcomeDigest, rep.Baseline.OutcomeDigest, digest)
+			rep.Oracle.Gates["parity"], scale.Front.OutcomeDigest, baseline.Front.OutcomeDigest, digest)
 	}
-	if rep.Scale.Admitted != 4949 || rep.Scale.Rejected != 51 {
-		t.Errorf("scale admitted/rejected = %d/%d, want 4949/51", rep.Scale.Admitted, rep.Scale.Rejected)
+	if scale.Admitted != 4949 || scale.Rejected != 51 {
+		t.Errorf("scale admitted/rejected = %d/%d, want 4949/51", scale.Admitted, scale.Rejected)
 	}
-	if !rep.Handoff.SingleOwner {
+	if !rep.Runs["handoff"].Oracle.Gates["single_owner"] {
 		t.Error("handoff drill did not end with a single owner")
 	}
 }
@@ -139,12 +107,12 @@ func TestGoldenParallelSerialRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep map[string]*sim.ParallelResult
+	var rep sim.Report
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, out)
 	}
-	s := rep["serial"]
-	if s == nil || s.Requested != 3127 || s.Admitted != 110 || s.Terminated != 110 || s.Checks != 11 {
-		t.Errorf("serial row = %+v, want Requested 3127 / Admitted 110 / Terminated 110 / Checks 11", s)
+	s := rep.Runs["serial"]
+	if s == nil || s.Outcome.Requested != 3127 || s.Outcome.Admitted != 110 || s.Outcome.Terminated != 110 || s.Oracle.Checks != 11 {
+		t.Errorf("serial row = %s, want requested 3127 / admitted 110 / terminated 110 / checks 11", withoutLatency(t, out))
 	}
 }

@@ -2,9 +2,11 @@
 // over the three routes into the one admission pipeline — an inline
 // RequestService call, the group-commit intake at increasing batch sizes, and the
 // compact JSON/HTTP transport over a loopback listener — and emits the
-// bench_intake/v1 report committed as BENCH_intake.json. It exits
-// non-zero when the batched path misses the sub-10 µs amortized target
-// at batch 8, so CI can gate on the committed claim staying true.
+// report committed as BENCH_intake.json: every number is wall-clock, so
+// the rows live under its latency key and the verdict is the target_met
+// gate. It exits non-zero when the batched path misses the sub-10 µs
+// amortized target at batch 8, so CI can gate on the committed claim
+// staying true.
 package main
 
 import (
@@ -34,16 +36,6 @@ type intakeBenchRow struct {
 	Batch          int     `json:"batch,omitempty"`
 	Admissions     int     `json:"admissions"`
 	NsPerAdmission float64 `json:"ns_per_admission"`
-}
-
-type intakeBenchReport struct {
-	Schema string           `json:"schema"`
-	Rows   []intakeBenchRow `json:"rows"`
-	// AmortizedBatch8NS is the intake row at batch 8 — the number the
-	// acceptance target is stated against.
-	AmortizedBatch8NS float64 `json:"amortized_batch8_ns"`
-	TargetNS          float64 `json:"target_ns"`
-	TargetMet         bool    `json:"target_met"`
 }
 
 // intakeBenchStack builds a fresh broker sized so the largest batch of
@@ -227,34 +219,33 @@ func benchHTTP() (intakeBenchRow, error) {
 	}, nil
 }
 
-// Failed gates on the committed acceptance target: amortized admission
-// through the batch path at batch >= 8 stays under 10 µs.
-func (r *intakeBenchReport) Failed() bool { return !r.TargetMet }
-
-// runIntakeBench produces the bench_intake/v1 report.
-func runIntakeBench(*options) (report, error) {
-	rep := &intakeBenchReport{Schema: "bench_intake/v1", TargetNS: intakeBenchTargetNS}
-
+// runIntakeBench measures every row. The gate is the committed
+// acceptance target: amortized admission through the batch path at
+// batch 8 stays under 10 µs.
+func runIntakeBench(*options) (*sim.Report, error) {
 	row, err := benchDirect()
 	if err != nil {
 		return nil, err
 	}
-	rep.Rows = append(rep.Rows, row)
+	rows := []intakeBenchRow{row}
+	var batch8 float64
 	for _, batch := range []int{1, 2, 4, 8, 16, 32} {
 		row, err := benchIntake(batch)
 		if err != nil {
 			return nil, err
 		}
-		rep.Rows = append(rep.Rows, row)
+		rows = append(rows, row)
 		if batch == 8 {
-			rep.AmortizedBatch8NS = row.NsPerAdmission
+			batch8 = row.NsPerAdmission
 		}
 	}
 	row, err = benchHTTP()
 	if err != nil {
 		return nil, err
 	}
-	rep.Rows = append(rep.Rows, row)
-	rep.TargetMet = rep.AmortizedBatch8NS <= rep.TargetNS
-	return rep, nil
+	rep := sim.NewReport("intake-bench",
+		map[string]any{"admissions": intakeBenchAdmissions, "target_ns": intakeBenchTargetNS}, nil)
+	rep.Latency = map[string]any{"rows": append(rows, row), "amortized_batch8_ns": batch8}
+	rep.Oracle.Gates["target_met"] = batch8 <= intakeBenchTargetNS
+	return rep.Seal(), nil
 }

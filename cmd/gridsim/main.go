@@ -35,22 +35,16 @@ func main() {
 	}
 }
 
-// options holds every flag value; set records the flags passed
-// explicitly.
+// options holds every flag value.
 type options struct {
 	experiment, walDir, transport, scenario, shadow, placement string
 	seed                                                       int64
 	clients, ops, phases, shards, restarts, cluster            int
 	faultRate                                                  float64
 	verbose, jsonOut, intake, soak                             bool
-	set                                                        map[string]bool
+	// summary, when a mode sets it, prints below the plain-text document.
+	summary func()
 }
-
-// report is what a simulation mode hands back: the document -json
-// marshals (printDocument renders the same document for humans) and the
-// one gate every mode is held to. The report is always emitted before
-// the gate fails the process, so CI has an artifact to inspect.
-type report interface{ Failed() bool }
 
 // mode is one row of the mode table.
 type mode struct {
@@ -61,9 +55,12 @@ type mode struct {
 	when []string
 	// reads lists the other flags the mode consumes.
 	reads []string
-	// run executes the mode. A nil report means it printed its own output
-	// and has no gate.
-	run func(o *options) (report, error)
+	// run executes the mode. Its report (DESIGN.md §17) is the document
+	// -json marshals, printDocument renders for humans and Failed gates; it
+	// is always emitted before the gate fails the process, so CI has an
+	// artifact to inspect. A nil report means the mode printed its own
+	// output and has no gate.
+	run func(o *options) (*sim.Report, error)
 }
 
 var modes = []mode{
@@ -119,12 +116,12 @@ func modeTable() string {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("gridsim", flag.ContinueOnError)
-	o := &options{set: map[string]bool{}}
+	o := &options{}
 	fs.StringVar(&o.experiment, "experiment", "all", "experiment id (E56, C1..C5, T1..T4, F4, F6, all)")
 	fs.Int64Var(&o.seed, "seed", 2003, "workload seed")
 	fs.BoolVar(&o.verbose, "v", false, "include broker activity logs")
 	fs.Bool("parallel", false, "run the concurrent admission stress")
-	fs.IntVar(&o.clients, "clients", 8, "stress clients; with -cluster the simulated client count (default 100000 there)")
+	fs.IntVar(&o.clients, "clients", 0, "stress clients (default 8); with -cluster the simulated client count (default 100000)")
 	fs.IntVar(&o.ops, "ops", 10000, "total operations for the stress and scenario modes")
 	fs.IntVar(&o.phases, "phases", 10, "mid-run quiesce points for -parallel/-chaos")
 	fs.IntVar(&o.shards, "shards", 1, "broker shards (the -parallel serial baseline stays monolithic)")
@@ -157,7 +154,6 @@ func run(args []string) error {
 	// describe a different run than the command line asked for.
 	var stray error
 	fs.Visit(func(f *flag.Flag) {
-		o.set[f.Name] = true
 		if stray != nil || m.knows(f.Name) {
 			return
 		}
@@ -189,8 +185,8 @@ func run(args []string) error {
 	} else {
 		header(strings.ToUpper(m.name), m.about)
 		printDocument(out)
-		if s, ok := rep.(interface{ summary() }); ok {
-			s.summary()
+		if o.summary != nil {
+			o.summary()
 		}
 	}
 	if rep.Failed() {
@@ -222,20 +218,11 @@ func header(id, title string) {
 	fmt.Printf("\n=== %s — %s ===\n\n", id, title)
 }
 
-// parallelReport is the BENCH_parallel.json shape: the concurrent run
+// runParallel is the BENCH_parallel.json shape: the concurrent run
 // beside a serial baseline with the same total work. Each run gets its
 // own metrics registry so the baseline's counters do not pollute the
-// parallel run's. Oracle findings surface as a run error, so the report
-// itself has no gate.
-type parallelReport struct {
-	Parallel *sim.ParallelResult `json:"parallel"`
-	Serial   *sim.ParallelResult `json:"serial"`
-	obs      *obs.Registry
-}
-
-func (*parallelReport) Failed() bool { return false }
-
-func runParallel(o *options) (report, error) {
+// parallel run's.
+func runParallel(o *options) (*sim.Report, error) {
 	// The serial baseline always takes the direct in-process path on a
 	// monolithic broker; -shards, -intake and -transport only shape the
 	// parallel run, so the comparison shows what they change.
@@ -249,32 +236,20 @@ func runParallel(o *options) (report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &parallelReport{Parallel: par, Serial: serial, obs: reg}, nil
+	// The summary adds the parallel run's metrics snapshot, which is not
+	// part of the JSON document.
+	o.summary = func() {
+		fmt.Println("\nparallel-run metrics snapshot:")
+		if err := reg.WritePrometheus(os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "gridsim: metrics snapshot:", err)
+		}
+	}
+	return sim.NewReport("parallel", map[string]any{"seed": o.seed},
+		map[string]*sim.Report{"serial": serial, "parallel": par}).Seal(), nil
 }
 
-// summary adds the headline numbers and the parallel run's metrics
-// snapshot, which is not part of the JSON document.
-func (r *parallelReport) summary() {
-	for _, row := range []struct {
-		name string
-		r    *sim.ParallelResult
-	}{{"serial", r.Serial}, {"parallel", r.Parallel}} {
-		fmt.Printf("%-9s %8.0f ops/s, admission latency p50=%.4fms p95=%.4fms p99=%.4fms over %.1fms\n",
-			row.name, row.r.OpsPerSec, row.r.AdmitP50MS, row.r.AdmitP95MS, row.r.AdmitP99MS, row.r.ElapsedMS)
-	}
-	fmt.Println("\nall invariant checks passed; no capacity lost or double-spent")
-	fmt.Println("\nparallel-run metrics snapshot:")
-	if err := r.obs.WritePrometheus(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "gridsim: metrics snapshot:", err)
-	}
-}
-
-// runChaos serves both chaos rows. Every field of the chaos report
-// (BENCH_chaos.json) is deterministic: the same seed, fault rate and
-// shard count yield a byte-identical document. The restart report
-// (BENCH_recovery.json) has one wall-clock field, recovery_p95_ms — CI
-// strips it and diffs the rest byte-for-byte across runs.
-func runChaos(o *options) (report, error) {
+// runChaos serves both chaos rows.
+func runChaos(o *options) (*sim.Report, error) {
 	if o.faultRate < 0 {
 		return nil, fmt.Errorf("bad -faultrate %v (want >= 0)", o.faultRate)
 	}
@@ -286,67 +261,40 @@ func runChaos(o *options) (report, error) {
 	return sim.RunChaos(cfg)
 }
 
-// clusterReport is the BENCH_cluster.json shape; fields are in the
-// artifact's (alphabetical) key order.
-type clusterReport struct {
-	Baseline *sim.ClusterSimResult   `json:"baseline"`
-	Handoff  *sim.HandoffCrashResult `json:"handoff"`
-	Parity   bool                    `json:"parity"`
-	Scale    *sim.ClusterSimResult   `json:"scale"`
-	Schema   string                  `json:"schema"`
-}
-
-func (r *clusterReport) Failed() bool {
-	return r.Scale.Failed() || r.Baseline.Failed() || !r.Parity || (r.Handoff != nil && r.Handoff.Failed())
-}
-
-func runCluster(o *options) (report, error) {
+// runCluster is the BENCH_cluster.json shape: the N-broker run, the
+// 1-broker baseline over the same workload, the parity gate between
+// their outcome digests, and for N > 1 the hand-off crash drill.
+func runCluster(o *options) (*sim.Report, error) {
 	place, err := cluster.ParsePlacement(o.placement)
 	if err != nil {
 		return nil, err
 	}
+	// An unset -clients leaves each mode's own default in force: 8 stress
+	// clients, but the acceptance-scale 10⁵ simulated clients here.
 	cfg := sim.ClusterSimConfig{Brokers: o.cluster, Clients: o.clients, Seed: o.seed, Placement: place, Shards: o.shards}
-	if !o.set["clients"] {
-		// -clients doubles as the cluster workload size, but its stress
-		// default (8) is far too small here: unless set explicitly, the
-		// cluster run drives the acceptance-scale 10⁵ clients.
-		cfg.Clients = 100000
-	}
-	rep := &clusterReport{Schema: "bench_cluster/v1"}
-	if rep.Scale, err = sim.RunClusterSim(cfg); err != nil {
+	runs := map[string]*sim.Report{}
+	if runs["scale"], err = sim.RunClusterSim(cfg); err != nil {
 		return nil, err
 	}
 	cfg.Brokers = 1
-	if rep.Baseline, err = sim.RunClusterSim(cfg); err != nil {
+	if runs["baseline"], err = sim.RunClusterSim(cfg); err != nil {
 		return nil, fmt.Errorf("single-broker baseline: %w", err)
 	}
-	rep.Parity = rep.Scale.OutcomeDigest == rep.Baseline.OutcomeDigest
 	if o.cluster > 1 {
-		rep.Handoff, err = sim.RunHandoffCrash(sim.HandoffCrashConfig{Brokers: o.cluster, Seed: o.seed})
+		runs["handoff"], err = sim.RunHandoffCrash(sim.HandoffCrashConfig{Brokers: o.cluster, Seed: o.seed})
 		if err != nil {
 			return nil, fmt.Errorf("handoff crash drill: %w", err)
 		}
 	}
-	return rep, nil
+	rep := sim.NewReport("cluster", map[string]any{"brokers": o.cluster, "seed": o.seed}, runs)
+	rep.Oracle.Gates["parity"] = runs["scale"].Outcome.Front.OutcomeDigest == runs["baseline"].Outcome.Front.OutcomeDigest
+	return rep.Seal(), nil
 }
 
-// scenarioSet is `-scenario all`: the reports keyed by scenario name,
-// the shape recorded in BENCH_scenarios.json (a single scenario emits
-// its bare report). Only the "latency" and "soak" blocks are wall-clock
-// derived; everything else is byte-identical per (scenario, seed,
-// shards, ops).
-type scenarioSet map[string]report
-
-func (s scenarioSet) Failed() bool {
-	for _, r := range s {
-		if r.Failed() {
-			return true
-		}
-	}
-	return false
-}
-
-func runScenarios(o *options) (report, error) {
+// runScenarios replays one scenario (its bare report) or, for `-scenario
+// all`, every scenario as a composite keyed by name — the shape recorded
+// in BENCH_scenarios.json.
+func runScenarios(o *options) (*sim.Report, error) {
 	if o.shadow != "" && o.soak {
 		return nil, fmt.Errorf("-shadow and -soak are mutually exclusive (the shadow lab replays each scenario three times itself)")
 	}
@@ -366,28 +314,27 @@ func runScenarios(o *options) (report, error) {
 		list = []sim.Scenario{sc}
 	}
 	if o.shadow != "" {
-		// The policy lab's bench_shadow/v1 report has no wall-clock fields,
-		// so it is byte-identical per (candidate, seed, ops, shards).
 		return shadow.Run(list, shadow.Config{Candidate: o.shadow, Seed: o.seed, Ops: o.ops, Shards: o.shards})
 	}
 
 	cfg := sim.ScenarioConfig{Seed: o.seed, Ops: o.ops, Shards: o.shards}
-	set := make(scenarioSet, len(list))
+	runs := make(map[string]*sim.Report, len(list))
 	for _, sc := range list {
 		var err error
 		if o.soak {
-			set[sc.Name], err = sim.RunSoak(sc, sim.SoakConfig{ScenarioConfig: cfg})
+			runs[sc.Name], err = sim.RunSoak(sc, sim.SoakConfig{ScenarioConfig: cfg})
 		} else {
-			set[sc.Name], err = sim.RunScenario(sc, cfg)
+			runs[sc.Name], err = sim.RunScenario(sc, cfg)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sc.Name, err)
 		}
 	}
 	if o.scenario != "all" {
-		return set[list[0].Name], nil
+		return runs[list[0].Name], nil
 	}
-	return set, nil
+	return sim.NewReport("scenario", map[string]any{"scenario": "all", "seed": o.seed, "ops": o.ops,
+		"shards": o.shards, "soak": o.soak}, runs).Seal(), nil
 }
 
 // experiments lists the paper artifacts in the order `-experiment all`
@@ -427,7 +374,7 @@ func claim[R any](rows func(seed int64) ([]R, error), format func([]R) string) f
 	}
 }
 
-func runExperiments(o *options) (report, error) {
+func runExperiments(o *options) (*sim.Report, error) {
 	ran := false
 	for _, e := range experiments {
 		if id := strings.ToUpper(o.experiment); id == "ALL" || id == e.id {

@@ -80,16 +80,16 @@ func TestChaosFaultRateZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r sim.ChaosResult
+	var r sim.Report
 	if err := json.Unmarshal([]byte(out), &r); err != nil {
 		t.Fatalf("not JSON: %v\n%s", err, out)
 	}
-	if r.FaultRate != 0 || r.FaultsInjected != 0 || r.InvariantViolations != 0 {
-		t.Errorf("fault_rate=%v faults_injected=%d invariant_violations=%d, want all 0",
-			r.FaultRate, r.FaultsInjected, r.InvariantViolations)
+	if r.Config["fault_rate"] != 0.0 || r.Outcome.Faults != nil || r.Oracle.Violations != 0 {
+		t.Errorf("fault_rate=%v faults=%+v violations=%d, want rate 0, no faults block, no violations",
+			r.Config["fault_rate"], r.Outcome.Faults, r.Oracle.Violations)
 	}
-	if r.Admitted == 0 || r.Checks == 0 {
-		t.Errorf("degenerate fault-free run: %+v", r)
+	if r.Outcome.Admitted == 0 || r.Oracle.Checks == 0 {
+		t.Errorf("degenerate fault-free run: %s", out)
 	}
 }
 
@@ -132,53 +132,13 @@ func TestParallelModeTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"serial", "parallel", "ops/s", "no capacity lost",
-		"admission latency p50=", "metrics snapshot:",
+		"serial:", "parallel:", "ops_per_sec:", "capacity_restored: true",
+		"admit_p50_ms:", "metrics snapshot:",
 		"gqosm_broker_admission_seconds_count",
 		`gqosm_broker_lifecycle_total{event="accept"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("parallel output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestParallelModeJSON(t *testing.T) {
-	out, err := runCapture(t, "-parallel", "-clients", "2", "-ops", "200", "-phases", "2", "-json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report map[string]*sim.ParallelResult
-	if err := json.Unmarshal([]byte(out), &report); err != nil {
-		t.Fatalf("not JSON: %v\n%s", err, out)
-	}
-	for _, key := range []string{"serial", "parallel"} {
-		r := report[key]
-		if r == nil {
-			t.Fatalf("missing %q in %s", key, out)
-		}
-		if r.Ops == 0 || r.Checks == 0 || r.OpsPerSec <= 0 {
-			t.Fatalf("%s result degenerate: %+v", key, r)
-		}
-	}
-	if report["parallel"].Clients != 2 || report["serial"].Clients != 1 {
-		t.Fatalf("client counts wrong: %+v", report)
-	}
-
-	// The schema must carry both the raw nanosecond Elapsed and the
-	// explicit-unit fields consumers should prefer.
-	var raw map[string]map[string]float64
-	if err := json.Unmarshal([]byte(out), &raw); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"serial", "parallel"} {
-		for _, field := range []string{"elapsed_ms", "admit_p50_ms", "admit_p95_ms", "admit_p99_ms"} {
-			if v := raw[key][field]; v <= 0 {
-				t.Errorf("%s.%s = %v, want > 0", key, field, v)
-			}
-		}
-		if ms, ns := raw[key]["elapsed_ms"], raw[key]["Elapsed"]; ms < ns/1e6*0.999 || ms > ns/1e6*1.001 {
-			t.Errorf("%s: elapsed_ms %v inconsistent with Elapsed %v ns", key, ms, ns)
 		}
 	}
 }
@@ -195,58 +155,21 @@ func TestScenarioList(t *testing.T) {
 	}
 }
 
-func TestScenarioModeJSON(t *testing.T) {
-	out, err := runCapture(t, "-scenario", "diurnal", "-seed", "1", "-ops", "2000", "-json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var r sim.ScenarioReport
-	if err := json.Unmarshal([]byte(out), &r); err != nil {
-		t.Fatalf("not JSON: %v\n%s", err, out)
-	}
-	if r.Scenario != "diurnal" || r.Seed != 1 || r.Ops == 0 || r.Checks == 0 {
-		t.Fatalf("degenerate report: %+v", r)
-	}
-	if r.InvariantViolations != 0 {
-		t.Fatalf("violations: %v", r.Violations)
-	}
-}
-
-func TestScenarioAllJSONKeyedByName(t *testing.T) {
-	out, err := runCapture(t, "-scenario", "all", "-seed", "1", "-ops", "2000", "-json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reports map[string]*sim.ScenarioReport
-	if err := json.Unmarshal([]byte(out), &reports); err != nil {
-		t.Fatalf("not JSON: %v\n%s", err, out)
-	}
-	for _, sc := range sim.Scenarios() {
-		r := reports[sc.Name]
-		if r == nil {
-			t.Fatalf("missing %q in report map", sc.Name)
-		}
-		if r.Requested == 0 || r.Checks == 0 {
-			t.Fatalf("%s degenerate: %+v", sc.Name, r)
-		}
-	}
-}
-
+// The soak and cluster rows of the report contract (contract_test.go),
+// under the names these two tests have always had.
 func TestScenarioSoakJSON(t *testing.T) {
-	out, err := runCapture(t, "-scenario", "lease-churn", "-soak", "-seed", "1", "-ops", "8000", "-json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var r sim.SoakReport
-	if err := json.Unmarshal([]byte(out), &r); err != nil {
-		t.Fatalf("not JSON: %v\n%s", err, out)
-	}
-	if r.Soak == nil || len(r.Soak.Windows) == 0 {
-		t.Fatalf("soak block missing: %s", out)
-	}
-	if !r.Soak.Stable {
-		t.Fatalf("unstable: %+v", r.Soak.Problems)
-	}
+	checkContract(t, contractRow{mode: "scenario",
+		args:   []string{"-scenario", "lease-churn", "-soak", "-seed", "1", "-ops", "8000"},
+		blocks: []string{":scenario"},
+		pins: func(t *testing.T, rep *sim.Report) {
+			soak, _ := rep.Latency["soak"].(map[string]any)
+			if windows, _ := soak["windows"].([]any); len(windows) == 0 {
+				t.Errorf("soak samples missing from the latency block: %v", rep.Latency)
+			}
+			if !rep.Oracle.Gates["stable"] || rep.Config["soak"] != true {
+				t.Errorf("unstable or not marked a soak: config %v, oracle %+v", rep.Config, rep.Oracle)
+			}
+		}})
 }
 
 func TestScenarioArgumentErrors(t *testing.T) {
@@ -258,37 +181,28 @@ func TestScenarioArgumentErrors(t *testing.T) {
 	}
 }
 
-// TestClusterFlagJSON runs a small -cluster workload end to end and
-// checks the BENCH_cluster.json shape plus its two gates: N=1 parity
+// TestClusterFlagJSON runs a small -cluster workload end to end: the
+// N-broker run, its 1-broker baseline, and the two gates — N=1 parity
 // and the hand-off drill's single owner.
 func TestClusterFlagJSON(t *testing.T) {
-	out, err := runCapture(t, "-cluster", "2", "-clients", "600", "-seed", "5", "-json")
-	if err != nil {
-		t.Fatalf("-cluster run: %v\n%s", err, out)
-	}
-	var rep struct {
-		Schema  string                `json:"schema"`
-		Scale   *sim.ClusterSimResult `json:"scale"`
-		Parity  bool                  `json:"parity"`
-		Handoff struct {
-			SingleOwner bool `json:"single_owner"`
-		} `json:"handoff"`
-	}
-	if err := json.Unmarshal([]byte(out), &rep); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, out)
-	}
-	if rep.Schema != "bench_cluster/v1" {
-		t.Errorf("schema = %q", rep.Schema)
-	}
-	if rep.Scale == nil || rep.Scale.Brokers != 2 || rep.Scale.Clients != 600 {
-		t.Errorf("scale block = %+v", rep.Scale)
-	}
-	if !rep.Parity {
-		t.Error("parity gate failed")
-	}
-	if !rep.Handoff.SingleOwner {
-		t.Error("handoff drill did not end with a single owner")
-	}
+	checkContract(t, contractRow{mode: "cluster",
+		args:   []string{"-cluster", "2", "-clients", "600", "-seed", "5"},
+		blocks: []string{"runs.scale.:front", "runs.scale.:migration", "runs.handoff.:handoff"},
+		pins: func(t *testing.T, rep *sim.Report) {
+			scale := rep.Runs["scale"]
+			if scale.Config["brokers"] != 2.0 || scale.Config["clients"] != 600.0 || rep.Runs["baseline"].Config["brokers"] != 1.0 {
+				t.Errorf("scale config = %v, baseline config = %v", scale.Config, rep.Runs["baseline"].Config)
+			}
+			if rep.Runs["baseline"].Outcome.Migration != nil {
+				t.Error("the 1-broker baseline reports a migration block although none ran")
+			}
+			if !rep.Oracle.Gates["parity"] {
+				t.Error("parity gate failed")
+			}
+			if !rep.Runs["handoff"].Oracle.Gates["single_owner"] {
+				t.Error("handoff drill did not end with a single owner")
+			}
+		}})
 }
 
 func TestClusterFlagArgumentErrors(t *testing.T) {

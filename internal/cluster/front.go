@@ -267,32 +267,9 @@ func (f *Front) RequestService(req core.Request) (*core.FederatedOffer, error) {
 		return nil, ErrNoBrokerAvailable
 	}
 	homeIdx := order[0]
-	homeSlot := f.slots[homeIdx]
-
-	var offer *core.FederatedOffer
-	if home := homeSlot.Broker(); home != nil {
-		o, err := f.federationFor(homeIdx, home).RequestService(req)
-		if err != nil {
-			return nil, err
-		}
-		offer = o
-	} else {
-		// Remote home: walk the placement order first-success. Remote
-		// slots cannot host a federation (the fan-out needs the home
-		// broker's retry policy), so fallback is sequential here.
-		var errs []string
-		for _, i := range order {
-			o, err := f.slots[i].PeerRequest(req)
-			if err != nil {
-				errs = append(errs, fmt.Sprintf("%s: %v", f.slots[i].Domain(), err))
-				continue
-			}
-			offer = &core.FederatedOffer{Offer: *o, Domain: f.slots[i].Domain(), Forwarded: i != homeIdx}
-			break
-		}
-		if offer == nil {
-			return nil, fmt.Errorf("%w: %v", core.ErrNoDomainCanServe, errs)
-		}
+	offer, err := f.federationFor(homeIdx, f.slots[homeIdx].Broker()).RequestService(req)
+	if err != nil {
+		return nil, err
 	}
 	if idx, ok := f.byDom[offer.Domain]; ok {
 		f.mu.Lock()
@@ -314,7 +291,7 @@ func (f *Front) Owner(id sla.ID) (string, bool) {
 	return f.slots[idx].Domain(), true
 }
 
-// ownerBroker resolves a session to its local broker.
+// ownerBroker resolves a session to its broker.
 func (f *Front) ownerBroker(id sla.ID) (*core.Broker, int, error) {
 	f.mu.Lock()
 	idx, ok := f.owners[id]
@@ -322,11 +299,7 @@ func (f *Front) ownerBroker(id sla.ID) (*core.Broker, int, error) {
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %s", core.ErrUnknownSession, id)
 	}
-	b := f.slots[idx].Broker()
-	if b == nil {
-		return nil, 0, fmt.Errorf("cluster: session %s lives on remote slot %q", id, f.slots[idx].Domain())
-	}
-	return b, idx, nil
+	return f.slots[idx].Broker(), idx, nil
 }
 
 func (f *Front) forget(id sla.ID) {
@@ -412,9 +385,6 @@ func (f *Front) Migrate(id sla.ID, target string) error {
 		return fmt.Errorf("cluster: session %s already lives on %q", id, target)
 	}
 	tgt := f.slots[tIdx].Broker()
-	if tgt == nil {
-		return fmt.Errorf("cluster: migration to remote slot %q not supported", target)
-	}
 	if f.slots[tIdx].Recovering() {
 		return fmt.Errorf("%w: slot %q", core.ErrPeerUnavailable, target)
 	}
@@ -444,7 +414,7 @@ func (f *Front) Migrate(id sla.ID, target string) error {
 func (f *Front) ReconcileHandoffs() (completed, aborted int) {
 	for srcIdx, slot := range f.slots {
 		src := slot.Broker()
-		if src == nil || slot.Recovering() {
+		if slot.Recovering() {
 			continue
 		}
 		outs := src.HandoffsOut()
@@ -458,8 +428,8 @@ func (f *Front) ReconcileHandoffs() (completed, aborted int) {
 			tIdx, known := f.byDom[target]
 			imported := false
 			if known {
-				if tb := f.slots[tIdx].Broker(); tb != nil && !f.slots[tIdx].Recovering() {
-					if doc, err := tb.Session(id); err == nil && !doc.State.Terminal() {
+				if !f.slots[tIdx].Recovering() {
+					if doc, err := f.slots[tIdx].Broker().Session(id); err == nil && !doc.State.Terminal() {
 						imported = true
 					}
 				}
@@ -482,62 +452,6 @@ func (f *Front) ReconcileHandoffs() (completed, aborted int) {
 		}
 	}
 	return completed, aborted
-}
-
-// Rebalance migrates up to max live sessions from the most-loaded local
-// broker to the least-loaded one. Degraded and non-settled sessions are
-// skipped (hand-off moves healthy capacity, adaptation heals the rest
-// in place). Returns how many sessions moved.
-func (f *Front) Rebalance(max int) int {
-	type cand struct {
-		load float64
-		idx  int
-	}
-	var cands []cand
-	for i, s := range f.slots {
-		if s.Broker() == nil || s.Recovering() {
-			continue
-		}
-		r, err := s.Load()
-		if err != nil {
-			continue
-		}
-		cands = append(cands, cand{load: r.Load, idx: i})
-	}
-	if len(cands) < 2 {
-		return 0
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].load != cands[b].load {
-			return cands[a].load < cands[b].load
-		}
-		return cands[a].idx < cands[b].idx
-	})
-	srcIdx, tgtIdx := cands[len(cands)-1].idx, cands[0].idx
-	if srcIdx == tgtIdx {
-		return 0
-	}
-	src := f.slots[srcIdx].Broker()
-	target := f.slots[tgtIdx].Domain()
-
-	infos := src.SessionInfos()
-	sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
-	moved := 0
-	for _, s := range infos {
-		if moved >= max {
-			break
-		}
-		if s.Degraded || (s.State != sla.StateEstablished && s.State != sla.StateActive) {
-			continue
-		}
-		f.mu.Lock()
-		f.owners[s.ID] = srcIdx // the session may predate this front
-		f.mu.Unlock()
-		if err := f.Migrate(s.ID, target); err == nil {
-			moved++
-		}
-	}
-	return moved
 }
 
 // Loads reports every slot's load (best effort: unreachable slots

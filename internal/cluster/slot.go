@@ -1,12 +1,10 @@
 package cluster
 
-// A Slot is the front tier's view of one broker instance: either a
-// local *core.Broker (in-process, as the simulation and tests run them)
-// or a remote broker reached through a *core.PeerClient (separate aqosd
-// processes). A slot outlives its broker across crash/recovery — the
-// front marks it recovering, the operator (or harness) recovers the
-// broker, and Swap installs the recovered instance under the same
-// domain.
+// A Slot is the front tier's view of one in-process broker instance
+// (separate aqosd processes federate with -peer instead). A slot
+// outlives its broker across crash/recovery — the front marks it
+// recovering, the operator (or harness) recovers the broker, and Swap
+// installs the recovered instance under the same domain.
 
 import (
 	"fmt"
@@ -16,42 +14,24 @@ import (
 	"gqosm/internal/sla"
 )
 
-// loadReporter is the optional load half of a peer; *core.Broker and
-// *core.PeerClient both implement it.
-type loadReporter interface {
-	PeerLoad() (core.LoadReport, error)
-}
-
-// rejecter mirrors core's retraction interface (exported method, so a
-// Slot satisfies core's internal peerRejecter too).
-type rejecter interface {
-	PeerReject(id sla.ID) error
-}
-
 // Slot is one cluster member. Safe for concurrent use.
 type Slot struct {
 	domain string
 
 	mu         sync.RWMutex
-	peer       core.Peer    // *core.Broker or *core.PeerClient
-	broker     *core.Broker // non-nil when the instance is in-process
+	broker     *core.Broker
 	recovering bool
 }
 
 // NewSlot wraps an in-process broker instance.
 func NewSlot(b *core.Broker) *Slot {
-	return &Slot{domain: b.Domain(), peer: b, broker: b}
-}
-
-// NewRemoteSlot wraps a broker reached over SOAP.
-func NewRemoteSlot(domain string, c *core.Client) *Slot {
-	return &Slot{domain: domain, peer: &core.PeerClient{Domain: domain, Client: c}}
+	return &Slot{domain: b.Domain(), broker: b}
 }
 
 // Domain names the slot's administrative domain.
 func (s *Slot) Domain() string { return s.domain }
 
-// Broker returns the in-process broker, or nil for remote slots.
+// Broker returns the slot's current broker instance.
 func (s *Slot) Broker() *core.Broker {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -73,10 +53,7 @@ func (s *Slot) MarkRecovering(v bool) {
 func (s *Slot) Recovering() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.recovering {
-		return true
-	}
-	return s.broker != nil && s.broker.Recovering()
+	return s.recovering || s.broker.Recovering()
 }
 
 // Swap installs a recovered broker instance under the slot's domain and
@@ -86,7 +63,7 @@ func (s *Slot) Swap(b *core.Broker) error {
 		return fmt.Errorf("cluster: swap of domain %q into slot %q", b.Domain(), s.domain)
 	}
 	s.mu.Lock()
-	s.peer, s.broker, s.recovering = b, b, false
+	s.broker, s.recovering = b, false
 	s.mu.Unlock()
 	return nil
 }
@@ -99,40 +76,29 @@ func (s *Slot) PeerDomain() string { return s.domain }
 // wire, not a definitive rejection.
 func (s *Slot) PeerRequest(req core.Request) (*core.Offer, error) {
 	s.mu.RLock()
-	p, rec := s.peer, s.recovering
+	b, rec := s.broker, s.recovering
 	s.mu.RUnlock()
-	if rec || p == nil {
+	if rec {
 		return nil, fmt.Errorf("%w: slot %q", core.ErrPeerUnavailable, s.domain)
 	}
-	return p.PeerRequest(req)
+	return b.PeerRequest(req)
 }
 
-// PeerReject retracts a losing offer on the slot's broker.
-func (s *Slot) PeerReject(id sla.ID) error {
-	s.mu.RLock()
-	p := s.peer
-	s.mu.RUnlock()
-	if r, ok := p.(rejecter); ok {
-		return r.PeerReject(id)
-	}
-	return nil
-}
+// PeerReject retracts a losing offer on the slot's broker (exported
+// method, so a Slot satisfies core's internal peerRejecter too).
+func (s *Slot) PeerReject(id sla.ID) error { return s.Broker().PeerReject(id) }
 
 // Load fetches the slot's load report; recovering slots report
-// themselves as such without a round trip.
+// themselves as such without asking the broker.
 func (s *Slot) Load() (core.LoadReport, error) {
 	s.mu.RLock()
-	p, rec := s.peer, s.recovering
+	b, rec := s.broker, s.recovering
 	s.mu.RUnlock()
-	if rec || p == nil {
+	if rec {
 		return core.LoadReport{Domain: s.domain, Recovering: true},
 			fmt.Errorf("%w: slot %q", core.ErrPeerUnavailable, s.domain)
 	}
-	lr, ok := p.(loadReporter)
-	if !ok {
-		return core.LoadReport{Domain: s.domain}, fmt.Errorf("cluster: slot %q reports no load", s.domain)
-	}
-	return lr.PeerLoad()
+	return b.LoadReport(), nil
 }
 
 var _ core.Peer = (*Slot)(nil)

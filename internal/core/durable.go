@@ -405,23 +405,3 @@ func ledgerStateOut(st pricing.State) wal.LedgerState {
 	}
 	return out
 }
-
-// ledgerStateIn converts a WAL ledger image back to pricing state.
-func ledgerStateIn(st wal.LedgerState) pricing.State {
-	in := pricing.State{
-		Entries: make([]pricing.Entry, 0, len(st.Entries)),
-		Retain:  st.Retain,
-		Evicted: st.Evicted,
-		Net:     st.Net,
-		Totals:  make(map[pricing.EntryKind]float64, len(st.Totals)),
-	}
-	for _, e := range st.Entries {
-		in.Entries = append(in.Entries, pricing.Entry{
-			Kind: pricing.EntryKind(e.Kind), SLA: sla.ID(e.SLA), Amount: e.Amount, At: e.At, Note: e.Note,
-		})
-	}
-	for k, v := range st.Totals {
-		in.Totals[pricing.EntryKind(k)] = v
-	}
-	return in
-}

@@ -35,10 +35,6 @@ func (b *Broker) PeerDomain() string { return b.cfg.Domain }
 // PeerRequest implements Peer for the local broker.
 func (b *Broker) PeerRequest(req Request) (*Offer, error) { return b.RequestService(req) }
 
-// PeerLoad implements the optional load-reporting half of Peer for the
-// local broker.
-func (b *Broker) PeerLoad() (LoadReport, error) { return b.LoadReport(), nil }
-
 // PeerReject implements peerRejecter for the local broker.
 func (b *Broker) PeerReject(id sla.ID) error { return b.Reject(id) }
 
@@ -291,12 +287,6 @@ func (p *PeerClient) PeerRequest(req Request) (*Offer, error) {
 func (p *PeerClient) PeerReject(id sla.ID) error {
 	_, err := p.Client.Act(id, "reject", "lost federation race")
 	return err
-}
-
-// PeerLoad fetches the remote broker's load report for front-tier
-// placement.
-func (p *PeerClient) PeerLoad() (LoadReport, error) {
-	return p.Client.LoadReport()
 }
 
 var _ Peer = (*PeerClient)(nil)

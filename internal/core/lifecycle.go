@@ -32,9 +32,9 @@ func (b *Broker) Invoke(id sla.ID) (gram.Job, error) {
 		sh.mu.Unlock()
 		return gram.Job{}, fmt.Errorf("%w: %s", ErrUnknownSession, id)
 	}
-	if s.doc.State != sla.StateEstablished {
+	if state := s.doc.State; state != sla.StateEstablished {
 		sh.mu.Unlock()
-		return gram.Job{}, fmt.Errorf("%w: %s is %s, want established", ErrBadState, id, s.doc.State)
+		return gram.Job{}, fmt.Errorf("%w: %s is %s, want established", ErrBadState, id, state)
 	}
 	service := s.doc.Service
 	end := s.doc.End
@@ -95,9 +95,9 @@ func (b *Broker) Terminate(id sla.ID, reason string) error {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownSession, id)
 	}
-	if s.doc.State.Terminal() {
+	if state := s.doc.State; state.Terminal() {
 		sh.mu.Unlock()
-		return fmt.Errorf("%w: %s already %s", ErrBadState, id, s.doc.State)
+		return fmt.Errorf("%w: %s already %s", ErrBadState, id, state)
 	}
 	if s.confirm != nil {
 		s.confirm.Stop()
@@ -194,15 +194,15 @@ func (b *Broker) teardownIf(id sla.ID, final sla.State, reason string, pred func
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownSession, id)
 	}
-	if s.doc.State.Terminal() {
+	prevState := s.doc.State
+	if prevState.Terminal() {
 		sh.mu.Unlock()
-		return fmt.Errorf("%w: %s already %s", ErrBadState, id, s.doc.State)
+		return fmt.Errorf("%w: %s already %s", ErrBadState, id, prevState)
 	}
 	if pred != nil && !pred(s) {
 		sh.mu.Unlock()
-		return fmt.Errorf("%w: %s is %s", ErrBadState, id, s.doc.State)
+		return fmt.Errorf("%w: %s is %s", ErrBadState, id, prevState)
 	}
-	prevState := s.doc.State
 	released := s.doc.Allocated
 	if err := s.doc.Transition(final); err != nil {
 		sh.mu.Unlock()

@@ -657,9 +657,9 @@ func (b *Broker) Accept(id sla.ID) error {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownSession, id)
 	}
-	if s.doc.State != sla.StateProposed {
+	if state := s.doc.State; state != sla.StateProposed {
 		sh.mu.Unlock()
-		return fmt.Errorf("%w: %s is %s", ErrBadState, id, s.doc.State)
+		return fmt.Errorf("%w: %s is %s", ErrBadState, id, state)
 	}
 	if s.confirm != nil {
 		s.confirm.Stop()

@@ -52,9 +52,9 @@ func (b *Broker) Renegotiate(id sla.ID, newSpec sla.Spec) (*RenegotiationResult,
 		sh.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrUnknownSession, id)
 	}
-	if s.doc.State.Terminal() || s.doc.State == sla.StateProposed {
+	if state := s.doc.State; state.Terminal() || state == sla.StateProposed {
 		sh.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s is %s", ErrBadState, id, s.doc.State)
+		return nil, fmt.Errorf("%w: %s is %s", ErrBadState, id, state)
 	}
 	class := s.doc.Class
 	oldSpec := s.doc.Spec.Clone()

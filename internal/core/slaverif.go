@@ -73,9 +73,9 @@ func (b *Broker) Verify(id sla.ID) (*ConformanceReport, error) {
 		sh.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrUnknownSession, id)
 	}
-	if s.doc.State.Terminal() || s.doc.State == sla.StateProposed {
+	if state := s.doc.State; state.Terminal() || state == sla.StateProposed {
 		sh.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s is %s", ErrBadState, id, s.doc.State)
+		return nil, fmt.Errorf("%w: %s is %s", ErrBadState, id, state)
 	}
 	doc := s.doc.Clone()
 	handle := s.handle

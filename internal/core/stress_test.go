@@ -49,11 +49,14 @@ func TestParallelLifecycleStress10K(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Checks != 11 {
-		t.Fatalf("checks = %d, want 11", res.Checks)
+	if res.Failed() {
+		t.Fatalf("oracle: %+v", res.Oracle)
 	}
-	if res.Admitted == 0 || res.Terminated == 0 {
-		t.Fatalf("degenerate run: %+v", res)
+	if res.Oracle.Checks != 11 {
+		t.Fatalf("checks = %d, want 11", res.Oracle.Checks)
+	}
+	if res.Outcome.Admitted == 0 || res.Outcome.Terminated == 0 {
+		t.Fatalf("degenerate run: %+v", res.Outcome.Tally)
 	}
 }
 

@@ -128,7 +128,6 @@ type Injector struct {
 	plans    map[string]Plan
 	down     map[string]time.Time // site -> recovery deadline
 	byKind   map[Kind]int64
-	bySite   map[string]int64
 	virtual  []time.Duration // recorded virtual latencies
 	hangs    []chan struct{} // outstanding BlockOnHang releases
 	released bool
@@ -148,7 +147,6 @@ func New(seed int64, clock clockx.Clock) *Injector {
 		plans:   make(map[string]Plan),
 		down:    make(map[string]time.Time),
 		byKind:  make(map[Kind]int64),
-		bySite:  make(map[string]int64),
 	}
 }
 
@@ -250,20 +248,6 @@ func (i *Injector) CountsByKind() map[string]int64 {
 	return out
 }
 
-// CountsBySite returns how many faults each site saw.
-func (i *Injector) CountsBySite() map[string]int64 {
-	out := make(map[string]int64)
-	if i == nil {
-		return out
-	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	for s, n := range i.bySite {
-		out[s] = n
-	}
-	return out
-}
-
 // Total returns the total number of injected faults.
 func (i *Injector) Total() int64 {
 	if i == nil {
@@ -297,7 +281,6 @@ func (i *Injector) decide(site string) decision {
 	if until, ok := i.down[site]; ok {
 		if i.clock.Now().Before(until) {
 			i.byKind[KindCrash]++
-			i.bySite[site]++
 			return decision{kind: KindCrash}
 		}
 		delete(i.down, site)
@@ -321,7 +304,6 @@ func (i *Injector) decide(site string) decision {
 	}
 	k := kinds[i.rng.Intn(len(kinds))]
 	i.byKind[k]++
-	i.bySite[site]++
 	d := decision{kind: k}
 	switch k {
 	case KindLatency:

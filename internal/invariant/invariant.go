@@ -243,8 +243,8 @@ func CheckIntake(b *core.Broker) error {
 // CheckShadowInert is the shadow-evaluation rule: consulting a candidate
 // policy must never mutate live broker state, so a shadow-on run of a
 // seeded workload must produce exactly the state digest of the shadow-off
-// run. The caller computes the two digests (sha256 over the
-// deterministic report fields — see shadow.Digest); this rule only
+// run. The caller computes the two digests (sha256 over each run's
+// outcome and oracle — see internal/shadow); this rule only
 // renders the verdict, keeping the oracle's violation taxonomy in one
 // place.
 func CheckShadowInert(offDigest, onDigest string) error {

@@ -11,9 +11,6 @@
 package shadow
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -22,9 +19,6 @@ import (
 	"gqosm/internal/obs"
 	"gqosm/internal/sim"
 )
-
-// Schema identifies the report format for CI gates.
-const Schema = "bench_shadow/v1"
 
 // Config sizes a shadow evaluation.
 type Config struct {
@@ -36,72 +30,18 @@ type Config struct {
 	Shards int
 }
 
-// Delta is one metric compared across the active and counterfactual runs.
-type Delta struct {
-	Active    float64 `json:"active"`
-	Candidate float64 `json:"candidate"`
-	Delta     float64 `json:"delta"`
+func (cfg Config) doc() map[string]any {
+	return map[string]any{"shadow": cfg.Candidate, "seed": cfg.Seed, "ops": cfg.Ops, "shards": cfg.Shards}
 }
 
-// ScenarioResult is one scenario's shadow evaluation.
-type ScenarioResult struct {
-	// Evaluations counts shadow consultations; Divergence counts, per
-	// decision family, how often the candidate's answer differed.
-	Evaluations int64            `json:"evaluations"`
-	Divergence  map[string]int64 `json:"divergence"`
-	// ShadowClean is the shadow-inertness verdict: the shadow-on run
-	// produced exactly the shadow-off run's report digest.
-	ShadowClean  bool   `json:"shadow_clean"`
-	ActiveDigest string `json:"active_digest"`
-	ShadowDigest string `json:"shadow_digest"`
-	// InvariantViolations aggregates the oracle across all three runs,
-	// plus the shadow-inertness rule.
-	InvariantViolations int      `json:"invariant_violations"`
-	Violations          []string `json:"violations,omitempty"`
-	// Counterfactual deltas: candidate-as-active vs. the active run.
-	AdmitRate   Delta `json:"admit_rate"`
-	Revenue     Delta `json:"revenue"`
-	Utilization Delta `json:"utilization"`
-	// Verdict is "ok", or the first failing rule.
-	Verdict string `json:"verdict"`
-}
-
-// Report is the bench_shadow/v1 document gridsim -shadow emits. It
-// contains no wall-clock fields, so two runs at the same (candidate,
-// seed, ops, shards) are byte-identical.
-type Report struct {
-	Schema              string                     `json:"schema"`
-	Candidate           string                     `json:"candidate"`
-	Seed                int64                      `json:"seed"`
-	Ops                 int                        `json:"ops"`
-	Shards              int                        `json:"shards"`
-	Scenarios           map[string]*ScenarioResult `json:"scenarios"`
-	InvariantViolations int                        `json:"invariant_violations"`
-	Verdict             string                     `json:"verdict"`
-}
-
-// Failed reports whether CI should go red on this report.
-func (r *Report) Failed() bool { return r.Verdict != "ok" }
-
-// Digest hashes the deterministic portion of a scenario report (Latency,
-// the only wall-clock block, is excluded — the same field CI strips with
-// jq 'del(.latency)').
-func Digest(r *sim.ScenarioReport) string {
-	c := *r
-	c.Latency = nil
-	buf, err := json.Marshal(&c)
-	if err != nil {
-		// ScenarioReport is a plain data struct; Marshal cannot fail on
-		// it short of memory corruption.
-		panic(err)
-	}
-	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:8])
-}
+// digest hashes what a scenario run did and found — its outcome and
+// oracle. The runs' configs differ by design (one names the shadow
+// policy), so the reports' own digests cannot be compared.
+func digest(r *sim.Report) string { return sim.Hash(r.Outcome, r.Oracle) }
 
 // observedRun replays one scenario and samples mean allocator CPU
 // utilization across the quiesce phases.
-func observedRun(sc sim.Scenario, cfg sim.ScenarioConfig) (*sim.ScenarioReport, float64, error) {
+func observedRun(sc sim.Scenario, cfg sim.ScenarioConfig) (*sim.Report, float64, error) {
 	var sum float64
 	var n int
 	rep, err := sim.RunScenario(sc, cfg, func(run *sim.ScenarioRun, phase int) {
@@ -111,7 +51,7 @@ func observedRun(sc sim.Scenario, cfg sim.ScenarioConfig) (*sim.ScenarioReport, 
 		}
 	})
 	if err != nil {
-		return rep, 0, err
+		return nil, 0, err
 	}
 	var util float64
 	if n > 0 {
@@ -120,12 +60,15 @@ func observedRun(sc sim.Scenario, cfg sim.ScenarioConfig) (*sim.ScenarioReport, 
 	return rep, util, nil
 }
 
-func delta(active, candidate float64) Delta {
-	return Delta{Active: active, Candidate: candidate, Delta: candidate - active}
+func delta(active, candidate float64) sim.Delta {
+	return sim.Delta{Active: active, Candidate: candidate, Delta: candidate - active}
 }
 
-// Evaluate runs one scenario's three-way comparison.
-func Evaluate(sc sim.Scenario, cfg Config) (*ScenarioResult, error) {
+// Evaluate runs one scenario's three-way comparison. The report nests the
+// three runs (active, shadow, candidate) and carries the comparison in
+// its outcome's shadow block; its shadow_clean gate is the inertness
+// verdict.
+func Evaluate(sc sim.Scenario, cfg Config) (*sim.Report, error) {
 	if _, ok := core.LookupPolicy(cfg.Candidate); !ok {
 		return nil, fmt.Errorf("shadow: unknown candidate policy %q (registered: %s)",
 			cfg.Candidate, strings.Join(core.PolicyNames(), ", "))
@@ -160,64 +103,42 @@ func Evaluate(sc sim.Scenario, cfg Config) (*ScenarioResult, error) {
 		return nil, fmt.Errorf("shadow: %s counterfactual run: %w", sc.Name, err)
 	}
 
-	sr := &ScenarioResult{
+	doc := cfg.doc()
+	doc["scenario"] = sc.Name
+	rep := sim.NewReport("scenario", doc,
+		map[string]*sim.Report{"active": activeRep, "shadow": shadowRep, "candidate": candRep})
+	sh := &sim.Shadow{
+		Candidate:    cfg.Candidate,
 		Evaluations:  evals,
 		Divergence:   divergence,
-		ActiveDigest: Digest(activeRep),
-		ShadowDigest: Digest(shadowRep),
-		AdmitRate:    delta(activeRep.AdmitRate, candRep.AdmitRate),
-		Revenue:      delta(activeRep.Revenue, candRep.Revenue),
+		ActiveDigest: digest(activeRep),
+		ShadowDigest: digest(shadowRep),
+		AdmitRate:    delta(activeRep.Outcome.AdmitRate, candRep.Outcome.AdmitRate),
+		Revenue:      delta(activeRep.Outcome.Revenue, candRep.Outcome.Revenue),
 		Utilization:  delta(activeUtil, candUtil),
 	}
-	if err := invariant.CheckShadowInert(sr.ActiveDigest, sr.ShadowDigest); err != nil {
-		sr.Violations = append(sr.Violations, err.Error())
-	} else {
-		sr.ShadowClean = true
+	rep.Outcome.Shadow = sh
+	err = invariant.CheckShadowInert(sh.ActiveDigest, sh.ShadowDigest)
+	if rep.Oracle.Gates["shadow_clean"] = err == nil; err != nil {
+		rep.Oracle.Violations++
+		rep.Oracle.Details = append(rep.Oracle.Details, err.Error())
 	}
-	for _, rep := range []*sim.ScenarioReport{activeRep, shadowRep, candRep} {
-		sr.InvariantViolations += rep.InvariantViolations
-		sr.Violations = append(sr.Violations, rep.Violations...)
-		sr.Violations = append(sr.Violations, rep.VerifyErrors...)
-	}
-	switch {
-	case !sr.ShadowClean:
-		sr.InvariantViolations++
-		sr.Verdict = "shadow-mutated-state"
-	case sr.InvariantViolations > 0:
-		sr.Verdict = "invariant-violations"
-	case len(sr.Violations) > 0:
-		sr.Verdict = "verify-errors"
-	default:
-		sr.Verdict = "ok"
-	}
-	return sr, nil
+	return rep.Seal(), nil
 }
 
-// Run evaluates the candidate over every given scenario and aggregates
-// the oracle verdict.
-func Run(scenarios []sim.Scenario, cfg Config) (*Report, error) {
+// Run evaluates the candidate over every given scenario; the report nests
+// one Evaluate report per scenario name.
+func Run(scenarios []sim.Scenario, cfg Config) (*sim.Report, error) {
 	if len(scenarios) == 0 {
 		return nil, fmt.Errorf("shadow: no scenarios to evaluate")
 	}
-	rep := &Report{
-		Schema:    Schema,
-		Candidate: cfg.Candidate,
-		Seed:      cfg.Seed,
-		Ops:       cfg.Ops,
-		Shards:    cfg.Shards,
-		Scenarios: make(map[string]*ScenarioResult, len(scenarios)),
-		Verdict:   "ok",
-	}
+	runs := make(map[string]*sim.Report, len(scenarios))
 	for _, sc := range scenarios {
-		sr, err := Evaluate(sc, cfg)
+		rep, err := Evaluate(sc, cfg)
 		if err != nil {
 			return nil, err
 		}
-		rep.Scenarios[sc.Name] = sr
-		rep.InvariantViolations += sr.InvariantViolations
-		if sr.Verdict != "ok" && rep.Verdict == "ok" {
-			rep.Verdict = sr.Verdict
-		}
+		runs[sc.Name] = rep
 	}
-	return rep, nil
+	return sim.NewReport("scenario", cfg.doc(), runs).Seal(), nil
 }

@@ -33,22 +33,23 @@ func TestEvaluateDivergenceShape(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.candidate, func(t *testing.T) {
-			sr, err := Evaluate(scenario(t, tc.scenario), Config{
+			rep, err := Evaluate(scenario(t, tc.scenario), Config{
 				Candidate: tc.candidate, Seed: 7, Ops: 1500,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sr.Verdict != "ok" {
-				t.Fatalf("verdict = %q, violations %v", sr.Verdict, sr.Violations)
+			sh := rep.Outcome.Shadow
+			if rep.Failed() {
+				t.Fatalf("failed: %+v", rep.Oracle)
 			}
-			if !sr.ShadowClean {
-				t.Fatalf("shadow run not clean: active %s shadow %s", sr.ActiveDigest, sr.ShadowDigest)
+			if !rep.Oracle.Gates["shadow_clean"] || sh.ActiveDigest != sh.ShadowDigest {
+				t.Fatalf("shadow run not clean: active %s shadow %s", sh.ActiveDigest, sh.ShadowDigest)
 			}
-			if sr.Evaluations <= 0 {
-				t.Fatalf("evaluations = %d, want > 0", sr.Evaluations)
+			if sh.Evaluations <= 0 {
+				t.Fatalf("evaluations = %d, want > 0", sh.Evaluations)
 			}
-			for family, n := range sr.Divergence {
+			for family, n := range sh.Divergence {
 				if family == tc.divergeFamily {
 					if n <= 0 {
 						t.Errorf("divergence[%s] = %d, want > 0", family, n)
@@ -64,28 +65,27 @@ func TestEvaluateDivergenceShape(t *testing.T) {
 }
 
 // TestRunDeterminism requires two evaluations at the same (candidate,
-// seed, ops) to serialize byte-identically — the property the CI
-// determinism gate diffs without stripping anything.
+// seed, ops) to carry the same digest and to serialize byte-identically
+// once every latency block, the children's included, is deleted — the
+// property the CI determinism gate diffs.
 func TestRunDeterminism(t *testing.T) {
 	scs := []sim.Scenario{scenario(t, "flash-crowd"), scenario(t, "lease-churn")}
 	cfg := Config{Candidate: "revenue-greedy", Seed: 7, Ops: 800}
 	var out [2][]byte
+	var digests [2]string
 	for i := range out {
 		rep, err := Run(scs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rep.Failed() {
-			t.Fatalf("run %d verdict = %q", i, rep.Verdict)
+			t.Fatalf("run %d failed: %+v", i, rep.Oracle)
 		}
-		buf, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = buf
+		digests[i] = rep.Digest
+		out[i] = withoutLatency(t, rep)
 	}
-	if !bytes.Equal(out[0], out[1]) {
-		t.Errorf("reports differ across reruns:\n%s\n%s", out[0], out[1])
+	if !bytes.Equal(out[0], out[1]) || digests[0] != digests[1] {
+		t.Errorf("reports differ across reruns (digests %v):\n%s\n%s", digests, out[0], out[1])
 	}
 }
 
@@ -98,6 +98,34 @@ func TestEvaluateUnknownCandidate(t *testing.T) {
 	}
 }
 
+// withoutLatency marshals rep with every latency key deleted, as CI's
+// jq 'del(.. | .latency?)' does.
+func withoutLatency(t *testing.T, rep *sim.Report) []byte {
+	t.Helper()
+	raw, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var strip func(v any)
+	strip = func(v any) {
+		if m, ok := v.(map[string]any); ok {
+			delete(m, "latency")
+			for _, child := range m {
+				strip(child)
+			}
+		}
+	}
+	strip(doc)
+	if raw, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 // TestReportSchema pins the report envelope CI's jq gates parse.
 func TestReportSchema(t *testing.T) {
 	rep, err := Run([]sim.Scenario{scenario(t, "lease-churn")}, Config{
@@ -106,17 +134,34 @@ func TestReportSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Schema != Schema || rep.Candidate != "revenue-greedy" || rep.Seed != 1 {
-		t.Errorf("envelope = %+v", rep)
+	if rep.Schema != sim.Schema || rep.Mode != "scenario" || rep.Config["shadow"] != "revenue-greedy" || rep.Config["seed"] != int64(1) {
+		t.Errorf("envelope = %s", withoutLatency(t, rep))
 	}
-	sr := rep.Scenarios["lease-churn"]
+	sr := rep.Runs["lease-churn"]
 	if sr == nil {
 		t.Fatal("lease-churn result missing")
 	}
-	if sr.ActiveDigest == "" || sr.ShadowDigest == "" || len(sr.Divergence) == 0 {
-		t.Errorf("scenario result incomplete: %+v", sr)
+	sh := sr.Outcome.Shadow
+	if sh == nil || sh.ActiveDigest == "" || sh.ShadowDigest == "" || len(sh.Divergence) == 0 {
+		t.Fatalf("scenario result incomplete: %s", withoutLatency(t, sr))
 	}
-	if (rep.Verdict == "ok") == rep.Failed() {
-		t.Errorf("Failed() inconsistent with verdict %q", rep.Verdict)
+	for _, name := range []string{"active", "shadow", "candidate"} {
+		if child := sr.Runs[name]; child == nil || child.Outcome.Requested == 0 || child.Oracle.Checks == 0 {
+			t.Errorf("child run %q missing or degenerate: %+v", name, child)
+		}
+	}
+	if sr.Runs["shadow"].Config["shadow_policy"] != "revenue-greedy" || sr.Runs["candidate"].Config["policy"] != "revenue-greedy" {
+		t.Errorf("child configs do not name the candidate: %v / %v", sr.Runs["shadow"].Config, sr.Runs["candidate"].Config)
+	}
+	if rep.Oracle.Checks != sr.Oracle.Checks || sr.Oracle.Checks == 0 {
+		t.Errorf("composite checks %d, child %d: want the children's sum", rep.Oracle.Checks, sr.Oracle.Checks)
+	}
+	// One failed gate anywhere below fails the whole document.
+	if rep.Failed() {
+		t.Fatalf("clean run marked failed: %+v", sr.Oracle)
+	}
+	sr.Oracle.Gates["shadow_clean"] = false
+	if !rep.Failed() {
+		t.Error("Failed() ignores a child's false gate")
 	}
 }

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"encoding/json"
+	"strings"
 	"testing"
 
 	"gqosm/internal/obs"
@@ -9,34 +9,25 @@ import (
 
 // TestParallelCacheHitRate checks the cache plumbing end to end: with
 // caches on (the default) a stress run reports a positive discovery
-// hit rate; with DisableCaches the field stays zero and is omitted
-// from the JSON, preserving the historical schema.
+// hit rate; with DisableCaches the counter is still emitted, as zero.
 func TestParallelCacheHitRate(t *testing.T) {
 	on, err := RunParallel(StressConfig{Clients: 4, Ops: 800, Phases: 4, Seed: 11, Obs: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on.CacheHitRate <= 0 {
-		t.Errorf("cache-on run hit rate = %v, want > 0", on.CacheHitRate)
+	if on.Outcome.CacheHitRate <= 0 {
+		t.Errorf("cache-on run hit rate = %v, want > 0", on.Outcome.CacheHitRate)
 	}
 	off, err := RunParallel(StressConfig{Clients: 4, Ops: 800, Phases: 4, Seed: 11, Obs: obs.NewRegistry(),
 		DisableCaches: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.CacheHitRate != 0 {
-		t.Errorf("cache-off run hit rate = %v, want 0", off.CacheHitRate)
+	if off.Outcome.CacheHitRate != 0 {
+		t.Errorf("cache-off run hit rate = %v, want 0", off.Outcome.CacheHitRate)
 	}
-	raw, err := json.Marshal(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fields map[string]any
-	if err := json.Unmarshal(raw, &fields); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := fields["cache_hit_rate"]; ok {
-		t.Error("cache_hit_rate emitted for a cache-off run; want omitted")
+	if !strings.Contains(string(stripped(t, off)), `"cache_hit_rate":0`) {
+		t.Error("cache_hit_rate omitted for a cache-off run; a measured zero must be emitted")
 	}
 
 	// Caches must not change admission outcomes. Concurrent runs have
@@ -51,11 +42,11 @@ func TestParallelCacheHitRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serialOn.Requested != serialOff.Requested || serialOn.Admitted != serialOff.Admitted ||
-		serialOn.Terminated != serialOff.Terminated {
-		t.Errorf("serial cache on/off outcome divergence: on=%d/%d/%d off=%d/%d/%d",
-			serialOn.Requested, serialOn.Admitted, serialOn.Terminated,
-			serialOff.Requested, serialOff.Admitted, serialOff.Terminated)
+	if on, off := serialOn.Outcome, serialOff.Outcome; on.Requested != off.Requested || on.Admitted != off.Admitted ||
+		on.Rejected != off.Rejected || on.Terminated != off.Terminated {
+		t.Errorf("serial cache on/off outcome divergence: on=%d/%d/%d/%d off=%d/%d/%d/%d",
+			on.Requested, on.Admitted, on.Rejected, on.Terminated,
+			off.Requested, off.Admitted, off.Rejected, off.Terminated)
 	}
 }
 
@@ -75,19 +66,11 @@ func TestChaosDeterministicWithCaches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d second run: %v", shards, err)
 		}
-		ja, err := json.Marshal(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jb, err := json.Marshal(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(ja) != string(jb) {
+		if ja, jb := stripped(t, a), stripped(t, b); string(ja) != string(jb) {
 			t.Errorf("shards=%d chaos replay diverged:\n%s\nvs\n%s", shards, ja, jb)
 		}
-		if a.InvariantViolations != 0 {
-			t.Errorf("shards=%d: %d invariant violations with caches on", shards, a.InvariantViolations)
+		if a.Failed() {
+			t.Errorf("shards=%d: failed with caches on: %+v", shards, a.Oracle)
 		}
 	}
 }

@@ -60,50 +60,6 @@ const (
 	clusterCheckEvery = 2048
 )
 
-// ClusterSimResult reports a RunClusterSim run. Every field is
-// deterministic for a configuration except ElapsedMS.
-type ClusterSimResult struct {
-	Brokers   int    `json:"brokers"`
-	Shards    int    `json:"shards"`
-	Clients   int    `json:"clients"`
-	Seed      int64  `json:"seed"`
-	Placement string `json:"placement"`
-	Window    int    `json:"window"`
-
-	Admitted  int `json:"admitted"`
-	Rejected  int `json:"rejected"`
-	Errors    int `json:"errors"`
-	Forwarded int `json:"forwarded"`
-
-	Migrations        int `json:"migrations"`
-	MigrationFailures int `json:"migration_failures"`
-
-	Checks              int      `json:"checks"`
-	InvariantViolations int      `json:"invariant_violations"`
-	Violations          []string `json:"violations,omitempty"`
-
-	// OutcomeDigest is the FNV-64a hash of the per-client outcome
-	// letters ('A' admitted, 'R' rejected, 'E' error) — the value the
-	// N=1 vs N=3 parity gate compares.
-	OutcomeDigest string `json:"outcome_digest"`
-
-	// PerBroker reports each member's final live-session count and the
-	// total sessions it admitted over the run.
-	PerBroker []ClusterBrokerStat `json:"per_broker"`
-
-	ElapsedMS float64 `json:"elapsed_ms"`
-}
-
-// Failed reports whether CI should gate the run red.
-func (r *ClusterSimResult) Failed() bool { return r.InvariantViolations > 0 }
-
-// ClusterBrokerStat is one member's summary.
-type ClusterBrokerStat struct {
-	Domain   string  `json:"domain"`
-	Sessions int     `json:"sessions"`
-	Load     float64 `json:"load"`
-}
-
 // clusterPlan is the cluster-wide Algorithm-1 partition the multi-broker
 // topology splits across members: roomy enough that the sliding window
 // (64 sessions × ≤3 CPU) never exhausts the cluster, small enough that
@@ -134,7 +90,7 @@ type windowWorkload struct {
 	live   []sla.ID
 	digest hash.Hash64
 
-	admitted, rejected, errors, forwarded int
+	admitted, rejected, errors, forwarded, terminated int
 }
 
 func newWindowWorkload(e *engine, seed int64, window, tick int, request func(*windowWorkload, int) core.Request) *windowWorkload {
@@ -169,6 +125,26 @@ func (w *windowWorkload) outcome(letter byte, counter *int) {
 	w.digest.Write([]byte{letter})
 }
 
+// terminate ends a live session through the front, recording a failure
+// under stage.
+func (w *windowWorkload) terminate(id sla.ID, reason, stage string) {
+	if err := w.topo.front.Terminate(id, reason); err != nil {
+		w.record(stage, err)
+		return
+	}
+	w.terminated++
+}
+
+func (w *windowWorkload) tally(o *Outcome) {
+	o.Ops = int64(w.admitted + w.rejected + w.errors)
+	o.Requested, o.Admitted, o.Rejected, o.Terminated = int(o.Ops), w.admitted, w.rejected, w.terminated
+	o.Front = &FrontTally{Errors: w.errors, Forwarded: w.forwarded,
+		OutcomeDigest: fmt.Sprintf("%016x", w.digest.Sum64())}
+	for _, b := range w.topo.brokers() {
+		o.Front.PerBroker = append(o.Front.PerBroker, b.LoadReport())
+	}
+}
+
 func (w *windowWorkload) step(i int) {
 	front := w.topo.front
 	offer, err := front.RequestService(w.request(w, i))
@@ -190,9 +166,7 @@ func (w *windowWorkload) step(i int) {
 		if len(w.live) > w.window {
 			oldest := w.live[0]
 			w.live = w.live[1:]
-			if err := front.Terminate(oldest, "window slide"); err != nil {
-				w.record(fmt.Sprintf("client %d terminate %s", i, oldest), err)
-			}
+			w.terminate(oldest, "window slide", fmt.Sprintf("client %d terminate %s", i, oldest))
 		}
 	case err != nil && isClusterReject(err):
 		w.outcome('R', &w.rejected)
@@ -206,7 +180,7 @@ func (w *windowWorkload) step(i int) {
 
 func (w *windowWorkload) drain() {
 	for _, id := range w.live {
-		w.record(fmt.Sprintf("drain %s", id), w.topo.front.Terminate(id, "drain"))
+		w.terminate(id, "drain", fmt.Sprintf("drain %s", id))
 	}
 }
 
@@ -221,7 +195,7 @@ func isClusterReject(err error) bool {
 // RunClusterSim drives the workload described in the file comment. A
 // non-nil error means the harness itself failed; invariant
 // violations are reported in the result for the caller to gate on.
-func RunClusterSim(cfg ClusterSimConfig) (*ClusterSimResult, error) {
+func RunClusterSim(cfg ClusterSimConfig) (*Report, error) {
 	orDefault(&cfg.Brokers, 3)
 	orDefault(&cfg.Clients, 100000)
 	orDefault(&cfg.Shards, 1)
@@ -239,7 +213,7 @@ func RunClusterSim(cfg ClusterSimConfig) (*ClusterSimResult, error) {
 	if cfg.Brokers > 1 {
 		e.migrateEvery = clusterMigrateEvery
 	}
-	w := newWindowWorkload(e, cfg.Seed, clusterWindow, 16, func(w *windowWorkload, i int) core.Request {
+	newWindowWorkload(e, cfg.Seed, clusterWindow, 16, func(w *windowWorkload, i int) core.Request {
 		r1 := w.rng.Intn(3) + 1 // CPU nodes 1–3
 		r2 := w.rng.Intn(4) + 1 // memory/disk scale
 		name := fmt.Sprintf("client-%06d", i)
@@ -254,26 +228,11 @@ func RunClusterSim(cfg ClusterSimConfig) (*ClusterSimResult, error) {
 			sla.Exact(resource.DiskGB, float64(r2)))
 	})
 
-	sw := startStopwatch()
 	if err := e.run(); err != nil {
 		return nil, err
 	}
-	res := &ClusterSimResult{
-		Brokers: cfg.Brokers, Shards: cfg.Shards, Clients: cfg.Clients,
-		Seed: cfg.Seed, Placement: cfg.Placement.String(), Window: clusterWindow,
-		Admitted: w.admitted, Rejected: w.rejected, Errors: w.errors, Forwarded: w.forwarded,
-		Migrations: e.out.Migrations, MigrationFailures: e.out.MigrationFailures,
-		Checks: e.out.Checks, InvariantViolations: e.out.InvariantViolations, Violations: e.out.Violations,
-		OutcomeDigest: fmt.Sprintf("%016x", w.digest.Sum64()),
-		ElapsedMS:     sw.ms(),
-	}
-	for _, b := range topo.brokers() {
-		r := b.LoadReport()
-		res.PerBroker = append(res.PerBroker, ClusterBrokerStat{
-			Domain: r.Domain, Sessions: r.Sessions, Load: r.Load,
-		})
-	}
-	return res, nil
+	return e.report("cluster", map[string]any{"brokers": cfg.Brokers, "shards": cfg.Shards, "clients": cfg.Clients,
+		"seed": cfg.Seed, "placement": cfg.Placement.String(), "window": clusterWindow}).Seal(), nil
 }
 
 // HandoffCrashConfig sizes a RunHandoffCrash run.
@@ -292,46 +251,12 @@ type HandoffCrashConfig struct {
 	Dir string
 }
 
-// HandoffCrashResult reports a RunHandoffCrash run.
-type HandoffCrashResult struct {
-	Brokers  int   `json:"brokers"`
-	Sessions int   `json:"sessions"`
-	Seed     int64 `json:"seed"`
-
-	MigratedID string `json:"migrated_id"`
-	Source     string `json:"source"`
-	Target     string `json:"target"`
-
-	// SingleOwner is the acceptance bar: after the source is killed
-	// mid-migration (import committed, completion not), recovered, and
-	// reconciled, exactly one broker owns the session.
-	SingleOwner bool   `json:"single_owner"`
-	Owners      int    `json:"owners"`
-	OwnerDomain string `json:"owner_domain"`
-
-	// Completed/Aborted are the front reconcile's counters;
-	// HandoffsResolved is the source recovery's inbound sweep.
-	Completed        int `json:"completed"`
-	Aborted          int `json:"aborted"`
-	HandoffsResolved int `json:"handoffs_resolved"`
-	ReplayedRecords  int `json:"replayed_records"`
-
-	Checks              int      `json:"checks"`
-	InvariantViolations int      `json:"invariant_violations"`
-	Violations          []string `json:"violations,omitempty"`
-
-	ElapsedMS float64 `json:"elapsed_ms"`
-}
-
-// Failed reports whether CI should gate the drill red.
-func (r *HandoffCrashResult) Failed() bool { return r.InvariantViolations > 0 || !r.SingleOwner }
-
 // RunHandoffCrash drives the crash interleaving end to end on durable
 // brokers: admit, begin hand-off, import on the target, kill the source
 // before CompleteHandoff, recover it from its WAL, reconcile via the
 // front, and verify the single-owner outcome plus the full oracle after
 // a drain.
-func RunHandoffCrash(cfg HandoffCrashConfig) (*HandoffCrashResult, error) {
+func RunHandoffCrash(cfg HandoffCrashConfig) (*Report, error) {
 	orDefault(&cfg.Brokers, 3)
 	orDefault(&cfg.Sessions, 48)
 	topo, err := newTopology(topoConfig{
@@ -348,8 +273,6 @@ func RunHandoffCrash(cfg HandoffCrashConfig) (*HandoffCrashResult, error) {
 			sla.Exact(resource.CPU, float64(w.rng.Intn(3)+1)))
 	})
 
-	res := &HandoffCrashResult{Brokers: cfg.Brokers, Sessions: cfg.Sessions, Seed: cfg.Seed}
-	sw := startStopwatch()
 	if err := e.play(); err != nil {
 		return nil, err
 	}
@@ -370,7 +293,7 @@ func RunHandoffCrash(cfg HandoffCrashConfig) (*HandoffCrashResult, error) {
 		return nil, fmt.Errorf("no owner recorded for %s", id)
 	}
 	srcSlot, tgtSlot := topo.front.Slots()[srcIdx], topo.front.Slots()[tgtIdx]
-	res.MigratedID, res.Source, res.Target = string(id), srcSlot.Domain(), tgtSlot.Domain()
+	res := &Handoff{MigratedID: string(id), Source: srcSlot.Domain(), Target: tgtSlot.Domain()}
 
 	st, err := srcSlot.Broker().BeginHandoff(id, tgtSlot.Domain())
 	if err != nil {
@@ -401,11 +324,14 @@ func RunHandoffCrash(cfg HandoffCrashConfig) (*HandoffCrashResult, error) {
 			res.OwnerDomain = b.Domain()
 		}
 	}
-	res.SingleOwner = res.Owners == 1 && res.OwnerDomain == tgtSlot.Domain()
 	e.quiesce("post-reconcile", false)
 
 	e.finish()
-	res.Checks, res.InvariantViolations, res.Violations = e.out.Checks, e.out.InvariantViolations, e.out.Violations
-	res.ElapsedMS = sw.ms()
-	return res, nil
+	rep := e.report("handoff", map[string]any{"brokers": cfg.Brokers, "sessions": cfg.Sessions, "seed": cfg.Seed})
+	rep.Outcome.Handoff = res
+	// The acceptance bar: after the source is killed mid-migration (import
+	// committed, completion not), recovered, and reconciled, exactly one
+	// broker — the target — owns the session.
+	rep.Oracle.Gates["single_owner"] = res.Owners == 1 && res.OwnerDomain == res.Target
+	return rep.Seal(), nil
 }

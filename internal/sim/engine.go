@@ -16,7 +16,6 @@ import (
 	"gqosm/internal/faultx"
 	"gqosm/internal/httpapi"
 	"gqosm/internal/invariant"
-	"gqosm/internal/obs"
 	"gqosm/internal/sla"
 )
 
@@ -52,6 +51,9 @@ type workload interface {
 	step(i int)
 	// drain drives every session the workload still tracks terminal.
 	drain()
+	// tally files the workload's counters (and its own sub-block, if it
+	// has one) into the report's outcome.
+	tally(o *Outcome)
 }
 
 // topoConfig describes the resource model a run is assembled on.
@@ -218,33 +220,6 @@ func (t *topology) nextSlot(id sla.ID) (src, dst int, ok bool) {
 	return src, (src + 1) % len(t.members), true
 }
 
-// outcome is the engine's one result; the Run* entry points fill their
-// report structs from it.
-type outcome struct {
-	// Checks counts oracle passes; InvariantViolations totals what they
-	// found (digest mismatches and lost capacity included). Violations
-	// keeps the first few for diagnosis — the count gates CI.
-	Checks              int
-	InvariantViolations int
-	Violations          []string
-	// CapacityRestored is true when the drain returned every shard of
-	// every member to its configured plan.
-	CapacityRestored bool
-	// ReconciledCancels counts parked reservation cancels cleared by the
-	// drain-time reconciliation sweeps.
-	ReconciledCancels int
-
-	// Kill perturbation: one entry / increment per recovery.
-	ReplayedRecords                  int
-	SnapshotSeqs                     []uint64
-	Adopted, Refunded, ParkedCleared int
-	DigestMatches                    int
-	recoveryMS                       []float64
-
-	// Migration perturbation.
-	Migrations, MigrationFailures int
-}
-
 // engine is one configured run: workload × topology × perturbations ×
 // oracles.
 type engine struct {
@@ -280,11 +255,26 @@ type engine struct {
 	migrateEvery int
 	victim       func() sla.ID
 
-	out outcome
+	// What the run found and measured; engine.report files it (report.go).
+	oracle Oracle
+	// capacityRestored is true when the drain returned every shard of
+	// every member to its configured plan.
+	capacityRestored bool
+	// faults carries the drain's reconciled cancels and the retry budget
+	// spent by broker incarnations a kill has since replaced.
+	faults     Faults
+	recovery   Recovery  // one increment / entry per kill
+	recoveryMS []float64 // wall-clock core.Recover times
+	migration  Migration
+	// shardSessions / shardUtilization sample a sharded single broker's
+	// placement balance before the drain; after it every shard reads empty.
+	shardSessions    []int
+	shardUtilization []float64
+	lat              map[string]any
 }
 
-// maxViolations bounds the violation strings a report carries.
-const maxViolations = 20
+// maxDetails bounds the violation strings a report carries.
+const maxDetails = 20
 
 // record files an oracle or harness failure under stage.
 func (e *engine) record(stage string, err error) {
@@ -292,9 +282,9 @@ func (e *engine) record(stage string, err error) {
 		return
 	}
 	add := func(s string) {
-		e.out.InvariantViolations++
-		if len(e.out.Violations) < maxViolations {
-			e.out.Violations = append(e.out.Violations, stage+": "+s)
+		e.oracle.Violations++
+		if len(e.oracle.Details) < maxDetails {
+			e.oracle.Details = append(e.oracle.Details, stage+": "+s)
 		}
 	}
 	var ie *invariant.Error
@@ -314,7 +304,7 @@ func (e *engine) record(stage string, err error) {
 // session was refunded).
 func (e *engine) quiesce(stage string, final bool) {
 	e.topo.settle()
-	e.out.Checks++
+	e.oracle.Checks++
 	now := e.topo.clock.Now()
 	if e.lifecycle > 0 {
 		for _, m := range e.topo.members {
@@ -337,13 +327,15 @@ func (e *engine) quiesce(stage string, final bool) {
 // play runs the step loop with its perturbations and mid-run oracle
 // passes. A non-nil error means the harness itself failed.
 func (e *engine) play() error {
+	sw := startStopwatch()
+	defer func() { e.lat = map[string]any{"elapsed_ms": sw.ms()} }()
 	killEvery := e.steps / (e.kills + 1)
 	for i := 0; i < e.steps; i++ {
 		e.work.step(i)
 		if e.migrateEvery > 0 && (i+1)%e.migrateEvery == 0 {
 			e.migrate()
 		}
-		if len(e.out.SnapshotSeqs) < e.kills && (i+1)%killEvery == 0 {
+		if len(e.recovery.SnapshotSeqs) < e.kills && (i+1)%killEvery == 0 {
 			if err := e.kill(); err != nil {
 				return err
 			}
@@ -366,15 +358,14 @@ func (e *engine) play() error {
 	return nil
 }
 
-// migrate is the forced-rebalancing perturbation: cluster-internal, so
-// it is deliberately NOT part of any outcome digest.
+// migrate is the forced-rebalancing perturbation.
 func (e *engine) migrate() {
 	id := e.victim()
 	if _, dst, ok := e.topo.nextSlot(id); ok {
 		if err := e.topo.front.Migrate(id, e.topo.front.Slots()[dst].Domain()); err == nil {
-			e.out.Migrations++
+			e.migration.Migrations++
 		} else {
-			e.out.MigrationFailures++
+			e.migration.Failures++
 		}
 	}
 }
@@ -389,30 +380,40 @@ func (e *engine) migrate() {
 // see them (CheckIntake enforces that the round's flush ran).
 func (e *engine) kill() error {
 	m := e.topo.members[0]
-	stage := fmt.Sprintf("restart %d", len(e.out.SnapshotSeqs)+1)
+	stage := fmt.Sprintf("restart %d", len(e.recovery.SnapshotSeqs)+1)
 	e.quiesce(stage+" pre-kill", false)
 	pre := digestBroker(m)
 
+	e.addRetryStats(m.Broker)
 	m.Broker.Crash()
 	sw := startStopwatch()
 	stats, err := m.RecoverBroker()
 	if err != nil {
 		return fmt.Errorf("%s: recover: %w", stage, err)
 	}
-	e.out.recoveryMS = append(e.out.recoveryMS, sw.ms())
-	e.out.ReplayedRecords += stats.ReplayedRecords
-	e.out.SnapshotSeqs = append(e.out.SnapshotSeqs, stats.SnapshotSeq)
-	e.out.Adopted += stats.Adopted
-	e.out.Refunded += stats.Refunded
-	e.out.ParkedCleared += stats.ParkedCleared
+	e.recoveryMS = append(e.recoveryMS, sw.ms())
+	e.recovery.ReplayedRecords += stats.ReplayedRecords
+	e.recovery.SnapshotSeqs = append(e.recovery.SnapshotSeqs, stats.SnapshotSeq)
+	e.recovery.Adopted += stats.Adopted
+	e.recovery.Refunded += stats.Refunded
+	e.recovery.ParkedCleared += stats.ParkedCleared
 
 	if post := digestBroker(m); post == pre {
-		e.out.DigestMatches++
+		e.recovery.DigestMatches++
 	} else {
 		e.record(stage, fmt.Errorf("recovered state diverged\n pre: %s\npost: %s", pre, post))
 	}
 	e.quiesce(stage+" post-recovery", false)
 	return nil
+}
+
+// addRetryStats banks b's retry-budget totals; a recovered broker starts
+// its own from zero.
+func (e *engine) addRetryStats(b *core.Broker) {
+	retries, timeouts, unavailable := b.RetryStats()
+	e.faults.Retries += retries
+	e.faults.Timeouts += timeouts
+	e.faults.Unavailable += unavailable
 }
 
 // finish drains on a healthy substrate — injection off (crash windows
@@ -421,26 +422,33 @@ func (e *engine) kill() error {
 // stricter drain-only rules and verifies no capacity was lost or
 // double-spent.
 func (e *engine) finish() {
+	if b := e.topo.members[0].Broker; e.topo.front == nil && len(b.Allocators()) > 1 {
+		e.shardSessions = b.ShardSessionCounts()
+		for _, a := range b.Allocators() {
+			e.shardUtilization = append(e.shardUtilization, a.LoadFactor())
+		}
+	}
 	e.topo.inj.SetEnabled(false)
 	e.topo.inj.ReleaseHangs()
 	e.topo.settle()
 	e.work.drain()
 	for _, m := range e.topo.members {
-		e.out.ReconciledCancels += m.Broker.ReconcileReservations()
+		e.faults.ReconciledCancels += m.Broker.ReconcileReservations()
 	}
 	e.topo.clock.Advance(72 * time.Hour) // expire surviving offers and sessions via their timers
 	for _, m := range e.topo.members {
 		m.Broker.ExpireDue()
-		e.out.ReconciledCancels += m.Broker.ReconcileReservations()
+		e.faults.ReconciledCancels += m.Broker.ReconcileReservations()
 	}
 	e.quiesce("post-drain", true)
 
-	e.out.CapacityRestored = true
+	e.capacityRestored = true
 	lost := func(m *Cluster, shard int, format string, args ...any) {
-		e.out.CapacityRestored = false
+		e.capacityRestored = false
 		e.record(fmt.Sprintf("drain: %s shard %d", m.Broker.Domain(), shard), fmt.Errorf(format, args...))
 	}
 	for _, m := range e.topo.members {
+		e.addRetryStats(m.Broker)
 		for si, alloc := range m.Broker.Allocators() {
 			plan := alloc.Plan()
 			if users := alloc.GuaranteedUsers(); len(users) != 0 {
@@ -479,10 +487,8 @@ type stopwatch time.Time
 
 func startStopwatch() stopwatch { return stopwatch(time.Now()) }
 
-func (s stopwatch) elapsed() time.Duration { return time.Since(time.Time(s)) }
-
 // ms is the elapsed time in (fractional) milliseconds.
-func (s stopwatch) ms() float64 { return float64(s.elapsed()) / float64(time.Millisecond) }
+func (s stopwatch) ms() float64 { return float64(time.Since(time.Time(s))) / float64(time.Millisecond) }
 
 // percentile reads the nearest-rank percentile (the ⌈p·n⌉-th smallest
 // value) from an ascending slice; 0 when empty.
@@ -492,25 +498,4 @@ func percentile(sorted []float64, p float64) float64 {
 	}
 	rank := int(math.Ceil(p * float64(len(sorted))))
 	return sorted[min(max(rank, 1), len(sorted))-1]
-}
-
-// lifecycleCount reads one of the broker's lifecycle event counters. The
-// registry hands back existing series on re-registration, so broker
-// metrics are reachable by name without plumbing.
-func lifecycleCount(reg *obs.Registry, event string) int64 {
-	return int64(reg.Counter("gqosm_broker_lifecycle_total",
-		"SLA lifecycle events by kind", "event", event).Value())
-}
-
-// intakeBatchMean is the mean flushed batch size (submissions / flushes)
-// over the run; 0 when nothing was flushed.
-func intakeBatchMean(reg *obs.Registry) float64 {
-	submitted := reg.Counter("gqosm_intake_submitted_total",
-		"Admissions accepted into the intake queues").Value()
-	flushes := reg.Counter("gqosm_intake_flushes_total",
-		"Group-commit flushes executed").Value()
-	if flushes == 0 {
-		return 0
-	}
-	return float64(submitted) / float64(flushes)
 }

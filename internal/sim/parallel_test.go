@@ -19,11 +19,14 @@ func TestRunParallelSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Checks != 5 { // 4 phase quiesces + post-drain
-		t.Fatalf("checks = %d, want 5", res.Checks)
+	if res.Failed() {
+		t.Fatalf("oracle: %+v", res.Oracle)
 	}
-	if res.Requested == 0 || res.Admitted == 0 {
-		t.Fatalf("degenerate run: %+v", res)
+	if res.Oracle.Checks != 5 { // 4 phase quiesces + post-drain
+		t.Fatalf("checks = %d, want 5", res.Oracle.Checks)
+	}
+	if res.Outcome.Requested == 0 || res.Outcome.Admitted == 0 {
+		t.Fatalf("degenerate run: %+v", res.Outcome.Tally)
 	}
 }
 
@@ -40,15 +43,15 @@ func TestRunParallelDeterministicSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Requested != b.Requested {
-		t.Fatalf("request schedule not deterministic: %d vs %d", a.Requested, b.Requested)
+	if a.Outcome.Requested != b.Outcome.Requested {
+		t.Fatalf("request schedule not deterministic: %d vs %d", a.Outcome.Requested, b.Outcome.Requested)
 	}
 }
 
 // TestRunParallelReportSchema pins the JSON schema consumers of
-// BENCH_parallel.json rely on: a bare-nanosecond Elapsed alone was easy
-// to misread as milliseconds, so the report must also carry elapsed_ms
-// and the admission-latency percentiles.
+// BENCH_parallel.json rely on: every wall-clock number — elapsed time in
+// explicit milliseconds, throughput, the admission-latency percentiles —
+// sits under the latency key, and nowhere else.
 func TestRunParallelReportSchema(t *testing.T) {
 	res, err := sim.RunParallel(sim.StressConfig{
 		Clients: 4, Ops: 400, Phases: 4, Seed: 7,
@@ -61,26 +64,32 @@ func TestRunParallelReportSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
+	var doc struct {
+		Schema  string
+		Latency map[string]float64
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"elapsed_ms", "admit_p50_ms", "admit_p95_ms", "admit_p99_ms"} {
-		v, ok := m[key].(float64)
-		if !ok {
-			t.Fatalf("report lacks numeric %q: %s", key, raw)
-		}
-		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Errorf("%s = %v, want a positive finite value", key, v)
+	if doc.Schema != sim.Schema {
+		t.Errorf("schema = %q, want %q", doc.Schema, sim.Schema)
+	}
+	lat := doc.Latency
+	for _, key := range []string{"elapsed_ms", "ops_per_sec", "admit_p50_ms", "admit_p95_ms", "admit_p99_ms"} {
+		if v, ok := lat[key]; !ok || v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Errorf("latency.%s = %v, want a positive finite value", key, v)
 		}
 	}
-	elapsedNS, _ := m["Elapsed"].(float64)
-	if got := m["elapsed_ms"].(float64); math.Abs(got-elapsedNS/1e6) > 1e-6 {
-		t.Errorf("elapsed_ms %v does not match Elapsed %v ns", got, elapsedNS)
+	if want := float64(res.Outcome.Ops) / (lat["elapsed_ms"] / 1e3); math.Abs(lat["ops_per_sec"]-want) > 1e-6*want {
+		t.Errorf("ops_per_sec %v does not match %d ops over %v ms", lat["ops_per_sec"], res.Outcome.Ops, lat["elapsed_ms"])
 	}
-	if res.AdmitP50MS > res.AdmitP95MS || res.AdmitP95MS > res.AdmitP99MS {
-		t.Errorf("percentiles not monotone: p50=%v p95=%v p99=%v",
-			res.AdmitP50MS, res.AdmitP95MS, res.AdmitP99MS)
+	if lat["admit_p50_ms"] > lat["admit_p95_ms"] || lat["admit_p95_ms"] > lat["admit_p99_ms"] {
+		t.Errorf("percentiles not monotone: %v", lat)
+	}
+	for _, old := range []string{`"Elapsed"`, `"OpsPerSec"`} {
+		if strings.Contains(string(raw), old) {
+			t.Errorf("report still carries the retired key %s: %s", old, raw)
+		}
 	}
 }
 
@@ -105,7 +114,7 @@ func TestRunParallelSharedRegistry(t *testing.T) {
 	if !strings.Contains(text, `gqosm_broker_lifecycle_total{event="accept"}`) {
 		t.Errorf("exposition lacks accept counter:\n%s", text)
 	}
-	if res.Admitted == 0 {
-		t.Fatalf("degenerate run: %+v", res)
+	if res.Outcome.Admitted == 0 {
+		t.Fatalf("degenerate run: %+v", res.Outcome.Tally)
 	}
 }

@@ -21,10 +21,8 @@ import (
 // (see scenarios.go) replayed against a single broker by the engine, one
 // arrival per step. Scenarios follow the engine's determinism rules — one
 // manual clock, serial client behavior, seeded PRNG streams with fixed
-// draw order — so a (scenario, seed, shards) triple produces a
-// byte-identical report, except for the wall-clock latency block, which
-// is kept under a single JSON key so CI can strip it before diffing
-// (jq 'del(.latency)').
+// draw order — so a (scenario, seed, shards, ops) tuple produces a
+// byte-identical report once its latency key is deleted.
 
 // OfferAction is a scenario client's reaction to a negotiated offer.
 type OfferAction int
@@ -71,9 +69,10 @@ type Scenario struct {
 	// outcome; id is empty for best-effort and failed arrivals) — the
 	// place for renegotiations and other follow-on client behavior.
 	AfterArrival func(run *ScenarioRun, i int, a Arrival, id sla.ID, admitted bool)
-	// Verify asserts scenario-specific report properties after the
-	// drain; a non-nil error lands in Report.VerifyErrors.
-	Verify func(r *ScenarioReport) error
+	// Verify asserts scenario-specific outcome properties after the
+	// drain; a non-nil error lands in the oracle's details and fails the
+	// report's verified gate.
+	Verify func(o *Outcome) error
 }
 
 // ScenarioConfig sizes a scenario run.
@@ -101,58 +100,6 @@ func (cfg ScenarioConfig) withDefaults() ScenarioConfig {
 	orDefault(&cfg.Phases, 10)
 	orDefault(&cfg.Shards, 1)
 	return cfg
-}
-
-// LatencySummary holds wall-clock admission-latency percentiles. It is
-// the report's only non-deterministic block: strip it (jq
-// 'del(.latency)') before byte-diffing reports across runs.
-type LatencySummary struct {
-	P50MS   float64 `json:"p50_ms"`
-	P95MS   float64 `json:"p95_ms"`
-	P99MS   float64 `json:"p99_ms"`
-	Samples int     `json:"samples"`
-}
-
-// ScenarioReport is one scenario run's result. Everything outside
-// Latency is deterministic for a (scenario, seed, shards, ops) tuple.
-type ScenarioReport struct {
-	Scenario string `json:"scenario"`
-	Seed     int64  `json:"seed"`
-	Shards   int    `json:"shards"`
-	Arrivals int    `json:"arrivals"`
-	// Ops counts broker API calls the driver actually made.
-	Ops int64 `json:"ops"`
-
-	Requested      int     `json:"requested"`
-	Admitted       int     `json:"admitted"`
-	Rejected       int     `json:"rejected"`
-	ExpiredOffers  int     `json:"expired_offers"`
-	Renegotiations int     `json:"renegotiations"`
-	RenegFailures  int     `json:"reneg_failures"`
-	Terminated     int     `json:"terminated"`
-	AdmitRate      float64 `json:"admit_rate"`
-
-	Degradations int64   `json:"degradations"`
-	Restorations int64   `json:"restorations"`
-	Promotions   int64   `json:"promotions"`
-	Revenue      float64 `json:"revenue"`
-
-	// Extras carries scenario-specific deterministic gauges (spike
-	// ratios, budget refusals, boundary races…), keyed per scenario.
-	Extras map[string]float64 `json:"extras,omitempty"`
-
-	InvariantViolations int      `json:"invariant_violations"`
-	Checks              int      `json:"checks"`
-	Violations          []string `json:"violations,omitempty"`
-	VerifyErrors        []string `json:"verify_errors,omitempty"`
-
-	Latency *LatencySummary `json:"latency,omitempty"`
-}
-
-// Failed reports whether CI should gate the run red: any oracle
-// violation or scenario assertion failure.
-func (r *ScenarioReport) Failed() bool {
-	return r.InvariantViolations > 0 || len(r.VerifyErrors) > 0
 }
 
 // departure is a scheduled session end (or best-effort release).
@@ -188,10 +135,13 @@ type ScenarioRun struct {
 	// Accounts are per-tenant budgets for economic scenarios; hooks
 	// create entries on first use via Account.
 	Accounts map[string]*pricing.Account
-	Report   *ScenarioReport
 
-	sc         Scenario
-	engine     *engine
+	sc     Scenario
+	engine *engine
+	config map[string]any
+	// out accumulates the workload's counters as the trace replays.
+	out        Tally
+	counts     ScenarioTally
 	trace      []Arrival
 	drainUntil time.Time
 	departures departureHeap
@@ -200,7 +150,9 @@ type ScenarioRun struct {
 	// pick renegotiation targets; lazily compacted.
 	live []sla.ID
 
-	latencies []float64 // admission wall-clock ms, in call order
+	// onAdmission, when set, observes each negotiated admission's
+	// wall-clock milliseconds (the soak samples its windows this way).
+	onAdmission func(ms float64)
 }
 
 // Account returns the named tenant's budget account, creating it with
@@ -216,14 +168,14 @@ func (run *ScenarioRun) Account(tenant string, limit float64) *pricing.Account {
 
 // Extra adds v to the named deterministic gauge.
 func (run *ScenarioRun) Extra(key string, v float64) {
-	if run.Report.Extras == nil {
-		run.Report.Extras = make(map[string]float64)
+	if run.counts.Extras == nil {
+		run.counts.Extras = make(map[string]float64)
 	}
-	run.Report.Extras[key] += v
+	run.counts.Extras[key] += v
 }
 
 // op counts one broker API call.
-func (run *ScenarioRun) op() { run.Report.Ops++ }
+func (run *ScenarioRun) op() { run.out.Ops++ }
 
 // LiveSessions returns the compacted list of sessions still active —
 // the pool renegotiation hooks draw targets from.
@@ -282,13 +234,12 @@ func LookupScenario(name string) (Scenario, bool) {
 
 // RunScenario replays one scenario and returns its report. A non-nil
 // error means the harness itself failed; oracle violations and scenario
-// assertion failures land in the report (see ScenarioReport.Failed) so
-// CI always has a report to gate on.
+// assertion failures land in the report so CI always has one to gate on.
 //
 // Each observer runs at every phase barrier with the live run, letting a
 // caller sample mid-run state — the shadow lab averages allocator
 // utilization across phases this way.
-func RunScenario(sc Scenario, cfg ScenarioConfig, observers ...func(run *ScenarioRun, phase int)) (*ScenarioReport, error) {
+func RunScenario(sc Scenario, cfg ScenarioConfig, observers ...func(run *ScenarioRun, phase int)) (*Report, error) {
 	run, err := newScenarioRun(sc, cfg)
 	if err != nil {
 		return nil, err
@@ -299,7 +250,11 @@ func RunScenario(sc Scenario, cfg ScenarioConfig, observers ...func(run *Scenari
 			observe(run, phase)
 		}
 	}
-	return run.play()
+	rep, err := run.play()
+	if err != nil {
+		return nil, err
+	}
+	return rep.Seal(), nil
 }
 
 // newScenarioRun generates the scenario's trace and assembles the engine
@@ -340,13 +295,10 @@ func newScenarioRun(sc Scenario, cfg ScenarioConfig) (*ScenarioRun, error) {
 		Clock:    topo.clock,
 		RNG:      rand.New(rand.NewSource(cfg.Seed + 2)),
 		Accounts: make(map[string]*pricing.Account),
-		Report: &ScenarioReport{
-			Scenario: sc.Name,
-			Seed:     cfg.Seed,
-			Shards:   cfg.Shards,
-			Arrivals: len(trace),
-		},
-		sc:         sc,
+		sc:       sc,
+		config: map[string]any{"scenario": sc.Name, "seed": cfg.Seed, "ops": cfg.Ops, "phases": cfg.Phases,
+			"shards": cfg.Shards, "policy": cfg.Policy, "shadow_policy": cfg.ShadowPolicy},
+		counts:     ScenarioTally{Arrivals: len(trace)},
 		trace:      trace,
 		drainUntil: Epoch.Add(wl.Duration).Add(1000 * time.Hour),
 	}
@@ -355,29 +307,25 @@ func newScenarioRun(sc Scenario, cfg ScenarioConfig) (*ScenarioRun, error) {
 	return run, nil
 }
 
-// play runs the engine and completes the report from its outcome.
-func (run *ScenarioRun) play() (*ScenarioReport, error) {
-	r := run.Report
+// play runs the engine and files the report, unsealed: the scenario's
+// own assertions are judged here, a soak adds its verdict on top.
+func (run *ScenarioRun) play() (*Report, error) {
 	if err := run.engine.run(); err != nil {
-		return r, err
+		return nil, err
 	}
-	out := &run.engine.out
-	r.Checks, r.InvariantViolations, r.Violations = out.Checks, out.InvariantViolations, out.Violations
-	r.Ops += int64(out.Checks) // the engine's expiry sweep before each oracle pass
-	if r.Requested > 0 {
-		r.AdmitRate = float64(r.Admitted) / float64(r.Requested)
-	}
-	r.Degradations = lifecycleCount(run.Cluster.Obs, "degrade")
-	r.Restorations = lifecycleCount(run.Cluster.Obs, "restore")
-	r.Promotions = lifecycleCount(run.Cluster.Obs, "promote")
-	r.Revenue = run.Cluster.Broker.Ledger().NetRevenue()
-	r.Latency = summarizeLatency(run.latencies)
+	rep := run.engine.report("scenario", run.config)
 	if run.sc.Verify != nil {
-		if err := run.sc.Verify(r); err != nil {
-			r.VerifyErrors = append(r.VerifyErrors, err.Error())
+		err := run.sc.Verify(&rep.Outcome)
+		if rep.Oracle.Gates["verified"] = err == nil; err != nil {
+			rep.Oracle.Details = append(rep.Oracle.Details, "verify: "+err.Error())
 		}
 	}
-	return r, nil
+	return rep, nil
+}
+
+func (run *ScenarioRun) tally(o *Outcome) {
+	*o.Tally, o.Scenario = run.out, &run.counts
+	o.Ops += int64(run.engine.oracle.Checks) // the engine's expiry sweep before each oracle pass
 }
 
 // step replays arrival i: run out the departures due before it, move
@@ -411,7 +359,7 @@ func (run *ScenarioRun) processDepartures(until time.Time) {
 			continue
 		}
 		if err := b.Terminate(d.id, "hold elapsed"); err == nil {
-			run.Report.Terminated++
+			run.out.Terminated++
 		}
 	}
 }
@@ -421,7 +369,7 @@ func (run *ScenarioRun) processDepartures(until time.Time) {
 func (run *ScenarioRun) arrive(i int, a Arrival) (id sla.ID, admitted bool) {
 	sc := run.sc
 	b := run.Cluster.Broker
-	r := run.Report
+	r := &run.out
 
 	if a.Class == sla.ClassBestEffort {
 		client := fmt.Sprintf("be-%d", i)
@@ -447,7 +395,9 @@ func (run *ScenarioRun) arrive(i int, a Arrival) (id sla.ID, admitted bool) {
 	r.Requested++
 	sw := startStopwatch()
 	offer, err := b.RequestService(req)
-	run.latencies = append(run.latencies, sw.ms())
+	if run.onAdmission != nil {
+		run.onAdmission(sw.ms())
+	}
 	if err != nil {
 		r.Rejected++
 		if errors.Is(err, core.ErrOverBudget) {
@@ -474,7 +424,7 @@ func (run *ScenarioRun) arrive(i int, a Arrival) (id sla.ID, admitted bool) {
 		// The confirm timer expires the offer when the clock next moves
 		// past the window; count it now — deterministically — rather
 		// than reverse-engineering it from broker state later.
-		r.ExpiredOffers++
+		run.counts.ExpiredOffers++
 		id = ""
 	case OfferAcceptAtExpiry:
 		run.Clock.Set(offer.Expires)
@@ -483,7 +433,7 @@ func (run *ScenarioRun) arrive(i int, a Arrival) (id sla.ID, admitted bool) {
 			// The timer fired during the Set: the offer expired a
 			// virtual instant before the accept. This is the boundary
 			// race the lease-churn scenario exists to hammer.
-			r.ExpiredOffers++
+			run.counts.ExpiredOffers++
 			run.Extra("boundary_races", 1)
 			id = ""
 		} else {
@@ -502,7 +452,7 @@ func (run *ScenarioRun) arrive(i int, a Arrival) (id sla.ID, admitted bool) {
 }
 
 func (run *ScenarioRun) admitted(id sla.ID, end time.Time) {
-	run.Report.Admitted++
+	run.out.Admitted++
 	run.depSeq++
 	heap.Push(&run.departures, departure{at: end, seq: run.depSeq, id: id})
 	run.live = append(run.live, id)
@@ -512,24 +462,10 @@ func (run *ScenarioRun) admitted(id sla.ID, end time.Time) {
 // attempt, the failure and the op.
 func (run *ScenarioRun) Renegotiate(id sla.ID, spec sla.Spec) bool {
 	run.op()
-	run.Report.Renegotiations++
+	run.counts.Renegotiations++
 	if _, err := run.Cluster.Broker.Renegotiate(id, spec); err != nil {
-		run.Report.RenegFailures++
+		run.counts.RenegFailures++
 		return false
 	}
 	return true
-}
-
-func summarizeLatency(ms []float64) *LatencySummary {
-	if len(ms) == 0 {
-		return nil
-	}
-	s := append([]float64(nil), ms...)
-	sort.Float64s(s)
-	return &LatencySummary{
-		P50MS:   percentile(s, 0.50),
-		P95MS:   percentile(s, 0.95),
-		P99MS:   percentile(s, 0.99),
-		Samples: len(s),
-	}
 }

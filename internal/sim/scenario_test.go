@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -132,15 +131,7 @@ func TestScenarioTraceShapes(t *testing.T) {
 	}
 }
 
-// stripLatency clears the wall-clock block so reports can be compared
-// byte-for-byte.
-func stripLatency(r *ScenarioReport) *ScenarioReport {
-	cp := *r
-	cp.Latency = nil
-	return &cp
-}
-
-func runQuick(t *testing.T, sc Scenario, seed int64) *ScenarioReport {
+func runQuick(t *testing.T, sc Scenario, seed int64) *Report {
 	t.Helper()
 	r, err := RunScenario(sc, ScenarioConfig{Seed: seed, Ops: 3000})
 	if err != nil {
@@ -157,33 +148,25 @@ func TestRunScenarioQuickAndDeterministic(t *testing.T) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			r1 := runQuick(t, sc, 1)
-			if r1.InvariantViolations != 0 {
-				t.Errorf("invariant violations: %v", r1.Violations)
+			if r1.Oracle.Violations != 0 || !r1.Oracle.Gates["verified"] || r1.Failed() {
+				t.Errorf("oracle violations or failed scenario assertions: %+v", r1.Oracle)
 			}
-			if len(r1.VerifyErrors) != 0 {
-				t.Errorf("scenario verify failed: %v", r1.VerifyErrors)
-			}
-			if r1.Ops == 0 || r1.Requested == 0 {
-				t.Fatalf("degenerate run: %+v", r1)
+			if r1.Outcome.Ops == 0 || r1.Outcome.Requested == 0 {
+				t.Fatalf("degenerate run: %s", stripped(t, r1))
 			}
 
 			r2 := runQuick(t, sc, 1)
-			j1, _ := json.Marshal(stripLatency(r1))
-			j2, _ := json.Marshal(stripLatency(r2))
-			if !bytes.Equal(j1, j2) {
+			if j1, j2 := stripped(t, r1), stripped(t, r2); !bytes.Equal(j1, j2) || r1.Digest != r2.Digest {
 				t.Errorf("nondeterministic report:\n%s\nvs\n%s", j1, j2)
 			}
 
 			// A different seed must still pass but produce a different
 			// trace (sanity that the seed is actually threaded through).
 			r3 := runQuick(t, sc, 7)
-			if r3.InvariantViolations != 0 {
-				t.Errorf("seed 7 violations: %v", r3.Violations)
+			if r3.Failed() {
+				t.Errorf("seed 7 failed: %+v", r3.Oracle)
 			}
-			if len(r3.VerifyErrors) != 0 {
-				t.Errorf("seed 7 verify failed: %v", r3.VerifyErrors)
-			}
-			if r3.Arrivals == r1.Arrivals && r3.Revenue == r1.Revenue {
+			if r3.Outcome.Scenario.Arrivals == r1.Outcome.Scenario.Arrivals && r3.Outcome.Revenue == r1.Outcome.Revenue {
 				t.Errorf("seed 7 report identical to seed 1: seed not threaded")
 			}
 		})

@@ -57,13 +57,13 @@ var diurnal = Scenario{
 			run.Extra("arrivals_trough_half", 1)
 		}
 	},
-	Verify: func(r *ScenarioReport) error {
-		peak, trough := r.Extras["arrivals_peak_half"], r.Extras["arrivals_trough_half"]
+	Verify: func(o *Outcome) error {
+		peak, trough := o.Scenario.Extras["arrivals_peak_half"], o.Scenario.Extras["arrivals_trough_half"]
 		if trough == 0 || peak/trough < 2 {
 			return fmt.Errorf("diurnal swing missing: peak-half %v vs trough-half %v arrivals", peak, trough)
 		}
-		if r.AdmitRate <= 0.2 {
-			return fmt.Errorf("admit rate %.3f too low for a diurnal mean load", r.AdmitRate)
+		if o.AdmitRate <= 0.2 {
+			return fmt.Errorf("admit rate %.3f too low for a diurnal mean load", o.AdmitRate)
 		}
 		return nil
 	},
@@ -128,10 +128,8 @@ var flashCrowd = Scenario{
 			}
 		}
 	},
-	Verify: func(r *ScenarioReport) error {
-		_, spikeStart, _ := flashTimes(ScenarioConfig{Ops: int(r.Ops)}) // shape only; see below
-		_ = spikeStart
-		before, spike := r.Extras["arrivals_before"], r.Extras["arrivals_spike"]
+	Verify: func(o *Outcome) error {
+		before, spike := o.Scenario.Extras["arrivals_before"], o.Scenario.Extras["arrivals_spike"]
 		if before == 0 {
 			return fmt.Errorf("no pre-spike arrivals")
 		}
@@ -143,8 +141,8 @@ var flashCrowd = Scenario{
 		if spike < 30*perHourBefore {
 			return fmt.Errorf("spike too small: %v arrivals in the crowd hour vs %v/h before", spike, perHourBefore)
 		}
-		if r.AdmitRate >= 0.9 {
-			return fmt.Errorf("admit rate %.3f: the crowd never saturated admission", r.AdmitRate)
+		if o.AdmitRate >= 0.9 {
+			return fmt.Errorf("admit rate %.3f: the crowd never saturated admission", o.AdmitRate)
 		}
 		return nil
 	},
@@ -198,8 +196,8 @@ var tenantMix = Scenario{
 			run.Extra(kind+"_admitted", 1)
 		}
 	},
-	Verify: func(r *ScenarioReport) error {
-		wReq, mReq := r.Extras["whale_requested"], r.Extras["minnow_requested"]
+	Verify: func(o *Outcome) error {
+		wReq, mReq := o.Scenario.Extras["whale_requested"], o.Scenario.Extras["minnow_requested"]
 		total := wReq + mReq
 		if total == 0 {
 			return fmt.Errorf("no negotiated arrivals")
@@ -207,7 +205,7 @@ var tenantMix = Scenario{
 		if frac := wReq / total; frac < 0.05 || frac > 0.16 {
 			return fmt.Errorf("whale fraction %.3f outside [0.05, 0.16]", frac)
 		}
-		wAdm, mAdm := r.Extras["whale_admitted"], r.Extras["minnow_admitted"]
+		wAdm, mAdm := o.Scenario.Extras["whale_admitted"], o.Scenario.Extras["minnow_admitted"]
 		if wReq > 0 && mReq > 0 {
 			if wAdm/wReq >= mAdm/mReq {
 				return fmt.Errorf("whales admitted at %.3f ≥ minnows at %.3f: contention never bit the large reservations",
@@ -258,11 +256,11 @@ var renegStorm = Scenario{
 			run.Renegotiate(target, spec)
 		}
 	},
-	Verify: func(r *ScenarioReport) error {
-		if r.Renegotiations < r.Arrivals/2 {
-			return fmt.Errorf("storm never formed: %d renegotiations over %d arrivals", r.Renegotiations, r.Arrivals)
+	Verify: func(o *Outcome) error {
+		if o.Scenario.Renegotiations < o.Scenario.Arrivals/2 {
+			return fmt.Errorf("storm never formed: %d renegotiations over %d arrivals", o.Scenario.Renegotiations, o.Scenario.Arrivals)
 		}
-		if r.RenegFailures == r.Renegotiations {
+		if o.Scenario.RenegFailures == o.Scenario.Renegotiations {
 			return fmt.Errorf("every renegotiation failed")
 		}
 		return nil
@@ -299,14 +297,14 @@ var leaseChurn = Scenario{
 			return OfferAccept
 		}
 	},
-	Verify: func(r *ScenarioReport) error {
-		if r.Extras["boundary_races"] == 0 {
+	Verify: func(o *Outcome) error {
+		if o.Scenario.Extras["boundary_races"] == 0 {
 			return fmt.Errorf("no accept ever raced its offer's expiry")
 		}
-		if r.ExpiredOffers == 0 {
+		if o.Scenario.ExpiredOffers == 0 {
 			return fmt.Errorf("no offer expired despite the abandon pattern")
 		}
-		if r.Admitted == 0 {
+		if o.Admitted == 0 {
 			return fmt.Errorf("nothing admitted: churn drowned the workload")
 		}
 		return nil
@@ -370,25 +368,25 @@ var economic = Scenario{
 		run.Extra("spend_"+tenant, offer.Price)
 		return OfferAccept
 	},
-	Verify: func(r *ScenarioReport) error {
+	Verify: func(o *Outcome) error {
 		// A capped tenant hitting its limit shows up in one of two ways:
 		// the broker rejects pre-offer because even the floor price
 		// exceeds the remaining budget (over_budget_rejects), or the
 		// client-side debit of an offered price fails (budget_refusals).
 		// Budget threading makes the broker fit offers to the budget, so
 		// the pre-offer reject is the common path.
-		if r.Extras["over_budget_rejects"]+r.Extras["budget_refusals"] == 0 {
+		if o.Scenario.Extras["over_budget_rejects"]+o.Scenario.Extras["budget_refusals"] == 0 {
 			return fmt.Errorf("no tenant ever hit its budget: the economic pressure is missing")
 		}
-		if r.Degradations == 0 {
+		if o.Degradations == 0 {
 			return fmt.Errorf("no degradations under contention: pricing never drove adaptation")
 		}
-		if r.Revenue <= 0 {
-			return fmt.Errorf("net revenue %.2f: the provider earned nothing", r.Revenue)
+		if o.Revenue <= 0 {
+			return fmt.Errorf("net revenue %.2f: the provider earned nothing", o.Revenue)
 		}
 		for t := 0; t < 4; t++ {
 			key := fmt.Sprintf("spend_tenant-%02d", t)
-			if spent := r.Extras[key]; spent > economicBudget(t)+1e-6 {
+			if spent := o.Scenario.Extras[key]; spent > economicBudget(t)+1e-6 {
 				return fmt.Errorf("%s spent %.2f over its %.0f budget", key, spent, economicBudget(t))
 			}
 		}

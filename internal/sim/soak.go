@@ -12,9 +12,9 @@ import (
 // samples process health — goroutine count, heap, rolling admission p99 —
 // at every quiesce window. The oracle still runs continuously; on top of
 // it the soak verdict asserts the process is *stable*: goroutines and
-// heap bounded, tail latency flat. Everything under the "soak" JSON key
-// (like "latency") is wall-clock/runtime derived and therefore excluded
-// from determinism comparisons.
+// heap bounded, tail latency flat. The samples are runtime-derived, so
+// they sit under the report's latency key ("soak"); the verdict is the
+// oracle's stable gate.
 
 // SoakConfig sizes a soak run. The embedded ScenarioConfig is used as in
 // RunScenario except that Phases is driven by Windows.
@@ -41,8 +41,8 @@ const (
 	soakP99Factor = 8.0
 )
 
-// SoakWindow is one sampling point, taken at a quiesce barrier.
-type SoakWindow struct {
+// soakWindow is one sampling point, taken at a quiesce barrier.
+type soakWindow struct {
 	Window     int     `json:"window"`
 	Ops        int64   `json:"ops"`
 	Goroutines int     `json:"goroutines"`
@@ -51,11 +51,9 @@ type SoakWindow struct {
 	Samples    int     `json:"samples"`
 }
 
-// SoakStats is the runtime-health block of a soak report. Like the
-// latency block it is not deterministic; strip it (jq 'del(.soak)')
-// before byte-diffing soak reports.
-type SoakStats struct {
-	Windows []SoakWindow `json:"windows"`
+// soakStats is the runtime-health block of a soak report.
+type soakStats struct {
+	Windows []soakWindow `json:"windows"`
 
 	GoroutinesStart int    `json:"goroutines_start"`
 	GoroutinesMax   int    `json:"goroutines_max"`
@@ -66,28 +64,13 @@ type SoakStats struct {
 	// p99s over each half of the run — the flat-tail comparison.
 	P99FirstHalfMS float64 `json:"p99_first_half_ms"`
 	P99LastHalfMS  float64 `json:"p99_last_half_ms"`
-
-	Stable   bool     `json:"stable"`
-	Problems []string `json:"problems,omitempty"`
-}
-
-// SoakReport is a scenario report plus the soak-health verdict.
-type SoakReport struct {
-	ScenarioReport
-	Soak *SoakStats `json:"soak"`
-}
-
-// Failed gates CI: any oracle violation, scenario assertion failure, or
-// instability verdict.
-func (r *SoakReport) Failed() bool {
-	return r.ScenarioReport.Failed() || r.Soak == nil || !r.Soak.Stable
 }
 
 // RunSoak replays the scenario in long-run mode: working set bounded,
 // runtime health sampled per window, stability asserted. A non-nil error
 // means the harness itself failed; oracle violations, assertion failures
-// and instability land in the report (see SoakReport.Failed).
-func RunSoak(sc Scenario, cfg SoakConfig) (*SoakReport, error) {
+// and instability land in the report.
+func RunSoak(sc Scenario, cfg SoakConfig) (*Report, error) {
 	orDefault(&cfg.Windows, 40)
 	cfg.Phases = cfg.Windows
 	run, err := newScenarioRun(sc, cfg.ScenarioConfig)
@@ -95,45 +78,48 @@ func RunSoak(sc Scenario, cfg SoakConfig) (*SoakReport, error) {
 		return nil, err
 	}
 	defer run.engine.topo.close()
+	run.config["soak"] = true
 	// Bound the working set: terminal state (broker sessions, GARA
 	// reservations, GRAM jobs) is compacted at every window, the ledger
 	// keeps a fixed entry window.
 	run.engine.prune = true
 	run.Cluster.Broker.Ledger().SetRetention(soakLedgerRetention)
 
-	stats := &SoakStats{GoroutinesStart: runtime.NumGoroutine()}
-	lastLat := 0
+	stats := &soakStats{GoroutinesStart: runtime.NumGoroutine()}
+	var admitMS []float64 // admission wall-clock ms within the current window
+	run.onAdmission = func(ms float64) { admitMS = append(admitMS, ms) }
 	run.engine.onQuiesce = func(window int) {
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		lat := run.latencies[lastLat:]
-		lastLat = len(run.latencies)
-		w := SoakWindow{
+		sort.Float64s(admitMS)
+		stats.Windows = append(stats.Windows, soakWindow{
 			Window:     window,
-			Ops:        run.Report.Ops,
+			Ops:        run.out.Ops,
 			Goroutines: runtime.NumGoroutine(),
 			HeapBytes:  ms.HeapAlloc,
-			Samples:    len(lat),
-		}
-		if s := summarizeLatency(lat); s != nil {
-			w.P99MS = s.P99MS
-		}
-		stats.Windows = append(stats.Windows, w)
+			P99MS:      percentile(admitMS, 0.99),
+			Samples:    len(admitMS),
+		})
+		admitMS = admitMS[:0]
 	}
 
 	rep, err := run.play()
-	if err == nil {
-		judge(stats)
+	if err != nil {
+		return nil, err
 	}
-	return &SoakReport{ScenarioReport: *rep, Soak: stats}, err
+	problems := judge(stats)
+	rep.Oracle.Gates["stable"] = len(problems) == 0
+	rep.Oracle.Details = append(rep.Oracle.Details, problems...)
+	rep.Latency["soak"] = stats
+	return rep.Seal(), nil
 }
 
-// judge fills the aggregate fields and the stability verdict.
-func judge(stats *SoakStats) {
+// judge fills the aggregate fields and returns what breaks the stability
+// verdict (nothing when the run was stable).
+func judge(stats *soakStats) (problems []string) {
 	if len(stats.Windows) == 0 {
-		stats.Problems = append(stats.Problems, "no sampling windows")
-		return
+		return []string{"soak: no sampling windows"}
 	}
 	stats.HeapBaseBytes = stats.Windows[0].HeapBytes
 	var p99s []float64
@@ -149,21 +135,21 @@ func judge(stats *SoakStats) {
 	stats.P99LastHalfMS = medianOf(p99s[half:])
 
 	if lim := stats.GoroutinesStart + soakGoroutineSlack; stats.GoroutinesMax > lim {
-		stats.Problems = append(stats.Problems,
-			fmt.Sprintf("goroutines grew %d -> %d (limit %d): leak", stats.GoroutinesStart, stats.GoroutinesMax, lim))
+		problems = append(problems,
+			fmt.Sprintf("soak: goroutines grew %d -> %d (limit %d): leak", stats.GoroutinesStart, stats.GoroutinesMax, lim))
 	}
 	heapBase := max(stats.HeapBaseBytes, 32<<20)
 	if lim := uint64(float64(heapBase) * soakHeapFactor); stats.HeapMaxBytes > lim {
-		stats.Problems = append(stats.Problems,
-			fmt.Sprintf("heap grew %d -> %d bytes (limit %d): working set unbounded", stats.HeapBaseBytes, stats.HeapMaxBytes, lim))
+		problems = append(problems,
+			fmt.Sprintf("soak: heap grew %d -> %d bytes (limit %d): working set unbounded", stats.HeapBaseBytes, stats.HeapMaxBytes, lim))
 	}
 	first := max(stats.P99FirstHalfMS, 0.05)
 	if half > 0 && stats.P99LastHalfMS > soakP99Factor*first {
-		stats.Problems = append(stats.Problems,
-			fmt.Sprintf("admission p99 rose %.3fms -> %.3fms (limit %.3fms): tail not flat",
+		problems = append(problems,
+			fmt.Sprintf("soak: admission p99 rose %.3fms -> %.3fms (limit %.3fms): tail not flat",
 				stats.P99FirstHalfMS, stats.P99LastHalfMS, soakP99Factor*first))
 	}
-	stats.Stable = len(stats.Problems) == 0
+	return problems
 }
 
 // medianOf returns the median of an unsorted slice (0 when empty).

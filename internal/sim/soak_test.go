@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"testing"
 )
@@ -12,7 +11,7 @@ import (
 // wall-time (minutes under -race) does not belong in the tier-1 loop —
 // the CI soak job sets the variable.
 
-func runSoak(t *testing.T, name string, cfg SoakConfig) *SoakReport {
+func runSoak(t *testing.T, name string, cfg SoakConfig) *Report {
 	t.Helper()
 	sc, ok := LookupScenario(name)
 	if !ok {
@@ -25,26 +24,24 @@ func runSoak(t *testing.T, name string, cfg SoakConfig) *SoakReport {
 	return r
 }
 
-func checkStable(t *testing.T, r *SoakReport) {
+func checkStable(t *testing.T, r *Report) {
 	t.Helper()
-	if r.InvariantViolations != 0 {
-		t.Errorf("%s: invariant violations: %v", r.Scenario, r.Violations)
+	name := r.Config["scenario"]
+	if r.Oracle.Violations != 0 || !r.Oracle.Gates["verified"] {
+		t.Errorf("%s: oracle violations or failed scenario assertions: %+v", name, r.Oracle)
 	}
-	if len(r.VerifyErrors) != 0 {
-		t.Errorf("%s: verify errors: %v", r.Scenario, r.VerifyErrors)
-	}
-	if r.Soak == nil || !r.Soak.Stable {
-		t.Errorf("%s: unstable: %+v", r.Scenario, r.Soak)
+	if !r.Oracle.Gates["stable"] {
+		t.Errorf("%s: unstable: %v", name, r.Oracle.Details)
 	}
 	if r.Failed() {
-		t.Errorf("%s: report marked failed", r.Scenario)
+		t.Errorf("%s: report marked failed", name)
 	}
-	s := r.Soak
+	s := r.Latency["soak"].(*soakStats)
 	if s.GoroutinesMax > s.GoroutinesStart+16 {
-		t.Errorf("%s: goroutines %d -> %d", r.Scenario, s.GoroutinesStart, s.GoroutinesMax)
+		t.Errorf("%s: goroutines %d -> %d", name, s.GoroutinesStart, s.GoroutinesMax)
 	}
 	if len(s.Windows) < 2 {
-		t.Errorf("%s: only %d sampling windows", r.Scenario, len(s.Windows))
+		t.Errorf("%s: only %d sampling windows", name, len(s.Windows))
 	}
 }
 
@@ -61,8 +58,8 @@ func TestSoakStabilityQuick(t *testing.T) {
 				Windows:        20,
 			})
 			checkStable(t, r)
-			if r.Ops < int64(ops)/4 {
-				t.Errorf("executed only %d broker ops for a %d-op budget", r.Ops, ops)
+			if r.Outcome.Ops < int64(ops)/4 {
+				t.Errorf("executed only %d broker ops for a %d-op budget", r.Outcome.Ops, ops)
 			}
 		})
 	}
@@ -85,30 +82,22 @@ func TestSoakStabilityFull(t *testing.T) {
 		Windows:        100,
 	})
 	checkStable(t, r)
-	if r.Ops < 1000000 {
-		t.Errorf("executed %d broker ops, want >= 1M", r.Ops)
+	if r.Outcome.Ops < 1000000 {
+		t.Errorf("executed %d broker ops, want >= 1M", r.Outcome.Ops)
 	}
 }
 
 // The deterministic core of a soak report (everything but the latency
-// and soak blocks) must be byte-identical across runs with one seed.
+// block, which holds the soak samples too) must be byte-identical across
+// runs with one seed.
 func TestSoakDeterministicCore(t *testing.T) {
-	core := func(r *SoakReport) []byte {
-		cp := r.ScenarioReport
-		cp.Latency = nil
-		j, err := json.Marshal(cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return j
-	}
 	cfg := SoakConfig{ScenarioConfig: ScenarioConfig{Seed: 3, Ops: 15000}, Windows: 10}
 	r1 := runSoak(t, "lease-churn", cfg)
 	r2 := runSoak(t, "lease-churn", cfg)
-	if !bytes.Equal(core(r1), core(r2)) {
-		t.Errorf("nondeterministic soak core:\n%s\nvs\n%s", core(r1), core(r2))
+	if c1, c2 := stripped(t, r1), stripped(t, r2); !bytes.Equal(c1, c2) || r1.Digest != r2.Digest {
+		t.Errorf("nondeterministic soak core:\n%s\nvs\n%s", c1, c2)
 	}
-	if r1.Soak == nil || len(r1.Soak.Windows) == 0 {
-		t.Errorf("soak block missing")
+	if len(r1.Latency["soak"].(*soakStats).Windows) != 10 {
+		t.Errorf("soak block missing its windows: %v", r1.Latency["soak"])
 	}
 }

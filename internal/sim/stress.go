@@ -2,11 +2,9 @@ package sim
 
 import (
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -35,8 +33,8 @@ import (
 //     is accounted virtually (recorded, never slept). Two runs with the
 //     same configuration produce bit-identical reports.
 //   - RunRestartChaos: chaos + WAL + N kill points (see engine.kill).
-//     Deterministic too, except the wall-clock recovery time, which CI
-//     strips before diffing reports.
+//     Deterministic too; the wall-clock recovery time sits under the
+//     report's latency key like every other clock reading.
 
 // StressConfig sizes a stress run; the three entry points share it.
 type StressConfig struct {
@@ -109,176 +107,37 @@ func DefaultParallelPlan() core.CapacityPlan {
 	}
 }
 
-// ParallelResult reports a RunParallel run.
-type ParallelResult struct {
-	Clients, Ops, Phases int
-	// Requested / Admitted / Terminated count successful lifecycle
-	// transitions across all clients.
-	Requested, Admitted, Terminated int
-	// Checks counts invariant suite passes (one per quiesce point plus
-	// the post-drain pass).
-	Checks int
-	// Elapsed is the wall-clock time spent in the phased operation loop,
-	// in nanoseconds when marshalled (time.Duration's default encoding).
-	Elapsed time.Duration
-	// ElapsedMS duplicates Elapsed in milliseconds for consumers that
-	// should not have to know Go's Duration-as-nanoseconds convention.
-	ElapsedMS float64 `json:"elapsed_ms"`
-	// OpsPerSec is Ops / Elapsed.
-	OpsPerSec float64
-	// AdmitP50MS / AdmitP95MS / AdmitP99MS are admission-latency
-	// percentiles in milliseconds, estimated from the broker's
-	// gqosm_broker_admission_seconds histogram by linear interpolation
-	// within fixed buckets.
-	AdmitP50MS float64 `json:"admit_p50_ms"`
-	AdmitP95MS float64 `json:"admit_p95_ms"`
-	AdmitP99MS float64 `json:"admit_p99_ms"`
-	// Shards is the broker shard count the run used.
-	Shards int `json:"shards"`
-	// ShardSessions counts sessions routed to each shard (terminal
-	// included), sampled at the last quiesce point before the drain; it
-	// shows how evenly the placement layer spread the load. Only emitted
-	// for sharded runs (Shards > 1), so the monolithic default keeps the
-	// flat all-scalar schema.
-	ShardSessions []int `json:"shard_sessions,omitempty"`
-	// ShardUtilization is each shard's guaranteed-partition load factor at
-	// the same sample point (max over dimensions of demand / bound).
-	ShardUtilization []float64 `json:"shard_utilization,omitempty"`
-	// CacheHitRate is hits / (hits + misses) of the discovery cache over
-	// the run. Omitted when the cache saw no traffic (disabled runs keep
-	// the historical schema).
-	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
-	// Intake reports whether admissions rode the group-commit batch
-	// path; IntakeBatchMean is the mean flushed batch size
-	// (submissions / flushes). Both omitted for direct-path runs so the
-	// historical schema is unchanged.
-	Intake          bool    `json:"intake,omitempty"`
-	IntakeBatchMean float64 `json:"intake_batch_mean,omitempty"`
-	// Transport echoes StressConfig.Transport for "http" runs; omitted
-	// for the in-process default so historical reports keep their schema.
-	Transport string `json:"transport,omitempty"`
+// RunParallel executes the concurrent lifecycle stress: throughput and
+// admission latency under goroutine clients. A non-nil error means the
+// harness itself failed; oracle violations, and capacity lost or
+// double-spent by the end, land in the report for the caller to gate on.
+func RunParallel(cfg StressConfig) (*Report, error) { return runStress("parallel", cfg, true, false) }
+
+// RunChaos replays the stress workload serially under seeded fault
+// injection and returns the deterministic report.
+func RunChaos(cfg StressConfig) (*Report, error) { return runStress("chaos", cfg, false, false) }
+
+// RunRestartChaos replays the chaos workload against a durable broker,
+// killing and recovering it cfg.Restarts times.
+func RunRestartChaos(cfg StressConfig) (*Report, error) {
+	return runStress("restart-chaos", cfg, false, true)
 }
 
-// ChaosResult reports a RunChaos run. Every field is deterministic for
-// a given configuration: wall-clock measurements are deliberately
-// excluded so the report can be diffed byte-for-byte across runs.
-type ChaosResult struct {
-	Seed      int64   `json:"seed"`
-	FaultRate float64 `json:"fault_rate"`
-	Shards    int     `json:"shards"`
-	Clients   int     `json:"clients"`
-	Ops       int     `json:"ops"`
-	Phases    int     `json:"phases"`
-
-	// Intake / IntakeBatchMean as in ParallelResult.
-	Intake          bool    `json:"intake,omitempty"`
-	IntakeBatchMean float64 `json:"intake_batch_mean,omitempty"`
-
-	// Requested / Admitted / Terminated count successful lifecycle
-	// transitions; AdmitRate is Admitted / Requested.
-	Requested  int     `json:"requested"`
-	Admitted   int     `json:"admitted"`
-	Terminated int     `json:"terminated"`
-	AdmitRate  float64 `json:"admit_rate"`
-
-	// Degradations / Restorations are the broker's scenario-3/2a
-	// lifecycle counters.
-	Degradations int64 `json:"degradations"`
-	Restorations int64 `json:"restorations"`
-
-	// Retries / Timeouts / Unavailable are the retry-policy budget
-	// totals across all RM-facing call sites.
-	Retries     int64 `json:"retries"`
-	Timeouts    int64 `json:"timeouts"`
-	Unavailable int64 `json:"unavailable"`
-
-	// FaultsInjected totals injections; FaultsByKind breaks them down
-	// ("error", "latency", "hang", "partial", "crash").
-	FaultsInjected int64            `json:"faults_injected"`
-	FaultsByKind   map[string]int64 `json:"faults_by_kind"`
-
-	// ReconciledCancels counts parked reservation cancels cleared by
-	// the drain-time reconciliation sweeps.
-	ReconciledCancels int `json:"reconciled_cancels"`
-
-	// VirtualP95MS is the p95 of injected virtual latency (recorded
-	// delays plus timed-out attempt deadlines) in milliseconds — the
-	// deterministic stand-in for "p95 under faults".
-	VirtualP95MS float64 `json:"virtual_p95_ms"`
-
-	// InvariantViolations totals oracle violations across all checks
-	// (capacity lost at the drain included); Checks counts oracle passes.
-	InvariantViolations int      `json:"invariant_violations"`
-	Checks              int      `json:"checks"`
-	Violations          []string `json:"violations,omitempty"`
-}
-
-// Failed reports whether CI should gate the run red.
-func (r *ChaosResult) Failed() bool { return r.InvariantViolations > 0 }
-
-// RestartResult reports a RunRestartChaos run. Every field except
-// RecoveryP95MS is deterministic for a given configuration.
-type RestartResult struct {
-	Seed      int64   `json:"seed"`
-	FaultRate float64 `json:"fault_rate"`
-	Shards    int     `json:"shards"`
-	Clients   int     `json:"clients"`
-	Ops       int     `json:"ops"`
-	Restarts  int     `json:"restarts"`
-
-	Requested  int `json:"requested"`
-	Admitted   int `json:"admitted"`
-	Terminated int `json:"terminated"`
-
-	// Intake / IntakeBatchMean as in ParallelResult.
-	Intake          bool    `json:"intake,omitempty"`
-	IntakeBatchMean float64 `json:"intake_batch_mean,omitempty"`
-
-	// ReplayedRecords sums WAL records replayed across all recoveries;
-	// SnapshotSeqs lists each recovery's snapshot base sequence.
-	ReplayedRecords int      `json:"replayed_records"`
-	SnapshotSeqs    []uint64 `json:"snapshot_seqs"`
-	// Adopted / Refunded / ParkedCleared sum the reconcile sweeps'
-	// counters across recoveries.
-	Adopted       int `json:"adopted"`
-	Refunded      int `json:"refunded"`
-	ParkedCleared int `json:"parked_cleared"`
-	// DigestMatches counts recoveries whose post-recovery state digest
-	// was byte-identical to the pre-kill digest. CI requires it to
-	// equal Restarts.
-	DigestMatches int `json:"digest_matches"`
-
-	// WALRecords / WALSnapshots are the final broker's totals.
-	WALRecords   int64 `json:"wal_records"`
-	WALSnapshots int64 `json:"wal_snapshots"`
-
-	// CapacityRestored is true when the final drain returned every
-	// shard to its configured plan — nothing leaked or was lost across
-	// all the restarts. CI gates on it.
-	CapacityRestored bool `json:"capacity_restored"`
-
-	// InvariantViolations totals oracle violations (digest mismatches
-	// included); Checks counts oracle passes.
-	InvariantViolations int      `json:"invariant_violations"`
-	Checks              int      `json:"checks"`
-	Violations          []string `json:"violations,omitempty"`
-
-	// RecoveryP95MS is the p95 wall-clock time of core.Recover across
-	// the run's restarts, in milliseconds. The ONLY non-deterministic
-	// field: CI strips it before diffing reports for determinism.
-	RecoveryP95MS float64 `json:"recovery_p95_ms"`
-}
-
-// Failed reports whether CI should gate the run red.
-func (r *RestartResult) Failed() bool {
-	return r.InvariantViolations > 0 || !r.CapacityRestored || r.DigestMatches != r.Restarts
-}
-
-// newStress assembles the stress workload on a single-broker topology
-// (the caller closes it). concurrent runs the clients as goroutines
-// between phase barriers; kills > 0 makes the broker durable and kills
-// it that many times.
-func newStress(cfg StressConfig, concurrent bool, kills int) (*engine, *stressWorkload, error) {
+// runStress assembles the stress workload on a single-broker topology
+// and runs it. concurrent runs the clients as goroutines between phase
+// barriers; restart makes the broker durable and kills it cfg.Restarts
+// times.
+func runStress(mode string, cfg StressConfig, concurrent, restart bool) (*Report, error) {
+	cfg = cfg.withDefaults()
+	config := map[string]any{"seed": cfg.Seed, "clients": cfg.Clients, "ops": cfg.Ops, "phases": cfg.Phases,
+		"shards": cfg.Shards, "fault_rate": cfg.FaultRate, "intake": cfg.Intake, "transport": cfg.Transport,
+		"policy": cfg.Policy}
+	kills := 0
+	if restart {
+		kills = cfg.Restarts
+		delete(config, "phases")
+		config["restarts"] = kills
+	}
 	topo, err := newTopology(topoConfig{
 		Base: ClusterConfig{
 			Plan: DefaultParallelPlan(), Shards: cfg.Shards, Obs: cfg.Obs,
@@ -289,12 +148,13 @@ func newStress(cfg StressConfig, concurrent bool, kills int) (*engine, *stressWo
 		},
 		FaultRate: cfg.FaultRate,
 		Seed:      cfg.Seed,
-		Durable:   kills > 0,
+		Durable:   restart,
 		Transport: cfg.Transport,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	defer topo.close()
 	// Serial clients on an intake broker Submit and the workload flushes
 	// once per round; every other configuration calls RequestService
 	// (goroutine clients on an intake broker then share group commits).
@@ -311,7 +171,7 @@ func newStress(cfg StressConfig, concurrent bool, kills int) (*engine, *stressWo
 	e := &engine{topo: topo, work: w, kills: kills, concurrent: concurrent}
 	perPhase := max(1, cfg.Ops/(cfg.Clients*cfg.Phases))
 	switch {
-	case kills > 0:
+	case restart:
 		e.steps = max(kills+1, cfg.Ops/cfg.Clients)
 	case concurrent:
 		w.burst, e.steps, e.quiesceEvery = perPhase, cfg.Phases, 1
@@ -319,135 +179,10 @@ func newStress(cfg StressConfig, concurrent bool, kills int) (*engine, *stressWo
 		e.steps, e.quiesceEvery = perPhase*cfg.Phases, perPhase
 	}
 	w.ops = e.steps * cfg.Clients * max(1, w.burst)
-	return e, w, nil
-}
-
-// RunParallel executes the concurrent lifecycle stress and returns its
-// throughput counters. It fails when the oracle finds a violation at a
-// quiesce point, or when capacity is lost or double-spent by the end.
-func RunParallel(cfg StressConfig) (*ParallelResult, error) {
-	cfg = cfg.withDefaults()
-	e, w, err := newStress(cfg, true, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer e.topo.close()
-	res := &ParallelResult{Clients: cfg.Clients, Phases: cfg.Phases, Ops: w.ops,
-		Shards: cfg.Shards, Transport: cfg.Transport}
-
-	sw := startStopwatch()
-	if err := e.play(); err != nil {
-		return res, err
-	}
-	res.Elapsed = sw.elapsed()
-	res.ElapsedMS = float64(res.Elapsed) / float64(time.Millisecond)
-	if res.Elapsed > 0 {
-		res.OpsPerSec = float64(res.Ops) / res.Elapsed.Seconds()
-	}
-	// Sample placement balance at the final quiesce point, while sessions
-	// are still live; after the drain every shard reads empty.
-	if b := w.cluster.Broker; cfg.Shards > 1 {
-		res.ShardSessions = b.ShardSessionCounts()
-		for _, a := range b.Allocators() {
-			res.ShardUtilization = append(res.ShardUtilization, a.LoadFactor())
-		}
-	}
-	e.finish()
-
-	res.Requested, res.Admitted, res.Terminated = w.tally()
-	res.Checks = e.out.Checks
-	admit := w.cluster.Obs.Histogram("gqosm_broker_admission_seconds",
-		"RequestService latency (discovery, admission, reservation)", nil)
-	res.AdmitP50MS = admit.Quantile(0.50) * 1e3
-	res.AdmitP95MS = admit.Quantile(0.95) * 1e3
-	res.AdmitP99MS = admit.Quantile(0.99) * 1e3
-	// Counter.Value is nil-safe, so a cache-disabled run reads zeros.
-	hits := w.cluster.Obs.Counter("gqosm_discovery_cache_hits_total",
-		"Discovery queries answered from the generation-stamped cache").Value()
-	misses := w.cluster.Obs.Counter("gqosm_discovery_cache_misses_total",
-		"Discovery queries that fell through to a registry Find").Value()
-	if hits+misses > 0 {
-		res.CacheHitRate = float64(hits) / float64(hits+misses)
-	}
-	if cfg.Intake {
-		res.Intake, res.IntakeBatchMean = true, intakeBatchMean(w.cluster.Obs)
-	}
-	if e.out.InvariantViolations > 0 {
-		// The report has no violations field: surface them as the error.
-		return res, fmt.Errorf("%d invariant violation(s): %s", e.out.InvariantViolations, strings.Join(e.out.Violations, "; "))
-	}
-	return res, nil
-}
-
-// RunChaos replays the stress workload serially under seeded fault
-// injection and returns the deterministic report. A non-nil error means
-// the harness itself failed; oracle violations are reported in the
-// result, not as an error, so the report is always emitted for CI to
-// gate on.
-func RunChaos(cfg StressConfig) (*ChaosResult, error) {
-	cfg = cfg.withDefaults()
-	e, w, err := newStress(cfg, false, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer e.topo.close()
 	if err := e.run(); err != nil {
 		return nil, err
 	}
-	out, inj := &e.out, e.topo.inj
-	res := &ChaosResult{
-		Seed: cfg.Seed, FaultRate: cfg.FaultRate, Shards: cfg.Shards,
-		Clients: cfg.Clients, Phases: cfg.Phases, Ops: w.ops,
-		Degradations:      lifecycleCount(w.cluster.Obs, "degrade"),
-		Restorations:      lifecycleCount(w.cluster.Obs, "restore"),
-		FaultsInjected:    inj.Total(),
-		FaultsByKind:      inj.CountsByKind(),
-		VirtualP95MS:      inj.VirtualP95MS(),
-		ReconciledCancels: out.ReconciledCancels,
-		Checks:            out.Checks, InvariantViolations: out.InvariantViolations, Violations: out.Violations,
-	}
-	res.Requested, res.Admitted, res.Terminated = w.tally()
-	if res.Requested > 0 {
-		res.AdmitRate = float64(res.Admitted) / float64(res.Requested)
-	}
-	res.Retries, res.Timeouts, res.Unavailable = w.cluster.Broker.RetryStats()
-	if cfg.Intake {
-		res.Intake, res.IntakeBatchMean = true, intakeBatchMean(w.cluster.Obs)
-	}
-	return res, nil
-}
-
-// RunRestartChaos replays the chaos workload against a durable broker,
-// killing and recovering it cfg.Restarts times. A non-nil error means
-// the harness itself failed; oracle violations and digest mismatches
-// are reported in the result for CI to gate on.
-func RunRestartChaos(cfg StressConfig) (*RestartResult, error) {
-	cfg = cfg.withDefaults()
-	e, w, err := newStress(cfg, false, cfg.Restarts)
-	if err != nil {
-		return nil, err
-	}
-	defer e.topo.close()
-	if err := e.run(); err != nil {
-		return nil, err
-	}
-	out := &e.out
-	res := &RestartResult{
-		Seed: cfg.Seed, FaultRate: cfg.FaultRate, Shards: cfg.Shards,
-		Clients: cfg.Clients, Ops: w.ops, Restarts: cfg.Restarts,
-		ReplayedRecords: out.ReplayedRecords, SnapshotSeqs: out.SnapshotSeqs,
-		Adopted: out.Adopted, Refunded: out.Refunded, ParkedCleared: out.ParkedCleared,
-		DigestMatches: out.DigestMatches, CapacityRestored: out.CapacityRestored,
-		Checks: out.Checks, InvariantViolations: out.InvariantViolations, Violations: out.Violations,
-	}
-	res.Requested, res.Admitted, res.Terminated = w.tally()
-	res.WALRecords, _, res.WALSnapshots = w.cluster.Broker.WALStats()
-	sort.Float64s(out.recoveryMS)
-	res.RecoveryP95MS = percentile(out.recoveryMS, 0.95)
-	if cfg.Intake {
-		res.Intake, res.IntakeBatchMean = true, intakeBatchMean(w.cluster.Obs)
-	}
-	return res, nil
+	return e.report(mode, config).Seal(), nil
 }
 
 // stressWorkload steps the op-mix clients against one broker.
@@ -465,14 +200,14 @@ type stressWorkload struct {
 	ops int
 }
 
-// tally sums the clients' lifecycle counters.
-func (w *stressWorkload) tally() (requested, admitted, terminated int) {
+func (w *stressWorkload) tally(o *Outcome) {
+	o.Ops = int64(w.ops)
 	for _, cl := range w.clients {
-		requested += cl.requested
-		admitted += cl.admitted
-		terminated += cl.terminated
+		o.Requested += cl.requested
+		o.Admitted += cl.admitted
+		o.Rejected += cl.rejected
+		o.Terminated += cl.terminated
 	}
-	return
 }
 
 func (w *stressWorkload) step(int) {
@@ -533,7 +268,9 @@ type parClient struct {
 	proposed []sla.ID
 	active   []sla.ID
 
-	requested, admitted, terminated int
+	// rejected counts requests the broker refused; the others successful
+	// lifecycle transitions.
+	requested, admitted, rejected, terminated int
 }
 
 // step performs one randomly chosen lifecycle operation. The mix mirrors
@@ -628,15 +365,21 @@ func (c *parClient) request(req core.Request) {
 		// Over the wire the client just sees an offer or a typed error.
 		if offer, err := c.http.RequestService(req); err == nil {
 			c.proposed = append(c.proposed, sla.ID(offer.SLAID))
+		} else {
+			c.rejected++
 		}
 		return
 	}
 	if c.queued {
 		if t, err := b.Submit(req); err == nil {
 			c.tickets = append(c.tickets, t)
+		} else {
+			c.rejected++
 		}
 	} else if offer, err := b.RequestService(req); err == nil {
 		c.proposed = append(c.proposed, offer.SLA.ID)
+	} else {
+		c.rejected++
 	}
 }
 
@@ -647,6 +390,8 @@ func (c *parClient) resolveTickets() {
 	for _, t := range c.tickets {
 		if offer, err := t.Wait(); err == nil {
 			c.proposed = append(c.proposed, offer.SLA.ID)
+		} else {
+			c.rejected++
 		}
 	}
 	c.tickets = c.tickets[:0]
