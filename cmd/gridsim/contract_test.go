@@ -22,9 +22,6 @@ type contractRow struct {
 	// "<run path>:<block>" (the run path is "" for the document itself,
 	// "runs.scale" for a child).
 	blocks []string
-	// clockGate names a gate whose verdict is judged from wall-clock
-	// numbers, so it alone may differ between two runs.
-	clockGate string
 	// pins are the row's own assertions on the parsed document.
 	pins func(t *testing.T, rep *sim.Report)
 }
@@ -59,15 +56,10 @@ func emit(t *testing.T, row contractRow) (rep *sim.Report, doc map[string]any, s
 	if rep.Failed() != (runErr != nil) {
 		t.Errorf("%v: run error %v, but the emitted document has Failed() = %v", row.args, runErr, rep.Failed())
 	}
-	if runErr != nil && row.clockGate == "" {
+	if runErr != nil {
 		t.Errorf("%v: %v\noracle: %+v", row.args, runErr, rep.Oracle)
 	}
-	eachRun("", doc, func(_ string, run map[string]any) {
-		delete(run, "latency")
-		if row.clockGate != "" {
-			delete(run["oracle"].(map[string]any)["gates"].(map[string]any), row.clockGate)
-		}
-	})
+	eachRun("", doc, func(_ string, run map[string]any) { delete(run, "latency") })
 	stripped, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +77,7 @@ func checkContract(t *testing.T, row contractRow) {
 	if !bytes.Equal(first, second) {
 		t.Errorf("two runs differ outside their latency keys:\n%s\nvs\n%s", first, second)
 	}
-	if row.clockGate == "" && (rep.Digest != again.Digest || rep.Digest == "") {
+	if rep.Digest != again.Digest || rep.Digest == "" {
 		t.Errorf("digests %q and %q, want equal and set", rep.Digest, again.Digest)
 	}
 
@@ -126,15 +118,6 @@ func checkContract(t *testing.T, row contractRow) {
 
 func TestReportContract(t *testing.T) {
 	rows := []contractRow{
-		{name: "intake-bench", mode: "intake-bench", args: []string{"-intake-bench"}, clockGate: "target_met",
-			pins: func(t *testing.T, rep *sim.Report) {
-				if rows, _ := rep.Latency["rows"].([]any); len(rows) != 8 {
-					t.Errorf("latency.rows = %v, want 8 measured routes", rep.Latency["rows"])
-				}
-				if _, judged := rep.Oracle.Gates["target_met"]; !judged || rep.Outcome.Tally != nil {
-					t.Errorf("want a target_met gate and no tally: %+v / %+v", rep.Oracle, rep.Outcome.Tally)
-				}
-			}},
 		{name: "cluster-of-one", mode: "cluster", args: []string{"-cluster", "1", "-clients", "300", "-seed", "5"},
 			blocks: []string{"runs.scale.:front", "runs.baseline.:front"},
 			pins: func(t *testing.T, rep *sim.Report) {

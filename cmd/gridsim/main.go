@@ -64,8 +64,6 @@ type mode struct {
 }
 
 var modes = []mode{
-	{"intake-bench", "amortized admission cost: direct vs batched intake vs JSON/HTTP (BENCH_intake.json)",
-		[]string{"intake-bench"}, []string{"json"}, runIntakeBench},
 	{"cluster", "N brokers behind the front tier vs a 1-broker baseline over the same workload, their outcome parity, and for N > 1 the hand-off crash drill (BENCH_cluster.json)",
 		[]string{"cluster"}, []string{"clients", "shards", "seed", "placement", "json"}, runCluster},
 	{"scenario", "replay a named traffic scenario (or all, or list); -soak adds runtime-health sampling (BENCH_scenarios.json), -shadow evaluates a candidate policy (BENCH_shadow.json)",
@@ -132,7 +130,6 @@ func run(args []string) error {
 	fs.StringVar(&o.walDir, "wal-dir", "", "WAL directory for -chaos -restarts (default: a temporary one)")
 	fs.BoolVar(&o.intake, "intake", false, "route admissions through the group-commit intake")
 	fs.StringVar(&o.transport, "transport", "", "admission transport for -parallel: empty (in-process) or http (loopback JSON API)")
-	fs.Bool("intake-bench", false, "measure amortized admission cost: direct vs batched intake vs JSON/HTTP transport")
 	fs.StringVar(&o.scenario, "scenario", "", "replay a workload scenario by name ('all' for every scenario, 'list' for the catalog)")
 	fs.BoolVar(&o.soak, "soak", false, "run -scenario in long-run soak mode: bounded working set, runtime health sampling")
 	fs.StringVar(&o.shadow, "shadow", "", "with -scenario: evaluate the named candidate policy in shadow (divergence counts + counterfactual deltas)")

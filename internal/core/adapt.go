@@ -664,21 +664,6 @@ func (a *Allocator) GuaranteedAllocation(user string) (resource.Capacity, bool) 
 	return c, ok
 }
 
-// BestEffortAllocation returns the total granted to a best-effort user.
-func (a *Allocator) BestEffortAllocation(user string) (resource.Capacity, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var sum resource.Capacity
-	found := false
-	for _, b := range a.bestEffort {
-		if b.user == user {
-			sum = sum.Add(b.granted)
-			found = true
-		}
-	}
-	return sum, found
-}
-
 // AvailableGuaranteed reports the admission headroom for new guaranteed
 // demand — the Available_Guaranteed_Resource check against the admission
 // bound (see gBoundLocked).

@@ -69,7 +69,8 @@ func outcomeOf(offer *core.Offer, err error) parityOutcome {
 
 // parityDigest renders the broker state the routes must agree on:
 // sessions (incl. GARA handles, so reservation order counts), per-session
-// allocations, every shard's allocator book and the ledger.
+// allocations, every shard's session count and allocator book (which
+// names the sessions homed there) and the ledger.
 func parityDigest(t *testing.T, b *core.Broker) string {
 	t.Helper()
 	type shardBook struct {
@@ -80,13 +81,12 @@ func parityDigest(t *testing.T, b *core.Broker) string {
 	d := struct {
 		Sessions  []core.SessionInfo
 		Allocated map[sla.ID]resource.Capacity
-		HomeShard map[sla.ID]int
+		PerShard  []int
 		Shards    []shardBook
 		Ledger    pricing.State
-	}{Sessions: b.SessionInfos(), Allocated: map[sla.ID]resource.Capacity{}, HomeShard: map[sla.ID]int{}}
+	}{Sessions: b.SessionInfos(), Allocated: map[sla.ID]resource.Capacity{}, PerShard: b.ShardSessionCounts()}
 	for _, doc := range b.Sessions(nil) {
 		d.Allocated[doc.ID] = doc.Allocated
-		d.HomeShard[doc.ID] = b.ShardOf(doc.ID)
 	}
 	for _, a := range b.Allocators() {
 		users := a.GuaranteedUsers()

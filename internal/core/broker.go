@@ -102,8 +102,7 @@ type Config struct {
 	// (default 4).
 	RangeSteps int
 	// EventLogCap bounds the activity log ring (default DefEventLogCap).
-	// When the ring is full the oldest events are evicted;
-	// Broker.EventsTotal reports how many were ever logged.
+	// When the ring is full the oldest events are evicted.
 	EventLogCap int
 	// Obs receives the broker's metrics and lifecycle traces. Nil
 	// creates a private registry, so instrumentation is always live and
@@ -573,7 +572,7 @@ func (b *Broker) Repo() sla.Repository { return b.repo }
 
 // Events returns the retained activity log, oldest first. The log is a
 // bounded ring (Config.EventLogCap): under sustained load the oldest
-// entries are evicted; EventsTotal reports how many were ever logged.
+// entries are evicted.
 // The returned slice is a shared immutable snapshot — callers must not
 // modify it. Repeated calls with no intervening events return the same
 // snapshot without copying the ring again.
@@ -593,14 +592,6 @@ func (b *Broker) Events() []Event {
 	b.evSnap = out
 	b.evSnapTotal = b.evTotal
 	return out
-}
-
-// EventsTotal returns how many activity-log events were ever logged,
-// including those evicted from the ring.
-func (b *Broker) EventsTotal() int64 {
-	b.evMu.Lock()
-	defer b.evMu.Unlock()
-	return b.evTotal
 }
 
 // SetDebugHook installs fn to run after every mutating broker operation

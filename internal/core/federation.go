@@ -78,9 +78,6 @@ func NewFederation(home *Broker) *Federation {
 	return &Federation{home: home}
 }
 
-// Home returns the local broker.
-func (f *Federation) Home() *Broker { return f.home }
-
 // AddPeer registers a neighboring AQoS. Peers are tried in registration
 // order. A peer whose domain is already registered — or that names the
 // home domain — is rejected with ErrDuplicatePeer: forwarding to the

@@ -640,8 +640,8 @@ func TestEventsRingWrapSnapshot(t *testing.T) {
 			t.Errorf("ev[%d].Msg = %q, want %q", i, e.Msg, want)
 		}
 	}
-	if total := b.EventsTotal(); total != 6 {
-		t.Errorf("EventsTotal = %d, want 6", total)
+	if b.evTotal != 6 {
+		t.Errorf("events ever logged = %d, want 6", b.evTotal)
 	}
 }
 

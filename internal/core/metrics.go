@@ -200,7 +200,3 @@ const noState = sla.State(-1)
 // Obs returns the broker's metrics registry (never nil; a private
 // registry is created when Config.Obs is unset).
 func (b *Broker) Obs() *obs.Registry { return b.obs }
-
-// MonitorPanics reports how many monitor ticks panicked and were
-// recovered.
-func (b *Broker) MonitorPanics() int64 { return b.met.monitorPanics.Value() }

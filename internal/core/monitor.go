@@ -22,7 +22,6 @@ type Monitor struct {
 	mu      sync.Mutex
 	timer   clockx.Timer
 	stopped bool
-	ticks   int
 }
 
 // NewMonitor returns a monitor ticking at the given interval (default 5
@@ -55,26 +54,18 @@ func (m *Monitor) Stop() {
 	}
 }
 
-// Ticks reports how many ticks have run.
-func (m *Monitor) Ticks() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ticks
-}
-
 func (m *Monitor) tick() {
 	// Re-arm from a defer so that a panic anywhere in the management
 	// work cannot kill the loop: one poisoned session or a faulty RM
 	// callback would otherwise silently end all future adaptation. The
-	// re-arm decision and the tick count share m.mu with Stop, so a tick
-	// racing Stop observes the stopped flag and never re-arms.
+	// re-arm decision shares m.mu with Stop, so a tick racing Stop observes
+	// the stopped flag and never re-arms.
 	defer func() {
 		if r := recover(); r != nil {
 			m.broker.met.monitorPanics.Inc()
 			m.broker.logf("monitor", "", "tick panic recovered: %v", r)
 		}
 		m.mu.Lock()
-		m.ticks++
 		if !m.stopped {
 			m.timer = m.clock.AfterFunc(m.interval, m.tick)
 		}

@@ -7,6 +7,9 @@ import (
 	"time"
 )
 
+// ticks reads how many monitor ticks have started on b.
+func ticks(b *Broker) int64 { return b.met.monitorTicks.Value() }
+
 // TestMonitorTickPanicRecovery: a panic inside the management work
 // (here injected through the debug hook, which RunOptimizer runs) must
 // not kill the loop — the tick recovers, counts the panic, and re-arms.
@@ -27,10 +30,10 @@ func TestMonitorTickPanicRecovery(t *testing.T) {
 		}()
 		h.clock.Advance(time.Minute)
 	}()
-	if got := mon.Ticks(); got != 1 {
+	if got := ticks(h.broker); got != 1 {
 		t.Fatalf("ticks = %d, want 1", got)
 	}
-	if got := b.MonitorPanics(); got != 1 {
+	if got := b.met.monitorPanics.Value(); got != 1 {
 		t.Fatalf("panics = %d, want 1", got)
 	}
 	if h.clock.PendingTimers() == 0 {
@@ -40,10 +43,10 @@ func TestMonitorTickPanicRecovery(t *testing.T) {
 	// The loop keeps running once the fault clears.
 	b.SetDebugHook(nil)
 	h.clock.Advance(time.Minute)
-	if got := mon.Ticks(); got != 2 {
+	if got := ticks(h.broker); got != 2 {
 		t.Fatalf("ticks after recovery = %d, want 2", got)
 	}
-	if got := b.MonitorPanics(); got != 1 {
+	if got := b.met.monitorPanics.Value(); got != 1 {
 		t.Fatalf("panics after recovery = %d, want 1", got)
 	}
 
@@ -83,14 +86,14 @@ func TestMonitorStopDuringTickDoesNotRearm(t *testing.T) {
 	h.clock.Advance(time.Minute)
 	b.SetDebugHook(nil)
 
-	if got := mon.Ticks(); got != 1 {
+	if got := ticks(h.broker); got != 1 {
 		t.Fatalf("ticks = %d, want 1", got)
 	}
 	if n := h.clock.PendingTimers(); n != 0 {
 		t.Fatalf("pending timers after Stop-during-tick = %d, want 0", n)
 	}
 	h.clock.Advance(time.Hour)
-	if got := mon.Ticks(); got != 1 {
+	if got := ticks(h.broker); got != 1 {
 		t.Fatalf("stopped monitor ticked again: %d", got)
 	}
 }
@@ -100,7 +103,7 @@ func TestMonitorStopThenAdvance(t *testing.T) {
 	mon := NewMonitor(h.broker, time.Minute)
 	mon.Start()
 	h.clock.Advance(time.Minute)
-	if got := mon.Ticks(); got != 1 {
+	if got := ticks(h.broker); got != 1 {
 		t.Fatalf("ticks = %d, want 1", got)
 	}
 	mon.Stop()
@@ -108,13 +111,13 @@ func TestMonitorStopThenAdvance(t *testing.T) {
 		t.Fatalf("pending timers after Stop = %d, want 0", n)
 	}
 	h.clock.Advance(time.Hour)
-	if got := mon.Ticks(); got != 1 {
+	if got := ticks(h.broker); got != 1 {
 		t.Fatalf("ticks after Stop = %d, want 1", got)
 	}
 	// Start after Stop is a no-op: the monitor is single-use.
 	mon.Start()
 	h.clock.Advance(time.Hour)
-	if got := mon.Ticks(); got != 1 {
+	if got := ticks(h.broker); got != 1 {
 		t.Fatalf("restarted stopped monitor ticked: %d", got)
 	}
 }
@@ -138,9 +141,9 @@ func TestMonitorConcurrentStop(t *testing.T) {
 		mon.Stop()
 	}()
 	wg.Wait()
-	final := mon.Ticks()
+	final := ticks(h.broker)
 	h.clock.Advance(time.Hour)
-	if got := mon.Ticks(); got != final {
+	if got := ticks(h.broker); got != final {
 		t.Fatalf("ticks advanced after Stop settled: %d -> %d", final, got)
 	}
 }

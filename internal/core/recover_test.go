@@ -8,6 +8,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -23,6 +24,7 @@ import (
 	"gqosm/internal/registry"
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
+	"gqosm/internal/wal"
 )
 
 // durableHarness is newHarness plus a WAL directory and the Config kept
@@ -588,8 +590,10 @@ func TestCrashPointMatrix(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if after < len(clients) && !b.durable.Sealed() {
-					t.Fatal("fault plan never sealed the log")
+				if after < len(clients) {
+					if _, err := b.durable.Append(wal.Record{Op: "probe"}); !errors.Is(err, wal.ErrSealed) {
+						t.Fatalf("fault plan never sealed the log: Append err = %v", err)
+					}
 				}
 				h.inj.SetPlan(site, faultx.Plan{})
 

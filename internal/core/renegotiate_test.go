@@ -277,8 +277,8 @@ func TestMonitorDrivesPeriodicManagement(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.clock.Advance(10 * time.Minute)
-	if mon.Ticks() != 1 {
-		t.Fatalf("ticks = %d, want 1", mon.Ticks())
+	if ticks(h.broker) != 1 {
+		t.Fatalf("ticks = %d, want 1", ticks(h.broker))
 	}
 	if b.Violations(id) == 0 {
 		t.Error("monitor tick did not surface the degradation")
@@ -294,19 +294,19 @@ func TestMonitorDrivesPeriodicManagement(t *testing.T) {
 	if !doc.State.Terminal() {
 		t.Errorf("state after expiry ticks = %v, want terminal", doc.State)
 	}
-	if mon.Ticks() < 30 {
-		t.Errorf("ticks = %d, want ~36 over 6h", mon.Ticks())
+	if ticks(h.broker) < 30 {
+		t.Errorf("ticks = %d, want ~36 over 6h", ticks(h.broker))
 	}
 
 	mon.Stop()
-	before := mon.Ticks()
+	before := ticks(h.broker)
 	h.clock.Advance(time.Hour)
-	if mon.Ticks() != before {
+	if ticks(h.broker) != before {
 		t.Error("monitor ticked after Stop")
 	}
 	mon.Start() // Start after Stop stays stopped
 	h.clock.Advance(time.Hour)
-	if mon.Ticks() != before {
+	if ticks(h.broker) != before {
 		t.Error("monitor restarted after Stop")
 	}
 }

@@ -135,9 +135,6 @@ func (b *Broker) placementOrder(hint int, floor resource.Capacity) []*shard {
 	return out
 }
 
-// ShardCount returns the number of shards the domain is partitioned into.
-func (b *Broker) ShardCount() int { return len(b.shards) }
-
 // Allocators returns every shard's Algorithm-1 engine in shard-index
 // order. Allocator() remains shard 0 for single-shard callers.
 func (b *Broker) Allocators() []*Allocator {
@@ -158,13 +155,4 @@ func (b *Broker) ShardSessionCounts() []int {
 		sh.mu.Unlock()
 	}
 	return out
-}
-
-// ShardOf reports which shard (0-based) a session is homed on, or -1 for
-// unknown IDs.
-func (b *Broker) ShardOf(id sla.ID) int {
-	if sh := b.shardFor(id); sh != nil {
-		return sh.index
-	}
-	return -1
 }

@@ -84,8 +84,8 @@ func TestShardedBrokerSpreadsLoad(t *testing.T) {
 	// 4 shards of 6 guaranteed CPU each; four 4-CPU sessions should land
 	// on four distinct shards under least-loaded placement.
 	b := shardedBroker(t, 4, 40, nil)
-	if b.ShardCount() != 4 {
-		t.Fatalf("ShardCount = %d", b.ShardCount())
+	if n := len(b.Allocators()); n != 4 {
+		t.Fatalf("%d shards, want 4", n)
 	}
 	seen := map[int]bool{}
 	for i := 0; i < 4; i++ {
@@ -102,10 +102,7 @@ func TestShardedBrokerSpreadsLoad(t *testing.T) {
 		if err := b.Accept(offer.SLA.ID); err != nil {
 			t.Fatalf("accept %d: %v", i, err)
 		}
-		si := b.ShardOf(offer.SLA.ID)
-		if si < 0 || si > 3 {
-			t.Fatalf("ShardOf = %d", si)
-		}
+		si := b.shardFor(offer.SLA.ID).index
 		if seen[si] {
 			t.Errorf("request %d landed on already-loaded shard %d: placement not least-loaded", i, si)
 		}
@@ -150,14 +147,14 @@ func TestShardHintAndCrossShardFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("hinted request: %v", err)
 	}
-	if si := b.ShardOf(first.SLA.ID); si != 0 {
+	if si := b.shardFor(first.SLA.ID).index; si != 0 {
 		t.Fatalf("hinted session on shard %d, want 0", si)
 	}
 	second, err := req("fallback", 5, 1)
 	if err != nil {
 		t.Fatalf("fallback request: %v", err)
 	}
-	if si := b.ShardOf(second.SLA.ID); si != 1 {
+	if si := b.shardFor(second.SLA.ID).index; si != 1 {
 		t.Errorf("fallback session on shard %d, want 1", si)
 	}
 	// An out-of-range hint is ignored, not an error.
@@ -165,7 +162,7 @@ func TestShardHintAndCrossShardFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("out-of-range hint: %v", err)
 	}
-	if si := b.ShardOf(third.SLA.ID); si < 0 {
+	if b.shardFor(third.SLA.ID) == nil {
 		t.Errorf("bad-hint session unrouted")
 	}
 }
@@ -189,9 +186,6 @@ func TestShardedDeclineWrapsCapacityError(t *testing.T) {
 
 func TestSingleShardDefault(t *testing.T) {
 	b := shardedBroker(t, 0, 20, nil)
-	if b.ShardCount() != 1 {
-		t.Fatalf("ShardCount = %d, want 1 for Shards=0", b.ShardCount())
-	}
 	if allocs := b.Allocators(); len(allocs) != 1 || allocs[0] != b.Allocator() {
 		t.Fatal("Allocator()/Allocators() disagree for the single-shard broker")
 	}
@@ -216,8 +210,8 @@ func TestEventRingWraparound(t *testing.T) {
 	if len(events) != cap {
 		t.Fatalf("len(Events()) = %d, want the ring capacity %d", len(events), cap)
 	}
-	if total := b.EventsTotal(); total <= cap {
-		t.Errorf("EventsTotal = %d, want > %d after wraparound", total, cap)
+	if b.evTotal <= cap {
+		t.Errorf("events ever logged = %d, want > %d after wraparound", b.evTotal, cap)
 	}
 	// The ring is oldest-first and holds only the newest cap events: the
 	// earliest surviving client index must exceed the evicted range, the

@@ -22,7 +22,7 @@ import (
 // (Accept vs offer expiry, Terminate vs re-grant) in a few thousand
 // iterations.
 
-func stressCluster(t *testing.T, intake ...core.IntakeConfig) *sim.Cluster {
+func stressCluster(t testing.TB, intake ...core.IntakeConfig) *sim.Cluster {
 	t.Helper()
 	cfg := sim.ClusterConfig{Plan: sim.DefaultParallelPlan()}
 	if len(intake) > 0 {
@@ -191,17 +191,6 @@ func TestConcurrentAcceptVsExpiry(t *testing.T) {
 	}
 }
 
-// benchCluster builds the benchmark stack without testing.T cleanup.
-func benchCluster(b *testing.B) *sim.Cluster {
-	b.Helper()
-	c, err := sim.NewCluster(sim.ClusterConfig{Plan: sim.DefaultParallelPlan()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(c.Close)
-	return c
-}
-
 // admissionCycle runs one request/reject pair — the full admission path
 // (discovery, Algorithm-1 allocation, pricing, GARA reservation) followed
 // by an immediate release so capacity never exhausts across iterations.
@@ -221,9 +210,28 @@ func admissionCycle(c *sim.Cluster, client string) error {
 	return c.Broker.Reject(offer.SLA.ID)
 }
 
+// TestAdmissionCycleAllocGate is the deterministic allocation gate for
+// the inline admission route: one request/reject pair — what
+// BenchmarkSerialAdmission times — allocates at most 66 objects.
+func TestAdmissionCycleAllocGate(t *testing.T) {
+	if core.RaceEnabled() {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	c := stressCluster(t)
+	const gate = 66
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := admissionCycle(c, "alloc-gate"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > gate {
+		t.Errorf("request+reject allocates %.0f objects per cycle, gate is %d", allocs, gate)
+	}
+}
+
 // BenchmarkSerialAdmission measures the admission path single-threaded.
 func BenchmarkSerialAdmission(b *testing.B) {
-	c := benchCluster(b)
+	c := stressCluster(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := admissionCycle(c, "bench-serial"); err != nil {
@@ -235,7 +243,7 @@ func BenchmarkSerialAdmission(b *testing.B) {
 // BenchmarkParallelAdmission measures admission contention across
 // GOMAXPROCS goroutines sharing one broker.
 func BenchmarkParallelAdmission(b *testing.B) {
-	c := benchCluster(b)
+	c := stressCluster(b)
 	var clientID atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {

@@ -89,14 +89,14 @@ func TestTransportBestEffort(t *testing.T) {
 	if err := client.BestEffort("student", resource.Nodes(4), false); err != nil {
 		t.Fatalf("remote best effort: %v", err)
 	}
-	if got, ok := h.broker.Allocator().BestEffortAllocation("student"); !ok || got.CPU != 4 {
-		t.Errorf("allocation = %v, %v", got, ok)
+	if got := bestEffortHeld(h.broker.Allocator()); got.CPU != 4 {
+		t.Errorf("allocation = %v", got)
 	}
 	if err := client.BestEffort("student", resource.Capacity{}, true); err != nil {
 		t.Fatalf("remote release: %v", err)
 	}
-	if _, ok := h.broker.Allocator().BestEffortAllocation("student"); ok {
-		t.Error("allocation survived release")
+	if got := bestEffortHeld(h.broker.Allocator()); !got.IsZero() {
+		t.Errorf("allocation survived release: %v", got)
 	}
 }
 

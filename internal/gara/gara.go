@@ -195,18 +195,6 @@ func (s *System) RegisterManager(rm ResourceManager) {
 	s.managers[rm.Type()] = rm
 }
 
-// ManagerTypes returns the sorted registered reservation-types.
-func (s *System) ManagerTypes() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.managers))
-	for t := range s.managers {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Create implements globus_gara_reservation_create: it parses the RSL
 // request, routes each sub-request to the manager named by its
 // `reservation-type` attribute, and returns a handle. Multirequests are

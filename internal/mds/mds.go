@@ -184,13 +184,3 @@ func (d *Directory) Search(filter func(Entry) bool) []Entry {
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
-
-// Names returns all local and mounted entry names, sorted.
-func (d *Directory) Names() []string {
-	entries := d.Search(nil)
-	out := make([]string, len(entries))
-	for i, e := range entries {
-		out[i] = e.Name
-	}
-	return out
-}

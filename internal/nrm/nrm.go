@@ -149,18 +149,6 @@ func (t *Topology) DomainOf(ip string) (string, error) {
 	return "", fmt.Errorf("%w: no domain covers %s", ErrUnknownDomain, ip)
 }
 
-// Domains returns the sorted domain names.
-func (t *Topology) Domains() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, 0, len(t.domains))
-	for name := range t.domains {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Path returns the shortest (fewest hops) domain path from src to dst,
 // inclusive of both endpoints. Deterministic: neighbors are explored in
 // sorted order.

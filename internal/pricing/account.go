@@ -24,16 +24,9 @@ func NewAccount(limit float64) *Account {
 	return &Account{limit: limit}
 }
 
-// Limit returns the budget limit (0 = unconstrained).
-func (a *Account) Limit() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.limit
-}
-
 // Debit attempts to spend amount. It succeeds — and records the spend —
 // only when the account stays within its limit; an unconstrained account
-// always succeeds. Negative amounts are rejected (use Credit).
+// always succeeds. Negative amounts are rejected.
 func (a *Account) Debit(amount float64) bool {
 	if amount < 0 {
 		return false
@@ -47,29 +40,8 @@ func (a *Account) Debit(amount float64) bool {
 	return true
 }
 
-// Credit returns amount to the account (a refund). Spending never goes
-// below zero; refunds beyond what was spent are clamped.
-func (a *Account) Credit(amount float64) {
-	if amount <= 0 {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.spent -= amount
-	if a.spent < 0 {
-		a.spent = 0
-	}
-}
-
-// Spent returns the net amount spent so far.
-func (a *Account) Spent() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.spent
-}
-
 // Remaining returns the budget headroom, or 0 for an unconstrained
-// account (use Limit to distinguish).
+// account.
 func (a *Account) Remaining() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -81,13 +53,4 @@ func (a *Account) Remaining() float64 {
 		return 0
 	}
 	return r
-}
-
-// Exhausted reports whether a constrained account has no headroom left
-// for even a zero-cost debit's epsilon — i.e. spent ≥ limit. An
-// unconstrained account is never exhausted.
-func (a *Account) Exhausted() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.limit > 0 && a.spent >= a.limit
 }

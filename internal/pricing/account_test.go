@@ -19,9 +19,6 @@ func slaN(i int) sla.ID { return sla.ID(fmt.Sprintf("sla-%04d", i)) }
 
 func TestAccountDebitCredit(t *testing.T) {
 	a := NewAccount(100)
-	if a.Exhausted() {
-		t.Fatal("fresh account exhausted")
-	}
 	if !a.Debit(60) {
 		t.Fatal("Debit(60) within limit refused")
 	}
@@ -31,24 +28,17 @@ func TestAccountDebitCredit(t *testing.T) {
 	if a.Debit(41) {
 		t.Fatal("Debit(41) over limit accepted")
 	}
-	if got := a.Spent(); math.Abs(got-60) > 1e-9 {
-		t.Fatalf("failed debit changed Spent: %g", got)
+	if got := a.Remaining(); math.Abs(got-40) > 1e-9 {
+		t.Fatalf("failed debit changed Remaining: %g", got)
 	}
 	if !a.Debit(40) {
 		t.Fatal("Debit(40) exactly to limit refused")
 	}
-	if !a.Exhausted() {
-		t.Fatal("account at limit not exhausted")
+	if got := a.Remaining(); got != 0 {
+		t.Fatalf("account at limit has %g remaining", got)
 	}
 	if a.Debit(0.01) {
 		t.Fatal("debit on exhausted account accepted")
-	}
-	a.Credit(25)
-	if a.Exhausted() {
-		t.Fatal("refund did not clear exhaustion")
-	}
-	if !a.Debit(25) {
-		t.Fatal("debit of refunded headroom refused")
 	}
 }
 
@@ -56,9 +46,6 @@ func TestAccountEdgeCases(t *testing.T) {
 	unconstrained := NewAccount(0)
 	if !unconstrained.Debit(1e12) {
 		t.Fatal("unconstrained account refused a debit")
-	}
-	if unconstrained.Exhausted() {
-		t.Fatal("unconstrained account reported exhausted")
 	}
 	if got := unconstrained.Remaining(); got != 0 {
 		t.Fatalf("unconstrained Remaining = %g, want 0 sentinel", got)
@@ -68,24 +55,18 @@ func TestAccountEdgeCases(t *testing.T) {
 	if a.Debit(-5) {
 		t.Fatal("negative debit accepted")
 	}
-	a.Credit(-3) // no-op
-	if got := a.Spent(); got != 0 {
-		t.Fatalf("negative credit changed Spent: %g", got)
+	if got := a.Remaining(); got != 10 {
+		t.Fatalf("negative debit changed Remaining: %g", got)
 	}
-	a.Debit(4)
-	a.Credit(100) // clamped: spending never goes negative
-	if got := a.Spent(); got != 0 {
-		t.Fatalf("over-credit left Spent = %g, want 0", got)
-	}
-	if neg := NewAccount(-7); neg.Limit() != 0 {
-		t.Fatalf("negative limit not normalized: %g", neg.Limit())
+	// A negative limit is normalized to unconstrained.
+	if neg := NewAccount(-7); !neg.Debit(1e12) {
+		t.Fatal("negative limit not normalized to unconstrained")
 	}
 }
 
 // Budget exhaustion mid-session: a tenant holding a session runs out of
-// budget when an upgrade is priced, keeps the session at its current
-// spend, and regains headroom from a degradation refund — the economic
-// scenario's churn pattern in miniature.
+// budget when an upgrade is priced and keeps the session at its current
+// spend — the economic scenario's churn pattern in miniature.
 func TestAccountExhaustionMidSession(t *testing.T) {
 	m := NewModel(DefaultRates)
 	a := NewAccount(50)
@@ -98,21 +79,14 @@ func TestAccountExhaustionMidSession(t *testing.T) {
 		t.Fatal("admission debit refused")
 	}
 	upgrade := m.Cost(sla.ClassControlledLoad, capOf(4, 512, 5, 0))
-	if a.Debit(upgrade) && a.Spent() > 50 {
+	if a.Debit(upgrade) && a.spent > 50 {
 		t.Fatal("upgrade debit breached the budget")
-	}
-	// Degradation refund restores headroom.
-	refund := m.Cost(sla.ClassControlledLoad, capOf(2, 256, 2, 0))
-	before := a.Remaining()
-	a.Credit(refund)
-	if a.Limit() > 0 && a.Remaining() < before {
-		t.Fatal("refund reduced remaining budget")
 	}
 }
 
 func TestAccountConcurrentDebits(t *testing.T) {
 	// 200 goroutines race 1-unit debits against a 100-unit budget:
-	// exactly 100 must win, and Spent must equal the winners.
+	// exactly 100 must win and nothing may remain.
 	a := NewAccount(100)
 	var wg sync.WaitGroup
 	wins := make(chan bool, 200)
@@ -134,11 +108,8 @@ func TestAccountConcurrentDebits(t *testing.T) {
 	if won != 100 {
 		t.Fatalf("%d debits won, want exactly 100", won)
 	}
-	if got := a.Spent(); math.Abs(got-100) > 1e-9 {
-		t.Fatalf("Spent = %g, want 100", got)
-	}
-	if !a.Exhausted() {
-		t.Fatal("account not exhausted after budget consumed")
+	if got := a.Remaining(); got != 0 {
+		t.Fatalf("Remaining = %g after the budget was consumed, want 0", got)
 	}
 }
 
@@ -219,7 +190,6 @@ func TestLedgerConcurrentRecordAndRead(t *testing.T) {
 				if i%7 == 0 {
 					_ = l.NetRevenue()
 					_ = l.Entries()
-					_ = l.BySLA()
 				}
 			}
 		}(w)

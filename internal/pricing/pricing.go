@@ -10,7 +10,6 @@ package pricing
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -237,7 +236,7 @@ func NewLedger() *Ledger { return &Ledger{totals: make(map[EntryKind]float64)} }
 // SetRetention bounds the retained entry list to the most recent n
 // records (0 restores unlimited retention). Aggregates — NetRevenue,
 // Total — are unaffected: they are running sums over every entry ever
-// recorded. Entries and BySLA only see what is retained.
+// recorded. Entries only sees what is retained.
 func (l *Ledger) SetRetention(n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -370,39 +369,6 @@ func (l *Ledger) Evicted() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.evicted
-}
-
-// BySLA returns the net amount attributed to each SLA, sorted by ID.
-// Under retention it aggregates only the retained window.
-func (l *Ledger) BySLA() []struct {
-	SLA sla.ID
-	Net float64
-} {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	agg := make(map[sla.ID]float64)
-	for _, e := range l.entries {
-		switch e.Kind {
-		case EntryCharge, EntryPromotion:
-			agg[e.SLA] += e.Amount
-		case EntryPenalty, EntryRefund:
-			agg[e.SLA] -= e.Amount
-		}
-	}
-	ids := make([]sla.ID, 0, len(agg))
-	for id := range agg {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]struct {
-		SLA sla.ID
-		Net float64
-	}, len(ids))
-	for i, id := range ids {
-		out[i].SLA = id
-		out[i].Net = agg[id]
-	}
-	return out
 }
 
 // Entries returns a copy of the retained entries in insertion order (all

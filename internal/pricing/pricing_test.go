@@ -151,16 +151,6 @@ func TestLedger(t *testing.T) {
 	if got := l.NetRevenue(); math.Abs(got-155) > 1e-9 {
 		t.Errorf("NetRevenue = %g, want 155", got)
 	}
-	by := l.BySLA()
-	if len(by) != 2 {
-		t.Fatalf("BySLA = %v", by)
-	}
-	if by[0].SLA != "a" || math.Abs(by[0].Net-90) > 1e-9 {
-		t.Errorf("BySLA[a] = %+v", by[0])
-	}
-	if by[1].SLA != "b" || math.Abs(by[1].Net-65) > 1e-9 {
-		t.Errorf("BySLA[b] = %+v", by[1])
-	}
 	if got := len(l.Entries()); got != 5 {
 		t.Errorf("Entries = %d", got)
 	}

@@ -344,14 +344,6 @@ func (r *Registry) Generation() uint64 { return r.gen.Load() }
 // to have reached the same value.
 func (r *Registry) Epoch() uint64 { return r.epoch }
 
-// Len reports the number of registrations (including expired ones not yet
-// swept).
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.services)
-}
-
 func (r *Registry) expiredLocked(s *Service) bool {
 	return !s.LeaseUntil.IsZero() && !r.clock.Now().Before(s.LeaseUntil)
 }

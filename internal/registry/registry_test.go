@@ -206,8 +206,8 @@ func TestLeaseExpiry(t *testing.T) {
 	if n := r.Sweep(); n != 1 {
 		t.Errorf("Sweep = %d, want 1", n)
 	}
-	if r.Len() != 0 {
-		t.Errorf("Len = %d", r.Len())
+	if len(r.services) != 0 {
+		t.Errorf("Len = %d", len(r.services))
 	}
 	if err := r.Renew("ghost", t0); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Renew ghost err = %v", err)
@@ -283,7 +283,7 @@ func TestPropertyValue(t *testing.T) {
 func TestServiceXMLHelpers(t *testing.T) {
 	s := mathSolver()
 	s.LeaseUntil = t0.Add(time.Hour)
-	x := ServiceToXML(&s)
+	x := toXML(&s)
 	back, err := ServiceFromXML(x)
 	if err != nil {
 		t.Fatalf("ServiceFromXML: %v", err)

@@ -131,10 +131,6 @@ func fromXML(x ServiceXML) (Service, error) {
 	return s, nil
 }
 
-// ServiceToXML converts a Service to its wire form (exported for seed
-// files and tooling).
-func ServiceToXML(s *Service) ServiceXML { return toXML(s) }
-
 // ServiceFromXML converts a wire-form service back (exported for seed
 // files and tooling).
 func ServiceFromXML(x ServiceXML) (Service, error) { return fromXML(x) }

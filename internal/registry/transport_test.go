@@ -30,7 +30,7 @@ func demoService() Service {
 func TestServiceXMLRoundTrip(t *testing.T) {
 	s := demoService()
 	s.Key = "key-1"
-	back, err := ServiceFromXML(ServiceToXML(&s))
+	back, err := ServiceFromXML(toXML(&s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +88,8 @@ func TestClientRegisterFindDeregister(t *testing.T) {
 	if key == "" {
 		t.Fatal("empty service key")
 	}
-	if reg.Len() != 1 {
-		t.Fatalf("registry holds %d services, want 1", reg.Len())
+	if len(reg.services) != 1 {
+		t.Fatalf("registry holds %d services, want 1", len(reg.services))
 	}
 
 	// Property-qualified discovery (the UDDIe propertyBag search).
@@ -122,8 +122,8 @@ func TestClientRegisterFindDeregister(t *testing.T) {
 	if err := client.Deregister(key); err != nil {
 		t.Fatal(err)
 	}
-	if reg.Len() != 0 {
-		t.Fatalf("registry still holds %d services", reg.Len())
+	if len(reg.services) != 0 {
+		t.Fatalf("registry still holds %d services", len(reg.services))
 	}
 }
 

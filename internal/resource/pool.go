@@ -154,31 +154,6 @@ func (p *Pool) Resize(id ReservationID, amount Capacity) error {
 	return nil
 }
 
-// Extend moves a reservation's end time. Shortening always succeeds;
-// lengthening is admission-checked over the added interval.
-func (p *Pool) Extend(id ReservationID, end time.Time) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	r, ok := p.res[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownReservation, id)
-	}
-	if !end.After(r.Start) {
-		return ErrBadInterval
-	}
-	if end.After(r.End) {
-		amount, oldEnd := r.Amount, r.End
-		r.Amount = Capacity{}
-		avail := p.minAvailableLocked(oldEnd, end)
-		r.Amount = amount
-		if !amount.FitsIn(avail) {
-			return fmt.Errorf("%w: extend %s to %s", ErrInsufficientCapacity, id, end.Format(time.RFC3339))
-		}
-	}
-	r.End = end
-	return nil
-}
-
 // Get returns a copy of the reservation with the given ID.
 func (p *Pool) Get(id ReservationID) (*Reservation, error) {
 	p.mu.Lock()
@@ -216,24 +191,6 @@ func (p *Pool) Available(t time.Time) Capacity {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.total.Sub(p.offline).Sub(p.inUseLocked(t)).ClampMin(Capacity{})
-}
-
-// Oversubscription returns how far reservations at instant t exceed online
-// capacity (zero when the pool is healthy). This is the shortfall the
-// adaptation algorithm must cover from the adaptive pool.
-func (p *Pool) Oversubscription(t time.Time) Capacity {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.inUseLocked(t).Sub(p.total.Sub(p.offline)).ClampMin(Capacity{})
-}
-
-// MinAvailable returns the minimum available capacity over [start, end),
-// i.e. the largest amount a new reservation spanning that interval could
-// claim.
-func (p *Pool) MinAvailable(start, end time.Time) Capacity {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.minAvailableLocked(start, end)
 }
 
 // GC removes reservations that ended at or before now, returning how many

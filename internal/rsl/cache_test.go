@@ -163,13 +163,28 @@ func FuzzRSLCacheEquiv(f *testing.F) {
 	})
 }
 
+// parseUncached is one uncached parse of the multirequest, the heaviest
+// common shape: what BenchmarkRSLParse times and TestParseAllocGate counts.
+func parseUncached(tb testing.TB) {
+	if _, err := Parse(cacheSpecs[2]); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestParseAllocGate is the deterministic allocation gate for a cache
+// miss: the parser's node and value allocations for the multirequest, and
+// not one more.
+func TestParseAllocGate(t *testing.T) {
+	const gate = 15
+	if allocs := testing.AllocsPerRun(200, func() { parseUncached(t) }); allocs > gate {
+		t.Errorf("Parse allocates %.0f objects per call, gate is %d", allocs, gate)
+	}
+}
+
 func BenchmarkRSLParse(b *testing.B) {
-	in := cacheSpecs[2] // the multirequest: the heaviest common shape
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Parse(in); err != nil {
-			b.Fatal(err)
-		}
+		parseUncached(b)
 	}
 }
 

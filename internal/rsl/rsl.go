@@ -92,14 +92,6 @@ type Value struct {
 	WasQuote bool // value appeared in double quotes
 }
 
-// NumValue returns a numeric Value.
-func NumValue(f float64) Value {
-	return Value{Raw: strconv.FormatFloat(f, 'g', -1, 64), Num: f, IsNum: true}
-}
-
-// StrValue returns a string Value (printed quoted).
-func StrValue(s string) Value { return Value{Raw: s, WasQuote: true} }
-
 // String renders the value in RSL surface syntax.
 func (v Value) String() string {
 	if v.WasQuote {
@@ -507,19 +499,3 @@ func (n *Node) walk(f func(*Node)) {
 		c.walk(f)
 	}
 }
-
-// Conj builds a conjunction node from relations.
-func Conj(children ...*Node) *Node {
-	return &Node{Kind: KindConjunction, Children: children}
-}
-
-// Rel builds a relation node.
-func Rel(attr string, op Op, v Value) *Node {
-	return &Node{Kind: KindRelation, Attribute: attr, Op: op, Value: v}
-}
-
-// Eq builds an equality relation with a numeric value.
-func Eq(attr string, num float64) *Node { return Rel(attr, OpEq, NumValue(num)) }
-
-// EqStr builds an equality relation with a quoted string value.
-func EqStr(attr, s string) *Node { return Rel(attr, OpEq, StrValue(s)) }

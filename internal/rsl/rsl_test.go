@@ -3,6 +3,7 @@ package rsl
 import (
 	"errors"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -179,10 +180,10 @@ func randNode(rng *rand.Rand, depth int) *Node {
 			Op:        ops[rng.Intn(len(ops))],
 		}
 		if rng.Intn(2) == 0 {
-			n.Value = NumValue(float64(rng.Intn(1000)))
+			n.Value = numValue(float64(rng.Intn(1000)))
 		} else {
 			words := []string{"linux", "sgi", "site-a", "with space", `qu"ote`}
-			n.Value = StrValue(words[rng.Intn(len(words))])
+			n.Value = strValue(words[rng.Intn(len(words))])
 		}
 		return n
 	}
@@ -201,10 +202,10 @@ func TestEval(t *testing.T) {
 		b    Bindings
 		want bool
 	}{
-		{"satisfies", Bindings{"count": NumValue(26), "memory": NumValue(10240), "os": StrValue("linux")}, true},
-		{"count too low", Bindings{"count": NumValue(4), "memory": NumValue(10240), "os": StrValue("linux")}, false},
-		{"wrong os", Bindings{"count": NumValue(26), "memory": NumValue(10240), "os": StrValue("irix")}, false},
-		{"missing attr", Bindings{"count": NumValue(26), "memory": NumValue(10240)}, false},
+		{"satisfies", Bindings{"count": numValue(26), "memory": numValue(10240), "os": strValue("linux")}, true},
+		{"count too low", Bindings{"count": numValue(4), "memory": numValue(10240), "os": strValue("linux")}, false},
+		{"wrong os", Bindings{"count": numValue(26), "memory": numValue(10240), "os": strValue("irix")}, false},
+		{"missing attr", Bindings{"count": numValue(26), "memory": numValue(10240)}, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -217,19 +218,19 @@ func TestEval(t *testing.T) {
 
 func TestEvalDisjunction(t *testing.T) {
 	spec := mustParse(t, `|(count>=20)(memory>=8192)`)
-	if !spec.Eval(Bindings{"count": NumValue(26)}) {
+	if !spec.Eval(Bindings{"count": numValue(26)}) {
 		t.Error("first branch should satisfy")
 	}
-	if !spec.Eval(Bindings{"memory": NumValue(9000)}) {
+	if !spec.Eval(Bindings{"memory": numValue(9000)}) {
 		t.Error("second branch should satisfy")
 	}
-	if spec.Eval(Bindings{"count": NumValue(1), "memory": NumValue(1)}) {
+	if spec.Eval(Bindings{"count": numValue(1), "memory": numValue(1)}) {
 		t.Error("neither branch should satisfy")
 	}
 }
 
 func TestEvalOperators(t *testing.T) {
-	b := Bindings{"x": NumValue(5), "s": StrValue("m")}
+	b := Bindings{"x": numValue(5), "s": strValue("m")}
 	tests := []struct {
 		src  string
 		want bool
@@ -267,13 +268,27 @@ func TestAttributes(t *testing.T) {
 	}
 }
 
+// numValue and strValue are the literals a binding or a hand-built
+// relation carries, as the parser would have produced them.
+func numValue(f float64) Value {
+	return Value{Raw: strconv.FormatFloat(f, 'g', -1, 64), Num: f, IsNum: true}
+}
+
+func strValue(s string) Value { return Value{Raw: s, WasQuote: true} }
+
+// TestBuilders: a tree assembled from Node literals renders and
+// evaluates like a parsed one.
 func TestBuilders(t *testing.T) {
-	n := Conj(Eq("count", 10), EqStr("os", "linux"), Rel("memory", OpGe, NumValue(64)))
+	rel := func(attr string, op Op, v Value) *Node {
+		return &Node{Kind: KindRelation, Attribute: attr, Op: op, Value: v}
+	}
+	n := &Node{Kind: KindConjunction, Children: []*Node{
+		rel("count", OpEq, numValue(10)), rel("os", OpEq, strValue("linux")), rel("memory", OpGe, numValue(64))}}
 	want := `&(count=10)(os="linux")(memory>=64)`
 	if n.String() != want {
 		t.Errorf("built = %q, want %q", n.String(), want)
 	}
-	if !n.Eval(Bindings{"count": NumValue(10), "os": StrValue("linux"), "memory": NumValue(128)}) {
+	if !n.Eval(Bindings{"count": numValue(10), "os": strValue("linux"), "memory": numValue(128)}) {
 		t.Error("built spec should evaluate true")
 	}
 }
@@ -361,7 +376,7 @@ func TestNonFiniteEvaluator(t *testing.T) {
 	if !nan.Eval(Bindings{"count": {Raw: "nan"}}) {
 		t.Fatal("string equality on the raw word should hold")
 	}
-	if nan.Eval(Bindings{"count": NumValue(4)}) {
+	if nan.Eval(Bindings{"count": numValue(4)}) {
 		t.Fatal(`"4" = "nan" should be false under string comparison`)
 	}
 }

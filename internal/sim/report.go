@@ -36,7 +36,7 @@ type Report struct {
 	Digest string `json:"digest"`
 	// Latency holds every wall-clock or runtime-derived number and nothing
 	// else: elapsed time, throughput, admission and recovery percentiles,
-	// soak health samples, the intake measurement's rows.
+	// soak health samples.
 	Latency map[string]any `json:"latency,omitempty"`
 	// Runs nests the children of a composite mode by name.
 	Runs map[string]*Report `json:"runs,omitempty"`
@@ -52,12 +52,12 @@ type Oracle struct {
 	Details    []string `json:"details,omitempty"`
 	// Gates are the named pass/fail verdicts beyond the violation count:
 	// capacity_restored, digests_match, parity, single_owner, stable,
-	// verified, shadow_clean, target_met. A run carries the ones it judged.
+	// verified, shadow_clean. A run carries the ones it judged.
 	Gates map[string]bool `json:"gates"`
 }
 
-// Outcome is what the run did. A composite or a pure measurement has no
-// tally of its own, so its counters are absent rather than zero.
+// Outcome is what the run did. A composite has no tally of its own, so
+// its counters are absent rather than zero.
 type Outcome struct {
 	*Tally
 	// ShardSessions counts sessions routed to each shard (terminal
@@ -218,8 +218,8 @@ func (r *Report) Failed() bool {
 }
 
 // NewReport starts a report that is not itself an engine run — a
-// composite of child runs, or a pure measurement — with the children's
-// oracle counts summed. The caller adds gates and latency, then Seals.
+// composite of child runs — with the children's oracle counts summed.
+// The caller adds gates, then Seals.
 func NewReport(mode string, config map[string]any, runs map[string]*Report) *Report {
 	r := &Report{Schema: Schema, Mode: mode, Config: config, Runs: runs, Oracle: Oracle{Gates: map[string]bool{}}}
 	for _, child := range runs {

@@ -521,13 +521,6 @@ func (l *Log) LastSeq() uint64 {
 	return l.seq
 }
 
-// Sealed reports whether the log refuses further appends.
-func (l *Log) Sealed() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sealed
-}
-
 // Seal closes the log for appending without flushing anything beyond
 // what fsync already made durable — the crash-simulation hook.
 func (l *Log) Seal() {

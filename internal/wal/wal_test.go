@@ -349,8 +349,8 @@ func TestInjectedAppendFaultSealsAndRollsBack(t *testing.T) {
 			if _, err := l.Append(testRecord("persist", 1)); err == nil {
 				t.Fatal("injected append did not fail")
 			}
-			if !l.Sealed() {
-				t.Fatal("log not sealed after injected commit failure")
+			if _, err := l.Append(testRecord("persist", 2)); !errors.Is(err, ErrSealed) {
+				t.Fatalf("Append after injected commit failure err = %v, want ErrSealed", err)
 			}
 			_, load, err := Open(Options{Dir: dir})
 			if err != nil {

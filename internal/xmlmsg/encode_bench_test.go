@@ -2,6 +2,8 @@ package xmlmsg
 
 import (
 	"bytes"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"gqosm/internal/sla"
@@ -34,15 +36,40 @@ func benchOffer() *ServiceOfferXML {
 	}
 }
 
-// BenchmarkOfferEncode measures the service-offer reply path: the SOAP
-// envelope around the broker's offer document, as ServeHTTP sends it.
+// encodeOffer is the service-offer reply path: the SOAP envelope around
+// the broker's offer document, as ServeHTTP sends it. BenchmarkOfferEncode
+// times it and TestSOAPOfferEncodeAllocGate counts its allocations.
+func encodeOffer(tb testing.TB, offer *ServiceOfferXML) {
+	if _, err := soapx.Marshal(offer); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 func BenchmarkOfferEncode(b *testing.B) {
 	offer := benchOffer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := soapx.Marshal(offer); err != nil {
-			b.Fatal(err)
-		}
+		encodeOffer(b, offer)
+	}
+}
+
+// TestSOAPOfferEncodeAllocGate is the deterministic allocation gate for
+// the SOAP reply encode: with the pooled buffer warm, what remains is
+// encoding/xml's own bookkeeping for this document plus the returned
+// slice.
+func TestSOAPOfferEncodeAllocGate(t *testing.T) {
+	// Under -race sync.Pool drops items at random, so the pooled encode no
+	// longer allocates a fixed count.
+	info, _ := debug.ReadBuildInfo()
+	if info != nil && slices.ContainsFunc(info.Settings, func(s debug.BuildSetting) bool {
+		return s.Key == "-race" && s.Value == "true"
+	}) {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	offer := benchOffer()
+	const gate = 15
+	if allocs := testing.AllocsPerRun(200, func() { encodeOffer(t, offer) }); allocs > gate {
+		t.Errorf("SOAP offer encode allocates %.0f objects per call, gate is %d", allocs, gate)
 	}
 }
 
