@@ -645,6 +645,67 @@ func TestEventsRingWrapSnapshot(t *testing.T) {
 	}
 }
 
+// TestTerminateAllocGate holds the release path lean: every Terminate runs
+// afterRelease, whose optimizer pass solves the shard's controlled-load
+// problem even when (as here, everyone already at best quality) it has
+// nothing to apply. At 64 live sessions, 16 of them controlled-load, that
+// pass rebuilt every service's level map on every iteration of its outer
+// loop and cost about 4 000 objects per Terminate; the candidate scan
+// leaves teardown, journaling and 16 spec clones.
+func TestTerminateAllocGate(t *testing.T) {
+	if RaceEnabled() {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	clock := clockx.NewManual(t0)
+	reg := registry.New(clock)
+	if _, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-a", Properties: simulationProps()}); err != nil {
+		t.Fatal(err)
+	}
+	b := miniBroker(t, clock, reg, false)
+	establish := func(req Request) sla.ID {
+		t.Helper()
+		offer, err := b.RequestService(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Accept(offer.SLA.ID); err != nil {
+			t.Fatal(err)
+		}
+		return offer.SLA.ID
+	}
+	guaranteed := miniRequest()
+	guaranteed.Spec = sla.NewSpec(sla.Exact(resource.CPU, 0.25), sla.Exact(resource.MemoryMB, 128))
+	controlled := guaranteed
+	controlled.Class, controlled.AcceptDegradation = sla.ClassControlledLoad, true
+	controlled.Spec = sla.NewSpec(sla.Range(resource.CPU, 0.5, 1), sla.Exact(resource.MemoryMB, 128))
+
+	const runs, gate = 20, 100 // measured 67 (go1.24); the old Greedy made it 3207
+	for i := 0; i < 16; i++ {
+		establish(controlled)
+	}
+	for i := 0; i < 48; i++ {
+		establish(guaranteed)
+	}
+	var victims []sla.ID // the 65th session and up: the floor stays at 64 live
+	for i := 0; i < runs+1; i++ {
+		victims = append(victims, establish(guaranteed))
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		id := victims[0]
+		victims = victims[1:]
+		if err := b.Terminate(id, "done"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if out, err := b.RunOptimizer(); err != nil || out.Considered != 16 {
+		t.Fatalf("optimizer considered %d sessions (err %v), want the 16 controlled-load ones", out.Considered, err)
+	}
+	if allocs > gate {
+		t.Errorf("Terminate at 64 live sessions allocates %.0f objects, gate is %d", allocs, gate)
+	}
+	t.Logf("Terminate at 64 live sessions: %.0f allocs", allocs)
+}
+
 func BenchmarkDiscovery(b *testing.B) {
 	clock := clockx.NewManual(t0)
 	reg := registry.New(clock)

@@ -645,10 +645,10 @@ func (b *Broker) optimizeShard(sh *shard) (OptimizeOutcome, error) {
 	// shard's guaranteed-side headroom.
 	capacity := sh.alloc.AvailableGuaranteed()
 	currentProfit := 0.0
-	problem := OptProblem{}
+	rates := b.prices.ClassRates(sla.ClassControlledLoad)
+	problem := OptProblem{Services: make([]OptService, 0, len(entries))}
 	for _, e := range entries {
 		capacity = capacity.Add(e.alloc)
-		rates := b.prices.ClassRates(sla.ClassControlledLoad)
 		currentProfit += rates.Cost(e.alloc)
 		problem.Services = append(problem.Services, OptService{
 			ID: e.id, Spec: e.spec, Rates: rates, RangeSteps: b.cfg.RangeSteps,

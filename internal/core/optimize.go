@@ -27,9 +27,10 @@ import (
 //
 // This is a multidimensional multiple-choice knapsack. Exact solves it by
 // branch-and-bound (used for small instances and as the test oracle);
-// Greedy is the production heuristic: start every service at its floor,
-// repeatedly apply the most profitable feasible single-step upgrade, then
-// hill-climb.
+// Greedy is the production heuristic: start every service at its floor and
+// repeatedly apply the feasible single-step upgrade of highest profit
+// density. Dimensions only meet through the capacity bound of their own
+// dimension, so it solves them one at a time (see Greedy).
 
 // OptService is one service's entry in the optimization problem.
 type OptService struct {
@@ -42,17 +43,12 @@ type OptService struct {
 	RangeSteps int
 }
 
-// choices returns the candidate capacity levels per dimension (ascending).
-func (s OptService) choices() map[resource.Kind][]float64 {
-	steps := s.RangeSteps
-	if steps <= 0 {
-		steps = 4
+// steps is the discretization applied to the service's range parameters.
+func (s OptService) steps() int {
+	if s.RangeSteps <= 0 {
+		return 4
 	}
-	out := make(map[resource.Kind][]float64, len(s.Spec.Params))
-	for k, p := range s.Spec.Params {
-		out[k] = p.Choices(steps)
-	}
-	return out
+	return s.RangeSteps
 }
 
 // OptProblem is a §5.3 optimization instance.
@@ -74,87 +70,150 @@ type OptResult struct {
 // capacity.
 var ErrInfeasible = errors.New("core: optimization infeasible at floors")
 
-// floorsOf returns each service's floor vector and verifies feasibility.
-func (p OptProblem) floorsOf() (map[sla.ID]resource.Capacity, error) {
-	floors := make(map[sla.ID]resource.Capacity, len(p.Services))
-	var sum resource.Capacity
+// levelTable holds every service's candidate quality levels, ascending,
+// in one flat slice: the levels of service si in dimension
+// resource.Kinds[ki] are flat[off[i]:off[i+1]] with i = si*len(Kinds)+ki
+// (empty when the spec has no parameter for that dimension). It is built
+// once per solve, so no solver allocates per service.
+type levelTable struct {
+	flat []float64
+	off  []int
+}
+
+func (p OptProblem) levels() levelTable {
+	n := 0
 	for _, s := range p.Services {
-		f := s.Spec.Floor()
-		floors[s.ID] = f
-		sum = sum.Add(f)
+		n += len(s.Spec.Params) * max(s.steps(), 2)
+	}
+	t := levelTable{
+		flat: make([]float64, 0, n), // lists longer than the range steps grow it
+		off:  make([]int, 1, len(p.Services)*len(resource.Kinds)+1),
+	}
+	for _, s := range p.Services {
+		steps := s.steps()
+		for _, k := range resource.Kinds {
+			if prm, ok := s.Spec.Params[k]; ok {
+				t.flat = prm.AppendChoices(t.flat, steps)
+			}
+			t.off = append(t.off, len(t.flat))
+		}
+	}
+	return t
+}
+
+func (t levelTable) of(si, ki int) []float64 {
+	i := si*len(resource.Kinds) + ki
+	return t.flat[t.off[i]:t.off[i+1]]
+}
+
+// floorsOf returns each service's floor vector and their sum, both in
+// p.Services order (so the sum's rounding is the same on every run), and
+// verifies feasibility.
+func (p OptProblem) floorsOf() ([]resource.Capacity, resource.Capacity, error) {
+	floors := make([]resource.Capacity, len(p.Services))
+	var sum resource.Capacity
+	for i, s := range p.Services {
+		floors[i] = s.Spec.Floor()
+		sum = sum.Add(floors[i])
 	}
 	if !sum.FitsIn(p.Capacity) {
-		return nil, fmt.Errorf("%w: floors need %v, capacity %v", ErrInfeasible, sum, p.Capacity)
+		return nil, resource.Capacity{}, fmt.Errorf("%w: floors need %v, capacity %v", ErrInfeasible, sum, p.Capacity)
 	}
-	return floors, nil
+	return floors, sum, nil
 }
 
-func profitOf(rates pricing.Rates, c resource.Capacity) float64 {
-	return rates.Cost(c)
+// result keys a per-service assignment (p.Services order) by SLA ID and
+// totals its profit.
+func (p OptProblem) result(assign []resource.Capacity) OptResult {
+	res := OptResult{Assignment: make(map[sla.ID]resource.Capacity, len(p.Services))}
+	for i, s := range p.Services {
+		res.Assignment[s.ID] = assign[i]
+		res.Profit += s.Rates.Cost(assign[i])
+	}
+	return res
 }
 
-// Greedy solves the problem heuristically: floors first, then repeated
-// best marginal-profit upgrades, then a hill-climbing pass that retries
-// skipped upgrades until no improvement remains.
+// candidate is one service's pending upgrade within the dimension Greedy
+// is solving: the next level above its current one.
+type candidate struct {
+	next    int     // index of that level in the service's levels; -1 = none left
+	delta   float64 // capacity the upgrade consumes
+	density float64 // profit per unit of capacity
+}
+
+// nextCandidate finds the first level at or after levels[from] that lies
+// above cur. A step whose gain does not clear Epsilon is no candidate, and
+// since only a pick moves cur, the service then stays where it is.
+//
+// density is deliberately (rate*delta)/delta, not rate: the two differ in
+// the last bits, the pick order under binding capacity depends on those
+// bits, and the committed digests depend on the pick order.
+func nextCandidate(levels []float64, from int, cur, rate float64) candidate {
+	for i := from; i < len(levels); i++ {
+		lv := levels[i]
+		if lv <= cur+resource.Epsilon {
+			continue
+		}
+		delta := lv - cur
+		gain := rate * delta
+		if gain > resource.Epsilon {
+			return candidate{next: i, delta: delta, density: gain / delta}
+		}
+		break
+	}
+	return candidate{next: -1}
+}
+
+// Greedy solves the problem heuristically: every service starts at its
+// floor, then the feasible single-step upgrade of highest profit density
+// is applied until none is left (ties go to the earlier service).
+//
+// An upgrade in one dimension changes nothing another dimension reads, so
+// each dimension is solved on its own with one candidate per service: scan
+// the candidates for the densest one that fits, apply it, recompute only
+// that service's candidate. Used capacity only grows, so a candidate that
+// stops fitting is dropped for good. With S services, K dimensions and L
+// levels per parameter that is at most S·L picks of an O(S) scan per
+// dimension — O(K·S²·L) comparisons, O(K·S·L) candidate updates — and a
+// fixed handful of allocations.
 func Greedy(p OptProblem) (OptResult, error) {
-	floors, err := p.floorsOf()
+	assign, used, err := p.floorsOf()
 	if err != nil {
 		return OptResult{}, err
 	}
-	assign := make(map[sla.ID]resource.Capacity, len(p.Services))
-	var used resource.Capacity
-	for id, f := range floors {
-		assign[id] = f
-		used = used.Add(f)
-	}
-
-	type upgrade struct {
-		svc     int
-		kind    resource.Kind
-		to      float64
-		gain    float64
-		cost    float64 // capacity consumed in that dimension
-		density float64
-	}
-	// Iterate until no feasible upgrade improves profit.
-	for {
-		best := upgrade{density: -1}
+	table := p.levels()
+	cands := make([]candidate, len(p.Services))
+	for ki, k := range resource.Kinds {
+		usedK, limit := used.Get(k), p.Capacity.Get(k)+resource.Epsilon
 		for si, s := range p.Services {
-			cur := assign[s.ID]
-			for k, levels := range s.choices() {
-				curV := cur.Get(k)
-				// The next level above the current one.
-				for _, lv := range levels {
-					if lv <= curV+resource.Epsilon {
-						continue
-					}
-					delta := lv - curV
-					if used.Get(k)+delta > p.Capacity.Get(k)+resource.Epsilon {
-						break // levels ascend; larger ones also fail
-					}
-					gain := s.Rates.Rate(k) * delta
-					density := gain / delta
-					if gain > resource.Epsilon && density > best.density {
-						best = upgrade{svc: si, kind: k, to: lv, gain: gain, cost: delta, density: density}
-					}
-					break // only consider the immediate next level per (svc, kind)
+			cands[si] = nextCandidate(table.of(si, ki), 0, assign[si].Get(k), s.Rates.Rate(k))
+		}
+		for {
+			best, bestDensity := -1, -1.0
+			for si := range cands {
+				c := &cands[si]
+				if c.next < 0 {
+					continue
+				}
+				if usedK+c.delta > limit {
+					c.next = -1
+					continue
+				}
+				if c.density > bestDensity {
+					best, bestDensity = si, c.density
 				}
 			}
+			if best < 0 {
+				break
+			}
+			c, levels := cands[best], table.of(best, ki)
+			to := levels[c.next]
+			assign[best] = assign[best].With(k, to)
+			usedK += c.delta
+			cands[best] = nextCandidate(levels, c.next+1, to, p.Services[best].Rates.Rate(k))
 		}
-		if best.density < 0 {
-			break
-		}
-		s := p.Services[best.svc]
-		cur := assign[s.ID]
-		assign[s.ID] = cur.With(best.kind, best.to)
-		used = used.With(best.kind, used.Get(best.kind)+best.cost)
 	}
-
-	total := 0.0
-	for _, s := range p.Services {
-		total += profitOf(s.Rates, assign[s.ID])
-	}
-	return OptResult{Assignment: assign, Profit: total}, nil
+	return p.result(assign), nil
 }
 
 // exactLimit bounds the instance size Exact accepts; beyond it the search
@@ -168,9 +227,10 @@ func Exact(p OptProblem) (OptResult, error) {
 	if len(p.Services) > exactLimit {
 		return OptResult{}, fmt.Errorf("core: Exact limited to %d services, got %d", exactLimit, len(p.Services))
 	}
-	if _, err := p.floorsOf(); err != nil {
+	if _, _, err := p.floorsOf(); err != nil {
 		return OptResult{}, err
 	}
+	table := p.levels()
 
 	// Enumerate each service's candidate vectors (cartesian product of
 	// per-dimension choices), deduplicated and sorted by descending
@@ -181,14 +241,14 @@ func Exact(p OptProblem) (OptResult, error) {
 	}
 	svcCands := make([][]cand, len(p.Services))
 	for si, s := range p.Services {
-		kinds := s.Spec.Kinds()
-		var vectors []resource.Capacity
-		vectors = append(vectors, resource.Capacity{})
-		choices := s.choices()
-		for _, k := range kinds {
+		vectors := []resource.Capacity{{}}
+		for ki, k := range resource.Kinds {
+			if _, ok := s.Spec.Params[k]; !ok {
+				continue
+			}
 			var next []resource.Capacity
 			for _, v := range vectors {
-				for _, lv := range choices[k] {
+				for _, lv := range table.of(si, ki) {
 					next = append(next, v.With(k, lv))
 				}
 			}
@@ -196,7 +256,7 @@ func Exact(p OptProblem) (OptResult, error) {
 		}
 		cands := make([]cand, 0, len(vectors))
 		for _, v := range vectors {
-			cands = append(cands, cand{cap: v, profit: profitOf(s.Rates, v)})
+			cands = append(cands, cand{cap: v, profit: s.Rates.Cost(v)})
 		}
 		sort.Slice(cands, func(i, j int) bool { return cands[i].profit > cands[j].profit })
 		svcCands[si] = cands
@@ -258,35 +318,27 @@ func Exact(p OptProblem) (OptResult, error) {
 // BaselineMinimum assigns every service its floor — a provider that never
 // upgrades anyone.
 func BaselineMinimum(p OptProblem) (OptResult, error) {
-	floors, err := p.floorsOf()
+	floors, _, err := p.floorsOf()
 	if err != nil {
 		return OptResult{}, err
 	}
-	total := 0.0
-	for _, s := range p.Services {
-		total += profitOf(s.Rates, floors[s.ID])
-	}
-	return OptResult{Assignment: floors, Profit: total}, nil
+	return p.result(floors), nil
 }
 
 // BaselineFirstFit walks services in arrival order giving each its best
 // quality that still fits — a provider with no global view.
 func BaselineFirstFit(p OptProblem) (OptResult, error) {
-	floors, err := p.floorsOf()
+	// Reserve every floor first so later services are not starved below
+	// their SLA.
+	assign, used, err := p.floorsOf()
 	if err != nil {
 		return OptResult{}, err
 	}
-	assign := make(map[sla.ID]resource.Capacity, len(p.Services))
-	var used resource.Capacity
-	// Reserve every floor first so later services are not starved below
-	// their SLA.
-	for id, f := range floors {
-		assign[id] = f
-		used = used.Add(f)
-	}
-	for _, s := range p.Services {
-		cur := assign[s.ID]
-		for k, levels := range s.choices() {
+	table := p.levels()
+	for si := range p.Services {
+		cur := assign[si]
+		for ki, k := range resource.Kinds {
+			levels := table.of(si, ki)
 			// Highest level that fits.
 			for i := len(levels) - 1; i >= 0; i-- {
 				lv := levels[i]
@@ -301,11 +353,7 @@ func BaselineFirstFit(p OptProblem) (OptResult, error) {
 				}
 			}
 		}
-		assign[s.ID] = cur
+		assign[si] = cur
 	}
-	total := 0.0
-	for _, s := range p.Services {
-		total += profitOf(s.Rates, assign[s.ID])
-	}
-	return OptResult{Assignment: assign, Profit: total}, nil
+	return p.result(assign), nil
 }

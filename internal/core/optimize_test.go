@@ -262,10 +262,218 @@ func TestBaselineFirstFitOrderDependence(t *testing.T) {
 }
 
 func TestOptServiceChoicesDefaultSteps(t *testing.T) {
-	s := optSvc("a", sla.Range(resource.CPU, 0, 9))
-	levels := s.choices()[resource.CPU]
-	if len(levels) != 4 || levels[0] != 0 || levels[3] != 9 {
+	p := OptProblem{Services: []OptService{
+		optSvc("a", sla.Range(resource.CPU, 0, 9)),
+		optSvc("b", sla.List(resource.MemoryMB, 1, 2, 3, 4, 5, 6), sla.Exact(resource.BandwidthMbps, 7)),
+	}}
+	table := p.levels()
+	if levels := table.of(0, 0); len(levels) != 4 || levels[0] != 0 || levels[3] != 9 {
 		t.Errorf("default choices = %v", levels)
+	}
+	// A list longer than the range steps grows the flat slice; absent
+	// dimensions are empty.
+	for ki, want := range []int{0, 6, 0, 1} {
+		if got := table.of(1, ki); len(got) != want {
+			t.Errorf("service b, %s: levels = %v, want %d", resource.Kinds[ki], got, want)
+		}
+	}
+}
+
+// greedyReference is the Greedy this package shipped until PR 17, kept as
+// the oracle for TestGreedyMatchesReference: every service rescanned, and
+// its level map rebuilt, on every iteration of the outer loop. The body is
+// verbatim except that used is seeded from floorsOf's ordered sum (the old
+// code summed in map order, which made its own last bits vary run to run).
+func greedyReference(p OptProblem) (OptResult, error) {
+	choices := func(s OptService) map[resource.Kind][]float64 {
+		out := make(map[resource.Kind][]float64, len(s.Spec.Params))
+		for k, prm := range s.Spec.Params {
+			out[k] = prm.AppendChoices(nil, s.steps())
+		}
+		return out
+	}
+	floors, used, err := p.floorsOf()
+	if err != nil {
+		return OptResult{}, err
+	}
+	assign := make(map[sla.ID]resource.Capacity, len(p.Services))
+	for i, s := range p.Services {
+		assign[s.ID] = floors[i]
+	}
+
+	type upgrade struct {
+		svc     int
+		kind    resource.Kind
+		to      float64
+		gain    float64
+		cost    float64 // capacity consumed in that dimension
+		density float64
+	}
+	// Iterate until no feasible upgrade improves profit.
+	for {
+		best := upgrade{density: -1}
+		for si, s := range p.Services {
+			cur := assign[s.ID]
+			for k, levels := range choices(s) {
+				curV := cur.Get(k)
+				// The next level above the current one.
+				for _, lv := range levels {
+					if lv <= curV+resource.Epsilon {
+						continue
+					}
+					delta := lv - curV
+					if used.Get(k)+delta > p.Capacity.Get(k)+resource.Epsilon {
+						break // levels ascend; larger ones also fail
+					}
+					gain := s.Rates.Rate(k) * delta
+					density := gain / delta
+					if gain > resource.Epsilon && density > best.density {
+						best = upgrade{svc: si, kind: k, to: lv, gain: gain, cost: delta, density: density}
+					}
+					break // only consider the immediate next level per (svc, kind)
+				}
+			}
+		}
+		if best.density < 0 {
+			break
+		}
+		s := p.Services[best.svc]
+		cur := assign[s.ID]
+		assign[s.ID] = cur.With(best.kind, best.to)
+		used = used.With(best.kind, used.Get(best.kind)+best.cost)
+	}
+
+	total := 0.0
+	for _, s := range p.Services {
+		total += s.Rates.Cost(assign[s.ID])
+	}
+	return OptResult{Assignment: assign, Profit: total}, nil
+}
+
+// randomOptProblem draws a §5.3 instance whose capacity binds: every
+// dimension holds the floors plus a slack smaller than what the upgrades
+// ask for, so which upgrade is picked first decides who gets it.
+func randomOptProblem(rng *rand.Rand) OptProblem {
+	var p OptProblem
+	// A small rate palette makes equal rates (density ties between
+	// services) common; zero rates make stuck services common.
+	palette := []float64{0, 0.005, 0.05, 0.2, 0.3, 1, 4, rng.Float64() * 5}
+	value := func() float64 {
+		if rng.Intn(2) == 0 {
+			return float64(rng.Intn(12)) // integers: exact ties in delta
+		}
+		return rng.Float64() * 12 // fractions: densities that round apart
+	}
+	var want resource.Capacity // Σ(best − floor)
+	for i, n := 0, 1+rng.Intn(24); i < n; i++ {
+		s := OptService{ID: sla.ID("s" + strconv.Itoa(i)), RangeSteps: rng.Intn(6), Rates: stdRates}
+		if rng.Intn(3) > 0 {
+			pick := func() float64 { return palette[rng.Intn(len(palette))] }
+			s.Rates = pricing.Rates{PerCPUNode: pick(), PerMemoryMB: pick(), PerDiskGB: pick(), PerMbps: pick()}
+		}
+		var params []sla.Param
+		for _, k := range resource.Kinds {
+			switch rng.Intn(4) {
+			case 0: // dimension absent
+			case 1:
+				params = append(params, sla.Exact(k, value()))
+			case 2:
+				lo := value()
+				hi := lo
+				if rng.Intn(8) > 0 { // sometimes a degenerate range
+					hi += value()
+				}
+				params = append(params, sla.Range(k, lo, hi))
+			case 3:
+				vals := make([]float64, 1+rng.Intn(7)) // up to 7: longer than any RangeSteps
+				for j := range vals {
+					vals[j] = value()
+				}
+				params = append(params, sla.List(k, vals...))
+			}
+		}
+		s.Spec = sla.NewSpec(params...)
+		p.Services = append(p.Services, s)
+		p.Capacity = p.Capacity.Add(s.Spec.Floor())
+		want = want.Add(s.Spec.Best().Sub(s.Spec.Floor()))
+	}
+	for _, k := range resource.Kinds {
+		slack := want.Get(k) * rng.Float64() * 0.7
+		if rng.Intn(10) == 0 {
+			slack = 0 // nothing fits
+		}
+		p.Capacity = p.Capacity.With(k, p.Capacity.Get(k)+slack)
+	}
+	return p
+}
+
+// The per-dimension candidate scan must give the answers the old
+// whole-problem rescan gave, to the bit: the committed digests hang on the
+// pick order under binding capacity, which in turn hangs on the rounding
+// of (rate*delta)/delta.
+func TestGreedyMatchesReference(t *testing.T) {
+	const problems = 12000
+	rng := rand.New(rand.NewSource(1703))
+	upgraded := 0
+	for trial := 0; trial < problems; trial++ {
+		p := randomOptProblem(rng)
+		want, werr := greedyReference(p)
+		got, gerr := Greedy(p)
+		if werr != nil || gerr != nil {
+			t.Fatalf("trial %d: feasible by construction, got errors %v / %v", trial, werr, gerr)
+		}
+		if !sameAssignment(want, werr, got, gerr) {
+			t.Fatalf("trial %d: assignment differs\nreference %v\ngreedy    %v", trial, want.Assignment, got.Assignment)
+		}
+		for id, c := range want.Assignment {
+			if got.Assignment[id] != c { // sameAssignment is within Epsilon; the kernel is exact
+				t.Fatalf("trial %d: %s = %v, reference %v", trial, id, got.Assignment[id], c)
+			}
+		}
+		if math.Float64bits(got.Profit) != math.Float64bits(want.Profit) {
+			t.Fatalf("trial %d: profit %v, reference %v", trial, got.Profit, want.Profit)
+		}
+		if min, _ := BaselineMinimum(p); got.Profit > min.Profit {
+			upgraded++
+		}
+	}
+	// The generator must exercise the pick order, not only the floors.
+	if upgraded < problems/2 {
+		t.Errorf("only %d of %d problems had a profitable upgrade", upgraded, problems)
+	}
+}
+
+// Greedy's allocations are the level table, the candidate and assignment
+// slices and the result map: a constant, whatever the service count and
+// however many upgrades it applies.
+func TestGreedyAllocGate(t *testing.T) {
+	const ceiling = 16
+	problem := func(n int, capacity float64) OptProblem {
+		p := OptProblem{Capacity: resource.Capacity{CPU: capacity, MemoryMB: 128 * float64(n)}}
+		for i := 0; i < n; i++ {
+			p.Services = append(p.Services, optSvc("s"+strconv.Itoa(i),
+				sla.Range(resource.CPU, 1, float64(i%3+2)), sla.Exact(resource.MemoryMB, 128)))
+		}
+		return p
+	}
+	var counts []float64
+	for _, p := range []OptProblem{
+		problem(16, 1e6), // every service climbs to its best
+		problem(64, 1e6),
+		problem(64, 64), // floors only: nothing fits
+	} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := Greedy(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > ceiling {
+			t.Errorf("Greedy on %d services: %.0f allocs, ceiling %d", len(p.Services), allocs, ceiling)
+		}
+		counts = append(counts, allocs)
+	}
+	if counts[0] != counts[1] || counts[1] != counts[2] {
+		t.Errorf("allocations at 16 / 64 / 64-no-upgrade services = %v, want one constant", counts)
 	}
 }
 

@@ -145,27 +145,27 @@ func (p Param) Accepts(v float64) bool {
 	}
 }
 
-// Choices enumerates the candidate quality levels the optimizer may select
-// for this parameter. Ranges are discretized into at most steps points
-// (always including Min and Max); exact parameters yield their single
-// value; lists yield their values.
-func (p Param) Choices(steps int) []float64 {
+// AppendChoices appends to dst the candidate quality levels the optimizer
+// may select for this parameter, ascending, and returns the extended
+// slice. Ranges are discretized into at most steps points (always
+// including Min and Max); exact parameters yield their single value; lists
+// yield their values.
+func (p Param) AppendChoices(dst []float64, steps int) []float64 {
 	switch p.Form {
 	case FormExact:
-		return []float64{p.Exact}
+		return append(dst, p.Exact)
 	case FormList:
-		return append([]float64(nil), p.Values...)
+		return append(dst, p.Values...)
 	case FormRange:
 		if steps < 2 || p.Max == p.Min {
-			return []float64{p.Min, p.Max}
+			return append(dst, p.Min, p.Max)
 		}
-		out := make([]float64, 0, steps)
 		for i := 0; i < steps; i++ {
-			out = append(out, p.Min+(p.Max-p.Min)*float64(i)/float64(steps-1))
+			dst = append(dst, p.Min+(p.Max-p.Min)*float64(i)/float64(steps-1))
 		}
-		return out
+		return dst
 	default:
-		return nil
+		return dst
 	}
 }
 

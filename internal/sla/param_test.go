@@ -92,19 +92,29 @@ func TestParamAccepts(t *testing.T) {
 }
 
 func TestParamChoices(t *testing.T) {
-	if c := Exact(resource.CPU, 10).Choices(5); len(c) != 1 || c[0] != 10 {
-		t.Errorf("Exact Choices = %v", c)
+	if c := Exact(resource.CPU, 10).AppendChoices(nil, 5); len(c) != 1 || c[0] != 10 {
+		t.Errorf("Exact choices = %v", c)
 	}
-	if c := List(resource.CPU, 10, 20).Choices(5); len(c) != 2 || c[0] != 10 || c[1] != 20 {
-		t.Errorf("List Choices = %v", c)
+	if c := List(resource.CPU, 10, 20).AppendChoices(nil, 5); len(c) != 2 || c[0] != 10 || c[1] != 20 {
+		t.Errorf("List choices = %v", c)
 	}
-	c := Range(resource.CPU, 0, 10).Choices(5)
+	c := Range(resource.CPU, 0, 10).AppendChoices(nil, 5)
 	if len(c) != 5 || c[0] != 0 || c[4] != 10 || c[2] != 5 {
-		t.Errorf("Range Choices = %v", c)
+		t.Errorf("Range choices = %v", c)
 	}
 	// Degenerate steps still include both endpoints.
-	if c := Range(resource.CPU, 2, 8).Choices(1); len(c) != 2 || c[0] != 2 || c[1] != 8 {
-		t.Errorf("Range Choices(1) = %v", c)
+	if c := Range(resource.CPU, 2, 8).AppendChoices(nil, 1); len(c) != 2 || c[0] != 2 || c[1] != 8 {
+		t.Errorf("Range choices(1) = %v", c)
+	}
+	// Appending keeps what dst already holds and copies list values.
+	vals := List(resource.CPU, 3, 4)
+	c = vals.AppendChoices([]float64{1}, 5)
+	if len(c) != 3 || c[0] != 1 || c[1] != 3 || c[2] != 4 {
+		t.Errorf("append onto dst = %v", c)
+	}
+	c[1] = 99
+	if vals.Values[0] != 3 {
+		t.Error("AppendChoices aliased the parameter's list")
 	}
 }
 
