@@ -17,9 +17,7 @@ import (
 // with the reason it stays. Three kinds of entry belong here — methods
 // that satisfy an interface (called through it, never by name), test
 // seams the invariant oracle needs, and substrate features of the paper
-// that only tests drive — plus, marked as such, an accessor kept because
-// deleting it would delete the named test. Anything else the test lists
-// is deleted.
+// that only tests drive. Anything else the test lists is deleted.
 var testOnlyExports = map[string]string{
 	"clockx.timerHeap.Len":        "interface method: container/heap",
 	"clockx.timerHeap.Less":       "interface method: container/heap",
@@ -36,9 +34,6 @@ var testOnlyExports = map[string]string{
 	"registry.Registry.Renew":     "substrate: UDDIe lease renewal; services in the stack register once",
 	"registry.Registry.Sweep":     "substrate: UDDIe lease expiry sweep; Find already hides expired leases",
 	"gara.NewStorageManager":      "substrate: GARA's storage reservation-type; the stack reserves disk from the compute pool",
-	"dsrt.Scheduler.Processes":    "kept for test TestProcessesSnapshot",
-	"gram.Manager.Jobs":           "kept for test TestJobsSortedNumerically",
-	"sla.Document.ActiveAt":       "kept for test TestActiveAt",
 }
 
 // TestNoTestOnlyExports lists every exported func or method declared in

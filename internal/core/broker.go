@@ -761,9 +761,3 @@ func (b *Broker) logf(kind string, id sla.ID, format string, args ...any) {
 	b.evTotal++
 	b.evMu.Unlock()
 }
-
-// logLocked appends to the activity log from inside a shard critical
-// section (same leaf lock as logf; the name records the calling context).
-func (b *Broker) logLocked(kind string, id sla.ID, format string, args ...any) {
-	b.logf(kind, id, format, args...)
-}

@@ -353,7 +353,7 @@ func (b *Broker) ImportSession(st *HandoffState) error {
 		return ErrClosed
 	}
 	sh.sessions[id] = sess
-	b.logLocked("handoff", id, "imported from %q at %v (no re-charge)", st.Source, alloc)
+	b.logf("handoff", id, "imported from %q at %v (no re-charge)", st.Source, alloc)
 	sh.mu.Unlock()
 	b.met.handoffsIn.Inc()
 	b.persist(id)

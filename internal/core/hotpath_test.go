@@ -645,6 +645,29 @@ func TestEventsRingWrapSnapshot(t *testing.T) {
 	}
 }
 
+// allocGatePopulation is what the release- and adaptation-path gates fill
+// a miniBroker with: an establish helper and the two session shapes,
+// quarter-node guaranteed and half-to-one-node controlled-load.
+func allocGatePopulation(t *testing.T, b *Broker) (establish func(Request) sla.ID, guaranteed, controlled Request) {
+	establish = func(req Request) sla.ID {
+		t.Helper()
+		offer, err := b.RequestService(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Accept(offer.SLA.ID); err != nil {
+			t.Fatal(err)
+		}
+		return offer.SLA.ID
+	}
+	guaranteed = miniRequest()
+	guaranteed.Spec = sla.NewSpec(sla.Exact(resource.CPU, 0.25), sla.Exact(resource.MemoryMB, 128))
+	controlled = guaranteed
+	controlled.Class, controlled.AcceptDegradation = sla.ClassControlledLoad, true
+	controlled.Spec = sla.NewSpec(sla.Range(resource.CPU, 0.5, 1), sla.Exact(resource.MemoryMB, 128))
+	return establish, guaranteed, controlled
+}
+
 // TestTerminateAllocGate holds the release path lean: every Terminate runs
 // afterRelease, whose optimizer pass solves the shard's controlled-load
 // problem even when (as here, everyone already at best quality) it has
@@ -662,22 +685,7 @@ func TestTerminateAllocGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := miniBroker(t, clock, reg, false)
-	establish := func(req Request) sla.ID {
-		t.Helper()
-		offer, err := b.RequestService(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Accept(offer.SLA.ID); err != nil {
-			t.Fatal(err)
-		}
-		return offer.SLA.ID
-	}
-	guaranteed := miniRequest()
-	guaranteed.Spec = sla.NewSpec(sla.Exact(resource.CPU, 0.25), sla.Exact(resource.MemoryMB, 128))
-	controlled := guaranteed
-	controlled.Class, controlled.AcceptDegradation = sla.ClassControlledLoad, true
-	controlled.Spec = sla.NewSpec(sla.Range(resource.CPU, 0.5, 1), sla.Exact(resource.MemoryMB, 128))
+	establish, guaranteed, controlled := allocGatePopulation(t, b)
 
 	const runs, gate = 20, 100 // measured 67 (go1.24); the old Greedy made it 3207
 	for i := 0; i < 16; i++ {
@@ -704,6 +712,45 @@ func TestTerminateAllocGate(t *testing.T) {
 		t.Errorf("Terminate at 64 live sessions allocates %.0f objects, gate is %d", allocs, gate)
 	}
 	t.Logf("Terminate at 64 live sessions: %.0f allocs", allocs)
+}
+
+// TestDegradeRestoreAllocGate holds the adaptation path to what the six
+// hand-copied sequences cost before they became reallocate: one scenario-1
+// degradation and its scenario-2(a) restoration at 16 live sessions
+// allocated 60 objects (bench/'s overload_adapt spends most of its
+// ≈ 410 mallocs per session on these).
+func TestDegradeRestoreAllocGate(t *testing.T) {
+	if RaceEnabled() {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	clock := clockx.NewManual(t0)
+	reg := registry.New(clock)
+	if _, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-a", Properties: simulationProps()}); err != nil {
+		t.Fatal(err)
+	}
+	b := miniBroker(t, clock, reg, false)
+	establish, guaranteed, controlled := allocGatePopulation(t, b)
+	id := establish(controlled)
+	for i := 0; i < 15; i++ {
+		establish(guaranteed)
+	}
+
+	const gate = 60 // what the copies cost; measured 48 (go1.24)
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := b.degradeToFloor(b.shardFor(id), id); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.restore(id); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if doc, _ := b.Session(id); doc.Allocated.CPU != 1 || b.met.degraded.Value() != b.met.restored.Value() {
+		t.Fatalf("cycle did not return the session to its best quality: %v", doc.Allocated)
+	}
+	if allocs > gate {
+		t.Errorf("degrade + restore at 16 live sessions allocates %.0f objects, gate is %d", allocs, gate)
+	}
+	t.Logf("degrade + restore at 16 live sessions: %.0f allocs", allocs)
 }
 
 func BenchmarkDiscovery(b *testing.B) {

@@ -8,6 +8,7 @@ import (
 
 	"gqosm/internal/gara"
 	"gqosm/internal/gram"
+	"gqosm/internal/obs"
 	"gqosm/internal/pricing"
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
@@ -67,7 +68,7 @@ func (b *Broker) Invoke(id sla.ID) (gram.Job, error) {
 		return gram.Job{}, err
 	}
 	s.job = job.ID
-	b.logLocked("invoke", id, "service %q launched as %s (pid %d), reservation claimed", service, job.ID, job.PID)
+	b.logf("invoke", id, "service %q launched as %s (pid %d), reservation claimed", service, job.ID, job.PID)
 	sh.mu.Unlock()
 	b.trace(id, sla.StateEstablished, sla.StateActive, resource.Capacity{}, "service invoked")
 	b.persist(id)
@@ -214,7 +215,7 @@ func (b *Broker) teardownIf(id sla.ID, final sla.State, reason string, pred func
 	}
 	handle := s.handle
 	delete(sh.promotions, id)
-	b.logLocked("clearing", id, "%s: %s", final, reason)
+	b.logf("clearing", id, "%s: %s", final, reason)
 	// Release the grant while still holding sh.mu: the terminal
 	// transition and the release must be atomic, or a concurrent re-grant
 	// path (restore, optimizer, promotion) could slip between them and
@@ -240,26 +241,6 @@ func (b *Broker) teardownIf(id sla.ID, final sla.State, reason string, pred func
 	b.trace(id, prevState, final, released.Scale(-1), reason)
 	b.persist(id)
 	return nil
-}
-
-// allocateLive re-grants allocator capacity for a session only while it is
-// still live, atomically with respect to teardown: the liveness check and
-// the allocator call happen under the session's shard lock, so a
-// concurrent terminal transition (which releases the grant under the same
-// lock) can never interleave and leave a terminal session holding
-// capacity.
-func (b *Broker) allocateLive(id sla.ID, requested, floor resource.Capacity) (GrantResult, error) {
-	sh := b.shardFor(id)
-	if sh == nil {
-		return GrantResult{}, fmt.Errorf("%w: %s", ErrUnknownSession, id)
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s, ok := sh.sessions[id]
-	if !ok || s.doc.State.Terminal() {
-		return GrantResult{}, fmt.Errorf("%w: %s", ErrUnknownSession, id)
-	}
-	return sh.alloc.AllocateGuaranteed(string(id), requested, floor)
 }
 
 // afterRelease applies scenario 2 to the released capacity: (a) restore
@@ -296,7 +277,8 @@ func (b *Broker) afterRelease() {
 }
 
 // restore returns a degraded session to its original quality when
-// capacity allows (scenario 2a and scenario-3 recovery).
+// capacity allows (scenario 2a and scenario-3 recovery). A partial grant
+// is kept, but the session stays degraded until full restoration.
 func (b *Broker) restore(id sla.ID) error {
 	sh := b.shardFor(id)
 	if sh == nil {
@@ -309,96 +291,218 @@ func (b *Broker) restore(id sla.ID) error {
 		return fmt.Errorf("%w: degraded %s", ErrUnknownSession, id)
 	}
 	target := s.original
-	prevAlloc := s.doc.Allocated
-	prevState := s.doc.State
-	floor := s.doc.Spec.Floor()
-	handle := s.handle
-	spec := s.doc.Spec.Clone()
 	sh.mu.Unlock()
-
-	grant, err := b.allocateLive(id, target, floor)
-	if err != nil || !grant.Shortfall.IsZero() {
-		if err == nil {
-			// Partial restoration is possible but we keep the grant we
-			// got; stay degraded until full restoration.
-			_ = b.applyAllocation(id, handle, spec, grant.Granted, true)
-		}
-		return fmt.Errorf("core: restore %s: insufficient capacity", id)
-	}
-	if err := b.applyAllocation(id, handle, spec, target, true); err != nil {
-		return err
-	}
-	sh.mu.Lock()
-	s.degraded = false
-	if s.doc.State == sla.StateDegraded {
-		_ = s.doc.Transition(sla.StateActive)
-	}
-	newState := s.doc.State
-	b.logLocked("adapt", id, "restored to %v (scenario 2a)", target)
-	sh.mu.Unlock()
-	b.met.restored.Inc()
-	b.trace(id, prevState, newState, target.Sub(prevAlloc), "restored (scenario 2a)")
-	b.persist(id)
-	return nil
+	_, err := b.reallocate(sh, id, move{
+		target: target, short: keepShort, notes: qualityNotes, mark: markRecovered,
+		event: "adapt", msg: "restored to %[2]v (scenario 2a)",
+		reason: "restored (scenario 2a)", count: b.met.restored,
+	})
+	return err
 }
 
-// applyAllocation pushes a changed allocation to GARA and the document.
-// With bill set, the price difference between the old and new quality is
-// charged (upgrade) or refunded (degradation) — services are "traded
+// move describes one change to a live session's allocation. The paper's
+// adaptation scenarios (§3.2) and client renegotiation are one act done
+// for different reasons — move the session to another point inside its
+// SLA, push the change to GARA, bill the difference — so each is a move
+// handed to reallocate (DESIGN.md §18 has the table).
+type move struct {
+	// target (with toFloor: the specification's floor) is asked of the
+	// allocator, which may grant only the floor (Algorithm 1): a shortfall.
+	target  resource.Capacity
+	toFloor bool
+	short   shortfall
+	// spec, when set, replaces the session's specification
+	// (renegotiation); floor and reservation are then taken from it.
+	spec *sla.Spec
+	// notes label the ledger entry that charges or refunds the list-price
+	// difference. A promotion bills offer instead, under notes[0].
+	notes [2]string
+	offer float64
+	// A made move's effect on the degraded flag (with its SLA state), and
+	// whether the applied quality becomes the restore target (original).
+	mark   mark
+	rebase bool
+	// The activity-log event of a made move; msg's verbs index previous
+	// allocation, applied allocation and amount billed.
+	event, msg string
+	// reason marks one of the paper's adaptation scenarios: the move is
+	// counted, traced under it, and journaled once more.
+	reason string
+	count  *obs.Counter
+}
+
+// shortfall is what a move makes of a grant that fell to the floor.
+type shortfall uint8
+
+const (
+	followShort shortfall = iota // the move is made at the granted quality
+	keepShort                    // the document follows the grant, the move is not made (restore stays degraded)
+	refuseShort                  // the allocator is walked back (a promotion sold the full upgrade)
+)
+
+// mark is a move's effect on the session's degraded flag.
+type mark uint8
+
+const (
+	markDegraded  mark = iota + 1 // degraded; an active or violated SLA becomes degraded
+	markRecovered                 // no longer degraded; a degraded SLA becomes active
+)
+
+// qualityNotes label the billing of an adaptation: services are "traded
 // against cost" (§1.1), so delivered quality and billing move together.
-// Promotion acceptance bills separately at the discounted offer price and
-// passes bill=false.
-func (b *Broker) applyAllocation(id sla.ID, handle gara.Handle, spec sla.Spec, c resource.Capacity, bill bool) error {
-	if err := b.pol.call("gara.modify", func() error {
-		return b.cfg.GARA.Modify(handle, reservationRSL(spec, c))
-	}); err != nil {
-		// The caller already moved the allocator to c; with the modify
-		// refused, the document (and billing) will keep the old quality,
-		// so the allocator must be walked back too or the books skew.
-		b.rollbackAllocation(id, c, bill)
-		return fmt.Errorf("core: apply allocation %s: %w", id, err)
-	}
-	var delta float64
-	if sh := b.shardFor(id); sh != nil {
-		sh.mu.Lock()
-		// A session torn down since the grant was issued keeps its final
-		// document: no billing, no allocation rewrite.
-		if s, ok := sh.sessions[id]; ok && !s.doc.State.Terminal() {
-			if bill {
-				delta = b.prices.Cost(s.doc.Class, c) - b.prices.Cost(s.doc.Class, s.doc.Allocated)
-				s.doc.Price += delta
-			}
-			s.doc.Allocated = c
-		}
-		sh.mu.Unlock()
-	}
-	switch {
-	case delta > 0:
-		b.ledger.Charge(id, delta, b.clock.Now(), "quality upgrade")
-	case delta < 0:
-		b.ledger.Record(pricing.Entry{
-			Kind: pricing.EntryRefund, SLA: id, Amount: -delta,
-			At: b.clock.Now(), Note: "quality degradation refund",
-		})
-	}
-	b.persist(id)
-	return nil
+var qualityNotes = [2]string{"quality upgrade", "quality degradation refund"}
+
+// errShortfall reports a keepShort move granted only its floor.
+var errShortfall = errors.New("core: insufficient capacity for the full quality")
+
+// reallocation reports what reallocate did: the allocation replaced, the
+// one applied, whether it fell short, and the amount added to the price.
+type reallocation struct {
+	old, applied resource.Capacity
+	short        bool
+	billed       float64
 }
 
-// rollbackAllocation undoes the caller's allocateLive after a failed
-// GARA modify: the allocator holds c while the document kept the
-// previous quality. The documented quality is re-granted; if its
-// capacity was snapped up in the meantime (the failed change was a
-// degradation and another session took the freed headroom) the
-// allocator keeps c and the document is moved to match instead, with
-// billing following the delivered quality. Either way document and
-// allocator agree again; the reservation spec may be stale until the
-// next successful modify or teardown, which is logged, not silent.
-func (b *Broker) rollbackAllocation(id sla.ID, c resource.Capacity, bill bool) {
-	sh := b.shardFor(id)
-	if sh == nil {
+// reallocate is the one step that changes a live session's allocation:
+// allocator move, reservation change at the resource manager, one commit
+// of document, flags and price, then ledger and journal. Nothing is
+// written to a terminal session: a teardown that wins the race during
+// gara.modify has released the grant, and its final document stands.
+func (b *Broker) reallocate(sh *shard, id sla.ID, m move) (r reallocation, err error) {
+	// Liveness check and allocator call share one critical section: a
+	// terminal transition releases the grant under the same lock, so it
+	// cannot interleave and leave a terminal session holding capacity.
+	sh.mu.Lock()
+	s, ok := sh.sessions[id]
+	if !ok || s.doc.State.Terminal() {
+		sh.mu.Unlock()
+		return r, fmt.Errorf("%w: %s", ErrUnknownSession, id)
+	}
+	spec := &s.doc.Spec
+	if m.spec != nil {
+		spec = m.spec
+	}
+	floor := spec.Floor()
+	if m.toFloor {
+		m.target = floor
+	}
+	grant, err := sh.alloc.AllocateGuaranteed(string(id), m.target, m.target.Min(floor))
+	if err != nil {
+		sh.mu.Unlock()
+		return r, err // refused: the previous grant stands, nothing to walk back
+	}
+	r.applied, r.short = grant.Granted, !grant.Shortfall.IsZero()
+	handle, rsl := s.handle, reservationRSL(*spec, r.applied)
+	sh.mu.Unlock()
+
+	if r.short && m.short == refuseShort {
+		b.rollback(sh, id, m.spec, r.applied)
+		return r, fmt.Errorf("%w: %s: capacity for %v no longer available", ErrBadState, id, m.target)
+	}
+	if err := b.pol.call("gara.modify", func() error {
+		return b.cfg.GARA.Modify(handle, rsl)
+	}); err != nil {
+		// The document (and billing) keep the old quality, so the
+		// allocator must be walked back too or the books skew.
+		b.rollback(sh, id, m.spec, r.applied)
+		return r, fmt.Errorf("core: apply allocation %s: %w", id, err)
+	}
+
+	sh.mu.Lock()
+	from := s.doc.State
+	if from.Terminal() {
+		sh.mu.Unlock()
+		return r, fmt.Errorf("%w: %s ended during reallocation", ErrBadState, id)
+	}
+	r.old, r.billed = b.book(s, m.spec, r.applied, m.offer)
+	made := !r.short || m.short == followShort
+	if made {
+		switch m.mark {
+		case markDegraded:
+			s.degraded = true
+			if from == sla.StateActive || from == sla.StateViolated {
+				_ = s.doc.Transition(sla.StateDegraded)
+			}
+		case markRecovered:
+			s.degraded = false
+			if from == sla.StateDegraded {
+				_ = s.doc.Transition(sla.StateActive)
+			}
+		}
+		if m.rebase {
+			s.original = r.applied
+		}
+		if m.event != "" {
+			b.logf(m.event, id, m.msg, r.old, r.applied, r.billed)
+		}
+	}
+	to := s.doc.State
+	sh.mu.Unlock()
+
+	// Ledger, then the journaled document — but a promotion's entry after
+	// its trace: each move's record order is its crash contract.
+	if m.offer == 0 {
+		b.bill(id, r.billed, m.notes, false)
+	}
+	b.persist(id)
+	if !made {
+		return r, errShortfall
+	}
+	if m.reason != "" {
+		m.count.Inc()
+		b.trace(id, from, to, r.applied.Sub(r.old), m.reason)
+		if m.offer != 0 {
+			b.bill(id, r.billed, m.notes, true)
+		}
+		b.journal("persist", id)
+	}
+	return r, nil
+}
+
+// book writes a delivered quality into the session's document (caller
+// holds the shard lock): allocation, the specification when the move
+// replaces it, and price — offer, or when zero the list-price difference.
+// It returns the allocation it replaced and the amount added to the price.
+func (b *Broker) book(s *session, spec *sla.Spec, c resource.Capacity, offer float64) (old resource.Capacity, billed float64) {
+	old, billed = s.doc.Allocated, offer
+	if offer == 0 {
+		billed = b.prices.Cost(s.doc.Class, c) - b.prices.Cost(s.doc.Class, old)
+	}
+	if spec != nil {
+		// The alternative-QoS fallback is re-derived from the new floor.
+		s.doc.Spec = spec.Clone()
+		s.doc.Adapt.AlternativeQoS = spec.Floor()
+	}
+	s.doc.Allocated = c
+	s.doc.Price += billed
+	return old, billed
+}
+
+// bill records on the ledger what book added to a session's price.
+func (b *Broker) bill(id sla.ID, amount float64, notes [2]string, promotion bool) {
+	e := pricing.Entry{Kind: pricing.EntryCharge, SLA: id, Amount: amount, At: b.clock.Now(), Note: notes[0]}
+	switch {
+	case promotion:
+		e.Kind = pricing.EntryPromotion
+	case amount < 0:
+		e.Kind, e.Amount, e.Note = pricing.EntryRefund, -amount, notes[1]
+	case amount == 0:
 		return
 	}
+	b.ledger.Record(e)
+}
+
+// rollback is the one way back for a move that shifted the allocator to
+// held and could not be completed: the documented quality is re-granted,
+// all or nothing. If its capacity was snapped up meanwhile (a downsize
+// whose freed headroom another session took) the allocator keeps held and
+// the document is moved to match, billed at list price — delivered
+// quality and billing move together. Either way document and allocator
+// agree again; the reservation may be stale until the next successful
+// modify or teardown, which is logged. spec is the specification held was
+// granted under when the move replaces it. A session torn down meanwhile
+// needs nothing: its grant is released.
+func (b *Broker) rollback(sh *shard, id sla.ID, spec *sla.Spec, held resource.Capacity) {
 	sh.mu.Lock()
 	s, ok := sh.sessions[id]
 	if !ok || s.doc.State.Terminal() {
@@ -406,35 +510,17 @@ func (b *Broker) rollbackAllocation(id sla.ID, c resource.Capacity, bill bool) {
 		return
 	}
 	prev := s.doc.Allocated
-	sh.mu.Unlock()
-	// floor == requested: the re-grant either fully succeeds or leaves
-	// the existing grant (c) untouched — never a partial fallback.
-	if _, err := b.allocateLive(id, prev, prev); err == nil {
-		// Document and allocator agree again, but the failed grant (and
-		// this re-grant) may have preempted best-effort users.
+	if _, err := sh.alloc.AllocateGuaranteed(string(id), prev, prev); err == nil {
+		sh.mu.Unlock()
+		// The failed grant (and this re-grant) may have preempted
+		// best-effort users.
 		b.journalShardAux("rollback", sh)
 		return
 	}
-	var delta float64
-	sh.mu.Lock()
-	if s, ok := sh.sessions[id]; ok && !s.doc.State.Terminal() {
-		if bill {
-			delta = b.prices.Cost(s.doc.Class, c) - b.prices.Cost(s.doc.Class, s.doc.Allocated)
-			s.doc.Price += delta
-		}
-		s.doc.Allocated = c
-		b.logLocked("adapt", id, "failed modify: allocator kept %v, reservation spec stale", c)
-	}
+	_, delta := b.book(s, spec, held, 0)
+	b.logf("adapt", id, "failed modify: allocator kept %v, reservation spec stale", held)
 	sh.mu.Unlock()
-	switch {
-	case delta > 0:
-		b.ledger.Charge(id, delta, b.clock.Now(), "quality upgrade")
-	case delta < 0:
-		b.ledger.Record(pricing.Entry{
-			Kind: pricing.EntryRefund, SLA: id, Amount: -delta,
-			At: b.clock.Now(), Note: "quality degradation refund",
-		})
-	}
+	b.bill(id, delta, qualityNotes, false)
 	b.persist(id)
 }
 
@@ -482,7 +568,7 @@ func (b *Broker) issuePromotions() {
 			}
 			sh.mu.Lock()
 			sh.promotions[c.id] = offer
-			b.logLocked("promotion", c.id, "offered upgrade %v -> %v at %.2f (list %.2f)",
+			b.logf("promotion", c.id, "offered upgrade %v -> %v at %.2f (list %.2f)",
 				offer.From, offer.To, offer.OfferPrice, offer.ListPrice)
 			sh.mu.Unlock()
 		}
@@ -513,54 +599,24 @@ func (b *Broker) AcceptPromotion(id sla.ID) error {
 	}
 	sh.mu.Lock()
 	offer, ok := sh.promotions[id]
+	delete(sh.promotions, id) // accepted, expired or refused: the offer is spent
+	sh.mu.Unlock()
 	if !ok {
-		sh.mu.Unlock()
 		return fmt.Errorf("%w: no open promotion for %s", ErrUnknownSession, id)
 	}
 	if b.clock.Now().After(offer.Expires) {
-		delete(sh.promotions, id)
-		sh.mu.Unlock()
 		return fmt.Errorf("%w: promotion for %s expired", ErrBadState, id)
 	}
-	s, ok := sh.sessions[id]
-	if !ok || s.doc.State.Terminal() {
-		delete(sh.promotions, id)
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrUnknownSession, id)
-	}
-	floor := s.doc.Spec.Floor()
-	handle := s.handle
-	spec := s.doc.Spec.Clone()
-	delete(sh.promotions, id)
-	sh.mu.Unlock()
 
-	grant, err := b.allocateLive(id, offer.To, floor)
-	if err != nil {
+	// Capacity may have changed since the offer: a shortfall refuses the
+	// upgrade and walks the allocator back.
+	if _, err := b.reallocate(sh, id, move{
+		target: offer.To, short: refuseShort, offer: offer.OfferPrice, notes: [2]string{"promotion accepted"}, rebase: true,
+		event: "promotion", msg: "accepted: upgraded to %[2]v for %.2[3]f",
+		reason: "promotion accepted (scenario 2c)", count: b.met.promoted,
+	}); err != nil {
 		return fmt.Errorf("core: promotion %s: %w", id, err)
 	}
-	if !grant.Shortfall.IsZero() {
-		// Capacity changed since the offer; roll back to the previous
-		// grant and refuse.
-		_, _ = b.allocateLive(id, offer.From, floor)
-		b.journalShardAux("rollback", sh)
-		return fmt.Errorf("%w: promotion capacity no longer available", ErrBadState)
-	}
-	if err := b.applyAllocation(id, handle, spec, offer.To, false); err != nil {
-		return err
-	}
-	sh.mu.Lock()
-	s.original = offer.To
-	s.doc.Price += offer.OfferPrice
-	state := s.doc.State
-	b.logLocked("promotion", id, "accepted: upgraded to %v for %.2f", offer.To, offer.OfferPrice)
-	sh.mu.Unlock()
-	b.met.promoted.Inc()
-	b.trace(id, state, state, offer.To.Sub(offer.From), "promotion accepted (scenario 2c)")
-	b.ledger.Record(pricing.Entry{
-		Kind: pricing.EntryPromotion, SLA: id, Amount: offer.OfferPrice,
-		At: b.clock.Now(), Note: "promotion accepted",
-	})
-	b.persist(id)
 	return nil
 }
 
@@ -614,10 +670,9 @@ func (b *Broker) RunOptimizer() (OptimizeOutcome, error) {
 // MinOptimizerGain on its own.
 func (b *Broker) optimizeShard(sh *shard) (OptimizeOutcome, error) {
 	type entry struct {
-		id     sla.ID
-		spec   sla.Spec
-		alloc  resource.Capacity
-		handle gara.Handle
+		id    sla.ID
+		spec  sla.Spec
+		alloc resource.Capacity
 	}
 	sh.mu.Lock()
 	var entries []entry
@@ -631,7 +686,7 @@ func (b *Broker) optimizeShard(sh *shard) (OptimizeOutcome, error) {
 		if s.degraded {
 			continue // scenario-3/1 victims are restored explicitly
 		}
-		entries = append(entries, entry{id: id, spec: s.doc.Spec.Clone(), alloc: s.doc.Allocated, handle: s.handle})
+		entries = append(entries, entry{id: id, spec: s.doc.Spec.Clone(), alloc: s.doc.Allocated})
 	}
 	sh.mu.Unlock()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
@@ -688,32 +743,17 @@ func (b *Broker) optimizeShard(sh *shard) (OptimizeOutcome, error) {
 		if target.Equal(e.alloc) {
 			continue
 		}
-		grant, err := b.allocateLive(e.id, target, e.spec.Floor())
+		r, err := b.reallocate(sh, e.id, move{target: target, notes: qualityNotes, rebase: true})
+		if r.short {
+			// The pool moved between solve and apply (a concurrent
+			// admission took the headroom): only the floor was granted.
+			b.logf("optimize", e.id, "partial grant %v for target %v, document follows", r.applied, target)
+		}
 		if err != nil {
 			continue // skip this session; others may still improve
 		}
-		applied := target
-		if !grant.Shortfall.IsZero() {
-			// The pool moved between solve and apply (a concurrent
-			// admission took the headroom) and only the floor was
-			// granted. AllocateGuaranteed has already replaced the
-			// session's grant, so the document must follow it — billing
-			// tracks delivered quality, exactly as in restore().
-			applied = grant.Granted
-			b.logf("optimize", e.id, "partial grant %v for target %v, document follows", applied, target)
-		}
-		if err := b.applyAllocation(e.id, e.handle, e.spec, applied, true); err != nil {
-			continue
-		}
-		sh.mu.Lock()
-		if s, ok := sh.sessions[e.id]; ok {
-			s.original = applied
-		}
-		sh.mu.Unlock()
-		// applyAllocation journaled via persist, but s.original changed
-		// after that; journal the final state.
 		b.journal("optimize", e.id)
-		if !applied.Equal(e.alloc) {
+		if !r.applied.Equal(e.alloc) {
 			out.Changed++
 		}
 	}
@@ -747,14 +787,6 @@ func (b *Broker) persist(id sla.ID) {
 
 func bindParamFor(job gram.Job) gara.BindParam {
 	return gara.BindParam{PID: job.PID}
-}
-
-// entryRefund builds a refund ledger entry.
-func entryRefund(id sla.ID, amount float64, b *Broker) pricing.Entry {
-	return pricing.Entry{
-		Kind: pricing.EntryRefund, SLA: id, Amount: amount,
-		At: b.clock.Now(), Note: "renegotiation refund",
-	}
 }
 
 func maxFloat(a, b float64) float64 {

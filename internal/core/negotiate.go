@@ -451,10 +451,10 @@ func (b *Broker) commit(sh *shard, granted []*admission) {
 		}
 	}
 	if m := reserved[0]; len(reserved) == 1 {
-		b.logLocked("offer", m.id, "proposed %v at price %.2f (expires %s)",
+		b.logf("offer", m.id, "proposed %v at price %.2f (expires %s)",
 			m.grant.Granted, m.price, expires.Format("15:04:05"))
 	} else {
-		b.logLocked("offer", "", "group-commit: %d offer(s) proposed in one batch (shard %d)",
+		b.logf("offer", "", "group-commit: %d offer(s) proposed in one batch (shard %d)",
 			len(reserved), sh.index)
 	}
 	sh.mu.Unlock()
@@ -573,7 +573,7 @@ func (b *Broker) compensate(sh *shard, needed resource.Capacity) (bool, error) {
 		if needed.FitsIn(sh.alloc.AvailableGuaranteed()) {
 			break
 		}
-		if err := b.degradeToFloor(t.ID); err == nil {
+		if err := b.degradeToFloor(sh, t.ID); err == nil {
 			freed = true
 		}
 	}
@@ -597,50 +597,15 @@ func (b *Broker) compensate(sh *shard, needed resource.Capacity) (bool, error) {
 	return freed, nil
 }
 
-// degradeToFloor shrinks an active session to its SLA floor (still
+// degradeToFloor shrinks a live session of sh to its SLA floor (still
 // satisfying the SLA) and records it as degraded.
-func (b *Broker) degradeToFloor(id sla.ID) error {
-	sh := b.shardFor(id)
-	if sh == nil {
-		return fmt.Errorf("%w: %s", ErrUnknownSession, id)
-	}
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
-	if !ok {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrUnknownSession, id)
-	}
-	doc := s.doc
-	floor := doc.Spec.Floor()
-	if doc.Allocated.Equal(floor) {
-		sh.mu.Unlock()
-		return nil
-	}
-	prevAlloc := doc.Allocated
-	prevState := doc.State
-	handle := s.handle
-	spec := doc.Spec.Clone()
-	sh.mu.Unlock()
-
-	if _, err := b.allocateLive(id, floor, floor); err != nil {
-		return err
-	}
-	if err := b.applyAllocation(id, handle, spec, floor, true); err != nil {
-		return fmt.Errorf("core: degrade %s: %w", id, err)
-	}
-
-	sh.mu.Lock()
-	s.degraded = true
-	if s.doc.State == sla.StateActive {
-		_ = s.doc.Transition(sla.StateDegraded)
-	}
-	newState := s.doc.State
-	b.logLocked("adapt", id, "degraded to floor %v (scenario 1 compensation)", floor)
-	sh.mu.Unlock()
-	b.met.degraded.Inc()
-	b.trace(id, prevState, newState, floor.Sub(prevAlloc), "degraded to floor (scenario 1)")
-	b.persist(id)
-	return nil
+func (b *Broker) degradeToFloor(sh *shard, id sla.ID) error {
+	_, err := b.reallocate(sh, id, move{
+		toFloor: true, notes: qualityNotes, mark: markDegraded,
+		event: "adapt", msg: "degraded to floor %[2]v (scenario 1 compensation)",
+		reason: "degraded to floor (scenario 1)", count: b.met.degraded,
+	})
+	return err
 }
 
 // Accept confirms a proposed offer: the SLA is established, the temporary
@@ -670,7 +635,7 @@ func (b *Broker) Accept(id sla.ID) error {
 		return err
 	}
 	price := s.doc.Price
-	b.logLocked("sla", id, "established; resources committed; charged %.2f", price)
+	b.logf("sla", id, "established; resources committed; charged %.2f", price)
 	sh.mu.Unlock()
 
 	b.met.accepted.Inc()

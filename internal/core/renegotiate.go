@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -57,92 +58,44 @@ func (b *Broker) Renegotiate(id sla.ID, newSpec sla.Spec) (*RenegotiationResult,
 		return nil, fmt.Errorf("%w: %s is %s", ErrBadState, id, state)
 	}
 	class := s.doc.Class
-	oldSpec := s.doc.Spec.Clone()
 	oldAlloc := s.doc.Allocated
-	handle := s.handle
-	sh.mu.Unlock()
-
 	// Network endpoints cannot move mid-session (the flow is pinned);
 	// inherit them when absent.
 	if newSpec.SourceIP == "" {
-		newSpec.SourceIP = oldSpec.SourceIP
+		newSpec.SourceIP = s.doc.Spec.SourceIP
 	}
 	if newSpec.DestIP == "" {
-		newSpec.DestIP = oldSpec.DestIP
+		newSpec.DestIP = s.doc.Spec.DestIP
 	}
+	sh.mu.Unlock()
 
 	// Target quality: the best level the new spec allows within current
 	// headroom plus what the session already holds.
+	floor := newSpec.Floor()
 	target := newSpec.Best()
 	if class == sla.ClassControlledLoad {
 		room := sh.alloc.AvailableGuaranteed().Add(oldAlloc)
-		target = newSpec.Clamp(target.Min(room)).Max(newSpec.Floor())
+		target = newSpec.Clamp(target.Min(room)).Max(floor)
 	}
-	floor := newSpec.Floor()
-
-	res := &RenegotiationResult{SLA: id, Old: oldAlloc}
-	grant, err := b.allocateLive(id, target, floor)
-	if err != nil {
+	m := move{
+		target: target, spec: &newSpec, notes: [2]string{"renegotiation upgrade", "renegotiation refund"},
+		mark: markRecovered, rebase: true, event: "renegotiate", msg: "QoS renegotiated %[1]v -> %[2]v (price %+.2[3]f)",
+	}
+	var compensated bool
+	r, err := b.reallocate(sh, id, m)
+	if errors.Is(err, ErrCannotHonor) {
 		// Scenario-1 compensation on the session's own shard, then retry
 		// once. The session's current hold is being replaced, so only the
 		// increment beyond it must be freed.
 		needed := floor.Sub(oldAlloc).ClampMin(resource.Capacity{})
-		freed, cerr := b.compensate(sh, needed)
-		if cerr != nil {
+		var cerr error
+		if compensated, cerr = b.compensate(sh, needed); cerr != nil {
 			return nil, fmt.Errorf("core: renegotiate %s: %w (compensation: %v)", id, err, cerr)
 		}
-		res.Compensated = freed
-		grant, err = b.allocateLive(id, target, floor)
-		if err != nil {
-			// Restore the previous grant before reporting failure.
-			_, _ = b.allocateLive(id, oldAlloc, oldSpec.Floor())
-			b.journalShardAux("rollback", sh)
-			return nil, fmt.Errorf("core: renegotiate %s after compensation: %w", id, err)
-		}
+		r, err = b.reallocate(sh, id, m)
 	}
-	granted := grant.Granted
-
-	// Push the new reservation; on failure roll the allocator back.
-	if err := b.pol.call("gara.modify", func() error {
-		return b.cfg.GARA.Modify(handle, reservationRSL(newSpec, granted))
-	}); err != nil {
-		_, _ = b.allocateLive(id, oldAlloc, oldSpec.Floor())
-		b.journalShardAux("rollback", sh)
+	if err != nil {
 		return nil, fmt.Errorf("core: renegotiate %s: %w", id, err)
 	}
-
-	// Commit: new spec, allocation, price; re-derive the alternative
-	// QoS fallback from the new floor.
-	delta := b.prices.Cost(class, granted) - b.prices.Cost(class, oldAlloc)
-	sh.mu.Lock()
-	if s.doc.State.Terminal() {
-		// Torn down while the new reservation was being pushed; the
-		// teardown already released the grant and canceled the handle, so
-		// the terminal document must stand untouched.
-		sh.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s terminated during renegotiation", ErrBadState, id)
-	}
-	s.doc.Spec = newSpec.Clone()
-	s.doc.Allocated = granted
-	s.doc.Price += delta
-	s.doc.Adapt.AlternativeQoS = floor
-	s.original = granted
-	s.degraded = false
-	if s.doc.State == sla.StateDegraded {
-		_ = s.doc.Transition(sla.StateActive)
-	}
-	b.logLocked("renegotiate", id, "QoS renegotiated %v -> %v (price %+.2f)", oldAlloc, granted, delta)
-	sh.mu.Unlock()
-
-	switch {
-	case delta > 0:
-		b.ledger.Charge(id, delta, b.clock.Now(), "renegotiation upgrade")
-	case delta < 0:
-		b.ledger.Record(entryRefund(id, -delta, b))
-	}
-	b.persist(id)
-
-	res.New = granted
-	res.PriceDelta = delta
-	return res, nil
+	return &RenegotiationResult{SLA: id, Old: r.old, New: r.applied, PriceDelta: r.billed, Compensated: compensated}, nil
 }

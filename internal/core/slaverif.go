@@ -249,14 +249,9 @@ func (b *Broker) handleDegradation(id sla.ID, measured resource.Capacity) {
 	// quality (covers compute failures absorbed by the adaptive pool —
 	// the grant itself already survives; restoration applies when we
 	// were previously degraded).
-	sh.mu.Lock()
-	wasDegraded := s.degraded
-	sh.mu.Unlock()
-	if wasDegraded {
-		if err := b.restore(id); err == nil {
-			b.logf("adapt", id, "restored agreed QoS (scenario 3a)")
-			return
-		}
+	if err := b.restore(id); err == nil {
+		b.logf("adapt", id, "restored agreed QoS (scenario 3a)")
+		return
 	}
 
 	// Determine how bad the degradation is on the measured dimensions.
@@ -279,38 +274,18 @@ func (b *Broker) handleDegradation(id sla.ID, measured resource.Capacity) {
 	// and we are not already there.
 	if doc.Adapt.HasAlternative && !doc.Allocated.Equal(doc.Adapt.AlternativeQoS) &&
 		doc.Adapt.AlternativeQoS.FitsIn(doc.Allocated) {
-		sh.mu.Lock()
-		handle := s.handle
-		spec := s.doc.Spec.Clone()
-		sh.mu.Unlock()
-		alt := doc.Adapt.AlternativeQoS
-		if _, err := b.allocateLive(id, alt, alt.Min(floor)); err == nil {
-			if err := b.applyAllocation(id, handle, spec, alt, true); err == nil {
-				sh.mu.Lock()
-				s.degraded = true
-				prevState := s.doc.State
-				if s.doc.State == sla.StateActive {
-					_ = s.doc.Transition(sla.StateDegraded)
-				} else if s.doc.State == sla.StateViolated {
-					_ = s.doc.Transition(sla.StateDegraded)
-				}
-				newState := s.doc.State
-				b.logLocked("adapt", id, "switched to alternative QoS %v (scenario 3b)", alt)
-				sh.mu.Unlock()
-				b.met.degraded.Inc()
-				b.trace(id, prevState, newState, alt.Sub(doc.Allocated), "alternative QoS (scenario 3b)")
-				b.persist(id)
-				return
-			}
+		if _, err := b.reallocate(sh, id, move{
+			target: doc.Adapt.AlternativeQoS, notes: qualityNotes, mark: markDegraded,
+			event: "adapt", msg: "switched to alternative QoS %[2]v (scenario 3b)",
+			reason: "alternative QoS (scenario 3b)", count: b.met.degraded,
+		}); err == nil {
+			return
 		}
 	}
 
 	// (c) Major degradation with no recourse: alert, and terminate after
 	// repeated violations.
-	sh.mu.Lock()
-	violations := s.violations
-	sh.mu.Unlock()
-	if violated && violations >= 3 {
+	if violated && b.Violations(id) >= 3 {
 		_ = b.Terminate(id, "terminated due to major QoS degradation (scenario 3c)")
 	}
 }
@@ -335,7 +310,7 @@ func (b *Broker) recordViolation(id sla.ID) {
 	newState := s.doc.State
 	pen := s.doc.Penalty
 	count := s.violations
-	b.logLocked("violation", id, "SLA violation #%d detected", count)
+	b.logf("violation", id, "SLA violation #%d detected", count)
 	sh.mu.Unlock()
 	b.met.violations.Inc()
 	b.trace(id, prevState, newState, resource.Capacity{}, fmt.Sprintf("SLA violation #%d", count))

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"gqosm/internal/faultx"
@@ -299,18 +298,6 @@ func (s *Scheduler) Get(pid PID) (Process, error) {
 		return Process{}, fmt.Errorf("%w: %d", ErrUnknownPID, pid)
 	}
 	return *p, nil
-}
-
-// Processes returns copies of all process records ordered by PID.
-func (s *Scheduler) Processes() []Process {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Process, 0, len(s.procs))
-	for _, p := range s.procs {
-		out = append(out, *p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PID < out[j].PID })
-	return out
 }
 
 // Utilization returns reserved/capacity in [0, 1+].

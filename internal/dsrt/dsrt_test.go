@@ -107,6 +107,9 @@ func TestSetShare(t *testing.T) {
 	if err := s.SetShare(pid, 0); err == nil {
 		t.Error("SetShare(0) accepted")
 	}
+	if _, err := s.Get(999); !errors.Is(err, ErrUnknownPID) {
+		t.Errorf("Get unknown err = %v", err)
+	}
 	if err := s.SetShare(999, 0.1); !errors.Is(err, ErrUnknownPID) {
 		t.Errorf("SetShare unknown err = %v", err)
 	}
@@ -235,27 +238,6 @@ func TestReportUsageErrors(t *testing.T) {
 	}
 }
 
-func TestProcessesSnapshot(t *testing.T) {
-	s := newTestSched(4)
-	for i := 0; i < 3; i++ {
-		if _, err := s.Register(Contract{Class: PeriodicConstant, Share: 0.5}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ps := s.Processes()
-	if len(ps) != 3 {
-		t.Fatalf("Processes = %d", len(ps))
-	}
-	for i := 1; i < len(ps); i++ {
-		if ps[i-1].PID >= ps[i].PID {
-			t.Fatal("not sorted by PID")
-		}
-	}
-	if _, err := s.Get(999); !errors.Is(err, ErrUnknownPID) {
-		t.Errorf("Get unknown err = %v", err)
-	}
-}
-
 func TestConfigDefaults(t *testing.T) {
 	s := New(Config{}, nil)
 	if s.Capacity() != 1.0 {
@@ -269,6 +251,7 @@ func TestConfigDefaults(t *testing.T) {
 func TestConcurrentRegisterReport(t *testing.T) {
 	s := newTestSched(16)
 	var wg sync.WaitGroup
+	pids := make([]PID, 16)
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func() {
@@ -278,6 +261,7 @@ func TestConcurrentRegisterReport(t *testing.T) {
 				t.Errorf("Register: %v", err)
 				return
 			}
+			pids[i] = pid
 			for j := 0; j < 20; j++ {
 				if err := s.ReportUsage(pid, 0.3); err != nil {
 					t.Errorf("ReportUsage: %v", err)
@@ -287,8 +271,10 @@ func TestConcurrentRegisterReport(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := len(s.Processes()); got != 16 {
-		t.Fatalf("Processes = %d, want 16", got)
+	for _, pid := range pids {
+		if _, err := s.Get(pid); err != nil {
+			t.Fatalf("registered process %d: %v", pid, err)
+		}
 	}
 	if s.Reserved() > s.Capacity()+1e-9 {
 		t.Fatalf("Reserved %g exceeds capacity %g", s.Reserved(), s.Capacity())

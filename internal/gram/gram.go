@@ -306,24 +306,6 @@ func (m *Manager) Job(id JobID) (Job, error) {
 	return st.job, nil
 }
 
-// Jobs returns snapshots of all jobs ordered by ID.
-func (m *Manager) Jobs() []Job {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Job, 0, len(m.jobs))
-	for _, st := range m.jobs {
-		out = append(out, st.job)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		// job-N IDs: sort numerically via length-then-lex.
-		if len(out[i].ID) != len(out[j].ID) {
-			return len(out[i].ID) < len(out[j].ID)
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
 // Close cancels all running jobs and stops their timers.
 func (m *Manager) Close() {
 	m.mu.Lock()

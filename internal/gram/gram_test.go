@@ -149,23 +149,6 @@ func TestSubscribeObservesTransitions(t *testing.T) {
 	}
 }
 
-func TestJobsSortedNumerically(t *testing.T) {
-	m := NewManager(clockx.NewManual(t0))
-	defer m.Close()
-	for i := 0; i < 12; i++ {
-		if _, err := m.Submit(`&(executable="/bin/a")`); err != nil {
-			t.Fatal(err)
-		}
-	}
-	jobs := m.Jobs()
-	if len(jobs) != 12 {
-		t.Fatalf("Jobs = %d", len(jobs))
-	}
-	if jobs[1].ID != "job-2" || jobs[10].ID != "job-11" {
-		t.Errorf("ordering: jobs[1]=%s jobs[10]=%s", jobs[1].ID, jobs[10].ID)
-	}
-}
-
 func TestCloseCancelsRunning(t *testing.T) {
 	clock := clockx.NewManual(t0)
 	m := NewManager(clock)

@@ -359,13 +359,11 @@ func runC5Once(seed int64, willingFrac float64) (*C5Row, error) {
 		}
 		row.AdmittedWith++
 	}
-	// Count scenario-1 degradation events over the whole run (sessions
-	// may be restored by scenario 2 before the end).
-	for _, e := range b.Events() {
-		if e.Kind == "adapt" && strings.Contains(e.Msg, "degraded to floor") {
-			row.DegradedSessions++
-		}
-	}
+	// Scenario-1 degradations over the whole run (sessions may be restored
+	// by scenario 2 before the end): the broker's lifecycle counter, which
+	// unlike the bounded event ring never forgets.
+	row.DegradedSessions = int(cl.Obs.Counter("gqosm_broker_lifecycle_total",
+		"SLA lifecycle events by kind", "event", "degrade").Value())
 	_ = standing
 	return row, nil
 }

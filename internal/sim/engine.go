@@ -227,12 +227,6 @@ type engine struct {
 	work  workload
 	steps int
 
-	// concurrent marks a workload whose clients run as goroutines between
-	// quiesce points. The reservation rules are skipped for it: they
-	// assume every teardown finished before the next operation began, and
-	// a degradation racing a teardown leaves a terminal session flagged
-	// degraded with no refund on the ledger.
-	concurrent bool
 	// quiesceEvery is the mid-run oracle cadence in steps; 0 leaves only
 	// the kill points and the post-drain pass.
 	quiesceEvery int
@@ -315,9 +309,7 @@ func (e *engine) quiesce(stage string, final bool) {
 	for _, m := range e.topo.members {
 		e.record(stage, invariant.CheckPool(m.Pool, now))
 		e.record(stage, invariant.CheckIntake(m.Broker))
-		if !e.concurrent {
-			e.record(stage, invariant.CheckReservations(m.Broker, m.GARA, invariant.ReservationCheck{Final: final}))
-		}
+		e.record(stage, invariant.CheckReservations(m.Broker, m.GARA, invariant.ReservationCheck{Final: final}))
 		if e.lifecycle > 0 {
 			e.record(stage, invariant.CheckLifecycle(m.Broker, now, invariant.LifecycleCheck{ConfirmWindow: e.lifecycle}))
 		}

@@ -168,7 +168,7 @@ func runStress(mode string, cfg StressConfig, concurrent, restart bool) (*Report
 			http:    topo.api,
 		})
 	}
-	e := &engine{topo: topo, work: w, kills: kills, concurrent: concurrent}
+	e := &engine{topo: topo, work: w, kills: kills}
 	perPhase := max(1, cfg.Ops/(cfg.Clients*cfg.Phases))
 	switch {
 	case restart:

@@ -225,14 +225,6 @@ func (d *Document) Transition(next State) error {
 	return fmt.Errorf("%w: %s -> %s (sla %s)", ErrBadTransition, d.State, next, d.ID)
 }
 
-// ActiveAt reports whether the SLA's validity interval covers t.
-func (d *Document) ActiveAt(t time.Time) bool {
-	if t.Before(d.Start) {
-		return false
-	}
-	return d.End.IsZero() || t.Before(d.End)
-}
-
 // GuaranteedFloor returns g(u): the capacity the SLA guarantees (Algorithm
 // 1's "guaranteed capacity with a SLA for user u"). For composite SLAs it
 // sums the sub-SLA floors.

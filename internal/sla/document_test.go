@@ -198,27 +198,6 @@ func TestStateStrings(t *testing.T) {
 	}
 }
 
-func TestActiveAt(t *testing.T) {
-	d := guaranteedDoc()
-	if d.ActiveAt(t0.Add(-time.Second)) {
-		t.Error("active before start")
-	}
-	if !d.ActiveAt(t0) {
-		t.Error("not active at start")
-	}
-	if !d.ActiveAt(t5.Add(-time.Second)) {
-		t.Error("not active just before end")
-	}
-	if d.ActiveAt(t5) {
-		t.Error("active at end (interval is half-open)")
-	}
-	open := guaranteedDoc()
-	open.End = time.Time{}
-	if !open.ActiveAt(t5.Add(100 * time.Hour)) {
-		t.Error("open-ended SLA not active")
-	}
-}
-
 func TestDocumentCloneIsDeep(t *testing.T) {
 	d := guaranteedDoc()
 	d.SubSLAs = []*Document{{ID: "sub", Class: ClassBestEffort, State: StateProposed}}
