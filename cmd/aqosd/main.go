@@ -49,7 +49,6 @@ func run() error {
 		disk       = flag.Float64("disk", 200, "total disk GB (split pro rata)")
 		confirm    = flag.Duration("confirm-window", 2*time.Minute, "offer confirmation window")
 		monitor    = flag.Duration("monitor-interval", time.Minute, "periodic QoS-management interval (0 disables)")
-		service    = flag.String("service", "simulation", "name of the advertised service")
 		rmAttempts = flag.Int("rm-attempts", 3, "attempts per RM-facing call (1 disables retries)")
 		rmTimeout  = flag.Duration("rm-timeout", 5*time.Second, "per-attempt timeout on RM-facing calls (0 disables)")
 		rmBackoff  = flag.Duration("rm-backoff", 100*time.Millisecond, "base backoff between RM retry attempts")
@@ -117,7 +116,6 @@ func run() error {
 			r.Sessions, *walDir, r.ReplayedRecords, r.Adopted, r.Refunded)
 	}
 	defer stack.Close()
-	_ = service // the default stack advertisement covers the service name
 
 	handler := newHandler(stack, peers)
 

@@ -30,6 +30,11 @@ func runCapture(t *testing.T, args ...string) (string, error) {
 }
 
 func TestRunArgumentErrors(t *testing.T) {
+	// A WAL directory a previous run journaled into.
+	dirty := t.TempDir()
+	if _, err := runCapture(t, "-chaos", "-restarts", "1", "-ops", "300", "-wal-dir", dirty, "-json"); err != nil {
+		t.Fatal(err)
+	}
 	for name, args := range map[string][]string{
 		"unknown-experiment": {"-experiment", "Z9"},
 		"bad-flag":           {"-no-such-flag"},
@@ -49,6 +54,9 @@ func TestRunArgumentErrors(t *testing.T) {
 		"negative-faultrate":  {"-chaos", "-faultrate", "-0.1"},
 		"removed-cache-knob":  {"-parallel", "-cache", "off"},
 		"bad-transport-value": {"-parallel", "-transport", "carrier-pigeon"},
+		// stack.New would recover the directory; a replay on top of
+		// recovered sessions is not deterministic, so the sim refuses it.
+		"dirty-wal-dir": {"-chaos", "-restarts", "1", "-ops", "300", "-wal-dir", dirty},
 	} {
 		t.Run(name, func(t *testing.T) {
 			if _, err := runCapture(t, args...); err == nil {

@@ -43,27 +43,10 @@ var testOnlyExports = map[string]string{
 // go/parser only — so it under-reports (a shared name hides a dead
 // method) and never over-reports.
 func TestNoTestOnlyExports(t *testing.T) {
-	fset := token.NewFileSet()
 	declared := map[string]string{} // "pkg.Recv.Name" -> bare name
 	used := map[string]bool{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
+	eachNonTestFile(t, func(path string, file *ast.File) {
+		internal := strings.HasPrefix(path, "internal/")
 		// A declaration's own name is not a mention of it, and neither is an
 		// interface's method list: only a call through the interface is.
 		own := map[*ast.Ident]bool{}
@@ -87,11 +70,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	var dead []string
 	for name, bare := range declared {
@@ -112,6 +91,76 @@ func TestNoTestOnlyExports(t *testing.T) {
 		case reason == "":
 			t.Errorf("allowlist entry %s has no reason", name)
 		}
+	}
+}
+
+// TestOneAssembly keeps the Fig. 5 wiring in one place: internal/stack is
+// the only non-test file outside bench/ (its own module, with timing
+// wrappers round the seams) that may name gara.NewSystem, core.NewBroker
+// or core.Recover. A second assembly is how gqosm.NewStack and
+// sim.NewCluster once drifted apart (DESIGN.md §19).
+func TestOneAssembly(t *testing.T) {
+	inStack := map[string]bool{"gara.NewSystem": false, "core.NewBroker": false, "core.Recover": false}
+	eachNonTestFile(t, func(path string, file *ast.File) {
+		if strings.HasPrefix(path, "bench/") {
+			return
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			pkg, ok := sel.X.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			name := pkg.Name + "." + sel.Sel.Name
+			if _, guarded := inStack[name]; !guarded {
+				return true
+			}
+			if strings.HasPrefix(path, "internal/stack/") {
+				inStack[name] = true
+			} else {
+				t.Errorf("%s names %s: assemble through stack.New (or Stack.RecoverBroker) instead", path, name)
+			}
+			return true
+		})
+	})
+	for name, seen := range inStack {
+		if !seen {
+			t.Errorf("internal/stack no longer names %s: the guard is watching the wrong constructor", name)
+		}
+	}
+}
+
+// eachNonTestFile parses every non-test Go file of the repository
+// (examples/ and bench/ included, dot-directories skipped) and hands it to
+// visit with its slash-separated path relative to the root.
+func eachNonTestFile(t *testing.T, visit func(path string, file *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		visit(filepath.ToSlash(path), file)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -231,4 +231,37 @@ func TestStackRestartRecovers(t *testing.T) {
 	if got := second.Broker.Ledger().NetRevenue(); got != revenue {
 		t.Errorf("recovered revenue = %g, want %g", got, revenue)
 	}
+
+	// In-process leg: the broker dies and Stack.RecoverBroker rebuilds it
+	// against the surviving substrates. The stack was built with Obs nil,
+	// so the replacement must count into the registry stack.New chose,
+	// not a fresh private one.
+	requests := second.Obs.Counter("gqosm_broker_lifecycle_total", "", "event", "request")
+	request := func() {
+		t.Helper()
+		if _, err := second.Broker.RequestService(Request{
+			Service: "simulation", Client: "after", Class: ClassGuaranteed,
+			Spec:  NewSpec(Exact(CPU, 1)),
+			Start: epoch, End: epoch.Add(time.Hour),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	request()
+	before := requests.Value()
+	second.Broker.Crash()
+	stats, err := second.RecoverBroker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Sessions != 2 || second.Recovery != stats {
+		t.Errorf("in-process recovery: %d session(s), Recovery updated = %v; want 2, true", stats.Sessions, second.Recovery == stats)
+	}
+	if second.Broker.Obs() != second.Obs {
+		t.Error("recovered broker reports into a different registry")
+	}
+	request()
+	if got := requests.Value(); got != before+1 || before == 0 {
+		t.Errorf("request counter %d -> %d across RecoverBroker, want it to keep counting", before, got)
+	}
 }

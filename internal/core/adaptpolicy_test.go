@@ -14,6 +14,7 @@ import (
 	"gqosm/internal/resource"
 	"gqosm/internal/sim"
 	"gqosm/internal/sla"
+	"gqosm/internal/stack"
 )
 
 // mutatorPolicy is a deliberately hostile shadow candidate: it scribbles
@@ -266,7 +267,7 @@ func TestOptProblemCloneDeepCopies(t *testing.T) {
 // ShadowPolicy must produce identical logs and fingerprints.
 func twinLog(t *testing.T, shadow string, shards int, data []byte) []string {
 	t.Helper()
-	cluster, err := sim.NewCluster(sim.ClusterConfig{
+	cluster, err := sim.NewCluster(stack.Config{
 		Plan:         sim.DefaultParallelPlan(),
 		Shards:       shards,
 		ShadowPolicy: shadow,
@@ -441,7 +442,7 @@ func TestShadowPolicyIsInertSharded(t *testing.T) {
 // accessors: defaulting to "paper", rejecting unknown names, and the
 // PolicyReport surface qosctl reads.
 func TestBrokerPolicyWiring(t *testing.T) {
-	cluster, err := sim.NewCluster(sim.ClusterConfig{Plan: sim.DefaultParallelPlan()})
+	cluster, err := sim.NewCluster(stack.Config{Plan: sim.DefaultParallelPlan()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,18 +458,18 @@ func TestBrokerPolicyWiring(t *testing.T) {
 		t.Errorf("Policies() = %+v", rep)
 	}
 
-	if _, err := sim.NewCluster(sim.ClusterConfig{
+	if _, err := sim.NewCluster(stack.Config{
 		Plan: sim.DefaultParallelPlan(), Policy: "no-such-policy",
 	}); err == nil {
 		t.Error("unknown Policy did not fail broker construction")
 	}
-	if _, err := sim.NewCluster(sim.ClusterConfig{
+	if _, err := sim.NewCluster(stack.Config{
 		Plan: sim.DefaultParallelPlan(), ShadowPolicy: "no-such-policy",
 	}); err == nil {
 		t.Error("unknown ShadowPolicy did not fail broker construction")
 	}
 
-	shadowed, err := sim.NewCluster(sim.ClusterConfig{
+	shadowed, err := sim.NewCluster(stack.Config{
 		Plan: sim.DefaultParallelPlan(), Policy: "revenue-greedy", ShadowPolicy: "paper",
 	})
 	if err != nil {
@@ -486,7 +487,7 @@ func TestBrokerPolicyWiring(t *testing.T) {
 // exactly the published families.
 func TestShadowCounters(t *testing.T) {
 	reg := obs.NewRegistry()
-	cluster, err := sim.NewCluster(sim.ClusterConfig{
+	cluster, err := sim.NewCluster(stack.Config{
 		Plan: sim.DefaultParallelPlan(), ShadowPolicy: "revenue-greedy", Obs: reg,
 	})
 	if err != nil {

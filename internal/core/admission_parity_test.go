@@ -13,6 +13,7 @@ import (
 	"gqosm/internal/resource"
 	"gqosm/internal/sim"
 	"gqosm/internal/sla"
+	"gqosm/internal/stack"
 )
 
 // This file pins the "one admission pipeline" contract: the same request
@@ -211,7 +212,7 @@ func TestAdmissionRouteParity(t *testing.T) {
 			var wantOutcomes []parityOutcome
 			var wantDigest string
 			for _, route := range routes {
-				c, err := sim.NewCluster(sim.ClusterConfig{
+				c, err := sim.NewCluster(stack.Config{
 					Plan: core.CapacityPlan{
 						Guaranteed: resource.Capacity{CPU: 16},
 						Adaptive:   resource.Capacity{CPU: 4},

@@ -11,6 +11,7 @@ import (
 	"gqosm/internal/resource"
 	"gqosm/internal/sim"
 	"gqosm/internal/sla"
+	"gqosm/internal/stack"
 )
 
 // This file drives the broker with arbitrary operation streams and checks
@@ -39,7 +40,7 @@ import (
 //	                        reneg-storm squeeze/stretch cycle
 func driveOps(t *testing.T, data []byte) {
 	t.Helper()
-	cluster, err := sim.NewCluster(sim.ClusterConfig{Plan: sim.DefaultParallelPlan()})
+	cluster, err := sim.NewCluster(stack.Config{Plan: sim.DefaultParallelPlan()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func driveOps(t *testing.T, data []byte) {
 // the cross-shard fallback chain runs.
 func driveShardedOps(t *testing.T, shards int, data []byte) {
 	t.Helper()
-	cluster, err := sim.NewCluster(sim.ClusterConfig{Plan: sim.DefaultParallelPlan(), Shards: shards})
+	cluster, err := sim.NewCluster(stack.Config{Plan: sim.DefaultParallelPlan(), Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"gqosm/internal/resource"
 	"gqosm/internal/sim"
 	"gqosm/internal/sla"
+	"gqosm/internal/stack"
 )
 
 // This file is the concurrency-correctness suite for the admission
@@ -24,7 +25,7 @@ import (
 
 func stressCluster(t testing.TB, intake ...core.IntakeConfig) *sim.Cluster {
 	t.Helper()
-	cfg := sim.ClusterConfig{Plan: sim.DefaultParallelPlan()}
+	cfg := stack.Config{Plan: sim.DefaultParallelPlan()}
 	if len(intake) > 0 {
 		cfg.Intake = intake[0]
 	}

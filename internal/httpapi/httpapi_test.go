@@ -17,6 +17,7 @@ import (
 	"gqosm/internal/sim"
 	"gqosm/internal/sla"
 	"gqosm/internal/soapx"
+	"gqosm/internal/stack"
 	"gqosm/internal/xmlmsg"
 )
 
@@ -24,7 +25,7 @@ import (
 // one httptest listener — the production topology in miniature.
 func apiFixture(t *testing.T, intake bool) (*sim.Cluster, *httpapi.Client) {
 	t.Helper()
-	c, err := sim.NewCluster(sim.ClusterConfig{
+	c, err := sim.NewCluster(stack.Config{
 		Plan:   sim.DefaultParallelPlan(),
 		Intake: core.IntakeConfig{Enabled: intake},
 	})
@@ -149,7 +150,7 @@ func bestEffortCPU(b *core.Broker) (cpu float64) {
 }
 
 func walkLifecycle(t *testing.T, intake bool, transport string) {
-	c, err := sim.NewCluster(sim.ClusterConfig{
+	c, err := sim.NewCluster(stack.Config{
 		Plan:   sim.DefaultParallelPlan(),
 		Intake: core.IntakeConfig{Enabled: intake},
 	})
@@ -224,7 +225,7 @@ func walkLifecycle(t *testing.T, intake bool, transport string) {
 // typed clients (which drop it): the grant detail is the table's, so the
 // two wires carry the same one.
 func TestBestEffortAckAgrees(t *testing.T) {
-	c, err := sim.NewCluster(sim.ClusterConfig{Plan: sim.DefaultParallelPlan()})
+	c, err := sim.NewCluster(stack.Config{Plan: sim.DefaultParallelPlan()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestBestEffortAckAgrees(t *testing.T) {
 func TestWireErrorTaxonomy(t *testing.T) {
 	for _, tr := range []string{"json", "soap"} {
 		t.Run(tr, func(t *testing.T) {
-			c, err := sim.NewCluster(sim.ClusterConfig{
+			c, err := sim.NewCluster(stack.Config{
 				Plan:   sim.DefaultParallelPlan(),
 				Intake: core.IntakeConfig{Enabled: true, Depth: 1},
 			})
@@ -328,7 +329,7 @@ func TestWireErrorTaxonomy(t *testing.T) {
 
 			// A federated broker (here with no neighbor to turn to)
 			// answers what its domain cannot serve with no_domain.
-			lone, err := sim.NewCluster(sim.ClusterConfig{Plan: sim.DefaultParallelPlan()})
+			lone, err := sim.NewCluster(stack.Config{Plan: sim.DefaultParallelPlan()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -383,7 +384,7 @@ func TestWireMalformedRequests(t *testing.T) {
 // TestMountBesideSOAP: one listener, both transports — the JSON subtree
 // must not shadow SOAP dispatch at the root, and vice versa.
 func TestMountBesideSOAP(t *testing.T) {
-	c, err := sim.NewCluster(sim.ClusterConfig{Plan: sim.DefaultParallelPlan()})
+	c, err := sim.NewCluster(stack.Config{Plan: sim.DefaultParallelPlan()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +408,7 @@ func TestMountBesideSOAP(t *testing.T) {
 // transport: active policy, shadow candidate, and the sorted registry
 // listing qosctl prints.
 func TestWirePolicies(t *testing.T) {
-	c, err := sim.NewCluster(sim.ClusterConfig{
+	c, err := sim.NewCluster(stack.Config{
 		Plan:         sim.DefaultParallelPlan(),
 		Policy:       "revenue-greedy",
 		ShadowPolicy: "paper",

@@ -10,11 +10,12 @@ import (
 	"gqosm/internal/resource"
 	"gqosm/internal/sim"
 	"gqosm/internal/sla"
+	"gqosm/internal/stack"
 )
 
 func newCluster(t *testing.T) *sim.Cluster {
 	t.Helper()
-	c, err := sim.NewCluster(sim.ClusterConfig{Plan: core.CapacityPlan{
+	c, err := sim.NewCluster(stack.Config{Plan: core.CapacityPlan{
 		Guaranteed: resource.Capacity{CPU: 15, MemoryMB: 6144, DiskGB: 120},
 		Adaptive:   resource.Capacity{CPU: 6, MemoryMB: 2048, DiskGB: 40},
 		BestEffort: resource.Capacity{CPU: 5, MemoryMB: 2048, DiskGB: 40},

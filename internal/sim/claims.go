@@ -10,6 +10,7 @@ import (
 	"gqosm/internal/pricing"
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
+	"gqosm/internal/stack"
 )
 
 // This file implements the claim experiments C1–C5 of DESIGN.md §4: each
@@ -304,7 +305,7 @@ func RunC5(seed int64, willingFracs []float64) ([]C5Row, error) {
 
 func runC5Once(seed int64, willingFrac float64) (*C5Row, error) {
 	plan := paperPlan(26)
-	cl, err := NewCluster(ClusterConfig{Plan: plan, ConfirmWindow: time.Hour})
+	cl, err := NewCluster(stack.Config{Plan: plan, ConfirmWindow: time.Hour})
 	if err != nil {
 		return nil, err
 	}

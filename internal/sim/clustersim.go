@@ -29,6 +29,7 @@ import (
 	"gqosm/internal/core"
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
+	"gqosm/internal/stack"
 )
 
 // ClusterSimConfig sizes a RunClusterSim run.
@@ -202,7 +203,7 @@ func RunClusterSim(cfg ClusterSimConfig) (*Report, error) {
 
 	plan := clusterPlan()
 	topo, err := newTopology(topoConfig{
-		Base:    ClusterConfig{Plan: plan, Shards: cfg.Shards},
+		Base:    stack.Config{Plan: plan, Shards: cfg.Shards},
 		Brokers: cfg.Brokers, Placement: cfg.Placement,
 	})
 	if err != nil {
@@ -260,7 +261,7 @@ func RunHandoffCrash(cfg HandoffCrashConfig) (*Report, error) {
 	orDefault(&cfg.Brokers, 3)
 	orDefault(&cfg.Sessions, 48)
 	topo, err := newTopology(topoConfig{
-		Base:    ClusterConfig{Plan: clusterPlan(), Shards: 1, WAL: core.DurabilityConfig{Dir: cfg.Dir}},
+		Base:    stack.Config{Plan: clusterPlan(), Shards: 1, WALDir: cfg.Dir},
 		Brokers: cfg.Brokers, Placement: cluster.PlaceHash, Durable: true,
 	})
 	if err != nil {

@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"gqosm/internal/core"
+	"gqosm/internal/nrm"
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
+	"gqosm/internal/stack"
 )
 
 // This file replays the paper's §5.6 worked example (experiment E56): the
@@ -62,7 +64,11 @@ func RunE56() (*E56Result, error) {
 		Adaptive:   resource.Capacity{CPU: 6, MemoryMB: 2048, DiskGB: 40, BandwidthMbps: 200},
 		BestEffort: resource.Capacity{CPU: 5, MemoryMB: 2048, DiskGB: 40, BandwidthMbps: 200},
 	}
-	cl, err := NewCluster(ClusterConfig{Plan: plan, WithNetwork: true, ConfirmWindow: time.Hour})
+	topo, err := e56Topology()
+	if err != nil {
+		return nil, err
+	}
+	cl, err := NewCluster(stack.Config{Plan: plan, Topology: topo, ConfirmWindow: time.Hour})
 	if err != nil {
 		return nil, err
 	}
@@ -256,4 +262,26 @@ func compSpec(nodes float64) sla.Spec {
 
 func compOnlyNodes(nodes float64) sla.Spec {
 	return sla.NewSpec(sla.Exact(resource.CPU, nodes))
+}
+
+// e56Topology is the §5.6 three-site network: site-a/b/c with a 1000 Mbps
+// B–A link and a 100 Mbps C–A link.
+func e56Topology() (*nrm.Topology, error) {
+	topo := nrm.NewTopology()
+	for _, d := range []struct{ name, cidr string }{
+		{"site-a", "192.200.168.0/24"},
+		{"site-b", "135.200.50.0/24"},
+		{"site-c", "10.10.0.0/16"},
+	} {
+		if err := topo.AddDomain(d.name, d.cidr); err != nil {
+			return nil, err
+		}
+	}
+	if err := topo.AddLink("site-a", "site-b", 1000); err != nil {
+		return nil, err
+	}
+	if err := topo.AddLink("site-a", "site-c", 100); err != nil {
+		return nil, err
+	}
+	return topo, nil
 }

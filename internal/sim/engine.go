@@ -17,6 +17,7 @@ import (
 	"gqosm/internal/httpapi"
 	"gqosm/internal/invariant"
 	"gqosm/internal/sla"
+	"gqosm/internal/stack"
 )
 
 // This file is the one simulation engine. Every broker-driving harness
@@ -60,7 +61,7 @@ type workload interface {
 type topoConfig struct {
 	// Base is the per-broker assembly. The topology supplies its Clock
 	// and, under faults, its Faults and RMPolicy.
-	Base ClusterConfig
+	Base stack.Config
 	// Brokers > 0 puts that many members behind a cluster.Front, with
 	// Base.Plan split across them; 0 is a single broker driven directly.
 	Brokers   int
@@ -69,11 +70,11 @@ type topoConfig struct {
 	// substrate and RM-facing call site; 0 means no injector at all.
 	FaultRate float64
 	Seed      int64
-	// Durable journals every broker to Base.WAL.Dir (one subdirectory
-	// per member); an empty Dir creates and removes a temporary root.
+	// Durable journals every broker to Base.WALDir (one subdirectory
+	// per member); an empty WALDir creates and removes a temporary root.
 	Durable bool
-	// Transport "http" serves the first member's JSON API on a loopback
-	// listener (see StressConfig.Transport); "" stays in-process.
+	// Transport "http" serves the first member's Stack.Mount, the handler
+	// aqosd listens on (StressConfig.Transport); "" stays in-process.
 	Transport string
 }
 
@@ -96,13 +97,13 @@ func newTopology(cfg topoConfig) (_ *topology, err error) {
 	}()
 	base := cfg.Base
 	base.Clock = t.clock
-	if cfg.Durable && base.WAL.Dir == "" {
+	if cfg.Durable && base.WALDir == "" {
 		dir, err := os.MkdirTemp("", "gqosm-wal-*")
 		if err != nil {
 			return nil, err
 		}
 		t.closers = append(t.closers, func() { os.RemoveAll(dir) })
-		base.WAL.Dir = dir
+		base.WALDir = dir
 	}
 	if cfg.FaultRate > 0 {
 		t.inj = faultx.New(cfg.Seed, t.clock)
@@ -137,12 +138,9 @@ func newTopology(cfg topoConfig) (_ *topology, err error) {
 		if cfg.Brokers > 0 {
 			mc.Plan = part
 			mc.Domain = fmt.Sprintf("node-%d", i+1)
-			// Every member advertises the CLUSTER total so discovery
-			// admits any request the cluster could conceivably serve;
-			// the allocator (and the federation fallback) decides.
-			mc.ServiceCapacity = base.Plan.Total()
-			if base.WAL.Dir != "" {
-				mc.WAL.Dir = filepath.Join(base.WAL.Dir, mc.Domain)
+			mc.Services = catchAll(mc.Domain, base.Plan.Total())
+			if base.WALDir != "" {
+				mc.WALDir = filepath.Join(base.WALDir, mc.Domain)
 			}
 		}
 		c, err := NewCluster(mc)
@@ -169,7 +167,7 @@ func newTopology(cfg topoConfig) (_ *topology, err error) {
 		if err != nil {
 			return nil, fmt.Errorf("transport http: %w", err)
 		}
-		srv := &http.Server{Handler: httpapi.NewServer(t.members[0].Broker)}
+		srv := &http.Server{Handler: t.members[0].Mount()}
 		go srv.Serve(ln) //nolint:errcheck // shut down via close below
 		t.closers = append(t.closers, func() { srv.Close() })
 		t.api = httpapi.NewClient("http://" + ln.Addr().String())

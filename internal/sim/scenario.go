@@ -15,6 +15,7 @@ import (
 	"gqosm/internal/pricing"
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
+	"gqosm/internal/stack"
 )
 
 // This file is the scenario workload: a library of named traffic shapes
@@ -278,7 +279,7 @@ func newScenarioRun(sc Scenario, cfg ScenarioConfig) (*ScenarioRun, error) {
 	if confirm <= 0 {
 		confirm = 2 * time.Minute
 	}
-	topo, err := newTopology(topoConfig{Base: ClusterConfig{
+	topo, err := newTopology(topoConfig{Base: stack.Config{
 		Plan:          DefaultParallelPlan(),
 		Shards:        cfg.Shards,
 		ConfirmWindow: confirm,

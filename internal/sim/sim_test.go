@@ -8,15 +8,20 @@ import (
 	"gqosm/internal/core"
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
+	"gqosm/internal/stack"
 )
 
 func TestClusterAssembles(t *testing.T) {
-	cl, err := NewCluster(ClusterConfig{Plan: paperPlan(26), WithNetwork: true})
+	topo, err := e56Topology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewCluster(stack.Config{Plan: paperPlan(26), Topology: topo})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if cl.Broker == nil || cl.NetMgr == nil || cl.Topo == nil {
+	if cl.Broker == nil || cl.NRM == nil {
 		t.Fatal("cluster incomplete")
 	}
 	// The default service is discoverable.
@@ -28,8 +33,8 @@ func TestClusterAssembles(t *testing.T) {
 	if _, err := cl.Broker.RequestService(req); err != nil {
 		t.Fatalf("RequestService on cluster: %v", err)
 	}
-	// MDS reports live pool state.
-	attrs, err := cl.MDS.Query("machine")
+	// MDS reports live pool state under the domain's name.
+	attrs, err := cl.MDS.Query("site-a")
 	if err != nil {
 		t.Fatal(err)
 	}

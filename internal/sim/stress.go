@@ -14,6 +14,7 @@ import (
 	"gqosm/internal/pricing"
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
+	"gqosm/internal/stack"
 )
 
 // This file is the lifecycle-stress workload and its three engine
@@ -139,12 +140,12 @@ func runStress(mode string, cfg StressConfig, concurrent, restart bool) (*Report
 		config["restarts"] = kills
 	}
 	topo, err := newTopology(topoConfig{
-		Base: ClusterConfig{
+		Base: stack.Config{
 			Plan: DefaultParallelPlan(), Shards: cfg.Shards, Obs: cfg.Obs,
 			DisableCaches: cfg.DisableCaches,
 			Intake:        core.IntakeConfig{Enabled: cfg.Intake},
 			Policy:        cfg.Policy,
-			WAL:           core.DurabilityConfig{Dir: cfg.WALDir},
+			WALDir:        cfg.WALDir,
 		},
 		FaultRate: cfg.FaultRate,
 		Seed:      cfg.Seed,

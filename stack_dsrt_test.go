@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"gqosm/internal/faultx"
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
 )
@@ -76,6 +77,54 @@ func TestStackWithDSRT(t *testing.T) {
 	}
 	if got := stack.DSRT.Reserved(); got != 0 {
 		t.Errorf("Reserved after terminate = %g, want 0", got)
+	}
+}
+
+// TestStackArmsDSRTFaultSite: StackConfig.Faults reaches the DSRT
+// scheduler too, so a plan on "dsrt.register" fires when an invoked
+// session's process asks for its contract. The launch survives a refused
+// contract: the session runs without RM-level adaptation.
+func TestStackArmsDSRTFaultSite(t *testing.T) {
+	inj := NewFaultInjector(1, nil)
+	inj.SetPlan("dsrt.register", FaultPlan{Rate: 1, Kinds: []faultx.Kind{FaultError}})
+	stack, err := NewStack(StackConfig{
+		Clock:          NewManualClock(epoch),
+		Plan:           CapacityPlan{Guaranteed: Nodes(15), Adaptive: Nodes(6), BestEffort: Nodes(5)},
+		ConfirmWindow:  time.Hour,
+		DSRTProcessors: 4,
+		Faults:         inj,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stack.Close()
+	offer, err := stack.Broker.RequestService(Request{
+		Service: "simulation", Client: "c", Class: ClassGuaranteed,
+		Spec:  NewSpec(Exact(CPU, 10)),
+		Start: epoch, End: epoch.Add(5 * time.Hour),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := offer.SLA.ID
+	if err := stack.Broker.Accept(id); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stack.Broker.Invoke(id); err != nil {
+		t.Fatal(err)
+	}
+	if got := inj.Total(); got != 1 {
+		t.Errorf("injector counted %d fault(s) after Invoke, want 1 at dsrt.register", got)
+	}
+	if got := stack.DSRT.Reserved(); got != 0 {
+		t.Errorf("DSRT share = %g after a refused contract, want 0", got)
+	}
+	doc, err := stack.Broker.Session(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.State != sla.StateActive {
+		t.Errorf("session state = %v, want active", doc.State)
 	}
 }
 
