@@ -366,7 +366,9 @@ func (s *System) Cancel(h Handle) error {
 
 // Modify adjusts the reservation to a new RSL spec. Each sub-request is
 // routed to the manager already holding that part; adding or removing
-// resource types requires Cancel + Create instead.
+// resource types requires Cancel + Create instead. Like Create, it is
+// atomic over a multirequest: if a part refuses, the parts already
+// modified are walked back to the standing spec and the error returned.
 func (s *System) Modify(h Handle, newRSL string) error {
 	node, err := rsl.ParseCached(newRSL)
 	if err != nil {
@@ -388,6 +390,7 @@ func (s *System) Modify(h Handle, newRSL string) error {
 		spec  *rsl.Node
 	}
 	var mods []mod
+	standing := r.Spec
 	for _, sub := range node.SubRequests() {
 		rmType := sub.Str("reservation-type", "")
 		token, held := r.Parts[rmType]
@@ -399,10 +402,33 @@ func (s *System) Modify(h Handle, newRSL string) error {
 	}
 	s.mu.Unlock()
 
-	for _, m := range mods {
-		if err := m.rm.Modify(m.token, m.spec); err != nil {
-			return fmt.Errorf("gara: modify %s: %w", h, err)
+	for i, m := range mods {
+		err := m.rm.Modify(m.token, m.spec)
+		if err == nil {
+			continue
 		}
+		err = fmt.Errorf("gara: modify %s: %w", h, err)
+		// Walk the parts already modified back to the standing spec, last
+		// first. A part that will not go back leaves its manager and
+		// Reservation.Spec disagreeing, so that is reported too.
+		was := map[string]*rsl.Node{}
+		if old, parseErr := rsl.ParseCached(standing); parseErr == nil {
+			for _, sub := range old.SubRequests() {
+				was[sub.Str("reservation-type", "")] = sub
+			}
+		}
+		for j := i - 1; j >= 0; j-- {
+			done := mods[j]
+			rmType := done.spec.Str("reservation-type", "")
+			backErr := errors.New("the standing spec has no such part")
+			if sub, ok := was[rmType]; ok {
+				backErr = done.rm.Modify(done.token, sub)
+			}
+			if backErr != nil {
+				err = fmt.Errorf("%w; walking the %s part back failed: %v", err, rmType, backErr)
+			}
+		}
+		return err
 	}
 	s.mu.Lock()
 	r.Spec = newRSL

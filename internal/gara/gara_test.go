@@ -160,6 +160,42 @@ func TestCoAllocationAtomicRollback(t *testing.T) {
 	}
 }
 
+func TestModifyMultirequestAtomic(t *testing.T) {
+	s, pool, netMgr := testSystem(t)
+	const net = `(&(reservation-type="network")(source-ip="135.200.50.101")(dest-ip="192.200.168.33")`
+	req := `+(&(reservation-type="compute")(count=10))` + net + `(bandwidth=622))`
+	h, err := s.Create(req, t0, tEnd, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The network part asks for more than the 1000 Mbps link after the
+	// compute part has already grown: the whole Modify must fail and the
+	// compute part go back to what Reservation.Spec still says.
+	over := `+(&(reservation-type="compute")(count=20))` + net + `(bandwidth=5000))`
+	if err := s.Modify(h, over); !errors.Is(err, nrm.ErrInsufficientBandwidth) {
+		t.Fatalf("Modify err = %v, want ErrInsufficientBandwidth", err)
+	}
+	if r, _ := s.Get(h); r.Spec != req {
+		t.Errorf("Spec after failed Modify = %s", r.Spec)
+	}
+	if got := pool.InUse(t0); !got.Equal(resource.Nodes(10)) {
+		t.Errorf("compute part not walked back: %v in use, spec says 10 nodes", got)
+	}
+	if flows := netMgr.Flows(); len(flows) != 1 || flows[0].Mbps != 622 {
+		t.Errorf("network part after failed Modify = %+v", flows)
+	}
+
+	// A part that will not go back is named in the error, not dropped:
+	// with one node left online, a shrink to 1 fits and the standing 10 no
+	// longer do.
+	pool.SetOffline(resource.Nodes(25))
+	err = s.Modify(h, `+(&(reservation-type="compute")(count=1))`+net+`(bandwidth=5000))`)
+	if !errors.Is(err, nrm.ErrInsufficientBandwidth) ||
+		!strings.Contains(err.Error(), "walking the compute part back failed") {
+		t.Fatalf("Modify err = %v, want the failed walk-back reported", err)
+	}
+}
+
 func TestCreateErrors(t *testing.T) {
 	s, _, _ := testSystem(t)
 	tests := []struct {

@@ -3,7 +3,9 @@ package resource
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -34,6 +36,18 @@ type Reservation struct {
 	Tag string
 }
 
+// edge is one boundary of a reservation in the pool's availability
+// profile: r.Amount comes into force at r.Start and leaves at r.End.
+type edge struct {
+	// at is r.Start or r.End without its monotonic reading, so every
+	// comparison is by wall time and the order is total: time.Time compares
+	// two monotonic readings when both sides carry one and wall times
+	// otherwise, which is not transitive across a clock step.
+	at  time.Time
+	r   *Reservation
+	end bool
+}
+
 // Pool hands out interval reservations against a fixed total capacity. All
 // methods are safe for concurrent use.
 //
@@ -47,7 +61,13 @@ type Pool struct {
 	total   Capacity
 	offline Capacity // capacity currently inaccessible (failures)
 	nextID  int
-	res     map[ReservationID]*Reservation
+	res     map[ReservationID]*Reservation // by ID, for Release and Resize
+	// edges is the availability profile: two edges per reservation, sorted
+	// by (instant, issue sequence). Every capacity question is one pass over
+	// it in time order, so a sum has one order of addition whatever the map
+	// holds. The sequence is not stored: a new reservation is the latest
+	// issued, so its edges go after every edge already at their instant.
+	edges []edge
 }
 
 // NewPool returns a pool named name with the given total capacity.
@@ -100,21 +120,25 @@ func (p *Pool) Reserve(amount Capacity, start, end time.Time, tag string) (*Rese
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	avail := p.minAvailableLocked(start, end)
+	avail := p.minAvailableLocked(start, end, nil)
 	if !amount.FitsIn(avail) {
 		return nil, fmt.Errorf("%w: pool %q has %v available over [%s, %s), need %v",
 			ErrInsufficientCapacity, p.name, avail,
 			start.Format(time.RFC3339), end.Format(time.RFC3339), amount)
 	}
 	p.nextID++
+	var buf [48]byte // on the stack; append moves a longer name to the heap
+	id := strconv.AppendInt(append(append(buf[:0], p.name...), '-'), int64(p.nextID), 10)
 	r := &Reservation{
-		ID:     ReservationID(fmt.Sprintf("%s-%d", p.name, p.nextID)),
+		ID:     ReservationID(id),
 		Amount: amount,
 		Start:  start,
 		End:    end,
 		Tag:    tag,
 	}
 	p.res[r.ID] = r
+	p.insertEdgeLocked(edge{at: start.Round(0), r: r})
+	p.insertEdgeLocked(edge{at: end.Round(0), r: r, end: true})
 	return cloneRes(r), nil
 }
 
@@ -122,10 +146,13 @@ func (p *Pool) Reserve(amount Capacity, start, end time.Time, tag string) (*Rese
 func (p *Pool) Release(id ReservationID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.res[id]; !ok {
+	r, ok := p.res[id]
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownReservation, id)
 	}
 	delete(p.res, id)
+	p.removeEdgeLocked(r.End.Round(0), r)
+	p.removeEdgeLocked(r.Start.Round(0), r)
 	return nil
 }
 
@@ -142,11 +169,8 @@ func (p *Pool) Resize(id ReservationID, amount Capacity) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownReservation, id)
 	}
-	old := r.Amount
-	r.Amount = Capacity{} // exclude self from the admission check
-	avail := p.minAvailableLocked(r.Start, r.End)
+	avail := p.minAvailableLocked(r.Start, r.End, r)
 	if !amount.FitsIn(avail) {
-		r.Amount = old
 		return fmt.Errorf("%w: resize %s to %v, only %v available",
 			ErrInsufficientCapacity, id, amount, avail)
 	}
@@ -154,34 +178,11 @@ func (p *Pool) Resize(id ReservationID, amount Capacity) error {
 	return nil
 }
 
-// Get returns a copy of the reservation with the given ID.
-func (p *Pool) Get(id ReservationID) (*Reservation, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	r, ok := p.res[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownReservation, id)
-	}
-	return cloneRes(r), nil
-}
-
-// Reservations returns copies of all reservations, ordered by ID.
-func (p *Pool) Reservations() []*Reservation {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]*Reservation, 0, len(p.res))
-	for _, r := range p.res {
-		out = append(out, cloneRes(r))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // InUse returns the capacity reserved at instant t.
 func (p *Pool) InUse(t time.Time) Capacity {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.inUseLocked(t)
+	return p.peakLocked(t, t, nil)
 }
 
 // Available returns the online capacity not reserved at instant t. The
@@ -190,49 +191,59 @@ func (p *Pool) InUse(t time.Time) Capacity {
 func (p *Pool) Available(t time.Time) Capacity {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.total.Sub(p.offline).Sub(p.inUseLocked(t)).ClampMin(Capacity{})
+	return p.minAvailableLocked(t, t, nil)
 }
 
-// GC removes reservations that ended at or before now, returning how many
-// were collected.
-func (p *Pool) GC(now time.Time) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for id, r := range p.res {
-		if !r.End.After(now) {
-			delete(p.res, id)
-			n++
-		}
-	}
-	return n
+// minAvailableLocked returns the least online capacity left free at any
+// instant of [start, end) by every reservation but skip, clamped at zero.
+// Subtracting the peak once gives the same value as taking the minimum of
+// a subtraction per instant: x -> max(online-x, 0) only falls as x rises.
+func (p *Pool) minAvailableLocked(start, end time.Time, skip *Reservation) Capacity {
+	return p.total.Sub(p.offline).Sub(p.peakLocked(start, end, skip)).ClampMin(Capacity{})
 }
 
-func (p *Pool) inUseLocked(t time.Time) Capacity {
-	var used Capacity
-	for _, r := range p.res {
-		if !r.Start.After(t) && r.End.After(t) {
-			used = used.Add(r.Amount)
-		}
-	}
-	return used
-}
-
-// minAvailableLocked evaluates availability at every reservation boundary
-// inside [start, end) plus start itself — availability is piecewise
-// constant between boundaries, so this is exact.
-func (p *Pool) minAvailableLocked(start, end time.Time) Capacity {
-	online := p.total.Sub(p.offline)
-	min := online.Sub(p.inUseLocked(start)).ClampMin(Capacity{})
-	for _, r := range p.res {
-		for _, edge := range [2]time.Time{r.Start, r.End} {
-			if edge.After(start) && edge.Before(end) {
-				avail := online.Sub(p.inUseLocked(edge)).ClampMin(Capacity{})
-				min = min.Min(avail)
+// peakLocked returns, per dimension, the most capacity in force at any
+// instant of the half-open window [start, end), leaving skip out; with
+// end == start that is what is in force at start. It is one pass over the
+// profile in time order: every edge at or before start is accumulated (a
+// reservation ending exactly at start has left, one starting there is
+// in), then the running sum is sampled after each distinct instant before
+// end (a reservation starting exactly at end never counts). In-force
+// capacity is piecewise constant between edges, so this is exact.
+func (p *Pool) peakLocked(start, end time.Time, skip *Reservation) Capacity {
+	start, end = start.Round(0), end.Round(0)
+	edges := p.edges
+	var used, peak Capacity
+	for i, at := 0, start; ; at = edges[i].at {
+		for ; i < len(edges) && !edges[i].at.After(at); i++ {
+			switch e := &edges[i]; {
+			case e.r == skip:
+			case e.end:
+				used = used.Sub(e.r.Amount)
+			default:
+				used = used.Add(e.r.Amount)
 			}
 		}
+		peak = peak.Max(used)
+		if i == len(edges) || !edges[i].at.Before(end) {
+			return peak
+		}
 	}
-	return min
+}
+
+func (p *Pool) insertEdgeLocked(e edge) {
+	i := sort.Search(len(p.edges), func(i int) bool { return p.edges[i].at.After(e.at) })
+	p.edges = slices.Insert(p.edges, i, e)
+}
+
+// removeEdgeLocked drops r's edge at instant at: a reservation has one
+// edge per boundary, so identity picks it out among the ties.
+func (p *Pool) removeEdgeLocked(at time.Time, r *Reservation) {
+	i := sort.Search(len(p.edges), func(i int) bool { return !p.edges[i].at.Before(at) })
+	for p.edges[i].r != r {
+		i++
+	}
+	p.edges = slices.Delete(p.edges, i, i+1)
 }
 
 func cloneRes(r *Reservation) *Reservation {
