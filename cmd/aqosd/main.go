@@ -101,7 +101,6 @@ func run() error {
 			Attempts: *rmAttempts,
 			Timeout:  *rmTimeout,
 			Backoff:  *rmBackoff,
-			Seed:     *faultSeed,
 		},
 		WALDir:       *walDir,
 		Intake:       gqosm.IntakeConfig{Enabled: *intake, FlushEvery: *intakeWait},

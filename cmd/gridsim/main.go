@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"gqosm"
-	"gqosm/internal/cluster"
 	"gqosm/internal/gara"
 	"gqosm/internal/obs"
 	"gqosm/internal/resource"
@@ -37,11 +36,11 @@ func main() {
 
 // options holds every flag value.
 type options struct {
-	experiment, walDir, transport, scenario, shadow, placement string
-	seed                                                       int64
-	clients, ops, phases, shards, restarts, cluster            int
-	faultRate                                                  float64
-	verbose, jsonOut, intake, soak                             bool
+	experiment, walDir, transport, scenario, shadow string
+	seed                                            int64
+	clients, ops, phases, shards, restarts, cluster int
+	faultRate                                       float64
+	verbose, jsonOut, intake, soak                  bool
 	// summary, when a mode sets it, prints below the plain-text document.
 	summary func()
 }
@@ -65,7 +64,7 @@ type mode struct {
 
 var modes = []mode{
 	{"cluster", "N brokers behind the front tier vs a 1-broker baseline over the same workload, their outcome parity, and for N > 1 the hand-off crash drill (BENCH_cluster.json)",
-		[]string{"cluster"}, []string{"clients", "shards", "seed", "placement", "json"}, runCluster},
+		[]string{"cluster"}, []string{"clients", "shards", "seed", "json"}, runCluster},
 	{"scenario", "replay a named traffic scenario (or all, or list); -soak adds runtime-health sampling (BENCH_scenarios.json), -shadow evaluates a candidate policy (BENCH_shadow.json)",
 		[]string{"scenario"}, []string{"soak", "shadow", "seed", "ops", "shards", "json"}, runScenarios},
 	{"restart-chaos", "chaos against a durable broker killed and WAL-recovered mid-workload (BENCH_recovery.json)",
@@ -134,7 +133,6 @@ func run(args []string) error {
 	fs.BoolVar(&o.soak, "soak", false, "run -scenario in long-run soak mode: bounded working set, runtime health sampling")
 	fs.StringVar(&o.shadow, "shadow", "", "with -scenario: evaluate the named candidate policy in shadow (divergence counts + counterfactual deltas)")
 	fs.IntVar(&o.cluster, "cluster", 0, "run the multi-broker workload with N broker instances behind the front tier")
-	fs.StringVar(&o.placement, "placement", "hash", "front-tier placement for -cluster: hash|least-loaded")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "Usage of gridsim — one mode per run:\n\n%s\n", modeTable())
 		fs.PrintDefaults()
@@ -262,14 +260,11 @@ func runChaos(o *options) (*sim.Report, error) {
 // 1-broker baseline over the same workload, the parity gate between
 // their outcome digests, and for N > 1 the hand-off crash drill.
 func runCluster(o *options) (*sim.Report, error) {
-	place, err := cluster.ParsePlacement(o.placement)
-	if err != nil {
-		return nil, err
-	}
 	// An unset -clients leaves each mode's own default in force: 8 stress
 	// clients, but the acceptance-scale 10⁵ simulated clients here.
-	cfg := sim.ClusterSimConfig{Brokers: o.cluster, Clients: o.clients, Seed: o.seed, Placement: place, Shards: o.shards}
+	cfg := sim.ClusterSimConfig{Brokers: o.cluster, Clients: o.clients, Seed: o.seed, Shards: o.shards}
 	runs := map[string]*sim.Report{}
+	var err error
 	if runs["scale"], err = sim.RunClusterSim(cfg); err != nil {
 		return nil, err
 	}

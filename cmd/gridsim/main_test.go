@@ -214,7 +214,9 @@ func TestClusterFlagJSON(t *testing.T) {
 }
 
 func TestClusterFlagArgumentErrors(t *testing.T) {
-	if _, err := runCapture(t, "-cluster", "2", "-placement", "round-robin"); err == nil {
-		t.Fatal("bad -placement accepted")
+	// There is one placement and no flag to pick it.
+	_, err := runCapture(t, "-cluster", "2", "-placement", "hash")
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("err = %v, want -placement refused as an unknown flag", err)
 	}
 }

@@ -74,7 +74,7 @@ type (
 	// ConformanceReport is an SLA-Verif result (Table 3).
 	ConformanceReport = core.ConformanceReport
 	// RetryPolicy bounds the broker's RM-facing calls (per-attempt
-	// timeout, bounded retries, jittered exponential backoff). The zero
+	// timeout, bounded retries, exponential backoff). The zero
 	// value is a single direct attempt.
 	RetryPolicy = core.RetryPolicy
 	// FaultInjector is the deterministic fault-injection layer; install

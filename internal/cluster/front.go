@@ -1,10 +1,9 @@
 // Package cluster is the multi-broker front tier: it routes admissions
-// across N broker instances (consistent-hash or least-loaded placement
-// over live load reports), falls back across brokers through the
-// existing federation fan-out when the placed broker declines, and
-// drives session hand-off for rebalancing. With a single slot the front
-// degenerates to the plain broker: one federation with zero peers,
-// identical outcomes.
+// across N broker instances (consistent-hash placement), falls back
+// across brokers through the existing federation fan-out when the placed
+// broker declines, and drives session hand-off for rebalancing. With a
+// single slot the front degenerates to the plain broker: one federation
+// with zero peers, identical outcomes.
 package cluster
 
 import (
@@ -18,122 +17,21 @@ import (
 	"gqosm/internal/sla"
 )
 
-// Placement selects the front tier's routing policy.
+// Placement names the front tier's routing policy. There is one; the
+// type and Config.Placement stay only because bench/env.go:96 spells the
+// literal — a benchmark-archetype PR drops it there and then the type goes.
 type Placement int
 
-const (
-	// PlaceHash routes each client by consistent hash: a client's
-	// admissions land on the same broker run after run, independent of
-	// arrival order (the default).
-	PlaceHash Placement = iota
-	// PlaceLeastLoaded routes each admission to the broker with the
-	// lowest reported load factor.
-	PlaceLeastLoaded
-)
+// PlaceHash routes each client by consistent hash: a client's admissions
+// land on the same broker run after run, independent of arrival order.
+const PlaceHash Placement = 0
 
-func (p Placement) String() string {
-	if p == PlaceLeastLoaded {
-		return "least-loaded"
-	}
-	return "hash"
-}
+func (Placement) String() string { return "hash" }
 
-// ParsePlacement parses "hash" or "least-loaded".
-func ParsePlacement(s string) (Placement, error) {
-	switch s {
-	case "", "hash":
-		return PlaceHash, nil
-	case "least-loaded", "leastloaded":
-		return PlaceLeastLoaded, nil
-	}
-	return 0, fmt.Errorf("cluster: unknown placement %q", s)
-}
-
-// Config tunes the front tier.
+// Config is the front tier's configuration.
 type Config struct {
-	// Placement is the routing policy (default PlaceHash).
+	// Placement is the routing policy, always PlaceHash.
 	Placement Placement
-	// HashReplicas is the virtual points per broker on the hash ring
-	// (default 64).
-	HashReplicas int
-	// Policy overrides the routing policy with a custom implementation;
-	// nil derives the built-in policy from Placement.
-	Policy PlacementPolicy
-}
-
-// SlotView describes one cluster member to a PlacementPolicy.
-type SlotView struct {
-	Index  int
-	Domain string
-	// Available is false while the slot is recovering; unavailable slots
-	// must not be routed to.
-	Available bool
-}
-
-// PlacementPolicy ranks the slots an admission should try, placed-first.
-// Implementations must be deterministic for a given view/load state and
-// safe for concurrent use.
-type PlacementPolicy interface {
-	// Name identifies the policy ("hash", "least-loaded", …).
-	Name() string
-	// Route returns slot indices in try-order, available slots only.
-	// load lazily fetches a slot's reported load factor (false when the
-	// slot is unreachable); policies that do not need load — like the
-	// consistent-hash default — must not call it, so routing stays free
-	// of Load round-trips.
-	Route(client string, views []SlotView, load func(int) (float64, bool)) []int
-}
-
-// hashPlacement is the PlaceHash default: consistent-hash order, so a
-// client's admissions land on the same broker run after run.
-type hashPlacement struct{ ring *hashRing }
-
-func (hashPlacement) Name() string { return "hash" }
-
-func (p hashPlacement) Route(client string, views []SlotView, _ func(int) (float64, bool)) []int {
-	var order []int
-	for _, i := range p.ring.order(client, len(views)) {
-		if views[i].Available {
-			order = append(order, i)
-		}
-	}
-	return order
-}
-
-// leastLoadedPlacement is the PlaceLeastLoaded default: ascending
-// reported load factor, ties broken by slot index; slots whose load
-// cannot be fetched are skipped.
-type leastLoadedPlacement struct{}
-
-func (leastLoadedPlacement) Name() string { return "least-loaded" }
-
-func (leastLoadedPlacement) Route(_ string, views []SlotView, load func(int) (float64, bool)) []int {
-	type cand struct {
-		load float64
-		idx  int
-	}
-	cands := make([]cand, 0, len(views))
-	for _, v := range views {
-		if !v.Available {
-			continue
-		}
-		l, ok := load(v.Index)
-		if !ok {
-			continue
-		}
-		cands = append(cands, cand{load: l, idx: v.Index})
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].load != cands[b].load {
-			return cands[a].load < cands[b].load
-		}
-		return cands[a].idx < cands[b].idx
-	})
-	order := make([]int, 0, len(cands))
-	for _, c := range cands {
-		order = append(order, c.idx)
-	}
-	return order
 }
 
 // ErrNoBrokerAvailable is returned when every slot is recovering or
@@ -143,10 +41,8 @@ var ErrNoBrokerAvailable = errors.New("cluster: no broker available")
 // Front is the thin routing tier over the cluster's slots. Safe for
 // concurrent use.
 type Front struct {
-	cfg   Config
 	slots []*Slot
 	ring  *hashRing
-	pol   PlacementPolicy
 	byDom map[string]int
 
 	mu     sync.Mutex
@@ -164,12 +60,9 @@ type fedEntry struct {
 // New assembles a front over the given slots. Domains must be unique;
 // slot order is the federation's peer registration order, so it decides
 // which broker wins a fallback race.
-func New(cfg Config, slots ...*Slot) (*Front, error) {
+func New(_ Config, slots ...*Slot) (*Front, error) {
 	if len(slots) == 0 {
 		return nil, errors.New("cluster: front needs at least one slot")
-	}
-	if cfg.HashReplicas <= 0 {
-		cfg.HashReplicas = 64
 	}
 	byDom := make(map[string]int, len(slots))
 	domains := make([]string, len(slots))
@@ -180,57 +73,30 @@ func New(cfg Config, slots ...*Slot) (*Front, error) {
 		byDom[s.Domain()] = i
 		domains[i] = s.Domain()
 	}
-	ring := newHashRing(domains, cfg.HashReplicas)
-	pol := cfg.Policy
-	if pol == nil {
-		if cfg.Placement == PlaceLeastLoaded {
-			pol = leastLoadedPlacement{}
-		} else {
-			pol = hashPlacement{ring: ring}
-		}
-	}
 	return &Front{
-		cfg:    cfg,
 		slots:  slots,
-		ring:   ring,
-		pol:    pol,
+		ring:   newHashRing(domains),
 		byDom:  byDom,
 		feds:   make(map[int]*fedEntry),
 		owners: make(map[sla.ID]int),
 	}, nil
 }
 
-// PolicyName reports the routing policy in effect.
-func (f *Front) PolicyName() string { return f.pol.Name() }
-
 // Slots returns the cluster members in registration order.
 func (f *Front) Slots() []*Slot { return f.slots }
 
-// route returns the slot indices to try for a client, placed-first, as
-// ranked by the placement policy over a snapshot of slot availability.
-// Recovering slots are marked unavailable — the re-route the transient
-// peer gate promises. Out-of-range or unavailable indices from a custom
-// policy are dropped defensively.
+// route returns the slot indices to try for a client, placed-first: the
+// client's consistent-hash order, minus the slots that are recovering —
+// the re-route the transient peer gate promises.
 func (f *Front) route(client string) []int {
-	views := make([]SlotView, len(f.slots))
-	for i, s := range f.slots {
-		views[i] = SlotView{Index: i, Domain: s.Domain(), Available: !s.Recovering()}
-	}
-	ranked := f.pol.Route(client, views, func(i int) (float64, bool) {
-		r, err := f.slots[i].Load()
-		if err != nil {
-			return 0, false
+	order := f.ring.order(client, len(f.slots))
+	live := order[:0]
+	for _, i := range order {
+		if !f.slots[i].Recovering() {
+			live = append(live, i)
 		}
-		return r.Load, true
-	})
-	order := make([]int, 0, len(ranked))
-	for _, i := range ranked {
-		if i < 0 || i >= len(f.slots) || !views[i].Available {
-			continue
-		}
-		order = append(order, i)
 	}
-	return order
+	return live
 }
 
 // federationFor returns the cached federation homed on slot idx's local

@@ -70,8 +70,8 @@ func clusterRequest(client string, n float64) core.Request {
 // sequence on every call and on a freshly built ring.
 func TestRingDeterministic(t *testing.T) {
 	domains := []string{"node-1", "node-2", "node-3"}
-	r1 := newHashRing(domains, 64)
-	r2 := newHashRing(domains, 64)
+	r1 := newHashRing(domains)
+	r2 := newHashRing(domains)
 	for _, client := range []string{"alice", "bob", "client-0042", ""} {
 		a := r1.order(client, len(domains))
 		b := r2.order(client, len(domains))
@@ -88,6 +88,14 @@ func TestRingDeterministic(t *testing.T) {
 			}
 			seen[a[i]] = true
 		}
+	}
+}
+
+// TestFrontDefaultPolicyNames pins the name the cluster report echoes
+// under "placement" (BENCH_cluster.json).
+func TestFrontDefaultPolicyNames(t *testing.T) {
+	if got := PlaceHash.String(); got != "hash" {
+		t.Errorf("PlaceHash = %q, want hash", got)
 	}
 }
 

@@ -1,7 +1,7 @@
 package cluster
 
-// Consistent-hash ring for the front tier's default placement. Each slot
-// contributes a fixed number of virtual points (FNV-1a over
+// Consistent-hash ring for the front tier's placement. Each slot
+// contributes hashReplicas virtual points (FNV-1a over
 // "domain#replica"), and a client key routes to the first point at or
 // past its own hash, wrapping around — the classic ring, so adding or
 // removing one broker remaps only the keys that landed on its arcs.
@@ -9,7 +9,11 @@ package cluster
 import (
 	"hash/fnv"
 	"sort"
+	"strconv"
 )
+
+// hashReplicas is the number of virtual points per broker on the ring.
+const hashReplicas = 64
 
 type ringPoint struct {
 	hash uint64
@@ -20,13 +24,13 @@ type hashRing struct {
 	points []ringPoint
 }
 
-// newHashRing builds a ring with replicas virtual points per domain.
+// newHashRing builds a ring with hashReplicas virtual points per domain.
 // Slot order follows the domains slice index.
-func newHashRing(domains []string, replicas int) *hashRing {
-	r := &hashRing{points: make([]ringPoint, 0, len(domains)*replicas)}
+func newHashRing(domains []string) *hashRing {
+	r := &hashRing{points: make([]ringPoint, 0, len(domains)*hashReplicas)}
 	for i, d := range domains {
-		for v := 0; v < replicas; v++ {
-			r.points = append(r.points, ringPoint{hash: hashKey(d + "#" + itoa(v)), slot: i})
+		for v := 0; v < hashReplicas; v++ {
+			r.points = append(r.points, ringPoint{hash: hashKey(d + "#" + strconv.Itoa(v)), slot: i})
 		}
 	}
 	sort.Slice(r.points, func(a, b int) bool {
@@ -63,19 +67,4 @@ func hashKey(s string) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(s))
 	return h.Sum64()
-}
-
-// itoa avoids strconv for the tiny replica counter.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -95,12 +96,6 @@ type GrantResult struct {
 	Preempted []Preemption
 }
 
-type beAlloc struct {
-	user    string
-	granted resource.Capacity
-	seq     int
-}
-
 // Allocator is the Algorithm-1 engine: it tracks instantaneous capacity
 // allocations c(u,t) for guaranteed users and b(u,t) for best-effort
 // users against the partition, implements Adapt(), and enforces the
@@ -113,8 +108,9 @@ type Allocator struct {
 	mu         sync.Mutex
 	offline    resource.Capacity // failed capacity, charged against C_G
 	guaranteed map[string]resource.Capacity
-	floors     map[string]resource.Capacity
-	bestEffort []beAlloc
+	// bestEffort is in allocation order: Seq strictly ascends, because a
+	// grant appends nextSeq+1 and nothing ever reorders the rows.
+	bestEffort []BEState
 	nextSeq    int
 
 	// policy answers Algorithm-1 admissions (never nil; NewAllocator
@@ -227,7 +223,6 @@ func NewAllocator(plan CapacityPlan) (*Allocator, error) {
 		plan:       plan,
 		policy:     defaultPolicy,
 		guaranteed: make(map[string]resource.Capacity),
-		floors:     make(map[string]resource.Capacity),
 	}
 	a.publishLocked() // no concurrency yet; publish the idle view
 	return a, nil
@@ -261,9 +256,9 @@ func (a *Allocator) SetShadow(p Policy, record func(family string, diverged bool
 // Plan returns the partition.
 func (a *Allocator) Plan() CapacityPlan { return a.plan }
 
-// BEState is one best-effort grant row in allocation order, exported for
-// durability snapshots (the order is the LIFO preemption order, so it
-// must survive recovery bit-exactly).
+// BEState is one best-effort grant row, b(u,t). The table's order is the
+// allocation order — preemption walks it backwards — so durability
+// snapshots carry it bit-exactly across recovery.
 type BEState struct {
 	User    string
 	Granted resource.Capacity
@@ -276,35 +271,26 @@ type BEState struct {
 func (a *Allocator) ExportAux() (offline resource.Capacity, be []BEState, nextSeq int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	be = make([]BEState, 0, len(a.bestEffort))
-	for _, b := range a.bestEffort {
-		be = append(be, BEState{User: b.user, Granted: b.granted, Seq: b.seq})
-	}
+	be = make([]BEState, len(a.bestEffort)) // never nil: digests marshal it
+	copy(be, a.bestEffort)
 	return a.offline, be, a.nextSeq
 }
 
 // Restore overwrites the allocator's full state from recovered data and
-// republishes the read view. The guaranteed/floor maps come from the
-// replayed session documents; the auxiliary state from the latest
-// journaled ExportAux image. No feasibility re-check happens here — the
+// republishes the read view. The guaranteed map comes from the replayed
+// session documents; the auxiliary state from the latest journaled
+// ExportAux image. No feasibility re-check happens here — the
 // recovered state was feasible when journaled, and the invariant oracle
 // re-verifies after recovery.
-func (a *Allocator) Restore(guaranteed, floors map[string]resource.Capacity, offline resource.Capacity, be []BEState, nextSeq int) {
+func (a *Allocator) Restore(guaranteed map[string]resource.Capacity, offline resource.Capacity, be []BEState, nextSeq int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.guaranteed = make(map[string]resource.Capacity, len(guaranteed))
 	for u, c := range guaranteed {
 		a.guaranteed[u] = c
 	}
-	a.floors = make(map[string]resource.Capacity, len(floors))
-	for u, c := range floors {
-		a.floors[u] = c
-	}
 	a.offline = offline.Min(a.plan.Guaranteed).ClampMin(resource.Capacity{})
-	a.bestEffort = make([]beAlloc, 0, len(be))
-	for _, b := range be {
-		a.bestEffort = append(a.bestEffort, beAlloc{user: b.User, granted: b.Granted, seq: b.Seq})
-	}
+	a.bestEffort = slices.Clone(be)
 	a.nextSeq = nextSeq
 	a.publishLocked()
 }
@@ -345,7 +331,7 @@ func (a *Allocator) gDemandLocked() resource.Capacity {
 func (a *Allocator) beUsedLocked() resource.Capacity {
 	var sum resource.Capacity
 	for _, b := range a.bestEffort {
-		sum = sum.Add(b.granted)
+		sum = sum.Add(b.Granted)
 	}
 	return sum
 }
@@ -455,7 +441,6 @@ func (a *Allocator) allocateGuaranteedLocked(user string, requested, floor resou
 	}
 
 	a.guaranteed[user] = res.Granted
-	a.floors[user] = floor
 	return res, nil
 }
 
@@ -529,7 +514,6 @@ func (a *Allocator) ReleaseGuaranteed(user string) error {
 		return fmt.Errorf("%w: guaranteed %q", ErrUnknownUser, user)
 	}
 	delete(a.guaranteed, user)
-	delete(a.floors, user)
 	a.publishLocked()
 	return nil
 }
@@ -549,7 +533,7 @@ func (a *Allocator) AllocateBestEffort(user string, requested resource.Capacity)
 		return fmt.Errorf("%w: requested %v, available %v", ErrBestEffortFull, requested, avail)
 	}
 	a.nextSeq++
-	a.bestEffort = append(a.bestEffort, beAlloc{user: user, granted: requested, seq: a.nextSeq})
+	a.bestEffort = append(a.bestEffort, BEState{User: user, Granted: requested, Seq: a.nextSeq})
 	a.publishLocked()
 	return nil
 }
@@ -561,7 +545,7 @@ func (a *Allocator) ReleaseBestEffort(user string) error {
 	kept := a.bestEffort[:0]
 	found := false
 	for _, b := range a.bestEffort {
-		if b.user == user {
+		if b.User == user {
 			found = true
 			continue
 		}
@@ -579,45 +563,29 @@ func (a *Allocator) ReleaseBestEffort(user string) error {
 // total best-effort usage fits the borrowable capacity. It returns the
 // preemptions applied.
 func (a *Allocator) rebalanceLocked() []Preemption {
-	var out []Preemption
 	over := a.beUsedLocked().Sub(a.beAvailableLocked()).ClampMin(resource.Capacity{})
 	if over.IsZero() {
 		return nil
 	}
-	// LIFO: newest borrowers lose first.
-	order := make([]int, len(a.bestEffort))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		return a.bestEffort[order[i]].seq > a.bestEffort[order[j]].seq
-	})
-	for _, idx := range order {
-		if over.IsZero() {
-			break
-		}
-		b := &a.bestEffort[idx]
-		cut := b.granted.Min(over)
+	var out []Preemption
+	// LIFO: newest borrowers lose first, and the table is oldest-first.
+	for i := len(a.bestEffort) - 1; i >= 0 && !over.IsZero(); i-- {
+		b := &a.bestEffort[i]
+		cut := b.Granted.Min(over)
 		if cut.IsZero() {
 			continue
 		}
-		after := b.granted.Sub(cut)
+		after := b.Granted.Sub(cut)
 		out = append(out, Preemption{
-			User:    b.user,
-			Before:  b.granted,
+			User:    b.User,
+			Before:  b.Granted,
 			After:   after,
 			Evicted: after.IsZero(),
 		})
-		b.granted = after
+		b.Granted = after
 		over = over.Sub(cut).ClampMin(resource.Capacity{})
 	}
-	kept := a.bestEffort[:0]
-	for _, b := range a.bestEffort {
-		if !b.granted.IsZero() {
-			kept = append(kept, b)
-		}
-	}
-	a.bestEffort = kept
+	a.bestEffort = slices.DeleteFunc(a.bestEffort, func(b BEState) bool { return b.Granted.IsZero() })
 	return out
 }
 

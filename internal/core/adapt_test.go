@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -411,6 +413,117 @@ func TestAllocatorInvariantsProperty(t *testing.T) {
 			if !s.Guaranteed.Add(s.BestEffort).FitsIn(s.Capacity.Sub(s.Offline)) {
 				t.Fatalf("step %d: pool %s overfull: %+v", step, s.Pool, s)
 			}
+		}
+	}
+}
+
+// rebalanceReference is the preemption loop the allocator shipped before
+// it relied on the table's order: an index slice sorted by descending Seq.
+// It is the reference TestRebalanceMatchesSortedReference holds the
+// reverse walk to, and is never called outside tests.
+func rebalanceReference(table []BEState, over resource.Capacity) ([]BEState, []Preemption) {
+	var out []Preemption
+	if over.IsZero() {
+		return table, nil
+	}
+	order := make([]int, len(table))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool {
+		return table[order[i]].Seq > table[order[j]].Seq
+	})
+	for _, idx := range order {
+		if over.IsZero() {
+			break
+		}
+		b := &table[idx]
+		cut := b.Granted.Min(over)
+		if cut.IsZero() {
+			continue
+		}
+		after := b.Granted.Sub(cut)
+		out = append(out, Preemption{User: b.User, Before: b.Granted, After: after, Evicted: after.IsZero()})
+		b.Granted = after
+		over = over.Sub(cut).ClampMin(resource.Capacity{})
+	}
+	kept := table[:0]
+	for _, b := range table {
+		if !b.Granted.IsZero() {
+			kept = append(kept, b)
+		}
+	}
+	return kept, out
+}
+
+// TestRebalanceMatchesSortedReference drives seeded sequences of
+// guaranteed and best-effort grants, releases, SetOffline and ExportAux →
+// Restore round trips, and after every operation that can preempt compares
+// the allocator's preemptions and best-effort table with what the sorted
+// reference makes of the table as it stood before the operation. It also
+// holds the premise of the reverse walk: Seq strictly ascends, always.
+func TestRebalanceMatchesSortedReference(t *testing.T) {
+	// Half-node steps: every sum is exact, so the map-order float sums of
+	// guaranteed demand (ROADMAP item 1) cannot move a last bit between the
+	// allocator's pass and the reference's.
+	amount := func(rng *rand.Rand, max int) resource.Capacity {
+		return resource.Nodes(float64(1+rng.Intn(2*max)) / 2)
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a := newPaperAllocator(t)
+		preemptions, restores := 0, 0
+		for step := 0; step < 4000; step++ {
+			before := slices.Clone(a.bestEffort)
+			var got []Preemption
+			rebalanced := false
+			switch rng.Intn(8) {
+			case 0, 1, 2:
+				req := amount(rng, 12)
+				res, err := a.AllocateGuaranteed("g"+strconv.Itoa(rng.Intn(8)), req, req.Min(amount(rng, 4)))
+				got, rebalanced = res.Preempted, err == nil
+			case 3, 4:
+				_ = a.AllocateBestEffort("be"+strconv.Itoa(rng.Intn(8)), amount(rng, 6))
+			case 5:
+				if rng.Intn(2) == 0 {
+					_ = a.ReleaseGuaranteed("g" + strconv.Itoa(rng.Intn(8)))
+				} else {
+					_ = a.ReleaseBestEffort("be" + strconv.Itoa(rng.Intn(8)))
+				}
+			case 6:
+				got, rebalanced = a.SetOffline(amount(rng, 8)), true
+			case 7:
+				offline, be, nextSeq := a.ExportAux()
+				fresh := newPaperAllocator(t)
+				fresh.Restore(a.guaranteed, offline, be, nextSeq)
+				a = fresh
+				restores++
+			}
+			if rebalanced {
+				var used resource.Capacity
+				for _, b := range before {
+					used = used.Add(b.Granted)
+				}
+				a.mu.Lock()
+				over := used.Sub(a.beAvailableLocked()).ClampMin(resource.Capacity{})
+				a.mu.Unlock()
+				wantTable, want := rebalanceReference(before, over)
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d: preemptions = %+v, reference %+v", seed, step, got, want)
+				}
+				if !slices.Equal(a.bestEffort, wantTable) {
+					t.Fatalf("seed %d step %d: table = %+v, reference %+v", seed, step, a.bestEffort, wantTable)
+				}
+				preemptions += len(got)
+			}
+			for i := 1; i < len(a.bestEffort); i++ {
+				if a.bestEffort[i-1].Seq >= a.bestEffort[i].Seq {
+					t.Fatalf("seed %d step %d: table out of allocation order: %+v", seed, step, a.bestEffort)
+				}
+			}
+		}
+		if preemptions == 0 || restores == 0 {
+			t.Fatalf("seed %d: %d preemptions, %d restores — the generator exercises nothing", seed, preemptions, restores)
 		}
 	}
 }

@@ -86,11 +86,6 @@ type Config struct {
 	RM RMAdapter
 	// Repo stores established SLAs; defaults to an in-memory repository.
 	Repo sla.Repository
-	// Prices is the cost model; defaults to
-	// pricing.NewModel(pricing.DefaultRates).
-	Prices *pricing.Model
-	// Ledger records accounting; defaults to a fresh ledger.
-	Ledger *pricing.Ledger
 	// ConfirmWindow is how long a proposed SLA's temporary reservation
 	// is held before automatic cancellation (§3.1); default 2 minutes.
 	ConfirmWindow time.Duration
@@ -98,9 +93,6 @@ type Config struct {
 	// optimizer's reallocation is applied only when it improves profit
 	// by at least this amount (default 1.0).
 	MinOptimizerGain float64
-	// RangeSteps discretizes controlled-load ranges for the optimizer
-	// (default 4).
-	RangeSteps int
 	// EventLogCap bounds the activity log ring (default DefEventLogCap).
 	// When the ring is full the oldest events are evicted.
 	EventLogCap int
@@ -350,20 +342,11 @@ func newBroker(cfg Config) (*Broker, error) {
 	if cfg.Repo == nil {
 		cfg.Repo = sla.NewMemoryRepository()
 	}
-	if cfg.Prices == nil {
-		cfg.Prices = pricing.NewModel(pricing.DefaultRates)
-	}
-	if cfg.Ledger == nil {
-		cfg.Ledger = pricing.NewLedger()
-	}
 	if cfg.ConfirmWindow <= 0 {
 		cfg.ConfirmWindow = 2 * time.Minute
 	}
 	if cfg.MinOptimizerGain <= 0 {
 		cfg.MinOptimizerGain = 1.0
-	}
-	if cfg.RangeSteps <= 0 {
-		cfg.RangeSteps = 4
 	}
 	if cfg.EventLogCap <= 0 {
 		cfg.EventLogCap = DefEventLogCap
@@ -389,8 +372,8 @@ func newBroker(cfg Config) (*Broker, error) {
 	b := &Broker{
 		cfg:            cfg,
 		clock:          cfg.Clock,
-		prices:         cfg.Prices,
-		ledger:         cfg.Ledger,
+		prices:         pricing.NewModel(pricing.DefaultRates),
+		ledger:         pricing.NewLedger(),
 		repo:           cfg.Repo,
 		route:          make(map[sla.ID]*shard),
 		beRoute:        make(map[string]*shard),

@@ -311,16 +311,8 @@ func (b *Broker) ImportSession(st *HandoffState) error {
 		return fmt.Errorf("core: import %s: %w", id, lastErr)
 	}
 
-	spec := reservationRSL(doc.Spec, alloc)
-	handle, err := b.pol.callCreate("gara.create", string(id), func() (gara.Handle, error) {
-		return b.cfg.GARA.Create(spec, doc.Start, doc.End, string(id))
-	})
+	handle, err := b.reserve(sh, id, reservationRSL(doc.Spec, alloc), doc.Start, doc.End)
 	if err != nil {
-		_ = sh.alloc.ReleaseGuaranteed(string(id))
-		if h, ok := b.cfg.GARA.FindByTag(string(id)); ok {
-			b.parkCancel(id, h)
-		}
-		b.journalShardAux("rollback", sh)
 		abort()
 		return fmt.Errorf("core: import reservation %s: %w", id, err)
 	}
@@ -336,25 +328,14 @@ func (b *Broker) ImportSession(st *HandoffState) error {
 	if sess.original.IsZero() {
 		sess.original = alloc
 	}
-
-	b.routeMu.Lock()
-	b.route[id] = sh
-	b.routeMu.Unlock()
-	sh.mu.Lock()
-	if b.closed.Load() {
-		sh.mu.Unlock()
-		b.routeMu.Lock()
-		delete(b.route, id)
-		b.routeMu.Unlock()
-		_ = sh.alloc.ReleaseGuaranteed(string(id))
-		_ = b.cfg.GARA.Cancel(handle)
-		b.journalShardAux("rollback", sh)
+	err = b.install(sh, []sla.ID{id}, func(int) gara.Handle { return handle }, func() {
+		sh.sessions[id] = sess
+		b.logf("handoff", id, "imported from %q at %v (no re-charge)", st.Source, alloc)
+	})
+	if err != nil {
 		abort()
-		return ErrClosed
+		return err
 	}
-	sh.sessions[id] = sess
-	b.logf("handoff", id, "imported from %q at %v (no re-charge)", st.Source, alloc)
-	sh.mu.Unlock()
 	b.met.handoffsIn.Inc()
 	b.persist(id)
 

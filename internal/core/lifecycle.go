@@ -44,7 +44,7 @@ func (b *Broker) Invoke(id sla.ID) (gram.Job, error) {
 
 	duration := end.Sub(b.clock.Now()).Seconds()
 	jobRSL := fmt.Sprintf(`&(executable=%q)(duration=%s)(label=%q)`,
-		"/grid/services/"+service, trimFloat(maxFloat(duration, 1)), string(id))
+		"/grid/services/"+service, trimFloat(max(duration, 1)), string(id))
 	job, err := b.cfg.GRAM.Submit(jobRSL)
 	if err != nil {
 		return gram.Job{}, fmt.Errorf("core: invoke %s: %w", id, err)
@@ -705,9 +705,7 @@ func (b *Broker) optimizeShard(sh *shard) (OptimizeOutcome, error) {
 	for _, e := range entries {
 		capacity = capacity.Add(e.alloc)
 		currentProfit += rates.Cost(e.alloc)
-		problem.Services = append(problem.Services, OptService{
-			ID: e.id, Spec: e.spec, Rates: rates, RangeSteps: b.cfg.RangeSteps,
-		})
+		problem.Services = append(problem.Services, OptService{ID: e.id, Spec: e.spec, Rates: rates})
 	}
 	problem.Capacity = capacity
 
@@ -787,11 +785,4 @@ func (b *Broker) persist(id sla.ID) {
 
 func bindParamFor(job gram.Job) gara.BindParam {
 	return gara.BindParam{PID: job.PID}
-}
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -334,33 +334,17 @@ func (b *Broker) compensateOrForward(sh *shard, m *admission) {
 // timers, one journal append (one fsync) carrying a per-session record
 // each, then ticket resolution.
 func (b *Broker) commit(sh *shard, granted []*admission) {
-	// Mechanism: temporary GARA reservations, created idempotently — a
-	// retry after a lost reply adopts the reservation already committed
-	// under the SLA's tag instead of double-committing it. A reservation
-	// failure is final for that member only.
+	// Mechanism: temporary GARA reservations. A reservation failure is
+	// final for that member only.
 	reserved := granted[:0]
 	for _, m := range granted {
-		id := string(m.id)
 		if !m.grant.Shortfall.IsZero() {
 			// Only the floor was granted; reprice at what is delivered.
 			m.quality = m.grant.Granted
 			m.price = b.prices.Cost(m.req.Class, m.quality)
 		}
-		spec := reservationRSL(m.req.Spec, m.grant.Granted)
-		handle, err := b.pol.callCreate("gara.create", id, func() (gara.Handle, error) {
-			return b.cfg.GARA.Create(spec, m.req.Start, m.req.End, id)
-		})
+		handle, err := b.reserve(sh, m.id, reservationRSL(m.req.Spec, m.grant.Granted), m.req.Start, m.req.End)
 		if err != nil {
-			_ = sh.alloc.ReleaseGuaranteed(id)
-			// A timed-out or partially-failed attempt may still have
-			// committed the reservation; park it so the reconciliation
-			// sweep cancels it rather than leaking it.
-			if h, ok := b.cfg.GARA.FindByTag(id); ok {
-				b.parkCancel(m.id, h)
-			}
-			// The failed admission may have preempted best-effort grants;
-			// journal the shard's post-rollback aux or replay resurrects them.
-			b.journalShardAux("rollback", sh)
 			b.resolve(m, fmt.Errorf("core: reservation: %w", err))
 			continue
 		}
@@ -371,40 +355,97 @@ func (b *Broker) commit(sh *shard, granted []*admission) {
 		return
 	}
 
-	// Install the routes before the sessions: the confirm timers' expiry
-	// callbacks resolve the shard through them.
 	var one [1]sla.ID // as in admitOn: no heap slice for a batch of one
 	ids := one[:0]
 	if len(reserved) > 1 {
 		ids = make([]sla.ID, 0, len(reserved))
 	}
-	b.routeMu.Lock()
 	for _, m := range reserved {
 		ids = append(ids, m.id)
-		b.route[m.id] = sh
+	}
+	now := b.clock.Now()
+	expires := now.Add(b.cfg.ConfirmWindow)
+	err := b.install(sh, ids, func(i int) gara.Handle { return reserved[i].handle }, func() {
+		b.proposeLocked(sh, reserved, now, expires)
+	})
+	if err != nil {
+		for _, m := range reserved {
+			b.resolve(m, err)
+		}
+		return
+	}
+
+	// Proposal is the one lifecycle step that never reaches persist —
+	// journal it explicitly: the proposed sessions hold allocator grants
+	// and GARA reservations that recovery must account for.
+	b.journalBatch("propose", sh, ids)
+	for _, m := range reserved {
+		b.resolve(m, nil)
+	}
+}
+
+// reserve creates the GARA reservation behind id's grant on sh,
+// idempotently: a retry after a lost reply adopts the reservation already
+// committed under the SLA's tag instead of double-committing it. On failure
+// the grant is released and the rollback journaled before the error comes
+// back.
+func (b *Broker) reserve(sh *shard, id sla.ID, spec string, start, end time.Time) (gara.Handle, error) {
+	tag := string(id)
+	handle, err := b.pol.callCreate("gara.create", tag, func() (gara.Handle, error) {
+		return b.cfg.GARA.Create(spec, start, end, tag)
+	})
+	if err != nil {
+		_ = sh.alloc.ReleaseGuaranteed(tag)
+		// A timed-out or partially-failed attempt may still have
+		// committed the reservation; park it so the reconciliation
+		// sweep cancels it rather than leaking it.
+		if h, ok := b.cfg.GARA.FindByTag(tag); ok {
+			b.parkCancel(id, h)
+		}
+		// The failed admission may have preempted best-effort grants;
+		// journal the shard's post-rollback aux or replay resurrects them.
+		b.journalShardAux("rollback", sh)
+	}
+	return handle, err
+}
+
+// install routes ids to sh and runs put — which registers their sessions —
+// under the shard lock. The routes go in before the sessions: a confirm
+// timer's expiry callback resolves its shard through them. If the broker
+// shut down while the sessions were negotiating, nothing is registered:
+// the routes, the grants and the reservations (handle(i) is ids[i]'s) are
+// walked back rather than leaked into a closed broker, and ErrClosed
+// returned.
+func (b *Broker) install(sh *shard, ids []sla.ID, handle func(i int) gara.Handle, put func()) error {
+	b.routeMu.Lock()
+	for _, id := range ids {
+		b.route[id] = sh
 	}
 	b.routeMu.Unlock()
 
-	now := b.clock.Now()
-	expires := now.Add(b.cfg.ConfirmWindow)
 	sh.mu.Lock()
-	if b.closed.Load() {
-		// The broker shut down while the batch was negotiating; undo the
-		// reservations rather than leak them into a closed broker.
+	if !b.closed.Load() {
+		put()
 		sh.mu.Unlock()
-		b.routeMu.Lock()
-		for _, id := range ids {
-			delete(b.route, id)
-		}
-		b.routeMu.Unlock()
-		for _, m := range reserved {
-			_ = sh.alloc.ReleaseGuaranteed(string(m.id))
-			_ = b.cfg.GARA.Cancel(m.handle)
-			b.resolve(m, ErrClosed)
-		}
-		b.journalShardAux("rollback", sh)
-		return
+		return nil
 	}
+	sh.mu.Unlock()
+	b.routeMu.Lock()
+	for _, id := range ids {
+		delete(b.route, id)
+	}
+	b.routeMu.Unlock()
+	for i, id := range ids {
+		_ = sh.alloc.ReleaseGuaranteed(string(id))
+		_ = b.cfg.GARA.Cancel(handle(i))
+	}
+	b.journalShardAux("rollback", sh)
+	return ErrClosed
+}
+
+// proposeLocked registers the batch's sessions as Proposed, arms their
+// confirm timers and snapshots their offers. The caller holds sh.mu.
+func (b *Broker) proposeLocked(sh *shard, reserved []*admission, now, expires time.Time) {
 	for _, m := range reserved {
 		id, allocated := m.id, m.grant.Granted
 		doc := &sla.Document{
@@ -456,15 +497,6 @@ func (b *Broker) commit(sh *shard, granted []*admission) {
 	} else {
 		b.logf("offer", "", "group-commit: %d offer(s) proposed in one batch (shard %d)",
 			len(reserved), sh.index)
-	}
-	sh.mu.Unlock()
-
-	// Proposal is the one lifecycle step that never reaches persist —
-	// journal it explicitly: the proposed sessions hold allocator grants
-	// and GARA reservations that recovery must account for.
-	b.journalBatch("propose", sh, ids)
-	for _, m := range reserved {
-		b.resolve(m, nil)
 	}
 }
 

@@ -264,16 +264,9 @@ func (b *Broker) installState(st *recoveredState) error {
 	}
 	sort.Strings(ids)
 
-	type shardMaps struct {
-		guaranteed map[string]resource.Capacity
-		floors     map[string]resource.Capacity
-	}
-	grants := make([]shardMaps, len(b.shards))
+	grants := make([]map[string]resource.Capacity, len(b.shards))
 	for i := range grants {
-		grants[i] = shardMaps{
-			guaranteed: make(map[string]resource.Capacity),
-			floors:     make(map[string]resource.Capacity),
-		}
+		grants[i] = make(map[string]resource.Capacity)
 	}
 
 	for _, idStr := range ids {
@@ -311,8 +304,7 @@ func (b *Broker) installState(st *recoveredState) error {
 		// the document's allocation (the invariant the oracle enforces
 		// live), so the allocator rebuilds from the documents.
 		if !rec.Doc.State.Terminal() {
-			grants[rec.Shard].guaranteed[idStr] = rec.Doc.Allocated
-			grants[rec.Shard].floors[idStr] = rec.Doc.Spec.Floor()
+			grants[rec.Shard][idStr] = rec.Doc.Allocated
 		}
 	}
 
@@ -325,7 +317,7 @@ func (b *Broker) installState(st *recoveredState) error {
 		for _, g := range aux.BestEffort {
 			be = append(be, BEState{User: g.User, Granted: g.Granted, Seq: g.Seq})
 		}
-		sh.alloc.Restore(grants[i].guaranteed, grants[i].floors, aux.Offline, be, aux.NextSeq)
+		sh.alloc.Restore(grants[i], aux.Offline, be, aux.NextSeq)
 	}
 
 	b.beMu.Lock()
@@ -350,7 +342,6 @@ func (b *Broker) installState(st *recoveredState) error {
 
 	b.nextID.Store(st.nextID)
 	b.ledger = pricing.RestoreLedger(pricingStateIn(st.ledger))
-	b.cfg.Ledger = b.ledger
 	return nil
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,12 +18,12 @@ import (
 // This file is the broker's RM-facing call policy: every call that
 // crosses into a resource manager (GARA create/modify/cancel/bind, the
 // RM adaptation hook, federation peers) runs under a RetryPolicy —
-// per-attempt timeout, bounded retries with jittered exponential
-// backoff — with budgets surfaced as obs counters. A faulted RM then
-// degrades gracefully: admission retries and adopts half-committed
-// reservations by tag instead of double-committing; teardown parks
-// uncancellable reservations for the reconciliation sweep; a hung
-// rectify probe times out and the scenario-3 ladder continues.
+// per-attempt timeout, bounded retries with exponential backoff — with
+// budgets surfaced as obs counters. A faulted RM then degrades
+// gracefully: admission retries and adopts half-committed reservations by
+// tag instead of double-committing; teardown parks uncancellable
+// reservations for the reconciliation sweep; a hung rectify probe times
+// out and the scenario-3 ladder continues.
 
 // ErrRMUnavailable is returned when an RM-facing call exhausts its
 // retry budget on transient failures. Admission maps it to an opaque
@@ -48,32 +47,9 @@ type RetryPolicy struct {
 	// tag-adoption and reconciliation paths exist for.
 	Timeout time.Duration
 	// Backoff is the base delay before the second attempt, doubling
-	// each retry. 0 retries immediately — REQUIRED under a manual
-	// clock, where nothing advances time during the sleep.
+	// each retry up to 16×Backoff. 0 retries immediately — REQUIRED
+	// under a manual clock, where nothing advances time during the sleep.
 	Backoff time.Duration
-	// MaxBackoff caps the doubled delay (default 16×Backoff).
-	MaxBackoff time.Duration
-	// JitterFrac spreads each delay uniformly within ±JitterFrac of
-	// itself (0..1, default 0 — deterministic delays).
-	JitterFrac float64
-	// Seed seeds the jitter PRNG, so delay schedules are reproducible.
-	Seed int64
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Attempts <= 0 {
-		p.Attempts = 1
-	}
-	if p.MaxBackoff <= 0 && p.Backoff > 0 {
-		p.MaxBackoff = 16 * p.Backoff
-	}
-	if p.JitterFrac < 0 {
-		p.JitterFrac = 0
-	}
-	if p.JitterFrac > 1 {
-		p.JitterFrac = 1
-	}
-	return p
 }
 
 // siteMetrics are the per-site budget counters.
@@ -91,7 +67,6 @@ type policyRunner struct {
 	p RetryPolicy
 
 	mu    sync.Mutex
-	rng   *rand.Rand
 	sites map[string]*siteMetrics
 
 	// Aggregate totals, exposed through Broker.RetryStats for
@@ -100,13 +75,10 @@ type policyRunner struct {
 }
 
 func newPolicyRunner(b *Broker, p RetryPolicy) *policyRunner {
-	p = p.withDefaults()
-	return &policyRunner{
-		b:     b,
-		p:     p,
-		rng:   rand.New(rand.NewSource(p.Seed)),
-		sites: make(map[string]*siteMetrics),
+	if p.Attempts <= 0 {
+		p.Attempts = 1
 	}
+	return &policyRunner{b: b, p: p, sites: make(map[string]*siteMetrics)}
 }
 
 func (r *policyRunner) metrics(site string) *siteMetrics {
@@ -230,31 +202,9 @@ func (r *policyRunner) attempt(site string, op func() error) error {
 }
 
 // delay computes the backoff before retry number attempt (1-based):
-// Backoff doubled per retry, capped at MaxBackoff, spread by
-// ±JitterFrac with the seeded PRNG.
+// Backoff doubled per retry, capped at 16×Backoff.
 func (r *policyRunner) delay(attempt int) time.Duration {
-	base := r.p.Backoff
-	if base <= 0 {
-		return 0
-	}
-	d := base
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if r.p.MaxBackoff > 0 && d >= r.p.MaxBackoff {
-			d = r.p.MaxBackoff
-			break
-		}
-	}
-	if r.p.MaxBackoff > 0 && d > r.p.MaxBackoff {
-		d = r.p.MaxBackoff
-	}
-	if r.p.JitterFrac > 0 {
-		r.mu.Lock()
-		f := 1 + r.p.JitterFrac*(2*r.rng.Float64()-1)
-		r.mu.Unlock()
-		d = time.Duration(float64(d) * f)
-	}
-	return d
+	return r.p.Backoff << min(attempt-1, 4)
 }
 
 // sleep blocks for d of clock time. Under a manual clock this parks

@@ -156,39 +156,9 @@ func decodeRequest(req xmlmsg.ServiceRequestXML) (Request, error) {
 	}, nil
 }
 
-// WireRetry is the transport-retry budget of a typed broker client,
-// shared by the SOAP and the JSON client.
-type WireRetry struct {
-	// Retries is the number of extra attempts after a transport-level
-	// failure (connection refused/reset, an injected wire fault): the
-	// request may never have reached the broker, so resending is the
-	// right move. Typed answers (SOAP faults, JSON API errors) are
-	// definitive and never retried. 0 keeps a single attempt.
-	Retries int
-	// RetryDelay is the pause between attempts, in real time — the
-	// client talks to live endpoints, not a simulated clock.
-	RetryDelay time.Duration
-}
-
-// Do runs one wire exchange under the budget: call is repeated while it
-// fails with an error matching transport, the wire's own "may not have
-// arrived" sentinel.
-func (r WireRetry) Do(transport error, call func() error) error {
-	for attempt := 0; ; attempt++ {
-		err := call()
-		if err == nil || !errors.Is(err, transport) || attempt >= r.Retries {
-			return err
-		}
-		if r.RetryDelay > 0 {
-			time.Sleep(r.RetryDelay)
-		}
-	}
-}
-
 // Client is a typed SOAP client for a remote AQoS broker.
 type Client struct {
 	SOAP soapx.Client
-	WireRetry
 }
 
 // NewClient returns a client for the broker at endpoint.
@@ -196,11 +166,11 @@ func NewClient(endpoint string) *Client {
 	return &Client{SOAP: soapx.Client{Endpoint: endpoint}}
 }
 
-// call sends one SOAP request under the client's transport-retry
-// budget. A fault carrying a taxonomy code comes back matching the
-// broker sentinel it names (and still matching *soapx.Fault).
+// call sends one SOAP request. A fault carrying a taxonomy code comes
+// back matching the broker sentinel it names (and still matching
+// *soapx.Fault).
 func (c *Client) call(request, response any) error {
-	err := c.Do(soapx.ErrTransport, func() error { return c.SOAP.Call(request, response) })
+	err := c.SOAP.Call(request, response)
 	var f *soapx.Fault
 	if errors.As(err, &f) {
 		err = WireError(f.Detail, err)
@@ -264,8 +234,7 @@ func (c *Client) Verify(id sla.ID) (*QoSLevelsXML, error) {
 	return &resp, nil
 }
 
-// LoadReport fetches the remote broker's current load for front-tier
-// placement.
+// LoadReport fetches the remote broker's current load.
 func (c *Client) LoadReport() (LoadReport, error) {
 	var resp loadReportXML
 	err := c.call(&xmlmsg.LoadReportRequestXML{}, &resp)

@@ -105,42 +105,23 @@ type Process struct {
 	Reports int
 }
 
-// Config tunes the scheduler.
+// Config sizes the scheduler.
 type Config struct {
-	// Processors is the number of CPUs; total reservable capacity is
-	// Processors × UtilBound.
+	// Processors is the number of CPUs, each fully reservable: total
+	// capacity is Processors shares (default 1).
 	Processors int
-	// UtilBound is the admission utilisation bound per processor
-	// (default 1.0; soft-real-time schedulers often keep headroom).
-	UtilBound float64
-	// Alpha is the EWMA weight for usage tracking (default 0.3).
-	Alpha float64
-	// Headroom is the safety margin system-initiated adaptation keeps
-	// above observed usage when shrinking a contract (default 0.1, i.e.
-	// reserve 110% of the observed average).
-	Headroom float64
-	// MinShare floors auto-adjusted contracts (default 0.01).
-	MinShare float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Processors <= 0 {
-		c.Processors = 1
-	}
-	if c.UtilBound <= 0 {
-		c.UtilBound = 1.0
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
-	if c.Headroom <= 0 {
-		c.Headroom = 0.1
-	}
-	if c.MinShare <= 0 {
-		c.MinShare = 0.01
-	}
-	return c
-}
+const (
+	// usageAlpha is the EWMA weight for usage tracking.
+	usageAlpha float64 = 0.3
+	// headroom is the safety margin system-initiated adaptation keeps
+	// above observed usage when shrinking a contract (reserve 110% of the
+	// observed average).
+	headroom float64 = 0.1
+	// minShare floors auto-adjusted contracts.
+	minShare float64 = 0.01
+)
 
 // AdjustmentFunc is notified when system-initiated adaptation changes a
 // process's contract (old and new shares). The AQoS broker uses this to
@@ -168,12 +149,15 @@ func (s *Scheduler) InjectFaults(inj *faultx.Injector) { s.faults = inj }
 
 // New returns a scheduler with the given configuration.
 func New(cfg Config, onAdjust AdjustmentFunc) *Scheduler {
-	return &Scheduler{cfg: cfg.withDefaults(), onAdjust: onAdjust, procs: make(map[PID]*Process)}
+	if cfg.Processors <= 0 {
+		cfg.Processors = 1
+	}
+	return &Scheduler{cfg: cfg, onAdjust: onAdjust, procs: make(map[PID]*Process)}
 }
 
 // Capacity returns the total reservable CPU share.
 func (s *Scheduler) Capacity() float64 {
-	return float64(s.cfg.Processors) * s.cfg.UtilBound
+	return float64(s.cfg.Processors)
 }
 
 // Reserved returns the sum of all contracted shares.
@@ -248,7 +232,7 @@ func (s *Scheduler) SetShare(pid PID, share float64) error {
 // one CPU) for the process and performs system-initiated adaptation for
 // PVPT/Aperiodic processes: the contract share converges toward "just
 // enough" — observed average usage plus headroom — never exceeding the
-// original bound of 1.0 and never below MinShare, and only when the change
+// original bound of 1.0 and never below minShare, and only when the change
 // passes the admission test (growing) or is a genuine shrink.
 func (s *Scheduler) ReportUsage(pid PID, usage float64) error {
 	if usage < 0 {
@@ -264,12 +248,12 @@ func (s *Scheduler) ReportUsage(pid PID, usage float64) error {
 	if p.Reports == 0 {
 		p.AvgUsage = usage
 	} else {
-		p.AvgUsage = s.cfg.Alpha*usage + (1-s.cfg.Alpha)*p.AvgUsage
+		p.AvgUsage = usageAlpha*usage + (1-usageAlpha)*p.AvgUsage
 	}
 	p.Reports++
 
 	if p.Contract.Class != PeriodicConstant {
-		target := math.Min(1.0, math.Max(s.cfg.MinShare, p.AvgUsage*(1+s.cfg.Headroom)))
+		target := math.Min(1.0, math.Max(minShare, p.AvgUsage*(1+headroom)))
 		old := p.Contract.Share
 		if math.Abs(target-old) > 0.01 { // dead-band to avoid churn
 			grow := target - old

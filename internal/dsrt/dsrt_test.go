@@ -211,7 +211,7 @@ func TestAdaptationGrowBlockedByAdmission(t *testing.T) {
 }
 
 func TestAdaptationFloorsAtMinShare(t *testing.T) {
-	s := New(Config{Processors: 1, MinShare: 0.05}, nil)
+	s := newTestSched(1)
 	pid, err := s.Register(Contract{Class: PeriodicVariable, Share: 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -222,8 +222,8 @@ func TestAdaptationFloorsAtMinShare(t *testing.T) {
 		}
 	}
 	p, _ := s.Get(pid)
-	if p.Contract.Share < 0.05-1e-9 {
-		t.Errorf("share %g fell below MinShare", p.Contract.Share)
+	if p.Contract.Share != minShare {
+		t.Errorf("share = %g after 60 idle periods, want the floor %g", p.Contract.Share, minShare)
 	}
 }
 

@@ -89,9 +89,10 @@ func (k Kind) String() string {
 // not name its kinds.
 var AllKinds = []Kind{KindError, KindLatency, KindHang, KindPartial, KindCrash}
 
-// Defaults for Plan fields left zero.
 const (
-	DefLatency  = 50 * time.Millisecond
+	// virtualLatency is the delay a KindLatency fault records.
+	virtualLatency = 50 * time.Millisecond
+	// DefCrashFor is Plan.CrashFor when left zero.
 	DefCrashFor = 10 * time.Minute
 )
 
@@ -104,9 +105,6 @@ type Plan struct {
 	// Kinds is the uniform mix drawn from when a fault fires; empty
 	// means AllKinds.
 	Kinds []Kind
-	// Latency is the virtual delay recorded by KindLatency faults
-	// (default DefLatency).
-	Latency time.Duration
 	// CrashFor is how long a KindCrash keeps the site down in clock
 	// time (default DefCrashFor).
 	CrashFor time.Duration
@@ -264,9 +262,8 @@ func (i *Injector) Total() int64 {
 
 // decision is the resolved outcome of one call at one site.
 type decision struct {
-	kind    Kind
-	latency time.Duration
-	block   chan struct{} // non-nil: really block on it (BlockOnHang)
+	kind  Kind
+	block chan struct{} // non-nil: really block on it (BlockOnHang)
 }
 
 // decide rolls the site's plan. It holds the mutex for the whole roll
@@ -307,11 +304,7 @@ func (i *Injector) decide(site string) decision {
 	d := decision{kind: k}
 	switch k {
 	case KindLatency:
-		d.latency = p.Latency
-		if d.latency <= 0 {
-			d.latency = DefLatency
-		}
-		i.virtual = append(i.virtual, d.latency)
+		i.virtual = append(i.virtual, virtualLatency)
 	case KindHang:
 		if p.BlockOnHang && !i.released {
 			d.block = make(chan struct{})

@@ -95,14 +95,14 @@ func TestPartialFaultCommitsThenFails(t *testing.T) {
 
 func TestLatencyFaultRecordsVirtualTime(t *testing.T) {
 	i := New(1, clockx.NewManual(epoch))
-	i.SetPlan("s", Plan{Rate: 1, Kinds: []Kind{KindLatency}, Latency: 80 * time.Millisecond})
+	i.SetPlan("s", Plan{Rate: 1, Kinds: []Kind{KindLatency}})
 	for k := 0; k < 10; k++ {
 		if err := i.Do("s", func() error { return nil }); err != nil {
 			t.Fatalf("latency fault must not fail the op: %v", err)
 		}
 	}
-	if got := i.VirtualP95MS(); got != 80 {
-		t.Fatalf("VirtualP95MS = %v, want 80", got)
+	if got := i.VirtualP95MS(); got != 50 {
+		t.Fatalf("VirtualP95MS = %v, want 50", got)
 	}
 	if n := i.CountsByKind()["latency"]; n != 10 {
 		t.Fatalf("latency count = %d, want 10", n)

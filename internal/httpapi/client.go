@@ -13,15 +13,13 @@ import (
 )
 
 // Client is the typed JSON-API counterpart of core.Client: same
-// operations, same retry budget, and wire errors come back as the
-// broker's own sentinels — errors.Is against core.ErrOverBudget &c.
-// works through the transport.
+// operations, and wire errors come back as the broker's own sentinels —
+// errors.Is against core.ErrOverBudget &c. works through the transport.
 type Client struct {
 	// Endpoint is the broker's base URL (no /api/v1 suffix).
 	Endpoint string
 	// HTTPClient defaults to http.DefaultClient.
 	HTTPClient *http.Client
-	core.WireRetry
 }
 
 // NewClient returns a client for the broker at endpoint.
@@ -30,7 +28,7 @@ func NewClient(endpoint string) *Client {
 }
 
 // call posts body to op (or GETs when body is nil) and decodes the JSON
-// response into out, under the transport-retry budget.
+// response into out.
 func (c *Client) call(method, op string, body, out any) error {
 	var payload []byte
 	if body != nil {
@@ -40,10 +38,6 @@ func (c *Client) call(method, op string, body, out any) error {
 			return fmt.Errorf("httpapi: marshal request: %w", err)
 		}
 	}
-	return c.Do(ErrTransport, func() error { return c.exchange(method, op, payload, out) })
-}
-
-func (c *Client) exchange(method, op string, payload []byte, out any) error {
 	hc := c.HTTPClient
 	if hc == nil {
 		hc = http.DefaultClient

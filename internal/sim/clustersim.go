@@ -42,9 +42,6 @@ type ClusterSimConfig struct {
 	Clients int
 	// Seed drives the deterministic request-size schedule.
 	Seed int64
-	// Placement is the front tier's policy (default consistent hash,
-	// the deterministic one the parity gate uses).
-	Placement cluster.Placement
 	// Shards is the per-broker shard count (default 1).
 	Shards int
 }
@@ -204,7 +201,7 @@ func RunClusterSim(cfg ClusterSimConfig) (*Report, error) {
 	plan := clusterPlan()
 	topo, err := newTopology(topoConfig{
 		Base:    stack.Config{Plan: plan, Shards: cfg.Shards},
-		Brokers: cfg.Brokers, Placement: cfg.Placement,
+		Brokers: cfg.Brokers,
 	})
 	if err != nil {
 		return nil, err
@@ -220,7 +217,7 @@ func RunClusterSim(cfg ClusterSimConfig) (*Report, error) {
 		name := fmt.Sprintf("client-%06d", i)
 		if i%97 == 96 {
 			// Oversized probe: more CPU than the whole cluster owns —
-			// must be rejected by every member, under any placement.
+			// must be rejected by every member.
 			return w.guaranteedRequest(name, sla.Exact(resource.CPU, plan.Total().CPU+16))
 		}
 		return w.guaranteedRequest(name,
@@ -233,7 +230,7 @@ func RunClusterSim(cfg ClusterSimConfig) (*Report, error) {
 		return nil, err
 	}
 	return e.report("cluster", map[string]any{"brokers": cfg.Brokers, "shards": cfg.Shards, "clients": cfg.Clients,
-		"seed": cfg.Seed, "placement": cfg.Placement.String(), "window": clusterWindow}).Seal(), nil
+		"seed": cfg.Seed, "placement": cluster.PlaceHash.String(), "window": clusterWindow}).Seal(), nil
 }
 
 // HandoffCrashConfig sizes a RunHandoffCrash run.
@@ -262,7 +259,7 @@ func RunHandoffCrash(cfg HandoffCrashConfig) (*Report, error) {
 	orDefault(&cfg.Sessions, 48)
 	topo, err := newTopology(topoConfig{
 		Base:    stack.Config{Plan: clusterPlan(), Shards: 1, WALDir: cfg.Dir},
-		Brokers: cfg.Brokers, Placement: cluster.PlaceHash, Durable: true,
+		Brokers: cfg.Brokers, Durable: true,
 	})
 	if err != nil {
 		return nil, err

@@ -64,8 +64,7 @@ type topoConfig struct {
 	Base stack.Config
 	// Brokers > 0 puts that many members behind a cluster.Front, with
 	// Base.Plan split across them; 0 is a single broker driven directly.
-	Brokers   int
-	Placement cluster.Placement
+	Brokers int
 	// FaultRate > 0 installs a fault injector seeded with Seed on every
 	// substrate and RM-facing call site; 0 means no injector at all.
 	FaultRate float64
@@ -125,7 +124,7 @@ func newTopology(cfg topoConfig) (_ *topology, err error) {
 		// clock, and a backoff sleep would park forever with nobody
 		// advancing time. Timed-out hang attempts charge the 2 s
 		// deadline to the virtual latency accounting instead.
-		base.RMPolicy = core.RetryPolicy{Attempts: 3, Timeout: 2 * time.Second, Seed: cfg.Seed}
+		base.RMPolicy = core.RetryPolicy{Attempts: 3, Timeout: 2 * time.Second}
 	}
 
 	parts := []core.CapacityPlan{base.Plan}
@@ -152,7 +151,7 @@ func newTopology(cfg topoConfig) (_ *topology, err error) {
 		slots[i] = cluster.NewSlot(c.Broker)
 	}
 	if cfg.Brokers > 0 {
-		if t.front, err = cluster.New(cluster.Config{Placement: cfg.Placement}, slots...); err != nil {
+		if t.front, err = cluster.New(cluster.Config{}, slots...); err != nil {
 			return nil, err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"time"
 
 	"gqosm/internal/core"
@@ -394,20 +395,5 @@ func Replay(trace []Arrival, policy Policy, failures []FailureEvent) ReplayStats
 }
 
 func idOf(i int) string {
-	return "u" + itoa(i)
-}
-
-func itoa(i int) string {
-	// strconv.Itoa without the import churn in hot loops.
-	if i == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	pos := len(buf)
-	for i > 0 {
-		pos--
-		buf[pos] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(buf[pos:])
+	return "u" + strconv.Itoa(i)
 }

@@ -42,11 +42,9 @@ type Config struct {
 	// service named "simulation" advertising the full capacity is
 	// registered.
 	Services []registry.Service
-	// Topology optionally provides a multi-domain network; when set,
-	// NetworkDomain selects the domain this stack's NRM administers
-	// (default Domain).
-	Topology      *nrm.Topology
-	NetworkDomain string
+	// Topology optionally provides a multi-domain network; when set, the
+	// stack's NRM administers Domain within it.
+	Topology *nrm.Topology
 	// ConfirmWindow bounds how long offers hold temporary reservations
 	// (default 2 minutes).
 	ConfirmWindow time.Duration
@@ -71,9 +69,6 @@ type Config struct {
 	// independently locked allocators behind a least-loaded placement
 	// layer (default 1, the classic monolithic domain).
 	Shards int
-	// EventLogCap bounds the broker's in-memory activity log (default
-	// 8192 events; oldest evicted first).
-	EventLogCap int
 	// DisableCaches turns the broker's hot-path discovery cache off; the
 	// uncached broker is the reference the cache tests compare against.
 	DisableCaches bool
@@ -90,15 +85,12 @@ type Config struct {
 	// the historical single direct attempt with no timeout.
 	RMPolicy core.RetryPolicy
 	// WALDir, when set, makes the broker durable: lifecycle records
-	// journal to a write-ahead log in that directory with periodic
-	// snapshots, and a restart with the same WALDir recovers the dead
-	// broker's sessions, allocator book and ledger, then reconciles
-	// reservations against the RMs. Empty keeps the historical
-	// in-memory broker.
+	// journal to a write-ahead log in that directory with a snapshot
+	// every wal.DefSnapshotEvery records, and a restart with the same
+	// WALDir recovers the dead broker's sessions, allocator book and
+	// ledger, then reconciles reservations against the RMs. Empty keeps
+	// the historical in-memory broker.
 	WALDir string
-	// WALSnapshotEvery is the snapshot cadence in WAL records (0 = the
-	// package default, 256). Only meaningful with WALDir.
-	WALSnapshotEvery int
 	// Intake enables the group-commit admission intake: concurrent
 	// RequestService calls (in-process, SOAP or JSON) queued behind the
 	// same flush leader share one allocator pass and one WAL fsync. The
@@ -170,11 +162,7 @@ func New(cfg Config) (*Stack, error) {
 
 	var netMgr *nrm.Manager
 	if cfg.Topology != nil {
-		domain := cfg.NetworkDomain
-		if domain == "" {
-			domain = cfg.Domain
-		}
-		netMgr = nrm.NewManager(domain, cfg.Topology)
+		netMgr = nrm.NewManager(cfg.Domain, cfg.Topology)
 		netMgr.InjectFaults(cfg.Faults)
 		netMgr.Instrument(cfg.Obs)
 		g.RegisterManager(gara.WrapManager(gara.NewNetworkManager(netMgr), cfg.Faults))
@@ -248,12 +236,11 @@ func New(cfg Config) (*Stack, error) {
 		ConfirmWindow:    cfg.ConfirmWindow,
 		MinOptimizerGain: cfg.MinOptimizerGain,
 		Shards:           cfg.Shards,
-		EventLogCap:      cfg.EventLogCap,
 		DisableCaches:    cfg.DisableCaches,
 		Obs:              cfg.Obs,
 		Faults:           cfg.Faults,
 		RMPolicy:         cfg.RMPolicy,
-		Durability:       core.DurabilityConfig{Dir: cfg.WALDir, SnapshotEvery: cfg.WALSnapshotEvery},
+		Durability:       core.DurabilityConfig{Dir: cfg.WALDir},
 		Intake:           cfg.Intake,
 		Policy:           cfg.Policy,
 		ShadowPolicy:     cfg.ShadowPolicy,

@@ -106,9 +106,9 @@ type BestEffortRequestXML struct {
 	Release bool `xml:"Release,omitempty"`
 }
 
-// LoadReportRequestXML asks a broker for its current load, the signal
-// the cluster front tier places admissions by; the load_report reply is
-// core.LoadReport itself.
+// LoadReportRequestXML asks a broker for its current load — what `qosctl
+// load` prints and the per-broker block of a cluster report carries; the
+// load_report reply is core.LoadReport itself.
 type LoadReportRequestXML struct {
 	XMLName xml.Name `xml:"load_report_request"`
 }
