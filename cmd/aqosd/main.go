@@ -57,8 +57,8 @@ func run() error {
 		walDir     = flag.String("wal-dir", "", "durability directory: lifecycle WAL + snapshots; a restart with the same directory recovers the broker's state")
 		intake     = flag.Bool("intake", false, "enable the group-commit admission intake: concurrent JSON-API admissions share one allocator pass and one WAL fsync per batch")
 		intakeWait = flag.Duration("intake-flush", 0, "with -intake: idle flush interval bounding how long a queued admission waits for company (0 = flush on demand)")
-		policy     = flag.String("policy", "", "adaptation policy (default \"paper\"; see qosctl policies for the registry)")
-		shadowPol  = flag.String("shadow-policy", "", "consult this candidate policy in shadow at every decision point, counting divergence without affecting live decisions")
+		policy     = flag.String("policy", "", "adaptation policy (default \"paper\"; see qosctl policies for the table)")
+		shadowPol  = flag.String("shadow-policy", "", "consult this candidate policy in shadow at every partition grant, counting divergence without affecting live decisions")
 		peers      peerFlags
 	)
 	flag.Var(&peers, "peer", "neighboring AQoS endpoint as name=url (repeatable); requests this domain cannot serve are forwarded")

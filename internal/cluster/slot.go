@@ -84,8 +84,8 @@ func (s *Slot) PeerRequest(req core.Request) (*core.Offer, error) {
 	return b.PeerRequest(req)
 }
 
-// PeerReject retracts a losing offer on the slot's broker (exported
-// method, so a Slot satisfies core's internal peerRejecter too).
+// PeerReject implements core.Peer: it retracts a losing offer on the
+// slot's broker.
 func (s *Slot) PeerReject(id sla.ID) error { return s.Broker().PeerReject(id) }
 
 // Load fetches the slot's load report; recovering slots report

@@ -119,7 +119,7 @@ type Allocator struct {
 	// whether its (clamped) answer diverged. Both are read under mu.
 	policy   Policy
 	shadow   Policy
-	onShadow func(family string, diverged bool)
+	onShadow func(diverged bool)
 
 	// view is the atomically published read snapshot: every mutator
 	// recomputes it under mu just before unlocking, so read methods
@@ -221,36 +221,29 @@ func NewAllocator(plan CapacityPlan) (*Allocator, error) {
 	}
 	a := &Allocator{
 		plan:       plan,
-		policy:     defaultPolicy,
+		policy:     paperPolicy{},
 		guaranteed: make(map[string]resource.Capacity),
 	}
 	a.publishLocked() // no concurrency yet; publish the idle view
 	return a, nil
 }
 
-// SetPolicy installs the active partition policy (nil restores the paper
-// default). Call before serving traffic.
+// SetPolicy installs the active partition policy in place of the paper
+// default. Call before serving traffic.
 func (a *Allocator) SetPolicy(p Policy) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if p == nil {
-		p = defaultPolicy
-	}
 	a.policy = p
 }
 
 // SetShadow installs a candidate policy consulted in shadow at every
-// admission; record receives the divergence verdicts. Passing nil
-// disables shadowing. Record must be cheap and must not call back into
-// the allocator: it runs under a.mu.
-func (a *Allocator) SetShadow(p Policy, record func(family string, diverged bool)) {
+// admission; record receives each consultation's divergence verdict.
+// Record must be cheap and must not call back into the allocator: it
+// runs under a.mu.
+func (a *Allocator) SetShadow(p Policy, record func(diverged bool)) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.shadow = p
-	if record == nil {
-		record = func(string, bool) {}
-	}
-	a.onShadow = record
+	a.shadow, a.onShadow = p, record
 }
 
 // Plan returns the partition.
@@ -412,7 +405,7 @@ func (a *Allocator) allocateGuaranteedLocked(user string, requested, floor resou
 	kind := clampGrant(a.policy.PartitionGrant(view, requested, floor), view, requested, floor)
 	if a.shadow != nil {
 		cand := clampGrant(a.shadow.PartitionGrant(view, requested, floor), view, requested, floor)
-		a.onShadow("partition", cand != kind)
+		a.onShadow(cand != kind)
 	}
 
 	var res GrantResult

@@ -555,3 +555,41 @@ func TestCoverage(t *testing.T) {
 		t.Errorf("memory coverage = %g", got.MemoryMB)
 	}
 }
+
+// TestAdvisoryReadsUsePaperBound pins a skew (ROADMAP 3(v), DESIGN.md
+// §16): the published view — AvailableGuaranteed, AdmissionBound,
+// LoadFactor — is computed from the paper's bound min(C_G, C_G_eff + C_A)
+// whatever policy answers the grants. Under revenue-greedy (bound C_G_eff
+// + C_A/2 = 12 here) the reads say "full" one node before the policy
+// does, so compensate's stop condition, the controlled-load pre-clamp,
+// the optimizer's headroom and the placement pre-filter all reason
+// against a bound the active policy does not use. A change that makes
+// the reads follow the policy moves every candidate digest: it has to
+// change this test and say so.
+func TestAdvisoryReadsUsePaperBound(t *testing.T) {
+	a, err := NewAllocator(CapacityPlan{
+		Guaranteed: resource.Nodes(10), Adaptive: resource.Nodes(4), BestEffort: resource.Nodes(2),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	greedy, _ := LookupPolicy("revenue-greedy")
+	a.SetPolicy(greedy)
+
+	if res, err := a.AllocateGuaranteed("u", resource.Nodes(11), resource.Nodes(11)); err != nil || !res.Granted.Equal(resource.Nodes(11)) {
+		t.Fatalf("11 nodes under revenue-greedy: granted %v, err %v; want all 11 (one past C_G)", res.Granted, err)
+	}
+	if got := a.AvailableGuaranteed(); !got.IsZero() {
+		t.Errorf("AvailableGuaranteed = %v, want nothing: the read follows the paper's bound", got)
+	}
+	if got := a.AdmissionBound(); !got.Equal(resource.Nodes(10)) {
+		t.Errorf("AdmissionBound = %v, want the paper's 10 nodes", got)
+	}
+	if got := a.LoadFactor(); got < 1.1-1e-9 || got > 1.1+1e-9 {
+		t.Errorf("LoadFactor = %g, want 1.1 (11 held against the paper's 10)", got)
+	}
+	// ...and yet the policy still has a node to give.
+	if res, err := a.AllocateGuaranteed("v", resource.Nodes(1), resource.Nodes(1)); err != nil || !res.Granted.Equal(resource.Nodes(1)) {
+		t.Errorf("1 more node: granted %v, err %v; want it granted although the reads say full", res.Granted, err)
+	}
+}

@@ -115,16 +115,15 @@ type Config struct {
 	// admission pipeline. The zero value admits each RequestService
 	// inline on its caller's goroutine.
 	Intake IntakeConfig
-	// Policy names the registered adaptation policy (see adaptpolicy.go)
-	// driving partition grants, optimizer passes, compensation ladders
-	// and shard placement. Empty selects "paper", the heuristics from
-	// the source paper.
+	// Policy names the adaptation policy (see adaptpolicy.go) answering
+	// Algorithm-1 partition grants. Empty selects "paper", the admission
+	// rule from the source paper.
 	Policy string
-	// ShadowPolicy, when set, names a registered candidate policy
-	// consulted at every decision point against the same side-effect-free
-	// view the active policy sees. Divergence is counted in
-	// gqosm_shadow_divergence_total{family}; live decisions are never
-	// affected.
+	// ShadowPolicy, when set, names a candidate policy consulted at every
+	// partition grant against the same values-only view the active
+	// policy sees. Divergence is counted in
+	// gqosm_shadow_divergence_total{family="partition"}; live decisions
+	// are never affected.
 	ShadowPolicy string
 }
 
@@ -271,35 +270,26 @@ type Broker struct {
 	policy    Policy
 	shadowPol Policy
 
-	// shadowEvals / shadowDiv count shadow consultations and divergences
-	// by decision family; registered only when a shadow policy is
-	// configured so brokers without one expose exactly the historical
-	// metric set.
-	shadowEvals *obs.Counter
-	shadowDiv   map[string]*obs.Counter
+	// shadowEvals / shadowDiv count shadow consultations and how many of
+	// them diverged; registered only when a shadow policy is configured
+	// so brokers without one expose exactly the historical metric set.
+	shadowEvals, shadowDiv *obs.Counter
 }
 
-// ShadowFamilies are the instrumented decision families, the label values
-// of gqosm_shadow_divergence_total.
-var ShadowFamilies = []string{"ladder", "optimize", "partition", "placement"}
+// shadowCounters resolves the shadow counter pair in reg: consultations,
+// and those whose answer differed from the active policy's. The partition
+// grant is the one decision behind Policy, hence the one family label.
+func shadowCounters(reg *obs.Registry) (evals, diverged *obs.Counter) {
+	return reg.Counter("gqosm_shadow_evaluations_total", "Shadow policy consultations at live decision points"),
+		reg.Counter("gqosm_shadow_divergence_total", "Shadow decisions diverging from the active policy, by decision family", "family", "partition")
+}
 
-// Help strings for the shadow counters, shared with ShadowCounts so a
-// post-run reader resolves the identical metric.
-const (
-	shadowEvalsHelp = "Shadow policy consultations at live decision points"
-	shadowDivHelp   = "Shadow decisions diverging from the active policy, by decision family"
-)
-
-// ShadowCounts reads the shadow consultation counters back out of a
-// registry after a run (reading a counter that never incremented yields
-// zero — the obs registry creates on first touch).
-func ShadowCounts(reg *obs.Registry) (evals int64, divergence map[string]int64) {
-	evals = reg.Counter("gqosm_shadow_evaluations_total", shadowEvalsHelp).Value()
-	divergence = make(map[string]int64, len(ShadowFamilies))
-	for _, fam := range ShadowFamilies {
-		divergence[fam] = reg.Counter("gqosm_shadow_divergence_total", shadowDivHelp, "family", fam).Value()
-	}
-	return evals, divergence
+// ShadowCounts reads the shadow counter pair back out of a registry after
+// a run (reading a counter that never incremented yields zero — the obs
+// registry creates on first touch).
+func ShadowCounts(reg *obs.Registry) (evals, diverged int64) {
+	e, d := shadowCounters(reg)
+	return e.Value(), d.Value()
 }
 
 // NewBroker assembles a broker from the config. When durability is
@@ -385,11 +375,7 @@ func newBroker(cfg Config) (*Broker, error) {
 		shadowPol:      shadowPol,
 	}
 	if b.shadowPol != nil {
-		b.shadowEvals = b.obs.Counter("gqosm_shadow_evaluations_total", shadowEvalsHelp)
-		b.shadowDiv = make(map[string]*obs.Counter, len(ShadowFamilies))
-		for _, fam := range ShadowFamilies {
-			b.shadowDiv[fam] = b.obs.Counter("gqosm_shadow_divergence_total", shadowDivHelp, "family", fam)
-		}
+		b.shadowEvals, b.shadowDiv = shadowCounters(b.obs)
 	}
 	b.pol = newPolicyRunner(b, cfg.RMPolicy)
 	if !cfg.DisableCaches {
@@ -460,19 +446,13 @@ func (b *Broker) Close() {
 // default — have exactly one; multi-shard callers use Allocators.
 func (b *Broker) Allocator() *Allocator { return b.shards[0].alloc }
 
-// recordShadow counts one shadow consultation in the given decision
-// family. It is called with allocator or shard locks held, so it only
-// touches atomic counters. Nil-safe: a broker without a shadow policy
-// never registers the counters and the nil *obs.Counter receivers no-op.
-func (b *Broker) recordShadow(family string, diverged bool) {
-	if b.shadowEvals == nil {
-		return
-	}
+// recordShadow counts one shadow consultation. It is called with the
+// allocator lock held, so it only touches atomic counters; it is installed
+// (Allocator.SetShadow) only on a broker that has a shadow policy.
+func (b *Broker) recordShadow(diverged bool) {
 	b.shadowEvals.Inc()
 	if diverged {
-		if c, ok := b.shadowDiv[family]; ok {
-			c.Inc()
-		}
+		b.shadowDiv.Inc()
 	}
 }
 
@@ -496,7 +476,7 @@ type PolicyReport struct {
 	Policies []string `json:"policies"`
 }
 
-// Policies returns the active/shadow policy names plus the full registry.
+// Policies returns the active/shadow policy names plus the policy table.
 func (b *Broker) Policies() PolicyReport {
 	return PolicyReport{
 		Active:   b.PolicyName(),

@@ -366,6 +366,26 @@ func TestRejectReleasesResources(t *testing.T) {
 	}
 }
 
+// TestCompensationOrders pins the scenario-1 ladder ordering: the
+// cheapest session first (price, then ID).
+func TestCompensationOrders(t *testing.T) {
+	ts := []ladderTarget{
+		{id: "a", price: 5},
+		{id: "c", price: 2},
+		{id: "d", price: 9},
+		{id: "b", price: 1},
+		{id: "e", price: 2},
+	}
+	cheapestFirst(ts)
+	ids := make([]string, len(ts))
+	for i, t := range ts {
+		ids[i] = string(t.id)
+	}
+	if got, want := strings.Join(ids, ","), "b,c,e,a,d"; got != want {
+		t.Errorf("ladder order = %s, want %s", got, want)
+	}
+}
+
 func TestScenario1CompensationByDegradation(t *testing.T) {
 	h := newHarness(t)
 	b := h.broker

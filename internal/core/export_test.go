@@ -15,3 +15,7 @@ func (b *Broker) IssuePromotions()               { b.issuePromotions() }
 func (b *Broker) HandleDegradation(id sla.ID, measured resource.Capacity) {
 	b.handleDegradation(id, measured)
 }
+
+// AppendPolicy adds a test double to the policy table of this test
+// binary, so a broker can be configured with it by name. Call from init.
+func AppendPolicy(p Policy) { policies = append(policies, p) }

@@ -27,6 +27,9 @@ type Peer interface {
 	PeerDomain() string
 	// PeerRequest forwards a service request.
 	PeerRequest(req Request) (*Offer, error)
+	// PeerReject retracts a proposed SLA: the federation cleans up offers
+	// that lost the registration-order race with it.
+	PeerReject(id sla.ID) error
 }
 
 // PeerDomain implements Peer for the local broker.
@@ -35,7 +38,7 @@ func (b *Broker) PeerDomain() string { return b.cfg.Domain }
 // PeerRequest implements Peer for the local broker.
 func (b *Broker) PeerRequest(req Request) (*Offer, error) { return b.RequestService(req) }
 
-// PeerReject implements peerRejecter for the local broker.
+// PeerReject implements Peer for the local broker.
 func (b *Broker) PeerReject(id sla.ID) error { return b.Reject(id) }
 
 var _ Peer = (*Broker)(nil)
@@ -206,13 +209,6 @@ type peerResult struct {
 	err   error
 }
 
-// peerRejecter is the optional retraction half of Peer: a peer that can
-// reject a proposed SLA lets the federation clean up offers that lost the
-// registration-order race. Both *Broker and *PeerClient implement it.
-type peerRejecter interface {
-	PeerReject(id sla.ID) error
-}
-
 // retractLosers drains the still-pending results of peers that lost to an
 // earlier-registered winner and rejects any offer they produced.
 func retractLosers(peers []Peer, results []chan peerResult) {
@@ -221,9 +217,7 @@ func retractLosers(peers []Peer, results []chan peerResult) {
 		if r.err != nil || r.offer == nil {
 			continue
 		}
-		if rej, ok := p.(peerRejecter); ok {
-			_ = rej.PeerReject(r.offer.SLA.ID)
-		}
+		_ = p.PeerReject(r.offer.SLA.ID)
 	}
 }
 
@@ -278,7 +272,7 @@ func (p *PeerClient) PeerRequest(req Request) (*Offer, error) {
 	return offer, nil
 }
 
-// PeerReject implements peerRejecter: a losing concurrent offer is
+// PeerReject implements Peer: a losing concurrent offer is
 // rejected on the remote broker so its temporary reservation is freed
 // immediately instead of lapsing with the confirm window.
 func (p *PeerClient) PeerReject(id sla.ID) error {
@@ -287,5 +281,3 @@ func (p *PeerClient) PeerReject(id sla.ID) error {
 }
 
 var _ Peer = (*PeerClient)(nil)
-var _ peerRejecter = (*PeerClient)(nil)
-var _ peerRejecter = (*Broker)(nil)

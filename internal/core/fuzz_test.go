@@ -336,9 +336,9 @@ func FuzzBrokerOps(f *testing.F) {
 // shadowing off and on, and every externally visible outcome (plus the
 // final capacity accounting) must match; the invariant oracle runs after
 // each step of both runs. The candidate pool includes test-mutator, a
-// policy that scribbles on every view it is handed, so a state leak in
-// the cloning layer is caught even if the honest candidates never
-// trigger it. go test -fuzz=FuzzPolicyDecisions ./internal/core
+// policy that scribbles on every view it is handed, so a view that
+// stopped being a copy is caught even if the honest candidates never
+// write to it. go test -fuzz=FuzzPolicyDecisions ./internal/core
 //
 // data[0] selects the candidate, data[1] the shard count (1–3), and the
 // rest is the driveOps/driveShardedOps op stream.
@@ -346,13 +346,13 @@ func FuzzPolicyDecisions(f *testing.F) {
 	f.Add(append([]byte{0, 0}, seedStream(1955, 40)...))
 	f.Add(append([]byte{1, 0}, seedStream(2003, 40)...))
 	f.Add(append([]byte{0, 1}, seedStream(1789, 40)...))
-	// Saturate the guaranteed partition so revenue-greedy diverges on the
-	// partition family while the paper policy keeps refusing.
+	// Saturate the guaranteed partition so revenue-greedy diverges while
+	// the paper policy keeps refusing.
 	f.Add(append([]byte{0, 0}, 0, 0x0e, 3, 0, 0, 0x0e, 3, 0, 0, 0x0e, 3, 0, 0, 0x0e))
-	// Degrade-willing sessions under failure pressure: a compensation
-	// ladder with several rungs, which the mutator reorders and rewrites.
+	// Degrade-willing sessions under failure pressure: compensation and
+	// restoration re-grant live sessions with the mutator consulted.
 	f.Add(append([]byte{1, 0}, 1, 0xa7, 1, 0xa5, 1, 0xa3, 3, 0, 3, 0, 3, 0, 8, 8, 8, 12))
-	// The mutator on a sharded broker: placement views are copied too.
+	// The mutator on a sharded broker: one consulting allocator per shard.
 	f.Add(append([]byte{1, 2}, seedStream(1955, 40)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 2048 {

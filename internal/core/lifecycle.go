@@ -709,14 +709,7 @@ func (b *Broker) optimizeShard(sh *shard) (OptimizeOutcome, error) {
 	}
 	problem.Capacity = capacity
 
-	res, err := b.policy.Optimize(problem)
-	if b.shadowPol != nil {
-		// The shadow candidate solves a deep clone: a solver that mutated
-		// its problem (specs, service list) must not reach the live copies
-		// the apply loop below still reads.
-		sres, serr := b.shadowPol.Optimize(problem.Clone())
-		b.recordShadow("optimize", !sameAssignment(res, err, sres, serr))
-	}
+	res, err := Greedy(problem)
 	if err != nil {
 		return out, err
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -550,6 +551,24 @@ func (b *Broker) discover(req Request, floor resource.Capacity) (registry.Key, e
 	return matches[0].Key, nil
 }
 
+// ladderTarget is one rung of a scenario-1 compensation ladder: a session
+// willing to be degraded (or terminated), and its current revenue.
+type ladderTarget struct {
+	id    sla.ID
+	price float64
+}
+
+// cheapestFirst sorts a ladder into the order victims are taken: cheapest
+// session first, by (price, id), minimizing provider impact.
+func cheapestFirst(ts []ladderTarget) {
+	sort.Slice(ts, func(i, j int) bool {
+		if ts[i].price != ts[j].price {
+			return ts[i].price < ts[j].price
+		}
+		return ts[i].id < ts[j].id
+	})
+}
+
 // compensate implements scenario 1: "adaptation can be used to free
 // resources to accommodate the new request by adjusting resource
 // allocations of active services while still satisfying their SLAs. …
@@ -564,17 +583,17 @@ func (b *Broker) compensate(sh *shard, needed resource.Capacity) (bool, error) {
 	// Snapshot everything the ladder ordering reads while sh.mu is held:
 	// the documents stay owned by the shard and may be mutated (price,
 	// state) by concurrent lifecycle calls once the lock is released.
-	var degradable, terminable []LadderTarget
+	var degradable, terminable []ladderTarget
 	for id, s := range sh.sessions {
 		if s.doc.State != sla.StateActive && s.doc.State != sla.StateEstablished {
 			continue
 		}
 		floor := s.doc.Spec.Floor()
 		if s.doc.Adapt.AcceptDegradation && !s.doc.Allocated.Sub(floor).ClampMin(resource.Capacity{}).IsZero() {
-			degradable = append(degradable, LadderTarget{ID: id, Price: s.doc.Price, Recovered: s.doc.Allocated.Sub(floor)})
+			degradable = append(degradable, ladderTarget{id: id, price: s.doc.Price})
 		}
 		if s.doc.Adapt.AcceptTermination {
-			terminable = append(terminable, LadderTarget{ID: id, Price: s.doc.Price, Recovered: s.doc.Allocated})
+			terminable = append(terminable, ladderTarget{id: id, price: s.doc.Price})
 		}
 	}
 	sh.mu.Unlock()
@@ -583,29 +602,15 @@ func (b *Broker) compensate(sh *shard, needed resource.Capacity) (bool, error) {
 		return false, fmt.Errorf("core: no active SLA accepts degradation or termination")
 	}
 
-	// The policy decides the victim order (the paper's: cheapest first by
-	// (price, id), minimizing provider impact). The shadow candidate sorts
-	// its own copy of the pre-sort ladder so the comparison is
-	// order-independent and side-effect-free.
-	sortTargets := func(ts []LadderTarget) {
-		if b.shadowPol != nil && len(ts) > 1 {
-			cand := append([]LadderTarget(nil), ts...)
-			b.shadowPol.CompensationOrder(cand)
-			b.policy.CompensationOrder(ts)
-			b.recordShadow("ladder", !sameLadderOrder(ts, cand))
-			return
-		}
-		b.policy.CompensationOrder(ts)
-	}
-	sortTargets(degradable)
-	sortTargets(terminable)
+	cheapestFirst(degradable)
+	cheapestFirst(terminable)
 
 	freed := false
 	for _, t := range degradable {
 		if needed.FitsIn(sh.alloc.AvailableGuaranteed()) {
 			break
 		}
-		if err := b.degradeToFloor(sh, t.ID); err == nil {
+		if err := b.degradeToFloor(sh, t.id); err == nil {
 			freed = true
 		}
 	}
@@ -616,7 +621,7 @@ func (b *Broker) compensate(sh *shard, needed resource.Capacity) (bool, error) {
 		// Tear down without the scenario-2 hook: running it here would
 		// restore the volunteers degraded above and hand the freed
 		// capacity straight back.
-		if err := b.terminateForCompensation(t.ID); err == nil {
+		if err := b.terminateForCompensation(t.id); err == nil {
 			freed = true
 		}
 	}

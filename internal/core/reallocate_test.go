@@ -47,39 +47,35 @@ func (m *hookRM) Modify(token string, spec *rsl.Node) error {
 	return nil
 }
 
-// forcedPolicy is the paper policy, except that the optimizer assigns
-// target to every service when one is set: the §5.3 solver never proposes
-// what a test needs it to (a downsize, a target the pool cannot hold).
+// forcedPolicy is the paper policy until floor is set; then every grant is
+// answered with the floor, whatever the partition holds: the shortfall a
+// downsize cannot otherwise meet (the capacity it asks for is capacity it
+// already holds).
 type forcedPolicy struct {
 	core.Policy
-	target resource.Capacity
+	floor bool
 }
 
 func (*forcedPolicy) Name() string { return "reallocate-test" }
 
-func (p *forcedPolicy) Optimize(prob core.OptProblem) (core.OptResult, error) {
-	if p.target.IsZero() {
-		return p.Policy.Optimize(prob)
+func (p *forcedPolicy) PartitionGrant(v core.PartitionView, requested, floor resource.Capacity) core.GrantKind {
+	if p.floor {
+		return core.GrantFloor
 	}
-	res := core.OptResult{Assignment: map[sla.ID]resource.Capacity{}, Profit: 1e9}
-	for _, svc := range prob.Services {
-		res.Assignment[svc.ID] = p.target
-	}
-	return res, nil
+	return p.Policy.PartitionGrant(v, requested, floor)
 }
 
 var forced = func() *forcedPolicy {
 	paper, _ := core.LookupPolicy("paper")
 	p := &forcedPolicy{Policy: paper}
-	if err := core.RegisterPolicy(p); err != nil {
-		panic(err)
-	}
+	core.AppendPolicy(p)
 	return p
 }()
 
-// scene is one CPU-only broker (C_G 12, C_A 4, C_B 4) holding a 4-node
-// guaranteed ballast session and x, the controlled-load session under
-// test (2–8 nodes, accepts degradation, opted in to promotions).
+// scene is one CPU-only broker (C_G 12, C_A 4, C_B 4) holding x, the
+// controlled-load session under test (2–8 nodes, accepts degradation,
+// opted in to promotions), and beside it what its sceneStart says: a
+// 4-node guaranteed ballast session, or a controlled-load rival.
 type scene struct {
 	t     *testing.T
 	b     *core.Broker
@@ -93,10 +89,26 @@ type scene struct {
 
 func cpu(n float64) resource.Capacity { return resource.Capacity{CPU: n} }
 
-// newScene starts x at its best (8 nodes), or with low at 4 nodes with 4
-// nodes of headroom (a proposed session held them while x was admitted
-// and was then rejected, which runs no scenario-2 pass).
-func newScene(t *testing.T, low bool) *scene {
+// sceneStart is where a scene leaves x and the partition around it.
+type sceneStart int
+
+const (
+	// atBest: x holds its best (8 nodes) beside the ballast; C_G is full.
+	atBest sceneStart = iota
+	// atLow: x holds 4 nodes with 4 nodes of headroom (a proposed session
+	// held them while x was admitted and was then rejected, which runs no
+	// scenario-2 pass).
+	atLow
+	// outbid: no ballast; x holds its best beside y, an earlier
+	// controlled-load session of the same range held at its floor of 2 (a
+	// proposed session held the rest while y was admitted), and 2 nodes of
+	// headroom. The §5.3 pass — equal rates, ties to the earlier session —
+	// gives y its best and x the 4 nodes that are left: the one way the
+	// solver downsizes a session.
+	outbid
+)
+
+func newScene(t *testing.T, start sceneStart) *scene {
 	t.Helper()
 	s := &scene{t: t, clock: clockx.NewManual(reallocT0)}
 	s.pool = resource.NewPool("p", cpu(20))
@@ -123,27 +135,40 @@ func newScene(t *testing.T, low bool) *scene {
 	}
 	t.Cleanup(b.Close)
 	s.b = b
-	forced.target = resource.Capacity{}
-	t.Cleanup(func() { forced.target = resource.Capacity{} })
+	forced.floor = false
+	t.Cleanup(func() { forced.floor = false })
 
-	s.establish(s.guaranteed("ballast", 4))
-	var holder sla.ID
-	if low {
-		holder = s.propose(s.guaranteed("holder", 4))
+	controlled := func(client string) core.Request {
+		return core.Request{
+			Service: "simulation", Client: client, Class: sla.ClassControlledLoad,
+			Spec:  sla.NewSpec(sla.Range(resource.CPU, 2, 8)),
+			Start: reallocT0, End: reallocT0.Add(5 * time.Hour),
+			AcceptDegradation: true, PromotionOptIn: true,
+		}
 	}
-	s.x = s.establish(core.Request{
-		Service: "simulation", Client: "x", Class: sla.ClassControlledLoad,
-		Spec:  sla.NewSpec(sla.Range(resource.CPU, 2, 8)),
-		Start: reallocT0, End: reallocT0.Add(5 * time.Hour),
-		AcceptDegradation: true, PromotionOptIn: true,
-	})
+	reject := func(id sla.ID) {
+		if err := b.Reject(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var holder sla.ID
+	switch start {
+	case atBest:
+		s.establish(s.guaranteed("ballast", 4))
+	case atLow:
+		s.establish(s.guaranteed("ballast", 4))
+		holder = s.propose(s.guaranteed("holder", 4))
+	case outbid:
+		crowd := s.propose(s.guaranteed("crowd", 10))
+		s.establish(controlled("y"))
+		reject(crowd)
+	}
+	s.x = s.establish(controlled("x"))
 	if _, err := b.Invoke(s.x); err != nil {
 		t.Fatal(err)
 	}
-	if low {
-		if err := b.Reject(holder); err != nil {
-			t.Fatal(err)
-		}
+	if holder != "" {
+		reject(holder)
 	}
 	return s
 }
@@ -251,16 +276,18 @@ func (s *scene) check() {
 // after.
 type reallocMove struct {
 	name     string
-	low      bool
+	scene    sceneStart
 	prepare  func(s *scene)
 	run      func(s *scene) error
 	silent   bool // run cannot report that the move was not made
 	from, to float64
 	// onShort: "follow" (made at the floor), "keep" (document follows,
 	// move not made), "refuse" (walked back), "" (the target is the
-	// floor: no shortfall exists). bound is the squeeze that causes one.
+	// floor: no shortfall exists). bound is the squeeze that causes one,
+	// unless short causes it some other way.
 	onShort           string
 	bound             float64
+	short             func(s *scene)
 	degraded, becomes bool
 	state, reaches    sla.State
 }
@@ -290,7 +317,7 @@ var reallocMoves = []reallocMove{
 		state: sla.StateActive, becomes: true, reaches: sla.StateDegraded,
 	},
 	{
-		name: "promotion", low: true, from: 4, to: 8, onShort: "refuse", bound: 9,
+		name: "promotion", scene: atLow, from: 4, to: 8, onShort: "refuse", bound: 9,
 		prepare: func(s *scene) {
 			s.b.IssuePromotions()
 			if offers := s.b.Promotions(); len(offers) != 1 || offers[0].SLA != s.x || !offers[0].To.Equal(cpu(8)) {
@@ -301,8 +328,8 @@ var reallocMoves = []reallocMove{
 		state: sla.StateActive, reaches: sla.StateActive,
 	},
 	{
-		name: "optimizer", from: 8, to: 5, onShort: "follow", bound: 8, silent: true,
-		prepare: func(s *scene) { forced.target = cpu(5) },
+		name: "optimizer", scene: outbid, from: 8, to: 4, onShort: "follow", silent: true,
+		short: func(s *scene) { forced.floor = true },
 		run: func(s *scene) error {
 			_, err := s.b.RunOptimizer()
 			return err
@@ -323,7 +350,7 @@ var reallocMoves = []reallocMove{
 // declares it starts.
 func (m *reallocMove) start(t *testing.T) *scene {
 	t.Helper()
-	s := newScene(t, m.low)
+	s := newScene(t, m.scene)
 	if m.prepare != nil {
 		m.prepare(s)
 	}
@@ -428,7 +455,11 @@ func TestReallocateMatrix(t *testing.T) {
 				t.Skip("the move's target is the floor: a shortfall cannot occur")
 			}
 			s := m.start(t)
-			s.squeeze(m.bound)
+			if m.short != nil {
+				m.short(s)
+			} else {
+				s.squeeze(m.bound)
+			}
 			err := m.run(s)
 			switch m.onShort {
 			case "follow":

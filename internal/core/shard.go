@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"sync"
 
 	"gqosm/internal/pricing"
@@ -77,34 +78,37 @@ func (b *Broker) shardFor(id sla.ID) *shard {
 	return b.route[id]
 }
 
+// rankShards orders shard indices for a new admission: least-loaded first
+// by Allocator.LoadFactor, ties broken by ascending index, shards whose
+// admission bound can never fit floor dropped — compensation frees
+// allocations but cannot raise the bound.
+func rankShards(load []float64, bound []resource.Capacity, floor resource.Capacity) []int {
+	ranked := make([]int, 0, len(load))
+	for i := range load {
+		if floor.FitsIn(bound[i]) {
+			ranked = append(ranked, i)
+		}
+	}
+	sort.SliceStable(ranked, func(i, j int) bool { return load[ranked[i]] < load[ranked[j]] })
+	return ranked
+}
+
 // placementOrder returns the shards to try for a new admission, most
-// attractive first. The ranking and floor filter are delegated to the
-// active policy's Place (the paper's: least-loaded by
-// Allocator.LoadFactor with ties broken by ascending shard index, shards
-// whose admission bound can never fit the request floor dropped —
-// compensation frees allocations but cannot raise the bound). The
-// structural rules stay here: a non-zero 1-based hint moves that shard to
-// the front even when hopeless (an explicit hint is a request to try that
-// shard, and its refusal is informative), and when every shard is
-// hopeless the least-loaded one is returned alone so the caller still
-// gets the allocator's precise refusal.
+// attractive first: rankShards' order, except that a non-zero 1-based hint
+// moves that shard to the front even when hopeless (an explicit hint is a
+// request to try that shard, and its refusal is informative), and when
+// every shard is hopeless the least-loaded one is returned alone so the
+// caller still gets the allocator's precise refusal.
 func (b *Broker) placementOrder(hint int, floor resource.Capacity) []*shard {
 	if len(b.shards) == 1 {
 		return b.shards
 	}
-	views := make([]PlacementView, len(b.shards))
-	for _, sh := range b.shards {
-		views[sh.index] = PlacementView{
-			Index:      sh.index,
-			LoadFactor: sh.alloc.LoadFactor(),
-			Bound:      sh.alloc.AdmissionBound(),
-		}
+	load := make([]float64, len(b.shards))
+	bound := make([]resource.Capacity, len(b.shards))
+	for i, sh := range b.shards {
+		load[i], bound[i] = sh.alloc.LoadFactor(), sh.alloc.AdmissionBound()
 	}
-	ranked := b.policy.Place(views, floor)
-	if b.shadowPol != nil {
-		cand := b.shadowPol.Place(append([]PlacementView(nil), views...), floor)
-		b.recordShadow("placement", !sameOrder(ranked, cand))
-	}
+	ranked := rankShards(load, bound, floor)
 	var hinted *shard
 	if hint >= 1 && hint <= len(b.shards) {
 		hinted = b.shards[hint-1]
@@ -114,19 +118,14 @@ func (b *Broker) placementOrder(hint int, floor resource.Capacity) []*shard {
 		out = append(out, hinted)
 	}
 	for _, idx := range ranked {
-		if idx < 0 || idx >= len(b.shards) {
-			continue // defensive: a policy ranking outside the shard set
+		if sh := b.shards[idx]; sh != hinted {
+			out = append(out, sh)
 		}
-		sh := b.shards[idx]
-		if sh == hinted {
-			continue
-		}
-		out = append(out, sh)
 	}
 	if len(out) == 0 {
 		best := 0
-		for i := 1; i < len(views); i++ {
-			if views[i].LoadFactor < views[best].LoadFactor {
+		for i := 1; i < len(load); i++ {
+			if load[i] < load[best] {
 				best = i
 			}
 		}

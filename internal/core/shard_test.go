@@ -55,6 +55,18 @@ func shardedBroker(t *testing.T, shards int, nodes float64, tweak func(*Config))
 	return b
 }
 
+// TestPaperPlace pins the placement ranking: least-loaded first, index
+// tie-break, hopeless shards (floor exceeds bound) dropped.
+func TestPaperPlace(t *testing.T) {
+	load := []float64{0.5, 0.2, 0.2, 0.0}
+	bound := []resource.Capacity{resource.Nodes(10), resource.Nodes(10), resource.Nodes(10),
+		resource.Nodes(1)} // shard 3 is hopeless for floor 2
+	got := rankShards(load, bound, resource.Nodes(2))
+	if want := []int{1, 2, 0}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("rankShards = %v, want %v", got, want)
+	}
+}
+
 func TestCapacityPlanSplitExact(t *testing.T) {
 	plan := CapacityPlan{
 		Guaranteed: resource.Capacity{CPU: 15, MemoryMB: 6144, DiskGB: 121},

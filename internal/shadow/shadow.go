@@ -2,9 +2,9 @@
 // candidate adaptation policy against the deterministic scenario library
 // with zero blast radius. For each scenario it runs the seeded workload
 // three times — the active "paper" policy alone, the active policy with
-// the candidate consulted in shadow at every decision point, and the
-// candidate as the active policy — then reports per-family decision
-// divergence, admit-rate/revenue/utilization deltas, and an oracle
+// the candidate consulted in shadow at every partition grant, and the
+// candidate as the active policy — then reports how often the candidate
+// diverged, admit-rate/revenue/utilization deltas, and an oracle
 // verdict that includes the shadow-inertness rule: the shadow-on run must
 // be digest-identical to the shadow-off run, proving shadow evaluation
 // never touched live state.
@@ -22,7 +22,7 @@ import (
 
 // Config sizes a shadow evaluation.
 type Config struct {
-	// Candidate names the registered policy under evaluation (required).
+	// Candidate names the policy under evaluation (required).
 	Candidate string
 	// Seed / Ops / Shards are forwarded to every scenario run.
 	Seed   int64
@@ -92,7 +92,7 @@ func Evaluate(sc sim.Scenario, cfg Config) (*sim.Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shadow: %s shadow run: %w", sc.Name, err)
 	}
-	evals, divergence := core.ShadowCounts(shadowObs)
+	evals, diverged := core.ShadowCounts(shadowObs)
 
 	// Run 3: the counterfactual — the candidate as the active policy over
 	// the identical seeded workload.
@@ -110,7 +110,7 @@ func Evaluate(sc sim.Scenario, cfg Config) (*sim.Report, error) {
 	sh := &sim.Shadow{
 		Candidate:    cfg.Candidate,
 		Evaluations:  evals,
-		Divergence:   divergence,
+		Divergence:   map[string]int64{"partition": diverged},
 		ActiveDigest: digest(activeRep),
 		ShadowDigest: digest(shadowRep),
 		AdmitRate:    delta(activeRep.Outcome.AdmitRate, candRep.Outcome.AdmitRate),

@@ -183,8 +183,10 @@ type Handoff struct {
 // Shadow is one scenario's three-way policy evaluation (internal/shadow).
 type Shadow struct {
 	Candidate string `json:"candidate"`
-	// Evaluations counts shadow consultations; Divergence, per decision
-	// family, how often the candidate's answer differed.
+	// Evaluations counts the shadow consultations — one per Algorithm-1
+	// partition grant, the one decision behind core.Policy; Divergence
+	// ("partition", its only key) how often the candidate's answer
+	// differed.
 	Evaluations int64            `json:"evaluations"`
 	Divergence  map[string]int64 `json:"divergence"`
 	// ActiveDigest and ShadowDigest hash the shadow-off and shadow-on runs'

@@ -92,7 +92,7 @@ type ScenarioConfig struct {
 	// Policy names the broker's adaptation policy ("" = "paper").
 	Policy string
 	// ShadowPolicy, when set, consults the named candidate policy in
-	// shadow at every broker decision point (see core.Config.ShadowPolicy).
+	// shadow at every partition grant (see core.Config.ShadowPolicy).
 	ShadowPolicy string
 }
 

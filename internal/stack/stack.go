@@ -97,10 +97,10 @@ type Config struct {
 	// zero value admits each request inline on its caller's goroutine.
 	Intake core.IntakeConfig
 	// Policy names the broker's adaptation policy ("" = "paper", the
-	// historical heuristics). See core.PolicyNames for the registry.
+	// historical admission rule). See core.PolicyNames for the table.
 	Policy string
 	// ShadowPolicy, when set, consults the named candidate policy in
-	// shadow at every broker decision point, counting divergence without
+	// shadow at every partition grant, counting divergence without
 	// affecting live decisions (qosctl policies shows both).
 	ShadowPolicy string
 }
