@@ -314,7 +314,7 @@ func runScenarios(o *options) (*sim.Report, error) {
 	for _, sc := range list {
 		var err error
 		if o.soak {
-			runs[sc.Name], err = sim.RunSoak(sc, sim.SoakConfig{ScenarioConfig: cfg})
+			runs[sc.Name], err = sim.RunSoak(sc, cfg)
 		} else {
 			runs[sc.Name], err = sim.RunScenario(sc, cfg)
 		}

@@ -16,9 +16,6 @@ import (
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
-	// After returns a channel that delivers the then-current time once d
-	// has elapsed.
-	After(d time.Duration) <-chan time.Time
 	// AfterFunc schedules f to run in its own goroutine once d has
 	// elapsed and returns a Timer that can cancel it.
 	AfterFunc(d time.Duration, f func()) Timer
@@ -36,8 +33,7 @@ func Real() Clock { return realClock{} }
 
 type realClock struct{}
 
-func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (realClock) Now() time.Time { return time.Now() }
 
 func (realClock) AfterFunc(d time.Duration, f func()) Timer {
 	return realTimer{t: time.AfterFunc(d, f)}
@@ -48,7 +44,7 @@ type realTimer struct{ t *time.Timer }
 func (rt realTimer) Stop() bool { return rt.t.Stop() }
 
 // Manual is a deterministic Clock whose time only moves when Advance or Set
-// is called. Timers scheduled with After/AfterFunc fire synchronously (in
+// is called. Timers scheduled with AfterFunc fire synchronously (in
 // timestamp order) during Advance. The zero value is not usable; call
 // NewManual.
 //
@@ -76,7 +72,7 @@ type manualTimer struct {
 	clock   *Manual
 	id      int
 	at      time.Time
-	f       func(now time.Time)
+	f       func()
 	stopped bool
 	index   int // heap position, -1 once popped
 }
@@ -136,21 +132,9 @@ func (m *Manual) Now() time.Time {
 	return m.now
 }
 
-// After implements Clock. The returned channel has capacity 1 so firing
-// never blocks Advance.
-func (m *Manual) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	m.schedule(d, func(now time.Time) { ch <- now })
-	return ch
-}
-
 // AfterFunc implements Clock. The callback runs synchronously inside
 // Advance, after the clock has moved to the timer's deadline.
 func (m *Manual) AfterFunc(d time.Duration, f func()) Timer {
-	return m.schedule(d, func(time.Time) { f() })
-}
-
-func (m *Manual) schedule(d time.Duration, f func(now time.Time)) *manualTimer {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.nextID++
@@ -178,7 +162,7 @@ func (m *Manual) Set(t time.Time) {
 		if mt == nil {
 			break
 		}
-		mt.f(mt.at)
+		mt.f()
 	}
 	m.mu.Lock()
 	if t.After(m.now) {

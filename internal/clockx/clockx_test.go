@@ -51,19 +51,24 @@ func TestManualAfterTieBreakByCreation(t *testing.T) {
 	}
 }
 
+// TestManualAfterChannel is the hand-off the retry runner builds on a
+// clock without After: an AfterFunc callback sending on a buffered channel
+// delivers nothing before the deadline and the deadline's time at it.
 func TestManualAfterChannel(t *testing.T) {
 	c := NewManual(t0)
-	ch := c.After(10 * time.Second)
+	ch := make(chan time.Time, 1)
+	c.AfterFunc(10*time.Second, func() { ch <- c.Now() })
+	c.Advance(9 * time.Second)
 	select {
 	case <-ch:
-		t.Fatal("channel fired before Advance")
+		t.Fatal("channel fired before the deadline")
 	default:
 	}
-	c.Advance(10 * time.Second)
+	c.Advance(5 * time.Second)
 	select {
 	case got := <-ch:
 		if want := t0.Add(10 * time.Second); !got.Equal(want) {
-			t.Fatalf("After delivered %v, want %v", got, want)
+			t.Fatalf("callback saw %v, want the deadline %v", got, want)
 		}
 	default:
 		t.Fatal("channel did not fire after Advance")
@@ -171,15 +176,6 @@ func TestRealClockBasics(t *testing.T) {
 		t.Fatal("real AfterFunc did not fire")
 	}
 	timer.Stop() // already fired; must not panic
-}
-
-func TestRealClockAfter(t *testing.T) {
-	c := Real()
-	select {
-	case <-c.After(time.Millisecond):
-	case <-time.After(2 * time.Second):
-		t.Fatal("Real().After never fired")
-	}
 }
 
 // TestManualHeapFiringOrderAtScale drives thousands of interleaved

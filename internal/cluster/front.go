@@ -183,19 +183,6 @@ func (f *Front) Accept(id sla.ID) error {
 	return b.Accept(id)
 }
 
-// Reject declines a proposed SLA on its owning broker.
-func (f *Front) Reject(id sla.ID) error {
-	b, _, err := f.ownerBroker(id)
-	if err != nil {
-		return err
-	}
-	if err := b.Reject(id); err != nil {
-		return err
-	}
-	f.forget(id)
-	return nil
-}
-
 // Invoke launches a session's service on its owning broker.
 func (f *Front) Invoke(id sla.ID) (gram.Job, error) {
 	b, _, err := f.ownerBroker(id)

@@ -84,8 +84,6 @@ type Config struct {
 	// RM is the resource-manager-level adaptation hook tried before any
 	// AQoS-level adaptation on degradation (§3.2); optional.
 	RM RMAdapter
-	// Repo stores established SLAs; defaults to an in-memory repository.
-	Repo sla.Repository
 	// ConfirmWindow is how long a proposed SLA's temporary reservation
 	// is held before automatic cancellation (§3.1); default 2 minutes.
 	ConfirmWindow time.Duration
@@ -154,6 +152,9 @@ type session struct {
 	original resource.Capacity
 	// degraded marks sessions running below their negotiated quality.
 	degraded bool
+	// moving marks a reallocate between its allocator grant and its
+	// commit, where the shard lock is dropped; a second move is refused.
+	moving bool
 	// violations counts detected SLA violations.
 	violations int
 	// proposedAt is when the offer was made; the lifecycle oracle's
@@ -185,7 +186,6 @@ type Broker struct {
 	clock  clockx.Clock
 	prices *pricing.Model
 	ledger *pricing.Ledger
-	repo   sla.Repository
 	obs    *obs.Registry
 	met    brokerMetrics
 	nextID atomic.Int64
@@ -329,9 +329,6 @@ func newBroker(cfg Config) (*Broker, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clockx.Real()
 	}
-	if cfg.Repo == nil {
-		cfg.Repo = sla.NewMemoryRepository()
-	}
 	if cfg.ConfirmWindow <= 0 {
 		cfg.ConfirmWindow = 2 * time.Minute
 	}
@@ -364,7 +361,6 @@ func newBroker(cfg Config) (*Broker, error) {
 		clock:          cfg.Clock,
 		prices:         pricing.NewModel(pricing.DefaultRates),
 		ledger:         pricing.NewLedger(),
-		repo:           cfg.Repo,
 		route:          make(map[sla.ID]*shard),
 		beRoute:        make(map[string]*shard),
 		evBuf:          make([]Event, 0, cfg.EventLogCap),
@@ -530,9 +526,6 @@ func (b *Broker) LoadReport() LoadReport {
 // Ledger exposes the accounting ledger.
 func (b *Broker) Ledger() *pricing.Ledger { return b.ledger }
 
-// Repo exposes the SLA repository.
-func (b *Broker) Repo() sla.Repository { return b.repo }
-
 // Events returns the retained activity log, oldest first. The log is a
 // bounded ring (Config.EventLogCap): under sustained load the oldest
 // entries are evicted.
@@ -667,10 +660,10 @@ func (b *Broker) SessionInfos() []SessionInfo {
 }
 
 // PruneTerminal removes terminal sessions — their shard map entries,
-// unclaimed promotion offers, routing-table rows and repository documents
-// — and returns how many it removed. Terminal sessions are normally kept
-// so they stay queryable; the soak harness calls this at quiesce points
-// so multi-million-op runs hold a bounded working set. Reservations
+// unclaimed promotion offers and routing-table rows — and returns how
+// many it removed. Terminal sessions are normally kept so they stay
+// queryable; the soak harness calls this at quiesce points so
+// multi-million-op runs hold a bounded working set. Reservations
 // parked in pendingCancels are keyed independently, so reconciliation is
 // unaffected; pruned IDs simply become unknown to Session/SessionInfos.
 func (b *Broker) PruneTerminal() int {
@@ -700,9 +693,6 @@ func (b *Broker) PruneTerminal() int {
 			delete(b.route, id)
 		}
 		b.routeMu.Unlock()
-		for _, id := range ids {
-			_ = b.repo.Delete(id)
-		}
 		b.journalPrune(ids)
 		pruned += len(ids)
 	}

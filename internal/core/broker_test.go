@@ -187,10 +187,6 @@ func TestFullSessionLifecycle(t *testing.T) {
 	if err != nil || doc.State != sla.StateEstablished {
 		t.Fatalf("after accept: %v, %v", doc, err)
 	}
-	// The SLA is in the repository.
-	if _, err := b.Repo().Get(id); err != nil {
-		t.Errorf("repo: %v", err)
-	}
 	// The client was charged.
 	if got := b.Ledger().NetRevenue(); got != offer.Price {
 		t.Errorf("revenue = %g, want %g", got, offer.Price)

@@ -68,9 +68,6 @@ func (b *Broker) attachDurability(log *wal.Log) {
 	b.ledger.SetObserver(b.journalLedger)
 }
 
-// Durable reports whether the broker journals to a WAL.
-func (b *Broker) Durable() bool { return b.durable != nil }
-
 // HasWALState reports whether dir already holds journal state from a
 // previous broker — the caller should Recover instead of NewBroker.
 func HasWALState(dir string) bool { return wal.HasState(dir) }
@@ -132,8 +129,8 @@ func (b *Broker) walAppend(rec wal.Record) {
 
 // journal captures and appends the absolute post-state of session id —
 // a journalBatch of one on the session's shard. It is called with no
-// broker locks held (typically right after persist). Unknown ids —
-// pruned or never admitted — journal nothing.
+// broker locks held. Unknown ids — pruned or never admitted — journal
+// nothing.
 func (b *Broker) journal(op string, id sla.ID) {
 	if b.durable == nil {
 		return

@@ -337,7 +337,7 @@ func (b *Broker) ImportSession(st *HandoffState) error {
 		return err
 	}
 	b.met.handoffsIn.Inc()
-	b.persist(id)
+	b.journal("persist", id)
 
 	b.hoMu.Lock()
 	delete(b.handoffs, id)

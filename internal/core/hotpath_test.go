@@ -687,7 +687,7 @@ func TestTerminateAllocGate(t *testing.T) {
 	b := miniBroker(t, clock, reg, false)
 	establish, guaranteed, controlled := allocGatePopulation(t, b)
 
-	const runs, gate = 20, 100 // measured 67 (go1.24); the old Greedy made it 3207
+	const runs, gate = 20, 59 // measured 54 (go1.24); the old Greedy made it 3207
 	for i := 0; i < 16; i++ {
 		establish(controlled)
 	}
@@ -714,11 +714,10 @@ func TestTerminateAllocGate(t *testing.T) {
 	t.Logf("Terminate at 64 live sessions: %.0f allocs", allocs)
 }
 
-// TestDegradeRestoreAllocGate holds the adaptation path to what the six
-// hand-copied sequences cost before they became reallocate: one scenario-1
-// degradation and its scenario-2(a) restoration at 16 live sessions
-// allocated 60 objects (bench/'s overload_adapt spends most of its
-// ≈ 410 mallocs per session on these).
+// TestDegradeRestoreAllocGate holds the adaptation path — one scenario-1
+// degradation and its scenario-2(a) restoration at 16 live sessions — to
+// what reallocate costs (bench/'s overload_adapt spends most of its
+// mallocs per session on these).
 func TestDegradeRestoreAllocGate(t *testing.T) {
 	if RaceEnabled() {
 		t.Skip("allocation counts are not exact under -race")
@@ -735,7 +734,7 @@ func TestDegradeRestoreAllocGate(t *testing.T) {
 		establish(guaranteed)
 	}
 
-	const gate = 60 // what the copies cost; measured 48 (go1.24)
+	const gate = 33 // measured 30 (go1.24)
 	allocs := testing.AllocsPerRun(50, func() {
 		if err := b.degradeToFloor(b.shardFor(id), id); err != nil {
 			t.Fatal(err)

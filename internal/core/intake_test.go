@@ -379,14 +379,14 @@ func RaceEnabled() bool {
 
 // TestIntakeAdmissionAllocGate is the deterministic allocation gate for
 // the group-commit path: 25 rounds of BenchmarkIntakeAdmission's timed
-// body (its -benchtime=200x), cleanup uncounted, at most 36 objects per
+// body (its -benchtime=200x), cleanup uncounted, at most 34 objects per
 // admission.
 func TestIntakeAdmissionAllocGate(t *testing.T) {
 	if RaceEnabled() {
 		t.Skip("allocation counts are not exact under -race")
 	}
 	rig := newIntakeRig(t)
-	const rounds, gate = 25, 36
+	const rounds, gate = 25, 34 // measured 31 (go1.24)
 	var total float64
 	for r := 0; r < rounds; r++ {
 		// AllocsPerRun calls its function once to warm up before the counted

@@ -70,8 +70,7 @@ func (b *Broker) Invoke(id sla.ID) (gram.Job, error) {
 	s.job = job.ID
 	b.logf("invoke", id, "service %q launched as %s (pid %d), reservation claimed", service, job.ID, job.PID)
 	sh.mu.Unlock()
-	b.trace(id, sla.StateEstablished, sla.StateActive, resource.Capacity{}, "service invoked")
-	b.persist(id)
+	b.journal("persist", id)
 	return job, nil
 }
 
@@ -204,7 +203,6 @@ func (b *Broker) teardownIf(id sla.ID, final sla.State, reason string, pred func
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %s is %s", ErrBadState, id, prevState)
 	}
-	released := s.doc.Allocated
 	if err := s.doc.Transition(final); err != nil {
 		sh.mu.Unlock()
 		return err
@@ -238,8 +236,7 @@ func (b *Broker) teardownIf(id sla.ID, final sla.State, reason string, pred func
 		}
 	}
 	b.met.teardownSeconds.Observe(time.Since(started).Seconds())
-	b.trace(id, prevState, final, released.Scale(-1), reason)
-	b.persist(id)
+	b.journal("persist", id)
 	return nil
 }
 
@@ -295,7 +292,7 @@ func (b *Broker) restore(id sla.ID) error {
 	_, err := b.reallocate(sh, id, move{
 		target: target, short: keepShort, notes: qualityNotes, mark: markRecovered,
 		event: "adapt", msg: "restored to %[2]v (scenario 2a)",
-		reason: "restored (scenario 2a)", count: b.met.restored,
+		count: b.met.restored, // scenario 2a
 	})
 	return err
 }
@@ -325,10 +322,9 @@ type move struct {
 	// The activity-log event of a made move; msg's verbs index previous
 	// allocation, applied allocation and amount billed.
 	event, msg string
-	// reason marks one of the paper's adaptation scenarios: the move is
-	// counted, traced under it, and journaled once more.
-	reason string
-	count  *obs.Counter
+	// count marks one of the paper's adaptation scenarios: the move is
+	// counted under it and journaled once more.
+	count *obs.Counter
 }
 
 // shortfall is what a move makes of a grant that fell to the floor.
@@ -367,7 +363,10 @@ type reallocation struct {
 // allocator move, reservation change at the resource manager, one commit
 // of document, flags and price, then ledger and journal. Nothing is
 // written to a terminal session: a teardown that wins the race during
-// gara.modify has released the grant, and its final document stands.
+// gara.modify has released the grant, and its final document stands. A
+// session has one move in flight at a time: the shard lock is dropped
+// round gara.modify, and a second move granted and committed in that gap
+// would have its document overwritten by the first move's older grant.
 func (b *Broker) reallocate(sh *shard, id sla.ID, m move) (r reallocation, err error) {
 	// Liveness check and allocator call share one critical section: a
 	// terminal transition releases the grant under the same lock, so it
@@ -377,6 +376,10 @@ func (b *Broker) reallocate(sh *shard, id sla.ID, m move) (r reallocation, err e
 	if !ok || s.doc.State.Terminal() {
 		sh.mu.Unlock()
 		return r, fmt.Errorf("%w: %s", ErrUnknownSession, id)
+	}
+	if s.moving {
+		sh.mu.Unlock()
+		return r, fmt.Errorf("%w: %s has a reallocation in flight", ErrBadState, id)
 	}
 	spec := &s.doc.Spec
 	if m.spec != nil {
@@ -393,7 +396,13 @@ func (b *Broker) reallocate(sh *shard, id sla.ID, m move) (r reallocation, err e
 	}
 	r.applied, r.short = grant.Granted, !grant.Shortfall.IsZero()
 	handle, rsl := s.handle, reservationRSL(*spec, r.applied)
+	s.moving = true
 	sh.mu.Unlock()
+	defer func() {
+		sh.mu.Lock()
+		s.moving = false
+		sh.mu.Unlock()
+	}()
 
 	if r.short && m.short == refuseShort {
 		b.rollback(sh, id, m.spec, r.applied)
@@ -436,21 +445,19 @@ func (b *Broker) reallocate(sh *shard, id sla.ID, m move) (r reallocation, err e
 			b.logf(m.event, id, m.msg, r.old, r.applied, r.billed)
 		}
 	}
-	to := s.doc.State
 	sh.mu.Unlock()
 
 	// Ledger, then the journaled document — but a promotion's entry after
-	// its trace: each move's record order is its crash contract.
+	// the first record: each move's record order is its crash contract.
 	if m.offer == 0 {
 		b.bill(id, r.billed, m.notes, false)
 	}
-	b.persist(id)
+	b.journal("persist", id)
 	if !made {
 		return r, errShortfall
 	}
-	if m.reason != "" {
+	if m.count != nil {
 		m.count.Inc()
-		b.trace(id, from, to, r.applied.Sub(r.old), m.reason)
 		if m.offer != 0 {
 			b.bill(id, r.billed, m.notes, true)
 		}
@@ -521,7 +528,7 @@ func (b *Broker) rollback(sh *shard, id sla.ID, spec *sla.Spec, held resource.Ca
 	b.logf("adapt", id, "failed modify: allocator kept %v, reservation spec stale", held)
 	sh.mu.Unlock()
 	b.bill(id, delta, qualityNotes, false)
-	b.persist(id)
+	b.journal("persist", id)
 }
 
 // issuePromotions creates scenario-2(c) promotion offers for active
@@ -613,7 +620,7 @@ func (b *Broker) AcceptPromotion(id sla.ID) error {
 	if _, err := b.reallocate(sh, id, move{
 		target: offer.To, short: refuseShort, offer: offer.OfferPrice, notes: [2]string{"promotion accepted"}, rebase: true,
 		event: "promotion", msg: "accepted: upgraded to %[2]v for %.2[3]f",
-		reason: "promotion accepted (scenario 2c)", count: b.met.promoted,
+		count: b.met.promoted, // scenario 2c
 	}); err != nil {
 		return fmt.Errorf("core: promotion %s: %w", id, err)
 	}
@@ -750,30 +757,6 @@ func (b *Broker) optimizeShard(sh *shard) (OptimizeOutcome, error) {
 	}
 	out.Applied = out.Changed > 0
 	return out, nil
-}
-
-// persist writes the session's document to the repository and journals
-// the session's post-operation state — every mutating lifecycle path
-// funnels through here, so the WAL sees every committed state change.
-func (b *Broker) persist(id sla.ID) {
-	sh := b.shardFor(id)
-	if sh == nil {
-		return
-	}
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
-	var doc *sla.Document
-	if ok {
-		doc = s.doc.Clone()
-	}
-	sh.mu.Unlock()
-	if doc == nil {
-		return
-	}
-	if err := b.repo.Put(doc); err != nil {
-		b.logf("repo", id, "persist: %v", err)
-	}
-	b.journal("persist", id)
 }
 
 func bindParamFor(job gram.Job) gara.BindParam {

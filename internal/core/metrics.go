@@ -169,34 +169,6 @@ func shardLabel(i int) string {
 	return strconv.Itoa(i)
 }
 
-// trace records one structured lifecycle event in the obs ring. delta
-// is the capacity change the transition applied to the partition pools
-// (zero Capacity renders as an empty delta). from/to of noState render
-// as "" (session creation has no prior state).
-func (b *Broker) trace(id sla.ID, from, to sla.State, delta resource.Capacity, reason string) {
-	var d string
-	if !delta.IsZero() {
-		d = delta.String()
-	}
-	render := func(s sla.State) string {
-		if s == noState {
-			return ""
-		}
-		return s.String()
-	}
-	b.obs.Trace().Add(obs.TraceEvent{
-		At:      b.clock.Now(),
-		Session: string(id),
-		From:    render(from),
-		To:      render(to),
-		Delta:   d,
-		Reason:  reason,
-	})
-}
-
-// noState marks "no prior state" in trace events (session creation).
-const noState = sla.State(-1)
-
 // Obs returns the broker's metrics registry (never nil; a private
 // registry is created when Config.Obs is unset).
 func (b *Broker) Obs() *obs.Registry { return b.obs }

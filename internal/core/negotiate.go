@@ -146,7 +146,6 @@ func (b *Broker) resolve(m *admission, err error) {
 		b.met.requestErrors.Inc()
 	} else {
 		b.met.requests.Inc()
-		b.trace(m.id, noState, sla.StateProposed, m.offer.SLA.Allocated, "offer proposed")
 	}
 	if m.done != nil {
 		close(m.done)
@@ -640,7 +639,7 @@ func (b *Broker) degradeToFloor(sh *shard, id sla.ID) error {
 	_, err := b.reallocate(sh, id, move{
 		toFloor: true, notes: qualityNotes, mark: markDegraded,
 		event: "adapt", msg: "degraded to floor %[2]v (scenario 1 compensation)",
-		reason: "degraded to floor (scenario 1)", count: b.met.degraded,
+		count: b.met.degraded, // scenario 1
 	})
 	return err
 }
@@ -676,9 +675,8 @@ func (b *Broker) Accept(id sla.ID) error {
 	sh.mu.Unlock()
 
 	b.met.accepted.Inc()
-	b.trace(id, sla.StateProposed, sla.StateEstablished, resource.Capacity{}, "offer accepted")
 	b.ledger.Charge(id, price, b.clock.Now(), "session charge")
-	b.persist(id)
+	b.journal("persist", id)
 	return nil
 }
 

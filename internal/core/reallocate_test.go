@@ -438,6 +438,37 @@ func TestReallocateTornDownMidFlight(t *testing.T) {
 	}
 }
 
+// TestReallocateSecondMoveMidFlight forces the interleaving behind the
+// doc-allocator-skew that `gridsim -parallel` hit about 3 runs in 1 000:
+// the shard lock is dropped between a move's allocator grant and its
+// document commit (gara.modify runs there), so a second move of the same
+// session could re-grant and commit in the gap, and the first move then
+// committed its own, older grant over it — document 5 nodes, allocator 3.
+// The second move is refused while the first is in flight.
+func TestReallocateSecondMoveMidFlight(t *testing.T) {
+	s := newScene(t, atBest)
+	var second error
+	s.rm.afterModify = func() error {
+		_, second = s.b.Renegotiate(s.x, sla.NewSpec(sla.Exact(resource.CPU, 3)))
+		return nil
+	}
+	if _, err := s.b.Renegotiate(s.x, sla.NewSpec(sla.Exact(resource.CPU, 5))); err != nil {
+		t.Fatalf("first move: %v", err)
+	}
+	if !errors.Is(second, core.ErrBadState) {
+		t.Errorf("second move landing mid-flight: %v, want ErrBadState", second)
+	}
+	doc, _ := s.b.Session(s.x)
+	if grant, _ := s.b.Allocator().GuaranteedAllocation(string(s.x)); !doc.Allocated.Equal(cpu(5)) || !grant.Equal(cpu(5)) {
+		t.Errorf("document says %v, allocator holds %v, want the first move's 5 nodes in both", doc.Allocated, grant)
+	}
+	// The session moves again once the first move has committed.
+	if _, err := s.b.Renegotiate(s.x, sla.NewSpec(sla.Exact(resource.CPU, 3))); err != nil {
+		t.Errorf("move after the first committed: %v", err)
+	}
+	s.check()
+}
+
 // TestReallocateMatrix drives the six moves through the four other ways
 // the step can end and holds the books after each.
 func TestReallocateMatrix(t *testing.T) {

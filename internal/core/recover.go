@@ -292,14 +292,6 @@ func (b *Broker) installState(st *recoveredState) error {
 		b.routeMu.Lock()
 		b.route[id] = sh
 		b.routeMu.Unlock()
-		// The repository holds every document persist ever wrote — that
-		// is every session except still-Proposed ones (proposal is the
-		// one step that never persists).
-		if rec.Doc.State != sla.StateProposed {
-			if err := b.repo.Put(rec.Doc.Clone()); err != nil {
-				return fmt.Errorf("core: recover: repo put %s: %w", idStr, err)
-			}
-		}
 		// Non-terminal sessions hold allocator grants; the grant equals
 		// the document's allocation (the invariant the oracle enforces
 		// live), so the allocator rebuilds from the documents.

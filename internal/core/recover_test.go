@@ -243,6 +243,86 @@ func TestRecoverRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecoverServesEveryJournaledSession: the session table rebuilt from
+// the WAL is the SLA repository — after Recover every journaled session
+// that was not pruned, the terminal ones included, is served by Session
+// with the document it had at the crash, and a pruned one stays unknown.
+func TestRecoverServesEveryJournaledSession(t *testing.T) {
+	for _, snapshotEvery := range []int{0, 4} {
+		h := newDurableHarness(t, snapshotEvery)
+		b := h.broker
+		establish := func(req Request) sla.ID {
+			t.Helper()
+			o, err := b.RequestService(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Accept(o.SLA.ID); err != nil {
+				t.Fatal(err)
+			}
+			return o.SLA.ID
+		}
+		pruned := establish(controlledRequest("tenant-pruned"))
+		if err := b.Terminate(pruned, "finished early"); err != nil {
+			t.Fatal(err)
+		}
+		if got := b.PruneTerminal(); got != 1 {
+			t.Fatalf("PruneTerminal = %d, want 1", got)
+		}
+		terminated := establish(controlledRequest("tenant-done"))
+		if err := b.Terminate(terminated, "finished"); err != nil {
+			t.Fatal(err)
+		}
+		stale, err := b.RequestService(controlledRequest("tenant-stale"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.clock.Advance(3 * time.Minute) // past the confirm window
+		b.ExpireDue()
+		active := establish(guaranteedRequest())
+		if _, err := b.Invoke(active); err != nil {
+			t.Fatal(err)
+		}
+		established := establish(controlledRequest("tenant-waiting"))
+		proposed, err := b.RequestService(controlledRequest("tenant-undecided"))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		ids := []sla.ID{terminated, stale.SLA.ID, active, established, proposed.SLA.ID}
+		want := map[sla.ID]string{}
+		terminal := 0
+		for _, id := range ids {
+			doc, err := b.Session(id)
+			if err != nil {
+				t.Fatalf("Session(%s) before the crash: %v", id, err)
+			}
+			if doc.State.Terminal() {
+				terminal++
+			}
+			want[id] = mustJSON(t, doc)
+		}
+		if terminal != 2 {
+			t.Fatalf("%d terminal sessions before the crash, want 2", terminal)
+		}
+
+		h.crashAndRecover(t)
+		for _, id := range ids {
+			doc, err := h.broker.Session(id)
+			if err != nil {
+				t.Errorf("snapshotEvery=%d: Session(%s) after Recover: %v", snapshotEvery, id, err)
+				continue
+			}
+			if got := mustJSON(t, doc); got != want[id] {
+				t.Errorf("snapshotEvery=%d: %s after Recover:\n got %s\nwant %s", snapshotEvery, id, got, want[id])
+			}
+		}
+		if _, err := h.broker.Session(pruned); !errors.Is(err, ErrUnknownSession) {
+			t.Errorf("snapshotEvery=%d: pruned Session(%s) after Recover: %v, want ErrUnknownSession", snapshotEvery, pruned, err)
+		}
+	}
+}
+
 // TestRecoverLedgerAggregatesExact is the double-billing regression
 // (satellite 2): with a snapshot landing mid-workload, ledger entries
 // recorded before the snapshot appear in BOTH the snapshot image and the

@@ -277,7 +277,7 @@ func (b *Broker) handleDegradation(id sla.ID, measured resource.Capacity) {
 		if _, err := b.reallocate(sh, id, move{
 			target: doc.Adapt.AlternativeQoS, notes: qualityNotes, mark: markDegraded,
 			event: "adapt", msg: "switched to alternative QoS %[2]v (scenario 3b)",
-			reason: "alternative QoS (scenario 3b)", count: b.met.degraded,
+			count: b.met.degraded, // scenario 3b
 		}); err == nil {
 			return
 		}
@@ -303,22 +303,19 @@ func (b *Broker) recordViolation(id sla.ID) {
 		return
 	}
 	s.violations++
-	prevState := s.doc.State
 	if s.doc.State == sla.StateActive || s.doc.State == sla.StateDegraded {
 		_ = s.doc.Transition(sla.StateViolated)
 	}
-	newState := s.doc.State
 	pen := s.doc.Penalty
 	count := s.violations
 	b.logf("violation", id, "SLA violation #%d detected", count)
 	sh.mu.Unlock()
 	b.met.violations.Inc()
-	b.trace(id, prevState, newState, resource.Capacity{}, fmt.Sprintf("SLA violation #%d", count))
 
 	if amount := pricing.PenaltyFor(pen, 0); amount > 0 {
 		b.ledger.Penalize(id, amount, b.clock.Now(), "SLA violation")
 	}
-	b.persist(id)
+	b.journal("persist", id)
 }
 
 // Violations reports the violation count for a session.

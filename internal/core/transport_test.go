@@ -152,11 +152,11 @@ func TestTransportRangeAndListSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, ok := doc.Spec.Param(resource.DiskGB)
+	p, ok := doc.Spec.Params[resource.DiskGB]
 	if !ok || p.Form != sla.FormList || len(p.Values) != 3 {
 		t.Errorf("list param lost in transport: %+v", p)
 	}
-	p, ok = doc.Spec.Param(resource.CPU)
+	p, ok = doc.Spec.Params[resource.CPU]
 	if !ok || p.Form != sla.FormRange || p.Min != 2 || p.Max != 8 {
 		t.Errorf("range param lost in transport: %+v", p)
 	}

@@ -425,25 +425,7 @@ func TestComputeCapacityFromRSL(t *testing.T) {
 }
 
 func TestManagerAccessors(t *testing.T) {
-	pool := resource.NewPool("p", resource.Nodes(10))
-	cm := NewComputeManager(pool)
-	if cm.Pool() != pool {
-		t.Error("ComputeManager.Pool mismatch")
-	}
-	topo := nrm.NewTopology()
-	if err := topo.AddDomain("d", "10.0.0.0/8"); err != nil {
-		t.Fatal(err)
-	}
-	netMgr := nrm.NewManager("d", topo)
-	nm := NewNetworkManager(netMgr)
-	if nm.NRM() != netMgr {
-		t.Error("NetworkManager.NRM mismatch")
-	}
-	sched := dsrt.New(dsrt.Config{Processors: 1}, nil)
-	dm := NewDSRTManager(sched)
-	if dm.Scheduler() != sched {
-		t.Error("DSRTManager.Scheduler mismatch")
-	}
+	dm := NewDSRTManager(dsrt.New(dsrt.Config{Processors: 1}, nil))
 	// dsrtClass covers all mnemonics.
 	if dsrtClass("PCPT") != dsrt.PeriodicConstant || dsrtClass("pvpt") != dsrt.PeriodicVariable ||
 		dsrtClass("anything") != dsrt.Aperiodic {
@@ -493,7 +475,7 @@ func TestNetworkManagerFlowFollowsAliases(t *testing.T) {
 		if err := s.Modify(h, fmt.Sprintf(`&(reservation-type="network")(bandwidth=%g)`, bw)); err != nil {
 			t.Fatalf("Modify(%g): %v", bw, err)
 		}
-		flow, err := nm.Flow(token)
+		flow, err := nm.flow(token)
 		if err != nil {
 			t.Fatalf("Flow(original token) after modify: %v", err)
 		}

@@ -41,9 +41,6 @@ func NewComputeManager(pool *resource.Pool) *ComputeManager {
 // Type implements ResourceManager.
 func (m *ComputeManager) Type() string { return TypeCompute }
 
-// Pool exposes the backing pool (for monitoring).
-func (m *ComputeManager) Pool() *resource.Pool { return m.pool }
-
 func computeCapacity(spec *rsl.Node) resource.Capacity {
 	return resource.Capacity{
 		CPU:      spec.Num("count", 0),
@@ -135,9 +132,6 @@ func NewNetworkManager(manager *nrm.Manager) *NetworkManager {
 // Type implements ResourceManager.
 func (m *NetworkManager) Type() string { return TypeNetwork }
 
-// NRM exposes the backing bandwidth broker (for monitoring).
-func (m *NetworkManager) NRM() *nrm.Manager { return m.nrm }
-
 // Reserve implements ResourceManager.
 func (m *NetworkManager) Reserve(spec *rsl.Node, start, end time.Time, tag string) (string, error) {
 	src := spec.Str("source-ip", "")
@@ -196,12 +190,6 @@ func (m *NetworkManager) Cancel(token string) error {
 	return m.nrm.Release(nrm.FlowID(m.resolve(token)))
 }
 
-// Flow returns the current flow backing a token, following Modify
-// aliases.
-func (m *NetworkManager) Flow(token string) (nrm.Flow, error) {
-	return m.nrm.Flow(nrm.FlowID(m.resolve(token)))
-}
-
 func (m *NetworkManager) resolve(token string) string {
 	m.aliasMu.Lock()
 	defer m.aliasMu.Unlock()
@@ -235,9 +223,6 @@ func NewDSRTManager(s *dsrt.Scheduler) *DSRTManager {
 
 // Type implements ResourceManager.
 func (m *DSRTManager) Type() string { return TypeCPUShare }
-
-// Scheduler exposes the backing scheduler (for monitoring).
-func (m *DSRTManager) Scheduler() *dsrt.Scheduler { return m.sched }
 
 func dsrtClass(name string) dsrt.Class {
 	switch name {

@@ -15,6 +15,11 @@ var (
 	mgrT1 = mgrT0.Add(4 * time.Hour)
 )
 
+// flow is the nrm flow backing a token, following Modify aliases.
+func (m *NetworkManager) flow(token string) (nrm.Flow, error) {
+	return m.nrm.Flow(nrm.FlowID(m.resolve(token)))
+}
+
 func mustRSL(t *testing.T, src string) *rsl.Node {
 	t.Helper()
 	n, err := rsl.Parse(src)
@@ -29,9 +34,6 @@ func TestComputeManagerLifecycle(t *testing.T) {
 	m := NewComputeManager(pool)
 	if m.Type() != TypeCompute {
 		t.Fatalf("type = %q", m.Type())
-	}
-	if m.Pool() != pool {
-		t.Fatal("Pool() does not expose the backing pool")
 	}
 
 	token, err := m.Reserve(mustRSL(t, `&(count=4)(memory=512)(disk=10)`), mgrT0, mgrT1, "job-1")
@@ -126,7 +128,7 @@ func TestNetworkManagerLifecycleAndAliases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flow, err := m.Flow(token)
+	flow, err := m.flow(token)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +141,7 @@ func TestNetworkManagerLifecycleAndAliases(t *testing.T) {
 	if err := m.Modify(token, mustRSL(t, `&(bandwidth=25)`)); err != nil {
 		t.Fatal(err)
 	}
-	flow2, err := m.Flow(token)
+	flow2, err := m.flow(token)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +159,7 @@ func TestNetworkManagerLifecycleAndAliases(t *testing.T) {
 	if err := m.Cancel(token); err != nil {
 		t.Fatalf("cancel via aliased token: %v", err)
 	}
-	if _, err := m.Flow(token); err == nil {
+	if _, err := m.flow(token); err == nil {
 		t.Fatal("flow survived cancel")
 	}
 }
@@ -174,7 +176,7 @@ func TestNetworkManagerModifyRestoresOnFailure(t *testing.T) {
 	if err := m.Modify(token, mustRSL(t, `&(bandwidth=200)`)); err == nil {
 		t.Fatal("over-capacity modify succeeded")
 	}
-	flow, err := m.Flow(token)
+	flow, err := m.flow(token)
 	if err != nil {
 		t.Fatalf("original flow lost after failed modify: %v", err)
 	}
@@ -188,9 +190,6 @@ func TestDSRTManagerDirectLifecycle(t *testing.T) {
 	m := NewDSRTManager(sched)
 	if m.Type() != TypeCPUShare {
 		t.Fatalf("type = %q", m.Type())
-	}
-	if m.Scheduler() != sched {
-		t.Fatal("Scheduler() does not expose the backing scheduler")
 	}
 
 	token, err := m.Reserve(mustRSL(t, `&(class="PCPT")(share=0.5)(period=30)`), mgrT0, mgrT1, "t")

@@ -131,15 +131,6 @@ func (c *Client) BestEffort(client string, amount resource.Capacity, release boo
 	return err
 }
 
-// Session fetches a session snapshot.
-func (c *Client) Session(id sla.ID) (*OfferJSON, error) {
-	var out OfferJSON
-	if err := c.call(http.MethodGet, "session?id="+string(id), nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // LoadReport fetches the broker's current load for front-tier
 // placement.
 func (c *Client) LoadReport() (core.LoadReport, error) {

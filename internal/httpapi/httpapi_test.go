@@ -395,9 +395,14 @@ func TestMountBesideSOAP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SOAP RequestService beside JSON mount: %v", err)
 	}
-	sess, err := httpapi.NewClient(url).Session(sla.ID(offer.SLA.SLAID))
+	resp, err := http.Get(url + "/api/v1/session?id=" + offer.SLA.SLAID)
 	if err != nil {
-		t.Fatalf("JSON Session of SOAP-created session: %v", err)
+		t.Fatalf("JSON session of SOAP-created session: %v", err)
+	}
+	defer resp.Body.Close()
+	var sess httpapi.OfferJSON
+	if err := json.NewDecoder(resp.Body).Decode(&sess); err != nil {
+		t.Fatalf("JSON session of SOAP-created session: %v", err)
 	}
 	if sess.SLAID != offer.SLA.SLAID || sess.State != "proposed" || sess.Allocated.CPU != 2 {
 		t.Errorf("JSON snapshot %+v does not match the SOAP offer %q", sess, offer.SLA.SLAID)

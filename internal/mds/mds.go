@@ -14,29 +14,13 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 )
 
 // Attributes is one provider's published status: attribute name → value.
-// Values are strings on the wire (as in LDAP-backed MDS); numeric helpers
-// are provided.
+// Values are strings on the wire (as in LDAP-backed MDS).
 type Attributes map[string]string
-
-// Num returns the attribute parsed as a float, or def when absent or
-// malformed.
-func (a Attributes) Num(key string, def float64) float64 {
-	s, ok := a[key]
-	if !ok {
-		return def
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil {
-		return def
-	}
-	return v
-}
 
 // Clone returns a copy of the attribute set.
 func (a Attributes) Clone() Attributes {
@@ -86,17 +70,6 @@ func (d *Directory) Register(name string, f ProviderFunc) error {
 		return fmt.Errorf("%w: %s", ErrDuplicate, name)
 	}
 	d.local[name] = f
-	return nil
-}
-
-// Unregister removes a provider.
-func (d *Directory) Unregister(name string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.local[name]; !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	delete(d.local, name)
 	return nil
 }
 

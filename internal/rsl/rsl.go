@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -440,23 +439,6 @@ func (n *Node) SubRequests() []*Node {
 		return append([]*Node(nil), n.Children...)
 	}
 	return []*Node{n}
-}
-
-// Attributes returns the sorted set of attribute names mentioned anywhere
-// in the tree.
-func (n *Node) Attributes() []string {
-	seen := make(map[string]bool)
-	n.walk(func(r *Node) {
-		if r.Kind == KindRelation {
-			seen[r.Attribute] = true
-		}
-	})
-	out := make([]string, 0, len(seen))
-	for a := range seen {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Lookup returns the value of the first `attr = value` relation found in a

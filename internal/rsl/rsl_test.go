@@ -3,6 +3,7 @@ package rsl
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -254,17 +255,18 @@ func TestEvalOperators(t *testing.T) {
 	}
 }
 
+// TestAttributes holds the walk under Lookup, Num and Str to every relation
+// of every sub-request of a multirequest.
 func TestAttributes(t *testing.T) {
 	n := mustParse(t, `+(&(type="cpu")(count=10))(&(type="network")(bandwidth=622))`)
-	got := n.Attributes()
-	want := []string{"bandwidth", "count", "type"}
-	if len(got) != len(want) {
-		t.Fatalf("Attributes = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Attributes = %v, want %v", got, want)
+	var got []string
+	n.walk(func(r *Node) {
+		if r.Kind == KindRelation {
+			got = append(got, r.Attribute)
 		}
+	})
+	if want := []string{"type", "count", "type", "bandwidth"}; !slices.Equal(got, want) {
+		t.Fatalf("walk visited %v, want %v", got, want)
 	}
 }
 

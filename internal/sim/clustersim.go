@@ -237,17 +237,15 @@ func RunClusterSim(cfg ClusterSimConfig) (*Report, error) {
 type HandoffCrashConfig struct {
 	// Brokers is the member count (default 3).
 	Brokers int
-	// Sessions is how many sessions to admit before the forced
-	// migration (default 48 — small enough that even the worst-case
-	// request schedule fits the cluster's guaranteed partition, since
-	// this runner never slides a window).
-	Sessions int
 	// Seed drives the request-size schedule.
 	Seed int64
-	// Dir is the WAL root (one subdirectory per member); empty creates
-	// and removes a temporary root.
-	Dir string
 }
+
+// handoffSessions is how many sessions a RunHandoffCrash run admits before
+// the forced migration — small enough that even the worst-case request
+// schedule fits the cluster's guaranteed partition, since this runner
+// never slides a window.
+const handoffSessions = 48
 
 // RunHandoffCrash drives the crash interleaving end to end on durable
 // brokers: admit, begin hand-off, import on the target, kill the source
@@ -256,17 +254,16 @@ type HandoffCrashConfig struct {
 // a drain.
 func RunHandoffCrash(cfg HandoffCrashConfig) (*Report, error) {
 	orDefault(&cfg.Brokers, 3)
-	orDefault(&cfg.Sessions, 48)
 	topo, err := newTopology(topoConfig{
-		Base:    stack.Config{Plan: clusterPlan(), Shards: 1, WALDir: cfg.Dir},
+		Base:    stack.Config{Plan: clusterPlan(), Shards: 1},
 		Brokers: cfg.Brokers, Durable: true,
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer topo.close()
-	e := &engine{topo: topo, steps: cfg.Sessions}
-	w := newWindowWorkload(e, cfg.Seed, cfg.Sessions, 8, func(w *windowWorkload, i int) core.Request {
+	e := &engine{topo: topo, steps: handoffSessions}
+	w := newWindowWorkload(e, cfg.Seed, handoffSessions, 8, func(w *windowWorkload, i int) core.Request {
 		return w.guaranteedRequest(fmt.Sprintf("hc-client-%03d", i),
 			sla.Exact(resource.CPU, float64(w.rng.Intn(3)+1)))
 	})
@@ -274,9 +271,9 @@ func RunHandoffCrash(cfg HandoffCrashConfig) (*Report, error) {
 	if err := e.play(); err != nil {
 		return nil, err
 	}
-	if w.admitted != cfg.Sessions {
+	if w.admitted != handoffSessions {
 		return nil, fmt.Errorf("only %d of %d drill sessions admitted (%d rejected, %d errors)",
-			w.admitted, cfg.Sessions, w.rejected, w.errors)
+			w.admitted, handoffSessions, w.rejected, w.errors)
 	}
 	// Let the fan-out's background retractions settle before the crash.
 	topo.settle()
@@ -325,7 +322,7 @@ func RunHandoffCrash(cfg HandoffCrashConfig) (*Report, error) {
 	e.quiesce("post-reconcile", false)
 
 	e.finish()
-	rep := e.report("handoff", map[string]any{"brokers": cfg.Brokers, "sessions": cfg.Sessions, "seed": cfg.Seed})
+	rep := e.report("handoff", map[string]any{"brokers": cfg.Brokers, "sessions": handoffSessions, "seed": cfg.Seed})
 	rep.Outcome.Handoff = res
 	// The acceptance bar: after the source is killed mid-migration (import
 	// committed, completion not), recovered, and reconciled, exactly one

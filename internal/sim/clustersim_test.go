@@ -55,7 +55,7 @@ func TestClusterSimDeterministic(t *testing.T) {
 // after the target committed, recovered from WAL, reconciled — exactly
 // one owner, no invariant violations, nothing leaked.
 func TestHandoffCrashSingleOwner(t *testing.T) {
-	res, err := RunHandoffCrash(HandoffCrashConfig{Brokers: 3, Sessions: 60, Seed: 3, Dir: t.TempDir()})
+	res, err := RunHandoffCrash(HandoffCrashConfig{Brokers: 3, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,8 +82,6 @@ type ScenarioConfig struct {
 	Seed int64
 	// Ops targets the number of broker operations (default 6000).
 	Ops int
-	// Phases is the number of mid-run quiesce points (default 10).
-	Phases int
 	// Shards is the broker shard count (default 1).
 	Shards int
 	// Obs receives the run's metrics; nil lets the broker create a
@@ -96,9 +94,11 @@ type ScenarioConfig struct {
 	ShadowPolicy string
 }
 
+// scenarioPhases is the number of mid-run quiesce points of a scenario run.
+const scenarioPhases = 10
+
 func (cfg ScenarioConfig) withDefaults() ScenarioConfig {
 	orDefault(&cfg.Ops, 6000)
-	orDefault(&cfg.Phases, 10)
 	orDefault(&cfg.Shards, 1)
 	return cfg
 }
@@ -241,7 +241,7 @@ func LookupScenario(name string) (Scenario, bool) {
 // caller sample mid-run state — the shadow lab averages allocator
 // utilization across phases this way.
 func RunScenario(sc Scenario, cfg ScenarioConfig, observers ...func(run *ScenarioRun, phase int)) (*Report, error) {
-	run, err := newScenarioRun(sc, cfg)
+	run, err := newScenarioRun(sc, cfg, scenarioPhases)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +261,7 @@ func RunScenario(sc Scenario, cfg ScenarioConfig, observers ...func(run *Scenari
 // newScenarioRun generates the scenario's trace and assembles the engine
 // that will replay it: one arrival per step, the oracle (with the
 // expiry-boundary rules) at every phase barrier.
-func newScenarioRun(sc Scenario, cfg ScenarioConfig) (*ScenarioRun, error) {
+func newScenarioRun(sc Scenario, cfg ScenarioConfig, phases int) (*ScenarioRun, error) {
 	cfg = cfg.withDefaults()
 	wl := sc.Workload(cfg)
 	wl.Seed = cfg.Seed
@@ -297,14 +297,14 @@ func newScenarioRun(sc Scenario, cfg ScenarioConfig) (*ScenarioRun, error) {
 		RNG:      rand.New(rand.NewSource(cfg.Seed + 2)),
 		Accounts: make(map[string]*pricing.Account),
 		sc:       sc,
-		config: map[string]any{"scenario": sc.Name, "seed": cfg.Seed, "ops": cfg.Ops, "phases": cfg.Phases,
+		config: map[string]any{"scenario": sc.Name, "seed": cfg.Seed, "ops": cfg.Ops, "phases": phases,
 			"shards": cfg.Shards, "policy": cfg.Policy, "shadow_policy": cfg.ShadowPolicy},
 		counts:     ScenarioTally{Arrivals: len(trace)},
 		trace:      trace,
 		drainUntil: Epoch.Add(wl.Duration).Add(1000 * time.Hour),
 	}
 	run.engine = &engine{topo: topo, work: run, steps: len(trace),
-		quiesceEvery: max(1, len(trace)/cfg.Phases), lifecycle: confirm}
+		quiesceEvery: max(1, len(trace)/phases), lifecycle: confirm}
 	return run, nil
 }
 

@@ -38,7 +38,7 @@ func TestClusterAssembles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if attrs.Num("cpu-total", 0) != 26 {
+	if attrs["cpu-total"] != "26" {
 		t.Errorf("cpu-total = %v", attrs)
 	}
 }

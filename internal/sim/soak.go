@@ -16,16 +16,11 @@ import (
 // they sit under the report's latency key ("soak"); the verdict is the
 // oracle's stable gate.
 
-// SoakConfig sizes a soak run. The embedded ScenarioConfig is used as in
-// RunScenario except that Phases is driven by Windows.
-type SoakConfig struct {
-	ScenarioConfig
-	// Windows is the number of sampling windows (default 40).
-	Windows int
-}
-
-// The stability verdict's bounds.
+// The sampling cadence and the stability verdict's bounds.
 const (
+	// soakWindows is the number of sampling windows, the run's quiesce
+	// points.
+	soakWindows = 40
 	// soakLedgerRetention bounds the broker ledger's entry window
 	// (aggregates stay exact across eviction).
 	soakLedgerRetention = 4096
@@ -70,10 +65,8 @@ type soakStats struct {
 // runtime health sampled per window, stability asserted. A non-nil error
 // means the harness itself failed; oracle violations, assertion failures
 // and instability land in the report.
-func RunSoak(sc Scenario, cfg SoakConfig) (*Report, error) {
-	orDefault(&cfg.Windows, 40)
-	cfg.Phases = cfg.Windows
-	run, err := newScenarioRun(sc, cfg.ScenarioConfig)
+func RunSoak(sc Scenario, cfg ScenarioConfig) (*Report, error) {
+	run, err := newScenarioRun(sc, cfg, soakWindows)
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,7 @@ import (
 // wall-time (minutes under -race) does not belong in the tier-1 loop —
 // the CI soak job sets the variable.
 
-func runSoak(t *testing.T, name string, cfg SoakConfig) *Report {
+func runSoak(t *testing.T, name string, cfg ScenarioConfig) *Report {
 	t.Helper()
 	sc, ok := LookupScenario(name)
 	if !ok {
@@ -53,10 +53,7 @@ func TestSoakStabilityQuick(t *testing.T) {
 	for _, name := range []string{"diurnal", "lease-churn"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			r := runSoak(t, name, SoakConfig{
-				ScenarioConfig: ScenarioConfig{Seed: 1, Ops: ops},
-				Windows:        20,
-			})
+			r := runSoak(t, name, ScenarioConfig{Seed: 1, Ops: ops})
 			checkStable(t, r)
 			if r.Outcome.Ops < int64(ops)/4 {
 				t.Errorf("executed only %d broker ops for a %d-op budget", r.Outcome.Ops, ops)
@@ -75,12 +72,9 @@ func TestSoakStabilityFull(t *testing.T) {
 	if os.Getenv("GQOSM_FULL_SOAK") == "" {
 		t.Skip("full soak is opt-in: set GQOSM_FULL_SOAK=1 (CI soak job does)")
 	}
-	r := runSoak(t, "diurnal", SoakConfig{
-		// ~0.58 executed broker ops per budgeted op for diurnal (rejected
-		// arrivals are single-call), so a 2M budget clears 1M executed.
-		ScenarioConfig: ScenarioConfig{Seed: 1, Ops: 2000000},
-		Windows:        100,
-	})
+	// ~0.58 executed broker ops per budgeted op for diurnal (rejected
+	// arrivals are single-call), so a 2M budget clears 1M executed.
+	r := runSoak(t, "diurnal", ScenarioConfig{Seed: 1, Ops: 2000000})
 	checkStable(t, r)
 	if r.Outcome.Ops < 1000000 {
 		t.Errorf("executed %d broker ops, want >= 1M", r.Outcome.Ops)
@@ -91,13 +85,13 @@ func TestSoakStabilityFull(t *testing.T) {
 // block, which holds the soak samples too) must be byte-identical across
 // runs with one seed.
 func TestSoakDeterministicCore(t *testing.T) {
-	cfg := SoakConfig{ScenarioConfig: ScenarioConfig{Seed: 3, Ops: 15000}, Windows: 10}
+	cfg := ScenarioConfig{Seed: 3, Ops: 15000}
 	r1 := runSoak(t, "lease-churn", cfg)
 	r2 := runSoak(t, "lease-churn", cfg)
 	if c1, c2 := stripped(t, r1), stripped(t, r2); !bytes.Equal(c1, c2) || r1.Digest != r2.Digest {
 		t.Errorf("nondeterministic soak core:\n%s\nvs\n%s", c1, c2)
 	}
-	if len(r1.Latency["soak"].(*soakStats).Windows) != 10 {
+	if len(r1.Latency["soak"].(*soakStats).Windows) != soakWindows {
 		t.Errorf("soak block missing its windows: %v", r1.Latency["soak"])
 	}
 }

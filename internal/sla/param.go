@@ -256,12 +256,6 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Param returns the parameter for dimension k.
-func (s Spec) Param(k resource.Kind) (Param, bool) {
-	p, ok := s.Params[k]
-	return p, ok
-}
-
 // Kinds returns the dimensions with parameters, in canonical order.
 func (s Spec) Kinds() []resource.Kind {
 	var out []resource.Kind

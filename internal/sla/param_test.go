@@ -200,7 +200,7 @@ func TestSpecBasics(t *testing.T) {
 	if len(kinds) != 3 || kinds[0] != resource.CPU {
 		t.Fatalf("Kinds = %v", kinds)
 	}
-	if _, ok := s.Param(resource.DiskGB); ok {
+	if _, ok := s.Params[resource.DiskGB]; ok {
 		t.Error("Param(DiskGB) found")
 	}
 	want := resource.Capacity{CPU: 4, MemoryMB: 64, BandwidthMbps: 10}

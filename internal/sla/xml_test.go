@@ -2,7 +2,6 @@ package sla
 
 import (
 	"encoding/xml"
-	"errors"
 	"strings"
 	"testing"
 
@@ -228,110 +227,5 @@ func TestParseQuantity(t *testing.T) {
 				t.Errorf("ParseQuantity = %g, want %g", got, tt.want)
 			}
 		})
-	}
-}
-
-func TestMemoryRepository(t *testing.T) {
-	r := NewMemoryRepository()
-	d := guaranteedDoc()
-	if err := r.Put(d); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if err := r.Put(&Document{}); err == nil {
-		t.Error("Put of empty-ID document succeeded")
-	}
-	got, err := r.Get(d.ID)
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	// Repository hands out copies.
-	got.Service = "mutated"
-	again, err := r.Get(d.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Service != "simulation" {
-		t.Error("repository leaked internal document")
-	}
-	if _, err := r.Get("missing"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Get missing err = %v", err)
-	}
-
-	d2 := guaranteedDoc()
-	d2.ID = "0999"
-	if err := r.Put(d2); err != nil {
-		t.Fatal(err)
-	}
-	all, err := r.List(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 2 || all[0].ID != "0999" || all[1].ID != "1055" {
-		t.Fatalf("List = %v", all)
-	}
-	some, err := r.List(func(d *Document) bool { return d.ID == "1055" })
-	if err != nil || len(some) != 1 {
-		t.Fatalf("filtered List = %v, %v", some, err)
-	}
-	if err := r.Delete(d.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Delete(d.ID); !errors.Is(err, ErrNotFound) {
-		t.Errorf("double Delete err = %v", err)
-	}
-}
-
-func TestFileRepositoryPersists(t *testing.T) {
-	dir := t.TempDir()
-	r, err := NewFileRepository(dir)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	d := guaranteedDoc()
-	d.Allocated = d.Spec.Floor()
-	if err := r.Put(d); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-
-	// Reopen and check the document survived.
-	r2, err := NewFileRepository(dir)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	got, err := r2.Get(d.ID)
-	if err != nil {
-		t.Fatalf("Get after reopen: %v", err)
-	}
-	if got.Class != ClassGuaranteed {
-		t.Errorf("class = %v", got.Class)
-	}
-	if !got.Allocated.Equal(d.Allocated) {
-		t.Errorf("allocated = %v, want %v", got.Allocated, d.Allocated)
-	}
-
-	if err := r2.Delete(d.ID); err != nil {
-		t.Fatal(err)
-	}
-	r3, err := NewFileRepository(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r3.Get(d.ID); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Get after delete+reopen err = %v", err)
-	}
-}
-
-func TestFileRepositoryIgnoresForeignFiles(t *testing.T) {
-	dir := t.TempDir()
-	r, err := NewFileRepository(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Put(guaranteedDoc()); err != nil {
-		t.Fatal(err)
-	}
-	all, err := r.List(nil)
-	if err != nil || len(all) != 1 {
-		t.Fatalf("List = %v, %v", all, err)
 	}
 }

@@ -57,10 +57,6 @@ type Config struct {
 	// adaptation (share boosts) before AQoS-level adaptation on CPU
 	// degradation (§3.2).
 	DSRTProcessors int
-	// RepoDir, when set, persists established SLAs as Table-4 XML files
-	// in that directory (the paper's SLA repository); otherwise SLAs are
-	// kept in memory.
-	RepoDir string
 	// MonitorInterval, when positive, starts a periodic QoS-management
 	// monitor (NRM checks, session expiry, optimizer passes) at that
 	// interval; Close stops it.
@@ -212,16 +208,6 @@ func New(cfg Config) (*Stack, error) {
 		attachJobs(gramM, sched, adapter, cfg.DSRTProcessors)
 	}
 
-	var repo sla.Repository
-	if cfg.RepoDir != "" {
-		fileRepo, err := sla.NewFileRepository(cfg.RepoDir)
-		if err != nil {
-			gramM.Close()
-			return nil, err
-		}
-		repo = fileRepo
-	}
-
 	brokerCfg := core.Config{
 		Domain:           cfg.Domain,
 		Clock:            clock,
@@ -232,7 +218,6 @@ func New(cfg Config) (*Stack, error) {
 		NRM:              netMgr,
 		MDS:              dir,
 		RM:               rm,
-		Repo:             repo,
 		ConfirmWindow:    cfg.ConfirmWindow,
 		MinOptimizerGain: cfg.MinOptimizerGain,
 		Shards:           cfg.Shards,

@@ -34,7 +34,7 @@ func TestEncodeDecodeSpecRoundTrip(t *testing.T) {
 	if !back.Floor().Equal(spec.Floor()) || !back.Best().Equal(spec.Best()) {
 		t.Errorf("round trip floor/best mismatch: %v / %v", back.Floor(), back.Best())
 	}
-	p, ok := back.Param(resource.BandwidthMbps)
+	p, ok := back.Params[resource.BandwidthMbps]
 	if !ok || p.Form != sla.FormList || len(p.Values) != 3 {
 		t.Errorf("list param = %+v", p)
 	}

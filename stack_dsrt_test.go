@@ -1,7 +1,6 @@
 package gqosm
 
 import (
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -141,57 +140,4 @@ func stackDegrade(stack *Stack, id SLAID, measured Capacity) {
 	stack.Broker.NotifyFailure(Nodes(12)) // C_G_eff = 3 < session's 10
 	_, _ = stack.Broker.Verify(id)
 	stack.Broker.NotifyFailure(Capacity{})
-}
-
-func TestStackRepoDirPersistsSLAs(t *testing.T) {
-	dir := t.TempDir()
-	clock := NewManualClock(epoch)
-	stack, err := NewStack(StackConfig{
-		Clock:         clock,
-		Plan:          CapacityPlan{Guaranteed: Nodes(10), BestEffort: Nodes(2)},
-		ConfirmWindow: time.Hour,
-		RepoDir:       dir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stack.Close()
-	offer, err := stack.Broker.RequestService(Request{
-		Service: "simulation", Client: "c", Class: ClassGuaranteed,
-		Spec:  NewSpec(Exact(CPU, 4)),
-		Start: epoch, End: epoch.Add(time.Hour),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stack.Broker.Accept(offer.SLA.ID); err != nil {
-		t.Fatal(err)
-	}
-	// The SLA landed on disk as a Table-4 XML file.
-	matches, err := filepath.Glob(filepath.Join(dir, "*.xml"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != 1 {
-		t.Fatalf("repo dir holds %d files, want 1", len(matches))
-	}
-	// A fresh repository over the same directory sees the agreement.
-	repo, err := sla.NewFileRepository(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := repo.Get(offer.SLA.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Class != ClassGuaranteed {
-		t.Errorf("persisted class = %v", doc.Class)
-	}
-	// Bad repo dir (a path through a regular file) fails assembly.
-	if _, err := NewStack(StackConfig{
-		Plan:    CapacityPlan{Guaranteed: Nodes(1)},
-		RepoDir: filepath.Join(matches[0], "not-a-dir"),
-	}); err == nil {
-		t.Error("NewStack accepted unusable RepoDir")
-	}
 }
