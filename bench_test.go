@@ -84,7 +84,7 @@ func BenchmarkTable2GARALifecycle(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := sys.Bind(h, gara.BindParam{PID: i + 1}); err != nil {
+		if err := sys.Bind(h); err != nil {
 			b.Fatal(err)
 		}
 		if err := sys.Unbind(h); err != nil {

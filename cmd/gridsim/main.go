@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"gqosm"
-	"gqosm/internal/gara"
 	"gqosm/internal/obs"
 	"gqosm/internal/resource"
 	"gqosm/internal/shadow"
@@ -112,53 +111,22 @@ func modeTable() string {
 }
 
 func run(args []string) error {
-	fs := flag.NewFlagSet("gridsim", flag.ContinueOnError)
 	o := &options{}
-	fs.StringVar(&o.experiment, "experiment", "all", "experiment id (E56, C1..C5, T1..T4, F4, F6, all)")
-	fs.Int64Var(&o.seed, "seed", 2003, "workload seed")
-	fs.BoolVar(&o.verbose, "v", false, "include broker activity logs")
-	fs.Bool("parallel", false, "run the concurrent admission stress")
-	fs.IntVar(&o.clients, "clients", 0, "stress clients (default 8); with -cluster the simulated client count (default 100000)")
-	fs.IntVar(&o.ops, "ops", 10000, "total operations for the stress and scenario modes")
-	fs.IntVar(&o.phases, "phases", 10, "mid-run quiesce points for -parallel/-chaos")
-	fs.IntVar(&o.shards, "shards", 1, "broker shards (the -parallel serial baseline stays monolithic)")
-	fs.BoolVar(&o.jsonOut, "json", false, "emit the mode's report as JSON")
-	fs.Bool("chaos", false, "replay the stress workload under deterministic fault injection")
-	fs.Float64Var(&o.faultRate, "faultrate", 0.2, "per-site fault injection probability for -chaos (0 = no injector)")
-	fs.IntVar(&o.restarts, "restarts", 0, "with -chaos: kill and WAL-recover the broker this many times mid-workload")
-	fs.StringVar(&o.walDir, "wal-dir", "", "WAL directory for -chaos -restarts (default: a temporary one)")
-	fs.BoolVar(&o.intake, "intake", false, "route admissions through the group-commit intake")
-	fs.StringVar(&o.transport, "transport", "", "admission transport for -parallel: empty (in-process) or http (loopback JSON API)")
-	fs.StringVar(&o.scenario, "scenario", "", "replay a workload scenario by name ('all' for every scenario, 'list' for the catalog)")
-	fs.BoolVar(&o.soak, "soak", false, "run -scenario in long-run soak mode: bounded working set, runtime health sampling")
-	fs.StringVar(&o.shadow, "shadow", "", "with -scenario: evaluate the named candidate policy in shadow (divergence counts + counterfactual deltas)")
-	fs.IntVar(&o.cluster, "cluster", 0, "run the multi-broker workload with N broker instances behind the front tier")
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "Usage of gridsim — one mode per run:\n\n%s\n", modeTable())
-		fs.PrintDefaults()
-	}
+	fs := flagSet(o)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	// The first row whose selecting flags all hold a non-default value
 	// wins ("-restarts 0" stays plain chaos); the last row always matches.
-	unset := func(name string) bool { f := fs.Lookup(name); return f.Value.String() == f.DefValue }
-	m := &modes[slices.IndexFunc(modes, func(m mode) bool { return !slices.ContainsFunc(m.when, unset) })]
+	m := pick(func(name string) bool { f := fs.Lookup(name); return f.Value.String() != f.DefValue })
 	// Flags the mode ignores are an error: a report must never silently
 	// describe a different run than the command line asked for.
 	var stray error
 	fs.Visit(func(f *flag.Flag) {
-		if stray != nil || m.knows(f.Name) {
-			return
+		if stray == nil {
+			stray = m.stray(f.Name)
 		}
-		var needs []string
-		for i := range modes {
-			if modes[i].knows(f.Name) {
-				needs = append(needs, modes[i].selector(f.Name))
-			}
-		}
-		stray = fmt.Errorf("-%s needs %s (it is not read in %s mode)", f.Name, strings.Join(needs, " or "), m.name)
 	})
 	if stray != nil {
 		return stray
@@ -188,6 +156,56 @@ func run(args []string) error {
 		return fmt.Errorf("%s: the report failed its gates", m.name)
 	}
 	return nil
+}
+
+// pick returns the first mode row whose selecting flags are all set.
+func pick(set func(name string) bool) *mode {
+	return &modes[slices.IndexFunc(modes, func(m mode) bool {
+		return !slices.ContainsFunc(m.when, func(name string) bool { return !set(name) })
+	})]
+}
+
+// stray reports a flag m does not read, naming the modes that do.
+func (m *mode) stray(name string) error {
+	if m.knows(name) {
+		return nil
+	}
+	var needs []string
+	for i := range modes {
+		if modes[i].knows(name) {
+			needs = append(needs, modes[i].selector(name))
+		}
+	}
+	return fmt.Errorf("-%s needs %s (it is not read in %s mode)", name, strings.Join(needs, " or "), m.name)
+}
+
+// flagSet declares every flag, bound to o.
+func flagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("gridsim", flag.ContinueOnError)
+	fs.StringVar(&o.experiment, "experiment", "all", "experiment id (E56, C1..C5, T1..T4, F4, F6, all)")
+	fs.Int64Var(&o.seed, "seed", 2003, "workload seed")
+	fs.BoolVar(&o.verbose, "v", false, "include broker activity logs")
+	fs.Bool("parallel", false, "run the concurrent admission stress")
+	fs.IntVar(&o.clients, "clients", 0, "stress clients (default 8); with -cluster the simulated client count (default 100000)")
+	fs.IntVar(&o.ops, "ops", 10000, "total operations for the stress and scenario modes")
+	fs.IntVar(&o.phases, "phases", 10, "mid-run quiesce points for -parallel/-chaos")
+	fs.IntVar(&o.shards, "shards", 1, "broker shards (the -parallel serial baseline stays monolithic)")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit the mode's report as JSON")
+	fs.Bool("chaos", false, "replay the stress workload under deterministic fault injection")
+	fs.Float64Var(&o.faultRate, "faultrate", 0.2, "per-site fault injection probability for -chaos (0 = no injector)")
+	fs.IntVar(&o.restarts, "restarts", 0, "with -chaos: kill and WAL-recover the broker this many times mid-workload")
+	fs.StringVar(&o.walDir, "wal-dir", "", "WAL directory for -chaos -restarts (default: a temporary one)")
+	fs.BoolVar(&o.intake, "intake", false, "route admissions through the group-commit intake")
+	fs.StringVar(&o.transport, "transport", "", "admission transport for -parallel: empty (in-process) or http (loopback JSON API)")
+	fs.StringVar(&o.scenario, "scenario", "", "replay a workload scenario by name ('all' for every scenario, 'list' for the catalog)")
+	fs.BoolVar(&o.soak, "soak", false, "run -scenario in long-run soak mode: bounded working set, runtime health sampling")
+	fs.StringVar(&o.shadow, "shadow", "", "with -scenario: evaluate the named candidate policy in shadow (divergence counts + counterfactual deltas)")
+	fs.IntVar(&o.cluster, "cluster", 0, "run the multi-broker workload with N broker instances behind the front tier")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "Usage of gridsim — one mode per run:\n\n%s\n", modeTable())
+		fs.PrintDefaults()
+	}
+	return fs
 }
 
 // structural matches the punctuation-only lines of an indented JSON
@@ -434,10 +452,10 @@ func runT2(_ int64, _ bool) error {
 		return err
 	}
 	fmt.Printf("globus_gara_reservation_create(%q)\n  -> handle %s\n", req, handle)
-	if err := stack.GARA.Bind(handle, gara.BindParam{PID: 4242}); err != nil {
+	if err := stack.GARA.Bind(handle); err != nil {
 		return err
 	}
-	fmt.Printf("globus_gara_reservation_bind(%s, pid=4242)\n  -> claimed\n", handle)
+	fmt.Printf("globus_gara_reservation_bind(%s)\n  -> claimed\n", handle)
 	if err := stack.GARA.Unbind(handle); err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -15,12 +16,13 @@ import (
 	"testing"
 )
 
-// testOnlyExports is the allowlist of TestNoTestOnlyExports: exported
-// funcs and methods under internal/ that no non-test file uses, each
-// with the reason it stays. Three kinds of entry belong here — methods
-// that satisfy an interface (called through it, never selected), test
-// seams the invariant oracle needs, and substrate features of the paper
-// that only tests drive. Anything else the test lists is deleted.
+// testOnlyExports is the allowlist of TestNoTestOnlyExports: declarations
+// under internal/ that no non-test file uses, each with the reason it
+// stays; what an entry uses stays with it. Three kinds of entry belong
+// here — methods that satisfy an interface (called through it, never
+// selected), test seams the invariant oracle needs, and substrate features
+// of the paper that only tests drive. Anything else the test lists is
+// deleted.
 var testOnlyExports = map[string]string{
 	"core.wireError.Unwrap":       "interface method: errors.Is/As reach the taxonomy sentinel through it",
 	"clockx.Manual.PendingTimers": "oracle seam: timer-leak checks (a stopped monitor, a closed broker or job manager leaves no timer armed)",
@@ -37,47 +39,88 @@ var testOnlyExports = map[string]string{
 	"registry.Client.Register":    "substrate: UDDIe save_service over SOAP, see registry.NewClient",
 	"registry.Client.Deregister":  "substrate: UDDIe delete_service over SOAP, see registry.NewClient",
 	"mds.Directory.Mount":         "substrate: MDS's GIIS aggregation (a resource directory mounted under a site's); the stack runs one flat directory",
+	"mds.Directory.Search":        "substrate: the MDS query API (a GRIS poll through Query, a GIIS search across mounts) that SLA-Verif's 3.2 read is to use, ROADMAP item 10; no broker code queries MDS yet",
+	"rsl.Node.Eval":               "substrate: RSL evaluation of an offer against a specification; GARA reads a specification through Lookup and SubRequests",
+	"nrm.Topology.SetCongestion":  "substrate: the scenario-3 network degradation injected on a link; tests and the degradation example drive it",
+	"core.Broker.Promotions":      "substrate: the open scenario-2(c) offers as a client lists them; the wire carries accept_promotion and the activity log names each offer",
 	"resource.Pool.SetOffline":    "substrate: the 5.6 node failure as the reservation pool sees it (reservations stand, the pool is oversubscribed until the AQoS adapts); the broker takes failures at the Allocator, the pool's differential oracle and GARA's walk-back test drive this",
 	"gara.NewStorageManager":      "substrate: GARA's storage reservation-type; the stack reserves disk from the compute pool",
 }
 
-// TestNoTestOnlyExports lists every exported func, method or interface
-// method declared in a non-test file under internal/ that no non-test file
-// of the root module (examples/ included) or of bench/ uses. Identifiers are
-// resolved with go/types (see census), so a name shared with a live method
-// hides nothing. A method is used when non-test code selects it, or calls a
-// method of an interface its type implements; an interface method nobody
-// calls is listed together with the implementations nothing selects
-// directly. The standard library's own interfaces (container/heap,
-// fmt.Stringer, ...) count as called: their callers are outside the census.
+// TestNoTestOnlyExports lists every package-level declaration in a non-test
+// file under internal/ — a func or method, an interface method, an exported
+// type, var or const — that no non-test file of the root module or of bench/
+// uses. Identifiers are resolved with go/types (see census), so a name shared
+// with a live method hides nothing. A use inside the declaration's own body
+// is not a use, and a declaration whose only users are listed is listed too.
+// A method is also used when non-test code calls a method of an interface its
+// type implements; an interface method nobody calls is listed together with
+// the implementations nothing selects directly. The standard library's own
+// interfaces (container/heap, fmt.Stringer, ...) count as called: their
+// callers are outside the census.
 func TestNoTestOnlyExports(t *testing.T) {
 	c := repoCensus(t)
-	declared := map[string]*types.Func{} // "pkg.Recv.Name" -> its object
-	var named []*types.Named             // every non-interface named type of the repository
+	declared := map[types.Object]string{} // checked declaration -> "pkg.Recv.Name"
+	var named []*types.Named              // every non-interface named type of the repository
+	users := map[types.Object][]types.Object{}
 	for _, f := range c.files {
 		internal := strings.HasPrefix(f.path, "internal/")
+		declare := func(obj types.Object) {
+			if internal && obj.Name() != "_" && obj.Name() != "init" {
+				declared[obj] = qualified(obj)
+			}
+		}
+		// use records that the top-level declaration owner names something
+		// inside node; a nil owner (a blank var) is always live.
+		use := func(owner types.Object, node ast.Node) {
+			ast.Inspect(node, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if obj := c.info.Uses[id]; obj != nil && obj != owner {
+						users[obj] = append(users[obj], owner)
+					}
+				}
+				return true
+			})
+		}
 		for _, decl := range f.file.Decls {
 			switch decl := decl.(type) {
 			case *ast.FuncDecl:
-				if internal && decl.Name.IsExported() {
-					fn := c.info.Defs[decl.Name].(*types.Func)
-					declared[qualified(fn)] = fn
-				}
+				fn := c.info.Defs[decl.Name]
+				declare(fn)
+				use(fn, decl)
 			case *ast.GenDecl:
 				for _, spec := range decl.Specs {
-					spec, ok := spec.(*ast.TypeSpec)
-					if !ok || spec.Assign.IsValid() {
-						continue // an alias declares no type of its own
-					}
-					typ := c.info.Defs[spec.Name].Type().(*types.Named)
-					iface, ok := typ.Underlying().(*types.Interface)
-					if !ok {
-						named = append(named, typ)
-						continue
-					}
-					for i := 0; internal && i < iface.NumExplicitMethods(); i++ {
-						if fn := iface.ExplicitMethod(i); fn.Exported() {
-							declared[qualified(fn)] = fn
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						var owner types.Object
+						for _, name := range spec.Names {
+							if obj := c.info.Defs[name]; name.IsExported() {
+								declare(obj)
+								owner = obj
+							} else if name.Name != "_" && owner == nil {
+								owner = obj
+							}
+						}
+						use(owner, spec)
+					case *ast.TypeSpec:
+						obj := c.info.Defs[spec.Name]
+						if spec.Name.IsExported() {
+							declare(obj)
+						}
+						use(obj, spec)
+						typ, ok := obj.Type().(*types.Named)
+						if !ok || spec.Assign.IsValid() {
+							continue // an alias declares no type of its own
+						}
+						iface, ok := typ.Underlying().(*types.Interface)
+						if !ok {
+							named = append(named, typ)
+							continue
+						}
+						for i := 0; i < iface.NumExplicitMethods(); i++ {
+							if fn := iface.ExplicitMethod(i); fn.Exported() {
+								declare(fn)
+							}
 						}
 					}
 				}
@@ -85,20 +128,17 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 	}
 
-	used := map[*types.Func]bool{}
-	for _, obj := range c.info.Uses {
-		if fn, ok := obj.(*types.Func); ok {
-			used[fn] = true
-		}
-	}
 	// A call through an interface reaches the method of every type that
 	// implements it. The standard library's interfaces (error, fmt.Stringer,
 	// heap.Interface, http.Handler, ...) are called by the standard library,
 	// which the census does not read: their methods all count as called.
+	viaInterface := map[types.Object]bool{}
 	var called []*types.Func
-	for fn := range used {
-		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-			called = append(called, fn)
+	for obj := range users {
+		if fn, ok := obj.(*types.Func); ok {
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				called = append(called, fn)
+			}
 		}
 	}
 	for _, iface := range c.stdInterfaces() {
@@ -110,26 +150,43 @@ func TestNoTestOnlyExports(t *testing.T) {
 		iface := fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
 		for _, typ := range named {
 			if ptr := types.NewPointer(typ); types.Implements(ptr, iface) {
-				used[types.NewMethodSet(ptr).Lookup(fn.Pkg(), fn.Name()).Obj().(*types.Func)] = true
+				viaInterface[types.NewMethodSet(ptr).Lookup(fn.Pkg(), fn.Name()).Obj()] = true
 			}
 		}
 	}
 
-	var dead []string
-	for name, fn := range declared {
-		if !used[fn] && testOnlyExports[name] == "" {
-			dead = append(dead, name)
+	// dead grows to a fixpoint: a declaration is dead when every user it has
+	// is dead already. An allowlisted declaration stays, and so does what it
+	// uses.
+	dead := map[types.Object]bool{}
+	unused := func(obj types.Object) bool {
+		return !viaInterface[obj] && !slices.ContainsFunc(users[obj], func(u types.Object) bool { return u == nil || !dead[u] })
+	}
+	for changed := true; changed; {
+		changed = false
+		for obj, name := range declared {
+			if !dead[obj] && testOnlyExports[name] == "" && unused(obj) {
+				dead[obj], changed = true, true
+			}
 		}
 	}
-	sort.Strings(dead)
-	for _, name := range dead {
-		t.Errorf("%s is exported under internal/ but no non-test file uses it: delete it, or allowlist it with a reason", name)
+	var listed []string
+	for obj := range dead {
+		listed = append(listed, declared[obj])
+	}
+	sort.Strings(listed)
+	for _, name := range listed {
+		t.Errorf("%s is declared under internal/ but no non-test file uses it outside its own body: delete it, or allowlist it with a reason", name)
+	}
+	byName := map[string]types.Object{}
+	for obj, name := range declared {
+		byName[name] = obj
 	}
 	for name, reason := range testOnlyExports {
-		switch fn, ok := declared[name]; {
+		switch obj, ok := byName[name]; {
 		case !ok:
 			t.Errorf("allowlist entry %s is no longer declared: remove it", name)
-		case used[fn]:
+		case !unused(obj):
 			t.Errorf("allowlist entry %s is used from non-test code now: remove it", name)
 		case reason == "":
 			t.Errorf("allowlist entry %s has no reason", name)
@@ -164,8 +221,8 @@ var unsetOptions = map[string]string{
 }
 
 // TestEveryOptionHasASetter lists every exported field of configStructs
-// that no non-test file of the repository (cmd/, examples/, internal/ and
-// bench/ included) ever sets. A field is set when a file names it as a key
+// that no non-test file of the repository (cmd/, internal/ and bench/
+// included) ever sets. A field is set when a file names it as a key
 // in a composite literal of its struct, or assigns it from outside the
 // package that declares the struct — an assignment inside that package is
 // the type defaulting itself, not a caller choosing. `X: cfg.X`, where cfg
@@ -286,6 +343,111 @@ func TestEveryOptionHasASetter(t *testing.T) {
 	}
 }
 
+// unreadFields is the allowlist of TestEveryFieldIsRead, capped at 14:
+// struct fields under internal/ that non-test code writes and never reads,
+// each with the reason it stays. Three reasons hold: bench/ writes it (only
+// a benchmark change may edit bench/, so these are ROADMAP item 7's to-do
+// list), a substrate handle the stack hands to tests, and the MDS substrate
+// ROADMAP item 10 either reads or deletes. Anything else the test lists is
+// deleted.
+var unreadFields = map[string]string{
+	"wal.Record.At":            "bench/ writes it (bench/probes.go's append probe); recovery never reads it, and deleting it shrinks every record",
+	"wal.Record.Op":            "bench/ writes it (bench/probes.go's append probe); recovery never reads it, and deleting it shrinks every record",
+	"wal.Snapshot.At":          "bench/ writes it (bench/probes.go's snapshot probe); recovery never reads it",
+	"sla.Document.Client":      "bench/ writes it (bench/probes.go's probe document); durable in every session record, read by no one",
+	"sla.Document.Provider":    "bench/ writes it (bench/probes.go's probe document); durable in every session record, read by no one",
+	"resource.Reservation.Tag": "bench/ writes it: the tag argument of Pool.Reserve in bench/probes.go",
+	"cluster.Config.Placement": "bench/ writes it: bench/env.go spells cluster.PlaceHash",
+	"core.Config.MDS":          "bench/ writes it: bench/stack.go wires the MDS directory (ROADMAP item 10 gives it a reader or deletes it)",
+	"stack.Stack.DSRT":         "substrate handle: tests drive the DSRT scheduler the stack assembled",
+	"stack.Stack.RM":           "substrate handle: the DSRT-backed RM-level adaptation hook, which the DSRT stack test checks is wired",
+	"stack.Stack.MDS":          "substrate handle: tests query the MDS directory the stack publishes to",
+	"stack.Stack.NRM":          "substrate handle: tests and the degradation example drive the NRM the stack assembled",
+	"mds.Entry.Attrs":          "MDS substrate: a search result's attributes, which ROADMAP item 10 gives a reader or deletes",
+}
+
+// TestEveryFieldIsRead lists every struct field declared under internal/
+// that non-test code writes and never reads. A write is an assignment, an
+// increment, an index assignment or delete, or a composite-literal key;
+// x.f = append(x.f, ...) — or any x.f = g(x.f, ...) — does not read x.f.
+// A field a json or xml tag names, or of a struct reachable from the static
+// type of an argument to an encoding/json or encoding/xml encoder, is read
+// by reflection — except in package wal, where a durable field is read only
+// when code selects it.
+func TestEveryFieldIsRead(t *testing.T) {
+	c := repoCensus(t)
+	written, read := c.fieldAccess()
+	names := map[*types.Var]string{} // struct field under internal/ -> "pkg.Type.Field"
+	var collect func(prefix string, st *types.Struct)
+	collect = func(prefix string, st *types.Struct) {
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if f.Embedded() {
+				continue // read wherever what it promotes is used, an interface call included
+			}
+			names[f] = prefix + "." + f.Name()
+			// A json or xml tag is a read by reflection, outside package wal.
+			_, json := reflect.StructTag(st.Tag(i)).Lookup("json")
+			_, xml := reflect.StructTag(st.Tag(i)).Lookup("xml")
+			if (json || xml) && f.Pkg().Name() != "wal" {
+				read[f] = true
+			}
+			typ := f.Type()
+			if ptr, ok := typ.(*types.Pointer); ok {
+				typ = ptr.Elem()
+			}
+			if inner, ok := typ.(*types.Struct); ok { // an anonymous struct's fields are named through this one
+				collect(names[f], inner)
+			}
+		}
+	}
+	for _, f := range c.files {
+		if !strings.HasPrefix(f.path, "internal/") {
+			continue
+		}
+		ast.Inspect(f.file, func(n ast.Node) bool {
+			if spec, ok := n.(*ast.TypeSpec); ok && !spec.Assign.IsValid() {
+				if st, ok := c.info.Defs[spec.Name].Type().Underlying().(*types.Struct); ok {
+					collect(f.pkg.Name()+"."+spec.Name.Name, st)
+				}
+			}
+			return true
+		})
+	}
+
+	var listed []string
+	for field, name := range names {
+		if written[field] && !read[field] && unreadFields[name] == "" {
+			listed = append(listed, name)
+		}
+	}
+	sort.Strings(listed)
+	for _, name := range listed {
+		t.Errorf("%s is written by non-test code and read by none: delete it, or allowlist it with a reason", name)
+	}
+	if len(unreadFields) > 14 {
+		t.Errorf("allowlist has %d entries; it is capped at 14", len(unreadFields))
+	}
+	for name, reason := range unreadFields {
+		var field *types.Var
+		for f, n := range names {
+			if n == name {
+				field = f
+			}
+		}
+		switch {
+		case field == nil:
+			t.Errorf("allowlist entry %s is no longer declared: remove it", name)
+		case read[field]:
+			t.Errorf("allowlist entry %s is read from non-test code now: remove it", name)
+		case !written[field]:
+			t.Errorf("allowlist entry %s is written by no non-test code now: remove it", name)
+		case reason == "":
+			t.Errorf("allowlist entry %s has no reason", name)
+		}
+	}
+}
+
 // TestOneAssembly keeps the Fig. 5 wiring in one place: internal/stack is
 // the only non-test file outside bench/ (its own module, with timing
 // wrappers round the seams) that may name gara.NewSystem, core.NewBroker
@@ -326,9 +488,10 @@ func TestOneAssembly(t *testing.T) {
 	}
 }
 
-// census is every non-test Go file of the repository (examples/ and
-// bench/ included, dot-directories skipped), parsed and type-checked once
-// for the guards above. Repository packages are checked from the parsed
+// census is every non-test Go file of the repository (bench/ included,
+// dot-directories skipped), parsed and type-checked once for the guards
+// above. The examples are Example functions in example_test.go, so what
+// only an example uses counts as unused. Repository packages are checked from the parsed
 // files, bench/ (its own module) among them as gqosm/bench; the standard
 // library comes from go/importer in "source" mode, so nothing outside the
 // toolchain is needed.
@@ -363,9 +526,10 @@ var loadCensus = sync.OnceValues(func() (*census, error) {
 	c := &census{
 		fset: token.NewFileSet(),
 		info: &types.Info{
-			Types: map[ast.Expr]types.TypeAndValue{},
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		},
 		dirs: map[string][]*ast.File{},
 		pkgs: map[string]*types.Package{},
@@ -461,15 +625,177 @@ func (c *census) stdInterfaces() []*types.Interface {
 	return out
 }
 
-// qualified renders a func as pkg.Name, a method as pkg.Recv.Name.
-func qualified(fn *types.Func) string {
-	name := fn.Pkg().Name() + "."
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-		typ := recv.Type()
+// fieldAccess sorts every field selection, keyed literal element and
+// reflective encoding in the census into writes and reads, as
+// TestEveryFieldIsRead defines them.
+func (c *census) fieldAccess() (written, read map[*types.Var]bool) {
+	written, read = map[*types.Var]bool{}, map[*types.Var]bool{}
+	field := func(sel *ast.SelectorExpr) *types.Var {
+		if s, ok := c.info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+			return s.Obj().(*types.Var).Origin()
+		}
+		return nil
+	}
+	// encoded marks the fields of every struct a value of typ reaches as
+	// read.
+	seen := map[types.Type]bool{}
+	var encoded func(typ types.Type)
+	encoded = func(typ types.Type) {
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch u := typ.Underlying().(type) {
+		case *types.Pointer:
+			encoded(u.Elem())
+		case *types.Slice:
+			encoded(u.Elem())
+		case *types.Array:
+			encoded(u.Elem())
+		case *types.Map:
+			encoded(u.Key())
+			encoded(u.Elem())
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				read[u.Field(i).Origin()] = true
+				encoded(u.Field(i).Type())
+			}
+		}
+	}
+
+	// walk sorts the accesses under n. self is the expression an enclosing
+	// assignment writes: x.f = g(x.f, ...) does not read x.f. wal holds
+	// while the file walked is package wal's.
+	var wal bool
+	var walk func(n ast.Node, self string)
+	// write sorts an expression in assignment position: the field it
+	// selects is written, and so is a struct-valued field it is reached
+	// through; a pointer on the way is read to be followed.
+	var write func(e ast.Expr)
+	write = func(e ast.Expr) {
+		switch e := e.(type) {
+		case *ast.ParenExpr:
+			write(e.X)
+		case *ast.IndexExpr:
+			write(e.X)
+			walk(e.Index, "")
+		case *ast.SelectorExpr:
+			f := field(e)
+			if f == nil {
+				walk(e, "")
+				return
+			}
+			written[f] = true
+			if _, ptr := c.info.TypeOf(e.X).Underlying().(*types.Pointer); ptr {
+				walk(e.X, "")
+			} else {
+				write(e.X)
+			}
+		default:
+			walk(e, "")
+		}
+	}
+	walk = func(n ast.Node, self string) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					write(lhs)
+					if len(n.Lhs) == len(n.Rhs) {
+						walk(n.Rhs[i], types.ExprString(lhs))
+					}
+				}
+				if len(n.Lhs) != len(n.Rhs) {
+					for _, rhs := range n.Rhs {
+						walk(rhs, "")
+					}
+				}
+				return false
+			case *ast.IncDecStmt:
+				write(n.X)
+				return false
+			case *ast.CallExpr:
+				if c.builtin(n, "delete") || c.builtin(n, "clear") {
+					write(n.Args[0])
+					for _, arg := range n.Args[1:] {
+						walk(arg, self)
+					}
+					return false
+				}
+				// Encoding reads by reflection, except that package wal's
+				// records count as read only where recovery selects them.
+				if fn, ok := c.callee(n).(*types.Func); ok && !wal && len(n.Args) > 0 && fn.Pkg() != nil &&
+					(fn.Pkg().Path() == "encoding/json" || fn.Pkg().Path() == "encoding/xml") &&
+					slices.Contains([]string{"Marshal", "MarshalIndent", "Encode", "EncodeElement"}, fn.Name()) {
+					encoded(c.info.TypeOf(n.Args[0]))
+				}
+			case *ast.CompositeLit:
+				st, _ := derefType(c.info.TypeOf(n)).(*types.Struct)
+				for i, elt := range n.Elts {
+					switch kv, keyed := elt.(*ast.KeyValueExpr); {
+					case st == nil:
+						walk(elt, self)
+					case keyed:
+						written[c.info.Uses[kv.Key.(*ast.Ident)].(*types.Var).Origin()] = true
+						walk(kv.Value, self)
+					default:
+						written[st.Field(i).Origin()] = true
+						walk(elt, self)
+					}
+				}
+				return false
+			case *ast.SelectorExpr:
+				if f := field(n); f != nil && self != "" && types.ExprString(n) == self {
+					write(n)
+					return false
+				} else if f != nil {
+					read[f] = true
+				}
+			}
+			return true
+		})
+	}
+	for _, f := range c.files {
+		wal = f.pkg.Name() == "wal"
+		walk(f.file, "")
+	}
+	return written, read
+}
+
+// builtin reports whether call calls the named builtin function.
+func (c *census) builtin(call *ast.CallExpr, name string) bool {
+	id, ok := call.Fun.(*ast.Ident)
+	return ok && id.Name == name && c.info.Uses[id] == types.Universe.Lookup(name)
+}
+
+// callee returns the object a call names, or nil.
+func (c *census) callee(call *ast.CallExpr) types.Object {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		return c.info.Uses[fun]
+	case *ast.SelectorExpr:
+		return c.info.Uses[fun.Sel]
+	}
+	return nil
+}
+
+// derefType returns the underlying type, behind one pointer if typ is one.
+func derefType(typ types.Type) types.Type {
+	if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+		return ptr.Elem().Underlying()
+	}
+	return typ.Underlying()
+}
+
+// qualified renders a declaration as pkg.Name, a method as pkg.Recv.Name.
+func qualified(obj types.Object) string {
+	name := obj.Pkg().Name() + "."
+	if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
+		typ := sig.Recv().Type()
 		if ptr, ok := typ.(*types.Pointer); ok {
 			typ = ptr.Elem()
 		}
 		name += typ.(*types.Named).Obj().Name() + "."
 	}
-	return name + fn.Name()
+	return name + obj.Name()
 }

@@ -22,7 +22,7 @@
 //	offer, err := stack.Broker.RequestService(gqosm.Request{ ... })
 //	err = stack.Broker.Accept(offer.SLA.ID)
 //
-// See the examples directory for complete programs and DESIGN.md for the
+// See example_test.go for complete programs and DESIGN.md for the
 // paper-to-module map.
 package gqosm
 

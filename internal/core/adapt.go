@@ -73,15 +73,6 @@ var (
 	ErrUnknownUser = errors.New("core: unknown allocation")
 )
 
-// Preemption records a reduction of a best-effort allocation caused by
-// guaranteed-class demand reclaiming borrowed capacity.
-type Preemption struct {
-	User    string
-	Before  resource.Capacity
-	After   resource.Capacity
-	Evicted bool // the allocation was removed entirely
-}
-
 // GrantResult reports the outcome of a guaranteed allocation.
 type GrantResult struct {
 	// Granted is the capacity actually allocated (== requested, or the
@@ -89,11 +80,6 @@ type GrantResult struct {
 	Granted resource.Capacity
 	// Shortfall is the unsatisfied remainder (requested − granted).
 	Shortfall resource.Capacity
-	// AdaptiveUsed reports whether the grant draws on the adaptive
-	// reserve (i.e. Adapt() ran).
-	AdaptiveUsed bool
-	// Preempted lists best-effort allocations reduced to make room.
-	Preempted []Preemption
 }
 
 // Allocator is the Algorithm-1 engine: it tracks instantaneous capacity
@@ -292,9 +278,9 @@ func (a *Allocator) Restore(guaranteed map[string]resource.Capacity, offline res
 // Failures are charged against the guaranteed pool C_G — the case the
 // adaptive reserve exists to absorb. Existing guaranteed grants are never
 // reduced by failures (their SLAs are honored from C_A via Adapt());
-// best-effort borrowers are preempted as needed. The returned preemptions
-// describe the best-effort reductions.
-func (a *Allocator) SetOffline(c resource.Capacity) []Preemption {
+// best-effort borrowers are preempted as needed. It returns the users of the
+// best-effort allocations it reduced, one per allocation.
+func (a *Allocator) SetOffline(c resource.Capacity) []string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.offline = c.Min(a.plan.Guaranteed).ClampMin(resource.Capacity{})
@@ -377,7 +363,7 @@ func (a *Allocator) AllocateGuaranteed(user string, requested, floor resource.Ca
 	if err != nil {
 		return GrantResult{}, err
 	}
-	res.Preempted = a.rebalanceLocked()
+	a.rebalanceLocked()
 	a.publishLocked()
 	return res, nil
 }
@@ -397,7 +383,6 @@ func (a *Allocator) allocateGuaranteedLocked(user string, requested, floor resou
 
 	view := PartitionView{
 		Plan:       a.plan,
-		Offline:    a.offline,
 		Demand:     base,
 		EffectiveG: gEff,
 		Bound:      bound,
@@ -415,14 +400,12 @@ func (a *Allocator) allocateGuaranteedLocked(user string, requested, floor resou
 		// failures leave Σ c(u,t) > C_G_eff, Adapt() transfers
 		// min(C_A, −net) from A to G — the grant stands either way.
 		res.Granted = requested
-		res.AdaptiveUsed = !base.Add(requested).FitsIn(gEff)
 	case GrantFloor:
 		// The full request exceeds the admission bound: "only g(u)
 		// capacity is given"; the rest is the caller's to re-request
 		// later.
 		res.Granted = floor
 		res.Shortfall = requested.Sub(floor)
-		res.AdaptiveUsed = !base.Add(floor).FitsIn(gEff)
 	default:
 		if hadPrev {
 			// Leave the previous grant untouched.
@@ -472,10 +455,8 @@ type GuaranteedAsk struct {
 // per-admission lock acquisition, best-effort rebalance and read-view
 // publication are paid once per batch instead of once per request.
 // Each ask's Grant / Err report its outcome; failed members
-// (ErrCannotHonor, validation) leave the book untouched. The single
-// rebalance's preemptions are returned in aggregate rather than
-// attached to any one grant (every grant's Preempted field is nil).
-func (a *Allocator) AllocateGuaranteedBatch(asks []GuaranteedAsk) (preempted []Preemption) {
+// (ErrCannotHonor, validation) leave the book untouched.
+func (a *Allocator) AllocateGuaranteedBatch(asks []GuaranteedAsk) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	granted := false
@@ -492,10 +473,9 @@ func (a *Allocator) AllocateGuaranteedBatch(asks []GuaranteedAsk) (preempted []P
 		}
 	}
 	if granted {
-		preempted = a.rebalanceLocked()
+		a.rebalanceLocked()
 		a.publishLocked()
 	}
-	return preempted
 }
 
 // ReleaseGuaranteed frees a guaranteed user's allocation (service
@@ -554,13 +534,13 @@ func (a *Allocator) ReleaseBestEffort(user string) error {
 
 // rebalanceLocked preempts best-effort borrowers (most recent first) until
 // total best-effort usage fits the borrowable capacity. It returns the
-// preemptions applied.
-func (a *Allocator) rebalanceLocked() []Preemption {
+// users of the allocations it reduced.
+func (a *Allocator) rebalanceLocked() []string {
 	over := a.beUsedLocked().Sub(a.beAvailableLocked()).ClampMin(resource.Capacity{})
 	if over.IsZero() {
 		return nil
 	}
-	var out []Preemption
+	var out []string
 	// LIFO: newest borrowers lose first, and the table is oldest-first.
 	for i := len(a.bestEffort) - 1; i >= 0 && !over.IsZero(); i-- {
 		b := &a.bestEffort[i]
@@ -568,14 +548,8 @@ func (a *Allocator) rebalanceLocked() []Preemption {
 		if cut.IsZero() {
 			continue
 		}
-		after := b.Granted.Sub(cut)
-		out = append(out, Preemption{
-			User:    b.User,
-			Before:  b.Granted,
-			After:   after,
-			Evicted: after.IsZero(),
-		})
-		b.Granted = after
+		out = append(out, b.User)
+		b.Granted = b.Granted.Sub(cut)
 		over = over.Sub(cut).ClampMin(resource.Capacity{})
 	}
 	a.bestEffort = slices.DeleteFunc(a.bestEffort, func(b BEState) bool { return b.Granted.IsZero() })

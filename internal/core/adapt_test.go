@@ -81,8 +81,11 @@ func TestAllocateGuaranteedWithinG(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AllocateGuaranteed: %v", err)
 	}
-	if !res.Granted.Equal(resource.Nodes(10)) || res.AdaptiveUsed || !res.Shortfall.IsZero() {
+	if !res.Granted.Equal(resource.Nodes(10)) || !res.Shortfall.IsZero() {
 		t.Errorf("result = %+v", res)
+	}
+	if inA := a.Snapshot()[1].Guaranteed; !inA.IsZero() {
+		t.Errorf("pool A guaranteed = %v, want 0 (demand 10 fits C_G)", inA)
 	}
 	if got := a.AvailableGuaranteed(); !got.Equal(resource.Nodes(5)) {
 		t.Errorf("AvailableGuaranteed = %v, want 5 (admission bound is nominal C_G)", got)
@@ -105,8 +108,8 @@ func TestAllocateGuaranteedUsesAdaptOnFailureShortfall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.AdaptiveUsed {
-		t.Error("AdaptiveUsed = false, want true (demand 15 > C_G_eff 12)")
+	if inA := a.Snapshot()[1].Guaranteed; inA.CPU <= 0 {
+		t.Errorf("pool A guaranteed = %v, want > 0 (demand 15 > C_G_eff 12)", inA)
 	}
 	if !res.Granted.Equal(resource.Nodes(3)) {
 		t.Errorf("Granted = %v", res.Granted)
@@ -214,17 +217,12 @@ func TestGuaranteedPreemptsBestEffortBorrowers(t *testing.T) {
 	}
 	// A guaranteed request for 10 must reclaim borrowed capacity: after
 	// it, best effort may hold only 26 − 10 = 16.
-	res, err := a.AllocateGuaranteed("sla3", resource.Nodes(10), resource.Nodes(10))
-	if err != nil {
+	if _, err := a.AllocateGuaranteed("sla3", resource.Nodes(10), resource.Nodes(10)); err != nil {
 		t.Fatalf("AllocateGuaranteed: %v", err)
 	}
-	if len(res.Preempted) == 0 {
-		t.Fatal("no preemptions reported")
-	}
 	// LIFO: be2 (newest) loses first — 4 of its 8.
-	p := res.Preempted[0]
-	if p.User != "be2" || !p.After.Equal(resource.Nodes(4)) || p.Evicted {
-		t.Errorf("preemption = %+v", p)
+	if len(a.bestEffort) != 2 || a.bestEffort[1].User != "be2" || !a.bestEffort[1].Granted.Equal(resource.Nodes(4)) {
+		t.Errorf("best-effort table = %+v, want be2 cut to 4", a.bestEffort)
 	}
 	if be := bestEffortHeld(a); !be.Equal(resource.Nodes(16)) {
 		t.Errorf("best effort total = %v, want 16", be)
@@ -267,8 +265,8 @@ func TestSetOfflineTriggersAdaptation(t *testing.T) {
 	if be := bestEffortHeld(a); !be.Equal(resource.Nodes(9)) {
 		t.Errorf("best effort after failure = %v, want 9", be)
 	}
-	if len(pre) != 1 || !pre[0].Before.Sub(pre[0].After).Equal(resource.Nodes(3)) {
-		t.Errorf("preemptions = %+v", pre)
+	if len(pre) != 1 || pre[0] != "be" {
+		t.Errorf("preempted = %v, want [be]", pre)
 	}
 	snap := a.Snapshot()
 	if !snap[0].Offline.Equal(resource.Nodes(3)) {
@@ -420,9 +418,10 @@ func TestAllocatorInvariantsProperty(t *testing.T) {
 // rebalanceReference is the preemption loop the allocator shipped before
 // it relied on the table's order: an index slice sorted by descending Seq.
 // It is the reference TestRebalanceMatchesSortedReference holds the
-// reverse walk to, and is never called outside tests.
-func rebalanceReference(table []BEState, over resource.Capacity) ([]BEState, []Preemption) {
-	var out []Preemption
+// reverse walk to, and is never called outside tests. It returns the table
+// and the users of the allocations it reduced.
+func rebalanceReference(table []BEState, over resource.Capacity) ([]BEState, []string) {
+	var out []string
 	if over.IsZero() {
 		return table, nil
 	}
@@ -442,9 +441,8 @@ func rebalanceReference(table []BEState, over resource.Capacity) ([]BEState, []P
 		if cut.IsZero() {
 			continue
 		}
-		after := b.Granted.Sub(cut)
-		out = append(out, Preemption{User: b.User, Before: b.Granted, After: after, Evicted: after.IsZero()})
-		b.Granted = after
+		out = append(out, b.User)
+		b.Granted = b.Granted.Sub(cut)
 		over = over.Sub(cut).ClampMin(resource.Capacity{})
 	}
 	kept := table[:0]
@@ -456,10 +454,23 @@ func rebalanceReference(table []BEState, over resource.Capacity) ([]BEState, []P
 	return kept, out
 }
 
+// cutUsers lists, newest first, the users of the rows of before that a
+// rebalance left smaller in after or removed: a grant's preemptions.
+func cutUsers(before, after []BEState) []string {
+	var out []string
+	for i := len(before) - 1; i >= 0; i-- {
+		j := slices.IndexFunc(after, func(b BEState) bool { return b.Seq == before[i].Seq })
+		if j < 0 || !after[j].Granted.Equal(before[i].Granted) {
+			out = append(out, before[i].User)
+		}
+	}
+	return out
+}
+
 // TestRebalanceMatchesSortedReference drives seeded sequences of
 // guaranteed and best-effort grants, releases, SetOffline and ExportAux →
 // Restore round trips, and after every operation that can preempt compares
-// the allocator's preemptions and best-effort table with what the sorted
+// the allocator's preempted users and best-effort table with what the sorted
 // reference makes of the table as it stood before the operation. It also
 // holds the premise of the reverse walk: Seq strictly ascends, always.
 func TestRebalanceMatchesSortedReference(t *testing.T) {
@@ -475,13 +486,13 @@ func TestRebalanceMatchesSortedReference(t *testing.T) {
 		preemptions, restores := 0, 0
 		for step := 0; step < 4000; step++ {
 			before := slices.Clone(a.bestEffort)
-			var got []Preemption
+			var got []string
 			rebalanced := false
 			switch rng.Intn(8) {
 			case 0, 1, 2:
 				req := amount(rng, 12)
-				res, err := a.AllocateGuaranteed("g"+strconv.Itoa(rng.Intn(8)), req, req.Min(amount(rng, 4)))
-				got, rebalanced = res.Preempted, err == nil
+				_, err := a.AllocateGuaranteed("g"+strconv.Itoa(rng.Intn(8)), req, req.Min(amount(rng, 4)))
+				got, rebalanced = cutUsers(before, a.bestEffort), err == nil
 			case 3, 4:
 				_ = a.AllocateBestEffort("be"+strconv.Itoa(rng.Intn(8)), amount(rng, 6))
 			case 5:

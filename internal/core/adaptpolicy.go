@@ -47,8 +47,6 @@ func (k GrantKind) String() string {
 type PartitionView struct {
 	// Plan is the shard's capacity partition.
 	Plan CapacityPlan
-	// Offline is the currently failed capacity (charged against C_G).
-	Offline resource.Capacity
 	// Demand is current guaranteed demand Σ c(u,t), excluding any
 	// previous grant held by the requester being (re)admitted.
 	Demand resource.Capacity

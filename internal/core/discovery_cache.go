@@ -80,9 +80,8 @@ type discoveryEntry struct {
 	// trimFloat rendering of every filter value — hoisted here so a
 	// refill after invalidation reuses it instead of rebuilding.
 	query registry.Query
-	// key/name identify the selected service (Find's first match).
-	key  registry.Key
-	name string
+	// key identifies the selected service (Find's first match).
+	key registry.Key
 	// leaseUntil is the selected service's lease at fill time (zero =
 	// no lease); a hit requires it to still be current.
 	leaseUntil time.Time
@@ -217,11 +216,4 @@ func (c *discoveryCache) store(k discoveryKey, e *discoveryEntry) {
 	}
 	c.entries[k] = e
 	c.mu.Unlock()
-}
-
-// len reports the number of live entries (tests).
-func (c *discoveryCache) len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.entries)
 }

@@ -19,3 +19,10 @@ func (b *Broker) HandleDegradation(id sla.ID, measured resource.Capacity) {
 // AppendPolicy adds a test double to the policy table of this test
 // binary, so a broker can be configured with it by name. Call from init.
 func AppendPolicy(p Policy) { policies = append(policies, p) }
+
+// len reports the number of live entries, for the cache tests.
+func (c *discoveryCache) len() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.entries)
+}

@@ -102,17 +102,6 @@ func (f *Federation) AddPeer(p Peer) error {
 	return nil
 }
 
-// Peers returns the neighbor domain names in trial order.
-func (f *Federation) Peers() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]string, len(f.peers))
-	for i, p := range f.peers {
-		out[i] = p.PeerDomain()
-	}
-	return out
-}
-
 // FederatedOffer is an Offer annotated with the domain that produced it.
 type FederatedOffer struct {
 	Offer
@@ -259,7 +248,12 @@ func (p *PeerClient) PeerRequest(req Request) (*Offer, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The offer is outside input: one that does not validate is declined,
+	// and the fan-out moves on to the next peer.
 	doc, err := sla.DecodeDocument(resp.SLA)
+	if err == nil {
+		err = doc.Validate()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: decode peer offer: %w", err)
 	}

@@ -13,6 +13,7 @@ import (
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
 	"gqosm/internal/soapx"
+	"gqosm/internal/xmlmsg"
 )
 
 // domainBroker builds a small single-domain broker for federation tests:
@@ -69,9 +70,8 @@ func TestFigure1Architecture(t *testing.T) {
 	neighbor := domainBroker(t, "domain2", "renderer", 40)
 
 	fed := NewFederation(home)
-	fed.AddPeer(neighbor)
-	if got := fed.Peers(); len(got) != 1 || got[0] != "domain2" {
-		t.Fatalf("Peers = %v", got)
+	if err := fed.AddPeer(neighbor); err != nil || len(fed.peers) != 1 || fed.peers[0].PeerDomain() != "domain2" {
+		t.Fatalf("AddPeer: %v, peers = %v", err, fed.peers)
 	}
 
 	// A request the home domain serves stays home.
@@ -171,6 +171,32 @@ func TestFederationOverSOAP(t *testing.T) {
 	// The client concludes the SLA against the remote broker directly.
 	if err := remote.Accept(offer.SLA.ID); err != nil {
 		t.Errorf("accept on remote: %v", err)
+	}
+}
+
+// TestFederationDeclinesInvalidPeerOffer: a remote broker's offer is
+// outside input. A peer that answers with a document that does not
+// validate (here an empty SLA-ID) is a decline, and the fan-out moves on to
+// the next peer.
+func TestFederationDeclinesInvalidPeerOffer(t *testing.T) {
+	mux := soapx.NewMux()
+	mux.Handle("service_request", func([]byte) (any, error) {
+		forged := &sla.Document{Service: "renderer", Class: sla.ClassGuaranteed,
+			Spec: sla.NewSpec(sla.Exact(resource.CPU, 8)), State: sla.StateProposed}
+		return &xmlmsg.ServiceOfferXML{SLA: sla.EncodeDocument(forged), Price: 1}, nil
+	})
+	forger := httptest.NewServer(mux)
+	defer forger.Close()
+
+	fed := NewFederation(domainBroker(t, "local", "solver", 10))
+	fed.AddPeer(&PeerClient{Domain: "forger", Client: NewClient(forger.URL)})
+	fed.AddPeer(domainBroker(t, "remote", "renderer", 40))
+	offer, err := fed.RequestService(nodeRequest("renderer", 8))
+	if err != nil {
+		t.Fatalf("federation: %v", err)
+	}
+	if offer.Domain != "remote" || offer.SLA.ID == "" {
+		t.Errorf("offer from %q with SLA-ID %q, want the valid one from remote", offer.Domain, offer.SLA.ID)
 	}
 }
 

@@ -104,8 +104,8 @@ func TestAddPeerDuplicateDomain(t *testing.T) {
 	if err := fed.AddPeer(newFakePeer("domain1", 0, nil, ErrCannotHonor)); !errors.Is(err, ErrDuplicatePeer) {
 		t.Fatalf("home domain as peer: err = %v, want ErrDuplicatePeer", err)
 	}
-	if got := fed.Peers(); len(got) != 1 || got[0] != "domain2" {
-		t.Fatalf("Peers = %v, want exactly [domain2]", got)
+	if len(fed.peers) != 1 || fed.peers[0].PeerDomain() != "domain2" {
+		t.Fatalf("peers = %v, want exactly [domain2]", fed.peers)
 	}
 }
 

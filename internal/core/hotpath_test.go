@@ -274,7 +274,7 @@ func TestDiscoveryCacheFIFOEviction(t *testing.T) {
 	c.cap = 2
 
 	entry := func(name string) *discoveryEntry {
-		return &discoveryEntry{key: registry.Key(name), name: name, gen: reg.Generation(), epoch: reg.Epoch()}
+		return &discoveryEntry{key: registry.Key(name), gen: reg.Generation(), epoch: reg.Epoch()}
 	}
 	k1 := discoveryKey{service: "s1"}
 	k2 := discoveryKey{service: "s2"}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"gqosm/internal/gara"
 	"gqosm/internal/gram"
 	"gqosm/internal/obs"
 	"gqosm/internal/pricing"
@@ -52,7 +51,7 @@ func (b *Broker) Invoke(id sla.ID) (gram.Job, error) {
 	// Bind is idempotent on the GARA side, so retrying after a lost
 	// reply is safe.
 	if err := b.pol.call("gara.bind", func() error {
-		return b.cfg.GARA.Bind(handle, bindParamFor(job))
+		return b.cfg.GARA.Bind(handle)
 	}); err != nil {
 		_ = b.cfg.GRAM.Cancel(job.ID)
 		return gram.Job{}, fmt.Errorf("core: bind %s: %w", id, err)
@@ -757,8 +756,4 @@ func (b *Broker) optimizeShard(sh *shard) (OptimizeOutcome, error) {
 	}
 	out.Applied = out.Changed > 0
 	return out, nil
-}
-
-func bindParamFor(job gram.Job) gara.BindParam {
-	return gara.BindParam{PID: job.PID}
 }

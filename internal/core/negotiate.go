@@ -539,7 +539,6 @@ func (b *Broker) discover(req Request, floor resource.Capacity) (registry.Key, e
 		b.dcache.store(dk, &discoveryEntry{
 			query:      q,
 			key:        matches[0].Key,
-			name:       matches[0].Name,
 			leaseUntil: matches[0].LeaseUntil,
 			gen:        gen,
 			epoch:      epoch,

@@ -606,7 +606,7 @@ func TestDiscoveryCacheMissesAfterRegistryRestart(t *testing.T) {
 	if err != nil || len(svcs) != 1 {
 		t.Fatalf("Find = %v, %v", svcs, err)
 	}
-	c.store(k, &discoveryEntry{query: q, key: svcs[0].Key, name: svcs[0].Name, epoch: epoch, gen: gen})
+	c.store(k, &discoveryEntry{query: q, key: svcs[0].Key, epoch: epoch, gen: gen})
 	if _, ok := c.lookup(k, clock.Now()); !ok {
 		t.Fatal("warm lookup missed")
 	}

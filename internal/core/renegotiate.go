@@ -18,13 +18,10 @@ import (
 
 // RenegotiationResult reports the outcome of a Renegotiate call.
 type RenegotiationResult struct {
-	SLA sla.ID
 	// Old and New are the allocations before and after.
 	Old, New resource.Capacity
 	// PriceDelta is the charge (positive) or refund (negative) applied.
 	PriceDelta float64
-	// Compensated reports that scenario-1 adaptation ran to make room.
-	Compensated bool
 }
 
 // Renegotiate replaces a live session's QoS specification with newSpec,
@@ -81,15 +78,13 @@ func (b *Broker) Renegotiate(id sla.ID, newSpec sla.Spec) (*RenegotiationResult,
 		target: target, spec: &newSpec, notes: [2]string{"renegotiation upgrade", "renegotiation refund"},
 		mark: markRecovered, rebase: true, event: "renegotiate", msg: "QoS renegotiated %[1]v -> %[2]v (price %+.2[3]f)",
 	}
-	var compensated bool
 	r, err := b.reallocate(sh, id, m)
 	if errors.Is(err, ErrCannotHonor) {
 		// Scenario-1 compensation on the session's own shard, then retry
 		// once. The session's current hold is being replaced, so only the
 		// increment beyond it must be freed.
 		needed := floor.Sub(oldAlloc).ClampMin(resource.Capacity{})
-		var cerr error
-		if compensated, cerr = b.compensate(sh, needed); cerr != nil {
+		if _, cerr := b.compensate(sh, needed); cerr != nil {
 			return nil, fmt.Errorf("core: renegotiate %s: %w (compensation: %v)", id, err, cerr)
 		}
 		r, err = b.reallocate(sh, id, m)
@@ -97,5 +92,5 @@ func (b *Broker) Renegotiate(id sla.ID, newSpec sla.Spec) (*RenegotiationResult,
 	if err != nil {
 		return nil, fmt.Errorf("core: renegotiate %s: %w", id, err)
 	}
-	return &RenegotiationResult{SLA: id, Old: r.old, New: r.applied, PriceDelta: r.billed, Compensated: compensated}, nil
+	return &RenegotiationResult{Old: r.old, New: r.applied, PriceDelta: r.billed}, nil
 }

@@ -129,8 +129,8 @@ func TestRenegotiateWithCompensation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Renegotiate with compensation: %v", err)
 	}
-	if !res.Compensated {
-		t.Error("not marked compensated")
+	if !res.New.Equal(resource.Nodes(12)) {
+		t.Errorf("renegotiated to %v, want 12", res.New)
 	}
 	vDoc, _ := h.broker.Session(vOffer.SLA.ID)
 	if !vDoc.Allocated.Equal(vDoc.Spec.Floor()) {

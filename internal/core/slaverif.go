@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/xml"
 	"fmt"
-	"time"
 
 	"gqosm/internal/gara"
 	"gqosm/internal/nrm"
@@ -44,15 +43,10 @@ type MeasuredComputeXML struct {
 
 // ConformanceReport is the result of a Verify call.
 type ConformanceReport struct {
-	SLA      sla.ID
-	At       time.Time
 	Measured resource.Capacity
 	// Conforms reports whether every measured dimension satisfies the
 	// SLA (within its acceptable levels).
 	Conforms bool
-	// Degraded lists the dimensions delivering below the agreed
-	// allocation.
-	Degraded []resource.Kind
 	// XML is the Table-3 wire document.
 	XML QoSLevelsXML
 }
@@ -81,10 +75,7 @@ func (b *Broker) Verify(id sla.ID) (*ConformanceReport, error) {
 	handle := s.handle
 	sh.mu.Unlock()
 
-	now := b.clock.Now()
 	report := &ConformanceReport{
-		SLA:      id,
-		At:       now,
 		Measured: doc.Allocated,
 		Conforms: true,
 		XML:      QoSLevelsXML{SLAID: string(id)},
@@ -92,7 +83,7 @@ func (b *Broker) Verify(id sla.ID) (*ConformanceReport, error) {
 
 	// Network: measure the session's flow through the NRM.
 	if _, wantNet := doc.Spec.Params[resource.BandwidthMbps]; wantNet && b.cfg.NRM != nil {
-		meas, err := b.measureFlow(id, handle, now)
+		meas, err := b.measureFlow(id, handle)
 		if err == nil {
 			report.Measured.BandwidthMbps = meas.BandwidthMbps
 			report.XML.Network = &MeasuredNetworkXML{
@@ -106,12 +97,10 @@ func (b *Broker) Verify(id sla.ID) (*ConformanceReport, error) {
 				if meas.LossPct > doc.Spec.MaxPacketLossPct {
 					report.XML.Network.PacketLoss = fmt.Sprintf("%s%%", trimFloat(meas.LossPct))
 					report.Conforms = false
-					report.Degraded = append(report.Degraded, resource.BandwidthMbps)
 				}
 			}
 			if meas.BandwidthMbps < doc.Allocated.BandwidthMbps*0.99 {
 				report.Conforms = false
-				report.Degraded = appendKind(report.Degraded, resource.BandwidthMbps)
 			}
 		}
 	}
@@ -141,7 +130,6 @@ func (b *Broker) Verify(id sla.ID) (*ConformanceReport, error) {
 	for _, k := range doc.Spec.Kinds() {
 		if report.Measured.Get(k) < floor.Get(k)-resource.Epsilon {
 			report.Conforms = false
-			report.Degraded = appendKind(report.Degraded, k)
 		}
 	}
 	report.XML.Conforms = report.Conforms
@@ -157,7 +145,7 @@ func (b *Broker) Verify(id sla.ID) (*ConformanceReport, error) {
 // and measures it. Reservations are tagged with the SLA ID at creation,
 // so when Modify has re-issued the flow under a new ID the lookup falls
 // back to tag matching.
-func (b *Broker) measureFlow(id sla.ID, handle gara.Handle, now time.Time) (nrm.Measurement, error) {
+func (b *Broker) measureFlow(id sla.ID, handle gara.Handle) (nrm.Measurement, error) {
 	res, err := b.cfg.GARA.Get(handle)
 	if err != nil {
 		return nrm.Measurement{}, err
@@ -166,12 +154,12 @@ func (b *Broker) measureFlow(id sla.ID, handle gara.Handle, now time.Time) (nrm.
 	if !ok {
 		return nrm.Measurement{}, fmt.Errorf("core: reservation holds no network part")
 	}
-	if m, err := b.cfg.NRM.Measure(nrm.FlowID(token), now); err == nil {
+	if m, err := b.cfg.NRM.Measure(nrm.FlowID(token)); err == nil {
 		return m, nil
 	}
 	for _, f := range b.cfg.NRM.Flows() {
 		if f.Tag == string(id) {
-			return b.cfg.NRM.Measure(f.ID, now)
+			return b.cfg.NRM.Measure(f.ID)
 		}
 	}
 	return nrm.Measurement{}, fmt.Errorf("core: no flow for reservation %s", handle)
@@ -361,9 +349,9 @@ func (b *Broker) ExpireDue() []sla.ID {
 // event): the allocator adapts, preempting best-effort borrowers, and the
 // event is logged. Recovery is signalled with the zero capacity. The
 // failure is split evenly across shards — each absorbs its share through
-// its own adaptive reserve — and the preemptions are concatenated in
-// shard order.
-func (b *Broker) NotifyFailure(offline resource.Capacity) []Preemption {
+// its own adaptive reserve — and it returns the users of the preempted
+// best-effort allocations, in shard order.
+func (b *Broker) NotifyFailure(offline resource.Capacity) []string {
 	defer b.debugCheck("failure")
 	if !offline.IsZero() {
 		b.met.failures.Inc()
@@ -372,7 +360,7 @@ func (b *Broker) NotifyFailure(offline resource.Capacity) []Preemption {
 	if n := len(b.shards); n > 1 {
 		share = offline.Scale(1 / float64(n))
 	}
-	var pre []Preemption
+	var pre []string
 	for _, sh := range b.shards {
 		pre = append(pre, sh.alloc.SetOffline(share)...)
 	}
@@ -393,15 +381,6 @@ func hasComputeParams(s sla.Spec) bool {
 		}
 	}
 	return false
-}
-
-func appendKind(ks []resource.Kind, k resource.Kind) []resource.Kind {
-	for _, existing := range ks {
-		if existing == k {
-			return ks
-		}
-	}
-	return append(ks, k)
 }
 
 func sortIDs(ids []sla.ID) {

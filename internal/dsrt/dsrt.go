@@ -96,7 +96,6 @@ var (
 
 // Process is the scheduler's view of one registered process.
 type Process struct {
-	PID      PID
 	Contract Contract
 	// AvgUsage is the exponentially-weighted average of reported usage
 	// (fraction of one CPU actually consumed).
@@ -193,7 +192,7 @@ func (s *Scheduler) Register(c Contract) (PID, error) {
 	}
 	s.nextID++
 	pid := s.nextID
-	s.procs[pid] = &Process{PID: pid, Contract: c}
+	s.procs[pid] = &Process{Contract: c}
 	return pid, nil
 }
 

@@ -63,8 +63,8 @@ type faultBinderManager struct {
 	binder Binder
 }
 
-func (m *faultBinderManager) Bind(token string, param BindParam) error {
-	return m.binder.Bind(token, param)
+func (m *faultBinderManager) Bind(token string) error {
+	return m.binder.Bind(token)
 }
 
 func (m *faultBinderManager) Unbind(token string) error {

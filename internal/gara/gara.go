@@ -62,21 +62,12 @@ func (s Status) String() string {
 	}
 }
 
-// BindParam carries the parameters needed to claim a reservation. For
-// computational resources "the process ID of the launched process is the
-// only parameter required" (§3.1).
-type BindParam struct {
-	PID int
-}
-
 // Reservation is a snapshot of one GARA reservation (possibly a
 // co-allocation across several resource managers).
 type Reservation struct {
-	Handle     Handle
-	Spec       string // original RSL
-	Start, End time.Time
-	Status     Status
-	BoundPID   int
+	Handle Handle
+	Spec   string // original RSL
+	Status Status
 	// Tag is the caller-supplied idempotency tag passed to Create (the
 	// broker uses the SLA ID). Retry layers use it to adopt a
 	// reservation whose create reply was lost instead of committing a
@@ -116,10 +107,9 @@ type ResourceManager interface {
 }
 
 // Binder is optionally implemented by resource managers that need to know
-// when a process claims its reservation (e.g. a CPU scheduler attaching
-// the PID).
+// when a process claims its reservation.
 type Binder interface {
-	Bind(token string, param BindParam) error
+	Bind(token string) error
 	Unbind(token string) error
 }
 
@@ -257,8 +247,6 @@ func (s *System) create(reqRSL string, start, end time.Time, tag string) (Handle
 	r := &Reservation{
 		Handle: h,
 		Spec:   reqRSL,
-		Start:  start,
-		End:    end,
 		Status: StatusReserved,
 		Tag:    tag,
 		Parts:  make(map[string]string, len(parts)),
@@ -273,9 +261,11 @@ func (s *System) create(reqRSL string, start, end time.Time, tag string) (Handle
 	return h, nil
 }
 
-// Bind implements globus_gara_reservation_bind: it associates a launched
-// process with a previously made reservation, claiming it.
-func (s *System) Bind(h Handle, param BindParam) error {
+// Bind implements globus_gara_reservation_bind: the launched process
+// claims a previously made reservation. The bind parameter (for
+// computation, the process ID, §3.1) is not modelled: no resource manager
+// here reads it.
+func (s *System) Bind(h Handle) error {
 	s.mu.Lock()
 	r, ok := s.res[h]
 	if !ok {
@@ -288,11 +278,10 @@ func (s *System) Bind(h Handle, param BindParam) error {
 	}
 	binders := s.bindersLocked(r)
 	r.Status = StatusBound
-	r.BoundPID = param.PID
 	s.mu.Unlock()
 
 	for _, b := range binders {
-		if err := b.binder.Bind(b.token, param); err != nil {
+		if err := b.binder.Bind(b.token); err != nil {
 			return fmt.Errorf("gara: bind %s: %w", h, err)
 		}
 	}
@@ -315,7 +304,6 @@ func (s *System) Unbind(h Handle) error {
 	}
 	binders := s.bindersLocked(r)
 	r.Status = StatusReserved
-	r.BoundPID = 0
 	s.mu.Unlock()
 
 	for _, b := range binders {

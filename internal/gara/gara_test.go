@@ -76,19 +76,19 @@ func TestBindUnbindLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Claim the reservation with the launched process ID (§3.1).
-	if err := s.Bind(h, BindParam{PID: 4242}); err != nil {
+	// Claim the reservation for the launched process (§3.1).
+	if err := s.Bind(h); err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
 	r, _ := s.Get(h)
-	if r.Status != StatusBound || r.BoundPID != 4242 {
+	if r.Status != StatusBound {
 		t.Errorf("after bind: %+v", r)
 	}
 	if err := s.Unbind(h); err != nil {
 		t.Fatalf("Unbind: %v", err)
 	}
 	r, _ = s.Get(h)
-	if r.Status != StatusReserved || r.BoundPID != 0 {
+	if r.Status != StatusReserved {
 		t.Errorf("after unbind: %+v", r)
 	}
 	if err := s.Unbind(h); !errors.Is(err, ErrNotBound) {
@@ -111,7 +111,7 @@ func TestCancelReleasesResources(t *testing.T) {
 	if err := s.Cancel(h); !errors.Is(err, ErrCanceled) {
 		t.Errorf("double Cancel err = %v", err)
 	}
-	if err := s.Bind(h, BindParam{PID: 1}); !errors.Is(err, ErrCanceled) {
+	if err := s.Bind(h); !errors.Is(err, ErrCanceled) {
 		t.Errorf("Bind after cancel err = %v", err)
 	}
 }
@@ -218,7 +218,7 @@ func TestCreateErrors(t *testing.T) {
 	if _, err := s.Get("ghost"); !errors.Is(err, ErrUnknownHandle) {
 		t.Errorf("Get unknown err = %v", err)
 	}
-	if err := s.Bind("ghost", BindParam{}); !errors.Is(err, ErrUnknownHandle) {
+	if err := s.Bind("ghost"); !errors.Is(err, ErrUnknownHandle) {
 		t.Errorf("Bind unknown err = %v", err)
 	}
 	if err := s.Cancel("ghost"); !errors.Is(err, ErrUnknownHandle) {
@@ -318,7 +318,7 @@ func TestDSRTManagerLifecycle(t *testing.T) {
 	if got := sched.Reserved(); got != 0.5 {
 		t.Errorf("Reserved = %g", got)
 	}
-	if err := s.Bind(h, BindParam{PID: 77}); err != nil {
+	if err := s.Bind(h); err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
 	if err := s.Modify(h, `&(reservation-type="cpu-share")(share=0.25)`); err != nil {

@@ -267,9 +267,9 @@ func (m *DSRTManager) Cancel(token string) error {
 	return m.sched.Unregister(dsrt.PID(pid))
 }
 
-// Bind implements Binder: DSRT needs no extra claim step in this model,
-// the PID is recorded by the GARA layer.
-func (m *DSRTManager) Bind(string, BindParam) error { return nil }
+// Bind implements Binder: DSRT needs no extra claim step in this model;
+// the registration is the contract.
+func (m *DSRTManager) Bind(string) error { return nil }
 
 // Unbind implements Binder.
 func (m *DSRTManager) Unbind(string) error { return nil }

@@ -206,7 +206,7 @@ func TestDSRTManagerDirectLifecycle(t *testing.T) {
 		t.Fatalf("after modify: reserved %v, want 0.75", got)
 	}
 	// Bind/Unbind are no-ops for DSRT; the registration is the contract.
-	if err := m.Bind(token, BindParam{PID: 99}); err != nil {
+	if err := m.Bind(token); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Unbind(token); err != nil {

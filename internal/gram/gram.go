@@ -65,15 +65,10 @@ type JobID string
 
 // Job is a snapshot of one job's status.
 type Job struct {
-	ID         JobID
-	Executable string
-	Spec       string // original RSL
-	PID        int    // process ID once active
-	State      State
-	Submitted  time.Time
-	Started    time.Time
-	Finished   time.Time
-	Err        string // failure reason, if any
+	ID    JobID
+	Spec  string // original RSL
+	PID   int    // process ID once active
+	State State
 }
 
 // Manager errors.
@@ -191,8 +186,7 @@ func (m *Manager) submit(spec string) (Job, error) {
 	if err != nil {
 		return Job{}, fmt.Errorf("gram: bad RSL: %w", err)
 	}
-	exe := node.Str("executable", "")
-	if exe == "" {
+	if node.Str("executable", "") == "" {
 		return Job{}, errors.New(`gram: RSL must carry executable="..."`)
 	}
 	duration := node.Num("duration", 0)
@@ -204,15 +198,11 @@ func (m *Manager) submit(spec string) (Job, error) {
 	}
 	m.nextID++
 	m.nextPID++
-	now := m.clock.Now()
 	st := &jobState{job: Job{
-		ID:         JobID(fmt.Sprintf("job-%d", m.nextID)),
-		Executable: exe,
-		Spec:       spec,
-		PID:        m.nextPID,
-		State:      StateActive,
-		Submitted:  now,
-		Started:    now,
+		ID:    JobID(fmt.Sprintf("job-%d", m.nextID)),
+		Spec:  spec,
+		PID:   m.nextPID,
+		State: StateActive,
 	}}
 	m.jobs[st.job.ID] = st
 	if duration > 0 {
@@ -220,7 +210,7 @@ func (m *Manager) submit(spec string) (Job, error) {
 		st.timer = m.clock.AfterFunc(time.Duration(duration*float64(time.Second)), func() {
 			// Completion driven by the clock; ignore error if the job
 			// was cancelled in the meantime.
-			_ = m.finish(id, StateDone, "")
+			_ = m.finish(id, StateDone)
 		})
 	}
 	job := st.job
@@ -251,16 +241,16 @@ func (m *Manager) PruneTerminal() int {
 }
 
 // Cancel terminates a running job.
-func (m *Manager) Cancel(id JobID) error { return m.finish(id, StateCanceled, "canceled by client") }
+func (m *Manager) Cancel(id JobID) error { return m.finish(id, StateCanceled) }
 
-// Fail marks a running job failed with the given reason (used by failure
-// injection in experiments).
-func (m *Manager) Fail(id JobID, reason string) error { return m.finish(id, StateFailed, reason) }
+// Fail marks a running job failed (used by failure injection in
+// experiments).
+func (m *Manager) Fail(id JobID) error { return m.finish(id, StateFailed) }
 
 // Complete marks a running job done (for jobs without a duration).
-func (m *Manager) Complete(id JobID) error { return m.finish(id, StateDone, "") }
+func (m *Manager) Complete(id JobID) error { return m.finish(id, StateDone) }
 
-func (m *Manager) finish(id JobID, final State, reason string) error {
+func (m *Manager) finish(id JobID, final State) error {
 	m.mu.Lock()
 	st, ok := m.jobs[id]
 	if !ok {
@@ -276,8 +266,6 @@ func (m *Manager) finish(id JobID, final State, reason string) error {
 		st.timer = nil
 	}
 	st.job.State = final
-	st.job.Err = reason
-	st.job.Finished = m.clock.Now()
 	job := st.job
 	subs := append([]StateFunc(nil), m.subs...)
 	m.mu.Unlock()
@@ -323,6 +311,6 @@ func (m *Manager) Close() {
 	m.mu.Unlock()
 	sort.Slice(running, func(i, j int) bool { return running[i] < running[j] })
 	for _, id := range running {
-		_ = m.finish(id, StateCanceled, "manager closed")
+		_ = m.finish(id, StateCanceled)
 	}
 }

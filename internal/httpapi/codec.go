@@ -275,11 +275,6 @@ func appendTime(dst []byte, t time.Time) []byte {
 	return append(dst, '"')
 }
 
-// appendOffer renders the admission response of an unfederated broker.
-func appendOffer(dst []byte, o *core.Offer) []byte {
-	return encodeOffer(dst, core.OpResult{Offer: o})
-}
-
 // encodeOffer renders the admission response — the JSON transport's
 // hot-path encode — with the serving domain of a federated request.
 func encodeOffer(dst []byte, res core.OpResult) []byte {

@@ -122,14 +122,14 @@ func benchOffer() *core.Offer {
 	}
 }
 
-// TestOfferEncodeRoundTrip: the hand-rolled appendOffer output is valid
+// TestOfferEncodeRoundTrip: the hand-rolled encodeOffer output is valid
 // JSON that decodes into the wire OfferJSON the client uses.
 func TestOfferEncodeRoundTrip(t *testing.T) {
 	o := benchOffer()
-	data := appendOffer(nil, o)
+	data := encodeOffer(nil, core.OpResult{Offer: o})
 	var out OfferJSON
 	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatalf("appendOffer output is not JSON: %v\n%s", err, data)
+		t.Fatalf("encodeOffer output is not JSON: %v\n%s", err, data)
 	}
 	if out.SLAID != string(o.SLA.ID) || out.Price != o.Price ||
 		out.Class != o.SLA.Class.String() || !out.Expires.Equal(o.Expires) {
@@ -148,11 +148,11 @@ func TestOfferEncodeAllocGate(t *testing.T) {
 	o := benchOffer()
 	// Warm the pool so the measurement sees steady state.
 	buf := getBuf()
-	*buf = appendOffer((*buf)[:0], o)
+	*buf = encodeOffer((*buf)[:0], core.OpResult{Offer: o})
 	putBuf(buf)
 	avg := testing.AllocsPerRun(200, func() {
 		buf := getBuf()
-		*buf = appendOffer((*buf)[:0], o)
+		*buf = encodeOffer((*buf)[:0], core.OpResult{Offer: o})
 		putBuf(buf)
 	})
 	if avg > 8 {
@@ -169,7 +169,7 @@ func BenchmarkHTTPOfferEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf := getBuf()
-		*buf = appendOffer((*buf)[:0], o)
+		*buf = encodeOffer((*buf)[:0], core.OpResult{Offer: o})
 		putBuf(buf)
 	}
 }

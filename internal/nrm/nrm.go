@@ -226,7 +226,6 @@ type Flow struct {
 	SourceIP   string
 	DestIP     string
 	Mbps       float64
-	Path       []string // domain path
 	Start, End time.Time
 	Tag        string
 }
@@ -234,11 +233,9 @@ type Flow struct {
 // Measurement is the live network QoS of a flow, feeding the Table-3
 // conformance reply.
 type Measurement struct {
-	FlowID        FlowID
 	BandwidthMbps float64 // delivered bandwidth
 	DelayMS       float64 // one-way delay
 	LossPct       float64 // packet loss percentage
-	MeasuredAt    time.Time
 }
 
 // DegradationFunc is notified when a flow's measured bandwidth falls below
@@ -410,7 +407,6 @@ func (m *Manager) reserve(srcIP, dstIP string, mbps float64, start, end time.Tim
 		SourceIP: strings.TrimSpace(srcIP),
 		DestIP:   strings.TrimSpace(dstIP),
 		Mbps:     mbps,
-		Path:     path,
 		Start:    start,
 		End:      end,
 		Tag:      tag,
@@ -468,11 +464,10 @@ func (m *Manager) Flows() []Flow {
 	return out
 }
 
-// Measure reports the flow's delivered QoS at instant now: the reserved
-// bandwidth derated by the worst congestion factor along the path, delay
-// as per-hop base plus injected extras, and loss as the sum of injected
-// losses.
-func (m *Manager) Measure(id FlowID, now time.Time) (Measurement, error) {
+// Measure reports the flow's delivered QoS now: the reserved bandwidth
+// derated by the worst congestion factor along the path, delay as per-hop
+// base plus injected extras, and loss as the sum of injected losses.
+func (m *Manager) Measure(id FlowID) (Measurement, error) {
 	if err := m.faults.Do("nrm.measure", func() error { return nil }); err != nil {
 		return Measurement{}, err
 	}
@@ -482,11 +477,7 @@ func (m *Manager) Measure(id FlowID, now time.Time) (Measurement, error) {
 	if !ok {
 		return Measurement{}, fmt.Errorf("%w: %s", ErrUnknownFlow, id)
 	}
-	meas := Measurement{
-		FlowID:        id,
-		BandwidthMbps: st.flow.Mbps,
-		MeasuredAt:    now,
-	}
+	meas := Measurement{BandwidthMbps: st.flow.Mbps}
 	worstFactor := 1.0
 	for _, l := range st.links {
 		c := l.currentCongestion()
@@ -524,7 +515,7 @@ func (m *Manager) CheckAll(now time.Time) []Measurement {
 
 	var degraded []Measurement
 	for _, id := range ids {
-		meas, err := m.Measure(id, now)
+		meas, err := m.Measure(id)
 		if err != nil {
 			continue // flow released concurrently
 		}

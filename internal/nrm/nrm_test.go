@@ -111,8 +111,8 @@ func TestReserveSingleHop(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Reserve: %v", err)
 	}
-	if len(flow.Path) != 2 {
-		t.Fatalf("Path = %v", flow.Path)
+	if n := len(m.flows[flow.ID].links); n != 1 {
+		t.Fatalf("flow crosses %d links, want 1", n)
 	}
 	l, _ := topo.Link("site-a", "site-b")
 	if got := l.Pool.InUse(t0).BandwidthMbps; got != 622 {
@@ -154,8 +154,8 @@ func TestReserveMultiHopAtomic(t *testing.T) {
 	if ab.Pool.InUse(t0).BandwidthMbps != 50 || ac.Pool.InUse(t0).BandwidthMbps != 50 {
 		t.Fatal("multi-hop reservation did not claim both links")
 	}
-	if len(flow.Path) != 3 {
-		t.Fatalf("Path = %v", flow.Path)
+	if n := len(m.flows[flow.ID].links); n != 2 {
+		t.Fatalf("flow crosses %d links, want 2", n)
 	}
 }
 
@@ -181,14 +181,14 @@ func TestMeasureHealthy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meas, err := m.Measure(flow.ID, t0)
+	meas, err := m.Measure(flow.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if meas.BandwidthMbps != 10 || meas.DelayMS != 10 || meas.LossPct != 0 {
 		t.Errorf("Measurement = %+v", meas)
 	}
-	if _, err := m.Measure("ghost", t0); !errors.Is(err, ErrUnknownFlow) {
+	if _, err := m.Measure("ghost"); !errors.Is(err, ErrUnknownFlow) {
 		t.Errorf("Measure unknown err = %v", err)
 	}
 }
@@ -280,7 +280,7 @@ func TestLossCappedAt100(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	meas, err := m.Measure(flow.ID, t0)
+	meas, err := m.Measure(flow.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,19 +113,6 @@ func (m *Model) Cost(class sla.Class, c resource.Capacity) float64 {
 	return m.ClassRates(class).Cost(c)
 }
 
-// CostOfDocument prices an SLA at its currently allocated capacity,
-// recursing into sub-SLAs of composite agreements.
-func (m *Model) CostOfDocument(d *sla.Document) float64 {
-	if len(d.SubSLAs) == 0 {
-		return m.Cost(d.Class, d.Allocated)
-	}
-	total := 0.0
-	for _, sub := range d.SubSLAs {
-		total += m.CostOfDocument(sub)
-	}
-	return total
-}
-
 // PromotionOffer is a discounted upgrade proposed to a running service
 // when released capacity becomes available (scenario 2c: "presenting
 // promotion offers to existing services for upgrading their QoS to attract

@@ -60,20 +60,6 @@ func TestModelClassOrdering(t *testing.T) {
 	}
 }
 
-func TestCostOfDocumentComposite(t *testing.T) {
-	m := NewModel(DefaultRates)
-	sub1 := &sla.Document{ID: "net1", Class: sla.ClassGuaranteed,
-		Allocated: resource.Bandwidth(622)}
-	sub2 := &sla.Document{ID: "comp", Class: sla.ClassGuaranteed,
-		Allocated: resource.Capacity{CPU: 10, MemoryMB: 2048, DiskGB: 15}}
-	comp := &sla.Document{ID: "c", Class: sla.ClassGuaranteed,
-		SubSLAs: []*sla.Document{sub1, sub2}}
-	want := m.CostOfDocument(sub1) + m.CostOfDocument(sub2)
-	if got := m.CostOfDocument(comp); math.Abs(got-want) > 1e-9 {
-		t.Errorf("composite cost = %g, want %g", got, want)
-	}
-}
-
 func TestPromotion(t *testing.T) {
 	m := NewModel(DefaultRates)
 	d := &sla.Document{

@@ -338,30 +338,6 @@ func (n *Node) write(sb *strings.Builder) {
 	}
 }
 
-// Equal reports structural equality of two trees.
-func (n *Node) Equal(o *Node) bool {
-	if n == nil || o == nil {
-		return n == o
-	}
-	if n.Kind != o.Kind {
-		return false
-	}
-	if n.Kind == KindRelation {
-		return n.Attribute == o.Attribute && n.Op == o.Op &&
-			n.Value.Raw == o.Value.Raw && n.Value.IsNum == o.Value.IsNum &&
-			n.Value.WasQuote == o.Value.WasQuote
-	}
-	if len(n.Children) != len(o.Children) {
-		return false
-	}
-	for i := range n.Children {
-		if !n.Children[i].Equal(o.Children[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Bindings maps attribute names to offered values for evaluation.
 type Bindings map[string]Value
 

@@ -382,3 +382,28 @@ func TestNonFiniteEvaluator(t *testing.T) {
 		t.Fatal(`"4" = "nan" should be false under string comparison`)
 	}
 }
+
+// Equal reports structural equality of two trees: the round-trip tests'
+// oracle.
+func (n *Node) Equal(o *Node) bool {
+	if n == nil || o == nil {
+		return n == o
+	}
+	if n.Kind != o.Kind {
+		return false
+	}
+	if n.Kind == KindRelation {
+		return n.Attribute == o.Attribute && n.Op == o.Op &&
+			n.Value.Raw == o.Value.Raw && n.Value.IsNum == o.Value.IsNum &&
+			n.Value.WasQuote == o.Value.WasQuote
+	}
+	if len(n.Children) != len(o.Children) {
+		return false
+	}
+	for i := range n.Children {
+		if !n.Children[i].Equal(o.Children[i]) {
+			return false
+		}
+	}
+	return true
+}

@@ -35,10 +35,6 @@ type E56Row struct {
 	Label string // "t0" … "t5"
 	Event string // what happened entering this checkpoint
 	Pools []core.PoolUsage
-	// GuaranteedDemand is Σ c(u,t) over guaranteed sessions.
-	GuaranteedDemand resource.Capacity
-	// BestEffortHeld is the total best-effort grant.
-	BestEffortHeld resource.Capacity
 	// GuaranteedWhole reports that every guaranteed session holds its
 	// full SLA capacity (the paper's headline at t2).
 	GuaranteedWhole bool
@@ -125,25 +121,15 @@ func RunE56() (*E56Result, error) {
 	}
 
 	checkpoint := func(label, event string) {
-		snap := b.Allocator().Snapshot()
-		var gDemand, beHeld resource.Capacity
 		whole := true
 		for _, doc := range b.Sessions(nil) {
-			if doc.State.Terminal() || doc.State == sla.StateProposed {
-				continue
-			}
-			gDemand = gDemand.Add(doc.Allocated)
-			if !doc.Spec.Accepts(doc.Allocated) {
+			live := !doc.State.Terminal() && doc.State != sla.StateProposed
+			if live && !doc.Spec.Accepts(doc.Allocated) {
 				whole = false
 			}
 		}
-		for _, u := range snap {
-			beHeld = beHeld.Add(u.BestEffort)
-		}
 		res.Rows = append(res.Rows, E56Row{
-			Label: label, Event: event, Pools: snap,
-			GuaranteedDemand: gDemand, BestEffortHeld: beHeld,
-			GuaranteedWhole: whole,
+			Label: label, Event: event, Pools: b.Allocator().Snapshot(), GuaranteedWhole: whole,
 		})
 	}
 

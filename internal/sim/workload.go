@@ -268,11 +268,8 @@ func (p *StaticPolicy) Online() resource.Capacity {
 
 // ReplayStats aggregates a trace replay.
 type ReplayStats struct {
-	Arrivals        int
-	Admitted        int
-	Rejected        int
-	AdmittedByClass map[sla.Class]int
-	RejectedByClass map[sla.Class]int
+	Arrivals int
+	Admitted int
 	// MeanUtilization is the time-weighted mean CPU utilization.
 	MeanUtilization float64
 	// BrokenGuarantees counts failure events that left guaranteed
@@ -315,10 +312,7 @@ func Replay(trace []Arrival, policy Policy, failures []FailureEvent) ReplayStats
 		events = append(events, event{at: f.At + f.Duration, kind: 3, idx: i})
 	}
 	// Departures are appended dynamically on admission.
-	stats := ReplayStats{
-		AdmittedByClass: make(map[sla.Class]int),
-		RejectedByClass: make(map[sla.Class]int),
-	}
+	var stats ReplayStats
 	admitted := make(map[int]bool)
 
 	sortEvents := func() {
@@ -361,13 +355,9 @@ func Replay(trace []Arrival, policy Policy, failures []FailureEvent) ReplayStats
 			}
 			if ok {
 				stats.Admitted++
-				stats.AdmittedByClass[a.Class]++
 				admitted[ev.idx] = true
 				events = append(events, event{at: a.At + a.Hold, kind: 1, idx: ev.idx})
 				sortEvents()
-			} else {
-				stats.Rejected++
-				stats.RejectedByClass[a.Class]++
 			}
 		case 1: // departure
 			if !admitted[ev.idx] {

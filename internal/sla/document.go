@@ -225,20 +225,6 @@ func (d *Document) Transition(next State) error {
 	return fmt.Errorf("%w: %s -> %s (sla %s)", ErrBadTransition, d.State, next, d.ID)
 }
 
-// GuaranteedFloor returns g(u): the capacity the SLA guarantees (Algorithm
-// 1's "guaranteed capacity with a SLA for user u"). For composite SLAs it
-// sums the sub-SLA floors.
-func (d *Document) GuaranteedFloor() resource.Capacity {
-	if len(d.SubSLAs) == 0 {
-		return d.Spec.Floor()
-	}
-	var sum resource.Capacity
-	for _, sub := range d.SubSLAs {
-		sum = sum.Add(sub.GuaranteedFloor())
-	}
-	return sum
-}
-
 // Clone returns a deep copy.
 func (d *Document) Clone() *Document {
 	c := *d

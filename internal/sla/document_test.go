@@ -129,11 +129,6 @@ func TestCompositeWithOnlySubSLAs(t *testing.T) {
 	if err := comp.Validate(); err != nil {
 		t.Fatalf("composite rejected: %v", err)
 	}
-	floor := comp.GuaranteedFloor()
-	want := resource.Capacity{CPU: 10, MemoryMB: 2048, DiskGB: 15, BandwidthMbps: 667}
-	if !floor.Equal(want) {
-		t.Errorf("GuaranteedFloor = %v, want %v", floor, want)
-	}
 }
 
 func TestLifecycleHappyPath(t *testing.T) {

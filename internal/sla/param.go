@@ -6,7 +6,6 @@
 package sla
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -215,9 +214,6 @@ func (p Param) String() string {
 		return fmt.Sprintf("%s <invalid>", p.Kind)
 	}
 }
-
-// ErrNoParam is returned when a spec lacks a parameter for a dimension.
-var ErrNoParam = errors.New("sla: no parameter for dimension")
 
 // Spec is the full QoS parameter set P_j = {p_1j, …, p_nj} (§5.3) for one
 // service, keyed by resource dimension, plus the network endpoints the
