@@ -29,40 +29,74 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "aqosd:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// flagNeeds names, for each flag only one configuration reads, the flag
+// that selects that configuration.
+var flagNeeds = map[string]string{
+	"failure-rate":    "total",
+	"besteffort-frac": "total",
+	"intake-flush":    "intake",
+	"fault-seed":      "fault-rate",
+}
+
+// strayFlag applies gridsim's rule to the flags set on the command line:
+// a flag the run does not read is an error, never silently dropped.
+func strayFlag(fs *flag.FlagSet) error {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		need := flagNeeds[f.Name]
+		switch {
+		case err != nil:
+		case need != "" && !set[need]:
+			err = fmt.Errorf("-%s is read only with -%s", f.Name, need)
+		case set["total"] && (f.Name == "guaranteed" || f.Name == "adaptive" || f.Name == "besteffort"):
+			err = fmt.Errorf("-%s is not read with -total (the plan comes from -total, -failure-rate and -besteffort-frac)", f.Name)
+		}
+	})
+	return err
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("aqosd", flag.ContinueOnError)
 	var (
-		listen     = flag.String("listen", ":8080", "HTTP listen address")
-		domain     = flag.String("domain", "site-a", "administrative domain name")
-		guaranteed = flag.Float64("guaranteed", 0, "guaranteed-pool CPU nodes (C_G)")
-		adaptive   = flag.Float64("adaptive", 0, "adaptive-reserve CPU nodes (C_A)")
-		bestEffort = flag.Float64("besteffort", 0, "best-effort CPU nodes (C_B)")
-		total      = flag.Float64("total", 0, "total CPU nodes (alternative to explicit pools)")
-		failRate   = flag.Float64("failure-rate", 0.2, "expected failure/congestion rate sizing C_A (with -total)")
-		beFrac     = flag.Float64("besteffort-frac", 0.2, "best-effort fraction (with -total)")
-		memory     = flag.Float64("memory", 10240, "total memory MB (split pro rata)")
-		disk       = flag.Float64("disk", 200, "total disk GB (split pro rata)")
-		confirm    = flag.Duration("confirm-window", 2*time.Minute, "offer confirmation window")
-		monitor    = flag.Duration("monitor-interval", time.Minute, "periodic QoS-management interval (0 disables)")
-		rmAttempts = flag.Int("rm-attempts", 3, "attempts per RM-facing call (1 disables retries)")
-		rmTimeout  = flag.Duration("rm-timeout", 5*time.Second, "per-attempt timeout on RM-facing calls (0 disables)")
-		rmBackoff  = flag.Duration("rm-backoff", 100*time.Millisecond, "base backoff between RM retry attempts")
-		faultRate  = flag.Float64("fault-rate", 0, "chaos-test this daemon: per-site fault injection probability (0 disables)")
-		faultSeed  = flag.Int64("fault-seed", 1, "fault injector PRNG seed (with -fault-rate)")
-		walDir     = flag.String("wal-dir", "", "durability directory: lifecycle WAL + snapshots; a restart with the same directory recovers the broker's state")
-		intake     = flag.Bool("intake", false, "enable the group-commit admission intake: concurrent JSON-API admissions share one allocator pass and one WAL fsync per batch")
-		intakeWait = flag.Duration("intake-flush", 0, "with -intake: idle flush interval bounding how long a queued admission waits for company (0 = flush on demand)")
-		policy     = flag.String("policy", "", "adaptation policy (default \"paper\"; see qosctl policies for the table)")
-		shadowPol  = flag.String("shadow-policy", "", "consult this candidate policy in shadow at every partition grant, counting divergence without affecting live decisions")
+		listen     = fs.String("listen", ":8080", "HTTP listen address")
+		domain     = fs.String("domain", "site-a", "administrative domain name")
+		guaranteed = fs.Float64("guaranteed", 0, "guaranteed-pool CPU nodes (C_G)")
+		adaptive   = fs.Float64("adaptive", 0, "adaptive-reserve CPU nodes (C_A)")
+		bestEffort = fs.Float64("besteffort", 0, "best-effort CPU nodes (C_B)")
+		total      = fs.Float64("total", 0, "total CPU nodes (alternative to explicit pools)")
+		failRate   = fs.Float64("failure-rate", 0.2, "expected failure/congestion rate sizing C_A (with -total)")
+		beFrac     = fs.Float64("besteffort-frac", 0.2, "best-effort fraction (with -total)")
+		memory     = fs.Float64("memory", 10240, "total memory MB (split pro rata)")
+		disk       = fs.Float64("disk", 200, "total disk GB (split pro rata)")
+		confirm    = fs.Duration("confirm-window", 2*time.Minute, "offer confirmation window")
+		monitor    = fs.Duration("monitor-interval", time.Minute, "periodic QoS-management interval (0 disables)")
+		rmAttempts = fs.Int("rm-attempts", 3, "attempts per RM-facing call (1 disables retries)")
+		rmTimeout  = fs.Duration("rm-timeout", 5*time.Second, "per-attempt timeout on RM-facing calls (0 disables)")
+		rmBackoff  = fs.Duration("rm-backoff", 100*time.Millisecond, "base backoff between RM retry attempts")
+		faultRate  = fs.Float64("fault-rate", 0, "chaos-test this daemon: per-site fault injection probability (0 disables)")
+		faultSeed  = fs.Int64("fault-seed", 1, "fault injector PRNG seed (with -fault-rate)")
+		walDir     = fs.String("wal-dir", "", "durability directory: lifecycle WAL + snapshots; a restart with the same directory recovers the broker's state")
+		intake     = fs.Bool("intake", false, "enable the group-commit admission intake: concurrent JSON-API admissions share one allocator pass and one WAL fsync per batch")
+		intakeWait = fs.Duration("intake-flush", 0, "with -intake: idle flush interval bounding how long a queued admission waits for company (0 = flush on demand)")
+		policy     = fs.String("policy", "", "adaptation policy (default \"paper\"; see qosctl policies for the table)")
+		shadowPol  = fs.String("shadow-policy", "", "consult this candidate policy in shadow at every partition grant, counting divergence without affecting live decisions")
 		peers      peerFlags
 	)
-	flag.Var(&peers, "peer", "neighboring AQoS endpoint as name=url (repeatable); requests this domain cannot serve are forwarded")
-	flag.Parse()
+	fs.Var(&peers, "peer", "neighboring AQoS endpoint as name=url (repeatable); requests this domain cannot serve are forwarded")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := strayFlag(fs); err != nil {
+		return err
+	}
 
 	var plan gqosm.CapacityPlan
 	switch {

@@ -283,3 +283,32 @@ func TestTransportMetricsUnified(t *testing.T) {
 		t.Errorf("%d transport request series, want %d (one per op and transport)", n, 2*len(core.Ops))
 	}
 }
+
+// TestUnreadFlagRefused: a flag the selected configuration does not read
+// fails the run before anything starts, instead of being parsed and
+// dropped. The listen address is unusable so that a command line the rule
+// lets through fails at the listener, not here.
+func TestUnreadFlagRefused(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // "" for a command line the rule accepts
+	}{
+		{[]string{"-total", "26", "-guaranteed", "15"}, "-guaranteed is not read with -total"},
+		{[]string{"-total", "26", "-adaptive", "6", "-besteffort", "5"}, "-adaptive is not read with -total"},
+		{[]string{"-guaranteed", "15", "-failure-rate", "0.3"}, "-failure-rate is read only with -total"},
+		{[]string{"-guaranteed", "15", "-besteffort-frac", "0.1"}, "-besteffort-frac is read only with -total"},
+		{[]string{"-total", "26", "-intake-flush", "5ms"}, "-intake-flush is read only with -intake"},
+		{[]string{"-total", "26", "-fault-seed", "9"}, "-fault-seed is read only with -fault-rate"},
+		{[]string{"-total", "26", "-failure-rate", "0.3", "-besteffort-frac", "0.1", "-intake", "-intake-flush", "5ms"}, ""},
+	} {
+		err := run(append(tc.args, "-listen", "127.0.0.1:-1", "-monitor-interval", "0"))
+		switch {
+		case err == nil:
+			t.Errorf("%v: run returned nil", tc.args)
+		case tc.want == "" && strings.Contains(err.Error(), "read"):
+			t.Errorf("%v: refused a flag the run reads: %v", tc.args, err)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
+		}
+	}
+}

@@ -6,8 +6,10 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -16,36 +18,69 @@ import (
 var inlineCode = regexp.MustCompile("`([^`]+)`")
 
 // TestQuotedCommandsRun holds every command README.md, DESIGN.md and
-// EXPERIMENTS.md quote (in a code block or a code span) to the code: a
-// quoted `go run ./<dir>` names a directory holding a main package, and
-// every flag on a quoted gridsim command exists and is read by the mode the
-// command selects (the mode table's own rule, pick and stray). Flag values
-// are not checked, so a placeholder such as `-shards N` quotes fine.
+// EXPERIMENTS.md quote (in a code block or a code span), and every run:
+// step of the CI workflows, to the code: a quoted `go run ./<dir>` names a
+// directory holding a main package; every flag on a gridsim command exists
+// and is read by the mode the command selects (the mode table's own rule,
+// pick and stray); and every flag on an aqosd or qosctl command is one its
+// main.go declares. Flag values are not checked, so a placeholder such as
+// `-seed N` quotes fine.
 func TestQuotedCommandsRun(t *testing.T) {
 	checked := 0
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
-		data, err := os.ReadFile(filepath.Join("..", "..", doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, quote := range quotedCode(string(data)) {
+	check := func(source string, quotes []string) {
+		for _, quote := range quotes {
 			n, err := checkQuote(strings.Fields(quote))
 			if err != nil {
-				t.Errorf("%s quotes `%s`: %v", doc, strings.Join(strings.Fields(quote), " "), err)
+				t.Errorf("%s quotes `%s`: %v", source, strings.Join(strings.Fields(quote), " "), err)
 			}
 			checked += n
 		}
 	}
-	if checked < 20 {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		check(doc, quotedCode(readRepoFile(t, doc)))
+	}
+	workflows, err := filepath.Glob(filepath.Join("..", "..", ".github", "workflows", "*.yml"))
+	if err != nil || len(workflows) == 0 {
+		t.Fatalf("no workflows found: %v", err)
+	}
+	for _, wf := range workflows {
+		check(filepath.Base(wf), workflowRuns(readRepoFile(t, filepath.Join(".github", "workflows", filepath.Base(wf)))))
+	}
+	if checked < 100 {
 		t.Errorf("only %d quoted commands found: the scan is reading the wrong thing", checked)
 	}
 }
 
-// quotedCode returns the code-block lines (continuations joined, shell
-// comments cut) and the code spans of a Markdown document.
+func readRepoFile(t *testing.T, name string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// shellLines joins `\` continuations and cuts shell comments.
+type shellLines struct {
+	out  []string
+	cont strings.Builder
+}
+
+func (s *shellLines) add(line string) {
+	if strings.HasSuffix(line, `\`) {
+		s.cont.WriteString(strings.TrimSuffix(line, `\`) + " ")
+		return
+	}
+	code, _, _ := strings.Cut(s.cont.String()+line, " #")
+	s.out = append(s.out, code)
+	s.cont.Reset()
+}
+
+// quotedCode returns the code-block lines and the code spans of a
+// Markdown document.
 func quotedCode(doc string) []string {
-	var out []string
-	var prose, cont strings.Builder
+	var code shellLines
+	var prose strings.Builder
 	fenced := false
 	for _, line := range strings.Split(doc, "\n") {
 		switch {
@@ -53,23 +88,44 @@ func quotedCode(doc string) []string {
 			fenced = !fenced
 		case !fenced:
 			prose.WriteString(line + "\n")
-		case strings.HasSuffix(line, `\`):
-			cont.WriteString(strings.TrimSuffix(line, `\`) + " ")
 		default:
-			code, _, _ := strings.Cut(cont.String()+line, " #")
-			out = append(out, code)
-			cont.Reset()
+			code.add(line)
 		}
 	}
 	for _, m := range inlineCode.FindAllStringSubmatch(prose.String(), -1) {
-		out = append(out, m[1])
+		code.out = append(code.out, m[1])
 	}
-	return out
+	return code.out
 }
 
-// checkQuote checks every go run and gridsim command in a tokenized quote
-// and returns how many it found. A `cd <dir>` earlier in the quote moves
-// the directory a go run resolves from.
+// workflowRuns returns the shell lines of a workflow's run: steps, both
+// the one-line form and the `run: |` block (every following line indented
+// deeper than the key).
+func workflowRuns(yml string) []string {
+	var code shellLines
+	block := -1 // the open block's key indentation; -1 outside a block
+	for _, line := range strings.Split(yml, "\n") {
+		trimmed := strings.TrimSpace(line)
+		indent := len(line) - len(strings.TrimLeft(line, " "))
+		if block >= 0 && (trimmed == "" || indent > block) {
+			code.add(trimmed)
+			continue
+		}
+		block = -1
+		if cmd, ok := strings.CutPrefix(strings.TrimPrefix(trimmed, "- "), "run:"); ok {
+			if cmd = strings.TrimSpace(cmd); cmd == "|" {
+				block = indent
+			} else {
+				code.add(cmd)
+			}
+		}
+	}
+	return code.out
+}
+
+// checkQuote checks every go run, gridsim, aqosd and qosctl command in a
+// tokenized quote and returns how many it found. A `cd <dir>` earlier in
+// the quote moves the directory a go run resolves from.
 func checkQuote(tokens []string) (int, error) {
 	n, cwd := 0, "."
 	for i := 0; i < len(tokens); i++ {
@@ -88,19 +144,57 @@ func checkQuote(tokens []string) (int, error) {
 			if err := mainPackage(cwd, tokens[i]); err != nil {
 				return n, err
 			}
-			if tokens[i] == "./cmd/gridsim" {
-				if err := gridsimArgs(tokens[i+1:]); err != nil {
-					return n, err
-				}
+			if err := commandArgs(strings.TrimPrefix(tokens[i], "./cmd/"), tokens[i+1:]); err != nil {
+				return n, err
 			}
-		case tok == "gridsim" || strings.HasSuffix(tok, "/gridsim") && !strings.HasPrefix(tok, "."):
+		case !strings.HasPrefix(tok, ".") && slices.Contains([]string{"gridsim", "aqosd", "qosctl"}, path.Base(tok)):
 			n++
-			if err := gridsimArgs(tokens[i+1:]); err != nil {
+			if err := commandArgs(path.Base(tok), tokens[i+1:]); err != nil {
 				return n, err
 			}
 		}
 	}
 	return n, nil
+}
+
+// commandArgs checks the arguments of one command invocation; commands
+// other than gridsim, aqosd and qosctl are not checked.
+func commandArgs(command string, args []string) error {
+	switch command {
+	case "gridsim":
+		return gridsimArgs(args)
+	case "aqosd", "qosctl":
+		return declaredArgs(command, args)
+	}
+	return nil
+}
+
+// flagDecl matches a flag declaration on a flag.FlagSet, capturing its
+// name.
+var flagDecl = regexp.MustCompile(`\.(?:(?:String|Bool|Int|Int64|Float64|Duration)(?:Var)?|Var)\((?:&[\w.]+, )?"([a-z][a-z0-9-]*)"`)
+
+// declaredArgs checks every flag among args, up to the end of the shell
+// command, against the flags command's main.go declares on any of its
+// flag sets (qosctl's subcommands each have their own).
+func declaredArgs(command string, args []string) error {
+	src, err := os.ReadFile(filepath.Join("..", command, "main.go"))
+	if err != nil {
+		return err
+	}
+	declared := map[string]bool{"h": true, "help": true}
+	for _, m := range flagDecl.FindAllStringSubmatch(string(src), -1) {
+		declared[m[1]] = true
+	}
+	for _, arg := range args {
+		if slices.Contains([]string{"|", "||", "&&", ";", "&"}, arg) || strings.HasPrefix(arg, ">") {
+			return nil
+		}
+		name, _, _ := strings.Cut(strings.TrimLeft(arg, "-"), "=")
+		if strings.HasPrefix(arg, "-") && name != "" && !declared[name] {
+			return fmt.Errorf("%s has no flag -%s", command, name)
+		}
+	}
+	return nil
 }
 
 // mainPackage reports whether dir, relative to cwd under the repository

@@ -37,7 +37,7 @@ func main() {
 type options struct {
 	experiment, walDir, transport, scenario, shadow string
 	seed                                            int64
-	clients, ops, phases, shards, restarts, cluster int
+	clients, ops, phases, restarts, cluster         int
 	faultRate                                       float64
 	verbose, jsonOut, intake, soak                  bool
 	// summary, when a mode sets it, prints below the plain-text document.
@@ -63,15 +63,15 @@ type mode struct {
 
 var modes = []mode{
 	{"cluster", "N brokers behind the front tier vs a 1-broker baseline over the same workload, their outcome parity, and for N > 1 the hand-off crash drill (BENCH_cluster.json)",
-		[]string{"cluster"}, []string{"clients", "shards", "seed", "json"}, runCluster},
+		[]string{"cluster"}, []string{"clients", "seed", "json"}, runCluster},
 	{"scenario", "replay a named traffic scenario (or all, or list); -soak adds runtime-health sampling (BENCH_scenarios.json), -shadow evaluates a candidate policy (BENCH_shadow.json)",
-		[]string{"scenario"}, []string{"soak", "shadow", "seed", "ops", "shards", "json"}, runScenarios},
+		[]string{"scenario"}, []string{"soak", "shadow", "seed", "ops", "json"}, runScenarios},
 	{"restart-chaos", "chaos against a durable broker killed and WAL-recovered mid-workload (BENCH_recovery.json)",
-		[]string{"chaos", "restarts"}, []string{"clients", "ops", "shards", "seed", "faultrate", "wal-dir", "intake", "json"}, runChaos},
+		[]string{"chaos", "restarts"}, []string{"clients", "ops", "seed", "faultrate", "wal-dir", "intake", "json"}, runChaos},
 	{"chaos", "stress workload stepped serially under seeded fault injection (BENCH_chaos.json)",
-		[]string{"chaos"}, []string{"clients", "ops", "phases", "shards", "seed", "faultrate", "intake", "json"}, runChaos},
+		[]string{"chaos"}, []string{"clients", "ops", "phases", "seed", "faultrate", "intake", "json"}, runChaos},
 	{"parallel", "concurrent stress clients vs a serial baseline: throughput and admission latency (BENCH_parallel.json)",
-		[]string{"parallel"}, []string{"clients", "ops", "phases", "shards", "seed", "intake", "transport", "json"}, runParallel},
+		[]string{"parallel"}, []string{"clients", "ops", "phases", "seed", "intake", "transport", "json"}, runParallel},
 	{"experiment", "the paper's tables, figures and claim experiments (the default)",
 		nil, []string{"experiment", "seed", "v"}, runExperiments},
 }
@@ -189,7 +189,6 @@ func flagSet(o *options) *flag.FlagSet {
 	fs.IntVar(&o.clients, "clients", 0, "stress clients (default 8); with -cluster the simulated client count (default 100000)")
 	fs.IntVar(&o.ops, "ops", 10000, "total operations for the stress and scenario modes")
 	fs.IntVar(&o.phases, "phases", 10, "mid-run quiesce points for -parallel/-chaos")
-	fs.IntVar(&o.shards, "shards", 1, "broker shards (the -parallel serial baseline stays monolithic)")
 	fs.BoolVar(&o.jsonOut, "json", false, "emit the mode's report as JSON")
 	fs.Bool("chaos", false, "replay the stress workload under deterministic fault injection")
 	fs.Float64Var(&o.faultRate, "faultrate", 0.2, "per-site fault injection probability for -chaos (0 = no injector)")
@@ -236,16 +235,16 @@ func header(id, title string) {
 // own metrics registry so the baseline's counters do not pollute the
 // parallel run's.
 func runParallel(o *options) (*sim.Report, error) {
-	// The serial baseline always takes the direct in-process path on a
-	// monolithic broker; -shards, -intake and -transport only shape the
-	// parallel run, so the comparison shows what they change.
+	// The serial baseline always takes the direct in-process path; -intake
+	// and -transport only shape the parallel run, so the comparison shows
+	// what they change.
 	serial, err := sim.RunParallel(sim.StressConfig{Clients: 1, Ops: o.ops, Phases: o.phases, Seed: o.seed})
 	if err != nil {
 		return nil, fmt.Errorf("serial baseline: %w", err)
 	}
 	reg := obs.NewRegistry()
 	par, err := sim.RunParallel(sim.StressConfig{Clients: o.clients, Ops: o.ops, Phases: o.phases, Seed: o.seed,
-		Shards: o.shards, Intake: o.intake, Transport: o.transport, Obs: reg})
+		Intake: o.intake, Transport: o.transport, Obs: reg})
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +265,7 @@ func runChaos(o *options) (*sim.Report, error) {
 	if o.faultRate < 0 {
 		return nil, fmt.Errorf("bad -faultrate %v (want >= 0)", o.faultRate)
 	}
-	cfg := sim.StressConfig{Clients: o.clients, Ops: o.ops, Phases: o.phases, Seed: o.seed, Shards: o.shards,
+	cfg := sim.StressConfig{Clients: o.clients, Ops: o.ops, Phases: o.phases, Seed: o.seed,
 		Intake: o.intake, FaultRate: o.faultRate, Restarts: o.restarts, WALDir: o.walDir}
 	if o.restarts > 0 {
 		return sim.RunRestartChaos(cfg)
@@ -280,7 +279,7 @@ func runChaos(o *options) (*sim.Report, error) {
 func runCluster(o *options) (*sim.Report, error) {
 	// An unset -clients leaves each mode's own default in force: 8 stress
 	// clients, but the acceptance-scale 10⁵ simulated clients here.
-	cfg := sim.ClusterSimConfig{Brokers: o.cluster, Clients: o.clients, Seed: o.seed, Shards: o.shards}
+	cfg := sim.ClusterSimConfig{Brokers: o.cluster, Clients: o.clients, Seed: o.seed}
 	runs := map[string]*sim.Report{}
 	var err error
 	if runs["scale"], err = sim.RunClusterSim(cfg); err != nil {
@@ -324,10 +323,10 @@ func runScenarios(o *options) (*sim.Report, error) {
 		list = []sim.Scenario{sc}
 	}
 	if o.shadow != "" {
-		return shadow.Run(list, shadow.Config{Candidate: o.shadow, Seed: o.seed, Ops: o.ops, Shards: o.shards})
+		return shadow.Run(list, shadow.Config{Candidate: o.shadow, Seed: o.seed, Ops: o.ops})
 	}
 
-	cfg := sim.ScenarioConfig{Seed: o.seed, Ops: o.ops, Shards: o.shards}
+	cfg := sim.ScenarioConfig{Seed: o.seed, Ops: o.ops}
 	runs := make(map[string]*sim.Report, len(list))
 	for _, sc := range list {
 		var err error
@@ -344,7 +343,7 @@ func runScenarios(o *options) (*sim.Report, error) {
 		return runs[list[0].Name], nil
 	}
 	return sim.NewReport("scenario", map[string]any{"scenario": "all", "seed": o.seed, "ops": o.ops,
-		"shards": o.shards, "soak": o.soak}, runs).Seal(), nil
+		"soak": o.soak}, runs).Seal(), nil
 }
 
 // experiments lists the paper artifacts in the order `-experiment all`

@@ -44,6 +44,33 @@ func (p CapacityPlan) Validate() error {
 	return nil
 }
 
+// Split partitions the plan into n equal shares, one per broker of a
+// cluster. Each pool is divided by n; the last share takes the remainder
+// so the shares always sum exactly to the original plan (no capacity is
+// lost to floating-point drift). n ≤ 1 returns the plan itself.
+func (p CapacityPlan) Split(n int) []CapacityPlan {
+	if n <= 1 {
+		return []CapacityPlan{p}
+	}
+	per := CapacityPlan{
+		Guaranteed: p.Guaranteed.Scale(1 / float64(n)),
+		Adaptive:   p.Adaptive.Scale(1 / float64(n)),
+		BestEffort: p.BestEffort.Scale(1 / float64(n)),
+	}
+	out := make([]CapacityPlan, n)
+	rem := p
+	for i := 0; i < n-1; i++ {
+		out[i] = per
+		rem = CapacityPlan{
+			Guaranteed: rem.Guaranteed.Sub(per.Guaranteed),
+			Adaptive:   rem.Adaptive.Sub(per.Adaptive),
+			BestEffort: rem.BestEffort.Sub(per.BestEffort),
+		}
+	}
+	out[n-1] = rem
+	return out
+}
+
 // PlanForFailureRate sizes the adaptive reserve from the administrator's
 // expected failure/congestion rate f (fraction of total capacity expected
 // to be unavailable) and best-effort minimum fraction b, dividing total as
@@ -110,7 +137,7 @@ type Allocator struct {
 	// view is the atomically published read snapshot: every mutator
 	// recomputes it under mu just before unlocking, so read methods
 	// (Snapshot, Utilization, LoadFactor, AvailableGuaranteed,
-	// AdmissionBound, AvailableBestEffort, Coverage, Offline) serve
+	// AvailableBestEffort, Coverage, Offline) serve
 	// lock-free without ever contending with admissions. The values are
 	// computed by the same locked helpers the admission path uses — a
 	// full recomputation, never an incremental float sum — so a
@@ -119,8 +146,8 @@ type Allocator struct {
 	//
 	// Admission decisions themselves (AllocateGuaranteed and friends)
 	// still read the authoritative state under mu; the view only feeds
-	// advisory reads — placement ranking, quality pre-clamping, metric
-	// gauges — whose outcomes admission re-validates under the lock.
+	// advisory reads — front-tier load reports, quality pre-clamping,
+	// metric gauges — whose outcomes admission re-validates under the lock.
 	view atomic.Pointer[allocView]
 }
 
@@ -132,7 +159,6 @@ type allocView struct {
 	utilization resource.Capacity
 	loadFactor  float64
 	availG      resource.Capacity
-	bound       resource.Capacity
 	availBE     resource.Capacity
 	coverage    resource.Capacity
 	offline     resource.Capacity
@@ -183,7 +209,6 @@ func (a *Allocator) publishLocked() {
 	}
 
 	v.availG = bound.Sub(gDemand).ClampMin(resource.Capacity{})
-	v.bound = bound
 	v.availBE = a.beAvailableLocked().Sub(be).ClampMin(resource.Capacity{})
 
 	// Coverage: min(1, deliverable / demand) per dimension.
@@ -421,8 +446,8 @@ func (a *Allocator) allocateGuaranteedLocked(user string, requested, floor resou
 }
 
 // clampGrant demotes a policy's admission answer until it respects the
-// hard ceiling C_G_eff + C_A — the most the shard can physically deliver
-// to guaranteed demand (the invariant oracle's per-shard bound). The
+// hard ceiling C_G_eff + C_A — the most the partition can physically
+// deliver to guaranteed demand (the invariant oracle's bound). The
 // paper policy's own bound is a subset of the ceiling, so its answers
 // pass through unchanged; an aggressive candidate can at most be walked
 // down requested → floor → refuse.
@@ -606,19 +631,10 @@ func (a *Allocator) AvailableGuaranteed() resource.Capacity {
 	return a.view.Load().availG
 }
 
-// AdmissionBound reports the ceiling for total guaranteed demand —
-// min(C_G, C_G_eff + C_A) per dimension (see gBoundLocked). A floor that
-// does not fit the bound can never be admitted, no matter how much
-// compensation frees: the placement layer uses this to skip hopeless
-// shards.
-func (a *Allocator) AdmissionBound() resource.Capacity {
-	return a.view.Load().bound
-}
-
 // LoadFactor reports how full the guaranteed partition is: the maximum
 // over dimensions of (guaranteed demand / admission bound), 0 for an idle
-// allocator and ≥ 1 when some dimension is saturated. The placement layer
-// ranks shards by it.
+// allocator and ≥ 1 when some dimension is saturated. The broker's load
+// report carries it to the front tier.
 func (a *Allocator) LoadFactor() float64 {
 	return a.view.Load().loadFactor
 }

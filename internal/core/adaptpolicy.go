@@ -6,8 +6,8 @@ package core
 // or consulted in shadow (Config.ShadowPolicy) without touching the
 // broker. The "paper" policy is the historical admission rule bit for
 // bit; "revenue-greedy" admits guaranteed demand into half the adaptive
-// reserve. The §5.3 optimizer (Greedy), the scenario-1 ladder order
-// (cheapestFirst) and shard placement (rankShards) are plain functions.
+// reserve. The §5.3 optimizer (Greedy) and the scenario-1 ladder order
+// (cheapestFirst) are plain functions.
 //
 // Safety: a policy proposes, the allocator disposes. Whatever a
 // PartitionGrant answers, the allocator clamps the grant to the hard
@@ -45,7 +45,7 @@ func (k GrantKind) String() string {
 // Algorithm-1 state a partition policy decides over. All fields are
 // values — a policy cannot reach live allocator state through it.
 type PartitionView struct {
-	// Plan is the shard's capacity partition.
+	// Plan is the allocator's capacity partition.
 	Plan CapacityPlan
 	// Demand is current guaranteed demand Σ c(u,t), excluding any
 	// previous grant held by the requester being (re)admitted.
@@ -57,8 +57,8 @@ type PartitionView struct {
 }
 
 // Policy is one Algorithm-1 admission rule. Implementations must be
-// stateless or internally synchronized: one instance serves every shard
-// concurrently.
+// stateless or internally synchronized: one instance serves every
+// broker of a process concurrently.
 type Policy interface {
 	// Name is the table key ("paper", "revenue-greedy").
 	Name() string

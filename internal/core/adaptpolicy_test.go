@@ -170,15 +170,13 @@ func TestRevenueGreedyAdmitsIntoReserve(t *testing.T) {
 // --- shadow-inertness twin-state tests -------------------------------
 
 // twinLog drives one cluster with the decoded op stream (driveOps's
-// 2-byte encoding on 1 shard, driveShardedOps's 3-byte encoding
-// otherwise), recording every externally visible outcome and running the
-// invariant oracle after each step. Two clusters differing only in
-// ShadowPolicy must produce identical logs and fingerprints.
-func twinLog(t *testing.T, shadow string, shards int, data []byte) []string {
+// 2-byte encoding), recording every externally visible outcome and
+// running the invariant oracle after each step. Two clusters differing
+// only in ShadowPolicy must produce identical logs and fingerprints.
+func twinLog(t *testing.T, shadow string, data []byte) []string {
 	t.Helper()
 	cluster, err := sim.NewCluster(stack.Config{
 		Plan:         sim.DefaultParallelPlan(),
-		Shards:       shards,
 		ShadowPolicy: shadow,
 		Obs:          obs.NewRegistry(),
 	})
@@ -204,16 +202,8 @@ func twinLog(t *testing.T, shadow string, shards int, data []byte) []string {
 		log = append(log, fmt.Sprintf(format, args...))
 	}
 
-	width := 2
-	if shards > 1 {
-		width = 3
-	}
-	for step := 0; step+width-1 < len(data); step += width {
+	for step := 0; step+1 < len(data); step += 2 {
 		op, arg := data[step]%11, data[step+1]
-		hint := 0
-		if width == 3 {
-			hint = int(data[step+2]) % (shards + 1)
-		}
 		switch {
 		case op <= 2:
 			now := clock.Now()
@@ -225,7 +215,7 @@ func twinLog(t *testing.T, shadow string, shards int, data []byte) []string {
 					Service: "simulation", Client: "twin-g" + fmt.Sprint(step),
 					Class: sla.ClassGuaranteed,
 					Spec:  sla.NewSpec(sla.Exact(resource.CPU, cpu)),
-					Start: now, End: end, ShardHint: hint,
+					Start: now, End: end,
 				}
 			} else {
 				req = core.Request{
@@ -233,7 +223,7 @@ func twinLog(t *testing.T, shadow string, shards int, data []byte) []string {
 					Class: sla.ClassControlledLoad,
 					Spec:  sla.NewSpec(sla.Range(resource.CPU, cpu, cpu+float64((arg>>4)&7))),
 					Start: now, End: end,
-					AcceptDegradation: arg&0x80 != 0, ShardHint: hint,
+					AcceptDegradation: arg&0x80 != 0,
 				}
 			}
 			offer, err := b.RequestService(req)
@@ -294,25 +284,23 @@ func twinLog(t *testing.T, shadow string, shards int, data []byte) []string {
 			}
 		}
 		if err := invariant.CheckAll(b, clock.Now(), cluster.Pool); err != nil {
-			t.Fatalf("shadow=%q step %d (op %d): %v", shadow, step/width, op, err)
+			t.Fatalf("shadow=%q step %d (op %d): %v", shadow, step/2, op, err)
 		}
 	}
 
-	// Final-state fingerprint: per-shard capacity accounting and grants.
-	for i, a := range b.Allocators() {
-		record("shard %d availG=%v util=%v users=%v", i,
-			a.AvailableGuaranteed(), a.Utilization(), a.GuaranteedUsers())
-	}
+	// Final-state fingerprint: capacity accounting and grants.
+	a := b.Allocator()
+	record("availG=%v util=%v users=%v", a.AvailableGuaranteed(), a.Utilization(), a.GuaranteedUsers())
 	return log
 }
 
 // driveTwin runs the same op stream with shadowing off and on and fails
 // on the first diverging outcome — the executable form of the
 // shadow-inertness invariant at broker level.
-func driveTwin(t *testing.T, candidate string, shards int, data []byte) {
+func driveTwin(t *testing.T, candidate string, data []byte) {
 	t.Helper()
-	off := twinLog(t, "", shards, data)
-	on := twinLog(t, candidate, shards, data)
+	off := twinLog(t, "", data)
+	on := twinLog(t, candidate, data)
 	if len(off) != len(on) {
 		t.Fatalf("shadow %q changed outcome count: off=%d on=%d", candidate, len(off), len(on))
 	}
@@ -331,18 +319,7 @@ func TestShadowPolicyIsInert(t *testing.T) {
 	for _, candidate := range []string{"revenue-greedy", "test-mutator"} {
 		candidate := candidate
 		t.Run(candidate, func(t *testing.T) {
-			driveTwin(t, candidate, 1, seedStream(1955, 300))
-		})
-	}
-}
-
-// TestShadowPolicyIsInertSharded repeats the twin drive on a 3-shard
-// broker: one allocator per shard, each consulting the candidate.
-func TestShadowPolicyIsInertSharded(t *testing.T) {
-	for _, candidate := range []string{"revenue-greedy", "test-mutator"} {
-		candidate := candidate
-		t.Run(candidate, func(t *testing.T) {
-			driveTwin(t, candidate, 3, seedStream(1955, 300))
+			driveTwin(t, candidate, seedStream(1955, 300))
 		})
 	}
 }

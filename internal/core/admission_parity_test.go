@@ -3,7 +3,6 @@ package core_test
 import (
 	"encoding/json"
 	"errors"
-	"sort"
 	"testing"
 	"time"
 
@@ -70,29 +69,21 @@ func outcomeOf(offer *core.Offer, err error) parityOutcome {
 
 // parityDigest renders the broker state the routes must agree on:
 // sessions (incl. GARA handles, so reservation order counts), per-session
-// allocations, every shard's session count and allocator book (which
-// names the sessions homed there) and the ledger.
+// allocations, the allocator book and the ledger.
 func parityDigest(t *testing.T, b *core.Broker) string {
 	t.Helper()
-	type shardBook struct {
+	a := b.Allocator()
+	d := struct {
+		Sessions        []core.SessionInfo
+		Allocated       map[sla.ID]resource.Capacity
 		Guaranteed      []string
 		AvailGuaranteed resource.Capacity
 		AvailBestEffort resource.Capacity
-	}
-	d := struct {
-		Sessions  []core.SessionInfo
-		Allocated map[sla.ID]resource.Capacity
-		PerShard  []int
-		Shards    []shardBook
-		Ledger    pricing.State
-	}{Sessions: b.SessionInfos(), Allocated: map[sla.ID]resource.Capacity{}, PerShard: b.ShardSessionCounts()}
+		Ledger          pricing.State
+	}{Sessions: b.SessionInfos(), Allocated: map[sla.ID]resource.Capacity{},
+		Guaranteed: a.GuaranteedUsers(), AvailGuaranteed: a.AvailableGuaranteed(), AvailBestEffort: a.AvailableBestEffort()}
 	for _, doc := range b.Sessions(nil) {
 		d.Allocated[doc.ID] = doc.Allocated
-	}
-	for _, a := range b.Allocators() {
-		users := a.GuaranteedUsers()
-		sort.Strings(users)
-		d.Shards = append(d.Shards, shardBook{users, a.AvailableGuaranteed(), a.AvailableBestEffort()})
 	}
 	b.Ledger().ExportWith(func(st pricing.State) { d.Ledger = st })
 	data, err := json.Marshal(d)
@@ -113,11 +104,6 @@ func exactCPU(client string, cpu float64) core.Request {
 	}
 }
 
-func hinted(r core.Request, shard int) core.Request {
-	r.ShardHint = shard
-	return r
-}
-
 // parityStreams are request streams in flush groups: the batch-8 route
 // submits a whole group and flushes once; every route accepts the
 // group's offers before the next group, so later groups negotiate
@@ -128,15 +114,14 @@ func hinted(r core.Request, shard int) core.Request {
 // issue against the one-at-a-time routes.
 var parityStreams = []struct {
 	name   string
-	shards int
 	groups [][]core.Request
 }{
 	{
-		// 16 guaranteed CPUs on one shard. Group 1 fills 15 of them and
-		// carries every prepare/price refusal; group 2's 4-CPU ask only
-		// fits after scenario-1 compensation degrades a volunteer; group
-		// 3 cannot be honored even so (and still degrades the other one).
-		name: "compensation", shards: 1,
+		// 16 guaranteed CPUs. Group 1 fills 15 of them and carries every
+		// prepare/price refusal; group 2's 4-CPU ask only fits after
+		// scenario-1 compensation degrades a volunteer; group 3 cannot be
+		// honored even so (and still degrades the other one).
+		name: "compensation",
 		groups: [][]core.Request{
 			{
 				volunteer("cl-a"), volunteer("cl-b"),
@@ -147,20 +132,6 @@ var parityStreams = []struct {
 			},
 			{exactCPU("g-4", 1), exactCPU("needs-room", 4)},
 			{exactCPU("too-big", 16)},
-		},
-	},
-	{
-		// 4 guaranteed CPUs on each of four shards. Group 1 lands one
-		// session per shard (the queued routes place all four on shard 0
-		// against the not-yet-published load views and reach the same
-		// homes through the fallback chain); group 2's hinted ask is
-		// refused by shard 0 and falls across to the shard with room;
-		// group 3 is refused by every shard.
-		name: "cross-shard-fallback", shards: 4,
-		groups: [][]core.Request{
-			{exactCPU("s-1", 3), exactCPU("s-2", 3), exactCPU("s-3", 3), exactCPU("s-4", 2)},
-			{hinted(exactCPU("hinted", 2), 1)},
-			{exactCPU("nowhere", 4)},
 		},
 	},
 }
@@ -218,7 +189,6 @@ func TestAdmissionRouteParity(t *testing.T) {
 						Adaptive:   resource.Capacity{CPU: 4},
 						BestEffort: resource.Capacity{CPU: 4},
 					},
-					Shards: stream.shards,
 					Intake: route.intake,
 				})
 				if err != nil {
@@ -291,7 +261,7 @@ func submitGroup(b *core.Broker, group []core.Request) []parityOutcome {
 }
 
 // checkStreamShape guards the streams themselves: parity over a stream
-// that no longer compensates or falls back would pin nothing.
+// that no longer compensates would pin nothing.
 func checkStreamShape(t *testing.T, stream string, outcomes []parityOutcome) {
 	t.Helper()
 	count := func(pred func(parityOutcome) bool) (n int) {
@@ -311,13 +281,6 @@ func checkStreamShape(t *testing.T, stream string, outcomes []parityOutcome) {
 			t.Errorf("compensated offers = %d, want 1", n)
 		}
 		if refusals("over_budget") != 1 || refusals("no_service") != 1 || refusals("other") != 1 || refusals("cannot_honor") != 1 {
-			t.Errorf("refusal mix off: %+v", outcomes)
-		}
-	case "cross-shard-fallback":
-		if n := count(func(o parityOutcome) bool { return o.Err == "" }); n != 5 {
-			t.Errorf("admitted = %d, want 5 (incl. the hinted fallback)", n)
-		}
-		if refusals("cannot_honor") != 1 {
 			t.Errorf("refusal mix off: %+v", outcomes)
 		}
 	}

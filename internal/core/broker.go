@@ -58,11 +58,6 @@ type Config struct {
 	Clock clockx.Clock
 	// Plan is the Algorithm-1 capacity partition (required).
 	Plan CapacityPlan
-	// Shards partitions the domain into that many independent
-	// plan/allocator/session shards (see shard.go); 0 or 1 keeps the
-	// classic single-shard broker. The plan is split evenly across
-	// shards.
-	Shards int
 	// Registry performs service discovery; nil skips discovery (the
 	// request's Service name is taken at face value).
 	Registry Finder
@@ -153,7 +148,7 @@ type session struct {
 	// degraded marks sessions running below their negotiated quality.
 	degraded bool
 	// moving marks a reallocate between its allocator grant and its
-	// commit, where the shard lock is dropped; a second move is refused.
+	// commit, where the broker lock is dropped; a second move is refused.
 	moving bool
 	// violations counts detected SLA violations.
 	violations int
@@ -170,17 +165,14 @@ type session struct {
 // support for parameter adaptation when a SLA violation is detected"
 // (§2.1). All methods are safe for concurrent use.
 //
-// The broker is a coordinator over one or more shards (see shard.go).
-// Per-session operations route through the shard that admitted the SLA
-// (sh.mu → sh.alloc.mu → leaf locks); the coordinator itself owns only
-// the global SLA counter (nextID), the routing table (routeMu), the
-// best-effort pin table (beMu), the activity log ring (evMu) and the
-// debug hook (debugMu) — all leaf locks, each with its own
-// synchronization, so hot paths on different shards never contend.
-// Components the broker calls while holding a shard lock (allocator,
-// clock timer scheduling) never call back into the broker; components
-// that do call back (NRM degradation callbacks, clock timer callbacks)
-// always fire with no broker lock held.
+// A broker holds one Algorithm-1 partition: one allocator and one session
+// table under one mutex (mu → alloc.mu → leaf locks). Scaling out means
+// more brokers behind cluster.Front. The SLA counter (nextID) is atomic;
+// the activity log ring (evMu) and the debug hook (debugMu) are leaf
+// locks. Components the broker calls while holding mu (allocator, clock
+// timer scheduling) never call back into the broker; components that do
+// call back (NRM degradation callbacks, clock timer callbacks) always
+// fire with no broker lock held.
 type Broker struct {
 	cfg    Config
 	clock  clockx.Clock
@@ -191,24 +183,18 @@ type Broker struct {
 	nextID atomic.Int64
 	closed atomic.Bool
 
-	// shards are the domain's Algorithm-1 partitions, indexed by shard.
-	shards []*shard
+	// alloc is the domain's Algorithm-1 engine.
+	alloc *Allocator
 
-	// routeMu guards route: SLA ID → admitting shard. Routes are
-	// installed at admission and never removed (terminal sessions stay
-	// queryable), so lookups are read-mostly.
-	routeMu sync.RWMutex
-	route   map[sla.ID]*shard
-
-	// beMu guards beRoute: best-effort client → shard holding its
-	// allocations. A client's best-effort capacity is pinned to one
-	// shard so repeated grants and the final release balance.
-	beMu    sync.Mutex
-	beRoute map[string]*shard
+	// mu guards the session table: every SLA the broker admitted (terminal
+	// ones stay queryable until pruned) and the open scenario-2(c)
+	// promotion offers.
+	mu         sync.Mutex
+	sessions   map[sla.ID]*session
+	promotions map[sla.ID]pricing.PromotionOffer
 
 	// evMu guards the activity log ring. It is a leaf lock: safe to take
-	// with or without a shard lock held, never held while acquiring
-	// another lock.
+	// with or without mu held, never held while acquiring another lock.
 	evMu    sync.Mutex
 	evBuf   []Event
 	evNext  int   // index the next event is written to
@@ -240,7 +226,7 @@ type Broker struct {
 	pendingCancels map[sla.ID]gara.Handle
 
 	// hoMu guards handoffs: the journaled session hand-off intent table
-	// (see handoff.go). A leaf lock, safe under a shard lock.
+	// (see handoff.go). A leaf lock, safe under mu.
 	hoMu     sync.Mutex
 	handoffs map[sla.ID]handoffIntent
 
@@ -320,11 +306,9 @@ func newBroker(cfg Config) (*Broker, error) {
 	if cfg.GARA == nil {
 		return nil, errors.New("core: Config.GARA is required")
 	}
-	if err := cfg.Plan.Validate(); err != nil {
+	alloc, err := NewAllocator(cfg.Plan)
+	if err != nil {
 		return nil, err
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = clockx.Real()
@@ -361,8 +345,9 @@ func newBroker(cfg Config) (*Broker, error) {
 		clock:          cfg.Clock,
 		prices:         pricing.NewModel(pricing.DefaultRates),
 		ledger:         pricing.NewLedger(),
-		route:          make(map[sla.ID]*shard),
-		beRoute:        make(map[string]*shard),
+		alloc:          alloc,
+		sessions:       make(map[sla.ID]*session),
+		promotions:     make(map[sla.ID]pricing.PromotionOffer),
 		evBuf:          make([]Event, 0, cfg.EventLogCap),
 		obs:            cfg.Obs,
 		pendingCancels: make(map[sla.ID]gara.Handle),
@@ -379,21 +364,9 @@ func newBroker(cfg Config) (*Broker, error) {
 			b.dcache = newDiscoveryCache(gf, cfg.Obs)
 		}
 	}
-	for i, plan := range cfg.Plan.Split(cfg.Shards) {
-		alloc, err := NewAllocator(plan)
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", i, err)
-		}
-		alloc.SetPolicy(b.policy)
-		if b.shadowPol != nil {
-			alloc.SetShadow(b.shadowPol, b.recordShadow)
-		}
-		b.shards = append(b.shards, &shard{
-			index:      i,
-			alloc:      alloc,
-			sessions:   make(map[sla.ID]*session),
-			promotions: make(map[sla.ID]pricing.PromotionOffer),
-		})
+	alloc.SetPolicy(b.policy)
+	if b.shadowPol != nil {
+		alloc.SetShadow(b.shadowPol, b.recordShadow)
 	}
 	b.met = newBrokerMetrics(b.obs)
 	b.registerGauges(b.obs)
@@ -411,8 +384,7 @@ func newBroker(cfg Config) (*Broker, error) {
 
 // Close cancels every pending confirmation timer and refuses further
 // requests. Established sessions and their reservations are left intact
-// (the broker does not own the resource managers' lifecycles). Shards are
-// swept in index order, one lock at a time.
+// (the broker does not own the resource managers' lifecycles).
 func (b *Broker) Close() {
 	if !b.closed.CompareAndSwap(false, true) {
 		return
@@ -420,16 +392,7 @@ func (b *Broker) Close() {
 	if b.intake != nil {
 		b.intake.close(ErrClosed)
 	}
-	for _, sh := range b.shards {
-		sh.mu.Lock()
-		for _, s := range sh.sessions {
-			if s.confirm != nil {
-				s.confirm.Stop()
-				s.confirm = nil
-			}
-		}
-		sh.mu.Unlock()
-	}
+	b.stopConfirmTimers()
 	if b.durable != nil {
 		// Every acknowledged append was already fsynced; sealing just
 		// closes the segment. Recovery replays it like any other.
@@ -437,10 +400,25 @@ func (b *Broker) Close() {
 	}
 }
 
-// Allocator exposes the Algorithm-1 engine of shard 0 (read-mostly:
-// experiments snapshot pool usage through it). Single-shard brokers — the
-// default — have exactly one; multi-shard callers use Allocators.
-func (b *Broker) Allocator() *Allocator { return b.shards[0].alloc }
+// stopConfirmTimers stops every pending offer's auto-cancel timer.
+func (b *Broker) stopConfirmTimers() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, s := range b.sessions {
+		if s.confirm != nil {
+			s.confirm.Stop()
+			s.confirm = nil
+		}
+	}
+}
+
+// Allocator exposes the broker's Algorithm-1 engine (read-mostly:
+// experiments snapshot pool usage through it).
+func (b *Broker) Allocator() *Allocator { return b.alloc }
+
+// Allocators returns the broker's one allocator as a list, the shape the
+// benchmark module reads.
+func (b *Broker) Allocators() []*Allocator { return []*Allocator{b.alloc} }
 
 // recordShadow counts one shadow consultation. It is called with the
 // allocator lock held, so it only touches atomic counters; it is installed
@@ -490,7 +468,7 @@ func (b *Broker) Domain() string { return b.cfg.Domain }
 func (b *Broker) Recovering() bool { return b.recovering.Load() }
 
 // LoadReport is a broker's self-report for front-tier placement: how
-// loaded its guaranteed partitions are and how many sessions it hosts.
+// loaded its guaranteed partition is and how many sessions it hosts.
 // It is its own wire document on both transports.
 type LoadReport struct {
 	// Domain names the reporting broker.
@@ -499,8 +477,8 @@ type LoadReport struct {
 	// linger until pruned, so this tracks working-set size, not live
 	// demand).
 	Sessions int `json:"sessions" xml:"Sessions"`
-	// Load is the mean of the shards' guaranteed-partition load factors
-	// (0 idle, ≥ 1 when saturated).
+	// Load is the guaranteed partition's load factor (0 idle, ≥ 1 when
+	// saturated).
 	Load float64 `json:"load" xml:"Load"`
 	// Recovering is true while a Recover is still in flight; the front
 	// tier skips recovering members when placing admissions.
@@ -508,19 +486,13 @@ type LoadReport struct {
 }
 
 // LoadReport snapshots the broker's placement-relevant load. It reads
-// only the allocators' published views and per-shard session counts, so
-// it is cheap enough for the front tier to call on every admission.
+// only the allocator's published view and the session count, so it is
+// cheap enough for the front tier to call on every admission.
 func (b *Broker) LoadReport() LoadReport {
-	r := LoadReport{Domain: b.cfg.Domain, Recovering: b.recovering.Load()}
-	var sum float64
-	for _, sh := range b.shards {
-		sum += sh.alloc.LoadFactor()
-		sh.mu.Lock()
-		r.Sessions += len(sh.sessions)
-		sh.mu.Unlock()
-	}
-	r.Load = sum / float64(len(b.shards))
-	return r
+	b.mu.Lock()
+	n := len(b.sessions)
+	b.mu.Unlock()
+	return LoadReport{Domain: b.cfg.Domain, Sessions: n, Load: b.alloc.LoadFactor(), Recovering: b.recovering.Load()}
 }
 
 // Ledger exposes the accounting ledger.
@@ -591,13 +563,9 @@ func (b *Broker) DebugViolations() []Event {
 
 // Session returns a copy of the SLA document for the given session.
 func (b *Broker) Session(id sla.ID) (*sla.Document, error) {
-	sh := b.shardFor(id)
-	if sh == nil {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownSession, id)
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s, ok := sh.sessions[id]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	s, ok := b.sessions[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownSession, id)
 	}
@@ -605,19 +573,16 @@ func (b *Broker) Session(id sla.ID) (*sla.Document, error) {
 }
 
 // Sessions returns copies of all session documents matching the filter
-// (nil matches all), ordered by ID. Shards are visited in index order,
-// one lock at a time.
+// (nil matches all), ordered by ID.
 func (b *Broker) Sessions(filter func(*sla.Document) bool) []*sla.Document {
 	var out []*sla.Document
-	for _, sh := range b.shards {
-		sh.mu.Lock()
-		for _, s := range sh.sessions {
-			if filter == nil || filter(s.doc) {
-				out = append(out, s.doc.Clone())
-			}
+	b.mu.Lock()
+	for _, s := range b.sessions {
+		if filter == nil || filter(s.doc) {
+			out = append(out, s.doc.Clone())
 		}
-		sh.mu.Unlock()
 	}
+	b.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
@@ -637,71 +602,55 @@ type SessionInfo struct {
 }
 
 // SessionInfos returns a snapshot of every session's internal state,
-// ordered by ID. Shards are visited in index order, one lock at a
-// time.
+// ordered by ID.
 func (b *Broker) SessionInfos() []SessionInfo {
 	var out []SessionInfo
-	for _, sh := range b.shards {
-		sh.mu.Lock()
-		for id, s := range sh.sessions {
-			out = append(out, SessionInfo{
-				ID:         id,
-				State:      s.doc.State,
-				Degraded:   s.degraded,
-				Violations: s.violations,
-				Handle:     s.handle,
-				ProposedAt: s.proposedAt,
-			})
-		}
-		sh.mu.Unlock()
+	b.mu.Lock()
+	for id, s := range b.sessions {
+		out = append(out, SessionInfo{
+			ID:         id,
+			State:      s.doc.State,
+			Degraded:   s.degraded,
+			Violations: s.violations,
+			Handle:     s.handle,
+			ProposedAt: s.proposedAt,
+		})
 	}
+	b.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// PruneTerminal removes terminal sessions — their shard map entries,
-// unclaimed promotion offers and routing-table rows — and returns how
-// many it removed. Terminal sessions are normally kept so they stay
-// queryable; the soak harness calls this at quiesce points so
-// multi-million-op runs hold a bounded working set. Reservations
-// parked in pendingCancels are keyed independently, so reconciliation is
-// unaffected; pruned IDs simply become unknown to Session/SessionInfos.
+// PruneTerminal removes terminal sessions — their session-table entries
+// and unclaimed promotion offers — and returns how many it removed.
+// Terminal sessions are normally kept so they stay queryable; the soak
+// harness calls this at quiesce points so multi-million-op runs hold a
+// bounded working set. Reservations parked in pendingCancels are keyed
+// independently, so reconciliation is unaffected; pruned IDs simply
+// become unknown to Session/SessionInfos.
 func (b *Broker) PruneTerminal() int {
-	pruned := 0
-	for _, sh := range b.shards {
-		sh.mu.Lock()
-		var ids []sla.ID
-		for id, s := range sh.sessions {
-			if s.doc.State.Terminal() {
-				ids = append(ids, id)
-			}
+	b.mu.Lock()
+	var ids []sla.ID
+	for id, s := range b.sessions {
+		if s.doc.State.Terminal() {
+			ids = append(ids, id)
 		}
-		for _, id := range ids {
-			s := sh.sessions[id]
-			if s.confirm != nil {
-				s.confirm.Stop()
-			}
-			delete(sh.sessions, id)
-			delete(sh.promotions, id)
-		}
-		sh.mu.Unlock()
-		if len(ids) == 0 {
-			continue
-		}
-		b.routeMu.Lock()
-		for _, id := range ids {
-			delete(b.route, id)
-		}
-		b.routeMu.Unlock()
-		b.journalPrune(ids)
-		pruned += len(ids)
 	}
-	return pruned
+	for _, id := range ids {
+		if s := b.sessions[id]; s.confirm != nil {
+			s.confirm.Stop()
+		}
+		delete(b.sessions, id)
+		delete(b.promotions, id)
+	}
+	b.mu.Unlock()
+	b.journalPrune(ids)
+	return len(ids)
 }
 
 // logf appends to the activity log ring, evicting the oldest entry when
-// full. The log has its own leaf mutex, so this is safe with or without a
-// shard lock held.
+// full. The log has its own leaf mutex, so this is safe with or without
+// mu held.
 func (b *Broker) logf(kind string, id sla.ID, format string, args ...any) {
 	e := Event{At: b.clock.Now(), Kind: kind, SLA: id, Msg: fmt.Sprintf(format, args...)}
 	b.evMu.Lock()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -837,5 +838,44 @@ func TestEventString(t *testing.T) {
 	e2 := Event{At: t0, Kind: "failure", Msg: "m"}
 	if strings.Contains(e2.String(), "()") {
 		t.Errorf("Event.String = %q", e2.String())
+	}
+}
+
+func TestEventRingWraparound(t *testing.T) {
+	const cap = 16
+	b := newHarness(t, func(cfg *Config) { cfg.EventLogCap = cap }).broker
+
+	// Each request logs at least one discovery event; push well past the
+	// ring capacity.
+	for i := 0; i < 3*cap; i++ {
+		_, _ = b.RequestService(Request{
+			Service: "simulation",
+			Client:  fmt.Sprintf("ring-%03d", i),
+			Class:   sla.ClassGuaranteed,
+			Spec:    sla.NewSpec(sla.Exact(resource.CPU, 200)), // always declined
+			Start:   t0, End: t5,
+		})
+	}
+	events := b.Events()
+	if len(events) != cap {
+		t.Fatalf("len(Events()) = %d, want the ring capacity %d", len(events), cap)
+	}
+	if b.evTotal <= cap {
+		t.Errorf("events ever logged = %d, want > %d after wraparound", b.evTotal, cap)
+	}
+	// The ring is oldest-first and holds only the newest cap events: the
+	// earliest surviving client index must exceed the evicted range, the
+	// last event must be the most recent, and timestamps must not go
+	// backwards.
+	if strings.Contains(events[0].Msg, "ring-000") {
+		t.Error("oldest event survived wraparound; eviction broken")
+	}
+	if !strings.Contains(events[len(events)-1].Msg, fmt.Sprintf("ring-%03d", 3*cap-1)) {
+		t.Errorf("last event is not the newest: %q", events[len(events)-1].Msg)
+	}
+	for i := 1; i < len(events); i++ {
+		if events[i].At.Before(events[i-1].At) {
+			t.Fatalf("events out of order at %d", i)
+		}
 	}
 }

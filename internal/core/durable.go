@@ -7,10 +7,10 @@ package core
 // Journaling model. Every mutating lifecycle operation ends by
 // journaling the *absolute post-state* of the session it touched (full
 // SLA document plus the broker-internal fields), together with the
-// owning shard's auxiliary allocator state. Capture and append happen
-// while holding the session's shard lock, so the per-session record
-// order in the log is exactly the order the states became current —
-// replay is a last-write-wins sweep with no delta arithmetic. Ledger
+// allocator's auxiliary state. Capture and append happen while holding
+// the broker lock, so the per-session record order in the log is exactly
+// the order the states became current — replay is a last-write-wins
+// sweep with no delta arithmetic. Ledger
 // entries are the one delta-shaped record: the pricing ledger's
 // observer journals each entry at the end of Record, under the ledger
 // lock, so the journal order equals the aggregate-update order and the
@@ -18,11 +18,10 @@ package core
 // splits "in the snapshot" from "replay me".
 //
 // Lock order. The WAL mutex is a leaf below every broker lock:
-// sh.mu → sh.alloc.mu → wal.mu, beMu → wal.mu, pcMu → wal.mu and
-// l.mu → wal.mu all occur; wal never calls back out. Snapshots need
-// those same locks for capture, so an append never snapshots inline —
-// Append sets a due flag that maybeSnapshot consumes with no locks
-// held.
+// mu → alloc.mu → wal.mu, pcMu → wal.mu and l.mu → wal.mu all occur;
+// wal never calls back out. Snapshots need those same locks for capture,
+// so an append never snapshots inline — Append sets a due flag that
+// maybeSnapshot consumes with no locks held.
 //
 // Failure semantics. Every append is fsynced before it returns; a
 // failed append (injected via the "wal.append"/"wal.sync" faultx sites
@@ -98,16 +97,7 @@ func (b *Broker) Crash() {
 		// happened (they were not yet journaled), so their tickets fail.
 		b.intake.close(ErrClosed)
 	}
-	for _, sh := range b.shards {
-		sh.mu.Lock()
-		for _, s := range sh.sessions {
-			if s.confirm != nil {
-				s.confirm.Stop()
-				s.confirm = nil
-			}
-		}
-		sh.mu.Unlock()
-	}
+	b.stopConfirmTimers()
 	b.ledger.SetObserver(nil)
 	if b.durable != nil {
 		b.durable.Seal()
@@ -128,41 +118,38 @@ func (b *Broker) walAppend(rec wal.Record) {
 }
 
 // journal captures and appends the absolute post-state of session id —
-// a journalBatch of one on the session's shard. It is called with no
-// broker locks held. Unknown ids — pruned or never admitted — journal
-// nothing.
+// a journalBatch of one. It is called with no broker locks held. Unknown
+// ids — pruned or never admitted — journal nothing.
 func (b *Broker) journal(op string, id sla.ID) {
 	if b.durable == nil {
 		return
 	}
-	if sh := b.shardFor(id); sh != nil {
-		b.journalBatch(op, sh, []sla.ID{id})
-	}
+	b.journalBatch(op, []sla.ID{id})
 }
 
 // journalBatch captures and appends the absolute post-state of the given
-// sessions of sh while holding the shard lock, so per-session record
-// order equals state order. The records land through one
-// wal.AppendBatch — one fsync for the batch, but each record is framed
-// and CRC'd on its own, so replay and the crash-point matrix see serial
-// journal records (a crash mid-batch recovers the CRC-clean prefix; the
-// RM reconciliation sweep refunds the reservations of the unlogged tail,
-// the same guarantee an un-journaled proposal has).
-func (b *Broker) journalBatch(op string, sh *shard, ids []sla.ID) {
+// sessions while holding b.mu, so per-session record order equals state
+// order. The records land through one wal.AppendBatch — one fsync for
+// the batch, but each record is framed and CRC'd on its own, so replay
+// and the crash-point matrix see serial journal records (a crash
+// mid-batch recovers the CRC-clean prefix; the RM reconciliation sweep
+// refunds the reservations of the unlogged tail, the same guarantee an
+// un-journaled proposal has).
+func (b *Broker) journalBatch(op string, ids []sla.ID) {
 	if b.durable == nil || len(ids) == 0 {
 		return
 	}
 	recs := make([]wal.Record, 0, len(ids))
-	sh.mu.Lock()
+	b.mu.Lock()
 	for _, id := range ids {
-		if s, ok := sh.sessions[id]; ok {
-			// AppendBatch marshals synchronously under the shard lock, so
-			// handing it the live doc pointers is safe and clone-free.
+		if s, ok := b.sessions[id]; ok {
+			// AppendBatch marshals synchronously under b.mu, so handing it
+			// the live doc pointers is safe and clone-free.
 			recs = append(recs, wal.Record{
 				At:      b.clock.Now(),
 				Op:      op,
-				Session: sessionRecordLocked(sh, id, s),
-				Aux:     auxRecord(sh),
+				Session: sessionRecord(s),
+				Aux:     b.auxRecord(),
 				NextID:  b.nextID.Load(),
 			})
 		}
@@ -175,32 +162,8 @@ func (b *Broker) journalBatch(op string, sh *shard, ids []sla.ID) {
 			b.met.walRecords.Add(int64(len(recs)))
 		}
 	}
-	sh.mu.Unlock()
+	b.mu.Unlock()
 	b.maybeSnapshot()
-}
-
-// journalBELocked journals the full best-effort pin table plus the
-// touched shard's auxiliary state. The caller holds b.beMu, which is
-// what makes the pin-table image and its order authoritative.
-func (b *Broker) journalBELocked(op string, sh *shard) {
-	if b.durable == nil {
-		return
-	}
-	rec := wal.Record{At: b.clock.Now(), Op: op, BERoute: b.beRouteLocked(), HasBERoute: true}
-	if sh != nil {
-		rec.Aux = auxRecord(sh)
-	}
-	b.walAppend(rec)
-}
-
-// beRouteLocked renders beRoute as client → shard index (caller holds
-// b.beMu).
-func (b *Broker) beRouteLocked() map[string]int {
-	m := make(map[string]int, len(b.beRoute))
-	for u, sh := range b.beRoute {
-		m[u] = sh.index
-	}
-	return m
 }
 
 // journalPendingLocked journals the full parked-cancel table (caller
@@ -216,30 +179,23 @@ func (b *Broker) journalPendingLocked(op string) {
 	b.walAppend(wal.Record{At: b.clock.Now(), Op: op, Pending: m, HasPending: true})
 }
 
-// journalOffline journals every shard's auxiliary state after a
-// capacity-failure notification (one record per shard; no session
-// changed, only SetOffline results).
-func (b *Broker) journalOffline(op string) {
+// journalAux journals the allocator's auxiliary state alone, for changes
+// that touch no session: a best-effort grant or release, a
+// capacity-failure notification (SetOffline results) and a failure
+// rollback. A successful AllocateGuaranteed may preempt best-effort
+// grants before the enclosing operation fails and walks the guaranteed
+// grant back; the preemptions stand (best-effort capacity never grows
+// back on its own), so without this record replay would resurrect the
+// pre-failure best-effort table. The image is captured and appended
+// under b.mu, as journalBatch's are, so the last aux image in the log is
+// the last one taken. It is called with no broker locks held.
+func (b *Broker) journalAux(op string) {
 	if b.durable == nil {
 		return
 	}
-	for _, sh := range b.shards {
-		b.walAppend(wal.Record{At: b.clock.Now(), Op: op, Aux: auxRecord(sh)})
-	}
-	b.maybeSnapshot()
-}
-
-// journalShardAux journals one shard's auxiliary allocator state on a
-// failure-rollback path. A successful AllocateGuaranteed may preempt
-// best-effort grants before the enclosing operation fails and walks the
-// guaranteed grant back; the preemptions stand (best-effort capacity
-// never grows back on its own), so without this record replay would
-// resurrect the pre-failure best-effort table.
-func (b *Broker) journalShardAux(op string, sh *shard) {
-	if b.durable == nil || sh == nil {
-		return
-	}
-	b.walAppend(wal.Record{At: b.clock.Now(), Op: op, Aux: auxRecord(sh)})
+	b.mu.Lock()
+	b.walAppend(wal.Record{At: b.clock.Now(), Op: op, Aux: b.auxRecord()})
+	b.mu.Unlock()
 	b.maybeSnapshot()
 }
 
@@ -279,11 +235,9 @@ func (b *Broker) journalLedger(e pricing.Entry) {
 	})
 }
 
-// sessionRecordLocked renders a session's absolute state (caller holds
-// the owning shard's lock).
-func sessionRecordLocked(sh *shard, id sla.ID, s *session) *wal.SessionRecord {
+// sessionRecord renders a session's absolute state (caller holds b.mu).
+func sessionRecord(s *session) *wal.SessionRecord {
 	return &wal.SessionRecord{
-		Shard:      sh.index,
 		Doc:        s.doc,
 		Handle:     string(s.handle),
 		Job:        string(s.job),
@@ -294,21 +248,21 @@ func sessionRecordLocked(sh *shard, id sla.ID, s *session) *wal.SessionRecord {
 	}
 }
 
-// auxRecord renders a shard's auxiliary allocator state. ExportAux
-// takes the allocator lock itself; callers may hold sh.mu (the
-// established sh.mu → alloc.mu order) or no lock at all.
-func auxRecord(sh *shard) *wal.ShardAux {
-	offline, be, nextSeq := sh.alloc.ExportAux()
+// auxRecord renders the allocator's auxiliary state. ExportAux takes the
+// allocator lock itself; callers may hold b.mu (the established
+// mu → alloc.mu order) or no lock at all.
+func (b *Broker) auxRecord() *wal.ShardAux {
+	offline, be, nextSeq := b.alloc.ExportAux()
 	grants := make([]wal.BEGrant, 0, len(be))
 	for _, g := range be {
 		grants = append(grants, wal.BEGrant{User: g.User, Granted: g.Granted, Seq: g.Seq})
 	}
-	return &wal.ShardAux{Shard: sh.index, Offline: offline, BestEffort: grants, NextSeq: nextSeq}
+	return &wal.ShardAux{Offline: offline, BestEffort: grants, NextSeq: nextSeq}
 }
 
 // maybeSnapshot lands a snapshot when the cadence flag is due. It must
-// be called with no broker locks held — capture takes every shard lock,
-// the BE and pending leaf locks, and the ledger lock.
+// be called with no broker locks held — capture takes b.mu, the pending
+// and hand-off leaf locks, and the ledger lock.
 func (b *Broker) maybeSnapshot() {
 	if b.durable == nil || !b.durable.SnapshotDue() {
 		return
@@ -335,31 +289,26 @@ func (b *Broker) snapshotNow() error {
 		At:      b.clock.Now(),
 		NextID:  b.nextID.Load(),
 	}
-	for _, sh := range b.shards {
-		sh.mu.Lock()
-		ids := make([]sla.ID, 0, len(sh.sessions))
-		for id := range sh.sessions {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		ss := wal.ShardSnap{Index: sh.index}
-		for _, id := range ids {
-			s := sh.sessions[id]
-			rec := sessionRecordLocked(sh, id, s)
-			// The snapshot is marshaled after the lock drops; clone the
-			// live document so later mutations cannot tear it.
-			rec.Doc = s.doc.Clone()
-			ss.Sessions = append(ss.Sessions, *rec)
-		}
-		sh.mu.Unlock()
-		// Aux outside sh.mu: ExportAux is internally consistent, and any
-		// concurrent change journals its own record past BaseSeq.
-		ss.Aux = *auxRecord(sh)
-		snap.Shards = append(snap.Shards, ss)
+	b.mu.Lock()
+	ids := make([]sla.ID, 0, len(b.sessions))
+	for id := range b.sessions {
+		ids = append(ids, id)
 	}
-	b.beMu.Lock()
-	snap.BERoute = b.beRouteLocked()
-	b.beMu.Unlock()
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	var ss wal.ShardSnap
+	for _, id := range ids {
+		s := b.sessions[id]
+		rec := sessionRecord(s)
+		// The snapshot is marshaled after the lock drops; clone the live
+		// document so later mutations cannot tear it.
+		rec.Doc = s.doc.Clone()
+		ss.Sessions = append(ss.Sessions, *rec)
+	}
+	b.mu.Unlock()
+	// Aux outside b.mu: ExportAux is internally consistent, and any
+	// concurrent change journals its own record past BaseSeq.
+	ss.Aux = *b.auxRecord()
+	snap.Shards = []wal.ShardSnap{ss}
 	b.pcMu.Lock()
 	snap.Pending = make(map[string]string, len(b.pendingCancels))
 	for id, h := range b.pendingCancels {

@@ -9,7 +9,7 @@ import (
 // reallocation tests in package core_test (which must live there to use
 // the invariant oracle).
 
-func (b *Broker) DegradeToFloor(id sla.ID) error { return b.degradeToFloor(b.shardFor(id), id) }
+func (b *Broker) DegradeToFloor(id sla.ID) error { return b.degradeToFloor(id) }
 func (b *Broker) Restore(id sla.ID) error        { return b.restore(id) }
 func (b *Broker) IssuePromotions()               { b.issuePromotions() }
 func (b *Broker) HandleDegradation(id sla.ID, measured resource.Capacity) {

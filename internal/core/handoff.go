@@ -110,8 +110,11 @@ func (b *Broker) BeginHandoff(id sla.ID, target string) (*HandoffState, error) {
 	if target == "" || target == b.cfg.Domain {
 		return nil, fmt.Errorf("core: hand-off target must be another domain, got %q", target)
 	}
-	sh := b.shardFor(id)
-	if sh == nil {
+	// An unknown ID is refused before it claims, and journals, an intent.
+	b.mu.Lock()
+	_, known := b.sessions[id]
+	b.mu.Unlock()
+	if !known {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownSession, id)
 	}
 
@@ -126,8 +129,8 @@ func (b *Broker) BeginHandoff(id sla.ID, target string) (*HandoffState, error) {
 	b.journalHandoffsLocked("handoff-begin")
 	b.hoMu.Unlock()
 
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
+	b.mu.Lock()
+	s, ok := b.sessions[id]
 	var st *HandoffState
 	var err error
 	switch {
@@ -145,7 +148,7 @@ func (b *Broker) BeginHandoff(id sla.ID, target string) (*HandoffState, error) {
 			Source:     b.cfg.Domain,
 		}
 	}
-	sh.mu.Unlock()
+	b.mu.Unlock()
 	if err != nil {
 		b.hoMu.Lock()
 		delete(b.handoffs, id)
@@ -195,19 +198,15 @@ func (b *Broker) CompleteHandoff(id sla.ID) error {
 		return fmt.Errorf("%w: %s", ErrNotHandoff, id)
 	}
 
-	sh := b.shardFor(id)
-	if sh == nil {
-		return fmt.Errorf("%w: %s", ErrUnknownSession, id)
-	}
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
+	b.mu.Lock()
+	s, ok := b.sessions[id]
 	var job gram.JobID
 	terminal := false
 	if ok {
 		terminal = s.doc.State.Terminal()
 		job = s.job
 	}
-	sh.mu.Unlock()
+	b.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownSession, id)
 	}
@@ -242,7 +241,7 @@ var importTestHook func(*Broker)
 
 // ImportSession admits a migrated session under its original SLA ID: the
 // inbound intent is journaled first, the session's current allocation is
-// admitted all-or-nothing (falling back across shards), a GARA
+// admitted all-or-nothing, a GARA
 // reservation is created idempotently under the ID, and the session is
 // installed with this broker as provider. Re-importing an ID this broker
 // already hosts live is a no-op (a retried import after a lost reply).
@@ -262,14 +261,14 @@ func (b *Broker) ImportSession(st *HandoffState) error {
 	if doc.State != sla.StateEstablished && doc.State != sla.StateActive {
 		return fmt.Errorf("%w: import of %s in state %s", ErrBadState, id, doc.State)
 	}
-	if prev := b.shardFor(id); prev != nil {
-		prev.mu.Lock()
-		s, ok := prev.sessions[id]
-		live := ok && !s.doc.State.Terminal()
-		prev.mu.Unlock()
-		if live {
-			return nil // idempotent re-import
-		}
+	b.mu.Lock()
+	prev, known := b.sessions[id]
+	live := known && !prev.doc.State.Terminal()
+	b.mu.Unlock()
+	if live {
+		return nil // idempotent re-import
+	}
+	if known {
 		return fmt.Errorf("%w: %s already ended on this broker", ErrBadState, id)
 	}
 
@@ -296,22 +295,12 @@ func (b *Broker) ImportSession(st *HandoffState) error {
 	// Admission is all-or-nothing at the session's current allocation:
 	// migration rebalances load, it never degrades the migrated SLA.
 	alloc := doc.Allocated
-	var sh *shard
-	var lastErr error
-	for _, cand := range b.placementOrder(0, alloc) {
-		if _, err := cand.alloc.AllocateGuaranteed(string(id), alloc, alloc); err == nil {
-			sh = cand
-			break
-		} else {
-			lastErr = err
-		}
-	}
-	if sh == nil {
+	if _, err := b.alloc.AllocateGuaranteed(string(id), alloc, alloc); err != nil {
 		abort()
-		return fmt.Errorf("core: import %s: %w", id, lastErr)
+		return fmt.Errorf("core: import %s: %w", id, err)
 	}
 
-	handle, err := b.reserve(sh, id, reservationRSL(doc.Spec, alloc), doc.Start, doc.End)
+	handle, err := b.reserve(id, reservationRSL(doc.Spec, alloc), doc.Start, doc.End)
 	if err != nil {
 		abort()
 		return fmt.Errorf("core: import reservation %s: %w", id, err)
@@ -328,8 +317,8 @@ func (b *Broker) ImportSession(st *HandoffState) error {
 	if sess.original.IsZero() {
 		sess.original = alloc
 	}
-	err = b.install(sh, []sla.ID{id}, func(int) gara.Handle { return handle }, func() {
-		sh.sessions[id] = sess
+	err = b.install([]sla.ID{id}, func(int) gara.Handle { return handle }, func() {
+		b.sessions[id] = sess
 		b.logf("handoff", id, "imported from %q at %v (no re-charge)", st.Source, alloc)
 	})
 	if err != nil {
@@ -406,14 +395,10 @@ func (b *Broker) resolveInboundHandoffs() int {
 
 	resolved := 0
 	for _, id := range inbound {
-		live := false
-		if sh := b.shardFor(id); sh != nil {
-			sh.mu.Lock()
-			if s, ok := sh.sessions[id]; ok && !s.doc.State.Terminal() {
-				live = true
-			}
-			sh.mu.Unlock()
-		}
+		b.mu.Lock()
+		s, ok := b.sessions[id]
+		live := ok && !s.doc.State.Terminal()
+		b.mu.Unlock()
 		if !live {
 			if h, ok := b.cfg.GARA.FindByTag(string(id)); ok {
 				hh := h

@@ -425,9 +425,6 @@ func TestAllocatorViewConsistency(t *testing.T) {
 		if got := a.Offline(); !got.Equal(offline) {
 			t.Errorf("%s: Offline = %v, want %v", step, got, offline)
 		}
-		if got, want := a.AdmissionBound(), bound; !got.Equal(want) {
-			t.Errorf("%s: AdmissionBound = %v, want %v", step, got, want)
-		}
 		if got, want := a.AvailableGuaranteed(), bound.Sub(demand).ClampMin(resource.Capacity{}); !got.Equal(want) {
 			t.Errorf("%s: AvailableGuaranteed = %v, want %v", step, got, want)
 		}
@@ -548,7 +545,6 @@ func TestAllocatorViewRace(t *testing.T) {
 				_ = a.Utilization()
 				_ = a.LoadFactor()
 				_ = a.AvailableGuaranteed()
-				_ = a.AdmissionBound()
 				_ = a.AvailableBestEffort()
 				_ = a.Coverage()
 				_ = a.Offline()
@@ -669,7 +665,7 @@ func allocGatePopulation(t *testing.T, b *Broker) (establish func(Request) sla.I
 }
 
 // TestTerminateAllocGate holds the release path lean: every Terminate runs
-// afterRelease, whose optimizer pass solves the shard's controlled-load
+// afterRelease, whose optimizer pass solves the controlled-load
 // problem even when (as here, everyone already at best quality) it has
 // nothing to apply. At 64 live sessions, 16 of them controlled-load, that
 // pass rebuilt every service's level map on every iteration of its outer
@@ -736,7 +732,7 @@ func TestDegradeRestoreAllocGate(t *testing.T) {
 
 	const gate = 33 // measured 30 (go1.24)
 	allocs := testing.AllocsPerRun(50, func() {
-		if err := b.degradeToFloor(b.shardFor(id), id); err != nil {
+		if err := b.degradeToFloor(id); err != nil {
 			t.Fatal(err)
 		}
 		if err := b.restore(id); err != nil {

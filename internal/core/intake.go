@@ -1,8 +1,8 @@
 package core
 
 // This file is the group-commit intake queue in front of the admission
-// pipeline (prepare / admit in negotiate.go): a bounded per-shard queue
-// that coalesces prepared admissions so one admit call carries many. The
+// pipeline (prepare / admit in negotiate.go): a bounded queue that
+// coalesces prepared admissions so one admit call carries many. The
 // pipeline is the same whatever the batch size — quality clamping, budget
 // checks, ID issue order, GARA reservation, per-session confirm timers,
 // per-session WAL records — so a batch of one produces byte-identical
@@ -12,15 +12,15 @@ package core
 //
 // Flush discipline. Flushes are driven four ways, all deterministic on
 // the manual clock: (1) a queue reaching MaxBatch is flushed inline by
-// the submitter that filled it; (2) FlushIntake drains every shard in
-// index order — the serial harnesses' quiesce primitive; (3) when
-// FlushEvery > 0, an idle timer armed on first enqueue flushes whatever
-// accumulated (it re-arms on the next enqueue, never free-runs, so a
-// 72-hour drain Advance fires it at most once); (4) RequestService on a
-// queue-configured broker enqueues and then takes the shard's flush
-// mutex: the first waiter in becomes the group-commit leader and drains
-// everything queued behind it — batches form naturally under contention,
-// exactly like a WAL group commit.
+// the submitter that filled it; (2) FlushIntake drains the queue — the
+// serial harnesses' quiesce primitive; (3) when FlushEvery > 0, an idle
+// timer armed on first enqueue flushes whatever accumulated (it re-arms
+// on the next enqueue, never free-runs, so a 72-hour drain Advance fires
+// it at most once); (4) RequestService on a queue-configured broker
+// enqueues and then takes the flush mutex: the first waiter in becomes
+// the group-commit leader and drains everything queued behind it —
+// batches form naturally under contention, exactly like a WAL group
+// commit.
 //
 // Failure semantics. Queued tickets fail with ErrClosed on Close/Crash;
 // everything past the queue is admit's (each member individually atomic,
@@ -37,9 +37,9 @@ import (
 	"gqosm/internal/obs"
 )
 
-// ErrIntakeFull is the intake's backpressure signal: the target shard's
-// queue is at capacity. Callers shed load or retry after a flush; the
-// JSON transport maps it to 429.
+// ErrIntakeFull is the intake's backpressure signal: the queue is at
+// capacity. Callers shed load or retry after a flush; the JSON transport
+// maps it to 429.
 var ErrIntakeFull = errors.New("core: intake queue full")
 
 // errIntakeDisabled is returned by Submit on a broker built without
@@ -55,8 +55,8 @@ type IntakeConfig struct {
 	// single allocator pass (default 32). A queue reaching MaxBatch is
 	// flushed inline by the submitter that filled it.
 	MaxBatch int
-	// Depth bounds each shard's queue; a Submit beyond it is refused
-	// with ErrIntakeFull (default 256).
+	// Depth bounds the queue; a Submit beyond it is refused with
+	// ErrIntakeFull (default 256).
 	Depth int
 	// FlushEvery, when > 0, bounds how long a queued admission can wait
 	// for company: a timer armed on the first enqueue after an idle
@@ -101,31 +101,21 @@ func (t *IntakeTicket) Resolved() bool {
 	}
 }
 
-// shardQueue is one shard's bounded intake queue of prepared admissions
-// (discovery ran at submit time; the flush never re-runs it).
-type shardQueue struct {
-	mu    sync.Mutex
-	queue []*admission
-}
-
-func (q *shardQueue) depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.queue)
-}
-
 // intake is the broker-side machinery; nil on brokers built without it.
 type intake struct {
 	b   *Broker
 	cfg IntakeConfig
 
-	queues []*shardQueue
-	// flushMu serializes flushes per shard — the group-commit leader
-	// lock. A waiter blocked on it becomes the next leader and drains
-	// everything queued meanwhile. It is held across the allocator,
-	// GARA and install stages but never while blocking on a queue's mu,
-	// so submitters keep enqueueing under a running flush.
-	flushMu []sync.Mutex
+	// mu guards queue, the bounded queue of prepared admissions
+	// (discovery ran at submit time; the flush never re-runs it).
+	mu    sync.Mutex
+	queue []*admission
+	// flushMu serializes flushes — the group-commit leader lock. A waiter
+	// blocked on it becomes the next leader and drains everything queued
+	// meanwhile. It is held across the allocator, GARA and install stages
+	// but never while blocking on mu, so submitters keep enqueueing under
+	// a running flush.
+	flushMu sync.Mutex
 
 	// timerMu guards the single idle-flush timer (armed only when
 	// FlushEvery > 0 and at most one pending at a time, so a long
@@ -141,12 +131,10 @@ type intake struct {
 
 func newIntake(b *Broker, cfg IntakeConfig, reg *obs.Registry) *intake {
 	in := &intake{
-		b:       b,
-		cfg:     cfg.withDefaults(),
-		queues:  make([]*shardQueue, len(b.shards)),
-		flushMu: make([]sync.Mutex, len(b.shards)),
+		b:   b,
+		cfg: cfg.withDefaults(),
 		submitted: reg.Counter("gqosm_intake_submitted_total",
-			"Admissions accepted into the intake queues"),
+			"Admissions accepted into the intake queue"),
 		rejectedFull: reg.Counter("gqosm_intake_rejected_total",
 			"Admissions refused with ErrIntakeFull (queue backpressure)"),
 		flushes: reg.Counter("gqosm_intake_flushes_total",
@@ -155,36 +143,32 @@ func newIntake(b *Broker, cfg IntakeConfig, reg *obs.Registry) *intake {
 			"Admissions per group-commit flush",
 			[]float64{1, 2, 4, 8, 16, 32, 64}),
 	}
-	for i := range in.queues {
-		in.queues[i] = &shardQueue{}
-		q := in.queues[i]
-		reg.GaugeFunc("gqosm_intake_queue_depth",
-			"Queued admissions awaiting a group-commit flush, per shard",
-			func() float64 { return float64(q.depth()) },
-			"shard", shardLabel(i))
-	}
+	reg.GaugeFunc("gqosm_intake_queue_depth",
+		"Queued admissions awaiting a group-commit flush",
+		func() float64 { return float64(in.depth()) })
 	return in
 }
 
-// IntakePending counts admissions sitting in the intake queues (0 when
+func (in *intake) depth() int {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return len(in.queue)
+}
+
+// IntakePending counts admissions sitting in the intake queue (0 when
 // the intake is disabled). Harness quiesce points require it to be 0 —
 // every submitted admission was flushed.
 func (b *Broker) IntakePending() int {
 	if b.intake == nil {
 		return 0
 	}
-	n := 0
-	for _, q := range b.intake.queues {
-		n += q.depth()
-	}
-	return n
+	return b.intake.depth()
 }
 
-// Submit prepares an admission, enqueues it on its placement shard's
-// queue and returns a ticket for the outcome. prepare's failures are
-// immediate, exactly as on RequestService; the rest of the pipeline runs
-// at the next flush. A full queue refuses with ErrIntakeFull — the
-// backpressure contract.
+// Submit prepares an admission, enqueues it and returns a ticket for the
+// outcome. prepare's failures are immediate, exactly as on
+// RequestService; the rest of the pipeline runs at the next flush. A full
+// queue refuses with ErrIntakeFull — the backpressure contract.
 func (b *Broker) Submit(req Request) (*IntakeTicket, error) {
 	in := b.intake
 	if in == nil {
@@ -199,28 +183,26 @@ func (b *Broker) Submit(req Request) (*IntakeTicket, error) {
 		return nil, err
 	}
 	if depth >= in.cfg.MaxBatch {
-		in.flushShard(m.order[0].index)
+		in.flush()
 	} else {
 		in.armTimer()
 	}
 	return &m.IntakeTicket, nil
 }
 
-// enqueue appends m to its placement shard's queue and reports the depth
-// it reached, or refuses with ErrIntakeFull at Depth.
+// enqueue appends m to the queue and reports the depth it reached, or
+// refuses with ErrIntakeFull at Depth.
 func (in *intake) enqueue(m *admission) (int, error) {
-	si := m.order[0].index
 	m.done = make(chan struct{})
-	q := in.queues[si]
-	q.mu.Lock()
-	if len(q.queue) >= in.cfg.Depth {
-		q.mu.Unlock()
+	in.mu.Lock()
+	if len(in.queue) >= in.cfg.Depth {
+		in.mu.Unlock()
 		in.rejectedFull.Inc()
-		return 0, in.b.refused(fmt.Errorf("%w: shard %d at depth %d", ErrIntakeFull, si, in.cfg.Depth))
+		return 0, in.b.refused(fmt.Errorf("%w: at depth %d", ErrIntakeFull, in.cfg.Depth))
 	}
-	q.queue = append(q.queue, m)
-	depth := len(q.queue)
-	q.mu.Unlock()
+	in.queue = append(in.queue, m)
+	depth := len(in.queue)
+	in.mu.Unlock()
 	in.submitted.Inc()
 	if in.b.closed.Load() {
 		// The broker shut down between prepare's gate and the enqueue;
@@ -231,45 +213,41 @@ func (in *intake) enqueue(m *admission) (int, error) {
 	return depth, nil
 }
 
-// FlushIntake drains every shard's intake queue now, in shard index
-// order — the deterministic flush the serial harnesses and the idle
-// timer use.
+// FlushIntake drains the intake queue now — the deterministic flush the
+// serial harnesses and the idle timer use.
 func (b *Broker) FlushIntake() {
 	if b.intake == nil {
 		return
 	}
-	for si := range b.intake.queues {
-		b.intake.flushShard(si)
-	}
+	b.intake.flush()
 }
 
-// flushShard takes the shard's leader lock and drains its queue in
-// MaxBatch slices until empty.
-func (in *intake) flushShard(si int) {
-	in.flushMu[si].Lock()
-	defer in.flushMu[si].Unlock()
+// flush takes the leader lock and drains the queue in MaxBatch slices
+// until empty.
+func (in *intake) flush() {
+	in.flushMu.Lock()
+	defer in.flushMu.Unlock()
 	for {
-		q := in.queues[si]
-		q.mu.Lock()
-		n := len(q.queue)
+		in.mu.Lock()
+		n := len(in.queue)
 		if n == 0 {
-			q.mu.Unlock()
+			in.mu.Unlock()
 			return
 		}
 		if n > in.cfg.MaxBatch {
 			n = in.cfg.MaxBatch
 		}
-		batch := append([]*admission(nil), q.queue[:n]...)
-		rest := copy(q.queue, q.queue[n:])
-		for i := rest; i < len(q.queue); i++ {
-			q.queue[i] = nil
+		batch := append([]*admission(nil), in.queue[:n]...)
+		rest := copy(in.queue, in.queue[n:])
+		for i := rest; i < len(in.queue); i++ {
+			in.queue[i] = nil
 		}
-		q.queue = q.queue[:rest]
-		q.mu.Unlock()
+		in.queue = in.queue[:rest]
+		in.mu.Unlock()
 
 		in.flushes.Inc()
 		in.batchSize.Observe(float64(len(batch)))
-		in.b.admit(in.b.shards[si], batch)
+		in.b.admit(batch)
 	}
 }
 
@@ -310,15 +288,13 @@ func (in *intake) close(err error) {
 	in.failQueued(err)
 }
 
-// failQueued drains every queue, failing the removed tickets with err.
+// failQueued drains the queue, failing the removed tickets with err.
 func (in *intake) failQueued(err error) {
-	for _, q := range in.queues {
-		q.mu.Lock()
-		entries := q.queue
-		q.queue = nil
-		q.mu.Unlock()
-		for _, m := range entries {
-			in.b.resolve(m, err)
-		}
+	in.mu.Lock()
+	entries := in.queue
+	in.queue = nil
+	in.mu.Unlock()
+	for _, m := range entries {
+		in.b.resolve(m, err)
 	}
 }

@@ -75,7 +75,7 @@ func TestIntakeGroupCommitOneFsync(t *testing.T) {
 	}
 }
 
-// TestIntakeBackpressure: a full shard queue refuses with ErrIntakeFull
+// TestIntakeBackpressure: a full queue refuses with ErrIntakeFull
 // instead of blocking or growing without bound, and the queued tickets
 // still resolve at the next flush.
 func TestIntakeBackpressure(t *testing.T) {

@@ -22,24 +22,20 @@ func (b *Broker) Invoke(id sla.ID) (gram.Job, error) {
 	if b.cfg.GRAM == nil {
 		return gram.Job{}, fmt.Errorf("core: no GRAM configured")
 	}
-	sh := b.shardFor(id)
-	if sh == nil {
-		return gram.Job{}, fmt.Errorf("%w: %s", ErrUnknownSession, id)
-	}
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
+	b.mu.Lock()
+	s, ok := b.sessions[id]
 	if !ok {
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return gram.Job{}, fmt.Errorf("%w: %s", ErrUnknownSession, id)
 	}
 	if state := s.doc.State; state != sla.StateEstablished {
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return gram.Job{}, fmt.Errorf("%w: %s is %s, want established", ErrBadState, id, state)
 	}
 	service := s.doc.Service
 	end := s.doc.End
 	handle := s.handle
-	sh.mu.Unlock()
+	b.mu.Unlock()
 
 	duration := end.Sub(b.clock.Now()).Seconds()
 	jobRSL := fmt.Sprintf(`&(executable=%q)(duration=%s)(label=%q)`,
@@ -57,18 +53,18 @@ func (b *Broker) Invoke(id sla.ID) (gram.Job, error) {
 		return gram.Job{}, fmt.Errorf("core: bind %s: %w", id, err)
 	}
 
-	sh.mu.Lock()
+	b.mu.Lock()
 	if err := s.doc.Transition(sla.StateActive); err != nil {
 		// A concurrent Terminate/Expire won the race after the job was
 		// submitted; don't leave it running against a canceled
 		// reservation.
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		_ = b.cfg.GRAM.Cancel(job.ID)
 		return gram.Job{}, err
 	}
 	s.job = job.ID
 	b.logf("invoke", id, "service %q launched as %s (pid %d), reservation claimed", service, job.ID, job.PID)
-	sh.mu.Unlock()
+	b.mu.Unlock()
 	b.journal("persist", id)
 	return job, nil
 }
@@ -84,18 +80,14 @@ func (b *Broker) Terminate(id sla.ID, reason string) error {
 		// CompleteHandoff owns the teardown for draining sessions.
 		return fmt.Errorf("%w: %s", ErrHandoffPending, id)
 	}
-	sh := b.shardFor(id)
-	if sh == nil {
-		return fmt.Errorf("%w: %s", ErrUnknownSession, id)
-	}
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
+	b.mu.Lock()
+	s, ok := b.sessions[id]
 	if !ok {
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownSession, id)
 	}
 	if state := s.doc.State; state.Terminal() {
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return fmt.Errorf("%w: %s already %s", ErrBadState, id, state)
 	}
 	if s.confirm != nil {
@@ -103,7 +95,7 @@ func (b *Broker) Terminate(id sla.ID, reason string) error {
 		s.confirm = nil
 	}
 	job := s.job
-	sh.mu.Unlock()
+	b.mu.Unlock()
 
 	if job != "" && b.cfg.GRAM != nil {
 		if j, err := b.cfg.GRAM.Job(job); err == nil && !j.State.Terminal() {
@@ -125,12 +117,8 @@ func (b *Broker) Terminate(id sla.ID, reason string) error {
 // compensation: like Terminate, but without the scenario-2 release hook
 // (which would re-absorb the capacity being freed).
 func (b *Broker) terminateForCompensation(id sla.ID) error {
-	sh := b.shardFor(id)
-	if sh == nil {
-		return fmt.Errorf("%w: %s", ErrUnknownSession, id)
-	}
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
+	b.mu.Lock()
+	s, ok := b.sessions[id]
 	var job gram.JobID
 	if ok {
 		if s.confirm != nil {
@@ -139,7 +127,7 @@ func (b *Broker) terminateForCompensation(id sla.ID) error {
 		}
 		job = s.job
 	}
-	sh.mu.Unlock()
+	b.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownSession, id)
 	}
@@ -183,27 +171,23 @@ func (b *Broker) teardown(id sla.ID, final sla.State, reason string) error {
 // down after another goroutine has already moved it on.
 func (b *Broker) teardownIf(id sla.ID, final sla.State, reason string, pred func(*session) bool) error {
 	started := time.Now()
-	sh := b.shardFor(id)
-	if sh == nil {
-		return fmt.Errorf("%w: %s", ErrUnknownSession, id)
-	}
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
+	b.mu.Lock()
+	s, ok := b.sessions[id]
 	if !ok {
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownSession, id)
 	}
 	prevState := s.doc.State
 	if prevState.Terminal() {
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return fmt.Errorf("%w: %s already %s", ErrBadState, id, prevState)
 	}
 	if pred != nil && !pred(s) {
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return fmt.Errorf("%w: %s is %s", ErrBadState, id, prevState)
 	}
 	if err := s.doc.Transition(final); err != nil {
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return err
 	}
 	if s.confirm != nil {
@@ -211,16 +195,15 @@ func (b *Broker) teardownIf(id sla.ID, final sla.State, reason string, pred func
 		s.confirm = nil
 	}
 	handle := s.handle
-	delete(sh.promotions, id)
+	delete(b.promotions, id)
 	b.logf("clearing", id, "%s: %s", final, reason)
-	// Release the grant while still holding sh.mu: the terminal
-	// transition and the release must be atomic, or a concurrent re-grant
-	// path (restore, optimizer, promotion) could slip between them and
-	// leave a terminal session holding capacity. Lock order sh.mu →
-	// sh.alloc.mu is safe — the allocator never calls back into the
-	// broker.
-	_ = sh.alloc.ReleaseGuaranteed(string(id))
-	sh.mu.Unlock()
+	// Release the grant while still holding b.mu: the terminal transition
+	// and the release must be atomic, or a concurrent re-grant path
+	// (restore, optimizer, promotion) could slip between them and leave a
+	// terminal session holding capacity. Lock order b.mu → alloc.mu is
+	// safe — the allocator never calls back into the broker.
+	_ = b.alloc.ReleaseGuaranteed(string(id))
+	b.mu.Unlock()
 
 	if err := b.pol.call("gara.cancel", func() error {
 		return b.cfg.GARA.Cancel(handle)
@@ -245,19 +228,16 @@ func (b *Broker) teardownIf(id sla.ID, final sla.State, reason string, pred func
 // services.
 func (b *Broker) afterRelease() {
 	// (a) Restore degraded sessions to their pre-degradation quality,
-	// oldest SLA first across the whole domain. Shards are visited in
-	// index order, one lock at a time; the restore pass itself runs
-	// lock-free on the collected IDs.
+	// oldest SLA first. The restore pass runs lock-free on the collected
+	// IDs.
 	var degraded []sla.ID
-	for _, sh := range b.shards {
-		sh.mu.Lock()
-		for id, s := range sh.sessions {
-			if s.degraded && !s.doc.State.Terminal() {
-				degraded = append(degraded, id)
-			}
+	b.mu.Lock()
+	for id, s := range b.sessions {
+		if s.degraded && !s.doc.State.Terminal() {
+			degraded = append(degraded, id)
 		}
-		sh.mu.Unlock()
 	}
+	b.mu.Unlock()
 	sort.Slice(degraded, func(i, j int) bool { return degraded[i] < degraded[j] })
 	for _, id := range degraded {
 		_ = b.restore(id)
@@ -276,19 +256,15 @@ func (b *Broker) afterRelease() {
 // capacity allows (scenario 2a and scenario-3 recovery). A partial grant
 // is kept, but the session stays degraded until full restoration.
 func (b *Broker) restore(id sla.ID) error {
-	sh := b.shardFor(id)
-	if sh == nil {
-		return fmt.Errorf("%w: degraded %s", ErrUnknownSession, id)
-	}
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
+	b.mu.Lock()
+	s, ok := b.sessions[id]
 	if !ok || !s.degraded {
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return fmt.Errorf("%w: degraded %s", ErrUnknownSession, id)
 	}
 	target := s.original
-	sh.mu.Unlock()
-	_, err := b.reallocate(sh, id, move{
+	b.mu.Unlock()
+	_, err := b.reallocate(id, move{
 		target: target, short: keepShort, notes: qualityNotes, mark: markRecovered,
 		event: "adapt", msg: "restored to %[2]v (scenario 2a)",
 		count: b.met.restored, // scenario 2a
@@ -363,21 +339,21 @@ type reallocation struct {
 // of document, flags and price, then ledger and journal. Nothing is
 // written to a terminal session: a teardown that wins the race during
 // gara.modify has released the grant, and its final document stands. A
-// session has one move in flight at a time: the shard lock is dropped
+// session has one move in flight at a time: the broker lock is dropped
 // round gara.modify, and a second move granted and committed in that gap
 // would have its document overwritten by the first move's older grant.
-func (b *Broker) reallocate(sh *shard, id sla.ID, m move) (r reallocation, err error) {
+func (b *Broker) reallocate(id sla.ID, m move) (r reallocation, err error) {
 	// Liveness check and allocator call share one critical section: a
 	// terminal transition releases the grant under the same lock, so it
 	// cannot interleave and leave a terminal session holding capacity.
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
+	b.mu.Lock()
+	s, ok := b.sessions[id]
 	if !ok || s.doc.State.Terminal() {
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return r, fmt.Errorf("%w: %s", ErrUnknownSession, id)
 	}
 	if s.moving {
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return r, fmt.Errorf("%w: %s has a reallocation in flight", ErrBadState, id)
 	}
 	spec := &s.doc.Spec
@@ -388,23 +364,23 @@ func (b *Broker) reallocate(sh *shard, id sla.ID, m move) (r reallocation, err e
 	if m.toFloor {
 		m.target = floor
 	}
-	grant, err := sh.alloc.AllocateGuaranteed(string(id), m.target, m.target.Min(floor))
+	grant, err := b.alloc.AllocateGuaranteed(string(id), m.target, m.target.Min(floor))
 	if err != nil {
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return r, err // refused: the previous grant stands, nothing to walk back
 	}
 	r.applied, r.short = grant.Granted, !grant.Shortfall.IsZero()
 	handle, rsl := s.handle, reservationRSL(*spec, r.applied)
 	s.moving = true
-	sh.mu.Unlock()
+	b.mu.Unlock()
 	defer func() {
-		sh.mu.Lock()
+		b.mu.Lock()
 		s.moving = false
-		sh.mu.Unlock()
+		b.mu.Unlock()
 	}()
 
 	if r.short && m.short == refuseShort {
-		b.rollback(sh, id, m.spec, r.applied)
+		b.rollback(id, m.spec, r.applied)
 		return r, fmt.Errorf("%w: %s: capacity for %v no longer available", ErrBadState, id, m.target)
 	}
 	if err := b.pol.call("gara.modify", func() error {
@@ -412,14 +388,14 @@ func (b *Broker) reallocate(sh *shard, id sla.ID, m move) (r reallocation, err e
 	}); err != nil {
 		// The document (and billing) keep the old quality, so the
 		// allocator must be walked back too or the books skew.
-		b.rollback(sh, id, m.spec, r.applied)
+		b.rollback(id, m.spec, r.applied)
 		return r, fmt.Errorf("core: apply allocation %s: %w", id, err)
 	}
 
-	sh.mu.Lock()
+	b.mu.Lock()
 	from := s.doc.State
 	if from.Terminal() {
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return r, fmt.Errorf("%w: %s ended during reallocation", ErrBadState, id)
 	}
 	r.old, r.billed = b.book(s, m.spec, r.applied, m.offer)
@@ -444,7 +420,7 @@ func (b *Broker) reallocate(sh *shard, id sla.ID, m move) (r reallocation, err e
 			b.logf(m.event, id, m.msg, r.old, r.applied, r.billed)
 		}
 	}
-	sh.mu.Unlock()
+	b.mu.Unlock()
 
 	// Ledger, then the journaled document — but a promotion's entry after
 	// the first record: each move's record order is its crash contract.
@@ -466,7 +442,7 @@ func (b *Broker) reallocate(sh *shard, id sla.ID, m move) (r reallocation, err e
 }
 
 // book writes a delivered quality into the session's document (caller
-// holds the shard lock): allocation, the specification when the move
+// holds b.mu): allocation, the specification when the move
 // replaces it, and price — offer, or when zero the list-price difference.
 // It returns the allocation it replaced and the amount added to the price.
 func (b *Broker) book(s *session, spec *sla.Spec, c resource.Capacity, offer float64) (old resource.Capacity, billed float64) {
@@ -508,89 +484,84 @@ func (b *Broker) bill(id sla.ID, amount float64, notes [2]string, promotion bool
 // modify or teardown, which is logged. spec is the specification held was
 // granted under when the move replaces it. A session torn down meanwhile
 // needs nothing: its grant is released.
-func (b *Broker) rollback(sh *shard, id sla.ID, spec *sla.Spec, held resource.Capacity) {
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
+func (b *Broker) rollback(id sla.ID, spec *sla.Spec, held resource.Capacity) {
+	b.mu.Lock()
+	s, ok := b.sessions[id]
 	if !ok || s.doc.State.Terminal() {
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return
 	}
 	prev := s.doc.Allocated
-	if _, err := sh.alloc.AllocateGuaranteed(string(id), prev, prev); err == nil {
-		sh.mu.Unlock()
+	if _, err := b.alloc.AllocateGuaranteed(string(id), prev, prev); err == nil {
+		b.mu.Unlock()
 		// The failed grant (and this re-grant) may have preempted
 		// best-effort users.
-		b.journalShardAux("rollback", sh)
+		b.journalAux("rollback")
 		return
 	}
 	_, delta := b.book(s, spec, held, 0)
 	b.logf("adapt", id, "failed modify: allocator kept %v, reservation spec stale", held)
-	sh.mu.Unlock()
+	b.mu.Unlock()
 	b.bill(id, delta, qualityNotes, false)
 	b.journal("persist", id)
 }
 
 // issuePromotions creates scenario-2(c) promotion offers for active
 // controlled-load sessions that opted in and run below their best quality.
-// Each shard's candidates are offered against that shard's own headroom.
 func (b *Broker) issuePromotions() {
 	type cand struct {
 		id   sla.ID
 		doc  *sla.Document
 		best resource.Capacity
 	}
-	for _, sh := range b.shards {
-		sh.mu.Lock()
-		var cands []cand
-		for id, s := range sh.sessions {
-			if s.doc.State != sla.StateActive && s.doc.State != sla.StateEstablished {
-				continue
-			}
-			if !s.doc.Adapt.PromotionOffers {
-				continue
-			}
-			if _, open := sh.promotions[id]; open {
-				continue
-			}
-			best := s.doc.Spec.Best()
-			if best.Sub(s.doc.Allocated).ClampMin(resource.Capacity{}).IsZero() {
-				continue
-			}
-			cands = append(cands, cand{id: id, doc: s.doc.Clone(), best: best})
+	b.mu.Lock()
+	var cands []cand
+	for id, s := range b.sessions {
+		if s.doc.State != sla.StateActive && s.doc.State != sla.StateEstablished {
+			continue
 		}
-		sh.mu.Unlock()
-		sort.Slice(cands, func(i, j int) bool { return cands[i].id < cands[j].id })
+		if !s.doc.Adapt.PromotionOffers {
+			continue
+		}
+		if _, open := b.promotions[id]; open {
+			continue
+		}
+		best := s.doc.Spec.Best()
+		if best.Sub(s.doc.Allocated).ClampMin(resource.Capacity{}).IsZero() {
+			continue
+		}
+		cands = append(cands, cand{id: id, doc: s.doc.Clone(), best: best})
+	}
+	b.mu.Unlock()
+	sort.Slice(cands, func(i, j int) bool { return cands[i].id < cands[j].id })
 
-		for _, c := range cands {
-			// Offer only what currently fits on the session's shard.
-			headroom := sh.alloc.AvailableGuaranteed()
-			target := c.doc.Spec.Clamp(c.doc.Allocated.Add(headroom).Min(c.best))
-			if target.Sub(c.doc.Allocated).ClampMin(resource.Capacity{}).IsZero() {
-				continue
-			}
-			offer, ok := b.prices.Promotion(c.doc, target, b.clock.Now().Add(b.cfg.ConfirmWindow))
-			if !ok {
-				continue
-			}
-			sh.mu.Lock()
-			sh.promotions[c.id] = offer
-			b.logf("promotion", c.id, "offered upgrade %v -> %v at %.2f (list %.2f)",
-				offer.From, offer.To, offer.OfferPrice, offer.ListPrice)
-			sh.mu.Unlock()
+	for _, c := range cands {
+		// Offer only what currently fits.
+		headroom := b.alloc.AvailableGuaranteed()
+		target := c.doc.Spec.Clamp(c.doc.Allocated.Add(headroom).Min(c.best))
+		if target.Sub(c.doc.Allocated).ClampMin(resource.Capacity{}).IsZero() {
+			continue
 		}
+		offer, ok := b.prices.Promotion(c.doc, target, b.clock.Now().Add(b.cfg.ConfirmWindow))
+		if !ok {
+			continue
+		}
+		b.mu.Lock()
+		b.promotions[c.id] = offer
+		b.logf("promotion", c.id, "offered upgrade %v -> %v at %.2f (list %.2f)",
+			offer.From, offer.To, offer.OfferPrice, offer.ListPrice)
+		b.mu.Unlock()
 	}
 }
 
 // Promotions returns the open promotion offers, ordered by SLA ID.
 func (b *Broker) Promotions() []pricing.PromotionOffer {
 	var out []pricing.PromotionOffer
-	for _, sh := range b.shards {
-		sh.mu.Lock()
-		for _, o := range sh.promotions {
-			out = append(out, o)
-		}
-		sh.mu.Unlock()
+	b.mu.Lock()
+	for _, o := range b.promotions {
+		out = append(out, o)
 	}
+	b.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].SLA < out[j].SLA })
 	return out
 }
@@ -599,14 +570,10 @@ func (b *Broker) Promotions() []pricing.PromotionOffer {
 // and the discounted increment charged.
 func (b *Broker) AcceptPromotion(id sla.ID) error {
 	defer b.debugCheck("promotion")
-	sh := b.shardFor(id)
-	if sh == nil {
-		return fmt.Errorf("%w: no open promotion for %s", ErrUnknownSession, id)
-	}
-	sh.mu.Lock()
-	offer, ok := sh.promotions[id]
-	delete(sh.promotions, id) // accepted, expired or refused: the offer is spent
-	sh.mu.Unlock()
+	b.mu.Lock()
+	offer, ok := b.promotions[id]
+	delete(b.promotions, id) // accepted, expired or refused: the offer is spent
+	b.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: no open promotion for %s", ErrUnknownSession, id)
 	}
@@ -616,7 +583,7 @@ func (b *Broker) AcceptPromotion(id sla.ID) error {
 
 	// Capacity may have changed since the offer: a shortfall refuses the
 	// upgrade and walks the allocator back.
-	if _, err := b.reallocate(sh, id, move{
+	if _, err := b.reallocate(id, move{
 		target: offer.To, short: refuseShort, offer: offer.OfferPrice, notes: [2]string{"promotion accepted"}, rebase: true,
 		event: "promotion", msg: "accepted: upgraded to %[2]v for %.2[3]f",
 		count: b.met.promoted, // scenario 2c
@@ -645,44 +612,19 @@ type OptimizeOutcome struct {
 // sessions: "the optimization heuristic is executed periodically by the
 // AQoS broker; if there is a considerable gain in terms of benefits to the
 // Grid Service provider, resources allocation is accordingly modified."
-// Each shard's sessions form an independent optimization problem over that
-// shard's capacity; the outcome aggregates all shards (for the default
-// single-shard broker this is exactly the classic whole-domain pass).
+// The live controlled-load sessions compete for what they hold plus the
+// partition's headroom.
 func (b *Broker) RunOptimizer() (OptimizeOutcome, error) {
 	defer b.debugCheck("optimize")
 	b.met.optimizerRuns.Inc()
-	var out OptimizeOutcome
-	for _, sh := range b.shards {
-		shardOut, err := b.optimizeShard(sh)
-		if err != nil {
-			return out, err
-		}
-		out.Considered += shardOut.Considered
-		out.Gain += shardOut.Gain
-		out.Changed += shardOut.Changed
-	}
-	out.Applied = out.Changed > 0
-	if out.Applied {
-		b.met.optimizerApplied.Inc()
-		b.logf("optimize", "", "reallocated %d/%d controlled-load sessions, profit gain %.2f",
-			out.Changed, out.Considered, out.Gain)
-	}
-	return out, nil
-}
-
-// optimizeShard runs one shard's §5.3 problem: its live controlled-load
-// sessions compete for what they hold plus the shard's headroom. The gain
-// threshold applies per shard — each shard's reallocation must clear
-// MinOptimizerGain on its own.
-func (b *Broker) optimizeShard(sh *shard) (OptimizeOutcome, error) {
 	type entry struct {
 		id    sla.ID
 		spec  sla.Spec
 		alloc resource.Capacity
 	}
-	sh.mu.Lock()
+	b.mu.Lock()
 	var entries []entry
-	for id, s := range sh.sessions {
+	for id, s := range b.sessions {
 		if s.doc.Class != sla.ClassControlledLoad {
 			continue
 		}
@@ -694,7 +636,7 @@ func (b *Broker) optimizeShard(sh *shard) (OptimizeOutcome, error) {
 		}
 		entries = append(entries, entry{id: id, spec: s.doc.Spec.Clone(), alloc: s.doc.Allocated})
 	}
-	sh.mu.Unlock()
+	b.mu.Unlock()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
 
 	out := OptimizeOutcome{Considered: len(entries)}
@@ -703,8 +645,8 @@ func (b *Broker) optimizeShard(sh *shard) (OptimizeOutcome, error) {
 	}
 
 	// Capacity available to these sessions: what they hold now plus the
-	// shard's guaranteed-side headroom.
-	capacity := sh.alloc.AvailableGuaranteed()
+	// guaranteed-side headroom.
+	capacity := b.alloc.AvailableGuaranteed()
 	currentProfit := 0.0
 	rates := b.prices.ClassRates(sla.ClassControlledLoad)
 	problem := OptProblem{Services: make([]OptService, 0, len(entries))}
@@ -717,7 +659,7 @@ func (b *Broker) optimizeShard(sh *shard) (OptimizeOutcome, error) {
 
 	res, err := Greedy(problem)
 	if err != nil {
-		return out, err
+		return OptimizeOutcome{}, err
 	}
 	out.Gain = res.Profit - currentProfit
 	if out.Gain < b.cfg.MinOptimizerGain {
@@ -740,7 +682,7 @@ func (b *Broker) optimizeShard(sh *shard) (OptimizeOutcome, error) {
 		if target.Equal(e.alloc) {
 			continue
 		}
-		r, err := b.reallocate(sh, e.id, move{target: target, notes: qualityNotes, rebase: true})
+		r, err := b.reallocate(e.id, move{target: target, notes: qualityNotes, rebase: true})
 		if r.short {
 			// The pool moved between solve and apply (a concurrent
 			// admission took the headroom): only the floor was granted.
@@ -754,6 +696,10 @@ func (b *Broker) optimizeShard(sh *shard) (OptimizeOutcome, error) {
 			out.Changed++
 		}
 	}
-	out.Applied = out.Changed > 0
+	if out.Applied = out.Changed > 0; out.Applied {
+		b.met.optimizerApplied.Inc()
+		b.logf("optimize", "", "reallocated %d/%d controlled-load sessions, profit gain %.2f",
+			out.Changed, out.Considered, out.Gain)
+	}
 	return out, nil
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strconv"
-
 	"gqosm/internal/obs"
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
@@ -101,11 +99,9 @@ func newBrokerMetrics(reg *obs.Registry) brokerMetrics {
 }
 
 // registerGauges mounts the scrape-time callback gauges: per-partition
-// utilization straight off the Algorithm-1 allocators (summed across
-// shards, so the domain-level series is shard-count independent),
-// per-shard load for placement visibility, and session counts by SLA
-// state. Callbacks take alloc.mu / sh.mu only at scrape time, so the
-// hot path pays nothing.
+// utilization straight off the Algorithm-1 allocator's published view,
+// and session counts by SLA state. Callbacks take b.mu only at scrape
+// time, so the hot path pays nothing.
 func (b *Broker) registerGauges(reg *obs.Registry) {
 	for poolIdx, pool := range []string{"guaranteed", "adaptive", "besteffort"} {
 		for _, kind := range resource.Kinds {
@@ -113,30 +109,15 @@ func (b *Broker) registerGauges(reg *obs.Registry) {
 			reg.GaugeFunc("gqosm_partition_utilization",
 				"Used fraction of each partition pool per resource dimension",
 				func() float64 {
-					var used, total float64
-					for _, sh := range b.shards {
-						u := sh.alloc.Snapshot()[poolIdx]
-						total += u.Capacity.Get(kind) - u.Offline.Get(kind)
-						used += u.Guaranteed.Get(kind) + u.BestEffort.Get(kind)
-					}
+					u := b.alloc.Snapshot()[poolIdx]
+					total := u.Capacity.Get(kind) - u.Offline.Get(kind)
+					used := u.Guaranteed.Get(kind) + u.BestEffort.Get(kind)
 					if total <= resource.Epsilon {
 						return 0
 					}
 					return used / total
 				},
 				"pool", pool, "dim", kind.String())
-		}
-	}
-	for _, sh := range b.shards {
-		for _, kind := range resource.Kinds {
-			sh, kind := sh, kind
-			reg.GaugeFunc("gqosm_shard_utilization",
-				"Guaranteed-pool demand fraction per shard and resource dimension",
-				func() float64 {
-					u := sh.alloc.Utilization()
-					return u.Get(kind)
-				},
-				"shard", shardLabel(sh.index), "dim", kind.String())
 		}
 	}
 	for _, state := range []sla.State{
@@ -149,24 +130,17 @@ func (b *Broker) registerGauges(reg *obs.Registry) {
 			"Broker sessions by SLA state",
 			func() float64 {
 				n := 0
-				for _, sh := range b.shards {
-					sh.mu.Lock()
-					for _, s := range sh.sessions {
-						if s.doc.State == state {
-							n++
-						}
+				b.mu.Lock()
+				for _, s := range b.sessions {
+					if s.doc.State == state {
+						n++
 					}
-					sh.mu.Unlock()
 				}
+				b.mu.Unlock()
 				return float64(n)
 			},
 			"state", state.String())
 	}
-}
-
-// shardLabel renders a shard index as a metric label value.
-func shardLabel(i int) string {
-	return strconv.Itoa(i)
 }
 
 // Obs returns the broker's metrics registry (never nil; a private

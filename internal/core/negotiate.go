@@ -37,11 +37,6 @@ type Request struct {
 	// violation penalties" among the agreed terms); zero means no
 	// penalty clause.
 	Penalty sla.Penalty
-	// ShardHint pins placement to a shard (1-based index; 0 lets the
-	// placement layer pick the least-loaded shard). The fallback chain
-	// across the remaining shards still applies on capacity errors.
-	// Ignored by single-shard brokers.
-	ShardHint int
 }
 
 // Validate checks the request.
@@ -92,11 +87,6 @@ type admission struct {
 	req   Request
 	floor resource.Capacity
 	key   registry.Key
-	// order is the placement chain computed at prepare time; order[at] is
-	// the shard the admission is queued or being admitted on, the shards
-	// after it are the cross-shard fallbacks.
-	order []*shard
-	at    int
 
 	id          sla.ID
 	quality     resource.Capacity
@@ -120,14 +110,14 @@ func (b *Broker) RequestService(req Request) (*Offer, error) {
 		return nil, err
 	}
 	if b.intake == nil {
-		b.admit(m.order[0], []*admission{m})
+		b.admit([]*admission{m})
 		return m.offer, m.err
 	}
 	if _, err := b.intake.enqueue(m); err != nil {
 		return nil, err
 	}
 	if !m.Resolved() {
-		b.intake.flushShard(m.order[0].index)
+		b.intake.flush()
 	}
 	return m.Wait()
 }
@@ -153,8 +143,8 @@ func (b *Broker) resolve(m *admission, err error) {
 }
 
 // prepare is the per-request front half of the pipeline: validation, the
-// closed / recovering gates, discovery and shard placement. Its failures
-// are immediate on every route — nothing is queued, no SLA ID is issued.
+// closed / recovering gates and discovery. Its failures are immediate on
+// every route — nothing is queued, no SLA ID is issued.
 func (b *Broker) prepare(req Request) (*admission, error) {
 	if err := req.Validate(); err != nil {
 		return nil, b.refused(err)
@@ -168,8 +158,8 @@ func (b *Broker) prepare(req Request) (*admission, error) {
 		// retry or re-route instead of treating this broker as dead.
 		return nil, b.refused(ErrPeerUnavailable)
 	}
-	// The floor is read by discovery, placement and admission; compute it
-	// once here instead of re-deriving it from the spec at every layer.
+	// The floor is read by discovery and admission; compute it once here
+	// instead of re-deriving it from the spec at every layer.
 	floor := req.Spec.Floor()
 	if b.intake == nil {
 		// Queued admissions are announced by their flush's activity-log
@@ -182,37 +172,32 @@ func (b *Broker) prepare(req Request) (*admission, error) {
 	if err != nil {
 		return nil, b.refused(err)
 	}
-	// Placement: shards least-loaded first (honoring any hint) against the
-	// published load views. admit commits on the first and falls back
-	// across the rest on capacity refusals — the intra-domain mirror of
-	// the federation's capacity-error forwarding.
-	return &admission{req: req, floor: floor, key: key,
-		order: b.placementOrder(req.ShardHint, floor)}, nil
+	return &admission{req: req, floor: floor, key: key}, nil
 }
 
-// admit runs the negotiation phase for a batch of prepared admissions
-// placed on sh and resolves every member. It is the pipeline's one entry:
+// admit runs the negotiation phase for a batch of prepared admissions and
+// resolves every member. It is the pipeline's one entry:
 // the invariant debug hook fires once per call, and the wall-clock
 // admission latency (time.Now, not b.clock: the injected clock measures
 // simulated time, the histogram how long the broker actually works) is
 // observed as each member's amortized share.
-func (b *Broker) admit(sh *shard, batch []*admission) {
+func (b *Broker) admit(batch []*admission) {
 	defer b.debugCheck("admit")
 	started := time.Now()
-	b.admitOn(sh, batch)
+	b.negotiate(batch)
 	per := (time.Since(started) / time.Duration(len(batch))).Seconds()
 	for range batch {
 		b.met.admitSeconds.Observe(per)
 	}
 }
 
-// admitOn is the staged negotiation phase against one shard: price +
-// budget, ONE allocator pass, GARA reservation, install and ONE journal
-// append for the members it grants (commit), then — after those are
-// installed — scenario-1 compensation and the cross-shard fallback for
-// the members it refuses. Each member is individually atomic: it installs
-// completely or is rolled back completely and its ticket fails.
-func (b *Broker) admitOn(sh *shard, batch []*admission) {
+// negotiate is the staged negotiation phase: price + budget, ONE
+// allocator pass, GARA reservation, install and ONE journal append for
+// the members it grants (commit), then — after those are installed —
+// scenario-1 compensation for the members it refuses. Each member is
+// individually atomic: it installs completely or is rolled back
+// completely and its ticket fails.
+func (b *Broker) negotiate(batch []*admission) {
 	if b.closed.Load() {
 		for _, m := range batch {
 			b.resolve(m, ErrClosed)
@@ -220,10 +205,9 @@ func (b *Broker) admitOn(sh *shard, batch []*admission) {
 		return
 	}
 
-	// Stage 1 — price and identify. Budget refusals are final (no other
-	// shard would decide differently) and never burn an SLA ID; the ID is
-	// issued once, by the first shard that needs it, so ID sequences do
-	// not depend on shard count or batch size.
+	// Stage 1 — price and identify. Budget refusals are final and never
+	// burn an SLA ID; the ID is issued once, so ID sequences do not depend
+	// on batch size.
 	priced := batch[:0]      // filtered in place: every caller hands its slice over
 	var one [1]GuaranteedAsk // a batch of one keeps its ask off the heap
 	asks := one[:0]
@@ -231,7 +215,7 @@ func (b *Broker) admitOn(sh *shard, batch []*admission) {
 		asks = make([]GuaranteedAsk, 0, len(batch))
 	}
 	for _, m := range batch {
-		if err := b.quote(sh, m); err != nil {
+		if err := b.quote(m); err != nil {
 			b.resolve(m, err)
 			continue
 		}
@@ -247,7 +231,7 @@ func (b *Broker) admitOn(sh *shard, batch []*admission) {
 
 	// Stage 2 — one Algorithm-1 pass for the whole batch: one allocator
 	// critical section, one rebalance, one view publication.
-	sh.alloc.AllocateGuaranteedBatch(asks)
+	b.alloc.AllocateGuaranteedBatch(asks)
 	var refused []*admission
 	granted := priced[:0]
 	for i, m := range priced {
@@ -258,7 +242,7 @@ func (b *Broker) admitOn(sh *shard, batch []*admission) {
 		m.grant = asks[i].Grant
 		granted = append(granted, m)
 	}
-	b.commit(sh, granted)
+	b.commit(granted)
 
 	// Refused members, in batch order, after the granted ones installed.
 	for _, m := range refused {
@@ -269,24 +253,24 @@ func (b *Broker) admitOn(sh *shard, batch []*admission) {
 			// The book moved under the batch (later grants, rolled-back
 			// reservations): re-price and re-ask alone before adapting
 			// anyone.
-			b.admitOn(sh, []*admission{m})
+			b.negotiate([]*admission{m})
 		default:
-			b.compensateOrForward(sh, m)
+			b.compensateAndRetry(m)
 		}
 	}
 }
 
-// quote chooses m's proposed quality on sh and prices it: guaranteed gets
-// the exact request; controlled-load gets the best level the shard's
+// quote chooses m's proposed quality and prices it: guaranteed gets the
+// exact request; controlled-load gets the best level the allocator's
 // published headroom carries (an advisory view — the allocator
 // re-validates under its lock), never below the floor, in which case
 // admission relies on scenario-1 compensation. A price over budget
 // degrades controlled-load toward the floor and refuses otherwise.
-func (b *Broker) quote(sh *shard, m *admission) error {
+func (b *Broker) quote(m *admission) error {
 	req := &m.req
 	quality := req.Spec.Best()
 	if req.Class == sla.ClassControlledLoad {
-		quality = req.Spec.Clamp(quality.Min(sh.alloc.AvailableGuaranteed())).Max(m.floor)
+		quality = req.Spec.Clamp(quality.Min(b.alloc.AvailableGuaranteed())).Max(m.floor)
 	}
 	price := b.prices.Cost(req.Class, quality)
 	if req.Budget > 0 && price > req.Budget {
@@ -303,37 +287,29 @@ func (b *Broker) quote(sh *shard, m *admission) error {
 	return nil
 }
 
-// compensateOrForward handles a lone member sh refused for capacity:
-// scenario-1 compensation on sh's own sessions and one retry, then the
-// next shard of its placement chain, then the refusal.
-func (b *Broker) compensateOrForward(sh *shard, m *admission) {
+// compensateAndRetry handles a lone member refused for capacity:
+// scenario-1 compensation and one retry, then the refusal.
+func (b *Broker) compensateAndRetry(m *admission) {
 	err := m.err
-	freed, cerr := b.compensate(sh, m.floor)
+	freed, cerr := b.compensate(m.floor)
 	if cerr != nil {
 		err = fmt.Errorf("request %s: %w (compensation: %v)", m.id, err, cerr)
-	} else if m.grant, err = sh.alloc.AllocateGuaranteed(string(m.id), m.quality, m.floor); err != nil {
+	} else if m.grant, err = b.alloc.AllocateGuaranteed(string(m.id), m.quality, m.floor); err != nil {
 		err = fmt.Errorf("request %s after compensation: %w", m.id, err)
 	} else {
 		m.compensated = freed
-		b.commit(sh, []*admission{m})
+		b.commit([]*admission{m})
 		return
-	}
-	if m.at++; m.at < len(m.order) {
-		b.admitOn(m.order[m.at], []*admission{m})
-		return
-	}
-	if len(b.shards) > 1 {
-		err = fmt.Errorf("core: %d shard(s) tried, none can honor: %w", len(m.order), err)
 	}
 	b.resolve(m, err)
 }
 
 // commit is the back half of the pipeline for members holding an
-// allocator grant on sh: per-member GARA reservation with rollback, one
-// route-lock and one shard-lock install pass with per-session confirm
-// timers, one journal append (one fsync) carrying a per-session record
-// each, then ticket resolution.
-func (b *Broker) commit(sh *shard, granted []*admission) {
+// allocator grant: per-member GARA reservation with rollback, one
+// locked install pass with per-session confirm timers, one journal
+// append (one fsync) carrying a per-session record each, then ticket
+// resolution.
+func (b *Broker) commit(granted []*admission) {
 	// Mechanism: temporary GARA reservations. A reservation failure is
 	// final for that member only.
 	reserved := granted[:0]
@@ -343,7 +319,7 @@ func (b *Broker) commit(sh *shard, granted []*admission) {
 			m.quality = m.grant.Granted
 			m.price = b.prices.Cost(m.req.Class, m.quality)
 		}
-		handle, err := b.reserve(sh, m.id, reservationRSL(m.req.Spec, m.grant.Granted), m.req.Start, m.req.End)
+		handle, err := b.reserve(m.id, reservationRSL(m.req.Spec, m.grant.Granted), m.req.Start, m.req.End)
 		if err != nil {
 			b.resolve(m, fmt.Errorf("core: reservation: %w", err))
 			continue
@@ -355,7 +331,7 @@ func (b *Broker) commit(sh *shard, granted []*admission) {
 		return
 	}
 
-	var one [1]sla.ID // as in admitOn: no heap slice for a batch of one
+	var one [1]sla.ID // as in negotiate: no heap slice for a batch of one
 	ids := one[:0]
 	if len(reserved) > 1 {
 		ids = make([]sla.ID, 0, len(reserved))
@@ -365,8 +341,8 @@ func (b *Broker) commit(sh *shard, granted []*admission) {
 	}
 	now := b.clock.Now()
 	expires := now.Add(b.cfg.ConfirmWindow)
-	err := b.install(sh, ids, func(i int) gara.Handle { return reserved[i].handle }, func() {
-		b.proposeLocked(sh, reserved, now, expires)
+	err := b.install(ids, func(i int) gara.Handle { return reserved[i].handle }, func() {
+		b.proposeLocked(reserved, now, expires)
 	})
 	if err != nil {
 		for _, m := range reserved {
@@ -378,24 +354,23 @@ func (b *Broker) commit(sh *shard, granted []*admission) {
 	// Proposal is the one lifecycle step that never reaches persist —
 	// journal it explicitly: the proposed sessions hold allocator grants
 	// and GARA reservations that recovery must account for.
-	b.journalBatch("propose", sh, ids)
+	b.journalBatch("propose", ids)
 	for _, m := range reserved {
 		b.resolve(m, nil)
 	}
 }
 
-// reserve creates the GARA reservation behind id's grant on sh,
-// idempotently: a retry after a lost reply adopts the reservation already
+// reserve creates the GARA reservation behind id's grant, idempotently: a retry after a lost reply adopts the reservation already
 // committed under the SLA's tag instead of double-committing it. On failure
 // the grant is released and the rollback journaled before the error comes
 // back.
-func (b *Broker) reserve(sh *shard, id sla.ID, spec string, start, end time.Time) (gara.Handle, error) {
+func (b *Broker) reserve(id sla.ID, spec string, start, end time.Time) (gara.Handle, error) {
 	tag := string(id)
 	handle, err := b.pol.callCreate("gara.create", tag, func() (gara.Handle, error) {
 		return b.cfg.GARA.Create(spec, start, end, tag)
 	})
 	if err != nil {
-		_ = sh.alloc.ReleaseGuaranteed(tag)
+		_ = b.alloc.ReleaseGuaranteed(tag)
 		// A timed-out or partially-failed attempt may still have
 		// committed the reservation; park it so the reconciliation
 		// sweep cancels it rather than leaking it.
@@ -403,49 +378,36 @@ func (b *Broker) reserve(sh *shard, id sla.ID, spec string, start, end time.Time
 			b.parkCancel(id, h)
 		}
 		// The failed admission may have preempted best-effort grants;
-		// journal the shard's post-rollback aux or replay resurrects them.
-		b.journalShardAux("rollback", sh)
+		// journal the post-rollback aux or replay resurrects them.
+		b.journalAux("rollback")
 	}
 	return handle, err
 }
 
-// install routes ids to sh and runs put — which registers their sessions —
-// under the shard lock. The routes go in before the sessions: a confirm
-// timer's expiry callback resolves its shard through them. If the broker
-// shut down while the sessions were negotiating, nothing is registered:
-// the routes, the grants and the reservations (handle(i) is ids[i]'s) are
-// walked back rather than leaked into a closed broker, and ErrClosed
-// returned.
-func (b *Broker) install(sh *shard, ids []sla.ID, handle func(i int) gara.Handle, put func()) error {
-	b.routeMu.Lock()
-	for _, id := range ids {
-		b.route[id] = sh
-	}
-	b.routeMu.Unlock()
-
-	sh.mu.Lock()
+// install runs put — which registers the sessions of ids — under the
+// broker lock. If the broker shut down while the sessions were
+// negotiating, nothing is registered: the grants and the reservations
+// (handle(i) is ids[i]'s) are walked back rather than leaked into a
+// closed broker, and ErrClosed returned.
+func (b *Broker) install(ids []sla.ID, handle func(i int) gara.Handle, put func()) error {
+	b.mu.Lock()
 	if !b.closed.Load() {
 		put()
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return nil
 	}
-	sh.mu.Unlock()
-	b.routeMu.Lock()
-	for _, id := range ids {
-		delete(b.route, id)
-	}
-	b.routeMu.Unlock()
+	b.mu.Unlock()
 	for i, id := range ids {
-		_ = sh.alloc.ReleaseGuaranteed(string(id))
+		_ = b.alloc.ReleaseGuaranteed(string(id))
 		_ = b.cfg.GARA.Cancel(handle(i))
 	}
-	b.journalShardAux("rollback", sh)
+	b.journalAux("rollback")
 	return ErrClosed
 }
 
 // proposeLocked registers the batch's sessions as Proposed, arms their
-// confirm timers and snapshots their offers. The caller holds sh.mu.
-func (b *Broker) proposeLocked(sh *shard, reserved []*admission, now, expires time.Time) {
+// confirm timers and snapshots their offers. The caller holds b.mu.
+func (b *Broker) proposeLocked(reserved []*admission, now, expires time.Time) {
 	for _, m := range reserved {
 		id, allocated := m.id, m.grant.Granted
 		doc := &sla.Document{
@@ -470,13 +432,13 @@ func (b *Broker) proposeLocked(sh *shard, reserved []*admission, now, expires ti
 			State:     sla.StateProposed,
 		}
 		sess := &session{doc: doc, handle: m.handle, original: allocated, proposedAt: now}
-		sh.sessions[id] = sess
+		b.sessions[id] = sess
 		// Schedule the auto-cancel only after the session is registered: the
 		// clock may fire the callback the instant it is armed (a concurrent
 		// Advance past the window), and an expiry that finds no session would
 		// silently leave the offer un-expirable. Timer scheduling never fires
 		// callbacks synchronously under the clock's lock, so arming it under
-		// sh.mu cannot deadlock.
+		// b.mu cannot deadlock.
 		sess.confirm = b.clock.AfterFunc(b.cfg.ConfirmWindow, func() {
 			b.expireOffer(id)
 		})
@@ -495,8 +457,7 @@ func (b *Broker) proposeLocked(sh *shard, reserved []*admission, now, expires ti
 		b.logf("offer", m.id, "proposed %v at price %.2f (expires %s)",
 			m.grant.Granted, m.price, expires.Format("15:04:05"))
 	} else {
-		b.logf("offer", "", "group-commit: %d offer(s) proposed in one batch (shard %d)",
-			len(reserved), sh.index)
+		b.logf("offer", "", "group-commit: %d offer(s) proposed in one batch", len(reserved))
 	}
 }
 
@@ -574,15 +535,15 @@ func cheapestFirst(ts []ladderTarget) {
 // willingness to accept a degraded QoS and/or termination of service."
 // It degrades willing active sessions to their floors, then (if still
 // needed) terminates willing-to-terminate sessions, cheapest first. It
-// reports whether anything was freed. Compensation is shard-local: only
-// sessions admitted on sh can return capacity to sh's partition.
-func (b *Broker) compensate(sh *shard, needed resource.Capacity) (bool, error) {
-	sh.mu.Lock()
-	// Snapshot everything the ladder ordering reads while sh.mu is held:
-	// the documents stay owned by the shard and may be mutated (price,
-	// state) by concurrent lifecycle calls once the lock is released.
+// reports whether anything was freed.
+func (b *Broker) compensate(needed resource.Capacity) (bool, error) {
+	b.mu.Lock()
+	// Snapshot everything the ladder ordering reads while b.mu is held:
+	// the documents stay owned by the session table and may be mutated
+	// (price, state) by concurrent lifecycle calls once the lock is
+	// released.
 	var degradable, terminable []ladderTarget
-	for id, s := range sh.sessions {
+	for id, s := range b.sessions {
 		if s.doc.State != sla.StateActive && s.doc.State != sla.StateEstablished {
 			continue
 		}
@@ -594,7 +555,7 @@ func (b *Broker) compensate(sh *shard, needed resource.Capacity) (bool, error) {
 			terminable = append(terminable, ladderTarget{id: id, price: s.doc.Price})
 		}
 	}
-	sh.mu.Unlock()
+	b.mu.Unlock()
 
 	if len(degradable) == 0 && len(terminable) == 0 {
 		return false, fmt.Errorf("core: no active SLA accepts degradation or termination")
@@ -605,15 +566,15 @@ func (b *Broker) compensate(sh *shard, needed resource.Capacity) (bool, error) {
 
 	freed := false
 	for _, t := range degradable {
-		if needed.FitsIn(sh.alloc.AvailableGuaranteed()) {
+		if needed.FitsIn(b.alloc.AvailableGuaranteed()) {
 			break
 		}
-		if err := b.degradeToFloor(sh, t.id); err == nil {
+		if err := b.degradeToFloor(t.id); err == nil {
 			freed = true
 		}
 	}
 	for _, t := range terminable {
-		if needed.FitsIn(sh.alloc.AvailableGuaranteed()) {
+		if needed.FitsIn(b.alloc.AvailableGuaranteed()) {
 			break
 		}
 		// Tear down without the scenario-2 hook: running it here would
@@ -626,16 +587,16 @@ func (b *Broker) compensate(sh *shard, needed resource.Capacity) (bool, error) {
 	if freed {
 		b.met.compensations.Inc()
 	}
-	if !needed.FitsIn(sh.alloc.AvailableGuaranteed()) {
+	if !needed.FitsIn(b.alloc.AvailableGuaranteed()) {
 		return freed, fmt.Errorf("core: compensation freed insufficient capacity for %v", needed)
 	}
 	return freed, nil
 }
 
-// degradeToFloor shrinks a live session of sh to its SLA floor (still
+// degradeToFloor shrinks a live session to its SLA floor (still
 // satisfying the SLA) and records it as degraded.
-func (b *Broker) degradeToFloor(sh *shard, id sla.ID) error {
-	_, err := b.reallocate(sh, id, move{
+func (b *Broker) degradeToFloor(id sla.ID) error {
+	_, err := b.reallocate(id, move{
 		toFloor: true, notes: qualityNotes, mark: markDegraded,
 		event: "adapt", msg: "degraded to floor %[2]v (scenario 1 compensation)",
 		count: b.met.degraded, // scenario 1
@@ -647,18 +608,14 @@ func (b *Broker) degradeToFloor(sh *shard, id sla.ID) error {
 // reservation committed, and the client charged.
 func (b *Broker) Accept(id sla.ID) error {
 	defer b.debugCheck("accept")
-	sh := b.shardFor(id)
-	if sh == nil {
-		return fmt.Errorf("%w: %s", ErrUnknownSession, id)
-	}
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
+	b.mu.Lock()
+	s, ok := b.sessions[id]
 	if !ok {
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownSession, id)
 	}
 	if state := s.doc.State; state != sla.StateProposed {
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return fmt.Errorf("%w: %s is %s", ErrBadState, id, state)
 	}
 	if s.confirm != nil {
@@ -666,12 +623,12 @@ func (b *Broker) Accept(id sla.ID) error {
 		s.confirm = nil
 	}
 	if err := s.doc.Transition(sla.StateEstablished); err != nil {
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return err
 	}
 	price := s.doc.Price
 	b.logf("sla", id, "established; resources committed; charged %.2f", price)
-	sh.mu.Unlock()
+	b.mu.Unlock()
 
 	b.met.accepted.Inc()
 	b.ledger.Charge(id, price, b.clock.Now(), "session charge")
@@ -709,65 +666,28 @@ func (b *Broker) expireOffer(id sla.ID) {
 
 // BestEffortRequest asks for best-effort capacity — no SLA, no
 // negotiation: "any suitable resources found are returned to the user"
-// (§5.1). The grant is immediate or refused. A client's best-effort
-// allocations are pinned to the shard of its first grant so repeated
-// grants and the final release balance on one partition; the first grant
-// picks a shard in placement order, falling back on ErrBestEffortFull.
+// (§5.1). The grant is immediate or refused.
 func (b *Broker) BestEffortRequest(client string, amount resource.Capacity) error {
 	defer b.debugCheck("best-effort")
 	if b.closed.Load() {
 		return ErrClosed
 	}
-	b.beMu.Lock()
-	if sh, pinned := b.beRoute[client]; pinned {
-		if err := sh.alloc.AllocateBestEffort(client, amount); err != nil {
-			b.beMu.Unlock()
-			b.logf("best-effort", "", "denied %v to %q: %v", amount, client, err)
-			return err
-		}
-		b.journalBELocked("be-grant", sh)
-		b.beMu.Unlock()
-		b.maybeSnapshot()
-		b.logf("best-effort", "", "granted %v to %q", amount, client)
-		return nil
+	if err := b.alloc.AllocateBestEffort(client, amount); err != nil {
+		b.logf("best-effort", "", "denied %v to %q: %v", amount, client, err)
+		return err
 	}
-	var lastErr error
-	for _, sh := range b.placementOrder(0, resource.Capacity{}) {
-		err := sh.alloc.AllocateBestEffort(client, amount)
-		if err == nil {
-			b.beRoute[client] = sh
-			b.journalBELocked("be-grant", sh)
-			b.beMu.Unlock()
-			b.maybeSnapshot()
-			b.logf("best-effort", "", "granted %v to %q", amount, client)
-			return nil
-		}
-		lastErr = err
-		if !errors.Is(err, ErrBestEffortFull) {
-			break
-		}
-	}
-	b.beMu.Unlock()
-	b.logf("best-effort", "", "denied %v to %q: %v", amount, client, lastErr)
-	return lastErr
+	b.journalAux("be-grant")
+	b.logf("best-effort", "", "granted %v to %q", amount, client)
+	return nil
 }
 
 // BestEffortRelease returns a best-effort client's capacity.
 func (b *Broker) BestEffortRelease(client string) error {
 	defer b.debugCheck("best-effort-release")
-	b.beMu.Lock()
-	sh, pinned := b.beRoute[client]
-	if !pinned {
-		sh = b.shards[0]
-	}
-	err := sh.alloc.ReleaseBestEffort(client)
+	err := b.alloc.ReleaseBestEffort(client)
 	if err == nil || errors.Is(err, ErrUnknownUser) {
-		// An evicted borrower's pin is stale; drop it either way.
-		delete(b.beRoute, client)
-		b.journalBELocked("be-release", sh)
+		b.journalAux("be-release")
 	}
-	b.beMu.Unlock()
-	b.maybeSnapshot()
 	if err != nil {
 		return err
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // PruneTerminal is the soak harness's working-set bound: terminal
-// sessions leave the shard maps, the routing table and the repository,
+// sessions leave the session table and the repository,
 // while live sessions — and the capacity they hold — are untouched.
 func TestPruneTerminal(t *testing.T) {
 	h := newHarness(t)

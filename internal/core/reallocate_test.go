@@ -440,7 +440,7 @@ func TestReallocateTornDownMidFlight(t *testing.T) {
 
 // TestReallocateSecondMoveMidFlight forces the interleaving behind the
 // doc-allocator-skew that `gridsim -parallel` hit about 3 runs in 1 000:
-// the shard lock is dropped between a move's allocator grant and its
+// the broker lock is dropped between a move's allocator grant and its
 // document commit (gara.modify runs there), so a second move of the same
 // session could re-grant and commit in the gap, and the first move then
 // committed its own, older grant over it — document 5 nodes, allocator 3.

@@ -74,11 +74,10 @@ type RecoverStats struct {
 var recoverTestHook func(*Broker)
 
 // Recover rebuilds a broker from cfg.Durability.Dir: loads the latest
-// valid snapshot, replays the WAL suffix, rebuilds shard allocators and
+// valid snapshot, replays the WAL suffix, rebuilds the allocator and
 // session state, reconciles reservations against the RMs, writes a
 // fresh recovery snapshot and resumes journaling. The config must
-// describe the same broker shape (plan, shard count, domain) that wrote
-// the log.
+// describe the same broker shape (plan, domain) that wrote the log.
 func Recover(cfg Config) (*Broker, *RecoverStats, error) {
 	if cfg.Durability.Dir == "" {
 		return nil, nil, errors.New("core: Recover requires Config.Durability.Dir")
@@ -107,10 +106,7 @@ func Recover(cfg Config) (*Broker, *RecoverStats, error) {
 		log.Seal()
 		return nil, nil, err
 	}
-	if err := b.installState(st); err != nil {
-		log.Seal()
-		return nil, nil, err
-	}
+	b.installState(st)
 	stats.Sessions = st.sessionCount()
 
 	// Journaling resumes before reconciliation so the sweep's own
@@ -143,8 +139,7 @@ func Recover(cfg Config) (*Broker, *RecoverStats, error) {
 // recoveredState is the folded (snapshot ⊕ suffix) image.
 type recoveredState struct {
 	sessions map[string]*wal.SessionRecord // id → latest absolute state
-	aux      map[int]*wal.ShardAux         // shard → latest aux image
-	beRoute  map[string]int
+	aux      wal.ShardAux                  // latest aux image
 	pending  map[string]string
 	handoffs map[string]string
 	ledger   wal.LedgerState
@@ -161,8 +156,6 @@ func (st *recoveredState) sessionCount() int { return len(st.sessions) }
 func foldState(load *wal.LoadResult) (*recoveredState, error) {
 	st := &recoveredState{
 		sessions: make(map[string]*wal.SessionRecord),
-		aux:      make(map[int]*wal.ShardAux),
-		beRoute:  make(map[string]int),
 		pending:  make(map[string]string),
 		handoffs: make(map[string]string),
 		ledger:   wal.LedgerState{Totals: make(map[int]float64)},
@@ -171,20 +164,15 @@ func foldState(load *wal.LoadResult) (*recoveredState, error) {
 	if s := load.Snapshot; s != nil {
 		ledgerFence = s.LedgerSeq
 		st.nextID = s.NextID
-		for i := range s.Shards {
-			sh := &s.Shards[i]
-			aux := sh.Aux
-			st.aux[sh.Index] = &aux
-			for j := range sh.Sessions {
-				rec := sh.Sessions[j]
+		for _, part := range s.Shards {
+			st.aux = part.Aux
+			for j := range part.Sessions {
+				rec := part.Sessions[j]
 				if rec.Doc == nil {
 					return nil, fmt.Errorf("%w: snapshot session without document", wal.ErrBadRecord)
 				}
 				st.sessions[string(rec.Doc.ID)] = &rec
 			}
-		}
-		for u, idx := range s.BERoute {
-			st.beRoute[u] = idx
 		}
 		for id, h := range s.Pending {
 			st.pending[id] = h
@@ -206,14 +194,7 @@ func foldState(load *wal.LoadResult) (*recoveredState, error) {
 			st.sessions[string(r.Session.Doc.ID)] = r.Session
 		}
 		if r.Aux != nil {
-			aux := *r.Aux
-			st.aux[aux.Shard] = &aux
-		}
-		if r.HasBERoute {
-			st.beRoute = make(map[string]int, len(r.BERoute))
-			for u, idx := range r.BERoute {
-				st.beRoute[u] = idx
-			}
+			st.aux = *r.Aux
 		}
 		if r.HasPending {
 			st.pending = make(map[string]string, len(r.Pending))
@@ -255,29 +236,12 @@ func foldState(load *wal.LoadResult) (*recoveredState, error) {
 }
 
 // installState loads the folded image into the freshly built broker:
-// sessions, routes, repository documents, allocators, auxiliary tables
-// and the restored ledger.
-func (b *Broker) installState(st *recoveredState) error {
-	ids := make([]string, 0, len(st.sessions))
-	for id := range st.sessions {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
-	grants := make([]map[string]resource.Capacity, len(b.shards))
-	for i := range grants {
-		grants[i] = make(map[string]resource.Capacity)
-	}
-
-	for _, idStr := range ids {
-		rec := st.sessions[idStr]
-		if rec.Shard < 0 || rec.Shard >= len(b.shards) {
-			return fmt.Errorf("core: recovered session %s names shard %d, broker has %d — shard count must match the writer",
-				idStr, rec.Shard, len(b.shards))
-		}
-		sh := b.shards[rec.Shard]
-		id := sla.ID(idStr)
-		s := &session{
+// sessions, the allocator, auxiliary tables and the restored ledger.
+func (b *Broker) installState(st *recoveredState) {
+	grants := make(map[string]resource.Capacity)
+	b.mu.Lock()
+	for idStr, rec := range st.sessions {
+		b.sessions[sla.ID(idStr)] = &session{
 			doc:        rec.Doc,
 			handle:     gara.Handle(rec.Handle),
 			job:        gram.JobID(rec.Job),
@@ -286,39 +250,20 @@ func (b *Broker) installState(st *recoveredState) error {
 			violations: rec.Violations,
 			proposedAt: rec.ProposedAt,
 		}
-		sh.mu.Lock()
-		sh.sessions[id] = s
-		sh.mu.Unlock()
-		b.routeMu.Lock()
-		b.route[id] = sh
-		b.routeMu.Unlock()
 		// Non-terminal sessions hold allocator grants; the grant equals
 		// the document's allocation (the invariant the oracle enforces
 		// live), so the allocator rebuilds from the documents.
 		if !rec.Doc.State.Terminal() {
-			grants[rec.Shard][idStr] = rec.Doc.Allocated
+			grants[idStr] = rec.Doc.Allocated
 		}
 	}
+	b.mu.Unlock()
 
-	for i, sh := range b.shards {
-		var aux wal.ShardAux
-		if a := st.aux[i]; a != nil {
-			aux = *a
-		}
-		be := make([]BEState, 0, len(aux.BestEffort))
-		for _, g := range aux.BestEffort {
-			be = append(be, BEState{User: g.User, Granted: g.Granted, Seq: g.Seq})
-		}
-		sh.alloc.Restore(grants[i], aux.Offline, be, aux.NextSeq)
+	be := make([]BEState, 0, len(st.aux.BestEffort))
+	for _, g := range st.aux.BestEffort {
+		be = append(be, BEState{User: g.User, Granted: g.Granted, Seq: g.Seq})
 	}
-
-	b.beMu.Lock()
-	for u, idx := range st.beRoute {
-		if idx >= 0 && idx < len(b.shards) {
-			b.beRoute[u] = b.shards[idx]
-		}
-	}
-	b.beMu.Unlock()
+	b.alloc.Restore(grants, st.aux.Offline, be, st.aux.NextSeq)
 
 	b.pcMu.Lock()
 	for id, h := range st.pending {
@@ -334,7 +279,6 @@ func (b *Broker) installState(st *recoveredState) error {
 
 	b.nextID.Store(st.nextID)
 	b.ledger = pricing.RestoreLedger(pricingStateIn(st.ledger))
-	return nil
 }
 
 // pricingStateIn converts a WAL ledger image back to pricing state.
@@ -363,25 +307,19 @@ func pricingStateIn(st wal.LedgerState) pricing.State {
 func (b *Broker) reconcileAgainstRMs() (adopted, refunded int) {
 	// Adopt: live sessions whose recorded handle the GARA does not
 	// recognize re-attach by tag.
-	type owned struct {
-		id sla.ID
-		sh *shard
-	}
-	var live []owned
+	var live []sla.ID
 	liveByID := make(map[sla.ID]gara.Handle)
-	for _, sh := range b.shards {
-		sh.mu.Lock()
-		for id, s := range sh.sessions {
-			if !s.doc.State.Terminal() {
-				live = append(live, owned{id: id, sh: sh})
-				liveByID[id] = s.handle
-			}
+	b.mu.Lock()
+	for id, s := range b.sessions {
+		if !s.doc.State.Terminal() {
+			live = append(live, id)
+			liveByID[id] = s.handle
 		}
-		sh.mu.Unlock()
 	}
-	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
-	for _, o := range live {
-		h := liveByID[o.id]
+	b.mu.Unlock()
+	sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
+	for _, id := range live {
+		h := liveByID[id]
 		known := false
 		if h != "" {
 			// A canceled reservation is as dead as a missing one: the
@@ -393,16 +331,16 @@ func (b *Broker) reconcileAgainstRMs() (adopted, refunded int) {
 		if known {
 			continue
 		}
-		if found, ok := b.cfg.GARA.FindByTag(string(o.id)); ok {
-			o.sh.mu.Lock()
-			if s, exists := o.sh.sessions[o.id]; exists {
+		if found, ok := b.cfg.GARA.FindByTag(string(id)); ok {
+			b.mu.Lock()
+			if s, exists := b.sessions[id]; exists {
 				s.handle = found
 			}
-			o.sh.mu.Unlock()
-			liveByID[o.id] = found
+			b.mu.Unlock()
+			liveByID[id] = found
 			adopted++
-			b.logf("recover", o.id, "adopted committed reservation %s by tag", found)
-			b.journal("adopt", o.id)
+			b.logf("recover", id, "adopted committed reservation %s by tag", found)
+			b.journal("adopt", id)
 		}
 	}
 
@@ -440,19 +378,17 @@ func (b *Broker) reconcileAgainstRMs() (adopted, refunded int) {
 // expired window schedules at zero delay and fires on the next clock
 // advance — manual-clock semantics).
 func (b *Broker) rearmConfirmTimers() {
-	for _, sh := range b.shards {
-		sh.mu.Lock()
-		for id, s := range sh.sessions {
-			if s.doc.State != sla.StateProposed || s.confirm != nil {
-				continue
-			}
-			remaining := s.proposedAt.Add(b.cfg.ConfirmWindow).Sub(b.clock.Now())
-			if remaining < 0 {
-				remaining = 0
-			}
-			id := id
-			s.confirm = b.clock.AfterFunc(remaining, func() { b.expireOffer(id) })
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for id, s := range b.sessions {
+		if s.doc.State != sla.StateProposed || s.confirm != nil {
+			continue
 		}
-		sh.mu.Unlock()
+		remaining := s.proposedAt.Add(b.cfg.ConfirmWindow).Sub(b.clock.Now())
+		if remaining < 0 {
+			remaining = 0
+		}
+		id := id
+		s.confirm = b.clock.AfterFunc(remaining, func() { b.expireOffer(id) })
 	}
 }

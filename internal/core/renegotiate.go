@@ -40,18 +40,14 @@ func (b *Broker) Renegotiate(id sla.ID, newSpec sla.Spec) (*RenegotiationResult,
 		return nil, fmt.Errorf("core: renegotiation needs QoS parameters")
 	}
 
-	sh := b.shardFor(id)
-	if sh == nil {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownSession, id)
-	}
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
+	b.mu.Lock()
+	s, ok := b.sessions[id]
 	if !ok {
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrUnknownSession, id)
 	}
 	if state := s.doc.State; state.Terminal() || state == sla.StateProposed {
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s is %s", ErrBadState, id, state)
 	}
 	class := s.doc.Class
@@ -64,30 +60,29 @@ func (b *Broker) Renegotiate(id sla.ID, newSpec sla.Spec) (*RenegotiationResult,
 	if newSpec.DestIP == "" {
 		newSpec.DestIP = s.doc.Spec.DestIP
 	}
-	sh.mu.Unlock()
+	b.mu.Unlock()
 
 	// Target quality: the best level the new spec allows within current
 	// headroom plus what the session already holds.
 	floor := newSpec.Floor()
 	target := newSpec.Best()
 	if class == sla.ClassControlledLoad {
-		room := sh.alloc.AvailableGuaranteed().Add(oldAlloc)
+		room := b.alloc.AvailableGuaranteed().Add(oldAlloc)
 		target = newSpec.Clamp(target.Min(room)).Max(floor)
 	}
 	m := move{
 		target: target, spec: &newSpec, notes: [2]string{"renegotiation upgrade", "renegotiation refund"},
 		mark: markRecovered, rebase: true, event: "renegotiate", msg: "QoS renegotiated %[1]v -> %[2]v (price %+.2[3]f)",
 	}
-	r, err := b.reallocate(sh, id, m)
+	r, err := b.reallocate(id, m)
 	if errors.Is(err, ErrCannotHonor) {
-		// Scenario-1 compensation on the session's own shard, then retry
-		// once. The session's current hold is being replaced, so only the
+		// Scenario-1 compensation, then retry once. The session's current hold is being replaced, so only the
 		// increment beyond it must be freed.
 		needed := floor.Sub(oldAlloc).ClampMin(resource.Capacity{})
-		if _, cerr := b.compensate(sh, needed); cerr != nil {
+		if _, cerr := b.compensate(needed); cerr != nil {
 			return nil, fmt.Errorf("core: renegotiate %s: %w (compensation: %v)", id, err, cerr)
 		}
-		r, err = b.reallocate(sh, id, m)
+		r, err = b.reallocate(id, m)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: renegotiate %s: %w", id, err)

@@ -57,23 +57,19 @@ type ConformanceReport struct {
 // returns the Table-3 reply. A non-conformant result triggers scenario-3
 // adaptation.
 func (b *Broker) Verify(id sla.ID) (*ConformanceReport, error) {
-	sh := b.shardFor(id)
-	if sh == nil {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownSession, id)
-	}
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
+	b.mu.Lock()
+	s, ok := b.sessions[id]
 	if !ok {
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrUnknownSession, id)
 	}
 	if state := s.doc.State; state.Terminal() || state == sla.StateProposed {
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s is %s", ErrBadState, id, state)
 	}
 	doc := s.doc.Clone()
 	handle := s.handle
-	sh.mu.Unlock()
+	b.mu.Unlock()
 
 	report := &ConformanceReport{
 		Measured: doc.Allocated,
@@ -109,7 +105,7 @@ func (b *Broker) Verify(id sla.ID) (*ConformanceReport, error) {
 	// allocator's coverage — below 1 only when failures exceed the
 	// adaptive reserve (the §5.6 t2 condition taken past its limit).
 	if hasComputeParams(doc.Spec) {
-		coverage := sh.alloc.Coverage()
+		coverage := b.alloc.Coverage()
 		report.Measured.CPU = doc.Allocated.CPU * coverage.CPU
 		report.Measured.MemoryMB = doc.Allocated.MemoryMB * coverage.MemoryMB
 		report.Measured.DiskGB = doc.Allocated.DiskGB * coverage.DiskGB
@@ -175,13 +171,9 @@ func (b *Broker) onNetworkDegradation(flow nrm.Flow, m nrm.Measurement) {
 		return
 	}
 	id := sla.ID(flow.Tag)
-	sh := b.shardFor(id)
-	if sh == nil {
-		return
-	}
-	sh.mu.Lock()
-	_, ok := sh.sessions[id]
-	sh.mu.Unlock()
+	b.mu.Lock()
+	_, ok := b.sessions[id]
+	b.mu.Unlock()
 	if !ok {
 		return
 	}
@@ -197,18 +189,14 @@ func (b *Broker) onNetworkDegradation(flow nrm.Flow, m nrm.Measurement) {
 // ladder (§4): (a) restore the agreed QoS; (b) re-negotiate to the
 // alternative QoS in the SLA; (c) terminate on major degradation.
 func (b *Broker) handleDegradation(id sla.ID, measured resource.Capacity) {
-	sh := b.shardFor(id)
-	if sh == nil {
-		return
-	}
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
+	b.mu.Lock()
+	s, ok := b.sessions[id]
 	if !ok || s.doc.State.Terminal() {
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return
 	}
 	doc := s.doc.Clone()
-	sh.mu.Unlock()
+	b.mu.Unlock()
 
 	floor := doc.Spec.Floor()
 
@@ -262,7 +250,7 @@ func (b *Broker) handleDegradation(id sla.ID, measured resource.Capacity) {
 	// and we are not already there.
 	if doc.Adapt.HasAlternative && !doc.Allocated.Equal(doc.Adapt.AlternativeQoS) &&
 		doc.Adapt.AlternativeQoS.FitsIn(doc.Allocated) {
-		if _, err := b.reallocate(sh, id, move{
+		if _, err := b.reallocate(id, move{
 			target: doc.Adapt.AlternativeQoS, notes: qualityNotes, mark: markDegraded,
 			event: "adapt", msg: "switched to alternative QoS %[2]v (scenario 3b)",
 			count: b.met.degraded, // scenario 3b
@@ -280,14 +268,10 @@ func (b *Broker) handleDegradation(id sla.ID, measured resource.Capacity) {
 
 // recordViolation marks the session violated and charges the penalty.
 func (b *Broker) recordViolation(id sla.ID) {
-	sh := b.shardFor(id)
-	if sh == nil {
-		return
-	}
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
+	b.mu.Lock()
+	s, ok := b.sessions[id]
 	if !ok {
-		sh.mu.Unlock()
+		b.mu.Unlock()
 		return
 	}
 	s.violations++
@@ -297,7 +281,7 @@ func (b *Broker) recordViolation(id sla.ID) {
 	pen := s.doc.Penalty
 	count := s.violations
 	b.logf("violation", id, "SLA violation #%d detected", count)
-	sh.mu.Unlock()
+	b.mu.Unlock()
 	b.met.violations.Inc()
 
 	if amount := pricing.PenaltyFor(pen, 0); amount > 0 {
@@ -308,13 +292,9 @@ func (b *Broker) recordViolation(id sla.ID) {
 
 // Violations reports the violation count for a session.
 func (b *Broker) Violations(id sla.ID) int {
-	sh := b.shardFor(id)
-	if sh == nil {
-		return 0
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if s, ok := sh.sessions[id]; ok {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if s, ok := b.sessions[id]; ok {
 		return s.violations
 	}
 	return 0
@@ -326,18 +306,16 @@ func (b *Broker) Violations(id sla.ID) int {
 func (b *Broker) ExpireDue() []sla.ID {
 	now := b.clock.Now()
 	var due []sla.ID
-	for _, sh := range b.shards {
-		sh.mu.Lock()
-		for id, s := range sh.sessions {
-			if s.doc.State.Terminal() || s.doc.State == sla.StateProposed {
-				continue
-			}
-			if !s.doc.End.IsZero() && !now.Before(s.doc.End) {
-				due = append(due, id)
-			}
+	b.mu.Lock()
+	for id, s := range b.sessions {
+		if s.doc.State.Terminal() || s.doc.State == sla.StateProposed {
+			continue
 		}
-		sh.mu.Unlock()
+		if !s.doc.End.IsZero() && !now.Before(s.doc.End) {
+			due = append(due, id)
+		}
 	}
+	b.mu.Unlock()
 	sortIDs(due)
 	for _, id := range due {
 		_ = b.Expire(id)
@@ -348,23 +326,15 @@ func (b *Broker) ExpireDue() []sla.ID {
 // NotifyFailure informs the broker of failed capacity (the §5.6 t2
 // event): the allocator adapts, preempting best-effort borrowers, and the
 // event is logged. Recovery is signalled with the zero capacity. The
-// failure is split evenly across shards — each absorbs its share through
-// its own adaptive reserve — and it returns the users of the preempted
-// best-effort allocations, in shard order.
+// whole failure is charged to C_G and absorbed by the adaptive reserve;
+// it returns the users of the preempted best-effort allocations.
 func (b *Broker) NotifyFailure(offline resource.Capacity) []string {
 	defer b.debugCheck("failure")
 	if !offline.IsZero() {
 		b.met.failures.Inc()
 	}
-	share := offline
-	if n := len(b.shards); n > 1 {
-		share = offline.Scale(1 / float64(n))
-	}
-	var pre []string
-	for _, sh := range b.shards {
-		pre = append(pre, sh.alloc.SetOffline(share)...)
-	}
-	b.journalOffline("offline")
+	pre := b.alloc.SetOffline(offline)
+	b.journalAux("offline")
 	if offline.IsZero() {
 		b.logf("failure", "", "capacity recovered; adaptive reserve replenished")
 	} else {

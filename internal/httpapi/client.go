@@ -89,7 +89,6 @@ func (c *Client) RequestService(r core.Request) (*OfferJSON, error) {
 		AcceptDegradation: r.AcceptDegradation,
 		AcceptTermination: r.AcceptTermination,
 		PromotionOptIn:    r.PromotionOptIn,
-		ShardHint:         r.ShardHint,
 	}
 	var out OfferJSON
 	if err := c.call(http.MethodPost, "request", &req, &out); err != nil {

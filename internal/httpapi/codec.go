@@ -49,7 +49,6 @@ type RequestJSON struct {
 	AcceptDegradation bool      `json:"accept_degradation,omitempty"`
 	AcceptTermination bool      `json:"accept_termination,omitempty"`
 	PromotionOptIn    bool      `json:"promotion_opt_in,omitempty"`
-	ShardHint         int       `json:"shard_hint,omitempty"`
 }
 
 // ActionJSON is the body of the lifecycle posts (accept / reject /
@@ -202,7 +201,6 @@ func decodeRequest(in RequestJSON) (core.Request, error) {
 		AcceptDegradation: in.AcceptDegradation,
 		AcceptTermination: in.AcceptTermination,
 		PromotionOptIn:    in.PromotionOptIn,
-		ShardHint:         in.ShardHint,
 	}, nil
 }
 

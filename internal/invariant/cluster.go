@@ -2,9 +2,7 @@ package invariant
 
 // Cluster-level invariants: the single-broker rules lifted over a set of
 // broker instances, plus the two conditions only a cluster can break —
-// one owner per SLA and conservation of the summed capacity. They
-// generalize the cross-shard rules (double-grant, domain-overcommit)
-// one level up: what a shard is to a broker, a broker is to the cluster.
+// one owner per SLA and conservation of the summed capacity.
 //
 // Like rules 3/4 of the single-broker oracle, the cross-broker rules
 // compare independently locked structures and only hold at quiesce
@@ -74,14 +72,8 @@ func clusterViolations(brokers []*core.Broker) []Violation {
 	// One guaranteed grant per ID across every broker's allocators.
 	granted := make(map[string][]string)
 	for _, b := range brokers {
-		seen := make(map[string]bool) // per-broker dedup: cross-shard dups are the broker-level rule's job
-		for _, alloc := range b.Allocators() {
-			for _, user := range alloc.GuaranteedUsers() {
-				if !seen[user] {
-					seen[user] = true
-					granted[user] = append(granted[user], b.Domain())
-				}
-			}
+		for _, user := range b.Allocator().GuaranteedUsers() {
+			granted[user] = append(granted[user], b.Domain())
 		}
 	}
 	var dg []string
@@ -102,16 +94,9 @@ func clusterViolations(brokers []*core.Broker) []Violation {
 	// Conservation over the summed cluster capacity.
 	var clusterTotal, clusterMax resource.Capacity
 	for _, b := range brokers {
-		for _, alloc := range b.Allocators() {
-			plan := alloc.Plan()
-			var gTotal resource.Capacity
-			for _, u := range alloc.Snapshot() {
-				gTotal = gTotal.Add(u.Guaranteed)
-			}
-			gMax := plan.Guaranteed.Sub(alloc.Offline()).ClampMin(resource.Capacity{}).Add(plan.Adaptive)
-			clusterTotal = clusterTotal.Add(gTotal)
-			clusterMax = clusterMax.Add(gMax)
-		}
+		gTotal, gMax := guaranteedDemand(b.Allocator())
+		clusterTotal = clusterTotal.Add(gTotal)
+		clusterMax = clusterMax.Add(gMax)
 	}
 	if !clusterTotal.FitsIn(clusterMax) {
 		vs = append(vs, Violation{

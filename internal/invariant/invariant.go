@@ -5,9 +5,8 @@
 // and the Fig. 3 lifecycle promise jointly:
 //
 //  1. the compute pool never holds more than its capacity (mechanism);
-//  2. no shard's allocator over-commits any partition pool, each shard's
-//     guaranteed demand stays within what that shard can deliver, and the
-//     domain-wide sum conserves total capacity (policy);
+//  2. the allocator over-commits no partition pool, and guaranteed
+//     demand stays within what the partition can deliver (policy);
 //  3. every live session's allocation satisfies its SLA and matches the
 //     allocator's book;
 //  4. terminal sessions hold no allocator grant, and every guaranteed
@@ -36,9 +35,8 @@ import (
 // Violation is one broken invariant.
 type Violation struct {
 	// Rule names the invariant ("pool-oversubscribed",
-	// "partition-overfull", "guaranteed-overcommit",
-	// "domain-overcommit", "terminal-grant", "live-no-grant",
-	// "double-grant", "sla-unsatisfied", "doc-allocator-skew",
+	// "partition-overfull", "guaranteed-overcommit", "terminal-grant",
+	// "live-no-grant", "sla-unsatisfied", "doc-allocator-skew",
 	// "orphan-grant", "proposed-no-reservation", "ledger-nan"; from
 	// CheckIntake: "intake-undrained"; and from CheckReservations:
 	// "duplicate-reservation-tag", "leaked-reservation",
@@ -106,59 +104,32 @@ func poolViolations(p *resource.Pool, now time.Time) []Violation {
 
 func brokerViolations(b *core.Broker) []Violation {
 	var vs []Violation
-	allocs := b.Allocators()
+	alloc := b.Allocator()
 
-	// Rule 2, per shard: no partition pool over-committed, and guaranteed
-	// demand within that shard's deliverable bound C_G_eff + C_A. The
-	// per-shard totals are also summed for the whole-domain conservation
-	// check below, which must hold regardless of how admissions were
-	// distributed across shards.
-	var domainTotal, domainMax resource.Capacity
-	for si, alloc := range allocs {
-		plan := alloc.Plan()
-		var gTotal resource.Capacity
-		for _, u := range alloc.Snapshot() {
-			gTotal = gTotal.Add(u.Guaranteed)
-			if !u.Guaranteed.Add(u.BestEffort).FitsIn(u.Capacity.Sub(u.Offline)) {
-				vs = append(vs, Violation{
-					Rule:   "partition-overfull",
-					Detail: fmt.Sprintf("shard %d pool %s: %+v", si, u.Pool, u),
-				})
-			}
-		}
-		gMax := plan.Guaranteed.Sub(alloc.Offline()).ClampMin(resource.Capacity{}).Add(plan.Adaptive)
-		if !gTotal.FitsIn(gMax) {
+	// Rule 2: no partition pool over-committed, and guaranteed demand
+	// within the deliverable bound C_G_eff + C_A.
+	gTotal, gMax := guaranteedDemand(alloc)
+	for _, u := range alloc.Snapshot() {
+		if !u.Guaranteed.Add(u.BestEffort).FitsIn(u.Capacity.Sub(u.Offline)) {
 			vs = append(vs, Violation{
-				Rule:   "guaranteed-overcommit",
-				Detail: fmt.Sprintf("shard %d: guaranteed %v exceeds deliverable %v", si, gTotal, gMax),
+				Rule:   "partition-overfull",
+				Detail: fmt.Sprintf("pool %s: %+v", u.Pool, u),
 			})
 		}
-		domainTotal = domainTotal.Add(gTotal)
-		domainMax = domainMax.Add(gMax)
 	}
-	if !domainTotal.FitsIn(domainMax) {
+	if !gTotal.FitsIn(gMax) {
 		vs = append(vs, Violation{
-			Rule:   "domain-overcommit",
-			Detail: fmt.Sprintf("domain guaranteed %v exceeds deliverable %v", domainTotal, domainMax),
+			Rule:   "guaranteed-overcommit",
+			Detail: fmt.Sprintf("guaranteed %v exceeds deliverable %v", gTotal, gMax),
 		})
 	}
 
-	// Rules 3 and 4: session ↔ allocator consistency. Every allocator is
-	// scanned for every session, so a grant booked on the wrong shard (or
-	// duplicated across shards by a broken placement layer) is caught,
-	// not just a missing one.
+	// Rules 3 and 4: session ↔ allocator consistency.
 	live := make(map[string]bool)
 	for _, doc := range b.Sessions(nil) {
-		var got resource.Capacity
-		holders := 0
-		for _, alloc := range allocs {
-			if g, held := alloc.GuaranteedAllocation(string(doc.ID)); held {
-				got = g
-				holders++
-			}
-		}
+		got, held := alloc.GuaranteedAllocation(string(doc.ID))
 		if doc.State.Terminal() {
-			if holders > 0 {
+			if held {
 				vs = append(vs, Violation{
 					Rule:   "terminal-grant",
 					Detail: fmt.Sprintf("session %s is %s but still holds %v", doc.ID, doc.State, got),
@@ -167,18 +138,12 @@ func brokerViolations(b *core.Broker) []Violation {
 			continue
 		}
 		live[string(doc.ID)] = true
-		if holders == 0 {
+		if !held {
 			vs = append(vs, Violation{
 				Rule:   "live-no-grant",
 				Detail: fmt.Sprintf("live session %s (%s) has no allocator grant", doc.ID, doc.State),
 			})
 			continue
-		}
-		if holders > 1 {
-			vs = append(vs, Violation{
-				Rule:   "double-grant",
-				Detail: fmt.Sprintf("session %s holds grants on %d shards", doc.ID, holders),
-			})
 		}
 		if !doc.Spec.Accepts(doc.Allocated) {
 			vs = append(vs, Violation{
@@ -193,20 +158,18 @@ func brokerViolations(b *core.Broker) []Violation {
 			})
 		}
 	}
-	for si, alloc := range allocs {
-		for _, user := range alloc.GuaranteedUsers() {
-			if !live[user] {
-				vs = append(vs, Violation{
-					Rule:   "orphan-grant",
-					Detail: fmt.Sprintf("guaranteed grant for %q on shard %d has no live session", user, si),
-				})
-			}
+	for _, user := range alloc.GuaranteedUsers() {
+		if !live[user] {
+			vs = append(vs, Violation{
+				Rule:   "orphan-grant",
+				Detail: fmt.Sprintf("guaranteed grant for %q has no live session", user),
+			})
 		}
 	}
 
 	// Rule 6 (batch atomicity): a flushed intake batch never leaves a
 	// partially installed admission. Every member either installs
-	// completely — grant, GARA reservation, session, route — or rolls
+	// completely — grant, GARA reservation, session — or rolls
 	// back completely, so a Proposed session with no reservation handle
 	// is the footprint of a torn batch member. Holds on the direct path
 	// too (proposal never outruns its reservation there either).
@@ -224,6 +187,16 @@ func brokerViolations(b *core.Broker) []Violation {
 		vs = append(vs, Violation{Rule: "ledger-nan", Detail: "net revenue is NaN"})
 	}
 	return vs
+}
+
+// guaranteedDemand returns the allocator's guaranteed demand and the most
+// it can deliver to it, C_G_eff + C_A.
+func guaranteedDemand(alloc *core.Allocator) (total, deliverable resource.Capacity) {
+	for _, u := range alloc.Snapshot() {
+		total = total.Add(u.Guaranteed)
+	}
+	plan := alloc.Plan()
+	return total, plan.Guaranteed.Sub(alloc.Offline()).ClampMin(resource.Capacity{}).Add(plan.Adaptive)
 }
 
 // CheckIntake verifies that the intake queues are fully drained — every

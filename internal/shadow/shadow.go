@@ -24,14 +24,13 @@ import (
 type Config struct {
 	// Candidate names the policy under evaluation (required).
 	Candidate string
-	// Seed / Ops / Shards are forwarded to every scenario run.
-	Seed   int64
-	Ops    int
-	Shards int
+	// Seed / Ops are forwarded to every scenario run.
+	Seed int64
+	Ops  int
 }
 
 func (cfg Config) doc() map[string]any {
-	return map[string]any{"shadow": cfg.Candidate, "seed": cfg.Seed, "ops": cfg.Ops, "shards": cfg.Shards}
+	return map[string]any{"shadow": cfg.Candidate, "seed": cfg.Seed, "ops": cfg.Ops}
 }
 
 // digest hashes what a scenario run did and found — its outcome and
@@ -45,10 +44,8 @@ func observedRun(sc sim.Scenario, cfg sim.ScenarioConfig) (*sim.Report, float64,
 	var sum float64
 	var n int
 	rep, err := sim.RunScenario(sc, cfg, func(run *sim.ScenarioRun, phase int) {
-		for _, a := range run.Cluster.Broker.Allocators() {
-			sum += a.Utilization().CPU
-			n++
-		}
+		sum += run.Cluster.Broker.Allocator().Utilization().CPU
+		n++
 	})
 	if err != nil {
 		return nil, 0, err
@@ -73,7 +70,7 @@ func Evaluate(sc sim.Scenario, cfg Config) (*sim.Report, error) {
 		return nil, fmt.Errorf("shadow: unknown candidate policy %q (registered: %s)",
 			cfg.Candidate, strings.Join(core.PolicyNames(), ", "))
 	}
-	base := sim.ScenarioConfig{Seed: cfg.Seed, Ops: cfg.Ops, Shards: cfg.Shards}
+	base := sim.ScenarioConfig{Seed: cfg.Seed, Ops: cfg.Ops}
 
 	// Run 1: the active policy alone — the reference digest and the
 	// active side of every counterfactual delta.

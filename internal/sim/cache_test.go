@@ -55,22 +55,20 @@ func TestParallelCacheHitRate(t *testing.T) {
 // must be byte-identical and violation-free — the cache layer must not
 // perturb the deterministic replay.
 func TestChaosDeterministicWithCaches(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		cfg := StressConfig{Clients: 4, Ops: 600, Phases: 3, Seed: 7, FaultRate: 0.2, Shards: shards}
-		a, err := RunChaos(cfg)
-		if err != nil {
-			t.Fatalf("shards=%d first run: %v", shards, err)
-		}
-		cfg.Obs = nil // fresh private registry for the replay
-		b, err := RunChaos(cfg)
-		if err != nil {
-			t.Fatalf("shards=%d second run: %v", shards, err)
-		}
-		if ja, jb := stripped(t, a), stripped(t, b); string(ja) != string(jb) {
-			t.Errorf("shards=%d chaos replay diverged:\n%s\nvs\n%s", shards, ja, jb)
-		}
-		if a.Failed() {
-			t.Errorf("shards=%d: failed with caches on: %+v", shards, a.Oracle)
-		}
+	cfg := StressConfig{Clients: 4, Ops: 600, Phases: 3, Seed: 7, FaultRate: 0.2}
+	a, err := RunChaos(cfg)
+	if err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	cfg.Obs = nil // fresh private registry for the replay
+	b, err := RunChaos(cfg)
+	if err != nil {
+		t.Fatalf("second run: %v", err)
+	}
+	if ja, jb := stripped(t, a), stripped(t, b); string(ja) != string(jb) {
+		t.Errorf("chaos replay diverged:\n%s\nvs\n%s", ja, jb)
+	}
+	if a.Failed() {
+		t.Errorf("failed with caches on: %+v", a.Oracle)
 	}
 }

@@ -14,7 +14,7 @@ func chaosRun(t *testing.T, cfg StressConfig) (*Report, []byte) {
 }
 
 func TestRunChaosDeterministic(t *testing.T) {
-	cfg := StressConfig{Seed: 7, FaultRate: 0.2, Ops: 2000, Shards: 2}
+	cfg := StressConfig{Seed: 7, FaultRate: 0.2, Ops: 2000}
 	r1, d1 := chaosRun(t, cfg)
 	_, d2 := chaosRun(t, cfg)
 	if string(d1) != string(d2) {
@@ -28,7 +28,7 @@ func TestRunChaosDeterministic(t *testing.T) {
 	}
 
 	// A different seed must explore a different schedule.
-	_, d3 := chaosRun(t, StressConfig{Seed: 8, FaultRate: 0.2, Ops: 2000, Shards: 2})
+	_, d3 := chaosRun(t, StressConfig{Seed: 8, FaultRate: 0.2, Ops: 2000})
 	if string(d1) == string(d3) {
 		t.Fatal("different seeds produced identical reports")
 	}
@@ -36,14 +36,12 @@ func TestRunChaosDeterministic(t *testing.T) {
 
 func TestRunChaosZeroViolationsAcrossSeeds(t *testing.T) {
 	for _, seed := range []int64{1, 3} {
-		for _, shards := range []int{1, 4} {
-			res, _ := chaosRun(t, StressConfig{Seed: seed, FaultRate: 0.25, Ops: 1500, Shards: shards})
-			if res.Failed() {
-				t.Errorf("seed %d shards %d: %+v", seed, shards, res.Oracle)
-			}
-			if res.Oracle.Checks == 0 {
-				t.Errorf("seed %d shards %d: oracle never ran", seed, shards)
-			}
+		res, _ := chaosRun(t, StressConfig{Seed: seed, FaultRate: 0.25, Ops: 1500})
+		if res.Failed() {
+			t.Errorf("seed %d: %+v", seed, res.Oracle)
+		}
+		if res.Oracle.Checks == 0 {
+			t.Errorf("seed %d: oracle never ran", seed)
 		}
 	}
 }

@@ -42,8 +42,6 @@ type ClusterSimConfig struct {
 	Clients int
 	// Seed drives the deterministic request-size schedule.
 	Seed int64
-	// Shards is the per-broker shard count (default 1).
-	Shards int
 }
 
 // The cluster workload's fixed cadences, in clients.
@@ -196,11 +194,10 @@ func isClusterReject(err error) bool {
 func RunClusterSim(cfg ClusterSimConfig) (*Report, error) {
 	orDefault(&cfg.Brokers, 3)
 	orDefault(&cfg.Clients, 100000)
-	orDefault(&cfg.Shards, 1)
 
 	plan := clusterPlan()
 	topo, err := newTopology(topoConfig{
-		Base:    stack.Config{Plan: plan, Shards: cfg.Shards},
+		Base:    stack.Config{Plan: plan},
 		Brokers: cfg.Brokers,
 	})
 	if err != nil {
@@ -229,7 +226,7 @@ func RunClusterSim(cfg ClusterSimConfig) (*Report, error) {
 	if err := e.run(); err != nil {
 		return nil, err
 	}
-	return e.report("cluster", map[string]any{"brokers": cfg.Brokers, "shards": cfg.Shards, "clients": cfg.Clients,
+	return e.report("cluster", map[string]any{"brokers": cfg.Brokers, "clients": cfg.Clients,
 		"seed": cfg.Seed, "placement": cluster.PlaceHash.String(), "window": clusterWindow}).Seal(), nil
 }
 
@@ -255,7 +252,7 @@ const handoffSessions = 48
 func RunHandoffCrash(cfg HandoffCrashConfig) (*Report, error) {
 	orDefault(&cfg.Brokers, 3)
 	topo, err := newTopology(topoConfig{
-		Base:    stack.Config{Plan: clusterPlan(), Shards: 1},
+		Base:    stack.Config{Plan: clusterPlan()},
 		Brokers: cfg.Brokers, Durable: true,
 	})
 	if err != nil {

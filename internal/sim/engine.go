@@ -28,9 +28,9 @@ import (
 //   - a workload (the application model): the stress op-mix clients
 //     (stress.go), the scenario arrival trace with its departure heap
 //     (scenario.go), or the cluster sliding window (clustersim.go);
-//   - a topology (the resource model): one broker × N shards, optionally
-//     behind the loopback JSON listener, or N brokers behind a
-//     cluster.Front; WAL and intake on or off;
+//   - a topology (the resource model): one broker, optionally behind the
+//     loopback JSON listener, or N brokers behind a cluster.Front; WAL
+//     and intake on or off;
 //   - perturbations: a seeded fault injector at a rate, kill +
 //     core.Recover at evenly spaced steps with a pre/post state-digest
 //     compare, forced hand-off migrations every k steps, a shadow policy;
@@ -248,8 +248,8 @@ type engine struct {
 
 	// What the run found and measured; engine.report files it (report.go).
 	oracle Oracle
-	// capacityRestored is true when the drain returned every shard of
-	// every member to its configured plan.
+	// capacityRestored is true when the drain returned every member to
+	// its configured plan.
 	capacityRestored bool
 	// faults carries the drain's reconciled cancels and the retry budget
 	// spent by broker incarnations a kill has since replaced.
@@ -257,11 +257,7 @@ type engine struct {
 	recovery   Recovery  // one increment / entry per kill
 	recoveryMS []float64 // wall-clock core.Recover times
 	migration  Migration
-	// shardSessions / shardUtilization sample a sharded single broker's
-	// placement balance before the drain; after it every shard reads empty.
-	shardSessions    []int
-	shardUtilization []float64
-	lat              map[string]any
+	lat        map[string]any
 }
 
 // maxDetails bounds the violation strings a report carries.
@@ -411,12 +407,6 @@ func (e *engine) addRetryStats(b *core.Broker) {
 // stricter drain-only rules and verifies no capacity was lost or
 // double-spent.
 func (e *engine) finish() {
-	if b := e.topo.members[0].Broker; e.topo.front == nil && len(b.Allocators()) > 1 {
-		e.shardSessions = b.ShardSessionCounts()
-		for _, a := range b.Allocators() {
-			e.shardUtilization = append(e.shardUtilization, a.LoadFactor())
-		}
-	}
 	e.topo.inj.SetEnabled(false)
 	e.topo.inj.ReleaseHangs()
 	e.topo.settle()
@@ -432,23 +422,22 @@ func (e *engine) finish() {
 	e.quiesce("post-drain", true)
 
 	e.capacityRestored = true
-	lost := func(m *Cluster, shard int, format string, args ...any) {
-		e.capacityRestored = false
-		e.record(fmt.Sprintf("drain: %s shard %d", m.Broker.Domain(), shard), fmt.Errorf(format, args...))
-	}
 	for _, m := range e.topo.members {
 		e.addRetryStats(m.Broker)
-		for si, alloc := range m.Broker.Allocators() {
-			plan := alloc.Plan()
-			if users := alloc.GuaranteedUsers(); len(users) != 0 {
-				lost(m, si, "capacity leaked: %d guaranteed grant(s) survive the drain: %v", len(users), users)
-			}
-			if got := alloc.AvailableGuaranteed(); !got.Equal(plan.Guaranteed) {
-				lost(m, si, "capacity lost: guaranteed headroom %v after drain, want %v", got, plan.Guaranteed)
-			}
-			if got := alloc.AvailableBestEffort(); !got.Equal(plan.Total()) {
-				lost(m, si, "capacity lost: best-effort headroom %v after drain, want %v", got, plan.Total())
-			}
+		lost := func(format string, args ...any) {
+			e.capacityRestored = false
+			e.record("drain: "+m.Broker.Domain(), fmt.Errorf(format, args...))
+		}
+		alloc := m.Broker.Allocator()
+		plan := alloc.Plan()
+		if users := alloc.GuaranteedUsers(); len(users) != 0 {
+			lost("capacity leaked: %d guaranteed grant(s) survive the drain: %v", len(users), users)
+		}
+		if got := alloc.AvailableGuaranteed(); !got.Equal(plan.Guaranteed) {
+			lost("capacity lost: guaranteed headroom %v after drain, want %v", got, plan.Guaranteed)
+		}
+		if got := alloc.AvailableBestEffort(); !got.Equal(plan.Total()) {
+			lost("capacity lost: best-effort headroom %v after drain, want %v", got, plan.Total())
 		}
 	}
 }

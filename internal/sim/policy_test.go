@@ -58,7 +58,7 @@ func TestPaperPolicyScenarioByteIdentity(t *testing.T) {
 }
 
 func TestPaperPolicyChaosByteIdentity(t *testing.T) {
-	base := StressConfig{Seed: 7, Ops: 2000, FaultRate: 0.2, Shards: 2}
+	base := StressConfig{Seed: 7, Ops: 2000, FaultRate: 0.2}
 	named := base
 	named.Policy = "paper"
 
@@ -76,7 +76,7 @@ func TestPaperPolicyChaosByteIdentity(t *testing.T) {
 }
 
 func TestPaperPolicyParallelIdentity(t *testing.T) {
-	base := StressConfig{Clients: 1, Ops: 1000, Seed: 7, Shards: 2}
+	base := StressConfig{Clients: 1, Ops: 1000, Seed: 7}
 	named := base
 	named.Policy = "paper"
 
@@ -93,9 +93,6 @@ func TestPaperPolicyParallelIdentity(t *testing.T) {
 	if d, n := behaviour(t, defRes), behaviour(t, namedRes); !bytes.Equal(d, n) {
 		t.Errorf("explicit paper policy changed the parallel run:\n default: %s\n paper:   %s", d, n)
 	}
-	if len(defRes.Outcome.ShardSessions) != 2 {
-		t.Errorf("shard_sessions = %v, want one entry per shard", defRes.Outcome.ShardSessions)
-	}
 }
 
 // TestShadowScenarioByteIdentity is the sim-level shadow-inertness gate:
@@ -105,7 +102,7 @@ func TestShadowScenarioByteIdentity(t *testing.T) {
 	if !ok {
 		t.Fatal("reneg-storm scenario missing")
 	}
-	base := ScenarioConfig{Seed: 7, Ops: 1500, Shards: 2}
+	base := ScenarioConfig{Seed: 7, Ops: 1500}
 	for _, candidate := range []string{"revenue-greedy"} {
 		candidate := candidate
 		t.Run(candidate, func(t *testing.T) {

@@ -60,11 +60,6 @@ type Oracle struct {
 // its counters are absent rather than zero.
 type Outcome struct {
 	*Tally
-	// ShardSessions counts sessions routed to each shard (terminal
-	// included) and ShardUtilization each shard's guaranteed-partition load
-	// factor, sampled before the drain on a sharded single broker.
-	ShardSessions    []int     `json:"shard_sessions,omitempty"`
-	ShardUtilization []float64 `json:"shard_utilization,omitempty"`
 
 	Scenario  *ScenarioTally `json:"scenario,omitempty"`  // scenario workload
 	Front     *FrontTally    `json:"front,omitempty"`     // window workload behind a front tier
@@ -256,7 +251,7 @@ func Hash(values ...any) string {
 // finish; the caller adds what only it knows, then Seals.
 func (e *engine) report(mode string, config map[string]any) *Report {
 	r := &Report{Schema: Schema, Mode: mode, Config: config, Oracle: e.oracle, Latency: e.lat,
-		Outcome: Outcome{Tally: &Tally{}, ShardSessions: e.shardSessions, ShardUtilization: e.shardUtilization}}
+		Outcome: Outcome{Tally: &Tally{}}}
 	r.Oracle.Gates = map[string]bool{"capacity_restored": e.capacityRestored}
 	o, t := &r.Outcome, r.Outcome.Tally
 	e.work.tally(o)

@@ -22,7 +22,7 @@ import (
 // (see scenarios.go) replayed against a single broker by the engine, one
 // arrival per step. Scenarios follow the engine's determinism rules — one
 // manual clock, serial client behavior, seeded PRNG streams with fixed
-// draw order — so a (scenario, seed, shards, ops) tuple produces a
+// draw order — so a (scenario, seed, ops) tuple produces a
 // byte-identical report once its latency key is deleted.
 
 // OfferAction is a scenario client's reaction to a negotiated offer.
@@ -82,8 +82,6 @@ type ScenarioConfig struct {
 	Seed int64
 	// Ops targets the number of broker operations (default 6000).
 	Ops int
-	// Shards is the broker shard count (default 1).
-	Shards int
 	// Obs receives the run's metrics; nil lets the broker create a
 	// private registry.
 	Obs *obs.Registry
@@ -99,7 +97,6 @@ const scenarioPhases = 10
 
 func (cfg ScenarioConfig) withDefaults() ScenarioConfig {
 	orDefault(&cfg.Ops, 6000)
-	orDefault(&cfg.Shards, 1)
 	return cfg
 }
 
@@ -281,7 +278,6 @@ func newScenarioRun(sc Scenario, cfg ScenarioConfig, phases int) (*ScenarioRun, 
 	}
 	topo, err := newTopology(topoConfig{Base: stack.Config{
 		Plan:          DefaultParallelPlan(),
-		Shards:        cfg.Shards,
 		ConfirmWindow: confirm,
 		Obs:           cfg.Obs,
 		Policy:        cfg.Policy,
@@ -298,7 +294,7 @@ func newScenarioRun(sc Scenario, cfg ScenarioConfig, phases int) (*ScenarioRun, 
 		Accounts: make(map[string]*pricing.Account),
 		sc:       sc,
 		config: map[string]any{"scenario": sc.Name, "seed": cfg.Seed, "ops": cfg.Ops, "phases": phases,
-			"shards": cfg.Shards, "policy": cfg.Policy, "shadow_policy": cfg.ShadowPolicy},
+			"policy": cfg.Policy, "shadow_policy": cfg.ShadowPolicy},
 		counts:     ScenarioTally{Arrivals: len(trace)},
 		trace:      trace,
 		drainUntil: Epoch.Add(wl.Duration).Add(1000 * time.Hour),

@@ -3,7 +3,6 @@ package sim
 import (
 	"encoding/json"
 	"math/rand"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -51,9 +50,6 @@ type StressConfig struct {
 	// so each client's operation schedule is a pure function of the seed.
 	// It also seeds the fault injector.
 	Seed int64
-	// Shards is the broker shard count (default 1, the classic monolithic
-	// domain).
-	Shards int
 	// Obs receives the run's metrics; nil lets the broker create a
 	// private registry.
 	Obs *obs.Registry
@@ -66,7 +62,7 @@ type StressConfig struct {
 	// fsync. Serial clients Submit during a round-robin
 	// round and the workload flushes once per round and resolves tickets
 	// in schedule order, so batches form deterministically (up to Clients
-	// admissions per shard per flush) and are journaled — one fsync per
+	// admissions per flush) and are journaled — one fsync per
 	// batch — before any kill point takes its digest.
 	Intake bool
 	// Transport selects how RunParallel's clients submit admissions: ""
@@ -94,7 +90,6 @@ func (cfg StressConfig) withDefaults() StressConfig {
 	orDefault(&cfg.Ops, 10000)
 	orDefault(&cfg.Phases, 10)
 	orDefault(&cfg.Restarts, 3)
-	orDefault(&cfg.Shards, 1)
 	return cfg
 }
 
@@ -131,7 +126,7 @@ func RunRestartChaos(cfg StressConfig) (*Report, error) {
 func runStress(mode string, cfg StressConfig, concurrent, restart bool) (*Report, error) {
 	cfg = cfg.withDefaults()
 	config := map[string]any{"seed": cfg.Seed, "clients": cfg.Clients, "ops": cfg.Ops, "phases": cfg.Phases,
-		"shards": cfg.Shards, "fault_rate": cfg.FaultRate, "intake": cfg.Intake, "transport": cfg.Transport,
+		"fault_rate": cfg.FaultRate, "intake": cfg.Intake, "transport": cfg.Transport,
 		"policy": cfg.Policy}
 	kills := 0
 	if restart {
@@ -141,7 +136,7 @@ func runStress(mode string, cfg StressConfig, concurrent, restart bool) (*Report
 	}
 	topo, err := newTopology(topoConfig{
 		Base: stack.Config{
-			Plan: DefaultParallelPlan(), Shards: cfg.Shards, Obs: cfg.Obs,
+			Plan: DefaultParallelPlan(), Obs: cfg.Obs,
 			DisableCaches: cfg.DisableCaches,
 			Intake:        core.IntakeConfig{Enabled: cfg.Intake},
 			Policy:        cfg.Policy,
@@ -432,30 +427,24 @@ func (c *parClient) drain() {
 // sweep clears them by design, so they differ across a kill legitimately.
 func digestBroker(c *Cluster) string {
 	b := c.Broker
-	type shard struct {
+	a := b.Allocator()
+	d := struct {
+		Sessions                                  []core.SessionInfo
+		Allocated                                 map[sla.ID]resource.Capacity
 		Guaranteed                                []string
 		AvailGuaranteed, AvailBestEffort, Offline resource.Capacity
 		BestEffort                                []core.BEState
 		BENextSeq                                 int
-	}
-	d := struct {
-		Sessions      []core.SessionInfo
-		Allocated     map[sla.ID]resource.Capacity
-		Shards        []shard
-		LedgerNet     float64
-		LedgerTotals  map[pricing.EntryKind]float64
-		LedgerEntries int
-		LedgerEvicted int64
+		LedgerNet                                 float64
+		LedgerTotals                              map[pricing.EntryKind]float64
+		LedgerEntries                             int
+		LedgerEvicted                             int64
 	}{Sessions: b.SessionInfos(), Allocated: map[sla.ID]resource.Capacity{}}
 	for _, doc := range b.Sessions(nil) {
 		d.Allocated[doc.ID] = doc.Allocated
 	}
-	for _, a := range b.Allocators() {
-		users := a.GuaranteedUsers()
-		sort.Strings(users)
-		offline, be, nextSeq := a.ExportAux()
-		d.Shards = append(d.Shards, shard{users, a.AvailableGuaranteed(), a.AvailableBestEffort(), offline, be, nextSeq})
-	}
+	d.Guaranteed, d.AvailGuaranteed, d.AvailBestEffort = a.GuaranteedUsers(), a.AvailableGuaranteed(), a.AvailableBestEffort()
+	d.Offline, d.BestEffort, d.BENextSeq = a.ExportAux()
 	b.Ledger().ExportWith(func(st pricing.State) {
 		d.LedgerNet, d.LedgerTotals, d.LedgerEntries, d.LedgerEvicted = st.Net, st.Totals, len(st.Entries), st.Evicted
 	})

@@ -61,10 +61,6 @@ type Config struct {
 	// monitor (NRM checks, session expiry, optimizer passes) at that
 	// interval; Close stops it.
 	MonitorInterval time.Duration
-	// Shards splits the broker's capacity plan across that many
-	// independently locked allocators behind a least-loaded placement
-	// layer (default 1, the classic monolithic domain).
-	Shards int
 	// DisableCaches turns the broker's hot-path discovery cache off; the
 	// uncached broker is the reference the cache tests compare against.
 	DisableCaches bool
@@ -220,7 +216,6 @@ func New(cfg Config) (*Stack, error) {
 		RM:               rm,
 		ConfirmWindow:    cfg.ConfirmWindow,
 		MinOptimizerGain: cfg.MinOptimizerGain,
-		Shards:           cfg.Shards,
 		DisableCaches:    cfg.DisableCaches,
 		Obs:              cfg.Obs,
 		Faults:           cfg.Faults,

@@ -1,8 +1,8 @@
 // Package wal is the broker's durability layer: an append-only lifecycle
 // log with length+CRC framed JSON records, periodic snapshots, and log
 // truncation once a snapshot lands. The broker journals the absolute
-// post-operation state of each touched session (plus the owning shard's
-// auxiliary allocator state), so replay is last-write-wins idempotent;
+// post-operation state of each touched session (plus the allocator's
+// auxiliary state), so replay is last-write-wins idempotent;
 // ledger entries are the one delta-shaped record and carry their own
 // sequence fencing (Snapshot.LedgerSeq) so replay never double-bills.
 //
@@ -81,18 +81,17 @@ const (
 	SiteSync   = "wal.sync"
 )
 
-// BEGrant is one best-effort allocation row of a shard's allocator.
+// BEGrant is one best-effort allocation row of the allocator.
 type BEGrant struct {
 	User    string
 	Granted resource.Capacity
 	Seq     int
 }
 
-// ShardAux is the auxiliary allocator state of one shard that cannot be
-// rebuilt from session documents alone: failed capacity, the best-effort
-// table, and the preemption-order counter.
+// ShardAux is the auxiliary allocator state that cannot be rebuilt from
+// session documents alone: failed capacity, the best-effort table, and
+// the preemption-order counter.
 type ShardAux struct {
-	Shard      int
 	Offline    resource.Capacity
 	BestEffort []BEGrant `json:",omitempty"`
 	NextSeq    int
@@ -101,7 +100,6 @@ type ShardAux struct {
 // SessionRecord is the absolute post-operation state of one session:
 // the full SLA document plus the broker-internal fields replay needs.
 type SessionRecord struct {
-	Shard      int
 	Doc        *sla.Document
 	Handle     string
 	Job        string `json:",omitempty"`
@@ -131,12 +129,8 @@ type Record struct {
 
 	// Session carries the touched session's full post-op state.
 	Session *SessionRecord `json:",omitempty"`
-	// Aux carries the touched shard's auxiliary allocator state.
+	// Aux carries the allocator's auxiliary state.
 	Aux *ShardAux `json:",omitempty"`
-	// BERoute is the full best-effort pin table (client → shard index);
-	// HasBERoute distinguishes "now empty" from "not recorded".
-	BERoute    map[string]int `json:",omitempty"`
-	HasBERoute bool           `json:",omitempty"`
 	// Pending is the full parked-cancel table (SLA ID → GARA handle).
 	Pending    map[string]string `json:",omitempty"`
 	HasPending bool              `json:",omitempty"`
@@ -165,9 +159,9 @@ type LedgerState struct {
 	Totals  map[int]float64 `json:",omitempty"`
 }
 
-// ShardSnap is one shard's full state in a snapshot.
+// ShardSnap is the broker's session table and allocator aux state in a
+// snapshot.
 type ShardSnap struct {
-	Index    int
 	Sessions []SessionRecord `json:",omitempty"`
 	Aux      ShardAux
 }
@@ -181,11 +175,11 @@ type Snapshot struct {
 	LedgerSeq uint64
 	At        time.Time
 	NextID    int64
-	Shards    []ShardSnap
-	BERoute   map[string]int    `json:",omitempty"`
-	Pending   map[string]string `json:",omitempty"`
-	Handoffs  map[string]string `json:",omitempty"`
-	Ledger    LedgerState
+	// Shards holds one element: the broker has one partition.
+	Shards   []ShardSnap
+	Pending  map[string]string `json:",omitempty"`
+	Handoffs map[string]string `json:",omitempty"`
+	Ledger   LedgerState
 }
 
 // Options configures Open.
@@ -431,7 +425,7 @@ func (l *Log) Append(r Record) (uint64, error) {
 	l.appends++
 	l.sinceSnap++
 	if l.sinceSnap >= l.every {
-		// Never snapshot inline: the caller may hold shard or ledger
+		// Never snapshot inline: the caller may hold broker or ledger
 		// locks the capture needs. The flag is consumed by SnapshotDue.
 		l.due = true
 	}

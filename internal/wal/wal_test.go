@@ -14,19 +14,18 @@ import (
 	"gqosm/internal/resource"
 )
 
-func testRecord(op string, shard int) Record {
+func testRecord(op string, n int) Record {
 	return Record{
 		At: time.Unix(1000, 0).UTC(),
 		Op: op,
 		Aux: &ShardAux{
-			Shard:   shard,
 			Offline: resource.Capacity{CPU: 1, MemoryMB: 64},
 			BestEffort: []BEGrant{
 				{User: "be-1", Granted: resource.Capacity{CPU: 2}, Seq: 1},
 			},
 			NextSeq: 2,
 		},
-		NextID: int64(shard + 1),
+		NextID: int64(n + 1),
 	}
 }
 
@@ -65,7 +64,7 @@ func TestAppendLoadRoundTrip(t *testing.T) {
 		t.Fatalf("reloaded %d records, want 5", len(load2.Records))
 	}
 	for i, r := range load2.Records {
-		if r.Seq != uint64(i+1) || r.Op != "persist" || r.Aux == nil || r.Aux.Shard != i {
+		if r.Seq != uint64(i+1) || r.Op != "persist" || r.Aux == nil || r.NextID != int64(i+1) {
 			t.Fatalf("record %d = %+v", i, r)
 		}
 		if r.Aux.Offline != (resource.Capacity{CPU: 1, MemoryMB: 64}) {
@@ -97,13 +96,9 @@ func TestSnapshotTruncatesAndReplaysSuffix(t *testing.T) {
 		LedgerSeq: l.LastSeq(),
 		At:        time.Unix(2000, 0).UTC(),
 		NextID:    4,
-		Shards: []ShardSnap{{
-			Index: 0,
-			Aux:   ShardAux{Shard: 0, NextSeq: 7},
-		}},
-		BERoute: map[string]int{"be-1": 0},
-		Pending: map[string]string{"site-a-sla-0001": "h-1"},
-		Ledger:  LedgerState{Net: 12.5, Totals: map[int]float64{1: 12.5}},
+		Shards:    []ShardSnap{{Aux: ShardAux{NextSeq: 7}}},
+		Pending:   map[string]string{"site-a-sla-0001": "h-1"},
+		Ledger:    LedgerState{Net: 12.5, Totals: map[int]float64{1: 12.5}},
 	}
 	if err := l.WriteSnapshot(snap); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
@@ -138,7 +133,7 @@ func TestSnapshotTruncatesAndReplaysSuffix(t *testing.T) {
 	if load.Snapshot.BaseSeq != 4 || load.Snapshot.NextID != 4 {
 		t.Fatalf("snapshot = %+v", load.Snapshot)
 	}
-	if load.Snapshot.BERoute["be-1"] != 0 || load.Snapshot.Pending["site-a-sla-0001"] != "h-1" {
+	if load.Snapshot.Shards[0].Aux.NextSeq != 7 || load.Snapshot.Pending["site-a-sla-0001"] != "h-1" {
 		t.Fatalf("snapshot tables = %+v", load.Snapshot)
 	}
 	if load.Snapshot.Ledger.Net != 12.5 || load.Snapshot.Ledger.Totals[1] != 12.5 {
@@ -430,7 +425,7 @@ func FuzzWALDecode(f *testing.F) {
 		// before the first corruption are intact, not partially parsed.
 		for _, r := range recs {
 			if r.Seq == 0 && r.Op == "" && r.Session == nil && r.Aux == nil &&
-				r.Ledger == nil && !r.HasBERoute && !r.HasPending && r.NextID == 0 && r.At.IsZero() {
+				r.Ledger == nil && !r.HasPending && r.NextID == 0 && r.At.IsZero() {
 				// Empty-object records are legal JSON; nothing to check.
 				continue
 			}
