@@ -28,6 +28,7 @@ var testOnlyExports = map[string]string{
 	"clockx.Manual.PendingTimers": "oracle seam: timer-leak checks (a stopped monitor, a closed broker or job manager leaves no timer armed)",
 	"core.Broker.SetDebugHook":    "oracle seam: runs invariant.CheckAll after every mutating operation in tests and fuzzing",
 	"core.Broker.DebugViolations": "oracle seam: the invariant events the debug hook recorded",
+	"core.Federation.Quiesce":     "oracle seam: waits out the fan-out's background retraction of losing offers, which the fan-out tests then check",
 	"invariant.Check":             "oracle seam: the broker-level rules in SetDebugHook's signature, for a serial driver without a pool",
 	"dsrt.Scheduler.ReportUsage":  "substrate: DSRT adapts a contract to measured usage (paper 2.1); the broker never reports usage",
 	"gram.Manager.Fail":           "substrate: GRAM job failure; the broker only submits and cancels",

@@ -1,9 +1,9 @@
 // Package cluster is the multi-broker front tier: it routes admissions
 // across N broker instances (consistent-hash placement), falls back
-// across brokers through the existing federation fan-out when the placed
+// along the client's ring order one broker at a time when the placed
 // broker declines, and drives session hand-off for rebalancing. With a
-// single slot the front degenerates to the plain broker: one federation
-// with zero peers, identical outcomes.
+// single slot the front degenerates to the plain broker: identical
+// outcomes.
 package cluster
 
 import (
@@ -46,20 +46,11 @@ type Front struct {
 	byDom map[string]int
 
 	mu     sync.Mutex
-	feds   map[int]*fedEntry
 	owners map[sla.ID]int
 }
 
-// fedEntry caches the federation built around one local slot's broker;
-// it is rebuilt when Swap installs a recovered instance.
-type fedEntry struct {
-	b   *core.Broker
-	fed *core.Federation
-}
-
 // New assembles a front over the given slots. Domains must be unique;
-// slot order is the federation's peer registration order, so it decides
-// which broker wins a fallback race.
+// slot order is the ring's slot numbering.
 func New(_ Config, slots ...*Slot) (*Front, error) {
 	if len(slots) == 0 {
 		return nil, errors.New("cluster: front needs at least one slot")
@@ -77,7 +68,6 @@ func New(_ Config, slots ...*Slot) (*Front, error) {
 		slots:  slots,
 		ring:   newHashRing(domains),
 		byDom:  byDom,
-		feds:   make(map[int]*fedEntry),
 		owners: make(map[sla.ID]int),
 	}, nil
 }
@@ -99,50 +89,40 @@ func (f *Front) route(client string) []int {
 	return live
 }
 
-// federationFor returns the cached federation homed on slot idx's local
-// broker, with every other slot registered as a peer in ascending slot
-// order — so the cross-broker fallback reuses the federation fan-out
-// (concurrent peer calls under the home broker's RetryPolicy,
-// registration-order first-success, PeerReject retraction) unchanged.
-func (f *Front) federationFor(idx int, home *core.Broker) *core.Federation {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if e, ok := f.feds[idx]; ok && e.b == home {
-		return e.fed
-	}
-	fed := core.NewFederation(home)
-	for i, s := range f.slots {
-		if i == idx {
-			continue
-		}
-		// The only AddPeer failure is a duplicate domain, which New
-		// already rejected.
-		_ = fed.AddPeer(s)
-	}
-	f.feds[idx] = &fedEntry{b: home, fed: fed}
-	return fed
-}
-
-// RequestService admits a request through the cluster: the placed
-// broker first, then the federation fallback across the remaining
-// slots. The returned offer's Domain names the owning broker; the front
-// records it so lifecycle calls route there.
+// RequestService admits a request through the cluster by walking the
+// client's route one slot at a time: the first offer wins, a refusal
+// core.Forwardable accepts moves on to the next slot, and any other
+// refusal is returned as is. When every slot declines it returns
+// core.ErrNoDomainCanServe wrapping the home slot's refusal. The
+// offer's Domain names the owning broker; the front records it so
+// lifecycle calls route there.
 func (f *Front) RequestService(req core.Request) (*core.FederatedOffer, error) {
 	order := f.route(req.Client)
 	if len(order) == 0 {
 		return nil, ErrNoBrokerAvailable
 	}
-	homeIdx := order[0]
-	offer, err := f.federationFor(homeIdx, f.slots[homeIdx].Broker()).RequestService(req)
-	if err != nil {
-		return nil, err
+	var others []string
+	var homeErr error
+	for n, idx := range order {
+		s := f.slots[idx]
+		offer, err := s.request(req)
+		if err == nil {
+			f.mu.Lock()
+			f.owners[offer.SLA.ID] = idx
+			f.mu.Unlock()
+			return &core.FederatedOffer{Offer: *offer, Domain: s.Domain(), Forwarded: n > 0}, nil
+		}
+		if !core.Forwardable(err) {
+			return nil, err
+		}
+		if n == 0 {
+			homeErr = err
+		} else {
+			others = append(others, fmt.Sprintf("%s: %v", s.Domain(), err))
+		}
 	}
-	if idx, ok := f.byDom[offer.Domain]; ok {
-		f.mu.Lock()
-		f.owners[offer.SLA.ID] = idx
-		f.mu.Unlock()
-	}
-	return offer, nil
+	return nil, fmt.Errorf("%w: home %q: %v; others: %v",
+		core.ErrNoDomainCanServe, f.slots[order[0]].Domain(), homeErr, others)
 }
 
 // Owner reports which domain hosts a session the front admitted or
@@ -205,20 +185,10 @@ func (f *Front) Terminate(id sla.ID, reason string) error {
 	return nil
 }
 
-// Quiesce waits for every slot federation's background fan-out work
-// (slow peer answers, loser retraction) to finish. Harnesses call it
-// before a final invariant checkpoint.
-func (f *Front) Quiesce() {
-	f.mu.Lock()
-	feds := make([]*core.Federation, 0, len(f.feds))
-	for _, e := range f.feds {
-		feds = append(feds, e.fed)
-	}
-	f.mu.Unlock()
-	for _, fed := range feds {
-		fed.Quiesce()
-	}
-}
+// Quiesce does nothing: RequestService runs no background work, so
+// there is nothing to wait for. It stays only because the benchmark
+// harness still calls it; ROADMAP item 7 deletes it.
+func (f *Front) Quiesce() {}
 
 // Migrate hands session id off to the named target domain: drain on the
 // source (BeginHandoff), re-admit under the same SLA ID on the target

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -135,8 +136,8 @@ func TestFrontSingleSlotDegenerates(t *testing.T) {
 }
 
 // TestFrontFallbackWhenHomeFull: when the hash-placed broker is out of
-// capacity the federation fan-out lands the admission on another member,
-// and lifecycle calls follow the offer to the owning broker.
+// capacity the front's walk lands the admission on another member, and
+// lifecycle calls follow the offer to the owning broker.
 func TestFrontFallbackWhenHomeFull(t *testing.T) {
 	a := member(t, "node-a", 20)
 	b := member(t, "node-b", 20)
@@ -151,13 +152,7 @@ func TestFrontFallbackWhenHomeFull(t *testing.T) {
 	homeIdx := front.route(client)[0]
 	home := front.Slots()[homeIdx]
 	other := front.Slots()[1-homeIdx]
-	fill, err := home.Broker().RequestService(clusterRequest("filler", 12)) // the whole guaranteed partition
-	if err != nil {
-		t.Fatalf("filling %s: %v", home.Domain(), err)
-	}
-	if err := home.Broker().Accept(fill.SLA.ID); err != nil {
-		t.Fatal(err)
-	}
+	fill(t, home)
 
 	offer, err := front.RequestService(clusterRequest(client, 10))
 	if err != nil {
@@ -180,9 +175,84 @@ func TestFrontFallbackWhenHomeFull(t *testing.T) {
 	}
 }
 
+// threeSlotFront builds a 3-member front and a client whose ring order
+// is not slot order, so a walk along the ring and a fallback in slot
+// order pick different members.
+func threeSlotFront(t *testing.T) (front *Front, client string, order []int) {
+	t.Helper()
+	front, err := New(Config{},
+		NewSlot(member(t, "node-a", 20)), NewSlot(member(t, "node-b", 20)), NewSlot(member(t, "node-c", 20)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		client = fmt.Sprintf("ring-client-%d", i)
+		order = front.route(client)
+		// In slot order the first fallback is the lowest-numbered slot
+		// other than home; pick a client whose ring says otherwise.
+		if order[1] > order[2] {
+			return front, client, order
+		}
+	}
+	t.Fatal("no client among 100 has a ring order that differs from slot order")
+	return nil, "", nil
+}
+
+// fill takes the whole guaranteed partition of s.
+func fill(t *testing.T, s *Slot) {
+	t.Helper()
+	offer, err := s.Broker().RequestService(clusterRequest("filler", 12))
+	if err != nil {
+		t.Fatalf("filling %s: %v", s.Domain(), err)
+	}
+	if err := s.Broker().Accept(offer.SLA.ID); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFrontFallbackFollowsRing: when the home slot is full the front
+// asks the ring's next slot and stops there — the third slot is never
+// asked, so it has handed out no SLA ID.
+func TestFrontFallbackFollowsRing(t *testing.T) {
+	front, client, order := threeSlotFront(t)
+	slots := front.Slots()
+	fill(t, slots[order[0]])
+
+	offer, err := front.RequestService(clusterRequest(client, 10))
+	if err != nil {
+		t.Fatalf("RequestService: %v", err)
+	}
+	if want := slots[order[1]].Domain(); !offer.Forwarded || offer.Domain != want {
+		t.Fatalf("offer = %+v from %q, want a forwarded offer from the ring's second slot %q",
+			offer.SLA.ID, offer.Domain, want)
+	}
+	third := slots[order[2]]
+	probe, err := third.Broker().RequestService(clusterRequest("probe", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sla.ID(third.Domain() + "-sla-0001"); probe.SLA.ID != want {
+		t.Fatalf("third slot's next SLA ID = %s, want %s: the walk asked it", probe.SLA.ID, want)
+	}
+}
+
 // TestFrontSkipsRecoveringSlot: a recovering member takes no new
 // placements; with every member recovering the front refuses outright.
 func TestFrontSkipsRecoveringSlot(t *testing.T) {
+	t.Run("three slots, ring's second recovering", func(t *testing.T) {
+		front, client, order := threeSlotFront(t)
+		slots := front.Slots()
+		fill(t, slots[order[0]])
+		slots[order[1]].MarkRecovering(true)
+		offer, err := front.RequestService(clusterRequest(client, 10))
+		if err != nil {
+			t.Fatalf("RequestService: %v", err)
+		}
+		if want := slots[order[2]].Domain(); offer.Domain != want || !offer.Forwarded {
+			t.Fatalf("offer from %q (forwarded %v), want %q", offer.Domain, offer.Forwarded, want)
+		}
+	})
+
 	a := member(t, "node-a", 20)
 	b := member(t, "node-b", 20)
 	sa, sb := NewSlot(a), NewSlot(b)

@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -52,11 +53,9 @@ func (r *hashRing) order(key string, slots int) []int {
 	}
 	h := hashKey(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	seen := make(map[int]bool, slots)
 	for i := 0; i < len(r.points) && len(out) < slots; i++ {
 		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.slot] {
-			seen[p.slot] = true
+		if !slices.Contains(out, p.slot) {
 			out = append(out, p.slot)
 		}
 	}

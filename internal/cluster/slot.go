@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"gqosm/internal/core"
-	"gqosm/internal/sla"
 )
 
 // Slot is one cluster member. Safe for concurrent use.
@@ -39,9 +38,10 @@ func (s *Slot) Broker() *core.Broker {
 }
 
 // MarkRecovering flips the slot's recovering flag: a recovering slot is
-// skipped by placement and answers peer requests with
+// skipped by placement and refuses admissions with
 // core.ErrPeerUnavailable (the same transient refusal a mid-Recover
-// broker gives), so in-flight fan-outs re-route instead of failing.
+// broker gives), so a walk that routed past it before the flag flipped
+// moves on to the next slot instead of failing.
 func (s *Slot) MarkRecovering(v bool) {
 	s.mu.Lock()
 	s.recovering = v
@@ -68,25 +68,18 @@ func (s *Slot) Swap(b *core.Broker) error {
 	return nil
 }
 
-// PeerDomain implements core.Peer.
-func (s *Slot) PeerDomain() string { return s.domain }
-
-// PeerRequest implements core.Peer: a recovering slot refuses with the
-// transient gate so the federation's retry policy treats it as a flaky
-// wire, not a definitive rejection.
-func (s *Slot) PeerRequest(req core.Request) (*core.Offer, error) {
+// request admits req on the slot's broker. A slot marked recovering
+// after the front routed it refuses with the transient gate, which the
+// front's walk forwards to the next slot.
+func (s *Slot) request(req core.Request) (*core.Offer, error) {
 	s.mu.RLock()
 	b, rec := s.broker, s.recovering
 	s.mu.RUnlock()
 	if rec {
 		return nil, fmt.Errorf("%w: slot %q", core.ErrPeerUnavailable, s.domain)
 	}
-	return b.PeerRequest(req)
+	return b.RequestService(req)
 }
-
-// PeerReject implements core.Peer: it retracts a losing offer on the
-// slot's broker.
-func (s *Slot) PeerReject(id sla.ID) error { return s.Broker().PeerReject(id) }
 
 // Load fetches the slot's load report; recovering slots report
 // themselves as such without asking the broker.
@@ -100,5 +93,3 @@ func (s *Slot) Load() (core.LoadReport, error) {
 	}
 	return b.LoadReport(), nil
 }
-
-var _ core.Peer = (*Slot)(nil)

@@ -121,13 +121,7 @@ func (f *Federation) RequestService(req Request) (*FederatedOffer, error) {
 	if homeErr == nil {
 		return &FederatedOffer{Offer: *homeOffer, Domain: f.home.cfg.Domain}, nil
 	}
-	// Validation failures are the client's problem, not a capacity
-	// issue: do not forward them. A recovery-gated home refusal IS
-	// forwarded — a neighbor can serve while the home broker replays its
-	// WAL.
-	if !errors.Is(homeErr, ErrNoService) && !errors.Is(homeErr, ErrCannotHonor) &&
-		!errors.Is(homeErr, ErrOverBudget) && !errors.Is(homeErr, ErrPeerUnavailable) &&
-		!isCapacityError(homeErr) {
+	if !Forwardable(homeErr) {
 		return nil, homeErr
 	}
 
@@ -210,10 +204,16 @@ func retractLosers(peers []Peer, results []chan peerResult) {
 	}
 }
 
-// isCapacityError reports whether err stems from resource shortage (which
-// a neighbor with different capacity might not share).
-func isCapacityError(err error) bool {
-	return errors.Is(err, ErrCannotHonor) || errors.Is(err, ErrBestEffortFull)
+// Forwardable reports whether another domain might serve a request this
+// broker refused with err: no matching service, a shortage of capacity
+// or budget (a neighbor with different capacity might not share it), or
+// the transient refusal of a broker mid-Recover. Validation failures are
+// the client's problem and are not forwarded. The federation applies it
+// to the home refusal, the cluster front to every slot it walks.
+func Forwardable(err error) bool {
+	return errors.Is(err, ErrNoService) || errors.Is(err, ErrCannotHonor) ||
+		errors.Is(err, ErrOverBudget) || errors.Is(err, ErrBestEffortFull) ||
+		errors.Is(err, ErrPeerUnavailable)
 }
 
 // Mount installs the federation as the admit function of the home

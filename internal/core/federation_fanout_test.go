@@ -90,14 +90,16 @@ func TestFederationFanOutRegistrationOrderWins(t *testing.T) {
 	if offer.Domain != "first-slow" || !offer.Forwarded {
 		t.Fatalf("offer = %+v, want the first-registered peer to win", offer)
 	}
-	// The fast loser's offer must be retracted in the background.
+	// The fast loser's offer is retracted in the background; Quiesce
+	// waits for it.
+	fed.Quiesce()
 	select {
 	case id := <-fast.rejected:
 		if id != "sla-second" {
 			t.Errorf("retracted %q, want sla-second", id)
 		}
-	case <-time.After(2 * time.Second):
-		t.Error("losing peer's offer never retracted")
+	default:
+		t.Error("losing peer's offer not retracted once the fan-out quiesced")
 	}
 }
 
@@ -124,13 +126,14 @@ func TestFederationFanOutEarlyWinnerNoWait(t *testing.T) {
 	if elapsed >= 100*time.Millisecond {
 		t.Errorf("fast winner still waited %v on the slow peer", elapsed)
 	}
+	fed.Quiesce()
 	select {
 	case id := <-slow.rejected:
 		if id != "sla-slow" {
 			t.Errorf("retracted %q, want sla-slow", id)
 		}
-	case <-time.After(2 * time.Second):
-		t.Error("slow loser's offer never retracted")
+	default:
+		t.Error("slow loser's offer not retracted once the fan-out quiesced")
 	}
 }
 

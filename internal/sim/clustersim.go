@@ -7,7 +7,7 @@ package sim
 // driven by one shared manual clock.
 //
 // RunClusterSim drives O(10⁵) simulated clients through front-tier
-// placement with federation fallback, forced hand-off migrations, and
+// placement with fallback along the ring, forced hand-off migrations, and
 // the oracle at a fixed cadence. The per-client outcome sequence is
 // digested (admissions and rejections only — migrations are
 // cluster-internal rebalancing and excluded), and the digest is
@@ -144,14 +144,6 @@ func (w *windowWorkload) tally(o *Outcome) {
 func (w *windowWorkload) step(i int) {
 	front := w.topo.front
 	offer, err := front.RequestService(w.request(w, i))
-	// Settle the fan-out before the next client: a losing peer's offer
-	// holds a temporary reservation until its asynchronous retraction
-	// lands, and an admission racing that window can see less capacity
-	// than the settled state — a (legal, confirm-window-bounded)
-	// transient that would make the outcome digest timing-dependent
-	// and break the N=1 parity gate this serial workload exists to
-	// enforce.
-	front.Quiesce()
 	switch {
 	case err == nil && front.Accept(offer.SLA.ID) == nil:
 		w.outcome('A', &w.admitted)
@@ -272,9 +264,6 @@ func RunHandoffCrash(cfg HandoffCrashConfig) (*Report, error) {
 		return nil, fmt.Errorf("only %d of %d drill sessions admitted (%d rejected, %d errors)",
 			w.admitted, handoffSessions, w.rejected, w.errors)
 	}
-	// Let the fan-out's background retractions settle before the crash.
-	topo.settle()
-
 	// Pick a migration pair: the first live session, toward the next
 	// slot. The front is NOT used for the migration itself — the crash
 	// must land between ImportSession and CompleteHandoff, a window

@@ -191,18 +191,9 @@ func (t *topology) brokers() []*core.Broker {
 	return out
 }
 
-// settle waits out the front tier's background work. A fan-out's slow
-// losers and their retractions are still committing/tearing down in
-// background goroutines, and the oracle would read their half-installed
-// sessions (or still-held temporary reservations) as violations.
-func (t *topology) settle() {
-	if t.front != nil {
-		t.front.Quiesce()
-	}
-}
-
 // nextSlot returns the slot indexes of the member that owns id and of
-// its ring successor — the forced-migration pair.
+// the next slot in registration order (wrapping) — the forced-migration
+// pair.
 func (t *topology) nextSlot(id sla.ID) (src, dst int, ok bool) {
 	dom, ok := t.front.Owner(id)
 	if !ok {
@@ -290,7 +281,6 @@ func (e *engine) record(stage string, err error) {
 // reservation outlives its session, every degraded-then-torn-down
 // session was refunded).
 func (e *engine) quiesce(stage string, final bool) {
-	e.topo.settle()
 	e.oracle.Checks++
 	now := e.topo.clock.Now()
 	if e.lifecycle > 0 {
@@ -409,7 +399,6 @@ func (e *engine) addRetryStats(b *core.Broker) {
 func (e *engine) finish() {
 	e.topo.inj.SetEnabled(false)
 	e.topo.inj.ReleaseHangs()
-	e.topo.settle()
 	e.work.drain()
 	for _, m := range e.topo.members {
 		e.faults.ReconciledCancels += m.Broker.ReconcileReservations()
