@@ -180,7 +180,7 @@ func TestFederationOverSOAP(t *testing.T) {
 // the next peer.
 func TestFederationDeclinesInvalidPeerOffer(t *testing.T) {
 	mux := soapx.NewMux()
-	mux.Handle("service_request", func([]byte) (any, error) {
+	mux.Handle("service_request", func(func(any) error) (any, error) {
 		forged := &sla.Document{Service: "renderer", Class: sla.ClassGuaranteed,
 			Spec: sla.NewSpec(sla.Exact(resource.CPU, 8)), State: sla.StateProposed}
 		return &xmlmsg.ServiceOfferXML{SLA: sla.EncodeDocument(forged), Price: 1}, nil

@@ -26,7 +26,7 @@ type soapElement struct {
 	// ops are the rows reachable through the element.
 	ops []string
 	// decode names the row the message asks for and builds its arguments.
-	decode func(body []byte) (op string, a OpArgs, err error)
+	decode func(decode func(any) error) (op string, a OpArgs, err error)
 	encode func(OpResult) any
 }
 
@@ -35,9 +35,9 @@ type soapElement struct {
 // renegotiate_request, load_report_request and best_effort_request.
 var soapElements = []soapElement{
 	{"service_request", []string{"request"},
-		func(body []byte) (string, OpArgs, error) {
+		func(decode func(any) error) (string, OpArgs, error) {
 			var req xmlmsg.ServiceRequestXML
-			if err := xml.Unmarshal(body, &req); err != nil {
+			if err := decode(&req); err != nil {
 				return "", OpArgs{}, err
 			}
 			r, err := decodeRequest(req)
@@ -52,9 +52,9 @@ var soapElements = []soapElement{
 			}
 		}},
 	{"sla_action", []string{"accept", "reject", "invoke", "terminate", "verify", "accept_promotion"},
-		func(body []byte) (string, OpArgs, error) {
+		func(decode func(any) error) (string, OpArgs, error) {
 			var req xmlmsg.SLAActionXML
-			err := xml.Unmarshal(body, &req)
+			err := decode(&req)
 			return req.Action, OpArgs{ID: sla.ID(req.SLAID), Reason: req.Reason}, err
 		},
 		func(r OpResult) any {
@@ -64,9 +64,9 @@ var soapElements = []soapElement{
 			return ackXML(r)
 		}},
 	{"renegotiate_request", []string{"renegotiate"},
-		func(body []byte) (string, OpArgs, error) {
+		func(decode func(any) error) (string, OpArgs, error) {
 			var req xmlmsg.RenegotiateRequestXML
-			if err := xml.Unmarshal(body, &req); err != nil {
+			if err := decode(&req); err != nil {
 				return "", OpArgs{}, err
 			}
 			spec, err := xmlmsg.DecodeSpec(req.Params, req.SourceIP, req.DestIP, req.MaxLoss)
@@ -74,12 +74,12 @@ var soapElements = []soapElement{
 		},
 		ackXML},
 	{"load_report_request", []string{"load"},
-		func([]byte) (string, OpArgs, error) { return "load", OpArgs{}, nil },
+		func(func(any) error) (string, OpArgs, error) { return "load", OpArgs{}, nil },
 		func(r OpResult) any { return &loadReportXML{LoadReport: r.Load} }},
 	{"best_effort_request", []string{"best-effort"},
-		func(body []byte) (string, OpArgs, error) {
+		func(decode func(any) error) (string, OpArgs, error) {
 			var req xmlmsg.BestEffortRequestXML
-			err := xml.Unmarshal(body, &req)
+			err := decode(&req)
 			return "best-effort", OpArgs{
 				Client:  req.Client,
 				Amount:  resource.Capacity{CPU: req.CPU, MemoryMB: req.Memory, DiskGB: req.Disk},
@@ -104,8 +104,8 @@ type loadReportXML struct {
 func (b *Broker) Mount(mux *soapx.Mux) {
 	d := NewDispatcher(b, "soap")
 	for _, el := range soapElements {
-		mux.Handle(el.name, func(body []byte) (any, error) {
-			op, args, err := el.decode(body)
+		mux.Handle(el.name, func(decode func(any) error) (any, error) {
+			op, args, err := el.decode(decode)
 			if err == nil && !slices.Contains(el.ops, op) {
 				err = fmt.Errorf("core: unknown %s %q", el.name, op)
 			}

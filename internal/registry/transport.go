@@ -138,9 +138,9 @@ func ServiceFromXML(x ServiceXML) (Service, error) { return fromXML(x) }
 // Mount installs the registry's SOAP handlers (save_service, find_service,
 // delete_service) on the mux.
 func (r *Registry) Mount(mux *soapx.Mux) {
-	mux.Handle("save_service", func(body []byte) (any, error) {
+	mux.Handle("save_service", func(decode func(any) error) (any, error) {
 		var req SaveServiceXML
-		if err := xml.Unmarshal(body, &req); err != nil {
+		if err := decode(&req); err != nil {
 			return nil, err
 		}
 		svc, err := fromXML(req.Service)
@@ -153,9 +153,9 @@ func (r *Registry) Mount(mux *soapx.Mux) {
 		}
 		return &ServiceKeyXML{Key: string(key)}, nil
 	})
-	mux.Handle("find_service", func(body []byte) (any, error) {
+	mux.Handle("find_service", func(decode func(any) error) (any, error) {
 		var req FindServiceXML
-		if err := xml.Unmarshal(body, &req); err != nil {
+		if err := decode(&req); err != nil {
 			return nil, err
 		}
 		q := Query{NamePattern: req.NamePattern, MaxRows: req.MaxRows}
@@ -172,9 +172,9 @@ func (r *Registry) Mount(mux *soapx.Mux) {
 		}
 		return resp, nil
 	})
-	mux.Handle("delete_service", func(body []byte) (any, error) {
+	mux.Handle("delete_service", func(decode func(any) error) (any, error) {
 		var req DeleteServiceXML
-		if err := xml.Unmarshal(body, &req); err != nil {
+		if err := decode(&req); err != nil {
 			return nil, err
 		}
 		if err := r.Deregister(Key(req.Key)); err != nil {

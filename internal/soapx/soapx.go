@@ -45,109 +45,209 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("soap fault %s: %s", f.Code, f.String)
 }
 
-type envelope struct {
-	XMLName xml.Name `xml:"http://schemas.xmlsoap.org/soap/envelope/ Envelope"`
-	Body    body     `xml:"http://schemas.xmlsoap.org/soap/envelope/ Body"`
+// encoder is an envelope scratch buffer with an xml.Encoder bound to it
+// once: xml.NewEncoder allocates a 4 KiB bufio.Writer, so the pair is
+// pooled, not the buffer alone.
+type encoder struct {
+	buf bytes.Buffer
+	enc *xml.Encoder
 }
 
-type body struct {
-	Inner []byte `xml:",innerxml"`
-}
-
-// bufPool recycles envelope scratch buffers across requests. Buffers
-// that grew past maxPooledBuf are dropped rather than pinned in the
-// pool by one oversized payload.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// encoders recycles pairs across messages. A pair whose buffer grew past
+// maxPooledBuf is dropped rather than pinned in the pool by one
+// oversized payload, and so is a pair whose encode failed: its encoder
+// may still hold part of an element in its bufio.Writer and tag stack.
+var encoders = sync.Pool{New: func() any {
+	e := new(encoder)
+	e.enc = xml.NewEncoder(&e.buf)
+	return e
+}}
 
 const maxPooledBuf = 64 << 10
 
-func getBuf() *bytes.Buffer {
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	return buf
+// marshalEnvelope takes a pair from the pool and writes payload's SOAP
+// envelope into its buffer, encoding the body element straight into it.
+// On success the caller reads e.buf and then calls release; on error
+// the pair is already dropped.
+func marshalEnvelope(payload any) (*encoder, error) {
+	e := encoders.Get().(*encoder)
+	e.buf.Reset()
+	e.buf.WriteString(xml.Header)
+	e.buf.WriteString(`<soap:Envelope xmlns:soap="` + EnvelopeNS + `"><soap:Body>`)
+	if err := e.enc.Encode(payload); err != nil {
+		return nil, fmt.Errorf("soapx: marshal body: %w", err)
+	}
+	e.buf.WriteString(`</soap:Body></soap:Envelope>`)
+	return e, nil
 }
 
-func putBuf(buf *bytes.Buffer) {
-	if buf.Cap() <= maxPooledBuf {
-		bufPool.Put(buf)
+func (e *encoder) release() {
+	if e.buf.Cap() <= maxPooledBuf {
+		encoders.Put(e)
 	}
-}
-
-// marshalBuf writes payload's SOAP envelope into buf, encoding the body
-// element straight into the buffer — no intermediate []byte. On error
-// buf holds a partial document and must be discarded or reset.
-func marshalBuf(buf *bytes.Buffer, payload any) error {
-	buf.WriteString(xml.Header)
-	buf.WriteString(`<soap:Envelope xmlns:soap="` + EnvelopeNS + `"><soap:Body>`)
-	if err := xml.NewEncoder(buf).Encode(payload); err != nil {
-		return fmt.Errorf("soapx: marshal body: %w", err)
-	}
-	buf.WriteString(`</soap:Body></soap:Envelope>`)
-	return nil
 }
 
 // Marshal wraps the XML encoding of payload in a SOAP envelope. The
 // returned slice is freshly allocated and owned by the caller; the
 // server path writes from a pooled buffer instead (see ServeHTTP).
 func Marshal(payload any) ([]byte, error) {
-	buf := getBuf()
-	if err := marshalBuf(buf, payload); err != nil {
-		putBuf(buf)
+	e, err := marshalEnvelope(payload)
+	if err != nil {
 		return nil, err
 	}
-	out := append([]byte(nil), buf.Bytes()...)
-	putBuf(buf)
+	out := append([]byte(nil), e.buf.Bytes()...)
+	e.release()
 	return out, nil
 }
 
-// bodyElement returns the local name of the first element inside the Body
-// and the raw body bytes.
-func bodyElement(data []byte) (string, []byte, error) {
-	var env envelope
-	if err := xml.Unmarshal(data, &env); err != nil {
-		return "", nil, fmt.Errorf("soapx: bad envelope: %w", err)
+var (
+	envelopeName = xml.Name{Space: EnvelopeNS, Local: "Envelope"}
+	bodyName     = xml.Name{Space: EnvelopeNS, Local: "Body"}
+)
+
+// bodyReader reads one SOAP envelope in a single streaming pass: openBody
+// stops on the body element, the first element inside the first Body,
+// whose local name picks the handler; decode reads the payload from the
+// same decoder and then the rest of the envelope.
+type bodyReader struct {
+	data  []byte
+	src   bytes.Reader
+	dec   *xml.Decoder
+	start xml.StartElement
+	open  int   // elements still open in dec: body element, Body, Envelope
+	bad   error // the envelope is malformed: a client fault, whatever a handler made of it
+}
+
+// openBody reads data up to its body element, skipping Envelope's other
+// children such as soap:Header.
+func openBody(data []byte) (*bodyReader, error) {
+	r := &bodyReader{data: data, open: 3}
+	r.src.Reset(data)
+	r.dec = xml.NewDecoder(&r.src)
+	if err := r.seekBody(); err != nil {
+		return nil, fmt.Errorf("soapx: bad envelope: %w", err)
 	}
-	dec := xml.NewDecoder(bytes.NewReader(env.Body.Inner))
+	return r, nil
+}
+
+func (r *bodyReader) seekBody() error {
+	env, _, err := child(r.dec)
+	if err != nil {
+		return err
+	}
+	if env.Name != envelopeName {
+		return fmt.Errorf("root is <%s> in name space %q", env.Name.Local, env.Name.Space)
+	}
+	for {
+		el, ok, err := child(r.dec)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return errEmptyBody
+		}
+		if el.Name == bodyName {
+			break
+		}
+		if err := r.dec.Skip(); err != nil {
+			return err
+		}
+	}
+	var ok bool
+	r.start, ok, err = child(r.dec)
+	if err == nil && !ok {
+		err = errEmptyBody
+	}
+	return err
+}
+
+var errEmptyBody = errors.New("empty body")
+
+// child reads up to the next element start inside the current element;
+// ok is false when the current element ends first.
+func child(dec *xml.Decoder) (start xml.StartElement, ok bool, err error) {
 	for {
 		tok, err := dec.Token()
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return "", nil, errors.New("soapx: empty body")
-			}
-			return "", nil, fmt.Errorf("soapx: bad body: %w", err)
+			return xml.StartElement{}, false, err
 		}
-		if start, ok := tok.(xml.StartElement); ok {
-			return start.Name.Local, env.Body.Inner, nil
+		switch t := tok.(type) {
+		case xml.StartElement:
+			return t, true, nil
+		case xml.EndElement:
+			return xml.StartElement{}, false, nil
 		}
 	}
+}
+
+// decode decodes the body element into v and then reads the envelope to
+// its end, so a nil error means the whole document was well-formed. It
+// is the decode function a HandlerFunc receives.
+func (r *bodyReader) decode(v any) error {
+	if r.open != 3 {
+		return errors.New("soapx: body decoded twice")
+	}
+	err := r.dec.DecodeElement(v, &r.start)
+	if err == nil {
+		r.open = 2
+		return r.finish()
+	}
+	// A failed decode leaves dec at an unknown depth. Reading the envelope
+	// again, skipping the body element, tells a syntax error (a bad
+	// envelope) from a well-formed payload of the wrong shape.
+	again, aerr := openBody(r.data)
+	if aerr == nil {
+		aerr = again.finish()
+	}
+	r.open, r.bad = 0, aerr
+	return err
+}
+
+// finish reads the rest of the envelope, once, and returns r.bad.
+func (r *bodyReader) finish() error {
+	for ; r.open > 0 && r.bad == nil; r.open-- {
+		if err := r.dec.Skip(); err != nil {
+			r.bad = fmt.Errorf("soapx: bad envelope: %w", err)
+		}
+	}
+	return r.bad
 }
 
 // Unmarshal extracts the body payload of a SOAP envelope into v. If the
 // body is a Fault it is returned as the error.
 func Unmarshal(data []byte, v any) error {
-	name, inner, err := bodyElement(data)
+	r, err := openBody(data)
 	if err != nil {
 		return err
 	}
-	if name == "Fault" {
-		var f Fault
-		if err := xml.Unmarshal(inner, &f); err != nil {
-			return fmt.Errorf("soapx: bad fault: %w", err)
-		}
-		return &f
+	var f *Fault
+	if r.start.Name.Local == "Fault" {
+		f = new(Fault)
+		v = f
 	}
-	if err := xml.Unmarshal(inner, v); err != nil {
+	err = r.decode(v)
+	switch {
+	case r.bad != nil:
+		return r.bad
+	case err != nil && f != nil:
+		return fmt.Errorf("soapx: bad fault: %w", err)
+	case err != nil:
 		return fmt.Errorf("soapx: unmarshal body: %w", err)
+	case f != nil:
+		return f
 	}
 	return nil
 }
 
-// HandlerFunc processes one decoded request body and returns the response
-// payload (marshaled into the response envelope) or an error (returned as
-// a soap:Server fault; an error that is a *Fault is sent as it stands, so
-// a handler can put a machine-readable detail on the wire). The raw body
-// bytes are provided; implementations unmarshal into their request type.
-type HandlerFunc func(body []byte) (any, error)
+// HandlerFunc processes one request and returns the response payload
+// (marshaled into the response envelope) or an error (returned as a
+// soap:Server fault; an error that is a *Fault is sent as it stands, so
+// a handler can put a machine-readable detail on the wire). decode reads
+// the body element into the handler's request type and then the rest of
+// the envelope; a handler acts only once it returned nil. A malformed
+// envelope is answered with a soap:Client fault whatever the handler
+// returns; the mux reads it to the end if the handler never decodes.
+type HandlerFunc func(decode func(v any) error) (any, error)
 
 // Mux dispatches SOAP requests on the body element's local name. Plain
 // HTTP endpoints (metrics, profiling) can be mounted next to the SOAP
@@ -223,27 +323,34 @@ func (m *Mux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, http.StatusBadRequest, "Client", "read body", err.Error())
 		return
 	}
-	name, inner, err := bodyElement(data)
+	body, err := openBody(data)
 	if err != nil {
 		writeFault(w, http.StatusBadRequest, "Client", "bad envelope", err.Error())
 		return
 	}
+	name := body.start.Name.Local
 	m.mu.RLock()
 	h, ok := m.handlers[name]
 	inj := m.Faults
 	m.mu.RUnlock()
+	var resp any
+	if ok {
+		err = inj.Do("soapx.server", func() error {
+			r, herr := h(body.decode)
+			if herr == nil {
+				resp = r
+			}
+			return herr
+		})
+	}
+	if bad := body.finish(); bad != nil {
+		writeFault(w, http.StatusBadRequest, "Client", "bad envelope", bad.Error())
+		return
+	}
 	if !ok {
 		writeFault(w, http.StatusBadRequest, "Client", "no handler for "+name, "")
 		return
 	}
-	var resp any
-	err = inj.Do("soapx.server", func() error {
-		r, herr := h(inner)
-		if herr == nil {
-			resp = r
-		}
-		return herr
-	})
 	if err != nil {
 		var f *Fault
 		if !errors.As(err, &f) {
@@ -252,15 +359,14 @@ func (m *Mux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeFaultDoc(w, http.StatusInternalServerError, f)
 		return
 	}
-	buf := getBuf()
-	if err := marshalBuf(buf, resp); err != nil {
-		putBuf(buf)
+	e, err := marshalEnvelope(resp)
+	if err != nil {
 		writeFault(w, http.StatusInternalServerError, "Server", "marshal response", err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", ContentType)
-	_, _ = w.Write(buf.Bytes())
-	putBuf(buf)
+	_, _ = w.Write(e.buf.Bytes())
+	e.release()
 }
 
 func writeFault(w http.ResponseWriter, status int, code, msg, detail string) {
@@ -268,16 +374,15 @@ func writeFault(w http.ResponseWriter, status int, code, msg, detail string) {
 }
 
 func writeFaultDoc(w http.ResponseWriter, status int, f *Fault) {
-	buf := getBuf()
-	if err := marshalBuf(buf, f); err != nil {
-		putBuf(buf)
+	e, err := marshalEnvelope(f)
+	if err != nil {
 		http.Error(w, f.String, status)
 		return
 	}
 	w.Header().Set("Content-Type", ContentType)
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
-	putBuf(buf)
+	_, _ = w.Write(e.buf.Bytes())
+	e.release()
 }
 
 // Client calls SOAP endpoints.

@@ -67,9 +67,9 @@ func TestUnmarshalErrors(t *testing.T) {
 func newEchoServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	mux := NewMux()
-	mux.Handle("ping", func(body []byte) (any, error) {
+	mux.Handle("ping", func(decode func(any) error) (any, error) {
 		var req pingReq
-		if err := xml.Unmarshal(body, &req); err != nil {
+		if err := decode(&req); err != nil {
 			return nil, err
 		}
 		if req.Message == "fail" {
@@ -149,6 +149,72 @@ func TestServerRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestServerBadEnvelopeIsClientFault: the mux reads an envelope once,
+// handing the handler a decode function, and a document malformed
+// anywhere is still answered 400 soap:Client "bad envelope" — whether the
+// fault sits in the payload the handler decodes, after it, or in an
+// envelope whose handler never decodes at all. A well-formed payload of
+// the wrong shape stays the handler's 500 soap:Server fault.
+func TestServerBadEnvelopeIsClientFault(t *testing.T) {
+	mux := NewMux()
+	mux.Handle("ping", func(decode func(any) error) (any, error) {
+		var req pingReq
+		if err := decode(&req); err != nil {
+			return nil, err
+		}
+		return &pingResp{Echo: req.Message}, nil
+	})
+	mux.Handle("count", func(decode func(any) error) (any, error) {
+		var req struct {
+			N int `xml:"n"`
+		}
+		return &pingResp{}, decode(&req)
+	})
+	mux.Handle("load_report_request", func(func(any) error) (any, error) {
+		return &pingResp{Echo: "load"}, nil
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	open := xml.Header + `<soap:Envelope xmlns:soap="` + EnvelopeNS + `"><soap:Body>`
+	const shut = `</soap:Body></soap:Envelope>`
+	for _, tc := range []struct {
+		name, doc string
+		status    int
+		fault     string
+	}{
+		{"malformed payload", open + `<ping><message>x</ping>` + shut, 400, "bad envelope"},
+		{"malformed after payload", open + `<ping/></soap:Body><junk></soap:Envelope>`, 400, "bad envelope"},
+		{"undecoded body, malformed after", open + `<load_report_request/></soap:Body><junk></soap:Envelope>`, 400, "bad envelope"},
+		{"truncated after undecoded body", open + `<load_report_request/>`, 400, "bad envelope"},
+		{"wrong shape, malformed after", open + `<count><n>x</n></count></soap:Body><junk></soap:Envelope>`, 400, "bad envelope"},
+		{"unknown element, malformed after", open + `<nope/></soap:Body><junk></soap:Envelope>`, 400, "bad envelope"},
+		{"wrong shape", open + `<count><n>x</n></count>` + shut, 500, `strconv.ParseInt: parsing "x": invalid syntax`},
+		{"undecoded body", open + `<load_report_request/>` + shut, 200, ""},
+	} {
+		resp, err := http.Post(srv.URL, ContentType, strings.NewReader(tc.doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, resp)
+		var f *Fault
+		errors.As(Unmarshal([]byte(body), &pingResp{}), &f)
+		switch {
+		case resp.StatusCode != tc.status:
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, body)
+		case tc.fault == "" && f != nil:
+			t.Errorf("%s: fault %+v", tc.name, f)
+		case tc.fault == "":
+		case f == nil:
+			t.Errorf("%s: no fault in %s", tc.name, body)
+		case tc.status == 400 && (f.Code != "soap:Client" || f.String != tc.fault):
+			t.Errorf("%s: fault %+v, want soap:Client %q", tc.name, f, tc.fault)
+		case tc.status == 500 && (f.Code != "soap:Server" || !strings.Contains(f.String, tc.fault)):
+			t.Errorf("%s: fault %+v, want soap:Server %q", tc.name, f, tc.fault)
+		}
+	}
+}
+
 func TestClientBadEndpoint(t *testing.T) {
 	c := Client{Endpoint: "http://127.0.0.1:1/nope"}
 	var resp pingResp
@@ -159,9 +225,9 @@ func TestClientBadEndpoint(t *testing.T) {
 
 func TestHandleHTTPExactPath(t *testing.T) {
 	mux := NewMux()
-	mux.Handle("ping", func(body []byte) (any, error) {
+	mux.Handle("ping", func(decode func(any) error) (any, error) {
 		var req pingReq
-		if err := xml.Unmarshal(body, &req); err != nil {
+		if err := decode(&req); err != nil {
 			return nil, err
 		}
 		return &pingResp{Echo: req.Message}, nil
@@ -245,7 +311,7 @@ func readAll(t *testing.T, resp *http.Response) string {
 // envelope).
 func TestHandleHTTPMethodsOnExactMount(t *testing.T) {
 	mux := NewMux()
-	mux.Handle("ping", func(body []byte) (any, error) {
+	mux.Handle("ping", func(func(any) error) (any, error) {
 		return &pingResp{Echo: "soap"}, nil
 	})
 	mux.HandleHTTP("/hook", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -295,7 +361,7 @@ func TestHandleHTTPMethodsOnExactMount(t *testing.T) {
 // SOAP endpoint on one listener.
 func TestHandleHTTPSubtreeShadowsSOAP(t *testing.T) {
 	mux := NewMux()
-	mux.Handle("ping", func(body []byte) (any, error) {
+	mux.Handle("ping", func(func(any) error) (any, error) {
 		return &pingResp{Echo: "soap"}, nil
 	})
 	mux.HandleHTTP("/api/", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -113,8 +113,9 @@ type LoadReportRequestXML struct {
 	XMLName xml.Name `xml:"load_report_request"`
 }
 
-// EncodeRequest converts broker-level request fields to the wire form.
-// (The core package converts back; this package stays dependency-light.)
+// EncodeSpec converts a QoS specification's parameters to their wire
+// form, one parameter per dimension in canonical order; DecodeSpec
+// converts back.
 func EncodeSpec(spec sla.Spec) []QoSParamXML {
 	kinds := spec.Kinds()
 	out := make([]QoSParamXML, 0, len(kinds))
