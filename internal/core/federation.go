@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -17,8 +16,8 @@ import (
 // A Federation links the brokers of several administrative domains; a
 // request the local broker cannot serve (no matching service, or
 // insufficient capacity even after scenario-1 compensation) is forwarded
-// to neighbor brokers in preference order, and the winning domain's offer
-// is returned to the client unchanged.
+// to neighbor brokers one at a time, in preference order, and the first
+// domain's offer is returned to the client unchanged.
 
 // Peer is a neighboring AQoS broker. It is satisfied by *Broker (local
 // wiring) and by *Client via PeerClient (SOAP wiring).
@@ -27,9 +26,6 @@ type Peer interface {
 	PeerDomain() string
 	// PeerRequest forwards a service request.
 	PeerRequest(req Request) (*Offer, error)
-	// PeerReject retracts a proposed SLA: the federation cleans up offers
-	// that lost the registration-order race with it.
-	PeerReject(id sla.ID) error
 }
 
 // PeerDomain implements Peer for the local broker.
@@ -38,9 +34,6 @@ func (b *Broker) PeerDomain() string { return b.cfg.Domain }
 // PeerRequest implements Peer for the local broker.
 func (b *Broker) PeerRequest(req Request) (*Offer, error) { return b.RequestService(req) }
 
-// PeerReject implements Peer for the local broker.
-func (b *Broker) PeerReject(id sla.ID) error { return b.Reject(id) }
-
 var _ Peer = (*Broker)(nil)
 
 // ErrNoDomainCanServe is returned when the local broker and every
@@ -48,16 +41,15 @@ var _ Peer = (*Broker)(nil)
 var ErrNoDomainCanServe = errors.New("core: no domain can serve the request")
 
 // ErrDuplicatePeer is returned by AddPeer for a peer whose domain is
-// already registered (or is the home domain itself): the fan-out would
-// otherwise try the same broker twice and could retract the same offer
-// twice.
+// already registered (or is the home domain itself): the walk would
+// otherwise ask the same broker twice for one request.
 var ErrDuplicatePeer = errors.New("core: peer domain already registered")
 
 // ErrPeerUnavailable is the recovery-gated refusal: a broker that is
 // mid-Recover (WAL replay and RM reconciliation still in flight) refuses
 // admissions with it instead of answering from half-installed state.
 // Unlike a dead peer's ErrClosed it is transient — retryable() treats it
-// like a flaky wire, so the fan-out retries within its budget and the
+// like a flaky wire, so the federation retries within its budget and the
 // front tier re-routes the admission instead of failing it.
 var ErrPeerUnavailable = errors.New("core: peer broker temporarily unavailable (recovering)")
 
@@ -68,12 +60,6 @@ type Federation struct {
 
 	mu    sync.Mutex
 	peers []Peer
-
-	// wg tracks the fan-out's background goroutines (slow peers still
-	// answering after an early winner, and loser retraction); Quiesce
-	// waits for them so a harness can checkpoint without racing a
-	// retraction.
-	wg sync.WaitGroup
 }
 
 // NewFederation returns a federation around the home broker.
@@ -83,9 +69,8 @@ func NewFederation(home *Broker) *Federation {
 
 // AddPeer registers a neighboring AQoS. Peers are tried in registration
 // order. A peer whose domain is already registered — or that names the
-// home domain — is rejected with ErrDuplicatePeer: forwarding to the
-// same broker twice wastes a fan-out slot and can double-retract the
-// same losing offer.
+// home domain — is rejected with ErrDuplicatePeer: a domain that declined
+// a request once would only be asked to decline it again.
 func (f *Federation) AddPeer(p Peer) error {
 	domain := p.PeerDomain()
 	if domain == f.home.cfg.Domain {
@@ -113,9 +98,12 @@ type FederatedOffer struct {
 	Forwarded bool
 }
 
-// RequestService tries the home broker first, then each neighbor. It
-// returns the first successful offer; when everyone declines it returns
-// ErrNoDomainCanServe wrapping the home broker's error.
+// RequestService tries the home broker first, then each neighbor in
+// registration order, one at a time on the caller's goroutine. The first
+// offer wins and no later neighbor is asked, so no domain admits — or
+// compensates its own clients — for an offer nobody takes. When everyone
+// declines it returns ErrNoDomainCanServe wrapping the home broker's
+// error, with the neighbors' refusals in the order they were asked.
 func (f *Federation) RequestService(req Request) (*FederatedOffer, error) {
 	homeOffer, homeErr := f.home.RequestService(req)
 	if homeErr == nil {
@@ -129,79 +117,30 @@ func (f *Federation) RequestService(req Request) (*FederatedOffer, error) {
 	peers := append([]Peer(nil), f.peers...)
 	f.mu.Unlock()
 
-	// Fan the request out to every neighbor at once; one slow or
-	// unreachable peer no longer serializes the rest. The scan below walks
-	// results in registration order, so the winning domain is the same one
-	// the old sequential loop would have picked.
-	results := make([]chan peerResult, len(peers))
-	for i, p := range peers {
-		ch := make(chan peerResult, 1)
-		results[i] = ch
-		f.wg.Add(1)
-		go func(p Peer, ch chan<- peerResult) {
-			defer f.wg.Done()
-			// Each peer call runs under the home broker's retry policy:
-			// a flaky wire is retried, a dead neighbor is given up on
-			// after the budget instead of hanging the fan-out. A retry
-			// after a lost reply may leave an extra temporary reservation
-			// on the peer — its confirm window reclaims it, exactly like
-			// any other unaccepted offer.
-			var offer *Offer
-			err := f.home.pol.call("peer.request", func() error {
-				o, perr := p.PeerRequest(req)
-				if perr == nil {
-					offer = o
-				}
-				return perr
-			})
-			ch <- peerResult{offer: offer, err: err}
-		}(p, ch)
-	}
 	var attempts []string
-	for i, p := range peers {
-		r := <-results[i]
-		if r.err != nil {
-			attempts = append(attempts, fmt.Sprintf("%s: %v", p.PeerDomain(), r.err))
+	for _, p := range peers {
+		// Each peer call runs under the home broker's retry policy: a flaky
+		// wire is retried, a dead neighbor is given up on after the budget
+		// and the walk moves on. A retry after a lost reply may leave an
+		// extra temporary reservation on the peer — its confirm window
+		// reclaims it, exactly like any other unaccepted offer.
+		var offer *Offer
+		err := f.home.pol.call("peer.request", func() error {
+			o, perr := p.PeerRequest(req)
+			if perr == nil {
+				offer = o
+			}
+			return perr
+		})
+		if err != nil {
+			attempts = append(attempts, fmt.Sprintf("%s: %v", p.PeerDomain(), err))
 			continue
 		}
-		// Peers past the winner are still in flight; retract whatever they
-		// offer so losing domains do not sit on temporary reservations
-		// until their confirm windows lapse.
-		f.wg.Add(1)
-		go func(losers []Peer, pending []chan peerResult) {
-			defer f.wg.Done()
-			retractLosers(losers, pending)
-		}(peers[i+1:], results[i+1:])
 		f.home.logf("federation", "", "request for %q forwarded to neighbor %q", req.Service, p.PeerDomain())
-		return &FederatedOffer{Offer: *r.offer, Domain: p.PeerDomain(), Forwarded: true}, nil
+		return &FederatedOffer{Offer: *offer, Domain: p.PeerDomain(), Forwarded: true}, nil
 	}
-	sort.Strings(attempts)
 	return nil, fmt.Errorf("%w: home %q: %v; neighbors: %v",
 		ErrNoDomainCanServe, f.home.cfg.Domain, homeErr, attempts)
-}
-
-// Quiesce blocks until every background fan-out goroutine — slow peers
-// still answering after an early winner, and the retraction of their
-// losing offers — has finished. Checkpointing harnesses call it before
-// asserting reservation hygiene; an in-flight retraction is not a leak.
-func (f *Federation) Quiesce() { f.wg.Wait() }
-
-// peerResult is one neighbor's answer to a fanned-out request.
-type peerResult struct {
-	offer *Offer
-	err   error
-}
-
-// retractLosers drains the still-pending results of peers that lost to an
-// earlier-registered winner and rejects any offer they produced.
-func retractLosers(peers []Peer, results []chan peerResult) {
-	for i, p := range peers {
-		r := <-results[i]
-		if r.err != nil || r.offer == nil {
-			continue
-		}
-		_ = p.PeerReject(r.offer.SLA.ID)
-	}
 }
 
 // Forwardable reports whether another domain might serve a request this
@@ -249,7 +188,7 @@ func (p *PeerClient) PeerRequest(req Request) (*Offer, error) {
 		return nil, err
 	}
 	// The offer is outside input: one that does not validate is declined,
-	// and the fan-out moves on to the next peer.
+	// and the federation moves on to the next peer.
 	doc, err := sla.DecodeDocument(resp.SLA)
 	if err == nil {
 		err = doc.Validate()
@@ -264,14 +203,6 @@ func (p *PeerClient) PeerRequest(req Request) (*Offer, error) {
 		}
 	}
 	return offer, nil
-}
-
-// PeerReject implements Peer: a losing concurrent offer is
-// rejected on the remote broker so its temporary reservation is freed
-// immediately instead of lapsing with the confirm window.
-func (p *PeerClient) PeerReject(id sla.ID) error {
-	_, err := p.Client.Act(id, "reject", "lost federation race")
-	return err
 }
 
 var _ Peer = (*PeerClient)(nil)

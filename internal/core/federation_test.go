@@ -176,7 +176,7 @@ func TestFederationOverSOAP(t *testing.T) {
 
 // TestFederationDeclinesInvalidPeerOffer: a remote broker's offer is
 // outside input. A peer that answers with a document that does not
-// validate (here an empty SLA-ID) is a decline, and the fan-out moves on to
+// validate (here an empty SLA-ID) is a decline, and the walk moves on to
 // the next peer.
 func TestFederationDeclinesInvalidPeerOffer(t *testing.T) {
 	mux := soapx.NewMux()

@@ -1,7 +1,7 @@
 package core
 
 // Hand-off and cluster-satellite regression tests: peer dedupe, the
-// recovery-gated transient refusal on the fan-out path, and the
+// recovery-gated transient refusal on the federation's walk, and the
 // crash-mid-migration interleavings (source killed after the target
 // committed; target killed mid-import) recovered from the WAL.
 
@@ -89,8 +89,8 @@ func establishedSession(t *testing.T, b *Broker, n float64) sla.ID {
 }
 
 // TestAddPeerDuplicateDomain: registering the same peer domain twice —
-// or the home domain itself — is refused, so the fan-out never queries
-// one broker twice nor double-retracts a losing offer.
+// or the home domain itself — is refused, so the walk never asks one
+// broker twice for the same request.
 func TestAddPeerDuplicateDomain(t *testing.T) {
 	home := domainBroker(t, "domain1", "solver", 20)
 	fed := NewFederation(home)
@@ -110,8 +110,9 @@ func TestAddPeerDuplicateDomain(t *testing.T) {
 }
 
 // TestFederationRecoveringPeerReroutes: a recovering peer's transient
-// refusal must not poison the fan-out — an earlier-registered recovering
-// peer is skipped and a later healthy one serves the request.
+// refusal must not end the walk — an earlier-registered recovering peer
+// is skipped once its retry budget is spent and a later healthy one
+// serves the request.
 func TestFederationRecoveringPeerReroutes(t *testing.T) {
 	if !retryable(ErrPeerUnavailable) {
 		t.Fatal("ErrPeerUnavailable must be retryable, or the front tier treats a recovering broker as dead")
@@ -144,9 +145,9 @@ func TestFederationRecoveringPeerReroutes(t *testing.T) {
 	}
 }
 
-// TestFederationRestartDuringFanout: a fan-out that reaches a broker
-// mid-WAL-replay gets the recovery-gated ErrPeerUnavailable, and the
-// same federation serves the request once recovery lands.
+// TestFederationRestartDuringFanout: a federation whose walk reaches a
+// broker mid-WAL-replay gets the recovery-gated ErrPeerUnavailable, and
+// the same federation serves the request once recovery lands.
 func TestFederationRestartDuringFanout(t *testing.T) {
 	home := domainBroker(t, "home", "solver", 10)
 	side := newHandoffSide(t, "peerdom", 200)

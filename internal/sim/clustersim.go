@@ -156,7 +156,10 @@ func (w *windowWorkload) step(i int) {
 			w.live = w.live[1:]
 			w.terminate(oldest, "window slide", fmt.Sprintf("client %d terminate %s", i, oldest))
 		}
-	case err != nil && isClusterReject(err):
+	case errors.Is(err, core.ErrNoDomainCanServe):
+		// A refusal core.Forwardable accepts reaches the caller only
+		// wrapped, once every member declined; anything else is a harness
+		// failure.
 		w.outcome('R', &w.rejected)
 	default:
 		w.outcome('E', &w.errors)
@@ -170,14 +173,6 @@ func (w *windowWorkload) drain() {
 	for _, id := range w.live {
 		w.terminate(id, "drain", fmt.Sprintf("drain %s", id))
 	}
-}
-
-// isClusterReject classifies the errors that mean "the cluster refused
-// this request" (identical for one broker and many) rather than a
-// harness failure.
-func isClusterReject(err error) bool {
-	return errors.Is(err, core.ErrNoDomainCanServe) || errors.Is(err, core.ErrCannotHonor) ||
-		errors.Is(err, core.ErrNoService) || errors.Is(err, core.ErrOverBudget)
 }
 
 // RunClusterSim drives the workload described in the file comment. A
