@@ -86,8 +86,6 @@ func run(args []string) error {
 		walDir     = fs.String("wal-dir", "", "durability directory: lifecycle WAL + snapshots; a restart with the same directory recovers the broker's state")
 		intake     = fs.Bool("intake", false, "enable the group-commit admission intake: concurrent JSON-API admissions share one allocator pass and one WAL fsync per batch")
 		intakeWait = fs.Duration("intake-flush", 0, "with -intake: idle flush interval bounding how long a queued admission waits for company (0 = flush on demand)")
-		policy     = fs.String("policy", "", "adaptation policy (default \"paper\"; see qosctl policies for the table)")
-		shadowPol  = fs.String("shadow-policy", "", "consult this candidate policy in shadow at every partition grant, counting divergence without affecting live decisions")
 		peers      peerFlags
 	)
 	fs.Var(&peers, "peer", "neighboring AQoS endpoint as name=url (repeatable); requests this domain cannot serve are forwarded")
@@ -136,10 +134,8 @@ func run(args []string) error {
 			Timeout:  *rmTimeout,
 			Backoff:  *rmBackoff,
 		},
-		WALDir:       *walDir,
-		Intake:       gqosm.IntakeConfig{Enabled: *intake, FlushEvery: *intakeWait},
-		Policy:       *policy,
-		ShadowPolicy: *shadowPol,
+		WALDir: *walDir,
+		Intake: gqosm.IntakeConfig{Enabled: *intake, FlushEvery: *intakeWait},
 	})
 	if err != nil {
 		return err
@@ -155,10 +151,6 @@ func run(args []string) error {
 	mode := "direct"
 	if *intake {
 		mode = "group-commit intake"
-	}
-	if *shadowPol != "" {
-		log.Printf("aqosd: policy %q active, %q consulted in shadow",
-			stack.Broker.PolicyName(), stack.Broker.ShadowPolicyName())
 	}
 	log.Printf("aqosd: domain %q serving SOAP + JSON (/api/v1/) on %s (plan G=%v A=%v B=%v, admission %s)",
 		*domain, *listen, plan.Guaranteed, plan.Adaptive, plan.BestEffort, mode)

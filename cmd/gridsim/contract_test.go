@@ -148,14 +148,6 @@ func TestReportContract(t *testing.T) {
 					t.Errorf("a composite sums its children's checks and has no tally: %+v / %+v", rep.Oracle, rep.Outcome.Tally)
 				}
 			}},
-		{name: "scenario-shadow", mode: "scenario",
-			args:   []string{"-scenario", "lease-churn", "-shadow", "revenue-greedy", "-seed", "1", "-ops", "600"},
-			blocks: []string{"runs.lease-churn.:shadow", "runs.lease-churn.runs.candidate.:scenario"},
-			pins: func(t *testing.T, rep *sim.Report) {
-				if sr := rep.Runs["lease-churn"]; !sr.Oracle.Gates["shadow_clean"] || sr.Outcome.Shadow.Evaluations == 0 {
-					t.Errorf("shadow evaluation degenerate: %+v / %+v", sr.Oracle, sr.Outcome.Shadow)
-				}
-			}},
 		{name: "restart-chaos", mode: "restart-chaos", args: []string{"-chaos", "-restarts", "2", "-seed", "7", "-ops", "800"},
 			blocks: []string{":faults", ":recovery"},
 			pins: func(t *testing.T, rep *sim.Report) {

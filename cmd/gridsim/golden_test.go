@@ -59,8 +59,6 @@ func TestGoldenCommittedArtifacts(t *testing.T) {
 			[]string{"..", "..", "BENCH_chaos.json"}},
 		{"recovery", []string{"-chaos", "-restarts", "3", "-seed", "7", "-json"},
 			[]string{"..", "..", "BENCH_recovery.json"}},
-		{"shadow", []string{"-scenario", "all", "-shadow", "revenue-greedy", "-seed", "7", "-ops", "3000", "-json"},
-			[]string{"..", "..", "BENCH_shadow.json"}},
 		{"chaos-intake", []string{"-chaos", "-intake", "-seed", "7", "-json"},
 			[]string{"testdata", "chaos_intake_seed7.json"}},
 	} {

@@ -21,7 +21,6 @@ import (
 	"gqosm"
 	"gqosm/internal/obs"
 	"gqosm/internal/resource"
-	"gqosm/internal/shadow"
 	"gqosm/internal/sim"
 	"gqosm/internal/sla"
 )
@@ -35,11 +34,11 @@ func main() {
 
 // options holds every flag value.
 type options struct {
-	experiment, walDir, transport, scenario, shadow string
-	seed                                            int64
-	clients, ops, phases, restarts, cluster         int
-	faultRate                                       float64
-	verbose, jsonOut, intake, soak                  bool
+	experiment, walDir, transport, scenario string
+	seed                                    int64
+	clients, ops, phases, restarts, cluster int
+	faultRate                               float64
+	verbose, jsonOut, intake, soak          bool
 	// summary, when a mode sets it, prints below the plain-text document.
 	summary func()
 }
@@ -64,8 +63,8 @@ type mode struct {
 var modes = []mode{
 	{"cluster", "N brokers behind the front tier vs a 1-broker baseline over the same workload, their outcome parity, and for N > 1 the hand-off crash drill (BENCH_cluster.json)",
 		[]string{"cluster"}, []string{"clients", "seed", "json"}, runCluster},
-	{"scenario", "replay a named traffic scenario (or all, or list); -soak adds runtime-health sampling (BENCH_scenarios.json), -shadow evaluates a candidate policy (BENCH_shadow.json)",
-		[]string{"scenario"}, []string{"soak", "shadow", "seed", "ops", "json"}, runScenarios},
+	{"scenario", "replay a named traffic scenario (or all, or list); -soak adds runtime-health sampling (BENCH_scenarios.json)",
+		[]string{"scenario"}, []string{"soak", "seed", "ops", "json"}, runScenarios},
 	{"restart-chaos", "chaos against a durable broker killed and WAL-recovered mid-workload (BENCH_recovery.json)",
 		[]string{"chaos", "restarts"}, []string{"clients", "ops", "seed", "faultrate", "wal-dir", "intake", "json"}, runChaos},
 	{"chaos", "stress workload stepped serially under seeded fault injection (BENCH_chaos.json)",
@@ -198,7 +197,6 @@ func flagSet(o *options) *flag.FlagSet {
 	fs.StringVar(&o.transport, "transport", "", "admission transport for -parallel: empty (in-process) or http (loopback JSON API)")
 	fs.StringVar(&o.scenario, "scenario", "", "replay a workload scenario by name ('all' for every scenario, 'list' for the catalog)")
 	fs.BoolVar(&o.soak, "soak", false, "run -scenario in long-run soak mode: bounded working set, runtime health sampling")
-	fs.StringVar(&o.shadow, "shadow", "", "with -scenario: evaluate the named candidate policy in shadow (divergence counts + counterfactual deltas)")
 	fs.IntVar(&o.cluster, "cluster", 0, "run the multi-broker workload with N broker instances behind the front tier")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "Usage of gridsim — one mode per run:\n\n%s\n", modeTable())
@@ -304,9 +302,6 @@ func runCluster(o *options) (*sim.Report, error) {
 // all`, every scenario as a composite keyed by name — the shape recorded
 // in BENCH_scenarios.json.
 func runScenarios(o *options) (*sim.Report, error) {
-	if o.shadow != "" && o.soak {
-		return nil, fmt.Errorf("-shadow and -soak are mutually exclusive (the shadow lab replays each scenario three times itself)")
-	}
 	if o.scenario == "list" {
 		header("SCENARIOS", "workload scenario catalog")
 		for _, sc := range sim.Scenarios() {
@@ -321,9 +316,6 @@ func runScenarios(o *options) (*sim.Report, error) {
 			return nil, fmt.Errorf("unknown scenario %q (try -scenario list)", o.scenario)
 		}
 		list = []sim.Scenario{sc}
-	}
-	if o.shadow != "" {
-		return shadow.Run(list, shadow.Config{Candidate: o.shadow, Seed: o.seed, Ops: o.ops})
 	}
 
 	cfg := sim.ScenarioConfig{Seed: o.seed, Ops: o.ops}

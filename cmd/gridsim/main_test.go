@@ -49,8 +49,6 @@ func TestRunArgumentErrors(t *testing.T) {
 		"transport-no-mode":   {"-transport", "http"},
 		"transport-chaos":     {"-chaos", "-transport", "http"},
 		"restarts-no-chaos":   {"-restarts", "3"},
-		"shadow-no-scenario":  {"-shadow", "revenue-greedy"},
-		"shadow-and-soak":     {"-scenario", "all", "-shadow", "revenue-greedy", "-soak"},
 		"negative-faultrate":  {"-chaos", "-faultrate", "-0.1"},
 		"removed-cache-knob":  {"-parallel", "-cache", "off"},
 		"bad-transport-value": {"-parallel", "-transport", "carrier-pigeon"},

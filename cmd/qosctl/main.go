@@ -17,7 +17,6 @@
 //	qosctl -broker http://localhost:8080 renegotiate -sla site-a-sla-0001 -cpu 12
 //	qosctl -broker http://localhost:8080 besteffort -client me -cpu 4
 //	qosctl -broker http://localhost:8080 metrics
-//	qosctl -broker http://localhost:8080 policies
 //	qosctl load -endpoints http://localhost:8080,http://localhost:8081
 //
 // The -transport flag picks the wire protocol: soap (default, the
@@ -59,7 +58,7 @@ func run(args []string) error {
 	}
 	rest := global.Args()
 	if len(rest) == 0 {
-		return fmt.Errorf("missing subcommand: request | accept | reject | invoke | verify | terminate | besteffort | metrics | load | policies")
+		return fmt.Errorf("missing subcommand: request | accept | reject | invoke | verify | terminate | besteffort | metrics | load")
 	}
 	w, err := newWire(*transport, *broker)
 	if err != nil {
@@ -81,8 +80,6 @@ func run(args []string) error {
 		return doMetrics(*broker, rest)
 	case "load":
 		return doLoad(*transport, *broker, rest)
-	case "policies":
-		return doPolicies(*broker, rest)
 	default:
 		return fmt.Errorf("unknown subcommand %q", cmd)
 	}
@@ -335,45 +332,6 @@ func doLoad(transport, broker string, args []string) error {
 		fmt.Printf("%-24s %-10s %8d %8.3f  %s\n", ep, r.Domain, r.Sessions, r.Load, state)
 	}
 	return firstErr
-}
-
-// doPolicies lists a running broker's adaptation policies: the active
-// one, the shadow candidate under evaluation (if any), and every name
-// the registry can resolve. Always rides the JSON API — there is no
-// SOAP policies operation.
-func doPolicies(broker string, args []string) error {
-	fs := flag.NewFlagSet("policies", flag.ContinueOnError)
-	raw := fs.Bool("json", false, "print the raw JSON report")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	rep, err := gqosm.NewJSONBrokerClient(broker).Policies()
-	if err != nil {
-		return err
-	}
-	if *raw {
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(out))
-		return nil
-	}
-	fmt.Printf("%-16s %s\n", "POLICY", "ROLE")
-	for _, name := range rep.Policies {
-		role := ""
-		if name == rep.Active {
-			role = "active"
-		}
-		if name == rep.Shadow {
-			if role != "" {
-				role += ", "
-			}
-			role += "shadow"
-		}
-		fmt.Printf("%-16s %s\n", name, role)
-	}
-	return nil
 }
 
 // doMetrics prints the broker's /metrics snapshot: the broker-side

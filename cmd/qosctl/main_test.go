@@ -250,53 +250,6 @@ func TestLoadAgainstDeadBroker(t *testing.T) {
 	}
 }
 
-// TestPoliciesSubcommand round-trips the policy registry from a running
-// broker: the table lists every registered policy and marks the active
-// and shadow roles; -json emits the raw report.
-func TestPoliciesSubcommand(t *testing.T) {
-	stack, err := gqosm.NewStack(gqosm.StackConfig{
-		Domain: "site-p",
-		Plan: gqosm.CapacityPlan{
-			Guaranteed: gqosm.Capacity{CPU: 15, MemoryMB: 6144, DiskGB: 120},
-			Adaptive:   gqosm.Capacity{CPU: 6, MemoryMB: 2048, DiskGB: 40},
-			BestEffort: gqosm.Capacity{CPU: 5, MemoryMB: 2048, DiskGB: 40},
-		},
-		ConfirmWindow: time.Hour,
-		Policy:        "revenue-greedy",
-		ShadowPolicy:  "paper",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(stack.Close)
-	srv := httptest.NewServer(stack.Mount())
-	t.Cleanup(srv.Close)
-
-	out, err := runCapture(t, "-broker", srv.URL, "policies")
-	if err != nil {
-		t.Fatalf("policies: %v\n%s", err, out)
-	}
-	for _, want := range []string{"paper", "revenue-greedy", "active", "shadow"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("policies output missing %q:\n%s", want, out)
-		}
-	}
-
-	out, err = runCapture(t, "-broker", srv.URL, "policies", "-json")
-	if err != nil {
-		t.Fatalf("policies -json: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, `"active": "revenue-greedy"`) || !strings.Contains(out, `"shadow": "paper"`) {
-		t.Errorf("policies -json output unexpected:\n%s", out)
-	}
-}
-
-func TestPoliciesAgainstDeadBroker(t *testing.T) {
-	if out, err := runCapture(t, "-broker", "http://127.0.0.1:1", "policies"); err == nil {
-		t.Fatalf("expected connection error, got:\n%s", out)
-	}
-}
-
 // TestJSONTransport runs the subcommands over -transport http: the same
 // wire interface serves them, accept_promotion included (the broker, not
 // qosctl, answers that no promotion is open); verify stays SOAP-only.

@@ -201,7 +201,6 @@ var configStructs = []string{
 	"stack.Config", "core.Config", "core.RetryPolicy", "core.IntakeConfig", "core.DurabilityConfig",
 	"cluster.Config", "wal.Options", "dsrt.Config", "faultx.Plan",
 	"sim.StressConfig", "sim.ScenarioConfig", "sim.ClusterSimConfig", "sim.HandoffCrashConfig",
-	"shadow.Config",
 }
 
 // unsetOptions is the allowlist of TestEveryOptionHasASetter: exported
@@ -212,7 +211,6 @@ var unsetOptions = map[string]string{
 	"stack.Config.DSRTProcessors":         "substrate: the DSRT scheduler and the RM-level adaptation rung, driven by root tests only until ROADMAP item 6 turns them on in a replay",
 	"stack.Config.MinOptimizerGain":       "paper knob: the 5.5 \"considerable gain\" threshold; the root ablation benchmark (BenchmarkAblationOptimizerThreshold, EXPERIMENTS.md) sweeps it, no deployment moves it off 1.0",
 	"sim.StressConfig.DisableCaches":      "test seam: the uncached broker is the reference the cache tests compare the cached one against; stack.Config and core.Config forward it",
-	"sim.StressConfig.Policy":             "test seam: the only way the named-policy identity tests (explicit \"paper\" = default) reach the chaos and parallel harnesses",
 	"core.Config.EventLogCap":             "test seam: a small ring is the only way a test reaches event eviction",
 	"core.DurabilityConfig.SnapshotEvery": "test seam: a short cadence is the only way a test lands a snapshot mid-workload",
 	"core.IntakeConfig.Depth":             "test seam: a shallow queue is the only way a test reaches back-pressure (ErrIntakeFull)",

@@ -126,14 +126,6 @@ type Allocator struct {
 	bestEffort []BEState
 	nextSeq    int
 
-	// policy answers Algorithm-1 admissions (never nil; NewAllocator
-	// installs the paper default). shadow, when set, is consulted on the
-	// same immutable PartitionView at every admission; onShadow records
-	// whether its (clamped) answer diverged. Both are read under mu.
-	policy   Policy
-	shadow   Policy
-	onShadow func(diverged bool)
-
 	// view is the atomically published read snapshot: every mutator
 	// recomputes it under mu just before unlocking, so read methods
 	// (Snapshot, Utilization, LoadFactor, AvailableGuaranteed,
@@ -232,29 +224,10 @@ func NewAllocator(plan CapacityPlan) (*Allocator, error) {
 	}
 	a := &Allocator{
 		plan:       plan,
-		policy:     paperPolicy{},
 		guaranteed: make(map[string]resource.Capacity),
 	}
 	a.publishLocked() // no concurrency yet; publish the idle view
 	return a, nil
-}
-
-// SetPolicy installs the active partition policy in place of the paper
-// default. Call before serving traffic.
-func (a *Allocator) SetPolicy(p Policy) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.policy = p
-}
-
-// SetShadow installs a candidate policy consulted in shadow at every
-// admission; record receives each consultation's divergence verdict.
-// Record must be cheap and must not call back into the allocator: it
-// runs under a.mu.
-func (a *Allocator) SetShadow(p Policy, record func(diverged bool)) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.shadow, a.onShadow = p, record
 }
 
 // Plan returns the partition.
@@ -403,29 +376,16 @@ func (a *Allocator) allocateGuaranteedLocked(user string, requested, floor resou
 	if hadPrev {
 		base = base.Sub(prev)
 	}
-	gEff := a.effectiveGLocked()
 	bound := a.gBoundLocked()
 
-	view := PartitionView{
-		Plan:       a.plan,
-		Demand:     base,
-		EffectiveG: gEff,
-		Bound:      bound,
-	}
-	kind := clampGrant(a.policy.PartitionGrant(view, requested, floor), view, requested, floor)
-	if a.shadow != nil {
-		cand := clampGrant(a.shadow.PartitionGrant(view, requested, floor), view, requested, floor)
-		a.onShadow(cand != kind)
-	}
-
 	var res GrantResult
-	switch kind {
-	case GrantRequested:
+	switch {
+	case base.Add(requested).FitsIn(bound):
 		// Σ c(u,t) ≤ C_G: "c(u,t) capacity must be given". When
 		// failures leave Σ c(u,t) > C_G_eff, Adapt() transfers
 		// min(C_A, −net) from A to G — the grant stands either way.
 		res.Granted = requested
-	case GrantFloor:
+	case base.Add(floor).FitsIn(bound):
 		// The full request exceeds the admission bound: "only g(u)
 		// capacity is given"; the rest is the caller's to re-request
 		// later.
@@ -443,23 +403,6 @@ func (a *Allocator) allocateGuaranteedLocked(user string, requested, floor resou
 
 	a.guaranteed[user] = res.Granted
 	return res, nil
-}
-
-// clampGrant demotes a policy's admission answer until it respects the
-// hard ceiling C_G_eff + C_A — the most the partition can physically
-// deliver to guaranteed demand (the invariant oracle's bound). The
-// paper policy's own bound is a subset of the ceiling, so its answers
-// pass through unchanged; an aggressive candidate can at most be walked
-// down requested → floor → refuse.
-func clampGrant(kind GrantKind, v PartitionView, requested, floor resource.Capacity) GrantKind {
-	ceiling := v.EffectiveG.Add(v.Plan.Adaptive)
-	if kind == GrantRequested && !v.Demand.Add(requested).FitsIn(ceiling) {
-		kind = GrantFloor
-	}
-	if kind == GrantFloor && !v.Demand.Add(floor).FitsIn(ceiling) {
-		kind = GrantRefuse
-	}
-	return kind
 }
 
 // GuaranteedAsk is one member of a batch admission (see

@@ -592,37 +592,94 @@ func TestCapacityPlanSplitExact(t *testing.T) {
 	}
 }
 
-// TestAdvisoryReadsUsePaperBound pins a skew (ROADMAP 3(v), DESIGN.md
-// §16): the published view — AvailableGuaranteed and LoadFactor — is
-// computed from the paper's bound min(C_G, C_G_eff + C_A)
-// whatever policy answers the grants. Under revenue-greedy (bound C_G_eff
-// + C_A/2 = 12 here) the reads say "full" one node before the policy
-// does, so compensate's stop condition, the controlled-load pre-clamp,
-// the optimizer's headroom and the front tier's load report all reason
-// against a bound the active policy does not use. A change that makes
-// the reads follow the policy moves every candidate digest: it has to
-// change this test and say so.
-func TestAdvisoryReadsUsePaperBound(t *testing.T) {
-	a, err := NewAllocator(CapacityPlan{
-		Guaranteed: resource.Nodes(10), Adaptive: resource.Nodes(4), BestEffort: resource.Nodes(2),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	greedy, _ := LookupPolicy("revenue-greedy")
-	a.SetPolicy(greedy)
+// smallPlan is C_G = 10, C_A = 4, C_B = 2: small enough that every row of
+// the admission tests below can be checked by hand.
+func smallPlan() CapacityPlan {
+	return CapacityPlan{Guaranteed: resource.Nodes(10), Adaptive: resource.Nodes(4), BestEffort: resource.Nodes(2)}
+}
 
-	if res, err := a.AllocateGuaranteed("u", resource.Nodes(11), resource.Nodes(11)); err != nil || !res.Granted.Equal(resource.Nodes(11)) {
-		t.Fatalf("11 nodes under revenue-greedy: granted %v, err %v; want all 11 (one past C_G)", res.Granted, err)
+// TestPaperPartitionGrant pins Algorithm 1's admission rule (DESIGN.md
+// §16): against standing guaranteed demand, a request is granted in full
+// if demand stays within min(C_G, C_G_eff + C_A), else its floor if that
+// fits, else refused. The failure rows put the bound on each side of the
+// min: 3 nodes failed leave C_G_eff + C_A = 11, so C_G still binds; 6
+// failed leave 8, so the reserve's side binds.
+func TestPaperPartitionGrant(t *testing.T) {
+	cases := []struct {
+		name               string
+		offline, demand    float64
+		requested, floor   float64
+		granted, shortfall float64
+		refused            bool
+	}{
+		{name: "full-fit", demand: 5, requested: 5, floor: 2, granted: 5},
+		{name: "exact-boundary", demand: 5, requested: 5, floor: 5, granted: 5},
+		{name: "floor-only", demand: 7, requested: 5, floor: 2, granted: 2, shortfall: 3},
+		{name: "refuse", demand: 9, requested: 5, floor: 2, refused: true},
+		{name: "empty-partition-full", requested: 10, floor: 1, granted: 10},
+		{name: "failure-within-reserve", offline: 3, demand: 5, requested: 5, floor: 2, granted: 5},
+		{name: "failure-past-reserve", offline: 6, demand: 5, requested: 5, floor: 2, granted: 2, shortfall: 3},
 	}
-	if got := a.AvailableGuaranteed(); !got.IsZero() {
-		t.Errorf("AvailableGuaranteed = %v, want nothing: the read follows the paper's bound", got)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := NewAllocator(smallPlan())
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.SetOffline(resource.Nodes(tc.offline))
+			if tc.demand > 0 {
+				if _, err := a.AllocateGuaranteed("standing", resource.Nodes(tc.demand), resource.Nodes(tc.demand)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := a.AllocateGuaranteed("u", resource.Nodes(tc.requested), resource.Nodes(tc.floor))
+			if tc.refused {
+				if !errors.Is(err, ErrCannotHonor) {
+					t.Errorf("err = %v, want ErrCannotHonor", err)
+				}
+				if _, held := a.GuaranteedAllocation("u"); held {
+					t.Error("a refused request holds a grant")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Granted.Equal(resource.Nodes(tc.granted)) || !res.Shortfall.Equal(resource.Nodes(tc.shortfall)) {
+				t.Errorf("granted %v short %v, want %v short %v", res.Granted, res.Shortfall, tc.granted, tc.shortfall)
+			}
+		})
 	}
-	if got := a.LoadFactor(); got < 1.1-1e-9 || got > 1.1+1e-9 {
-		t.Errorf("LoadFactor = %g, want 1.1 (11 held against the paper's 10)", got)
-	}
-	// ...and yet the policy still has a node to give.
-	if res, err := a.AllocateGuaranteed("v", resource.Nodes(1), resource.Nodes(1)); err != nil || !res.Granted.Equal(resource.Nodes(1)) {
-		t.Errorf("1 more node: granted %v, err %v; want it granted although the reads say full", res.Granted, err)
+}
+
+// TestAdvisoryReadsUsePaperBound holds the published reads to the rule
+// admission applies: an ask of exactly AvailableGuaranteed is granted in
+// full, the read then says zero and LoadFactor 1, and the next exact ask
+// is refused — with and without failed capacity. Compensation's stop
+// condition, the controlled-load pre-clamp, the optimizer's headroom and
+// the front tier's load report all reason from these reads.
+func TestAdvisoryReadsUsePaperBound(t *testing.T) {
+	for _, offline := range []float64{0, 6} {
+		a, err := NewAllocator(smallPlan())
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.SetOffline(resource.Nodes(offline))
+		if _, err := a.AllocateGuaranteed("standing", resource.Nodes(3), resource.Nodes(3)); err != nil {
+			t.Fatal(err)
+		}
+		avail := a.AvailableGuaranteed()
+		if res, err := a.AllocateGuaranteed("ask", avail, avail); err != nil || !res.Granted.Equal(avail) {
+			t.Fatalf("offline %g: ask of the advertised %v: granted %v, err %v", offline, avail, res.Granted, err)
+		}
+		if got := a.AvailableGuaranteed(); !got.IsZero() {
+			t.Errorf("offline %g: AvailableGuaranteed = %v after taking all of it", offline, got)
+		}
+		if got := a.LoadFactor(); got < 1-1e-9 || got > 1+1e-9 {
+			t.Errorf("offline %g: LoadFactor = %g, want 1", offline, got)
+		}
+		if _, err := a.AllocateGuaranteed("next", resource.Nodes(1), resource.Nodes(1)); !errors.Is(err, ErrCannotHonor) {
+			t.Errorf("offline %g: an exact ask past a zero read: err = %v, want ErrCannotHonor", offline, err)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,16 +107,6 @@ type Config struct {
 	// admission pipeline. The zero value admits each RequestService
 	// inline on its caller's goroutine.
 	Intake IntakeConfig
-	// Policy names the adaptation policy (see adaptpolicy.go) answering
-	// Algorithm-1 partition grants. Empty selects "paper", the admission
-	// rule from the source paper.
-	Policy string
-	// ShadowPolicy, when set, names a candidate policy consulted at every
-	// partition grant against the same values-only view the active
-	// policy sees. Divergence is counted in
-	// gqosm_shadow_divergence_total{family="partition"}; live decisions
-	// are never affected.
-	ShadowPolicy string
 }
 
 // Event is one entry of the broker activity log (the Fig. 6 console).
@@ -249,33 +238,6 @@ type Broker struct {
 	// ReconcileReservations so a monitor that re-arms early cannot race
 	// the recovery sweep (see recover.go).
 	recovering atomic.Bool
-
-	// policy is the active adaptation policy (never nil); shadowPol is
-	// the shadow candidate, nil unless Config.ShadowPolicy named one.
-	// Both are resolved once in newBroker and immutable afterwards.
-	policy    Policy
-	shadowPol Policy
-
-	// shadowEvals / shadowDiv count shadow consultations and how many of
-	// them diverged; registered only when a shadow policy is configured
-	// so brokers without one expose exactly the historical metric set.
-	shadowEvals, shadowDiv *obs.Counter
-}
-
-// shadowCounters resolves the shadow counter pair in reg: consultations,
-// and those whose answer differed from the active policy's. The partition
-// grant is the one decision behind Policy, hence the one family label.
-func shadowCounters(reg *obs.Registry) (evals, diverged *obs.Counter) {
-	return reg.Counter("gqosm_shadow_evaluations_total", "Shadow policy consultations at live decision points"),
-		reg.Counter("gqosm_shadow_divergence_total", "Shadow decisions diverging from the active policy, by decision family", "family", "partition")
-}
-
-// ShadowCounts reads the shadow counter pair back out of a registry after
-// a run (reading a counter that never incremented yields zero — the obs
-// registry creates on first touch).
-func ShadowCounts(reg *obs.Registry) (evals, diverged int64) {
-	e, d := shadowCounters(reg)
-	return e.Value(), d.Value()
 }
 
 // NewBroker assembles a broker from the config. When durability is
@@ -325,21 +287,6 @@ func newBroker(cfg Config) (*Broker, error) {
 	if cfg.Obs == nil {
 		cfg.Obs = obs.NewRegistry()
 	}
-	policyName := cfg.Policy
-	if policyName == "" {
-		policyName = "paper"
-	}
-	policy, ok := LookupPolicy(policyName)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown policy %q (registered: %s)", policyName, strings.Join(PolicyNames(), ", "))
-	}
-	var shadowPol Policy
-	if cfg.ShadowPolicy != "" {
-		shadowPol, ok = LookupPolicy(cfg.ShadowPolicy)
-		if !ok {
-			return nil, fmt.Errorf("core: unknown shadow policy %q (registered: %s)", cfg.ShadowPolicy, strings.Join(PolicyNames(), ", "))
-		}
-	}
 	b := &Broker{
 		cfg:            cfg,
 		clock:          cfg.Clock,
@@ -352,21 +299,12 @@ func newBroker(cfg Config) (*Broker, error) {
 		obs:            cfg.Obs,
 		pendingCancels: make(map[sla.ID]gara.Handle),
 		handoffs:       make(map[sla.ID]handoffIntent),
-		policy:         policy,
-		shadowPol:      shadowPol,
-	}
-	if b.shadowPol != nil {
-		b.shadowEvals, b.shadowDiv = shadowCounters(b.obs)
 	}
 	b.pol = newPolicyRunner(b, cfg.RMPolicy)
 	if !cfg.DisableCaches {
 		if gf, ok := cfg.Registry.(generationFinder); ok {
 			b.dcache = newDiscoveryCache(gf, cfg.Obs)
 		}
-	}
-	alloc.SetPolicy(b.policy)
-	if b.shadowPol != nil {
-		alloc.SetShadow(b.shadowPol, b.recordShadow)
 	}
 	b.met = newBrokerMetrics(b.obs)
 	b.registerGauges(b.obs)
@@ -419,45 +357,6 @@ func (b *Broker) Allocator() *Allocator { return b.alloc }
 // Allocators returns the broker's one allocator as a list, the shape the
 // benchmark module reads.
 func (b *Broker) Allocators() []*Allocator { return []*Allocator{b.alloc} }
-
-// recordShadow counts one shadow consultation. It is called with the
-// allocator lock held, so it only touches atomic counters; it is installed
-// (Allocator.SetShadow) only on a broker that has a shadow policy.
-func (b *Broker) recordShadow(diverged bool) {
-	b.shadowEvals.Inc()
-	if diverged {
-		b.shadowDiv.Inc()
-	}
-}
-
-// PolicyName reports the active adaptation policy.
-func (b *Broker) PolicyName() string { return b.policy.Name() }
-
-// ShadowPolicyName reports the shadow candidate, or "" when shadowing is
-// off.
-func (b *Broker) ShadowPolicyName() string {
-	if b.shadowPol == nil {
-		return ""
-	}
-	return b.shadowPol.Name()
-}
-
-// PolicyReport describes the broker's policy configuration for the
-// management API (qosctl policies).
-type PolicyReport struct {
-	Active   string   `json:"active"`
-	Shadow   string   `json:"shadow,omitempty"`
-	Policies []string `json:"policies"`
-}
-
-// Policies returns the active/shadow policy names plus the policy table.
-func (b *Broker) Policies() PolicyReport {
-	return PolicyReport{
-		Active:   b.PolicyName(),
-		Shadow:   b.ShadowPolicyName(),
-		Policies: PolicyNames(),
-	}
-}
 
 // Domain returns the administrative domain the broker serves.
 func (b *Broker) Domain() string { return b.cfg.Domain }

@@ -16,9 +16,15 @@ func (b *Broker) HandleDegradation(id sla.ID, measured resource.Capacity) {
 	b.handleDegradation(id, measured)
 }
 
-// AppendPolicy adds a test double to the policy table of this test
-// binary, so a broker can be configured with it by name. Call from init.
-func AppendPolicy(p Policy) { policies = append(policies, p) }
+// BehindReads runs f, then republishes the read view from before it: the
+// advisory reads lag the book the way they do for a caller that read them
+// just before f ran on another goroutine. The next mutation publishes a
+// fresh view.
+func (a *Allocator) BehindReads(f func()) {
+	v := a.view.Load()
+	f()
+	a.view.Store(v)
+}
 
 // len reports the number of live entries, for the cache tests.
 func (c *discoveryCache) len() int {

@@ -192,39 +192,3 @@ func FuzzBrokerOps(f *testing.F) {
 		driveOps(t, data)
 	})
 }
-
-// FuzzPolicyDecisions lets the fuzzer search for an operation stream on
-// which consulting a shadow policy changes live behavior — the property
-// the shadow-inertness invariant forbids. Each input is run twice, with
-// shadowing off and on, and every externally visible outcome (plus the
-// final capacity accounting) must match; the invariant oracle runs after
-// each step of both runs. The candidate pool includes test-mutator, a
-// policy that scribbles on every view it is handed, so a view that
-// stopped being a copy is caught even if the honest candidates never
-// write to it. go test -fuzz=FuzzPolicyDecisions ./internal/core
-//
-// data[0] selects the candidate, and the rest is the driveOps op stream.
-func FuzzPolicyDecisions(f *testing.F) {
-	f.Add(append([]byte{0}, seedStream(1955, 40)...))
-	f.Add(append([]byte{1}, seedStream(2003, 40)...))
-	f.Add(append([]byte{0}, seedStream(1789, 40)...))
-	// Saturate the guaranteed partition so revenue-greedy diverges while
-	// the paper policy keeps refusing.
-	f.Add([]byte{0, 0, 0x0e, 3, 0, 0, 0x0e, 3, 0, 0, 0x0e, 3, 0, 0, 0x0e})
-	// Degrade-willing sessions under failure pressure: compensation and
-	// restoration re-grant live sessions with the mutator consulted.
-	f.Add([]byte{1, 1, 0xa7, 1, 0xa5, 1, 0xa3, 3, 0, 3, 0, 3, 0, 8, 8, 8, 12})
-	// The mutator over the seed-1955 stream.
-	f.Add(append([]byte{1}, seedStream(1955, 40)...))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 2048 {
-			data = data[:2048]
-		}
-		if len(data) < 1 {
-			return
-		}
-		candidates := []string{"revenue-greedy", "test-mutator"}
-		candidate := candidates[int(data[0])%len(candidates)]
-		driveTwin(t, candidate, data[1:])
-	})
-}

@@ -18,8 +18,8 @@ import (
 // OpArgs is the input of a lifecycle operation. Each row reads the
 // fields its operation needs and ignores the rest.
 type OpArgs struct {
-	// ID names the session (every operation but request, best-effort,
-	// load and policies).
+	// ID names the session (every operation but request, best-effort and
+	// load).
 	ID sla.ID
 	// Reason is the client's reason for a terminate.
 	Reason string
@@ -46,9 +46,8 @@ type OpResult struct {
 	Detail string
 	// Levels is the Table-3 reply of a verify.
 	Levels *QoSLevelsXML
-	// Load and Policies are the management reads.
-	Load     LoadReport
-	Policies PolicyReport
+	// Load is the management read.
+	Load LoadReport
 }
 
 // Op is one row of the operation table.
@@ -123,9 +122,6 @@ var Ops = []Op{
 	}},
 	{"load", func(b *Broker, _ OpArgs) (OpResult, error) {
 		return OpResult{Load: b.LoadReport()}, nil
-	}},
-	{"policies", func(b *Broker, _ OpArgs) (OpResult, error) {
-		return OpResult{Policies: b.Policies()}, nil
 	}},
 }
 

@@ -47,31 +47,6 @@ func (m *hookRM) Modify(token string, spec *rsl.Node) error {
 	return nil
 }
 
-// forcedPolicy is the paper policy until floor is set; then every grant is
-// answered with the floor, whatever the partition holds: the shortfall a
-// downsize cannot otherwise meet (the capacity it asks for is capacity it
-// already holds).
-type forcedPolicy struct {
-	core.Policy
-	floor bool
-}
-
-func (*forcedPolicy) Name() string { return "reallocate-test" }
-
-func (p *forcedPolicy) PartitionGrant(v core.PartitionView, requested, floor resource.Capacity) core.GrantKind {
-	if p.floor {
-		return core.GrantFloor
-	}
-	return p.Policy.PartitionGrant(v, requested, floor)
-}
-
-var forced = func() *forcedPolicy {
-	paper, _ := core.LookupPolicy("paper")
-	p := &forcedPolicy{Policy: paper}
-	core.AppendPolicy(p)
-	return p
-}()
-
 // scene is one CPU-only broker (C_G 12, C_A 4, C_B 4) holding x, the
 // controlled-load session under test (2–8 nodes, accepts degradation,
 // opted in to promotions), and beside it what its sceneStart says: a
@@ -128,15 +103,13 @@ func newScene(t *testing.T, start sceneStart) *scene {
 		Domain: "site-a", Clock: s.clock,
 		Plan:     core.CapacityPlan{Guaranteed: cpu(12), Adaptive: cpu(4), BestEffort: cpu(4)},
 		Registry: reg, GARA: s.g, GRAM: gramM, Faults: s.inj,
-		ConfirmWindow: time.Hour, Policy: forced.Name(),
+		ConfirmWindow: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(b.Close)
 	s.b = b
-	forced.floor = false
-	t.Cleanup(func() { forced.floor = false })
 
 	controlled := func(client string) core.Request {
 		return core.Request{
@@ -329,7 +302,10 @@ var reallocMoves = []reallocMove{
 	},
 	{
 		name: "optimizer", scene: outbid, from: 8, to: 4, onShort: "follow", silent: true,
-		short: func(s *scene) { forced.floor = true },
+		// A downsize asks for capacity it already holds, so it falls short
+		// only when a failure lands between the solve and the grant: the
+		// solve reads the headroom from before the squeeze.
+		short: func(s *scene) { s.b.Allocator().BehindReads(func() { s.squeeze(5) }) },
 		run: func(s *scene) error {
 			_, err := s.b.RunOptimizer()
 			return err

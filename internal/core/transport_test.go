@@ -164,9 +164,9 @@ func TestTransportRangeAndListSpecs(t *testing.T) {
 
 // TestSOAPBindingCoversTheTable pins the SOAP binding against the
 // operation table: every op an element names is a table row, named once,
-// and the only rows SOAP does not carry are the JSON-only reads session
-// and policies (httpapi's TestRoutesCoverTheTable pins that JSON lacks
-// only verify — so every row is reachable on some wire).
+// and the only row SOAP does not carry is the JSON-only read session
+// (httpapi's TestRoutesCoverTheTable pins that JSON lacks only verify —
+// so every row is reachable on some wire).
 func TestSOAPBindingCoversTheTable(t *testing.T) {
 	served := map[string]string{}
 	for _, el := range soapElements {
@@ -190,8 +190,8 @@ func TestSOAPBindingCoversTheTable(t *testing.T) {
 			t.Errorf("%s names %q, which is not a row of Ops", el, op)
 		}
 	}
-	if got := strings.Join(missing, ","); got != "session,policies" {
-		t.Errorf("rows without a SOAP element = %q, want session,policies", got)
+	if got := strings.Join(missing, ","); got != "session" {
+		t.Errorf("rows without a SOAP element = %q, want session", got)
 	}
 }
 

@@ -137,11 +137,3 @@ func (c *Client) LoadReport() (core.LoadReport, error) {
 	err := c.call(http.MethodGet, "load", nil, &out)
 	return out, err
 }
-
-// Policies fetches the broker's adaptation-policy configuration: the
-// active policy, the shadow candidate (if any), and the registry.
-func (c *Client) Policies() (core.PolicyReport, error) {
-	var out core.PolicyReport
-	err := c.call(http.MethodGet, "policies", nil, &out)
-	return out, err
-}

@@ -333,9 +333,8 @@ func appendError(dst []byte, code, message string) []byte {
 	return append(dst, `}}`...)
 }
 
-// The management reads are cold: encoding/json renders them.
-func encodeLoad(dst []byte, res core.OpResult) []byte     { return appendJSON(dst, res.Load) }
-func encodePolicies(dst []byte, res core.OpResult) []byte { return appendJSON(dst, res.Policies) }
+// The management read is cold: encoding/json renders it.
+func encodeLoad(dst []byte, res core.OpResult) []byte { return appendJSON(dst, res.Load) }
 
 func appendJSON(dst []byte, v any) []byte {
 	b, err := json.Marshal(v)

@@ -86,7 +86,7 @@ func TestTaxonomyStatusesAreDistinctPerCode(t *testing.T) {
 // table: every route is a table row, and the only row JSON does not carry
 // is verify (its reply is the Table-3 XML document). core's
 // TestSOAPBindingCoversTheTable pins the other side — SOAP lacks exactly
-// session and policies — so every row is reachable on some wire.
+// session — so every row is reachable on some wire.
 func TestRoutesCoverTheTable(t *testing.T) {
 	rows := make(map[string]bool, len(core.Ops))
 	var missing []string

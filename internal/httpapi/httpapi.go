@@ -51,7 +51,6 @@ var routes = map[string]route{
 	"best-effort":      {http.MethodPost, decodeBestEffort, encodeAck},
 	"session":          {http.MethodGet, decodeSessionQuery, encodeSession},
 	"load":             {http.MethodGet, noArgs, encodeLoad},
-	"policies":         {http.MethodGet, noArgs, encodePolicies},
 }
 
 // Server serves the JSON API for one broker.

@@ -129,8 +129,8 @@ var lifecycleSteps = []struct {
 // against a fresh identically configured broker (direct and
 // intake-enabled), and requires the outcomes the table states — so the
 // two wires agree on state, ack detail and sentinel at every step. The
-// rows only one wire carries (verify; session, policies) are pinned by
-// the binding tests.
+// rows only one wire carries (verify; session) are pinned by the binding
+// tests.
 func TestWireLifecycle(t *testing.T) {
 	for _, mode := range []string{"direct", "intake"} {
 		t.Run(mode, func(t *testing.T) {
@@ -376,6 +376,9 @@ func TestWireMalformedRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodPost {
 		t.Errorf("GET request = %d Allow=%q, want 405 Allow=POST", resp.StatusCode, resp.Header.Get("Allow"))
 	}
+	if resp := post("load", ""); resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodGet {
+		t.Errorf("POST load = %d Allow=%q, want 405 Allow=GET", resp.StatusCode, resp.Header.Get("Allow"))
+	}
 	if resp := post("frobnicate", `{}`); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown endpoint = %d, want 404", resp.StatusCode)
 	}
@@ -406,50 +409,5 @@ func TestMountBesideSOAP(t *testing.T) {
 	}
 	if sess.SLAID != offer.SLA.SLAID || sess.State != "proposed" || sess.Allocated.CPU != 2 {
 		t.Errorf("JSON snapshot %+v does not match the SOAP offer %q", sess, offer.SLA.SLAID)
-	}
-}
-
-// TestWirePolicies round-trips the policy registry over the JSON
-// transport: active policy, shadow candidate, and the sorted registry
-// listing qosctl prints.
-func TestWirePolicies(t *testing.T) {
-	c, err := sim.NewCluster(stack.Config{
-		Plan:         sim.DefaultParallelPlan(),
-		Policy:       "revenue-greedy",
-		ShadowPolicy: "paper",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	mux := soapx.NewMux()
-	httpapi.NewServer(c.Broker).Mount(mux)
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	client := httpapi.NewClient(srv.URL)
-
-	rep, err := client.Policies()
-	if err != nil {
-		t.Fatalf("Policies: %v", err)
-	}
-	if rep.Active != "revenue-greedy" || rep.Shadow != "paper" {
-		t.Errorf("policies = %+v", rep)
-	}
-	want := map[string]bool{"paper": true, "revenue-greedy": true}
-	for _, name := range rep.Policies {
-		delete(want, name)
-	}
-	if len(want) != 0 {
-		t.Errorf("registry listing %v is missing %v", rep.Policies, want)
-	}
-
-	// The endpoint is GET-only.
-	resp, err := http.Post(srv.URL+httpapi.Prefix+"policies", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST policies status = %d, want 405", resp.StatusCode)
 	}
 }

@@ -213,23 +213,6 @@ func CheckIntake(b *core.Broker) error {
 	return nil
 }
 
-// CheckShadowInert is the shadow-evaluation rule: consulting a candidate
-// policy must never mutate live broker state, so a shadow-on run of a
-// seeded workload must produce exactly the state digest of the shadow-off
-// run. The caller computes the two digests (sha256 over each run's
-// outcome and oracle — see internal/shadow); this rule only
-// renders the verdict, keeping the oracle's violation taxonomy in one
-// place.
-func CheckShadowInert(offDigest, onDigest string) error {
-	if offDigest == onDigest {
-		return nil
-	}
-	return wrap([]Violation{{
-		Rule:   "shadow-mutated-state",
-		Detail: fmt.Sprintf("shadow-on digest %s differs from shadow-off digest %s", onDigest, offDigest),
-	}})
-}
-
 // ReservationCheck configures CheckReservations.
 type ReservationCheck struct {
 	// Final enables the drain-only rules (leaked-reservation,

@@ -1,6 +1,21 @@
 package sim
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
+
+// stripped marshals a report without its wall-clock block.
+func stripped(t *testing.T, rep *Report) []byte {
+	t.Helper()
+	c := *rep
+	c.Latency = nil
+	buf, err := json.Marshal(&c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
 
 // chaosRun executes a small chaos run and returns its report, also
 // marshaled without the latency block.

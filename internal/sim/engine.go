@@ -33,7 +33,7 @@ import (
 //     and intake on or off;
 //   - perturbations: a seeded fault injector at a rate, kill +
 //     core.Recover at evenly spaced steps with a pre/post state-digest
-//     compare, forced hand-off migrations every k steps, a shadow policy;
+//     compare, forced hand-off migrations every k steps;
 //   - oracles: the invariant suite at every quiesce point, its strict
 //     Final rules after the drain, and the capacity-restored check.
 //

@@ -52,7 +52,7 @@ type Oracle struct {
 	Details    []string `json:"details,omitempty"`
 	// Gates are the named pass/fail verdicts beyond the violation count:
 	// capacity_restored, digests_match, parity, single_owner, stable,
-	// verified, shadow_clean. A run carries the ones it judged.
+	// verified. A run carries the ones it judged.
 	Gates map[string]bool `json:"gates"`
 }
 
@@ -67,7 +67,6 @@ type Outcome struct {
 	Recovery  *Recovery      `json:"recovery,omitempty"`  // kill + WAL recovery
 	Migration *Migration     `json:"migration,omitempty"` // forced hand-offs
 	Handoff   *Handoff       `json:"handoff,omitempty"`   // hand-off crash drill
-	Shadow    *Shadow        `json:"shadow,omitempty"`    // shadow-policy evaluation
 }
 
 // Tally is what every engine run measures: the workload's lifecycle
@@ -173,33 +172,6 @@ type Handoff struct {
 	Aborted          int `json:"aborted"`
 	HandoffsResolved int `json:"handoffs_resolved"`
 	ReplayedRecords  int `json:"replayed_records"`
-}
-
-// Shadow is one scenario's three-way policy evaluation (internal/shadow).
-type Shadow struct {
-	Candidate string `json:"candidate"`
-	// Evaluations counts the shadow consultations — one per Algorithm-1
-	// partition grant, the one decision behind core.Policy; Divergence
-	// ("partition", its only key) how often the candidate's answer
-	// differed.
-	Evaluations int64            `json:"evaluations"`
-	Divergence  map[string]int64 `json:"divergence"`
-	// ActiveDigest and ShadowDigest hash the shadow-off and shadow-on runs'
-	// outcome and oracle; equal means the consultation was inert (gate
-	// shadow_clean).
-	ActiveDigest string `json:"active_digest"`
-	ShadowDigest string `json:"shadow_digest"`
-	// Counterfactual deltas: candidate-as-active vs the active run.
-	AdmitRate   Delta `json:"admit_rate"`
-	Revenue     Delta `json:"revenue"`
-	Utilization Delta `json:"utilization"`
-}
-
-// Delta is one metric compared across the active and counterfactual runs.
-type Delta struct {
-	Active    float64 `json:"active"`
-	Candidate float64 `json:"candidate"`
-	Delta     float64 `json:"delta"`
 }
 
 // Failed is the one gate: a violation, a false gate, or a failed child.

@@ -11,7 +11,6 @@ import (
 
 	"gqosm/internal/clockx"
 	"gqosm/internal/core"
-	"gqosm/internal/obs"
 	"gqosm/internal/pricing"
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
@@ -82,14 +81,6 @@ type ScenarioConfig struct {
 	Seed int64
 	// Ops targets the number of broker operations (default 6000).
 	Ops int
-	// Obs receives the run's metrics; nil lets the broker create a
-	// private registry.
-	Obs *obs.Registry
-	// Policy names the broker's adaptation policy ("" = "paper").
-	Policy string
-	// ShadowPolicy, when set, consults the named candidate policy in
-	// shadow at every partition grant (see core.Config.ShadowPolicy).
-	ShadowPolicy string
 }
 
 // scenarioPhases is the number of mid-run quiesce points of a scenario run.
@@ -233,21 +224,12 @@ func LookupScenario(name string) (Scenario, bool) {
 // RunScenario replays one scenario and returns its report. A non-nil
 // error means the harness itself failed; oracle violations and scenario
 // assertion failures land in the report so CI always has one to gate on.
-//
-// Each observer runs at every phase barrier with the live run, letting a
-// caller sample mid-run state — the shadow lab averages allocator
-// utilization across phases this way.
-func RunScenario(sc Scenario, cfg ScenarioConfig, observers ...func(run *ScenarioRun, phase int)) (*Report, error) {
+func RunScenario(sc Scenario, cfg ScenarioConfig) (*Report, error) {
 	run, err := newScenarioRun(sc, cfg, scenarioPhases)
 	if err != nil {
 		return nil, err
 	}
 	defer run.engine.topo.close()
-	run.engine.onQuiesce = func(phase int) {
-		for _, observe := range observers {
-			observe(run, phase)
-		}
-	}
 	rep, err := run.play()
 	if err != nil {
 		return nil, err
@@ -279,22 +261,18 @@ func newScenarioRun(sc Scenario, cfg ScenarioConfig, phases int) (*ScenarioRun, 
 	topo, err := newTopology(topoConfig{Base: stack.Config{
 		Plan:          DefaultParallelPlan(),
 		ConfirmWindow: confirm,
-		Obs:           cfg.Obs,
-		Policy:        cfg.Policy,
-		ShadowPolicy:  cfg.ShadowPolicy,
 	}})
 	if err != nil {
 		return nil, err
 	}
 	run := &ScenarioRun{
-		Cfg:      cfg,
-		Cluster:  topo.members[0],
-		Clock:    topo.clock,
-		RNG:      rand.New(rand.NewSource(cfg.Seed + 2)),
-		Accounts: make(map[string]*pricing.Account),
-		sc:       sc,
-		config: map[string]any{"scenario": sc.Name, "seed": cfg.Seed, "ops": cfg.Ops, "phases": phases,
-			"policy": cfg.Policy, "shadow_policy": cfg.ShadowPolicy},
+		Cfg:        cfg,
+		Cluster:    topo.members[0],
+		Clock:      topo.clock,
+		RNG:        rand.New(rand.NewSource(cfg.Seed + 2)),
+		Accounts:   make(map[string]*pricing.Account),
+		sc:         sc,
+		config:     map[string]any{"scenario": sc.Name, "seed": cfg.Seed, "ops": cfg.Ops, "phases": phases},
 		counts:     ScenarioTally{Arrivals: len(trace)},
 		trace:      trace,
 		drainUntil: Epoch.Add(wl.Duration).Add(1000 * time.Hour),

@@ -72,8 +72,6 @@ type StressConfig struct {
 	// with Intake: the server's admissions share group commits. The
 	// serial replays stay in-process for determinism.
 	Transport string
-	// Policy names the broker's adaptation policy ("" = "paper").
-	Policy string
 	// FaultRate is the per-site injection probability; 0 runs without an
 	// injector.
 	FaultRate float64
@@ -126,8 +124,7 @@ func RunRestartChaos(cfg StressConfig) (*Report, error) {
 func runStress(mode string, cfg StressConfig, concurrent, restart bool) (*Report, error) {
 	cfg = cfg.withDefaults()
 	config := map[string]any{"seed": cfg.Seed, "clients": cfg.Clients, "ops": cfg.Ops, "phases": cfg.Phases,
-		"fault_rate": cfg.FaultRate, "intake": cfg.Intake, "transport": cfg.Transport,
-		"policy": cfg.Policy}
+		"fault_rate": cfg.FaultRate, "intake": cfg.Intake, "transport": cfg.Transport}
 	kills := 0
 	if restart {
 		kills = cfg.Restarts
@@ -139,7 +136,6 @@ func runStress(mode string, cfg StressConfig, concurrent, restart bool) (*Report
 			Plan: DefaultParallelPlan(), Obs: cfg.Obs,
 			DisableCaches: cfg.DisableCaches,
 			Intake:        core.IntakeConfig{Enabled: cfg.Intake},
-			Policy:        cfg.Policy,
 			WALDir:        cfg.WALDir,
 		},
 		FaultRate: cfg.FaultRate,

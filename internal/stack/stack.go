@@ -88,13 +88,6 @@ type Config struct {
 	// same flush leader share one allocator pass and one WAL fsync. The
 	// zero value admits each request inline on its caller's goroutine.
 	Intake core.IntakeConfig
-	// Policy names the broker's adaptation policy ("" = "paper", the
-	// historical admission rule). See core.PolicyNames for the table.
-	Policy string
-	// ShadowPolicy, when set, consults the named candidate policy in
-	// shadow at every partition grant, counting divergence without
-	// affecting live decisions (qosctl policies shows both).
-	ShadowPolicy string
 }
 
 // Stack is an assembled single-domain deployment: the AQoS broker wired to
@@ -222,8 +215,6 @@ func New(cfg Config) (*Stack, error) {
 		RMPolicy:         cfg.RMPolicy,
 		Durability:       core.DurabilityConfig{Dir: cfg.WALDir},
 		Intake:           cfg.Intake,
-		Policy:           cfg.Policy,
-		ShadowPolicy:     cfg.ShadowPolicy,
 	}
 	s := &Stack{
 		Pool:            pool,
