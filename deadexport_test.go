@@ -486,6 +486,65 @@ func TestOneAssembly(t *testing.T) {
 	}
 }
 
+// clearingSites lists, for each resource-manager cancel, the functions in
+// internal/core that may name it.
+var clearingSites = map[string][]string{
+	// The Clearing step, and Invoke walking back its own job when the bind
+	// fails or a teardown wins the race.
+	"gram.Manager.Cancel": {"core.Broker.teardownIf", "core.Broker.Invoke"},
+	// The give-back rule, the parked-cancel sweep (which must not re-park)
+	// and the closed-broker walk-back of sessions never registered.
+	"gara.System.Cancel": {"core.Broker.giveBack", "core.Broker.sweepParked", "core.Broker.install"},
+}
+
+// TestOneClearing keeps the Clearing phase (Fig. 3) one step: in non-test
+// internal/core only the clearingSites functions name a job or
+// reservation cancel, so every session end runs teardownIf and every
+// reservation return runs giveBack. ROADMAP item 10 hangs its release
+// trigger on that one step.
+func TestOneClearing(t *testing.T) {
+	c := repoCensus(t)
+	seen := map[string]bool{}
+	for _, f := range c.files {
+		if !strings.HasPrefix(f.path, "internal/core/") {
+			continue
+		}
+		for _, decl := range f.file.Decls {
+			site := f.path + ":(package level)"
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				site = qualified(c.info.Defs[fn.Name])
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				fn, ok := c.info.Uses[id].(*types.Func)
+				if !ok || fn.Name() != "Cancel" {
+					return true
+				}
+				allowed, guarded := clearingSites[qualified(fn)]
+				if !guarded {
+					return true
+				}
+				if !slices.Contains(allowed, site) {
+					t.Errorf("%s: %s names %s: end the session through teardownIf, return the reservation through giveBack",
+						c.fset.Position(id.Pos()), site, qualified(fn))
+				}
+				seen[qualified(fn)+" in "+site] = true
+				return true
+			})
+		}
+	}
+	for cancel, sites := range clearingSites {
+		for _, site := range sites {
+			if !seen[cancel+" in "+site] {
+				t.Errorf("%s no longer names %s: remove it from clearingSites", site, cancel)
+			}
+		}
+	}
+}
+
 // wallClockSites is the allowlist of TestNoWallClock, keyed by file and
 // enclosing declaration: the functions under internal/ that still read the
 // wall clock. ROADMAP item 4 moves each behind a clockx seam and empties

@@ -536,9 +536,6 @@ func (b *Broker) PruneTerminal() int {
 		}
 	}
 	for _, id := range ids {
-		if s := b.sessions[id]; s.confirm != nil {
-			s.confirm.Stop()
-		}
 		delete(b.sessions, id)
 		delete(b.promotions, id)
 	}

@@ -43,9 +43,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"gqosm/internal/gara"
-	"gqosm/internal/gram"
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
 	"gqosm/internal/wal"
@@ -72,12 +72,8 @@ type handoffIntent struct {
 func (h handoffIntent) encode() string { return h.dir + ":" + h.peer }
 
 func decodeIntent(s string) handoffIntent {
-	for i := 0; i < len(s); i++ {
-		if s[i] == ':' {
-			return handoffIntent{dir: s[:i], peer: s[i+1:]}
-		}
-	}
-	return handoffIntent{dir: s}
+	dir, peer, _ := strings.Cut(s, ":")
+	return handoffIntent{dir: dir, peer: peer}
 }
 
 // HandoffState is the portable image of a live session: everything the
@@ -198,30 +194,10 @@ func (b *Broker) CompleteHandoff(id sla.ID) error {
 		return fmt.Errorf("%w: %s", ErrNotHandoff, id)
 	}
 
-	b.mu.Lock()
-	s, ok := b.sessions[id]
-	var job gram.JobID
-	terminal := false
-	if ok {
-		terminal = s.doc.State.Terminal()
-		job = s.job
-	}
-	b.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownSession, id)
-	}
-
-	if !terminal {
-		if job != "" && b.cfg.GRAM != nil {
-			// The job dies with the source copy; the target re-invokes.
-			if j, err := b.cfg.GRAM.Job(job); err == nil && !j.State.Terminal() {
-				_ = b.cfg.GRAM.Cancel(job)
-			}
-		}
-		if err := b.teardown(id, sla.StateTerminated,
-			fmt.Sprintf("migrated to %q", it.peer)); err != nil && !errors.Is(err, ErrBadState) {
-			return err
-		}
+	// ErrBadState: the source copy is already terminal.
+	if err := b.teardown(id, sla.StateTerminated,
+		fmt.Sprintf("migrated to %q", it.peer)); err != nil && !errors.Is(err, ErrBadState) {
+		return err
 	}
 
 	b.hoMu.Lock()
@@ -401,14 +377,10 @@ func (b *Broker) resolveInboundHandoffs() int {
 		b.mu.Unlock()
 		if !live {
 			if h, ok := b.cfg.GARA.FindByTag(string(id)); ok {
-				hh := h
-				err := b.pol.call("gara.cancel", func() error { return b.cfg.GARA.Cancel(hh) })
-				switch {
-				case err == nil || errors.Is(err, gara.ErrCanceled) || errors.Is(err, gara.ErrUnknownHandle):
+				switch err := b.giveBack(id, h); {
+				case err == nil:
 					b.logf("recover", id, "reclaimed half-imported reservation %s", h)
-				case errors.Is(err, ErrRMUnavailable):
-					b.parkCancel(id, h)
-				default:
+				case !errors.Is(err, ErrRMUnavailable):
 					b.logf("recover", id, "half-imported reservation %s cancel failed: %v", h, err)
 				}
 			}

@@ -80,28 +80,6 @@ func (b *Broker) Terminate(id sla.ID, reason string) error {
 		// CompleteHandoff owns the teardown for draining sessions.
 		return fmt.Errorf("%w: %s", ErrHandoffPending, id)
 	}
-	b.mu.Lock()
-	s, ok := b.sessions[id]
-	if !ok {
-		b.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrUnknownSession, id)
-	}
-	if state := s.doc.State; state.Terminal() {
-		b.mu.Unlock()
-		return fmt.Errorf("%w: %s already %s", ErrBadState, id, state)
-	}
-	if s.confirm != nil {
-		s.confirm.Stop()
-		s.confirm = nil
-	}
-	job := s.job
-	b.mu.Unlock()
-
-	if job != "" && b.cfg.GRAM != nil {
-		if j, err := b.cfg.GRAM.Job(job); err == nil && !j.State.Terminal() {
-			_ = b.cfg.GRAM.Cancel(job)
-		}
-	}
 	if err := b.teardown(id, sla.StateTerminated, reason); err != nil {
 		return err
 	}
@@ -111,37 +89,6 @@ func (b *Broker) Terminate(id sla.ID, reason string) error {
 	// allocation for a selected number of existing services."
 	b.afterRelease()
 	return nil
-}
-
-// terminateForCompensation clears a willing session during scenario-1
-// compensation: like Terminate, but without the scenario-2 release hook
-// (which would re-absorb the capacity being freed).
-func (b *Broker) terminateForCompensation(id sla.ID) error {
-	b.mu.Lock()
-	s, ok := b.sessions[id]
-	var job gram.JobID
-	if ok {
-		if s.confirm != nil {
-			s.confirm.Stop()
-			s.confirm = nil
-		}
-		job = s.job
-	}
-	b.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownSession, id)
-	}
-	if job != "" && b.cfg.GRAM != nil {
-		if j, err := b.cfg.GRAM.Job(job); err == nil && !j.State.Terminal() {
-			_ = b.cfg.GRAM.Cancel(job)
-		}
-	}
-	err := b.teardown(id, sla.StateTerminated,
-		"terminated to compensate for a new request (scenario 1)")
-	if err == nil {
-		b.met.terminated.Inc()
-	}
-	return err
 }
 
 // Expire marks a session whose validity window elapsed (resource
@@ -159,8 +106,10 @@ func (b *Broker) Expire(id sla.ID) error {
 	return nil
 }
 
-// teardown releases a session's allocator grant and GARA reservation and
-// moves it to the terminal state.
+// teardown is the Clearing step (Fig. 3): it moves a session to the
+// terminal state and stops its confirm timer, releases its allocator
+// grant, cancels its GRAM job if still running and gives its GARA
+// reservation back.
 func (b *Broker) teardown(id sla.ID, final sla.State, reason string) error {
 	return b.teardownIf(id, final, reason, nil)
 }
@@ -168,7 +117,9 @@ func (b *Broker) teardown(id sla.ID, final sla.State, reason string) error {
 // teardownIf is teardown gated on pred, evaluated atomically with the
 // terminal transition: concurrent paths (auto-expiry racing Accept, Reject
 // racing Accept) use it so a session observed in one state cannot be torn
-// down after another goroutine has already moved it on.
+// down after another goroutine has already moved it on. It is the only
+// code that ends a session: of two racing teardowns only the one that made
+// the transition cancels the job and the reservation.
 func (b *Broker) teardownIf(id sla.ID, final sla.State, reason string, pred func(*session) bool) error {
 	started := time.Now()
 	b.mu.Lock()
@@ -194,7 +145,7 @@ func (b *Broker) teardownIf(id sla.ID, final sla.State, reason string, pred func
 		s.confirm.Stop()
 		s.confirm = nil
 	}
-	handle := s.handle
+	handle, job := s.handle, s.job
 	delete(b.promotions, id)
 	b.logf("clearing", id, "%s: %s", final, reason)
 	// Release the grant while still holding b.mu: the terminal transition
@@ -205,17 +156,17 @@ func (b *Broker) teardownIf(id sla.ID, final sla.State, reason string, pred func
 	_ = b.alloc.ReleaseGuaranteed(string(id))
 	b.mu.Unlock()
 
-	if err := b.pol.call("gara.cancel", func() error {
-		return b.cfg.GARA.Cancel(handle)
-	}); err != nil {
-		if errors.Is(err, ErrRMUnavailable) {
-			// The RM stayed down through the whole retry budget: park the
-			// handle so the reconciliation sweep keeps trying. The session
-			// itself is already terminal and its grant released.
-			b.parkCancel(id, handle)
-		} else {
-			b.logf("clearing", id, "reservation cancel: %v", err)
+	// The job dies with its reservation; a migrated session is re-invoked
+	// on the target.
+	if job != "" && b.cfg.GRAM != nil {
+		if j, err := b.cfg.GRAM.Job(job); err == nil && !j.State.Terminal() {
+			_ = b.cfg.GRAM.Cancel(job)
 		}
+	}
+	// A parked handle is the reconciliation sweep's: the session itself is
+	// already terminal and its grant released.
+	if err := b.giveBack(id, handle); err != nil && !errors.Is(err, ErrRMUnavailable) {
+		b.logf("clearing", id, "reservation cancel: %v", err)
 	}
 	b.met.teardownSeconds.Observe(time.Since(started).Seconds())
 	b.journal("persist", id)

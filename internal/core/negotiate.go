@@ -580,7 +580,9 @@ func (b *Broker) compensate(needed resource.Capacity) (bool, error) {
 		// Tear down without the scenario-2 hook: running it here would
 		// restore the volunteers degraded above and hand the freed
 		// capacity straight back.
-		if err := b.terminateForCompensation(t.id); err == nil {
+		if err := b.teardown(t.id, sla.StateTerminated,
+			"terminated to compensate for a new request (scenario 1)"); err == nil {
+			b.met.terminated.Inc()
 			freed = true
 		}
 	}

@@ -107,7 +107,7 @@ func Recover(cfg Config) (*Broker, *RecoverStats, error) {
 		return nil, nil, err
 	}
 	b.installState(st)
-	stats.Sessions = st.sessionCount()
+	stats.Sessions = len(st.sessions)
 
 	// Journaling resumes before reconciliation so the sweep's own
 	// mutations (parked-cancel changes, ledger entries) are durable.
@@ -145,8 +145,6 @@ type recoveredState struct {
 	ledger   wal.LedgerState
 	nextID   int64
 }
-
-func (st *recoveredState) sessionCount() int { return len(st.sessions) }
 
 // foldState folds the load result into one absolute image: snapshot
 // fields first, then every suffix record last-write-wins. Ledger
@@ -357,17 +355,14 @@ func (b *Broker) reconcileAgainstRMs() (adopted, refunded int) {
 		if h, ok := liveByID[id]; ok && h == r.Handle {
 			continue // owned by a live session
 		}
-		h := r.Handle
-		err := b.pol.call("gara.cancel", func() error { return b.cfg.GARA.Cancel(h) })
-		switch {
-		case err == nil || errors.Is(err, gara.ErrCanceled) || errors.Is(err, gara.ErrUnknownHandle):
+		switch err := b.giveBack(id, r.Handle); {
+		case err == nil:
 			refunded++
-			b.logf("recover", id, "refunded orphaned reservation %s", h)
+			b.logf("recover", id, "refunded orphaned reservation %s", r.Handle)
 		case errors.Is(err, ErrRMUnavailable):
-			b.parkCancel(id, h)
-			refunded++
+			refunded++ // parked
 		default:
-			b.logf("recover", id, "orphan cancel %s failed: %v", h, err)
+			b.logf("recover", id, "orphan cancel %s failed: %v", r.Handle, err)
 		}
 	}
 	return adopted, refunded

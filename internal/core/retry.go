@@ -248,6 +248,28 @@ func (b *Broker) RetryStats() (retries, timeouts, unavailable int64) {
 	return b.pol.retries.Load(), b.pol.timeouts.Load(), b.pol.unavailable.Load()
 }
 
+// givenBack reports whether a gara.cancel outcome leaves the reservation
+// returned: canceled now, or already canceled or unknown at the RM.
+func givenBack(err error) bool {
+	return err == nil || errors.Is(err, gara.ErrCanceled) || errors.Is(err, gara.ErrUnknownHandle)
+}
+
+// giveBack returns session id's reservation h to GARA under the
+// gara.cancel policy. It returns nil once the reservation is returned;
+// a cancel that exhausted its retry budget is parked for the
+// reconciliation sweep and reported as ErrRMUnavailable; any other error
+// is returned as it stands.
+func (b *Broker) giveBack(id sla.ID, h gara.Handle) error {
+	err := b.pol.call("gara.cancel", func() error { return b.cfg.GARA.Cancel(h) })
+	switch {
+	case givenBack(err):
+		return nil
+	case errors.Is(err, ErrRMUnavailable):
+		b.parkCancel(id, h)
+	}
+	return err
+}
+
 // parkCancel records a reservation whose cancel exhausted its retry
 // budget; ReconcileReservations keeps retrying it.
 func (b *Broker) parkCancel(id sla.ID, h gara.Handle) {
@@ -300,10 +322,9 @@ func (b *Broker) sweepParked() int {
 	cleared := 0
 	for _, id := range ids {
 		h := handles[id]
-		err := b.pol.call("gara.cancel", func() error { return b.cfg.GARA.Cancel(h) })
-		if err != nil && !errors.Is(err, gara.ErrCanceled) && !errors.Is(err, gara.ErrUnknownHandle) {
-			// Still transiently failing: leave it parked for the next
-			// sweep.
+		// Not giveBack: a handle still failing stays parked as it is, with
+		// no second park record.
+		if !givenBack(b.pol.call("gara.cancel", func() error { return b.cfg.GARA.Cancel(h) })) {
 			continue
 		}
 		b.pcMu.Lock()

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/xml"
 	"fmt"
+	"slices"
 
 	"gqosm/internal/gara"
 	"gqosm/internal/nrm"
@@ -316,7 +317,7 @@ func (b *Broker) ExpireDue() []sla.ID {
 		}
 	}
 	b.mu.Unlock()
-	sortIDs(due)
+	slices.Sort(due)
 	for _, id := range due {
 		_ = b.Expire(id)
 	}
@@ -351,12 +352,4 @@ func hasComputeParams(s sla.Spec) bool {
 		}
 	}
 	return false
-}
-
-func sortIDs(ids []sla.ID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

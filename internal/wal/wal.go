@@ -384,59 +384,18 @@ func (l *Log) rotateLocked() error {
 	return nil
 }
 
-// Append assigns the next sequence number to r, frames it, writes it and
-// fsyncs. Any failure — injected or real — rolls the partial write back
-// and seals the log: the simulated process died at this commit point,
-// and nothing written after a death can exist.
+// Append assigns the next sequence number to r and lands it: an
+// AppendBatch of one.
 func (l *Log) Append(r Record) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.sealed {
-		return 0, ErrSealed
-	}
-	r.Seq = l.seq + 1
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return 0, fmt.Errorf("wal: encode: %w", err)
-	}
-	frame := appendFrame(make([]byte, 0, len(payload)+8), payload)
-
-	pre := l.size
-	werr := l.do(SiteAppend, func() error {
-		n, err := l.f.Write(frame)
-		l.size += int64(n)
-		return err
-	})
-	if werr == nil {
-		werr = l.do(SiteSync, func() error {
-			l.syncs++
-			return l.f.Sync()
-		})
-	}
-	if werr != nil {
-		// Roll the record back so the on-disk state matches what a real
-		// pre-fsync death would have preserved, then seal.
-		_ = l.f.Truncate(pre)
-		l.size = pre
-		l.sealLocked()
-		return 0, fmt.Errorf("wal: append seq %d: %w", r.Seq, werr)
-	}
-	l.seq = r.Seq
-	l.appends++
-	l.sinceSnap++
-	if l.sinceSnap >= l.every {
-		// Never snapshot inline: the caller may hold broker or ledger
-		// locks the capture needs. The flag is consumed by SnapshotDue.
-		l.due = true
-	}
-	return r.Seq, nil
+	return l.AppendBatch([]Record{r})
 }
 
 // AppendBatch assigns consecutive sequence numbers to recs, frames them
 // all and lands them with a single write + fsync pair — the group-commit
 // point: a batch of admissions pays one disk round-trip instead of
-// len(recs). Failure semantics match Append: any error — injected or
-// real — rolls the whole batch's partial write back and seals the log.
+// len(recs). Any failure — injected or real — rolls the whole batch's
+// partial write back and seals the log: the simulated process died at
+// this commit point, and nothing written after a death can exist.
 // A real crash between the write and the fsync may still leave a prefix
 // of the batch's frames on disk; each frame carries its own CRC, so
 // recovery replays exactly that prefix — per-record atomicity is
@@ -451,8 +410,14 @@ func (l *Log) AppendBatch(recs []Record) (uint64, error) {
 	if l.sealed {
 		return 0, ErrSealed
 	}
-	seq := l.seq
-	frame := make([]byte, 0, 256*len(recs))
+	// Encode first and size the frame once; a batch of one keeps its
+	// payload list on the stack.
+	var one [1][]byte
+	payloads := one[:]
+	if len(recs) > 1 {
+		payloads = make([][]byte, len(recs))
+	}
+	seq, size := l.seq, 0
 	for i := range recs {
 		seq++
 		recs[i].Seq = seq
@@ -460,7 +425,12 @@ func (l *Log) AppendBatch(recs []Record) (uint64, error) {
 		if err != nil {
 			return 0, fmt.Errorf("wal: encode: %w", err)
 		}
-		frame = appendFrame(frame, payload)
+		payloads[i] = payload
+		size += len(payload) + 8
+	}
+	frame := make([]byte, 0, size)
+	for _, p := range payloads {
+		frame = appendFrame(frame, p)
 	}
 
 	pre := l.size
@@ -479,12 +449,14 @@ func (l *Log) AppendBatch(recs []Record) (uint64, error) {
 		_ = l.f.Truncate(pre)
 		l.size = pre
 		l.sealLocked()
-		return 0, fmt.Errorf("wal: append batch seq %d..%d: %w", l.seq+1, seq, werr)
+		return 0, fmt.Errorf("wal: append seq %d..%d: %w", l.seq+1, seq, werr)
 	}
 	l.seq = seq
 	l.appends += int64(len(recs))
 	l.sinceSnap += len(recs)
 	if l.sinceSnap >= l.every {
+		// Never snapshot inline: the caller may hold broker or ledger
+		// locks the capture needs. The flag is consumed by SnapshotDue.
 		l.due = true
 	}
 	return seq, nil
