@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -403,6 +405,8 @@ func (b *Broker) book(s *session, spec *sla.Spec, c resource.Capacity, offer flo
 	}
 	if spec != nil {
 		// The alternative-QoS fallback is re-derived from the new floor.
+		// The spec is replaced, never written into (copy-on-write, sla.Spec):
+		// an optimizer pass may still be reading the old one.
 		s.doc.Spec = spec.Clone()
 		s.doc.Adapt.AlternativeQoS = spec.Floor()
 	}
@@ -552,8 +556,8 @@ type OptimizeOutcome struct {
 	// Gain is the profit improvement of the best assignment over the
 	// current one.
 	Gain float64
-	// Applied reports whether the reallocation was pushed to the
-	// resource managers (Gain ≥ MinOptimizerGain).
+	// Applied reports whether the pass changed at least one session's
+	// allocation (Changed > 0).
 	Applied bool
 	// Changed counts sessions whose allocation changed.
 	Changed int
@@ -568,13 +572,71 @@ type OptimizeOutcome struct {
 func (b *Broker) RunOptimizer() (OptimizeOutcome, error) {
 	defer b.debugCheck("optimize")
 	b.met.optimizerRuns.Inc()
-	type entry struct {
-		id    sla.ID
-		spec  sla.Spec
-		alloc resource.Capacity
+	w := optPool.Get().(*optWorkspace)
+	defer w.release()
+	b.optimizerInput(w)
+
+	out := OptimizeOutcome{Considered: len(w.services)}
+	if len(w.services) == 0 {
+		return out, nil
 	}
+
+	// Capacity available to these sessions: what they hold now plus the
+	// guaranteed-side headroom.
+	problem := OptProblem{Services: w.services, Capacity: b.alloc.AvailableGuaranteed()}
+	for _, held := range w.held {
+		problem.Capacity = problem.Capacity.Add(held)
+	}
+	if err := w.greedy(problem); err != nil {
+		return OptimizeOutcome{}, err
+	}
+	out.Gain = problem.profit(w.assign) - problem.profit(w.held)
+	if out.Gain < b.cfg.MinOptimizerGain {
+		return out, nil
+	}
+
+	// The assignment fits the pool jointly, but it is applied one
+	// session at a time: an upgrade applied before the downsizes that
+	// fund it transiently over-demands the pool and collapses to a
+	// floor grant. Downsizes go first, each pass in id order, so every
+	// intermediate state stays within capacity and the pass stays
+	// deterministic.
+	for _, downsizes := range [2]bool{true, false} {
+		for i, svc := range w.services {
+			target, held := w.assign[i], w.held[i]
+			if target.FitsIn(held) != downsizes || target.Equal(held) {
+				continue
+			}
+			r, err := b.reallocate(svc.ID, move{target: target, notes: qualityNotes, rebase: true})
+			if r.short {
+				// The pool moved between solve and apply (a concurrent
+				// admission took the headroom): only the floor was granted.
+				b.logf("optimize", svc.ID, "partial grant %v for target %v, document follows", r.applied, target)
+			}
+			if err != nil {
+				continue // skip this session; others may still improve
+			}
+			b.journal("optimize", svc.ID)
+			if !r.applied.Equal(held) {
+				out.Changed++
+			}
+		}
+	}
+	if out.Applied = out.Changed > 0; out.Applied {
+		b.met.optimizerApplied.Inc()
+		b.logf("optimize", "", "reallocated %d/%d controlled-load sessions, profit gain %.2f",
+			out.Changed, out.Considered, out.Gain)
+	}
+	return out, nil
+}
+
+// optimizerInput fills w with the §5.3 pass's services — the live
+// controlled-load sessions that are not degraded, in ID order — and what
+// each holds now.
+func (b *Broker) optimizerInput(w *optWorkspace) {
+	rates := b.prices.ClassRates(sla.ClassControlledLoad)
 	b.mu.Lock()
-	var entries []entry
+	defer b.mu.Unlock()
 	for id, s := range b.sessions {
 		if s.doc.Class != sla.ClassControlledLoad {
 			continue
@@ -585,72 +647,13 @@ func (b *Broker) RunOptimizer() (OptimizeOutcome, error) {
 		if s.degraded {
 			continue // scenario-3/1 victims are restored explicitly
 		}
-		entries = append(entries, entry{id: id, spec: s.doc.Spec.Clone(), alloc: s.doc.Allocated})
+		// A live document's spec is copy-on-write (sla.Spec): the map
+		// shared here is never written again, so the solve reads it
+		// after the lock is dropped.
+		w.services = append(w.services, OptService{ID: id, Spec: s.doc.Spec, Rates: rates})
 	}
-	b.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
-
-	out := OptimizeOutcome{Considered: len(entries)}
-	if len(entries) == 0 {
-		return out, nil
+	slices.SortFunc(w.services, func(x, y OptService) int { return cmp.Compare(x.ID, y.ID) })
+	for _, svc := range w.services {
+		w.held = append(w.held, b.sessions[svc.ID].doc.Allocated)
 	}
-
-	// Capacity available to these sessions: what they hold now plus the
-	// guaranteed-side headroom.
-	capacity := b.alloc.AvailableGuaranteed()
-	currentProfit := 0.0
-	rates := b.prices.ClassRates(sla.ClassControlledLoad)
-	problem := OptProblem{Services: make([]OptService, 0, len(entries))}
-	for _, e := range entries {
-		capacity = capacity.Add(e.alloc)
-		currentProfit += rates.Cost(e.alloc)
-		problem.Services = append(problem.Services, OptService{ID: e.id, Spec: e.spec, Rates: rates})
-	}
-	problem.Capacity = capacity
-
-	res, err := Greedy(problem)
-	if err != nil {
-		return OptimizeOutcome{}, err
-	}
-	out.Gain = res.Profit - currentProfit
-	if out.Gain < b.cfg.MinOptimizerGain {
-		return out, nil
-	}
-
-	// The assignment fits the pool jointly, but it is applied one
-	// session at a time: an upgrade applied before the downsizes that
-	// fund it transiently over-demands the pool and collapses to a
-	// floor grant. Downsizes first keeps every intermediate state
-	// within capacity (stable sort preserves the id order within each
-	// half, so the pass stays deterministic).
-	sort.SliceStable(entries, func(i, j int) bool {
-		di := res.Assignment[entries[i].id].FitsIn(entries[i].alloc)
-		dj := res.Assignment[entries[j].id].FitsIn(entries[j].alloc)
-		return di && !dj
-	})
-	for _, e := range entries {
-		target := res.Assignment[e.id]
-		if target.Equal(e.alloc) {
-			continue
-		}
-		r, err := b.reallocate(e.id, move{target: target, notes: qualityNotes, rebase: true})
-		if r.short {
-			// The pool moved between solve and apply (a concurrent
-			// admission took the headroom): only the floor was granted.
-			b.logf("optimize", e.id, "partial grant %v for target %v, document follows", r.applied, target)
-		}
-		if err != nil {
-			continue // skip this session; others may still improve
-		}
-		b.journal("optimize", e.id)
-		if !r.applied.Equal(e.alloc) {
-			out.Changed++
-		}
-	}
-	if out.Applied = out.Changed > 0; out.Applied {
-		b.met.optimizerApplied.Inc()
-		b.logf("optimize", "", "reallocated %d/%d controlled-load sessions, profit gain %.2f",
-			out.Changed, out.Considered, out.Gain)
-	}
-	return out, nil
 }

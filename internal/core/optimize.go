@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"gqosm/internal/pricing"
 	"gqosm/internal/resource"
@@ -81,15 +83,20 @@ type levelTable struct {
 }
 
 func (p OptProblem) levels() levelTable {
+	var t levelTable
+	t.fill(p.Services)
+	return t
+}
+
+// fill rebuilds the table for services, reusing its slices' capacity.
+func (t *levelTable) fill(services []OptService) {
 	n := 0
-	for _, s := range p.Services {
+	for _, s := range services {
 		n += len(s.Spec.Params) * max(s.steps(), 2)
 	}
-	t := levelTable{
-		flat: make([]float64, 0, n), // lists longer than the range steps grow it
-		off:  make([]int, 1, len(p.Services)*len(resource.Kinds)+1),
-	}
-	for _, s := range p.Services {
+	t.flat = slices.Grow(t.flat[:0], n) // lists longer than the range steps grow it
+	t.off = append(slices.Grow(t.off[:0], len(services)*len(resource.Kinds)+1), 0)
+	for _, s := range services {
 		steps := s.steps()
 		for _, k := range resource.Kinds {
 			if prm, ok := s.Spec.Params[k]; ok {
@@ -98,7 +105,6 @@ func (p OptProblem) levels() levelTable {
 			t.off = append(t.off, len(t.flat))
 		}
 	}
-	return t
 }
 
 func (t levelTable) of(si, ki int) []float64 {
@@ -110,25 +116,40 @@ func (t levelTable) of(si, ki int) []float64 {
 // p.Services order (so the sum's rounding is the same on every run), and
 // verifies feasibility.
 func (p OptProblem) floorsOf() ([]resource.Capacity, resource.Capacity, error) {
-	floors := make([]resource.Capacity, len(p.Services))
+	return p.floorsInto(nil)
+}
+
+// floorsInto is floorsOf writing the floors over dst.
+func (p OptProblem) floorsInto(dst []resource.Capacity) ([]resource.Capacity, resource.Capacity, error) {
+	dst = slices.Grow(dst[:0], len(p.Services))
 	var sum resource.Capacity
-	for i, s := range p.Services {
-		floors[i] = s.Spec.Floor()
-		sum = sum.Add(floors[i])
+	for _, s := range p.Services {
+		f := s.Spec.Floor()
+		dst = append(dst, f)
+		sum = sum.Add(f)
 	}
 	if !sum.FitsIn(p.Capacity) {
-		return nil, resource.Capacity{}, fmt.Errorf("%w: floors need %v, capacity %v", ErrInfeasible, sum, p.Capacity)
+		return dst, resource.Capacity{}, fmt.Errorf("%w: floors need %v, capacity %v", ErrInfeasible, sum, p.Capacity)
 	}
-	return floors, sum, nil
+	return dst, sum, nil
+}
+
+// profit is Σ_j Σ_i c_ij · p_ij of a per-service assignment (p.Services
+// order), summed in that order.
+func (p OptProblem) profit(assign []resource.Capacity) float64 {
+	total := 0.0
+	for i, s := range p.Services {
+		total += s.Rates.Cost(assign[i])
+	}
+	return total
 }
 
 // result keys a per-service assignment (p.Services order) by SLA ID and
 // totals its profit.
 func (p OptProblem) result(assign []resource.Capacity) OptResult {
-	res := OptResult{Assignment: make(map[sla.ID]resource.Capacity, len(p.Services))}
+	res := OptResult{Assignment: make(map[sla.ID]resource.Capacity, len(p.Services)), Profit: p.profit(assign)}
 	for i, s := range p.Services {
 		res.Assignment[s.ID] = assign[i]
-		res.Profit += s.Rates.Cost(assign[i])
 	}
 	return res
 }
@@ -164,6 +185,30 @@ func nextCandidate(levels []float64, from int, cur, rate float64) candidate {
 	return candidate{next: -1}
 }
 
+// optWorkspace is the working memory of one §5.3 solve. greedy writes
+// the floors and then the assignment, the level table and the candidates
+// into it; RunOptimizer also builds its services and their current
+// allocations (held, same order) here. RunOptimizer takes one from
+// optPool, so a pass allocates nothing per session and concurrent passes
+// share nothing; Greedy solves on a fresh one.
+type optWorkspace struct {
+	services []OptService
+	held     []resource.Capacity
+	assign   []resource.Capacity
+	table    levelTable
+	cands    []candidate
+}
+
+var optPool = sync.Pool{New: func() any { return new(optWorkspace) }}
+
+// release drops the workspace's references to session IDs and spec maps,
+// so a pooled workspace pins none of them, and returns it to optPool.
+func (w *optWorkspace) release() {
+	clear(w.services)
+	w.services, w.held = w.services[:0], w.held[:0]
+	optPool.Put(w)
+}
+
 // Greedy solves the problem heuristically: every service starts at its
 // floor, then the feasible single-step upgrade of highest profit density
 // is applied until none is left (ties go to the earlier service).
@@ -177,16 +222,28 @@ func nextCandidate(levels []float64, from int, cur, rate float64) candidate {
 // dimension — O(K·S²·L) comparisons, O(K·S·L) candidate updates — and a
 // fixed handful of allocations.
 func Greedy(p OptProblem) (OptResult, error) {
-	assign, used, err := p.floorsOf()
-	if err != nil {
+	var w optWorkspace
+	if err := w.greedy(p); err != nil {
 		return OptResult{}, err
 	}
-	table := p.levels()
-	cands := make([]candidate, len(p.Services))
+	return p.result(w.assign), nil
+}
+
+// greedy is Greedy's kernel: it leaves the assignment in w.assign, in
+// p.Services order.
+func (w *optWorkspace) greedy(p OptProblem) error {
+	assign, used, err := p.floorsInto(w.assign)
+	w.assign = assign
+	if err != nil {
+		return err
+	}
+	w.table.fill(p.Services)
+	w.cands = slices.Grow(w.cands[:0], len(p.Services))[:len(p.Services)]
+	cands := w.cands
 	for ki, k := range resource.Kinds {
 		usedK, limit := used.Get(k), p.Capacity.Get(k)+resource.Epsilon
 		for si, s := range p.Services {
-			cands[si] = nextCandidate(table.of(si, ki), 0, assign[si].Get(k), s.Rates.Rate(k))
+			cands[si] = nextCandidate(w.table.of(si, ki), 0, assign[si].Get(k), s.Rates.Rate(k))
 		}
 		for {
 			best, bestDensity := -1, -1.0
@@ -206,14 +263,14 @@ func Greedy(p OptProblem) (OptResult, error) {
 			if best < 0 {
 				break
 			}
-			c, levels := cands[best], table.of(best, ki)
+			c, levels := cands[best], w.table.of(best, ki)
 			to := levels[c.next]
 			assign[best] = assign[best].With(k, to)
 			usedK += c.delta
 			cands[best] = nextCandidate(levels, c.next+1, to, p.Services[best].Rates.Rate(k))
 		}
 	}
-	return p.result(assign), nil
+	return nil
 }
 
 // exactLimit bounds the instance size Exact accepts; beyond it the search

@@ -4,10 +4,14 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
+	"sync"
 	"testing"
 
+	"gqosm/internal/clockx"
 	"gqosm/internal/pricing"
+	"gqosm/internal/registry"
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
 )
@@ -559,5 +563,113 @@ func TestOptimizerApplyKeepsDocAndAllocatorConsistent(t *testing.T) {
 	doc, _ = b.Session(wide)
 	if doc.Allocated.CPU != 4 {
 		t.Errorf("wide allocation = %v, want CPU 4", doc.Allocated)
+	}
+}
+
+// The §5.3 pass reads the controlled-load specs after dropping b.mu,
+// sharing them rather than cloning them: a live document's spec is
+// copy-on-write (sla.Spec). A Renegotiate installs a new map and leaves
+// the one a pass captured as it was; concurrent passes, renegotiations,
+// degradations and restorations on the same sessions are race-free (run
+// with -race) and leave every document agreeing with the allocator.
+func TestRunOptimizerSharesSpecs(t *testing.T) {
+	clock := clockx.NewManual(t0)
+	reg := registry.New(clock)
+	if _, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-a", Properties: simulationProps()}); err != nil {
+		t.Fatal(err)
+	}
+	b := miniBroker(t, clock, reg, false)
+	establish, guaranteed, controlled := allocGatePopulation(t, b)
+	var ids []sla.ID
+	for i := 0; i < 8; i++ {
+		ids = append(ids, establish(controlled))
+	}
+	// 30 of the 40 guaranteed nodes in ballast, 8 at the sessions' best:
+	// widened sessions compete for the last 2, so passes have work.
+	guaranteed.Spec = sla.NewSpec(sla.Exact(resource.CPU, 10), sla.Exact(resource.MemoryMB, 128))
+	for i := 0; i < 3; i++ {
+		establish(guaranteed)
+	}
+	narrow := controlled.Spec
+	wide := sla.NewSpec(sla.Range(resource.CPU, 0.5, 2), sla.Exact(resource.MemoryMB, 128))
+	liveParams := func(id sla.ID) map[resource.Kind]sla.Param {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.sessions[id].doc.Spec.Params
+	}
+
+	w := optPool.Get().(*optWorkspace)
+	b.optimizerInput(w)
+	if len(w.services) != len(ids) {
+		t.Fatalf("pass input has %d services, want %d", len(w.services), len(ids))
+	}
+	if w.services[0].ID != ids[0] {
+		t.Fatalf("pass input starts at %q, want %q", w.services[0].ID, ids[0])
+	}
+	captured := w.services[0].Spec.Params
+	if reflect.ValueOf(captured).Pointer() != reflect.ValueOf(liveParams(ids[0])).Pointer() {
+		t.Fatal("the pass copied the spec map instead of sharing it")
+	}
+	want := w.services[0].Spec.Clone().Params
+	if _, err := b.Renegotiate(ids[0], wide); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(captured, want) {
+		t.Errorf("Renegotiate wrote into the captured spec: %v, want %v", captured, want)
+	}
+	if live := liveParams(ids[0]); reflect.ValueOf(live).Pointer() == reflect.ValueOf(captured).Pointer() {
+		t.Error("after Renegotiate the session still holds the captured map")
+	} else if !reflect.DeepEqual(live, wide.Params) {
+		t.Errorf("after Renegotiate the session holds %v, want %v", live, wide.Params)
+	}
+	w.release()
+
+	const rounds = 200
+	var wg sync.WaitGroup
+	wg.Add(4)
+	for range 2 { // two passes at once: each takes its own pooled workspace
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if _, err := b.RunOptimizer(); err != nil {
+					t.Errorf("RunOptimizer: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			spec := narrow
+			if i%2 == 0 {
+				spec = wide
+			}
+			_, _ = b.Renegotiate(ids[i%len(ids)], spec) // a move already in flight refuses it
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			id := ids[(i+1)%len(ids)]
+			_ = b.DegradeToFloor(id) // refused while another move is in flight
+			_ = b.Restore(id)        // refused when the degradation was
+		}
+	}()
+	wg.Wait()
+	t.Logf("degraded %v restored %v applied %v", b.met.degraded.Value(), b.met.restored.Value(), b.met.optimizerApplied.Value())
+
+	for _, id := range ids {
+		doc, err := b.Session(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, held := b.Allocator().GuaranteedAllocation(string(id))
+		if !held || !got.Equal(doc.Allocated) {
+			t.Errorf("%s: document says %v, allocator says %v (held %v)", id, doc.Allocated, got, held)
+		}
+		if !doc.Spec.Accepts(doc.Allocated) {
+			t.Errorf("%s: allocation %v outside its spec %v", id, doc.Allocated, doc.Spec.Params)
+		}
 	}
 }

@@ -218,6 +218,12 @@ func (p Param) String() string {
 // Spec is the full QoS parameter set P_j = {p_1j, …, p_nj} (§5.3) for one
 // service, keyed by resource dimension, plus the network endpoints the
 // bandwidth parameter applies to.
+//
+// A Spec value shares its Params map (and each list's Values) with every
+// copy of it. A live SLA document's spec is therefore copy-on-write: its
+// owner installs a Clone and later replaces the whole Spec with another
+// Clone, never writing into Params, so a copy taken under the owner's lock
+// can be read after the lock is dropped.
 type Spec struct {
 	Params map[resource.Kind]Param
 
