@@ -14,6 +14,7 @@ import (
 	"gqosm/internal/nrm"
 	"gqosm/internal/registry"
 	"gqosm/internal/resource"
+	"gqosm/internal/rsl"
 	"gqosm/internal/sla"
 )
 
@@ -147,6 +148,43 @@ func controlledRequest(client string) Request {
 		End:               t5,
 		AcceptDegradation: true,
 		PromotionOptIn:    true,
+	}
+}
+
+// TestInvokeQuotesRSL is the regression test for the job RSL's quoting:
+// it was rendered with Go's %q, whose backslash escapes RSL does not
+// have, so a service named with a quote failed in GRAM's parser and one
+// with a backslash launched an executable with the backslash doubled.
+func TestInvokeQuotesRSL(t *testing.T) {
+	h := newHarness(t)
+	for _, service := range []string{`say "hi"`, `back\slash`} {
+		if _, err := h.reg.Register(registry.Service{Name: service, Provider: "site-a", Properties: simulationProps()}); err != nil {
+			t.Fatal(err)
+		}
+		req := controlledRequest("quoting")
+		req.Service = service
+		offer, err := h.broker.RequestService(req)
+		if err != nil {
+			t.Fatalf("%s: RequestService: %v", service, err)
+		}
+		id := offer.SLA.ID
+		if err := h.broker.Accept(id); err != nil {
+			t.Fatalf("%s: Accept: %v", service, err)
+		}
+		job, err := h.broker.Invoke(id)
+		if err != nil {
+			t.Fatalf("%s: Invoke: %v", service, err)
+		}
+		spec, err := rsl.Parse(job.Spec)
+		if err != nil {
+			t.Fatalf("%s: job RSL %s: %v", service, job.Spec, err)
+		}
+		if got, want := spec.Str("executable", ""), "/grid/services/"+service; got != want {
+			t.Errorf("%s: executable = %q, want %q", service, got, want)
+		}
+		if got := spec.Str("label", ""); got != string(id) {
+			t.Errorf("%s: label = %q, want %q", service, got, id)
+		}
 	}
 }
 

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"gqosm/internal/gram"
 	"gqosm/internal/obs"
 	"gqosm/internal/pricing"
 	"gqosm/internal/resource"
+	"gqosm/internal/rsl"
 	"gqosm/internal/sla"
 )
 
@@ -39,10 +41,7 @@ func (b *Broker) Invoke(id sla.ID) (gram.Job, error) {
 	handle := s.handle
 	b.mu.Unlock()
 
-	duration := end.Sub(b.clock.Now()).Seconds()
-	jobRSL := fmt.Sprintf(`&(executable=%q)(duration=%s)(label=%q)`,
-		"/grid/services/"+service, trimFloat(max(duration, 1)), string(id))
-	job, err := b.cfg.GRAM.Submit(jobRSL)
+	job, err := b.cfg.GRAM.Submit(jobRSL(service, id, end.Sub(b.clock.Now()).Seconds()))
 	if err != nil {
 		return gram.Job{}, fmt.Errorf("core: invoke %s: %w", id, err)
 	}
@@ -69,6 +68,22 @@ func (b *Broker) Invoke(id sla.ID) (gram.Job, error) {
 	b.mu.Unlock()
 	b.journal("persist", id)
 	return job, nil
+}
+
+// jobRSL renders the GRAM job description for a session's service: its
+// executable, the seconds left in the validity window (at least one) and
+// the SLA ID as label. Every invocation renders one, so it is appended
+// like reservationRSL; the strings are quoted the RSL way, so a service
+// name with a quote or a backslash reaches GRAM as itself.
+func jobRSL(service string, id sla.ID, duration float64) string {
+	var arr [160]byte
+	buf := append(arr[:0], "&(executable="...)
+	buf = rsl.AppendQuoted(buf, "/grid/services/"+service)
+	buf = append(buf, ")(duration="...)
+	buf = strconv.AppendFloat(buf, max(duration, 1), 'f', -1, 64)
+	buf = append(buf, ")(label="...)
+	buf = rsl.AppendQuoted(buf, string(id))
+	return string(append(buf, ')'))
 }
 
 // Terminate clears a session (Fig. 3's Clearing phase): the reservation is

@@ -11,6 +11,7 @@ import (
 	"gqosm/internal/gara"
 	"gqosm/internal/registry"
 	"gqosm/internal/resource"
+	"gqosm/internal/rsl"
 	"gqosm/internal/sla"
 )
 
@@ -698,9 +699,19 @@ func (b *Broker) BestEffortRelease(client string) error {
 	return nil
 }
 
+// newSLAID renders "<domain>-sla-NNNN": the counter zero-padded to four
+// digits, as %04d would, appended rather than printed since every
+// admission takes one.
 func (b *Broker) newSLAID() sla.ID {
-	return sla.ID(fmt.Sprintf("%s-sla-%04d",
-		strings.ToLower(nonEmpty(b.cfg.Domain, "aqos")), b.nextID.Add(1)))
+	n := b.nextID.Add(1)
+	var arr [64]byte
+	buf := append(arr[:0], strings.ToLower(nonEmpty(b.cfg.Domain, "aqos"))...)
+	buf = append(buf, "-sla-"...)
+	for w := int64(1000); w > 1 && n < w; w /= 10 {
+		buf = append(buf, '0')
+	}
+	buf = strconv.AppendInt(buf, n, 10)
+	return sla.ID(buf)
 }
 
 // reservationRSL renders the GARA request for a spec at the allocated
@@ -753,9 +764,9 @@ func reservationRSL(spec sla.Spec, alloc resource.Capacity) string {
 	}
 	if network {
 		buf = append(buf, `&(reservation-type="network")(source-ip=`...)
-		buf = strconv.AppendQuote(buf, spec.SourceIP)
+		buf = rsl.AppendQuoted(buf, spec.SourceIP)
 		buf = append(buf, ")(dest-ip="...)
-		buf = strconv.AppendQuote(buf, spec.DestIP)
+		buf = rsl.AppendQuoted(buf, spec.DestIP)
 		buf = append(buf, ")(bandwidth="...)
 		buf = strconv.AppendFloat(buf, alloc.BandwidthMbps, 'f', -1, 64)
 		buf = append(buf, ')')

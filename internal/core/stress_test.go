@@ -213,13 +213,13 @@ func admissionCycle(c *sim.Cluster, client string) error {
 
 // TestAdmissionCycleAllocGate is the deterministic allocation gate for
 // the inline admission route: one request/reject pair — what
-// BenchmarkSerialAdmission times — allocates at most 57 objects.
+// BenchmarkSerialAdmission times — allocates at most 50 objects.
 func TestAdmissionCycleAllocGate(t *testing.T) {
 	if core.RaceEnabled() {
 		t.Skip("allocation counts are not exact under -race")
 	}
 	c := stressCluster(t)
-	const gate = 57 // measured 52 (go1.24)
+	const gate = 50 // measured 46 (go1.24); 52 while the SLA ID and capacities went through fmt
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := admissionCycle(c, "alloc-gate"); err != nil {
 			t.Fatal(err)

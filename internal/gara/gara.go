@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -243,7 +244,7 @@ func (s *System) create(reqRSL string, start, end time.Time, tag string) (Handle
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID++
-	h := Handle(fmt.Sprintf("gara-%d", s.nextID))
+	h := Handle("gara-" + strconv.Itoa(s.nextID))
 	r := &Reservation{
 		Handle: h,
 		Spec:   reqRSL,

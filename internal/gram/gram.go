@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -199,7 +200,7 @@ func (m *Manager) submit(spec string) (Job, error) {
 	m.nextID++
 	m.nextPID++
 	st := &jobState{job: Job{
-		ID:    JobID(fmt.Sprintf("job-%d", m.nextID)),
+		ID:    JobID("job-" + strconv.Itoa(m.nextID)),
 		Spec:  spec,
 		PID:   m.nextPID,
 		State: StateActive,

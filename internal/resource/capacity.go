@@ -12,7 +12,7 @@ package resource
 import (
 	"fmt"
 	"math"
-	"strings"
+	"strconv"
 )
 
 // Kind identifies a capacity dimension.
@@ -206,17 +206,27 @@ func (c Capacity) Equal(o Capacity) bool {
 
 // String renders the non-zero dimensions, e.g.
 // "cpu=10 memory-mb=2048 disk-gb=15".
+//
+// Activity-log lines and refusal errors render a capacity on every
+// session, so the text is appended into one stack buffer: each value is
+// strconv's shortest 'g' form, which is byte for byte what fmt's %g prints.
 func (c Capacity) String() string {
-	var parts []string
+	var arr [128]byte
+	buf := arr[:0]
 	for _, k := range Kinds {
 		if v := c.Get(k); math.Abs(v) > Epsilon {
-			parts = append(parts, fmt.Sprintf("%s=%g", k, v))
+			if len(buf) > 0 {
+				buf = append(buf, ' ')
+			}
+			buf = append(buf, k.String()...)
+			buf = append(buf, '=')
+			buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
 		}
 	}
-	if len(parts) == 0 {
+	if len(buf) == 0 {
 		return "empty"
 	}
-	return strings.Join(parts, " ")
+	return string(buf)
 }
 
 // Nodes is shorthand for a CPU-only capacity of n processor nodes.

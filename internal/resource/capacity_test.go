@@ -1,6 +1,7 @@
 package resource
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -114,6 +115,45 @@ func TestCapacityString(t *testing.T) {
 	if strings.Contains(s, "bandwidth") {
 		t.Errorf("String = %q, zero dimension should be omitted", s)
 	}
+}
+
+// capacityStringFmt is the rendering Capacity.String had before it
+// appended with strconv: one fmt.Sprintf("%s=%g") per non-zero dimension,
+// joined by spaces. FuzzCapacityString holds String to it byte for byte.
+func capacityStringFmt(c Capacity) string {
+	var parts []string
+	for _, k := range Kinds {
+		if v := c.Get(k); math.Abs(v) > Epsilon {
+			parts = append(parts, fmt.Sprintf("%s=%g", k, v))
+		}
+	}
+	if len(parts) == 0 {
+		return "empty"
+	}
+	return strings.Join(parts, " ")
+}
+
+// FuzzCapacityString checks the appended rendering against the fmt one.
+// Grow the corpus with `go test -fuzz=FuzzCapacityString ./internal/resource`.
+func FuzzCapacityString(f *testing.F) {
+	for _, c := range []Capacity{
+		{},
+		{CPU: math.Inf(1), MemoryMB: math.Inf(-1)},
+		{CPU: math.NaN(), DiskGB: 1e21, BandwidthMbps: 1e20},
+		{CPU: 1e-10, MemoryMB: -1e-10, DiskGB: 1e-5, BandwidthMbps: 1e-4},
+		{CPU: -3, MemoryMB: -2048.5, DiskGB: -0.1},
+		{CPU: 10, MemoryMB: 2048, DiskGB: 15, BandwidthMbps: 622},
+		{CPU: 0.1 + 0.2, MemoryMB: 1.0 / 3, DiskGB: math.MaxFloat64, BandwidthMbps: math.SmallestNonzeroFloat64},
+		{CPU: 123456, MemoryMB: 1234567, DiskGB: 123456789012345678},
+	} {
+		f.Add(c.CPU, c.MemoryMB, c.DiskGB, c.BandwidthMbps)
+	}
+	f.Fuzz(func(t *testing.T, cpu, mem, disk, bw float64) {
+		c := Capacity{CPU: cpu, MemoryMB: mem, DiskGB: disk, BandwidthMbps: bw}
+		if got, want := c.String(), capacityStringFmt(c); got != want {
+			t.Fatalf("String of %#v = %q, fmt renders %q", c, got, want)
+		}
+	})
 }
 
 func TestKindStringUnit(t *testing.T) {

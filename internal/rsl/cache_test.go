@@ -173,9 +173,10 @@ func parseUncached(tb testing.TB) {
 
 // TestParseAllocGate is the deterministic allocation gate for a cache
 // miss: the parser's node and value allocations for the multirequest, and
-// not one more.
+// not one more. A quoted value without a "" escape is a slice of the
+// input, so the two reservation-type strings cost nothing.
 func TestParseAllocGate(t *testing.T) {
-	const gate = 15
+	const gate = 13 // measured 13 (go1.24); 15 while quoted values were copied
 	if allocs := testing.AllocsPerRun(200, func() { parseUncached(t) }); allocs > gate {
 		t.Errorf("Parse allocates %.0f objects per call, gate is %d", allocs, gate)
 	}

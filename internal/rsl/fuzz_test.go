@@ -34,6 +34,9 @@ func FuzzRSL(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
+	for _, tc := range quotedValueCases {
+		f.Add(tc.src)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		node, err := Parse(input)
 		if err != nil {

@@ -94,9 +94,24 @@ type Value struct {
 // String renders the value in RSL surface syntax.
 func (v Value) String() string {
 	if v.WasQuote {
-		return `"` + strings.ReplaceAll(v.Raw, `"`, `""`) + `"`
+		return string(AppendQuoted(make([]byte, 0, len(v.Raw)+2), v.Raw))
 	}
 	return v.Raw
+}
+
+// AppendQuoted appends s to dst as an RSL quoted string and returns the
+// extended buffer. RSL has no backslash escapes: a quote inside the value
+// is doubled, and every other byte is copied as is, so the parser reads
+// back exactly s.
+func AppendQuoted(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	for i := 0; i < len(s); i++ {
+		if s[i] == '"' {
+			dst = append(dst, '"')
+		}
+		dst = append(dst, s[i])
+	}
+	return append(dst, '"')
 }
 
 // ParseError describes a syntax error with its byte offset in the input.
@@ -273,6 +288,16 @@ func (p *parser) scanValue() (Value, error) {
 	}
 	if p.src[p.pos] == '"' {
 		p.pos++
+		// A value with no "" escape is the input between its quotes: slice
+		// it instead of copying it byte by byte.
+		if i := strings.IndexByte(p.src[p.pos:], '"'); i >= 0 {
+			end := p.pos + i
+			if end+1 == len(p.src) || p.src[end+1] != '"' {
+				raw := p.src[p.pos:end]
+				p.pos = end + 1
+				return Value{Raw: raw, WasQuote: true}, nil
+			}
+		}
 		var sb strings.Builder
 		for {
 			if p.eof() {

@@ -104,6 +104,67 @@ func TestParseQuotedStrings(t *testing.T) {
 	}
 }
 
+// quotedValueCases are the edges of the quoted-value scan: a value with no
+// "" escape is sliced out of the input, one with an escape anywhere is
+// copied, and both must read the same as the copying scan always did.
+// FuzzRSL starts from the same inputs.
+var quotedValueCases = []struct {
+	src     string
+	raw     string // the value of a, when the parse succeeds
+	errAt   int    // ParseError offset, when it does not
+	errText string
+}{
+	{src: `a="plain"`, raw: `plain`},
+	{src: `a="""x"`, raw: `"x`},
+	{src: `a="x""y"`, raw: `x"y`},
+	{src: `a="x"""`, raw: `x"`},
+	{src: `a=""""`, raw: `"`},
+	{src: `a=""`, raw: ``},
+	{src: `&(a="x")(b="y")`, raw: `x`},
+	{src: `&(a="")(b="""")`, raw: ``},
+	{src: `a="unterminated`, errAt: 15, errText: "unterminated string"},
+	{src: `a="x""`, errAt: 6, errText: "unterminated string"},
+	{src: `a="a"b`, errAt: 5, errText: "trailing input"},
+}
+
+func TestScanQuotedValue(t *testing.T) {
+	for _, tc := range quotedValueCases {
+		n, err := Parse(tc.src)
+		if tc.errText != "" {
+			var pe *ParseError
+			if !errors.As(err, &pe) || pe.Offset != tc.errAt || pe.Msg != tc.errText {
+				t.Errorf("Parse(%q) = %v, want %q at offset %d", tc.src, err, tc.errText, tc.errAt)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("Parse(%q): %v", tc.src, err)
+			continue
+		}
+		v, ok := n.Lookup("a")
+		if !ok || v.Raw != tc.raw || !v.WasQuote || v.IsNum {
+			t.Errorf("Parse(%q) value of a = %+v, want quoted %q", tc.src, v, tc.raw)
+		}
+	}
+}
+
+func TestAppendQuoted(t *testing.T) {
+	for _, s := range []string{``, `plain`, `"`, `say "hi"`, `""`, `back\slash`, "tab\there"} {
+		quoted := string(AppendQuoted([]byte("x="), s))
+		n, err := Parse(quoted)
+		if err != nil {
+			t.Errorf("AppendQuoted(%q) = %s does not parse: %v", s, quoted, err)
+			continue
+		}
+		if got := n.Str("x", "<absent>"); got != s {
+			t.Errorf("AppendQuoted(%q) = %s reads back as %q", s, quoted, got)
+		}
+		if got := (Value{Raw: s, WasQuote: true}).String(); "x="+got != quoted {
+			t.Errorf("Value.String() = %s, AppendQuoted = %s", got, quoted)
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	tests := []string{
 		"",

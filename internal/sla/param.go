@@ -271,8 +271,10 @@ func (s Spec) Kinds() []resource.Kind {
 
 func (s Spec) sorted() []Param {
 	out := make([]Param, 0, len(s.Params))
-	for _, k := range s.Kinds() {
-		out = append(out, s.Params[k])
+	for _, k := range resource.Kinds {
+		if p, ok := s.Params[k]; ok {
+			out = append(out, p)
+		}
 	}
 	return out
 }
