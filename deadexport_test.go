@@ -36,6 +36,7 @@ var testOnlyExports = map[string]string{
 	"registry.Registry.Renew":     "substrate: UDDIe lease renewal; services in the stack register once",
 	"registry.Registry.Sweep":     "substrate: UDDIe lease expiry sweep; Find already hides expired leases",
 	"registry.NewClient":          "substrate: the SOAP client of a remote UDDIe (cmd/registryd, Stack.Mount); the stack's broker holds its registry in-process",
+	"registry.Client.Find":        "substrate: UDDIe find_service over SOAP, see registry.NewClient",
 	"registry.Client.Register":    "substrate: UDDIe save_service over SOAP, see registry.NewClient",
 	"registry.Client.Deregister":  "substrate: UDDIe delete_service over SOAP, see registry.NewClient",
 	"mds.Directory.Mount":         "substrate: MDS's GIIS aggregation (a resource directory mounted under a site's); the stack runs one flat directory",
@@ -210,7 +211,6 @@ var configStructs = []string{
 var unsetOptions = map[string]string{
 	"stack.Config.DSRTProcessors":         "substrate: the DSRT scheduler and the RM-level adaptation rung, driven by root tests only until ROADMAP item 6 turns them on in a replay",
 	"stack.Config.MinOptimizerGain":       "paper knob: the 5.5 \"considerable gain\" threshold; the root ablation benchmark (BenchmarkAblationOptimizerThreshold, EXPERIMENTS.md) sweeps it, no deployment moves it off 1.0",
-	"sim.StressConfig.DisableCaches":      "test seam: the uncached broker is the reference the cache tests compare the cached one against; stack.Config and core.Config forward it",
 	"core.Config.EventLogCap":             "test seam: a small ring is the only way a test reaches event eviction",
 	"core.DurabilityConfig.SnapshotEvery": "test seam: a short cadence is the only way a test lands a snapshot mid-workload",
 	"core.IntakeConfig.Depth":             "test seam: a shallow queue is the only way a test reaches back-pressure (ErrIntakeFull)",
@@ -326,8 +326,8 @@ func TestEveryOptionHasASetter(t *testing.T) {
 		}
 	}
 	t.Logf("%d exported fields over %d structs, %d allowlisted", len(order), len(configStructs), len(unsetOptions))
-	if len(unsetOptions) > 10 {
-		t.Errorf("allowlist has %d entries; it is capped at 10", len(unsetOptions))
+	if len(unsetOptions) > 7 {
+		t.Errorf("allowlist has %d entries; it is capped at 7", len(unsetOptions))
 	}
 	for name, reason := range unsetOptions {
 		switch {

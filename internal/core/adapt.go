@@ -349,27 +349,15 @@ func (a *Allocator) gBoundLocked() resource.Capacity {
 // even g(u) does not fit. Re-allocating for an existing user replaces the
 // previous grant. floor must fit in requested.
 func (a *Allocator) AllocateGuaranteed(user string, requested, floor resource.Capacity) (GrantResult, error) {
-	if !floor.FitsIn(requested) {
-		return GrantResult{}, fmt.Errorf("core: floor %v exceeds request %v", floor, requested)
-	}
-	if !requested.IsNonNegative() {
-		return GrantResult{}, fmt.Errorf("core: negative request %v", requested)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	res, err := a.allocateGuaranteedLocked(user, requested, floor)
-	if err != nil {
-		return GrantResult{}, err
-	}
-	a.rebalanceLocked()
-	a.publishLocked()
-	return res, nil
+	ask := [1]GuaranteedAsk{{User: user, Requested: requested, Floor: floor}}
+	a.AllocateGuaranteedBatch(ask[:])
+	return ask[0].Grant, ask[0].Err
 }
 
-// allocateGuaranteedLocked is the Algorithm-1 admission core shared by
-// AllocateGuaranteed and AllocateGuaranteedBatch. The caller holds a.mu
-// and is responsible for running rebalanceLocked + publishLocked after
-// its grant(s) — that is exactly what the batch path amortizes.
+// allocateGuaranteedLocked is the Algorithm-1 admission core of
+// AllocateGuaranteedBatch. The caller holds a.mu and is responsible for
+// running rebalanceLocked + publishLocked after its grant(s) — that is
+// exactly what a batch amortizes.
 func (a *Allocator) allocateGuaranteedLocked(user string, requested, floor resource.Capacity) (GrantResult, error) {
 	prev, hadPrev := a.guaranteed[user]
 	base := a.gDemandLocked()

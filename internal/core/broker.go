@@ -38,10 +38,13 @@ var (
 	ErrClosed = errors.New("core: broker closed")
 )
 
-// Finder is the discovery dependency (satisfied by *registry.Registry and
-// *registry.Client).
+// Finder is the discovery dependency (satisfied by *registry.Registry).
+// Generation stamps the registered set: the broker's discovery cache
+// holds a Find result only while the generation it read before that Find
+// is current (see discovery_cache.go).
 type Finder interface {
 	Find(q registry.Query) ([]*registry.Service, error)
+	Generation() uint64
 }
 
 // DefEventLogCap bounds the broker activity log when Config.EventLogCap
@@ -60,12 +63,6 @@ type Config struct {
 	// Registry performs service discovery; nil skips discovery (the
 	// request's Service name is taken at face value).
 	Registry Finder
-	// DisableCaches turns the hot-path discovery cache off, restoring a
-	// registry Find on every admission. The cache only engages when
-	// Registry implements Generation() uint64 (the in-process registry
-	// does; the SOAP client does not), so this is a diagnostic/benchmark
-	// switch, not a correctness one.
-	DisableCaches bool
 	// GARA performs resource reservations (required).
 	GARA *gara.System
 	// GRAM runs services; nil disables Invoke.
@@ -220,9 +217,7 @@ type Broker struct {
 	handoffs map[sla.ID]handoffIntent
 
 	// dcache is the generation-stamped discovery cache (see
-	// discovery_cache.go); nil when discovery is uncacheable (no
-	// registry, a registry without a generation counter, or
-	// Config.DisableCaches).
+	// discovery_cache.go); nil when Config.Registry is.
 	dcache *discoveryCache
 
 	// durable is the write-ahead lifecycle log; nil keeps every journal
@@ -301,10 +296,8 @@ func newBroker(cfg Config) (*Broker, error) {
 		handoffs:       make(map[sla.ID]handoffIntent),
 	}
 	b.pol = newPolicyRunner(b, cfg.RMPolicy)
-	if !cfg.DisableCaches {
-		if gf, ok := cfg.Registry.(generationFinder); ok {
-			b.dcache = newDiscoveryCache(gf, cfg.Obs)
-		}
+	if cfg.Registry != nil {
+		b.dcache = newDiscoveryCache(cfg.Registry, cfg.Obs)
 	}
 	b.met = newBrokerMetrics(b.obs)
 	b.registerGauges(b.obs)

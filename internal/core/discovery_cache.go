@@ -19,47 +19,25 @@ import (
 //
 // Correctness argument. An entry is valid only while
 //
-//  1. the registry's mutation generation still equals the one read
-//     *before* the entry's Find ran (Register/Deregister/Renew/Sweep
-//     all bump it), and
+//  1. the registry's generation still equals the one read *before* the
+//     entry's Find ran (Register/Deregister/Renew/Sweep all draw a new
+//     one, and no two registry instances ever share a value, so a
+//     restarted registry never validates an old entry), and
 //  2. the cached service's lease is still current on the broker's
 //     clock (lease expiry changes Find results without a mutation).
 //
-// Under those two conditions the uncached Find would select the same
-// service: with the generation unchanged the registered set is exactly
-// as it was, time can only *remove* candidates (expire leases), and
-// the cached service — first by key among the non-expired matches at
-// fill time — survives by (2), so it is still the first match. A hit
-// concurrent with a mutation is serializable as the admission ordered
-// before the mutation, exactly as an uncached Find that won the race
-// would be. Errors and empty result sets are never cached, so a
-// malformed query fails identically on both paths, every time.
+// Under those two conditions a Find would select the same service: with
+// the generation unchanged the registered set is exactly as it was, time
+// can only *remove* candidates (expire leases), and the cached service —
+// first by key among the non-expired matches at fill time — survives by
+// (2), so it is still the first match. A hit concurrent with a mutation
+// is serializable as the admission ordered before the mutation, exactly
+// as a Find that won the race would be. Errors and empty result sets are
+// never cached, so a malformed query fails identically every time.
 //
 // Eviction is deterministic (FIFO by insertion order, bounded by cap)
 // so runs that exercise the cache — the chaos harness in particular —
 // stay byte-identical per seed.
-
-// generationFinder is the optional Finder extension that makes
-// discovery results cacheable. The in-process *registry.Registry
-// implements it; remote finders (registry.Client over SOAP) do not,
-// and stay uncached — the broker cannot observe their mutations.
-type generationFinder interface {
-	Finder
-	Generation() uint64
-}
-
-// epochFinder is the further optional extension that makes cache
-// entries safe across finder *restarts*. Generations restart from zero
-// when a registry restarts, so a generation check alone can validate a
-// pre-restart entry against a post-restart registry whose counter
-// happens to have climbed back to the stamped value — serving a service
-// key the new instance may never have registered. An epoch names the
-// instance itself; entries stamped with a dead instance's epoch can
-// never validate. Finders without an epoch get epoch 0 throughout,
-// which degrades to the historical generation-only check.
-type epochFinder interface {
-	Epoch() uint64
-}
 
 // defDiscoveryCacheCap bounds the cache: larger than any realistic
 // number of distinct (service, floor) shapes in flight, small enough
@@ -76,10 +54,6 @@ type discoveryKey struct {
 // discoveryEntry is an immutable cache record: once stored it is never
 // mutated, so readers may use it after dropping the cache lock.
 type discoveryEntry struct {
-	// query is the prebuilt registry.Query for this key — including the
-	// trimFloat rendering of every filter value — hoisted here so a
-	// refill after invalidation reuses it instead of rebuilding.
-	query registry.Query
 	// key identifies the selected service (Find's first match).
 	key registry.Key
 	// leaseUntil is the selected service's lease at fill time (zero =
@@ -87,17 +61,11 @@ type discoveryEntry struct {
 	leaseUntil time.Time
 	// gen is the registry generation read before the fill's Find.
 	gen uint64
-	// epoch is the finder instance's epoch at the same point (0 when
-	// the finder has no epoch).
-	epoch uint64
 }
 
 type discoveryCache struct {
-	finder generationFinder
-	// epochOf reads the finder's instance epoch (constant 0 for finders
-	// without one), resolved once here to keep the hot path assert-free.
-	epochOf func() uint64
-	cap     int
+	finder Finder
+	cap    int
 
 	hits      *obs.Counter
 	misses    *obs.Counter
@@ -108,15 +76,10 @@ type discoveryCache struct {
 	order   []discoveryKey // insertion order, for deterministic FIFO eviction
 }
 
-func newDiscoveryCache(f generationFinder, reg *obs.Registry) *discoveryCache {
-	epochOf := func() uint64 { return 0 }
-	if ef, ok := f.(epochFinder); ok {
-		epochOf = ef.Epoch
-	}
+func newDiscoveryCache(f Finder, reg *obs.Registry) *discoveryCache {
 	return &discoveryCache{
-		finder:  f,
-		epochOf: epochOf,
-		cap:     defDiscoveryCacheCap,
+		finder: f,
+		cap:    defDiscoveryCacheCap,
 		hits: reg.Counter("gqosm_discovery_cache_hits_total",
 			"Discovery queries answered from the generation-stamped cache"),
 		misses: reg.Counter("gqosm_discovery_cache_misses_total",
@@ -160,43 +123,19 @@ func buildDiscoveryQuery(k discoveryKey) registry.Query {
 }
 
 // lookup returns the cached selection for k when it is still valid:
-// same finder instance (epoch), registry generation unchanged since the
-// fill, and the selected service's lease current at now.
+// registry generation unchanged since the fill, and the selected
+// service's lease current at now.
 func (c *discoveryCache) lookup(k discoveryKey, now time.Time) (registry.Key, bool) {
-	epoch := c.epochOf()
 	gen := c.finder.Generation()
 	c.mu.RLock()
 	e, ok := c.entries[k]
 	c.mu.RUnlock()
-	if !ok || e.epoch != epoch || e.gen != gen ||
-		(!e.leaseUntil.IsZero() && !now.Before(e.leaseUntil)) {
+	if !ok || e.gen != gen || (!e.leaseUntil.IsZero() && !now.Before(e.leaseUntil)) {
 		c.misses.Inc()
 		return "", false
 	}
 	c.hits.Inc()
 	return e.key, true
-}
-
-// queryFor returns the prebuilt query for k when a (possibly stale)
-// entry holds one, building it otherwise. Queries are immutable once
-// built — Find only reads them — so sharing across refills is safe.
-func (c *discoveryCache) queryFor(k discoveryKey) registry.Query {
-	c.mu.RLock()
-	e, ok := c.entries[k]
-	c.mu.RUnlock()
-	if ok {
-		return e.query
-	}
-	return buildDiscoveryQuery(k)
-}
-
-// stamp reads the finder's instance epoch and mutation counter. Callers
-// filling the cache must read both BEFORE running Find: a mutation (or
-// restart) between the read and the Find stores a stale stamp and the
-// next lookup misses (safe); reading after the Find could stamp stale
-// data current.
-func (c *discoveryCache) stamp() (epoch, gen uint64) {
-	return c.epochOf(), c.finder.Generation()
 }
 
 // store records the Find outcome for k. Refilling an existing key

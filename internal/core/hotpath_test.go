@@ -6,16 +6,20 @@ package core
 // deterministic allocation gates that keep the admission path lean.
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gqosm/internal/clockx"
 	"gqosm/internal/gara"
 	"gqosm/internal/gram"
+	"gqosm/internal/pricing"
 	"gqosm/internal/registry"
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
@@ -31,11 +35,24 @@ func simulationProps() []registry.Property {
 	}
 }
 
+// missFinder is the uncached reference: it answers every Generation with
+// a fresh value, so no discovery cache entry ever validates and every
+// discover runs the embedded Finder's Find.
+type missFinder struct {
+	Finder
+	gen atomic.Uint64
+}
+
+func (f *missFinder) Generation() uint64 { return f.gen.Add(1) }
+
 // miniBroker builds the smallest broker that can run discover and
 // requestService: a compute-only GARA over a private pool, no GRAM/NRM
-// unless a mod adds them.
-func miniBroker(tb testing.TB, clock *clockx.Manual, finder Finder, disable bool, mods ...func(*Config)) *Broker {
+// unless a mod adds them. miss wraps finder in a missFinder.
+func miniBroker(tb testing.TB, clock *clockx.Manual, finder Finder, miss bool, mods ...func(*Config)) *Broker {
 	tb.Helper()
+	if miss {
+		finder = &missFinder{Finder: finder}
+	}
 	pool := resource.NewPool("mini", resource.Capacity{CPU: 64, MemoryMB: 65536, DiskGB: 1024, BandwidthMbps: 10000})
 	g := gara.NewSystem()
 	g.RegisterManager(gara.NewComputeManager(pool))
@@ -49,7 +66,6 @@ func miniBroker(tb testing.TB, clock *clockx.Manual, finder Finder, disable bool
 		},
 		Registry:      finder,
 		GARA:          g,
-		DisableCaches: disable,
 		ConfirmWindow: 2 * time.Minute,
 	}
 	for _, mod := range mods {
@@ -107,21 +123,6 @@ func TestDiscoverCacheHit(t *testing.T) {
 	}
 	if h := b.dcache.hits.Value(); h != 2 {
 		t.Errorf("hits = %d, want 2", h)
-	}
-}
-
-func TestDiscoverCacheDisabled(t *testing.T) {
-	clock := clockx.NewManual(t0)
-	reg := registry.New(clock)
-	if _, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-a", Properties: simulationProps()}); err != nil {
-		t.Fatal(err)
-	}
-	b := miniBroker(t, clock, reg, true)
-	if b.dcache != nil {
-		t.Fatal("DisableCaches did not disable the discovery cache")
-	}
-	if _, err := b.discover(miniRequest(), miniRequest().Spec.Floor()); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -212,8 +213,7 @@ func TestDiscoverCacheLeaseExpiry(t *testing.T) {
 }
 
 // badFilterFinder injects a malformed numeric filter value ahead of
-// every Find, standing in for a corrupted query. It still implements
-// Generation, so the cache layer engages.
+// every Find, standing in for a corrupted query.
 type badFilterFinder struct{ inner *registry.Registry }
 
 func (f badFilterFinder) Find(q registry.Query) ([]*registry.Service, error) {
@@ -224,10 +224,9 @@ func (f badFilterFinder) Find(q registry.Query) ([]*registry.Service, error) {
 }
 func (f badFilterFinder) Generation() uint64 { return f.inner.Generation() }
 
-// TestDiscoverMalformedFilterIdentical is the regression test for the
-// query-hoisting bugfix: a malformed filter value must fail with the
-// same error on the cached and uncached paths, on every call, and the
-// error must never be cached.
+// TestDiscoverMalformedFilterIdentical: a malformed filter value must fail
+// with the same error through the cache as through a missFinder, on every
+// call, and the error must never be cached.
 func TestDiscoverMalformedFilterIdentical(t *testing.T) {
 	clock := clockx.NewManual(t0)
 	reg := registry.New(clock)
@@ -237,9 +236,6 @@ func TestDiscoverMalformedFilterIdentical(t *testing.T) {
 	finder := badFilterFinder{inner: reg}
 	cached := miniBroker(t, clock, finder, false)
 	uncached := miniBroker(t, clock, finder, true)
-	if cached.dcache == nil {
-		t.Fatal("cache did not engage on the Generation-capable wrapper")
-	}
 	req := miniRequest()
 	floor := req.Spec.Floor()
 
@@ -280,7 +276,7 @@ func TestDiscoveryCacheFIFOEviction(t *testing.T) {
 	c.cap = 2
 
 	entry := func(name string) *discoveryEntry {
-		return &discoveryEntry{key: registry.Key(name), gen: reg.Generation(), epoch: reg.Epoch()}
+		return &discoveryEntry{key: registry.Key(name), gen: reg.Generation()}
 	}
 	k1 := discoveryKey{service: "s1"}
 	k2 := discoveryKey{service: "s2"}
@@ -375,6 +371,164 @@ func TestDiscoverConcurrentMutation(t *testing.T) {
 	if got, err := b.discover(req, floor); err != nil || got != baseKey {
 		t.Fatalf("final discover = %q, %v; want %q", got, err, baseKey)
 	}
+}
+
+// TestDiscoverCacheParity runs one seeded stream of admissions, accepts
+// and terminations, with services registered, deregistered and their
+// leases lapsing in between, through a cached broker and through one whose
+// missFinder makes every lookup miss. The cache must not change a single
+// outcome, nor the session, allocator and ledger state they leave.
+func TestDiscoverCacheParity(t *testing.T) {
+	clock := clockx.NewManual(t0)
+	reg := registry.New(clock)
+	cached, uncached := miniBroker(t, clock, reg, false), miniBroker(t, clock, reg, true)
+	rng := rand.New(rand.NewSource(11))
+	var services []registry.Key
+	register := func() {
+		svc := registry.Service{Name: "simulation", Provider: "site", Properties: []registry.Property{
+			registry.NumProp("cpu-nodes", []float64{2, 4, 8, 26}[rng.Intn(4)]),
+			registry.NumProp("memory-mb", 10240),
+		}}
+		if rng.Intn(3) == 0 {
+			svc.LeaseUntil = clock.Now().Add(time.Duration(1+rng.Intn(20)) * time.Second)
+		}
+		k, err := reg.Register(svc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		services = append(services, k)
+	}
+	for i := 0; i < 3; i++ {
+		register()
+	}
+
+	// offered and live list the same sessions on both brokers while their
+	// outcomes agree. run returns an operation's outcome and, when it
+	// succeeds, the session that moves on to *into.
+	var offered, live []sla.ID
+	selected := map[string]int{} // offers by the service discovery selected
+	noService := 0
+	for op := 0; op < 1000; op++ {
+		var (
+			run  func(b *Broker) (string, sla.ID)
+			into *[]sla.ID
+		)
+		switch r := rng.Intn(20); {
+		case r < 8:
+			req := miniRequest()
+			req.Client = fmt.Sprintf("client-%d", op)
+			cpu := []float64{1, 3, 6}[rng.Intn(3)]
+			req.Spec = sla.NewSpec(sla.Exact(resource.CPU, cpu), sla.Exact(resource.MemoryMB, 256))
+			if rng.Intn(2) == 0 {
+				req.Class, req.AcceptDegradation = sla.ClassControlledLoad, true
+				req.Spec = sla.NewSpec(sla.Range(resource.CPU, cpu/2, cpu), sla.Exact(resource.MemoryMB, 256))
+			}
+			run = func(b *Broker) (string, sla.ID) {
+				offer, err := b.RequestService(req)
+				if err != nil {
+					return err.Error(), ""
+				}
+				return fmt.Sprintf("offer %s of %s: %v at %.4f", offer.SLA.ID, offer.ServiceKey, offer.SLA.Allocated, offer.Price), offer.SLA.ID
+			}
+			into = &offered
+		case r < 12:
+			id, ok := takeAny(rng, &offered)
+			if !ok {
+				continue
+			}
+			run = func(b *Broker) (string, sla.ID) {
+				if err := b.Accept(id); err != nil {
+					return err.Error(), ""
+				}
+				return "accepted " + string(id), id
+			}
+			into = &live
+		case r < 16:
+			id, ok := takeAny(rng, &live)
+			if !ok {
+				continue
+			}
+			run = func(b *Broker) (string, sla.ID) {
+				return fmt.Sprint("terminate ", id, ": ", b.Terminate(id, "done")), ""
+			}
+		case r < 18:
+			if len(services) < 6 {
+				register()
+			}
+			continue
+		case r < 19:
+			if k, ok := takeAny(rng, &services); ok {
+				_ = reg.Deregister(k) // a sweep may already have removed a lapsed lease
+			}
+			continue
+		default:
+			clock.Advance(time.Second)
+			continue
+		}
+		got, id := run(cached)
+		want, wantID := run(uncached)
+		if got != want || id != wantID {
+			t.Fatalf("op %d: cached broker %q, missFinder broker %q", op, got, want)
+		}
+		if into != nil && id != "" {
+			*into = append(*into, id)
+		}
+		if _, rest, ok := strings.Cut(got, " of "); ok {
+			selected[rest[:strings.Index(rest, ":")]]++
+		} else if strings.HasPrefix(got, ErrNoService.Error()) {
+			noService++
+		}
+	}
+	t.Logf("offers by selected service %v, %d refused for no service", selected, noService)
+	if len(selected) < 2 || noService == 0 {
+		t.Errorf("stream must select several services and find none at times: %v, %d", selected, noService)
+	}
+	if got, want := cacheParityState(t, cached), cacheParityState(t, uncached); got != want {
+		t.Errorf("state differs:\ncached:      %s\nmissFinder:  %s", got, want)
+	}
+	if cached.dcache.hits.Value() == 0 || uncached.dcache.hits.Value() != 0 {
+		t.Errorf("cache hits: cached broker %d, missFinder broker %d; want > 0 and 0",
+			cached.dcache.hits.Value(), uncached.dcache.hits.Value())
+	}
+}
+
+// takeAny removes a random element of *s and returns it; ok is false when
+// *s is empty.
+func takeAny[T any](rng *rand.Rand, s *[]T) (v T, ok bool) {
+	if len(*s) == 0 {
+		return v, false
+	}
+	i := rng.Intn(len(*s))
+	v = (*s)[i]
+	*s = append((*s)[:i], (*s)[i+1:]...)
+	return v, true
+}
+
+// cacheParityState renders what TestDiscoverCacheParity compares: every
+// session, the allocator's books and the ledger.
+func cacheParityState(t *testing.T, b *Broker) string {
+	t.Helper()
+	d := struct {
+		Sessions        []SessionInfo
+		Allocated       map[sla.ID]resource.Capacity
+		Guaranteed      map[string]resource.Capacity
+		AvailGuaranteed resource.Capacity
+		AvailBestEffort resource.Capacity
+		Ledger          pricing.State
+	}{Sessions: b.SessionInfos(), Allocated: map[sla.ID]resource.Capacity{}, Guaranteed: map[string]resource.Capacity{},
+		AvailGuaranteed: b.alloc.AvailableGuaranteed(), AvailBestEffort: b.alloc.AvailableBestEffort()}
+	for _, doc := range b.Sessions(nil) {
+		d.Allocated[doc.ID] = doc.Allocated
+	}
+	for _, u := range b.alloc.GuaranteedUsers() {
+		d.Guaranteed[u], _ = b.alloc.GuaranteedAllocation(u)
+	}
+	b.ledger.ExportWith(func(st pricing.State) { d.Ledger = st })
+	data, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }
 
 // TestDiscoverHitAllocs is the deterministic allocation gate for the

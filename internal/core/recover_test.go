@@ -554,7 +554,7 @@ func TestRecoverRejectsOccupiedDirOnNewBroker(t *testing.T) {
 }
 
 // switchableFinder stands in for a registry endpoint whose backing
-// process restarts: Find/Generation/Epoch delegate to whichever
+// process restarts: Find and Generation delegate to whichever
 // *registry.Registry is currently installed.
 type switchableFinder struct {
 	mu sync.Mutex
@@ -577,13 +577,12 @@ func (s *switchableFinder) Find(q registry.Query) ([]*registry.Service, error) {
 	return s.current().Find(q)
 }
 func (s *switchableFinder) Generation() uint64 { return s.current().Generation() }
-func (s *switchableFinder) Epoch() uint64      { return s.current().Epoch() }
 
 // TestDiscoveryCacheMissesAfterRegistryRestart is the stale-cache
-// regression (satellite 1): a restarted registry starts a fresh
-// generation counter, which can COLLIDE with the old registry's value —
-// the generation check alone then serves stale services that no longer
-// exist. The per-instance epoch breaks the collision.
+// regression: a registry restarted with the same mutation history as the
+// dead one must not validate the dead one's entries, or the cache serves
+// a service the new instance never registered. Every registry draws its
+// generations from one process-wide counter, so the two never share one.
 func TestDiscoveryCacheMissesAfterRegistryRestart(t *testing.T) {
 	clock := clockx.NewManual(t0)
 	regA := registry.New(clock)
@@ -597,16 +596,15 @@ func TestDiscoveryCacheMissesAfterRegistryRestart(t *testing.T) {
 	finder := &switchableFinder{r: regA}
 	c := newDiscoveryCache(finder, obs.NewRegistry())
 
-	// Fill the cache exactly as discover() does: stamp before the Find,
-	// store the selected service.
+	// Fill the cache exactly as discover() does: read the generation
+	// before the Find, store the selected service.
 	k := discoveryKeyFor("simulation", resource.Capacity{})
-	epoch, gen := c.stamp()
-	q := c.queryFor(k)
-	svcs, err := finder.Find(q)
+	gen := finder.Generation()
+	svcs, err := finder.Find(buildDiscoveryQuery(k))
 	if err != nil || len(svcs) != 1 {
 		t.Fatalf("Find = %v, %v", svcs, err)
 	}
-	c.store(k, &discoveryEntry{query: q, key: svcs[0].Key, epoch: epoch, gen: gen})
+	c.store(k, &discoveryEntry{key: svcs[0].Key, gen: gen})
 	if _, ok := c.lookup(k, clock.Now()); !ok {
 		t.Fatal("warm lookup missed")
 	}
@@ -614,11 +612,8 @@ func TestDiscoveryCacheMissesAfterRegistryRestart(t *testing.T) {
 		t.Fatalf("warm-up hits = %d, want 1", hits)
 	}
 
-	// The registry restarts. The replacement also has exactly one
-	// registration, so its generation counter holds the SAME value as
-	// the dead registry's — the collision that made the generation-only
-	// check serve stale entries. The restarted registry does NOT know
-	// "simulation" anymore.
+	// The registry restarts with the same mutation history: one
+	// registration. The restarted registry does NOT know "simulation".
 	regB := registry.New(clock)
 	if _, err := regB.Register(registry.Service{
 		Name: "render", Provider: "site-a",
@@ -626,14 +621,13 @@ func TestDiscoveryCacheMissesAfterRegistryRestart(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if regA.Generation() != regB.Generation() {
-		t.Fatalf("test premise broken: generations %d vs %d must collide",
-			regA.Generation(), regB.Generation())
+	if regA.Generation() == regB.Generation() {
+		t.Fatalf("test premise broken: generations must differ, both are %d", regA.Generation())
 	}
 	finder.swap(regB)
 
 	if stale, ok := c.lookup(k, clock.Now()); ok {
-		t.Fatalf("lookup after registry restart served stale entry %q; epoch check must force a miss", stale)
+		t.Fatalf("lookup after registry restart served stale entry %q; the generation check must force a miss", stale)
 	}
 	if hits := c.hits.Value(); hits != 1 {
 		t.Errorf("hits after restart = %d, want still 1", hits)

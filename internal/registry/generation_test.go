@@ -9,17 +9,15 @@ import (
 
 // TestGenerationCountsMutations pins the contract discovery caches rely
 // on: Generation() is monotonic, bumps on every successful mutation
-// (Register, Deregister, Renew, a Sweep that removed something), and
-// stays put on reads and failed or no-op operations.
+// (Register, Deregister, Renew, a Sweep that removed something), stays
+// put on reads and failed or no-op operations, and is never shared by two
+// registries, even ones with identical mutation histories.
 func TestGenerationCountsMutations(t *testing.T) {
 	start := time.Date(2003, 6, 16, 9, 0, 0, 0, time.UTC)
 	clock := clockx.NewManual(start)
 	r := New(clock)
 
 	last := r.Generation()
-	if last != 0 {
-		t.Fatalf("fresh registry generation = %d, want 0", last)
-	}
 	expectBump := func(op string, want bool) {
 		t.Helper()
 		g := r.Generation()
@@ -81,4 +79,35 @@ func TestGenerationCountsMutations(t *testing.T) {
 		t.Fatal("Deregister of removed key succeeded")
 	}
 	expectBump("failed Deregister", false)
+
+	// A restarted registry replays the dead one's history: every
+	// generation either shows must be its own.
+	owner := map[uint64]*Registry{}
+	note := func(step string, r *Registry) {
+		t.Helper()
+		g := r.Generation()
+		if o, ok := owner[g]; ok && o != r {
+			t.Errorf("%s: two registries share generation %d", step, g)
+		}
+		owner[g] = r
+	}
+	twins := [2]*Registry{New(clock), New(clock)}
+	for _, tw := range twins {
+		note("New", tw)
+	}
+	for _, tw := range twins {
+		k, err := tw.Register(Service{Name: "simulation", Provider: "site-a"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		note("Register", tw)
+		if err := tw.Renew(k, clock.Now().Add(time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+		note("Renew", tw)
+		if err := tw.Deregister(k); err != nil {
+			t.Fatal(err)
+		}
+		note("Deregister", tw)
+	}
 }

@@ -177,35 +177,36 @@ type Query struct {
 type Registry struct {
 	clock clockx.Clock
 
-	// gen counts mutations (Register, Deregister, Renew, and Sweeps that
-	// removed something). Readers that cache Find results key their
-	// entries on it: an unchanged generation means the registered set —
-	// including every lease — is exactly as it was. Lease *expiry* is
-	// time-based and does not bump the generation; cache layers must
-	// check their selected service's LeaseUntil themselves.
+	// gen stamps the registered set (Register, Deregister, Renew, and
+	// Sweeps that removed something each draw a new one). Readers that
+	// cache Find results key their entries on it: an unchanged generation
+	// means the registered set — including every lease — is exactly as it
+	// was. Lease *expiry* is time-based and does not change the
+	// generation; cache layers must check their selected service's
+	// LeaseUntil themselves. Every value, the first one in New included,
+	// is drawn from genSeq, so no two registries — a restarted one and the
+	// one it replaced among them — ever share a generation.
 	gen atomic.Uint64
-
-	// epoch identifies this registry *instance*. Generations restart
-	// from zero on every restart, so a restarted registry can reach a
-	// generation value a cache stamped before the crash — the epoch is
-	// drawn from a process-wide counter precisely so that can never
-	// validate: a cache entry is current only if both its epoch and its
-	// generation match.
-	epoch uint64
 
 	mu       sync.Mutex
 	nextID   int
 	services map[Key]*Service
 }
 
-// epochSeq hands every registry instance in the process a distinct
-// epoch; it never repeats within a process lifetime.
-var epochSeq atomic.Uint64
+// genSeq is the process-wide source of every registry generation; it
+// never repeats within a process lifetime.
+var genSeq atomic.Uint64
 
 // New returns an empty registry using the given clock for leases.
 func New(clock clockx.Clock) *Registry {
-	return &Registry{clock: clock, epoch: epochSeq.Add(1), services: make(map[Key]*Service)}
+	r := &Registry{clock: clock, services: make(map[Key]*Service)}
+	r.gen.Store(genSeq.Add(1))
+	return r
 }
+
+// bumpLocked draws the registry's next generation. The caller holds r.mu,
+// so one registry's generations rise in the order of its mutations.
+func (r *Registry) bumpLocked() { r.gen.Store(genSeq.Add(1)) }
 
 // Register adds a service and returns its assigned key. A zero
 // LeaseUntil means the registration does not expire.
@@ -223,7 +224,7 @@ func (r *Registry) Register(s Service) (Key, error) {
 	r.nextID++
 	s.Key = Key(fmt.Sprintf("svc-%04d", r.nextID))
 	r.services[s.Key] = s.clone()
-	r.gen.Add(1)
+	r.bumpLocked()
 	return s.Key, nil
 }
 
@@ -235,7 +236,7 @@ func (r *Registry) Deregister(k Key) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
 	delete(r.services, k)
-	r.gen.Add(1)
+	r.bumpLocked()
 	return nil
 }
 
@@ -248,7 +249,7 @@ func (r *Registry) Renew(k Key, until time.Time) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
 	s.LeaseUntil = until
-	r.gen.Add(1)
+	r.bumpLocked()
 	return nil
 }
 
@@ -325,24 +326,18 @@ func (r *Registry) Sweep() int {
 		}
 	}
 	if n > 0 {
-		r.gen.Add(1)
+		r.bumpLocked()
 	}
 	return n
 }
 
-// Generation returns the registry's mutation counter. It increases on
-// every Register, Deregister and Renew, and on Sweeps that removed at
-// least one registration; it never decreases. Two Find calls bracketing
-// an unchanged generation observe the same registered set (modulo
-// time-based lease expiry — see the gen field).
+// Generation returns the registry's current stamp. It changes on every
+// Register, Deregister and Renew, and on Sweeps that removed at least one
+// registration; it never decreases, and no other registry in the process
+// ever holds the same value. Two Find calls bracketing an unchanged
+// generation observe the same registered set (modulo time-based lease
+// expiry — see the gen field).
 func (r *Registry) Generation() uint64 { return r.gen.Load() }
-
-// Epoch identifies this registry instance. Two registries — even one
-// restarted in place of another — never share an epoch, so a cache that
-// stamps entries with (epoch, generation) can never validate a pre-crash
-// entry against a post-crash registry whose generation counter happens
-// to have reached the same value.
-func (r *Registry) Epoch() uint64 { return r.epoch }
 
 func (r *Registry) expiredLocked(s *Service) bool {
 	return !s.LeaseUntil.IsZero() && !r.clock.Now().Before(s.LeaseUntil)

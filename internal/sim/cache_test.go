@@ -7,46 +7,20 @@ import (
 	"gqosm/internal/obs"
 )
 
-// TestParallelCacheHitRate checks the cache plumbing end to end: with
-// caches on (the default) a stress run reports a positive discovery
-// hit rate; with DisableCaches the counter is still emitted, as zero.
+// TestParallelCacheHitRate checks the cache plumbing end to end: a stress
+// run reports a positive discovery hit rate under the cache_hit_rate key.
+// That the cache changes no outcome is internal/core's
+// TestDiscoverCacheParity.
 func TestParallelCacheHitRate(t *testing.T) {
-	on, err := RunParallel(StressConfig{Clients: 4, Ops: 800, Phases: 4, Seed: 11, Obs: obs.NewRegistry()})
+	rep, err := RunParallel(StressConfig{Clients: 4, Ops: 800, Phases: 4, Seed: 11, Obs: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on.Outcome.CacheHitRate <= 0 {
-		t.Errorf("cache-on run hit rate = %v, want > 0", on.Outcome.CacheHitRate)
+	if rep.Outcome.CacheHitRate <= 0 {
+		t.Errorf("hit rate = %v, want > 0", rep.Outcome.CacheHitRate)
 	}
-	off, err := RunParallel(StressConfig{Clients: 4, Ops: 800, Phases: 4, Seed: 11, Obs: obs.NewRegistry(),
-		DisableCaches: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.Outcome.CacheHitRate != 0 {
-		t.Errorf("cache-off run hit rate = %v, want 0", off.Outcome.CacheHitRate)
-	}
-	if !strings.Contains(string(stripped(t, off)), `"cache_hit_rate":0`) {
-		t.Error("cache_hit_rate omitted for a cache-off run; a measured zero must be emitted")
-	}
-
-	// Caches must not change admission outcomes. Concurrent runs have
-	// nondeterministic interleaving, so the A/B comparison uses serial
-	// runs, whose schedules are pure functions of the seed.
-	serialOn, err := RunParallel(StressConfig{Clients: 1, Ops: 800, Phases: 4, Seed: 11, Obs: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialOff, err := RunParallel(StressConfig{Clients: 1, Ops: 800, Phases: 4, Seed: 11, Obs: obs.NewRegistry(),
-		DisableCaches: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on, off := serialOn.Outcome, serialOff.Outcome; on.Requested != off.Requested || on.Admitted != off.Admitted ||
-		on.Rejected != off.Rejected || on.Terminated != off.Terminated {
-		t.Errorf("serial cache on/off outcome divergence: on=%d/%d/%d/%d off=%d/%d/%d/%d",
-			on.Requested, on.Admitted, on.Rejected, on.Terminated,
-			off.Requested, off.Admitted, off.Rejected, off.Terminated)
+	if !strings.Contains(string(stripped(t, rep)), `"cache_hit_rate":`) {
+		t.Error("report omits cache_hit_rate")
 	}
 }
 

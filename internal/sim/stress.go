@@ -53,9 +53,6 @@ type StressConfig struct {
 	// Obs receives the run's metrics; nil lets the broker create a
 	// private registry.
 	Obs *obs.Registry
-	// DisableCaches turns the broker's hot-path caches off: the uncached
-	// broker is the reference cache_test.go compares the cached one to.
-	DisableCaches bool
 	// Intake turns the broker's group-commit intake queue on. Goroutine
 	// clients call RequestService, so concurrent requests queued behind
 	// the same flush leader land in one allocator pass and one WAL
@@ -134,9 +131,8 @@ func runStress(mode string, cfg StressConfig, concurrent, restart bool) (*Report
 	topo, err := newTopology(topoConfig{
 		Base: stack.Config{
 			Plan: DefaultParallelPlan(), Obs: cfg.Obs,
-			DisableCaches: cfg.DisableCaches,
-			Intake:        core.IntakeConfig{Enabled: cfg.Intake},
-			WALDir:        cfg.WALDir,
+			Intake: core.IntakeConfig{Enabled: cfg.Intake},
+			WALDir: cfg.WALDir,
 		},
 		FaultRate: cfg.FaultRate,
 		Seed:      cfg.Seed,

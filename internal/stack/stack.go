@@ -61,9 +61,6 @@ type Config struct {
 	// monitor (NRM checks, session expiry, optimizer passes) at that
 	// interval; Close stops it.
 	MonitorInterval time.Duration
-	// DisableCaches turns the broker's hot-path discovery cache off; the
-	// uncached broker is the reference the cache tests compare against.
-	DisableCaches bool
 	// Obs receives metrics and lifecycle traces from every component;
 	// nil creates a private registry, reachable via Stack.Obs. Mount
 	// serves it on /metrics.
@@ -209,7 +206,6 @@ func New(cfg Config) (*Stack, error) {
 		RM:               rm,
 		ConfirmWindow:    cfg.ConfirmWindow,
 		MinOptimizerGain: cfg.MinOptimizerGain,
-		DisableCaches:    cfg.DisableCaches,
 		Obs:              cfg.Obs,
 		Faults:           cfg.Faults,
 		RMPolicy:         cfg.RMPolicy,
