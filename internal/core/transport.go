@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"time"
 
 	"gqosm/internal/resource"
@@ -171,6 +172,9 @@ func NewClient(endpoint string) *Client {
 // *soapx.Fault).
 func (c *Client) call(request, response any) error {
 	err := c.SOAP.Call(request, response)
+	if err == nil {
+		return nil
+	}
 	var f *soapx.Fault
 	if errors.As(err, &f) {
 		err = WireError(f.Detail, err)
@@ -181,7 +185,7 @@ func (c *Client) call(request, response any) error {
 // maxLossXML renders a spec's packet-loss bound in its Table-1 form.
 func maxLossXML(spec sla.Spec) string {
 	if spec.MaxPacketLossPct > 0 {
-		return fmt.Sprintf("LessThan %g%%", spec.MaxPacketLossPct)
+		return string(append(strconv.AppendFloat([]byte("LessThan "), spec.MaxPacketLossPct, 'g', -1, 64), '%'))
 	}
 	return ""
 }

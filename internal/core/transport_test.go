@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -216,6 +217,38 @@ func TestTaxonomyIsComplete(t *testing.T) {
 			if got, want := errors.Is(rebuilt, other.err), other.code == row.code; got != want {
 				t.Errorf("WireError(%q) matches %v = %v", row.code, other.err, got)
 			}
+		}
+	}
+}
+
+// TestSOAPDocumentsDecode decodes the load_report reply, a document only
+// this package names, through soapx's reader: its plan builds, and the
+// round trip keeps every field.
+func TestSOAPDocumentsDecode(t *testing.T) {
+	want := loadReportXML{LoadReport: LoadReport{Domain: "site-a", Sessions: 12, Load: 0.75, Recovering: true}}
+	data, err := soapx.Marshal(&want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got loadReportXML
+	if err := soapx.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.LoadReport != want.LoadReport || got.XMLName.Local != "load_report" {
+		t.Errorf("load_report round trip: %+v, want %+v", got, want)
+	}
+}
+
+// TestMaxLossXMLMatchesFmt pins the appended Table-1 packet-loss bound to
+// the fmt rendering it replaced, byte for byte.
+func TestMaxLossXMLMatchesFmt(t *testing.T) {
+	for _, v := range []float64{0, 0.5, 1, 10, 12.345, 1e-7, 3e21, 1.0 / 3, math.MaxFloat64, math.Inf(1)} {
+		want := ""
+		if v > 0 {
+			want = fmt.Sprintf("LessThan %g%%", v)
+		}
+		if got := maxLossXML(sla.Spec{MaxPacketLossPct: v}); got != want {
+			t.Errorf("maxLossXML(%v) = %q, want %q", v, got, want)
 		}
 	}
 }

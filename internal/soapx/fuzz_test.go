@@ -8,15 +8,20 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"gqosm/internal/sla"
 	"gqosm/internal/xmlmsg"
 )
 
-// The three-pass decode soapx used before bodyReader, kept as the oracle
-// FuzzSOAPEnvelope holds the one-pass reader to: unmarshal the whole
-// envelope to copy out Body's inner XML, tokenise that copy to find the
-// body element, and unmarshal the copy a third time into the payload.
+// Two earlier decodes are kept here as oracles. The three-pass decode
+// unmarshals the whole envelope to copy out Body's inner XML, tokenises
+// that copy to find the body element, and unmarshals the copy a third
+// time into the payload. The one-pass decode reads the envelope once with
+// an xml.Decoder and decodes the payload in place with DecodeElement: it
+// is encoding/xml's own verdict on everything bodyReader reads, so
+// FuzzSOAPEnvelope and FuzzSOAPDecode hold the reader to it exactly, apart
+// from the constructs outside the subset (see OutOfSubset).
 
 type oracleEnvelope struct {
 	XMLName xml.Name   `xml:"http://schemas.xmlsoap.org/soap/envelope/ Envelope"`
@@ -63,6 +68,167 @@ func oracleUnmarshal(data []byte, v any) error {
 		return fmt.Errorf("soapx: unmarshal body: %w", err)
 	}
 	return nil
+}
+
+var (
+	envelopeName = xml.Name{Space: EnvelopeNS, Local: "Envelope"}
+	bodyName     = xml.Name{Space: EnvelopeNS, Local: "Body"}
+)
+
+// xmlReader is the one-pass oracle: openXML stops on the body element and
+// decode reads the payload from the same xml.Decoder, then the rest of the
+// envelope.
+type xmlReader struct {
+	data  []byte
+	src   bytes.Reader
+	dec   *xml.Decoder
+	start xml.StartElement
+	open  int   // elements still open in dec: body element, Body, Envelope
+	bad   error // the envelope is malformed: a client fault, whatever a handler made of it
+}
+
+// openXML reads data up to its body element, skipping Envelope's other
+// children such as soap:Header.
+func openXML(data []byte) (*xmlReader, error) {
+	r := &xmlReader{data: data, open: 3}
+	r.src.Reset(data)
+	r.dec = xml.NewDecoder(&r.src)
+	if err := r.seekBody(); err != nil {
+		return nil, fmt.Errorf("soapx: bad envelope: %w", err)
+	}
+	return r, nil
+}
+
+func (r *xmlReader) seekBody() error {
+	env, _, err := xmlChild(r.dec)
+	if err != nil {
+		return err
+	}
+	if env.Name != envelopeName {
+		return fmt.Errorf("root is <%s> in name space %q", env.Name.Local, env.Name.Space)
+	}
+	for {
+		el, ok, err := xmlChild(r.dec)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return errXMLEmptyBody
+		}
+		if el.Name == bodyName {
+			break
+		}
+		if err := r.dec.Skip(); err != nil {
+			return err
+		}
+	}
+	var ok bool
+	r.start, ok, err = xmlChild(r.dec)
+	if err == nil && !ok {
+		err = errXMLEmptyBody
+	}
+	return err
+}
+
+var errXMLEmptyBody = errors.New("empty body")
+
+// xmlChild reads up to the next element start inside the current
+// element; ok is false when the current element ends first.
+func xmlChild(dec *xml.Decoder) (start xml.StartElement, ok bool, err error) {
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return xml.StartElement{}, false, err
+		}
+		switch t := tok.(type) {
+		case xml.StartElement:
+			return t, true, nil
+		case xml.EndElement:
+			return xml.StartElement{}, false, nil
+		}
+	}
+}
+
+// decode decodes the body element into v and then reads the envelope to
+// its end.
+func (r *xmlReader) decode(v any) error {
+	if r.open != 3 {
+		return errors.New("soapx: body decoded twice")
+	}
+	err := r.dec.DecodeElement(v, &r.start)
+	if err == nil {
+		r.open = 2
+		return r.finish()
+	}
+	// A failed decode leaves dec at an unknown depth. Reading the envelope
+	// again, skipping the body element, tells a syntax error (a bad
+	// envelope) from a well-formed payload of the wrong shape.
+	again, aerr := openXML(r.data)
+	if aerr == nil {
+		aerr = again.finish()
+	}
+	r.open, r.bad = 0, aerr
+	return err
+}
+
+// finish reads the rest of the envelope, once, and returns r.bad.
+func (r *xmlReader) finish() error {
+	for ; r.open > 0 && r.bad == nil; r.open-- {
+		if err := r.dec.Skip(); err != nil {
+			r.bad = fmt.Errorf("soapx: bad envelope: %w", err)
+		}
+	}
+	return r.bad
+}
+
+// XMLUnmarshal is Unmarshal on the one-pass oracle. Exported for
+// FuzzSOAPDecode in package soapx_test.
+func XMLUnmarshal(data []byte, v any) error {
+	r, err := openXML(data)
+	if err != nil {
+		return err
+	}
+	var f *Fault
+	if r.start.Name.Local == "Fault" {
+		f = new(Fault)
+		v = f
+	}
+	err = r.decode(v)
+	switch {
+	case r.bad != nil:
+		return r.bad
+	case err != nil && f != nil:
+		return fmt.Errorf("soapx: bad fault: %w", err)
+	case err != nil:
+		return fmt.Errorf("soapx: unmarshal body: %w", err)
+	case f != nil:
+		return f
+	}
+	return nil
+}
+
+// OutOfSubset reports whether err is the reader refusing a construct
+// outside its subset that data does hold: a DOCTYPE or other <!
+// directive, a CDATA section, a processing instruction other than the XML
+// declaration ahead of the root element, or a name with a non-ASCII
+// character. encoding/xml reads all four; the reader refuses them as a bad
+// envelope, and that is the only place the two may disagree. Exported for
+// FuzzSOAPDecode.
+func OutOfSubset(data []byte, err error) bool {
+	if !errors.Is(err, errUnsupported) {
+		return false
+	}
+	switch msg := err.Error(); {
+	case strings.Contains(msg, "CDATA"):
+		return bytes.Contains(data, []byte("<![CDATA["))
+	case strings.Contains(msg, "directive"):
+		return bytes.Contains(data, []byte("<!"))
+	case strings.Contains(msg, "processing instruction"):
+		return bytes.Contains(data, []byte("<?"))
+	case strings.Contains(msg, "non-ASCII"):
+		return bytes.ContainsFunc(data, func(r rune) bool { return r >= utf8.RuneSelf })
+	}
+	return false
 }
 
 // fuzzPayload has no XMLName, so it decodes from any body element, and an
@@ -131,11 +297,76 @@ func bodies(data []byte) int {
 	}
 }
 
-// FuzzSOAPEnvelope holds the one-pass reader to the three-pass oracle: for
-// any input they agree on accept or refuse, on the body element's name, on
-// fault or payload, on the fault and on the decoded test payload, and the
-// mux's bad-envelope verdict (with the handler decoding or not) is the
-// oracle's. Two divergences are deliberate and skipped by name:
+// verdict is what a reader makes of one input: the body element it
+// dispatches on (or its refusal), the mux's bad-envelope verdict with the
+// handler decoding a fuzzPayload and with it never decoding, and
+// Unmarshal's result.
+type verdict struct {
+	name     string
+	openErr  error
+	bad      [2]bool
+	err      error
+	fault    *Fault
+	payload  fuzzPayload
+	refusing error // the reader's first refusal, for OutOfSubset
+}
+
+type envelopeReader interface {
+	decode(any) error
+	finish() error
+}
+
+func readVerdict(data []byte, open func([]byte) (string, envelopeReader, error), unmarshal func([]byte, any) error) verdict {
+	var v verdict
+	v.name, _, v.openErr = open(data)
+	v.refusing = v.openErr
+	for i, decode := range []bool{true, false} {
+		v.bad[i] = true
+		if _, r, err := open(data); err == nil {
+			if decode {
+				_ = r.decode(new(fuzzPayload))
+			}
+			err = r.finish()
+			v.bad[i] = err != nil
+			if v.refusing == nil {
+				v.refusing = err
+			}
+		}
+	}
+	v.err = unmarshal(data, &v.payload)
+	errors.As(v.err, &v.fault)
+	if v.refusing == nil {
+		v.refusing = v.err
+	}
+	return v
+}
+
+func openReader(data []byte) (string, envelopeReader, error) {
+	r := new(bodyReader)
+	if err := r.openEnvelope(data); err != nil {
+		return "", nil, err
+	}
+	return string(r.body), r, nil
+}
+
+func openOracle(data []byte) (string, envelopeReader, error) {
+	r, err := openXML(data)
+	if err != nil {
+		return "", nil, err
+	}
+	return r.start.Name.Local, r, nil
+}
+
+// FuzzSOAPEnvelope holds the reader to both oracles: for any input they
+// agree on accept or refuse, on the body element's name, on fault or
+// payload, on the fault and on the decoded test payload, and the mux's
+// bad-envelope verdict (with the handler decoding or not) is the
+// oracle's.
+//
+// Against the one-pass oracle the one divergence is OutOfSubset: the
+// reader refuses a construct outside its subset that encoding/xml reads.
+// Against the three-pass oracle two more are deliberate and skipped by
+// name:
 //
 //   - More than one Body: the oracle's innerxml copy kept the last Body,
 //     the reader dispatches on the first and skips the rest. SOAP 1.1
@@ -165,50 +396,48 @@ func FuzzSOAPEnvelope(f *testing.F) {
 		open + `<soap:Body><soap:Fault><faultcode>c</faultcode></soap:Fault></soap:Body></soap:Envelope>`,
 		open + `<soap:Body><Fault><faultcode>c</faultcode></Fault></soap:Body></soap:Envelope>`,
 		open + `<Body><ping/></Body></soap:Envelope>`,
+		open + `<soap:Body><ping a="&lt;&#x41;&#66;"><!-- c --><message>a&amp;b` + "\r\n" + `c</message>x<!---->y</ping></soap:Body></soap:Envelope>`,
+		open + `<soap:Body><ping><message><![CDATA[x]]></message></ping></soap:Body></soap:Envelope>`,
+		`<!DOCTYPE e><Envelope><Body><ping/></Body></Envelope>`,
 		`<Envelope><Body><ping/></Body></Envelope>`,
 		``,
 	} {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if bodies(data) > 1 {
+		got := readVerdict(data, openReader, Unmarshal)
+		one := readVerdict(data, openOracle, XMLUnmarshal)
+		if !OutOfSubset(data, got.refusing) {
+			compareVerdicts(t, "one-pass", one, got)
+		}
+		if bodies(data) > 1 || OutOfSubset(data, got.refusing) {
 			return
 		}
-		oldName, _, oldErr := oracleBodyElement(data)
-
-		r, err := openBody(data)
-		if oldErr == nil && (err != nil || r.start.Name.Local != oldName) {
-			t.Fatalf("body element: oracle %q, reader %v", oldName, err)
-		}
-		for _, decode := range []bool{true, false} {
-			bad := true
-			if r, err := openBody(data); err == nil {
-				if decode {
-					_ = r.decode(new(fuzzPayload))
-				}
-				bad = r.finish() != nil
-			}
-			if bad != (oldErr != nil) {
-				t.Fatalf("bad envelope (handler decodes: %v): oracle %v, reader %v", decode, oldErr, bad)
-			}
-		}
-
-		var oldV, newV fuzzPayload
-		oldU, newU := oracleUnmarshal(data, &oldV), Unmarshal(data, &newV)
-		var oldF, newF *Fault
-		oldFault, newFault := errors.As(oldU, &oldF), errors.As(newU, &newF)
-		if newFault && !oldFault && strings.HasPrefix(oldU.Error(), "soapx: bad fault:") {
+		name, _, err := oracleBodyElement(data)
+		three := verdict{name: name, openErr: err, bad: [2]bool{err != nil, err != nil}}
+		three.err = oracleUnmarshal(data, &three.payload)
+		errors.As(three.err, &three.fault)
+		if got.fault != nil && three.fault == nil && strings.HasPrefix(three.err.Error(), "soapx: bad fault:") {
 			return
 		}
-		switch {
-		case (oldU == nil) != (newU == nil):
-			t.Fatalf("accept: oracle %v, reader %v", oldU, newU)
-		case oldFault != newFault:
-			t.Fatalf("fault: oracle %v, reader %v", oldU, newU)
-		case oldFault && *oldF != *newF:
-			t.Fatalf("fault: oracle %+v, reader %+v", *oldF, *newF)
-		case oldU == nil && oldV != newV:
-			t.Fatalf("payload: oracle %+v, reader %+v", oldV, newV)
-		}
+		compareVerdicts(t, "three-pass", three, got)
 	})
+}
+
+func compareVerdicts(t *testing.T, oracle string, want, got verdict) {
+	t.Helper()
+	switch {
+	case want.openErr == nil && (got.openErr != nil || got.name != want.name):
+		t.Fatalf("%s: body element: oracle %q, reader %q (%v)", oracle, want.name, got.name, got.openErr)
+	case want.bad != got.bad:
+		t.Fatalf("%s: bad envelope (handler decodes, does not): oracle %v, reader %v", oracle, want.bad, got.bad)
+	case (want.err == nil) != (got.err == nil):
+		t.Fatalf("%s: accept: oracle %v, reader %v", oracle, want.err, got.err)
+	case (want.fault == nil) != (got.fault == nil):
+		t.Fatalf("%s: fault: oracle %v, reader %v", oracle, want.err, got.err)
+	case want.fault != nil && *want.fault != *got.fault:
+		t.Fatalf("%s: fault: oracle %+v, reader %+v", oracle, *want.fault, *got.fault)
+	case want.err == nil && want.payload != got.payload:
+		t.Fatalf("%s: payload: oracle %+v, reader %+v", oracle, want.payload, got.payload)
+	}
 }

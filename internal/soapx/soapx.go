@@ -42,7 +42,7 @@ type Fault struct {
 
 // Error implements error.
 func (f *Fault) Error() string {
-	return fmt.Sprintf("soap fault %s: %s", f.Code, f.String)
+	return "soap fault " + f.Code + ": " + f.String
 }
 
 // encoder is an envelope scratch buffer with an xml.Encoder bound to it
@@ -100,143 +100,55 @@ func Marshal(payload any) ([]byte, error) {
 	return out, nil
 }
 
-var (
-	envelopeName = xml.Name{Space: EnvelopeNS, Local: "Envelope"}
-	bodyName     = xml.Name{Space: EnvelopeNS, Local: "Body"}
-)
+// maxBody is the largest message body either side reads.
+const maxBody = 4 << 20
 
-// bodyReader reads one SOAP envelope in a single streaming pass: openBody
-// stops on the body element, the first element inside the first Body,
-// whose local name picks the handler; decode reads the payload from the
-// same decoder and then the rest of the envelope.
-type bodyReader struct {
-	data  []byte
-	src   bytes.Reader
-	dec   *xml.Decoder
-	start xml.StartElement
-	open  int   // elements still open in dec: body element, Body, Envelope
-	bad   error // the envelope is malformed: a client fault, whatever a handler made of it
+var errTooLarge = fmt.Errorf("body exceeds the %d-byte limit", maxBody)
+
+// inbound is a received message body and the reader that reads it.
+type inbound struct {
+	data bytes.Buffer
+	r    bodyReader
 }
 
-// openBody reads data up to its body element, skipping Envelope's other
-// children such as soap:Header.
-func openBody(data []byte) (*bodyReader, error) {
-	r := &bodyReader{data: data, open: 3}
-	r.src.Reset(data)
-	r.dec = xml.NewDecoder(&r.src)
-	if err := r.seekBody(); err != nil {
-		return nil, fmt.Errorf("soapx: bad envelope: %w", err)
+// received recycles inbound pairs: decode copies out every value it
+// stores, so a pair is reused as soon as its envelope is read.
+var received = sync.Pool{New: func() any { return new(inbound) }}
+
+// readBody reads a message body of at most maxBody bytes into a pooled
+// buffer, sized from its Content-Length n when that is known (n >= 0).
+func readBody(src io.Reader, n int64) (*inbound, error) {
+	if n > maxBody {
+		return nil, errTooLarge
 	}
-	return r, nil
-}
-
-func (r *bodyReader) seekBody() error {
-	env, _, err := child(r.dec)
+	in := received.Get().(*inbound)
+	in.data.Reset()
+	if n > 0 {
+		in.data.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := in.data.ReadFrom(&io.LimitedReader{R: src, N: maxBody + 1})
+	if err == nil && in.data.Len() > maxBody {
+		err = errTooLarge
+	}
 	if err != nil {
-		return err
+		in.release()
+		return nil, err
 	}
-	if env.Name != envelopeName {
-		return fmt.Errorf("root is <%s> in name space %q", env.Name.Local, env.Name.Space)
-	}
-	for {
-		el, ok, err := child(r.dec)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return errEmptyBody
-		}
-		if el.Name == bodyName {
-			break
-		}
-		if err := r.dec.Skip(); err != nil {
-			return err
-		}
-	}
-	var ok bool
-	r.start, ok, err = child(r.dec)
-	if err == nil && !ok {
-		err = errEmptyBody
-	}
-	return err
+	return in, nil
 }
 
-var errEmptyBody = errors.New("empty body")
-
-// child reads up to the next element start inside the current element;
-// ok is false when the current element ends first.
-func child(dec *xml.Decoder) (start xml.StartElement, ok bool, err error) {
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return xml.StartElement{}, false, err
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			return t, true, nil
-		case xml.EndElement:
-			return xml.StartElement{}, false, nil
-		}
+// release returns the pair to the pool unless one oversized message grew
+// it past maxPooledBuf.
+func (in *inbound) release() {
+	if in.data.Cap() <= maxPooledBuf && cap(in.r.buf) <= maxPooledBuf {
+		received.Put(in)
 	}
-}
-
-// decode decodes the body element into v and then reads the envelope to
-// its end, so a nil error means the whole document was well-formed. It
-// is the decode function a HandlerFunc receives.
-func (r *bodyReader) decode(v any) error {
-	if r.open != 3 {
-		return errors.New("soapx: body decoded twice")
-	}
-	err := r.dec.DecodeElement(v, &r.start)
-	if err == nil {
-		r.open = 2
-		return r.finish()
-	}
-	// A failed decode leaves dec at an unknown depth. Reading the envelope
-	// again, skipping the body element, tells a syntax error (a bad
-	// envelope) from a well-formed payload of the wrong shape.
-	again, aerr := openBody(r.data)
-	if aerr == nil {
-		aerr = again.finish()
-	}
-	r.open, r.bad = 0, aerr
-	return err
-}
-
-// finish reads the rest of the envelope, once, and returns r.bad.
-func (r *bodyReader) finish() error {
-	for ; r.open > 0 && r.bad == nil; r.open-- {
-		if err := r.dec.Skip(); err != nil {
-			r.bad = fmt.Errorf("soapx: bad envelope: %w", err)
-		}
-	}
-	return r.bad
 }
 
 // Unmarshal extracts the body payload of a SOAP envelope into v. If the
 // body is a Fault it is returned as the error.
 func Unmarshal(data []byte, v any) error {
-	r, err := openBody(data)
-	if err != nil {
-		return err
-	}
-	var f *Fault
-	if r.start.Name.Local == "Fault" {
-		f = new(Fault)
-		v = f
-	}
-	err = r.decode(v)
-	switch {
-	case r.bad != nil:
-		return r.bad
-	case err != nil && f != nil:
-		return fmt.Errorf("soapx: bad fault: %w", err)
-	case err != nil:
-		return fmt.Errorf("soapx: unmarshal body: %w", err)
-	case f != nil:
-		return f
-	}
-	return nil
+	return new(bodyReader).unmarshal(data, v)
 }
 
 // HandlerFunc processes one request and returns the response payload
@@ -318,19 +230,23 @@ func (m *Mux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, http.StatusMethodNotAllowed, "Client", "SOAP requires POST", "")
 		return
 	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, 4<<20))
-	if err != nil {
+	in, err := readBody(r.Body, r.ContentLength)
+	switch {
+	case errors.Is(err, errTooLarge):
+		writeFault(w, http.StatusRequestEntityTooLarge, "Client", "request "+errTooLarge.Error(), "")
+		return
+	case err != nil:
 		writeFault(w, http.StatusBadRequest, "Client", "read body", err.Error())
 		return
 	}
-	body, err := openBody(data)
-	if err != nil {
+	defer in.release()
+	body := &in.r
+	if err := body.openEnvelope(in.data.Bytes()); err != nil {
 		writeFault(w, http.StatusBadRequest, "Client", "bad envelope", err.Error())
 		return
 	}
-	name := body.start.Name.Local
 	m.mu.RLock()
-	h, ok := m.handlers[name]
+	h, ok := m.handlers[string(body.body)]
 	inj := m.Faults
 	m.mu.RUnlock()
 	var resp any
@@ -348,7 +264,7 @@ func (m *Mux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !ok {
-		writeFault(w, http.StatusBadRequest, "Client", "no handler for "+name, "")
+		writeFault(w, http.StatusBadRequest, "Client", "no handler for "+string(body.body), "")
 		return
 	}
 	if err != nil {
@@ -414,10 +330,14 @@ func (c *Client) Call(request, response any) error {
 			return fmt.Errorf("soapx: post %s: %w (%v)", c.Endpoint, ErrTransport, err)
 		}
 		defer resp.Body.Close()
-		out, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-		if err != nil {
+		in, err := readBody(resp.Body, resp.ContentLength)
+		switch {
+		case errors.Is(err, errTooLarge):
+			return fmt.Errorf("soapx: response %w", errTooLarge)
+		case err != nil:
 			return fmt.Errorf("soapx: read response: %w (%v)", ErrTransport, err)
 		}
-		return Unmarshal(out, response)
+		defer in.release()
+		return in.r.unmarshal(in.data.Bytes(), response)
 	})
 }

@@ -6,8 +6,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 type pingReq struct {
@@ -49,8 +51,8 @@ func TestUnmarshalFault(t *testing.T) {
 	if !errors.As(err, &f) {
 		t.Fatalf("err = %v, want *Fault", err)
 	}
-	if f.String != "boom" || !strings.Contains(f.Error(), "boom") {
-		t.Errorf("fault = %+v", f)
+	if f.String != "boom" || f.Error() != "soap fault soap:Server: boom" {
+		t.Errorf("fault = %+v, Error() = %q", f, f.Error())
 	}
 }
 
@@ -398,5 +400,110 @@ func TestHandleHTTPSubtreeShadowsSOAP(t *testing.T) {
 	var pr pingResp
 	if err := c.Call(&pingReq{Message: "hi"}, &pr); err != nil || pr.Echo != "soap" {
 		t.Errorf("SOAP beside subtree mount: echo=%q err=%v", pr.Echo, err)
+	}
+}
+
+// TestBodySizeLimit: a body over the 4 MiB limit is refused by name on
+// both sides — the server answers 413 with a soap:Client fault, the
+// client returns an error that is not a transport error — instead of
+// being cut short and reported as a malformed envelope.
+func TestBodySizeLimit(t *testing.T) {
+	mux := NewMux()
+	huge := strings.Repeat(" ", maxBody)
+	for _, length := range []int64{-1, int64(len(huge) + 1)} {
+		req := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(huge+" "))
+		req.ContentLength = length // -1: unknown, read until the limit trips
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		var f *Fault
+		errors.As(Unmarshal(rec.Body.Bytes(), &pingResp{}), &f)
+		if rec.Code != http.StatusRequestEntityTooLarge || f == nil || f.Code != "soap:Client" ||
+			!strings.Contains(f.String, "4194304-byte limit") {
+			t.Errorf("Content-Length %d: status %d, fault %+v", length, rec.Code, f)
+		}
+	}
+
+	big := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(huge + " "))
+	}))
+	defer big.Close()
+	c := Client{Endpoint: big.URL}
+	err := c.Call(&pingReq{Message: "x"}, &pingResp{})
+	if err == nil || errors.Is(err, ErrTransport) || !strings.Contains(err.Error(), "4194304-byte limit") {
+		t.Errorf("oversized response: %v", err)
+	}
+}
+
+// TestDecodeCopiesOut: a receive buffer is reused as soon as its envelope
+// is read, so nothing decoded may point into it. Decode, overwrite the
+// bytes with another message, decode again: the first value is unchanged.
+func TestDecodeCopiesOut(t *testing.T) {
+	orig := fuzzPayload{Attr: "a&amp", Message: "first\r\nmessage", N: 1, Text: "text"}
+	first, err := Marshal(&orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Marshal(&fuzzPayload{Attr: "b", Message: "second", N: 2, Text: "other"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := append(make([]byte, 0, len(first)+len(second)), first...)
+	var v fuzzPayload
+	if err := Unmarshal(buf, &v); err != nil {
+		t.Fatal(err)
+	}
+	buf = append(buf[:0], second...)
+	var w fuzzPayload
+	if err := Unmarshal(buf, &w); err != nil {
+		t.Fatal(err)
+	}
+	if v != orig || w.Message != "second" {
+		t.Errorf("after reuse: first %+v (want %+v), second %+v", v, orig, w)
+	}
+}
+
+type recursive struct {
+	Next *recursive `xml:"next"`
+}
+
+// TestPlanRefusesOutsideSubset: a type whose tags fall outside the
+// reader's subset has no plan, so decoding into it fails at once.
+func TestPlanRefusesOutsideSubset(t *testing.T) {
+	for _, v := range []any{
+		&struct {
+			X string `xml:",innerxml"`
+		}{},
+		&struct {
+			X string `xml:",cdata"`
+		}{},
+		&struct {
+			X []string `xml:"x"`
+		}{},
+		&struct {
+			X int64 `xml:"x"`
+		}{},
+		&struct {
+			X time.Time `xml:"x"`
+		}{},
+		&struct {
+			X string `xml:"urn:x x"`
+		}{},
+		&struct {
+			A string `xml:"a"`
+			B string `xml:"a>b"`
+		}{},
+		&struct {
+			N xml.Name `xml:"n"`
+		}{},
+		new(string),
+		new(recursive),
+		fuzzPayload{},
+	} {
+		if _, err := planFor(reflect.TypeOf(v)); err == nil {
+			t.Errorf("%T: plan built", v)
+		}
+	}
+	if _, err := planFor(reflect.TypeOf(&fuzzPayload{})); err != nil {
+		t.Error(err)
 	}
 }
