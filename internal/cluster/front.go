@@ -90,39 +90,31 @@ func (f *Front) route(client string) []int {
 }
 
 // RequestService admits a request through the cluster by walking the
-// client's route one slot at a time: the first offer wins, a refusal
-// core.Forwardable accepts moves on to the next slot, and any other
-// refusal is returned as is. When every slot declines it returns
-// core.ErrNoDomainCanServe wrapping the home slot's refusal. The
-// offer's Domain names the owning broker; the front records it so
-// lifecycle calls route there.
+// client's route one slot at a time (core.WalkPeers): the first offer
+// wins, the home slot's refusal ends the walk unless core.Forwardable
+// accepts it, and a later slot's refusal moves the walk on. The offer's
+// Domain names the owning broker; the front records it so lifecycle
+// calls route there.
 func (f *Front) RequestService(req core.Request) (*core.FederatedOffer, error) {
 	order := f.route(req.Client)
 	if len(order) == 0 {
 		return nil, ErrNoBrokerAvailable
 	}
-	var others []string
-	var homeErr error
-	for n, idx := range order {
-		s := f.slots[idx]
-		offer, err := s.request(req)
-		if err == nil {
-			f.mu.Lock()
-			f.owners[offer.SLA.ID] = idx
-			f.mu.Unlock()
-			return &core.FederatedOffer{Offer: *offer, Domain: s.Domain(), Forwarded: n > 0}, nil
-		}
-		if !core.Forwardable(err) {
-			return nil, err
-		}
-		if n == 0 {
-			homeErr = err
-		} else {
-			others = append(others, fmt.Sprintf("%s: %v", s.Domain(), err))
-		}
+	var buf [8]core.Peer // keeps a small cluster's walk off the heap
+	peers := buf[:0]
+	for _, idx := range order {
+		peers = append(peers, f.slots[idx])
 	}
-	return nil, fmt.Errorf("%w: home %q: %v; others: %v",
-		core.ErrNoDomainCanServe, f.slots[order[0]].Domain(), homeErr, others)
+	offer, n, err := core.WalkPeers(peers, func(_ int, p core.Peer) (*core.Offer, error) {
+		return p.PeerRequest(req)
+	})
+	if err != nil {
+		return nil, err
+	}
+	f.mu.Lock()
+	f.owners[offer.SLA.ID] = order[n]
+	f.mu.Unlock()
+	return &core.FederatedOffer{Offer: *offer, Domain: peers[n].PeerDomain(), Forwarded: n > 0}, nil
 }
 
 // Owner reports which domain hosts a session the front admitted or

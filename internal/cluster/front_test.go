@@ -280,6 +280,25 @@ func TestFrontSkipsRecoveringSlot(t *testing.T) {
 	}
 }
 
+// TestFrontWalksPastCrashedSlot: a member whose broker died but that is
+// not yet marked recovering refuses with core.ErrClosed. That refusal is
+// not the home slot's, so the walk moves on to the ring's third slot,
+// which has room, instead of failing the client.
+func TestFrontWalksPastCrashedSlot(t *testing.T) {
+	front, client, order := threeSlotFront(t)
+	slots := front.Slots()
+	fill(t, slots[order[0]])
+	slots[order[1]].Broker().Crash()
+
+	offer, err := front.RequestService(clusterRequest(client, 10))
+	if err != nil {
+		t.Fatalf("RequestService with the ring's second slot crashed: %v", err)
+	}
+	if want := slots[order[2]].Domain(); offer.Domain != want || !offer.Forwarded {
+		t.Fatalf("offer from %q (forwarded %v), want %q", offer.Domain, offer.Forwarded, want)
+	}
+}
+
 // TestFrontMigrate: a hand-off through the front moves the session and
 // its ownership; the source frees its capacity, lifecycle calls land on
 // the target, and a second migrate back also works.

@@ -68,10 +68,13 @@ func (s *Slot) Swap(b *core.Broker) error {
 	return nil
 }
 
-// request admits req on the slot's broker. A slot marked recovering
-// after the front routed it refuses with the transient gate, which the
-// front's walk forwards to the next slot.
-func (s *Slot) request(req core.Request) (*core.Offer, error) {
+// PeerDomain implements core.Peer.
+func (s *Slot) PeerDomain() string { return s.domain }
+
+// PeerRequest implements core.Peer: it admits req on the slot's broker.
+// A slot marked recovering after the front routed it refuses with the
+// transient gate, which the front's walk forwards to the next slot.
+func (s *Slot) PeerRequest(req core.Request) (*core.Offer, error) {
 	s.mu.RLock()
 	b, rec := s.broker, s.recovering
 	s.mu.RUnlock()

@@ -85,9 +85,8 @@ type Config struct {
 	// EventLogCap bounds the activity log ring (default DefEventLogCap).
 	// When the ring is full the oldest events are evicted.
 	EventLogCap int
-	// Obs receives the broker's metrics and lifecycle traces. Nil
-	// creates a private registry, so instrumentation is always live and
-	// reachable through Broker.Obs().
+	// Obs receives the broker's metrics. Nil creates a private registry,
+	// so instrumentation is always live and reachable through Broker.Obs().
 	Obs *obs.Registry
 	// Faults injects failures at the broker's RM-facing call sites
 	// ("gara.create", "gara.modify", "gara.cancel", "gara.bind",

@@ -222,17 +222,7 @@ func (b *Broker) journalLedger(e pricing.Entry) {
 	if b.durable == nil {
 		return
 	}
-	b.walAppend(wal.Record{
-		At: e.At,
-		Op: "ledger",
-		Ledger: &wal.LedgerEntry{
-			Kind:   int(e.Kind),
-			SLA:    string(e.SLA),
-			Amount: e.Amount,
-			At:     e.At,
-			Note:   e.Note,
-		},
-	})
+	b.walAppend(wal.Record{At: e.At, Op: "ledger", Ledger: &e})
 }
 
 // sessionRecord renders a session's absolute state (caller holds b.mu).
@@ -323,31 +313,11 @@ func (b *Broker) snapshotNow() error {
 	b.hoMu.Unlock()
 	b.ledger.ExportWith(func(st pricing.State) {
 		snap.LedgerSeq = b.durable.LastSeq()
-		snap.Ledger = ledgerStateOut(st)
+		snap.Ledger = st
 	})
 	if err := b.durable.WriteSnapshot(snap); err != nil {
 		return err
 	}
 	b.met.walSnapshots.Inc()
 	return nil
-}
-
-// ledgerStateOut converts pricing ledger state to its WAL image.
-func ledgerStateOut(st pricing.State) wal.LedgerState {
-	out := wal.LedgerState{
-		Entries: make([]wal.LedgerEntry, 0, len(st.Entries)),
-		Retain:  st.Retain,
-		Evicted: st.Evicted,
-		Net:     st.Net,
-		Totals:  make(map[int]float64, len(st.Totals)),
-	}
-	for _, e := range st.Entries {
-		out.Entries = append(out.Entries, wal.LedgerEntry{
-			Kind: int(e.Kind), SLA: string(e.SLA), Amount: e.Amount, At: e.At, Note: e.Note,
-		})
-	}
-	for k, v := range st.Totals {
-		out.Totals[int(k)] = v
-	}
-	return out
 }

@@ -99,56 +99,71 @@ type FederatedOffer struct {
 }
 
 // RequestService tries the home broker first, then each neighbor in
-// registration order, one at a time on the caller's goroutine. The first
-// offer wins and no later neighbor is asked, so no domain admits — or
-// compensates its own clients — for an offer nobody takes. When everyone
-// declines it returns ErrNoDomainCanServe wrapping the home broker's
-// error, with the neighbors' refusals in the order they were asked.
+// registration order (WalkPeers). Each neighbor is asked under the home
+// broker's retry policy: a flaky wire is retried, a dead neighbor is
+// given up on after the budget and the walk moves on. A retry after a
+// lost reply may leave an extra temporary reservation on the peer — its
+// confirm window reclaims it, exactly like any other unaccepted offer.
 func (f *Federation) RequestService(req Request) (*FederatedOffer, error) {
-	homeOffer, homeErr := f.home.RequestService(req)
-	if homeErr == nil {
-		return &FederatedOffer{Offer: *homeOffer, Domain: f.home.cfg.Domain}, nil
-	}
-	if !Forwardable(homeErr) {
-		return nil, homeErr
-	}
-
 	f.mu.Lock()
-	peers := append([]Peer(nil), f.peers...)
+	peers := append([]Peer{f.home}, f.peers...)
 	f.mu.Unlock()
 
-	var attempts []string
-	for _, p := range peers {
-		// Each peer call runs under the home broker's retry policy: a flaky
-		// wire is retried, a dead neighbor is given up on after the budget
-		// and the walk moves on. A retry after a lost reply may leave an
-		// extra temporary reservation on the peer — its confirm window
-		// reclaims it, exactly like any other unaccepted offer.
-		var offer *Offer
-		err := f.home.pol.call("peer.request", func() error {
-			o, perr := p.PeerRequest(req)
-			if perr == nil {
-				offer = o
-			}
+	offer, n, err := WalkPeers(peers, func(n int, p Peer) (offer *Offer, err error) {
+		if n == 0 {
+			return f.home.RequestService(req)
+		}
+		err = f.home.pol.call("peer.request", func() (perr error) {
+			offer, perr = p.PeerRequest(req)
 			return perr
 		})
-		if err != nil {
-			attempts = append(attempts, fmt.Sprintf("%s: %v", p.PeerDomain(), err))
-			continue
-		}
-		f.home.logf("federation", "", "request for %q forwarded to neighbor %q", req.Service, p.PeerDomain())
-		return &FederatedOffer{Offer: *offer, Domain: p.PeerDomain(), Forwarded: true}, nil
+		return offer, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("%w: home %q: %v; neighbors: %v",
-		ErrNoDomainCanServe, f.home.cfg.Domain, homeErr, attempts)
+	if n > 0 {
+		f.home.logf("federation", "", "request for %q forwarded to neighbor %q", req.Service, peers[n].PeerDomain())
+	}
+	return &FederatedOffer{Offer: *offer, Domain: peers[n].PeerDomain(), Forwarded: n > 0}, nil
+}
+
+// WalkPeers asks peers for an offer one at a time, in order, on the
+// caller's goroutine; ask is how the n-th peer is asked. The first offer
+// wins and no later peer is asked, so no domain admits — or compensates
+// its own clients — for an offer nobody takes; WalkPeers returns it with
+// its peer's index. The first peer's refusal ends the walk unless
+// Forwardable accepts it; a later peer's refusal moves the walk on. When
+// every peer declines it returns ErrNoDomainCanServe wrapping the first
+// peer's refusal, with the others' in the order they were asked. peers
+// must not be empty. The federation walks its home broker and then its
+// neighbors, the cluster front the client's ring order.
+func WalkPeers(peers []Peer, ask func(n int, p Peer) (*Offer, error)) (*Offer, int, error) {
+	var homeErr error
+	var attempts []string
+	for n, p := range peers {
+		offer, err := ask(n, p)
+		switch {
+		case err == nil:
+			return offer, n, nil
+		case n > 0:
+			attempts = append(attempts, fmt.Sprintf("%s: %v", p.PeerDomain(), err))
+		case !Forwardable(err):
+			return nil, 0, err
+		default:
+			homeErr = err
+		}
+	}
+	return nil, 0, fmt.Errorf("%w: home %q: %v; neighbors: %v",
+		ErrNoDomainCanServe, peers[0].PeerDomain(), homeErr, attempts)
 }
 
 // Forwardable reports whether another domain might serve a request this
 // broker refused with err: no matching service, a shortage of capacity
 // or budget (a neighbor with different capacity might not share it), or
 // the transient refusal of a broker mid-Recover. Validation failures are
-// the client's problem and are not forwarded. The federation applies it
-// to the home refusal, the cluster front to every slot it walks.
+// the client's problem and are not forwarded. WalkPeers applies it to the
+// first refusal of a walk.
 func Forwardable(err error) bool {
 	return errors.Is(err, ErrNoService) || errors.Is(err, ErrCannotHonor) ||
 		errors.Is(err, ErrOverBudget) || errors.Is(err, ErrBestEffortFull) ||

@@ -4,8 +4,10 @@ package core
 // result against the resource managers.
 //
 // Replay determinism contract. Records carry absolute post-state and
-// replay is a pure last-write-wins fold over (snapshot, suffix), so
-// recovery is deterministic given the directory contents — no clocks
+// replay is a pure last-write-wins fold over (snapshot, suffix); ledger
+// entries past the snapshot's fence are re-applied through
+// Ledger.Record, so running totals and retention follow the live rule.
+// Recovery is deterministic given the directory contents — no clocks
 // are read during the fold (timestamps in records are data, not
 // inputs), and the single wall-clock-dependent step afterwards
 // (re-arming confirm timers) runs on the injected clockx clock, which
@@ -142,22 +144,18 @@ type recoveredState struct {
 	aux      wal.ShardAux                  // latest aux image
 	pending  map[string]string
 	handoffs map[string]string
-	ledger   wal.LedgerState
+	ledger   pricing.State   // the snapshot's ledger
+	entries  []pricing.Entry // ledger entries past the snapshot's fence
 	nextID   int64
 }
 
 // foldState folds the load result into one absolute image: snapshot
 // fields first, then every suffix record last-write-wins. Ledger
-// records are the delta exception — an entry applies only when its
+// records are the delta exception — an entry is collected only when its
 // sequence is past the snapshot's LedgerSeq fence, which is what makes
 // replay idempotent for billing (the double-billing bugfix).
 func foldState(load *wal.LoadResult) (*recoveredState, error) {
-	st := &recoveredState{
-		sessions: make(map[string]*wal.SessionRecord),
-		pending:  make(map[string]string),
-		handoffs: make(map[string]string),
-		ledger:   wal.LedgerState{Totals: make(map[int]float64)},
-	}
+	st := &recoveredState{sessions: make(map[string]*wal.SessionRecord)}
 	var ledgerFence uint64
 	if s := load.Snapshot; s != nil {
 		ledgerFence = s.LedgerSeq
@@ -172,16 +170,7 @@ func foldState(load *wal.LoadResult) (*recoveredState, error) {
 				st.sessions[string(rec.Doc.ID)] = &rec
 			}
 		}
-		for id, h := range s.Pending {
-			st.pending[id] = h
-		}
-		for id, it := range s.Handoffs {
-			st.handoffs[id] = it
-		}
-		st.ledger = s.Ledger
-		if st.ledger.Totals == nil {
-			st.ledger.Totals = make(map[int]float64)
-		}
+		st.pending, st.handoffs, st.ledger = s.Pending, s.Handoffs, s.Ledger
 	}
 	for i := range load.Records {
 		r := &load.Records[i]
@@ -195,40 +184,20 @@ func foldState(load *wal.LoadResult) (*recoveredState, error) {
 			st.aux = *r.Aux
 		}
 		if r.HasPending {
-			st.pending = make(map[string]string, len(r.Pending))
-			for id, h := range r.Pending {
-				st.pending[id] = h
-			}
+			st.pending = r.Pending
 		}
 		if r.HasHandoffs {
-			st.handoffs = make(map[string]string, len(r.Handoffs))
-			for id, it := range r.Handoffs {
-				st.handoffs[id] = it
-			}
+			st.handoffs = r.Handoffs
 		}
 		for _, id := range r.Prune {
 			delete(st.sessions, id)
 		}
 		if r.Ledger != nil && r.Seq > ledgerFence {
-			e := *r.Ledger
-			switch pricing.EntryKind(e.Kind) {
-			case pricing.EntryCharge, pricing.EntryPromotion:
-				st.ledger.Net += e.Amount
-			case pricing.EntryPenalty, pricing.EntryRefund:
-				st.ledger.Net -= e.Amount
-			}
-			st.ledger.Totals[e.Kind] += e.Amount
-			st.ledger.Entries = append(st.ledger.Entries, e)
+			st.entries = append(st.entries, *r.Ledger)
 		}
 		if r.NextID > st.nextID {
 			st.nextID = r.NextID
 		}
-	}
-	// Honor the ledger's retention bound exactly as Record would have.
-	if st.ledger.Retain > 0 && len(st.ledger.Entries) > st.ledger.Retain {
-		drop := len(st.ledger.Entries) - st.ledger.Retain
-		st.ledger.Evicted += int64(drop)
-		st.ledger.Entries = append([]wal.LedgerEntry(nil), st.ledger.Entries[drop:]...)
 	}
 	return st, nil
 }
@@ -276,27 +245,13 @@ func (b *Broker) installState(st *recoveredState) {
 	b.hoMu.Unlock()
 
 	b.nextID.Store(st.nextID)
-	b.ledger = pricing.RestoreLedger(pricingStateIn(st.ledger))
-}
-
-// pricingStateIn converts a WAL ledger image back to pricing state.
-func pricingStateIn(st wal.LedgerState) pricing.State {
-	in := pricing.State{
-		Entries: make([]pricing.Entry, 0, len(st.Entries)),
-		Retain:  st.Retain,
-		Evicted: st.Evicted,
-		Net:     st.Net,
-		Totals:  make(map[pricing.EntryKind]float64, len(st.Totals)),
+	// The suffix entries go through the live accounting rule, so net
+	// revenue, totals and retention are exactly what Record made of them
+	// before the crash. No observer is installed yet: nothing re-journals.
+	b.ledger = pricing.RestoreLedger(st.ledger)
+	for _, e := range st.entries {
+		b.ledger.Record(e)
 	}
-	for _, e := range st.Entries {
-		in.Entries = append(in.Entries, pricing.Entry{
-			Kind: pricing.EntryKind(e.Kind), SLA: sla.ID(e.SLA), Amount: e.Amount, At: e.At, Note: e.Note,
-		})
-	}
-	for k, v := range st.Totals {
-		in.Totals[pricing.EntryKind(k)] = v
-	}
-	return in
 }
 
 // reconcileAgainstRMs runs the adopt/refund sweep described at the top

@@ -9,6 +9,7 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -323,45 +324,62 @@ func TestRecoverServesEveryJournaledSession(t *testing.T) {
 	}
 }
 
-// TestRecoverLedgerAggregatesExact is the double-billing regression
-// (satellite 2): with a snapshot landing mid-workload, ledger entries
-// recorded before the snapshot appear in BOTH the snapshot image and the
-// log suffix written earlier. Replay must apply an entry exactly once —
+// TestRecoverLedgerAggregatesExact is the double-billing regression:
+// with a snapshot landing mid-workload, ledger entries recorded before
+// the snapshot appear in BOTH the snapshot image and the log suffix
+// written earlier. Replay must apply an entry exactly once —
 // the recovered aggregates are byte-identical to the crashed broker's.
+// The bounded-retention inputs hold replay to the live rule: Record lets
+// the list grow to twice the cap before cutting it back, so the crashed
+// broker holds more than the cap and recovery must too.
 func TestRecoverLedgerAggregatesExact(t *testing.T) {
-	h := newDurableHarness(t, 6) // snapshot every 6 records: lands mid-workload
-	b := h.broker
+	type input struct{ snapshotEvery, retain int }
+	inputs := []input{{6, 0}}
+	for every := 3; every <= 8; every++ {
+		inputs = append(inputs, input{every, 2})
+	}
+	for _, in := range inputs {
+		t.Run(fmt.Sprintf("every=%d/retain=%d", in.snapshotEvery, in.retain), func(t *testing.T) {
+			h := newDurableHarness(t, in.snapshotEvery) // snapshots land mid-workload
+			b := h.broker
+			b.Ledger().SetRetention(in.retain)
 
-	ids := make([]sla.ID, 0, 3)
-	for _, client := range []string{"c1", "c2", "c3"} {
-		o, err := b.RequestService(controlledRequest(client))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Accept(o.SLA.ID); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, o.SLA.ID)
-	}
-	// A refund entry too: terminate one session.
-	if err := b.Terminate(ids[0], "early exit"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, snaps := b.WALStats(); snaps == 0 {
-		t.Fatal("test needs a snapshot mid-workload; none landed — lower SnapshotEvery")
-	}
+			// Six charges, and a refund for each of the first three.
+			for i, client := range []string{"c1", "c2", "c3", "c4", "c5", "c6"} {
+				o, err := b.RequestService(controlledRequest(client))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := b.Accept(o.SLA.ID); err != nil {
+					t.Fatal(err)
+				}
+				if i < 3 {
+					if err := b.Terminate(o.SLA.ID, "early exit"); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if _, _, snaps := b.WALStats(); snaps == 0 {
+				t.Fatal("test needs a snapshot mid-workload; none landed — lower SnapshotEvery")
+			}
 
-	var pre pricing.State
-	b.Ledger().ExportWith(func(s pricing.State) { pre = s })
-	if len(pre.Entries) < 4 {
-		t.Fatalf("workload produced %d ledger entries, want >= 4", len(pre.Entries))
-	}
+			var pre pricing.State
+			b.Ledger().ExportWith(func(s pricing.State) { pre = s })
+			if in.retain == 0 && len(pre.Entries) < 4 {
+				t.Fatalf("workload produced %d ledger entries, want >= 4", len(pre.Entries))
+			}
+			if in.retain > 0 && (pre.Evicted == 0 || len(pre.Entries) <= in.retain) {
+				t.Fatalf("retention case holds %d entries, %d evicted: want some evicted and more than %d held",
+					len(pre.Entries), pre.Evicted, in.retain)
+			}
 
-	h.crashAndRecover(t)
-	var post pricing.State
-	h.broker.Ledger().ExportWith(func(s pricing.State) { post = s })
-	if got, want := mustJSON(t, post), mustJSON(t, pre); got != want {
-		t.Fatalf("ledger state after recovery differs (double/dropped billing):\n got %s\nwant %s", got, want)
+			h.crashAndRecover(t)
+			var post pricing.State
+			h.broker.Ledger().ExportWith(func(s pricing.State) { post = s })
+			if got, want := mustJSON(t, post), mustJSON(t, pre); got != want {
+				t.Fatalf("ledger state after recovery differs (double/dropped billing or retention):\n got %s\nwant %s", got, want)
+			}
+		})
 	}
 }
 

@@ -188,7 +188,7 @@ type Entry struct {
 	SLA    sla.ID
 	Amount float64 // positive = provider revenue; positive penalties/refunds reduce NetRevenue
 	At     time.Time
-	Note   string
+	Note   string `json:",omitempty"`
 }
 
 // Ledger accumulates the provider's accounting (the "QoS Accounting"
@@ -280,12 +280,13 @@ func (l *Ledger) SetObserver(fn func(Entry)) {
 }
 
 // State is the ledger's full exported state, for durability snapshots.
+// The WAL stores it as is; the tags keep its JSON short.
 type State struct {
-	Entries []Entry
-	Retain  int
-	Evicted int64
+	Entries []Entry `json:",omitempty"`
+	Retain  int     `json:",omitempty"`
+	Evicted int64   `json:",omitempty"`
 	Net     float64
-	Totals  map[EntryKind]float64
+	Totals  map[EntryKind]float64 `json:",omitempty"`
 }
 
 // ExportWith calls fn with a deep copy of the ledger state while l.mu is

@@ -314,7 +314,6 @@ func runC5Once(seed int64, willingFrac float64) (*C5Row, error) {
 	rng := rand.New(rand.NewSource(seed))
 
 	// Standing population: 3 controlled-load sessions spanning the run.
-	standing := 0
 	for i := 0; i < 3; i++ {
 		req := core.Request{
 			Service: "simulation",
@@ -334,7 +333,6 @@ func runC5Once(seed int64, willingFrac float64) (*C5Row, error) {
 		if err := b.Accept(offer.SLA.ID); err != nil {
 			return nil, err
 		}
-		standing++
 	}
 
 	// A burst of guaranteed arrivals, each holding 2 hours.
@@ -365,7 +363,6 @@ func runC5Once(seed int64, willingFrac float64) (*C5Row, error) {
 	// unlike the bounded event ring never forgets.
 	row.DegradedSessions = int(cl.Obs.Counter("gqosm_broker_lifecycle_total",
 		"SLA lifecycle events by kind", "event", "degrade").Value())
-	_ = standing
 	return row, nil
 }
 

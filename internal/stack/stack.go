@@ -61,9 +61,8 @@ type Config struct {
 	// monitor (NRM checks, session expiry, optimizer passes) at that
 	// interval; Close stops it.
 	MonitorInterval time.Duration
-	// Obs receives metrics and lifecycle traces from every component;
-	// nil creates a private registry, reachable via Stack.Obs. Mount
-	// serves it on /metrics.
+	// Obs receives metrics from every component; nil creates a private
+	// registry, reachable via Stack.Obs. Mount serves it on /metrics.
 	Obs *obs.Registry
 	// Faults, when non-nil, is installed on every substrate (GARA
 	// managers, GRAM, the NRM, DSRT, the SOAP server mux) and on the

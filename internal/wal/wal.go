@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"gqosm/internal/faultx"
+	"gqosm/internal/pricing"
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
 )
@@ -109,17 +110,6 @@ type SessionRecord struct {
 	ProposedAt time.Time `json:",omitempty"`
 }
 
-// LedgerEntry mirrors one pricing ledger entry. Unlike session records
-// it is a delta: replay applies it only when its record sequence is past
-// the snapshot's LedgerSeq fence.
-type LedgerEntry struct {
-	Kind   int
-	SLA    string
-	Amount float64
-	At     time.Time
-	Note   string `json:",omitempty"`
-}
-
 // Record is one framed log entry. Exactly the fields relevant to the
 // journaled operation are set; replay applies whichever are present.
 type Record struct {
@@ -141,22 +131,15 @@ type Record struct {
 	// owner (see core/handoff.go).
 	Handoffs    map[string]string `json:",omitempty"`
 	HasHandoffs bool              `json:",omitempty"`
-	// Ledger is one accounting delta.
-	Ledger *LedgerEntry `json:",omitempty"`
+	// Ledger is one accounting delta. Unlike session records it is not
+	// absolute state: replay applies it only when its record sequence is
+	// past the snapshot's LedgerSeq fence.
+	Ledger *pricing.Entry `json:",omitempty"`
 	// Prune lists session IDs removed by terminal-state pruning; replay
 	// must forget them rather than resurrect them from older records.
 	Prune []string `json:",omitempty"`
 	// NextID is the SLA counter high-water mark (0 = not recorded).
 	NextID int64 `json:",omitempty"`
-}
-
-// LedgerState is the pricing ledger's exported aggregate state.
-type LedgerState struct {
-	Entries []LedgerEntry `json:",omitempty"`
-	Retain  int           `json:",omitempty"`
-	Evicted int64         `json:",omitempty"`
-	Net     float64
-	Totals  map[int]float64 `json:",omitempty"`
 }
 
 // ShardSnap is the broker's session table and allocator aux state in a
@@ -179,7 +162,7 @@ type Snapshot struct {
 	Shards   []ShardSnap
 	Pending  map[string]string `json:",omitempty"`
 	Handoffs map[string]string `json:",omitempty"`
-	Ledger   LedgerState
+	Ledger   pricing.State
 }
 
 // Options configures Open.

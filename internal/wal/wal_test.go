@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"gqosm/internal/clockx"
 	"gqosm/internal/faultx"
+	"gqosm/internal/pricing"
 	"gqosm/internal/resource"
 )
 
@@ -98,7 +100,7 @@ func TestSnapshotTruncatesAndReplaysSuffix(t *testing.T) {
 		NextID:    4,
 		Shards:    []ShardSnap{{Aux: ShardAux{NextSeq: 7}}},
 		Pending:   map[string]string{"site-a-sla-0001": "h-1"},
-		Ledger:    LedgerState{Net: 12.5, Totals: map[int]float64{1: 12.5}},
+		Ledger:    pricing.State{Net: 12.5, Totals: map[pricing.EntryKind]float64{pricing.EntryCharge: 12.5}},
 	}
 	if err := l.WriteSnapshot(snap); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
@@ -136,7 +138,7 @@ func TestSnapshotTruncatesAndReplaysSuffix(t *testing.T) {
 	if load.Snapshot.Shards[0].Aux.NextSeq != 7 || load.Snapshot.Pending["site-a-sla-0001"] != "h-1" {
 		t.Fatalf("snapshot tables = %+v", load.Snapshot)
 	}
-	if load.Snapshot.Ledger.Net != 12.5 || load.Snapshot.Ledger.Totals[1] != 12.5 {
+	if load.Snapshot.Ledger.Net != 12.5 || load.Snapshot.Ledger.Totals[pricing.EntryCharge] != 12.5 {
 		t.Fatalf("snapshot ledger = %+v", load.Snapshot.Ledger)
 	}
 	if len(load.Records) != 2 || load.Records[0].Seq != 5 || load.Records[1].Seq != 6 {
@@ -144,6 +146,37 @@ func TestSnapshotTruncatesAndReplaysSuffix(t *testing.T) {
 	}
 	if load.Records[0].Op != "suffix" {
 		t.Fatalf("suffix op = %q", load.Records[0].Op)
+	}
+}
+
+// TestLedgerEncodingPinned pins the JSON the log and the snapshot carry
+// for the ledger: the WAL stores pricing.Entry and pricing.State as they
+// are, so a tag or field change in package pricing would change the
+// bytes on disk. Entry kinds encode as integers, in values and map keys.
+func TestLedgerEncodingPinned(t *testing.T) {
+	at := time.Unix(1000, 0).UTC()
+	cases := []struct {
+		v    any
+		want string
+	}{
+		{Record{Seq: 3, At: at, Op: "ledger", Ledger: &pricing.Entry{Kind: pricing.EntryPenalty, SLA: "site-a-sla-0001", Amount: 2.5, At: at}},
+			`{"Seq":3,"At":"1970-01-01T00:16:40Z","Op":"ledger","Ledger":{"Kind":2,"SLA":"site-a-sla-0001","Amount":2.5,"At":"1970-01-01T00:16:40Z"}}`},
+		{Snapshot{BaseSeq: 9, LedgerSeq: 8, At: at, Ledger: pricing.State{
+			Entries: []pricing.Entry{{Kind: pricing.EntryCharge, SLA: "site-a-sla-0001", Amount: 4, At: at, Note: "accept"}},
+			Retain:  2, Evicted: 6, Net: 1.5,
+			Totals: map[pricing.EntryKind]float64{pricing.EntryCharge: 4, pricing.EntryPenalty: 2.5}}},
+			`{"BaseSeq":9,"LedgerSeq":8,"At":"1970-01-01T00:16:40Z","NextID":0,"Shards":null,"Ledger":{"Entries":[{"Kind":1,"SLA":"site-a-sla-0001","Amount":4,"At":"1970-01-01T00:16:40Z","Note":"accept"}],"Retain":2,"Evicted":6,"Net":1.5,"Totals":{"1":4,"2":2.5}}}`},
+		{Snapshot{Ledger: pricing.State{Totals: map[pricing.EntryKind]float64{}}},
+			`{"BaseSeq":0,"LedgerSeq":0,"At":"0001-01-01T00:00:00Z","NextID":0,"Shards":null,"Ledger":{"Net":0}}`},
+	}
+	for _, c := range cases {
+		got, err := json.Marshal(c.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != c.want {
+			t.Errorf("encoded\n got %s\nwant %s", got, c.want)
+		}
 	}
 }
 
