@@ -40,7 +40,6 @@ func main() {
 var flagNeeds = map[string]string{
 	"failure-rate":    "total",
 	"besteffort-frac": "total",
-	"intake-flush":    "intake",
 	"fault-seed":      "fault-rate",
 }
 
@@ -85,7 +84,6 @@ func run(args []string) error {
 		faultSeed  = fs.Int64("fault-seed", 1, "fault injector PRNG seed (with -fault-rate)")
 		walDir     = fs.String("wal-dir", "", "durability directory: lifecycle WAL + snapshots; a restart with the same directory recovers the broker's state")
 		intake     = fs.Bool("intake", false, "enable the group-commit admission intake: concurrent JSON-API admissions share one allocator pass and one WAL fsync per batch")
-		intakeWait = fs.Duration("intake-flush", 0, "with -intake: idle flush interval bounding how long a queued admission waits for company (0 = flush on demand)")
 		peers      peerFlags
 	)
 	fs.Var(&peers, "peer", "neighboring AQoS endpoint as name=url (repeatable); requests this domain cannot serve are forwarded")
@@ -135,7 +133,7 @@ func run(args []string) error {
 			Backoff:  *rmBackoff,
 		},
 		WALDir: *walDir,
-		Intake: gqosm.IntakeConfig{Enabled: *intake, FlushEvery: *intakeWait},
+		Intake: gqosm.IntakeConfig{Enabled: *intake},
 	})
 	if err != nil {
 		return err

@@ -73,17 +73,12 @@ func run() error {
 	return http.ListenAndServe(*listen, httpMux)
 }
 
-type seedFile struct {
-	XMLName  xml.Name              `xml:"serviceList"`
-	Services []registry.ServiceXML `xml:"Service"`
-}
-
 func seedFromFile(reg *registry.Registry, path string) (int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
-	var sf seedFile
+	var sf registry.ServiceListXML
 	if err := xml.Unmarshal(data, &sf); err != nil {
 		return 0, fmt.Errorf("parse %s: %w", path, err)
 	}

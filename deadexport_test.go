@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -375,43 +376,13 @@ var unreadFields = map[string]string{
 // when code selects it.
 func TestEveryFieldIsRead(t *testing.T) {
 	c := repoCensus(t)
-	written, read := c.fieldAccess()
-	names := map[*types.Var]string{} // struct field under internal/ -> "pkg.Type.Field"
-	var collect func(prefix string, st *types.Struct)
-	collect = func(prefix string, st *types.Struct) {
-		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			if f.Embedded() {
-				continue // read wherever what it promotes is used, an interface call included
-			}
-			names[f] = prefix + "." + f.Name()
-			// A json or xml tag is a read by reflection, outside package wal.
-			_, json := reflect.StructTag(st.Tag(i)).Lookup("json")
-			_, xml := reflect.StructTag(st.Tag(i)).Lookup("xml")
-			if (json || xml) && f.Pkg().Name() != "wal" {
-				read[f] = true
-			}
-			typ := f.Type()
-			if ptr, ok := typ.(*types.Pointer); ok {
-				typ = ptr.Elem()
-			}
-			if inner, ok := typ.(*types.Struct); ok { // an anonymous struct's fields are named through this one
-				collect(names[f], inner)
-			}
+	uses := c.fieldAccess()
+	written, read := uses.written, uses.read
+	names, tagged := c.internalFields()
+	for f := range tagged {
+		if f.Pkg().Name() != "wal" { // a json or xml tag is a read by reflection, outside package wal
+			read[f] = true
 		}
-	}
-	for _, f := range c.files {
-		if !strings.HasPrefix(f.path, "internal/") {
-			continue
-		}
-		ast.Inspect(f.file, func(n ast.Node) bool {
-			if spec, ok := n.(*ast.TypeSpec); ok && !spec.Assign.IsValid() {
-				if st, ok := c.info.Defs[spec.Name].Type().Underlying().(*types.Struct); ok {
-					collect(f.pkg.Name()+"."+spec.Name.Name, st)
-				}
-			}
-			return true
-		})
 	}
 
 	var listed []string
@@ -441,6 +412,81 @@ func TestEveryFieldIsRead(t *testing.T) {
 			t.Errorf("allowlist entry %s is read from non-test code now: remove it", name)
 		case !written[field]:
 			t.Errorf("allowlist entry %s is written by no non-test code now: remove it", name)
+		case reason == "":
+			t.Errorf("allowlist entry %s has no reason", name)
+		}
+	}
+}
+
+// setlessFields is the allowlist of TestEveryReadFieldIsSet, capped at 2:
+// exported fields under internal/ that non-test code reads and never sets,
+// each with the reason it stays. Anything else the test lists is deleted
+// and replaced by the one value in use.
+var setlessFields = map[string]string{
+	"nrm.Congestion.ExtraDelayMS": "NRM substrate: injected only through SetCongestion, which the §5.4 adaptation tests drive",
+	"nrm.Congestion.LossPct":      "NRM substrate: injected only through SetCongestion, which the §5.4 adaptation tests drive",
+}
+
+// TestEveryReadFieldIsSet lists every exported struct field declared under
+// internal/ that non-test code reads and never sets: a constant in
+// disguise. A field is set by a write (as TestEveryFieldIsRead defines
+// it) or by taking its address, except that a write whose value is
+// another field — a Clone's c.X = d.X, a forward such as Penalty:
+// m.req.Penalty — sets it only if that field is set. A field a json or
+// xml tag names, an XMLName and an embedded field are set by reflection,
+// and the configuration test seams of unsetOptions count as set.
+func TestEveryReadFieldIsSet(t *testing.T) {
+	c := repoCensus(t)
+	uses := c.fieldAccess()
+	names, tagged := c.internalFields()
+	// verdicts settles which fields are set: the direct ones, the seeds, and
+	// every field copied from a set one or from one outside internal/.
+	verdicts := func(seeds map[string]string) map[*types.Var]bool {
+		set := maps.Clone(uses.set)
+		for f, name := range names {
+			if tagged[f] || f.Name() == "XMLName" || unsetOptions[name] != "" || seeds[name] != "" {
+				set[f] = true
+			}
+		}
+		for changed := true; changed; {
+			changed = false
+			for f, from := range uses.copied {
+				if !set[f] && slices.ContainsFunc(from, func(src *types.Var) bool { return set[src] || names[src] == "" }) {
+					set[f], changed = true, true
+				}
+			}
+		}
+		return set
+	}
+	raw, seeded := verdicts(nil), verdicts(setlessFields)
+
+	var listed []string
+	for f, name := range names {
+		if f.Exported() && uses.read[f] && !seeded[f] {
+			listed = append(listed, name)
+		}
+	}
+	sort.Strings(listed)
+	for _, name := range listed {
+		t.Errorf("%s is read by non-test code and set by none: delete it and keep the one value in use, or allowlist it with a reason", name)
+	}
+	if len(setlessFields) > 2 {
+		t.Errorf("allowlist has %d entries; it is capped at 2", len(setlessFields))
+	}
+	for name, reason := range setlessFields {
+		var field *types.Var
+		for f, n := range names {
+			if n == name {
+				field = f
+			}
+		}
+		switch {
+		case field == nil:
+			t.Errorf("allowlist entry %s is no longer declared: remove it", name)
+		case raw[field]:
+			t.Errorf("allowlist entry %s is set from non-test code now: remove it", name)
+		case !uses.read[field]:
+			t.Errorf("allowlist entry %s is read by no non-test code now: remove it", name)
 		case reason == "":
 			t.Errorf("allowlist entry %s has no reason", name)
 		}
@@ -747,11 +793,65 @@ func (c *census) stdInterfaces() []*types.Interface {
 	return out
 }
 
+// internalFields names every non-embedded field of a struct type declared
+// under internal/ ("pkg.Type.Field", an anonymous struct's fields named
+// through the field that holds it), and reports those a json or xml tag
+// names.
+func (c *census) internalFields() (names map[*types.Var]string, tagged map[*types.Var]bool) {
+	names, tagged = map[*types.Var]string{}, map[*types.Var]bool{}
+	var collect func(prefix string, st *types.Struct)
+	collect = func(prefix string, st *types.Struct) {
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if f.Embedded() {
+				continue // judged through what it promotes: read wherever that is used, an interface call included
+			}
+			names[f] = prefix + "." + f.Name()
+			_, json := reflect.StructTag(st.Tag(i)).Lookup("json")
+			_, xml := reflect.StructTag(st.Tag(i)).Lookup("xml")
+			if json || xml {
+				tagged[f] = true
+			}
+			typ := f.Type()
+			if ptr, ok := typ.(*types.Pointer); ok {
+				typ = ptr.Elem()
+			}
+			if inner, ok := typ.(*types.Struct); ok {
+				collect(names[f], inner)
+			}
+		}
+	}
+	for _, f := range c.files {
+		if !strings.HasPrefix(f.path, "internal/") {
+			continue
+		}
+		ast.Inspect(f.file, func(n ast.Node) bool {
+			if spec, ok := n.(*ast.TypeSpec); ok && !spec.Assign.IsValid() {
+				if st, ok := c.info.Defs[spec.Name].Type().Underlying().(*types.Struct); ok {
+					collect(f.pkg.Name()+"."+spec.Name.Name, st)
+				}
+			}
+			return true
+		})
+	}
+	return names, tagged
+}
+
+// fieldUses is what fieldAccess finds. written and read are as
+// TestEveryFieldIsRead defines them. set holds the fields some write gives
+// a value of its own, or whose address is taken; copied maps a field to
+// the fields whose values writes hand it, as TestEveryReadFieldIsSet
+// defines them.
+type fieldUses struct {
+	written, read, set map[*types.Var]bool
+	copied             map[*types.Var][]*types.Var
+}
+
 // fieldAccess sorts every field selection, keyed literal element and
-// reflective encoding in the census into writes and reads, as
-// TestEveryFieldIsRead defines them.
-func (c *census) fieldAccess() (written, read map[*types.Var]bool) {
-	written, read = map[*types.Var]bool{}, map[*types.Var]bool{}
+// reflective encoding in the census into writes and reads.
+func (c *census) fieldAccess() fieldUses {
+	u := fieldUses{written: map[*types.Var]bool{}, read: map[*types.Var]bool{}, set: map[*types.Var]bool{}, copied: map[*types.Var][]*types.Var{}}
+	written, read := u.written, u.read
 	field := func(sel *ast.SelectorExpr) *types.Var {
 		if s, ok := c.info.Selections[sel]; ok && s.Kind() == types.FieldVal {
 			return s.Obj().(*types.Var).Origin()
@@ -790,16 +890,26 @@ func (c *census) fieldAccess() (written, read map[*types.Var]bool) {
 	// while the file walked is package wal's.
 	var wal bool
 	var walk func(n ast.Node, self string)
-	// write sorts an expression in assignment position: the field it
-	// selects is written, and so is a struct-valued field it is reached
-	// through; a pointer on the way is read to be followed.
-	var write func(e ast.Expr)
-	write = func(e ast.Expr) {
+	// assign records that f is written with value: copied from the field
+	// value selects, or set.
+	assign := func(f *types.Var, value ast.Expr) {
+		written[f] = true
+		if sel, ok := ast.Unparen(value).(*ast.SelectorExpr); ok && field(sel) != nil {
+			u.copied[f] = append(u.copied[f], field(sel))
+		} else {
+			u.set[f] = true
+		}
+	}
+	// write sorts an expression in assignment position, given value: the
+	// field it selects is assigned value, and a struct-valued field it is
+	// reached through is set; a pointer on the way is read to be followed.
+	var write func(e, value ast.Expr)
+	write = func(e, value ast.Expr) {
 		switch e := e.(type) {
 		case *ast.ParenExpr:
-			write(e.X)
+			write(e.X, value)
 		case *ast.IndexExpr:
-			write(e.X)
+			write(e.X, nil)
 			walk(e.Index, "")
 		case *ast.SelectorExpr:
 			f := field(e)
@@ -807,11 +917,11 @@ func (c *census) fieldAccess() (written, read map[*types.Var]bool) {
 				walk(e, "")
 				return
 			}
-			written[f] = true
+			assign(f, value)
 			if _, ptr := c.info.TypeOf(e.X).Underlying().(*types.Pointer); ptr {
 				walk(e.X, "")
 			} else {
-				write(e.X)
+				write(e.X, nil)
 			}
 		default:
 			walk(e, "")
@@ -822,9 +932,11 @@ func (c *census) fieldAccess() (written, read map[*types.Var]bool) {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				for i, lhs := range n.Lhs {
-					write(lhs)
 					if len(n.Lhs) == len(n.Rhs) {
+						write(lhs, n.Rhs[i])
 						walk(n.Rhs[i], types.ExprString(lhs))
+					} else {
+						write(lhs, nil)
 					}
 				}
 				if len(n.Lhs) != len(n.Rhs) {
@@ -834,11 +946,11 @@ func (c *census) fieldAccess() (written, read map[*types.Var]bool) {
 				}
 				return false
 			case *ast.IncDecStmt:
-				write(n.X)
+				write(n.X, nil)
 				return false
 			case *ast.CallExpr:
 				if c.builtin(n, "delete") || c.builtin(n, "clear") {
-					write(n.Args[0])
+					write(n.Args[0], nil)
 					for _, arg := range n.Args[1:] {
 						walk(arg, self)
 					}
@@ -858,17 +970,22 @@ func (c *census) fieldAccess() (written, read map[*types.Var]bool) {
 					case st == nil:
 						walk(elt, self)
 					case keyed:
-						written[c.info.Uses[kv.Key.(*ast.Ident)].(*types.Var).Origin()] = true
+						assign(c.info.Uses[kv.Key.(*ast.Ident)].(*types.Var).Origin(), kv.Value)
 						walk(kv.Value, self)
 					default:
-						written[st.Field(i).Origin()] = true
+						assign(st.Field(i).Origin(), elt)
 						walk(elt, self)
 					}
 				}
 				return false
+			case *ast.UnaryExpr:
+				// &x.f hands the field to code that may set it.
+				if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok && n.Op == token.AND && field(sel) != nil {
+					u.set[field(sel)] = true
+				}
 			case *ast.SelectorExpr:
 				if f := field(n); f != nil && self != "" && types.ExprString(n) == self {
-					write(n)
+					write(n, nil)
 					return false
 				} else if f != nil {
 					read[f] = true
@@ -881,7 +998,7 @@ func (c *census) fieldAccess() (written, read map[*types.Var]bool) {
 		wal = f.pkg.Name() == "wal"
 		walk(f.file, "")
 	}
-	return written, read
+	return u
 }
 
 // builtin reports whether call calls the named builtin function.

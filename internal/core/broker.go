@@ -36,6 +36,10 @@ var (
 	ErrBadState = errors.New("core: operation invalid in current session state")
 	// ErrClosed is returned after the broker shuts down.
 	ErrClosed = errors.New("core: broker closed")
+	// ErrInvalidRequest is returned for client input no broker could
+	// serve: a request that fails Request.Validate, or a message a
+	// binding cannot decode.
+	ErrInvalidRequest = errors.New("core: invalid request")
 )
 
 // Finder is the discovery dependency (satisfied by *registry.Registry).
@@ -320,7 +324,7 @@ func (b *Broker) Close() {
 		return
 	}
 	if b.intake != nil {
-		b.intake.close(ErrClosed)
+		b.intake.failQueued(ErrClosed)
 	}
 	b.stopConfirmTimers()
 	if b.durable != nil {

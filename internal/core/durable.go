@@ -95,7 +95,7 @@ func (b *Broker) Crash() {
 	if b.intake != nil {
 		// A dead process resolves nothing: queued admissions simply never
 		// happened (they were not yet journaled), so their tickets fail.
-		b.intake.close(ErrClosed)
+		b.intake.failQueued(ErrClosed)
 	}
 	b.stopConfirmTimers()
 	b.ledger.SetObserver(nil)

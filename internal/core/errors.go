@@ -29,6 +29,7 @@ var taxonomy = []struct {
 	{ErrClosed, "closed", http.StatusServiceUnavailable},
 	{ErrPeerUnavailable, "peer_unavailable", http.StatusServiceUnavailable},
 	{ErrNoDomainCanServe, "no_domain", http.StatusServiceUnavailable},
+	{ErrInvalidRequest, "bad_request", http.StatusBadRequest},
 }
 
 // WireStatus classifies err for the wire: the code and HTTP status of the

@@ -10,17 +10,13 @@ package core
 // that the lock acquisitions, the allocator rebalance + view publication,
 // the activity-log render and the WAL fsync are paid once per BATCH.
 //
-// Flush discipline. Flushes are driven four ways, all deterministic on
-// the manual clock: (1) a queue reaching MaxBatch is flushed inline by
-// the submitter that filled it; (2) FlushIntake drains the queue — the
-// serial harnesses' quiesce primitive; (3) when FlushEvery > 0, an idle
-// timer armed on first enqueue flushes whatever accumulated (it re-arms
-// on the next enqueue, never free-runs, so a 72-hour drain Advance fires
-// it at most once); (4) RequestService on a queue-configured broker
-// enqueues and then takes the flush mutex: the first waiter in becomes
-// the group-commit leader and drains everything queued behind it —
-// batches form naturally under contention, exactly like a WAL group
-// commit.
+// Flush discipline. Flushes are driven three ways, none by a timer: (1) a
+// queue reaching MaxBatch is flushed inline by the submitter that filled
+// it; (2) FlushIntake drains the queue — the serial harnesses' quiesce
+// primitive; (3) RequestService on a queue-configured broker enqueues and
+// then takes the flush mutex: the first waiter in becomes the
+// group-commit leader and drains everything queued behind it — batches
+// form naturally under contention, exactly like a WAL group commit.
 //
 // Failure semantics. Queued tickets fail with ErrClosed on Close/Crash;
 // everything past the queue is admit's (each member individually atomic,
@@ -31,9 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
-	"gqosm/internal/clockx"
 	"gqosm/internal/obs"
 )
 
@@ -58,12 +52,6 @@ type IntakeConfig struct {
 	// Depth bounds the queue; a Submit beyond it is refused with
 	// ErrIntakeFull (default 256).
 	Depth int
-	// FlushEvery, when > 0, bounds how long a queued admission can wait
-	// for company: a timer armed on the first enqueue after an idle
-	// period flushes whatever accumulated. 0 (the default) relies on
-	// size-triggered flushes, RequestService leaders and explicit
-	// FlushIntake calls only.
-	FlushEvery time.Duration
 }
 
 func (c IntakeConfig) withDefaults() IntakeConfig {
@@ -116,12 +104,6 @@ type intake struct {
 	// but never while blocking on mu, so submitters keep enqueueing under
 	// a running flush.
 	flushMu sync.Mutex
-
-	// timerMu guards the single idle-flush timer (armed only when
-	// FlushEvery > 0 and at most one pending at a time, so a long
-	// manual-clock Advance fires it once, not once per period).
-	timerMu sync.Mutex
-	timer   clockx.Timer
 
 	submitted    *obs.Counter
 	rejectedFull *obs.Counter
@@ -184,8 +166,6 @@ func (b *Broker) Submit(req Request) (*IntakeTicket, error) {
 	}
 	if depth >= in.cfg.MaxBatch {
 		in.flush()
-	} else {
-		in.armTimer()
 	}
 	return &m.IntakeTicket, nil
 }
@@ -214,7 +194,7 @@ func (in *intake) enqueue(m *admission) (int, error) {
 }
 
 // FlushIntake drains the intake queue now — the deterministic flush the
-// serial harnesses and the idle timer use.
+// serial harnesses use.
 func (b *Broker) FlushIntake() {
 	if b.intake == nil {
 		return
@@ -251,44 +231,9 @@ func (in *intake) flush() {
 	}
 }
 
-// armTimer arms the idle-flush timer if FlushEvery is configured and no
-// timer is already pending.
-func (in *intake) armTimer() {
-	if in.cfg.FlushEvery <= 0 {
-		return
-	}
-	in.timerMu.Lock()
-	if in.timer == nil && !in.b.closed.Load() {
-		in.timer = in.b.clock.AfterFunc(in.cfg.FlushEvery, in.onTimer)
-	}
-	in.timerMu.Unlock()
-}
-
-func (in *intake) onTimer() {
-	in.timerMu.Lock()
-	in.timer = nil
-	in.timerMu.Unlock()
-	in.b.FlushIntake()
-	if in.b.IntakePending() > 0 {
-		// Entries raced in behind the flush; cover them too.
-		in.armTimer()
-	}
-}
-
-// close stops the idle timer and fails every queued ticket with err.
-// Called from Close and Crash after the closed flag flips; a flush
-// already in flight rolls its own batch back against the closed gate.
-func (in *intake) close(err error) {
-	in.timerMu.Lock()
-	if in.timer != nil {
-		in.timer.Stop()
-		in.timer = nil
-	}
-	in.timerMu.Unlock()
-	in.failQueued(err)
-}
-
 // failQueued drains the queue, failing the removed tickets with err.
+// Close and Crash call it after the closed flag flips; a flush already in
+// flight rolls its own batch back against the closed gate.
 func (in *intake) failQueued(err error) {
 	in.mu.Lock()
 	entries := in.queue

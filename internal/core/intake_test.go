@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 	"slices"
 	"testing"
-	"time"
 
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
@@ -178,43 +177,8 @@ func TestIntakeClosedFailsQueued(t *testing.T) {
 	}
 }
 
-// TestIntakeFlushEveryTimer: with FlushEvery set, a lone queued
-// admission (below MaxBatch) is flushed when the idle timer fires on the
-// manual clock — the latency bound for quiet periods.
-func TestIntakeFlushEveryTimer(t *testing.T) {
-	h := newHarness(t, withIntake(IntakeConfig{
-		Enabled: true, MaxBatch: 32, FlushEvery: 30 * time.Second,
-	}))
-	b := h.broker
-
-	tk, err := b.Submit(intakeRequest("timer-0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tk.Resolved() {
-		t.Fatal("ticket resolved before the idle timer fired")
-	}
-	h.clock.Advance(30 * time.Second)
-	offer, err := tk.Wait()
-	if err != nil {
-		t.Fatalf("ticket after timer flush: %v", err)
-	}
-	if offer == nil {
-		t.Fatal("timer flush fulfilled the ticket without an offer")
-	}
-	// The timer re-arms for later submissions, not just the first.
-	tk2, err := b.Submit(intakeRequest("timer-1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.clock.Advance(30 * time.Second)
-	if _, err := tk2.Wait(); err != nil {
-		t.Fatalf("second timer flush: %v", err)
-	}
-}
-
 // TestIntakeMaxBatchInlineFlush: the MaxBatch-th Submit triggers the
-// flush inline — no timer, no explicit FlushIntake needed.
+// flush inline — no explicit FlushIntake needed.
 func TestIntakeMaxBatchInlineFlush(t *testing.T) {
 	h := newHarness(t, withIntake(IntakeConfig{Enabled: true, MaxBatch: 4}))
 	b := h.broker

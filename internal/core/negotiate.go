@@ -34,31 +34,27 @@ type Request struct {
 	AcceptDegradation bool
 	AcceptTermination bool
 	PromotionOptIn    bool
-	// Penalty records the SLA-violation penalty terms (§5.2 lists "SLA
-	// violation penalties" among the agreed terms); zero means no
-	// penalty clause.
-	Penalty sla.Penalty
 }
 
 // Validate checks the request.
 func (r Request) Validate() error {
 	if r.Service == "" {
-		return fmt.Errorf("core: request needs a service name")
+		return fmt.Errorf("%w: no service name", ErrInvalidRequest)
 	}
 	if r.Class != sla.ClassGuaranteed && r.Class != sla.ClassControlledLoad {
-		return fmt.Errorf("core: negotiated requests must be guaranteed or controlled-load, got %v", r.Class)
+		return fmt.Errorf("%w: negotiated requests must be guaranteed or controlled-load, got %v", ErrInvalidRequest, r.Class)
 	}
 	if len(r.Spec.Params) == 0 {
-		return fmt.Errorf("core: request needs QoS parameters")
+		return fmt.Errorf("%w: no QoS parameters", ErrInvalidRequest)
 	}
 	if err := r.Spec.Validate(); err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 	}
 	if !r.End.After(r.Start) {
-		return fmt.Errorf("core: end %v not after start %v", r.End, r.Start)
+		return fmt.Errorf("%w: end %v not after start %v", ErrInvalidRequest, r.End, r.Start)
 	}
 	if r.PromotionOptIn && r.Class != sla.ClassControlledLoad {
-		return fmt.Errorf("core: promotion offers require the controlled-load class")
+		return fmt.Errorf("%w: promotion offers require the controlled-load class", ErrInvalidRequest)
 	}
 	return nil
 }
@@ -425,7 +421,6 @@ func (b *Broker) proposeLocked(reserved []*admission, now, expires time.Time) {
 				AlternativeQoS:    m.floor,
 				HasAlternative:    m.req.AcceptDegradation || m.req.Class == sla.ClassControlledLoad,
 			},
-			Penalty:   m.req.Penalty,
 			Start:     m.req.Start,
 			End:       m.req.End,
 			Price:     m.price,

@@ -34,10 +34,10 @@ func (b *Broker) Renegotiate(id sla.ID, newSpec sla.Spec) (*RenegotiationResult,
 	defer func() { b.met.renegSeconds.Observe(time.Since(started).Seconds()) }()
 	defer b.debugCheck("renegotiate")
 	if err := newSpec.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 	}
 	if len(newSpec.Params) == 0 {
-		return nil, fmt.Errorf("core: renegotiation needs QoS parameters")
+		return nil, fmt.Errorf("%w: no QoS parameters", ErrInvalidRequest)
 	}
 
 	b.mu.Lock()

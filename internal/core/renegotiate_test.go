@@ -311,11 +311,12 @@ func TestMonitorDrivesPeriodicManagement(t *testing.T) {
 	}
 }
 
+// TestViolationChargesPenalty: a detected violation is counted, and the
+// penalty it charges is none — the paper's SLA has no penalty term, so
+// the ledger does not move and holds no penalty entry.
 func TestViolationChargesPenalty(t *testing.T) {
 	h := newHarness(t)
-	req := guaranteedRequest()
-	req.Penalty = sla.Penalty{PerViolation: 25}
-	offer, err := h.broker.RequestService(req)
+	offer, err := h.broker.RequestService(guaranteedRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,24 +332,16 @@ func TestViolationChargesPenalty(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.netMgr.CheckAll(h.clock.Now())
-	violations := h.broker.Violations(id)
-	if violations == 0 {
+	if h.broker.Violations(id) == 0 {
 		t.Fatal("no violation recorded")
 	}
-	// Each violation cost the provider the agreed 25.
-	want := revBefore - float64(violations)*25
-	if got := h.broker.Ledger().NetRevenue(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("revenue = %g, want %g after %d violation(s)", got, want, violations)
+	if got := h.broker.Ledger().NetRevenue(); got != revBefore {
+		t.Errorf("revenue = %g after a violation, want %g", got, revBefore)
 	}
-	// The penalty appears in the ledger with the right kind.
-	found := false
 	for _, e := range h.broker.Ledger().Entries() {
-		if e.Kind == pricing.EntryPenalty && e.SLA == id {
-			found = true
+		if e.Kind == pricing.EntryPenalty {
+			t.Errorf("penalty entry %+v in the ledger", e)
 		}
-	}
-	if !found {
-		t.Error("no penalty entry in the ledger")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"gqosm/internal/gara"
 	"gqosm/internal/nrm"
-	"gqosm/internal/pricing"
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
 )
@@ -267,7 +266,7 @@ func (b *Broker) handleDegradation(id sla.ID, measured resource.Capacity) {
 	}
 }
 
-// recordViolation marks the session violated and charges the penalty.
+// recordViolation marks the session violated and counts the violation.
 func (b *Broker) recordViolation(id sla.ID) {
 	b.mu.Lock()
 	s, ok := b.sessions[id]
@@ -279,15 +278,10 @@ func (b *Broker) recordViolation(id sla.ID) {
 	if s.doc.State == sla.StateActive || s.doc.State == sla.StateDegraded {
 		_ = s.doc.Transition(sla.StateViolated)
 	}
-	pen := s.doc.Penalty
 	count := s.violations
 	b.logf("violation", id, "SLA violation #%d detected", count)
 	b.mu.Unlock()
 	b.met.violations.Inc()
-
-	if amount := pricing.PenaltyFor(pen, 0); amount > 0 {
-		b.ledger.Penalize(id, amount, b.clock.Now(), "SLA violation")
-	}
 	b.journal("persist", id)
 }
 

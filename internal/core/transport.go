@@ -71,6 +71,9 @@ var soapElements = []soapElement{
 				return "", OpArgs{}, err
 			}
 			spec, err := xmlmsg.DecodeSpec(req.Params, req.SourceIP, req.DestIP, req.MaxLoss)
+			if err != nil {
+				err = fmt.Errorf("%w: %w", ErrInvalidRequest, err)
+			}
 			return "renegotiate", OpArgs{ID: sla.ID(req.SLAID), Spec: spec}, err
 		},
 		ackXML},
@@ -126,22 +129,24 @@ func (b *Broker) Mount(mux *soapx.Mux) {
 	}
 }
 
+// decodeRequest converts a service_request to the broker type; what it
+// cannot decode is the client's error, ErrInvalidRequest.
 func decodeRequest(req xmlmsg.ServiceRequestXML) (Request, error) {
 	class, err := sla.ParseClass(req.Class)
 	if err != nil {
-		return Request{}, err
+		return Request{}, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 	}
 	spec, err := xmlmsg.DecodeSpec(req.Params, req.SourceIP, req.DestIP, req.MaxLoss)
 	if err != nil {
-		return Request{}, err
+		return Request{}, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 	}
 	start, err := time.Parse(xmlmsg.TimeLayout, req.Start)
 	if err != nil {
-		return Request{}, fmt.Errorf("core: bad Start: %w", err)
+		return Request{}, fmt.Errorf("%w: bad Start: %w", ErrInvalidRequest, err)
 	}
 	end, err := time.Parse(xmlmsg.TimeLayout, req.End)
 	if err != nil {
-		return Request{}, fmt.Errorf("core: bad End: %w", err)
+		return Request{}, fmt.Errorf("%w: bad End: %w", ErrInvalidRequest, err)
 	}
 	return Request{
 		Service:           req.Service,

@@ -1,8 +1,8 @@
 // Package faultx is a deterministic, stdlib-only fault-injection layer.
 // A seeded Injector sits at named call sites ("gara.create",
-// "nrm.reserve", "soapx.client", ...) between the broker and its
+// "nrm.reserve", "soapx.server", ...) between the broker and its
 // substrate — GARA reservation managers, the NRM bandwidth broker, DSRT
-// admission, GRAM submission, the SOAP transport — and decides, per
+// admission, GRAM submission, the SOAP server — and decides, per
 // call, whether the operation fails and how:
 //
 //   - Error: the call fails immediately, the operation never runs.

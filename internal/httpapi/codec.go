@@ -19,8 +19,9 @@ import (
 	"gqosm/internal/sla"
 )
 
-// ParamJSON is one QoS parameter. Exactly one form is used: values ⇒
-// list, min/max ⇒ range, exact ⇒ exact (the same three forms as §5.3).
+// ParamJSON is one QoS parameter. Exactly one form is set: values ⇒
+// list, min/max ⇒ range, exact ⇒ exact (the same three forms as §5.3);
+// a parameter that sets two is refused with bad_request.
 type ParamJSON struct {
 	Exact  *float64  `json:"exact,omitempty"`
 	Min    *float64  `json:"min,omitempty"`
@@ -122,18 +123,21 @@ var kindByName = func() map[string]resource.Kind {
 	return m
 }()
 
-// decodeSpec converts a wire spec to the broker type.
+// decodeSpec converts a wire spec to the broker type. A parameter sets
+// exactly one value form: exact, values, or min/max.
 func decodeSpec(in SpecJSON) (sla.Spec, error) {
 	params := make([]sla.Param, 0, len(in.Params))
 	for name, p := range in.Params {
 		kind, ok := kindByName[name]
 		if !ok {
-			return sla.Spec{}, fmt.Errorf("%w: unknown resource dimension %q", errBadRequest, name)
+			return sla.Spec{}, fmt.Errorf("%w: unknown resource dimension %q", core.ErrInvalidRequest, name)
 		}
-		switch {
-		case len(p.Values) > 0:
+		switch values, bounds, exact := len(p.Values) > 0, p.Min != nil || p.Max != nil, p.Exact != nil; {
+		case values && (bounds || exact), bounds && exact:
+			return sla.Spec{}, fmt.Errorf("%w: parameter %q sets more than one of exact, min/max and values", core.ErrInvalidRequest, name)
+		case values:
 			params = append(params, sla.List(kind, p.Values...))
-		case p.Min != nil || p.Max != nil:
+		case bounds:
 			var lo, hi float64
 			if p.Min != nil {
 				lo = *p.Min
@@ -142,10 +146,10 @@ func decodeSpec(in SpecJSON) (sla.Spec, error) {
 				hi = *p.Max
 			}
 			params = append(params, sla.Range(kind, lo, hi))
-		case p.Exact != nil:
+		case exact:
 			params = append(params, sla.Exact(kind, *p.Exact))
 		default:
-			return sla.Spec{}, fmt.Errorf("%w: parameter %q needs exact, min/max or values", errBadRequest, name)
+			return sla.Spec{}, fmt.Errorf("%w: parameter %q needs exact, min/max or values", core.ErrInvalidRequest, name)
 		}
 	}
 	spec := sla.NewSpec(params...)
@@ -184,7 +188,7 @@ func encodeSpec(s sla.Spec) SpecJSON {
 func decodeRequest(in RequestJSON) (core.Request, error) {
 	class, err := sla.ParseClass(in.Class)
 	if err != nil {
-		return core.Request{}, fmt.Errorf("%w: %v", errBadRequest, err)
+		return core.Request{}, fmt.Errorf("%w: %v", core.ErrInvalidRequest, err)
 	}
 	spec, err := decodeSpec(in.Spec)
 	if err != nil {

@@ -14,8 +14,7 @@ import (
 )
 
 // wantTaxonomy is the wire contract spelled out: sentinel, HTTP status,
-// code. The table lives in core (shared with SOAP); bad_request is this
-// binding's own row. This pins both.
+// code. The table lives in core, shared with SOAP; this pins it.
 var wantTaxonomy = []struct {
 	err    error
 	status int
@@ -32,7 +31,7 @@ var wantTaxonomy = []struct {
 	{core.ErrClosed, 503, "closed"},
 	{core.ErrPeerUnavailable, 503, "peer_unavailable"},
 	{core.ErrNoDomainCanServe, 503, "no_domain"},
-	{errBadRequest, 400, "bad_request"},
+	{core.ErrInvalidRequest, 400, "bad_request"},
 }
 
 // TestErrorTaxonomyRoundTrip pins the transport contract: every typed
@@ -46,16 +45,7 @@ func TestErrorTaxonomyRoundTrip(t *testing.T) {
 		if status != row.status || code != row.code {
 			t.Errorf("classify(%v) = (%d, %q), want (%d, %q)", row.err, status, code, row.status, row.code)
 		}
-		decoded := decodeError(code, "boom")
-		if row.err == errBadRequest {
-			// bad_request has no broker sentinel to reconstruct; the
-			// decoded error must still carry the code for operators.
-			if decoded == nil || !strings.Contains(decoded.Error(), code) {
-				t.Errorf("decodeError(%q) = %v", code, decoded)
-			}
-			continue
-		}
-		if !errors.Is(decoded, row.err) {
+		if decoded := decodeError(code, "boom"); !errors.Is(decoded, row.err) {
 			t.Errorf("decodeError(%q) does not match %v: %v", code, row.err, decoded)
 		}
 	}

@@ -2,8 +2,7 @@ package httpapi
 
 // The broker's error taxonomy (sentinel ↔ wire code ↔ HTTP status) lives
 // in internal/core, shared with the SOAP transport; this file adds what
-// is this binding's own: the bad_request code for inputs rejected before
-// any broker call, and internal for errors outside the taxonomy.
+// is this binding's own: internal for errors outside the taxonomy.
 
 import (
 	"errors"
@@ -19,23 +18,14 @@ import (
 // are definitive answers and never wrapped in it.
 var ErrTransport = errors.New("httpapi: transport error")
 
-// errBadRequest marks malformed inputs rejected before any broker call
-// (unparseable JSON, unknown fields, missing IDs).
-var errBadRequest = errors.New("httpapi: bad request")
-
 // classify maps an error to its wire (status, code): the taxonomy's pair
-// for a broker sentinel, bad_request for errBadRequest, internal for
-// everything else.
+// for a broker sentinel (core.ErrInvalidRequest, bad_request, for input
+// rejected before any broker call), internal for everything else.
 func classify(err error) (int, string) {
-	code, status := core.WireStatus(err)
-	switch {
-	case code != "":
+	if code, status := core.WireStatus(err); code != "" {
 		return status, code
-	case errors.Is(err, errBadRequest):
-		return http.StatusBadRequest, "bad_request"
-	default:
-		return http.StatusInternalServerError, "internal"
 	}
+	return http.StatusInternalServerError, "internal"
 }
 
 // decodeError reconstructs a typed error from a wire (code, message)

@@ -87,7 +87,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	)
 	if rt.method == http.MethodPost {
 		if body, err = io.ReadAll(io.LimitReader(r.Body, maxBody)); err != nil {
-			err = fmt.Errorf("%w: read body: %v", errBadRequest, err)
+			err = fmt.Errorf("%w: read body: %v", core.ErrInvalidRequest, err)
 		}
 	}
 	var args core.OpArgs
@@ -130,7 +130,7 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 
 func unmarshal(body []byte, v any) error {
 	if err := json.Unmarshal(body, v); err != nil {
-		return fmt.Errorf("%w: %v", errBadRequest, err)
+		return fmt.Errorf("%w: %v", core.ErrInvalidRequest, err)
 	}
 	return nil
 }
@@ -150,7 +150,7 @@ func decodeAction(_ *http.Request, body []byte) (core.OpArgs, error) {
 		return core.OpArgs{}, err
 	}
 	if in.ID == "" {
-		return core.OpArgs{}, fmt.Errorf("%w: missing id", errBadRequest)
+		return core.OpArgs{}, fmt.Errorf("%w: missing id", core.ErrInvalidRequest)
 	}
 	return core.OpArgs{ID: sla.ID(in.ID), Reason: in.Reason}, nil
 }
@@ -161,7 +161,7 @@ func decodeRenegotiate(_ *http.Request, body []byte) (core.OpArgs, error) {
 		return core.OpArgs{}, err
 	}
 	if in.ID == "" || in.Spec == nil {
-		return core.OpArgs{}, fmt.Errorf("%w: renegotiate needs id and spec", errBadRequest)
+		return core.OpArgs{}, fmt.Errorf("%w: renegotiate needs id and spec", core.ErrInvalidRequest)
 	}
 	spec, err := decodeSpec(*in.Spec)
 	return core.OpArgs{ID: sla.ID(in.ID), Spec: spec}, err
@@ -173,7 +173,7 @@ func decodeBestEffort(_ *http.Request, body []byte) (core.OpArgs, error) {
 		return core.OpArgs{}, err
 	}
 	if in.Client == "" {
-		return core.OpArgs{}, fmt.Errorf("%w: missing client", errBadRequest)
+		return core.OpArgs{}, fmt.Errorf("%w: missing client", core.ErrInvalidRequest)
 	}
 	return core.OpArgs{
 		Client:  in.Client,
@@ -185,7 +185,7 @@ func decodeBestEffort(_ *http.Request, body []byte) (core.OpArgs, error) {
 func decodeSessionQuery(r *http.Request, _ []byte) (core.OpArgs, error) {
 	id := r.URL.Query().Get("id")
 	if id == "" {
-		return core.OpArgs{}, fmt.Errorf("%w: missing id", errBadRequest)
+		return core.OpArgs{}, fmt.Errorf("%w: missing id", core.ErrInvalidRequest)
 	}
 	return core.OpArgs{ID: sla.ID(id)}, nil
 }

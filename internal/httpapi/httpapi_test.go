@@ -281,7 +281,17 @@ func TestWireErrorTaxonomy(t *testing.T) {
 			}
 
 			want("unknown_session", act("no-such-session", "accept"), core.ErrUnknownSession)
-			req := wireRequest("broke")
+			// Client input that fails Request.Validate is the client's
+			// error, not the server's.
+			req := wireRequest("backwards")
+			req.End = req.Start.Add(-time.Hour)
+			_, err = client.request(req)
+			want("bad_request", err, core.ErrInvalidRequest)
+			req = wireRequest("open-range")
+			req.Spec = sla.NewSpec(sla.Range(resource.CPU, 2, 0))
+			_, err = client.request(req)
+			want("bad_request", err, core.ErrInvalidRequest)
+			req = wireRequest("broke")
 			req.Budget = 0.000001
 			_, err = client.request(req)
 			want("over_budget", err, core.ErrOverBudget)
@@ -348,7 +358,8 @@ func TestWireErrorTaxonomy(t *testing.T) {
 }
 
 // TestWireMalformedRequests exercises the rows below the broker:
-// unparseable JSON, missing IDs, wrong method, unknown endpoint.
+// unparseable JSON, missing IDs, a QoS parameter in two forms, a range
+// without its max, wrong method, unknown endpoint.
 func TestWireMalformedRequests(t *testing.T) {
 	_, client := apiFixture(t, false)
 	base := client.Endpoint + httpapi.Prefix
@@ -362,11 +373,23 @@ func TestWireMalformedRequests(t *testing.T) {
 		t.Cleanup(func() { resp.Body.Close() })
 		return resp
 	}
-	if resp := post("request", "{not json"); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad JSON = %d, want 400", resp.StatusCode)
+	request := func(params string) string {
+		return `{"client":"c","service":"simulation","class":"guaranteed","spec":{"params":` + params +
+			`},"start":"2026-08-08T20:00:00Z","end":"2026-08-08T22:00:00Z"}`
 	}
-	if resp := post("accept", `{}`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("missing id = %d, want 400", resp.StatusCode)
+	for _, tc := range []struct{ name, path, body string }{
+		{"bad JSON", "request", "{not json"},
+		{"missing id", "accept", `{}`},
+		{"exact and range", "request", request(`{"cpu":{"exact":4,"min":1,"max":3}}`)},
+		{"values and exact", "request", request(`{"cpu":{"values":[2,4],"exact":4}}`)},
+		{"min without max", "request", request(`{"cpu":{"min":2}}`)},
+	} {
+		resp := post(tc.path, tc.body)
+		var body httpapi.ErrorJSON
+		_ = json.NewDecoder(resp.Body).Decode(&body)
+		if resp.StatusCode != http.StatusBadRequest || body.Error.Code != "bad_request" {
+			t.Errorf("%s = %d %q, want 400 bad_request", tc.name, resp.StatusCode, body.Error.Code)
+		}
 	}
 	resp, err := http.Get(base + "request")
 	if err != nil {

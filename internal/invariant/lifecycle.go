@@ -8,53 +8,39 @@ import (
 	"gqosm/internal/sla"
 )
 
-// LifecycleCheck configures CheckLifecycle.
-type LifecycleCheck struct {
-	// ConfirmWindow is the broker's offer confirm window. A proposed
-	// session older than ConfirmWindow+Grace whose auto-cancel timer
-	// evidently never fired is a stale proposal.
-	ConfirmWindow time.Duration
-	// Grace is slack added to both rules before they fire, absorbing
-	// the gap between a deadline passing and the driver's next
-	// ExpireDue sweep. Defaults to 0 — call CheckLifecycle only right
-	// after an ExpireDue at the same clock reading.
-	Grace time.Duration
-}
-
 // CheckLifecycle runs the expiry-boundary rules the confirm-window and
 // session-end timers promise, at a quiesce point *after* ExpireDue has
 // run at the same clock reading:
 //
-//   - stale-proposal: no session sits in StateProposed past its confirm
-//     window (plus grace) — the auto-cancel timer armed at proposal
-//     time must have expired the offer;
+//   - stale-proposal: no session sits in StateProposed past the broker's
+//     confirm window — the auto-cancel timer armed at proposal time must
+//     have expired the offer (a window <= 0 skips the rule);
 //   - overstay-session: no live session persists past its negotiated
-//     End (plus grace) — the lease-churn scenario hammers exactly this
-//     boundary, where an accept races the expiry sweep.
+//     End — the lease-churn scenario hammers exactly this boundary, where
+//     an accept races the expiry sweep.
 //
 // These rules are meaningful only for drivers that sweep expiries at
 // every quiesce (the scenario/soak harness); drivers that let offers
 // ride (chaos, fuzz) must not install them.
-func CheckLifecycle(b *core.Broker, now time.Time, opt LifecycleCheck) error {
-	return wrap(lifecycleViolations(b, now, opt))
+func CheckLifecycle(b *core.Broker, now time.Time, confirmWindow time.Duration) error {
+	return wrap(lifecycleViolations(b, now, confirmWindow))
 }
 
-func lifecycleViolations(b *core.Broker, now time.Time, opt LifecycleCheck) []Violation {
+func lifecycleViolations(b *core.Broker, now time.Time, confirmWindow time.Duration) []Violation {
 	var vs []Violation
 	for _, s := range b.SessionInfos() {
 		if s.State.Terminal() {
 			continue
 		}
 		if s.State == sla.StateProposed {
-			if s.ProposedAt.IsZero() || opt.ConfirmWindow <= 0 {
+			if s.ProposedAt.IsZero() || confirmWindow <= 0 {
 				continue
 			}
-			deadline := s.ProposedAt.Add(opt.ConfirmWindow + opt.Grace)
-			if now.After(deadline) {
+			if now.After(s.ProposedAt.Add(confirmWindow)) {
 				vs = append(vs, Violation{
 					Rule: "stale-proposal",
 					Detail: fmt.Sprintf("session %s proposed at %s still unexpired at %s (window %s)",
-						s.ID, s.ProposedAt.Format("15:04:05"), now.Format("15:04:05"), opt.ConfirmWindow),
+						s.ID, s.ProposedAt.Format("15:04:05"), now.Format("15:04:05"), confirmWindow),
 				})
 			}
 			continue
@@ -63,7 +49,7 @@ func lifecycleViolations(b *core.Broker, now time.Time, opt LifecycleCheck) []Vi
 		if err != nil {
 			continue // pruned between snapshot and lookup
 		}
-		if !doc.End.IsZero() && now.After(doc.End.Add(opt.Grace)) {
+		if !doc.End.IsZero() && now.After(doc.End) {
 			vs = append(vs, Violation{
 				Rule: "overstay-session",
 				Detail: fmt.Sprintf("session %s (%s) persists past its end %s at %s",

@@ -149,18 +149,15 @@ func (m *Model) Promotion(d *sla.Document, to resource.Capacity, expires time.Ti
 	}, true
 }
 
-// PenaltyFor computes the monetary penalty owed for a violation episode of
-// the given duration below the SLA floor.
-func PenaltyFor(p sla.Penalty, below time.Duration) float64 {
-	return p.PerViolation + p.PerHourBelow*below.Hours()
-}
-
 // EntryKind labels ledger entries.
 type EntryKind int
 
 // Ledger entry kinds.
 const (
 	EntryCharge EntryKind = iota + 1 // revenue from a client
+	// EntryPenalty is a penalty paid by the provider. The paper's SLA has
+	// no penalty term, so nothing records one; the kind keeps its number,
+	// which WAL records and digests store.
 	EntryPenalty
 	EntryPromotion // revenue from an accepted promotion offer
 	EntryRefund
@@ -328,11 +325,6 @@ func RestoreLedger(st State) *Ledger {
 // Charge records client revenue for an SLA.
 func (l *Ledger) Charge(id sla.ID, amount float64, at time.Time, note string) {
 	l.Record(Entry{Kind: EntryCharge, SLA: id, Amount: amount, At: at, Note: note})
-}
-
-// Penalize records a violation penalty paid by the provider.
-func (l *Ledger) Penalize(id sla.ID, amount float64, at time.Time, note string) {
-	l.Record(Entry{Kind: EntryPenalty, SLA: id, Amount: amount, At: at, Note: note})
 }
 
 // NetRevenue returns charges + promotions − penalties − refunds. It is a

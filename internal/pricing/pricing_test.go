@@ -113,24 +113,11 @@ func TestPromotionRefusals(t *testing.T) {
 	}
 }
 
-func TestPenaltyFor(t *testing.T) {
-	p := sla.Penalty{PerViolation: 10, PerHourBelow: 4}
-	if got := PenaltyFor(p, 90*time.Minute); math.Abs(got-16) > 1e-9 {
-		t.Errorf("PenaltyFor = %g, want 16", got)
-	}
-	if got := PenaltyFor(p, 0); got != 10 {
-		t.Errorf("PenaltyFor(0) = %g, want 10", got)
-	}
-	if got := PenaltyFor(sla.Penalty{}, time.Hour); got != 0 {
-		t.Errorf("PenaltyFor(zero penalty) = %g", got)
-	}
-}
-
 func TestLedger(t *testing.T) {
 	l := NewLedger()
 	l.Charge("a", 100, at, "session")
 	l.Charge("b", 50, at, "session")
-	l.Penalize("a", 10, at, "violation at t2")
+	l.Record(Entry{Kind: EntryPenalty, SLA: "a", Amount: 10, At: at})
 	l.Record(Entry{Kind: EntryPromotion, SLA: "b", Amount: 20, At: at})
 	l.Record(Entry{Kind: EntryRefund, SLA: "b", Amount: 5, At: at})
 

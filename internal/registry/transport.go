@@ -99,7 +99,9 @@ func toXML(s *Service) ServiceXML {
 	return out
 }
 
-func fromXML(x ServiceXML) (Service, error) {
+// ServiceFromXML converts a wire-form service back: the discovery reply,
+// a save_service request, a registryd seed file.
+func ServiceFromXML(x ServiceXML) (Service, error) {
 	s := Service{
 		Key:         Key(x.Key),
 		Name:        x.Name,
@@ -131,10 +133,6 @@ func fromXML(x ServiceXML) (Service, error) {
 	return s, nil
 }
 
-// ServiceFromXML converts a wire-form service back (exported for seed
-// files and tooling).
-func ServiceFromXML(x ServiceXML) (Service, error) { return fromXML(x) }
-
 // Mount installs the registry's SOAP handlers (save_service, find_service,
 // delete_service) on the mux.
 func (r *Registry) Mount(mux *soapx.Mux) {
@@ -143,7 +141,7 @@ func (r *Registry) Mount(mux *soapx.Mux) {
 		if err := decode(&req); err != nil {
 			return nil, err
 		}
-		svc, err := fromXML(req.Service)
+		svc, err := ServiceFromXML(req.Service)
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +214,7 @@ func (c *Client) Find(q Query) ([]*Service, error) {
 	}
 	var out []*Service
 	for _, sx := range resp.Services {
-		s, err := fromXML(sx)
+		s, err := ServiceFromXML(sx)
 		if err != nil {
 			return nil, err
 		}

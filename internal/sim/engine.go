@@ -294,7 +294,7 @@ func (e *engine) quiesce(stage string, final bool) {
 		e.record(stage, invariant.CheckIntake(m.Broker))
 		e.record(stage, invariant.CheckReservations(m.Broker, m.GARA, invariant.ReservationCheck{Final: final}))
 		if e.lifecycle > 0 {
-			e.record(stage, invariant.CheckLifecycle(m.Broker, now, invariant.LifecycleCheck{ConfirmWindow: e.lifecycle}))
+			e.record(stage, invariant.CheckLifecycle(m.Broker, now, e.lifecycle))
 		}
 	}
 }

@@ -140,17 +140,6 @@ type AdaptationOptions struct {
 	PromotionOffers bool
 }
 
-// Penalty is the SLA-violation penalty term (§5.2 lists "SLA violation
-// penalties" among the agreed terms).
-type Penalty struct {
-	// PerViolation is the flat monetary penalty charged to the provider
-	// for each detected violation.
-	PerViolation float64
-	// PerHourBelow is charged per hour the delivered QoS stays below
-	// the floor.
-	PerHourBelow float64
-}
-
 // ID identifies an SLA document.
 type ID string
 
@@ -164,7 +153,6 @@ type Document struct {
 	Class    Class
 	Spec     Spec
 	Adapt    AdaptationOptions
-	Penalty  Penalty
 
 	// Start and End bound the reservation validity (§5.6's [t0, t5]).
 	Start, End time.Time
@@ -178,10 +166,6 @@ type Document struct {
 	Allocated resource.Capacity
 
 	State State
-
-	// SubSLAs lists component agreements for composite SLAs (§5.6's
-	// SLA_net1, SLA_net2, SLA_comp); empty for simple SLAs.
-	SubSLAs []*Document
 }
 
 // Validate checks the document for structural errors.
@@ -196,7 +180,7 @@ func (d *Document) Validate() error {
 		if err := d.Spec.Validate(); err != nil {
 			return fmt.Errorf("sla %s: %w", d.ID, err)
 		}
-		if len(d.Spec.Params) == 0 && len(d.SubSLAs) == 0 {
+		if len(d.Spec.Params) == 0 {
 			return fmt.Errorf("sla %s: class %s requires QoS parameters", d.ID, d.Class)
 		}
 	}
@@ -205,11 +189,6 @@ func (d *Document) Validate() error {
 	}
 	if !d.End.IsZero() && !d.End.After(d.Start) {
 		return fmt.Errorf("sla %s: end %v not after start %v", d.ID, d.End, d.Start)
-	}
-	for _, sub := range d.SubSLAs {
-		if err := sub.Validate(); err != nil {
-			return fmt.Errorf("sla %s: sub-SLA: %w", d.ID, err)
-		}
 	}
 	return nil
 }
@@ -229,11 +208,5 @@ func (d *Document) Transition(next State) error {
 func (d *Document) Clone() *Document {
 	c := *d
 	c.Spec = d.Spec.Clone()
-	if len(d.SubSLAs) > 0 {
-		c.SubSLAs = make([]*Document, len(d.SubSLAs))
-		for i, sub := range d.SubSLAs {
-			c.SubSLAs[i] = sub.Clone()
-		}
-	}
 	return &c
 }

@@ -80,9 +80,6 @@ func TestDocumentValidate(t *testing.T) {
 		{"bad param", func(d *Document) { d.Spec = NewSpec(Exact(resource.CPU, -1)) }},
 		{"end before start", func(d *Document) { d.End = d.Start.Add(-time.Hour) }},
 		{"promotion on guaranteed", func(d *Document) { d.Adapt.PromotionOffers = true }},
-		{"bad sub-sla", func(d *Document) {
-			d.SubSLAs = []*Document{{ID: "", Class: ClassGuaranteed}}
-		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -109,25 +106,6 @@ func TestPromotionOffersOnControlledLoad(t *testing.T) {
 	d.Adapt.PromotionOffers = true
 	if err := d.Validate(); err != nil {
 		t.Fatalf("controlled-load promotion rejected: %v", err)
-	}
-}
-
-func TestCompositeWithOnlySubSLAs(t *testing.T) {
-	// §5.6: a composite SLA negotiated as 3 sub-SLAs.
-	sub1 := &Document{ID: "SLA_net1", Class: ClassGuaranteed,
-		Spec: NewSpec(Exact(resource.BandwidthMbps, 622)), State: StateProposed}
-	sub2 := &Document{ID: "SLA_net2", Class: ClassGuaranteed,
-		Spec: NewSpec(Exact(resource.BandwidthMbps, 45)), State: StateProposed}
-	sub3 := guaranteedDoc()
-	sub3.ID = "SLA_comp"
-	comp := &Document{
-		ID:      "composite-56",
-		Class:   ClassGuaranteed,
-		State:   StateProposed,
-		SubSLAs: []*Document{sub1, sub2, sub3},
-	}
-	if err := comp.Validate(); err != nil {
-		t.Fatalf("composite rejected: %v", err)
 	}
 }
 
@@ -195,14 +173,9 @@ func TestStateStrings(t *testing.T) {
 
 func TestDocumentCloneIsDeep(t *testing.T) {
 	d := guaranteedDoc()
-	d.SubSLAs = []*Document{{ID: "sub", Class: ClassBestEffort, State: StateProposed}}
 	c := d.Clone()
 	c.Spec.Params[resource.CPU] = Exact(resource.CPU, 99)
-	c.SubSLAs[0].ID = "mutated"
 	if d.Spec.Params[resource.CPU].Exact != 10 {
 		t.Error("Clone shares Spec")
-	}
-	if d.SubSLAs[0].ID != "sub" {
-		t.Error("Clone shares SubSLAs")
 	}
 }

@@ -307,9 +307,6 @@ type Client struct {
 	HTTPClient *http.Client
 	// Endpoint is the service URL.
 	Endpoint string
-	// Faults injects client-side transport failures (site
-	// "soapx.client"); nil injects nothing.
-	Faults *faultx.Injector
 }
 
 // Call sends request (marshaled into an envelope) and decodes the response
@@ -320,24 +317,22 @@ func (c *Client) Call(request, response any) error {
 	if err != nil {
 		return err
 	}
-	return c.Faults.Do("soapx.client", func() error {
-		hc := c.HTTPClient
-		if hc == nil {
-			hc = http.DefaultClient
-		}
-		resp, err := hc.Post(c.Endpoint, ContentType, bytes.NewReader(data))
-		if err != nil {
-			return fmt.Errorf("soapx: post %s: %w (%v)", c.Endpoint, ErrTransport, err)
-		}
-		defer resp.Body.Close()
-		in, err := readBody(resp.Body, resp.ContentLength)
-		switch {
-		case errors.Is(err, errTooLarge):
-			return fmt.Errorf("soapx: response %w", errTooLarge)
-		case err != nil:
-			return fmt.Errorf("soapx: read response: %w (%v)", ErrTransport, err)
-		}
-		defer in.release()
-		return in.r.unmarshal(in.data.Bytes(), response)
-	})
+	hc := c.HTTPClient
+	if hc == nil {
+		hc = http.DefaultClient
+	}
+	resp, err := hc.Post(c.Endpoint, ContentType, bytes.NewReader(data))
+	if err != nil {
+		return fmt.Errorf("soapx: post %s: %w (%v)", c.Endpoint, ErrTransport, err)
+	}
+	defer resp.Body.Close()
+	in, err := readBody(resp.Body, resp.ContentLength)
+	switch {
+	case errors.Is(err, errTooLarge):
+		return fmt.Errorf("soapx: response %w", errTooLarge)
+	case err != nil:
+		return fmt.Errorf("soapx: read response: %w (%v)", ErrTransport, err)
+	}
+	defer in.release()
+	return in.r.unmarshal(in.data.Bytes(), response)
 }

@@ -139,7 +139,8 @@ func EncodeSpec(spec sla.Spec) []QoSParamXML {
 	return out
 }
 
-// DecodeSpec converts wire parameters back to an sla.Spec.
+// DecodeSpec converts wire parameters back to an sla.Spec. A parameter
+// sets exactly one value form: Exact, Values, or Min/Max.
 func DecodeSpec(params []QoSParamXML, sourceIP, destIP, maxLoss string) (sla.Spec, error) {
 	spec := sla.Spec{Params: make(map[resource.Kind]sla.Param, len(params))}
 	for _, x := range params {
@@ -147,14 +148,16 @@ func DecodeSpec(params []QoSParamXML, sourceIP, destIP, maxLoss string) (sla.Spe
 		if err != nil {
 			return sla.Spec{}, err
 		}
-		switch {
-		case x.Exact != "":
+		switch exact, values, bounds := x.Exact != "", x.Values != "", x.Min != "" || x.Max != ""; {
+		case exact && (values || bounds), values && bounds:
+			return sla.Spec{}, fmt.Errorf("xmlmsg: parameter %q sets more than one of exact, min/max and values", x.Name)
+		case exact:
 			v, err := sla.ParseQuantity(x.Exact)
 			if err != nil {
 				return sla.Spec{}, err
 			}
 			spec.Params[kind] = sla.Exact(kind, v)
-		case x.Values != "":
+		case values:
 			var vals []float64
 			for _, part := range strings.Split(x.Values, ",") {
 				v, err := sla.ParseQuantity(part)
@@ -164,7 +167,7 @@ func DecodeSpec(params []QoSParamXML, sourceIP, destIP, maxLoss string) (sla.Spe
 				vals = append(vals, v)
 			}
 			spec.Params[kind] = sla.List(kind, vals...)
-		case x.Min != "" || x.Max != "":
+		case bounds:
 			min, err := sla.ParseQuantity(x.Min)
 			if err != nil {
 				return sla.Spec{}, err

@@ -56,6 +56,9 @@ func TestDecodeSpecErrors(t *testing.T) {
 		{"bad min", []QoSParamXML{{Name: "cpu", Min: "x", Max: "2"}}, ""},
 		{"bad max", []QoSParamXML{{Name: "cpu", Min: "1", Max: "x"}}, ""},
 		{"bad loss", []QoSParamXML{{Name: "cpu", Exact: "1"}}, "bad"},
+		{"exact and range", []QoSParamXML{{Name: "cpu", Exact: "4", Min: "1", Max: "3"}}, ""},
+		{"exact and list", []QoSParamXML{{Name: "cpu", Exact: "4", Values: "2,4"}}, ""},
+		{"list and range", []QoSParamXML{{Name: "cpu", Values: "2,4", Min: "1", Max: "3"}}, ""},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
