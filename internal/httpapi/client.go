@@ -3,8 +3,8 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"gqosm/internal/core"
@@ -27,50 +27,62 @@ func NewClient(endpoint string) *Client {
 	return &Client{Endpoint: endpoint}
 }
 
-// call posts body to op (or GETs when body is nil) and decodes the JSON
-// response into out.
-func (c *Client) call(method, op string, body, out any) error {
-	var payload []byte
-	if body != nil {
-		var err error
-		payload, err = json.Marshal(body)
-		if err != nil {
-			return fmt.Errorf("httpapi: marshal request: %w", err)
-		}
-	}
+// call posts e's body to op (GETs op when e is nil) and returns a 200
+// reply in a pooled buffer, or the error any other reply carries.
+func (c *Client) call(op string, e *requestBody) (*[]byte, error) {
 	hc := c.HTTPClient
 	if hc == nil {
 		hc = http.DefaultClient
 	}
 	url := c.Endpoint + Prefix + op
 	var (
-		resp *http.Response
-		err  error
+		resp   *http.Response
+		err    error
+		method = http.MethodGet
 	)
-	if method == http.MethodGet {
+	if e == nil {
 		resp, err = hc.Get(url)
 	} else {
+		method = http.MethodPost
+		// The body sent is a copy, never pooled: a Transport may close a
+		// request body after RoundTrip returns.
+		payload := append([]byte(nil), *e.p...)
+		if putBuf(e.p); e.err != nil {
+			return nil, fmt.Errorf("httpapi: encode request: %w", e.err)
+		}
 		resp, err = hc.Post(url, "application/json", bytes.NewReader(payload))
 	}
 	if err != nil {
-		return fmt.Errorf("httpapi: %s %s: %w (%v)", method, url, ErrTransport, err)
+		return nil, fmt.Errorf("httpapi: %s %s: %w (%v)", method, url, ErrTransport, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
+	data, err := readBody(resp.Body, resp.ContentLength)
+	switch {
+	case errors.Is(err, errTooLarge):
+		return nil, fmt.Errorf("httpapi: response %w", err)
+	case err != nil:
+		return nil, fmt.Errorf("httpapi: read response: %w (%v)", ErrTransport, err)
+	}
+	if resp.StatusCode == http.StatusOK {
+		return data, nil
+	}
+	defer putBuf(data)
+	var env ErrorJSON
+	if jerr := json.Unmarshal(*data, &env); jerr != nil || env.Error.Code == "" {
+		return nil, fmt.Errorf("httpapi: status %d: %s", resp.StatusCode, bytes.TrimSpace(*data))
+	}
+	return nil, decodeError(env.Error.Code, env.Error.Message)
+}
+
+// post posts the body e holds to op and reads the reply into out, an
+// offer or an acknowledgement.
+func (c *Client) post(op string, e *requestBody, out any) error {
+	data, err := c.call(op, e)
 	if err != nil {
-		return fmt.Errorf("httpapi: read response: %w (%v)", ErrTransport, err)
+		return err
 	}
-	if resp.StatusCode != http.StatusOK {
-		var e ErrorJSON
-		if jerr := json.Unmarshal(data, &e); jerr != nil || e.Error.Code == "" {
-			return fmt.Errorf("httpapi: status %d: %s", resp.StatusCode, bytes.TrimSpace(data))
-		}
-		return decodeError(e.Error.Code, e.Error.Message)
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(data, out); err != nil {
+	defer putBuf(data)
+	if err := readJSON(*data, out); err != nil {
 		return fmt.Errorf("httpapi: decode response: %w (%v)", ErrTransport, err)
 	}
 	return nil
@@ -78,20 +90,10 @@ func (c *Client) call(method, op string, body, out any) error {
 
 // RequestService sends an admission request and returns the offer.
 func (c *Client) RequestService(r core.Request) (*OfferJSON, error) {
-	req := RequestJSON{
-		Service:           r.Service,
-		Client:            r.Client,
-		Class:             r.Class.String(),
-		Spec:              encodeSpec(r.Spec),
-		Start:             r.Start,
-		End:               r.End,
-		Budget:            r.Budget,
-		AcceptDegradation: r.AcceptDegradation,
-		AcceptTermination: r.AcceptTermination,
-		PromotionOptIn:    r.PromotionOptIn,
-	}
+	e := newRequestBody()
+	e.request(r)
 	var out OfferJSON
-	if err := c.call(http.MethodPost, "request", &req, &out); err != nil {
+	if err := c.post("request", &e, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -101,39 +103,38 @@ func (c *Client) RequestService(r core.Request) (*OfferJSON, error) {
 // "terminate", "accept_promotion") and returns the acknowledgement
 // detail.
 func (c *Client) Act(id sla.ID, action, reason string) (string, error) {
-	return c.ack(action, &ActionJSON{ID: string(id), Reason: reason})
-}
-
-// ack posts a request answered by an acknowledgement and returns its
-// detail.
-func (c *Client) ack(op string, body any) (string, error) {
-	var out AckJSON
-	err := c.call(http.MethodPost, op, body, &out)
+	e, out := newRequestBody(), AckJSON{}
+	e.action(string(id), reason, nil)
+	err := c.post(action, &e, &out)
 	return out.Detail, err
 }
 
 // Renegotiate replaces a live session's QoS specification remotely.
 func (c *Client) Renegotiate(id sla.ID, spec sla.Spec) (string, error) {
-	sj := encodeSpec(spec)
-	return c.ack("renegotiate", &ActionJSON{ID: string(id), Spec: &sj})
+	e, out := newRequestBody(), AckJSON{}
+	e.action(string(id), "", &spec)
+	err := c.post("renegotiate", &e, &out)
+	return out.Detail, err
 }
 
 // BestEffort requests (or releases) best-effort capacity.
 func (c *Client) BestEffort(client string, amount resource.Capacity, release bool) error {
-	_, err := c.ack("best-effort", &BestEffortJSON{
-		Client:   client,
-		CPU:      amount.CPU,
-		MemoryMB: amount.MemoryMB,
-		DiskGB:   amount.DiskGB,
-		Release:  release,
-	})
-	return err
+	e := newRequestBody()
+	e.bestEffort(client, amount, release)
+	return c.post("best-effort", &e, new(AckJSON))
 }
 
 // LoadReport fetches the broker's current load for front-tier
 // placement.
 func (c *Client) LoadReport() (core.LoadReport, error) {
 	var out core.LoadReport
-	err := c.call(http.MethodGet, "load", nil, &out)
-	return out, err
+	data, err := c.call("load", nil)
+	if err != nil {
+		return out, err
+	}
+	defer putBuf(data)
+	if err := json.Unmarshal(*data, &out); err != nil { // the cold management read
+		return out, fmt.Errorf("httpapi: decode response: %w (%v)", ErrTransport, err)
+	}
+	return out, nil
 }

@@ -1,18 +1,22 @@
 package httpapi
 
-// Wire types and the pooled response encoder. Requests are decoded with
-// encoding/json (they arrive cold off the network; clarity wins), but
-// responses on the admission hot path are appended by hand into pooled
-// buffers — no reflection, no intermediate allocations — which is what
-// keeps the JSON transport's steady-state encode under the allocs/op
-// gate (see BenchmarkHTTPOfferEncode).
+// Wire types and the hand-written codec. Every body on the session path
+// is appended by hand into a pooled buffer, in encoding/json's rendering
+// with HTML escaping off (one escaper and one number format for both
+// directions), and read back by the strict reader in read.go; no
+// reflection runs per message. encoding/json is left with the cold load
+// report and the client's reading of an error envelope.
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"gqosm/internal/core"
 	"gqosm/internal/resource"
@@ -77,11 +81,6 @@ type CapacityJSON struct {
 	BandwidthMbps float64 `json:"bandwidth_mbps"`
 }
 
-// Capacity converts back to the broker type.
-func (c CapacityJSON) Capacity() resource.Capacity {
-	return resource.Capacity{CPU: c.CPU, MemoryMB: c.MemoryMB, DiskGB: c.DiskGB, BandwidthMbps: c.BandwidthMbps}
-}
-
 // OfferJSON is the admission response and the session snapshot (GET
 // /api/v1/session): the negotiated essentials, not the full SLA
 // document — the SOAP path remains the reference for whole-document
@@ -114,29 +113,38 @@ type ErrorJSON struct {
 	} `json:"error"`
 }
 
-// kindByName maps wire dimension names back to resource kinds.
-var kindByName = func() map[string]resource.Kind {
-	m := make(map[string]resource.Kind, len(resource.Kinds))
+// kindNamed maps a wire dimension name back to its resource kind.
+func kindNamed(name string) (resource.Kind, bool) {
 	for _, k := range resource.Kinds {
-		m[k.String()] = k
+		if k.String() == name {
+			return k, true
+		}
 	}
-	return m
-}()
+	return 0, false
+}
 
 // decodeSpec converts a wire spec to the broker type. A parameter sets
-// exactly one value form: exact, values, or min/max.
+// exactly one value form: exact, values, or min/max. Of several bad
+// parameters the first in name order is reported, so one body always
+// gets one answer.
 func decodeSpec(in SpecJSON) (sla.Spec, error) {
-	params := make([]sla.Param, 0, len(in.Params))
+	spec := sla.Spec{
+		Params:           make(map[resource.Kind]sla.Param, len(in.Params)),
+		SourceIP:         in.SourceIP,
+		DestIP:           in.DestIP,
+		MaxPacketLossPct: in.MaxLossPct,
+	}
+	var bad, problem string
 	for name, p := range in.Params {
-		kind, ok := kindByName[name]
-		if !ok {
-			return sla.Spec{}, fmt.Errorf("%w: unknown resource dimension %q", core.ErrInvalidRequest, name)
-		}
+		kind, ok := kindNamed(name)
+		why := ""
 		switch values, bounds, exact := len(p.Values) > 0, p.Min != nil || p.Max != nil, p.Exact != nil; {
+		case !ok:
+			why = "is not a resource dimension"
 		case values && (bounds || exact), bounds && exact:
-			return sla.Spec{}, fmt.Errorf("%w: parameter %q sets more than one of exact, min/max and values", core.ErrInvalidRequest, name)
+			why = "sets more than one of exact, min/max and values"
 		case values:
-			params = append(params, sla.List(kind, p.Values...))
+			spec.Params[kind] = sla.List(kind, p.Values...)
 		case bounds:
 			var lo, hi float64
 			if p.Min != nil {
@@ -145,56 +153,33 @@ func decodeSpec(in SpecJSON) (sla.Spec, error) {
 			if p.Max != nil {
 				hi = *p.Max
 			}
-			params = append(params, sla.Range(kind, lo, hi))
+			spec.Params[kind] = sla.Range(kind, lo, hi)
 		case exact:
-			params = append(params, sla.Exact(kind, *p.Exact))
+			spec.Params[kind] = sla.Exact(kind, *p.Exact)
 		default:
-			return sla.Spec{}, fmt.Errorf("%w: parameter %q needs exact, min/max or values", core.ErrInvalidRequest, name)
+			why = "needs exact, min/max or values"
+		}
+		if why != "" && (problem == "" || name < bad) {
+			bad, problem = name, why
 		}
 	}
-	spec := sla.NewSpec(params...)
-	spec.SourceIP = in.SourceIP
-	spec.DestIP = in.DestIP
-	spec.MaxPacketLossPct = in.MaxLossPct
+	if problem != "" {
+		return sla.Spec{}, fmt.Errorf("%w: parameter %q %s", core.ErrInvalidRequest, bad, problem)
+	}
 	return spec, nil
 }
 
-// encodeSpec converts a broker spec to the wire form (client side).
-func encodeSpec(s sla.Spec) SpecJSON {
-	out := SpecJSON{
-		Params:     make(map[string]ParamJSON, len(s.Params)),
-		SourceIP:   s.SourceIP,
-		DestIP:     s.DestIP,
-		MaxLossPct: s.MaxPacketLossPct,
-	}
-	for kind, p := range s.Params {
-		var pj ParamJSON
-		switch p.Form {
-		case sla.FormExact:
-			v := p.Exact
-			pj.Exact = &v
-		case sla.FormRange:
-			lo, hi := p.Min, p.Max
-			pj.Min, pj.Max = &lo, &hi
-		case sla.FormList:
-			pj.Values = p.Values
-		}
-		out.Params[kind.String()] = pj
-	}
-	return out
-}
-
-// decodeRequest converts the wire request to the broker type.
-func decodeRequest(in RequestJSON) (core.Request, error) {
+// decodeRequest converts the wire request to the admission's arguments.
+func decodeRequest(in RequestJSON) (core.OpArgs, error) {
 	class, err := sla.ParseClass(in.Class)
 	if err != nil {
-		return core.Request{}, fmt.Errorf("%w: %v", core.ErrInvalidRequest, err)
+		return core.OpArgs{}, fmt.Errorf("%w: %v", core.ErrInvalidRequest, err)
 	}
 	spec, err := decodeSpec(in.Spec)
 	if err != nil {
-		return core.Request{}, err
+		return core.OpArgs{}, err
 	}
-	return core.Request{
+	return core.OpArgs{Request: core.Request{
 		Service:           in.Service,
 		Client:            in.Client,
 		Class:             class,
@@ -205,7 +190,7 @@ func decodeRequest(in RequestJSON) (core.Request, error) {
 		AcceptDegradation: in.AcceptDegradation,
 		AcceptTermination: in.AcceptTermination,
 		PromotionOptIn:    in.PromotionOptIn,
-	}, nil
+	}}, nil
 }
 
 // ---- pooled hand-rolled encoder ------------------------------------
@@ -234,47 +219,58 @@ func putBuf(p *[]byte) {
 
 const hexdigits = "0123456789abcdef"
 
-// appendString appends s as a JSON string: quotes and backslashes
-// escaped, control bytes as \u00XX, everything else (including raw
-// UTF-8) passed through — valid JSON without encoding/json's
-// reflection.
+// appendString appends s as a JSON string the way encoding/json writes
+// one with HTML escaping off: quotes, backslashes and control bytes
+// escaped (\b \f \n \r \t short), U+2028 and U+2029 escaped, a byte
+// that is not UTF-8 written as \ufffd, everything else passed through.
 func appendString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '"':
-			dst = append(dst, '\\', '"')
-		case c == '\\':
-			dst = append(dst, '\\', '\\')
-		case c < 0x20:
-			dst = append(dst, '\\', 'u', '0', '0', hexdigits[c>>4], hexdigits[c&0xf])
+	for i, r := range s {
+		switch {
+		case r == '"' || r == '\\':
+			dst = append(dst, '\\', byte(r))
+		case r < ' ' && shortEscape[r] != 0:
+			dst = append(dst, '\\', shortEscape[r])
+		case r < ' ':
+			dst = append(dst, '\\', 'u', '0', '0', hexdigits[r>>4], hexdigits[r&0xf])
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexdigits[r&0xf])
+		case r == utf8.RuneError && !strings.HasPrefix(s[i:], "\uFFFD"): // not UTF-8
+			dst = append(dst, `\ufffd`...)
 		default:
-			dst = append(dst, c)
+			dst = utf8.AppendRune(dst, r)
 		}
 	}
 	return append(dst, '"')
 }
 
+var shortEscape = [' ']byte{'\b': 'b', '\f': 'f', '\n': 'n', '\r': 'r', '\t': 't'}
+
+// appendFloat appends v as encoding/json writes a float64: the shortest
+// decimal, in exponent form only below 1e-6 or from 1e21 on.
 func appendFloat(dst []byte, v float64) []byte {
-	return strconv.AppendFloat(dst, v, 'g', -1, 64)
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, v, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1] // e-07 → e-7
+		dst = dst[:n-1]
+	}
+	return dst
 }
 
 func appendCapacity(dst []byte, c resource.Capacity) []byte {
-	dst = append(dst, `{"cpu":`...)
-	dst = appendFloat(dst, c.CPU)
-	dst = append(dst, `,"memory_mb":`...)
-	dst = appendFloat(dst, c.MemoryMB)
-	dst = append(dst, `,"disk_gb":`...)
-	dst = appendFloat(dst, c.DiskGB)
-	dst = append(dst, `,"bandwidth_mbps":`...)
-	dst = appendFloat(dst, c.BandwidthMbps)
+	dst = appendFloat(append(dst, `{"cpu":`...), c.CPU)
+	dst = appendFloat(append(dst, `,"memory_mb":`...), c.MemoryMB)
+	dst = appendFloat(append(dst, `,"disk_gb":`...), c.DiskGB)
+	dst = appendFloat(append(dst, `,"bandwidth_mbps":`...), c.BandwidthMbps)
 	return append(dst, '}')
 }
 
 func appendTime(dst []byte, t time.Time) []byte {
-	dst = append(dst, '"')
-	dst = t.AppendFormat(dst, time.RFC3339Nano)
-	return append(dst, '"')
+	return append(t.AppendFormat(append(dst, '"'), time.RFC3339Nano), '"')
 }
 
 // encodeOffer renders the admission response — the JSON transport's
@@ -282,18 +278,15 @@ func appendTime(dst []byte, t time.Time) []byte {
 func encodeOffer(dst []byte, res core.OpResult) []byte {
 	o := res.Offer
 	dst = appendEssentials(dst, o.SLA, o.Price)
-	dst = append(dst, `,"expires":`...)
-	dst = appendTime(dst, o.Expires)
+	dst = appendTime(append(dst, `,"expires":`...), o.Expires)
 	if o.Compensated {
 		dst = append(dst, `,"compensated":true`...)
 	}
 	if o.ServiceKey != "" {
-		dst = append(dst, `,"service_key":`...)
-		dst = appendString(dst, string(o.ServiceKey))
+		dst = appendString(append(dst, `,"service_key":`...), string(o.ServiceKey))
 	}
 	if res.Domain != "" {
-		dst = append(dst, `,"domain":`...)
-		dst = appendString(dst, res.Domain)
+		dst = appendString(append(dst, `,"domain":`...), res.Domain)
 	}
 	return append(dst, '}')
 }
@@ -306,45 +299,148 @@ func encodeSession(dst []byte, res core.OpResult) []byte {
 // appendEssentials opens the object an offer and a session snapshot
 // share: the negotiated essentials of an SLA document.
 func appendEssentials(dst []byte, doc *sla.Document, price float64) []byte {
-	dst = append(dst, `{"sla_id":`...)
-	dst = appendString(dst, string(doc.ID))
-	dst = append(dst, `,"state":`...)
-	dst = appendString(dst, doc.State.String())
-	dst = append(dst, `,"class":`...)
-	dst = appendString(dst, doc.Class.String())
-	dst = append(dst, `,"price":`...)
-	dst = appendFloat(dst, price)
-	dst = append(dst, `,"allocated":`...)
-	return appendCapacity(dst, doc.Allocated)
+	dst = appendString(append(dst, `{"sla_id":`...), string(doc.ID))
+	dst = appendString(append(dst, `,"state":`...), doc.State.String())
+	dst = appendString(append(dst, `,"class":`...), doc.Class.String())
+	dst = appendFloat(append(dst, `,"price":`...), price)
+	return appendCapacity(append(dst, `,"allocated":`...), doc.Allocated)
 }
 
 // encodeAck renders the lifecycle acknowledgement.
 func encodeAck(dst []byte, res core.OpResult) []byte {
 	dst = append(dst, `{"ok":true`...)
 	if res.Detail != "" {
-		dst = append(dst, `,"detail":`...)
-		dst = appendString(dst, res.Detail)
+		dst = appendString(append(dst, `,"detail":`...), res.Detail)
 	}
 	return append(dst, '}')
 }
 
 // appendError renders the error envelope.
 func appendError(dst []byte, code, message string) []byte {
-	dst = append(dst, `{"error":{"code":`...)
-	dst = appendString(dst, code)
-	dst = append(dst, `,"message":`...)
-	dst = appendString(dst, message)
+	dst = appendString(append(dst, `{"error":{"code":`...), code)
+	dst = appendString(append(dst, `,"message":`...), message)
 	return append(dst, `}}`...)
 }
 
-// The management read is cold: encoding/json renders it.
-func encodeLoad(dst []byte, res core.OpResult) []byte { return appendJSON(dst, res.Load) }
-
-func appendJSON(dst []byte, v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		// All marshaled types are plain structs; this cannot fail.
-		return appendError(dst, "internal", "encode")
-	}
+// encodeLoad renders the cold load report with encoding/json (a plain
+// struct of numbers and strings: it cannot fail).
+func encodeLoad(dst []byte, res core.OpResult) []byte {
+	b, _ := json.Marshal(res.Load)
 	return append(dst, b...)
+}
+
+// ---- request bodies (client side) ----------------------------------
+
+// requestBody is a request body appended into a pooled buffer, byte for
+// byte json.Marshal's rendering of the row's wire struct with HTML
+// escaping off, and the first value json.Marshal refuses: a NaN or
+// infinite number, or a time RFC 3339 cannot carry.
+type requestBody struct {
+	p   *[]byte
+	err error
+}
+
+func newRequestBody() requestBody { return requestBody{p: getBuf()} }
+
+// str, num and time append a member name (or a list separator) and a
+// value; omitEmpty leaves out a zero value, as omitempty does.
+func (e *requestBody) str(sep, s string, omitEmpty bool) {
+	if s != "" || !omitEmpty {
+		*e.p = appendString(append(*e.p, sep...), s)
+	}
+}
+
+func (e *requestBody) num(sep string, v float64, omitEmpty bool) {
+	if (math.IsNaN(v) || math.IsInf(v, 0)) && e.err == nil {
+		e.err = fmt.Errorf("%g is not a JSON number", v)
+	}
+	if v != 0 || !omitEmpty {
+		*e.p = appendFloat(append(*e.p, sep...), v)
+	}
+}
+
+func (e *requestBody) time(sep string, t time.Time) {
+	if _, offset := t.Zone(); (t.Year() < 0 || t.Year() > 9999 || offset <= -86400 || offset >= 86400) && e.err == nil {
+		e.err = fmt.Errorf("time %v has no RFC 3339 form", t)
+	}
+	*e.p = appendTime(append(*e.p, sep...), t)
+}
+
+// raw appends member when on: a true flag omitempty keeps, or a closing.
+func (e *requestBody) raw(member string, on bool) {
+	if on {
+		*e.p = append(*e.p, member...)
+	}
+}
+
+func (e *requestBody) request(r core.Request) {
+	e.str(`{"service":`, r.Service, false)
+	e.str(`,"client":`, r.Client, false)
+	e.str(`,"class":`, r.Class.String(), false)
+	e.spec(`,"spec":`, r.Spec)
+	e.time(`,"start":`, r.Start)
+	e.time(`,"end":`, r.End)
+	e.num(`,"budget":`, r.Budget, true)
+	e.raw(`,"accept_degradation":true`, r.AcceptDegradation)
+	e.raw(`,"accept_termination":true`, r.AcceptTermination)
+	e.raw(`,"promotion_opt_in":true`, r.PromotionOptIn)
+	e.raw("}", true)
+}
+
+func (e *requestBody) action(id, reason string, spec *sla.Spec) {
+	e.str(`{"id":`, id, false)
+	e.str(`,"reason":`, reason, true)
+	if spec != nil {
+		e.spec(`,"spec":`, *spec)
+	}
+	e.raw("}", true)
+}
+
+func (e *requestBody) bestEffort(client string, amount resource.Capacity, release bool) {
+	e.str(`{"client":`, client, false)
+	e.num(`,"cpu":`, amount.CPU, true)
+	e.num(`,"memory_mb":`, amount.MemoryMB, true)
+	e.num(`,"disk_gb":`, amount.DiskGB, true)
+	e.raw(`,"release":true`, release)
+	e.raw("}", true)
+}
+
+// spec appends a spec with its parameters in name order, as json.Marshal
+// orders map keys.
+func (e *requestBody) spec(sep string, s sla.Spec) {
+	var arr [len(resource.Kinds)]resource.Kind
+	kinds := arr[:0]
+	for k := range s.Params {
+		kinds = append(kinds, k)
+	}
+	slices.SortFunc(kinds, func(a, b resource.Kind) int { return strings.Compare(a.String(), b.String()) })
+	e.raw(sep, true)
+	sep = `{"params":{`
+	for _, k := range kinds {
+		e.str(sep, k.String(), false)
+		sep = ","
+		switch p := s.Params[k]; {
+		case p.Form == sla.FormExact:
+			e.num(`:{"exact":`, p.Exact, false)
+		case p.Form == sla.FormRange:
+			e.num(`:{"min":`, p.Min, false)
+			e.num(`,"max":`, p.Max, false)
+		case p.Form == sla.FormList && len(p.Values) > 0:
+			list := `:{"values":[`
+			for _, v := range p.Values {
+				e.num(list, v, false)
+				list = ","
+			}
+			e.raw("]", true)
+		default:
+			e.raw(":{", true)
+		}
+		e.raw("}", true)
+	}
+	e.raw(sep, len(kinds) == 0)
+	e.raw("}", true)
+	e.str(`,"source_ip":`, s.SourceIP, true)
+	e.str(`,"dest_ip":`, s.DestIP, true)
+	e.num(`,"max_loss_pct":`, s.MaxPacketLossPct, true)
+	e.raw("}", true)
 }

@@ -2,7 +2,7 @@ package httpapi
 
 // The broker's error taxonomy (sentinel ↔ wire code ↔ HTTP status) lives
 // in internal/core, shared with the SOAP transport; this file adds what
-// is this binding's own: internal for errors outside the taxonomy.
+// is this binding's own: too_large, and internal outside the taxonomy.
 
 import (
 	"errors"
@@ -20,10 +20,13 @@ var ErrTransport = errors.New("httpapi: transport error")
 
 // classify maps an error to its wire (status, code): the taxonomy's pair
 // for a broker sentinel (core.ErrInvalidRequest, bad_request, for input
-// rejected before any broker call), internal for everything else.
+// rejected before any broker call), too_large, internal for the rest.
 func classify(err error) (int, string) {
 	if code, status := core.WireStatus(err); code != "" {
 		return status, code
+	}
+	if errors.Is(err, errTooLarge) {
+		return http.StatusRequestEntityTooLarge, "too_large"
 	}
 	return http.StatusInternalServerError, "internal"
 }

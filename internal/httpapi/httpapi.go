@@ -1,21 +1,23 @@
 // Package httpapi is the JSON binding of the broker's operation table
 // (core.Ops), mounted next to the SOAP endpoint on the same soapx.Mux
 // (via HandleHTTP, so one listener serves both). It is the lean transport
-// for high-volume clients: no envelope parse, no XML reflection, pooled
-// response encoding. SOAP remains the paper-faithful reference
-// transport; both run the same table rows, so whatever the broker does
-// for one wire — group commits on an intake broker, forwarding to a
-// federation neighbor — it does for the other.
+// for high-volume clients: no envelope, no reflection per message — a
+// strict reader and hand-appended bodies over pooled buffers, both ways.
+// SOAP remains the paper-faithful reference transport; both run the same
+// table rows, so whatever the broker does for one wire — group commits
+// on an intake broker, forwarding to a federation neighbor — it does for
+// the other.
 package httpapi
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 
 	"gqosm/internal/core"
+	"gqosm/internal/resource"
 	"gqosm/internal/sla"
 	"gqosm/internal/soapx"
 )
@@ -24,31 +26,62 @@ import (
 // served at Prefix + its table name.
 const Prefix = "/api/v1/"
 
-// maxBody bounds request bodies (the JSON requests are small; 1 MiB is
-// generous).
+// maxBody bounds the bodies either side reads (the JSON messages are
+// small; 1 MiB is generous).
 const maxBody = 1 << 20
+
+var errTooLarge = errors.New("body exceeds the 1 MiB limit")
+
+// readBody reads a body of at most maxBody bytes into a pooled buffer
+// (putBuf releases it), sized from its Content-Length n when known.
+func readBody(src io.Reader, n int64) (*[]byte, error) {
+	if n > maxBody {
+		return nil, errTooLarge
+	}
+	p := getBuf()
+	if n >= int64(cap(*p)) {
+		*p = make([]byte, 0, n+1)
+	}
+	for {
+		b := *p
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		m, err := src.Read(b[len(b):cap(b)])
+		if *p = b[:len(b)+m]; len(*p) > maxBody {
+			err = errTooLarge
+		}
+		if err == io.EOF {
+			return p, nil
+		}
+		if err != nil {
+			putBuf(p)
+			return nil, err
+		}
+	}
+}
 
 // route is what JSON adds to a table row: the method it is served
 // under, request → core.OpArgs, core.OpResult → response body.
 type route struct {
 	method string
-	decode func(r *http.Request, body []byte) (core.OpArgs, error)
+	decode func(r *http.Request) (core.OpArgs, error)
 	encode func(dst []byte, res core.OpResult) []byte
 }
 
 // action is the route of every operation keyed by a session ID alone.
-var action = route{http.MethodPost, decodeAction, encodeAck}
+var action = route{http.MethodPost, post(actionArgs), encodeAck}
 
 // routes is the JSON wire surface, keyed by operation name.
 var routes = map[string]route{
-	"request":          {http.MethodPost, decodeAdmission, encodeOffer},
+	"request":          {http.MethodPost, post(decodeRequest), encodeOffer},
 	"accept":           action,
 	"reject":           action,
 	"invoke":           action,
 	"terminate":        action,
 	"accept_promotion": action,
-	"renegotiate":      {http.MethodPost, decodeRenegotiate, encodeAck},
-	"best-effort":      {http.MethodPost, decodeBestEffort, encodeAck},
+	"renegotiate":      {http.MethodPost, post(renegotiateArgs), encodeAck},
+	"best-effort":      {http.MethodPost, post(bestEffortArgs), encodeAck},
 	"session":          {http.MethodGet, decodeSessionQuery, encodeSession},
 	"load":             {http.MethodGet, noArgs, encodeLoad},
 }
@@ -81,19 +114,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use "+rt.method)
 		return
 	}
-	var (
-		body []byte
-		err  error
-	)
-	if rt.method == http.MethodPost {
-		if body, err = io.ReadAll(io.LimitReader(r.Body, maxBody)); err != nil {
-			err = fmt.Errorf("%w: read body: %v", core.ErrInvalidRequest, err)
-		}
-	}
-	var args core.OpArgs
-	if err == nil {
-		args, err = rt.decode(r, body)
-	}
+	args, err := rt.decode(r)
 	var res core.OpResult
 	if err == nil {
 		res, err = s.d.Run(op, args)
@@ -118,8 +139,11 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code, message str
 	putBuf(buf)
 }
 
+// jsonContentType is assigned, not Set, which allocates a slice per call.
+var jsonContentType = []string{"application/json"}
+
 func writeBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	if status != http.StatusOK {
 		w.WriteHeader(status)
 	}
@@ -128,38 +152,34 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 
 // ---- request → OpArgs ----------------------------------------------
 
-func unmarshal(body []byte, v any) error {
-	if err := json.Unmarshal(body, v); err != nil {
-		return fmt.Errorf("%w: %v", core.ErrInvalidRequest, err)
+// post is the decode of a POST row: the body, in a pooled buffer, read
+// by the strict reader into the row's wire struct T, then converted.
+func post[T any](convert func(T) (core.OpArgs, error)) func(*http.Request) (core.OpArgs, error) {
+	return func(r *http.Request) (core.OpArgs, error) {
+		body, err := readBody(r.Body, r.ContentLength)
+		switch {
+		case errors.Is(err, errTooLarge):
+			return core.OpArgs{}, fmt.Errorf("request %w", err)
+		case err != nil:
+			return core.OpArgs{}, fmt.Errorf("%w: read body: %v", core.ErrInvalidRequest, err)
+		}
+		var in T
+		err = readJSON(*body, &in)
+		if putBuf(body); err != nil {
+			return core.OpArgs{}, fmt.Errorf("%w: %v", core.ErrInvalidRequest, err)
+		}
+		return convert(in)
 	}
-	return nil
 }
 
-func decodeAdmission(_ *http.Request, body []byte) (core.OpArgs, error) {
-	var in RequestJSON
-	if err := unmarshal(body, &in); err != nil {
-		return core.OpArgs{}, err
-	}
-	req, err := decodeRequest(in)
-	return core.OpArgs{Request: req}, err
-}
-
-func decodeAction(_ *http.Request, body []byte) (core.OpArgs, error) {
-	var in ActionJSON
-	if err := unmarshal(body, &in); err != nil {
-		return core.OpArgs{}, err
-	}
+func actionArgs(in ActionJSON) (core.OpArgs, error) {
 	if in.ID == "" {
 		return core.OpArgs{}, fmt.Errorf("%w: missing id", core.ErrInvalidRequest)
 	}
 	return core.OpArgs{ID: sla.ID(in.ID), Reason: in.Reason}, nil
 }
 
-func decodeRenegotiate(_ *http.Request, body []byte) (core.OpArgs, error) {
-	var in ActionJSON
-	if err := unmarshal(body, &in); err != nil {
-		return core.OpArgs{}, err
-	}
+func renegotiateArgs(in ActionJSON) (core.OpArgs, error) {
 	if in.ID == "" || in.Spec == nil {
 		return core.OpArgs{}, fmt.Errorf("%w: renegotiate needs id and spec", core.ErrInvalidRequest)
 	}
@@ -167,22 +187,18 @@ func decodeRenegotiate(_ *http.Request, body []byte) (core.OpArgs, error) {
 	return core.OpArgs{ID: sla.ID(in.ID), Spec: spec}, err
 }
 
-func decodeBestEffort(_ *http.Request, body []byte) (core.OpArgs, error) {
-	var in BestEffortJSON
-	if err := unmarshal(body, &in); err != nil {
-		return core.OpArgs{}, err
-	}
+func bestEffortArgs(in BestEffortJSON) (core.OpArgs, error) {
 	if in.Client == "" {
 		return core.OpArgs{}, fmt.Errorf("%w: missing client", core.ErrInvalidRequest)
 	}
 	return core.OpArgs{
 		Client:  in.Client,
-		Amount:  CapacityJSON{CPU: in.CPU, MemoryMB: in.MemoryMB, DiskGB: in.DiskGB}.Capacity(),
+		Amount:  resource.Capacity{CPU: in.CPU, MemoryMB: in.MemoryMB, DiskGB: in.DiskGB},
 		Release: in.Release,
 	}, nil
 }
 
-func decodeSessionQuery(r *http.Request, _ []byte) (core.OpArgs, error) {
+func decodeSessionQuery(r *http.Request) (core.OpArgs, error) {
 	id := r.URL.Query().Get("id")
 	if id == "" {
 		return core.OpArgs{}, fmt.Errorf("%w: missing id", core.ErrInvalidRequest)
@@ -190,4 +206,4 @@ func decodeSessionQuery(r *http.Request, _ []byte) (core.OpArgs, error) {
 	return core.OpArgs{ID: sla.ID(id)}, nil
 }
 
-func noArgs(*http.Request, []byte) (core.OpArgs, error) { return core.OpArgs{}, nil }
+func noArgs(*http.Request) (core.OpArgs, error) { return core.OpArgs{}, nil }

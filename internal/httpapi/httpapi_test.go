@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -432,5 +434,74 @@ func TestMountBesideSOAP(t *testing.T) {
 	}
 	if sess.SLAID != offer.SLA.SLAID || sess.State != "proposed" || sess.Allocated.CPU != 2 {
 		t.Errorf("JSON snapshot %+v does not match the SOAP offer %q", sess, offer.SLA.SLAID)
+	}
+}
+
+// TestOverLimitBodyRefused: a request body over the 1 MiB limit is
+// refused by name, 413 too_large, whether its length is declared or
+// streamed — never cut short and answered as malformed JSON.
+func TestOverLimitBodyRefused(t *testing.T) {
+	_, client := apiFixture(t, false)
+	body := `{"id":"site-a-sla-0001","reason":"` + strings.Repeat("x", 2<<20) + `"}`
+	for name, src := range map[string]io.Reader{
+		"declared": strings.NewReader(body),
+		"streamed": io.MultiReader(strings.NewReader(body)),
+	} {
+		resp, err := http.Post(client.Endpoint+httpapi.Prefix+"accept", "application/json", src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var e httpapi.ErrorJSON
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || e.Error.Code != "too_large" ||
+			!strings.Contains(e.Error.Message, "1 MiB") {
+			t.Errorf("%s: %d %+v, want 413 too_large naming the 1 MiB limit", name, resp.StatusCode, e.Error)
+		}
+	}
+}
+
+// TestClientRefusesOverLimitReply: a reply over the limit is an error
+// that names it, not a transport error over a truncated body.
+func TestClientRefusesOverLimitReply(t *testing.T) {
+	huge := `{"ok":true,"detail":"` + strings.Repeat("x", 2<<20) + `"}`
+	for name, declare := range map[string]bool{"declared": true, "streamed": false} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			if declare {
+				w.Header().Set("Content-Length", strconv.Itoa(len(huge)))
+			}
+			_, _ = io.WriteString(w, huge)
+		}))
+		_, err := httpapi.NewClient(srv.URL).Act("site-a-sla-0001", "accept", "")
+		srv.Close()
+		if err == nil || errors.Is(err, httpapi.ErrTransport) || !strings.Contains(err.Error(), "1 MiB") {
+			t.Errorf("%s: %v, want an error naming the 1 MiB limit", name, err)
+		}
+	}
+}
+
+// TestBadSpecOneAnswer: a spec with several bad dimensions is answered
+// with the first in name order, the same every time.
+func TestBadSpecOneAnswer(t *testing.T) {
+	_, client := apiFixture(t, false)
+	body := `{"id":"site-a-sla-0001","spec":{"params":{"tpu":{"exact":1},"npu":{"exact":1},"gpu":{"exact":1}}}}`
+	answers := map[string]int{}
+	for i := 0; i < 20; i++ {
+		resp, err := http.Post(client.Endpoint+httpapi.Prefix+"renegotiate", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e httpapi.ErrorJSON
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		answers[e.Error.Code+": "+e.Error.Message]++
+	}
+	if len(answers) != 1 {
+		t.Fatalf("20 identical posts got %d answers: %v", len(answers), answers)
+	}
+	for a := range answers {
+		if !strings.HasPrefix(a, "bad_request: ") || !strings.Contains(a, `"gpu"`) {
+			t.Errorf("answer %q, want bad_request naming \"gpu\"", a)
+		}
 	}
 }
