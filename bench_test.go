@@ -207,66 +207,69 @@ func BenchmarkExample56Timeline(b *testing.B) {
 	}
 }
 
-// BenchmarkClaimUtilization replays a heavy trace against the adaptive and
-// static policies, reporting the utilization gap (C1).
+// BenchmarkClaimUtilization replays a heavy trace on the broker and
+// against the static reference, reporting the utilization gap (C1).
 func BenchmarkClaimUtilization(b *testing.B) {
 	wl := sim.Workload{
 		Seed: 42, ArrivalPerHour: 16, Duration: 24 * time.Hour,
 		GuaranteedFrac: 0.3, ControlledFrac: 0.2, MeanHoldHours: 3, MaxNodes: 8,
 	}
+	plan := core.CapacityPlan{Guaranteed: Nodes(15), Adaptive: Nodes(6), BestEffort: Nodes(5)}
 	trace := wl.Trace()
 	var gap float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		adaptive, err := sim.NewAdaptivePolicy(core.CapacityPlan{
-			Guaranteed: Nodes(15), Adaptive: Nodes(6), BestEffort: Nodes(5),
-		})
+		rep, err := sim.ReplayClaim("bench-c1", wl, plan, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		static := sim.NewStaticPolicy(core.CapacityPlan{
-			Guaranteed: Nodes(15), Adaptive: Nodes(6), BestEffort: Nodes(5),
-		})
-		sa := sim.Replay(trace, adaptive, nil)
-		ss := sim.Replay(trace, static, nil)
-		gap = sa.MeanUtilization - ss.MeanUtilization
+		ss := sim.Replay(trace, sim.NewStaticPolicy(plan))
+		gap = rep.Outcome.Scenario.Extras["utilization"] - ss.MeanUtilization
 	}
 	b.ReportMetric(gap, "util-gap")
 }
 
 // BenchmarkClaimFailureSurvival replays a failure-laden trace (C2),
-// reporting broken guarantees under the adaptive plan.
+// reporting the guarantees the adaptive reserve saved.
 func BenchmarkClaimFailureSurvival(b *testing.B) {
-	rows := 0
+	saved := 0.0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := sim.RunC2(42, []float64{0.2})
+		rep, err := sim.RunC2(42, []float64{0.2})
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows = out[0].BrokenNoReserve - out[0].BrokenAdaptive
+		broken := func(arm string) float64 {
+			return rep.Runs["c2-f0.2-"+arm].Outcome.Scenario.Extras["broken_guarantees"]
+		}
+		saved = broken("no-reserve") - broken("reserve")
 	}
-	b.ReportMetric(float64(rows), "guarantees-saved")
+	b.ReportMetric(saved, "guarantees-saved")
 }
 
-// BenchmarkClaimBestEffortFloor measures best-effort admission under a
-// saturated guaranteed pool (C3).
+// BenchmarkClaimBestEffortFloor measures a best-effort request and release
+// on a broker whose guaranteed pool is saturated (C3).
 func BenchmarkClaimBestEffortFloor(b *testing.B) {
-	plan := core.CapacityPlan{Guaranteed: Nodes(15), Adaptive: Nodes(6), BestEffort: Nodes(5)}
-	policy, err := sim.NewAdaptivePolicy(plan)
+	stack := benchStack(b)
+	standing, err := stack.Broker.RequestService(Request{
+		Service: "simulation", Client: "standing", Class: ClassGuaranteed,
+		Spec:  NewSpec(Exact(CPU, 15)),
+		Start: benchEpoch, End: benchEpoch.Add(1000 * time.Hour),
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !policy.AllocateGuaranteed("standing", Nodes(15), Nodes(15)) {
+	if err := stack.Broker.Accept(standing.SLA.ID); err != nil {
 		b.Fatal("standing load rejected")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := fmt.Sprintf("be-%d", i)
-		if !policy.AllocateBestEffort(id, Nodes(5)) {
-			b.Fatal("best-effort floor violated")
+		if err := stack.Broker.BestEffortRequest("be", Nodes(5)); err != nil {
+			b.Fatalf("best-effort floor violated: %v", err)
 		}
-		policy.ReleaseBestEffort(id)
+		if err := stack.Broker.BestEffortRelease("be"); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -388,7 +391,8 @@ func BenchmarkScenario3FailureAdapt(b *testing.B) {
 // --- Ablations (DESIGN.md §5) ---
 
 // BenchmarkAblationAdaptiveSizing sweeps the adaptive-reserve share and
-// reports broken guarantees at each size — the administrator's C_A knob.
+// reports broken guarantees at each size on the broker — the
+// administrator's C_A knob.
 func BenchmarkAblationAdaptiveSizing(b *testing.B) {
 	for _, share := range []float64{0, 0.1, 0.2, 0.3} {
 		b.Run(fmt.Sprintf("A=%.0f%%", share*100), func(b *testing.B) {
@@ -397,35 +401,33 @@ func BenchmarkAblationAdaptiveSizing(b *testing.B) {
 				Seed: 42, ArrivalPerHour: 10, Duration: 48 * time.Hour,
 				GuaranteedFrac: 0.6, MeanHoldHours: 4, MaxNodes: 6,
 			}
-			trace := wl.Trace()
-			var failures []sim.FailureEvent
+			var outages []sim.Outage
 			for at := time.Duration(0); at < wl.Duration; at += 12 * time.Hour {
-				failures = append(failures, sim.FailureEvent{
-					At: at + time.Hour, Offline: Nodes(totalNodes * 0.2), Duration: 2 * time.Hour,
-				})
+				outages = append(outages,
+					sim.Outage{At: at + time.Hour, Offline: Nodes(totalNodes * 0.2)},
+					sim.Outage{At: at + 3*time.Hour})
 			}
 			plan := core.CapacityPlan{
 				Guaranteed: Nodes(totalNodes * (0.9 - share)),
 				Adaptive:   Nodes(totalNodes * share),
 				BestEffort: Nodes(totalNodes * 0.1),
 			}
-			var broken int
+			var broken float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				policy, err := sim.NewAdaptivePolicy(plan)
+				rep, err := sim.ReplayClaim("bench-sizing", wl, plan, outages)
 				if err != nil {
 					b.Fatal(err)
 				}
-				stats := sim.Replay(trace, policy, failures)
-				broken = stats.BrokenGuarantees
+				broken = rep.Outcome.Scenario.Extras["broken_guarantees"]
 			}
-			b.ReportMetric(float64(broken), "broken-guarantees")
+			b.ReportMetric(broken, "broken-guarantees")
 		})
 	}
 }
 
-// BenchmarkAblationBorrowing compares best-effort throughput with dynamic
-// borrowing on (adaptive policy) vs off (static policy).
+// BenchmarkAblationBorrowing compares admissions with dynamic borrowing on
+// (the broker) vs off (the static reference).
 func BenchmarkAblationBorrowing(b *testing.B) {
 	wl := sim.Workload{
 		Seed: 42, ArrivalPerHour: 16, Duration: 24 * time.Hour,
@@ -438,18 +440,15 @@ func BenchmarkAblationBorrowing(b *testing.B) {
 			var admitted int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				var policy sim.Policy
 				if mode == "borrowing-on" {
-					p, err := sim.NewAdaptivePolicy(plan)
+					rep, err := sim.ReplayClaim("bench-borrowing", wl, plan, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
-					policy = p
+					admitted = rep.Outcome.Admitted
 				} else {
-					policy = sim.NewStaticPolicy(plan)
+					admitted = sim.Replay(trace, sim.NewStaticPolicy(plan)).Admitted
 				}
-				stats := sim.Replay(trace, policy, nil)
-				admitted = stats.Admitted
 			}
 			b.ReportMetric(float64(admitted), "admitted")
 		})

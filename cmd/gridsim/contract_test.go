@@ -183,7 +183,7 @@ func TestReportContract(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) { checkContract(t, row) })
 	}
 	// Every mode that hands back a report has a row (the experiment mode
-	// prints the paper's tables and has none).
+	// prints its own output; internal/sim pins the C1–C3 reports it prints).
 	for _, m := range modes {
 		if !covered[m.name] && m.name != "experiment" {
 			t.Errorf("mode %q has no contract row", m.name)

@@ -10,6 +10,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -352,10 +353,10 @@ var experiments = []struct {
 	{"F6", "Figs. 6–7 — broker activity and client transcript", runF6},
 	{"E56", "§5.6 worked example: composite SLA, failure at t2, recovery at t3", runE56},
 	{"C1", "utilization & admission: adaptive borrowing vs rigid partition",
-		claim(func(seed int64) ([]sim.C1Row, error) { return sim.RunC1(seed, nil) }, sim.FormatC1)},
+		document(func(seed int64) (*sim.Report, error) { return sim.RunC1(seed, nil) })},
 	{"C2", "guarantee survival under failures: adaptive reserve vs no reserve",
-		claim(func(seed int64) ([]sim.C2Row, error) { return sim.RunC2(seed, nil) }, sim.FormatC2)},
-	{"C3", "best-effort minimum capacity under guaranteed saturation", claim(sim.RunC3, sim.FormatC3)},
+		document(func(seed int64) (*sim.Report, error) { return sim.RunC2(seed, nil) })},
+	{"C3", "best-effort minimum capacity under guaranteed saturation", document(sim.RunC3)},
 	{"C4", "optimizer profit: greedy vs exact vs first-fit vs minimum",
 		claim(func(seed int64) ([]sim.C4Row, error) { return sim.RunC4(seed, nil) }, sim.FormatC4)},
 	{"C5", "scenario-1 compensation: admissions vs willingness to degrade",
@@ -371,6 +372,26 @@ func claim[R any](rows func(seed int64) ([]R, error), format func([]R) string) f
 			return err
 		}
 		fmt.Print(format(rs))
+		return nil
+	}
+}
+
+// document adapts a claim experiment that hands back a report: it prints
+// the report's plain-text document, then fails on a false gate.
+func document(report func(seed int64) (*sim.Report, error)) func(int64, bool) error {
+	return func(seed int64, _ bool) error {
+		rep, err := report(seed)
+		if err != nil {
+			return err
+		}
+		out, err := json.MarshalIndent(rep, "", "  ")
+		if err != nil {
+			return err
+		}
+		printDocument(out)
+		if rep.Failed() {
+			return errors.New("the report failed its gates")
+		}
 		return nil
 	}
 }

@@ -132,6 +132,20 @@ func TestExperimentLowercaseID(t *testing.T) {
 	}
 }
 
+// TestExperimentClaimPrintsReport: a claim experiment prints its report
+// as the plain-text document, gate and per-cell children included.
+func TestExperimentClaimPrintsReport(t *testing.T) {
+	out, err := runCapture(t, "-experiment", "C3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"=== C3", `schema: "gqosm.report/v1"`, "c3_floor_honored: true", "c3-g-load-15:", "admitted: 200"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("C3 output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestParallelModeTable(t *testing.T) {
 	out, err := runCapture(t, "-parallel", "-clients", "2", "-ops", "200", "-phases", "2")
 	if err != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"time"
@@ -26,93 +27,72 @@ func paperPlan(totalNodes float64) core.CapacityPlan {
 	}
 }
 
-// C1Row compares utilization and admission under one arrival rate.
-type C1Row struct {
-	ArrivalPerHour float64
-	UtilAdaptive   float64
-	UtilStatic     float64
-	AdmitAdaptive  float64
-	AdmitStatic    float64
-}
-
 // RunC1 sweeps the arrival rate and compares the adaptive scheme against
 // the rigid-partition baseline on identical traces — the §5.4 claim
 // "resources are never under-utilized due to the dynamic property of the
-// algorithm".
-func RunC1(seed int64, rates []float64) ([]C1Row, error) {
+// algorithm". Each rate is one broker replay (scenario c1-rate-NN); the
+// reference model's figures for the same trace ride along as its
+// static_* gauges. Gate c1_never_worse: the broker's utilisation and
+// admission stay within 0.01 of the static ones at every rate, and its
+// utilisation is strictly above at the last (heaviest) rate.
+func RunC1(seed int64, rates []float64) (*Report, error) {
 	if len(rates) == 0 {
 		rates = []float64{2, 4, 8, 16, 32}
 	}
-	var rows []C1Row
-	for _, rate := range rates {
-		wl := Workload{
-			Seed:           seed,
-			ArrivalPerHour: rate,
-			Duration:       72 * time.Hour,
-			GuaranteedFrac: 0.3,
-			ControlledFrac: 0.2,
-			MeanHoldHours:  3,
-			MaxNodes:       8,
-		}
-		trace := wl.Trace()
-		adaptive, err := NewAdaptivePolicy(paperPlan(26))
+	runs := map[string]*Report{}
+	var details []string
+	for i, rate := range rates {
+		wl := Workload{Seed: seed, ArrivalPerHour: rate, Duration: 72 * time.Hour,
+			GuaranteedFrac: 0.3, ControlledFrac: 0.2, MeanHoldHours: 3, MaxNodes: 8}
+		name := fmt.Sprintf("c1-rate-%02g", rate)
+		rep, err := ReplayClaim(name, wl, paperPlan(26), nil)
 		if err != nil {
 			return nil, err
 		}
-		static := NewStaticPolicy(paperPlan(26))
-		sa := Replay(trace, adaptive, nil)
-		ss := Replay(trace, static, nil)
-		rows = append(rows, C1Row{
-			ArrivalPerHour: rate,
-			UtilAdaptive:   sa.MeanUtilization,
-			UtilStatic:     ss.MeanUtilization,
-			AdmitAdaptive:  sa.AdmissionRate(),
-			AdmitStatic:    ss.AdmissionRate(),
-		})
+		static := Replay(wl.Trace(), NewStaticPolicy(paperPlan(26)))
+		g := rep.Outcome.Scenario.Extras
+		g["static_utilization"], g["static_admit_rate"] = static.MeanUtilization, static.AdmissionRate()
+		runs[name] = rep.Seal()
+		util, admit := g["utilization"], rep.Outcome.AdmitRate
+		if util < g["static_utilization"]-0.01 {
+			details = append(details, fmt.Sprintf("λ=%g: adaptive utilization %.3f below static %.3f", rate, util, g["static_utilization"]))
+		}
+		if admit < g["static_admit_rate"]-0.01 {
+			details = append(details, fmt.Sprintf("λ=%g: adaptive admission %.3f below static %.3f", rate, admit, g["static_admit_rate"]))
+		}
+		// Under the heaviest load the dynamic borrowing must show a strict win.
+		if i == len(rates)-1 && util <= g["static_utilization"] {
+			details = append(details, fmt.Sprintf("heavy load λ=%g: adaptive %.3f not above static %.3f", rate, util, g["static_utilization"]))
+		}
 	}
-	return rows, nil
-}
-
-// C2Row compares guarantee survival under one failure rate.
-type C2Row struct {
-	FailureRate     float64 // fraction of total capacity failing at once
-	BrokenAdaptive  int     // failure events breaking guarantees, A sized to f
-	BrokenNoReserve int     // same trace, all capacity in C_G (no reserve)
-	AdmitAdaptive   float64
-	AdmitNoReserve  float64
+	return claimReport(map[string]any{"experiment": "C1", "seed": seed, "rates": rates}, runs, "c1_never_worse", details), nil
 }
 
 // RunC2 sweeps the failure rate: the adaptive plan sizes C_A to the
 // administrator's expected failure rate ("the algorithm reserves an
 // 'adaptive capacity', based on the specified rate of resource failure or
 // congestion"); the baseline spends that capacity on a bigger C_G instead.
-func RunC2(seed int64, failureRates []float64) ([]C2Row, error) {
+// Each arm is one broker replay (scenario c2-fF-reserve / -no-reserve)
+// whose outages go through Broker.NotifyFailure. Gate c2_reserve_wins:
+// the reserve never breaks more guarantees than the baseline, and at the
+// last (highest) rate the baseline breaks some and the reserve fewer.
+func RunC2(seed int64, failureRates []float64) (*Report, error) {
 	if len(failureRates) == 0 {
 		failureRates = []float64{0.05, 0.1, 0.2, 0.3}
 	}
 	const totalNodes = 40.0
-	var rows []C2Row
-	for _, f := range failureRates {
-		wl := Workload{
-			Seed:           seed,
-			ArrivalPerHour: 10,
-			Duration:       96 * time.Hour,
-			GuaranteedFrac: 0.6,
-			ControlledFrac: 0,
-			MeanHoldHours:  4,
-			MaxNodes:       6,
-		}
-		trace := wl.Trace()
-
+	runs := map[string]*Report{}
+	var details []string
+	for i, f := range failureRates {
+		wl := Workload{Seed: seed, ArrivalPerHour: 10, Duration: 96 * time.Hour,
+			GuaranteedFrac: 0.6, MeanHoldHours: 4, MaxNodes: 6}
 		// One failure every ~12 hours taking f×total offline for 2h.
 		rng := rand.New(rand.NewSource(seed + int64(f*1000)))
-		var failures []FailureEvent
+		var outages []Outage
 		for at := time.Duration(0); at < wl.Duration; at += time.Duration(8+rng.Intn(8)) * time.Hour {
-			failures = append(failures, FailureEvent{
-				At:       at + time.Hour,
-				Offline:  resource.Nodes(totalNodes * f),
-				Duration: 2 * time.Hour,
-			})
+			outages = append(outages,
+				Outage{At: at + time.Hour, Offline: resource.Nodes(totalNodes * f)},
+				Outage{At: at + 3*time.Hour})
 		}
 
 		planAdaptive, err := core.PlanForFailureRate(resource.Nodes(totalNodes), f, 0.1)
@@ -123,68 +103,192 @@ func RunC2(seed int64, failureRates []float64) ([]C2Row, error) {
 			Guaranteed: planAdaptive.Guaranteed.Add(planAdaptive.Adaptive),
 			BestEffort: planAdaptive.BestEffort,
 		}
-
-		adaptive, err := NewAdaptivePolicy(planAdaptive)
-		if err != nil {
-			return nil, err
+		broken := map[string]float64{}
+		for _, arm := range []struct {
+			name string
+			plan core.CapacityPlan
+		}{{"reserve", planAdaptive}, {"no-reserve", planNoReserve}} {
+			name := fmt.Sprintf("c2-f%g-%s", f, arm.name)
+			rep, err := ReplayClaim(name, wl, arm.plan, outages)
+			if err != nil {
+				return nil, err
+			}
+			runs[name] = rep
+			broken[arm.name] = rep.Outcome.Scenario.Extras["broken_guarantees"]
 		}
-		noReserve, err := NewAdaptivePolicy(planNoReserve)
-		if err != nil {
-			return nil, err
+		if broken["reserve"] > broken["no-reserve"] {
+			details = append(details, fmt.Sprintf("f=%g: adaptive broke %g > no-reserve %g", f, broken["reserve"], broken["no-reserve"]))
 		}
-		sa := Replay(trace, adaptive, failures)
-		sn := Replay(trace, noReserve, failures)
-		rows = append(rows, C2Row{
-			FailureRate:     f,
-			BrokenAdaptive:  sa.BrokenGuarantees,
-			BrokenNoReserve: sn.BrokenGuarantees,
-			AdmitAdaptive:   sa.AdmissionRate(),
-			AdmitNoReserve:  sn.AdmissionRate(),
-		})
+		// At the highest failure rate the reserve must show a strict win.
+		if i == len(failureRates)-1 {
+			if broken["no-reserve"] == 0 {
+				details = append(details, fmt.Sprintf("f=%g: baseline never broke a guarantee; failure injection ineffective", f))
+			} else if broken["reserve"] >= broken["no-reserve"] {
+				details = append(details, fmt.Sprintf("f=%g: adaptive %g not better than baseline %g", f, broken["reserve"], broken["no-reserve"]))
+			}
+		}
 	}
-	return rows, nil
+	return claimReport(map[string]any{"experiment": "C2", "seed": seed, "failure_rates": failureRates}, runs, "c2_reserve_wins", details), nil
 }
 
-// C3Row measures the best-effort floor under guaranteed saturation.
-type C3Row struct {
-	GuaranteedLoadNodes float64 // standing guaranteed demand
-	BEAdmitted          int
-	BERequested         int
-	BEFloorHonored      bool // every request ≤ C_B admitted
+// Outage is one step of a claim replay's capacity schedule: from At on,
+// Offline capacity is inaccessible (zero is the recovery).
+type Outage struct {
+	At      time.Duration // offset from the trace start
+	Offline resource.Capacity
+}
+
+// claimMeter is what a C1/C2 replay carries on the broker. At every clock
+// move it integrates the CPU utilisation of the interval the move ends —
+// Replay's sampling rule, so the rigid-partition reference compares like
+// with like — and applies the outages timed inside that interval through
+// Broker.NotifyFailure. A failure breaks a guarantee when the allocator's
+// coverage, the factor SLA-Verif scales every measurement by, drops
+// below 1.
+type claimMeter struct {
+	outages []Outage
+	next    int // outages[next] is the first not yet applied
+	last    time.Time
+	area    float64 // ∫ utilisation dt, in hours
+	broken  int
+}
+
+func (m *claimMeter) onClock(run *ScenarioRun, to time.Time) {
+	b := run.Cluster.Broker
+	for ; m.next < len(m.outages); m.next++ {
+		o := m.outages[m.next]
+		at := Epoch.Add(o.At)
+		if at.After(to) {
+			break
+		}
+		m.sample(b, at)
+		run.Clock.Set(at)
+		b.NotifyFailure(o.Offline)
+		if !b.Allocator().Coverage().Equal(resource.Capacity{CPU: 1, MemoryMB: 1, DiskGB: 1, BandwidthMbps: 1}) {
+			m.broken++
+		}
+	}
+	m.sample(b, to)
+}
+
+func (m *claimMeter) sample(b *core.Broker, to time.Time) {
+	if dt := to.Sub(m.last).Hours(); dt > 0 {
+		m.area += dt * math.Min(1, b.Allocator().Utilization().CPU)
+		m.last = to
+	}
+}
+
+// ReplayClaim replays wl's trace on a broker over plan as scenario name,
+// with the outages (in time order) applied, and files the meter's
+// figures as the run's gauges: utilization, the time-weighted mean CPU
+// utilisation up to the last arrival or departure, and
+// broken_guarantees. Outages after that are never applied: no session
+// is left to break.
+func ReplayClaim(name string, wl Workload, plan core.CapacityPlan, outages []Outage) (*Report, error) {
+	m := &claimMeter{outages: outages, last: Epoch}
+	sc := Scenario{
+		Name:     name,
+		Plan:     plan,
+		Workload: func(ScenarioConfig) Workload { return wl },
+		OnClock:  m.onClock,
+	}
+	run, err := newScenarioRun(sc, ScenarioConfig{Seed: wl.Seed}, scenarioPhases)
+	if err != nil {
+		return nil, err
+	}
+	defer run.engine.topo.close()
+	delete(run.config, "ops") // the workload fixes its own size
+	rep, err := run.play()
+	if err != nil {
+		return nil, err
+	}
+	run.Extra("utilization", m.area/m.last.Sub(Epoch).Hours()) // the trace is never empty
+	run.Extra("broken_guarantees", float64(m.broken))
+	return rep.Seal(), nil
 }
 
 // RunC3 saturates the guaranteed side and checks the §5.4 claim "a minimum
 // resource capacity is allocated for 'best effort' users, therefore users
-// with no SLAs can always make use of the 'best effort' resources".
-func RunC3(seed int64) ([]C3Row, error) {
-	plan := paperPlan(26) // C_B = 5
-	var rows []C3Row
+// with no SLAs can always make use of the 'best effort' resources": at
+// each standing guaranteed load, 200 best-effort requests of at most
+// C_B = 5 nodes, each released before the next. Gate c3_floor_honored:
+// every one of them is admitted at every load.
+func RunC3(seed int64) (*Report, error) {
+	runs := map[string]*Report{}
+	var details []string
 	for _, gLoad := range []float64{0, 8, 12, 15} {
-		policy, err := NewAdaptivePolicy(plan)
+		rep, err := runC3Once(seed, gLoad)
 		if err != nil {
 			return nil, err
 		}
-		if gLoad > 0 {
-			if !policy.AllocateGuaranteed("standing", resource.Nodes(gLoad), resource.Nodes(gLoad)) {
-				return nil, fmt.Errorf("sim: standing load %g not admitted", gLoad)
-			}
+		name := fmt.Sprintf("c3-g-load-%02g", gLoad)
+		runs[name] = rep
+		if t := rep.Outcome.Tally; t.Admitted != t.Requested {
+			details = append(details, fmt.Sprintf("g-load %g: best-effort floor violated (%d/%d admitted)", gLoad, t.Admitted, t.Requested))
 		}
-		rng := rand.New(rand.NewSource(seed))
-		row := C3Row{GuaranteedLoadNodes: gLoad, BEFloorHonored: true}
-		for i := 0; i < 200; i++ {
-			id := fmt.Sprintf("be-%d", i)
-			n := float64(1 + rng.Intn(5)) // requests never exceed C_B = 5
-			row.BERequested++
-			if policy.AllocateBestEffort(id, resource.Nodes(n)) {
-				row.BEAdmitted++
-				policy.ReleaseBestEffort(id)
-			} else {
-				row.BEFloorHonored = false
-			}
-		}
-		rows = append(rows, row)
 	}
-	return rows, nil
+	return claimReport(map[string]any{"experiment": "C3", "seed": seed}, runs, "c3_floor_honored", details), nil
+}
+
+// claimReport files a claim's cells under one composite; its gate holds
+// when no cell broke the claim's predicate (details names each that did).
+func claimReport(config map[string]any, runs map[string]*Report, gate string, details []string) *Report {
+	rep := NewReport("experiment", config, runs)
+	rep.Oracle.Gates[gate] = len(details) == 0
+	rep.Oracle.Details = details
+	return rep.Seal()
+}
+
+// beFloor is the C3 workload: step i asks for 1–5 best-effort nodes and
+// releases them again.
+type beFloor struct {
+	b   *core.Broker
+	rng *rand.Rand
+	out Tally
+}
+
+func (w *beFloor) step(i int) {
+	client := fmt.Sprintf("be-%d", i)
+	w.out.Ops++
+	w.out.Requested++
+	if err := w.b.BestEffortRequest(client, resource.Nodes(float64(1+w.rng.Intn(5)))); err != nil {
+		w.out.Rejected++
+		return
+	}
+	w.out.Admitted++
+	w.out.Ops++
+	_ = w.b.BestEffortRelease(client)
+}
+
+// drain has nothing to do: every grant is released in its own step, and
+// the standing session expires in the engine's drain.
+func (w *beFloor) drain() {}
+
+func (w *beFloor) tally(o *Outcome) { *o.Tally = w.out }
+
+func runC3Once(seed int64, gLoad float64) (*Report, error) {
+	topo, err := newTopology(topoConfig{Base: stack.Config{Plan: paperPlan(26)}})
+	if err != nil {
+		return nil, err
+	}
+	defer topo.close()
+	b := topo.members[0].Broker
+	if gLoad > 0 {
+		offer, err := b.RequestService(core.Request{Service: "simulation", Client: "standing", Class: sla.ClassGuaranteed,
+			Spec: sla.NewSpec(sla.Exact(resource.CPU, gLoad)), Start: Epoch, End: Epoch.Add(48 * time.Hour)})
+		if err == nil {
+			err = b.Accept(offer.SLA.ID)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("sim: standing load %g not admitted: %w", gLoad, err)
+		}
+	}
+	w := &beFloor{b: b, rng: rand.New(rand.NewSource(seed))}
+	e := &engine{topo: topo, work: w, steps: 200}
+	if err := e.run(); err != nil {
+		return nil, err
+	}
+	return e.report("experiment", map[string]any{"experiment": "C3", "seed": seed, "g_load": gLoad}).Seal(), nil
 }
 
 // C4Row compares the optimizer against its baselines on one instance
@@ -364,38 +468,6 @@ func runC5Once(seed int64, willingFrac float64) (*C5Row, error) {
 	row.DegradedSessions = int(cl.Obs.Counter("gqosm_broker_lifecycle_total",
 		"SLA lifecycle events by kind", "event", "degrade").Value())
 	return row, nil
-}
-
-// FormatRows renders any of the claim tables for gridsim.
-func FormatC1(rows []C1Row) string {
-	var sb strings.Builder
-	sb.WriteString("λ/h   util(adaptive)  util(static)  admit(adaptive)  admit(static)\n")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-5g %-15.3f %-13.3f %-16.3f %-13.3f\n",
-			r.ArrivalPerHour, r.UtilAdaptive, r.UtilStatic, r.AdmitAdaptive, r.AdmitStatic)
-	}
-	return sb.String()
-}
-
-// FormatC2 renders the C2 table.
-func FormatC2(rows []C2Row) string {
-	var sb strings.Builder
-	sb.WriteString("f      broken(adaptive)  broken(no-reserve)  admit(adaptive)  admit(no-reserve)\n")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-6g %-17d %-19d %-16.3f %-17.3f\n",
-			r.FailureRate, r.BrokenAdaptive, r.BrokenNoReserve, r.AdmitAdaptive, r.AdmitNoReserve)
-	}
-	return sb.String()
-}
-
-// FormatC3 renders the C3 table.
-func FormatC3(rows []C3Row) string {
-	var sb strings.Builder
-	sb.WriteString("g-load  BE admitted/requested  floor honored\n")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-7g %d/%-19d %v\n", r.GuaranteedLoadNodes, r.BEAdmitted, r.BERequested, r.BEFloorHonored)
-	}
-	return sb.String()
 }
 
 // FormatC4 renders the C4 table.

@@ -23,11 +23,13 @@ import (
 // This file is the one simulation engine. Every broker-driving harness
 // in the package — parallel stress, chaos, restart-chaos, the
 // multi-broker cluster run, the hand-off crash drill, scenarios and
-// soaks — is a configuration of it, composed from four orthogonal parts:
+// soaks, the C1–C3 claim replays — is a configuration of it, composed
+// from four orthogonal parts:
 //
 //   - a workload (the application model): the stress op-mix clients
 //     (stress.go), the scenario arrival trace with its departure heap
-//     (scenario.go), or the cluster sliding window (clustersim.go);
+//     (scenario.go; C1 and C2 are traces too), the cluster sliding
+//     window (clustersim.go), or C3's best-effort floor (claims.go);
 //   - a topology (the resource model): one broker, optionally behind the
 //     loopback JSON listener, or N brokers behind a cluster.Front; WAL
 //     and intake on or off;
@@ -42,9 +44,10 @@ import (
 // number of PRNG values whatever the broker answers; under faults the
 // stress clients step serially round-robin so the injector's single PRNG
 // sees an identical call sequence on every run; and a queued intake is
-// flushed once per round. The paper-claim replays (claims.go, e56.go,
-// workload.go) drive the allocator model rather than a broker and stay
-// outside it.
+// flushed once per round. Outside it stay the §5.6 script (e56.go), C4
+// (the optimizer alone), C5's burst (claims.go, on a stack) and Replay's
+// rigid-partition reference (workload.go), the one thing the broker is
+// not.
 
 // workload is the application model: what the simulated clients do.
 type workload interface {

@@ -52,7 +52,8 @@ type Oracle struct {
 	Details    []string `json:"details,omitempty"`
 	// Gates are the named pass/fail verdicts beyond the violation count:
 	// capacity_restored, digests_match, parity, single_owner, stable,
-	// verified. A run carries the ones it judged.
+	// verified, and the claims' c1_never_worse, c2_reserve_wins,
+	// c3_floor_honored. A run carries the ones it judged.
 	Gates map[string]bool `json:"gates"`
 }
 

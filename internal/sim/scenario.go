@@ -51,6 +51,8 @@ type Scenario struct {
 	About string
 	// ConfirmWindow overrides the cluster's offer window (default 2m).
 	ConfirmWindow time.Duration
+	// Plan is the broker's partition; zero uses DefaultParallelPlan.
+	Plan core.CapacityPlan
 	// Workload builds the trace generator, sized so the run performs
 	// roughly cfg.Ops broker operations (~3 per negotiated arrival).
 	// The driver forces Seed to cfg.Seed.
@@ -69,6 +71,10 @@ type Scenario struct {
 	// outcome; id is empty for best-effort and failed arrivals) — the
 	// place for renegotiations and other follow-on client behavior.
 	AfterArrival func(run *ScenarioRun, i int, a Arrival, id sla.ID, admitted bool)
+	// OnClock runs before each move of the driver's clock to `to`, while
+	// the broker still holds the state of the interval the move ends — the
+	// place to sample that state and to inject events timed inside it.
+	OnClock func(run *ScenarioRun, to time.Time)
 	// Verify asserts scenario-specific outcome properties after the
 	// drain; a non-nil error lands in the oracle's details and fails the
 	// report's verified gate.
@@ -258,8 +264,12 @@ func newScenarioRun(sc Scenario, cfg ScenarioConfig, phases int) (*ScenarioRun, 
 	if confirm <= 0 {
 		confirm = 2 * time.Minute
 	}
+	plan := sc.Plan
+	if plan == (core.CapacityPlan{}) {
+		plan = DefaultParallelPlan()
+	}
 	topo, err := newTopology(topoConfig{Base: stack.Config{
-		Plan:          DefaultParallelPlan(),
+		Plan:          plan,
 		ConfirmWindow: confirm,
 	}})
 	if err != nil {
@@ -309,7 +319,7 @@ func (run *ScenarioRun) step(i int) {
 	a := run.trace[i]
 	now := Epoch.Add(a.At)
 	run.processDepartures(now)
-	run.Clock.Set(now)
+	run.moveClock(now)
 	id, admitted := run.arrive(i, a)
 	if run.sc.AfterArrival != nil {
 		run.sc.AfterArrival(run, i, a, id, admitted)
@@ -323,11 +333,19 @@ func (run *ScenarioRun) drain() {
 	run.op()
 }
 
+// moveClock runs the scenario's OnClock hook, then moves the clock.
+func (run *ScenarioRun) moveClock(to time.Time) {
+	if run.sc.OnClock != nil {
+		run.sc.OnClock(run, to)
+	}
+	run.Clock.Set(to)
+}
+
 func (run *ScenarioRun) processDepartures(until time.Time) {
 	b := run.Cluster.Broker
 	for len(run.departures) > 0 && !run.departures[0].at.After(until) {
 		d := heap.Pop(&run.departures).(departure)
-		run.Clock.Set(d.at)
+		run.moveClock(d.at)
 		run.op()
 		if d.client != "" {
 			_ = b.BestEffortRelease(d.client)
@@ -402,7 +420,7 @@ func (run *ScenarioRun) arrive(i int, a Arrival) (id sla.ID, admitted bool) {
 		run.counts.ExpiredOffers++
 		id = ""
 	case OfferAcceptAtExpiry:
-		run.Clock.Set(offer.Expires)
+		run.moveClock(offer.Expires)
 		run.op()
 		if err := b.Accept(id); err != nil {
 			// The timer fired during the Set: the offer expired a

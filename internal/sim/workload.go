@@ -114,94 +114,13 @@ func (w Workload) Trace() []Arrival {
 	return out
 }
 
-// Policy abstracts the capacity-allocation policy a trace is replayed
-// against, so the adaptive scheme can be compared with baselines on
-// identical arrivals.
-type Policy interface {
-	// AllocateGuaranteed admits guaranteed/controlled demand; it reports
-	// success.
-	AllocateGuaranteed(id string, c, floor resource.Capacity) bool
-	// AllocateBestEffort admits best-effort demand.
-	AllocateBestEffort(id string, c resource.Capacity) bool
-	ReleaseGuaranteed(id string)
-	ReleaseBestEffort(id string)
-	// SetOffline reports failed capacity to the policy and returns
-	// whether any existing guarantee was broken by the failure.
-	SetOffline(c resource.Capacity) bool
-	// Used and Online report instantaneous capacity for utilization
-	// sampling.
-	Used() resource.Capacity
-	Online() resource.Capacity
-}
-
-// AdaptivePolicy wraps the paper's Algorithm-1 allocator.
-type AdaptivePolicy struct {
-	A *core.Allocator
-}
-
-// NewAdaptivePolicy builds the paper's policy over a plan.
-func NewAdaptivePolicy(plan core.CapacityPlan) (*AdaptivePolicy, error) {
-	a, err := core.NewAllocator(plan)
-	if err != nil {
-		return nil, err
-	}
-	return &AdaptivePolicy{A: a}, nil
-}
-
-// AllocateGuaranteed implements Policy.
-func (p *AdaptivePolicy) AllocateGuaranteed(id string, c, floor resource.Capacity) bool {
-	_, err := p.A.AllocateGuaranteed(id, c, floor)
-	return err == nil
-}
-
-// AllocateBestEffort implements Policy.
-func (p *AdaptivePolicy) AllocateBestEffort(id string, c resource.Capacity) bool {
-	return p.A.AllocateBestEffort(id, c) == nil
-}
-
-// ReleaseGuaranteed implements Policy.
-func (p *AdaptivePolicy) ReleaseGuaranteed(id string) { _ = p.A.ReleaseGuaranteed(id) }
-
-// ReleaseBestEffort implements Policy.
-func (p *AdaptivePolicy) ReleaseBestEffort(id string) { _ = p.A.ReleaseBestEffort(id) }
-
-// SetOffline implements Policy: a guarantee breaks when guaranteed demand
-// no longer fits C_G_eff + C_A.
-func (p *AdaptivePolicy) SetOffline(c resource.Capacity) bool {
-	p.A.SetOffline(c)
-	var gDemand resource.Capacity
-	for _, u := range p.A.GuaranteedUsers() {
-		if g, ok := p.A.GuaranteedAllocation(u); ok {
-			gDemand = gDemand.Add(g)
-		}
-	}
-	plan := p.A.Plan()
-	gMax := plan.Guaranteed.Sub(p.A.Offline()).ClampMin(resource.Capacity{}).Add(plan.Adaptive)
-	return !gDemand.FitsIn(gMax)
-}
-
-// Used implements Policy.
-func (p *AdaptivePolicy) Used() resource.Capacity {
-	online := p.Online()
-	var used resource.Capacity
-	for _, k := range resource.Kinds {
-		used = used.With(k, p.A.Utilization().Get(k)*online.Get(k))
-	}
-	return used
-}
-
-// Online implements Policy.
-func (p *AdaptivePolicy) Online() resource.Capacity {
-	return p.A.Plan().Total().Sub(p.A.Offline()).ClampMin(resource.Capacity{})
-}
-
 // StaticPolicy is the no-adaptation baseline: rigid partitions (guaranteed
 // demand only ever uses C_G, best effort only C_B, the adaptive share is
 // permanently idle headroom) — what Algorithm 1's "dynamic property"
-// claims to beat.
+// claims to beat. It is the one thing the broker is not (the broker's
+// best effort always borrows), so it stays a model, replayed by Replay.
 type StaticPolicy struct {
 	plan       core.CapacityPlan
-	offline    resource.Capacity
 	guaranteed map[string]resource.Capacity
 	bestEffort map[string]resource.Capacity
 }
@@ -223,18 +142,17 @@ func sum(m map[string]resource.Capacity) resource.Capacity {
 	return s
 }
 
-// AllocateGuaranteed implements Policy: only C_G (minus failures) serves
-// guaranteed demand.
-func (p *StaticPolicy) AllocateGuaranteed(id string, c, _ resource.Capacity) bool {
-	gEff := p.plan.Guaranteed.Sub(p.offline).ClampMin(resource.Capacity{})
-	if !sum(p.guaranteed).Add(c).FitsIn(gEff) {
+// AllocateGuaranteed admits guaranteed and controlled-load demand: only
+// C_G serves it.
+func (p *StaticPolicy) AllocateGuaranteed(id string, c resource.Capacity) bool {
+	if !sum(p.guaranteed).Add(c).FitsIn(p.plan.Guaranteed) {
 		return false
 	}
 	p.guaranteed[id] = c
 	return true
 }
 
-// AllocateBestEffort implements Policy: only C_B serves best effort.
+// AllocateBestEffort admits best-effort demand: only C_B serves it.
 func (p *StaticPolicy) AllocateBestEffort(id string, c resource.Capacity) bool {
 	if !sum(p.bestEffort).Add(c).FitsIn(p.plan.BestEffort) {
 		return false
@@ -243,27 +161,15 @@ func (p *StaticPolicy) AllocateBestEffort(id string, c resource.Capacity) bool {
 	return true
 }
 
-// ReleaseGuaranteed implements Policy.
+// ReleaseGuaranteed ends a guaranteed or controlled-load grant.
 func (p *StaticPolicy) ReleaseGuaranteed(id string) { delete(p.guaranteed, id) }
 
-// ReleaseBestEffort implements Policy.
+// ReleaseBestEffort ends a best-effort grant.
 func (p *StaticPolicy) ReleaseBestEffort(id string) { delete(p.bestEffort, id) }
 
-// SetOffline implements Policy.
-func (p *StaticPolicy) SetOffline(c resource.Capacity) bool {
-	p.offline = c.Min(p.plan.Guaranteed)
-	gEff := p.plan.Guaranteed.Sub(p.offline).ClampMin(resource.Capacity{})
-	return !sum(p.guaranteed).FitsIn(gEff)
-}
-
-// Used implements Policy.
+// Used reports the capacity held right now.
 func (p *StaticPolicy) Used() resource.Capacity {
 	return sum(p.guaranteed).Add(sum(p.bestEffort))
-}
-
-// Online implements Policy.
-func (p *StaticPolicy) Online() resource.Capacity {
-	return p.plan.Total().Sub(p.offline).ClampMin(resource.Capacity{})
 }
 
 // ReplayStats aggregates a trace replay.
@@ -272,9 +178,6 @@ type ReplayStats struct {
 	Admitted int
 	// MeanUtilization is the time-weighted mean CPU utilization.
 	MeanUtilization float64
-	// BrokenGuarantees counts failure events that left guaranteed
-	// demand uncoverable.
-	BrokenGuarantees int
 }
 
 // AdmissionRate is Admitted/Arrivals.
@@ -285,36 +188,23 @@ func (s ReplayStats) AdmissionRate() float64 {
 	return float64(s.Admitted) / float64(s.Arrivals)
 }
 
-// FailureEvent schedules capacity going offline during a replay.
-type FailureEvent struct {
-	At       time.Duration
-	Offline  resource.Capacity // cumulative offline capacity from At
-	Duration time.Duration
-}
-
-// Replay runs a trace against a policy, sampling utilization at every
-// event boundary (arrivals, departures, failures) weighted by elapsed
-// time. Guaranteed and controlled-load arrivals use AllocateGuaranteed
-// (controlled-load floors at half the request); best-effort arrivals use
-// AllocateBestEffort.
-func Replay(trace []Arrival, policy Policy, failures []FailureEvent) ReplayStats {
+// Replay runs a trace against the rigid-partition reference, sampling
+// utilization at every event boundary (arrivals and departures) weighted
+// by elapsed time. Guaranteed and controlled-load arrivals ask C_G for
+// their full node count (the rigid partition never degrades); best-effort
+// arrivals ask C_B.
+func Replay(trace []Arrival, policy *StaticPolicy) ReplayStats {
 	type event struct {
-		at   time.Duration
-		kind int // 0 arrival, 1 departure, 2 failure-start, 3 failure-end
-		idx  int
+		at        time.Duration
+		departure bool
+		idx       int
 	}
 	var events []event
 	for i, a := range trace {
-		events = append(events, event{at: a.At, kind: 0, idx: i})
-	}
-	for i, f := range failures {
-		events = append(events, event{at: f.At, kind: 2, idx: i})
-		events = append(events, event{at: f.At + f.Duration, kind: 3, idx: i})
+		events = append(events, event{at: a.At, idx: i})
 	}
 	// Departures are appended dynamically on admission.
 	var stats ReplayStats
-	admitted := make(map[int]bool)
-
 	sortEvents := func() {
 		sort.SliceStable(events, func(i, j int) bool { return events[i].at < events[j].at })
 	}
@@ -324,10 +214,9 @@ func Replay(trace []Arrival, policy Policy, failures []FailureEvent) ReplayStats
 		lastAt   time.Duration
 		utilArea float64
 	)
+	online := policy.plan.Total().CPU
 	sample := func(now time.Duration) {
-		dt := (now - lastAt).Hours()
-		if dt > 0 {
-			online := policy.Online().CPU
+		if dt := (now - lastAt).Hours(); dt > 0 {
 			if online > 0 {
 				utilArea += dt * math.Min(1, policy.Used().CPU/online)
 			}
@@ -338,52 +227,30 @@ func Replay(trace []Arrival, policy Policy, failures []FailureEvent) ReplayStats
 	for qi := 0; qi < len(events); qi++ {
 		ev := events[qi]
 		sample(ev.at)
-		switch ev.kind {
-		case 0: // arrival
-			a := trace[ev.idx]
+		a := trace[ev.idx]
+		id := strconv.Itoa(ev.idx)
+		switch {
+		case ev.departure && a.Class == sla.ClassBestEffort:
+			policy.ReleaseBestEffort(id)
+		case ev.departure:
+			policy.ReleaseGuaranteed(id)
+		default:
 			stats.Arrivals++
-			id := idOf(ev.idx)
 			var ok bool
-			switch a.Class {
-			case sla.ClassBestEffort:
+			if a.Class == sla.ClassBestEffort {
 				ok = policy.AllocateBestEffort(id, resource.Nodes(a.Nodes))
-			case sla.ClassControlledLoad:
-				floor := resource.Nodes(math.Max(1, math.Floor(a.Nodes/2)))
-				ok = policy.AllocateGuaranteed(id, resource.Nodes(a.Nodes), floor)
-			default:
-				ok = policy.AllocateGuaranteed(id, resource.Nodes(a.Nodes), resource.Nodes(a.Nodes))
+			} else {
+				ok = policy.AllocateGuaranteed(id, resource.Nodes(a.Nodes))
 			}
 			if ok {
 				stats.Admitted++
-				admitted[ev.idx] = true
-				events = append(events, event{at: a.At + a.Hold, kind: 1, idx: ev.idx})
+				events = append(events, event{at: a.At + a.Hold, departure: true, idx: ev.idx})
 				sortEvents()
 			}
-		case 1: // departure
-			if !admitted[ev.idx] {
-				break
-			}
-			a := trace[ev.idx]
-			id := idOf(ev.idx)
-			if a.Class == sla.ClassBestEffort {
-				policy.ReleaseBestEffort(id)
-			} else {
-				policy.ReleaseGuaranteed(id)
-			}
-		case 2: // failure start
-			if policy.SetOffline(failures[ev.idx].Offline) {
-				stats.BrokenGuarantees++
-			}
-		case 3: // failure end
-			policy.SetOffline(resource.Capacity{})
 		}
 	}
 	if lastAt > 0 {
 		stats.MeanUtilization = utilArea / lastAt.Hours()
 	}
 	return stats
-}
-
-func idOf(i int) string {
-	return "u" + strconv.Itoa(i)
 }
