@@ -10,8 +10,8 @@ import (
 )
 
 // The report contract: whatever the mode, gridsim -json emits one
-// document shape (DESIGN.md §17), and everything in it outside a latency
-// key is a function of the command line.
+// document shape (DESIGN.md §17), and all of it is a function of the
+// command line.
 
 // contractRow is one gridsim invocation held to the contract.
 type contractRow struct {
@@ -41,9 +41,8 @@ func eachRun(path string, doc map[string]any, visit func(path string, run map[st
 }
 
 // emit runs gridsim -json and returns the document three ways: parsed
-// into the report type, as a generic tree, and re-marshalled with every
-// latency key deleted (what CI's jq 'del(.. | .latency?)' leaves).
-func emit(t *testing.T, row contractRow) (rep *sim.Report, doc map[string]any, stripped []byte) {
+// into the report type, as a generic tree, and as printed.
+func emit(t *testing.T, row contractRow) (rep *sim.Report, doc map[string]any, raw []byte) {
 	t.Helper()
 	out, runErr := runCapture(t, append(row.args, "-json")...)
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
@@ -59,12 +58,7 @@ func emit(t *testing.T, row contractRow) (rep *sim.Report, doc map[string]any, s
 	if runErr != nil {
 		t.Errorf("%v: %v\noracle: %+v", row.args, runErr, rep.Oracle)
 	}
-	eachRun("", doc, func(_ string, run map[string]any) { delete(run, "latency") })
-	stripped, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep, doc, stripped
+	return rep, doc, []byte(out)
 }
 
 func checkContract(t *testing.T, row contractRow) {
@@ -75,7 +69,7 @@ func checkContract(t *testing.T, row contractRow) {
 		t.Errorf("mode = %q, want the mode-table row %q", rep.Mode, row.mode)
 	}
 	if !bytes.Equal(first, second) {
-		t.Errorf("two runs differ outside their latency keys:\n%s\nvs\n%s", first, second)
+		t.Errorf("two runs differ:\n%s\nvs\n%s", first, second)
 	}
 	if rep.Digest != again.Digest || rep.Digest == "" {
 		t.Errorf("digests %q and %q, want equal and set", rep.Digest, again.Digest)
@@ -151,8 +145,8 @@ func TestReportContract(t *testing.T) {
 		{name: "restart-chaos", mode: "restart-chaos", args: []string{"-chaos", "-restarts", "2", "-seed", "7", "-ops", "800"},
 			blocks: []string{":faults", ":recovery"},
 			pins: func(t *testing.T, rep *sim.Report) {
-				if rec := rep.Outcome.Recovery; rec.DigestMatches != 2 || !rep.Oracle.Gates["digests_match"] || rep.Latency["recovery_p95_ms"] == nil {
-					t.Errorf("recovery %+v, gates %v, latency %v", rec, rep.Oracle.Gates, rep.Latency)
+				if rec := rep.Outcome.Recovery; rec.DigestMatches != 2 || !rep.Oracle.Gates["digests_match"] {
+					t.Errorf("recovery %+v, gates %v", rec, rep.Oracle.Gates)
 				}
 			}},
 		{name: "chaos", mode: "chaos", args: []string{"-chaos", "-seed", "7", "-ops", "1000"},
@@ -168,11 +162,6 @@ func TestReportContract(t *testing.T) {
 					}
 					if r.Outcome.Ops == 0 || r.Oracle.Checks != 3 || r.Config["clients"] != 1.0 {
 						t.Errorf("%s degenerate: config %v, outcome %+v, oracle %+v", name, r.Config, r.Outcome.Tally, r.Oracle)
-					}
-					for _, key := range []string{"elapsed_ms", "ops_per_sec", "admit_p50_ms", "admit_p95_ms", "admit_p99_ms"} {
-						if v, _ := r.Latency[key].(float64); v <= 0 {
-							t.Errorf("%s latency.%s = %v, want > 0", name, key, r.Latency[key])
-						}
 					}
 				}
 			}},

@@ -16,24 +16,8 @@ import (
 // changes any deterministic report field fails here first. Re-pin by
 // re-running the command into the artifact, never by editing it.
 
-// withoutLatency re-marshals a -json document with every latency key
-// deleted, the children's included — the one wall-clock carve-out.
-func withoutLatency(t *testing.T, raw string) string {
-	t.Helper()
-	var doc map[string]any
-	if err := json.Unmarshal([]byte(raw), &doc); err != nil {
-		t.Fatalf("not JSON: %v\n%s", err, raw)
-	}
-	eachRun("", doc, func(_ string, run map[string]any) { delete(run, "latency") })
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
-}
-
 // golden runs gridsim and requires its document to equal the committed
-// one outside the latency keys.
+// one byte for byte.
 func golden(t *testing.T, args []string, artifact ...string) {
 	t.Helper()
 	got, err := runCapture(t, args...)
@@ -44,7 +28,7 @@ func golden(t *testing.T, args []string, artifact ...string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := withoutLatency(t, got), withoutLatency(t, string(want)); got != want {
+	if got != string(want) {
 		t.Errorf("%v diverged from %s:\n got: %s\nwant: %s", args, filepath.Join(artifact...), got, want)
 	}
 }
@@ -98,7 +82,7 @@ func TestGoldenClusterSmallScale(t *testing.T) {
 }
 
 // TestGoldenParallelSerialRow pins the serial baseline row of the
-// bench-smoke command: one client's schedule is a pure function of the
+// parallel-smoke command: one client's schedule is a pure function of the
 // seed, so its lifecycle counters are too.
 func TestGoldenParallelSerialRow(t *testing.T) {
 	out, err := runCapture(t, "-parallel", "-seed", "7", "-json")
@@ -111,6 +95,6 @@ func TestGoldenParallelSerialRow(t *testing.T) {
 	}
 	s := rep.Runs["serial"]
 	if s == nil || s.Outcome.Requested != 3127 || s.Outcome.Admitted != 110 || s.Outcome.Terminated != 110 || s.Oracle.Checks != 11 {
-		t.Errorf("serial row = %s, want requested 3127 / admitted 110 / terminated 110 / checks 11", withoutLatency(t, out))
+		t.Errorf("serial row = %s, want requested 3127 / admitted 110 / terminated 110 / checks 11", out)
 	}
 }

@@ -13,9 +13,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -64,13 +66,13 @@ type mode struct {
 var modes = []mode{
 	{"cluster", "N brokers behind the front tier vs a 1-broker baseline over the same workload, their outcome parity, and for N > 1 the hand-off crash drill (BENCH_cluster.json)",
 		[]string{"cluster"}, []string{"clients", "seed", "json"}, runCluster},
-	{"scenario", "replay a named traffic scenario (or all, or list); -soak adds runtime-health sampling (BENCH_scenarios.json)",
+	{"scenario", "replay a named traffic scenario (or all, or list); -soak adds working-set pruning, counting and the stable gate (BENCH_scenarios.json)",
 		[]string{"scenario"}, []string{"soak", "seed", "ops", "json"}, runScenarios},
 	{"restart-chaos", "chaos against a durable broker killed and WAL-recovered mid-workload (BENCH_recovery.json)",
 		[]string{"chaos", "restarts"}, []string{"clients", "ops", "seed", "faultrate", "wal-dir", "intake", "json"}, runChaos},
 	{"chaos", "stress workload stepped serially under seeded fault injection (BENCH_chaos.json)",
 		[]string{"chaos"}, []string{"clients", "ops", "phases", "seed", "faultrate", "intake", "json"}, runChaos},
-	{"parallel", "concurrent stress clients vs a serial baseline: throughput and admission latency (BENCH_parallel.json)",
+	{"parallel", "concurrent stress clients vs a serial baseline; the text summary adds their wall-clock throughput (BENCH_parallel.json)",
 		[]string{"parallel"}, []string{"clients", "ops", "phases", "seed", "intake", "transport", "json"}, runParallel},
 	{"experiment", "the paper's tables, figures and claim experiments (the default)",
 		nil, []string{"experiment", "seed", "v"}, runExperiments},
@@ -131,6 +133,9 @@ func run(args []string) error {
 	if stray != nil {
 		return stray
 	}
+	if err := checkRanges(fs); err != nil {
+		return err
+	}
 
 	rep, err := m.run(o)
 	if err != nil {
@@ -179,6 +184,36 @@ func (m *mode) stray(name string) error {
 	return fmt.Errorf("-%s needs %s (it is not read in %s mode)", name, strings.Join(needs, " or "), m.name)
 }
 
+// ranges lists the numeric flags' accepted values. A value outside is
+// refused by name, never defaulted or clamped: a report must never
+// silently describe a different run than the command line asked for.
+var ranges = []struct {
+	flag   string
+	lo, hi float64
+}{
+	{"clients", 0, math.Inf(1)},
+	{"ops", 1, math.Inf(1)},
+	{"phases", 1, math.Inf(1)},
+	{"restarts", 0, math.Inf(1)},
+	{"cluster", 0, math.Inf(1)},
+	{"faultrate", 0, 1},
+}
+
+// checkRanges refuses the first set flag outside its range.
+func checkRanges(fs *flag.FlagSet) error {
+	for _, r := range ranges {
+		f := fs.Lookup(r.flag)
+		if v, _ := strconv.ParseFloat(f.Value.String(), 64); v >= r.lo && v <= r.hi {
+			continue
+		}
+		if math.IsInf(r.hi, 1) {
+			return fmt.Errorf("bad -%s %s (want >= %g)", r.flag, f.Value, r.lo)
+		}
+		return fmt.Errorf("bad -%s %s (want %g..%g)", r.flag, f.Value, r.lo, r.hi)
+	}
+	return nil
+}
+
 // flagSet declares every flag, bound to o.
 func flagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("gridsim", flag.ContinueOnError)
@@ -197,7 +232,7 @@ func flagSet(o *options) *flag.FlagSet {
 	fs.BoolVar(&o.intake, "intake", false, "route admissions through the group-commit intake")
 	fs.StringVar(&o.transport, "transport", "", "admission transport for -parallel: empty (in-process) or http (loopback JSON API)")
 	fs.StringVar(&o.scenario, "scenario", "", "replay a workload scenario by name ('all' for every scenario, 'list' for the catalog)")
-	fs.BoolVar(&o.soak, "soak", false, "run -scenario in long-run soak mode: bounded working set, runtime health sampling")
+	fs.BoolVar(&o.soak, "soak", false, "run -scenario in long-run soak mode: bounded working set, counted per window")
 	fs.IntVar(&o.cluster, "cluster", 0, "run the multi-broker workload with N broker instances behind the front tier")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "Usage of gridsim — one mode per run:\n\n%s\n", modeTable())
@@ -237,19 +272,27 @@ func runParallel(o *options) (*sim.Report, error) {
 	// The serial baseline always takes the direct in-process path; -intake
 	// and -transport only shape the parallel run, so the comparison shows
 	// what they change.
+	started := time.Now()
 	serial, err := sim.RunParallel(sim.StressConfig{Clients: 1, Ops: o.ops, Phases: o.phases, Seed: o.seed})
 	if err != nil {
 		return nil, fmt.Errorf("serial baseline: %w", err)
 	}
+	serialTook := time.Since(started)
 	reg := obs.NewRegistry()
+	started = time.Now()
 	par, err := sim.RunParallel(sim.StressConfig{Clients: o.clients, Ops: o.ops, Phases: o.phases, Seed: o.seed,
 		Intake: o.intake, Transport: o.transport, Obs: reg})
 	if err != nil {
 		return nil, err
 	}
-	// The summary adds the parallel run's metrics snapshot, which is not
-	// part of the JSON document.
+	parTook := time.Since(started)
+	// The summary adds what the JSON document leaves out because no run
+	// determines it: each run's wall-clock throughput (assembly and drain
+	// included) and the parallel run's metrics snapshot.
 	o.summary = func() {
+		serialRate := float64(serial.Outcome.Ops) / serialTook.Seconds()
+		parRate := float64(par.Outcome.Ops) / parTook.Seconds()
+		fmt.Printf("\nwall clock: serial %.0f ops/s, parallel %.0f ops/s (%.2fx)\n", serialRate, parRate, parRate/serialRate)
 		fmt.Println("\nparallel-run metrics snapshot:")
 		if err := reg.WritePrometheus(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "gridsim: metrics snapshot:", err)
@@ -261,9 +304,6 @@ func runParallel(o *options) (*sim.Report, error) {
 
 // runChaos serves both chaos rows.
 func runChaos(o *options) (*sim.Report, error) {
-	if o.faultRate < 0 {
-		return nil, fmt.Errorf("bad -faultrate %v (want >= 0)", o.faultRate)
-	}
 	cfg := sim.StressConfig{Clients: o.clients, Ops: o.ops, Phases: o.phases, Seed: o.seed,
 		Intake: o.intake, FaultRate: o.faultRate, Restarts: o.restarts, WALDir: o.walDir}
 	if o.restarts > 0 {
@@ -304,6 +344,9 @@ func runCluster(o *options) (*sim.Report, error) {
 // in BENCH_scenarios.json.
 func runScenarios(o *options) (*sim.Report, error) {
 	if o.scenario == "list" {
+		if o.jsonOut {
+			return nil, errors.New("-scenario list prints a text catalog, not a -json document")
+		}
 		header("SCENARIOS", "workload scenario catalog")
 		for _, sc := range sim.Scenarios() {
 			fmt.Printf("%-12s %s\n", sc.Name, sc.About)

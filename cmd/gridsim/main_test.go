@@ -64,6 +64,35 @@ func TestRunArgumentErrors(t *testing.T) {
 	}
 }
 
+// A sizing flag outside its range is refused by name, never defaulted,
+// clamped or dropped: each row once ran a different run than it asked for.
+func TestSizingFlagsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-cluster", "-2", "-clients", "300"}, "bad -cluster -2"},
+		{[]string{"-cluster", "3", "-clients", "-3"}, "bad -clients -3"},
+		{[]string{"-chaos", "-ops", "-5"}, "bad -ops -5"},
+		{[]string{"-chaos", "-clients", "-3"}, "bad -clients -3"},
+		{[]string{"-chaos", "-phases", "-1"}, "bad -phases -1"},
+		{[]string{"-chaos", "-ops", "0"}, "bad -ops 0"},
+		{[]string{"-chaos", "-restarts", "-2"}, "bad -restarts -2"},
+		{[]string{"-parallel", "-phases", "0"}, "bad -phases 0"},
+		{[]string{"-scenario", "diurnal", "-ops", "-7"}, "bad -ops -7"},
+		{[]string{"-chaos", "-faultrate", "7"}, "bad -faultrate 7"},
+		{[]string{"-scenario", "list", "-json"}, "-scenario list"},
+	} {
+		out, err := runCapture(t, tc.args...)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %v, want one containing %q", tc.args, err, tc.want)
+		}
+		if out != "" {
+			t.Errorf("%v: printed %q before refusing", tc.args, out)
+		}
+	}
+}
+
 // The needs-message names the mode flag that would make the stray flag
 // meaningful.
 func TestStrayFlagMessageNamesTheMode(t *testing.T) {
@@ -152,8 +181,8 @@ func TestParallelModeTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"serial:", "parallel:", "ops_per_sec:", "capacity_restored: true",
-		"admit_p50_ms:", "metrics snapshot:",
+		"serial:", "parallel:", "capacity_restored: true",
+		"wall clock: serial ", " ops/s, parallel ", "metrics snapshot:",
 		"gqosm_broker_admission_seconds_count",
 		`gqosm_broker_lifecycle_total{event="accept"}`,
 	} {
@@ -182,9 +211,8 @@ func TestScenarioSoakJSON(t *testing.T) {
 		args:   []string{"-scenario", "lease-churn", "-soak", "-seed", "1", "-ops", "8000"},
 		blocks: []string{":scenario"},
 		pins: func(t *testing.T, rep *sim.Report) {
-			soak, _ := rep.Latency["soak"].(map[string]any)
-			if windows, _ := soak["windows"].([]any); len(windows) == 0 {
-				t.Errorf("soak samples missing from the latency block: %v", rep.Latency)
+			if ws := rep.Outcome.Soak; ws == nil || len(ws.Sessions) == 0 {
+				t.Errorf("soak working set missing from the outcome: %+v", ws)
 			}
 			if !rep.Oracle.Gates["stable"] || rep.Config["soak"] != true {
 				t.Errorf("unstable or not marked a soak: config %v, oracle %+v", rep.Config, rep.Oracle)

@@ -26,7 +26,6 @@ import (
 // deleted.
 var testOnlyExports = map[string]string{
 	"core.wireError.Unwrap":       "interface method: errors.Is/As reach the taxonomy sentinel through it",
-	"clockx.Manual.PendingTimers": "oracle seam: timer-leak checks (a stopped monitor, a closed broker or job manager leaves no timer armed)",
 	"core.Broker.SetDebugHook":    "oracle seam: runs invariant.CheckAll after every mutating operation in tests and fuzzing",
 	"core.Broker.DebugViolations": "oracle seam: the invariant events the debug hook recorded",
 	"invariant.Check":             "oracle seam: the broker-level rules in SetDebugHook's signature, for a serial driver without a pool",
@@ -592,67 +591,32 @@ func TestOneClearing(t *testing.T) {
 	}
 }
 
-// wallClockSites is the allowlist of TestNoWallClock, keyed by file and
-// enclosing declaration: the functions under internal/ that still read the
-// wall clock. ROADMAP item 4 moves each behind a clockx seam and empties
-// the list.
-var wallClockSites = map[string]string{
-	"internal/core/negotiate.go:core.Broker.admit":         "ROADMAP item 4: the admission latency histogram",
-	"internal/core/lifecycle.go:core.Broker.teardownIf":    "ROADMAP item 4: the teardown latency histogram",
-	"internal/core/renegotiate.go:core.Broker.Renegotiate": "ROADMAP item 4: the renegotiation latency histogram",
-	"internal/core/retry.go:core.policyRunner.run":         "ROADMAP item 4: the per-attempt RM call seconds",
-	"internal/sim/engine.go:sim.startStopwatch":            "ROADMAP item 4: the stopwatch every report latency field is measured through",
-	"internal/sim/engine.go:sim.stopwatch.ms":              "ROADMAP item 4: the stopwatch every report latency field is measured through",
-}
-
 // wallClock is what package time offers to read or wait on the real clock.
 var wallClock = []string{"Now", "Since", "Until", "Sleep", "After", "AfterFunc", "NewTimer", "NewTicker", "Tick"}
 
 // TestNoWallClock keeps the real clock out of internal/: outside clockx, no
-// non-test file there may name one of package time's wall-clock functions
-// except in a wallClockSites function. Everything else takes time from a
-// clockx.Clock, so a manual clock drives a simulated run end to end and its
-// results do not depend on the host. The list only shrinks: an entry whose
-// function no longer reads the clock must be removed. cmd/ and bench/ are
-// exempt.
+// non-test file there may name one of package time's wall-clock functions.
+// Everything takes time from a clockx.Clock, so a manual clock drives a
+// simulated run end to end and its results do not depend on the host.
+// cmd/ and bench/ are exempt.
 func TestNoWallClock(t *testing.T) {
 	c := repoCensus(t)
-	seen := map[string]bool{}
 	for _, f := range c.files {
 		if !strings.HasPrefix(f.path, "internal/") || strings.HasPrefix(f.path, "internal/clockx/") {
 			continue
 		}
-		for _, decl := range f.file.Decls {
-			site := f.path + ":(package level)"
-			if fn, ok := decl.(*ast.FuncDecl); ok {
-				site = f.path + ":" + qualified(c.info.Defs[fn.Name])
-			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				id, ok := n.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				fn, ok := c.info.Uses[id].(*types.Func)
-				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" || fn.Type().(*types.Signature).Recv() != nil ||
-					!slices.Contains(wallClock, fn.Name()) {
-					return true
-				}
-				if wallClockSites[site] == "" {
-					t.Errorf("%s: time.%s (allowlist key %s): take the time from a clockx.Clock instead",
-						c.fset.Position(id.Pos()), fn.Name(), site)
-				}
-				seen[site] = true
+		ast.Inspect(f.file, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
 				return true
-			})
-		}
-	}
-	for site, reason := range wallClockSites {
-		switch {
-		case !seen[site]:
-			t.Errorf("allowlist entry %s no longer reads the wall clock: remove it", site)
-		case reason == "":
-			t.Errorf("allowlist entry %s has no reason", site)
-		}
+			}
+			fn, ok := c.info.Uses[id].(*types.Func)
+			if ok && fn.Pkg() != nil && fn.Pkg().Path() == "time" && fn.Type().(*types.Signature).Recv() == nil &&
+				slices.Contains(wallClock, fn.Name()) {
+				t.Errorf("%s: time.%s: take the time from a clockx.Clock instead", c.fset.Position(id.Pos()), fn.Name())
+			}
+			return true
+		})
 	}
 }
 

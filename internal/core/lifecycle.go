@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"time"
 
 	"gqosm/internal/gram"
 	"gqosm/internal/obs"
@@ -138,7 +137,7 @@ func (b *Broker) teardown(id sla.ID, final sla.State, reason string) error {
 // code that ends a session: of two racing teardowns only the one that made
 // the transition cancels the job and the reservation.
 func (b *Broker) teardownIf(id sla.ID, final sla.State, reason string, pred func(*session) bool) error {
-	started := time.Now()
+	started := b.clock.Now()
 	b.mu.Lock()
 	s, ok := b.sessions[id]
 	if !ok {
@@ -185,7 +184,7 @@ func (b *Broker) teardownIf(id sla.ID, final sla.State, reason string, pred func
 	if err := b.giveBack(id, handle); err != nil && !errors.Is(err, ErrRMUnavailable) {
 		b.logf("clearing", id, "reservation cancel: %v", err)
 	}
-	b.met.teardownSeconds.Observe(time.Since(started).Seconds())
+	b.met.teardownSeconds.Observe(b.clock.Now().Sub(started).Seconds())
 	b.journal("persist", id)
 	return nil
 }

@@ -11,7 +11,8 @@ import (
 // nil check per event and nothing else.
 type brokerMetrics struct {
 	// Latency histograms for the three operations with multi-component
-	// critical paths (discovery → allocator → GARA → timers).
+	// critical paths (discovery → allocator → GARA → timers), timed on the
+	// injected clock: real time under aqosd, virtual time in a simulation.
 	admitSeconds    *obs.Histogram
 	renegSeconds    *obs.Histogram
 	teardownSeconds *obs.Histogram

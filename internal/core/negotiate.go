@@ -174,15 +174,15 @@ func (b *Broker) prepare(req Request) (*admission, error) {
 
 // admit runs the negotiation phase for a batch of prepared admissions and
 // resolves every member. It is the pipeline's one entry:
-// the invariant debug hook fires once per call, and the wall-clock
-// admission latency (time.Now, not b.clock: the injected clock measures
-// simulated time, the histogram how long the broker actually works) is
-// observed as each member's amortized share.
+// the invariant debug hook fires once per call, and the admission latency
+// on the injected clock (the real clock's monotonic reading under aqosd,
+// virtual time under a manual clock) is observed as each member's
+// amortized share.
 func (b *Broker) admit(batch []*admission) {
 	defer b.debugCheck("admit")
-	started := time.Now()
+	started := b.clock.Now()
 	b.negotiate(batch)
-	per := (time.Since(started) / time.Duration(len(batch))).Seconds()
+	per := (b.clock.Now().Sub(started) / time.Duration(len(batch))).Seconds()
 	for range batch {
 		b.met.admitSeconds.Observe(per)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
@@ -30,8 +29,8 @@ type RenegotiationResult struct {
 // keeps its identity, reservation handle and validity window; only
 // quality and price change. On failure the previous agreement stands.
 func (b *Broker) Renegotiate(id sla.ID, newSpec sla.Spec) (*RenegotiationResult, error) {
-	started := time.Now()
-	defer func() { b.met.renegSeconds.Observe(time.Since(started).Seconds()) }()
+	started := b.clock.Now()
+	defer func() { b.met.renegSeconds.Observe(b.clock.Now().Sub(started).Seconds()) }()
 	defer b.debugCheck("renegotiate")
 	if err := newSpec.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)

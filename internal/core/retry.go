@@ -140,9 +140,9 @@ func (r *policyRunner) run(site string, attempts int, op func() error) error {
 				r.sleep(d)
 			}
 		}
-		start := time.Now()
+		start := r.b.clock.Now()
 		err := r.attempt(site, op)
-		m.seconds.Observe(time.Since(start).Seconds())
+		m.seconds.Observe(r.b.clock.Now().Sub(start).Seconds())
 		if err == nil {
 			return nil
 		}

@@ -103,42 +103,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum.value()
 }
 
-// Quantile estimates the q-th quantile (0 < q <= 1) by linear
-// interpolation within the bucket containing the target rank. Returns
-// 0 when empty. Observations in the +Inf bucket clamp to the top
-// finite bound. Safe on a nil receiver.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			continue
-		}
-		cum += n
-		if float64(cum) < rank {
-			continue
-		}
-		if i >= len(h.bounds) { // +Inf bucket
-			return h.bounds[len(h.bounds)-1]
-		}
-		lower := 0.0
-		if i > 0 {
-			lower = h.bounds[i-1]
-		}
-		frac := (rank - float64(cum-n)) / float64(n)
-		return lower + (h.bounds[i]-lower)*frac
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // metricKind discriminates series stored in a family.
 type metricKind int
 

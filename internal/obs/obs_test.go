@@ -17,7 +17,7 @@ func TestCounterNilSafe(t *testing.T) {
 	}
 	var h *Histogram
 	h.Observe(1)
-	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
+	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil histogram has state")
 	}
 	var r *Registry
@@ -77,31 +77,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 	if got := h.Sum(); math.Abs(got-312.5001) > 1e-9 {
 		t.Fatalf("sum = %v", got)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("q", "", []float64{10, 20, 30})
-	// 10 observations uniformly in (0,10]: p50 interpolates to ~5.
-	for i := 0; i < 10; i++ {
-		h.Observe(5)
-	}
-	if got := h.Quantile(0.5); math.Abs(got-5) > 1e-9 {
-		t.Fatalf("p50 = %v, want 5", got)
-	}
-	// Push 10 more into (20,30]; p95 must land in the top bucket.
-	for i := 0; i < 10; i++ {
-		h.Observe(25)
-	}
-	if got := h.Quantile(0.95); got <= 20 || got > 30 {
-		t.Fatalf("p95 = %v, want in (20,30]", got)
-	}
-	// Observations beyond the last bound clamp to it.
-	h2 := r.Histogram("q2", "", []float64{1})
-	h2.Observe(50)
-	if got := h2.Quantile(0.99); got != 1 {
-		t.Fatalf("overflow quantile = %v, want clamp to 1", got)
 	}
 }
 

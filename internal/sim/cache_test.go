@@ -19,7 +19,7 @@ func TestParallelCacheHitRate(t *testing.T) {
 	if rep.Outcome.CacheHitRate <= 0 {
 		t.Errorf("hit rate = %v, want > 0", rep.Outcome.CacheHitRate)
 	}
-	if !strings.Contains(string(stripped(t, rep)), `"cache_hit_rate":`) {
+	if !strings.Contains(string(marshal(t, rep)), `"cache_hit_rate":`) {
 		t.Error("report omits cache_hit_rate")
 	}
 }
@@ -39,7 +39,7 @@ func TestChaosDeterministicWithCaches(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}
-	if ja, jb := stripped(t, a), stripped(t, b); string(ja) != string(jb) {
+	if ja, jb := marshal(t, a), marshal(t, b); string(ja) != string(jb) {
 		t.Errorf("chaos replay diverged:\n%s\nvs\n%s", ja, jb)
 	}
 	if a.Failed() {

@@ -5,12 +5,10 @@ import (
 	"testing"
 )
 
-// stripped marshals a report without its wall-clock block.
-func stripped(t *testing.T, rep *Report) []byte {
+// marshal is the report's JSON document.
+func marshal(t *testing.T, rep *Report) []byte {
 	t.Helper()
-	c := *rep
-	c.Latency = nil
-	buf, err := json.Marshal(&c)
+	buf, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,14 +16,14 @@ func stripped(t *testing.T, rep *Report) []byte {
 }
 
 // chaosRun executes a small chaos run and returns its report, also
-// marshaled without the latency block.
+// marshaled.
 func chaosRun(t *testing.T, cfg StressConfig) (*Report, []byte) {
 	t.Helper()
 	res, err := RunChaos(cfg)
 	if err != nil {
 		t.Fatalf("RunChaos: %v", err)
 	}
-	return res, stripped(t, res)
+	return res, marshal(t, res)
 }
 
 func TestRunChaosDeterministic(t *testing.T) {

@@ -46,7 +46,7 @@ func TestClusterSimDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ja, jb := stripped(t, a), stripped(t, b); string(ja) != string(jb) || a.Digest != b.Digest {
+	if ja, jb := marshal(t, a), marshal(t, b); string(ja) != string(jb) || a.Digest != b.Digest {
 		t.Fatalf("non-deterministic:\n%s\nvs\n%s", ja, jb)
 	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -247,11 +246,9 @@ type engine struct {
 	capacityRestored bool
 	// faults carries the drain's reconciled cancels and the retry budget
 	// spent by broker incarnations a kill has since replaced.
-	faults     Faults
-	recovery   Recovery  // one increment / entry per kill
-	recoveryMS []float64 // wall-clock core.Recover times
-	migration  Migration
-	lat        map[string]any
+	faults    Faults
+	recovery  Recovery // one increment / entry per kill
+	migration Migration
 }
 
 // maxDetails bounds the violation strings a report carries.
@@ -305,8 +302,6 @@ func (e *engine) quiesce(stage string, final bool) {
 // play runs the step loop with its perturbations and mid-run oracle
 // passes. A non-nil error means the harness itself failed.
 func (e *engine) play() error {
-	sw := startStopwatch()
-	defer func() { e.lat = map[string]any{"elapsed_ms": sw.ms()} }()
 	killEvery := e.steps / (e.kills + 1)
 	for i := 0; i < e.steps; i++ {
 		e.work.step(i)
@@ -364,12 +359,10 @@ func (e *engine) kill() error {
 
 	e.addRetryStats(m.Broker)
 	m.Broker.Crash()
-	sw := startStopwatch()
 	stats, err := m.RecoverBroker()
 	if err != nil {
 		return fmt.Errorf("%s: recover: %w", stage, err)
 	}
-	e.recoveryMS = append(e.recoveryMS, sw.ms())
 	e.recovery.ReplayedRecords += stats.ReplayedRecords
 	e.recovery.SnapshotSeqs = append(e.recovery.SnapshotSeqs, stats.SnapshotSeq)
 	e.recovery.Adopted += stats.Adopted
@@ -448,24 +441,4 @@ func orDefault(knob *int, def int) {
 	if *knob <= 0 {
 		*knob = def
 	}
-}
-
-// stopwatch is the package's single wall-clock read site: every elapsed
-// and latency field of every report is measured through it, so the
-// deterministic fields never depend on the real clock.
-type stopwatch time.Time
-
-func startStopwatch() stopwatch { return stopwatch(time.Now()) }
-
-// ms is the elapsed time in (fractional) milliseconds.
-func (s stopwatch) ms() float64 { return float64(time.Since(time.Time(s))) / float64(time.Millisecond) }
-
-// percentile reads the nearest-rank percentile (the ⌈p·n⌉-th smallest
-// value) from an ascending slice; 0 when empty.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(p * float64(len(sorted))))
-	return sorted[min(max(rank, 1), len(sorted))-1]
 }

@@ -2,7 +2,6 @@ package sim_test
 
 import (
 	"encoding/json"
-	"math"
 	"strings"
 	"testing"
 
@@ -49,9 +48,9 @@ func TestRunParallelDeterministicSchedules(t *testing.T) {
 }
 
 // TestRunParallelReportSchema pins the JSON schema consumers of
-// BENCH_parallel.json rely on: every wall-clock number — elapsed time in
-// explicit milliseconds, throughput, the admission-latency percentiles —
-// sits under the latency key, and nowhere else.
+// BENCH_parallel.json rely on: the versioned document, and no wall-clock
+// number anywhere in it, not even for the one mode whose interleaving is
+// not deterministic.
 func TestRunParallelReportSchema(t *testing.T) {
 	res, err := sim.RunParallel(sim.StressConfig{
 		Clients: 4, Ops: 400, Phases: 4, Seed: 7,
@@ -64,31 +63,16 @@ func TestRunParallelReportSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Schema  string
-		Latency map[string]float64
-	}
+	var doc struct{ Schema string }
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
 	}
 	if doc.Schema != sim.Schema {
 		t.Errorf("schema = %q, want %q", doc.Schema, sim.Schema)
 	}
-	lat := doc.Latency
-	for _, key := range []string{"elapsed_ms", "ops_per_sec", "admit_p50_ms", "admit_p95_ms", "admit_p99_ms"} {
-		if v, ok := lat[key]; !ok || v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Errorf("latency.%s = %v, want a positive finite value", key, v)
-		}
-	}
-	if want := float64(res.Outcome.Ops) / (lat["elapsed_ms"] / 1e3); math.Abs(lat["ops_per_sec"]-want) > 1e-6*want {
-		t.Errorf("ops_per_sec %v does not match %d ops over %v ms", lat["ops_per_sec"], res.Outcome.Ops, lat["elapsed_ms"])
-	}
-	if lat["admit_p50_ms"] > lat["admit_p95_ms"] || lat["admit_p95_ms"] > lat["admit_p99_ms"] {
-		t.Errorf("percentiles not monotone: %v", lat)
-	}
-	for _, old := range []string{`"Elapsed"`, `"OpsPerSec"`} {
+	for _, old := range []string{`"latency"`, `"elapsed_ms"`, `"ops_per_sec"`, `"Elapsed"`, `"OpsPerSec"`} {
 		if strings.Contains(string(raw), old) {
-			t.Errorf("report still carries the retired key %s: %s", old, raw)
+			t.Errorf("report carries the wall-clock key %s: %s", old, raw)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"sort"
 
 	"gqosm/internal/core"
 )
@@ -18,10 +17,10 @@ const Schema = "gqosm.report/v1"
 
 // Report is what a run hands back and what gridsim -json marshals.
 //
-// Everything outside Latency is a function of the configuration: two runs
-// of a deterministic mode are byte-identical once every "latency" key is
-// deleted. A counter a run measures is always emitted, zero included;
-// "not measured" is an absent sub-block, never an omitted scalar.
+// It carries only what the run determines: nothing in it is read off the
+// wall clock, so two runs of a deterministic mode are byte-identical. A
+// counter a run measures is always emitted, zero included; "not
+// measured" is an absent sub-block, never an omitted scalar.
 type Report struct {
 	Schema string `json:"schema"`
 	// Mode is the gridsim mode-table row (or, for a child, the entry point)
@@ -31,13 +30,9 @@ type Report struct {
 	Config  map[string]any `json:"config"`
 	Outcome Outcome        `json:"outcome"`
 	Oracle  Oracle         `json:"oracle"`
-	// Digest hashes the document without its latency blocks and with each
-	// child stood in for by its own digest.
+	// Digest hashes the document with each child stood in for by its own
+	// digest.
 	Digest string `json:"digest"`
-	// Latency holds every wall-clock or runtime-derived number and nothing
-	// else: elapsed time, throughput, admission and recovery percentiles,
-	// soak health samples.
-	Latency map[string]any `json:"latency,omitempty"`
 	// Runs nests the children of a composite mode by name.
 	Runs map[string]*Report `json:"runs,omitempty"`
 }
@@ -68,6 +63,7 @@ type Outcome struct {
 	Recovery  *Recovery      `json:"recovery,omitempty"`  // kill + WAL recovery
 	Migration *Migration     `json:"migration,omitempty"` // forced hand-offs
 	Handoff   *Handoff       `json:"handoff,omitempty"`   // hand-off crash drill
+	Soak      *SoakTally     `json:"soak,omitempty"`      // long-run working set
 }
 
 // Tally is what every engine run measures: the workload's lifecycle
@@ -130,7 +126,7 @@ type Faults struct {
 	// drain-time reconciliation sweeps.
 	ReconciledCancels int `json:"reconciled_cancels"`
 	// VirtualP95MS is the p95 of injected virtual latency (recorded delays
-	// plus timed-out attempt deadlines) — deterministic, unlike Latency.
+	// plus timed-out attempt deadlines).
 	VirtualP95MS float64 `json:"virtual_p95_ms"`
 }
 
@@ -202,7 +198,7 @@ func NewReport(mode string, config map[string]any, runs map[string]*Report) *Rep
 // Seal computes the digest; it is the last step of building a report.
 func (r *Report) Seal() *Report {
 	bare, children := *r, map[string]string{}
-	bare.Digest, bare.Latency, bare.Runs = "", nil, nil
+	bare.Digest, bare.Runs = "", nil
 	for name, child := range r.Runs {
 		children[name] = child.Digest
 	}
@@ -223,7 +219,7 @@ func Hash(values ...any) string {
 // report fills the run's document from what the engine did. Run after
 // finish; the caller adds what only it knows, then Seals.
 func (e *engine) report(mode string, config map[string]any) *Report {
-	r := &Report{Schema: Schema, Mode: mode, Config: config, Oracle: e.oracle, Latency: e.lat,
+	r := &Report{Schema: Schema, Mode: mode, Config: config, Oracle: e.oracle,
 		Outcome: Outcome{Tally: &Tally{}}}
 	r.Oracle.Gates = map[string]bool{"capacity_restored": e.capacityRestored}
 	o, t := &r.Outcome, r.Outcome.Tally
@@ -258,7 +254,6 @@ func (e *engine) report(mode string, config map[string]any) *Report {
 		t.IntakeBatchMean = float64(submitted) / float64(flushes)
 	}
 
-	first := e.topo.members[0]
 	if inj := e.topo.inj; inj != nil {
 		f := e.faults
 		f.Injected, f.ByKind, f.VirtualP95MS = inj.Total(), inj.CountsByKind(), inj.VirtualP95MS()
@@ -267,29 +262,13 @@ func (e *engine) report(mode string, config map[string]any) *Report {
 	if e.kills > 0 {
 		rec := e.recovery
 		rec.Restarts = e.kills
-		rec.WALRecords, _, rec.WALSnapshots = first.Broker.WALStats()
+		rec.WALRecords, _, rec.WALSnapshots = e.topo.members[0].Broker.WALStats()
 		o.Recovery = &rec
 		r.Oracle.Gates["digests_match"] = rec.DigestMatches == rec.Restarts
-		sort.Float64s(e.recoveryMS)
-		r.Latency["recovery_p95_ms"] = percentile(e.recoveryMS, 0.95)
 	}
 	if e.migrateEvery > 0 {
 		mig := e.migration
 		o.Migration = &mig
-	}
-
-	if ms := r.Latency["elapsed_ms"].(float64); ms > 0 {
-		r.Latency["ops_per_sec"] = float64(t.Ops) / (ms / 1e3)
-	}
-	if len(e.topo.members) == 1 {
-		// Estimated from the broker's histogram by linear interpolation
-		// within fixed buckets.
-		admit := first.Obs.Histogram("gqosm_broker_admission_seconds",
-			"RequestService latency (discovery, admission, reservation)", nil)
-		r.Latency["admit_p50_ms"] = admit.Quantile(0.50) * 1e3
-		r.Latency["admit_p95_ms"] = admit.Quantile(0.95) * 1e3
-		r.Latency["admit_p99_ms"] = admit.Quantile(0.99) * 1e3
-		r.Latency["admit_samples"] = admit.Count()
 	}
 	return r
 }

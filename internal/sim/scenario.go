@@ -22,7 +22,7 @@ import (
 // arrival per step. Scenarios follow the engine's determinism rules — one
 // manual clock, serial client behavior, seeded PRNG streams with fixed
 // draw order — so a (scenario, seed, ops) tuple produces a
-// byte-identical report once its latency key is deleted.
+// byte-identical report.
 
 // OfferAction is a scenario client's reaction to a negotiated offer.
 type OfferAction int
@@ -144,10 +144,6 @@ type ScenarioRun struct {
 	// live holds negotiated sessions believed active, for hooks that
 	// pick renegotiation targets; lazily compacted.
 	live []sla.ID
-
-	// onAdmission, when set, observes each negotiated admission's
-	// wall-clock milliseconds (the soak samples its windows this way).
-	onAdmission func(ms float64)
 }
 
 // Account returns the named tenant's budget account, creating it with
@@ -386,11 +382,7 @@ func (run *ScenarioRun) arrive(i int, a Arrival) (id sla.ID, admitted bool) {
 	}
 	run.op()
 	r.Requested++
-	sw := startStopwatch()
 	offer, err := b.RequestService(req)
-	if run.onAdmission != nil {
-		run.onAdmission(sw.ms())
-	}
 	if err != nil {
 		r.Rejected++
 		if errors.Is(err, core.ErrOverBudget) {

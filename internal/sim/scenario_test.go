@@ -152,11 +152,11 @@ func TestRunScenarioQuickAndDeterministic(t *testing.T) {
 				t.Errorf("oracle violations or failed scenario assertions: %+v", r1.Oracle)
 			}
 			if r1.Outcome.Ops == 0 || r1.Outcome.Requested == 0 {
-				t.Fatalf("degenerate run: %s", stripped(t, r1))
+				t.Fatalf("degenerate run: %s", marshal(t, r1))
 			}
 
 			r2 := runQuick(t, sc, 1)
-			if j1, j2 := stripped(t, r1), stripped(t, r2); !bytes.Equal(j1, j2) || r1.Digest != r2.Digest {
+			if j1, j2 := marshal(t, r1), marshal(t, r2); !bytes.Equal(j1, j2) || r1.Digest != r2.Digest {
 				t.Errorf("nondeterministic report:\n%s\nvs\n%s", j1, j2)
 			}
 

@@ -23,8 +23,7 @@ import (
 // deterministic per-client seed schedule:
 //
 //   - RunParallel: the clients are goroutines; the global interleaving
-//     is not deterministic, the per-client schedules are. Measures
-//     throughput and admission latency.
+//     is not deterministic, the per-client schedules are.
 //   - RunChaos: stress + fault rate > 0, stepped serially round-robin.
 //     The substrates (GARA managers, NRM, GRAM) and the broker's
 //     RM-facing call sites inject seeded faults — errors, virtual
@@ -33,8 +32,7 @@ import (
 //     is accounted virtually (recorded, never slept). Two runs with the
 //     same configuration produce bit-identical reports.
 //   - RunRestartChaos: chaos + WAL + N kill points (see engine.kill).
-//     Deterministic too; the wall-clock recovery time sits under the
-//     report's latency key like every other clock reading.
+//     Deterministic too.
 
 // StressConfig sizes a stress run; the three entry points share it.
 type StressConfig struct {
@@ -98,10 +96,10 @@ func DefaultParallelPlan() core.CapacityPlan {
 	}
 }
 
-// RunParallel executes the concurrent lifecycle stress: throughput and
-// admission latency under goroutine clients. A non-nil error means the
-// harness itself failed; oracle violations, and capacity lost or
-// double-spent by the end, land in the report for the caller to gate on.
+// RunParallel executes the concurrent lifecycle stress under goroutine
+// clients. A non-nil error means the harness itself failed; oracle
+// violations, and capacity lost or double-spent by the end, land in the
+// report for the caller to gate on.
 func RunParallel(cfg StressConfig) (*Report, error) { return runStress("parallel", cfg, true, false) }
 
 // RunChaos replays the stress workload serially under seeded fault
