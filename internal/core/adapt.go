@@ -356,8 +356,8 @@ func (a *Allocator) AllocateGuaranteed(user string, requested, floor resource.Ca
 
 // allocateGuaranteedLocked is the Algorithm-1 admission core of
 // AllocateGuaranteedBatch. The caller holds a.mu and is responsible for
-// running rebalanceLocked + publishLocked after its grant(s) — that is
-// exactly what a batch amortizes.
+// running rebalanceLocked + publishLocked after grant(s) that changed the
+// book — that is exactly what a batch amortizes.
 func (a *Allocator) allocateGuaranteedLocked(user string, requested, floor resource.Capacity) (GrantResult, error) {
 	prev, hadPrev := a.guaranteed[user]
 	base := a.gDemandLocked()
@@ -411,11 +411,13 @@ type GuaranteedAsk struct {
 // per-admission lock acquisition, best-effort rebalance and read-view
 // publication are paid once per batch instead of once per request.
 // Each ask's Grant / Err report its outcome; failed members
-// (ErrCannotHonor, validation) leave the book untouched.
+// (ErrCannotHonor, validation) leave the book untouched, and so does a
+// re-grant of the amount a user already holds: when no member changed
+// the book, the published view stays the same pointer.
 func (a *Allocator) AllocateGuaranteedBatch(asks []GuaranteedAsk) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	granted := false
+	changed := false
 	for i := range asks {
 		ask := &asks[i]
 		switch {
@@ -424,11 +426,12 @@ func (a *Allocator) AllocateGuaranteedBatch(asks []GuaranteedAsk) {
 		case !ask.Requested.IsNonNegative():
 			ask.Err = fmt.Errorf("core: negative request %v", ask.Requested)
 		default:
+			prev, held := a.guaranteed[ask.User]
 			ask.Grant, ask.Err = a.allocateGuaranteedLocked(ask.User, ask.Requested, ask.Floor)
-			granted = granted || ask.Err == nil
+			changed = changed || ask.Err == nil && (!held || ask.Grant.Granted != prev)
 		}
 	}
-	if granted {
+	if changed {
 		a.rebalanceLocked()
 		a.publishLocked()
 	}

@@ -170,6 +170,41 @@ func TestReallocateReplacesGrant(t *testing.T) {
 	}
 }
 
+// TestUnchangedGrantKeepsView: a re-grant of the amount a user already
+// holds (here the floor, with the pool full) leaves the book as it was, so
+// the published read view stays the same pointer; a changed grant, or a
+// new user, publishes a fresh one.
+func TestUnchangedGrantKeepsView(t *testing.T) {
+	a := newPaperAllocator(t)
+	if _, err := a.AllocateGuaranteed("u", resource.Nodes(4), resource.Nodes(4)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.AllocateGuaranteed("full", resource.Nodes(11), resource.Nodes(11)); err != nil {
+		t.Fatal(err)
+	}
+	v := a.view.Load()
+	grant, err := a.AllocateGuaranteed("u", resource.Nodes(8), resource.Nodes(4))
+	if err != nil || !grant.Granted.Equal(resource.Nodes(4)) {
+		t.Fatalf("re-grant = %+v, %v; want the held floor of 4", grant, err)
+	}
+	if a.view.Load() != v {
+		t.Error("an unchanged grant republished the read view")
+	}
+	if _, err := a.AllocateGuaranteed("u", resource.Nodes(3), resource.Nodes(3)); err != nil {
+		t.Fatal(err)
+	}
+	if w := a.view.Load(); w == v || !w.availG.Equal(resource.Nodes(1)) {
+		t.Errorf("a changed grant kept the old view (headroom %v, want 1)", w.availG)
+	}
+	v = a.view.Load()
+	if _, err := a.AllocateGuaranteed("new", resource.Nodes(1), resource.Nodes(1)); err != nil {
+		t.Fatal(err)
+	}
+	if a.view.Load() == v {
+		t.Error("a new user's grant kept the old view")
+	}
+}
+
 func TestBestEffortBorrowsIdleCapacity(t *testing.T) {
 	a := newPaperAllocator(t)
 	// Nothing running: best effort may use all 26 nodes.

@@ -139,6 +139,11 @@ type session struct {
 	// moving marks a reallocate between its allocator grant and its
 	// commit, where the broker lock is dropped; a second move is refused.
 	moving bool
+	// stale marks a reservation that may not match the document: a
+	// failed gara.modify, or rollback moving the document to what the
+	// allocator kept. The next move calls gara.modify even for the same
+	// grant; a successful modify clears it.
+	stale bool
 	// violations counts detected SLA violations.
 	violations int
 	// proposedAt is when the offer was made; the lifecycle oracle's

@@ -16,6 +16,9 @@ func (b *Broker) HandleDegradation(id sla.ID, measured resource.Capacity) {
 	b.handleDegradation(id, measured)
 }
 
+// ErrShortfall is what a restore granted only its floor returns.
+var ErrShortfall = errShortfall
+
 // BehindReads runs f, then republishes the read view from before it: the
 // advisory reads lag the book the way they do for a caller that read them
 // just before f ran on another goroutine. The next mutation publishes a

@@ -995,6 +995,48 @@ func TestDegradeRestoreAllocGate(t *testing.T) {
 	t.Logf("degrade + restore at 16 live sessions: %.0f allocs", allocs)
 }
 
+// TestNoopRestoreAllocGate is the restore pass's common case when
+// capacity is short: a degraded session is asked back up, Algorithm 1
+// hands it the floor it already holds, and the move is not made. That
+// changes nothing, so it allocates nothing — no RSL, no RM call, no
+// journal record, no read-view republish.
+func TestNoopRestoreAllocGate(t *testing.T) {
+	if RaceEnabled() {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	clock := clockx.NewManual(t0)
+	reg := registry.New(clock)
+	if _, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-a", Properties: simulationProps()}); err != nil {
+		t.Fatal(err)
+	}
+	b := miniBroker(t, clock, reg, false)
+	establish, guaranteed, controlled := allocGatePopulation(t, b)
+	id := establish(controlled)
+	for i := 0; i < 13; i++ {
+		establish(guaranteed)
+	}
+	if err := b.degradeToFloor(id); err != nil {
+		t.Fatal(err)
+	}
+	// Two more sessions take the rest of C_G's 40 nodes.
+	full := guaranteed
+	full.Spec = sla.NewSpec(sla.Exact(resource.CPU, (40-13*0.25-0.5)/2), sla.Exact(resource.MemoryMB, 128))
+	establish(full)
+	establish(full)
+
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := b.restore(id); !errors.Is(err, errShortfall) {
+			t.Fatalf("restore = %v, want the shortfall", err)
+		}
+	})
+	if doc, _ := b.Session(id); doc.Allocated.CPU != 0.5 || b.met.restored.Value() != 0 {
+		t.Fatalf("no-op restore moved the session to %v", doc.Allocated)
+	}
+	if allocs != 0 {
+		t.Errorf("no-op restore at 16 live sessions allocates %.0f objects, want 0", allocs)
+	}
+}
+
 func BenchmarkDiscovery(b *testing.B) {
 	clock := clockx.NewManual(t0)
 	reg := registry.New(clock)

@@ -205,7 +205,7 @@ func (b *Broker) afterRelease() {
 		}
 	}
 	b.mu.Unlock()
-	sort.Slice(degraded, func(i, j int) bool { return degraded[i] < degraded[j] })
+	slices.Sort(degraded)
 	for _, id := range degraded {
 		_ = b.restore(id)
 	}
@@ -337,7 +337,18 @@ func (b *Broker) reallocate(id sla.ID, m move) (r reallocation, err error) {
 		return r, err // refused: the previous grant stands, nothing to walk back
 	}
 	r.applied, r.short = grant.Granted, !grant.Shortfall.IsZero()
-	handle, rsl := s.handle, reservationRSL(*spec, r.applied)
+	// A grant the reservation already holds, under the same spec and
+	// with no offer to bill, needs no RM call. Not made as well, the
+	// move changes nothing at all: no document, ledger or journal write.
+	unchanged := m.spec == nil && m.offer == 0 && !s.stale && r.applied == s.doc.Allocated
+	if unchanged && r.short && m.short == keepShort {
+		b.mu.Unlock()
+		return r, errShortfall
+	}
+	handle, rsl := s.handle, ""
+	if !unchanged {
+		rsl = reservationRSL(*spec, r.applied)
+	}
 	s.moving = true
 	b.mu.Unlock()
 	defer func() {
@@ -347,16 +358,20 @@ func (b *Broker) reallocate(id sla.ID, m move) (r reallocation, err error) {
 	}()
 
 	if r.short && m.short == refuseShort {
-		b.rollback(id, m.spec, r.applied)
+		b.rollback(id, m.spec, r.applied, false)
 		return r, fmt.Errorf("%w: %s: capacity for %v no longer available", ErrBadState, id, m.target)
 	}
-	if err := b.pol.call("gara.modify", func() error {
-		return b.cfg.GARA.Modify(handle, rsl)
-	}); err != nil {
-		// The document (and billing) keep the old quality, so the
-		// allocator must be walked back too or the books skew.
-		b.rollback(id, m.spec, r.applied)
-		return r, fmt.Errorf("core: apply allocation %s: %w", id, err)
+	if !unchanged {
+		if err := b.pol.call("gara.modify", func() error {
+			return b.cfg.GARA.Modify(handle, rsl)
+		}); err != nil {
+			// The document (and billing) keep the old quality, so the
+			// allocator must be walked back too or the books skew. The
+			// modify may have committed before it failed (a lost reply,
+			// an abandoned attempt), so the reservation is stale.
+			b.rollback(id, m.spec, r.applied, true)
+			return r, fmt.Errorf("core: apply allocation %s: %w", id, err)
+		}
 	}
 
 	b.mu.Lock()
@@ -365,6 +380,7 @@ func (b *Broker) reallocate(id sla.ID, m move) (r reallocation, err error) {
 		b.mu.Unlock()
 		return r, fmt.Errorf("%w: %s ended during reallocation", ErrBadState, id)
 	}
+	s.stale = false // modified, or already matching
 	r.old, r.billed = b.book(s, m.spec, r.applied, m.offer)
 	made := !r.short || m.short == followShort
 	if made {
@@ -449,17 +465,19 @@ func (b *Broker) bill(id sla.ID, amount float64, notes [2]string, promotion bool
 // whose freed headroom another session took) the allocator keeps held and
 // the document is moved to match, billed at list price — delivered
 // quality and billing move together. Either way document and allocator
-// agree again; the reservation may be stale until the next successful
-// modify or teardown, which is logged. spec is the specification held was
+// agree again. A moved document no longer matches the reservation, which
+// is marked stale (DESIGN.md §18), as it is whenever stale says a failed
+// modify may have changed it; the session's next move re-sends it. spec is the specification held was
 // granted under when the move replaces it. A session torn down meanwhile
 // needs nothing: its grant is released.
-func (b *Broker) rollback(id sla.ID, spec *sla.Spec, held resource.Capacity) {
+func (b *Broker) rollback(id sla.ID, spec *sla.Spec, held resource.Capacity, stale bool) {
 	b.mu.Lock()
 	s, ok := b.sessions[id]
 	if !ok || s.doc.State.Terminal() {
 		b.mu.Unlock()
 		return
 	}
+	s.stale = s.stale || stale
 	prev := s.doc.Allocated
 	if _, err := b.alloc.AllocateGuaranteed(string(id), prev, prev); err == nil {
 		b.mu.Unlock()
@@ -469,6 +487,7 @@ func (b *Broker) rollback(id sla.ID, spec *sla.Spec, held resource.Capacity) {
 		return
 	}
 	_, delta := b.book(s, spec, held, 0)
+	s.stale = true
 	b.logf("adapt", id, "failed modify: allocator kept %v, reservation spec stale", held)
 	b.mu.Unlock()
 	b.bill(id, delta, qualityNotes, false)

@@ -8,8 +8,12 @@ package core_test
 // rather than hoped for.
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,9 +38,11 @@ var reallocT0 = time.Date(2003, 6, 16, 9, 0, 0, 0, time.UTC)
 type hookRM struct {
 	gara.ResourceManager
 	afterModify func() error
+	modifies    int // Modify calls that reached the manager
 }
 
 func (m *hookRM) Modify(token string, spec *rsl.Node) error {
+	m.modifies++
 	if err := m.ResourceManager.Modify(token, spec); err != nil {
 		return err
 	}
@@ -83,7 +89,7 @@ const (
 	outbid
 )
 
-func newScene(t *testing.T, start sceneStart) *scene {
+func newScene(t *testing.T, start sceneStart, mods ...func(*core.Config)) *scene {
 	t.Helper()
 	s := &scene{t: t, clock: clockx.NewManual(reallocT0)}
 	s.pool = resource.NewPool("p", cpu(20))
@@ -99,12 +105,16 @@ func newScene(t *testing.T, start sceneStart) *scene {
 	gramM := gram.NewManager(s.clock)
 	t.Cleanup(gramM.Close)
 	s.inj = faultx.New(1, s.clock)
-	b, err := core.NewBroker(core.Config{
+	cfg := core.Config{
 		Domain: "site-a", Clock: s.clock,
 		Plan:     core.CapacityPlan{Guaranteed: cpu(12), Adaptive: cpu(4), BestEffort: cpu(4)},
 		Registry: reg, GARA: s.g, GRAM: gramM, Faults: s.inj,
 		ConfirmWindow: time.Hour,
-	})
+	}
+	for _, mod := range mods {
+		mod(&cfg)
+	}
+	b, err := core.NewBroker(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,6 +525,147 @@ func TestReallocateMatrix(t *testing.T) {
 			}
 			err := m.run(s)
 			m.expect(s, err, false, held)
+			s.check()
+		})
+	}
+}
+
+// TestReallocateUnchangedRestoreIsFree: with the guaranteed pool full, a
+// restore is granted only the floor the degraded session already holds.
+// That move changes nothing, so it costs nothing: no gara.modify, no WAL
+// record, no ledger entry, the document byte for byte as it was.
+func TestReallocateUnchangedRestoreIsFree(t *testing.T) {
+	s := newScene(t, atBest, func(c *core.Config) { c.Durability.Dir = t.TempDir() })
+	if err := s.b.DegradeToFloor(s.x); err != nil {
+		t.Fatal(err)
+	}
+	s.establish(s.guaranteed("filler", 6)) // C_G is full again
+	doc := func() []byte {
+		d, err := s.b.Session(s.x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	before, entries := doc(), len(s.b.Ledger().Entries())
+	modifies := s.rm.modifies
+	appends, _, _ := s.b.WALStats()
+
+	err := s.b.Restore(s.x)
+	if !errors.Is(err, core.ErrShortfall) {
+		t.Errorf("restore = %v, want the shortfall", err)
+	}
+	if n := s.rm.modifies - modifies; n != 0 {
+		t.Errorf("no-op restore made %d gara.modify call(s), want 0", n)
+	}
+	if after, _, _ := s.b.WALStats(); after != appends {
+		t.Errorf("no-op restore appended %d WAL record(s), want 0", after-appends)
+	}
+	if after := doc(); !bytes.Equal(after, before) {
+		t.Errorf("document moved:\n%s\nwant\n%s", after, before)
+	}
+	if n := len(s.b.Ledger().Entries()); n != entries {
+		t.Errorf("ledger grew by %d entries", n-entries)
+	}
+	if info := s.info(); !info.Degraded || info.State != sla.StateDegraded {
+		t.Errorf("session %s degraded=%v, want still degraded", info.State, info.Degraded)
+	}
+	s.check()
+}
+
+// reservedSpec is the RSL GARA holds for x.
+func (s *scene) reservedSpec() string {
+	s.t.Helper()
+	h, ok := s.g.FindByTag(string(s.x))
+	if !ok {
+		s.t.Fatal("no reservation for the session")
+	}
+	r, err := s.g.Get(h)
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	return r.Spec
+}
+
+// TestReallocateStaleReservationIsResent: when GARA may not hold the
+// documented quality, the session's next move re-sends the reservation
+// although the grant is unchanged; only the move after that is free. The
+// three ways there: rollback's stale branch moved the document, a modify
+// failed after it may have committed, or the broker was recovered from
+// its journal.
+func TestReallocateStaleReservationIsResent(t *testing.T) {
+	degrade := func(s *scene) error { return s.b.DegradeToFloor(s.x) }
+	restore := func(s *scene) error {
+		if err := s.b.Restore(s.x); !errors.Is(err, core.ErrShortfall) {
+			return fmt.Errorf("restore = %v, want the shortfall", err)
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		name  string
+		start sceneStart
+		setup func(s *scene, cfg *core.Config)
+		move  func(s *scene) error // grants x the 2 nodes it documents
+	}{
+		{"rollback-refused", atLow, func(s *scene, _ *core.Config) {
+			// The promotion falls short and is walked back, but x's 4 nodes
+			// no longer fit: the document follows the allocator to 2 while
+			// GARA still holds 4.
+			s.b.IssuePromotions()
+			s.squeeze(7)
+			if err := s.b.AcceptPromotion(s.x); !errors.Is(err, core.ErrBadState) {
+				t.Fatalf("promotion under the squeeze = %v, want ErrBadState", err)
+			}
+			if spec := s.reservedSpec(); !strings.Contains(spec, "(count=4)") {
+				t.Fatalf("setup: reservation %q, want the old 4 nodes", spec)
+			}
+		}, degrade},
+		{"failed-modify", atBest, func(s *scene, _ *core.Config) {
+			// The restore to 8 commits at GARA, its reply is lost, and the
+			// allocator is walked back to the documented 2.
+			if err := degrade(s); err != nil {
+				t.Fatal(err)
+			}
+			s.rm.afterModify = func() error { return errors.New("rm: reply lost") }
+			if err := s.b.Restore(s.x); err == nil {
+				t.Fatal("restore with a lost modify reply succeeded")
+			}
+			s.establish(s.guaranteed("filler", 6))
+		}, restore},
+		{"recovered", atBest, func(s *scene, cfg *core.Config) {
+			if err := degrade(s); err != nil {
+				t.Fatal(err)
+			}
+			s.establish(s.guaranteed("filler", 6))
+			s.b.Crash()
+			b, _, err := core.Recover(*cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(b.Close)
+			s.b = b
+		}, restore},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cfg *core.Config
+			s := newScene(t, tc.start, func(c *core.Config) { c.Durability.Dir, cfg = t.TempDir(), c })
+			tc.setup(s, cfg)
+			for i, want := range []int{1, 0} {
+				modifies := s.rm.modifies
+				if err := tc.move(s); err != nil {
+					t.Fatalf("move %d: %v", i, err)
+				}
+				if n := s.rm.modifies - modifies; n != want {
+					t.Errorf("move %d made %d gara.modify call(s), want %d", i, n, want)
+				}
+			}
+			if spec := s.reservedSpec(); !strings.Contains(spec, "(count=2)") {
+				t.Errorf("reservation %q, want the documented 2 nodes", spec)
+			}
 			s.check()
 		})
 	}

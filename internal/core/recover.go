@@ -216,6 +216,10 @@ func (b *Broker) installState(st *recoveredState) {
 			degraded:   rec.Degraded,
 			violations: rec.Violations,
 			proposedAt: rec.ProposedAt,
+			// The journal cannot say whether GARA matches the document
+			// (a crash may fall between a modify and its record), so a
+			// recovered session's first move calls gara.modify.
+			stale: true,
 		}
 		// Non-terminal sessions hold allocator grants; the grant equals
 		// the document's allocation (the invariant the oracle enforces

@@ -29,10 +29,13 @@ const (
 	parseCacheMaxInput = 1024
 )
 
+// parseCache's order is a ring of the interned inputs: once it is full,
+// order[head] is the oldest entry, evicted by overwriting its slot.
 var parseCache = struct {
 	sync.RWMutex
 	m     map[string]*Node
 	order []string
+	head  int
 }{m: make(map[string]*Node)}
 
 // ParseCached parses an RSL specification like Parse, interning
@@ -59,14 +62,14 @@ func ParseCached(input string) (*Node, error) {
 		// node so every caller shares one tree.
 		n = cached
 	} else {
-		if len(parseCache.order) >= parseCacheCap {
-			oldest := parseCache.order[0]
-			copy(parseCache.order, parseCache.order[1:])
-			parseCache.order = parseCache.order[:len(parseCache.order)-1]
-			delete(parseCache.m, oldest)
+		if len(parseCache.order) < parseCacheCap {
+			parseCache.order = append(parseCache.order, input)
+		} else {
+			delete(parseCache.m, parseCache.order[parseCache.head])
+			parseCache.order[parseCache.head] = input
+			parseCache.head = (parseCache.head + 1) % parseCacheCap
 		}
 		parseCache.m[input] = n
-		parseCache.order = append(parseCache.order, input)
 	}
 	parseCache.Unlock()
 	return n, nil

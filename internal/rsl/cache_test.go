@@ -115,6 +115,51 @@ func TestParseCacheBounded(t *testing.T) {
 	}
 }
 
+// TestParseCacheEvictsOldestFirst pins the eviction order: FIFO by
+// insertion, a hit does not refresh an entry, and a re-parsed evictee
+// enters as the newest.
+func TestParseCacheEvictsOldestFirst(t *testing.T) {
+	a := func(i int) string { return fmt.Sprintf(`&(count=%d)(label="fifo-a")`, i) }
+	b := func(i int) string { return fmt.Sprintf(`&(count=%d)(label="fifo-b")`, i) }
+	intern := func(in string) {
+		t.Helper()
+		if _, err := ParseCached(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cached := func(in string) bool {
+		parseCache.RLock()
+		defer parseCache.RUnlock()
+		_, ok := parseCache.m[in]
+		return ok
+	}
+	// The a-family fills every slot, so whatever was cached before is gone.
+	for i := 0; i < parseCacheCap; i++ {
+		intern(a(i))
+	}
+	intern(a(3)) // a hit: FIFO, not LRU
+	const k = 3
+	for i := 0; i < k; i++ {
+		intern(b(i))
+	}
+	for i := 0; i < k; i++ {
+		if cached(a(i)) {
+			t.Errorf("a(%d) survived %d newer inserts; the oldest go first", i, k)
+		}
+		if !cached(b(i)) {
+			t.Errorf("b(%d) not cached", i)
+		}
+	}
+	if !cached(a(k)) || !cached(a(parseCacheCap-1)) {
+		t.Fatalf("a(%d) or a(%d) evicted early", k, parseCacheCap-1)
+	}
+	intern(a(0)) // a miss: re-interned as the newest, evicting a(3)
+	if !cached(a(0)) || cached(a(k)) || !cached(a(k+1)) {
+		t.Errorf("after re-interning a(0): a(0)=%v a(%d)=%v a(%d)=%v, want true false true",
+			cached(a(0)), k, cached(a(k)), k+1, cached(a(k+1)))
+	}
+}
+
 // TestParseCachedHitAllocs is the deterministic allocation gate for the
 // RSL hot path: a cache hit must not allocate at all.
 func TestParseCachedHitAllocs(t *testing.T) {
