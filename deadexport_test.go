@@ -25,7 +25,6 @@ import (
 // of the paper that only tests drive. Anything else the test lists is
 // deleted.
 var testOnlyExports = map[string]string{
-	"core.wireError.Unwrap":       "interface method: errors.Is/As reach the taxonomy sentinel through it",
 	"core.Broker.SetDebugHook":    "oracle seam: runs invariant.CheckAll after every mutating operation in tests and fuzzing",
 	"core.Broker.DebugViolations": "oracle seam: the invariant events the debug hook recorded",
 	"invariant.Check":             "oracle seam: the broker-level rules in SetDebugHook's signature, for a serial driver without a pool",
@@ -58,7 +57,8 @@ var testOnlyExports = map[string]string{
 // type implements; an interface method nobody calls is listed together with
 // the implementations nothing selects directly. The standard library's own
 // interfaces (container/heap, fmt.Stringer, ...) count as called: their
-// callers are outside the census.
+// callers are outside the census, and so does an error's Unwrap, which the
+// errors package calls through interfaces it does not export.
 func TestNoTestOnlyExports(t *testing.T) {
 	c := repoCensus(t)
 	declared := map[types.Object]string{} // checked declaration -> "pkg.Recv.Name"
@@ -725,9 +725,16 @@ func (c *census) Import(path string) (*types.Package, error) {
 }
 
 // stdInterfaces lists the method-bearing interfaces the standard-library
-// packages the repository imports, directly or not, export, and error.
+// packages the repository imports, directly or not, export, and error with
+// the two method sets errors.Is, As and Unwrap call through: an error's
+// Unwrap() error and Unwrap() []error, which no package declares.
 func (c *census) stdInterfaces() []*types.Interface {
-	out := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	errType := types.Universe.Lookup("error").Type()
+	unwrapper := func(result types.Type) *types.Interface {
+		sig := types.NewSignatureType(nil, nil, nil, nil, types.NewTuple(types.NewParam(token.NoPos, nil, "", result)), false)
+		return types.NewInterfaceType([]*types.Func{types.NewFunc(token.NoPos, nil, "Unwrap", sig)}, []types.Type{errType}).Complete()
+	}
+	out := []*types.Interface{errType.Underlying().(*types.Interface), unwrapper(errType), unwrapper(types.NewSlice(errType))}
 	seen := map[*types.Package]bool{}
 	var visit func(pkgs []*types.Package)
 	visit = func(pkgs []*types.Package) {

@@ -380,13 +380,13 @@ func (a *Allocator) allocateGuaranteedLocked(user string, requested, floor resou
 		res.Granted = floor
 		res.Shortfall = requested.Sub(floor)
 	default:
+		// A held grant is left untouched.
+		r := &Refusal{Err: ErrCannotHonor, ID: user, Need: floor, form: refusedFloor,
+			Avail: bound.Sub(base).ClampMin(resource.Capacity{})}
 		if hadPrev {
-			// Leave the previous grant untouched.
-			return GrantResult{}, fmt.Errorf("%w: user %s needs %v, only %v guaranteed-capacity available",
-				ErrCannotHonor, user, floor, bound.Sub(base).ClampMin(resource.Capacity{}))
+			r.form = refusedRegrant
 		}
-		return GrantResult{}, fmt.Errorf("%w: user %s needs floor %v, only %v available",
-			ErrCannotHonor, user, floor, bound.Sub(base).ClampMin(resource.Capacity{}))
+		return GrantResult{}, r
 	}
 
 	a.guaranteed[user] = res.Granted
@@ -462,7 +462,7 @@ func (a *Allocator) AllocateBestEffort(user string, requested resource.Capacity)
 	defer a.mu.Unlock()
 	avail := a.beAvailableLocked().Sub(a.beUsedLocked())
 	if !requested.FitsIn(avail) {
-		return fmt.Errorf("%w: requested %v, available %v", ErrBestEffortFull, requested, avail)
+		return &Refusal{Err: ErrBestEffortFull, ID: user, Need: requested, Avail: avail, form: refusedBestEffort}
 	}
 	a.nextSeq++
 	a.bestEffort = append(a.bestEffort, BEState{User: user, Granted: requested, Seq: a.nextSeq})

@@ -545,11 +545,19 @@ func (b *Broker) PruneTerminal() int {
 	return len(ids)
 }
 
-// logf appends to the activity log ring, evicting the oldest entry when
-// full. The log has its own leaf mutex, so this is safe with or without
-// mu held.
+// logf appends a line printed through fmt to the activity log. The lines
+// written on every session are appended without fmt (activity.go) and go
+// to logLine directly.
 func (b *Broker) logf(kind string, id sla.ID, format string, args ...any) {
-	e := Event{At: b.clock.Now(), Kind: kind, SLA: id, Msg: fmt.Sprintf(format, args...)}
+	var arr [128]byte
+	b.logLine(kind, id, fmt.Appendf(arr[:0], format, args...))
+}
+
+// logLine appends line to the activity log ring, evicting the oldest
+// entry when full. The log has its own leaf mutex, so this is safe with or
+// without mu held.
+func (b *Broker) logLine(kind string, id sla.ID, line []byte) {
+	e := Event{At: b.clock.Now(), Kind: kind, SLA: id, Msg: string(line)}
 	b.evMu.Lock()
 	if len(b.evBuf) < cap(b.evBuf) {
 		b.evBuf = append(b.evBuf, e)

@@ -16,6 +16,9 @@ import (
 	"gqosm/internal/sla"
 )
 
+// errNoGRAM refuses an invocation on a broker configured without GRAM.
+var errNoGRAM = errors.New("core: no GRAM configured")
+
 // Invoke launches the Grid service for an established SLA: the job is
 // submitted to GRAM and its process bound to the reservation (§3.1: "when
 // a Grid service is launched, its process binds to a previously-made
@@ -23,7 +26,7 @@ import (
 func (b *Broker) Invoke(id sla.ID) (gram.Job, error) {
 	defer b.debugCheck("invoke")
 	if b.cfg.GRAM == nil {
-		return gram.Job{}, fmt.Errorf("core: no GRAM configured")
+		return gram.Job{}, errNoGRAM
 	}
 	b.mu.Lock()
 	s, ok := b.sessions[id]
@@ -63,7 +66,8 @@ func (b *Broker) Invoke(id sla.ID) (gram.Job, error) {
 		return gram.Job{}, err
 	}
 	s.job = job.ID
-	b.logf("invoke", id, "service %q launched as %s (pid %d), reservation claimed", service, job.ID, job.PID)
+	var arr [160]byte
+	b.logLine("invoke", id, appendInvokeLine(arr[:0], service, job.ID, job.PID))
 	b.mu.Unlock()
 	b.journal("persist", id)
 	return job, nil
@@ -163,7 +167,8 @@ func (b *Broker) teardownIf(id sla.ID, final sla.State, reason string, pred func
 	}
 	handle, job := s.handle, s.job
 	delete(b.promotions, id)
-	b.logf("clearing", id, "%s: %s", final, reason)
+	var arr [128]byte
+	b.logLine("clearing", id, appendClearingLine(arr[:0], final, reason))
 	// Release the grant while still holding b.mu: the terminal transition
 	// and the release must be atomic, or a concurrent re-grant path
 	// (restore, optimizer, promotion) could slip between them and leave a
@@ -233,7 +238,7 @@ func (b *Broker) restore(id sla.ID) error {
 	b.mu.Unlock()
 	_, err := b.reallocate(id, move{
 		target: target, short: keepShort, notes: qualityNotes, mark: markRecovered,
-		event: "adapt", msg: "restored to %[2]v (scenario 2a)",
+		line:  restoredLine,
 		count: b.met.restored, // scenario 2a
 	})
 	return err
@@ -261,9 +266,8 @@ type move struct {
 	// whether the applied quality becomes the restore target (original).
 	mark   mark
 	rebase bool
-	// The activity-log event of a made move; msg's verbs index previous
-	// allocation, applied allocation and amount billed.
-	event, msg string
+	// The activity-log line of a made move.
+	line moveLine
 	// count marks one of the paper's adaptation scenarios: the move is
 	// counted under it and journaled once more.
 	count *obs.Counter
@@ -399,8 +403,9 @@ func (b *Broker) reallocate(id sla.ID, m move) (r reallocation, err error) {
 		if m.rebase {
 			s.original = r.applied
 		}
-		if m.event != "" {
-			b.logf(m.event, id, m.msg, r.old, r.applied, r.billed)
+		if m.line != noLine {
+			var arr [160]byte
+			b.logLine(m.line.kind(), id, m.line.appendTo(arr[:0], r.old, r.applied, r.billed))
 		}
 	}
 	b.mu.Unlock()
@@ -573,7 +578,7 @@ func (b *Broker) AcceptPromotion(id sla.ID) error {
 	// upgrade and walks the allocator back.
 	if _, err := b.reallocate(id, move{
 		target: offer.To, short: refuseShort, offer: offer.OfferPrice, notes: [2]string{"promotion accepted"}, rebase: true,
-		event: "promotion", msg: "accepted: upgraded to %[2]v for %.2[3]f",
+		line:  promotedLine,
 		count: b.met.promoted, // scenario 2c
 	}); err != nil {
 		return fmt.Errorf("core: promotion %s: %w", id, err)

@@ -162,8 +162,8 @@ func (b *Broker) prepare(req Request) (*admission, error) {
 		// Queued admissions are announced by their flush's activity-log
 		// line; a per-request render is one of the costs the queue
 		// amortizes.
-		b.logf("discovery", "", "client %q requests %q class=%s spec floor %v",
-			req.Client, req.Service, req.Class, floor)
+		var arr [192]byte
+		b.logLine("discovery", "", appendRequestLine(arr[:0], req.Client, req.Service, req.Class, floor))
 	}
 	key, err := b.discover(req, floor)
 	if err != nil {
@@ -290,9 +290,9 @@ func (b *Broker) compensateAndRetry(m *admission) {
 	err := m.err
 	freed, cerr := b.compensate(m.floor)
 	if cerr != nil {
-		err = fmt.Errorf("request %s: %w (compensation: %v)", m.id, err, cerr)
+		err = reportRefusal(requestRefused, m.id, err, cerr)
 	} else if m.grant, err = b.alloc.AllocateGuaranteed(string(m.id), m.quality, m.floor); err != nil {
-		err = fmt.Errorf("request %s after compensation: %w", m.id, err)
+		err = reportRefusal(retryRefused, m.id, err, nil)
 	} else {
 		m.compensated = freed
 		b.commit([]*admission{m})
@@ -450,8 +450,8 @@ func (b *Broker) proposeLocked(reserved []*admission, now, expires time.Time) {
 		}
 	}
 	if m := reserved[0]; len(reserved) == 1 {
-		b.logf("offer", m.id, "proposed %v at price %.2f (expires %s)",
-			m.grant.Granted, m.price, expires.Format("15:04:05"))
+		var arr [160]byte
+		b.logLine("offer", m.id, appendOfferLine(arr[:0], m.grant.Granted, m.price, expires))
 	} else {
 		b.logf("offer", "", "group-commit: %d offer(s) proposed in one batch", len(reserved))
 	}
@@ -510,6 +510,10 @@ func cheapestFirst(ts []ladderTarget) {
 	})
 }
 
+// errNoVolunteers is compensation's failure when no live SLA is willing
+// to give anything up.
+var errNoVolunteers = errors.New("core: no active SLA accepts degradation or termination")
+
 // compensate implements scenario 1: "adaptation can be used to free
 // resources to accommodate the new request by adjusting resource
 // allocations of active services while still satisfying their SLAs. …
@@ -540,7 +544,7 @@ func (b *Broker) compensate(needed resource.Capacity) (bool, error) {
 	b.mu.Unlock()
 
 	if len(degradable) == 0 && len(terminable) == 0 {
-		return false, fmt.Errorf("core: no active SLA accepts degradation or termination")
+		return false, errNoVolunteers
 	}
 
 	cheapestFirst(degradable)
@@ -571,8 +575,8 @@ func (b *Broker) compensate(needed resource.Capacity) (bool, error) {
 	if freed {
 		b.met.compensations.Inc()
 	}
-	if !needed.FitsIn(b.alloc.AvailableGuaranteed()) {
-		return freed, fmt.Errorf("core: compensation freed insufficient capacity for %v", needed)
+	if avail := b.alloc.AvailableGuaranteed(); !needed.FitsIn(avail) {
+		return freed, &Refusal{Need: needed, Avail: avail, form: compensationShort}
 	}
 	return freed, nil
 }
@@ -582,7 +586,7 @@ func (b *Broker) compensate(needed resource.Capacity) (bool, error) {
 func (b *Broker) degradeToFloor(id sla.ID) error {
 	_, err := b.reallocate(id, move{
 		toFloor: true, notes: qualityNotes, mark: markDegraded,
-		event: "adapt", msg: "degraded to floor %[2]v (scenario 1 compensation)",
+		line:  degradedLine,
 		count: b.met.degraded, // scenario 1
 	})
 	return err
@@ -611,7 +615,8 @@ func (b *Broker) Accept(id sla.ID) error {
 		return err
 	}
 	price := s.doc.Price
-	b.logf("sla", id, "established; resources committed; charged %.2f", price)
+	var arr [80]byte
+	b.logLine("sla", id, appendChargeLine(arr[:0], price))
 	b.mu.Unlock()
 
 	b.met.accepted.Inc()
@@ -661,7 +666,8 @@ func (b *Broker) BestEffortRequest(client string, amount resource.Capacity) erro
 		return err
 	}
 	b.journalAux("be-grant")
-	b.logf("best-effort", "", "granted %v to %q", amount, client)
+	var arr [160]byte
+	b.logLine("best-effort", "", appendGrantLine(arr[:0], amount, client))
 	return nil
 }
 
@@ -675,7 +681,8 @@ func (b *Broker) BestEffortRelease(client string) error {
 	if err != nil {
 		return err
 	}
-	b.logf("best-effort", "", "released all capacity of %q", client)
+	var arr [96]byte
+	b.logLine("best-effort", "", appendReleaseLine(arr[:0], client))
 	b.afterRelease()
 	return nil
 }

@@ -71,7 +71,7 @@ func (b *Broker) Renegotiate(id sla.ID, newSpec sla.Spec) (*RenegotiationResult,
 	}
 	m := move{
 		target: target, spec: &newSpec, notes: [2]string{"renegotiation upgrade", "renegotiation refund"},
-		mark: markRecovered, rebase: true, event: "renegotiate", msg: "QoS renegotiated %[1]v -> %[2]v (price %+.2[3]f)",
+		mark: markRecovered, rebase: true, line: renegotiatedLine,
 	}
 	r, err := b.reallocate(id, m)
 	if errors.Is(err, ErrCannotHonor) {
@@ -79,12 +79,12 @@ func (b *Broker) Renegotiate(id sla.ID, newSpec sla.Spec) (*RenegotiationResult,
 		// increment beyond it must be freed.
 		needed := floor.Sub(oldAlloc).ClampMin(resource.Capacity{})
 		if _, cerr := b.compensate(needed); cerr != nil {
-			return nil, fmt.Errorf("core: renegotiate %s: %w (compensation: %v)", id, err, cerr)
+			return nil, reportRefusal(renegotiationRefused, id, err, cerr)
 		}
 		r, err = b.reallocate(id, m)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("core: renegotiate %s: %w", id, err)
+		return nil, reportRefusal(renegotiationRefused, id, err, nil)
 	}
 	return &RenegotiationResult{Old: r.old, New: r.applied, PriceDelta: r.billed}, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -137,6 +138,9 @@ func (b *Broker) Verify(id sla.ID) (*ConformanceReport, error) {
 	return report, nil
 }
 
+// errNoNetworkPart reports a reservation with no flow to measure.
+var errNoNetworkPart = errors.New("core: reservation holds no network part")
+
 // measureFlow resolves the session's network reservation to its NRM flow
 // and measures it. Reservations are tagged with the SLA ID at creation,
 // so when Modify has re-issued the flow under a new ID the lookup falls
@@ -148,7 +152,7 @@ func (b *Broker) measureFlow(id sla.ID, handle gara.Handle) (nrm.Measurement, er
 	}
 	token, ok := res.Parts[gara.TypeNetwork]
 	if !ok {
-		return nrm.Measurement{}, fmt.Errorf("core: reservation holds no network part")
+		return nrm.Measurement{}, errNoNetworkPart
 	}
 	if m, err := b.cfg.NRM.Measure(nrm.FlowID(token)); err == nil {
 		return m, nil
@@ -252,7 +256,7 @@ func (b *Broker) handleDegradation(id sla.ID, measured resource.Capacity) {
 		doc.Adapt.AlternativeQoS.FitsIn(doc.Allocated) {
 		if _, err := b.reallocate(id, move{
 			target: doc.Adapt.AlternativeQoS, notes: qualityNotes, mark: markDegraded,
-			event: "adapt", msg: "switched to alternative QoS %[2]v (scenario 3b)",
+			line:  alternativeLine,
 			count: b.met.degraded, // scenario 3b
 		}); err == nil {
 			return

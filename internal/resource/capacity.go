@@ -205,28 +205,36 @@ func (c Capacity) Equal(o Capacity) bool {
 }
 
 // String renders the non-zero dimensions, e.g.
-// "cpu=10 memory-mb=2048 disk-gb=15".
-//
-// Activity-log lines and refusal errors render a capacity on every
-// session, so the text is appended into one stack buffer: each value is
-// strconv's shortest 'g' form, which is byte for byte what fmt's %g prints.
+// "cpu=10 memory-mb=2048 disk-gb=15", or "empty".
 func (c Capacity) String() string {
 	var arr [128]byte
-	buf := arr[:0]
+	if buf := c.AppendText(arr[:0]); string(buf) != "empty" {
+		return string(buf)
+	}
+	return "empty"
+}
+
+// AppendText appends String's text to dst.
+//
+// Activity-log lines render a capacity on every session, so the text is
+// appended into the caller's buffer: each value is strconv's shortest 'g'
+// form, which is byte for byte what fmt's %g prints.
+func (c Capacity) AppendText(dst []byte) []byte {
+	start := len(dst)
 	for _, k := range Kinds {
 		if v := c.Get(k); math.Abs(v) > Epsilon {
-			if len(buf) > 0 {
-				buf = append(buf, ' ')
+			if len(dst) > start {
+				dst = append(dst, ' ')
 			}
-			buf = append(buf, k.String()...)
-			buf = append(buf, '=')
-			buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
+			dst = append(dst, k.String()...)
+			dst = append(dst, '=')
+			dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
 		}
 	}
-	if len(buf) == 0 {
-		return "empty"
+	if len(dst) == start {
+		return append(dst, "empty"...)
 	}
-	return string(buf)
+	return dst
 }
 
 // Nodes is shorthand for a CPU-only capacity of n processor nodes.

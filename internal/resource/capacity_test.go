@@ -133,7 +133,8 @@ func capacityStringFmt(c Capacity) string {
 	return strings.Join(parts, " ")
 }
 
-// FuzzCapacityString checks the appended rendering against the fmt one.
+// FuzzCapacityString checks the appended rendering, alone and onto a
+// buffer, against the fmt one.
 // Grow the corpus with `go test -fuzz=FuzzCapacityString ./internal/resource`.
 func FuzzCapacityString(f *testing.F) {
 	for _, c := range []Capacity{
@@ -150,8 +151,12 @@ func FuzzCapacityString(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, cpu, mem, disk, bw float64) {
 		c := Capacity{CPU: cpu, MemoryMB: mem, DiskGB: disk, BandwidthMbps: bw}
-		if got, want := c.String(), capacityStringFmt(c); got != want {
+		want := capacityStringFmt(c)
+		if got := c.String(); got != want {
 			t.Fatalf("String of %#v = %q, fmt renders %q", c, got, want)
+		}
+		if got := string(c.AppendText([]byte("x "))); got != "x "+want {
+			t.Fatalf("AppendText of %#v onto %q = %q, want %q", c, "x ", got, "x "+want)
 		}
 	})
 }
