@@ -29,7 +29,7 @@ type contractRow struct {
 // tallyKeys are the counters every engine run measures; each must be
 // emitted even when zero.
 var tallyKeys = []string{"ops", "requested", "admitted", "rejected", "terminated", "admit_rate",
-	"degradations", "restorations", "promotions", "revenue", "cache_hit_rate", "intake_batch_mean"}
+	"degradations", "restorations", "promotions", "revenue", "intake_batch_mean"}
 
 // eachRun visits doc and, recursively, the children under its runs key.
 func eachRun(path string, doc map[string]any, visit func(path string, run map[string]any)) {

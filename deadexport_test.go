@@ -31,9 +31,9 @@ var testOnlyExports = map[string]string{
 	"dsrt.Scheduler.ReportUsage":  "substrate: DSRT adapts a contract to measured usage (paper 2.1); the broker never reports usage",
 	"gram.Manager.Fail":           "substrate: GRAM job failure; the broker only submits and cancels",
 	"gram.Manager.Complete":       "substrate: GRAM job completion; the broker only submits and cancels",
-	"registry.Registry.Get":       "substrate: UDDIe get_serviceDetail by key; the broker discovers through Find",
+	"registry.Registry.Get":       "substrate: UDDIe get_serviceDetail by key; the broker discovers through First",
 	"registry.Registry.Renew":     "substrate: UDDIe lease renewal; services in the stack register once",
-	"registry.Registry.Sweep":     "substrate: UDDIe lease expiry sweep; Find already hides expired leases",
+	"registry.Registry.Sweep":     "substrate: UDDIe lease expiry sweep; Find and First already hide expired leases",
 	"registry.NewClient":          "substrate: the SOAP client of a remote UDDIe (cmd/registryd, Stack.Mount); the stack's broker holds its registry in-process",
 	"registry.Client.Find":        "substrate: UDDIe find_service over SOAP, see registry.NewClient",
 	"registry.Client.Register":    "substrate: UDDIe save_service over SOAP, see registry.NewClient",

@@ -118,7 +118,6 @@ func Example_quickstart() {
 	//
 	// broker activity log:
 	//   09:00:00 [discovery] client "quickstart-client" requests "simulation" class=Guaranteed spec floor cpu=10 memory-mb=2048 disk-gb=15
-	//   09:00:00 [discovery] registry returned 1 matching service(s); selected "simulation"
 	//   09:00:00 [offer] (site-a-sla-0001) proposed cpu=10 memory-mb=2048 disk-gb=15 at price 79.86 (expires 09:10:00)
 	//   09:00:00 [sla] (site-a-sla-0001) established; resources committed; charged 79.86
 	//   09:00:00 [invoke] (site-a-sla-0001) service "simulation" launched as job-1 (pid 1001), reservation claimed
@@ -240,7 +239,6 @@ func Example_degradation() {
 	//
 	// broker activity log:
 	//   09:00:00 [discovery] client "viz-stream" requests "simulation" class=Guaranteed spec floor bandwidth-mbps=45
-	//   09:00:00 [discovery] registry returned 1 matching service(s); selected "simulation"
 	//   09:00:00 [offer] (site-a-sla-0001) proposed bandwidth-mbps=45 at price 3.38 (expires 10:00:00)
 	//   09:00:00 [sla] (site-a-sla-0001) established; resources committed; charged 3.38
 	//   09:00:00 [invoke] (site-a-sla-0001) service "simulation" launched as job-1 (pid 1001), reservation claimed
@@ -485,7 +483,6 @@ func Example_federation() {
 	//
 	// home activity log:
 	//   09:00:00 [discovery] client "fed-client" requests "solver" class=Guaranteed spec floor cpu=8
-	//   09:00:00 [discovery] registry returned 1 matching service(s); selected "solver"
 	//   09:00:00 [offer] (domain1-sla-0001) proposed cpu=8 at price 48.00 (expires 10:00:00)
 	//   09:00:00 [discovery] client "fed-client" requests "solver" class=Guaranteed spec floor cpu=30
 	//   09:00:00 [federation] request for "solver" forwarded to neighbor "domain2"

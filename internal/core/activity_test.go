@@ -237,7 +237,7 @@ func FuzzActivityLines(f *testing.F) {
 // resource manager to reach.
 func TestRefusalSites(t *testing.T) {
 	clock := clockx.NewManual(t0)
-	b := miniBroker(t, clock, nil, false)
+	b := miniBroker(t, clock, nil)
 	establish, guaranteed, controlled := allocGatePopulation(t, b)
 	cpuMem := func(cpu, mem float64) resource.Capacity { return resource.Capacity{CPU: cpu, MemoryMB: mem} }
 	bound := resource.Capacity{CPU: 40, MemoryMB: 40960, DiskGB: 640, BandwidthMbps: 6000}

@@ -42,13 +42,10 @@ var (
 	ErrInvalidRequest = errors.New("core: invalid request")
 )
 
-// Finder is the discovery dependency (satisfied by *registry.Registry).
-// Generation stamps the registered set: the broker's discovery cache
-// holds a Find result only while the generation it read before that Find
-// is current (see discovery_cache.go).
+// Finder is the discovery dependency (satisfied by *registry.Registry):
+// the first live service matching a name pattern and a QoS floor.
 type Finder interface {
-	Find(q registry.Query) ([]*registry.Service, error)
-	Generation() uint64
+	First(pattern string, floor resource.Capacity) (registry.Key, bool)
 }
 
 // DefEventLogCap bounds the broker activity log when Config.EventLogCap
@@ -224,10 +221,6 @@ type Broker struct {
 	hoMu     sync.Mutex
 	handoffs map[sla.ID]handoffIntent
 
-	// dcache is the generation-stamped discovery cache (see
-	// discovery_cache.go); nil when Config.Registry is.
-	dcache *discoveryCache
-
 	// durable is the write-ahead lifecycle log; nil keeps every journal
 	// site a no-op (the historical in-memory broker). See durable.go.
 	durable *wal.Log
@@ -304,9 +297,6 @@ func newBroker(cfg Config) (*Broker, error) {
 		handoffs:       make(map[sla.ID]handoffIntent),
 	}
 	b.pol = newPolicyRunner(b, cfg.RMPolicy)
-	if cfg.Registry != nil {
-		b.dcache = newDiscoveryCache(cfg.Registry, cfg.Obs)
-	}
 	b.met = newBrokerMetrics(b.obs)
 	b.registerGauges(b.obs)
 	b.obs.GaugeFunc("gqosm_broker_pending_cancels",

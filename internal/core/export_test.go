@@ -28,10 +28,3 @@ func (a *Allocator) BehindReads(f func()) {
 	f()
 	a.view.Store(v)
 }
-
-// len reports the number of live entries, for the cache tests.
-func (c *discoveryCache) len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.entries)
-}

@@ -1,28 +1,28 @@
 package core
 
-// Hot-path tests and benchmarks: the discovery cache (hits, generation
-// invalidation, lease expiry, FIFO eviction, error passthrough), the
-// lock-free allocator view, Events() snapshot reuse, and the
-// deterministic allocation gates that keep the admission path lean.
+// Hot-path tests and benchmarks: discovery (Find as its oracle, registry
+// churn, untyped adverts, no allocation), the lock-free allocator view,
+// Events() snapshot reuse, and the deterministic allocation gates that
+// keep the admission path lean.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"gqosm/internal/clockx"
 	"gqosm/internal/gara"
 	"gqosm/internal/gram"
-	"gqosm/internal/pricing"
 	"gqosm/internal/registry"
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
+	"gqosm/internal/soapx"
 )
 
 // simulationProps is the property set every test service advertises.
@@ -35,24 +35,11 @@ func simulationProps() []registry.Property {
 	}
 }
 
-// missFinder is the uncached reference: it answers every Generation with
-// a fresh value, so no discovery cache entry ever validates and every
-// discover runs the embedded Finder's Find.
-type missFinder struct {
-	Finder
-	gen atomic.Uint64
-}
-
-func (f *missFinder) Generation() uint64 { return f.gen.Add(1) }
-
 // miniBroker builds the smallest broker that can run discover and
 // requestService: a compute-only GARA over a private pool, no GRAM/NRM
-// unless a mod adds them. miss wraps finder in a missFinder.
-func miniBroker(tb testing.TB, clock *clockx.Manual, finder Finder, miss bool, mods ...func(*Config)) *Broker {
+// unless a mod adds them.
+func miniBroker(tb testing.TB, clock *clockx.Manual, finder Finder, mods ...func(*Config)) *Broker {
 	tb.Helper()
-	if miss {
-		finder = &missFinder{Finder: finder}
-	}
 	pool := resource.NewPool("mini", resource.Capacity{CPU: 64, MemoryMB: 65536, DiskGB: 1024, BandwidthMbps: 10000})
 	g := gara.NewSystem()
 	g.RegisterManager(gara.NewComputeManager(pool))
@@ -95,223 +82,10 @@ func miniRequest() Request {
 	}
 }
 
-func TestDiscoverCacheHit(t *testing.T) {
-	clock := clockx.NewManual(t0)
-	reg := registry.New(clock)
-	key, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-a", Properties: simulationProps()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := miniBroker(t, clock, reg, false)
-	if b.dcache == nil {
-		t.Fatal("discovery cache not engaged for the in-process registry")
-	}
-	req := miniRequest()
-	floor := req.Spec.Floor()
-
-	for i := 0; i < 3; i++ {
-		got, err := b.discover(req, floor)
-		if err != nil {
-			t.Fatalf("discover %d: %v", i, err)
-		}
-		if got != key {
-			t.Fatalf("discover %d returned %q, want %q", i, got, key)
-		}
-	}
-	if m := b.dcache.misses.Value(); m != 1 {
-		t.Errorf("misses = %d, want 1 (only the first call fills)", m)
-	}
-	if h := b.dcache.hits.Value(); h != 2 {
-		t.Errorf("hits = %d, want 2", h)
-	}
-}
-
-// TestDiscoverCacheMutationInvalidation deregisters the cached service
-// and registers a replacement: the very next discover must return the
-// replacement's key, never the stale one.
-func TestDiscoverCacheMutationInvalidation(t *testing.T) {
-	clock := clockx.NewManual(t0)
-	reg := registry.New(clock)
-	oldKey, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-a", Properties: simulationProps()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := miniBroker(t, clock, reg, false)
-	req := miniRequest()
-	floor := req.Spec.Floor()
-
-	if got, err := b.discover(req, floor); err != nil || got != oldKey {
-		t.Fatalf("warm discover = %q, %v; want %q", got, err, oldKey)
-	}
-	genBefore := reg.Generation()
-	if err := reg.Deregister(oldKey); err != nil {
-		t.Fatal(err)
-	}
-	newKey, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-b", Properties: simulationProps()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := reg.Generation(); g <= genBefore {
-		t.Fatalf("generation %d not bumped past %d by mutations", g, genBefore)
-	}
-	got, err := b.discover(req, floor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == oldKey {
-		t.Fatal("discover returned the deregistered service (stale cache entry)")
-	}
-	if got != newKey {
-		t.Fatalf("discover = %q, want replacement %q", got, newKey)
-	}
-}
-
-// TestDiscoverCacheLeaseExpiry lets the cached service's lease lapse
-// without any registry mutation: the generation is unchanged, but the
-// hit must be refused and discovery must fail like an uncached Find.
-func TestDiscoverCacheLeaseExpiry(t *testing.T) {
-	clock := clockx.NewManual(t0)
-	reg := registry.New(clock)
-	if _, err := reg.Register(registry.Service{
-		Name: "simulation", Provider: "site-a",
-		Properties: simulationProps(),
-		LeaseUntil: t0.Add(time.Hour),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	b := miniBroker(t, clock, reg, false)
-	req := miniRequest()
-	floor := req.Spec.Floor()
-
-	if _, err := b.discover(req, floor); err != nil {
-		t.Fatalf("warm discover: %v", err)
-	}
-	if _, err := b.discover(req, floor); err != nil {
-		t.Fatalf("cached discover: %v", err)
-	}
-	gen := reg.Generation()
-	clock.Advance(2 * time.Hour)
-	if g := reg.Generation(); g != gen {
-		t.Fatalf("clock advance changed the generation (%d -> %d)", gen, g)
-	}
-	_, err := b.discover(req, floor)
-	if !errors.Is(err, ErrNoService) {
-		t.Fatalf("discover after lease expiry = %v, want ErrNoService", err)
-	}
-	if n := b.dcache.len(); n != 0 {
-		// The failed refill must not have cached the empty result; the
-		// stale entry may linger but only this key existed.
-		t.Logf("cache still holds %d entr(ies) after failed refill", n)
-	}
-	// The failure is not sticky: re-registering makes discovery succeed.
-	if _, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-c", Properties: simulationProps()}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.discover(req, floor); err != nil {
-		t.Fatalf("discover after re-register: %v", err)
-	}
-}
-
-// badFilterFinder injects a malformed numeric filter value ahead of
-// every Find, standing in for a corrupted query.
-type badFilterFinder struct{ inner *registry.Registry }
-
-func (f badFilterFinder) Find(q registry.Query) ([]*registry.Service, error) {
-	q.Filters = append([]registry.Filter{
-		{Name: "cpu-nodes", Op: registry.OpGe, Value: "not-a-number"},
-	}, q.Filters...)
-	return f.inner.Find(q)
-}
-func (f badFilterFinder) Generation() uint64 { return f.inner.Generation() }
-
-// TestDiscoverMalformedFilterIdentical: a malformed filter value must fail
-// with the same error through the cache as through a missFinder, on every
-// call, and the error must never be cached.
-func TestDiscoverMalformedFilterIdentical(t *testing.T) {
-	clock := clockx.NewManual(t0)
-	reg := registry.New(clock)
-	if _, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-a", Properties: simulationProps()}); err != nil {
-		t.Fatal(err)
-	}
-	finder := badFilterFinder{inner: reg}
-	cached := miniBroker(t, clock, finder, false)
-	uncached := miniBroker(t, clock, finder, true)
-	req := miniRequest()
-	floor := req.Spec.Floor()
-
-	_, wantErr := uncached.discover(req, floor)
-	if !errors.Is(wantErr, registry.ErrBadProperty) {
-		t.Fatalf("uncached discover error = %v, want ErrBadProperty", wantErr)
-	}
-	for i := 0; i < 2; i++ {
-		_, err := cached.discover(req, floor)
-		if err == nil {
-			t.Fatalf("cached discover %d succeeded, want error", i)
-		}
-		if !errors.Is(err, registry.ErrBadProperty) {
-			t.Fatalf("cached discover %d error = %v, want ErrBadProperty", i, err)
-		}
-		if err.Error() != wantErr.Error() {
-			t.Errorf("cached discover %d error %q differs from uncached %q", i, err, wantErr)
-		}
-	}
-	if n := cached.dcache.len(); n != 0 {
-		t.Errorf("error outcome was cached: %d entries", n)
-	}
-	if h := cached.dcache.hits.Value(); h != 0 {
-		t.Errorf("hits = %d, want 0", h)
-	}
-	if m := cached.dcache.misses.Value(); m != 2 {
-		t.Errorf("misses = %d, want 2 (errors fall through every time)", m)
-	}
-}
-
-// TestDiscoveryCacheFIFOEviction checks that the bounded cache evicts
-// oldest-first, deterministically, and counts evictions.
-func TestDiscoveryCacheFIFOEviction(t *testing.T) {
-	clock := clockx.NewManual(t0)
-	reg := registry.New(clock)
-	b := miniBroker(t, clock, reg, false)
-	c := b.dcache
-	c.cap = 2
-
-	entry := func(name string) *discoveryEntry {
-		return &discoveryEntry{key: registry.Key(name), gen: reg.Generation()}
-	}
-	k1 := discoveryKey{service: "s1"}
-	k2 := discoveryKey{service: "s2"}
-	k3 := discoveryKey{service: "s3"}
-	c.store(k1, entry("svc-1"))
-	c.store(k2, entry("svc-2"))
-	c.store(k3, entry("svc-3")) // evicts k1
-	if n := c.len(); n != 2 {
-		t.Fatalf("len = %d, want 2", n)
-	}
-	if ev := c.evictions.Value(); ev != 1 {
-		t.Errorf("evictions = %d, want 1", ev)
-	}
-	if _, ok := c.lookup(k1, t0); ok {
-		t.Error("k1 survived eviction")
-	}
-	if key, ok := c.lookup(k2, t0); !ok || key != "svc-2" {
-		t.Errorf("k2 lookup = %q, %v", key, ok)
-	}
-	// Refilling an existing key keeps its FIFO position: k2 is still the
-	// oldest, so the next new key evicts it, not k3.
-	c.store(k2, entry("svc-2b"))
-	c.store(discoveryKey{service: "s4"}, entry("svc-4"))
-	if _, ok := c.lookup(k2, t0); ok {
-		t.Error("k2 survived; refill must not refresh FIFO position")
-	}
-	if key, ok := c.lookup(k3, t0); !ok || key != "svc-3" {
-		t.Errorf("k3 lookup = %q, %v", key, ok)
-	}
-}
-
 // TestDiscoverConcurrentMutation hammers discover from several
 // goroutines while the registry churns. The base service has the
-// lowest key, so every discover — cached or not — must select it;
-// run under -race this also proves the cache's synchronization.
+// lowest key, so every discover must select it; run under -race this
+// also checks First's locking against Register and Deregister.
 func TestDiscoverConcurrentMutation(t *testing.T) {
 	clock := clockx.NewManual(t0)
 	reg := registry.New(clock)
@@ -319,7 +93,7 @@ func TestDiscoverConcurrentMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := miniBroker(t, clock, reg, false)
+	b := miniBroker(t, clock, reg)
 	req := miniRequest()
 	floor := req.Spec.Floor()
 
@@ -373,15 +147,36 @@ func TestDiscoverConcurrentMutation(t *testing.T) {
 	}
 }
 
-// TestDiscoverCacheParity runs one seeded stream of admissions, accepts
-// and terminations, with services registered, deregistered and their
-// leases lapsing in between, through a cached broker and through one whose
-// missFinder makes every lookup miss. The cache must not change a single
-// outcome, nor the session, allocator and ledger state they leave.
-func TestDiscoverCacheParity(t *testing.T) {
+// findFirst is the reference discovery: the UDDIe find_service query a
+// floor stands for (one "ge" filter per positive dimension) through Find,
+// and its first match.
+func findFirst(t *testing.T, reg *registry.Registry, pattern string, floor resource.Capacity) (registry.Key, bool) {
+	t.Helper()
+	q := registry.Query{NamePattern: pattern}
+	for _, a := range registry.Adverts {
+		if v := floor.Get(a.Kind); v > 0 {
+			q.Filters = append(q.Filters, registry.Filter{Name: a.Name, Op: registry.OpGe, Value: trimFloat(v)})
+		}
+	}
+	matches, err := reg.Find(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(matches) == 0 {
+		return "", false
+	}
+	return matches[0].Key, true
+}
+
+// TestFirstMatchesFind runs one seeded stream of admissions, accepts and
+// terminations, with services registered, deregistered and their leases
+// lapsing in between. Find is the oracle: at every step discovery selects
+// Find's first match for the request's floor, every offer names it, and
+// discovery refuses with ErrNoService exactly when Find returns nothing.
+func TestFirstMatchesFind(t *testing.T) {
 	clock := clockx.NewManual(t0)
 	reg := registry.New(clock)
-	cached, uncached := miniBroker(t, clock, reg, false), miniBroker(t, clock, reg, true)
+	b := miniBroker(t, clock, reg)
 	rng := rand.New(rand.NewSource(11))
 	var services []registry.Key
 	register := func() {
@@ -401,94 +196,77 @@ func TestDiscoverCacheParity(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		register()
 	}
+	// check holds discovery to the oracle for req and returns the key the
+	// oracle selects ("" for none).
+	check := func(op int, req Request) registry.Key {
+		t.Helper()
+		floor := req.Spec.Floor()
+		want, ok := findFirst(t, reg, req.Service, floor)
+		got, err := b.discover(req, floor)
+		if !ok {
+			if !errors.Is(err, ErrNoService) {
+				t.Fatalf("op %d: Find has no match for %v, discover = %q, %v", op, floor, got, err)
+			}
+			return ""
+		}
+		if err != nil || got != want {
+			t.Fatalf("op %d: discover = %q, %v; Find's first match is %q", op, got, err, want)
+		}
+		return want
+	}
 
-	// offered and live list the same sessions on both brokers while their
-	// outcomes agree. run returns an operation's outcome and, when it
-	// succeeds, the session that moves on to *into.
 	var offered, live []sla.ID
-	selected := map[string]int{} // offers by the service discovery selected
+	selected := map[registry.Key]int{} // offers by the service discovery selected
 	noService := 0
 	for op := 0; op < 1000; op++ {
-		var (
-			run  func(b *Broker) (string, sla.ID)
-			into *[]sla.ID
-		)
+		req := miniRequest()
+		req.Client = fmt.Sprintf("client-%d", op)
+		cpu := []float64{1, 3, 6}[rng.Intn(3)]
+		req.Spec = sla.NewSpec(sla.Exact(resource.CPU, cpu), sla.Exact(resource.MemoryMB, 256))
+		if rng.Intn(2) == 0 {
+			req.Class, req.AcceptDegradation = sla.ClassControlledLoad, true
+			req.Spec = sla.NewSpec(sla.Range(resource.CPU, cpu/2, cpu), sla.Exact(resource.MemoryMB, 256))
+		}
+		want := check(op, req)
 		switch r := rng.Intn(20); {
 		case r < 8:
-			req := miniRequest()
-			req.Client = fmt.Sprintf("client-%d", op)
-			cpu := []float64{1, 3, 6}[rng.Intn(3)]
-			req.Spec = sla.NewSpec(sla.Exact(resource.CPU, cpu), sla.Exact(resource.MemoryMB, 256))
-			if rng.Intn(2) == 0 {
-				req.Class, req.AcceptDegradation = sla.ClassControlledLoad, true
-				req.Spec = sla.NewSpec(sla.Range(resource.CPU, cpu/2, cpu), sla.Exact(resource.MemoryMB, 256))
-			}
-			run = func(b *Broker) (string, sla.ID) {
-				offer, err := b.RequestService(req)
-				if err != nil {
-					return err.Error(), ""
+			offer, err := b.RequestService(req)
+			switch {
+			case want == "":
+				if !errors.Is(err, ErrNoService) {
+					t.Fatalf("op %d: Find has no match, RequestService = %v", op, err)
 				}
-				return fmt.Sprintf("offer %s of %s: %v at %.4f", offer.SLA.ID, offer.ServiceKey, offer.SLA.Allocated, offer.Price), offer.SLA.ID
+				noService++
+			case err == nil:
+				if offer.ServiceKey != want {
+					t.Fatalf("op %d: offer of %q, Find's first match is %q", op, offer.ServiceKey, want)
+				}
+				selected[want]++
+				offered = append(offered, offer.SLA.ID)
 			}
-			into = &offered
 		case r < 12:
-			id, ok := takeAny(rng, &offered)
-			if !ok {
-				continue
+			if id, ok := takeAny(rng, &offered); ok && b.Accept(id) == nil {
+				live = append(live, id)
 			}
-			run = func(b *Broker) (string, sla.ID) {
-				if err := b.Accept(id); err != nil {
-					return err.Error(), ""
-				}
-				return "accepted " + string(id), id
-			}
-			into = &live
 		case r < 16:
-			id, ok := takeAny(rng, &live)
-			if !ok {
-				continue
-			}
-			run = func(b *Broker) (string, sla.ID) {
-				return fmt.Sprint("terminate ", id, ": ", b.Terminate(id, "done")), ""
+			if id, ok := takeAny(rng, &live); ok {
+				_ = b.Terminate(id, "done")
 			}
 		case r < 18:
 			if len(services) < 6 {
 				register()
 			}
-			continue
 		case r < 19:
 			if k, ok := takeAny(rng, &services); ok {
 				_ = reg.Deregister(k) // a sweep may already have removed a lapsed lease
 			}
-			continue
 		default:
 			clock.Advance(time.Second)
-			continue
-		}
-		got, id := run(cached)
-		want, wantID := run(uncached)
-		if got != want || id != wantID {
-			t.Fatalf("op %d: cached broker %q, missFinder broker %q", op, got, want)
-		}
-		if into != nil && id != "" {
-			*into = append(*into, id)
-		}
-		if _, rest, ok := strings.Cut(got, " of "); ok {
-			selected[rest[:strings.Index(rest, ":")]]++
-		} else if strings.HasPrefix(got, ErrNoService.Error()) {
-			noService++
 		}
 	}
 	t.Logf("offers by selected service %v, %d refused for no service", selected, noService)
 	if len(selected) < 2 || noService == 0 {
 		t.Errorf("stream must select several services and find none at times: %v, %d", selected, noService)
-	}
-	if got, want := cacheParityState(t, cached), cacheParityState(t, uncached); got != want {
-		t.Errorf("state differs:\ncached:      %s\nmissFinder:  %s", got, want)
-	}
-	if cached.dcache.hits.Value() == 0 || uncached.dcache.hits.Value() != 0 {
-		t.Errorf("cache hits: cached broker %d, missFinder broker %d; want > 0 and 0",
-			cached.dcache.hits.Value(), uncached.dcache.hits.Value())
 	}
 }
 
@@ -504,54 +282,56 @@ func takeAny[T any](rng *rand.Rand, s *[]T) (v T, ok bool) {
 	return v, true
 }
 
-// cacheParityState renders what TestDiscoverCacheParity compares: every
-// session, the allocator's books and the ledger.
-func cacheParityState(t *testing.T, b *Broker) string {
-	t.Helper()
-	d := struct {
-		Sessions        []SessionInfo
-		Allocated       map[sla.ID]resource.Capacity
-		Guaranteed      map[string]resource.Capacity
-		AvailGuaranteed resource.Capacity
-		AvailBestEffort resource.Capacity
-		Ledger          pricing.State
-	}{Sessions: b.SessionInfos(), Allocated: map[sla.ID]resource.Capacity{}, Guaranteed: map[string]resource.Capacity{},
-		AvailGuaranteed: b.alloc.AvailableGuaranteed(), AvailBestEffort: b.alloc.AvailableBestEffort()}
-	for _, doc := range b.Sessions(nil) {
-		d.Allocated[doc.ID] = doc.Allocated
-	}
-	for _, u := range b.alloc.GuaranteedUsers() {
-		d.Guaranteed[u], _ = b.alloc.GuaranteedAllocation(u)
-	}
-	b.ledger.ExportWith(func(st pricing.State) { d.Ledger = st })
-	data, err := json.Marshal(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data)
-}
-
-// TestDiscoverHitAllocs is the deterministic allocation gate for the
-// discovery hot path: a cache hit performs no allocations.
-func TestDiscoverHitAllocs(t *testing.T) {
+// TestDiscoverAllocs is the deterministic allocation gate for discovery:
+// one registry query, no allocation.
+func TestDiscoverAllocs(t *testing.T) {
 	clock := clockx.NewManual(t0)
 	reg := registry.New(clock)
 	if _, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-a", Properties: simulationProps()}); err != nil {
 		t.Fatal(err)
 	}
-	b := miniBroker(t, clock, reg, false)
+	b := miniBroker(t, clock, reg)
 	req := miniRequest()
 	floor := req.Spec.Floor()
-	if _, err := b.discover(req, floor); err != nil {
-		t.Fatal(err)
-	}
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, err := b.discover(req, floor); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("discovery cache hit allocates %.1f objects per call, want 0", allocs)
+		t.Errorf("discovery allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+// TestDiscoverUntypedAdvertRefused: save_service stores a property whose
+// type attribute is omitted as a String, and a numeric floor is met only
+// by a Number. An untyped cpu-nodes of 8 therefore does not meet a floor
+// of 10, which a string comparison ("8" >= "10") would admit.
+func TestDiscoverUntypedAdvertRefused(t *testing.T) {
+	clock := clockx.NewManual(t0)
+	reg := registry.New(clock)
+	mux := soapx.NewMux()
+	reg.Mount(mux)
+	save := func(prop string) {
+		t.Helper()
+		body := `<soap:Envelope xmlns:soap="` + soapx.EnvelopeNS + `"><soap:Body><save_service><Service>` +
+			`<Name>simulation</Name><PropertyBag>` + prop + `</PropertyBag></Service></save_service></soap:Body></soap:Envelope>`
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("save_service: %d %s", rec.Code, rec.Body)
+		}
+	}
+	save(`<Property name="cpu-nodes">8</Property>`)
+	b := miniBroker(t, clock, reg)
+	req := miniRequest()
+	req.Spec = sla.NewSpec(sla.Exact(resource.CPU, 10))
+	if _, err := b.RequestService(req); !errors.Is(err, ErrNoService) {
+		t.Fatalf("floor 10 against an untyped cpu-nodes of 8: %v, want ErrNoService", err)
+	}
+	save(`<Property name="cpu-nodes" type="number">12</Property>`)
+	if _, err := b.RequestService(req); err != nil {
+		t.Fatalf("floor 10 against a numeric cpu-nodes of 12: %v", err)
 	}
 }
 
@@ -728,7 +508,7 @@ func TestEventsSnapshotReuse(t *testing.T) {
 	if _, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-a", Properties: simulationProps()}); err != nil {
 		t.Fatal(err)
 	}
-	b := miniBroker(t, clock, reg, false)
+	b := miniBroker(t, clock, reg)
 	b.logf("test", "", "event %d", 1)
 	b.logf("test", "", "event %d", 2)
 
@@ -842,7 +622,7 @@ func TestTerminateAllocGate(t *testing.T) {
 	if _, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-a", Properties: simulationProps()}); err != nil {
 		t.Fatal(err)
 	}
-	b := miniBroker(t, clock, reg, false)
+	b := miniBroker(t, clock, reg)
 	establish, guaranteed, controlled := allocGatePopulation(t, b)
 
 	const runs, gate = 20, 6 // measured 4 (go1.24); 5 while the clearing line went through fmt, 54 with per-pass clones, 3207 with the old Greedy
@@ -889,7 +669,7 @@ func TestLifecycleAllocGate(t *testing.T) {
 	}
 	gramM := gram.NewManager(clock)
 	t.Cleanup(gramM.Close)
-	b := miniBroker(t, clock, reg, false, func(cfg *Config) { cfg.GRAM = gramM })
+	b := miniBroker(t, clock, reg, func(cfg *Config) { cfg.GRAM = gramM })
 	establish, guaranteed, controlled := allocGatePopulation(t, b)
 	for i := 0; i < 16; i++ {
 		establish(controlled)
@@ -933,7 +713,7 @@ func TestRunOptimizerAllocGate(t *testing.T) {
 		if _, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-a", Properties: simulationProps()}); err != nil {
 			t.Fatal(err)
 		}
-		b := miniBroker(t, clock, reg, false)
+		b := miniBroker(t, clock, reg)
 		establish, _, controlled := allocGatePopulation(t, b)
 		// 64 at best (half a node) fit the 40-node guaranteed partition.
 		controlled.Spec = sla.NewSpec(sla.Range(resource.CPU, 0.25, 0.5), sla.Exact(resource.MemoryMB, 128))
@@ -970,7 +750,7 @@ func TestDegradeRestoreAllocGate(t *testing.T) {
 	if _, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-a", Properties: simulationProps()}); err != nil {
 		t.Fatal(err)
 	}
-	b := miniBroker(t, clock, reg, false)
+	b := miniBroker(t, clock, reg)
 	establish, guaranteed, controlled := allocGatePopulation(t, b)
 	id := establish(controlled)
 	for i := 0; i < 15; i++ {
@@ -1009,7 +789,7 @@ func TestNoopRestoreAllocGate(t *testing.T) {
 	if _, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-a", Properties: simulationProps()}); err != nil {
 		t.Fatal(err)
 	}
-	b := miniBroker(t, clock, reg, false)
+	b := miniBroker(t, clock, reg)
 	establish, guaranteed, controlled := allocGatePopulation(t, b)
 	id := establish(controlled)
 	for i := 0; i < 13; i++ {
@@ -1086,28 +866,7 @@ func BenchmarkDiscovery(b *testing.B) {
 	if _, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-a", Properties: simulationProps()}); err != nil {
 		b.Fatal(err)
 	}
-	br := miniBroker(b, clock, reg, false)
-	req := miniRequest()
-	floor := req.Spec.Floor()
-	if _, err := br.discover(req, floor); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := br.discover(req, floor); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDiscoveryUncached(b *testing.B) {
-	clock := clockx.NewManual(t0)
-	reg := registry.New(clock)
-	if _, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-a", Properties: simulationProps()}); err != nil {
-		b.Fatal(err)
-	}
-	br := miniBroker(b, clock, reg, true)
+	br := miniBroker(b, clock, reg)
 	req := miniRequest()
 	floor := req.Spec.Floor()
 	b.ReportAllocs()

@@ -457,39 +457,18 @@ func (b *Broker) proposeLocked(reserved []*admission, now, expires time.Time) {
 	}
 }
 
-// discover queries the registry for services matching the request's name
-// and QoS floor (the UDDIe property search of §2.1). With no registry
-// configured the request is accepted as-is. A repeated (service, floor)
-// query is answered from the discovery cache, skipping the registry Find
-// and the Query rebuild (including the trimFloat rendering of every filter
-// value) entirely; errors and empty result sets are never cached.
+// discover asks the registry for the first live service matching the
+// request's name and QoS floor (the UDDIe property search of §2.1). With
+// no registry configured the request is accepted as-is.
 func (b *Broker) discover(req Request, floor resource.Capacity) (registry.Key, error) {
 	if b.cfg.Registry == nil {
 		return "", nil
 	}
-	dk := discoveryKeyFor(req.Service, floor)
-	if key, ok := b.dcache.lookup(dk, b.clock.Now()); ok {
-		return key, nil
-	}
-	// Read the generation BEFORE the Find: a mutation between the read and
-	// the Find stores a stale stamp and the next lookup misses (safe);
-	// reading after the Find could stamp stale data current.
-	gen := b.cfg.Registry.Generation()
-	matches, err := b.cfg.Registry.Find(buildDiscoveryQuery(dk))
-	if err != nil {
-		return "", fmt.Errorf("core: discovery: %w", err)
-	}
-	if len(matches) == 0 {
+	key, ok := b.cfg.Registry.First(req.Service, floor)
+	if !ok {
 		return "", fmt.Errorf("%w: %q with %v", ErrNoService, req.Service, floor)
 	}
-	b.dcache.store(dk, &discoveryEntry{
-		key:        matches[0].Key,
-		leaseUntil: matches[0].LeaseUntil,
-		gen:        gen,
-	})
-	b.logf("discovery", "", "registry returned %d matching service(s); selected %q",
-		len(matches), matches[0].Name)
-	return matches[0].Key, nil
+	return key, nil
 }
 
 // ladderTarget is one rung of a scenario-1 compensation ladder: a session

@@ -578,7 +578,7 @@ func TestRunOptimizerSharesSpecs(t *testing.T) {
 	if _, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-a", Properties: simulationProps()}); err != nil {
 		t.Fatal(err)
 	}
-	b := miniBroker(t, clock, reg, false)
+	b := miniBroker(t, clock, reg)
 	establish, guaranteed, controlled := allocGatePopulation(t, b)
 	var ids []sla.ID
 	for i := 0; i < 8; i++ {

@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -20,7 +19,6 @@ import (
 	"gqosm/internal/gram"
 	"gqosm/internal/mds"
 	"gqosm/internal/nrm"
-	"gqosm/internal/obs"
 	"gqosm/internal/pricing"
 	"gqosm/internal/registry"
 	"gqosm/internal/resource"
@@ -568,87 +566,6 @@ func TestRecoverRejectsOccupiedDirOnNewBroker(t *testing.T) {
 	}
 	if _, _, err := Recover(h.cfg); err != nil {
 		t.Fatalf("Recover on the same directory: %v", err)
-	}
-}
-
-// switchableFinder stands in for a registry endpoint whose backing
-// process restarts: Find and Generation delegate to whichever
-// *registry.Registry is currently installed.
-type switchableFinder struct {
-	mu sync.Mutex
-	r  *registry.Registry
-}
-
-func (s *switchableFinder) swap(r *registry.Registry) {
-	s.mu.Lock()
-	s.r = r
-	s.mu.Unlock()
-}
-
-func (s *switchableFinder) current() *registry.Registry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.r
-}
-
-func (s *switchableFinder) Find(q registry.Query) ([]*registry.Service, error) {
-	return s.current().Find(q)
-}
-func (s *switchableFinder) Generation() uint64 { return s.current().Generation() }
-
-// TestDiscoveryCacheMissesAfterRegistryRestart is the stale-cache
-// regression: a registry restarted with the same mutation history as the
-// dead one must not validate the dead one's entries, or the cache serves
-// a service the new instance never registered. Every registry draws its
-// generations from one process-wide counter, so the two never share one.
-func TestDiscoveryCacheMissesAfterRegistryRestart(t *testing.T) {
-	clock := clockx.NewManual(t0)
-	regA := registry.New(clock)
-	if _, err := regA.Register(registry.Service{
-		Name: "simulation", Provider: "site-a",
-		Properties: []registry.Property{registry.NumProp("cpu-nodes", 26)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	finder := &switchableFinder{r: regA}
-	c := newDiscoveryCache(finder, obs.NewRegistry())
-
-	// Fill the cache exactly as discover() does: read the generation
-	// before the Find, store the selected service.
-	k := discoveryKeyFor("simulation", resource.Capacity{})
-	gen := finder.Generation()
-	svcs, err := finder.Find(buildDiscoveryQuery(k))
-	if err != nil || len(svcs) != 1 {
-		t.Fatalf("Find = %v, %v", svcs, err)
-	}
-	c.store(k, &discoveryEntry{key: svcs[0].Key, gen: gen})
-	if _, ok := c.lookup(k, clock.Now()); !ok {
-		t.Fatal("warm lookup missed")
-	}
-	if hits := c.hits.Value(); hits != 1 {
-		t.Fatalf("warm-up hits = %d, want 1", hits)
-	}
-
-	// The registry restarts with the same mutation history: one
-	// registration. The restarted registry does NOT know "simulation".
-	regB := registry.New(clock)
-	if _, err := regB.Register(registry.Service{
-		Name: "render", Provider: "site-a",
-		Properties: []registry.Property{registry.NumProp("cpu-nodes", 4)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if regA.Generation() == regB.Generation() {
-		t.Fatalf("test premise broken: generations must differ, both are %d", regA.Generation())
-	}
-	finder.swap(regB)
-
-	if stale, ok := c.lookup(k, clock.Now()); ok {
-		t.Fatalf("lookup after registry restart served stale entry %q; the generation check must force a miss", stale)
-	}
-	if hits := c.hits.Value(); hits != 1 {
-		t.Errorf("hits after restart = %d, want still 1", hits)
 	}
 }
 

@@ -16,10 +16,12 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"gqosm/internal/clockx"
+	"gqosm/internal/resource"
 )
 
 // Registry errors.
@@ -173,40 +175,32 @@ type Query struct {
 	MaxRows int
 }
 
+// Adverts names the Number property a service advertises each capacity
+// dimension under. First matches a floor against these names, and a
+// stack's default advert registers them.
+var Adverts = [...]struct {
+	Kind resource.Kind
+	Name string
+}{
+	{resource.CPU, "cpu-nodes"},
+	{resource.MemoryMB, "memory-mb"},
+	{resource.DiskGB, "disk-gb"},
+	{resource.BandwidthMbps, "bandwidth-mbps"},
+}
+
 // Registry is the in-process registry. It is safe for concurrent use.
 type Registry struct {
 	clock clockx.Clock
-
-	// gen stamps the registered set (Register, Deregister, Renew, and
-	// Sweeps that removed something each draw a new one). Readers that
-	// cache Find results key their entries on it: an unchanged generation
-	// means the registered set — including every lease — is exactly as it
-	// was. Lease *expiry* is time-based and does not change the
-	// generation; cache layers must check their selected service's
-	// LeaseUntil themselves. Every value, the first one in New included,
-	// is drawn from genSeq, so no two registries — a restarted one and the
-	// one it replaced among them — ever share a generation.
-	gen atomic.Uint64
 
 	mu       sync.Mutex
 	nextID   int
 	services map[Key]*Service
 }
 
-// genSeq is the process-wide source of every registry generation; it
-// never repeats within a process lifetime.
-var genSeq atomic.Uint64
-
 // New returns an empty registry using the given clock for leases.
 func New(clock clockx.Clock) *Registry {
-	r := &Registry{clock: clock, services: make(map[Key]*Service)}
-	r.gen.Store(genSeq.Add(1))
-	return r
+	return &Registry{clock: clock, services: make(map[Key]*Service)}
 }
-
-// bumpLocked draws the registry's next generation. The caller holds r.mu,
-// so one registry's generations rise in the order of its mutations.
-func (r *Registry) bumpLocked() { r.gen.Store(genSeq.Add(1)) }
 
 // Register adds a service and returns its assigned key. A zero
 // LeaseUntil means the registration does not expire.
@@ -224,7 +218,6 @@ func (r *Registry) Register(s Service) (Key, error) {
 	r.nextID++
 	s.Key = Key(fmt.Sprintf("svc-%04d", r.nextID))
 	r.services[s.Key] = s.clone()
-	r.bumpLocked()
 	return s.Key, nil
 }
 
@@ -236,7 +229,6 @@ func (r *Registry) Deregister(k Key) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
 	delete(r.services, k)
-	r.bumpLocked()
 	return nil
 }
 
@@ -249,7 +241,6 @@ func (r *Registry) Renew(k Key, until time.Time) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
 	s.LeaseUntil = until
-	r.bumpLocked()
 	return nil
 }
 
@@ -261,7 +252,7 @@ func (r *Registry) Get(k Key) (*Service, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
-	if r.expiredLocked(s) {
+	if expired(s, r.clock.Now()) {
 		return nil, fmt.Errorf("%w: %s", ErrExpired, k)
 	}
 	return s.clone(), nil
@@ -274,9 +265,10 @@ func (r *Registry) Find(q Query) ([]*Service, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []*Service
+	now := r.clock.Now()
 	pattern := strings.ToLower(q.NamePattern)
 	for _, s := range r.services {
-		if r.expiredLocked(s) {
+		if expired(s, now) {
 			continue
 		}
 		if pattern != "" && !strings.Contains(strings.ToLower(s.Name), pattern) {
@@ -314,31 +306,83 @@ func matchFilters(s *Service, filters []Filter) (bool, error) {
 	return true, nil
 }
 
+// First is the broker's discovery query: the key of the lowest-keyed live
+// service whose name contains pattern (case-insensitive, as in Find) and
+// whose advert meets floor. For every positive dimension of floor, the
+// property Adverts names must be a Number at least that floor; a String
+// property never meets a numeric floor. It is Find's first match for the
+// equivalent "ge" query over Number adverts, without building the query,
+// cloning, sorting or failing.
+func (r *Registry) First(pattern string, floor resource.Capacity) (Key, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	now := r.clock.Now()
+	var first Key
+	found := false
+	for k, s := range r.services {
+		if (found && k >= first) || expired(s, now) ||
+			(pattern != "" && !containsLower(s.Name, pattern)) || !meetsFloor(s, floor) {
+			continue
+		}
+		first, found = k, true
+	}
+	return first, found
+}
+
+// meetsFloor reports whether s advertises at least floor in every
+// positive dimension, as a Number.
+func meetsFloor(s *Service, floor resource.Capacity) bool {
+	for _, a := range Adverts {
+		want := floor.Get(a.Kind)
+		if !(want > 0) {
+			continue
+		}
+		if p, ok := s.Property(a.Name); !ok || p.Type != Number || !(p.Num >= want) {
+			return false
+		}
+	}
+	return true
+}
+
+// containsLower reports strings.Contains(strings.ToLower(s),
+// strings.ToLower(sub)) without building either string. Both lowered
+// forms are valid UTF-8, so a match starts on a rune boundary of s and
+// compares rune by rune.
+func containsLower(s, sub string) bool {
+	for i := range s {
+		if hasLowerPrefix(s[i:], sub) {
+			return true
+		}
+	}
+	return false
+}
+
+func hasLowerPrefix(s, prefix string) bool {
+	for _, p := range prefix {
+		r, w := utf8.DecodeRuneInString(s)
+		if w == 0 || unicode.ToLower(r) != unicode.ToLower(p) {
+			return false
+		}
+		s = s[w:]
+	}
+	return true
+}
+
 // Sweep removes expired registrations and reports how many were removed.
 func (r *Registry) Sweep() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	now := r.clock.Now()
 	n := 0
 	for k, s := range r.services {
-		if r.expiredLocked(s) {
+		if expired(s, now) {
 			delete(r.services, k)
 			n++
 		}
 	}
-	if n > 0 {
-		r.bumpLocked()
-	}
 	return n
 }
 
-// Generation returns the registry's current stamp. It changes on every
-// Register, Deregister and Renew, and on Sweeps that removed at least one
-// registration; it never decreases, and no other registry in the process
-// ever holds the same value. Two Find calls bracketing an unchanged
-// generation observe the same registered set (modulo time-based lease
-// expiry — see the gen field).
-func (r *Registry) Generation() uint64 { return r.gen.Load() }
-
-func (r *Registry) expiredLocked(s *Service) bool {
-	return !s.LeaseUntil.IsZero() && !r.clock.Now().Before(s.LeaseUntil)
+func expired(s *Service, now time.Time) bool {
+	return !s.LeaseUntil.IsZero() && !now.Before(s.LeaseUntil)
 }

@@ -1,28 +1,6 @@
 package sim
 
-import (
-	"strings"
-	"testing"
-
-	"gqosm/internal/obs"
-)
-
-// TestParallelCacheHitRate checks the cache plumbing end to end: a stress
-// run reports a positive discovery hit rate under the cache_hit_rate key.
-// That the cache changes no outcome is internal/core's
-// TestDiscoverCacheParity.
-func TestParallelCacheHitRate(t *testing.T) {
-	rep, err := RunParallel(StressConfig{Clients: 4, Ops: 800, Phases: 4, Seed: 11, Obs: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Outcome.CacheHitRate <= 0 {
-		t.Errorf("hit rate = %v, want > 0", rep.Outcome.CacheHitRate)
-	}
-	if !strings.Contains(string(marshal(t, rep)), `"cache_hit_rate":`) {
-		t.Error("report omits cache_hit_rate")
-	}
-}
+import "testing"
 
 // TestChaosDeterministicWithCaches runs the chaos harness twice per
 // configuration with caches enabled (the default): the JSON reports

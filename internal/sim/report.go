@@ -83,10 +83,8 @@ type Tally struct {
 	Restorations int64   `json:"restorations"`
 	Promotions   int64   `json:"promotions"`
 	Revenue      float64 `json:"revenue"`
-	// CacheHitRate is hits / (hits + misses) of the discovery cache and
-	// IntakeBatchMean submissions / flushes of the group-commit intake; 0
-	// when the cache or the queue saw no traffic.
-	CacheHitRate    float64 `json:"cache_hit_rate"`
+	// IntakeBatchMean is submissions / flushes of the group-commit intake;
+	// 0 when the queue saw no traffic.
 	IntakeBatchMean float64 `json:"intake_batch_mean"`
 }
 
@@ -229,7 +227,7 @@ func (e *engine) report(mode string, config map[string]any) *Report {
 	}
 	// The registry hands back existing series on re-registration, so broker
 	// metrics are reachable by name without plumbing; Value is nil-safe.
-	var hits, misses, submitted, flushes int64
+	var submitted, flushes int64
 	for _, m := range e.topo.members {
 		event := func(kind string) int64 {
 			return m.Obs.Counter("gqosm_broker_lifecycle_total", "SLA lifecycle events by kind", "event", kind).Value()
@@ -238,17 +236,10 @@ func (e *engine) report(mode string, config map[string]any) *Report {
 		t.Restorations += event("restore")
 		t.Promotions += event("promote")
 		t.Revenue += m.Broker.Ledger().NetRevenue()
-		hits += m.Obs.Counter("gqosm_discovery_cache_hits_total",
-			"Discovery queries answered from the generation-stamped cache").Value()
-		misses += m.Obs.Counter("gqosm_discovery_cache_misses_total",
-			"Discovery queries that fell through to a registry Find").Value()
 		submitted += m.Obs.Counter("gqosm_intake_submitted_total",
 			"Admissions accepted into the intake queues").Value()
 		flushes += m.Obs.Counter("gqosm_intake_flushes_total",
 			"Group-commit flushes executed").Value()
-	}
-	if hits+misses > 0 {
-		t.CacheHitRate = float64(hits) / float64(hits+misses)
 	}
 	if flushes > 0 {
 		t.IntakeBatchMean = float64(submitted) / float64(flushes)

@@ -246,9 +246,9 @@ func TestClaimDigestsPinned(t *testing.T) {
 		rep  *Report
 		want string
 	}{
-		{"C1", c1, "b1e2631cafb0eaf6"},
-		{"C2", c2, "9d244bd7250e0c8f"},
-		{"C3", c3, "df6a0a027abc7679"},
+		{"C1", c1, "707d1e2ce2a917c6"},
+		{"C2", c2, "bad6994d1fbff71c"},
+		{"C3", c3, "6303541b48666302"},
 	} {
 		if tc.rep.Digest != tc.want {
 			t.Errorf("%s digest = %s, want %s", tc.name, tc.rep.Digest, tc.want)

@@ -244,18 +244,13 @@ func New(cfg Config) (*Stack, error) {
 }
 
 // CatchAll is the default advert: one service named "simulation" offering
-// adv from provider.
+// adv from provider under the registry's advert property names.
 func CatchAll(provider string, adv resource.Capacity) []registry.Service {
-	return []registry.Service{{
-		Name:     "simulation",
-		Provider: provider,
-		Properties: []registry.Property{
-			registry.NumProp("cpu-nodes", adv.CPU),
-			registry.NumProp("memory-mb", adv.MemoryMB),
-			registry.NumProp("disk-gb", adv.DiskGB),
-			registry.NumProp("bandwidth-mbps", adv.BandwidthMbps),
-		},
-	}}
+	props := make([]registry.Property, len(registry.Adverts))
+	for i, a := range registry.Adverts {
+		props[i] = registry.NumProp(a.Name, adv.Get(a.Kind))
+	}
+	return []registry.Service{{Name: "simulation", Provider: provider, Properties: props}}
 }
 
 // attachJobs subscribes to GRAM job transitions, giving every launched
