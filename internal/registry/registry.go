@@ -17,8 +17,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-	"unicode"
-	"unicode/utf8"
 
 	"gqosm/internal/clockx"
 	"gqosm/internal/resource"
@@ -312,16 +310,18 @@ func matchFilters(s *Service, filters []Filter) (bool, error) {
 // property Adverts names must be a Number at least that floor; a String
 // property never meets a numeric floor. It is Find's first match for the
 // equivalent "ge" query over Number adverts, without building the query,
-// cloning, sorting or failing.
+// cloning, sorting or failing. Names are lowered as in Find, which
+// allocates nothing for lower-case ASCII.
 func (r *Registry) First(pattern string, floor resource.Capacity) (Key, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := r.clock.Now()
+	pattern = strings.ToLower(pattern)
 	var first Key
 	found := false
 	for k, s := range r.services {
 		if (found && k >= first) || expired(s, now) ||
-			(pattern != "" && !containsLower(s.Name, pattern)) || !meetsFloor(s, floor) {
+			(pattern != "" && !strings.Contains(strings.ToLower(s.Name), pattern)) || !meetsFloor(s, floor) {
 			continue
 		}
 		first, found = k, true
@@ -340,30 +340,6 @@ func meetsFloor(s *Service, floor resource.Capacity) bool {
 		if p, ok := s.Property(a.Name); !ok || p.Type != Number || !(p.Num >= want) {
 			return false
 		}
-	}
-	return true
-}
-
-// containsLower reports strings.Contains(strings.ToLower(s),
-// strings.ToLower(sub)) without building either string. Both lowered
-// forms are valid UTF-8, so a match starts on a rune boundary of s and
-// compares rune by rune.
-func containsLower(s, sub string) bool {
-	for i := range s {
-		if hasLowerPrefix(s[i:], sub) {
-			return true
-		}
-	}
-	return false
-}
-
-func hasLowerPrefix(s, prefix string) bool {
-	for _, p := range prefix {
-		r, w := utf8.DecodeRuneInString(s)
-		if w == 0 || unicode.ToLower(r) != unicode.ToLower(p) {
-			return false
-		}
-		s = s[w:]
 	}
 	return true
 }
