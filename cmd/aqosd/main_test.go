@@ -312,3 +312,28 @@ func TestUnreadFlagRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanOutOfRangeRefused: a plan component that is not finite, or
+// that reaches 2^52, fails the run before the broker starts. The listen
+// address is unusable so that a plan the check lets through fails at the
+// listener, not here.
+func TestPlanOutOfRangeRefused(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // "" for a plan the check accepts
+	}{
+		{[]string{"-guaranteed", "10", "-adaptive", "2", "-besteffort", "2", "-memory", "inf"}, "memory-mb=+Inf is not finite"},
+		{[]string{"-guaranteed", "10", "-memory", "1e300"}, "memory-mb=1e+300 is not finite and below 2^52"},
+		{[]string{"-guaranteed", "10", "-memory", "1e15"}, ""},
+	} {
+		err := run(append(tc.args, "-listen", "127.0.0.1:-1", "-monitor-interval", "0"))
+		switch {
+		case err == nil:
+			t.Errorf("%v: run returned nil", tc.args)
+		case tc.want == "" && strings.Contains(err.Error(), "capacity plan"):
+			t.Errorf("%v: refused a plan in range: %v", tc.args, err)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
+		}
+	}
+}

@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -33,8 +34,18 @@ func (p CapacityPlan) Total() resource.Capacity {
 	return p.Guaranteed.Add(p.Adaptive).Add(p.BestEffort)
 }
 
-// Validate checks the partition.
+// Validate checks the partition: every component finite and below 2⁵²
+// (about 4.5·10¹⁵, far above any grid's capacity: the range in which the
+// allocator's exact total of guaranteed demand takes every grant exactly,
+// see toFix128), none negative, and the total not empty.
 func (p CapacityPlan) Validate() error {
+	for _, c := range [...]resource.Capacity{p.Guaranteed, p.Adaptive, p.BestEffort} {
+		for _, k := range resource.Kinds {
+			if v := c.Get(k); math.IsNaN(v) || math.Abs(v) >= fixLimit {
+				return fmt.Errorf("core: capacity plan %s=%g is not finite and below 2^52", k, v)
+			}
+		}
+	}
 	if !p.Guaranteed.IsNonNegative() || !p.Adaptive.IsNonNegative() || !p.BestEffort.IsNonNegative() {
 		return errors.New("core: capacity plan has negative components")
 	}
@@ -121,6 +132,13 @@ type Allocator struct {
 	mu         sync.Mutex
 	offline    resource.Capacity // failed capacity, charged against C_G
 	guaranteed map[string]resource.Capacity
+	// gTotal is Σ c(u,t) over guaranteed, kept exactly: every write to
+	// guaranteed subtracts the old grant and adds the new one here, so the
+	// total depends on the grants alone, never on the order of the writes
+	// or of a map walk. gDemand is gTotal rounded to float64, re-derived
+	// only when gTotal changes.
+	gTotal  exactCapacity
+	gDemand resource.Capacity
 	// bestEffort is in allocation order: Seq strictly ascends, because a
 	// grant appends nextSeq+1 and nothing ever reorders the rows.
 	bestEffort []BEState
@@ -131,8 +149,8 @@ type Allocator struct {
 	// (Snapshot, Utilization, LoadFactor, AvailableGuaranteed,
 	// AvailableBestEffort, Coverage, Offline) serve
 	// lock-free without ever contending with admissions. The values are
-	// computed by the same locked helpers the admission path uses — a
-	// full recomputation, never an incremental float sum — so a
+	// computed by the same locked helpers the admission path uses, from
+	// the exact guaranteed total and the ordered best-effort sum, so a
 	// happens-after read returns bit-identical results to the locked
 	// path (the post-drain exact-equality checks depend on this).
 	//
@@ -263,9 +281,12 @@ func (a *Allocator) Restore(guaranteed map[string]resource.Capacity, offline res
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.guaranteed = make(map[string]resource.Capacity, len(guaranteed))
+	var total exactCapacity
 	for u, c := range guaranteed {
 		a.guaranteed[u] = c
+		total = total.add(exactOf(c))
 	}
+	a.setGTotalLocked(total)
 	a.offline = offline.Min(a.plan.Guaranteed).ClampMin(resource.Capacity{})
 	a.bestEffort = slices.Clone(be)
 	a.nextSeq = nextSeq
@@ -297,12 +318,17 @@ func (a *Allocator) effectiveGLocked() resource.Capacity {
 	return a.plan.Guaranteed.Sub(a.offline).ClampMin(resource.Capacity{})
 }
 
-func (a *Allocator) gDemandLocked() resource.Capacity {
-	var sum resource.Capacity
-	for _, c := range a.guaranteed {
-		sum = sum.Add(c)
+// gDemandLocked is Σ c(u,t), the guaranteed demand: the exact running
+// total, rounded once.
+func (a *Allocator) gDemandLocked() resource.Capacity { return a.gDemand }
+
+// setGTotalLocked stores a new guaranteed total, rounding it only when it
+// changed.
+func (a *Allocator) setGTotalLocked(t exactCapacity) {
+	if t != a.gTotal {
+		a.gTotal = t
+		a.gDemand = t.capacity()
 	}
-	return sum
 }
 
 func (a *Allocator) beUsedLocked() resource.Capacity {
@@ -360,9 +386,11 @@ func (a *Allocator) AllocateGuaranteed(user string, requested, floor resource.Ca
 // book — that is exactly what a batch amortizes.
 func (a *Allocator) allocateGuaranteedLocked(user string, requested, floor resource.Capacity) (GrantResult, error) {
 	prev, hadPrev := a.guaranteed[user]
-	base := a.gDemandLocked()
+	// others is everyone else's demand, exactly; base rounds it once.
+	others, base := a.gTotal, a.gDemand
 	if hadPrev {
-		base = base.Sub(prev)
+		others = others.sub(exactOf(prev))
+		base = others.capacity()
 	}
 	bound := a.gBoundLocked()
 
@@ -390,6 +418,7 @@ func (a *Allocator) allocateGuaranteedLocked(user string, requested, floor resou
 	}
 
 	a.guaranteed[user] = res.Granted
+	a.setGTotalLocked(others.add(exactOf(res.Granted)))
 	return res, nil
 }
 
@@ -442,10 +471,12 @@ func (a *Allocator) AllocateGuaranteedBatch(asks []GuaranteedAsk) {
 func (a *Allocator) ReleaseGuaranteed(user string) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if _, ok := a.guaranteed[user]; !ok {
+	prev, ok := a.guaranteed[user]
+	if !ok {
 		return fmt.Errorf("%w: guaranteed %q", ErrUnknownUser, user)
 	}
 	delete(a.guaranteed, user)
+	a.setGTotalLocked(a.gTotal.sub(exactOf(prev)))
 	a.publishLocked()
 	return nil
 }

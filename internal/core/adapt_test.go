@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -47,12 +48,24 @@ func TestCapacityPlan(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
-	if err := (CapacityPlan{}).Validate(); err == nil {
-		t.Error("empty plan accepted")
-	}
-	bad := CapacityPlan{Guaranteed: resource.Nodes(-1), Adaptive: resource.Nodes(2)}
-	if err := bad.Validate(); err == nil {
-		t.Error("negative plan accepted")
+	g := resource.Nodes(10)
+	for _, tc := range []struct {
+		name string
+		plan CapacityPlan
+		ok   bool
+	}{
+		{"empty", CapacityPlan{}, false},
+		{"negative", CapacityPlan{Guaranteed: resource.Nodes(-1), Adaptive: resource.Nodes(2)}, false},
+		{"+Inf memory", CapacityPlan{Guaranteed: g, BestEffort: resource.Capacity{MemoryMB: math.Inf(1)}}, false},
+		{"-Inf disk", CapacityPlan{Guaranteed: g, Adaptive: resource.Capacity{DiskGB: math.Inf(-1)}}, false},
+		{"NaN bandwidth", CapacityPlan{Guaranteed: g.With(resource.BandwidthMbps, math.NaN())}, false},
+		{"1e300 memory", CapacityPlan{Guaranteed: g.With(resource.MemoryMB, 1e300)}, false},
+		{"2^52 cpu", CapacityPlan{Guaranteed: resource.Nodes(0x1p52)}, false},
+		{"just below 2^52", CapacityPlan{Guaranteed: resource.Nodes(0x1p52 - 1)}, true},
+	} {
+		if err := tc.plan.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 	if _, err := NewAllocator(CapacityPlan{}); err == nil {
 		t.Error("NewAllocator accepted empty plan")
@@ -509,9 +522,9 @@ func cutUsers(before, after []BEState) []string {
 // reference makes of the table as it stood before the operation. It also
 // holds the premise of the reverse walk: Seq strictly ascends, always.
 func TestRebalanceMatchesSortedReference(t *testing.T) {
-	// Half-node steps: every sum is exact, so the map-order float sums of
-	// guaranteed demand (ROADMAP item 1) cannot move a last bit between the
-	// allocator's pass and the reference's.
+	// Half-node steps: every sum is exact, so the reference's float sums
+	// of the best-effort table cannot move a last bit away from the
+	// allocator's.
 	amount := func(rng *rand.Rand, max int) resource.Capacity {
 		return resource.Nodes(float64(1+rng.Intn(2*max)) / 2)
 	}

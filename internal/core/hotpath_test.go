@@ -338,7 +338,8 @@ func TestDiscoverUntypedAdvertRefused(t *testing.T) {
 // TestAllocatorViewConsistency replays a mutation sequence and, after
 // every step, recomputes each published read value from the
 // authoritative locked state. The two must match exactly — the view is
-// a full recomputation, not an approximation.
+// computed by the same locked helpers, from the same exact guaranteed
+// total, not approximated.
 func TestAllocatorViewConsistency(t *testing.T) {
 	plan := CapacityPlan{
 		Guaranteed: resource.Capacity{CPU: 15, MemoryMB: 6144, DiskGB: 120, BandwidthMbps: 700},
