@@ -76,7 +76,7 @@ func run(args []string) error {
 		memory     = fs.Float64("memory", 10240, "total memory MB (split pro rata)")
 		disk       = fs.Float64("disk", 200, "total disk GB (split pro rata)")
 		confirm    = fs.Duration("confirm-window", 2*time.Minute, "offer confirmation window")
-		monitor    = fs.Duration("monitor-interval", time.Minute, "periodic QoS-management interval (0 disables)")
+		monitor    = fs.Duration("monitor-interval", core.DefaultMonitorInterval, "periodic QoS-management interval (0 disables)")
 		rmAttempts = fs.Int("rm-attempts", 3, "attempts per RM-facing call (1 disables retries)")
 		rmTimeout  = fs.Duration("rm-timeout", 5*time.Second, "per-attempt timeout on RM-facing calls (0 disables)")
 		rmBackoff  = fs.Duration("rm-backoff", 100*time.Millisecond, "base backoff between RM retry attempts")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -81,20 +82,38 @@ func TestGoldenClusterSmallScale(t *testing.T) {
 	}
 }
 
-// TestGoldenParallelSerialRow pins the serial baseline row of the
-// parallel-smoke command: one client's schedule is a pure function of the
-// seed, so its lifecycle counters are too.
+// TestGoldenParallelSerialRow holds BENCH_parallel.json's serial child
+// to the parallel-smoke command byte for byte: one client's schedule is a
+// pure function of the seed, so its whole report is too. The parallel
+// child interleaves goroutines and is only gated.
 func TestGoldenParallelSerialRow(t *testing.T) {
-	out, err := runCapture(t, "-parallel", "-seed", "7", "-json")
+	out, err := runCapture(t, "-parallel", "-json")
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	committed, err := os.ReadFile(filepath.Join("..", "..", "BENCH_parallel.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep sim.Report
-	if err := json.Unmarshal([]byte(out), &rep); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, out)
+	got, want := serialChild(t, []byte(out)), serialChild(t, committed)
+	if !bytes.Equal(got, want) {
+		t.Errorf("serial child diverged from BENCH_parallel.json:\n got: %s\nwant: %s", got, want)
 	}
-	s := rep.Runs["serial"]
-	if s == nil || s.Outcome.Requested != 3127 || s.Outcome.Admitted != 110 || s.Outcome.Terminated != 110 || s.Oracle.Checks != 11 {
-		t.Errorf("serial row = %s, want requested 3127 / admitted 110 / terminated 110 / checks 11", out)
+}
+
+// serialChild returns the compacted runs.serial document of a -parallel
+// report.
+func serialChild(t *testing.T, doc []byte) []byte {
+	t.Helper()
+	var rep struct {
+		Runs map[string]json.RawMessage `json:"runs"`
 	}
+	if err := json.Unmarshal(doc, &rep); err != nil {
+		t.Fatalf("bad JSON: %v\n%s", err, doc)
+	}
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, rep.Runs["serial"]); err != nil {
+		t.Fatalf("no serial child: %v\n%s", err, doc)
+	}
+	return buf.Bytes()
 }

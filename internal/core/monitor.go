@@ -24,11 +24,17 @@ type Monitor struct {
 	stopped bool
 }
 
-// NewMonitor returns a monitor ticking at the given interval (default 5
-// minutes). Call Start to begin.
+// DefaultMonitorInterval is the one tick interval of the management
+// loop: aqosd's -monitor-interval default and every simulated topology's.
+const DefaultMonitorInterval = time.Minute
+
+// NewMonitor returns a monitor ticking at the given interval. A
+// non-positive interval falls back to DefaultMonitorInterval: a zero
+// one would re-arm at the same instant forever on a manual clock. Call
+// Start to begin.
 func NewMonitor(b *Broker, interval time.Duration) *Monitor {
 	if interval <= 0 {
-		interval = 5 * time.Minute
+		interval = DefaultMonitorInterval
 	}
 	return &Monitor{broker: b, clock: b.clock, interval: interval}
 }

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gqosm/internal/faultx"
 )
 
 // ticks reads how many monitor ticks have started on b.
@@ -66,6 +68,46 @@ func TestMonitorTickPanicRecovery(t *testing.T) {
 	}
 	if !logged {
 		t.Fatal("recovered panic not logged")
+	}
+}
+
+// TestMonitorTickCountsReconciledCancel: a cancel parked while the RM is
+// down and cleared by a later monitor tick counts exactly once, in
+// RetryStats and on the exposition; ticks with nothing parked add nothing.
+func TestMonitorTickCountsReconciledCancel(t *testing.T) {
+	h := newDurableHarness(t, 0)
+	b := h.broker
+	mon := NewMonitor(b, DefaultMonitorInterval)
+	mon.Start()
+	defer mon.Stop()
+
+	id, _, _ := clearingSession(t, b, true, false)
+	h.inj.SetPlan("gara.cancel", faultx.Plan{Rate: 1, Kinds: []faultx.Kind{faultx.KindError}})
+	if err := b.Terminate(id, "service completed"); err != nil {
+		t.Fatal(err)
+	}
+	h.clock.Advance(DefaultMonitorInterval)
+	if n := b.PendingCancels(); n != 1 {
+		t.Fatalf("PendingCancels with the RM down = %d, want 1", n)
+	}
+	if _, _, _, reconciled := b.RetryStats(); reconciled != 0 {
+		t.Fatalf("reconciled with the RM down = %d, want 0", reconciled)
+	}
+
+	h.inj.SetPlan("gara.cancel", faultx.Plan{})
+	h.clock.Advance(3 * DefaultMonitorInterval)
+	if n := b.PendingCancels(); n != 0 {
+		t.Fatalf("PendingCancels after the RM came back = %d, want 0", n)
+	}
+	if _, _, _, reconciled := b.RetryStats(); reconciled != 1 {
+		t.Errorf("reconciled = %d, want 1", reconciled)
+	}
+	var sb strings.Builder
+	if err := b.Obs().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "gqosm_rm_reconciled_cancels_total 1\n") {
+		t.Errorf("exposition missing the reconciled-cancels counter:\n%s", sb.String())
 	}
 }
 

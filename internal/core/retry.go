@@ -70,15 +70,20 @@ type policyRunner struct {
 	sites map[string]*siteMetrics
 
 	// Aggregate totals, exposed through Broker.RetryStats for
-	// deterministic harness reports.
-	retries, timeouts, unavailable atomic.Int64
+	// deterministic harness reports. reconciled counts the parked cancels
+	// the public ReconcileReservations sweep cleared (recovery's own sweep
+	// reports through RecoverStats.ParkedCleared instead).
+	retries, timeouts, unavailable, reconciled atomic.Int64
+	reconciledTotal                            *obs.Counter
 }
 
 func newPolicyRunner(b *Broker, p RetryPolicy) *policyRunner {
 	if p.Attempts <= 0 {
 		p.Attempts = 1
 	}
-	return &policyRunner{b: b, p: p, sites: make(map[string]*siteMetrics)}
+	return &policyRunner{b: b, p: p, sites: make(map[string]*siteMetrics),
+		reconciledTotal: b.obs.Counter("gqosm_rm_reconciled_cancels_total",
+			"Parked reservation cancels cleared by the reconciliation sweep")}
 }
 
 func (r *policyRunner) metrics(site string) *siteMetrics {
@@ -242,10 +247,10 @@ func (r *policyRunner) callCreate(site, tag string, create func() (gara.Handle, 
 }
 
 // RetryStats returns the aggregate retry-budget totals across all
-// sites: retries performed, attempts timed out, and calls that
-// exhausted their budget.
-func (b *Broker) RetryStats() (retries, timeouts, unavailable int64) {
-	return b.pol.retries.Load(), b.pol.timeouts.Load(), b.pol.unavailable.Load()
+// sites: retries performed, attempts timed out, calls that exhausted
+// their budget, and parked cancels ReconcileReservations later cleared.
+func (b *Broker) RetryStats() (retries, timeouts, unavailable, reconciled int64) {
+	return b.pol.retries.Load(), b.pol.timeouts.Load(), b.pol.unavailable.Load(), b.pol.reconciled.Load()
 }
 
 // givenBack reports whether a gara.cancel outcome leaves the reservation
@@ -288,10 +293,9 @@ func (b *Broker) PendingCancels() int {
 }
 
 // ReconcileReservations retries every parked reservation cancel (in
-// SLA order, deterministically) and returns how many were cleared.
-// The monitor drives it each tick; harnesses call it during drains so
-// no reservation outlives its session just because an RM was down at
-// teardown time.
+// SLA order, deterministically) and returns how many were cleared. The
+// monitor drives it each tick, so no reservation outlives its session
+// just because an RM was down at teardown time.
 //
 // While a recovery is in flight the sweep is a no-op: the parked-cancel
 // table is still being rebuilt from the WAL, and a monitor that re-arms
@@ -301,7 +305,10 @@ func (b *Broker) ReconcileReservations() int {
 	if b.recovering.Load() {
 		return 0
 	}
-	return b.sweepParked()
+	n := b.sweepParked()
+	b.pol.reconciled.Add(int64(n))
+	b.pol.reconciledTotal.Add(int64(n))
+	return n
 }
 
 // sweepParked is the reconcile body, shared by the public method and

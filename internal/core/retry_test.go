@@ -116,7 +116,7 @@ func TestRetryExhaustionSurfacesErrRMUnavailable(t *testing.T) {
 	if ran != 0 {
 		t.Errorf("op ran %d time(s) through KindError faults, want 0", ran)
 	}
-	retries, _, unavailable := b.RetryStats()
+	retries, _, unavailable, _ := b.RetryStats()
 	if retries != 2 {
 		t.Errorf("retries = %d, want 2 (attempts 2 and 3)", retries)
 	}
@@ -143,7 +143,7 @@ func TestRetryBusinessErrorPassesThrough(t *testing.T) {
 	if ran != 1 {
 		t.Errorf("op ran %d time(s), want exactly 1", ran)
 	}
-	if retries, _, _ := b.RetryStats(); retries != 0 {
+	if retries, _, _, _ := b.RetryStats(); retries != 0 {
 		t.Errorf("retries = %d, want 0", retries)
 	}
 }
@@ -162,7 +162,7 @@ func TestRetryHangChargesTimeout(t *testing.T) {
 	if !errors.Is(err, ErrRMUnavailable) {
 		t.Fatalf("err = %v, want ErrRMUnavailable", err)
 	}
-	if _, timeouts, _ := b.RetryStats(); timeouts != 2 {
+	if _, timeouts, _, _ := b.RetryStats(); timeouts != 2 {
 		t.Errorf("timeouts = %d, want 2", timeouts)
 	}
 	if got := inj.VirtualP95MS(); got != 2000 {
@@ -291,7 +291,7 @@ func TestHungRMProbeDoesNotStallTick(t *testing.T) {
 	if rm.calls != 0 {
 		t.Errorf("RM adapter ran %d time(s) through a blocking hang", rm.calls)
 	}
-	if _, timeouts, _ := b.RetryStats(); timeouts == 0 {
+	if _, timeouts, _, _ := b.RetryStats(); timeouts == 0 {
 		t.Error("hung probe not accounted as a call timeout")
 	}
 	if got := b.Violations(id); got == 0 {

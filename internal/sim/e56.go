@@ -64,6 +64,9 @@ func RunE56() (*E56Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// No monitor: the script expires SLA_comp itself at t4, and a tick at
+	// that reading would expire it first ("already expired"). The §5.6
+	// topology moves onto the engine with the rest of E56 (ROADMAP item 6).
 	cl, err := NewCluster(stack.Config{Plan: plan, Topology: topo, ConfirmWindow: time.Hour})
 	if err != nil {
 		return nil, err

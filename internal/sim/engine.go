@@ -31,15 +31,20 @@ import (
 //     window (clustersim.go), or C3's best-effort floor (claims.go);
 //   - a topology (the resource model): one broker, optionally behind the
 //     loopback JSON listener, or N brokers behind a cluster.Front; WAL
-//     and intake on or off;
+//     and intake on or off. Every member runs core.Monitor at
+//     core.DefaultMonitorInterval, the management loop aqosd runs by
+//     default, so expiry, the optimizer and parked-cancel reconciliation
+//     happen on its ticks, not where a harness chooses;
 //   - perturbations: a seeded fault injector at a rate, kill +
 //     core.Recover at evenly spaced steps with a pre/post state-digest
 //     compare, forced hand-off migrations every k steps;
 //   - oracles: the invariant suite at every quiesce point, its strict
-//     Final rules after the drain, and the capacity-restored check.
+//     Final rules after the drain (72 h of ticks on a healthy
+//     substrate), and the capacity-restored check.
 //
 // The engine owns the determinism rules the serial harnesses rely on:
-// everything runs on one manual clock; every workload step draws a fixed
+// everything runs on one manual clock, which fires the monitor's ticks
+// synchronously inside Advance; every workload step draws a fixed
 // number of PRNG values whatever the broker answers; under faults the
 // stress clients step serially round-robin so the injector's single PRNG
 // sees an identical call sequence on every run; and a queued intake is
@@ -98,6 +103,7 @@ func newTopology(cfg topoConfig) (_ *topology, err error) {
 	}()
 	base := cfg.Base
 	base.Clock = t.clock
+	base.MonitorInterval = core.DefaultMonitorInterval
 	if cfg.Durable && base.WALDir == "" {
 		dir, err := os.MkdirTemp("", "gqosm-wal-*")
 		if err != nil {
@@ -228,7 +234,7 @@ type engine struct {
 	// lifecycle > 0 sweeps expiries before each oracle pass and adds the
 	// expiry-boundary rules for that confirm window, which only hold
 	// after a sweep at the same clock reading. Not for workloads that let
-	// offers ride (the stress clients expire them on their own schedule).
+	// offers ride (the stress clients leave them to the monitor's ticks).
 	lifecycle time.Duration
 
 	// kills is how many times the (single, durable) broker is crashed and
@@ -244,8 +250,8 @@ type engine struct {
 	// capacityRestored is true when the drain returned every member to
 	// its configured plan.
 	capacityRestored bool
-	// faults carries the drain's reconciled cancels and the retry budget
-	// spent by broker incarnations a kill has since replaced.
+	// faults carries the retry budget spent and the parked cancels
+	// reconciled, banked from every broker incarnation a kill replaced.
 	faults    Faults
 	recovery  Recovery // one increment / entry per kill
 	migration Migration
@@ -284,6 +290,10 @@ func (e *engine) quiesce(stage string, final bool) {
 	e.oracle.Checks++
 	now := e.topo.clock.Now()
 	if e.lifecycle > 0 {
+		// The one hand-driven piece of the monitor's tick: a quiesce lands
+		// between two ticks, and CheckLifecycle's expiry rules hold only
+		// after a sweep at the same clock reading
+		// (TestRunScenarioQuickAndDeterministic/lease-churn, seed 4).
 		for _, m := range e.topo.members {
 			m.Broker.ExpireDue()
 		}
@@ -381,29 +391,23 @@ func (e *engine) kill() error {
 // addRetryStats banks b's retry-budget totals; a recovered broker starts
 // its own from zero.
 func (e *engine) addRetryStats(b *core.Broker) {
-	retries, timeouts, unavailable := b.RetryStats()
+	retries, timeouts, unavailable, reconciled := b.RetryStats()
 	e.faults.Retries += retries
 	e.faults.Timeouts += timeouts
 	e.faults.Unavailable += unavailable
+	e.faults.ReconciledCancels += reconciled
 }
 
 // finish drains on a healthy substrate — injection off (crash windows
-// cleared), blocked hangs released, every session driven terminal,
-// parked cancels reconciled — then holds the final oracle pass to the
-// stricter drain-only rules and verifies no capacity was lost or
-// double-spent.
+// cleared), blocked hangs released, every session driven terminal — then
+// lets 72 h of monitor ticks expire what survives and reconcile parked
+// cancels, holds the final oracle pass to the stricter drain-only rules
+// and verifies no capacity was lost or double-spent.
 func (e *engine) finish() {
 	e.topo.inj.SetEnabled(false)
 	e.topo.inj.ReleaseHangs()
 	e.work.drain()
-	for _, m := range e.topo.members {
-		e.faults.ReconciledCancels += m.Broker.ReconcileReservations()
-	}
-	e.topo.clock.Advance(72 * time.Hour) // expire surviving offers and sessions via their timers
-	for _, m := range e.topo.members {
-		m.Broker.ExpireDue()
-		e.faults.ReconciledCancels += m.Broker.ReconcileReservations()
-	}
+	e.topo.clock.Advance(72 * time.Hour)
 	e.quiesce("post-drain", true)
 
 	e.capacityRestored = true

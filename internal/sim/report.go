@@ -120,9 +120,9 @@ type Faults struct {
 	Retries     int64 `json:"retries"`
 	Timeouts    int64 `json:"timeouts"`
 	Unavailable int64 `json:"unavailable"`
-	// ReconciledCancels counts parked reservation cancels cleared by the
-	// drain-time reconciliation sweeps.
-	ReconciledCancels int `json:"reconciled_cancels"`
+	// ReconciledCancels counts parked reservation cancels the monitor's
+	// reconciliation sweeps cleared.
+	ReconciledCancels int64 `json:"reconciled_cancels"`
 	// VirtualP95MS is the p95 of injected virtual latency (recorded delays
 	// plus timed-out attempt deadlines).
 	VirtualP95MS float64 `json:"virtual_p95_ms"`

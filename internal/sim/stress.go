@@ -322,23 +322,21 @@ func (c *parClient) step() {
 				c.terminated++
 			}
 		}
-	case op == 7: // time passes; offers expire, sessions lapse
+	case op == 7: // time passes; the monitor's ticks expire what lapsed
 		clock.Advance(time.Duration(1+r1%10) * time.Minute)
-		b.ExpireDue()
 	case op == 8: // failure / recovery
 		if r1%2 == 0 {
 			b.NotifyFailure(resource.Nodes(float64(r2 % 6)))
 		} else {
 			b.NotifyFailure(resource.Capacity{})
 		}
-	case op == 9: // best-effort churn + optimizer
+	case op == 9: // best-effort churn
 		client := "par-be" + strconv.Itoa(c.id)
 		if r1%2 == 0 {
 			_ = b.BestEffortRequest(client, resource.Nodes(float64(1+r2%4)))
 		} else {
 			_ = b.BestEffortRelease(client)
 		}
-		_, _ = b.RunOptimizer()
 	}
 }
 
