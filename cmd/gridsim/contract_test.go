@@ -112,11 +112,11 @@ func checkContract(t *testing.T, row contractRow) {
 
 func TestReportContract(t *testing.T) {
 	rows := []contractRow{
-		{name: "cluster-of-one", mode: "cluster", args: []string{"-cluster", "1", "-clients", "300", "-seed", "5"},
-			blocks: []string{"runs.scale.:front", "runs.baseline.:front"},
+		{name: "cluster-of-one", mode: "federation", args: []string{"-federation", "1", "-clients", "300", "-seed", "5"},
+			blocks: []string{"runs.scale.:federation", "runs.baseline.:federation"},
 			pins: func(t *testing.T, rep *sim.Report) {
-				if rep.Runs["handoff"] != nil || rep.Runs["scale"].Outcome.Migration != nil {
-					t.Error("one broker cannot migrate or hand off, yet the document reports it did")
+				if f := rep.Runs["scale"].Outcome.Federation; f.Forwarded != 0 || len(f.PerBroker) != 1 {
+					t.Errorf("a federation of one broker has no neighbor to forward to, yet reports %+v", f)
 				}
 			}},
 		{name: "scenario", mode: "scenario", args: []string{"-scenario", "diurnal", "-seed", "1", "-ops", "2000"},

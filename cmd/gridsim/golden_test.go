@@ -57,10 +57,10 @@ func TestGoldenScenarios(t *testing.T) {
 	golden(t, []string{"-scenario", "all", "-seed", "7", "-ops", "3000", "-json"}, "testdata", "scenarios_seed7_ops3000.json")
 }
 
-// TestGoldenClusterSmallScale pins the cluster-smoke CI command: the
-// outcome digest, N=1 parity and the hand-off drill's single owner.
+// TestGoldenClusterSmallScale pins the federation-smoke CI command: the
+// outcome digest and N=1 parity of a 3-broker federation.
 func TestGoldenClusterSmallScale(t *testing.T) {
-	out, err := runCapture(t, "-cluster", "3", "-clients", "5000", "-seed", "7", "-json")
+	out, err := runCapture(t, "-federation", "3", "-clients", "5000", "-seed", "7", "-json")
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -70,15 +70,15 @@ func TestGoldenClusterSmallScale(t *testing.T) {
 	}
 	const digest = "455c607a1cf3aa48"
 	scale, baseline := rep.Runs["scale"].Outcome, rep.Runs["baseline"].Outcome
-	if !rep.Oracle.Gates["parity"] || scale.Front.OutcomeDigest != digest || baseline.Front.OutcomeDigest != digest {
+	if !rep.Oracle.Gates["parity"] || scale.Federation.OutcomeDigest != digest || baseline.Federation.OutcomeDigest != digest {
 		t.Errorf("parity=%v scale=%s baseline=%s, want parity with digest %s",
-			rep.Oracle.Gates["parity"], scale.Front.OutcomeDigest, baseline.Front.OutcomeDigest, digest)
+			rep.Oracle.Gates["parity"], scale.Federation.OutcomeDigest, baseline.Federation.OutcomeDigest, digest)
 	}
 	if scale.Admitted != 4949 || scale.Rejected != 51 {
 		t.Errorf("scale admitted/rejected = %d/%d, want 4949/51", scale.Admitted, scale.Rejected)
 	}
-	if !rep.Runs["handoff"].Oracle.Gates["single_owner"] {
-		t.Error("handoff drill did not end with a single owner")
+	if scale.Federation.Forwarded == 0 {
+		t.Error("the 3-broker federation forwarded nothing")
 	}
 }
 

@@ -37,11 +37,11 @@ func main() {
 
 // options holds every flag value.
 type options struct {
-	experiment, walDir, transport, scenario string
-	seed                                    int64
-	clients, ops, phases, restarts, cluster int
-	faultRate                               float64
-	verbose, jsonOut, intake, soak          bool
+	experiment, walDir, transport, scenario    string
+	seed                                       int64
+	clients, ops, phases, restarts, federation int
+	faultRate                                  float64
+	verbose, jsonOut, intake, soak             bool
 	// summary, when a mode sets it, prints below the plain-text document.
 	summary func()
 }
@@ -64,8 +64,8 @@ type mode struct {
 }
 
 var modes = []mode{
-	{"cluster", "N brokers behind the front tier vs a 1-broker baseline over the same workload, their outcome parity, and for N > 1 the hand-off crash drill (BENCH_cluster.json)",
-		[]string{"cluster"}, []string{"clients", "seed", "json"}, runCluster},
+	{"federation", "N federated brokers (aqosd -peer's forwarding) vs a 1-broker baseline over the same workload, and their outcome parity (BENCH_federation.json)",
+		[]string{"federation"}, []string{"clients", "seed", "json"}, runFederation},
 	{"scenario", "replay a named traffic scenario (or all, or list); -soak adds working-set pruning, counting and the stable gate (BENCH_scenarios.json)",
 		[]string{"scenario"}, []string{"soak", "seed", "ops", "json"}, runScenarios},
 	{"restart-chaos", "chaos against a durable broker killed and WAL-recovered mid-workload (BENCH_recovery.json)",
@@ -195,7 +195,7 @@ var ranges = []struct {
 	{"ops", 1, math.Inf(1)},
 	{"phases", 1, math.Inf(1)},
 	{"restarts", 0, math.Inf(1)},
-	{"cluster", 0, math.Inf(1)},
+	{"federation", 0, math.Inf(1)},
 	{"faultrate", 0, 1},
 }
 
@@ -221,7 +221,7 @@ func flagSet(o *options) *flag.FlagSet {
 	fs.Int64Var(&o.seed, "seed", 2003, "workload seed")
 	fs.BoolVar(&o.verbose, "v", false, "include broker activity logs")
 	fs.Bool("parallel", false, "run the concurrent admission stress")
-	fs.IntVar(&o.clients, "clients", 0, "stress clients (default 8); with -cluster the simulated client count (default 100000)")
+	fs.IntVar(&o.clients, "clients", 0, "stress clients (default 8); with -federation the simulated client count (default 100000)")
 	fs.IntVar(&o.ops, "ops", 10000, "total operations for the stress and scenario modes")
 	fs.IntVar(&o.phases, "phases", 10, "mid-run quiesce points for -parallel/-chaos")
 	fs.BoolVar(&o.jsonOut, "json", false, "emit the mode's report as JSON")
@@ -233,7 +233,7 @@ func flagSet(o *options) *flag.FlagSet {
 	fs.StringVar(&o.transport, "transport", "", "admission transport for -parallel: empty (in-process) or http (loopback JSON API)")
 	fs.StringVar(&o.scenario, "scenario", "", "replay a workload scenario by name ('all' for every scenario, 'list' for the catalog)")
 	fs.BoolVar(&o.soak, "soak", false, "run -scenario in long-run soak mode: bounded working set, counted per window")
-	fs.IntVar(&o.cluster, "cluster", 0, "run the multi-broker workload with N broker instances behind the front tier")
+	fs.IntVar(&o.federation, "federation", 0, "run the multi-broker workload with N federated broker instances")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "Usage of gridsim — one mode per run:\n\n%s\n", modeTable())
 		fs.PrintDefaults()
@@ -312,30 +312,24 @@ func runChaos(o *options) (*sim.Report, error) {
 	return sim.RunChaos(cfg)
 }
 
-// runCluster is the BENCH_cluster.json shape: the N-broker run, the
-// 1-broker baseline over the same workload, the parity gate between
-// their outcome digests, and for N > 1 the hand-off crash drill.
-func runCluster(o *options) (*sim.Report, error) {
+// runFederation is the BENCH_federation.json shape: the N-broker run,
+// the 1-broker baseline over the same workload, and the parity gate
+// between their outcome digests.
+func runFederation(o *options) (*sim.Report, error) {
 	// An unset -clients leaves each mode's own default in force: 8 stress
 	// clients, but the acceptance-scale 10⁵ simulated clients here.
-	cfg := sim.ClusterSimConfig{Brokers: o.cluster, Clients: o.clients, Seed: o.seed}
+	cfg := sim.FederationConfig{Brokers: o.federation, Clients: o.clients, Seed: o.seed}
 	runs := map[string]*sim.Report{}
 	var err error
-	if runs["scale"], err = sim.RunClusterSim(cfg); err != nil {
+	if runs["scale"], err = sim.RunFederation(cfg); err != nil {
 		return nil, err
 	}
 	cfg.Brokers = 1
-	if runs["baseline"], err = sim.RunClusterSim(cfg); err != nil {
+	if runs["baseline"], err = sim.RunFederation(cfg); err != nil {
 		return nil, fmt.Errorf("single-broker baseline: %w", err)
 	}
-	if o.cluster > 1 {
-		runs["handoff"], err = sim.RunHandoffCrash(sim.HandoffCrashConfig{Brokers: o.cluster, Seed: o.seed})
-		if err != nil {
-			return nil, fmt.Errorf("handoff crash drill: %w", err)
-		}
-	}
-	rep := sim.NewReport("cluster", map[string]any{"brokers": o.cluster, "seed": o.seed}, runs)
-	rep.Oracle.Gates["parity"] = runs["scale"].Outcome.Front.OutcomeDigest == runs["baseline"].Outcome.Front.OutcomeDigest
+	rep := sim.NewReport("federation", map[string]any{"brokers": o.federation, "seed": o.seed}, runs)
+	rep.Oracle.Gates["parity"] = runs["scale"].Outcome.Federation.OutcomeDigest == runs["baseline"].Outcome.Federation.OutcomeDigest
 	return rep.Seal(), nil
 }
 

@@ -40,7 +40,7 @@ func TestRunArgumentErrors(t *testing.T) {
 		"bad-flag":           {"-no-such-flag"},
 		"bad-seed":           {"-seed", "not-a-number"},
 		// Flags the selected mode does not read are rejected, not dropped.
-		"cluster-intake":      {"-cluster", "3", "-intake"},
+		"cluster-intake":      {"-federation", "3", "-intake"},
 		"scenario-faultrate":  {"-scenario", "diurnal", "-faultrate", "0.4"},
 		"restarts-phases":     {"-chaos", "-restarts", "3", "-phases", "5"},
 		"chaos-wal-dir":       {"-chaos", "-wal-dir", "/tmp/x"},
@@ -71,8 +71,8 @@ func TestSizingFlagsOutOfRange(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-cluster", "-2", "-clients", "300"}, "bad -cluster -2"},
-		{[]string{"-cluster", "3", "-clients", "-3"}, "bad -clients -3"},
+		{[]string{"-federation", "-2", "-clients", "300"}, "bad -federation -2"},
+		{[]string{"-federation", "3", "-clients", "-3"}, "bad -clients -3"},
 		{[]string{"-chaos", "-ops", "-5"}, "bad -ops -5"},
 		{[]string{"-chaos", "-clients", "-3"}, "bad -clients -3"},
 		{[]string{"-chaos", "-phases", "-1"}, "bad -phases -1"},
@@ -204,7 +204,7 @@ func TestScenarioList(t *testing.T) {
 	}
 }
 
-// The soak and cluster rows of the report contract (contract_test.go),
+// The soak and federation rows of the report contract (contract_test.go),
 // under the names these two tests have always had.
 func TestScenarioSoakJSON(t *testing.T) {
 	checkContract(t, contractRow{mode: "scenario",
@@ -229,34 +229,33 @@ func TestScenarioArgumentErrors(t *testing.T) {
 	}
 }
 
-// TestClusterFlagJSON runs a small -cluster workload end to end: the
-// N-broker run, its 1-broker baseline, and the two gates — N=1 parity
-// and the hand-off drill's single owner.
+// TestClusterFlagJSON runs a small -federation workload end to end: the
+// N-broker run, its 1-broker baseline, and the N=1 parity gate.
 func TestClusterFlagJSON(t *testing.T) {
-	checkContract(t, contractRow{mode: "cluster",
-		args:   []string{"-cluster", "2", "-clients", "600", "-seed", "5"},
-		blocks: []string{"runs.scale.:front", "runs.scale.:migration", "runs.handoff.:handoff"},
+	checkContract(t, contractRow{mode: "federation",
+		args:   []string{"-federation", "2", "-clients", "600", "-seed", "5"},
+		blocks: []string{"runs.scale.:federation", "runs.baseline.:federation"},
 		pins: func(t *testing.T, rep *sim.Report) {
 			scale := rep.Runs["scale"]
 			if scale.Config["brokers"] != 2.0 || scale.Config["clients"] != 600.0 || rep.Runs["baseline"].Config["brokers"] != 1.0 {
 				t.Errorf("scale config = %v, baseline config = %v", scale.Config, rep.Runs["baseline"].Config)
 			}
-			if rep.Runs["baseline"].Outcome.Migration != nil {
-				t.Error("the 1-broker baseline reports a migration block although none ran")
+			if len(rep.Runs) != 2 {
+				t.Errorf("runs = %d, want scale and baseline only", len(rep.Runs))
 			}
 			if !rep.Oracle.Gates["parity"] {
 				t.Error("parity gate failed")
-			}
-			if !rep.Runs["handoff"].Oracle.Gates["single_owner"] {
-				t.Error("handoff drill did not end with a single owner")
 			}
 		}})
 }
 
 func TestClusterFlagArgumentErrors(t *testing.T) {
-	// There is one placement and no flag to pick it.
-	_, err := runCapture(t, "-cluster", "2", "-placement", "hash")
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Fatalf("err = %v, want -placement refused as an unknown flag", err)
+	// The federation asks its neighbors in registration order: there is no
+	// placement to pick, and the front tier's -cluster flag is gone.
+	for _, args := range [][]string{{"-federation", "2", "-placement", "hash"}, {"-cluster", "2"}} {
+		_, err := runCapture(t, args...)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("args %v: err = %v, want an unknown flag refused", args, err)
+		}
 	}
 }

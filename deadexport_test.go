@@ -201,7 +201,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 var configStructs = []string{
 	"stack.Config", "core.Config", "core.RetryPolicy", "core.IntakeConfig", "core.DurabilityConfig",
 	"cluster.Config", "wal.Options", "dsrt.Config", "faultx.Plan",
-	"sim.StressConfig", "sim.ScenarioConfig", "sim.ClusterSimConfig", "sim.HandoffCrashConfig",
+	"sim.StressConfig", "sim.ScenarioConfig", "sim.FederationConfig",
 }
 
 // unsetOptions is the allowlist of TestEveryOptionHasASetter: exported

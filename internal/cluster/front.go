@@ -9,7 +9,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"gqosm/internal/core"
@@ -71,9 +70,6 @@ func New(_ Config, slots ...*Slot) (*Front, error) {
 		owners: make(map[sla.ID]int),
 	}, nil
 }
-
-// Slots returns the cluster members in registration order.
-func (f *Front) Slots() []*Slot { return f.slots }
 
 // route returns the slot indices to try for a client, placed-first: the
 // client's consistent-hash order, minus the slots that are recovering —
@@ -185,8 +181,10 @@ func (f *Front) Quiesce() {}
 // Migrate hands session id off to the named target domain: drain on the
 // source (BeginHandoff), re-admit under the same SLA ID on the target
 // (ImportSession), then tear the source copy down (CompleteHandoff).
-// Both sides journal their intent, so a crash at any point recovers to
-// exactly one owner (ReconcileHandoffs finishes or aborts the rest).
+// Both sides journal their intent. core.Recover resolves a target that
+// crashed mid-import; a source that crashed keeps its out-intent, which
+// blocks the session's teardown until CompleteHandoff or AbortHandoff is
+// called on it. The front does not reconcile a crashed hand-off.
 func (f *Front) Migrate(id sla.ID, target string) error {
 	src, srcIdx, err := f.ownerBroker(id)
 	if err != nil {
@@ -221,64 +219,11 @@ func (f *Front) Migrate(id sla.ID, target string) error {
 	return nil
 }
 
-// ReconcileHandoffs resolves outbound intents left by crashes: for each
-// local slot's open hand-off, the migration is completed when the
-// target broker holds the session live (the import committed before the
-// crash) and aborted otherwise. Call it after recovering a crashed
-// member. Returns how many hand-offs were completed and aborted.
-func (f *Front) ReconcileHandoffs() (completed, aborted int) {
-	for srcIdx, slot := range f.slots {
-		src := slot.Broker()
-		if slot.Recovering() {
-			continue
-		}
-		outs := src.HandoffsOut()
-		ids := make([]sla.ID, 0, len(outs))
-		for id := range outs {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			target := outs[id]
-			tIdx, known := f.byDom[target]
-			imported := false
-			if known {
-				if !f.slots[tIdx].Recovering() {
-					if doc, err := f.slots[tIdx].Broker().Session(id); err == nil && !doc.State.Terminal() {
-						imported = true
-					}
-				}
-			}
-			if imported {
-				if err := src.CompleteHandoff(id); err == nil {
-					completed++
-					f.mu.Lock()
-					f.owners[id] = tIdx
-					f.mu.Unlock()
-				}
-				continue
-			}
-			if err := src.AbortHandoff(id); err == nil {
-				aborted++
-				f.mu.Lock()
-				f.owners[id] = srcIdx
-				f.mu.Unlock()
-			}
-		}
-	}
-	return completed, aborted
-}
-
-// Loads reports every slot's load (best effort: unreachable slots
-// report Recovering with zero load).
+// Loads reports every slot's load.
 func (f *Front) Loads() []core.LoadReport {
 	out := make([]core.LoadReport, len(f.slots))
 	for i, s := range f.slots {
-		r, err := s.Load()
-		if err != nil {
-			r = core.LoadReport{Domain: s.Domain(), Recovering: true}
-		}
-		out[i] = r
+		out[i] = s.broker.LoadReport()
 	}
 	return out
 }

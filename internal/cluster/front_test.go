@@ -92,8 +92,7 @@ func TestRingDeterministic(t *testing.T) {
 	}
 }
 
-// TestFrontDefaultPolicyNames pins the name the cluster report echoes
-// under "placement" (BENCH_cluster.json).
+// TestFrontDefaultPolicyNames pins the name the one placement prints as.
 func TestFrontDefaultPolicyNames(t *testing.T) {
 	if got := PlaceHash.String(); got != "hash" {
 		t.Errorf("PlaceHash = %q, want hash", got)
@@ -150,8 +149,8 @@ func TestFrontFallbackWhenHomeFull(t *testing.T) {
 	// fall back to the other member.
 	const client = "fallback-client"
 	homeIdx := front.route(client)[0]
-	home := front.Slots()[homeIdx]
-	other := front.Slots()[1-homeIdx]
+	home := front.slots[homeIdx]
+	other := front.slots[1-homeIdx]
 	fill(t, home)
 
 	offer, err := front.RequestService(clusterRequest(client, 10))
@@ -215,7 +214,7 @@ func fill(t *testing.T, s *Slot) {
 // asked, so it has handed out no SLA ID.
 func TestFrontFallbackFollowsRing(t *testing.T) {
 	front, client, order := threeSlotFront(t)
-	slots := front.Slots()
+	slots := front.slots
 	fill(t, slots[order[0]])
 
 	offer, err := front.RequestService(clusterRequest(client, 10))
@@ -236,57 +235,13 @@ func TestFrontFallbackFollowsRing(t *testing.T) {
 	}
 }
 
-// TestFrontSkipsRecoveringSlot: a recovering member takes no new
-// placements; with every member recovering the front refuses outright.
-func TestFrontSkipsRecoveringSlot(t *testing.T) {
-	t.Run("three slots, ring's second recovering", func(t *testing.T) {
-		front, client, order := threeSlotFront(t)
-		slots := front.Slots()
-		fill(t, slots[order[0]])
-		slots[order[1]].MarkRecovering(true)
-		offer, err := front.RequestService(clusterRequest(client, 10))
-		if err != nil {
-			t.Fatalf("RequestService: %v", err)
-		}
-		if want := slots[order[2]].Domain(); offer.Domain != want || !offer.Forwarded {
-			t.Fatalf("offer from %q (forwarded %v), want %q", offer.Domain, offer.Forwarded, want)
-		}
-	})
-
-	a := member(t, "node-a", 20)
-	b := member(t, "node-b", 20)
-	sa, sb := NewSlot(a), NewSlot(b)
-	front, err := New(Config{}, sa, sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const client = "steady-client"
-	homeIdx := front.route(client)[0]
-	slots := []*Slot{sa, sb}
-	slots[homeIdx].MarkRecovering(true)
-
-	offer, err := front.RequestService(clusterRequest(client, 5))
-	if err != nil {
-		t.Fatalf("RequestService with home recovering: %v", err)
-	}
-	if offer.Domain != slots[1-homeIdx].Domain() {
-		t.Fatalf("offer landed on %q, want the healthy member %q", offer.Domain, slots[1-homeIdx].Domain())
-	}
-
-	slots[1-homeIdx].MarkRecovering(true)
-	if _, err := front.RequestService(clusterRequest(client, 5)); !errors.Is(err, ErrNoBrokerAvailable) {
-		t.Fatalf("err = %v, want ErrNoBrokerAvailable with every member recovering", err)
-	}
-}
-
-// TestFrontWalksPastCrashedSlot: a member whose broker died but that is
-// not yet marked recovering refuses with core.ErrClosed. That refusal is
+// TestFrontWalksPastCrashedSlot: a member whose broker died refuses
+// with core.ErrClosed. That refusal is
 // not the home slot's, so the walk moves on to the ring's third slot,
 // which has room, instead of failing the client.
 func TestFrontWalksPastCrashedSlot(t *testing.T) {
 	front, client, order := threeSlotFront(t)
-	slots := front.Slots()
+	slots := front.slots
 	fill(t, slots[order[0]])
 	slots[order[1]].Broker().Crash()
 
@@ -352,7 +307,7 @@ func TestFrontMigrate(t *testing.T) {
 
 func frontBroker(t *testing.T, f *Front, domain string) *core.Broker {
 	t.Helper()
-	for _, s := range f.Slots() {
+	for _, s := range f.slots {
 		if s.Domain() == domain {
 			return s.Broker()
 		}

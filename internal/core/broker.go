@@ -158,7 +158,7 @@ type session struct {
 //
 // A broker holds one Algorithm-1 partition: one allocator and one session
 // table under one mutex (mu → alloc.mu → leaf locks). Scaling out means
-// more brokers behind cluster.Front. The SLA counter (nextID) is atomic;
+// more brokers federated with their neighbors (federation.go). The SLA counter (nextID) is atomic;
 // the activity log ring (evMu) and the debug hook (debugMu) are leaf
 // locks. Components the broker calls while holding mu (allocator, clock
 // timer scheduling) never call back into the broker; components that do

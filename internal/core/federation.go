@@ -202,8 +202,9 @@ func (p *PeerClient) PeerRequest(req Request) (*Offer, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The offer is outside input: one that does not validate is declined,
-	// and the federation moves on to the next peer.
+	// The offer is outside input: one that does not validate, or whose
+	// expiry is missing or does not parse, is declined, and the federation
+	// moves on to the next peer.
 	doc, err := sla.DecodeDocument(resp.SLA)
 	if err == nil {
 		err = doc.Validate()
@@ -211,13 +212,11 @@ func (p *PeerClient) PeerRequest(req Request) (*Offer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: decode peer offer: %w", err)
 	}
-	offer := &Offer{SLA: doc, Price: resp.Price}
-	if resp.Expires != "" {
-		if t, err := time.Parse(xmlmsg.TimeLayout, resp.Expires); err == nil {
-			offer.Expires = t
-		}
+	expires, err := time.Parse(xmlmsg.TimeLayout, resp.Expires)
+	if err != nil {
+		return nil, fmt.Errorf("core: decode peer offer expiry: %w", err)
 	}
-	return offer, nil
+	return &Offer{SLA: doc, Price: resp.Price, Expires: expires}, nil
 }
 
 var _ Peer = (*PeerClient)(nil)

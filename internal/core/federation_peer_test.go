@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"gqosm/internal/resource"
+	"gqosm/internal/rsl"
 	"gqosm/internal/sla"
 	"gqosm/internal/soapx"
 )
@@ -238,5 +239,53 @@ func TestFederationPeerSOAPFault(t *testing.T) {
 				t.Errorf("remote session %s in state %s after decline", d.ID, d.State)
 			}
 		}
+	}
+}
+
+// refusingRM is a compute resource manager that refuses every
+// reservation with err.
+type refusingRM struct{ err error }
+
+func (refusingRM) Type() string { return "compute" }
+func (r refusingRM) Reserve(*rsl.Node, time.Time, time.Time, string) (string, error) {
+	return "", r.err
+}
+func (r refusingRM) Modify(string, *rsl.Node) error { return r.err }
+func (refusingRM) Cancel(string) error              { return nil }
+
+// TestForwardable walks every sentinel of the error taxonomy through a
+// federation whose home broker refuses with it, and a counting neighbor
+// that could serve the request. The refusals Forwardable accepts reach
+// the neighbor, which serves; every other comes back as it is and the
+// neighbor is never asked.
+func TestForwardable(t *testing.T) {
+	forwardable := map[error]bool{ErrNoService: true, ErrCannotHonor: true, ErrOverBudget: true,
+		ErrBestEffortFull: true, ErrPeerUnavailable: true}
+	for _, row := range taxonomy {
+		t.Run(row.code, func(t *testing.T) {
+			home := domainBroker(t, "home", "solver", 10)
+			if row.err == ErrPeerUnavailable {
+				// The RM-facing retry policy would spend a transient refusal
+				// as budget; a broker refuses with it while it recovers.
+				home.recovering.Store(true)
+			} else {
+				home.cfg.GARA.RegisterManager(refusingRM{row.err})
+			}
+			peer := &countingPeer{Peer: domainBroker(t, "neighbor", "solver", 40)}
+			fed := NewFederation(home)
+			if err := fed.AddPeer(peer); err != nil {
+				t.Fatal(err)
+			}
+
+			offer, err := fed.RequestService(nodeRequest("solver", 4))
+			switch asked := peer.requests.Load(); {
+			case forwardable[row.err]:
+				if asked != 1 || err != nil || offer.Domain != "neighbor" || !offer.Forwarded {
+					t.Fatalf("neighbor asked %d time(s), offer %+v, err %v; want the neighbor's offer", asked, offer, err)
+				}
+			case asked != 0 || !errors.Is(err, row.err):
+				t.Fatalf("neighbor asked %d time(s), err %v; want %v back unforwarded", asked, err, row.err)
+			}
+		})
 	}
 }

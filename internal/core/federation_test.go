@@ -176,27 +176,41 @@ func TestFederationOverSOAP(t *testing.T) {
 
 // TestFederationDeclinesInvalidPeerOffer: a remote broker's offer is
 // outside input. A peer that answers with a document that does not
-// validate (here an empty SLA-ID) is a decline, and the walk moves on to
+// validate (here an empty SLA-ID), or with a valid document whose expiry
+// is missing or does not parse, is a decline, and the walk moves on to
 // the next peer.
 func TestFederationDeclinesInvalidPeerOffer(t *testing.T) {
-	mux := soapx.NewMux()
-	mux.Handle("service_request", func(func(any) error) (any, error) {
-		forged := &sla.Document{Service: "renderer", Class: sla.ClassGuaranteed,
-			Spec: sla.NewSpec(sla.Exact(resource.CPU, 8)), State: sla.StateProposed}
-		return &xmlmsg.ServiceOfferXML{SLA: sla.EncodeDocument(forged), Price: 1}, nil
-	})
-	forger := httptest.NewServer(mux)
-	defer forger.Close()
-
-	fed := NewFederation(domainBroker(t, "local", "solver", 10))
-	fed.AddPeer(&PeerClient{Domain: "forger", Client: NewClient(forger.URL)})
-	fed.AddPeer(domainBroker(t, "remote", "renderer", 40))
-	offer, err := fed.RequestService(nodeRequest("renderer", 8))
+	// A real offer's document, for the replies whose only fault is the
+	// expiry.
+	valid, err := domainBroker(t, "forger", "renderer", 40).RequestService(nodeRequest("renderer", 8))
 	if err != nil {
-		t.Fatalf("federation: %v", err)
+		t.Fatal(err)
 	}
-	if offer.Domain != "remote" || offer.SLA.ID == "" {
-		t.Errorf("offer from %q with SLA-ID %q, want the valid one from remote", offer.Domain, offer.SLA.ID)
+	expires := valid.Expires.Format(xmlmsg.TimeLayout)
+	for name, reply := range map[string]*xmlmsg.ServiceOfferXML{
+		"no SLA-ID": {SLA: sla.EncodeDocument(&sla.Document{Service: "renderer", Class: sla.ClassGuaranteed,
+			Spec: sla.NewSpec(sla.Exact(resource.CPU, 8)), State: sla.StateProposed}), Price: 1, Expires: expires},
+		"no expiry":  {SLA: sla.EncodeDocument(valid.SLA), Price: valid.Price},
+		"bad expiry": {SLA: sla.EncodeDocument(valid.SLA), Price: valid.Price, Expires: "tomorrow"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			mux := soapx.NewMux()
+			mux.Handle("service_request", func(func(any) error) (any, error) { return reply, nil })
+			forger := httptest.NewServer(mux)
+			defer forger.Close()
+
+			fed := NewFederation(domainBroker(t, "local", "solver", 10))
+			fed.AddPeer(&PeerClient{Domain: "forger", Client: NewClient(forger.URL)})
+			fed.AddPeer(domainBroker(t, "remote", "renderer", 40))
+			offer, err := fed.RequestService(nodeRequest("renderer", 8))
+			if err != nil {
+				t.Fatalf("federation: %v", err)
+			}
+			if offer.Domain != "remote" || offer.SLA.ID == "" || offer.Expires.IsZero() {
+				t.Errorf("offer from %q with SLA-ID %q expiring %v, want the valid one from remote",
+					offer.Domain, offer.SLA.ID, offer.Expires)
+			}
+		})
 	}
 }
 

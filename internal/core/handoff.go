@@ -4,7 +4,7 @@ package core
 // cluster rebalancing. The SLA ID is globally unique (domain-prefixed),
 // so the session keeps its identity; only the hosting broker changes.
 //
-// Protocol (driven by the cluster front tier, see internal/cluster):
+// Protocol (driven by cluster.Front.Migrate, see internal/cluster):
 //
 //	source.BeginHandoff(id, target)  journal "out:<target>" intent, export state
 //	target.ImportSession(state)      journal "in:<source>" intent, admit under
@@ -12,16 +12,17 @@ package core
 //	source.CompleteHandoff(id)       tear the source copy down, clear intent
 //
 // Both sides journal their intent BEFORE the step it describes, so every
-// crash point recovers to exactly one owner:
+// crash point recovers to exactly one owner once the caller that sees
+// both sides resolves a surviving out-intent (nothing in the repository
+// does so after a crash any more):
 //
 //	source dies before the import    → out-intent + live source session;
-//	                                   target has nothing: the front's
-//	                                   reconcile aborts the hand-off and the
-//	                                   source stays owner.
+//	                                   target has nothing: AbortHandoff,
+//	                                   and the source stays owner.
 //	source dies after the import     → out-intent + live source session;
-//	(the satellite-3 interleaving)     target live: the reconcile completes
-//	                                   the hand-off — the recovered source
-//	                                   copy is torn down, one owner remains.
+//	(the worst crash point)            target live: CompleteHandoff — the
+//	                                   recovered source copy is torn down,
+//	                                   one owner remains.
 //	target dies mid-import           → in-intent without a session: target
 //	                                   recovery cancels the reservation
 //	                                   FindByTag knows under the ID and drops
@@ -30,8 +31,8 @@ package core
 //	                                   miss it — an imported reservation
 //	                                   carries the SOURCE domain's SLA prefix.
 //	target dies after install        → in-intent + live session: recovery
-//	                                   just drops the intent; the reconcile
-//	                                   completes on the source side.
+//	                                   just drops the intent; CompleteHandoff
+//	                                   finishes on the source side.
 //
 // The client is not re-charged: billing stayed on the source until
 // teardown, and the imported document keeps its price. Degraded sessions
@@ -185,7 +186,7 @@ func (b *Broker) AbortHandoff(id sla.ID) error {
 // client terminated mid-migration, or a recovery replayed the teardown)
 // just clears the intent. The intent is removed only AFTER the teardown
 // journals, so a crash inside this call still recovers to one owner: the
-// out-intent survives and the front's reconcile retries the completion.
+// out-intent survives and a repeated call finishes the completion.
 func (b *Broker) CompleteHandoff(id sla.ID) error {
 	b.hoMu.Lock()
 	it, open := b.handoffs[id]
@@ -312,20 +313,6 @@ func (b *Broker) ImportSession(st *HandoffState) error {
 	return nil
 }
 
-// HandoffsOut returns the open outbound intents (session → target
-// domain), the table the cluster front's post-recovery reconcile walks.
-func (b *Broker) HandoffsOut() map[sla.ID]string {
-	out := make(map[sla.ID]string)
-	b.hoMu.Lock()
-	for id, it := range b.handoffs {
-		if it.dir == "out" {
-			out[id] = it.peer
-		}
-	}
-	b.hoMu.Unlock()
-	return out
-}
-
 // handoffBlocked reports whether id has an open outbound intent;
 // Terminate and Expire refuse such sessions so a teardown cannot race
 // the migration window (CompleteHandoff performs the teardown itself).
@@ -355,8 +342,8 @@ func (b *Broker) journalHandoffsLocked(op string) {
 // carries the SOURCE domain's tag prefix, so the regular orphan sweep
 // would never claim it) and the intent dropped. An in-intent with a live
 // session means the import committed; the intent is simply cleared.
-// Outbound intents are left for the cluster front's reconcile, which
-// alone can see whether the target committed. Returns how many inbound
+// Outbound intents are left to a caller that can see whether the
+// target committed (CompleteHandoff or AbortHandoff). Returns how many inbound
 // intents were resolved.
 func (b *Broker) resolveInboundHandoffs() int {
 	b.hoMu.Lock()

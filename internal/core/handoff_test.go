@@ -63,6 +63,20 @@ func newHandoffSide(t *testing.T, domain string, nodes float64) *handoffSide {
 	return h
 }
 
+// handoffsOut returns b's open outbound intents (session → target
+// domain).
+func handoffsOut(b *Broker) map[sla.ID]string {
+	out := make(map[sla.ID]string)
+	b.hoMu.Lock()
+	defer b.hoMu.Unlock()
+	for id, it := range b.handoffs {
+		if it.dir == "out" {
+			out[id] = it.peer
+		}
+	}
+	return out
+}
+
 // recoverSide crashes the side's broker and rebuilds it from the WAL.
 func (h *handoffSide) recoverSide(t *testing.T) *RecoverStats {
 	t.Helper()
@@ -185,11 +199,11 @@ func TestFederationRestartDuringFanout(t *testing.T) {
 	}
 }
 
-// TestHandoffSourceCrashAfterTargetCommit is the satellite-3
-// interleaving at the unit level: the source broker dies after the
-// target committed the import; recovery replays the outbound intent,
-// the reconcile completes it, and exactly one owner remains with no
-// leaked reservation or capacity on the source.
+// TestHandoffSourceCrashAfterTargetCommit is a hand-off's worst crash
+// point: the source broker dies after the target committed the import;
+// recovery replays the outbound intent, CompleteHandoff finishes it, and
+// exactly one owner remains with no leaked reservation or capacity on
+// the source.
 func TestHandoffSourceCrashAfterTargetCommit(t *testing.T) {
 	src := newHandoffSide(t, "srcdom", 40)
 	dst := domainBroker(t, "dstdom", "solver", 40)
@@ -211,15 +225,15 @@ func TestHandoffSourceCrashAfterTargetCommit(t *testing.T) {
 	// Kill the source AFTER the target committed, before CompleteHandoff.
 	src.recoverSide(t)
 
-	if ho := src.broker.HandoffsOut(); ho[id] != "dstdom" {
-		t.Fatalf("HandoffsOut = %v, want the out-intent toward dstdom to survive the crash", ho)
+	if ho := handoffsOut(src.broker); ho[id] != "dstdom" {
+		t.Fatalf("out-intents = %v, want the out-intent toward dstdom to survive the crash", ho)
 	}
 	// The draining session still refuses ordinary teardown.
 	if err := src.broker.Terminate(id, "client asks"); !errors.Is(err, ErrHandoffPending) {
 		t.Fatalf("Terminate during hand-off: err = %v, want ErrHandoffPending", err)
 	}
 
-	// The front tier's reconcile sees the target live and completes.
+	// The target holds the session live, so the source completes.
 	if err := src.broker.CompleteHandoff(id); err != nil {
 		t.Fatalf("CompleteHandoff: %v", err)
 	}
@@ -238,7 +252,7 @@ func TestHandoffSourceCrashAfterTargetCommit(t *testing.T) {
 	if got := src.broker.Allocator().AvailableGuaranteed(); !got.Equal(freeBefore) {
 		t.Errorf("source guaranteed headroom = %v, want %v back after the drain", got, freeBefore)
 	}
-	if ho := src.broker.HandoffsOut(); len(ho) != 0 {
+	if ho := handoffsOut(src.broker); len(ho) != 0 {
 		t.Errorf("open intents after completion: %v", ho)
 	}
 }
@@ -313,7 +327,7 @@ func TestRecoverReclaimsHalfImportedReservation(t *testing.T) {
 	if h, ok := dst.g.FindByTag(string(id)); ok {
 		t.Errorf("half-imported reservation %s still live after recovery", h)
 	}
-	if ho := b.HandoffsOut(); len(ho) != 0 {
+	if ho := handoffsOut(b); len(ho) != 0 {
 		t.Errorf("intents left open: %v", ho)
 	}
 }

@@ -65,8 +65,8 @@ type RecoverStats struct {
 	// ParkedCleared counts parked cancels cleared by the recovery sweep.
 	ParkedCleared int `json:"parked_cleared"`
 	// HandoffsResolved counts inbound hand-off intents resolved by the
-	// mid-import sweep (see handoff.go); outbound intents are left for
-	// the cluster front's reconcile.
+	// mid-import sweep (see handoff.go); outbound intents survive
+	// recovery.
 	HandoffsResolved int `json:"handoffs_resolved"`
 }
 

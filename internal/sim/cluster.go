@@ -60,8 +60,8 @@ func NewCluster(cfg stack.Config) (*Cluster, error) {
 
 // catchAll is the simulation's advert: adv on a 1000 Mbps link. Members of
 // a multi-broker run advertise the CLUSTER total, so discovery admits any
-// request the cluster could serve and the allocator (and the front's
-// fallback) decides.
+// request the cluster could serve and the allocator (and the federation's
+// forwarding) decides.
 func catchAll(provider string, adv resource.Capacity) []registry.Service {
 	adv.BandwidthMbps = 1000
 	return stack.CatchAll(provider, adv)

@@ -10,34 +10,33 @@ import (
 	"time"
 
 	"gqosm/internal/clockx"
-	"gqosm/internal/cluster"
 	"gqosm/internal/core"
 	"gqosm/internal/faultx"
 	"gqosm/internal/httpapi"
 	"gqosm/internal/invariant"
-	"gqosm/internal/sla"
 	"gqosm/internal/stack"
 )
 
 // This file is the one simulation engine. Every broker-driving harness
 // in the package — parallel stress, chaos, restart-chaos, the
-// multi-broker cluster run, the hand-off crash drill, scenarios and
-// soaks, the C1–C3 claim replays — is a configuration of it, composed
-// from four orthogonal parts:
+// multi-broker federation run, scenarios and soaks, the C1–C3 claim
+// replays — is a configuration of it, composed from four orthogonal
+// parts:
 //
 //   - a workload (the application model): the stress op-mix clients
 //     (stress.go), the scenario arrival trace with its departure heap
-//     (scenario.go; C1 and C2 are traces too), the cluster sliding
-//     window (clustersim.go), or C3's best-effort floor (claims.go);
+//     (scenario.go; C1 and C2 are traces too), the federation's sliding
+//     window (federation.go), or C3's best-effort floor (claims.go);
 //   - a topology (the resource model): one broker, optionally behind the
-//     loopback JSON listener, or N brokers behind a cluster.Front; WAL
-//     and intake on or off. Every member runs core.Monitor at
+//     loopback JSON listener, or N brokers federated the way aqosd -peer
+//     federates them (the first member's core.Federation asks the others
+//     in order); WAL and intake on or off. Every member runs core.Monitor at
 //     core.DefaultMonitorInterval, the management loop aqosd runs by
 //     default, so expiry, the optimizer and parked-cancel reconciliation
 //     happen on its ticks, not where a harness chooses;
-//   - perturbations: a seeded fault injector at a rate, kill +
+//   - perturbations: a seeded fault injector at a rate, and kill +
 //     core.Recover at evenly spaced steps with a pre/post state-digest
-//     compare, forced hand-off migrations every k steps;
+//     compare;
 //   - oracles: the invariant suite at every quiesce point, its strict
 //     Final rules after the drain (72 h of ticks on a healthy
 //     substrate), and the capacity-restored check.
@@ -69,8 +68,8 @@ type topoConfig struct {
 	// Base is the per-broker assembly. The topology supplies its Clock
 	// and, under faults, its Faults and RMPolicy.
 	Base stack.Config
-	// Brokers > 0 puts that many members behind a cluster.Front, with
-	// Base.Plan split across them; 0 is a single broker driven directly.
+	// Brokers > 0 federates that many members, with Base.Plan split
+	// across them; 0 is a single broker driven directly.
 	Brokers int
 	// FaultRate > 0 installs a fault injector seeded with Seed on every
 	// substrate and RM-facing call site; 0 means no injector at all.
@@ -82,6 +81,10 @@ type topoConfig struct {
 	// Transport "http" serves the first member's Stack.Mount, the handler
 	// aqosd listens on (StressConfig.Transport); "" stays in-process.
 	Transport string
+	// wirePeers makes the federation reach members 1..N-1 as aqosd -peer
+	// does: a core.PeerClient over SOAP to a loopback listener serving the
+	// member's Stack.Mount. false asks their brokers in-process.
+	wirePeers bool
 }
 
 // topology is an assembled resource model on one shared manual clock.
@@ -89,8 +92,8 @@ type topology struct {
 	clock   *clockx.Manual
 	inj     *faultx.Injector // nil without faults; its methods are nil-safe
 	members []*Cluster
-	front   *cluster.Front  // nil for a single broker
-	api     *httpapi.Client // nil in-process
+	fed     *core.Federation // nil for a single broker
+	api     *httpapi.Client  // nil in-process
 	closers []func()
 }
 
@@ -139,7 +142,6 @@ func newTopology(cfg topoConfig) (_ *topology, err error) {
 	if cfg.Brokers > 0 {
 		parts = base.Plan.Split(cfg.Brokers)
 	}
-	slots := make([]*cluster.Slot, len(parts))
 	for i, part := range parts {
 		mc := base
 		if cfg.Brokers > 0 {
@@ -156,11 +158,21 @@ func newTopology(cfg topoConfig) (_ *topology, err error) {
 		}
 		t.closers = append(t.closers, c.Close)
 		t.members = append(t.members, c)
-		slots[i] = cluster.NewSlot(c.Broker)
 	}
 	if cfg.Brokers > 0 {
-		if t.front, err = cluster.New(cluster.Config{}, slots...); err != nil {
-			return nil, err
+		t.fed = core.NewFederation(t.members[0].Broker)
+		for _, m := range t.members[1:] {
+			var peer core.Peer = m.Broker
+			if cfg.wirePeers {
+				url, err := t.serve(m.Mount())
+				if err != nil {
+					return nil, fmt.Errorf("peer %s: %w", m.Broker.Domain(), err)
+				}
+				peer = &core.PeerClient{Domain: m.Broker.Domain(), Client: core.NewClient(url)}
+			}
+			if err := t.fed.AddPeer(peer); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -170,18 +182,28 @@ func newTopology(cfg topoConfig) (_ *topology, err error) {
 		// Admissions become real POSTs through the codec, the error
 		// taxonomy, and (with the intake on) shared group commits on the
 		// server side, while the rest of the lifecycle stays in-process.
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		url, err := t.serve(t.members[0].Mount())
 		if err != nil {
 			return nil, fmt.Errorf("transport http: %w", err)
 		}
-		srv := &http.Server{Handler: t.members[0].Mount()}
-		go srv.Serve(ln) //nolint:errcheck // shut down via close below
-		t.closers = append(t.closers, func() { srv.Close() })
-		t.api = httpapi.NewClient("http://" + ln.Addr().String())
+		t.api = httpapi.NewClient(url)
 	default:
 		return nil, fmt.Errorf("bad transport %q (want \"\" or \"http\")", cfg.Transport)
 	}
 	return t, nil
+}
+
+// serve listens on a loopback port with h until close, returning its
+// base URL.
+func (t *topology) serve(h http.Handler) (string, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", err
+	}
+	srv := &http.Server{Handler: h}
+	go srv.Serve(ln) //nolint:errcheck // shut down via close
+	t.closers = append(t.closers, func() { srv.Close() })
+	return "http://" + ln.Addr().String(), nil
 }
 
 // close releases everything the topology opened, newest first.
@@ -199,21 +221,15 @@ func (t *topology) brokers() []*core.Broker {
 	return out
 }
 
-// nextSlot returns the slot indexes of the member that owns id and of
-// the next slot in registration order (wrapping) — the forced-migration
-// pair.
-func (t *topology) nextSlot(id sla.ID) (src, dst int, ok bool) {
-	dom, ok := t.front.Owner(id)
-	if !ok {
-		return 0, 0, false
-	}
-	for j, s := range t.front.Slots() {
-		if s.Domain() == dom {
-			src = j
-			break
+// member returns the broker of the named member domain, nil if there is
+// none.
+func (t *topology) member(domain string) *core.Broker {
+	for _, m := range t.members {
+		if m.Broker.Domain() == domain {
+			return m.Broker
 		}
 	}
-	return src, (src + 1) % len(t.members), true
+	return nil
 }
 
 // engine is one configured run: workload × topology × perturbations ×
@@ -240,10 +256,6 @@ type engine struct {
 	// kills is how many times the (single, durable) broker is crashed and
 	// recovered from its WAL, at evenly spaced steps.
 	kills int
-	// migrateEvery forces a hand-off of victim() ("" when there is none)
-	// to the next member every that many steps; 0 disables.
-	migrateEvery int
-	victim       func() sla.ID
 
 	// What the run found and measured; engine.report files it (report.go).
 	oracle Oracle
@@ -252,9 +264,8 @@ type engine struct {
 	capacityRestored bool
 	// faults carries the retry budget spent and the parked cancels
 	// reconciled, banked from every broker incarnation a kill replaced.
-	faults    Faults
-	recovery  Recovery // one increment / entry per kill
-	migration Migration
+	faults   Faults
+	recovery Recovery // one increment / entry per kill
 }
 
 // maxDetails bounds the violation strings a report carries.
@@ -315,9 +326,6 @@ func (e *engine) play() error {
 	killEvery := e.steps / (e.kills + 1)
 	for i := 0; i < e.steps; i++ {
 		e.work.step(i)
-		if e.migrateEvery > 0 && (i+1)%e.migrateEvery == 0 {
-			e.migrate()
-		}
 		if len(e.recovery.SnapshotSeqs) < e.kills && (i+1)%killEvery == 0 {
 			if err := e.kill(); err != nil {
 				return err
@@ -339,18 +347,6 @@ func (e *engine) play() error {
 		}
 	}
 	return nil
-}
-
-// migrate is the forced-rebalancing perturbation.
-func (e *engine) migrate() {
-	id := e.victim()
-	if _, dst, ok := e.topo.nextSlot(id); ok {
-		if err := e.topo.front.Migrate(id, e.topo.front.Slots()[dst].Domain()); err == nil {
-			e.migration.Migrations++
-		} else {
-			e.migration.Failures++
-		}
-	}
 }
 
 // kill is the restart perturbation: digest the live broker's externally

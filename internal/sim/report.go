@@ -46,7 +46,7 @@ type Oracle struct {
 	Violations int      `json:"violations"`
 	Details    []string `json:"details,omitempty"`
 	// Gates are the named pass/fail verdicts beyond the violation count:
-	// capacity_restored, digests_match, parity, single_owner, stable,
+	// capacity_restored, digests_match, parity, stable,
 	// verified, and the claims' c1_never_worse, c2_reserve_wins,
 	// c3_floor_honored. A run carries the ones it judged.
 	Gates map[string]bool `json:"gates"`
@@ -57,13 +57,11 @@ type Oracle struct {
 type Outcome struct {
 	*Tally
 
-	Scenario  *ScenarioTally `json:"scenario,omitempty"`  // scenario workload
-	Front     *FrontTally    `json:"front,omitempty"`     // window workload behind a front tier
-	Faults    *Faults        `json:"faults,omitempty"`    // fault injector installed
-	Recovery  *Recovery      `json:"recovery,omitempty"`  // kill + WAL recovery
-	Migration *Migration     `json:"migration,omitempty"` // forced hand-offs
-	Handoff   *Handoff       `json:"handoff,omitempty"`   // hand-off crash drill
-	Soak      *SoakTally     `json:"soak,omitempty"`      // long-run working set
+	Scenario   *ScenarioTally   `json:"scenario,omitempty"`   // scenario workload
+	Federation *FederationTally `json:"federation,omitempty"` // window workload through a federation
+	Faults     *Faults          `json:"faults,omitempty"`     // fault injector installed
+	Recovery   *Recovery        `json:"recovery,omitempty"`   // kill + WAL recovery
+	Soak       *SoakTally       `json:"soak,omitempty"`       // long-run working set
 }
 
 // Tally is what every engine run measures: the workload's lifecycle
@@ -99,8 +97,8 @@ type ScenarioTally struct {
 	Extras         map[string]float64 `json:"extras,omitempty"`
 }
 
-// FrontTally is the window workload's view through the front tier.
-type FrontTally struct {
+// FederationTally is the window workload's view through the federation.
+type FederationTally struct {
 	Errors    int `json:"errors"`
 	Forwarded int `json:"forwarded"`
 	// OutcomeDigest is the FNV-64a hash of the per-client outcome letters
@@ -143,30 +141,6 @@ type Recovery struct {
 	// WALRecords / WALSnapshots are the final broker's totals.
 	WALRecords   int64 `json:"wal_records"`
 	WALSnapshots int64 `json:"wal_snapshots"`
-}
-
-// Migration counts the forced hand-offs; they are cluster-internal and
-// deliberately not part of any outcome digest.
-type Migration struct {
-	Migrations int `json:"migrations"`
-	Failures   int `json:"failures"`
-}
-
-// Handoff reports the crash drill: the source is killed after the target
-// committed the import, recovered, and reconciled through the front
-// (gate single_owner).
-type Handoff struct {
-	MigratedID  string `json:"migrated_id"`
-	Source      string `json:"source"`
-	Target      string `json:"target"`
-	Owners      int    `json:"owners"`
-	OwnerDomain string `json:"owner_domain"`
-	// Completed / Aborted are the front reconcile's counters;
-	// HandoffsResolved the source recovery's inbound sweep.
-	Completed        int `json:"completed"`
-	Aborted          int `json:"aborted"`
-	HandoffsResolved int `json:"handoffs_resolved"`
-	ReplayedRecords  int `json:"replayed_records"`
 }
 
 // Failed is the one gate: a violation, a false gate, or a failed child.
@@ -256,10 +230,6 @@ func (e *engine) report(mode string, config map[string]any) *Report {
 		rec.WALRecords, _, rec.WALSnapshots = e.topo.members[0].Broker.WALStats()
 		o.Recovery = &rec
 		r.Oracle.Gates["digests_match"] = rec.DigestMatches == rec.Restarts
-	}
-	if e.migrateEvery > 0 {
-		mig := e.migration
-		o.Migration = &mig
 	}
 	return r
 }
