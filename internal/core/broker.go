@@ -178,10 +178,15 @@ type Broker struct {
 	alloc *Allocator
 
 	// mu guards the session table: every SLA the broker admitted (terminal
-	// ones stay queryable until pruned) and the open scenario-2(c)
-	// promotion offers.
+	// ones stay queryable until pruned), the live set and the open
+	// scenario-2(c) promotion offers. live holds the same pointers as
+	// sessions for the sessions that are not terminal, so the per-event
+	// walks (clearing, the tick, compensation) cost O(live), not
+	// O(history). A session enters it where it enters the table and leaves
+	// it only in teardownIf.
 	mu         sync.Mutex
 	sessions   map[sla.ID]*session
+	live       map[sla.ID]*session
 	promotions map[sla.ID]pricing.PromotionOffer
 
 	// evMu guards the activity log ring. It is a leaf lock: safe to take
@@ -290,6 +295,7 @@ func newBroker(cfg Config) (*Broker, error) {
 		ledger:         pricing.NewLedger(),
 		alloc:          alloc,
 		sessions:       make(map[sla.ID]*session),
+		live:           make(map[sla.ID]*session),
 		promotions:     make(map[sla.ID]pricing.PromotionOffer),
 		evBuf:          make([]Event, 0, cfg.EventLogCap),
 		obs:            cfg.Obs,

@@ -155,9 +155,18 @@ func controlledRequest(client string) Request {
 // it was rendered with Go's %q, whose backslash escapes RSL does not
 // have, so a service named with a quote failed in GRAM's parser and one
 // with a backslash launched an executable with the backslash doubled.
+// The SLA ID travels beside the RSL, as the job's label.
 func TestInvokeQuotesRSL(t *testing.T) {
 	h := newHarness(t)
 	for _, service := range []string{`say "hi"`, `back\slash`} {
+		spec, err := rsl.Parse(jobRSL(service, time.Hour))
+		if err != nil {
+			t.Fatalf("%s: job RSL %s: %v", service, jobRSL(service, time.Hour), err)
+		}
+		if got, want := spec.Str("executable", ""), "/grid/services/"+service; got != want {
+			t.Errorf("%s: executable = %q, want %q", service, got, want)
+		}
+
 		if _, err := h.reg.Register(registry.Service{Name: service, Provider: "site-a", Properties: simulationProps()}); err != nil {
 			t.Fatal(err)
 		}
@@ -175,16 +184,86 @@ func TestInvokeQuotesRSL(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Invoke: %v", service, err)
 		}
-		spec, err := rsl.Parse(job.Spec)
-		if err != nil {
-			t.Fatalf("%s: job RSL %s: %v", service, job.Spec, err)
+		if job.Label != string(id) {
+			t.Errorf("%s: label = %q, want %q", service, job.Label, id)
 		}
-		if got, want := spec.Str("executable", ""), "/grid/services/"+service; got != want {
-			t.Errorf("%s: executable = %q, want %q", service, got, want)
-		}
-		if got := spec.Str("label", ""); got != string(id) {
-			t.Errorf("%s: label = %q, want %q", service, got, id)
-		}
+	}
+}
+
+// TestJobSpecsRepeat: the job RSL is a function of the service and the
+// whole seconds left in the window, so two sessions of one service and
+// window submit the same spec (one parse in GRAM, however many sessions),
+// each job carries its own SLA ID as its label, and the job runs for the
+// floored window — to the second on a manual clock.
+func TestJobSpecsRepeat(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		elapsed time.Duration // clock advance between accept and invoke
+		want    string
+		runs    time.Duration
+	}{
+		{"whole window", 0, `&(executable="/grid/services/simulation")(duration=18000)`, 5 * time.Hour},
+		{"fractional window", 5*time.Hour - 3599400*time.Millisecond, `&(executable="/grid/services/simulation")(duration=3599)`, 3599 * time.Second},
+		{"lapsed window", 5*time.Hour + time.Minute, `&(executable="/grid/services/simulation")(duration=1)`, time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t)
+			req := guaranteedRequest()
+			req.Spec = sla.NewSpec(sla.Exact(resource.CPU, 2))
+			var ids []sla.ID
+			for range 2 {
+				offer, err := h.broker.RequestService(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := h.broker.Accept(offer.SLA.ID); err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, offer.SLA.ID)
+			}
+			h.clock.Advance(tc.elapsed)
+			var jobs []gram.Job
+			for _, id := range ids {
+				doc, err := h.broker.Session(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := jobRSL(doc.Service, doc.End.Sub(h.clock.Now())); got != tc.want {
+					t.Errorf("%s: job RSL = %s, want %s", id, got, tc.want)
+				}
+				job, err := h.broker.Invoke(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if job.Label != string(id) {
+					t.Errorf("job %s label = %q, want %q", job.ID, job.Label, id)
+				}
+				jobs = append(jobs, job)
+			}
+			state := func() []gram.State {
+				var out []gram.State
+				for _, j := range jobs {
+					got, err := h.gramM.Job(j.ID)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, got.State)
+				}
+				return out
+			}
+			h.clock.Advance(tc.runs - time.Nanosecond)
+			for i, s := range state() {
+				if s != gram.StateActive {
+					t.Fatalf("job %d is %s a nanosecond before its %v, want active", i, s, tc.runs)
+				}
+			}
+			h.clock.Advance(time.Nanosecond)
+			for i, s := range state() {
+				if s != gram.StateDone {
+					t.Fatalf("job %d is %s after its %v, want done", i, s, tc.runs)
+				}
+			}
+		})
 	}
 }
 

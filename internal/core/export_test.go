@@ -16,6 +16,10 @@ func (b *Broker) HandleDegradation(id sla.ID, measured resource.Capacity) {
 	b.handleDegradation(id, measured)
 }
 
+// CheckLiveSet reports where the live set and the session table
+// disagree (live_test.go).
+func (b *Broker) CheckLiveSet() error { return b.checkLiveSet() }
+
 // ErrShortfall is what a restore granted only its floor returns.
 var ErrShortfall = errShortfall
 

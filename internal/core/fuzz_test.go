@@ -22,7 +22,8 @@ import (
 // testdata/fuzz/FuzzBrokerOps, grown by `go test -fuzz=FuzzBrokerOps`).
 
 // driveOps decodes data as (op, arg) byte pairs and applies them to a
-// fresh single-site cluster, running invariant.CheckAll after each step.
+// fresh single-site cluster, running invariant.CheckAll and the live-set
+// check after each step.
 //
 // op%11 selects the operation, arg parameterizes it:
 //
@@ -134,6 +135,9 @@ func driveOps(t *testing.T, data []byte) {
 		}
 
 		if err := invariant.CheckAll(b, clock.Now(), cluster.Pool); err != nil {
+			t.Fatalf("step %d (op %d, arg %#x): %v", step/2, op, arg, err)
+		}
+		if err := b.CheckLiveSet(); err != nil {
 			t.Fatalf("step %d (op %d, arg %#x): %v", step/2, op, arg, err)
 		}
 	}

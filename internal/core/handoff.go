@@ -296,6 +296,7 @@ func (b *Broker) ImportSession(st *HandoffState) error {
 	}
 	err = b.install([]sla.ID{id}, func(int) gara.Handle { return handle }, func() {
 		b.sessions[id] = sess
+		b.live[id] = sess
 		b.logf("handoff", id, "imported from %q at %v (no re-charge)", st.Source, alloc)
 	})
 	if err != nil {

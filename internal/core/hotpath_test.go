@@ -585,7 +585,7 @@ func TestEventsRingWrapSnapshot(t *testing.T) {
 // allocGatePopulation is what the release- and adaptation-path gates fill
 // a miniBroker with: an establish helper and the two session shapes,
 // quarter-node guaranteed and half-to-one-node controlled-load.
-func allocGatePopulation(t *testing.T, b *Broker) (establish func(Request) sla.ID, guaranteed, controlled Request) {
+func allocGatePopulation(t testing.TB, b *Broker) (establish func(Request) sla.ID, guaranteed, controlled Request) {
 	establish = func(req Request) sla.ID {
 		t.Helper()
 		offer, err := b.RequestService(req)
@@ -679,7 +679,7 @@ func TestLifecycleAllocGate(t *testing.T) {
 		establish(guaranteed)
 	}
 
-	const gate = 54 // measured 49 (go1.24); 63 while the activity-log lines went through fmt, 89 while the IDs and RSL did too
+	const gate = 46 // measured 42 (go1.24); 49 while the job RSL carried the SLA ID, 63 while the activity-log lines went through fmt, 89 while the IDs and RSL did too
 	allocs := testing.AllocsPerRun(50, func() {
 		id := establish(guaranteed)
 		if _, err := b.Invoke(id); err != nil {
@@ -696,6 +696,44 @@ func TestLifecycleAllocGate(t *testing.T) {
 		t.Errorf("one session's lifecycle at 64 live sessions allocates %.0f objects, gate is %d", allocs, gate)
 	}
 	t.Logf("request + accept + invoke + terminate at 64 live sessions: %.0f allocs", allocs)
+}
+
+// TestInvokeAllocGate holds one Invoke to a count on a repeated shape:
+// sessions of one service and window submit the same job RSL, so GRAM's
+// parse is a rsl.ParseCached hit. While the job RSL carried the SLA ID as
+// its label, every Invoke missed the cache, ran the parser and interned
+// a spec nothing asked for again.
+func TestInvokeAllocGate(t *testing.T) {
+	if RaceEnabled() {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	clock := clockx.NewManual(t0)
+	reg := registry.New(clock)
+	if _, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-a", Properties: simulationProps()}); err != nil {
+		t.Fatal(err)
+	}
+	gramM := gram.NewManager(clock)
+	t.Cleanup(gramM.Close)
+	b := miniBroker(t, clock, reg, func(cfg *Config) { cfg.GRAM = gramM })
+	establish, guaranteed, _ := allocGatePopulation(t, b)
+	const runs = 50
+	var ids []sla.ID
+	for range runs + 1 { // AllocsPerRun warms up with one extra call
+		ids = append(ids, establish(guaranteed))
+	}
+
+	const gate = 7 // measured 7 (go1.24); 14 while the job RSL carried the SLA ID
+	allocs := testing.AllocsPerRun(runs, func() {
+		id := ids[0]
+		ids = ids[1:]
+		if _, err := b.Invoke(id); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > gate {
+		t.Errorf("Invoke on a repeated job shape allocates %.0f objects, gate is %d", allocs, gate)
+	}
+	t.Logf("Invoke on a repeated job shape: %.0f allocs", allocs)
 }
 
 // TestRunOptimizerAllocGate holds the §5.3 pass to a constant: it shares

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"time"
 
 	"gqosm/internal/gram"
 	"gqosm/internal/obs"
@@ -43,7 +44,7 @@ func (b *Broker) Invoke(id sla.ID) (gram.Job, error) {
 	handle := s.handle
 	b.mu.Unlock()
 
-	job, err := b.cfg.GRAM.Submit(jobRSL(service, id, end.Sub(b.clock.Now()).Seconds()))
+	job, err := b.cfg.GRAM.Submit(jobRSL(service, end.Sub(b.clock.Now())), string(id))
 	if err != nil {
 		return gram.Job{}, fmt.Errorf("core: invoke %s: %w", id, err)
 	}
@@ -74,18 +75,20 @@ func (b *Broker) Invoke(id sla.ID) (gram.Job, error) {
 }
 
 // jobRSL renders the GRAM job description for a session's service: its
-// executable, the seconds left in the validity window (at least one) and
-// the SLA ID as label. Every invocation renders one, so it is appended
-// like reservationRSL; the strings are quoted the RSL way, so a service
-// name with a quote or a backslash reaches GRAM as itself.
-func jobRSL(service string, id sla.ID, duration float64) string {
+// executable and the whole seconds left in the validity window (at least
+// one). It is a pure function of those two, so sessions of one service
+// and window submit the same string and GRAM's parse hits rsl.ParseCached;
+// the SLA ID travels beside it as the job's label, as GARA's tag does
+// beside the reservation RSL. The window is floored because on a wall
+// clock every fractional remainder is new. The executable is quoted the
+// RSL way, so a service name with a quote or a backslash reaches GRAM as
+// itself.
+func jobRSL(service string, window time.Duration) string {
 	var arr [160]byte
 	buf := append(arr[:0], "&(executable="...)
 	buf = rsl.AppendQuoted(buf, "/grid/services/"+service)
 	buf = append(buf, ")(duration="...)
-	buf = strconv.AppendFloat(buf, max(duration, 1), 'f', -1, 64)
-	buf = append(buf, ")(label="...)
-	buf = rsl.AppendQuoted(buf, string(id))
+	buf = strconv.AppendInt(buf, max(int64(window/time.Second), 1), 10)
 	return string(append(buf, ')'))
 }
 
@@ -161,6 +164,7 @@ func (b *Broker) teardownIf(id sla.ID, final sla.State, reason string, pred func
 		b.mu.Unlock()
 		return err
 	}
+	delete(b.live, id)
 	if s.confirm != nil {
 		s.confirm.Stop()
 		s.confirm = nil
@@ -204,8 +208,8 @@ func (b *Broker) afterRelease() {
 	// IDs.
 	var degraded []sla.ID
 	b.mu.Lock()
-	for id, s := range b.sessions {
-		if s.degraded && !s.doc.State.Terminal() {
+	for id, s := range b.live {
+		if s.degraded {
 			degraded = append(degraded, id)
 		}
 	}
@@ -509,7 +513,7 @@ func (b *Broker) issuePromotions() {
 	}
 	b.mu.Lock()
 	var cands []cand
-	for id, s := range b.sessions {
+	for id, s := range b.live {
 		if s.doc.State != sla.StateActive && s.doc.State != sla.StateEstablished {
 			continue
 		}
@@ -675,7 +679,7 @@ func (b *Broker) optimizerInput(w *optWorkspace) {
 	rates := b.prices.ClassRates(sla.ClassControlledLoad)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for id, s := range b.sessions {
+	for id, s := range b.live {
 		if s.doc.Class != sla.ClassControlledLoad {
 			continue
 		}
@@ -692,6 +696,6 @@ func (b *Broker) optimizerInput(w *optWorkspace) {
 	}
 	slices.SortFunc(w.services, func(x, y OptService) int { return cmp.Compare(x.ID, y.ID) })
 	for _, svc := range w.services {
-		w.held = append(w.held, b.sessions[svc.ID].doc.Allocated)
+		w.held = append(w.held, b.live[svc.ID].doc.Allocated)
 	}
 }

@@ -429,6 +429,7 @@ func (b *Broker) proposeLocked(reserved []*admission, now, expires time.Time) {
 		}
 		sess := &session{doc: doc, handle: m.handle, original: allocated, proposedAt: now}
 		b.sessions[id] = sess
+		b.live[id] = sess
 		// Schedule the auto-cancel only after the session is registered: the
 		// clock may fire the callback the instant it is armed (a concurrent
 		// Advance past the window), and an expiry that finds no session would
@@ -508,7 +509,7 @@ func (b *Broker) compensate(needed resource.Capacity) (bool, error) {
 	// (price, state) by concurrent lifecycle calls once the lock is
 	// released.
 	var degradable, terminable []ladderTarget
-	for id, s := range b.sessions {
+	for id, s := range b.live {
 		if s.doc.State != sla.StateActive && s.doc.State != sla.StateEstablished {
 			continue
 		}

@@ -208,7 +208,7 @@ func (b *Broker) installState(st *recoveredState) {
 	grants := make(map[string]resource.Capacity)
 	b.mu.Lock()
 	for idStr, rec := range st.sessions {
-		b.sessions[sla.ID(idStr)] = &session{
+		s := &session{
 			doc:        rec.Doc,
 			handle:     gara.Handle(rec.Handle),
 			job:        gram.JobID(rec.Job),
@@ -221,10 +221,12 @@ func (b *Broker) installState(st *recoveredState) {
 			// recovered session's first move calls gara.modify.
 			stale: true,
 		}
-		// Non-terminal sessions hold allocator grants; the grant equals
-		// the document's allocation (the invariant the oracle enforces
-		// live), so the allocator rebuilds from the documents.
+		b.sessions[sla.ID(idStr)] = s
+		// Non-terminal sessions are live and hold allocator grants; the
+		// grant equals the document's allocation (the invariant the oracle
+		// enforces live), so the allocator rebuilds from the documents.
 		if !rec.Doc.State.Terminal() {
+			b.live[sla.ID(idStr)] = s
 			grants[idStr] = rec.Doc.Allocated
 		}
 	}

@@ -306,8 +306,8 @@ func (b *Broker) ExpireDue() []sla.ID {
 	now := b.clock.Now()
 	var due []sla.ID
 	b.mu.Lock()
-	for id, s := range b.sessions {
-		if s.doc.State.Terminal() || s.doc.State == sla.StateProposed {
+	for id, s := range b.live {
+		if s.doc.State == sla.StateProposed {
 			continue
 		}
 		if !s.doc.End.IsZero() && !now.Before(s.doc.End) {

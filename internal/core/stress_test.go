@@ -112,6 +112,9 @@ func churnAdmissions(t *testing.T, c *sim.Cluster) {
 	if err := invariant.CheckAll(b, c.Clock.Now(), c.Pool); err != nil {
 		t.Fatal(err)
 	}
+	if err := b.CheckLiveSet(); err != nil {
+		t.Fatal(err)
+	}
 	alloc := b.Allocator()
 	if users := alloc.GuaranteedUsers(); len(users) != 0 {
 		t.Fatalf("grants leaked after churn: %v", users)
@@ -187,6 +190,9 @@ func TestConcurrentAcceptVsExpiry(t *testing.T) {
 			}
 		}
 		if err := invariant.CheckAll(b, c.Clock.Now(), c.Pool); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if err := b.CheckLiveSet(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
@@ -307,6 +313,9 @@ func TestConcurrentTerminateVsAdaptation(t *testing.T) {
 			t.Fatalf("round %d: terminal session re-granted %v by adaptation sweep", round, got)
 		}
 		if err := invariant.CheckAll(b, c.Clock.Now(), c.Pool); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if err := b.CheckLiveSet(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}

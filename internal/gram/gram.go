@@ -67,7 +67,7 @@ type JobID string
 // Job is a snapshot of one job's status.
 type Job struct {
 	ID    JobID
-	Spec  string // original RSL
+	Label string // the submitter's tag (the broker's SLA ID)
 	PID   int    // process ID once active
 	State State
 }
@@ -165,11 +165,13 @@ func (m *Manager) Subscribe(f StateFunc) {
 // (pending → active), returning its snapshot with the assigned PID. The
 // RSL should carry `executable="..."`; a numeric `duration` attribute (in
 // seconds) schedules automatic completion, otherwise the job runs until
-// Cancel or Fail.
-func (m *Manager) Submit(spec string) (Job, error) {
+// Cancel or Fail. label tags the job (Job.Label) outside the RSL, the way
+// GARA's Create takes its tag, so one job shape is parsed once however
+// many sessions submit it.
+func (m *Manager) Submit(spec, label string) (Job, error) {
 	var job Job
 	err := m.faults.Do("gram.submit", func() error {
-		j, err := m.submit(spec)
+		j, err := m.submit(spec, label)
 		if err == nil {
 			job = j
 		}
@@ -182,7 +184,7 @@ func (m *Manager) Submit(spec string) (Job, error) {
 	return job, nil
 }
 
-func (m *Manager) submit(spec string) (Job, error) {
+func (m *Manager) submit(spec, label string) (Job, error) {
 	node, err := rsl.ParseCached(spec)
 	if err != nil {
 		return Job{}, fmt.Errorf("gram: bad RSL: %w", err)
@@ -201,7 +203,7 @@ func (m *Manager) submit(spec string) (Job, error) {
 	m.nextPID++
 	st := &jobState{job: Job{
 		ID:    JobID("job-" + strconv.Itoa(m.nextID)),
-		Spec:  spec,
+		Label: label,
 		PID:   m.nextPID,
 		State: StateActive,
 	}}

@@ -16,9 +16,15 @@ func TestSubmitAssignsPIDAndActivates(t *testing.T) {
 	m := NewManager(clock)
 	defer m.Close()
 
-	job, err := m.Submit(`&(executable="/bin/sim")(count=10)`)
+	job, err := m.Submit(`&(executable="/bin/sim")(count=10)`, "site-a-sla-0001")
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
+	}
+	if job.Label != "site-a-sla-0001" {
+		t.Errorf("label = %q, want the submitter's tag", job.Label)
+	}
+	if got, _ := m.Job(job.ID); got.Label != job.Label {
+		t.Errorf("Job(%s).Label = %q, want %q", job.ID, got.Label, job.Label)
 	}
 	if job.State != StateActive {
 		t.Errorf("state = %v", job.State)
@@ -26,7 +32,7 @@ func TestSubmitAssignsPIDAndActivates(t *testing.T) {
 	if job.PID == 0 {
 		t.Error("no PID assigned")
 	}
-	job2, err := m.Submit(`&(executable="/bin/other")`)
+	job2, err := m.Submit(`&(executable="/bin/other")`, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,10 +44,10 @@ func TestSubmitAssignsPIDAndActivates(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	m := NewManager(clockx.NewManual(t0))
 	defer m.Close()
-	if _, err := m.Submit("&(count="); err == nil {
+	if _, err := m.Submit("&(count=", ""); err == nil {
 		t.Error("bad RSL accepted")
 	}
-	if _, err := m.Submit(`&(count=10)`); err == nil {
+	if _, err := m.Submit(`&(count=10)`, ""); err == nil {
 		t.Error("missing executable accepted")
 	}
 }
@@ -51,7 +57,7 @@ func TestDurationDrivenCompletion(t *testing.T) {
 	m := NewManager(clock)
 	defer m.Close()
 
-	job, err := m.Submit(`&(executable="/bin/sim")(duration=3600)`)
+	job, err := m.Submit(`&(executable="/bin/sim")(duration=3600)`, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +78,7 @@ func TestCancelStopsTimer(t *testing.T) {
 	m := NewManager(clock)
 	defer m.Close()
 
-	job, err := m.Submit(`&(executable="/bin/sim")(duration=60)`)
+	job, err := m.Submit(`&(executable="/bin/sim")(duration=60)`, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +102,8 @@ func TestFailAndComplete(t *testing.T) {
 	m := NewManager(clockx.NewManual(t0))
 	defer m.Close()
 
-	j1, _ := m.Submit(`&(executable="/bin/a")`)
-	j2, _ := m.Submit(`&(executable="/bin/b")`)
+	j1, _ := m.Submit(`&(executable="/bin/a")`, "")
+	j2, _ := m.Submit(`&(executable="/bin/b")`, "")
 	if err := m.Fail(j1.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +138,7 @@ func TestSubscribeObservesTransitions(t *testing.T) {
 		defer mu.Unlock()
 		states = append(states, j.State)
 	})
-	job, _ := m.Submit(`&(executable="/bin/a")`)
+	job, _ := m.Submit(`&(executable="/bin/a")`, "")
 	if err := m.Complete(job.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +152,8 @@ func TestSubscribeObservesTransitions(t *testing.T) {
 func TestCloseCancelsRunning(t *testing.T) {
 	clock := clockx.NewManual(t0)
 	m := NewManager(clock)
-	j1, _ := m.Submit(`&(executable="/bin/a")(duration=60)`)
-	j2, _ := m.Submit(`&(executable="/bin/b")`)
+	j1, _ := m.Submit(`&(executable="/bin/a")(duration=60)`, "")
+	j2, _ := m.Submit(`&(executable="/bin/b")`, "")
 	if err := m.Complete(j2.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +166,7 @@ func TestCloseCancelsRunning(t *testing.T) {
 	if got.State != StateDone {
 		t.Errorf("done job after Close = %v", got.State)
 	}
-	if _, err := m.Submit(`&(executable="/bin/c")`); err == nil {
+	if _, err := m.Submit(`&(executable="/bin/c")`, ""); err == nil {
 		t.Error("Submit after Close accepted")
 	}
 	m.Close() // idempotent
@@ -192,11 +198,11 @@ func TestPruneTerminalJobs(t *testing.T) {
 	m := NewManager(clock)
 	defer m.Close()
 
-	keep, err := m.Submit(`&(executable="sim")`)
+	keep, err := m.Submit(`&(executable="sim")`, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	done, err := m.Submit(`&(executable="sim")(duration=60)`)
+	done, err := m.Submit(`&(executable="sim")(duration=60)`, "")
 	if err != nil {
 		t.Fatal(err)
 	}

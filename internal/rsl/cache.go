@@ -5,7 +5,11 @@ import "sync"
 // This file is the parse cache: GARA re-receives the same reservation
 // specs over and over — the broker renders one RSL string per (spec,
 // allocation) shape and most admissions share a handful of shapes — so
-// re-running the parser on every Create/Modify is pure waste.
+// re-running the parser on every Create/Modify is pure waste. GRAM does
+// too: a job spec names only the service's executable and the whole
+// seconds left in its window. Neither carries the SLA ID; it travels
+// beside the RSL (GARA's tag, GRAM's label), because a string that holds
+// an identity never repeats and would only fill the cache.
 // ParseCached interns successful parse results keyed by the exact input
 // string; a hit is one read-locked map lookup, zero allocations.
 //

@@ -22,7 +22,6 @@ import (
 	"gqosm/internal/obs"
 	"gqosm/internal/registry"
 	"gqosm/internal/resource"
-	"gqosm/internal/rsl"
 	"gqosm/internal/sla"
 	"gqosm/internal/soapx"
 )
@@ -260,11 +259,7 @@ func attachJobs(gramM *gram.Manager, sched *dsrt.Scheduler, adapter *core.DSRTAd
 	var mu sync.Mutex
 	contracts := make(map[gram.JobID]dsrt.PID)
 	gramM.Subscribe(func(j gram.Job) {
-		node, err := rsl.ParseCached(j.Spec)
-		if err != nil {
-			return
-		}
-		id := sla.ID(node.Str("label", ""))
+		id := sla.ID(j.Label)
 		if id == "" {
 			return
 		}
