@@ -142,15 +142,13 @@ func TestReportContract(t *testing.T) {
 					t.Errorf("a composite sums its children's checks and has no tally: %+v / %+v", rep.Oracle, rep.Outcome.Tally)
 				}
 			}},
-		{name: "restart-chaos", mode: "restart-chaos", args: []string{"-chaos", "-restarts", "2", "-seed", "7", "-ops", "800"},
+		{name: "chaos", mode: "chaos", args: []string{"-chaos", "-restarts", "2", "-seed", "7", "-ops", "1000"},
 			blocks: []string{":faults", ":recovery"},
 			pins: func(t *testing.T, rep *sim.Report) {
 				if rec := rep.Outcome.Recovery; rec.DigestMatches != 2 || !rep.Oracle.Gates["digests_match"] {
 					t.Errorf("recovery %+v, gates %v", rec, rep.Oracle.Gates)
 				}
 			}},
-		{name: "chaos", mode: "chaos", args: []string{"-chaos", "-seed", "7", "-ops", "1000"},
-			blocks: []string{":faults"}},
 		// One client: with more the goroutine interleaving, and so the
 		// counters, differ run to run by design.
 		{name: "parallel", mode: "parallel", args: []string{"-parallel", "-clients", "1", "-ops", "200", "-phases", "2"},

@@ -42,8 +42,6 @@ func TestGoldenCommittedArtifacts(t *testing.T) {
 	}{
 		{"chaos", []string{"-chaos", "-seed", "7", "-faultrate", "0.2", "-json"},
 			[]string{"..", "..", "BENCH_chaos.json"}},
-		{"recovery", []string{"-chaos", "-restarts", "3", "-seed", "7", "-json"},
-			[]string{"..", "..", "BENCH_recovery.json"}},
 		{"chaos-intake", []string{"-chaos", "-intake", "-seed", "7", "-json"},
 			[]string{"testdata", "chaos_intake_seed7.json"}},
 	} {

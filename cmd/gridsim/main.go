@@ -68,10 +68,8 @@ var modes = []mode{
 		[]string{"federation"}, []string{"clients", "seed", "json"}, runFederation},
 	{"scenario", "replay a named traffic scenario (or all, or list); -soak adds working-set pruning, counting and the stable gate (BENCH_scenarios.json)",
 		[]string{"scenario"}, []string{"soak", "seed", "ops", "json"}, runScenarios},
-	{"restart-chaos", "chaos against a durable broker killed and WAL-recovered mid-workload (BENCH_recovery.json)",
-		[]string{"chaos", "restarts"}, []string{"clients", "ops", "seed", "faultrate", "wal-dir", "intake", "json"}, runChaos},
-	{"chaos", "stress workload stepped serially under seeded fault injection (BENCH_chaos.json)",
-		[]string{"chaos"}, []string{"clients", "ops", "phases", "seed", "faultrate", "intake", "json"}, runChaos},
+	{"chaos", "stress workload stepped serially under seeded fault injection against a durable broker killed and WAL-recovered mid-workload (BENCH_chaos.json)",
+		[]string{"chaos"}, []string{"clients", "ops", "phases", "restarts", "seed", "faultrate", "wal-dir", "intake", "json"}, runChaos},
 	{"parallel", "concurrent stress clients vs a serial baseline; the text summary adds their wall-clock throughput (BENCH_parallel.json)",
 		[]string{"parallel"}, []string{"clients", "ops", "phases", "seed", "intake", "transport", "json"}, runParallel},
 	{"experiment", "the paper's tables, figures and claim experiments (the default)",
@@ -120,7 +118,7 @@ func run(args []string) error {
 	}
 
 	// The first row whose selecting flags all hold a non-default value
-	// wins ("-restarts 0" stays plain chaos); the last row always matches.
+	// wins; the last row always matches.
 	m := pick(func(name string) bool { f := fs.Lookup(name); return f.Value.String() != f.DefValue })
 	// Flags the mode ignores are an error: a report must never silently
 	// describe a different run than the command line asked for.
@@ -194,7 +192,7 @@ var ranges = []struct {
 	{"clients", 0, math.Inf(1)},
 	{"ops", 1, math.Inf(1)},
 	{"phases", 1, math.Inf(1)},
-	{"restarts", 0, math.Inf(1)},
+	{"restarts", 1, math.Inf(1)},
 	{"federation", 0, math.Inf(1)},
 	{"faultrate", 0, 1},
 }
@@ -227,8 +225,8 @@ func flagSet(o *options) *flag.FlagSet {
 	fs.BoolVar(&o.jsonOut, "json", false, "emit the mode's report as JSON")
 	fs.Bool("chaos", false, "replay the stress workload under deterministic fault injection")
 	fs.Float64Var(&o.faultRate, "faultrate", 0.2, "per-site fault injection probability for -chaos (0 = no injector)")
-	fs.IntVar(&o.restarts, "restarts", 0, "with -chaos: kill and WAL-recover the broker this many times mid-workload")
-	fs.StringVar(&o.walDir, "wal-dir", "", "WAL directory for -chaos -restarts (default: a temporary one)")
+	fs.IntVar(&o.restarts, "restarts", 3, "with -chaos: kill and WAL-recover the broker this many times mid-workload")
+	fs.StringVar(&o.walDir, "wal-dir", "", "WAL directory for -chaos (default: a temporary one)")
 	fs.BoolVar(&o.intake, "intake", false, "route admissions through the group-commit intake")
 	fs.StringVar(&o.transport, "transport", "", "admission transport for -parallel: empty (in-process) or http (loopback JSON API)")
 	fs.StringVar(&o.scenario, "scenario", "", "replay a workload scenario by name ('all' for every scenario, 'list' for the catalog)")
@@ -302,14 +300,11 @@ func runParallel(o *options) (*sim.Report, error) {
 		map[string]*sim.Report{"serial": serial, "parallel": par}).Seal(), nil
 }
 
-// runChaos serves both chaos rows.
+// runChaos is the BENCH_chaos.json shape: one serial replay, faulted,
+// killed and recovered.
 func runChaos(o *options) (*sim.Report, error) {
-	cfg := sim.StressConfig{Clients: o.clients, Ops: o.ops, Phases: o.phases, Seed: o.seed,
-		Intake: o.intake, FaultRate: o.faultRate, Restarts: o.restarts, WALDir: o.walDir}
-	if o.restarts > 0 {
-		return sim.RunRestartChaos(cfg)
-	}
-	return sim.RunChaos(cfg)
+	return sim.RunChaos(sim.StressConfig{Clients: o.clients, Ops: o.ops, Phases: o.phases, Seed: o.seed,
+		Intake: o.intake, FaultRate: o.faultRate, Restarts: o.restarts, WALDir: o.walDir})
 }
 
 // runFederation is the BENCH_federation.json shape: the N-broker run,

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"gqosm/internal/core"
 	"gqosm/internal/sim"
 )
 
@@ -42,8 +43,6 @@ func TestRunArgumentErrors(t *testing.T) {
 		// Flags the selected mode does not read are rejected, not dropped.
 		"cluster-intake":      {"-federation", "3", "-intake"},
 		"scenario-faultrate":  {"-scenario", "diurnal", "-faultrate", "0.4"},
-		"restarts-phases":     {"-chaos", "-restarts", "3", "-phases", "5"},
-		"chaos-wal-dir":       {"-chaos", "-wal-dir", "/tmp/x"},
 		"two-modes":           {"-parallel", "-chaos"},
 		"experiment-json":     {"-experiment", "T1", "-json"},
 		"transport-no-mode":   {"-transport", "http"},
@@ -78,6 +77,7 @@ func TestSizingFlagsOutOfRange(t *testing.T) {
 		{[]string{"-chaos", "-phases", "-1"}, "bad -phases -1"},
 		{[]string{"-chaos", "-ops", "0"}, "bad -ops 0"},
 		{[]string{"-chaos", "-restarts", "-2"}, "bad -restarts -2"},
+		{[]string{"-chaos", "-restarts", "0"}, "bad -restarts 0"},
 		{[]string{"-parallel", "-phases", "0"}, "bad -phases 0"},
 		{[]string{"-scenario", "diurnal", "-ops", "-7"}, "bad -ops -7"},
 		{[]string{"-chaos", "-faultrate", "7"}, "bad -faultrate 7"},
@@ -125,6 +125,44 @@ func TestChaosFaultRateZero(t *testing.T) {
 	}
 	if r.Outcome.Admitted == 0 || r.Oracle.Checks == 0 {
 		t.Errorf("degenerate fault-free run: %s", out)
+	}
+}
+
+// Every chaos run reads -phases, -restarts and -wal-dir together: it
+// journals to the directory, quiesces at its phase barriers and is killed
+// -restarts times, even more times than the ops ask steps for.
+func TestChaosPhasesRestartsWALDir(t *testing.T) {
+	for _, tc := range []struct {
+		args          []string
+		steps, checks int
+	}{
+		// 5 phase barriers, a pre-kill and a post-recovery pass per kill,
+		// and the post-drain pass.
+		{[]string{"-phases", "5", "-restarts", "3", "-ops", "400"}, 50, 5 + 2*3 + 1},
+		// One step's worth of ops and 20 kills: the step count rises to 21
+		// so every kill lands on a step of its own.
+		{[]string{"-ops", "8", "-clients", "8", "-phases", "1", "-restarts", "20"}, 21, 21 + 2*20 + 1},
+	} {
+		dir := t.TempDir()
+		args := append([]string{"-chaos", "-wal-dir", dir, "-json"}, tc.args...)
+		out, err := runCapture(t, args...)
+		if err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, out)
+		}
+		var r sim.Report
+		if err := json.Unmarshal([]byte(out), &r); err != nil {
+			t.Fatalf("not JSON: %v\n%s", err, out)
+		}
+		rec := r.Outcome.Recovery
+		if rec == nil || rec.DigestMatches != rec.Restarts || rec.ReplayedRecords == 0 {
+			t.Errorf("%v: recovery %+v, want every kill digest-matched and records replayed", args, rec)
+		}
+		if r.Outcome.Ops != int64(tc.steps*8) || r.Oracle.Checks != tc.checks {
+			t.Errorf("%v: ops %d, checks %d, want %d and %d", args, r.Outcome.Ops, r.Oracle.Checks, tc.steps*8, tc.checks)
+		}
+		if !core.HasWALState(dir) {
+			t.Errorf("%v: nothing journaled to -wal-dir", args)
+		}
 	}
 }
 

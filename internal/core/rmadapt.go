@@ -63,15 +63,17 @@ func (a *DSRTAdapter) Detach(id sla.ID) {
 // TryRectify implements RMAdapter: when the degradation is on the CPU
 // dimension and the scheduler has slack, the session's process shares are
 // raised toward the deficit. Network-side degradations are not an RM-level
-// concern here and report false.
+// concern here and report false. A zero CPU reading is "not measured", the
+// rule handleDegradation applies: the NRM's notification for a composite
+// session carries only its bandwidth.
 func (a *DSRTAdapter) TryRectify(id sla.ID, doc *sla.Document, measured resource.Capacity) bool {
 	want := doc.Spec.Floor().CPU
 	if want <= 0 {
 		return false // not a CPU degradation
 	}
 	have := measured.CPU
-	if have >= want-resource.Epsilon {
-		return false // CPU is fine; degradation is elsewhere
+	if have == 0 || have >= want-resource.Epsilon {
+		return false // CPU not measured, or fine: the degradation is elsewhere
 	}
 	a.mu.Lock()
 	pids := append([]dsrt.PID(nil), a.procs[id]...)

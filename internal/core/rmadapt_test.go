@@ -89,6 +89,30 @@ func TestDSRTAdapterRefusals(t *testing.T) {
 	}
 }
 
+// TestDSRTAdapterIgnoresUnmeasuredCPU: a composite session's network
+// degradation arrives with only its bandwidth measured. The zero CPU
+// reading is "not measured", not a 100 % CPU deficit, so the scheduler is
+// left alone and the broker's ladder goes on to AQoS-level adaptation.
+func TestDSRTAdapterIgnoresUnmeasuredCPU(t *testing.T) {
+	sched := dsrt.New(dsrt.Config{Processors: 2}, nil)
+	a := NewDSRTAdapter(sched)
+	pid, err := sched.Register(dsrt.Contract{Class: dsrt.PeriodicVariable, Share: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Attach("s1", pid)
+	doc := &sla.Document{
+		ID: "s1", Class: sla.ClassGuaranteed,
+		Spec: sla.NewSpec(sla.Exact(resource.CPU, 4), sla.Exact(resource.BandwidthMbps, 45)),
+	}
+	if a.TryRectify("s1", doc, resource.Capacity{BandwidthMbps: 10}) {
+		t.Error("rectified a network degradation by boosting CPU shares")
+	}
+	if p, err := sched.Get(pid); err != nil || p.Contract.Share != 0.25 {
+		t.Errorf("share = %g (%v), want 0.25 untouched", p.Contract.Share, err)
+	}
+}
+
 // TestRMAdaptationTriedBeforeAQoSLevel wires a recording adapter into a
 // broker and checks the §3.2 ordering: a degradation the RM rectifies
 // never reaches AQoS-level adaptation (no violation, no alternative-QoS

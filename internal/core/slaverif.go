@@ -53,10 +53,11 @@ type ConformanceReport struct {
 }
 
 // Verify runs an SLA conformance test "on an explicit request by the
-// client/application" (§3.2): it gathers measured QoS levels from the NRM
-// (network) and MDS (computation), compares them against the SLA, and
-// returns the Table-3 reply. A non-conformant result triggers scenario-3
-// adaptation.
+// client/application" (§3.2): it measures the network from the NRM, takes
+// computation as the allocation scaled by the allocator's coverage
+// (Allocated × alloc.Coverage(), not an MDS reading: ROADMAP item 10(e)),
+// compares them against the SLA, and returns the Table-3 reply. A
+// non-conformant result triggers scenario-3 adaptation.
 func (b *Broker) Verify(id sla.ID) (*ConformanceReport, error) {
 	b.mu.Lock()
 	s, ok := b.sessions[id]

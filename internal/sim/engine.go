@@ -18,7 +18,7 @@ import (
 )
 
 // This file is the one simulation engine. Every broker-driving harness
-// in the package — parallel stress, chaos, restart-chaos, the
+// in the package — parallel stress, chaos (killed and WAL-recovered), the
 // multi-broker federation run, scenarios and soaks, the C1–C3 claim
 // replays — is a configuration of it, composed from four orthogonal
 // parts:

@@ -2,19 +2,19 @@ package sim
 
 import "testing"
 
-// TestRestartChaosDeterministicAndClean: the restart-chaos run is the
-// PR's acceptance bar in miniature — zero oracle violations, every
+// TestRestartChaosDeterministicAndClean: the chaos run's kills in
+// miniature — zero oracle violations, every
 // recovery digest-identical to the broker it replaced, capacity fully
 // restored at drain, and the whole report byte-identical across two
 // runs of the same seed.
 func TestRestartChaosDeterministicAndClean(t *testing.T) {
 	run := func() *Report {
 		t.Helper()
-		res, err := RunRestartChaos(StressConfig{
+		res, err := RunChaos(StressConfig{
 			Seed: 7, Ops: 1600, Restarts: 3, FaultRate: 0.1, WALDir: t.TempDir(),
 		})
 		if err != nil {
-			t.Fatalf("RunRestartChaos: %v", err)
+			t.Fatalf("RunChaos: %v", err)
 		}
 		return res
 	}
@@ -42,7 +42,7 @@ func TestRestartChaosDeterministicAndClean(t *testing.T) {
 // 7) at small scale: both stay violation-free.
 func TestRestartChaosMatrixSeeds(t *testing.T) {
 	for _, seed := range []int64{1, 7} {
-		res, err := RunRestartChaos(StressConfig{
+		res, err := RunChaos(StressConfig{
 			Seed: seed, Ops: 800, Restarts: 2, FaultRate: 0.1, WALDir: t.TempDir(),
 		})
 		if err != nil {

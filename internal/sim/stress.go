@@ -16,7 +16,7 @@ import (
 	"gqosm/internal/stack"
 )
 
-// This file is the lifecycle-stress workload and its three engine
+// This file is the lifecycle-stress workload and its two engine
 // configurations. N clients drive a shared broker through the full
 // Fig. 3 lifecycle — request, accept, reject, invoke, terminate, offer
 // expiry, failure/recovery and optimizer passes — each on a
@@ -24,17 +24,17 @@ import (
 //
 //   - RunParallel: the clients are goroutines; the global interleaving
 //     is not deterministic, the per-client schedules are.
-//   - RunChaos: stress + fault rate > 0, stepped serially round-robin.
-//     The substrates (GARA managers, NRM, GRAM) and the broker's
-//     RM-facing call sites inject seeded faults — errors, virtual
-//     latency, hangs-until-deadline, partial failures (committed but
-//     reply lost) and crash-then-recover windows; latency under faults
-//     is accounted virtually (recorded, never slept). Two runs with the
-//     same configuration produce bit-identical reports.
-//   - RunRestartChaos: chaos + WAL + N kill points (see engine.kill).
-//     Deterministic too.
+//   - RunChaos: the clients step serially round-robin against a durable
+//     broker that is killed and WAL-recovered mid-workload (see
+//     engine.kill). With a fault rate > 0 the substrates (GARA managers,
+//     NRM, GRAM) and the broker's RM-facing call sites inject seeded
+//     faults — errors, virtual latency, hangs-until-deadline, partial
+//     failures (committed but reply lost) and crash-then-recover
+//     windows; latency under faults is accounted virtually (recorded,
+//     never slept). Two runs with the same configuration produce
+//     bit-identical reports.
 
-// StressConfig sizes a stress run; the three entry points share it.
+// StressConfig sizes a stress run; both entry points share it.
 type StressConfig struct {
 	// Clients is the number of simulated clients (default 8).
 	Clients int
@@ -42,7 +42,6 @@ type StressConfig struct {
 	// (default 10000).
 	Ops int
 	// Phases is the number of mid-run quiesce points (default 10).
-	// RunRestartChaos has none: its kill points are its quiesce points.
 	Phases int
 	// Seed is the base seed; client i draws from rand.NewSource(Seed+i),
 	// so each client's operation schedule is a pure function of the seed.
@@ -65,16 +64,16 @@ type StressConfig struct {
 	// compact non-SOAP transport — with each admission a real POST
 	// /api/v1/request; lifecycle operations stay in-process). Composes
 	// with Intake: the server's admissions share group commits. The
-	// serial replays stay in-process for determinism.
+	// serial replay stays in-process for determinism.
 	Transport string
 	// FaultRate is the per-site injection probability; 0 runs without an
 	// injector.
 	FaultRate float64
-	// Restarts is how many times RunRestartChaos kills and recovers the
-	// broker mid-workload (default 3). Kill points are spaced evenly.
+	// Restarts is how many times RunChaos kills and recovers the broker
+	// mid-workload (default 3). Kill points are spaced evenly.
 	Restarts int
-	// WALDir is RunRestartChaos's journal directory; empty creates (and
-	// removes) a temporary one.
+	// WALDir is RunChaos's journal directory; empty creates (and removes)
+	// a temporary one.
 	WALDir string
 }
 
@@ -97,35 +96,24 @@ func DefaultParallelPlan() core.CapacityPlan {
 }
 
 // RunParallel executes the concurrent lifecycle stress under goroutine
-// clients. A non-nil error means the harness itself failed; oracle
-// violations, and capacity lost or double-spent by the end, land in the
-// report for the caller to gate on.
-func RunParallel(cfg StressConfig) (*Report, error) { return runStress("parallel", cfg, true, false) }
+// clients on a non-durable broker. A non-nil error means the harness
+// itself failed; oracle violations, and capacity lost or double-spent by
+// the end, land in the report for the caller to gate on.
+func RunParallel(cfg StressConfig) (*Report, error) { return runStress("parallel", cfg, true) }
 
 // RunChaos replays the stress workload serially under seeded fault
-// injection and returns the deterministic report.
-func RunChaos(cfg StressConfig) (*Report, error) { return runStress("chaos", cfg, false, false) }
-
-// RunRestartChaos replays the chaos workload against a durable broker,
-// killing and recovering it cfg.Restarts times.
-func RunRestartChaos(cfg StressConfig) (*Report, error) {
-	return runStress("restart-chaos", cfg, false, true)
-}
+// injection against a durable broker, killing and recovering it
+// cfg.Restarts times, and returns the deterministic report.
+func RunChaos(cfg StressConfig) (*Report, error) { return runStress("chaos", cfg, false) }
 
 // runStress assembles the stress workload on a single-broker topology
 // and runs it. concurrent runs the clients as goroutines between phase
-// barriers; restart makes the broker durable and kills it cfg.Restarts
-// times.
-func runStress(mode string, cfg StressConfig, concurrent, restart bool) (*Report, error) {
+// barriers; otherwise they step serially against a durable broker that is
+// killed cfg.Restarts times.
+func runStress(mode string, cfg StressConfig, concurrent bool) (*Report, error) {
 	cfg = cfg.withDefaults()
 	config := map[string]any{"seed": cfg.Seed, "clients": cfg.Clients, "ops": cfg.Ops, "phases": cfg.Phases,
 		"fault_rate": cfg.FaultRate, "intake": cfg.Intake, "transport": cfg.Transport}
-	kills := 0
-	if restart {
-		kills = cfg.Restarts
-		delete(config, "phases")
-		config["restarts"] = kills
-	}
 	topo, err := newTopology(topoConfig{
 		Base: stack.Config{
 			Plan: DefaultParallelPlan(), Obs: cfg.Obs,
@@ -134,7 +122,7 @@ func runStress(mode string, cfg StressConfig, concurrent, restart bool) (*Report
 		},
 		FaultRate: cfg.FaultRate,
 		Seed:      cfg.Seed,
-		Durable:   restart,
+		Durable:   !concurrent,
 		Transport: cfg.Transport,
 	})
 	if err != nil {
@@ -154,15 +142,15 @@ func runStress(mode string, cfg StressConfig, concurrent, restart bool) (*Report
 			http:    topo.api,
 		})
 	}
-	e := &engine{topo: topo, work: w, kills: kills}
+	e := &engine{topo: topo, work: w}
 	perPhase := max(1, cfg.Ops/(cfg.Clients*cfg.Phases))
-	switch {
-	case restart:
-		e.steps = max(kills+1, cfg.Ops/cfg.Clients)
-	case concurrent:
+	if concurrent {
 		w.burst, e.steps, e.quiesceEvery = perPhase, cfg.Phases, 1
-	default:
-		e.steps, e.quiesceEvery = perPhase*cfg.Phases, perPhase
+	} else {
+		e.kills = cfg.Restarts
+		config["restarts"] = e.kills
+		// The floor spaces every kill at least one step apart.
+		e.steps, e.quiesceEvery = max(e.kills+1, perPhase*cfg.Phases), perPhase
 	}
 	w.ops = e.steps * cfg.Clients * max(1, w.burst)
 	if err := e.run(); err != nil {

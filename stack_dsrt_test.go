@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gqosm/internal/faultx"
+	"gqosm/internal/nrm"
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
 )
@@ -124,6 +125,82 @@ func TestStackArmsDSRTFaultSite(t *testing.T) {
 	}
 	if doc.State != sla.StateActive {
 		t.Errorf("session state = %v, want active", doc.State)
+	}
+}
+
+// TestStackDSRTCongestedCompositeAdapts: with DSRT on, a congested link
+// still drives a composite {CPU, bandwidth} session down the AQoS ladder.
+// The NRM's notification measures only the bandwidth, so the RM-level
+// rung must not read the unmeasured CPU as a deficit, boost the session's
+// share and call the degradation rectified.
+func TestStackDSRTCongestedCompositeAdapts(t *testing.T) {
+	topo := NewTopology()
+	for _, err := range []error{
+		topo.AddDomain("site-a", "192.200.168.0/24"),
+		topo.AddDomain("site-c", "10.10.0.0/16"),
+		topo.AddLink("site-a", "site-c", 100),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	clock := NewManualClock(epoch)
+	stack, err := NewStack(StackConfig{
+		Domain: "site-a",
+		Clock:  clock,
+		Plan: CapacityPlan{
+			Guaranteed: Capacity{CPU: 15, BandwidthMbps: 70},
+			Adaptive:   Capacity{CPU: 6, BandwidthMbps: 20},
+			BestEffort: Capacity{CPU: 5, BandwidthMbps: 10},
+		},
+		Topology:       topo,
+		ConfirmWindow:  time.Hour,
+		DSRTProcessors: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stack.Close()
+
+	spec := NewSpec(Exact(CPU, 4), Exact(BandwidthMbps, 45))
+	spec.SourceIP, spec.DestIP = "10.10.3.4", "192.200.168.33"
+	offer, err := stack.Broker.RequestService(Request{
+		Service: "simulation", Client: "viz-stream", Class: ClassGuaranteed,
+		Spec: spec, Start: epoch, End: epoch.Add(5 * time.Hour), AcceptDegradation: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := offer.SLA.ID
+	if err := stack.Broker.Accept(id); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stack.Broker.Invoke(id); err != nil {
+		t.Fatal(err)
+	}
+	reserved := stack.DSRT.Reserved()
+	if reserved <= 0 {
+		t.Fatalf("Reserved after invoke = %g, want a DSRT contract", reserved)
+	}
+
+	if err := topo.SetCongestion("site-a", "site-c", nrm.Congestion{BandwidthFactor: 0.4}); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(30 * time.Minute)
+	if degraded := stack.NRM.CheckAll(clock.Now()); len(degraded) != 1 {
+		t.Fatalf("NRM check found %d degraded flow(s), want 1", len(degraded))
+	}
+
+	doc, err := stack.Broker.Session(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stack.Broker.Violations(id) == 0 && doc.Allocated.Equal(offer.SLA.Allocated) {
+		t.Errorf("congested session neither counted violated nor moved to its alternative QoS: state %v, allocated %v",
+			doc.State, doc.Allocated)
+	}
+	if got := stack.DSRT.Reserved(); got != reserved {
+		t.Errorf("DSRT share moved %g -> %g on a network degradation", reserved, got)
 	}
 }
 
