@@ -11,7 +11,6 @@
 //	aqosd -listen :8080 -guaranteed 15 -adaptive 6 -besteffort 5
 //	aqosd -listen :8080 -total 26 -failure-rate 0.23 -besteffort-frac 0.19
 //	aqosd -listen :8080 -total 26 -wal-dir /var/lib/aqosd/wal   # durable: restart recovers sessions
-//	aqosd -listen :8080 -total 26 -intake                       # group-commit admission batching
 package main
 
 import (
@@ -83,7 +82,6 @@ func run(args []string) error {
 		faultRate  = fs.Float64("fault-rate", 0, "chaos-test this daemon: per-site fault injection probability (0 disables)")
 		faultSeed  = fs.Int64("fault-seed", 1, "fault injector PRNG seed (with -fault-rate)")
 		walDir     = fs.String("wal-dir", "", "durability directory: lifecycle WAL + snapshots; a restart with the same directory recovers the broker's state")
-		intake     = fs.Bool("intake", false, "enable the group-commit admission intake: concurrent JSON-API admissions share one allocator pass and one WAL fsync per batch")
 		peers      peerFlags
 	)
 	fs.Var(&peers, "peer", "neighboring AQoS endpoint as name=url (repeatable); requests this domain cannot serve are forwarded")
@@ -133,7 +131,6 @@ func run(args []string) error {
 			Backoff:  *rmBackoff,
 		},
 		WALDir: *walDir,
-		Intake: gqosm.IntakeConfig{Enabled: *intake},
 	})
 	if err != nil {
 		return err
@@ -146,12 +143,8 @@ func run(args []string) error {
 
 	handler := newHandler(stack, peers)
 
-	mode := "direct"
-	if *intake {
-		mode = "group-commit intake"
-	}
-	log.Printf("aqosd: domain %q serving SOAP + JSON (/api/v1/) on %s (plan G=%v A=%v B=%v, admission %s)",
-		*domain, *listen, plan.Guaranteed, plan.Adaptive, plan.BestEffort, mode)
+	log.Printf("aqosd: domain %q serving SOAP + JSON (/api/v1/) on %s (plan G=%v A=%v B=%v)",
+		*domain, *listen, plan.Guaranteed, plan.Adaptive, plan.BestEffort)
 	return http.ListenAndServe(*listen, handler)
 }
 

@@ -297,9 +297,9 @@ func TestUnreadFlagRefused(t *testing.T) {
 		{[]string{"-total", "26", "-adaptive", "6", "-besteffort", "5"}, "-adaptive is not read with -total"},
 		{[]string{"-guaranteed", "15", "-failure-rate", "0.3"}, "-failure-rate is read only with -total"},
 		{[]string{"-guaranteed", "15", "-besteffort-frac", "0.1"}, "-besteffort-frac is read only with -total"},
-		{[]string{"-total", "26", "-intake", "-intake-flush", "5ms"}, "flag provided but not defined: -intake-flush"},
+		{[]string{"-total", "26", "-intake"}, "flag provided but not defined: -intake"},
 		{[]string{"-total", "26", "-fault-seed", "9"}, "-fault-seed is read only with -fault-rate"},
-		{[]string{"-total", "26", "-failure-rate", "0.3", "-besteffort-frac", "0.1", "-intake"}, ""},
+		{[]string{"-total", "26", "-failure-rate", "0.3", "-besteffort-frac", "0.1"}, ""},
 	} {
 		err := run(append(tc.args, "-listen", "127.0.0.1:-1", "-monitor-interval", "0"))
 		switch {

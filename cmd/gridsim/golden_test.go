@@ -42,8 +42,6 @@ func TestGoldenCommittedArtifacts(t *testing.T) {
 	}{
 		{"chaos", []string{"-chaos", "-seed", "7", "-faultrate", "0.2", "-json"},
 			[]string{"..", "..", "BENCH_chaos.json"}},
-		{"chaos-intake", []string{"-chaos", "-intake", "-seed", "7", "-json"},
-			[]string{"testdata", "chaos_intake_seed7.json"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { golden(t, tc.args, tc.artifact...) })
 	}

@@ -41,7 +41,7 @@ type options struct {
 	seed                                       int64
 	clients, ops, phases, restarts, federation int
 	faultRate                                  float64
-	verbose, jsonOut, intake, soak             bool
+	verbose, jsonOut, soak                     bool
 	// summary, when a mode sets it, prints below the plain-text document.
 	summary func()
 }
@@ -69,9 +69,9 @@ var modes = []mode{
 	{"scenario", "replay a named traffic scenario (or all, or list); -soak adds working-set pruning, counting and the stable gate (BENCH_scenarios.json)",
 		[]string{"scenario"}, []string{"soak", "seed", "ops", "json"}, runScenarios},
 	{"chaos", "stress workload stepped serially under seeded fault injection against a durable broker killed and WAL-recovered mid-workload (BENCH_chaos.json)",
-		[]string{"chaos"}, []string{"clients", "ops", "phases", "restarts", "seed", "faultrate", "wal-dir", "intake", "json"}, runChaos},
+		[]string{"chaos"}, []string{"clients", "ops", "phases", "restarts", "seed", "faultrate", "wal-dir", "json"}, runChaos},
 	{"parallel", "concurrent stress clients vs a serial baseline; the text summary adds their wall-clock throughput (BENCH_parallel.json)",
-		[]string{"parallel"}, []string{"clients", "ops", "phases", "seed", "intake", "transport", "json"}, runParallel},
+		[]string{"parallel"}, []string{"clients", "ops", "phases", "seed", "transport", "json"}, runParallel},
 	{"experiment", "the paper's tables, figures and claim experiments (the default)",
 		nil, []string{"experiment", "seed", "v"}, runExperiments},
 }
@@ -227,7 +227,6 @@ func flagSet(o *options) *flag.FlagSet {
 	fs.Float64Var(&o.faultRate, "faultrate", 0.2, "per-site fault injection probability for -chaos (0 = no injector)")
 	fs.IntVar(&o.restarts, "restarts", 3, "with -chaos: kill and WAL-recover the broker this many times mid-workload")
 	fs.StringVar(&o.walDir, "wal-dir", "", "WAL directory for -chaos (default: a temporary one)")
-	fs.BoolVar(&o.intake, "intake", false, "route admissions through the group-commit intake")
 	fs.StringVar(&o.transport, "transport", "", "admission transport for -parallel: empty (in-process) or http (loopback JSON API)")
 	fs.StringVar(&o.scenario, "scenario", "", "replay a workload scenario by name ('all' for every scenario, 'list' for the catalog)")
 	fs.BoolVar(&o.soak, "soak", false, "run -scenario in long-run soak mode: bounded working set, counted per window")
@@ -267,9 +266,9 @@ func header(id, title string) {
 // own metrics registry so the baseline's counters do not pollute the
 // parallel run's.
 func runParallel(o *options) (*sim.Report, error) {
-	// The serial baseline always takes the direct in-process path; -intake
-	// and -transport only shape the parallel run, so the comparison shows
-	// what they change.
+	// The serial baseline always takes the in-process path; -transport
+	// only shapes the parallel run, so the comparison shows what it
+	// changes.
 	started := time.Now()
 	serial, err := sim.RunParallel(sim.StressConfig{Clients: 1, Ops: o.ops, Phases: o.phases, Seed: o.seed})
 	if err != nil {
@@ -279,7 +278,7 @@ func runParallel(o *options) (*sim.Report, error) {
 	reg := obs.NewRegistry()
 	started = time.Now()
 	par, err := sim.RunParallel(sim.StressConfig{Clients: o.clients, Ops: o.ops, Phases: o.phases, Seed: o.seed,
-		Intake: o.intake, Transport: o.transport, Obs: reg})
+		Transport: o.transport, Obs: reg})
 	if err != nil {
 		return nil, err
 	}
@@ -304,7 +303,7 @@ func runParallel(o *options) (*sim.Report, error) {
 // killed and recovered.
 func runChaos(o *options) (*sim.Report, error) {
 	return sim.RunChaos(sim.StressConfig{Clients: o.clients, Ops: o.ops, Phases: o.phases, Seed: o.seed,
-		Intake: o.intake, FaultRate: o.faultRate, Restarts: o.restarts, WALDir: o.walDir})
+		FaultRate: o.faultRate, Restarts: o.restarts, WALDir: o.walDir})
 }
 
 // runFederation is the BENCH_federation.json shape: the N-broker run,

@@ -56,8 +56,13 @@ func TestRunArgumentErrors(t *testing.T) {
 		"dirty-wal-dir": {"-chaos", "-restarts", "1", "-ops", "300", "-wal-dir", dirty},
 	} {
 		t.Run(name, func(t *testing.T) {
-			if _, err := runCapture(t, args...); err == nil {
+			_, err := runCapture(t, args...)
+			if err == nil {
 				t.Fatalf("args %v: expected error", args)
+			}
+			// A removed flag is refused as undefined, not as a stray.
+			if name == "cluster-intake" && !strings.Contains(err.Error(), "flag provided but not defined: -intake") {
+				t.Errorf("args %v: err = %v, want -intake undefined", args, err)
 			}
 		})
 	}

@@ -358,11 +358,11 @@ var unreadFields = map[string]string{
 	"cluster.Config.Placement":  "bench/ writes it: bench/env.go spells cluster.PlaceHash",
 	"core.Config.MDS":           "bench/ writes it: bench/stack.go wires the MDS directory (ROADMAP item 10 gives it a reader or deletes it)",
 	"stack.Stack.DSRT":          "substrate handle: tests drive the DSRT scheduler the stack assembled",
-	"stack.Stack.RM":            "substrate handle: the DSRT-backed RM-level adaptation hook, which the DSRT stack test checks is wired",
 	"stack.Stack.MDS":           "substrate handle: tests query the MDS directory the stack publishes to",
 	"stack.Stack.NRM":           "substrate handle: tests and the degradation example drive the NRM the stack assembled",
 	"mds.Entry.Attrs":           "MDS substrate: a search result's attributes, which ROADMAP item 10 gives a reader or deletes",
 	"core.OptResult.Assignment": "the exported solvers' per-service answer (Greedy, Exact, the C4 baselines), checked by the oracle tests; RunOptimizer reads the kernel's slice instead of the map",
+	"core.IntakeConfig.Enabled": "bench/stack.go:120 writes it; item 28 drops the literal",
 }
 
 // TestEveryFieldIsRead lists every struct field declared under internal/

@@ -82,10 +82,6 @@ type (
 	FaultInjector = faultx.Injector
 	// FaultPlan configures injection at one site or as the default.
 	FaultPlan = faultx.Plan
-	// IntakeConfig enables and sizes the broker's group-commit admission
-	// intake (StackConfig.Intake): queued admissions are committed in one
-	// allocator pass and one WAL fsync per batch.
-	IntakeConfig = core.IntakeConfig
 	// IntakeTicket is a queued admission's future (Broker.Submit);
 	// Wait blocks until the batch it joined is flushed.
 	IntakeTicket = core.IntakeTicket

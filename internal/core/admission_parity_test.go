@@ -16,10 +16,10 @@ import (
 )
 
 // This file pins the "one admission pipeline" contract: the same request
-// stream driven through every route into Broker.admit — RequestService
-// with and without the intake queue, Submit+FlushIntake at batch 1 and
-// batch 8 — must produce the same offers, the same error sentinels and
-// the same broker state.
+// stream driven into Broker.admit at every batch size — RequestService
+// (uncontended, a batch of one admitted inline), Submit+FlushIntake at
+// batch 1 and at batch 8 — must produce the same offers, the same error
+// sentinels and the same broker state.
 
 // parityOutcome is what a client can observe of one admission.
 type parityOutcome struct {
@@ -158,25 +158,23 @@ func unknownService(r core.Request) core.Request {
 	return r
 }
 
-// TestAdmissionRouteParity drives each stream through the four routes and
-// compares everything against the unqueued RequestService run.
+// TestAdmissionRouteParity drives each stream at the three batch sizes
+// and compares everything against the RequestService run.
 func TestAdmissionRouteParity(t *testing.T) {
 	routes := []struct {
-		name   string
-		intake core.IntakeConfig
+		name string
 		// admit resolves one flush group on b, in order.
 		admit func(b *core.Broker, group []core.Request) []parityOutcome
 	}{
-		{"request-inline", core.IntakeConfig{}, requestEach},
-		{"request-queued", core.IntakeConfig{Enabled: true}, requestEach},
-		{"submit-batch1", core.IntakeConfig{Enabled: true, MaxBatch: 64}, func(b *core.Broker, group []core.Request) []parityOutcome {
+		{"request", requestEach},
+		{"submit-batch1", func(b *core.Broker, group []core.Request) []parityOutcome {
 			var out []parityOutcome
 			for _, req := range group {
 				out = append(out, submitGroup(b, []core.Request{req})...)
 			}
 			return out
 		}},
-		{"submit-batch8", core.IntakeConfig{Enabled: true, MaxBatch: 64}, submitGroup},
+		{"submit-batch8", submitGroup},
 	}
 	for _, stream := range parityStreams {
 		t.Run(stream.name, func(t *testing.T) {
@@ -189,7 +187,6 @@ func TestAdmissionRouteParity(t *testing.T) {
 						Adaptive:   resource.Capacity{CPU: 4},
 						BestEffort: resource.Capacity{CPU: 4},
 					},
-					Intake: route.intake,
 				})
 				if err != nil {
 					t.Fatal(err)

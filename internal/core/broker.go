@@ -100,9 +100,8 @@ type Config struct {
 	// Durability enables the write-ahead lifecycle log (see durable.go).
 	// The zero value keeps the historical in-memory-only broker.
 	Durability DurabilityConfig
-	// Intake puts the group-commit queue (see intake.go) in front of the
-	// admission pipeline. The zero value admits each RequestService
-	// inline on its caller's goroutine.
+	// Intake sizes the group-commit queue (see intake.go) in front of the
+	// admission pipeline; the zero value takes its defaults.
 	Intake IntakeConfig
 }
 
@@ -230,8 +229,7 @@ type Broker struct {
 	// site a no-op (the historical in-memory broker). See durable.go.
 	durable *wal.Log
 
-	// intake is the group-commit queue in front of admit; nil on brokers
-	// built without Config.Intake.Enabled. See intake.go.
+	// intake is the group-commit queue in front of admit. See intake.go.
 	intake *intake
 
 	// recovering is true from the start of Recover until its RM
@@ -311,9 +309,7 @@ func newBroker(cfg Config) (*Broker, error) {
 	if cfg.NRM != nil {
 		cfg.NRM.Subscribe(b.onNetworkDegradation)
 	}
-	if cfg.Intake.Enabled {
-		b.intake = newIntake(b, cfg.Intake, b.obs)
-	}
+	b.intake = newIntake(b, cfg.Intake, b.obs)
 	return b, nil
 }
 
@@ -324,9 +320,7 @@ func (b *Broker) Close() {
 	if !b.closed.CompareAndSwap(false, true) {
 		return
 	}
-	if b.intake != nil {
-		b.intake.failQueued(ErrClosed)
-	}
+	b.intake.failQueued(ErrClosed)
 	b.stopConfirmTimers()
 	if b.durable != nil {
 		// Every acknowledged append was already fsynced; sealing just

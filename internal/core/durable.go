@@ -92,11 +92,9 @@ func (b *Broker) Crash() {
 	if !b.closed.CompareAndSwap(false, true) {
 		return
 	}
-	if b.intake != nil {
-		// A dead process resolves nothing: queued admissions simply never
-		// happened (they were not yet journaled), so their tickets fail.
-		b.intake.failQueued(ErrClosed)
-	}
+	// A dead process resolves nothing: queued admissions simply never
+	// happened (they were not yet journaled), so their tickets fail.
+	b.intake.failQueued(ErrClosed)
 	b.stopConfirmTimers()
 	b.ledger.SetObserver(nil)
 	if b.durable != nil {

@@ -2,19 +2,22 @@ package core
 
 // This file is the group-commit intake queue in front of the admission
 // pipeline (prepare / admit in negotiate.go): a bounded queue that
-// coalesces prepared admissions so one admit call carries many. The
-// pipeline is the same whatever the batch size — quality clamping, budget
-// checks, ID issue order, GARA reservation, per-session confirm timers,
-// per-session WAL records — so a batch of one produces byte-identical
-// broker state to an unqueued RequestService; what a larger batch buys is
-// that the lock acquisitions, the allocator rebalance + view publication,
-// the activity-log render and the WAL fsync are paid once per BATCH.
+// coalesces prepared admissions so one admit call carries many. Every
+// broker has one; it is the only way into admit. The pipeline is the
+// same whatever the batch size — quality clamping, budget checks, ID
+// issue order, GARA reservation, per-session confirm timers, per-session
+// WAL records — so a batch of one produces byte-identical broker state to
+// a batch of eight; what a larger batch buys is that the lock
+// acquisitions, the allocator rebalance + view publication, the
+// activity-log render and the WAL fsync are paid once per BATCH.
 //
 // Flush discipline. Flushes are driven three ways, none by a timer: (1) a
 // queue reaching MaxBatch is flushed inline by the submitter that filled
 // it; (2) FlushIntake drains the queue — the serial harnesses' quiesce
-// primitive; (3) RequestService on a queue-configured broker enqueues and
-// then takes the flush mutex: the first waiter in becomes the
+// primitive; (3) RequestService takes the flush mutex. Uncontended (the
+// mutex is free and the queue empty) it admits its request on the
+// caller's goroutine as a batch of one, without a ticket; otherwise it
+// enqueues and waits on the mutex: the first waiter in becomes the
 // group-commit leader and drains everything queued behind it — batches
 // form naturally under contention, exactly like a WAL group commit.
 //
@@ -36,14 +39,10 @@ import (
 // maps it to 429.
 var ErrIntakeFull = errors.New("core: intake queue full")
 
-// errIntakeDisabled is returned by Submit on a broker built without
-// Config.Intake.Enabled.
-var errIntakeDisabled = errors.New("core: intake not enabled")
-
-// IntakeConfig enables and sizes the group-commit admission intake.
+// IntakeConfig sizes the group-commit admission intake every broker has.
 type IntakeConfig struct {
-	// Enabled turns the queue on. Off (the zero value) Submit fails and
-	// RequestService admits inline on the caller's goroutine.
+	// Enabled is read by nothing: every broker has its intake. bench/
+	// still writes it (ROADMAP item 28 drops the literal, then the field).
 	Enabled bool
 	// MaxBatch caps how many queued admissions one flush drains into a
 	// single allocator pass (default 32). A queue reaching MaxBatch is
@@ -89,7 +88,7 @@ func (t *IntakeTicket) Resolved() bool {
 	}
 }
 
-// intake is the broker-side machinery; nil on brokers built without it.
+// intake is the broker-side machinery.
 type intake struct {
 	b   *Broker
 	cfg IntakeConfig
@@ -137,15 +136,10 @@ func (in *intake) depth() int {
 	return len(in.queue)
 }
 
-// IntakePending counts admissions sitting in the intake queue (0 when
-// the intake is disabled). Harness quiesce points require it to be 0 —
-// every submitted admission was flushed.
-func (b *Broker) IntakePending() int {
-	if b.intake == nil {
-		return 0
-	}
-	return b.intake.depth()
-}
+// IntakePending counts admissions sitting in the intake queue. Harness
+// quiesce points require it to be 0 — every submitted admission was
+// flushed.
+func (b *Broker) IntakePending() int { return b.intake.depth() }
 
 // Submit prepares an admission, enqueues it and returns a ticket for the
 // outcome. prepare's failures are immediate, exactly as on
@@ -153,10 +147,7 @@ func (b *Broker) IntakePending() int {
 // queue refuses with ErrIntakeFull — the backpressure contract.
 func (b *Broker) Submit(req Request) (*IntakeTicket, error) {
 	in := b.intake
-	if in == nil {
-		return nil, errIntakeDisabled
-	}
-	m, err := b.prepare(req)
+	m, err := b.prepare(req, false)
 	if err != nil {
 		return nil, err
 	}
@@ -195,11 +186,21 @@ func (in *intake) enqueue(m *admission) (int, error) {
 
 // FlushIntake drains the intake queue now — the deterministic flush the
 // serial harnesses use.
-func (b *Broker) FlushIntake() {
-	if b.intake == nil {
-		return
+func (b *Broker) FlushIntake() { b.intake.flush() }
+
+// admitInline admits m on the caller's goroutine as a batch of one when
+// no flush is running and nothing is queued, and reports whether it did.
+// Nothing queued means no admission submitted earlier is overtaken.
+func (in *intake) admitInline(m *admission) bool {
+	if !in.flushMu.TryLock() {
+		return false
 	}
-	b.intake.flush()
+	defer in.flushMu.Unlock()
+	if in.depth() > 0 {
+		return false
+	}
+	in.b.admit([]*admission{m})
+	return true
 }
 
 // flush takes the leader lock and drains the queue in MaxBatch slices

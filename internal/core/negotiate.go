@@ -96,18 +96,17 @@ type admission struct {
 // RequestService runs the discovery and negotiation phases: find matching
 // services, verify resource availability (adapting active sessions if
 // necessary — scenario 1), temporarily reserve, and return a priced offer.
-// It is prepare + admit of a batch of one: inline on the caller's
-// goroutine when no intake queue is configured; with one, the admission
-// is enqueued and the caller either rides a flush already running or
-// becomes the group-commit leader and drains everything queued behind it
-// (a full queue refuses with ErrIntakeFull).
+// It is prepare + admit of a batch of one, inline on the caller's
+// goroutine when no other admission is running or queued; otherwise the
+// admission is enqueued and the caller either rides a flush already
+// running or becomes the group-commit leader and drains everything queued
+// behind it (a full queue refuses with ErrIntakeFull).
 func (b *Broker) RequestService(req Request) (*Offer, error) {
-	m, err := b.prepare(req)
+	m, err := b.prepare(req, true)
 	if err != nil {
 		return nil, err
 	}
-	if b.intake == nil {
-		b.admit([]*admission{m})
+	if b.intake.admitInline(m) {
 		return m.offer, m.err
 	}
 	if _, err := b.intake.enqueue(m); err != nil {
@@ -141,8 +140,10 @@ func (b *Broker) resolve(m *admission, err error) {
 
 // prepare is the per-request front half of the pipeline: validation, the
 // closed / recovering gates and discovery. Its failures are immediate on
-// every route — nothing is queued, no SLA ID is issued.
-func (b *Broker) prepare(req Request) (*admission, error) {
+// every route — nothing is queued, no SLA ID is issued. announce writes
+// the request's activity-log line; Submit leaves it out, a per-request
+// render being one of the costs its batches amortize.
+func (b *Broker) prepare(req Request, announce bool) (*admission, error) {
 	if err := req.Validate(); err != nil {
 		return nil, b.refused(err)
 	}
@@ -158,10 +159,7 @@ func (b *Broker) prepare(req Request) (*admission, error) {
 	// The floor is read by discovery and admission; compute it once here
 	// instead of re-deriving it from the spec at every layer.
 	floor := req.Spec.Floor()
-	if b.intake == nil {
-		// Queued admissions are announced by their flush's activity-log
-		// line; a per-request render is one of the costs the queue
-		// amortizes.
+	if announce {
 		var arr [192]byte
 		b.logLine("discovery", "", appendRequestLine(arr[:0], req.Client, req.Service, req.Class, floor))
 	}

@@ -31,8 +31,10 @@ package core
 //     b.recovering (see retry.go).
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -332,19 +334,29 @@ func (b *Broker) reconcileAgainstRMs() (adopted, refunded int) {
 // rearmConfirmTimers re-arms the auto-cancel timer of every recovered
 // Proposed session with the remainder of its confirm window (an already
 // expired window schedules at zero delay and fires on the next clock
-// advance — manual-clock semantics).
+// advance — manual-clock semantics). The timers are armed in proposal
+// order (proposedAt, then ID): the manual clock fires equal deadlines in
+// arming order, and a batch proposes several offers at one instant, so
+// arming them in map order would expire them in a different order on
+// every run.
 func (b *Broker) rearmConfirmTimers() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for id, s := range b.sessions {
-		if s.doc.State != sla.StateProposed || s.confirm != nil {
-			continue
+	var proposed []sla.ID
+	for id, s := range b.live {
+		if s.doc.State == sla.StateProposed && s.confirm == nil {
+			proposed = append(proposed, id)
 		}
-		remaining := s.proposedAt.Add(b.cfg.ConfirmWindow).Sub(b.clock.Now())
-		if remaining < 0 {
-			remaining = 0
+	}
+	slices.SortFunc(proposed, func(x, y sla.ID) int {
+		if c := b.live[x].proposedAt.Compare(b.live[y].proposedAt); c != 0 {
+			return c
 		}
-		id := id
+		return cmp.Compare(x, y)
+	})
+	for _, id := range proposed {
+		s := b.live[id]
+		remaining := max(s.proposedAt.Add(b.cfg.ConfirmWindow).Sub(b.clock.Now()), 0)
 		s.confirm = b.clock.AfterFunc(remaining, func() { b.expireOffer(id) })
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -239,6 +240,48 @@ func TestRecoverRoundTrip(t *testing.T) {
 	}
 	if got := h.pool.InUse(h.clock.Now()).CPU; got != 0 {
 		t.Errorf("pool CPU after full drain = %g, want 0", got)
+	}
+}
+
+// TestRecoverRearmsConfirmTimersInProposalOrder: one group commit
+// proposes its offers at one instant, so their confirm deadlines tie.
+// After a kill they must still expire in proposal order, as on the dead
+// broker; the manual clock fires ties in arming order, and arming in
+// session-map order made the chaos replay differ from run to run.
+func TestRecoverRearmsConfirmTimersInProposalOrder(t *testing.T) {
+	h := newDurableHarness(t, 0)
+	// Map order is random per run, so a few rounds make a pass by luck
+	// unlikely.
+	for round := range 3 {
+		tickets := make([]*IntakeTicket, 6)
+		for i := range tickets {
+			tk, err := h.broker.Submit(intakeRequest(fmt.Sprintf("order-%d-%d", round, i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tickets[i] = tk
+		}
+		h.broker.FlushIntake()
+		var want []sla.ID
+		for _, tk := range tickets {
+			offer, err := tk.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, offer.SLA.ID)
+		}
+
+		h.crashAndRecover(t)
+		h.clock.Advance(h.cfg.ConfirmWindow + time.Minute)
+		var got []sla.ID
+		for _, ev := range h.broker.Events() {
+			if ev.Kind == "clearing" {
+				got = append(got, ev.SLA)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: offers expired in order %v, want proposal order %v", round, got, want)
+		}
 	}
 }
 

@@ -23,13 +23,9 @@ import (
 // (Accept vs offer expiry, Terminate vs re-grant) in a few thousand
 // iterations.
 
-func stressCluster(t testing.TB, intake ...core.IntakeConfig) *sim.Cluster {
+func stressCluster(t testing.TB) *sim.Cluster {
 	t.Helper()
-	cfg := stack.Config{Plan: sim.DefaultParallelPlan()}
-	if len(intake) > 0 {
-		cfg.Intake = intake[0]
-	}
-	c, err := sim.NewCluster(cfg)
+	c, err := sim.NewCluster(stack.Config{Plan: sim.DefaultParallelPlan()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,20 +60,27 @@ func TestParallelLifecycleStress10K(t *testing.T) {
 // TestConcurrentAdmissionNoDoubleSpend churns request/accept/terminate
 // cycles from 8 goroutines with no clock movement, then verifies the
 // guaranteed partition drains back to exactly the configured plan — with
-// RequestService admitting inline, and with the intake queue on, where
-// the same calls enqueue and race to lead or ride each other's flushes.
+// RequestService, which admits inline when uncontended and otherwise
+// enqueues and races to lead or ride another caller's flush, and with
+// Submit + FlushIntake, where every goroutine's flush drains whatever the
+// others queued.
 func TestConcurrentAdmissionNoDoubleSpend(t *testing.T) {
-	t.Run("inline", func(t *testing.T) { churnAdmissions(t, stressCluster(t)) })
+	t.Run("inline", func(t *testing.T) {
+		churnAdmissions(t, stressCluster(t), (*core.Broker).RequestService)
+	})
 	t.Run("queued", func(t *testing.T) {
-		c := stressCluster(t, core.IntakeConfig{Enabled: true})
-		churnAdmissions(t, c)
-		if err := invariant.CheckIntake(c.Broker); err != nil {
-			t.Fatal(err)
-		}
+		churnAdmissions(t, stressCluster(t), func(b *core.Broker, req core.Request) (*core.Offer, error) {
+			tk, err := b.Submit(req)
+			if err != nil {
+				return nil, err
+			}
+			b.FlushIntake()
+			return tk.Wait()
+		})
 	})
 }
 
-func churnAdmissions(t *testing.T, c *sim.Cluster) {
+func churnAdmissions(t *testing.T, c *sim.Cluster, request func(*core.Broker, core.Request) (*core.Offer, error)) {
 	b := c.Broker
 	now := c.Clock.Now()
 
@@ -89,7 +92,7 @@ func churnAdmissions(t *testing.T, c *sim.Cluster) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < cycles; i++ {
-				offer, err := b.RequestService(core.Request{
+				offer, err := request(b, core.Request{
 					Service: "simulation",
 					Client:  fmt.Sprintf("spend-%d-%d", g, i),
 					Class:   sla.ClassGuaranteed,
@@ -113,6 +116,9 @@ func churnAdmissions(t *testing.T, c *sim.Cluster) {
 		t.Fatal(err)
 	}
 	if err := b.CheckLiveSet(); err != nil {
+		t.Fatal(err)
+	}
+	if err := invariant.CheckIntake(b); err != nil {
 		t.Fatal(err)
 	}
 	alloc := b.Allocator()
@@ -219,20 +225,20 @@ func admissionCycle(c *sim.Cluster, client string) error {
 
 // TestAdmissionCycleAllocGate is the deterministic allocation gate for
 // the inline admission route: one request/reject pair — what
-// BenchmarkSerialAdmission times — allocates at most 50 objects.
+// BenchmarkSerialAdmission times — allocates at most
+// core.AdmissionCycleAllocGate objects.
 func TestAdmissionCycleAllocGate(t *testing.T) {
 	if core.RaceEnabled() {
 		t.Skip("allocation counts are not exact under -race")
 	}
 	c := stressCluster(t)
-	const gate = 50 // measured 46 (go1.24); 52 while the SLA ID and capacities went through fmt
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := admissionCycle(c, "alloc-gate"); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > gate {
-		t.Errorf("request+reject allocates %.0f objects per cycle, gate is %d", allocs, gate)
+	if allocs > core.AdmissionCycleAllocGate {
+		t.Errorf("request+reject allocates %.0f objects per cycle, gate is %d", allocs, core.AdmissionCycleAllocGate)
 	}
 }
 

@@ -5,8 +5,8 @@
 // strict reader and hand-appended bodies over pooled buffers, both ways.
 // SOAP remains the paper-faithful reference transport; both run the same
 // table rows, so whatever the broker does for one wire — group commits
-// on an intake broker, forwarding to a federation neighbor — it does for
-// the other.
+// of concurrent admissions, forwarding to a federation neighbor — it does
+// for the other.
 package httpapi
 
 import (

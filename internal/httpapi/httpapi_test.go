@@ -10,12 +10,16 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gqosm/internal/core"
+	"gqosm/internal/gara"
 	"gqosm/internal/httpapi"
 	"gqosm/internal/resource"
+	"gqosm/internal/rsl"
 	"gqosm/internal/sim"
 	"gqosm/internal/sla"
 	"gqosm/internal/soapx"
@@ -25,12 +29,9 @@ import (
 
 // apiFixture is a broker with the JSON API mounted beside a SOAP mux on
 // one httptest listener — the production topology in miniature.
-func apiFixture(t *testing.T, intake bool) (*sim.Cluster, *httpapi.Client) {
+func apiFixture(t *testing.T) (*sim.Cluster, *httpapi.Client) {
 	t.Helper()
-	c, err := sim.NewCluster(stack.Config{
-		Plan:   sim.DefaultParallelPlan(),
-		Intake: core.IntakeConfig{Enabled: intake},
-	})
+	c, err := sim.NewCluster(stack.Config{Plan: sim.DefaultParallelPlan()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,18 +129,13 @@ var lifecycleSteps = []struct {
 }
 
 // TestWireLifecycle walks lifecycleSteps over SOAP and over JSON, each
-// against a fresh identically configured broker (direct and
-// intake-enabled), and requires the outcomes the table states — so the
-// two wires agree on state, ack detail and sentinel at every step. The
-// rows only one wire carries (verify; session) are pinned by the binding
-// tests.
+// against a fresh identically configured broker, and requires the
+// outcomes the table states — so the two wires agree on state, ack detail
+// and sentinel at every step. The rows only one wire carries (verify;
+// session) are pinned by the binding tests.
 func TestWireLifecycle(t *testing.T) {
-	for _, mode := range []string{"direct", "intake"} {
-		t.Run(mode, func(t *testing.T) {
-			for _, tr := range []string{"soap", "json"} {
-				t.Run(tr, func(t *testing.T) { walkLifecycle(t, mode == "intake", tr) })
-			}
-		})
+	for _, tr := range []string{"soap", "json"} {
+		t.Run(tr, func(t *testing.T) { walkLifecycle(t, tr) })
 	}
 }
 
@@ -151,11 +147,8 @@ func bestEffortCPU(b *core.Broker) (cpu float64) {
 	return cpu
 }
 
-func walkLifecycle(t *testing.T, intake bool, transport string) {
-	c, err := sim.NewCluster(stack.Config{
-		Plan:   sim.DefaultParallelPlan(),
-		Intake: core.IntakeConfig{Enabled: intake},
-	})
+func walkLifecycle(t *testing.T, transport string) {
+	c, err := sim.NewCluster(stack.Config{Plan: sim.DefaultParallelPlan()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,25 +247,44 @@ func TestBestEffortAckAgrees(t *testing.T) {
 	}
 }
 
+// intakeDepth is core.IntakeConfig's default Depth, the queue bound every
+// broker the stack assembles runs with.
+const intakeDepth = 256
+
+// heldRM is the compute manager whose next Reserve, once armed, blocks
+// until release closes; entered closes when that Reserve begins.
+type heldRM struct {
+	gara.ResourceManager
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (m *heldRM) Reserve(spec *rsl.Node, start, end time.Time, tag string) (string, error) {
+	if m.armed.CompareAndSwap(true, false) {
+		close(m.entered)
+		<-m.release
+	}
+	return m.ResourceManager.Reserve(spec, start, end, tag)
+}
+
 // TestWireErrorTaxonomy provokes every taxonomy row a live broker can be
 // driven into through the real server, over JSON and over SOAP, and
 // checks the client reconstructs the broker's sentinel — the table in
-// core is one source for both. The broker runs with a depth-1 intake so
-// intake_full is reachable, and no_domain comes from a second, federated
-// broker; peer_unavailable needs a broker caught
+// core is one source for both. intake_full is reached by filling the
+// intake behind an admission held inside the resource manager, and
+// no_domain comes from a second, federated broker; peer_unavailable needs a broker caught
 // mid-Recover, which core's TestFederationRestartDuringFanout does over
 // SOAP and TestErrorTaxonomyRoundTrip covers for the JSON codec.
 func TestWireErrorTaxonomy(t *testing.T) {
 	for _, tr := range []string{"json", "soap"} {
 		t.Run(tr, func(t *testing.T) {
-			c, err := sim.NewCluster(stack.Config{
-				Plan:   sim.DefaultParallelPlan(),
-				Intake: core.IntakeConfig{Enabled: true, Depth: 1},
-			})
+			c, err := sim.NewCluster(stack.Config{Plan: sim.DefaultParallelPlan()})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(c.Close)
+			rm := &heldRM{ResourceManager: gara.NewComputeManager(c.Pool), entered: make(chan struct{}), release: make(chan struct{})}
+			c.GARA.RegisterManager(rm)
 			client := wireClients(bothWires(t, c.Broker))[tr]
 			act := func(id sla.ID, action string) error { _, err := client.Act(id, action, ""); return err }
 			want := func(row string, err, sentinel error) {
@@ -322,17 +334,35 @@ func TestWireErrorTaxonomy(t *testing.T) {
 			}
 			want("handoff_pending", act(id, "terminate"), core.ErrHandoffPending)
 
-			// One admission parked in the depth-1 queue: the next is
-			// refused with backpressure, on SOAP as on JSON.
-			parked, err := c.Broker.Submit(wireRequest("parked"))
-			if err != nil {
-				t.Fatal(err)
+			// An admission held inside the RM keeps the leader lock, so
+			// requests queue behind it; with the queue at its default
+			// depth the next is refused with backpressure, on SOAP as
+			// on JSON.
+			rm.armed.Store(true)
+			var wg sync.WaitGroup
+			admit := func(client string) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_, _ = c.Broker.RequestService(wireRequest(client))
+				}()
+			}
+			admit("leader")
+			<-rm.entered
+			for i := range intakeDepth {
+				admit("queued-" + strconv.Itoa(i))
+			}
+			for deadline := time.Now().Add(10 * time.Second); c.Broker.IntakePending() < intakeDepth; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("IntakePending = %d behind the held admission, want %d", c.Broker.IntakePending(), intakeDepth)
+				}
 			}
 			_, err = client.request(wireRequest("pushed-back"))
 			want("intake_full", err, core.ErrIntakeFull)
-			c.Broker.FlushIntake()
-			if _, err := parked.Wait(); err != nil {
-				t.Fatal(err)
+			close(rm.release)
+			wg.Wait()
+			if n := c.Broker.IntakePending(); n != 0 {
+				t.Fatalf("IntakePending = %d after the held admission returned, want 0", n)
 			}
 
 			c.Broker.Close()
@@ -363,7 +393,7 @@ func TestWireErrorTaxonomy(t *testing.T) {
 // unparseable JSON, missing IDs, a QoS parameter in two forms, a range
 // without its max, wrong method, unknown endpoint.
 func TestWireMalformedRequests(t *testing.T) {
-	_, client := apiFixture(t, false)
+	_, client := apiFixture(t)
 	base := client.Endpoint + httpapi.Prefix
 
 	post := func(path, body string) *http.Response {
@@ -441,7 +471,7 @@ func TestMountBesideSOAP(t *testing.T) {
 // refused by name, 413 too_large, whether its length is declared or
 // streamed — never cut short and answered as malformed JSON.
 func TestOverLimitBodyRefused(t *testing.T) {
-	_, client := apiFixture(t, false)
+	_, client := apiFixture(t)
 	body := `{"id":"site-a-sla-0001","reason":"` + strings.Repeat("x", 2<<20) + `"}`
 	for name, src := range map[string]io.Reader{
 		"declared": strings.NewReader(body),
@@ -483,7 +513,7 @@ func TestClientRefusesOverLimitReply(t *testing.T) {
 // TestBadSpecOneAnswer: a spec with several bad dimensions is answered
 // with the first in name order, the same every time.
 func TestBadSpecOneAnswer(t *testing.T) {
-	_, client := apiFixture(t, false)
+	_, client := apiFixture(t)
 	body := `{"id":"site-a-sla-0001","spec":{"params":{"tpu":{"exact":1},"npu":{"exact":1},"gpu":{"exact":1}}}}`
 	answers := map[string]int{}
 	for i := 0; i < 20; i++ {

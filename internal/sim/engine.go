@@ -30,7 +30,7 @@ import (
 //   - a topology (the resource model): one broker, optionally behind the
 //     loopback JSON listener, or N brokers federated the way aqosd -peer
 //     federates them (the first member's core.Federation asks the others
-//     in order); WAL and intake on or off. Every member runs core.Monitor at
+//     in order); WAL on or off. Every member runs core.Monitor at
 //     core.DefaultMonitorInterval, the management loop aqosd runs by
 //     default, so expiry, the optimizer and parked-cancel reconciliation
 //     happen on its ticks, not where a harness chooses;
@@ -46,11 +46,11 @@ import (
 // synchronously inside Advance; every workload step draws a fixed
 // number of PRNG values whatever the broker answers; under faults the
 // stress clients step serially round-robin so the injector's single PRNG
-// sees an identical call sequence on every run; and a queued intake is
-// flushed once per round. Outside it stay the §5.6 script (e56.go), C4
-// (the optimizer alone), C5's burst (claims.go, on a stack) and Replay's
-// rigid-partition reference (workload.go), the one thing the broker is
-// not.
+// sees an identical call sequence on every run; and the serial clients'
+// intake is flushed once per round. Outside it stay the §5.6 script
+// (e56.go), C4 (the optimizer alone), C5's burst (claims.go, on a stack)
+// and Replay's rigid-partition reference (workload.go), the one thing the
+// broker is not.
 
 // workload is the application model: what the simulated clients do.
 type workload interface {
@@ -180,8 +180,8 @@ func newTopology(cfg topoConfig) (_ *topology, err error) {
 	case "":
 	case "http":
 		// Admissions become real POSTs through the codec, the error
-		// taxonomy, and (with the intake on) shared group commits on the
-		// server side, while the rest of the lifecycle stays in-process.
+		// taxonomy, and shared group commits on the server side, while
+		// the rest of the lifecycle stays in-process.
 		url, err := t.serve(t.members[0].Mount())
 		if err != nil {
 			return nil, fmt.Errorf("transport http: %w", err)
@@ -354,8 +354,8 @@ func (e *engine) play() error {
 // against the surviving substrates, and require the recovered digest to
 // match the pre-kill digest exactly — "recovered capacity exactly
 // matches reality". The workload then continues against the replacement.
-// The pre-kill quiesce matters under a queued intake: queued-but-
-// unflushed admissions are not yet journaled, so the digest must never
+// The pre-kill quiesce matters because the serial clients queue:
+// queued-but-unflushed admissions are not yet journaled, so the digest must never
 // see them (CheckIntake enforces that the round's flush ran).
 func (e *engine) kill() error {
 	m := e.topo.members[0]

@@ -82,7 +82,7 @@ type Tally struct {
 	Promotions   int64   `json:"promotions"`
 	Revenue      float64 `json:"revenue"`
 	// IntakeBatchMean is submissions / flushes of the group-commit intake;
-	// 0 when the queue saw no traffic.
+	// 0 when the queue saw no traffic (every admission ran inline).
 	IntakeBatchMean float64 `json:"intake_batch_mean"`
 }
 

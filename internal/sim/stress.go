@@ -22,11 +22,16 @@ import (
 // expiry, failure/recovery and optimizer passes — each on a
 // deterministic per-client seed schedule:
 //
-//   - RunParallel: the clients are goroutines; the global interleaving
-//     is not deterministic, the per-client schedules are.
+//   - RunParallel: the clients are goroutines calling RequestService;
+//     the global interleaving is not deterministic, the per-client
+//     schedules are, and concurrent requests share group commits.
 //   - RunChaos: the clients step serially round-robin against a durable
 //     broker that is killed and WAL-recovered mid-workload (see
-//     engine.kill). With a fault rate > 0 the substrates (GARA managers,
+//     engine.kill). They Submit, and the workload flushes the intake
+//     once per round and resolves the tickets in schedule order, so
+//     batches form deterministically (up to Clients admissions per
+//     flush) and are journaled — one fsync per batch — before any kill
+//     point takes its digest. With a fault rate > 0 the substrates (GARA managers,
 //     NRM, GRAM) and the broker's RM-facing call sites inject seeded
 //     faults — errors, virtual latency, hangs-until-deadline, partial
 //     failures (committed but reply lost) and crash-then-recover
@@ -50,21 +55,12 @@ type StressConfig struct {
 	// Obs receives the run's metrics; nil lets the broker create a
 	// private registry.
 	Obs *obs.Registry
-	// Intake turns the broker's group-commit intake queue on. Goroutine
-	// clients call RequestService, so concurrent requests queued behind
-	// the same flush leader land in one allocator pass and one WAL
-	// fsync. Serial clients Submit during a round-robin
-	// round and the workload flushes once per round and resolves tickets
-	// in schedule order, so batches form deterministically (up to Clients
-	// admissions per flush) and are journaled — one fsync per
-	// batch — before any kill point takes its digest.
-	Intake bool
 	// Transport selects how RunParallel's clients submit admissions: ""
 	// (in-process calls) or "http" (a loopback JSON-API server — the
 	// compact non-SOAP transport — with each admission a real POST
-	// /api/v1/request; lifecycle operations stay in-process). Composes
-	// with Intake: the server's admissions share group commits. The
-	// serial replay stays in-process for determinism.
+	// /api/v1/request; lifecycle operations stay in-process). The
+	// server's concurrent admissions share group commits. The serial
+	// replay stays in-process for determinism.
 	Transport string
 	// FaultRate is the per-site injection probability; 0 runs without an
 	// injector.
@@ -113,11 +109,10 @@ func RunChaos(cfg StressConfig) (*Report, error) { return runStress("chaos", cfg
 func runStress(mode string, cfg StressConfig, concurrent bool) (*Report, error) {
 	cfg = cfg.withDefaults()
 	config := map[string]any{"seed": cfg.Seed, "clients": cfg.Clients, "ops": cfg.Ops, "phases": cfg.Phases,
-		"fault_rate": cfg.FaultRate, "intake": cfg.Intake, "transport": cfg.Transport}
+		"fault_rate": cfg.FaultRate, "transport": cfg.Transport}
 	topo, err := newTopology(topoConfig{
 		Base: stack.Config{
 			Plan: DefaultParallelPlan(), Obs: cfg.Obs,
-			Intake: core.IntakeConfig{Enabled: cfg.Intake},
 			WALDir: cfg.WALDir,
 		},
 		FaultRate: cfg.FaultRate,
@@ -129,10 +124,9 @@ func runStress(mode string, cfg StressConfig, concurrent bool) (*Report, error) 
 		return nil, err
 	}
 	defer topo.close()
-	// Serial clients on an intake broker Submit and the workload flushes
-	// once per round; every other configuration calls RequestService
-	// (goroutine clients on an intake broker then share group commits).
-	w := &stressWorkload{cluster: topo.members[0], queued: cfg.Intake && !concurrent}
+	// Serial clients Submit and the workload flushes once per round;
+	// goroutine clients call RequestService.
+	w := &stressWorkload{cluster: topo.members[0], queued: !concurrent}
 	for i := 0; i < cfg.Clients; i++ {
 		w.clients = append(w.clients, &parClient{
 			id:      i,

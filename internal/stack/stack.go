@@ -78,11 +78,6 @@ type Config struct {
 	// ledger, then reconciles reservations against the RMs. Empty keeps
 	// the historical in-memory broker.
 	WALDir string
-	// Intake enables the group-commit admission intake: concurrent
-	// RequestService calls (in-process, SOAP or JSON) queued behind the
-	// same flush leader share one allocator pass and one WAL fsync. The
-	// zero value admits each request inline on its caller's goroutine.
-	Intake core.IntakeConfig
 }
 
 // Stack is an assembled single-domain deployment: the AQoS broker wired to
@@ -99,8 +94,6 @@ type Stack struct {
 	Clock    clockx.Clock
 	// DSRT is the soft-real-time CPU scheduler when DSRTProcessors > 0.
 	DSRT *dsrt.Scheduler
-	// RM is the DSRT-backed RM-level adaptation hook, when enabled.
-	RM *core.DSRTAdapter
 	// Monitor is the periodic QoS-management driver, when enabled.
 	Monitor *core.Monitor
 	// Obs is the metrics registry shared by all components; Mount
@@ -208,7 +201,6 @@ func New(cfg Config) (*Stack, error) {
 		Faults:           cfg.Faults,
 		RMPolicy:         cfg.RMPolicy,
 		Durability:       core.DurabilityConfig{Dir: cfg.WALDir},
-		Intake:           cfg.Intake,
 	}
 	s := &Stack{
 		Pool:            pool,
@@ -219,7 +211,6 @@ func New(cfg Config) (*Stack, error) {
 		NRM:             netMgr,
 		Clock:           clock,
 		DSRT:            sched,
-		RM:              adapter,
 		Obs:             cfg.Obs,
 		Faults:          cfg.Faults,
 		brokerCfg:       brokerCfg,
@@ -310,8 +301,8 @@ func (s *Stack) RecoverBroker() (*core.RecoverStats, error) {
 
 // Mount installs the broker's SOAP endpoints on a fresh mux implementing
 // http.Handler (the Fig. 5 deployment), plus the compact JSON API under
-// /api/v1/ (package httpapi — the lean transport; with Intake enabled
-// its admissions ride the group-commit batch path) and the Prometheus
+// /api/v1/ (package httpapi — the lean transport; concurrent admissions
+// share group commits as on every route) and the Prometheus
 // metrics exposition on GET /metrics. One listener serves all three.
 func (s *Stack) Mount() *soapx.Mux {
 	mux := soapx.NewMux()

@@ -6,7 +6,6 @@ import (
 
 	"gqosm/internal/faultx"
 	"gqosm/internal/nrm"
-	"gqosm/internal/resource"
 	"gqosm/internal/sla"
 )
 
@@ -26,7 +25,7 @@ func TestStackWithDSRT(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stack.Close()
-	if stack.DSRT == nil || stack.RM == nil {
+	if stack.DSRT == nil {
 		t.Fatal("DSRT not assembled")
 	}
 
@@ -63,7 +62,7 @@ func TestStackWithDSRT(t *testing.T) {
 		t.Fatalf("healthy verify: %+v %v", rep, err)
 	}
 	// Simulate a monitor-detected CPU shortfall.
-	stackDegrade(stack, id, resource.Nodes(6))
+	stackDegrade(stack, id)
 	if got := stack.Broker.Violations(id); got != 0 {
 		t.Errorf("violations = %d, want 0 (RM level should rectify)", got)
 	}
@@ -204,17 +203,11 @@ func TestStackDSRTCongestedCompositeAdapts(t *testing.T) {
 	}
 }
 
-// stackDegrade reports a below-floor measurement for the session, driving
-// the broker's degradation ladder.
-func stackDegrade(stack *Stack, id SLAID, measured Capacity) {
-	// Verify with injected failure is indirect; use NotifyFailure-style
-	// path: the broker exposes handleDegradation only through Verify and
-	// NRM callbacks, so emulate via the RM adapter check in Verify by
-	// reporting through the NRM-free path: a direct conformance check on
-	// a degraded allocator. Simplest honest route: fail capacity so the
-	// measured CPU drops below floor on the next verify.
-	_ = measured
-	stack.Broker.NotifyFailure(Nodes(12)) // C_G_eff = 3 < session's 10
+// stackDegrade fails 12 nodes (C_G_eff 3, below the session's 10), has
+// the broker verify the session against that shortfall, and recovers the
+// nodes, driving the broker's degradation ladder.
+func stackDegrade(stack *Stack, id SLAID) {
+	stack.Broker.NotifyFailure(Nodes(12))
 	_, _ = stack.Broker.Verify(id)
 	stack.Broker.NotifyFailure(Capacity{})
 }
