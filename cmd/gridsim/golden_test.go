@@ -42,6 +42,10 @@ func TestGoldenCommittedArtifacts(t *testing.T) {
 	}{
 		{"chaos", []string{"-chaos", "-seed", "7", "-faultrate", "0.2", "-json"},
 			[]string{"..", "..", "BENCH_chaos.json"}},
+		// The chaos replay's intake rounds and kills with no injector:
+		// group commit and WAL recovery alone, apart from the faults.
+		{"chaos-intake", []string{"-chaos", "-seed", "7", "-faultrate", "0", "-json"},
+			[]string{"testdata", "chaos_intake_seed7.json"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { golden(t, tc.args, tc.artifact...) })
 	}

@@ -131,11 +131,18 @@ var lifecycleSteps = []struct {
 // TestWireLifecycle walks lifecycleSteps over SOAP and over JSON, each
 // against a fresh identically configured broker, and requires the
 // outcomes the table states — so the two wires agree on state, ack detail
-// and sentinel at every step. The rows only one wire carries (verify;
-// session) are pinned by the binding tests.
+// and sentinel at every step. It walks both admission routes: direct,
+// where each request finds the broker idle and is admitted inline, and
+// intake, where each request arrives behind another admission and is
+// admitted by a group-commit flush. The rows only one wire carries
+// (verify; session) are pinned by the binding tests.
 func TestWireLifecycle(t *testing.T) {
-	for _, tr := range []string{"soap", "json"} {
-		t.Run(tr, func(t *testing.T) { walkLifecycle(t, tr) })
+	for _, mode := range []string{"direct", "intake"} {
+		t.Run(mode, func(t *testing.T) {
+			for _, tr := range []string{"soap", "json"} {
+				t.Run(tr, func(t *testing.T) { walkLifecycle(t, mode == "intake", tr) })
+			}
+		})
 	}
 }
 
@@ -147,12 +154,15 @@ func bestEffortCPU(b *core.Broker) (cpu float64) {
 	return cpu
 }
 
-func walkLifecycle(t *testing.T, transport string) {
+func walkLifecycle(t *testing.T, queued bool, transport string) {
 	c, err := sim.NewCluster(stack.Config{Plan: sim.DefaultParallelPlan()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
+	rm := &heldRM{ResourceManager: gara.NewComputeManager(c.Pool), refuse: errHeldRefused}
+	c.GARA.RegisterManager(rm)
+	flushes := c.Obs.Counter("gqosm_intake_flushes_total", "Group-commit flushes executed")
 	w := wireClients(bothWires(t, c.Broker))[transport]
 
 	ids := map[string]sla.ID{"ghost": "no-such-session"}
@@ -161,8 +171,19 @@ func walkLifecycle(t *testing.T, transport string) {
 		var detail string
 		switch st.op {
 		case "request":
-			id, err = w.request(wireRequest("wire-" + st.sess))
+			send := func() (sla.ID, error) { return w.request(wireRequest("wire-" + st.sess)) }
+			before := flushes.Value()
+			if queued {
+				id, err = requestBehindHeld(t, c.Broker, rm, send)
+			} else {
+				id, err = send()
+			}
 			ids[st.sess] = id
+			// Inline admission runs no flush; a queued one is drained
+			// by exactly one.
+			if got, want := flushes.Value()-before, map[bool]int64{false: 0, true: 1}[queued]; got != want {
+				t.Errorf("step %d request(%s): %d flushes, want %d", i, st.sess, got, want)
+			}
 		case "renegotiate":
 			detail, err = w.Renegotiate(id, sla.NewSpec(sla.Exact(resource.CPU, 3)))
 		case "best-effort":
@@ -252,19 +273,64 @@ func TestBestEffortAckAgrees(t *testing.T) {
 const intakeDepth = 256
 
 // heldRM is the compute manager whose next Reserve, once armed, blocks
-// until release closes; entered closes when that Reserve begins.
+// until release closes; entered closes when that Reserve begins. With
+// refuse set, the held Reserve then fails with it instead of reserving.
 type heldRM struct {
 	gara.ResourceManager
 	armed            atomic.Bool
 	entered, release chan struct{}
+	refuse           error
 }
 
 func (m *heldRM) Reserve(spec *rsl.Node, start, end time.Time, tag string) (string, error) {
 	if m.armed.CompareAndSwap(true, false) {
 		close(m.entered)
 		<-m.release
+		if m.refuse != nil {
+			return "", m.refuse
+		}
 	}
 	return m.ResourceManager.Reserve(spec, start, end, tag)
+}
+
+// errHeldRefused is what a refusing heldRM answers its held Reserve with.
+var errHeldRefused = errors.New("held reservation refused")
+
+// requestBehindHeld runs send while another admission holds the
+// group-commit leader lock inside rm, so the request queues and is
+// admitted by the flush that follows rather than inline. The holder's
+// reservation is refused, so it leaves no session behind.
+func requestBehindHeld(t *testing.T, b *core.Broker, rm *heldRM, send func() (sla.ID, error)) (sla.ID, error) {
+	t.Helper()
+	rm.entered, rm.release = make(chan struct{}), make(chan struct{})
+	rm.armed.Store(true)
+	held := make(chan error, 1)
+	go func() {
+		_, err := b.RequestService(wireRequest("holder"))
+		held <- err
+	}()
+	<-rm.entered
+	type reply struct {
+		id  sla.ID
+		err error
+	}
+	sent := make(chan reply, 1)
+	go func() {
+		id, err := send()
+		sent <- reply{id, err}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); b.IntakePending() < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(rm.release)
+			t.Fatalf("IntakePending = %d behind the held admission, want 1", b.IntakePending())
+		}
+	}
+	close(rm.release)
+	if err := <-held; !errors.Is(err, errHeldRefused) {
+		t.Fatalf("held admission: err = %v, want %v", err, errHeldRefused)
+	}
+	r := <-sent
+	return r.id, r.err
 }
 
 // TestWireErrorTaxonomy provokes every taxonomy row a live broker can be
