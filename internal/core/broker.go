@@ -140,6 +140,13 @@ type session struct {
 	// allocator kept. The next move calls gara.modify even for the same
 	// grant; a successful modify clears it.
 	stale bool
+	// top caches holdsTop(doc.Spec, doc.Allocated), the §5.3 pass's
+	// early-exit test: putLive sets it and book, the one writer of a
+	// live document's allocation and spec, keeps it.
+	top bool
+	// livePos is the session's slot in Broker.live while it is not
+	// terminal. An int32 beside the bools keeps session at 128 bytes.
+	livePos int32
 	// violations counts detected SLA violations.
 	violations int
 	// proposedAt is when the offer was made; the lifecycle oracle's
@@ -179,13 +186,14 @@ type Broker struct {
 	// mu guards the session table: every SLA the broker admitted (terminal
 	// ones stay queryable until pruned), the live set and the open
 	// scenario-2(c) promotion offers. live holds the same pointers as
-	// sessions for the sessions that are not terminal, so the per-event
-	// walks (clearing, the tick, compensation) cost O(live), not
-	// O(history). A session enters it where it enters the table and leaves
-	// it only in teardownIf.
+	// sessions for the sessions that are not terminal, densely and in no
+	// order, so the per-event walks (clearing, the tick, compensation)
+	// cost O(live), not O(history), and each sorts what it collects. A
+	// session enters it where it enters the table (putLive) and leaves it
+	// only in teardownIf (dropLive).
 	mu         sync.Mutex
 	sessions   map[sla.ID]*session
-	live       map[sla.ID]*session
+	live       []*session
 	promotions map[sla.ID]pricing.PromotionOffer
 
 	// evMu guards the activity log ring. It is a leaf lock: safe to take
@@ -293,7 +301,6 @@ func newBroker(cfg Config) (*Broker, error) {
 		ledger:         pricing.NewLedger(),
 		alloc:          alloc,
 		sessions:       make(map[sla.ID]*session),
-		live:           make(map[sla.ID]*session),
 		promotions:     make(map[sla.ID]pricing.PromotionOffer),
 		evBuf:          make([]Event, 0, cfg.EventLogCap),
 		obs:            cfg.Obs,
@@ -509,6 +516,32 @@ func (b *Broker) SessionInfos() []SessionInfo {
 	b.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// putLive enters a non-terminal session into the table and the live set
+// under id. The caller holds b.mu. A live session already under id (two
+// imports of one ID racing past ImportSession's check) hands s its
+// slot, so the live set never holds an ID twice.
+func (b *Broker) putLive(id sla.ID, s *session) {
+	s.top = holdsTop(s.doc.Spec, s.doc.Allocated)
+	if prev, ok := b.sessions[id]; ok && !prev.doc.State.Terminal() {
+		s.livePos = prev.livePos
+		b.live[s.livePos] = s
+	} else {
+		s.livePos = int32(len(b.live))
+		b.live = append(b.live, s)
+	}
+	b.sessions[id] = s
+}
+
+// dropLive removes s from the live set by moving the last slot into its
+// own. The caller holds b.mu.
+func (b *Broker) dropLive(s *session) {
+	last := len(b.live) - 1
+	moved := b.live[last]
+	b.live[s.livePos], moved.livePos = moved, s.livePos
+	b.live[last] = nil
+	b.live = b.live[:last]
 }
 
 // PruneTerminal removes terminal sessions — their session-table entries

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
 )
@@ -19,6 +21,34 @@ func (b *Broker) HandleDegradation(id sla.ID, measured resource.Capacity) {
 // CheckLiveSet reports where the live set and the session table
 // disagree (live_test.go).
 func (b *Broker) CheckLiveSet() error { return b.checkLiveSet() }
+
+// CheckOptimizerNoop solves the §5.3 problem of a pass that
+// optimizerInput proves can apply nothing, and reports it if the solve
+// fails, would clear the gain threshold, or assigns any service more
+// than it holds in any dimension (the lemma of DESIGN.md §3.3).
+func (b *Broker) CheckOptimizerNoop() error {
+	w := optPool.Get().(*optWorkspace)
+	defer w.release()
+	if !b.optimizerInput(w) || len(w.services) == 0 {
+		return nil
+	}
+	b.mu.Lock()
+	b.orderOptimizerInputLocked(w)
+	b.mu.Unlock()
+	problem := b.optimizerProblem(w)
+	if err := w.greedy(problem); err != nil {
+		return fmt.Errorf("skipped optimizer pass: the solve fails: %w", err)
+	}
+	if gain := problem.profit(w.assign) - problem.profit(w.held); gain >= b.cfg.MinOptimizerGain {
+		return fmt.Errorf("skipped optimizer pass: the solve gains %g, threshold %g", gain, b.cfg.MinOptimizerGain)
+	}
+	for i, svc := range w.services {
+		if a, h := w.assign[i], w.held[i]; a.Max(h) != h {
+			return fmt.Errorf("skipped optimizer pass: the solve assigns %s %v, above the %v it holds", svc.ID, a, h)
+		}
+	}
+	return nil
+}
 
 // ErrShortfall is what a restore granted only its floor returns.
 var ErrShortfall = errShortfall

@@ -22,8 +22,9 @@ import (
 // testdata/fuzz/FuzzBrokerOps, grown by `go test -fuzz=FuzzBrokerOps`).
 
 // driveOps decodes data as (op, arg) byte pairs and applies them to a
-// fresh single-site cluster, running invariant.CheckAll and the live-set
-// check after each step.
+// fresh single-site cluster, running invariant.CheckAll, the live-set
+// check and, where the optimizer pass would skip its solve, a forced
+// solve that must apply nothing, after each step.
 //
 // op%11 selects the operation, arg parameterizes it:
 //
@@ -138,6 +139,9 @@ func driveOps(t *testing.T, data []byte) {
 			t.Fatalf("step %d (op %d, arg %#x): %v", step/2, op, arg, err)
 		}
 		if err := b.CheckLiveSet(); err != nil {
+			t.Fatalf("step %d (op %d, arg %#x): %v", step/2, op, arg, err)
+		}
+		if err := b.CheckOptimizerNoop(); err != nil {
 			t.Fatalf("step %d (op %d, arg %#x): %v", step/2, op, arg, err)
 		}
 	}

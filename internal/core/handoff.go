@@ -295,8 +295,7 @@ func (b *Broker) ImportSession(st *HandoffState) error {
 		sess.original = alloc
 	}
 	err = b.install([]sla.ID{id}, func(int) gara.Handle { return handle }, func() {
-		b.sessions[id] = sess
-		b.live[id] = sess
+		b.putLive(id, sess)
 		b.logf("handoff", id, "imported from %q at %v (no re-charge)", st.Source, alloc)
 	})
 	if err != nil {

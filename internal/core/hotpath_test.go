@@ -606,14 +606,14 @@ func allocGatePopulation(t testing.TB, b *Broker) (establish func(Request) sla.I
 }
 
 // TestTerminateAllocGate holds the release path lean: every Terminate runs
-// afterRelease, whose optimizer pass solves the controlled-load
-// problem even when (as here, everyone already at best quality) it has
-// nothing to apply. At 64 live sessions, 16 of them controlled-load, that
-// pass rebuilt every service's level map on every iteration of its outer
-// loop and cost about 4 000 objects per Terminate; the candidate scan
-// brought it to 54, of which 49 were the pass's spec clones and solve
-// buffers. The pass now shares the copy-on-write specs and solves in a
-// pooled workspace (TestRunOptimizerAllocGate), which leaves teardown.
+// afterRelease and its optimizer pass. At 64 live sessions, 16 of them
+// controlled-load, that pass rebuilt every service's level map on every
+// iteration of its outer loop and cost about 4 000 objects per Terminate;
+// the candidate scan brought it to 54, of which 49 were the pass's spec
+// clones and solve buffers. The pass now shares the copy-on-write specs
+// and solves in a pooled workspace (TestRunOptimizerAllocGate), which
+// leaves teardown. Here everyone is at best quality, so the pass skips
+// its solve (DESIGN.md §3.3); the count was the same while it solved.
 func TestTerminateAllocGate(t *testing.T) {
 	if RaceEnabled() {
 		t.Skip("allocation counts are not exact under -race")
@@ -655,8 +655,8 @@ func TestTerminateAllocGate(t *testing.T) {
 
 // TestLifecycleAllocGate holds one whole session to a count: RequestService,
 // Accept, Invoke through GRAM and Terminate, at 64 live sessions (16 of
-// them controlled-load, so every Terminate's optimizer pass has work to
-// consider). Every string the broker builds per session — the SLA ID,
+// them controlled-load, so every Terminate's optimizer pass has sessions
+// to consider). Every string the broker builds per session — the SLA ID,
 // the reservation and job RSL, the GARA handle and GRAM job ID, the
 // activity-log lines — is appended, not printed through fmt.
 func TestLifecycleAllocGate(t *testing.T) {
@@ -740,39 +740,50 @@ func TestInvokeAllocGate(t *testing.T) {
 // each controlled-load session's copy-on-write spec instead of cloning it,
 // and solves in a workspace taken from optPool, so a warm pass allocates
 // the same at 16 and at 64 controlled-load sessions — nothing per service.
+// Below best, one session short of capacity, every pass runs the solve;
+// at best, every pass takes the early exit.
 func TestRunOptimizerAllocGate(t *testing.T) {
 	if RaceEnabled() {
 		t.Skip("allocation counts are not exact under -race")
 	}
 	const gate = 0 // measured 0 (go1.24); a pool refill after a GC amortises below 1 over 50 runs
-	var counts []float64
-	for _, n := range []int{16, 64} {
-		clock := clockx.NewManual(t0)
-		reg := registry.New(clock)
-		if _, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-a", Properties: simulationProps()}); err != nil {
-			t.Fatal(err)
-		}
-		b := miniBroker(t, clock, reg)
-		establish, _, controlled := allocGatePopulation(t, b)
-		// 64 at best (half a node) fit the 40-node guaranteed partition.
-		controlled.Spec = sla.NewSpec(sla.Range(resource.CPU, 0.25, 0.5), sla.Exact(resource.MemoryMB, 128))
-		for i := 0; i < n; i++ {
-			establish(controlled)
-		}
-		allocs := testing.AllocsPerRun(50, func() {
-			out, err := b.RunOptimizer()
-			if err != nil || out.Considered != n || out.Changed != 0 {
-				t.Fatalf("pass over %d sessions: %+v, %v", n, out, err)
+	for _, row := range []struct {
+		name  string
+		solve bool
+	}{{"below-best", true}, {"at-best", false}} {
+		t.Run(row.name, func(t *testing.T) {
+			var counts []float64
+			for _, n := range []int{16, 64} {
+				b, establish, guaranteed, controlled := optimizerBroker(t)
+				// 64 at best (half a node) fit the 40-node guaranteed partition.
+				controlled.Spec = sla.NewSpec(sla.Range(resource.CPU, 0.25, 0.5), sla.Exact(resource.MemoryMB, 128))
+				for i := 0; i < n-1; i++ {
+					establish(controlled)
+				}
+				if row.solve { // the last session gets the 0.3 nodes left
+					ballast(b, establish, guaranteed, 0.3)
+				}
+				establish(controlled)
+				solves := b.met.optimizerSolves.Value()
+				allocs := testing.AllocsPerRun(50, func() {
+					out, err := b.RunOptimizer()
+					if err != nil || out.Considered != n || out.Changed != 0 {
+						t.Fatalf("pass over %d sessions: %+v, %v", n, out, err)
+					}
+				})
+				if solved := b.met.optimizerSolves.Value() > solves; solved != row.solve {
+					t.Fatalf("passes over %d sessions ran the solve: %v, want %v", n, solved, row.solve)
+				}
+				if allocs > gate {
+					t.Errorf("RunOptimizer over %d controlled-load sessions allocates %.0f objects, gate is %d", n, allocs, gate)
+				}
+				t.Logf("RunOptimizer over %d controlled-load sessions: %.0f allocs", n, allocs)
+				counts = append(counts, allocs)
+			}
+			if counts[0] != counts[1] {
+				t.Errorf("allocations at 16 / 64 controlled-load sessions = %v, want one constant", counts)
 			}
 		})
-		if allocs > gate {
-			t.Errorf("RunOptimizer over %d controlled-load sessions allocates %.0f objects, gate is %d", n, allocs, gate)
-		}
-		t.Logf("RunOptimizer over %d controlled-load sessions: %.0f allocs", n, allocs)
-		counts = append(counts, allocs)
-	}
-	if counts[0] != counts[1] {
-		t.Errorf("allocations at 16 / 64 controlled-load sessions = %v, want one constant", counts)
 	}
 }
 

@@ -164,7 +164,7 @@ func (b *Broker) teardownIf(id sla.ID, final sla.State, reason string, pred func
 		b.mu.Unlock()
 		return err
 	}
-	delete(b.live, id)
+	b.dropLive(s)
 	if s.confirm != nil {
 		s.confirm.Stop()
 		s.confirm = nil
@@ -208,9 +208,9 @@ func (b *Broker) afterRelease() {
 	// IDs.
 	var degraded []sla.ID
 	b.mu.Lock()
-	for id, s := range b.live {
+	for _, s := range b.live {
 		if s.degraded {
-			degraded = append(degraded, id)
+			degraded = append(degraded, s.doc.ID)
 		}
 	}
 	b.mu.Unlock()
@@ -451,6 +451,7 @@ func (b *Broker) book(s *session, spec *sla.Spec, c resource.Capacity, offer flo
 	}
 	s.doc.Allocated = c
 	s.doc.Price += billed
+	s.top = holdsTop(s.doc.Spec, c)
 	return old, billed
 }
 
@@ -513,13 +514,14 @@ func (b *Broker) issuePromotions() {
 	}
 	b.mu.Lock()
 	var cands []cand
-	for id, s := range b.live {
+	for _, s := range b.live {
 		if s.doc.State != sla.StateActive && s.doc.State != sla.StateEstablished {
 			continue
 		}
 		if !s.doc.Adapt.PromotionOffers {
 			continue
 		}
+		id := s.doc.ID
 		if _, open := b.promotions[id]; open {
 			continue
 		}
@@ -610,25 +612,22 @@ type OptimizeOutcome struct {
 // AQoS broker; if there is a considerable gain in terms of benefits to the
 // Grid Service provider, resources allocation is accordingly modified."
 // The live controlled-load sessions compete for what they hold plus the
-// partition's headroom.
+// partition's headroom. A pass whose input proves the solve can apply
+// nothing (optimizerInput) only counts them.
 func (b *Broker) RunOptimizer() (OptimizeOutcome, error) {
 	defer b.debugCheck("optimize")
 	b.met.optimizerRuns.Inc()
 	w := optPool.Get().(*optWorkspace)
 	defer w.release()
-	b.optimizerInput(w)
+	noop := b.optimizerInput(w)
 
 	out := OptimizeOutcome{Considered: len(w.services)}
-	if len(w.services) == 0 {
+	if noop || len(w.services) == 0 {
 		return out, nil
 	}
+	b.met.optimizerSolves.Inc()
 
-	// Capacity available to these sessions: what they hold now plus the
-	// guaranteed-side headroom.
-	problem := OptProblem{Services: w.services, Capacity: b.alloc.AvailableGuaranteed()}
-	for _, held := range w.held {
-		problem.Capacity = problem.Capacity.Add(held)
-	}
+	problem := b.optimizerProblem(w)
 	if err := w.greedy(problem); err != nil {
 		return OptimizeOutcome{}, err
 	}
@@ -674,12 +673,21 @@ func (b *Broker) RunOptimizer() (OptimizeOutcome, error) {
 
 // optimizerInput fills w with the §5.3 pass's services — the live
 // controlled-load sessions that are not degraded, in ID order — and what
-// each holds now.
-func (b *Broker) optimizerInput(w *optWorkspace) {
+// each holds now. It reports noop when the input proves that the solve
+// can apply nothing (DESIGN.md §3.3): the gain threshold and every
+// controlled-load rate are positive, every service holds the top of its
+// levels (session.top) and the guaranteed headroom is at least zero in
+// every dimension. w.services is then left unordered and w.held
+// empty: the pass only counts them.
+func (b *Broker) optimizerInput(w *optWorkspace) (noop bool) {
 	rates := b.prices.ClassRates(sla.ClassControlledLoad)
+	noop = b.cfg.MinOptimizerGain > 0
+	for _, k := range resource.Kinds {
+		noop = noop && rates.Rate(k) > 0
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for id, s := range b.live {
+	for _, s := range b.live {
 		if s.doc.Class != sla.ClassControlledLoad {
 			continue
 		}
@@ -692,10 +700,34 @@ func (b *Broker) optimizerInput(w *optWorkspace) {
 		// A live document's spec is copy-on-write (sla.Spec): the map
 		// shared here is never written again, so the solve reads it
 		// after the lock is dropped.
-		w.services = append(w.services, OptService{ID: id, Spec: s.doc.Spec, Rates: rates})
+		w.services = append(w.services, OptService{ID: s.doc.ID, Spec: s.doc.Spec, Rates: rates})
+		noop = noop && s.top
 	}
+	if noop {
+		if avail := b.alloc.AvailableGuaranteed(); avail.ClampMin(resource.Capacity{}) == avail {
+			return true
+		}
+	}
+	b.orderOptimizerInputLocked(w)
+	return false
+}
+
+// optimizerProblem is the §5.3 problem over w's services. The capacity
+// available to them is what they hold now plus the guaranteed-side
+// headroom.
+func (b *Broker) optimizerProblem(w *optWorkspace) OptProblem {
+	problem := OptProblem{Services: w.services, Capacity: b.alloc.AvailableGuaranteed()}
+	for _, held := range w.held {
+		problem.Capacity = problem.Capacity.Add(held)
+	}
+	return problem
+}
+
+// orderOptimizerInputLocked sorts w.services by ID and records what each
+// holds now in w.held. The caller holds b.mu.
+func (b *Broker) orderOptimizerInputLocked(w *optWorkspace) {
 	slices.SortFunc(w.services, func(x, y OptService) int { return cmp.Compare(x.ID, y.ID) })
 	for _, svc := range w.services {
-		w.held = append(w.held, b.live[svc.ID].doc.Allocated)
+		w.held = append(w.held, b.sessions[svc.ID].doc.Allocated)
 	}
 }

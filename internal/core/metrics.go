@@ -32,6 +32,7 @@ type brokerMetrics struct {
 	compensations *obs.Counter
 
 	optimizerRuns    *obs.Counter
+	optimizerSolves  *obs.Counter
 	optimizerApplied *obs.Counter
 
 	// Cluster hand-off traffic (see handoff.go): sessions drained out,
@@ -82,6 +83,8 @@ func newBrokerMetrics(reg *obs.Registry) brokerMetrics {
 
 		optimizerRuns: reg.Counter("gqosm_broker_optimizer_runs_total",
 			"Section 5.3 optimizer executions"),
+		optimizerSolves: reg.Counter("gqosm_broker_optimizer_solves_total",
+			"Optimizer runs that solved the problem: the rest had no session to consider or provably nothing to gain"),
 		optimizerApplied: reg.Counter("gqosm_broker_optimizer_applied_total",
 			"Optimizer runs whose reallocation cleared the gain threshold"),
 

@@ -426,8 +426,7 @@ func (b *Broker) proposeLocked(reserved []*admission, now, expires time.Time) {
 			State:     sla.StateProposed,
 		}
 		sess := &session{doc: doc, handle: m.handle, original: allocated, proposedAt: now}
-		b.sessions[id] = sess
-		b.live[id] = sess
+		b.putLive(id, sess)
 		// Schedule the auto-cancel only after the session is registered: the
 		// clock may fire the callback the instant it is armed (a concurrent
 		// Advance past the window), and an expiry that finds no session would
@@ -507,10 +506,11 @@ func (b *Broker) compensate(needed resource.Capacity) (bool, error) {
 	// (price, state) by concurrent lifecycle calls once the lock is
 	// released.
 	var degradable, terminable []ladderTarget
-	for id, s := range b.live {
+	for _, s := range b.live {
 		if s.doc.State != sla.StateActive && s.doc.State != sla.StateEstablished {
 			continue
 		}
+		id := s.doc.ID
 		floor := s.doc.Spec.Floor()
 		if s.doc.Adapt.AcceptDegradation && !s.doc.Allocated.Sub(floor).ClampMin(resource.Capacity{}).IsZero() {
 			degradable = append(degradable, ladderTarget{id: id, price: s.doc.Price})

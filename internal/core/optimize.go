@@ -45,12 +45,36 @@ type OptService struct {
 	RangeSteps int
 }
 
+// defaultRangeSteps is the range discretization of a service that sets
+// no RangeSteps, as every broker pass does.
+const defaultRangeSteps = 4
+
 // steps is the discretization applied to the service's range parameters.
 func (s OptService) steps() int {
 	if s.RangeSteps <= 0 {
-		return 4
+		return defaultRangeSteps
 	}
 	return s.RangeSteps
+}
+
+// holdsTop reports whether alloc is exactly spec's best quality and no
+// level of a broker pass's table (defaultRangeSteps) lies above that: a
+// range's computed top level can round a last bit above Max
+// (sla.Param.Top). Every assignment the solve can make is then at most
+// alloc in every dimension.
+func holdsTop(spec sla.Spec, alloc resource.Capacity) bool {
+	for _, k := range resource.Kinds {
+		best := 0.0
+		if prm, ok := spec.Params[k]; ok {
+			if best = prm.Best(); prm.Top(defaultRangeSteps) > best {
+				return false
+			}
+		}
+		if alloc.Get(k) != best {
+			return false
+		}
+	}
+	return true
 }
 
 // OptProblem is a §5.3 optimization instance.

@@ -566,6 +566,129 @@ func TestOptimizerApplyKeepsDocAndAllocatorConsistent(t *testing.T) {
 	}
 }
 
+// optimizerBroker is a miniBroker with the allocation-gate population's
+// requests: establish admits and accepts one, guaranteed holds a quarter
+// node, controlled ranges over [0.5, 1] nodes.
+func optimizerBroker(t testing.TB) (b *Broker, establish func(Request) sla.ID, guaranteed, controlled Request) {
+	t.Helper()
+	clock := clockx.NewManual(t0)
+	reg := registry.New(clock)
+	if _, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-a", Properties: simulationProps()}); err != nil {
+		t.Fatal(err)
+	}
+	b = miniBroker(t, clock, reg)
+	establish, guaranteed, controlled = allocGatePopulation(t, b)
+	return b, establish, guaranteed, controlled
+}
+
+// ballast establishes guaranteed sessions of at most 20 nodes each until
+// only leave nodes of the guaranteed partition are free, and returns the
+// last one.
+func ballast(b *Broker, establish func(Request) sla.ID, guaranteed Request, leave float64) (last sla.ID) {
+	for fill := b.Allocator().AvailableGuaranteed().CPU - leave; fill > 0; fill -= 20 {
+		guaranteed.Spec = sla.NewSpec(sla.Exact(resource.CPU, min(fill, 20)))
+		last = establish(guaranteed)
+	}
+	return last
+}
+
+// TestOptimizerSkipsOnlyProvableNoOps walks the states on either side of
+// the §5.3 pass's early exit (DESIGN.md §3.3). Where the pass skips its
+// solve, a forced solve on the same input must apply nothing; every other
+// state runs the solve.
+func TestOptimizerSkipsOnlyProvableNoOps(t *testing.T) {
+	atBest := func(t *testing.T) (*Broker, []sla.ID) {
+		b, establish, guaranteed, controlled := optimizerBroker(t)
+		var ids []sla.ID
+		for range 4 {
+			ids = append(ids, establish(controlled))
+		}
+		establish(guaranteed)
+		return b, ids
+	}
+	check := func(t *testing.T, b *Broker, considered int, wantSolve bool) {
+		t.Helper()
+		solves := b.met.optimizerSolves.Value()
+		out, err := b.RunOptimizer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		solved := b.met.optimizerSolves.Value() > solves
+		if out.Considered != considered || out.Changed != 0 || solved != wantSolve {
+			t.Errorf("pass = %+v, solved %v; want %d considered, none changed, solved %v", out, solved, considered, wantSolve)
+		}
+		if err := b.CheckOptimizerNoop(); err != nil {
+			t.Error(err)
+		}
+	}
+	t.Run("all candidates at best: skipped", func(t *testing.T) {
+		b, ids := atBest(t)
+		check(t, b, len(ids), false)
+	})
+	t.Run("one candidate below best: solved and upgraded", func(t *testing.T) {
+		b, establish, guaranteed, controlled := optimizerBroker(t)
+		var ids []sla.ID
+		for range 3 {
+			ids = append(ids, establish(controlled))
+		}
+		last := ballast(b, establish, guaranteed, 0.75)
+		ids = append(ids, establish(controlled)) // granted the 0.75 nodes left, below its 1-node best
+		if doc, _ := b.Session(ids[3]); doc.Allocated.CPU != 0.75 {
+			t.Fatalf("last session holds %v, want the 0.75 nodes left", doc.Allocated)
+		}
+		check(t, b, len(ids), true) // no headroom: the solve can only reshuffle
+		solves, applied := b.met.optimizerSolves.Value(), b.met.optimizerApplied.Value()
+		if err := b.Terminate(last, "release"); err != nil {
+			t.Fatal(err)
+		}
+		if b.met.optimizerSolves.Value() != solves+1 || b.met.optimizerApplied.Value() != applied+1 {
+			t.Errorf("the release's pass solved %v and applied %v times, want once each",
+				b.met.optimizerSolves.Value()-solves, b.met.optimizerApplied.Value()-applied)
+		}
+		if doc, _ := b.Session(ids[3]); doc.Allocated.CPU != 1 {
+			t.Errorf("below-best session holds %v after the release, want its best 1 node", doc.Allocated)
+		}
+		check(t, b, len(ids), false)
+	})
+	t.Run("a zero controlled-load rate: solved", func(t *testing.T) {
+		b, ids := atBest(t)
+		b.prices.Base.PerDiskGB = 0
+		check(t, b, len(ids), true)
+	})
+	t.Run("failure beyond the headroom: headroom reads zero, skipped", func(t *testing.T) {
+		// AvailableGuaranteed clamps at zero, so the headroom the pass
+		// reads is never negative, and the solve, whose capacity is what
+		// the sessions hold plus that headroom, cannot see the shortfall.
+		b, establish, guaranteed, controlled := optimizerBroker(t)
+		var ids []sla.ID
+		for range 4 {
+			ids = append(ids, establish(controlled))
+		}
+		ballast(b, establish, guaranteed, 2)
+		b.NotifyFailure(resource.Nodes(60)) // the admission bound falls to the 12-node adaptive reserve
+		if avail := b.Allocator().AvailableGuaranteed(); avail.CPU != 0 {
+			t.Fatalf("headroom after the failure = %v, want zero nodes", avail)
+		}
+		check(t, b, len(ids), false)
+	})
+	t.Run("a range top rounding a last bit above Max: solved", func(t *testing.T) {
+		b, establish, _, controlled := optimizerBroker(t)
+		controlled.Spec = sla.NewSpec(sla.Range(resource.CPU, 0.07, 0.58), sla.Exact(resource.MemoryMB, 128))
+		id := establish(controlled)
+		if doc, _ := b.Session(id); doc.Allocated.CPU != 0.58 {
+			t.Fatalf("session holds %v, want its best 0.58 nodes", doc.Allocated)
+		}
+		check(t, b, 1, true)
+	})
+	t.Run("a degraded session is no candidate", func(t *testing.T) {
+		b, ids := atBest(t)
+		if err := b.degradeToFloor(ids[0]); err != nil {
+			t.Fatal(err)
+		}
+		check(t, b, len(ids)-1, false)
+	})
+}
+
 // The §5.3 pass reads the controlled-load specs after dropping b.mu,
 // sharing them rather than cloning them: a live document's spec is
 // copy-on-write (sla.Spec). A Renegotiate installs a new map and leaves
@@ -581,15 +704,14 @@ func TestRunOptimizerSharesSpecs(t *testing.T) {
 	b := miniBroker(t, clock, reg)
 	establish, guaranteed, controlled := allocGatePopulation(t, b)
 	var ids []sla.ID
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 7; i++ {
 		ids = append(ids, establish(controlled))
 	}
-	// 30 of the 40 guaranteed nodes in ballast, 8 at the sessions' best:
-	// widened sessions compete for the last 2, so passes have work.
-	guaranteed.Spec = sla.NewSpec(sla.Exact(resource.CPU, 10), sla.Exact(resource.MemoryMB, 128))
-	for i := 0; i < 3; i++ {
-		establish(guaranteed)
-	}
+	// The ballast leaves 0.75 of the 40 guaranteed nodes: the eighth
+	// session is granted those, below its 1-node best, so every pass runs
+	// the solve, and widened sessions compete for what the others hold.
+	ballast(b, establish, guaranteed, 0.75)
+	ids = append(ids, establish(controlled))
 	narrow := controlled.Spec
 	wide := sla.NewSpec(sla.Range(resource.CPU, 0.5, 2), sla.Exact(resource.MemoryMB, 128))
 	liveParams := func(id sla.ID) map[resource.Kind]sla.Param {
@@ -599,7 +721,9 @@ func TestRunOptimizerSharesSpecs(t *testing.T) {
 	}
 
 	w := optPool.Get().(*optWorkspace)
-	b.optimizerInput(w)
+	if b.optimizerInput(w) {
+		t.Fatal("the pass input proves a no-op, so the pass would not solve")
+	}
 	if len(w.services) != len(ids) {
 		t.Fatalf("pass input has %d services, want %d", len(w.services), len(ids))
 	}

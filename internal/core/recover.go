@@ -223,12 +223,13 @@ func (b *Broker) installState(st *recoveredState) {
 			// recovered session's first move calls gara.modify.
 			stale: true,
 		}
-		b.sessions[sla.ID(idStr)] = s
 		// Non-terminal sessions are live and hold allocator grants; the
 		// grant equals the document's allocation (the invariant the oracle
 		// enforces live), so the allocator rebuilds from the documents.
-		if !rec.Doc.State.Terminal() {
-			b.live[sla.ID(idStr)] = s
+		if rec.Doc.State.Terminal() {
+			b.sessions[sla.ID(idStr)] = s
+		} else {
+			b.putLive(sla.ID(idStr), s)
 			grants[idStr] = rec.Doc.Allocated
 		}
 	}
@@ -342,20 +343,20 @@ func (b *Broker) reconcileAgainstRMs() (adopted, refunded int) {
 func (b *Broker) rearmConfirmTimers() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var proposed []sla.ID
-	for id, s := range b.live {
+	var proposed []*session
+	for _, s := range b.live {
 		if s.doc.State == sla.StateProposed && s.confirm == nil {
-			proposed = append(proposed, id)
+			proposed = append(proposed, s)
 		}
 	}
-	slices.SortFunc(proposed, func(x, y sla.ID) int {
-		if c := b.live[x].proposedAt.Compare(b.live[y].proposedAt); c != 0 {
+	slices.SortFunc(proposed, func(x, y *session) int {
+		if c := x.proposedAt.Compare(y.proposedAt); c != 0 {
 			return c
 		}
-		return cmp.Compare(x, y)
+		return cmp.Compare(x.doc.ID, y.doc.ID)
 	})
-	for _, id := range proposed {
-		s := b.live[id]
+	for _, s := range proposed {
+		id := s.doc.ID
 		remaining := max(s.proposedAt.Add(b.cfg.ConfirmWindow).Sub(b.clock.Now()), 0)
 		s.confirm = b.clock.AfterFunc(remaining, func() { b.expireOffer(id) })
 	}

@@ -307,12 +307,12 @@ func (b *Broker) ExpireDue() []sla.ID {
 	now := b.clock.Now()
 	var due []sla.ID
 	b.mu.Lock()
-	for id, s := range b.live {
+	for _, s := range b.live {
 		if s.doc.State == sla.StateProposed {
 			continue
 		}
 		if !s.doc.End.IsZero() && !now.Before(s.doc.End) {
-			due = append(due, id)
+			due = append(due, s.doc.ID)
 		}
 	}
 	b.mu.Unlock()

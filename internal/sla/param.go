@@ -146,9 +146,9 @@ func (p Param) Accepts(v float64) bool {
 
 // AppendChoices appends to dst the candidate quality levels the optimizer
 // may select for this parameter, ascending, and returns the extended
-// slice. Ranges are discretized into at most steps points (always
-// including Min and Max); exact parameters yield their single value; lists
-// yield their values.
+// slice. Ranges are discretized into at most steps points (from Min to
+// Top(steps), which is Max up to its last bit); exact parameters yield
+// their single value; lists yield their values.
 func (p Param) AppendChoices(dst []float64, steps int) []float64 {
 	switch p.Form {
 	case FormExact:
@@ -160,12 +160,28 @@ func (p Param) AppendChoices(dst []float64, steps int) []float64 {
 			return append(dst, p.Min, p.Max)
 		}
 		for i := 0; i < steps; i++ {
-			dst = append(dst, p.Min+(p.Max-p.Min)*float64(i)/float64(steps-1))
+			dst = append(dst, p.rangeLevel(i, steps))
 		}
 		return dst
 	default:
 		return dst
 	}
+}
+
+// Top returns the highest level AppendChoices(dst, steps) yields. That is
+// Best, except for a range discretized into steps ≥ 2 points: its top
+// level is computed, Min + (Max−Min)·(steps−1)/(steps−1), and the
+// rounding can leave it a last bit above or below Max.
+func (p Param) Top(steps int) float64 {
+	if p.Form == FormRange && steps >= 2 && p.Max != p.Min {
+		return p.rangeLevel(steps-1, steps)
+	}
+	return p.Best()
+}
+
+// rangeLevel is the i-th of a range's steps discretization points.
+func (p Param) rangeLevel(i, steps int) float64 {
+	return p.Min + (p.Max-p.Min)*float64(i)/float64(steps-1)
 }
 
 // Clamp returns the acceptable quality nearest to v from below: the largest

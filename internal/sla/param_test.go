@@ -118,6 +118,26 @@ func TestParamChoices(t *testing.T) {
 	}
 }
 
+// TestParamTop pins Top to the last level AppendChoices yields, including
+// a range whose computed top level rounds a last bit above Max.
+func TestParamTop(t *testing.T) {
+	above := Range(resource.CPU, 0.07, 0.58)
+	if top := above.Top(4); top <= above.Max {
+		t.Errorf("Range(0.07, 0.58).Top(4) = %v, want the last bit above Max", top)
+	}
+	for _, p := range []Param{
+		Exact(resource.CPU, 10), List(resource.CPU, 10, 20), Range(resource.CPU, 0, 10),
+		Range(resource.CPU, 2, 2), above,
+	} {
+		for _, steps := range []int{1, 2, 4, 5} {
+			c := p.AppendChoices(nil, steps)
+			if top := p.Top(steps); top != c[len(c)-1] {
+				t.Errorf("%+v.Top(%d) = %v, want the last choice of %v", p, steps, top, c)
+			}
+		}
+	}
+}
+
 func TestParamClamp(t *testing.T) {
 	tests := []struct {
 		name string
