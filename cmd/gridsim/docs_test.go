@@ -24,20 +24,37 @@ var inlineCode = regexp.MustCompile("`([^`]+)`")
 // and is read by the mode the command selects (the mode table's own rule,
 // pick and stray); and every flag on an aqosd or qosctl command is one its
 // main.go declares. Flag values are not checked, so a placeholder such as
-// `-seed N` quotes fine.
+// `-seed N` quotes fine. The other way round, README.md quotes a
+// `go run ./cmd/<name>` for every main package under cmd/.
 func TestQuotedCommandsRun(t *testing.T) {
 	checked := 0
+	readme := map[string]bool{} // the directories README.md go-runs
 	check := func(source string, quotes []string) {
 		for _, quote := range quotes {
-			n, err := checkQuote(strings.Fields(quote))
+			n, runs, err := checkQuote(strings.Fields(quote))
 			if err != nil {
 				t.Errorf("%s quotes `%s`: %v", source, strings.Join(strings.Fields(quote), " "), err)
 			}
 			checked += n
+			if source == "README.md" {
+				for _, dir := range runs {
+					readme[dir] = true
+				}
+			}
 		}
 	}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		check(doc, quotedCode(readRepoFile(t, doc)))
+	}
+	commands, err := filepath.Glob(filepath.Join("..", "..", "cmd", "*"))
+	if err != nil || len(commands) == 0 {
+		t.Fatalf("no commands found: %v", err)
+	}
+	for _, dir := range commands {
+		name := "cmd/" + filepath.Base(dir)
+		if mainPackage(".", "./"+name) == nil && !readme[name] {
+			t.Errorf("README.md quotes no `go run ./%s`", name)
+		}
 	}
 	workflows, err := filepath.Glob(filepath.Join("..", "..", ".github", "workflows", "*.yml"))
 	if err != nil || len(workflows) == 0 {
@@ -124,10 +141,11 @@ func workflowRuns(yml string) []string {
 }
 
 // checkQuote checks every go run, gridsim, aqosd and qosctl command in a
-// tokenized quote and returns how many it found. A `cd <dir>` earlier in
-// the quote moves the directory a go run resolves from.
-func checkQuote(tokens []string) (int, error) {
-	n, cwd := 0, "."
+// tokenized quote and returns how many it found and the directories the
+// go runs name, from the repository root. A `cd <dir>` earlier in the
+// quote moves the directory a go run resolves from.
+func checkQuote(tokens []string) (n int, runs []string, err error) {
+	cwd := "."
 	for i := 0; i < len(tokens); i++ {
 		switch tok := tokens[i]; {
 		case tok == "cd" && i+1 < len(tokens):
@@ -138,23 +156,24 @@ func checkQuote(tokens []string) (int, error) {
 				i++ // go run's own flags (-race)
 			}
 			if i == len(tokens) {
-				return n, errors.New("go run names no directory")
+				return n, runs, errors.New("go run names no directory")
 			}
 			n++
+			runs = append(runs, path.Join(cwd, tokens[i]))
 			if err := mainPackage(cwd, tokens[i]); err != nil {
-				return n, err
+				return n, runs, err
 			}
 			if err := commandArgs(strings.TrimPrefix(tokens[i], "./cmd/"), tokens[i+1:]); err != nil {
-				return n, err
+				return n, runs, err
 			}
 		case !strings.HasPrefix(tok, ".") && slices.Contains([]string{"gridsim", "aqosd", "qosctl"}, path.Base(tok)):
 			n++
 			if err := commandArgs(path.Base(tok), tokens[i+1:]); err != nil {
-				return n, err
+				return n, runs, err
 			}
 		}
 	}
-	return n, nil
+	return n, runs, nil
 }
 
 // commandArgs checks the arguments of one command invocation; commands

@@ -292,10 +292,11 @@ func doBestEffort(w wire, args []string) error {
 	return nil
 }
 
-// doLoad prints each broker instance's load report — the signal the
-// cluster front tier's least-loaded placement routes on. With
-// -endpoints it walks a comma-separated multi-broker deployment; the
-// default is the single -broker endpoint.
+// doLoad prints each broker instance's load report, for an operator
+// watching a federation: each member's partition load, resident sessions
+// and whether it is still recovering. With -endpoints it walks a
+// comma-separated multi-broker deployment; the default is the single
+// -broker endpoint.
 func doLoad(transport, broker string, args []string) error {
 	fs := flag.NewFlagSet("load", flag.ContinueOnError)
 	endpoints := fs.String("endpoints", "", "comma-separated broker endpoints (default: the -broker one)")

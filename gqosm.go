@@ -5,9 +5,9 @@
 // The package is a thin facade over the implementation packages: it
 // re-exports the types a downstream user needs to stand up an AQoS broker
 // with its substrates (GARA-style reservations, a DSRT-style CPU
-// scheduler, a bandwidth-broker NRM, a UDDIe-style registry, an MDS-style
-// information service and a GRAM-style job manager), negotiate SLAs, and
-// drive the adaptation scheme.
+// scheduler, a bandwidth-broker NRM, a UDDIe-style registry and a
+// GRAM-style job manager), negotiate SLAs, and drive the adaptation
+// scheme.
 //
 // Quickstart:
 //

@@ -71,7 +71,9 @@ type Config struct {
 	// NRM provides network measurements and degradation notifications;
 	// optional.
 	NRM *nrm.Manager
-	// MDS provides CPU status for conformance tests; optional.
+	// MDS is read by nothing: Verify measures compute conformance from
+	// the allocator's coverage. bench/ still writes it (ROADMAP item 28
+	// drops the literal, then the field and package mds).
 	MDS *mds.Directory
 	// RM is the resource-manager-level adaptation hook tried before any
 	// AQoS-level adaptation on degradation (§3.2); optional.
@@ -364,8 +366,11 @@ func (b *Broker) Domain() string { return b.cfg.Domain }
 // ErrPeerUnavailable while it is true.
 func (b *Broker) Recovering() bool { return b.recovering.Load() }
 
-// LoadReport is a broker's self-report for front-tier placement: how
-// loaded its guaranteed partition is and how many sessions it hosts.
+// LoadReport is a broker's self-report: how loaded its guaranteed
+// partition is, how many sessions it hosts and whether it is still
+// recovering. `qosctl load` prints it for operators watching a federation,
+// the federation report lists one per member (per_broker), and the
+// benchmark's migration picks its target from them (cluster.Front.Loads).
 // It is its own wire document on both transports.
 type LoadReport struct {
 	// Domain names the reporting broker.
@@ -377,14 +382,13 @@ type LoadReport struct {
 	// Load is the guaranteed partition's load factor (0 idle, ≥ 1 when
 	// saturated).
 	Load float64 `json:"load" xml:"Load"`
-	// Recovering is true while a Recover is still in flight; the front
-	// tier skips recovering members when placing admissions.
+	// Recovering is true while a Recover is still in flight; the broker
+	// refuses admissions meanwhile.
 	Recovering bool `json:"recovering,omitempty" xml:"Recovering,omitempty"`
 }
 
-// LoadReport snapshots the broker's placement-relevant load. It reads
-// only the allocator's published view and the session count, so it is
-// cheap enough for the front tier to call on every admission.
+// LoadReport snapshots the broker's load. It reads only the allocator's
+// published view and the session count, so a poll costs one lock.
 func (b *Broker) LoadReport() LoadReport {
 	b.mu.Lock()
 	n := len(b.sessions)
@@ -519,18 +523,13 @@ func (b *Broker) SessionInfos() []SessionInfo {
 }
 
 // putLive enters a non-terminal session into the table and the live set
-// under id. The caller holds b.mu. A live session already under id (two
-// imports of one ID racing past ImportSession's check) hands s its
-// slot, so the live set never holds an ID twice.
+// under id, which no live session holds: a proposal's ID is new, recovery
+// installs each ID once, and ImportSession runs one import per ID. The
+// caller holds b.mu.
 func (b *Broker) putLive(id sla.ID, s *session) {
 	s.top = holdsTop(s.doc.Spec, s.doc.Allocated)
-	if prev, ok := b.sessions[id]; ok && !prev.doc.State.Terminal() {
-		s.livePos = prev.livePos
-		b.live[s.livePos] = s
-	} else {
-		s.livePos = int32(len(b.live))
-		b.live = append(b.live, s)
-	}
+	s.livePos = int32(len(b.live))
+	b.live = append(b.live, s)
 	b.sessions[id] = s
 }
 

@@ -10,7 +10,6 @@ import (
 	"gqosm/internal/clockx"
 	"gqosm/internal/gara"
 	"gqosm/internal/gram"
-	"gqosm/internal/mds"
 	"gqosm/internal/nrm"
 	"gqosm/internal/registry"
 	"gqosm/internal/resource"
@@ -78,13 +77,6 @@ func newHarness(t testing.TB, mods ...func(*Config)) *harness {
 		t.Fatal(err)
 	}
 
-	dir := mds.NewDirectory()
-	if err := dir.Register("sgi", func() mds.Attributes {
-		return mds.Attributes{"cpu-free": "26"}
-	}); err != nil {
-		t.Fatal(err)
-	}
-
 	gramM := gram.NewManager(clock)
 	t.Cleanup(gramM.Close)
 
@@ -100,7 +92,6 @@ func newHarness(t testing.TB, mods ...func(*Config)) *harness {
 		GARA:          g,
 		GRAM:          gramM,
 		NRM:           netMgr,
-		MDS:           dir,
 		ConfirmWindow: 2 * time.Minute,
 	}
 	for _, mod := range mods {

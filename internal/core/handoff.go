@@ -222,7 +222,9 @@ var importTestHook func(*Broker)
 // reservation is created idempotently under the ID, and the session is
 // installed with this broker as provider. Re-importing an ID this broker
 // already hosts live is a no-op (a retried import after a lost reply).
-// The client is not charged again.
+// An ID with an open intent — another import of it in flight, or a
+// hand-off out of this broker — is refused with ErrHandoffPending, so one
+// import per ID runs at a time. The client is not charged again.
 func (b *Broker) ImportSession(st *HandoffState) error {
 	if b.closed.Load() {
 		return ErrClosed
@@ -238,19 +240,8 @@ func (b *Broker) ImportSession(st *HandoffState) error {
 	if doc.State != sla.StateEstablished && doc.State != sla.StateActive {
 		return fmt.Errorf("%w: import of %s in state %s", ErrBadState, id, doc.State)
 	}
-	b.mu.Lock()
-	prev, known := b.sessions[id]
-	live := known && !prev.doc.State.Terminal()
-	b.mu.Unlock()
-	if live {
-		return nil // idempotent re-import
-	}
-	if known {
-		return fmt.Errorf("%w: %s already ended on this broker", ErrBadState, id)
-	}
-
 	b.hoMu.Lock()
-	if it, open := b.handoffs[id]; open && !(it.dir == "in" && it.peer == st.Source) {
+	if it, open := b.handoffs[id]; open {
 		b.hoMu.Unlock()
 		return fmt.Errorf("%w: %s is %s to %q", ErrHandoffPending, id, it.dir, it.peer)
 	}
@@ -258,15 +249,27 @@ func (b *Broker) ImportSession(st *HandoffState) error {
 	b.journalHandoffsLocked("handoff-import")
 	b.hoMu.Unlock()
 
-	if importTestHook != nil {
-		importTestHook(b)
-	}
-
 	abort := func() {
 		b.hoMu.Lock()
 		delete(b.handoffs, id)
 		b.journalHandoffsLocked("handoff-import-abort")
 		b.hoMu.Unlock()
+	}
+	// The table is read after the claim: an import of id that landed
+	// cleared its intent only once installed, so it reads as live here.
+	b.mu.Lock()
+	prev, known := b.sessions[id]
+	b.mu.Unlock()
+	if known {
+		abort()
+		if !prev.doc.State.Terminal() {
+			return nil // idempotent re-import
+		}
+		return fmt.Errorf("%w: %s already ended on this broker", ErrBadState, id)
+	}
+
+	if importTestHook != nil {
+		importTestHook(b)
 	}
 
 	// Admission is all-or-nothing at the session's current allocation:

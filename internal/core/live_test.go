@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -9,6 +10,7 @@ import (
 	"unsafe"
 
 	"gqosm/internal/clockx"
+	"gqosm/internal/gara"
 	"gqosm/internal/registry"
 	"gqosm/internal/resource"
 	"gqosm/internal/sla"
@@ -201,17 +203,17 @@ func TestLiveSetFollowsTheTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A second import of the same state runs to its end inside the
-		// first one's check-then-insert window: both pass the "already
-		// live here" check before either installs.
+		// A second import of the same state arrives inside the first one's
+		// window: both pass the "already live here" check, but the first
+		// holds the ID's intent, so the second is refused.
 		nested := false
 		importTestHook = func(b *Broker) {
 			if b != dst || nested {
 				return
 			}
 			nested = true
-			if err := dst.ImportSession(st); err != nil {
-				t.Errorf("racing import: %v", err)
+			if err := dst.ImportSession(st); !errors.Is(err, ErrHandoffPending) {
+				t.Errorf("racing import: err = %v, want ErrHandoffPending", err)
 			}
 		}
 		defer func() { importTestHook = nil }()
@@ -222,11 +224,26 @@ func TestLiveSetFollowsTheTable(t *testing.T) {
 			t.Fatal("the racing import never ran")
 		}
 		assertLive(t, dst, other, id)
-		// A retried import after both is the idempotent no-op.
+		if n := dst.met.handoffsIn.Value(); n != 1 {
+			t.Errorf("handoff_in counted %d imports, want 1", n)
+		}
+		tagged := 0
+		for _, r := range dst.cfg.GARA.Reservations() {
+			if r.Tag == string(id) && r.Status != gara.StatusCanceled {
+				tagged++
+			}
+		}
+		if tagged != 1 {
+			t.Errorf("%d live reservations are tagged %s, want 1", tagged, id)
+		}
+		// A retried import after the first landed is the idempotent no-op.
 		if err := dst.ImportSession(st); err != nil {
 			t.Fatal(err)
 		}
 		assertLive(t, dst, other, id)
+		if n := dst.met.handoffsIn.Value(); n != 1 {
+			t.Errorf("handoff_in counted %d imports after the retry, want 1", n)
+		}
 	})
 	t.Run("prune terminal", func(t *testing.T) {
 		h := newHarness(t)

@@ -18,7 +18,6 @@ import (
 	"gqosm/internal/faultx"
 	"gqosm/internal/gara"
 	"gqosm/internal/gram"
-	"gqosm/internal/mds"
 	"gqosm/internal/nrm"
 	"gqosm/internal/pricing"
 	"gqosm/internal/registry"
@@ -79,13 +78,6 @@ func newDurableHarness(t *testing.T, snapshotEvery int, mods ...func(*Config)) *
 		t.Fatal(err)
 	}
 
-	dir := mds.NewDirectory()
-	if err := dir.Register("sgi", func() mds.Attributes {
-		return mds.Attributes{"cpu-free": "26"}
-	}); err != nil {
-		t.Fatal(err)
-	}
-
 	gramM := gram.NewManager(clock)
 	t.Cleanup(gramM.Close)
 
@@ -101,7 +93,6 @@ func newDurableHarness(t *testing.T, snapshotEvery int, mods ...func(*Config)) *
 		GARA:          g,
 		GRAM:          gramM,
 		NRM:           netMgr,
-		MDS:           dir,
 		ConfirmWindow: 2 * time.Minute,
 		Faults:        inj,
 		RMPolicy:      RetryPolicy{Attempts: 2},

@@ -55,7 +55,8 @@ type ConformanceReport struct {
 // Verify runs an SLA conformance test "on an explicit request by the
 // client/application" (§3.2): it measures the network from the NRM, takes
 // computation as the allocation scaled by the allocator's coverage
-// (Allocated × alloc.Coverage(), not an MDS reading: ROADMAP item 10(e)),
+// (Allocated × alloc.Coverage(): a failure reaches only the allocator, so
+// the paper's MDS reading of the pool could not differ, DESIGN.md §1),
 // compares them against the SLA, and returns the Table-3 reply. A
 // non-conformant result triggers scenario-3 adaptation.
 func (b *Broker) Verify(id sla.ID) (*ConformanceReport, error) {

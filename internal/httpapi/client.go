@@ -124,8 +124,8 @@ func (c *Client) BestEffort(client string, amount resource.Capacity, release boo
 	return c.post("best-effort", &e, new(AckJSON))
 }
 
-// LoadReport fetches the broker's current load for front-tier
-// placement.
+// LoadReport fetches the broker's current load report, the one
+// `qosctl load` prints.
 func (c *Client) LoadReport() (core.LoadReport, error) {
 	var out core.LoadReport
 	data, err := c.call("load", nil)

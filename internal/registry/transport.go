@@ -100,7 +100,7 @@ func toXML(s *Service) ServiceXML {
 }
 
 // ServiceFromXML converts a wire-form service back: the discovery reply,
-// a save_service request, a registryd seed file.
+// a save_service request.
 func ServiceFromXML(x ServiceXML) (Service, error) {
 	s := Service{
 		Key:         Key(x.Key),

@@ -33,13 +33,9 @@ func TestClusterAssembles(t *testing.T) {
 	if _, err := cl.Broker.RequestService(req); err != nil {
 		t.Fatalf("RequestService on cluster: %v", err)
 	}
-	// MDS reports live pool state under the domain's name.
-	attrs, err := cl.MDS.Query("site-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if attrs["cpu-total"] != "26" {
-		t.Errorf("cpu-total = %v", attrs)
+	// The compute pool is the domain's, sized to the plan.
+	if name, cpu := cl.Pool.Name(), cl.Pool.Total().CPU; name != "site-a" || cpu != 26 {
+		t.Errorf("pool %q holds %g CPU, want site-a with 26", name, cpu)
 	}
 }
 

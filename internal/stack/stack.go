@@ -1,6 +1,8 @@
 // Package stack is the one assembly of the paper's Fig. 5 deployment: the
 // AQoS broker wired to its UDDIe registry, GARA over the compute, network
-// and DSRT managers, the NRM, MDS and GRAM. The root gqosm package
+// and DSRT managers, the NRM and GRAM. Fig. 5's MDS is not built: the
+// broker measures compute conformance from its allocator, which is where
+// failures land (DESIGN.md §1). The root gqosm package
 // re-exports it and internal/sim builds on it, so what the simulations
 // verify is what aqosd runs (DESIGN.md §19, TestOneAssembly).
 package stack
@@ -17,7 +19,6 @@ import (
 	"gqosm/internal/gara"
 	"gqosm/internal/gram"
 	"gqosm/internal/httpapi"
-	"gqosm/internal/mds"
 	"gqosm/internal/nrm"
 	"gqosm/internal/obs"
 	"gqosm/internal/registry"
@@ -28,9 +29,9 @@ import (
 
 // Config sizes a complete single-domain G-QoSM deployment.
 type Config struct {
-	// Domain names the administrative domain, its compute pool and its
-	// MDS resource (default "site-a"). Members of a multi-broker
-	// deployment each need their own, so SLA IDs stay globally unique.
+	// Domain names the administrative domain and its compute pool
+	// (default "site-a"). Members of a multi-broker deployment each need
+	// their own, so SLA IDs stay globally unique.
 	Domain string
 	// Plan is the capacity partition (required).
 	Plan core.CapacityPlan
@@ -87,7 +88,6 @@ type Stack struct {
 	Broker   *core.Broker
 	Pool     *resource.Pool
 	Registry *registry.Registry
-	MDS      *mds.Directory
 	GRAM     *gram.Manager
 	GARA     *gara.System
 	NRM      *nrm.Manager
@@ -152,17 +152,6 @@ func New(cfg Config) (*Stack, error) {
 		}
 	}
 
-	dir := mds.NewDirectory()
-	if err := dir.Register(cfg.Domain, func() mds.Attributes {
-		now := clock.Now()
-		return mds.Attributes{
-			"cpu-total": fmt.Sprintf("%g", pool.Total().CPU),
-			"cpu-free":  fmt.Sprintf("%g", pool.Available(now).CPU),
-		}
-	}); err != nil {
-		return nil, err
-	}
-
 	gramM := gram.NewManager(clock)
 	gramM.InjectFaults(cfg.Faults)
 	gramM.Instrument(cfg.Obs)
@@ -193,7 +182,6 @@ func New(cfg Config) (*Stack, error) {
 		GARA:             g,
 		GRAM:             gramM,
 		NRM:              netMgr,
-		MDS:              dir,
 		RM:               rm,
 		ConfirmWindow:    cfg.ConfirmWindow,
 		MinOptimizerGain: cfg.MinOptimizerGain,
@@ -205,7 +193,6 @@ func New(cfg Config) (*Stack, error) {
 	s := &Stack{
 		Pool:            pool,
 		Registry:        reg,
-		MDS:             dir,
 		GRAM:            gramM,
 		GARA:            g,
 		NRM:             netMgr,
