@@ -389,22 +389,20 @@ var experiments = []struct {
 		document(func(seed int64) (*sim.Report, error) { return sim.RunC2(seed, nil) })},
 	{"C3", "best-effort minimum capacity under guaranteed saturation", document(sim.RunC3)},
 	{"C4", "optimizer profit: greedy vs exact vs first-fit vs minimum",
-		claim(func(seed int64) ([]sim.C4Row, error) { return sim.RunC4(seed, nil) }, sim.FormatC4)},
+		runC4},
 	{"C5", "scenario-1 compensation: admissions vs willingness to degrade",
-		claim(func(seed int64) ([]sim.C5Row, error) { return sim.RunC5(seed, nil) }, sim.FormatC5)},
+		document(func(seed int64) (*sim.Report, error) { return sim.RunC5(seed, nil) })},
 }
 
-// claim adapts a claim experiment (rows, then their table) to the
-// experiment signature.
-func claim[R any](rows func(seed int64) ([]R, error), format func([]R) string) func(int64, bool) error {
-	return func(seed int64, _ bool) error {
-		rs, err := rows(seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(format(rs))
-		return nil
+// runC4 prints the optimizer table; C4 runs no broker, so it has no
+// report.
+func runC4(seed int64, _ bool) error {
+	rows, err := sim.RunC4(seed, nil)
+	if err != nil {
+		return err
 	}
+	fmt.Print(sim.FormatC4(rows))
+	return nil
 }
 
 // document adapts a claim experiment that hands back a report: it prints
@@ -452,11 +450,16 @@ func runE56(_ int64, verbose bool) error {
 	fmt.Print(res.Table())
 	fmt.Printf("\nnetwork sub-SLAs whole until expiry: %v\n", res.NetworkOK)
 	fmt.Printf("best-effort preemptions during failure: %d\n", res.Preemptions)
+	oracle := res.Report.Oracle
+	fmt.Printf("oracle: %d passes, %d violations; capacity restored: %v\n", oracle.Checks, oracle.Violations, oracle.Gates["capacity_restored"])
 	if verbose {
 		fmt.Println("\nbroker activity log:")
 		for _, line := range res.Log {
 			fmt.Println("  " + line)
 		}
+	}
+	if res.Report.Failed() {
+		return fmt.Errorf("the report failed its gates: %v", oracle.Details)
 	}
 	return nil
 }

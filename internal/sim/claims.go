@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"gqosm/internal/clockx"
 	"gqosm/internal/core"
 	"gqosm/internal/pricing"
 	"gqosm/internal/resource"
@@ -230,6 +231,15 @@ func RunC3(seed int64) (*Report, error) {
 	return claimReport(map[string]any{"experiment": "C3", "seed": seed}, runs, "c3_floor_honored", details), nil
 }
 
+// establish negotiates req and accepts the offer.
+func establish(b *core.Broker, req core.Request) (sla.ID, error) {
+	offer, err := b.RequestService(req)
+	if err != nil {
+		return "", err
+	}
+	return offer.SLA.ID, b.Accept(offer.SLA.ID)
+}
+
 // claimReport files a claim's cells under one composite; its gate holds
 // when no cell broke the claim's predicate (details names each that did).
 func claimReport(config map[string]any, runs map[string]*Report, gate string, details []string) *Report {
@@ -274,12 +284,8 @@ func runC3Once(seed int64, gLoad float64) (*Report, error) {
 	defer topo.close()
 	b := topo.members[0].Broker
 	if gLoad > 0 {
-		offer, err := b.RequestService(core.Request{Service: "simulation", Client: "standing", Class: sla.ClassGuaranteed,
-			Spec: sla.NewSpec(sla.Exact(resource.CPU, gLoad)), Start: Epoch, End: Epoch.Add(48 * time.Hour)})
-		if err == nil {
-			err = b.Accept(offer.SLA.ID)
-		}
-		if err != nil {
+		if _, err := establish(b, core.Request{Service: "simulation", Client: "standing", Class: sla.ClassGuaranteed,
+			Spec: sla.NewSpec(sla.Exact(resource.CPU, gLoad)), Start: Epoch, End: Epoch.Add(48 * time.Hour)}); err != nil {
 			return nil, fmt.Errorf("sim: standing load %g not admitted: %w", gLoad, err)
 		}
 	}
@@ -377,99 +383,90 @@ func RunC4(seed int64, sizes []int) ([]C4Row, error) {
 	return rows, nil
 }
 
-// C5Row measures admission under one willingness level; sweeping the
-// level from 0 (no volunteers — adaptation disabled in practice) to 1
-// contrasts scenario-1 compensation against its absence.
-type C5Row struct {
-	WillingFrac      float64 // fraction of sessions accepting degradation
-	AdmittedWith     int
-	ArrivalCount     int
-	DegradedSessions int
-}
-
 // RunC5 measures scenario-1 effectiveness through the full broker: the
 // same guaranteed arrival sequence is offered to a broker whose standing
 // controlled-load population is (or is not) willing to degrade. The paper:
 // adaptation "optimize[s] resource utilization, by increasing the number
-// of requests managed over a particular time".
-func RunC5(seed int64, willingFracs []float64) ([]C5Row, error) {
+// of requests managed over a particular time". Each willingness level is
+// one engine run (c5-willing-W), the levels in ascending order. Gate
+// c5_compensation_admits: the last (most willing) cell admits more of
+// the burst than the first.
+func RunC5(seed int64, willingFracs []float64) (*Report, error) {
 	if len(willingFracs) == 0 {
 		willingFracs = []float64{0, 0.5, 1}
 	}
-	var rows []C5Row
+	runs := map[string]*Report{}
+	name := func(frac float64) string { return fmt.Sprintf("c5-willing-%g", frac) }
 	for _, frac := range willingFracs {
-		row, err := runC5Once(seed, frac)
+		rep, err := runC5Once(seed, frac)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, *row)
+		runs[name(frac)] = rep
 	}
-	return rows, nil
+	var details []string
+	lo, hi := willingFracs[0], willingFracs[len(willingFracs)-1]
+	if a, b := runs[name(hi)].Outcome.Admitted, runs[name(lo)].Outcome.Admitted; a <= b {
+		details = append(details, fmt.Sprintf("willing %g admitted %d, not more than willing %g's %d", hi, a, lo, b))
+	}
+	return claimReport(map[string]any{"experiment": "C5", "seed": seed, "willing": willingFracs}, runs, "c5_compensation_admits", details), nil
 }
 
-func runC5Once(seed int64, willingFrac float64) (*C5Row, error) {
-	plan := paperPlan(26)
-	// C5 is not an engine run yet (ROADMAP item 14), so it starts no
-	// monitor and sweeps expiries by hand before each arrival.
-	cl, err := NewCluster(stack.Config{Plan: plan, ConfirmWindow: time.Hour})
+// burst is the C5 workload: step i moves the clock an hour and offers
+// a guaranteed arrival of 4–8 nodes holding 2 hours.
+type burst struct {
+	b     *core.Broker
+	clock *clockx.Manual
+	rng   *rand.Rand
+	out   Tally
+}
+
+func (w *burst) step(i int) {
+	w.clock.Advance(time.Hour)
+	w.out.Ops++
+	w.out.Requested++
+	now := w.clock.Now()
+	if _, err := establish(w.b, core.Request{Service: "simulation", Client: fmt.Sprintf("burst-%d", i), Class: sla.ClassGuaranteed,
+		Spec: sla.NewSpec(sla.Exact(resource.CPU, float64(4+w.rng.Intn(5)))), Start: now, End: now.Add(2 * time.Hour)}); err != nil {
+		w.out.Rejected++
+		return
+	}
+	w.out.Admitted++
+}
+
+// drain has nothing to do: the arrivals and the standing population
+// expire in the engine's drain.
+func (w *burst) drain() {}
+
+// tally files the burst's counters; the report adds the broker's
+// scenario-1 degradations over the whole run (sessions may be restored
+// by scenario 2 before the end).
+func (w *burst) tally(o *Outcome) { *o.Tally = w.out }
+
+func runC5Once(seed int64, willingFrac float64) (*Report, error) {
+	const confirm = time.Hour
+	topo, err := newTopology(topoConfig{Base: stack.Config{Plan: paperPlan(26), ConfirmWindow: confirm}})
 	if err != nil {
 		return nil, err
 	}
-	defer cl.Close()
-	b := cl.Broker
+	defer topo.close()
+	b := topo.members[0].Broker
 	rng := rand.New(rand.NewSource(seed))
 
 	// Standing population: 3 controlled-load sessions spanning the run.
 	for i := 0; i < 3; i++ {
-		req := core.Request{
-			Service: "simulation",
-			Client:  fmt.Sprintf("standing-%d", i),
-			Class:   sla.ClassControlledLoad,
-			Spec: sla.NewSpec(
-				sla.Range(resource.CPU, 2, 6),
-			),
-			Start:             Epoch,
-			End:               Epoch.Add(48 * time.Hour),
-			AcceptDegradation: rng.Float64() < willingFrac,
-		}
-		offer, err := b.RequestService(req)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.Accept(offer.SLA.ID); err != nil {
-			return nil, err
+		if _, err := establish(b, core.Request{Service: "simulation", Client: fmt.Sprintf("standing-%d", i),
+			Class: sla.ClassControlledLoad, Spec: sla.NewSpec(sla.Range(resource.CPU, 2, 6)),
+			Start: Epoch, End: Epoch.Add(48 * time.Hour), AcceptDegradation: rng.Float64() < willingFrac}); err != nil {
+			return nil, fmt.Errorf("sim: standing session %d not admitted: %w", i, err)
 		}
 	}
-
-	// A burst of guaranteed arrivals, each holding 2 hours.
-	row := &C5Row{WillingFrac: willingFrac}
-	for i := 0; i < 12; i++ {
-		cl.Clock.Advance(time.Hour)
-		b.ExpireDue()
-		row.ArrivalCount++
-		req := core.Request{
-			Service: "simulation",
-			Client:  fmt.Sprintf("burst-%d", i),
-			Class:   sla.ClassGuaranteed,
-			Spec:    sla.NewSpec(sla.Exact(resource.CPU, float64(4+rng.Intn(5)))),
-			Start:   cl.Clock.Now(),
-			End:     cl.Clock.Now().Add(2 * time.Hour),
-		}
-		offer, err := b.RequestService(req)
-		if err != nil {
-			continue
-		}
-		if err := b.Accept(offer.SLA.ID); err != nil {
-			continue
-		}
-		row.AdmittedWith++
+	w := &burst{b: b, clock: topo.clock, rng: rng}
+	e := &engine{topo: topo, work: w, steps: 12, quiesceEvery: 1, lifecycle: confirm}
+	if err := e.run(); err != nil {
+		return nil, err
 	}
-	// Scenario-1 degradations over the whole run (sessions may be restored
-	// by scenario 2 before the end): the broker's lifecycle counter, which
-	// unlike the bounded event ring never forgets.
-	row.DegradedSessions = int(cl.Obs.Counter("gqosm_broker_lifecycle_total",
-		"SLA lifecycle events by kind", "event", "degrade").Value())
-	return row, nil
+	return e.report("experiment", map[string]any{"experiment": "C5", "seed": seed, "willing": willingFrac}).Seal(), nil
 }
 
 // FormatC4 renders the C4 table.
@@ -485,16 +482,6 @@ func FormatC4(rows []C4Row) string {
 		}
 		fmt.Fprintf(&sb, "%-5d %-9s %-9.1f %-10.1f %-9.1f %-13s %.3f\n",
 			r.Services, exact, r.ProfitGreedy, r.ProfitFirstFit, r.ProfitMinimum, ratio, r.GreedyVsMinimum)
-	}
-	return sb.String()
-}
-
-// FormatC5 renders the C5 table.
-func FormatC5(rows []C5Row) string {
-	var sb strings.Builder
-	sb.WriteString("willing  admitted/arrivals  degraded sessions\n")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-8g %d/%-16d %d\n", r.WillingFrac, r.AdmittedWith, r.ArrivalCount, r.DegradedSessions)
 	}
 	return sb.String()
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"gqosm/internal/clockx"
 	"gqosm/internal/core"
 	"gqosm/internal/nrm"
 	"gqosm/internal/resource"
@@ -50,169 +51,171 @@ type E56Result struct {
 	Preemptions int
 	// Log is the broker activity transcript (the Fig. 6 console).
 	Log []string
+	// Report is the engine's verdict on the run: an oracle pass at every
+	// checkpoint, the drain and the capacity_restored gate.
+	Report *Report
 }
 
-// RunE56 replays the worked example and returns the per-checkpoint pool
-// table.
+// RunE56 replays the worked example on the engine, one checkpoint per
+// step, and returns the per-checkpoint pool table. The monitor's ticks
+// end every session: SLA_comp's first run at t1, its second at t4, the
+// network halves at t5.
 func RunE56() (*E56Result, error) {
 	plan := core.CapacityPlan{
 		Guaranteed: resource.Capacity{CPU: 15, MemoryMB: 6144, DiskGB: 120, BandwidthMbps: 700},
 		Adaptive:   resource.Capacity{CPU: 6, MemoryMB: 2048, DiskGB: 40, BandwidthMbps: 200},
 		BestEffort: resource.Capacity{CPU: 5, MemoryMB: 2048, DiskGB: 40, BandwidthMbps: 200},
 	}
-	topo, err := e56Topology()
+	net, err := e56Topology()
 	if err != nil {
 		return nil, err
 	}
-	// No monitor: the script expires SLA_comp itself at t4, and a tick at
-	// that reading would expire it first ("already expired"). The §5.6
-	// topology moves onto the engine with the rest of E56 (ROADMAP item 6).
-	cl, err := NewCluster(stack.Config{Plan: plan, Topology: topo, ConfirmWindow: time.Hour})
+	const confirm = time.Hour
+	topo, err := newTopology(topoConfig{Base: stack.Config{Plan: plan, Topology: net, ConfirmWindow: confirm}})
 	if err != nil {
 		return nil, err
 	}
-	defer cl.Close()
-	b := cl.Broker
+	defer topo.close()
+	w := &e56Script{b: topo.members[0].Broker, clock: topo.clock, res: &E56Result{NetworkOK: true}}
+	e := &engine{topo: topo, work: w, steps: len(e56Events), quiesceEvery: 1, lifecycle: confirm}
+	if err := e.run(); err != nil {
+		return nil, err
+	}
+	if w.err != nil {
+		return nil, w.err
+	}
+	w.res.Report = e.report("experiment", map[string]any{"experiment": "E56"}).Seal()
+	return w.res, nil
+}
 
-	hour := func(h int) time.Time { return Epoch.Add(time.Duration(h) * time.Hour) }
-	res := &E56Result{NetworkOK: true}
+// e56Script is the worked example as an engine workload: step i moves
+// the clock to hour i, plays checkpoint ti's events and records its row.
+type e56Script struct {
+	b     *core.Broker
+	clock *clockx.Manual
+	res   *E56Result
+	err   error    // the first failed event; later steps do nothing
+	net   []sla.ID // SLA_net1, SLA_net2
+}
 
-	establish := func(req core.Request) (sla.ID, error) {
-		offer, err := b.RequestService(req)
-		if err != nil {
-			return "", err
+// e56Events describe the checkpoints, t0 first.
+var e56Events = []string{
+	"SLA established; SLA_comp holds 10 nodes; best-effort demand 11 nodes",
+	"first run done; 4-node background SLA active; best-effort surges to 18 nodes",
+	"three C_G processors fail (C_G 15→12); SLA_comp due: 10 nodes honored from C_A",
+	"failed processors recover; best effort re-borrows idle capacity",
+	"SLA_comp validity period complete; released nodes flow back to best effort",
+	"network sub-SLAs expire; session cleared",
+}
+
+func (w *e56Script) step(i int) {
+	if w.err != nil {
+		return
+	}
+	label := fmt.Sprintf("t%d", i)
+	w.clock.Set(e56Hour(i))
+	if w.err = w.play(i); w.err != nil {
+		w.err = fmt.Errorf("%s: %w", label, w.err)
+		return
+	}
+	whole := true
+	for _, doc := range w.b.Sessions(nil) {
+		live := !doc.State.Terminal() && doc.State != sla.StateProposed
+		if live && !doc.Spec.Accepts(doc.Allocated) {
+			whole = false
 		}
-		if err := b.Accept(offer.SLA.ID); err != nil {
-			return "", err
-		}
-		return offer.SLA.ID, nil
 	}
-
-	// The composite SLA's network halves, valid the whole period.
-	net1 := core.Request{
-		Service: "simulation", Client: "site-b-db", Class: sla.ClassGuaranteed,
-		Spec:  netSpec(622, "135.200.50.101", "192.200.168.33"),
-		Start: hour(0), End: hour(5),
-	}
-	net2 := core.Request{
-		Service: "simulation", Client: "site-c-scientists", Class: sla.ClassGuaranteed,
-		Spec:  netSpec(45, "10.10.3.4", "192.200.168.33"),
-		Start: hour(0), End: hour(5),
-	}
-	net1ID, err := establish(net1)
-	if err != nil {
-		return nil, fmt.Errorf("SLA_net1: %w", err)
-	}
-	net2ID, err := establish(net2)
-	if err != nil {
-		return nil, fmt.Errorf("SLA_net2: %w", err)
-	}
-
-	// SLA_comp: the first simulation run holds 10 nodes over [t0, t1).
-	comp1, err := establish(core.Request{
-		Service: "simulation", Client: "site-a-scientists", Class: sla.ClassGuaranteed,
-		Spec:  compSpec(10),
-		Start: hour(0), End: hour(1),
+	w.res.Rows = append(w.res.Rows, E56Row{
+		Label: label, Event: e56Events[i], Pools: w.b.Allocator().Snapshot(), GuaranteedWhole: whole,
 	})
-	if err != nil {
-		return nil, fmt.Errorf("SLA_comp (first run): %w", err)
-	}
+}
 
-	// Best-effort background demand: 11 nodes at t0.
-	if err := b.BestEffortRequest("be-base", resource.Nodes(11)); err != nil {
-		return nil, fmt.Errorf("best-effort base: %w", err)
-	}
-
-	checkpoint := func(label, event string) {
-		whole := true
-		for _, doc := range b.Sessions(nil) {
-			live := !doc.State.Terminal() && doc.State != sla.StateProposed
-			if live && !doc.Spec.Accepts(doc.Allocated) {
-				whole = false
+// play runs checkpoint ti's events.
+func (w *e56Script) play(i int) error {
+	switch i {
+	case 0:
+		// The composite SLA's network halves, valid the whole period.
+		net1, err := w.guarantee("site-b-db", netSpec(622, "135.200.50.101", "192.200.168.33"), 5)
+		if err != nil {
+			return fmt.Errorf("SLA_net1: %w", err)
+		}
+		net2, err := w.guarantee("site-c-scientists", netSpec(45, "10.10.3.4", "192.200.168.33"), 5)
+		if err != nil {
+			return fmt.Errorf("SLA_net2: %w", err)
+		}
+		w.net = []sla.ID{net1, net2}
+		// SLA_comp: the first simulation run holds 10 nodes over [t0, t1).
+		if _, err := w.guarantee("site-a-scientists", compSpec(10), 1); err != nil {
+			return fmt.Errorf("SLA_comp (first run): %w", err)
+		}
+		// Best-effort background demand: 11 nodes at t0.
+		return w.b.BestEffortRequest("be-base", resource.Nodes(11))
+	case 1:
+		// The first compute run completed (the tick at t1 expired it); a
+		// 4-node guaranteed background SLA begins; best-effort demand
+		// surges to 18 ("best effort users use resources in an
+		// unpredicted pattern").
+		if _, err := w.guarantee("site-a-background", compOnlyNodes(4), 5); err != nil {
+			return fmt.Errorf("background SLA: %w", err)
+		}
+		return w.b.BestEffortRequest("be-surge", resource.Nodes(7))
+	case 2:
+		// Three guaranteed-pool processors become inaccessible AND
+		// SLA_comp is due again: 10 nodes allocated despite the failure.
+		w.res.Preemptions += len(w.b.NotifyFailure(resource.Nodes(3)))
+		if _, err := w.guarantee("site-a-scientists", compSpec(10), 4); err != nil {
+			return fmt.Errorf("SLA_comp (second run) under failure: %w", err)
+		}
+	case 3:
+		// The processors become accessible again; best effort re-grows
+		// into the recovered capacity.
+		w.b.NotifyFailure(resource.Capacity{})
+		return w.regrow("be-regrow")
+	case 4:
+		// SLA_comp completed its validity period at this tick; scenario 2
+		// returns the capacity to the grid.
+		return w.regrow("be-tail")
+	case 5:
+		// The network halves expired at this tick; they must have stayed
+		// whole until then.
+		for _, id := range w.net {
+			if doc, err := w.b.Session(id); err != nil || doc.State != sla.StateExpired {
+				w.res.NetworkOK = false
 			}
 		}
-		res.Rows = append(res.Rows, E56Row{
-			Label: label, Event: event, Pools: b.Allocator().Snapshot(), GuaranteedWhole: whole,
-		})
-	}
-
-	checkpoint("t0", "SLA established; SLA_comp holds 10 nodes; best-effort demand 11 nodes")
-
-	// t1: the first compute run completes; a 4-node guaranteed
-	// background SLA begins; best-effort demand surges to 18 ("best
-	// effort users use resources in an unpredicted pattern").
-	cl.Clock.Set(hour(1))
-	if err := b.Terminate(comp1, "first simulation run completed"); err != nil {
-		return nil, err
-	}
-	if _, err := establish(core.Request{
-		Service: "simulation", Client: "site-a-background", Class: sla.ClassGuaranteed,
-		Spec:  compOnlyNodes(4),
-		Start: hour(1), End: hour(5),
-	}); err != nil {
-		return nil, fmt.Errorf("background SLA: %w", err)
-	}
-	if err := b.BestEffortRequest("be-surge", resource.Nodes(7)); err != nil {
-		return nil, fmt.Errorf("best-effort surge: %w", err)
-	}
-	checkpoint("t1", "first run done; 4-node background SLA active; best-effort surges to 18 nodes")
-
-	// t2: three guaranteed-pool processors become inaccessible AND
-	// SLA_comp is due again: 10 nodes allocated despite the failure.
-	cl.Clock.Set(hour(2))
-	pre := b.NotifyFailure(resource.Nodes(3))
-	res.Preemptions += len(pre)
-	comp2, err := establish(core.Request{
-		Service: "simulation", Client: "site-a-scientists", Class: sla.ClassGuaranteed,
-		Spec:  compSpec(10),
-		Start: hour(2), End: hour(4),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("SLA_comp (second run) under failure: %w", err)
-	}
-	checkpoint("t2", "three C_G processors fail (C_G 15→12); SLA_comp due: 10 nodes honored from C_A")
-
-	// t3: the processors become accessible again; best effort re-grows
-	// into the recovered capacity.
-	cl.Clock.Set(hour(3))
-	b.NotifyFailure(resource.Capacity{})
-	regrow := b.Allocator().AvailableBestEffort()
-	if regrow.CPU > 0 {
-		if err := b.BestEffortRequest("be-regrow", resource.Nodes(regrow.CPU)); err != nil {
-			return nil, fmt.Errorf("best-effort regrow: %w", err)
+		for _, e := range w.b.Events() {
+			w.res.Log = append(w.res.Log, e.String())
 		}
 	}
-	checkpoint("t3", "failed processors recover; best effort re-borrows idle capacity")
+	return nil
+}
 
-	// t4: SLA_comp completes its validity period; scenario 2 returns the
-	// capacity to the grid.
-	cl.Clock.Set(hour(4))
-	if err := b.Expire(comp2); err != nil {
-		return nil, err
+// drain returns the best-effort grants; the guaranteed sessions all
+// expired by t5.
+func (w *e56Script) drain() {
+	_, grants, _ := w.b.Allocator().ExportAux()
+	for _, g := range grants {
+		_ = w.b.BestEffortRelease(g.User)
 	}
-	if avail := b.Allocator().AvailableBestEffort(); avail.CPU > 0 {
-		if err := b.BestEffortRequest("be-tail", resource.Nodes(avail.CPU)); err != nil {
-			return nil, fmt.Errorf("best-effort tail: %w", err)
-		}
-	}
-	checkpoint("t4", "SLA_comp validity period complete; released nodes flow back to best effort")
+}
 
-	// t5: the composite SLA's network halves expire; the session clears.
-	cl.Clock.Set(hour(5))
-	b.ExpireDue()
-	checkpoint("t5", "network sub-SLAs expire; session cleared")
+func (w *e56Script) tally(*Outcome) {}
 
-	// Network sub-SLAs must have stayed whole until expiry.
-	for _, id := range []sla.ID{net1ID, net2ID} {
-		doc, err := b.Session(id)
-		if err != nil || doc.State != sla.StateExpired {
-			res.NetworkOK = false
-		}
+func e56Hour(h int) time.Time { return Epoch.Add(time.Duration(h) * time.Hour) }
+
+// guarantee establishes a guaranteed SLA for client, valid from now
+// until hour end.
+func (w *e56Script) guarantee(client string, spec sla.Spec, end int) (sla.ID, error) {
+	return establish(w.b, core.Request{Service: "simulation", Client: client, Class: sla.ClassGuaranteed,
+		Spec: spec, Start: w.clock.Now(), End: e56Hour(end)})
+}
+
+// regrow grants client whatever best-effort capacity is idle.
+func (w *e56Script) regrow(client string) error {
+	if idle := w.b.Allocator().AvailableBestEffort(); idle.CPU > 0 {
+		return w.b.BestEffortRequest(client, resource.Nodes(idle.CPU))
 	}
-	for _, e := range b.Events() {
-		res.Log = append(res.Log, e.String())
-	}
-	return res, nil
+	return nil
 }
 
 // Table renders the result as the per-checkpoint pool table printed by

@@ -19,16 +19,18 @@ import (
 
 // This file is the one simulation engine. Every broker-driving harness
 // in the package — parallel stress, chaos (killed and WAL-recovered), the
-// multi-broker federation run, scenarios and soaks, the C1–C3 claim
-// replays — is a configuration of it, composed from four orthogonal
-// parts:
+// multi-broker federation run, scenarios and soaks, the §5.6 worked
+// example, the C1–C3 and C5 claim replays — is a configuration of it,
+// composed from four orthogonal parts:
 //
 //   - a workload (the application model): the stress op-mix clients
 //     (stress.go), the scenario arrival trace with its departure heap
 //     (scenario.go; C1 and C2 are traces too), the federation's sliding
-//     window (federation.go), or C3's best-effort floor (claims.go);
-//   - a topology (the resource model): one broker, optionally behind the
-//     loopback JSON listener, or N brokers federated the way aqosd -peer
+//     window (federation.go), C3's best-effort floor and C5's guaranteed
+//     burst (claims.go), or the §5.6 checkpoint script (e56.go);
+//   - a topology (the resource model): one broker, optionally with an NRM
+//     network (Base.Topology, E56's three sites) or behind the loopback
+//     JSON listener, or N brokers federated the way aqosd -peer
 //     federates them (the first member's core.Federation asks the others
 //     in order); WAL on or off. Every member runs core.Monitor at
 //     core.DefaultMonitorInterval, the management loop aqosd runs by
@@ -47,10 +49,9 @@ import (
 // number of PRNG values whatever the broker answers; under faults the
 // stress clients step serially round-robin so the injector's single PRNG
 // sees an identical call sequence on every run; and the serial clients'
-// intake is flushed once per round. Outside it stay the §5.6 script
-// (e56.go), C4 (the optimizer alone), C5's burst (claims.go, on a stack)
-// and Replay's rigid-partition reference (workload.go), the one thing the
-// broker is not.
+// intake is flushed once per round. Outside it stay C4 (the optimizer
+// alone, no broker) and Replay's rigid-partition reference (workload.go),
+// the one thing the broker is not.
 
 // workload is the application model: what the simulated clients do.
 type workload interface {

@@ -48,7 +48,8 @@ type Oracle struct {
 	// Gates are the named pass/fail verdicts beyond the violation count:
 	// capacity_restored, digests_match, parity, stable,
 	// verified, and the claims' c1_never_worse, c2_reserve_wins,
-	// c3_floor_honored. A run carries the ones it judged.
+	// c3_floor_honored, c5_compensation_admits. A run carries the ones it
+	// judged.
 	Gates map[string]bool `json:"gates"`
 }
 

@@ -164,6 +164,11 @@ func TestE56ReproducesPaperDigits(t *testing.T) {
 	if len(res.Log) == 0 {
 		t.Error("empty activity log")
 	}
+	// The engine's oracle passed every checkpoint and the drain returned
+	// the whole plan: the NRM-backed network halves included.
+	if o := res.Report.Oracle; o.Violations != 0 || o.Checks != len(res.Rows)+1 || !o.Gates["capacity_restored"] {
+		t.Errorf("oracle: %d passes, %d violations, gates %v: %v", o.Checks, o.Violations, o.Gates, o.Details)
+	}
 }
 
 // requireGate fails t unless rep's named claim gate holds and nothing
@@ -221,7 +226,7 @@ func TestC3BestEffortFloor(t *testing.T) {
 	}
 }
 
-// TestClaimDigestsPinned pins the C1–C3 reports at gridsim's default
+// TestClaimDigestsPinned pins the C1–C3 and C5 reports at gridsim's default
 // seed: a change to the broker, the scenario driver or the claim
 // workloads that moves any deterministic field moves a digest.
 func TestClaimDigestsPinned(t *testing.T) {
@@ -237,6 +242,10 @@ func TestClaimDigestsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c5, err := RunC5(2003, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		rep  *Report
@@ -245,6 +254,7 @@ func TestClaimDigestsPinned(t *testing.T) {
 		{"C1", c1, "707d1e2ce2a917c6"},
 		{"C2", c2, "bad6994d1fbff71c"},
 		{"C3", c3, "6303541b48666302"},
+		{"C5", c5, "53b738d5c5ae735e"},
 	} {
 		if tc.rep.Digest != tc.want {
 			t.Errorf("%s digest = %s, want %s", tc.name, tc.rep.Digest, tc.want)
@@ -290,20 +300,26 @@ func TestC4OptimizerBeatsBaselines(t *testing.T) {
 }
 
 func TestC5CompensationAdmitsMore(t *testing.T) {
-	rows, err := RunC5(42, []float64{0, 1})
+	rep, err := RunC5(42, []float64{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
+	requireGate(t, rep, "c5_compensation_admits")
+	none, all := rep.Runs["c5-willing-0"], rep.Runs["c5-willing-1"]
+	if none == nil || all == nil || len(rep.Runs) != 2 {
+		t.Fatalf("cells = %v, want c5-willing-0 and c5-willing-1", rep.Runs)
 	}
-	none, all := rows[0], rows[1]
-	if all.AdmittedWith <= none.AdmittedWith {
+	if all.Outcome.Admitted <= none.Outcome.Admitted {
 		t.Errorf("willing=1 admitted %d, not more than willing=0's %d",
-			all.AdmittedWith, none.AdmittedWith)
+			all.Outcome.Admitted, none.Outcome.Admitted)
 	}
-	if all.DegradedSessions == 0 {
+	if all.Outcome.Degradations == 0 {
 		t.Error("no sessions degraded despite full willingness")
+	}
+	for name, run := range rep.Runs {
+		if run.Outcome.Requested != 12 || !run.Oracle.Gates["capacity_restored"] {
+			t.Errorf("%s: %d arrivals, gates %v", name, run.Outcome.Requested, run.Oracle.Gates)
+		}
 	}
 }
 
@@ -311,10 +327,6 @@ func TestFormatters(t *testing.T) {
 	c4, _ := RunC4(1, []int{4})
 	if !strings.Contains(FormatC4(c4), "greedy") {
 		t.Error("FormatC4 malformed")
-	}
-	c5, _ := RunC5(1, []float64{1})
-	if !strings.Contains(FormatC5(c5), "admitted") {
-		t.Error("FormatC5 malformed")
 	}
 }
 
