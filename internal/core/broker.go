@@ -262,7 +262,7 @@ func NewBroker(cfg Config) (*Broker, error) {
 		if wal.HasState(cfg.Durability.Dir) {
 			return nil, fmt.Errorf("core: WAL directory %s already holds state; use Recover", cfg.Durability.Dir)
 		}
-		log, _, err := wal.Open(b.walOptions())
+		log, _, err := wal.Open(cfg.walOptions())
 		if err != nil {
 			return nil, err
 		}

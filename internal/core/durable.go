@@ -51,12 +51,13 @@ type DurabilityConfig struct {
 	SnapshotEvery int
 }
 
-// walOptions renders the WAL options for this broker's config.
-func (b *Broker) walOptions() wal.Options {
+// walOptions renders the WAL options a broker with this config opens
+// its log with: NewBroker's fresh log and Recover's replayed one.
+func (c Config) walOptions() wal.Options {
 	return wal.Options{
-		Dir:           b.cfg.Durability.Dir,
-		SnapshotEvery: b.cfg.Durability.SnapshotEvery,
-		Faults:        b.cfg.Faults,
+		Dir:           c.Durability.Dir,
+		SnapshotEvery: c.Durability.SnapshotEvery,
+		Faults:        c.Faults,
 	}
 }
 

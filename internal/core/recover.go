@@ -86,11 +86,7 @@ func Recover(cfg Config) (*Broker, *RecoverStats, error) {
 	if cfg.Durability.Dir == "" {
 		return nil, nil, errors.New("core: Recover requires Config.Durability.Dir")
 	}
-	log, load, err := wal.Open(wal.Options{
-		Dir:           cfg.Durability.Dir,
-		SnapshotEvery: cfg.Durability.SnapshotEvery,
-		Faults:        cfg.Faults,
-	})
+	log, load, err := wal.Open(cfg.walOptions())
 	if err != nil {
 		return nil, nil, err
 	}

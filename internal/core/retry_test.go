@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -95,6 +97,73 @@ func TestRetryBackoffSchedule(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRetryBackoffParksOnTheClock drives the sleep between attempts on
+// a manual clock: a call whose op keeps failing transiently parks after
+// each attempt until the clock has moved by the retry's delay (10, 20,
+// then 40 ms at Backoff 10 ms), and never wakes a moment early.
+func TestRetryBackoffParksOnTheClock(t *testing.T) {
+	clock := clockx.NewManual(t0)
+	p := RetryPolicy{Attempts: 4, Backoff: 10 * time.Millisecond}
+	b, _ := newFaultBroker(t, clock, nil, p, nil)
+	if timers := clock.PendingTimers(); timers != 0 {
+		t.Fatalf("%d timers pending before the call", timers)
+	}
+
+	var ran atomic.Int32
+	done := make(chan error, 1)
+	go func() {
+		done <- b.pol.call("test.op", func() error {
+			ran.Add(1)
+			return fmt.Errorf("%w: still down", faultx.ErrInjected)
+		})
+	}()
+	// parked waits until the call has made n attempts and armed the
+	// timer of its next sleep.
+	parked := func(n int32) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for ran.Load() != n || clock.PendingTimers() != 1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("call did not park after attempt %d (ran %d, %d timers)", n, ran.Load(), clock.PendingTimers())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for i, d := range []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond} {
+		parked(int32(i + 1))
+		clock.Advance(d - time.Millisecond)
+		select {
+		case err := <-done:
+			t.Fatalf("retry %d: call returned %v before its %v backoff elapsed", i+1, err, d)
+		default:
+		}
+		if got := ran.Load(); got != int32(i+1) {
+			t.Fatalf("retry %d: %d attempts after %v of a %v backoff", i+1, got, d-time.Millisecond, d)
+		}
+		clock.Advance(time.Millisecond)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrRMUnavailable) {
+			t.Fatalf("err = %v, want ErrRMUnavailable", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("call still parked after the third backoff")
+	}
+	if got := ran.Load(); got != 4 {
+		t.Errorf("attempts = %d, want 4", got)
+	}
+	if got := clock.Now().Sub(t0); got != 70*time.Millisecond {
+		t.Errorf("clock moved %v, want 70ms", got)
+	}
+	// The doubling stops at 16×Backoff.
+	for attempt := 5; attempt <= 8; attempt++ {
+		if d := b.pol.delay(attempt); d != 16*p.Backoff {
+			t.Errorf("delay(%d) = %v, want the 16×Backoff cap %v", attempt, d, 16*p.Backoff)
+		}
 	}
 }
 
