@@ -143,6 +143,11 @@ type Allocator struct {
 	// grant appends nextSeq+1 and nothing ever reorders the rows.
 	bestEffort []BEState
 	nextSeq    int
+	// frees counts the book changes that can make room for a grant:
+	// releases, re-grants that shrink a holding, and failed-capacity
+	// changes. It starts at 1, so a zero stamp reads "never refused"
+	// (session.refusedAt); a refused restore cannot succeed until it moves.
+	frees atomic.Uint64
 
 	// view is the atomically published read snapshot: every mutator
 	// recomputes it under mu just before unlocking, so read methods
@@ -244,6 +249,7 @@ func NewAllocator(plan CapacityPlan) (*Allocator, error) {
 		plan:       plan,
 		guaranteed: make(map[string]resource.Capacity),
 	}
+	a.frees.Store(1)
 	a.publishLocked() // no concurrency yet; publish the idle view
 	return a, nil
 }
@@ -290,6 +296,7 @@ func (a *Allocator) Restore(guaranteed map[string]resource.Capacity, offline res
 	a.offline = offline.Min(a.plan.Guaranteed).ClampMin(resource.Capacity{})
 	a.bestEffort = slices.Clone(be)
 	a.nextSeq = nextSeq
+	a.frees.Add(1)
 	a.publishLocked()
 }
 
@@ -303,6 +310,7 @@ func (a *Allocator) SetOffline(c resource.Capacity) []string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.offline = c.Min(a.plan.Guaranteed).ClampMin(resource.Capacity{})
+	a.frees.Add(1)
 	out := a.rebalanceLocked()
 	a.publishLocked()
 	return out
@@ -417,6 +425,9 @@ func (a *Allocator) allocateGuaranteedLocked(user string, requested, floor resou
 		return GrantResult{}, r
 	}
 
+	if hadPrev && res.Granted.Min(prev) != prev {
+		a.frees.Add(1) // a dimension shrank
+	}
 	a.guaranteed[user] = res.Granted
 	a.setGTotalLocked(others.add(exactOf(res.Granted)))
 	return res, nil
@@ -477,6 +488,7 @@ func (a *Allocator) ReleaseGuaranteed(user string) error {
 	}
 	delete(a.guaranteed, user)
 	a.setGTotalLocked(a.gTotal.sub(exactOf(prev)))
+	a.frees.Add(1)
 	a.publishLocked()
 	return nil
 }
@@ -518,6 +530,7 @@ func (a *Allocator) ReleaseBestEffort(user string) error {
 	if !found {
 		return fmt.Errorf("%w: best-effort %q", ErrUnknownUser, user)
 	}
+	a.frees.Add(1)
 	a.publishLocked()
 	return nil
 }

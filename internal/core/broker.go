@@ -149,8 +149,12 @@ type session struct {
 	// livePos is the session's slot in Broker.live while it is not
 	// terminal. An int32 beside the bools keeps session at 128 bytes.
 	livePos int32
-	// violations counts detected SLA violations.
-	violations int
+	// violations counts detected SLA violations; refusedAt is the
+	// allocator's frees count (low 32 bits) when scenario 2a last tried
+	// and failed to restore the session, 0 if it never did. Two 32-bit
+	// fields keep session at 128 bytes.
+	violations int32
+	refusedAt  uint32
 	// proposedAt is when the offer was made; the lifecycle oracle's
 	// stale-proposal rule checks it against the confirm window.
 	proposedAt time.Time
@@ -512,7 +516,7 @@ func (b *Broker) SessionInfos() []SessionInfo {
 			ID:         id,
 			State:      s.doc.State,
 			Degraded:   s.degraded,
-			Violations: s.violations,
+			Violations: int(s.violations),
 			Handle:     s.handle,
 			ProposedAt: s.proposedAt,
 		})

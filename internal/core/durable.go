@@ -232,7 +232,7 @@ func sessionRecord(s *session) *wal.SessionRecord {
 		Job:        string(s.job),
 		Original:   s.original,
 		Degraded:   s.degraded,
-		Violations: s.violations,
+		Violations: int(s.violations),
 		ProposedAt: s.proposedAt,
 	}
 }

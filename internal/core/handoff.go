@@ -141,7 +141,7 @@ func (b *Broker) BeginHandoff(id sla.ID, target string) (*HandoffState, error) {
 		st = &HandoffState{
 			Doc:        s.doc.Clone(),
 			Original:   s.original,
-			Violations: s.violations,
+			Violations: int(s.violations),
 			Source:     b.cfg.Domain,
 		}
 	}
@@ -292,7 +292,7 @@ func (b *Broker) ImportSession(st *HandoffState) error {
 		doc:        imported,
 		handle:     handle,
 		original:   st.Original,
-		violations: st.Violations,
+		violations: int32(st.Violations),
 	}
 	if sess.original.IsZero() {
 		sess.original = alloc

@@ -203,21 +203,7 @@ func (b *Broker) teardownIf(id sla.ID, final sla.State, reason string, pred func
 // services via the optimizer; (c) issue promotion offers to opted-in
 // services.
 func (b *Broker) afterRelease() {
-	// (a) Restore degraded sessions to their pre-degradation quality,
-	// oldest SLA first. The restore pass runs lock-free on the collected
-	// IDs.
-	var degraded []sla.ID
-	b.mu.Lock()
-	for _, s := range b.live {
-		if s.degraded {
-			degraded = append(degraded, s.doc.ID)
-		}
-	}
-	b.mu.Unlock()
-	slices.Sort(degraded)
-	for _, id := range degraded {
-		_ = b.restore(id)
-	}
+	b.restoreDegraded() // (a)
 
 	// (b) Upgrade below-best services where profitable.
 	if out, err := b.RunOptimizer(); err == nil && out.Applied {
@@ -226,6 +212,34 @@ func (b *Broker) afterRelease() {
 
 	// (c) Promotion offers for opted-in, below-best sessions.
 	b.issuePromotions()
+}
+
+// restoreDegraded is scenario 2a: it restores degraded sessions to their
+// pre-degradation quality, oldest SLA first, lock-free on the collected
+// IDs. It runs after every release, on every monitor tick and when
+// failed capacity returns. A session whose restore was refused is
+// skipped until the allocator frees capacity: before that, the answer
+// cannot change.
+func (b *Broker) restoreDegraded() {
+	frees := uint32(b.alloc.frees.Load())
+	var degraded []sla.ID
+	b.mu.Lock()
+	for _, s := range b.live {
+		if s.degraded && s.refusedAt != frees {
+			degraded = append(degraded, s.doc.ID)
+		}
+	}
+	b.mu.Unlock()
+	slices.Sort(degraded)
+	for _, id := range degraded {
+		if err := b.restore(id); errors.Is(err, errShortfall) || errors.Is(err, ErrCannotHonor) {
+			b.mu.Lock()
+			if s, ok := b.sessions[id]; ok {
+				s.refusedAt = frees
+			}
+			b.mu.Unlock()
+		}
+	}
 }
 
 // restore returns a degraded session to its original quality when
@@ -240,6 +254,7 @@ func (b *Broker) restore(id sla.ID) error {
 	}
 	target := s.original
 	b.mu.Unlock()
+	b.met.restoreAttempts.Inc()
 	_, err := b.reallocate(id, move{
 		target: target, short: keepShort, notes: qualityNotes, mark: markRecovered,
 		line:  restoredLine,

@@ -27,9 +27,11 @@ type brokerMetrics struct {
 	expired       *obs.Counter
 	terminated    *obs.Counter
 	restored      *obs.Counter
-	violations    *obs.Counter
-	failures      *obs.Counter
-	compensations *obs.Counter
+	// restoreAttempts counts scenario-2a tries, refused ones included.
+	restoreAttempts *obs.Counter
+	violations      *obs.Counter
+	failures        *obs.Counter
+	compensations   *obs.Counter
 
 	optimizerRuns    *obs.Counter
 	optimizerSolves  *obs.Counter
@@ -76,6 +78,9 @@ func newBrokerMetrics(reg *obs.Registry) brokerMetrics {
 		violations:    lifecycle("violation"),
 		failures:      lifecycle("failure"),
 		compensations: lifecycle("compensate"),
+
+		restoreAttempts: reg.Counter("gqosm_broker_restore_attempts_total",
+			"Scenario-2a restore attempts, refused ones included"),
 
 		handoffsOut:  lifecycle("handoff_out"),
 		handoffsIn:   lifecycle("handoff_in"),

@@ -10,7 +10,8 @@ import (
 // Monitor drives the broker's periodic QoS-management work (the Active
 // phase of Fig. 3): each tick it asks the NRM to check all flows (firing
 // degradation notifications), expires sessions whose validity window
-// elapsed, and runs the §5.3 optimizer ("executed periodically by the AQoS
+// elapsed, restores degraded sessions where capacity allows (scenario 2a)
+// and runs the §5.3 optimizer ("executed periodically by the AQoS
 // broker"). The paper's broker "does not constantly monitor the QoS levels
 // of the allocated resources; rather it relies on the SLA-Verif
 // component" — the tick interval is therefore coarse by default.
@@ -85,6 +86,9 @@ func (m *Monitor) tick() {
 		m.broker.cfg.NRM.CheckAll(m.clock.Now())
 	}
 	m.broker.ExpireDue()
+	// Scenario 2a before the §5.3 pass: a degraded session has the first
+	// claim on capacity that came back since the last tick.
+	m.broker.restoreDegraded()
 	_, _ = m.broker.RunOptimizer()
 	// Retry reservation cancels that exhausted their budget while an RM
 	// was down: teardown parks them, the monitor keeps sweeping.

@@ -212,7 +212,7 @@ func (b *Broker) installState(st *recoveredState) {
 			job:        gram.JobID(rec.Job),
 			original:   rec.Original,
 			degraded:   rec.Degraded,
-			violations: rec.Violations,
+			violations: int32(rec.Violations),
 			proposedAt: rec.ProposedAt,
 			// The journal cannot say whether GARA matches the document
 			// (a crash may fall between a modify and its record), so a

@@ -296,7 +296,7 @@ func (b *Broker) Violations(id sla.ID) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if s, ok := b.sessions[id]; ok {
-		return s.violations
+		return int(s.violations)
 	}
 	return 0
 }
@@ -338,6 +338,9 @@ func (b *Broker) NotifyFailure(offline resource.Capacity) []string {
 	b.journalAux("offline")
 	if offline.IsZero() {
 		b.logf("failure", "", "capacity recovered; adaptive reserve replenished")
+		// Returned capacity is scenario 2's trigger as much as a release,
+		// and the NRM has no recovery hook to say so.
+		b.restoreDegraded()
 	} else {
 		b.logf("failure", "", "capacity %v inaccessible; adaptive pool covering, %d best-effort preemption(s)",
 			offline, len(pre))

@@ -34,8 +34,9 @@ import (
 //     federates them (the first member's core.Federation asks the others
 //     in order); WAL on or off. Every member runs core.Monitor at
 //     core.DefaultMonitorInterval, the management loop aqosd runs by
-//     default, so expiry, the optimizer and parked-cancel reconciliation
-//     happen on its ticks, not where a harness chooses;
+//     default, so expiry, the scenario-2a restore pass, the optimizer
+//     and parked-cancel reconciliation happen on its ticks, not where a
+//     harness chooses;
 //   - perturbations: a seeded fault injector at a rate, and kill +
 //     core.Recover at evenly spaced steps with a pre/post state-digest
 //     compare;

@@ -78,10 +78,12 @@ type Tally struct {
 	AdmitRate  float64 `json:"admit_rate"`
 	// Degradations / Restorations / Promotions are the brokers' scenario-3,
 	// 2a and 2b lifecycle counters; Revenue their ledgers' net.
-	Degradations int64   `json:"degradations"`
-	Restorations int64   `json:"restorations"`
-	Promotions   int64   `json:"promotions"`
-	Revenue      float64 `json:"revenue"`
+	// RestoreAttempts counts the scenario-2a tries, refused ones included.
+	Degradations    int64   `json:"degradations"`
+	Restorations    int64   `json:"restorations"`
+	RestoreAttempts int64   `json:"restore_attempts"`
+	Promotions      int64   `json:"promotions"`
+	Revenue         float64 `json:"revenue"`
 	// IntakeBatchMean is submissions / flushes of the group-commit intake;
 	// 0 when the queue saw no traffic (every admission ran inline).
 	IntakeBatchMean float64 `json:"intake_batch_mean"`
@@ -209,6 +211,8 @@ func (e *engine) report(mode string, config map[string]any) *Report {
 		}
 		t.Degradations += event("degrade")
 		t.Restorations += event("restore")
+		t.RestoreAttempts += m.Obs.Counter("gqosm_broker_restore_attempts_total",
+			"Scenario-2a restore attempts, refused ones included").Value()
 		t.Promotions += event("promote")
 		t.Revenue += m.Broker.Ledger().NetRevenue()
 		submitted += m.Obs.Counter("gqosm_intake_submitted_total",

@@ -251,10 +251,10 @@ func TestClaimDigestsPinned(t *testing.T) {
 		rep  *Report
 		want string
 	}{
-		{"C1", c1, "707d1e2ce2a917c6"},
-		{"C2", c2, "bad6994d1fbff71c"},
-		{"C3", c3, "6303541b48666302"},
-		{"C5", c5, "53b738d5c5ae735e"},
+		{"C1", c1, "e603f83bfe2fbfae"},
+		{"C2", c2, "9d0fee988759c67b"},
+		{"C3", c3, "5781f0e51bec766e"},
+		{"C5", c5, "7a539d84892adcdc"},
 	} {
 		if tc.rep.Digest != tc.want {
 			t.Errorf("%s digest = %s, want %s", tc.name, tc.rep.Digest, tc.want)
