@@ -388,8 +388,7 @@ var experiments = []struct {
 	{"C2", "guarantee survival under failures: adaptive reserve vs no reserve",
 		document(func(seed int64) (*sim.Report, error) { return sim.RunC2(seed, nil) })},
 	{"C3", "best-effort minimum capacity under guaranteed saturation", document(sim.RunC3)},
-	{"C4", "optimizer profit: greedy vs exact vs first-fit vs minimum",
-		runC4},
+	{"C4", "optimizer profit: greedy vs exact vs first-fit vs minimum", runC4},
 	{"C5", "scenario-1 compensation: admissions vs willingness to degrade",
 		document(func(seed int64) (*sim.Report, error) { return sim.RunC5(seed, nil) })},
 }

@@ -338,8 +338,7 @@ func (b *Broker) NotifyFailure(offline resource.Capacity) []string {
 	b.journalAux("offline")
 	if offline.IsZero() {
 		b.logf("failure", "", "capacity recovered; adaptive reserve replenished")
-		// Returned capacity is scenario 2's trigger as much as a release,
-		// and the NRM has no recovery hook to say so.
+		// Returned capacity is scenario 2's trigger as much as a release.
 		b.restoreDegraded()
 	} else {
 		b.logf("failure", "", "capacity %v inaccessible; adaptive pool covering, %d best-effort preemption(s)",
