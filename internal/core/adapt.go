@@ -126,6 +126,16 @@ type GrantResult struct {
 // dynamic-borrowing policy ("the extra reserved capacity is used by 'best
 // effort' users as long as it is not needed by 'guaranteed' users"). It is
 // safe for concurrent use.
+//
+// Every method that reads the book takes mu, the advisory reads too
+// (Snapshot, Utilization, LoadFactor, AvailableGuaranteed,
+// AvailableBestEffort, Coverage, Offline): each computes only its own
+// answer from the same locked helpers admission uses — the exact
+// guaranteed total and the ordered best-effort sum — so it returns
+// bit-identical results to what an admission at that instant sees (the
+// post-drain exact-equality checks depend on this). Their callers
+// (front-tier load reports, quality pre-clamping, metric gauges) act on
+// a value admission re-validates under the lock.
 type Allocator struct {
 	plan CapacityPlan
 
@@ -148,96 +158,6 @@ type Allocator struct {
 	// changes. It starts at 1, so a zero stamp reads "never refused"
 	// (session.refusedAt); a refused restore cannot succeed until it moves.
 	frees atomic.Uint64
-
-	// view is the atomically published read snapshot: every mutator
-	// recomputes it under mu just before unlocking, so read methods
-	// (Snapshot, Utilization, LoadFactor, AvailableGuaranteed,
-	// AvailableBestEffort, Coverage, Offline) serve
-	// lock-free without ever contending with admissions. The values are
-	// computed by the same locked helpers the admission path uses, from
-	// the exact guaranteed total and the ordered best-effort sum, so a
-	// happens-after read returns bit-identical results to the locked
-	// path (the post-drain exact-equality checks depend on this).
-	//
-	// Admission decisions themselves (AllocateGuaranteed and friends)
-	// still read the authoritative state under mu; the view only feeds
-	// advisory reads — front-tier load reports, quality pre-clamping,
-	// metric gauges — whose outcomes admission re-validates under the lock.
-	view atomic.Pointer[allocView]
-}
-
-// allocView is one immutable published snapshot of every derived
-// read-side quantity. [3]PoolUsage keeps the whole view in a single
-// allocation.
-type allocView struct {
-	pools       [3]PoolUsage // G, A, B — the Snapshot() rows
-	utilization resource.Capacity
-	loadFactor  float64
-	availG      resource.Capacity
-	availBE     resource.Capacity
-	coverage    resource.Capacity
-	offline     resource.Capacity
-}
-
-// publishLocked recomputes and atomically publishes the read view.
-// Callers must hold a.mu; every mutating operation calls it after its
-// last state change so the published view is never stale with respect
-// to a happens-after reader.
-func (a *Allocator) publishLocked() {
-	v := &allocView{offline: a.offline}
-
-	gEff := a.effectiveGLocked()
-	gDemand := a.gDemandLocked()
-	bound := a.gBoundLocked()
-	be := a.beUsedLocked()
-
-	// Snapshot rows (see Snapshot for the accounting rule).
-	gInG := gDemand.Min(gEff)
-	gInA := a.adaptiveUsedLocked()
-	beInB := be.Min(a.plan.BestEffort)
-	rem := be.Sub(beInB).ClampMin(resource.Capacity{})
-	freeG := gEff.Sub(gInG).ClampMin(resource.Capacity{})
-	beInG := rem.Min(freeG)
-	beInA := rem.Sub(beInG).ClampMin(resource.Capacity{})
-	v.pools = [3]PoolUsage{
-		{Pool: "G", Capacity: a.plan.Guaranteed, Offline: a.offline, Guaranteed: gInG, BestEffort: beInG},
-		{Pool: "A", Capacity: a.plan.Adaptive, Guaranteed: gInA, BestEffort: beInA},
-		{Pool: "B", Capacity: a.plan.BestEffort, BestEffort: beInB},
-	}
-
-	// Utilization: used / online per dimension.
-	online := a.plan.Total().Sub(a.offline)
-	used := gDemand.Add(be)
-	for _, k := range resource.Kinds {
-		if online.Get(k) > resource.Epsilon {
-			v.utilization = v.utilization.With(k, used.Get(k)/online.Get(k))
-		}
-	}
-
-	// Load factor: max over dimensions of demand / bound.
-	for _, k := range resource.Kinds {
-		if bk := bound.Get(k); bk > resource.Epsilon {
-			if f := gDemand.Get(k) / bk; f > v.loadFactor {
-				v.loadFactor = f
-			}
-		}
-	}
-
-	v.availG = bound.Sub(gDemand).ClampMin(resource.Capacity{})
-	v.availBE = a.beAvailableLocked().Sub(be).ClampMin(resource.Capacity{})
-
-	// Coverage: min(1, deliverable / demand) per dimension.
-	deliverable := gEff.Add(a.plan.Adaptive)
-	v.coverage = resource.Capacity{CPU: 1, MemoryMB: 1, DiskGB: 1, BandwidthMbps: 1}
-	for _, k := range resource.Kinds {
-		if d := gDemand.Get(k); d > resource.Epsilon {
-			if ratio := deliverable.Get(k) / d; ratio < 1 {
-				v.coverage = v.coverage.With(k, ratio)
-			}
-		}
-	}
-
-	a.view.Store(v)
 }
 
 // NewAllocator returns an allocator over the given plan.
@@ -250,7 +170,6 @@ func NewAllocator(plan CapacityPlan) (*Allocator, error) {
 		guaranteed: make(map[string]resource.Capacity),
 	}
 	a.frees.Store(1)
-	a.publishLocked() // no concurrency yet; publish the idle view
 	return a, nil
 }
 
@@ -277,12 +196,11 @@ func (a *Allocator) ExportAux() (offline resource.Capacity, be []BEState, nextSe
 	return a.offline, be, a.nextSeq
 }
 
-// Restore overwrites the allocator's full state from recovered data and
-// republishes the read view. The guaranteed map comes from the replayed
-// session documents; the auxiliary state from the latest journaled
-// ExportAux image. No feasibility re-check happens here — the
-// recovered state was feasible when journaled, and the invariant oracle
-// re-verifies after recovery.
+// Restore overwrites the allocator's full state from recovered data. The
+// guaranteed map comes from the replayed session documents; the auxiliary
+// state from the latest journaled ExportAux image. No feasibility re-check
+// happens here — the recovered state was feasible when journaled, and the
+// invariant oracle re-verifies after recovery.
 func (a *Allocator) Restore(guaranteed map[string]resource.Capacity, offline resource.Capacity, be []BEState, nextSeq int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -297,7 +215,6 @@ func (a *Allocator) Restore(guaranteed map[string]resource.Capacity, offline res
 	a.bestEffort = slices.Clone(be)
 	a.nextSeq = nextSeq
 	a.frees.Add(1)
-	a.publishLocked()
 }
 
 // SetOffline marks capacity as failed/inaccessible (the §5.6 t2 event).
@@ -311,14 +228,14 @@ func (a *Allocator) SetOffline(c resource.Capacity) []string {
 	defer a.mu.Unlock()
 	a.offline = c.Min(a.plan.Guaranteed).ClampMin(resource.Capacity{})
 	a.frees.Add(1)
-	out := a.rebalanceLocked()
-	a.publishLocked()
-	return out
+	return a.rebalanceLocked()
 }
 
 // Offline returns the currently failed capacity.
 func (a *Allocator) Offline() resource.Capacity {
-	return a.view.Load().offline
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.offline
 }
 
 // effectiveG returns C_G minus failed capacity.
@@ -390,8 +307,8 @@ func (a *Allocator) AllocateGuaranteed(user string, requested, floor resource.Ca
 
 // allocateGuaranteedLocked is the Algorithm-1 admission core of
 // AllocateGuaranteedBatch. The caller holds a.mu and is responsible for
-// running rebalanceLocked + publishLocked after grant(s) that changed the
-// book — that is exactly what a batch amortizes.
+// running rebalanceLocked after grant(s) that changed the book — that is
+// exactly what a batch amortizes.
 func (a *Allocator) allocateGuaranteedLocked(user string, requested, floor resource.Capacity) (GrantResult, error) {
 	prev, hadPrev := a.guaranteed[user]
 	// others is everyone else's demand, exactly; base rounds it once.
@@ -448,12 +365,11 @@ type GuaranteedAsk struct {
 // section — the group-commit admission pass. Each ask receives exactly
 // the grant a sequence of individual AllocateGuaranteed calls would
 // have produced (the book updates between members), but the
-// per-admission lock acquisition, best-effort rebalance and read-view
-// publication are paid once per batch instead of once per request.
-// Each ask's Grant / Err report its outcome; failed members
-// (ErrCannotHonor, validation) leave the book untouched, and so does a
-// re-grant of the amount a user already holds: when no member changed
-// the book, the published view stays the same pointer.
+// per-admission lock acquisition and best-effort rebalance are paid once
+// per batch instead of once per request. Each ask's Grant / Err report
+// its outcome; failed members (ErrCannotHonor, validation) leave the book
+// untouched, and so does a re-grant of the amount a user already holds:
+// when no member changed the book, the batch does not rebalance.
 func (a *Allocator) AllocateGuaranteedBatch(asks []GuaranteedAsk) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -473,7 +389,6 @@ func (a *Allocator) AllocateGuaranteedBatch(asks []GuaranteedAsk) {
 	}
 	if changed {
 		a.rebalanceLocked()
-		a.publishLocked()
 	}
 }
 
@@ -489,7 +404,6 @@ func (a *Allocator) ReleaseGuaranteed(user string) error {
 	delete(a.guaranteed, user)
 	a.setGTotalLocked(a.gTotal.sub(exactOf(prev)))
 	a.frees.Add(1)
-	a.publishLocked()
 	return nil
 }
 
@@ -509,7 +423,6 @@ func (a *Allocator) AllocateBestEffort(user string, requested resource.Capacity)
 	}
 	a.nextSeq++
 	a.bestEffort = append(a.bestEffort, BEState{User: user, Granted: requested, Seq: a.nextSeq})
-	a.publishLocked()
 	return nil
 }
 
@@ -531,7 +444,6 @@ func (a *Allocator) ReleaseBestEffort(user string) error {
 		return fmt.Errorf("%w: best-effort %q", ErrUnknownUser, user)
 	}
 	a.frees.Add(1)
-	a.publishLocked()
 	return nil
 }
 
@@ -582,16 +494,38 @@ func (u PoolUsage) Free() resource.Capacity {
 // per-pool g/b rows of the §5.6 measurement list: at t0, best-effort
 // demand of 11 shows as 5 in B, 5 in idle G, 1 in A).
 func (a *Allocator) Snapshot() []PoolUsage {
-	v := a.view.Load()
-	out := make([]PoolUsage, len(v.pools))
-	copy(out, v.pools[:])
-	return out
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	gEff := a.effectiveGLocked()
+	gInG := a.gDemandLocked().Min(gEff)
+	gInA := a.adaptiveUsedLocked()
+	be := a.beUsedLocked()
+	beInB := be.Min(a.plan.BestEffort)
+	rem := be.Sub(beInB).ClampMin(resource.Capacity{})
+	freeG := gEff.Sub(gInG).ClampMin(resource.Capacity{})
+	beInG := rem.Min(freeG)
+	beInA := rem.Sub(beInG).ClampMin(resource.Capacity{})
+	return []PoolUsage{
+		{Pool: "G", Capacity: a.plan.Guaranteed, Offline: a.offline, Guaranteed: gInG, BestEffort: beInG},
+		{Pool: "A", Capacity: a.plan.Adaptive, Guaranteed: gInA, BestEffort: beInA},
+		{Pool: "B", Capacity: a.plan.BestEffort, BestEffort: beInB},
+	}
 }
 
 // Utilization returns total allocated capacity divided by online capacity,
 // per dimension (dimensions with zero capacity report zero).
 func (a *Allocator) Utilization() resource.Capacity {
-	return a.view.Load().utilization
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	online := a.plan.Total().Sub(a.offline)
+	used := a.gDemandLocked().Add(a.beUsedLocked())
+	var u resource.Capacity
+	for _, k := range resource.Kinds {
+		if online.Get(k) > resource.Epsilon {
+			u = u.With(k, used.Get(k)/online.Get(k))
+		}
+	}
+	return u
 }
 
 // GuaranteedAllocation returns the current grant for a guaranteed user.
@@ -606,7 +540,9 @@ func (a *Allocator) GuaranteedAllocation(user string) (resource.Capacity, bool) 
 // demand — the Available_Guaranteed_Resource check against the admission
 // bound (see gBoundLocked).
 func (a *Allocator) AvailableGuaranteed() resource.Capacity {
-	return a.view.Load().availG
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.gBoundLocked().Sub(a.gDemandLocked()).ClampMin(resource.Capacity{})
 }
 
 // LoadFactor reports how full the guaranteed partition is: the maximum
@@ -614,12 +550,25 @@ func (a *Allocator) AvailableGuaranteed() resource.Capacity {
 // allocator and ≥ 1 when some dimension is saturated. The broker's load
 // report carries it to the front tier.
 func (a *Allocator) LoadFactor() float64 {
-	return a.view.Load().loadFactor
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	bound, demand := a.gBoundLocked(), a.gDemandLocked()
+	var f float64
+	for _, k := range resource.Kinds {
+		if bk := bound.Get(k); bk > resource.Epsilon {
+			if fk := demand.Get(k) / bk; fk > f {
+				f = fk
+			}
+		}
+	}
+	return f
 }
 
 // AvailableBestEffort reports the headroom for new best-effort demand.
 func (a *Allocator) AvailableBestEffort() resource.Capacity {
-	return a.view.Load().availBE
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.beAvailableLocked().Sub(a.beUsedLocked()).ClampMin(resource.Capacity{})
 }
 
 // Coverage returns, per dimension, the fraction of granted guaranteed
@@ -629,7 +578,19 @@ func (a *Allocator) AvailableBestEffort() resource.Capacity {
 // can absorb — the condition SLA-Verif reports as measured QoS below the
 // agreed level.
 func (a *Allocator) Coverage() resource.Capacity {
-	return a.view.Load().coverage
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	deliverable := a.effectiveGLocked().Add(a.plan.Adaptive)
+	demand := a.gDemandLocked()
+	c := resource.Capacity{CPU: 1, MemoryMB: 1, DiskGB: 1, BandwidthMbps: 1}
+	for _, k := range resource.Kinds {
+		if d := demand.Get(k); d > resource.Epsilon {
+			if ratio := deliverable.Get(k) / d; ratio < 1 {
+				c = c.With(k, ratio)
+			}
+		}
+	}
+	return c
 }
 
 // GuaranteedUsers returns the guaranteed users sorted by name.

@@ -183,11 +183,11 @@ func TestReallocateReplacesGrant(t *testing.T) {
 	}
 }
 
-// TestUnchangedGrantKeepsView: a re-grant of the amount a user already
-// holds (here the floor, with the pool full) leaves the book as it was, so
-// the published read view stays the same pointer; a changed grant, or a
-// new user, publishes a fresh one.
-func TestUnchangedGrantKeepsView(t *testing.T) {
+// TestUnchangedGrantKeepsBook: a re-grant of the amount a user already
+// holds (here the floor, with the pool full) leaves the book as it was:
+// the grant, the headroom, the pool rows and the frees count read as
+// before. A changed grant, or a new user, moves the headroom.
+func TestUnchangedGrantKeepsBook(t *testing.T) {
 	a := newPaperAllocator(t)
 	if _, err := a.AllocateGuaranteed("u", resource.Nodes(4), resource.Nodes(4)); err != nil {
 		t.Fatal(err)
@@ -195,26 +195,37 @@ func TestUnchangedGrantKeepsView(t *testing.T) {
 	if _, err := a.AllocateGuaranteed("full", resource.Nodes(11), resource.Nodes(11)); err != nil {
 		t.Fatal(err)
 	}
-	v := a.view.Load()
+	if err := a.AllocateBestEffort("be", resource.Nodes(3)); err != nil {
+		t.Fatal(err)
+	}
+	headroom, pools, frees := a.AvailableGuaranteed(), a.Snapshot(), a.frees.Load()
 	grant, err := a.AllocateGuaranteed("u", resource.Nodes(8), resource.Nodes(4))
 	if err != nil || !grant.Granted.Equal(resource.Nodes(4)) {
 		t.Fatalf("re-grant = %+v, %v; want the held floor of 4", grant, err)
 	}
-	if a.view.Load() != v {
-		t.Error("an unchanged grant republished the read view")
+	if held, _ := a.GuaranteedAllocation("u"); !held.Equal(resource.Nodes(4)) {
+		t.Errorf("an unchanged grant left u holding %v, want 4", held)
+	}
+	if got := a.AvailableGuaranteed(); !got.Equal(headroom) {
+		t.Errorf("an unchanged grant moved the headroom from %v to %v", headroom, got)
+	}
+	if got := a.Snapshot(); !slices.Equal(got, pools) {
+		t.Errorf("an unchanged grant moved the pool rows from %+v to %+v", pools, got)
+	}
+	if got := a.frees.Load(); got != frees {
+		t.Errorf("an unchanged grant moved frees from %d to %d", frees, got)
 	}
 	if _, err := a.AllocateGuaranteed("u", resource.Nodes(3), resource.Nodes(3)); err != nil {
 		t.Fatal(err)
 	}
-	if w := a.view.Load(); w == v || !w.availG.Equal(resource.Nodes(1)) {
-		t.Errorf("a changed grant kept the old view (headroom %v, want 1)", w.availG)
+	if got := a.AvailableGuaranteed(); !got.Equal(resource.Nodes(1)) {
+		t.Errorf("a changed grant reads headroom %v, want 1", got)
 	}
-	v = a.view.Load()
 	if _, err := a.AllocateGuaranteed("new", resource.Nodes(1), resource.Nodes(1)); err != nil {
 		t.Fatal(err)
 	}
-	if a.view.Load() == v {
-		t.Error("a new user's grant kept the old view")
+	if got := a.AvailableGuaranteed(); !got.IsZero() {
+		t.Errorf("a new user's grant reads headroom %v, want 0", got)
 	}
 }
 
@@ -700,7 +711,7 @@ func TestPaperPartitionGrant(t *testing.T) {
 	}
 }
 
-// TestAdvisoryReadsUsePaperBound holds the published reads to the rule
+// TestAdvisoryReadsUsePaperBound holds the advisory reads to the rule
 // admission applies: an ask of exactly AvailableGuaranteed is granted in
 // full, the read then says zero and LoadFactor 1, and the next exact ask
 // is refused — with and without failed capacity. Compensation's stop

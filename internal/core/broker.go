@@ -391,8 +391,8 @@ type LoadReport struct {
 	Recovering bool `json:"recovering,omitempty" xml:"Recovering,omitempty"`
 }
 
-// LoadReport snapshots the broker's load. It reads only the allocator's
-// published view and the session count, so a poll costs one lock.
+// LoadReport snapshots the broker's load: the session count under b.mu,
+// then the allocator's load factor under its own lock, one lock at a time.
 func (b *Broker) LoadReport() LoadReport {
 	b.mu.Lock()
 	n := len(b.sessions)

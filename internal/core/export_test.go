@@ -53,12 +53,17 @@ func (b *Broker) CheckOptimizerNoop() error {
 // ErrShortfall is what a restore granted only its floor returns.
 var ErrShortfall = errShortfall
 
-// BehindReads runs f, then republishes the read view from before it: the
-// advisory reads lag the book the way they do for a caller that read them
-// just before f ran on another goroutine. The next mutation publishes a
-// fresh view.
-func (a *Allocator) BehindReads(f func()) {
-	v := a.view.Load()
-	f()
-	a.view.Store(v)
+// RunOptimizerAcross runs one §5.3 pass as RunOptimizer does, with
+// between called after its solve and before its apply: the pool moves
+// under a pass that has already decided, the way a failure or an
+// admission on another goroutine moves it.
+func (b *Broker) RunOptimizerAcross(between func()) (OptimizeOutcome, error) {
+	w := optPool.Get().(*optWorkspace)
+	defer w.release()
+	out, apply, err := b.solveOptimizer(w)
+	between()
+	if apply {
+		out = b.applyOptimizer(w, out)
+	}
+	return out, err
 }

@@ -1,13 +1,14 @@
 package core
 
 // Hot-path tests and benchmarks: discovery (Find as its oracle, registry
-// churn, untyped adverts, no allocation), the lock-free allocator view,
+// churn, untyped adverts, no allocation), the allocator's advisory reads,
 // Events() snapshot reuse, and the deterministic allocation gates that
 // keep the admission path lean.
 
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -336,10 +337,9 @@ func TestDiscoverUntypedAdvertRefused(t *testing.T) {
 }
 
 // TestAllocatorViewConsistency replays a mutation sequence and, after
-// every step, recomputes each published read value from the
-// authoritative locked state. The two must match exactly — the view is
-// computed by the same locked helpers, from the same exact guaranteed
-// total, not approximated.
+// every step, recomputes each advisory read from the authoritative locked
+// state. The two must match exactly — each read is computed by the same
+// locked helpers, from the same exact guaranteed total, not approximated.
 func TestAllocatorViewConsistency(t *testing.T) {
 	plan := CapacityPlan{
 		Guaranteed: resource.Capacity{CPU: 15, MemoryMB: 6144, DiskGB: 120, BandwidthMbps: 700},
@@ -438,6 +438,79 @@ func TestAllocatorViewConsistency(t *testing.T) {
 	check("after drain")
 	if !a.Utilization().IsZero() {
 		t.Errorf("drained allocator utilization = %v, want zero", a.Utilization())
+	}
+}
+
+// TestAllocatorReadsDuringLifecycle polls the advisory reads — the load
+// report, Snapshot, Coverage, AvailableGuaranteed, AvailableBestEffort
+// and the /metrics pool gauges built on Snapshot — while sessions are
+// requested, accepted and terminated and failed capacity comes and goes.
+// Every read takes the allocator's lock: under -race this holds them to
+// it, and a read reached while that lock is already held deadlocks here.
+func TestAllocatorReadsDuringLifecycle(t *testing.T) {
+	clock := clockx.NewManual(t0)
+	reg := registry.New(clock)
+	if _, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-a", Properties: simulationProps()}); err != nil {
+		t.Fatal(err)
+	}
+	b := miniBroker(t, clock, reg)
+	a := b.Allocator()
+	establish, guaranteed, controlled := allocGatePopulation(t, b)
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	stopReaders := sync.OnceFunc(func() { close(stop); readers.Wait() })
+	defer stopReaders()
+	for _, read := range []func(){
+		func() { _ = b.LoadReport() },
+		func() { _, _ = a.Snapshot(), a.Coverage() },
+		func() { _, _ = a.AvailableGuaranteed(), a.AvailableBestEffort() },
+		func() {
+			if err := b.Obs().WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+			}
+		},
+	} {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					read()
+				}
+			}
+		}()
+	}
+
+	for i := range 200 {
+		req := guaranteed
+		if i%2 == 1 {
+			req = controlled
+		}
+		id := establish(req)
+		if i%10 == 0 {
+			b.NotifyFailure(resource.Capacity{CPU: float64(i % 30)})
+		}
+		if err := b.Terminate(id, "done"); err != nil {
+			t.Fatal(err)
+		}
+		clock.Advance(time.Second)
+	}
+	b.NotifyFailure(resource.Capacity{})
+	stopReaders()
+
+	plan := a.Plan()
+	if got := a.AvailableGuaranteed(); !got.Equal(plan.Guaranteed) {
+		t.Errorf("drained AvailableGuaranteed = %v, want C_G %v", got, plan.Guaranteed)
+	}
+	if got := a.AvailableBestEffort(); !got.Equal(plan.Total()) {
+		t.Errorf("drained AvailableBestEffort = %v, want R %v", got, plan.Total())
+	}
+	if got := b.LoadReport().Load; got != 0 {
+		t.Errorf("drained load factor = %v, want 0", got)
 	}
 }
 
@@ -626,7 +699,7 @@ func TestTerminateAllocGate(t *testing.T) {
 	b := miniBroker(t, clock, reg)
 	establish, guaranteed, controlled := allocGatePopulation(t, b)
 
-	const runs, gate = 20, 6 // measured 4 (go1.24); 5 while the clearing line went through fmt, 54 with per-pass clones, 3207 with the old Greedy
+	const runs, gate = 20, 5 // measured 3 (go1.24); 4 while every release published the allocator's read view, 5 while the clearing line went through fmt, 54 with per-pass clones, 3207 with the old Greedy
 	for i := 0; i < 16; i++ {
 		establish(controlled)
 	}
@@ -679,7 +752,7 @@ func TestLifecycleAllocGate(t *testing.T) {
 		establish(guaranteed)
 	}
 
-	const gate = 46 // measured 42 (go1.24); 49 while the job RSL carried the SLA ID, 63 while the activity-log lines went through fmt, 89 while the IDs and RSL did too
+	const gate = 44 // measured 40 (go1.24); 42 while every grant and release published the allocator's read view, 49 while the job RSL carried the SLA ID, 63 while the activity-log lines went through fmt, 89 while the IDs and RSL did too
 	allocs := testing.AllocsPerRun(50, func() {
 		id := establish(guaranteed)
 		if _, err := b.Invoke(id); err != nil {
@@ -807,7 +880,7 @@ func TestDegradeRestoreAllocGate(t *testing.T) {
 		establish(guaranteed)
 	}
 
-	const gate = 12 // measured 10 (go1.24); 18 while the move line went through fmt, 30 while Capacity.String did too
+	const gate = 10 // measured 8 (go1.24); 10 while every grant published the allocator's read view, 18 while the move line went through fmt, 30 while Capacity.String did too
 	allocs := testing.AllocsPerRun(50, func() {
 		if err := b.degradeToFloor(id); err != nil {
 			t.Fatal(err)
@@ -829,7 +902,7 @@ func TestDegradeRestoreAllocGate(t *testing.T) {
 // capacity is short: a degraded session is asked back up, Algorithm 1
 // hands it the floor it already holds, and the move is not made. That
 // changes nothing, so it allocates nothing — no RSL, no RM call, no
-// journal record, no read-view republish.
+// journal record, no rebalance.
 func TestNoopRestoreAllocGate(t *testing.T) {
 	if RaceEnabled() {
 		t.Skip("allocation counts are not exact under -race")

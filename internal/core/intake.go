@@ -8,8 +8,7 @@ package core
 // issue order, GARA reservation, per-session confirm timers, per-session
 // WAL records — so a batch of one produces byte-identical broker state to
 // a batch of eight; what a larger batch buys is that the lock
-// acquisitions, the allocator rebalance + view publication, the
-// activity-log render and the WAL fsync are paid once per BATCH.
+// acquisitions, the allocator rebalance, the activity-log render and the WAL fsync are paid once per BATCH.
 //
 // Flush discipline. Flushes are driven three ways, none by a timer: (1) a
 // queue reaching MaxBatch is flushed inline by the submitter that filled

@@ -631,26 +631,39 @@ type OptimizeOutcome struct {
 // nothing (optimizerInput) only counts them.
 func (b *Broker) RunOptimizer() (OptimizeOutcome, error) {
 	defer b.debugCheck("optimize")
-	b.met.optimizerRuns.Inc()
 	w := optPool.Get().(*optWorkspace)
 	defer w.release()
-	noop := b.optimizerInput(w)
+	out, apply, err := b.solveOptimizer(w)
+	if apply {
+		out = b.applyOptimizer(w, out)
+	}
+	return out, err
+}
 
-	out := OptimizeOutcome{Considered: len(w.services)}
+// solveOptimizer is the decision half of a §5.3 pass: it fills w with the
+// input and, unless the input proves the solve can apply nothing, solves
+// it into w.assign. apply reports that the assignment clears the gain
+// threshold and is to be applied.
+func (b *Broker) solveOptimizer(w *optWorkspace) (out OptimizeOutcome, apply bool, err error) {
+	b.met.optimizerRuns.Inc()
+	noop := b.optimizerInput(w)
+	out.Considered = len(w.services)
 	if noop || len(w.services) == 0 {
-		return out, nil
+		return out, false, nil
 	}
 	b.met.optimizerSolves.Inc()
 
 	problem := b.optimizerProblem(w)
 	if err := w.greedy(problem); err != nil {
-		return OptimizeOutcome{}, err
+		return OptimizeOutcome{}, false, err
 	}
 	out.Gain = problem.profit(w.assign) - problem.profit(w.held)
-	if out.Gain < b.cfg.MinOptimizerGain {
-		return out, nil
-	}
+	return out, out.Gain >= b.cfg.MinOptimizerGain, nil
+}
 
+// applyOptimizer is the acting half of a §5.3 pass: it moves each of w's
+// services to its solved assignment and counts the moves in out.
+func (b *Broker) applyOptimizer(w *optWorkspace, out OptimizeOutcome) OptimizeOutcome {
 	// The assignment fits the pool jointly, but it is applied one
 	// session at a time: an upgrade applied before the downsizes that
 	// fund it transiently over-demands the pool and collapses to a
@@ -683,7 +696,7 @@ func (b *Broker) RunOptimizer() (OptimizeOutcome, error) {
 		b.logf("optimize", "", "reallocated %d/%d controlled-load sessions, profit gain %.2f",
 			out.Changed, out.Considered, out.Gain)
 	}
-	return out, nil
+	return out
 }
 
 // optimizerInput fills w with the §5.3 pass's services — the live

@@ -108,9 +108,9 @@ func newBrokerMetrics(reg *obs.Registry) brokerMetrics {
 }
 
 // registerGauges mounts the scrape-time callback gauges: per-partition
-// utilization straight off the Algorithm-1 allocator's published view,
-// and session counts by SLA state. Callbacks take b.mu only at scrape
-// time, so the hot path pays nothing.
+// utilization from the Algorithm-1 allocator's Snapshot, and session
+// counts by SLA state. Callbacks take the allocator's lock or b.mu only
+// at scrape time, so the hot path pays nothing.
 func (b *Broker) registerGauges(reg *obs.Registry) {
 	for poolIdx, pool := range []string{"guaranteed", "adaptive", "besteffort"} {
 		for _, kind := range resource.Kinds {

@@ -225,7 +225,7 @@ func (b *Broker) negotiate(batch []*admission) {
 	}
 
 	// Stage 2 — one Algorithm-1 pass for the whole batch: one allocator
-	// critical section, one rebalance, one view publication.
+	// critical section, one rebalance.
 	b.alloc.AllocateGuaranteedBatch(asks)
 	var refused []*admission
 	granted := priced[:0]
@@ -257,8 +257,8 @@ func (b *Broker) negotiate(batch []*admission) {
 
 // quote chooses m's proposed quality and prices it: guaranteed gets the
 // exact request; controlled-load gets the best level the allocator's
-// published headroom carries (an advisory view — the allocator
-// re-validates under its lock), never below the floor, in which case
+// headroom carries (an advisory read — the grant re-validates it under
+// the allocator's lock), never below the floor, in which case
 // admission relies on scenario-1 compensation. A price over budget
 // degrades controlled-load toward the floor and refuses otherwise.
 func (b *Broker) quote(m *admission) error {

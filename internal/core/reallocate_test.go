@@ -266,11 +266,12 @@ type reallocMove struct {
 	from, to float64
 	// onShort: "follow" (made at the floor), "keep" (document follows,
 	// move not made), "refuse" (walked back), "" (the target is the
-	// floor: no shortfall exists). bound is the squeeze that causes one,
-	// unless short causes it some other way.
+	// floor: no shortfall exists). bound is the squeeze that causes one
+	// before run, unless short makes the move and causes it some other
+	// way.
 	onShort           string
 	bound             float64
-	short             func(s *scene)
+	short             func(s *scene) error
 	degraded, becomes bool
 	state, reaches    sla.State
 }
@@ -313,9 +314,11 @@ var reallocMoves = []reallocMove{
 	{
 		name: "optimizer", scene: outbid, from: 8, to: 4, onShort: "follow", silent: true,
 		// A downsize asks for capacity it already holds, so it falls short
-		// only when a failure lands between the solve and the grant: the
-		// solve reads the headroom from before the squeeze.
-		short: func(s *scene) { s.b.Allocator().BehindReads(func() { s.squeeze(5) }) },
+		// only when a failure lands between the solve and the grant.
+		short: func(s *scene) error {
+			_, err := s.b.RunOptimizerAcross(func() { s.squeeze(5) })
+			return err
+		},
 		run: func(s *scene) error {
 			_, err := s.b.RunOptimizer()
 			return err
@@ -472,12 +475,13 @@ func TestReallocateMatrix(t *testing.T) {
 				t.Skip("the move's target is the floor: a shortfall cannot occur")
 			}
 			s := m.start(t)
+			var err error
 			if m.short != nil {
-				m.short(s)
+				err = m.short(s)
 			} else {
 				s.squeeze(m.bound)
+				err = m.run(s)
 			}
-			err := m.run(s)
 			switch m.onShort {
 			case "follow":
 				m.expect(s, err, true, 2)
