@@ -496,6 +496,19 @@ func (u PoolUsage) Free() resource.Capacity {
 func (a *Allocator) Snapshot() []PoolUsage {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	pools := a.poolsLocked()
+	return pools[:]
+}
+
+// pool returns row i (G, A, B) of Snapshot without allocating.
+func (a *Allocator) pool(i int) PoolUsage {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.poolsLocked()[i]
+}
+
+// poolsLocked computes Snapshot's three rows; the caller holds a.mu.
+func (a *Allocator) poolsLocked() [3]PoolUsage {
 	gEff := a.effectiveGLocked()
 	gInG := a.gDemandLocked().Min(gEff)
 	gInA := a.adaptiveUsedLocked()
@@ -505,7 +518,7 @@ func (a *Allocator) Snapshot() []PoolUsage {
 	freeG := gEff.Sub(gInG).ClampMin(resource.Capacity{})
 	beInG := rem.Min(freeG)
 	beInA := rem.Sub(beInG).ClampMin(resource.Capacity{})
-	return []PoolUsage{
+	return [...]PoolUsage{
 		{Pool: "G", Capacity: a.plan.Guaranteed, Offline: a.offline, Guaranteed: gInG, BestEffort: beInG},
 		{Pool: "A", Capacity: a.plan.Adaptive, Guaranteed: gInA, BestEffort: beInA},
 		{Pool: "B", Capacity: a.plan.BestEffort, BestEffort: beInB},

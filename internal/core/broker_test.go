@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -124,6 +125,13 @@ func guaranteedRequest() Request {
 		Start:   t0,
 		End:     t5,
 	}
+}
+
+// withParam returns spec with p in place of its parameter of p's kind, or
+// added when it has none; spec itself is left as it was.
+func withParam(spec sla.Spec, p sla.Param) sla.Spec {
+	spec.Params = sla.NewSpec(append(slices.Clone(spec.Params), p)...).Params
+	return spec
 }
 
 func controlledRequest(client string) Request {
@@ -384,7 +392,7 @@ func TestDiscoveryNoMatch(t *testing.T) {
 	}
 	// A QoS floor no registered service advertises also fails discovery.
 	req = guaranteedRequest()
-	req.Spec.Params[resource.CPU] = sla.Exact(resource.CPU, 500)
+	req.Spec = withParam(req.Spec, sla.Exact(resource.CPU, 500))
 	if _, err := h.broker.RequestService(req); !errors.Is(err, ErrNoService) {
 		t.Errorf("err = %v, want ErrNoService", err)
 	}

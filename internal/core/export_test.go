@@ -50,6 +50,18 @@ func (b *Broker) CheckOptimizerNoop() error {
 	return nil
 }
 
+// RestoreTarget is the allocation a restore returns id to: the one
+// before any degradation, rebased by a made optimizer, promotion or
+// renegotiation move.
+func (b *Broker) RestoreTarget(id sla.ID) resource.Capacity {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if s, ok := b.sessions[id]; ok {
+		return s.original
+	}
+	return resource.Capacity{}
+}
+
 // ErrShortfall is what a restore granted only its floor returns.
 var ErrShortfall = errShortfall
 

@@ -514,6 +514,58 @@ func TestAllocatorReadsDuringLifecycle(t *testing.T) {
 	}
 }
 
+// TestPartitionGaugesAllocGate reads the 12 gqosm_partition_utilization
+// gauges through the function each one calls, on a broker whose three
+// pools all hold demand and part of whose capacity is offline. Every value
+// must equal the used fraction computed from the matching Snapshot row,
+// and reading all 12 must allocate nothing: each gauge once took a whole
+// Snapshot, a 3-row slice, to keep one row.
+func TestPartitionGaugesAllocGate(t *testing.T) {
+	clock := clockx.NewManual(t0)
+	reg := registry.New(clock)
+	if _, err := reg.Register(registry.Service{Name: "simulation", Provider: "site-a", Properties: simulationProps()}); err != nil {
+		t.Fatal(err)
+	}
+	b := miniBroker(t, clock, reg)
+	establish, guaranteed, _ := allocGatePopulation(t, b)
+	for range 40 {
+		establish(guaranteed)
+	}
+	if err := b.BestEffortRequest("student", resource.Capacity{CPU: 30, MemoryMB: 20000}); err != nil {
+		t.Fatal(err)
+	}
+	b.NotifyFailure(resource.Capacity{CPU: 24, MemoryMB: 4096})
+
+	snap := b.Allocator().Snapshot()
+	for pool, u := range snap {
+		busy := false
+		for _, kind := range resource.Kinds {
+			want := 0.0
+			if total := u.Capacity.Get(kind) - u.Offline.Get(kind); total > resource.Epsilon {
+				want = (u.Guaranteed.Get(kind) + u.BestEffort.Get(kind)) / total
+			}
+			if got := b.partitionUtilization(pool, kind); got != want {
+				t.Errorf("pool %s %s: gauge %v, Snapshot row gives %v", u.Pool, kind, got, want)
+			}
+			busy = busy || want > 0
+		}
+		if !busy {
+			t.Errorf("pool %s reads zero in every dimension: the population does not load it", u.Pool)
+		}
+	}
+	var sum float64
+	allocs := testing.AllocsPerRun(100, func() {
+		for pool := range snap {
+			for _, kind := range resource.Kinds {
+				sum += b.partitionUtilization(pool, kind)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("reading the 12 partition gauges allocates %.0f objects, want 0", allocs)
+	}
+}
+
 // TestAllocatorViewRace runs mutators against lock-free readers; its
 // value is under -race, proving the atomic publication is sound.
 func TestAllocatorViewRace(t *testing.T) {
@@ -752,7 +804,7 @@ func TestLifecycleAllocGate(t *testing.T) {
 		establish(guaranteed)
 	}
 
-	const gate = 44 // measured 40 (go1.24); 42 while every grant and release published the allocator's read view, 49 while the job RSL carried the SLA ID, 63 while the activity-log lines went through fmt, 89 while the IDs and RSL did too
+	const gate = 41 // measured 37 (go1.24); 40 while sla.Spec kept its parameters in a map, 42 while every grant and release published the allocator's read view, 49 while the job RSL carried the SLA ID, 63 while the activity-log lines went through fmt, 89 while the IDs and RSL did too
 	allocs := testing.AllocsPerRun(50, func() {
 		id := establish(guaranteed)
 		if _, err := b.Invoke(id); err != nil {

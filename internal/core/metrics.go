@@ -108,24 +108,16 @@ func newBrokerMetrics(reg *obs.Registry) brokerMetrics {
 }
 
 // registerGauges mounts the scrape-time callback gauges: per-partition
-// utilization from the Algorithm-1 allocator's Snapshot, and session
-// counts by SLA state. Callbacks take the allocator's lock or b.mu only
-// at scrape time, so the hot path pays nothing.
+// utilization from one row of the Algorithm-1 allocator's Snapshot, and
+// session counts by SLA state. Callbacks take the allocator's lock or b.mu
+// only at scrape time, so the hot path pays nothing.
 func (b *Broker) registerGauges(reg *obs.Registry) {
 	for poolIdx, pool := range []string{"guaranteed", "adaptive", "besteffort"} {
 		for _, kind := range resource.Kinds {
 			poolIdx, kind := poolIdx, kind
 			reg.GaugeFunc("gqosm_partition_utilization",
 				"Used fraction of each partition pool per resource dimension",
-				func() float64 {
-					u := b.alloc.Snapshot()[poolIdx]
-					total := u.Capacity.Get(kind) - u.Offline.Get(kind)
-					used := u.Guaranteed.Get(kind) + u.BestEffort.Get(kind)
-					if total <= resource.Epsilon {
-						return 0
-					}
-					return used / total
-				},
+				func() float64 { return b.partitionUtilization(poolIdx, kind) },
 				"pool", pool, "dim", kind.String())
 		}
 	}
@@ -150,6 +142,19 @@ func (b *Broker) registerGauges(reg *obs.Registry) {
 			},
 			"state", state.String())
 	}
+}
+
+// partitionUtilization is the used fraction of dimension kind in Snapshot
+// row pool, 0 when the row has no online capacity there. It allocates
+// nothing.
+func (b *Broker) partitionUtilization(pool int, kind resource.Kind) float64 {
+	u := b.alloc.pool(pool)
+	total := u.Capacity.Get(kind) - u.Offline.Get(kind)
+	used := u.Guaranteed.Get(kind) + u.BestEffort.Get(kind)
+	if total <= resource.Epsilon {
+		return 0
+	}
+	return used / total
 }
 
 // Obs returns the broker's metrics registry (never nil; a private

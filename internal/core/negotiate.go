@@ -690,11 +690,9 @@ func (b *Broker) newSLAID() sla.ID {
 // strings, so rsl.ParseCached hits on every repeat admission instead of
 // parsing a unique string per session.
 func reservationRSL(spec sla.Spec, alloc resource.Capacity) string {
-	_, hasCPU := spec.Params[resource.CPU]
-	_, hasMem := spec.Params[resource.MemoryMB]
-	_, hasDisk := spec.Params[resource.DiskGB]
+	hasCPU, hasMem, hasDisk := spec.Has(resource.CPU), spec.Has(resource.MemoryMB), spec.Has(resource.DiskGB)
 	compute := hasCPU || hasMem || hasDisk
-	_, network := spec.Params[resource.BandwidthMbps]
+	network := spec.Has(resource.BandwidthMbps)
 	if !compute && !network {
 		return "+" // empty multirequest; specs are validated before this
 	}

@@ -65,7 +65,7 @@ func (s OptService) steps() int {
 func holdsTop(spec sla.Spec, alloc resource.Capacity) bool {
 	for _, k := range resource.Kinds {
 		best := 0.0
-		if prm, ok := spec.Params[k]; ok {
+		if prm, ok := spec.Get(k); ok {
 			if best = prm.Best(); prm.Top(defaultRangeSteps) > best {
 				return false
 			}
@@ -123,7 +123,7 @@ func (t *levelTable) fill(services []OptService) {
 	for _, s := range services {
 		steps := s.steps()
 		for _, k := range resource.Kinds {
-			if prm, ok := s.Spec.Params[k]; ok {
+			if prm, ok := s.Spec.Get(k); ok {
 				t.flat = prm.AppendChoices(t.flat, steps)
 			}
 			t.off = append(t.off, len(t.flat))
@@ -324,7 +324,7 @@ func Exact(p OptProblem) (OptResult, error) {
 	for si, s := range p.Services {
 		vectors := []resource.Capacity{{}}
 		for ki, k := range resource.Kinds {
-			if _, ok := s.Spec.Params[k]; !ok {
+			if !s.Spec.Has(k) {
 				continue
 			}
 			var next []resource.Capacity

@@ -291,8 +291,8 @@ func TestOptServiceChoicesDefaultSteps(t *testing.T) {
 func greedyReference(p OptProblem) (OptResult, error) {
 	choices := func(s OptService) map[resource.Kind][]float64 {
 		out := make(map[resource.Kind][]float64, len(s.Spec.Params))
-		for k, prm := range s.Spec.Params {
-			out[k] = prm.AppendChoices(nil, s.steps())
+		for _, prm := range s.Spec.Params {
+			out[prm.Kind] = prm.AppendChoices(nil, s.steps())
 		}
 		return out
 	}
@@ -714,7 +714,7 @@ func TestRunOptimizerSharesSpecs(t *testing.T) {
 	ids = append(ids, establish(controlled))
 	narrow := controlled.Spec
 	wide := sla.NewSpec(sla.Range(resource.CPU, 0.5, 2), sla.Exact(resource.MemoryMB, 128))
-	liveParams := func(id sla.ID) map[resource.Kind]sla.Param {
+	liveParams := func(id sla.ID) []sla.Param {
 		b.mu.Lock()
 		defer b.mu.Unlock()
 		return b.sessions[id].doc.Spec.Params
@@ -732,7 +732,7 @@ func TestRunOptimizerSharesSpecs(t *testing.T) {
 	}
 	captured := w.services[0].Spec.Params
 	if reflect.ValueOf(captured).Pointer() != reflect.ValueOf(liveParams(ids[0])).Pointer() {
-		t.Fatal("the pass copied the spec map instead of sharing it")
+		t.Fatal("the pass copied the spec's parameters instead of sharing them")
 	}
 	want := w.services[0].Spec.Clone().Params
 	if _, err := b.Renegotiate(ids[0], wide); err != nil {
@@ -742,7 +742,7 @@ func TestRunOptimizerSharesSpecs(t *testing.T) {
 		t.Errorf("Renegotiate wrote into the captured spec: %v, want %v", captured, want)
 	}
 	if live := liveParams(ids[0]); reflect.ValueOf(live).Pointer() == reflect.ValueOf(captured).Pointer() {
-		t.Error("after Renegotiate the session still holds the captured map")
+		t.Error("after Renegotiate the session still holds the captured parameters")
 	} else if !reflect.DeepEqual(live, wide.Params) {
 		t.Errorf("after Renegotiate the session holds %v, want %v", live, wide.Params)
 	}

@@ -66,6 +66,8 @@ type scene struct {
 	rm    *hookRM
 	inj   *faultx.Injector
 	x     sla.ID
+	// target is x's restore target when the move starts.
+	target resource.Capacity
 }
 
 func cpu(n float64) resource.Capacity { return resource.Capacity{CPU: n} }
@@ -263,6 +265,7 @@ type reallocMove struct {
 	prepare  func(s *scene)
 	run      func(s *scene) error
 	silent   bool // run cannot report that the move was not made
+	rebases  bool // made, the move makes what it applied x's restore target
 	from, to float64
 	// onShort: "follow" (made at the floor), "keep" (document follows,
 	// move not made), "refuse" (walked back), "" (the target is the
@@ -301,7 +304,7 @@ var reallocMoves = []reallocMove{
 		state: sla.StateActive, becomes: true, reaches: sla.StateDegraded,
 	},
 	{
-		name: "promotion", scene: atLow, from: 4, to: 8, onShort: "refuse", bound: 9,
+		name: "promotion", scene: atLow, from: 4, to: 8, onShort: "refuse", bound: 9, rebases: true,
 		prepare: func(s *scene) {
 			s.b.IssuePromotions()
 			if offers := s.b.Promotions(); len(offers) != 1 || offers[0].SLA != s.x || !offers[0].To.Equal(cpu(8)) {
@@ -312,7 +315,7 @@ var reallocMoves = []reallocMove{
 		state: sla.StateActive, reaches: sla.StateActive,
 	},
 	{
-		name: "optimizer", scene: outbid, from: 8, to: 4, onShort: "follow", silent: true,
+		name: "optimizer", scene: outbid, from: 8, to: 4, onShort: "follow", silent: true, rebases: true,
 		// A downsize asks for capacity it already holds, so it falls short
 		// only when a failure lands between the solve and the grant.
 		short: func(s *scene) error {
@@ -326,7 +329,7 @@ var reallocMoves = []reallocMove{
 		state: sla.StateActive, reaches: sla.StateActive,
 	},
 	{
-		name: "renegotiate", from: 8, to: 6, onShort: "follow", bound: 8,
+		name: "renegotiate", from: 8, to: 6, onShort: "follow", bound: 8, rebases: true,
 		run: func(s *scene) error {
 			_, err := s.b.Renegotiate(s.x, sla.NewSpec(sla.Range(resource.CPU, 2, 6)))
 			return err
@@ -348,11 +351,15 @@ func (m *reallocMove) start(t *testing.T) *scene {
 		t.Fatalf("scene starts at %v %s degraded=%v, want %v nodes %s degraded=%v",
 			doc.Allocated, info.State, info.Degraded, m.from, m.state, m.degraded)
 	}
+	s.target = s.b.RestoreTarget(s.x)
 	return s
 }
 
-// expect asserts where the move left x: made (at nodes, with the flags it
-// declares) or not made (at nodes, flags as they were).
+// expect asserts where the move left x: made (at nodes, with the flags
+// and restore target it declares) or not made (at nodes, flags and
+// restore target as they were). A shortfall the move follows is told
+// from one it keeps by the restore target alone when the move has no
+// flags to set.
 func (m *reallocMove) expect(s *scene, err error, made bool, nodes float64) {
 	s.t.Helper()
 	if made && err != nil {
@@ -370,6 +377,13 @@ func (m *reallocMove) expect(s *scene, err error, made bool, nodes float64) {
 	if !doc.Allocated.Equal(cpu(nodes)) || info.State != wantState || info.Degraded != wantDegraded {
 		s.t.Errorf("session at %v %s degraded=%v, want %v nodes %s degraded=%v",
 			doc.Allocated, info.State, info.Degraded, nodes, wantState, wantDegraded)
+	}
+	wantTarget := s.target
+	if made && m.rebases {
+		wantTarget = cpu(nodes)
+	}
+	if got := s.b.RestoreTarget(s.x); !got.Equal(wantTarget) {
+		s.t.Errorf("restore target %v, want %v", got, wantTarget)
 	}
 }
 

@@ -48,7 +48,7 @@ func TestRenegotiateUpgrade(t *testing.T) {
 	if !doc.Allocated.Equal(resource.Nodes(12)) {
 		t.Errorf("allocated = %v", doc.Allocated)
 	}
-	if p, _ := doc.Spec.Params[resource.CPU]; p.Exact != 12 {
+	if p, _ := doc.Spec.Get(resource.CPU); p.Exact != 12 {
 		t.Errorf("spec not replaced: %+v", p)
 	}
 	// The GARA reservation followed.
@@ -159,7 +159,7 @@ func TestRenegotiateFailureKeepsOldAgreement(t *testing.T) {
 	if !doc.Allocated.Equal(resource.Nodes(5)) {
 		t.Errorf("allocation after failed renegotiation = %v, want 5", doc.Allocated)
 	}
-	if p, _ := doc.Spec.Params[resource.CPU]; p.Exact != 5 {
+	if p, _ := doc.Spec.Get(resource.CPU); p.Exact != 5 {
 		t.Errorf("spec mutated by failed renegotiation: %+v", p)
 	}
 	if got := h.pool.InUse(t0).CPU; got != 15 {

@@ -81,7 +81,7 @@ func (b *Broker) Verify(id sla.ID) (*ConformanceReport, error) {
 	}
 
 	// Network: measure the session's flow through the NRM.
-	if _, wantNet := doc.Spec.Params[resource.BandwidthMbps]; wantNet && b.cfg.NRM != nil {
+	if doc.Spec.Has(resource.BandwidthMbps) && b.cfg.NRM != nil {
 		meas, err := b.measureFlow(id, handle)
 		if err == nil {
 			report.Measured.BandwidthMbps = meas.BandwidthMbps
@@ -113,21 +113,21 @@ func (b *Broker) Verify(id sla.ID) (*ConformanceReport, error) {
 		report.Measured.MemoryMB = doc.Allocated.MemoryMB * coverage.MemoryMB
 		report.Measured.DiskGB = doc.Allocated.DiskGB * coverage.DiskGB
 		report.XML.Compute = &MeasuredComputeXML{}
-		if _, ok := doc.Spec.Params[resource.CPU]; ok {
+		if doc.Spec.Has(resource.CPU) {
 			report.XML.Compute.CPU = fmt.Sprintf("%s CPU", trimFloat(report.Measured.CPU))
 		}
-		if _, ok := doc.Spec.Params[resource.MemoryMB]; ok {
+		if doc.Spec.Has(resource.MemoryMB) {
 			report.XML.Compute.Memory = fmt.Sprintf("%sMB", trimFloat(report.Measured.MemoryMB))
 		}
-		if _, ok := doc.Spec.Params[resource.DiskGB]; ok {
+		if doc.Spec.Has(resource.DiskGB) {
 			report.XML.Compute.Disk = fmt.Sprintf("%sGB", trimFloat(report.Measured.DiskGB))
 		}
 	}
 
 	// The SLA floor is the violation threshold.
 	floor := doc.Spec.Floor()
-	for _, k := range doc.Spec.Kinds() {
-		if report.Measured.Get(k) < floor.Get(k)-resource.Epsilon {
+	for _, p := range doc.Spec.Params {
+		if k := p.Kind; report.Measured.Get(k) < floor.Get(k)-resource.Epsilon {
 			report.Conforms = false
 		}
 	}
@@ -238,7 +238,8 @@ func (b *Broker) handleDegradation(id sla.ID, measured resource.Capacity) {
 
 	// Determine how bad the degradation is on the measured dimensions.
 	violated := false
-	for _, k := range doc.Spec.Kinds() {
+	for _, p := range doc.Spec.Params {
+		k := p.Kind
 		mv := measured.Get(k)
 		if mv == 0 && k != resource.BandwidthMbps {
 			continue // dimension not measured
@@ -348,10 +349,5 @@ func (b *Broker) NotifyFailure(offline resource.Capacity) []string {
 }
 
 func hasComputeParams(s sla.Spec) bool {
-	for _, k := range []resource.Kind{resource.CPU, resource.MemoryMB, resource.DiskGB} {
-		if _, ok := s.Params[k]; ok {
-			return true
-		}
-	}
-	return false
+	return s.Has(resource.CPU) || s.Has(resource.MemoryMB) || s.Has(resource.DiskGB)
 }

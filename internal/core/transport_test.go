@@ -144,7 +144,7 @@ func TestTransportRangeAndListSpecs(t *testing.T) {
 	client := NewClient(srv.URL)
 
 	req := controlledRequest("remote-cl")
-	req.Spec.Params[resource.DiskGB] = sla.List(resource.DiskGB, 10, 20, 40)
+	req.Spec = withParam(req.Spec, sla.List(resource.DiskGB, 10, 20, 40))
 	offer, err := client.RequestService(req)
 	if err != nil {
 		t.Fatalf("remote controlled-load request: %v", err)
@@ -153,11 +153,11 @@ func TestTransportRangeAndListSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, ok := doc.Spec.Params[resource.DiskGB]
+	p, ok := doc.Spec.Get(resource.DiskGB)
 	if !ok || p.Form != sla.FormList || len(p.Values) != 3 {
 		t.Errorf("list param lost in transport: %+v", p)
 	}
-	p, ok = doc.Spec.Params[resource.CPU]
+	p, ok = doc.Spec.Get(resource.CPU)
 	if !ok || p.Form != sla.FormRange || p.Min != 2 || p.Max != 8 {
 		t.Errorf("range param lost in transport: %+v", p)
 	}

@@ -128,13 +128,11 @@ func kindNamed(name string) (resource.Kind, bool) {
 // parameters the first in name order is reported, so one body always
 // gets one answer.
 func decodeSpec(in SpecJSON) (sla.Spec, error) {
-	spec := sla.Spec{
-		Params:           make(map[resource.Kind]sla.Param, len(in.Params)),
-		SourceIP:         in.SourceIP,
-		DestIP:           in.DestIP,
-		MaxPacketLossPct: in.MaxLossPct,
-	}
-	var bad, problem string
+	var (
+		buf          [len(resource.Kinds)]sla.Param
+		ps           = buf[:0]
+		bad, problem string
+	)
 	for name, p := range in.Params {
 		kind, ok := kindNamed(name)
 		why := ""
@@ -144,7 +142,7 @@ func decodeSpec(in SpecJSON) (sla.Spec, error) {
 		case values && (bounds || exact), bounds && exact:
 			why = "sets more than one of exact, min/max and values"
 		case values:
-			spec.Params[kind] = sla.List(kind, p.Values...)
+			ps = append(ps, sla.List(kind, p.Values...))
 		case bounds:
 			var lo, hi float64
 			if p.Min != nil {
@@ -153,9 +151,9 @@ func decodeSpec(in SpecJSON) (sla.Spec, error) {
 			if p.Max != nil {
 				hi = *p.Max
 			}
-			spec.Params[kind] = sla.Range(kind, lo, hi)
+			ps = append(ps, sla.Range(kind, lo, hi))
 		case exact:
-			spec.Params[kind] = sla.Exact(kind, *p.Exact)
+			ps = append(ps, sla.Exact(kind, *p.Exact))
 		default:
 			why = "needs exact, min/max or values"
 		}
@@ -166,6 +164,8 @@ func decodeSpec(in SpecJSON) (sla.Spec, error) {
 	if problem != "" {
 		return sla.Spec{}, fmt.Errorf("%w: parameter %q %s", core.ErrInvalidRequest, bad, problem)
 	}
+	spec := sla.NewSpec(ps...)
+	spec.SourceIP, spec.DestIP, spec.MaxPacketLossPct = in.SourceIP, in.DestIP, in.MaxLossPct
 	return spec, nil
 }
 
@@ -408,18 +408,15 @@ func (e *requestBody) bestEffort(client string, amount resource.Capacity, releas
 // spec appends a spec with its parameters in name order, as json.Marshal
 // orders map keys.
 func (e *requestBody) spec(sep string, s sla.Spec) {
-	var arr [len(resource.Kinds)]resource.Kind
-	kinds := arr[:0]
-	for k := range s.Params {
-		kinds = append(kinds, k)
-	}
-	slices.SortFunc(kinds, func(a, b resource.Kind) int { return strings.Compare(a.String(), b.String()) })
+	var arr [len(resource.Kinds)]sla.Param
+	params := append(arr[:0], s.Params...)
+	slices.SortFunc(params, func(a, b sla.Param) int { return strings.Compare(a.Kind.String(), b.Kind.String()) })
 	e.raw(sep, true)
 	sep = `{"params":{`
-	for _, k := range kinds {
-		e.str(sep, k.String(), false)
+	for _, p := range params {
+		e.str(sep, p.Kind.String(), false)
 		sep = ","
-		switch p := s.Params[k]; {
+		switch {
 		case p.Form == sla.FormExact:
 			e.num(`:{"exact":`, p.Exact, false)
 		case p.Form == sla.FormRange:
@@ -437,7 +434,7 @@ func (e *requestBody) spec(sep string, s sla.Spec) {
 		}
 		e.raw("}", true)
 	}
-	e.raw(sep, len(kinds) == 0)
+	e.raw(sep, len(params) == 0)
 	e.raw("}", true)
 	e.str(`,"source_ip":`, s.SourceIP, true)
 	e.str(`,"dest_ip":`, s.DestIP, true)

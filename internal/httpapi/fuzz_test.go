@@ -103,6 +103,12 @@ func checkDecode(t *testing.T, data []byte) {
 		if gotErr == nil && !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s %q:\ndecode %+v\noracle %+v", op, data, got, want)
 		}
+		// A decoded spec holds one parameter per kind, in kind order.
+		for _, spec := range []sla.Spec{got.Request.Spec, got.Spec} {
+			if err := spec.Validate(); errors.Is(err, sla.ErrKindRepeated) || errors.Is(err, sla.ErrKindOrder) {
+				t.Fatalf("%s %q: decoded %v: %v", op, data, spec.Params, err)
+			}
+		}
 		// A body read alike and refused by the conversion gets one answer.
 		if errors.Is(wantErr, core.ErrInvalidRequest) && gotErr.Error() != wantErr.Error() {
 			t.Fatalf("%s %q: decode %q, oracle %q", op, data, gotErr, wantErr)
@@ -123,6 +129,7 @@ func decodeSeeds() []string {
 		request(`{"cpu":{"values":[2,4],"exact":4}}`),
 		request(`{"cpu":{"min":2}}`),
 		request(`{"cpu":{"exact":2},"memory-mb":{"min":256,"max":512},"disk-gb":{"values":[10,20]}}`),
+		request(`{"memory-mb":{"exact":256},"cpu":{"exact":2},"cpu":{"min":1,"max":3}}`),
 		`{"id":"site-a-sla-0001","reason":"window slide"}`,
 		`{"id":"site-a-sla-0001","spec":{"params":{"cpu":{"exact":3}},"source_ip":"10.0.0.1","max_loss_pct":0.5}}`,
 		`{"client":"student","cpu":4,"memory_mb":512,"release":true}`,
@@ -163,7 +170,7 @@ func oracleSpec(s sla.Spec) SpecJSON {
 		DestIP:     s.DestIP,
 		MaxLossPct: s.MaxPacketLossPct,
 	}
-	for kind, p := range s.Params {
+	for _, p := range s.Params {
 		var pj ParamJSON
 		switch p.Form {
 		case sla.FormExact:
@@ -175,7 +182,7 @@ func oracleSpec(s sla.Spec) SpecJSON {
 		case sla.FormList:
 			pj.Values = p.Values
 		}
-		out.Params[kind.String()] = pj
+		out.Params[p.Kind.String()] = pj
 	}
 	return out
 }
@@ -235,7 +242,7 @@ func checkEncode(t *testing.T, e requestBody, wire any) {
 // fuzzSpec builds a spec from fuzz input: mask picks the dimensions (and
 // one the codec has no name for), forms their value forms.
 func fuzzSpec(mask, forms uint8, a, b float64, ip string) sla.Spec {
-	s := sla.Spec{Params: map[resource.Kind]sla.Param{}, SourceIP: ip, DestIP: ip[len(ip)/2:], MaxPacketLossPct: b}
+	s := sla.Spec{SourceIP: ip, DestIP: ip[len(ip)/2:], MaxPacketLossPct: b}
 	for i, k := range append(resource.Kinds[:], resource.Kind(9)) {
 		if mask&(1<<i) == 0 {
 			continue
@@ -244,7 +251,7 @@ func fuzzSpec(mask, forms uint8, a, b float64, ip string) sla.Spec {
 		if p.Form == sla.FormList {
 			p.Values = []float64{a, b, a + b}[:forms>>7+mask>>7]
 		}
-		s.Params[k] = p
+		s.Params = append(s.Params, p)
 	}
 	return s
 }

@@ -174,8 +174,8 @@ func TestStateStrings(t *testing.T) {
 func TestDocumentCloneIsDeep(t *testing.T) {
 	d := guaranteedDoc()
 	c := d.Clone()
-	c.Spec.Params[resource.CPU] = Exact(resource.CPU, 99)
-	if d.Spec.Params[resource.CPU].Exact != 10 {
+	c.Spec.Params[0] = Exact(resource.CPU, 99)
+	if p, _ := d.Spec.Get(resource.CPU); p.Exact != 10 {
 		t.Error("Clone shares Spec")
 	}
 }

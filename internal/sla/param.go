@@ -6,8 +6,11 @@
 package sla
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -232,16 +235,22 @@ func (p Param) String() string {
 }
 
 // Spec is the full QoS parameter set P_j = {p_1j, …, p_nj} (§5.3) for one
-// service, keyed by resource dimension, plus the network endpoints the
-// bandwidth parameter applies to.
+// service, at most one parameter per resource dimension, plus the network
+// endpoints the bandwidth parameter applies to.
 //
-// A Spec value shares its Params map (and each list's Values) with every
+// Params holds the parameters in ascending Kind order (the canonical
+// resource.Kinds order), each kind at most once; NewSpec and the decoders
+// build it that way and Validate rejects a Spec that breaks it. Look a
+// dimension up with Get or Has: resource.Kind is an int, so indexing
+// Params by a kind compiles but reads a position, not a dimension.
+//
+// A Spec value shares its Params array (and each list's Values) with every
 // copy of it. A live SLA document's spec is therefore copy-on-write: its
 // owner installs a Clone and later replaces the whole Spec with another
 // Clone, never writing into Params, so a copy taken under the owner's lock
 // can be read after the lock is dropped.
 type Spec struct {
-	Params map[resource.Kind]Param
+	Params []Param
 
 	// SourceIP and DestIP identify the network flow for the bandwidth
 	// parameter (Table 1).
@@ -251,19 +260,55 @@ type Spec struct {
 	MaxPacketLossPct float64
 }
 
-// NewSpec builds a Spec from parameters; later parameters for the same
-// dimension replace earlier ones.
+// Errors Spec.Validate returns, wrapped with the kinds involved, for a
+// Params slice that breaks the one-per-kind, kind-ordered invariant.
+var (
+	ErrKindRepeated = errors.New("sla: parameter kind repeated")
+	ErrKindOrder    = errors.New("sla: parameters out of kind order")
+)
+
+// NewSpec builds a Spec from parameters in any order; a later parameter
+// for a dimension replaces an earlier one. It allocates once.
 func NewSpec(params ...Param) Spec {
-	s := Spec{Params: make(map[resource.Kind]Param, len(params))}
+	out := make([]Param, 0, len(params))
 	for _, p := range params {
-		s.Params[p.Kind] = p
+		i, found := slices.BinarySearchFunc(out, p.Kind, func(q Param, k resource.Kind) int { return cmp.Compare(q.Kind, k) })
+		if found {
+			out[i] = p
+		} else {
+			out = slices.Insert(out, i, p)
+		}
 	}
-	return s
+	return Spec{Params: out}
 }
 
-// Validate checks every parameter.
+// Get returns the parameter for dimension k.
+func (s Spec) Get(k resource.Kind) (Param, bool) {
+	for i := range s.Params {
+		if s.Params[i].Kind == k {
+			return s.Params[i], true
+		}
+	}
+	return Param{}, false
+}
+
+// Has reports whether the spec has a parameter for dimension k.
+func (s Spec) Has(k resource.Kind) bool {
+	_, ok := s.Get(k)
+	return ok
+}
+
+// Validate checks the kind order and every parameter.
 func (s Spec) Validate() error {
-	for _, p := range s.sorted() {
+	for i, p := range s.Params {
+		if i > 0 {
+			switch prev := s.Params[i-1].Kind; {
+			case p.Kind == prev:
+				return fmt.Errorf("%w: %s", ErrKindRepeated, p.Kind)
+			case p.Kind < prev:
+				return fmt.Errorf("%w: %s after %s", ErrKindOrder, p.Kind, prev)
+			}
+		}
 		if err := p.Validate(); err != nil {
 			return err
 		}
@@ -274,33 +319,12 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Kinds returns the dimensions with parameters, in canonical order.
-func (s Spec) Kinds() []resource.Kind {
-	var out []resource.Kind
-	for _, k := range resource.Kinds {
-		if _, ok := s.Params[k]; ok {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-func (s Spec) sorted() []Param {
-	out := make([]Param, 0, len(s.Params))
-	for _, k := range resource.Kinds {
-		if p, ok := s.Params[k]; ok {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Floor returns the capacity corresponding to every parameter's minimum
 // acceptable quality — the guaranteed allocation g(u) of Algorithm 1.
 func (s Spec) Floor() resource.Capacity {
 	var c resource.Capacity
-	for k, p := range s.Params {
-		c = c.With(k, p.Floor())
+	for _, p := range s.Params {
+		c = c.With(p.Kind, p.Floor())
 	}
 	return c
 }
@@ -308,16 +332,16 @@ func (s Spec) Floor() resource.Capacity {
 // Best returns the capacity at every parameter's best quality.
 func (s Spec) Best() resource.Capacity {
 	var c resource.Capacity
-	for k, p := range s.Params {
-		c = c.With(k, p.Best())
+	for _, p := range s.Params {
+		c = c.With(p.Kind, p.Best())
 	}
 	return c
 }
 
 // Accepts reports whether delivering capacity c satisfies every parameter.
 func (s Spec) Accepts(c resource.Capacity) bool {
-	for k, p := range s.Params {
-		if !p.Accepts(c.Get(k)) {
+	for _, p := range s.Params {
+		if !p.Accepts(c.Get(p.Kind)) {
 			return false
 		}
 	}
@@ -328,23 +352,19 @@ func (s Spec) Accepts(c resource.Capacity) bool {
 // quality (degrading toward the floor), leaving dimensions without
 // parameters untouched.
 func (s Spec) Clamp(c resource.Capacity) resource.Capacity {
-	for k, p := range s.Params {
-		c = c.With(k, p.Clamp(c.Get(k)))
+	for _, p := range s.Params {
+		c = c.With(p.Kind, p.Clamp(c.Get(p.Kind)))
 	}
 	return c
 }
 
-// Clone returns a deep copy of the spec.
+// Clone returns a deep copy of the spec: one copy of Params, plus one of
+// each list's Values.
 func (s Spec) Clone() Spec {
-	out := Spec{
-		Params:           make(map[resource.Kind]Param, len(s.Params)),
-		SourceIP:         s.SourceIP,
-		DestIP:           s.DestIP,
-		MaxPacketLossPct: s.MaxPacketLossPct,
-	}
-	for k, p := range s.Params {
-		p.Values = append([]float64(nil), p.Values...)
-		out.Params[k] = p
+	out := s
+	out.Params = slices.Clone(s.Params)
+	for i := range out.Params {
+		out.Params[i].Values = append([]float64(nil), out.Params[i].Values...)
 	}
 	return out
 }

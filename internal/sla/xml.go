@@ -42,16 +42,16 @@ type NetworkQoS struct {
 // allocated capacity as a Table-1 document.
 func EncodeServiceSpecific(s Spec, alloc resource.Capacity) ServiceSpecificXML {
 	out := ServiceSpecificXML{}
-	if _, ok := s.Params[resource.CPU]; ok {
+	if s.Has(resource.CPU) {
 		out.CPU = fmt.Sprintf("%s CPU", trimFloat(alloc.CPU))
 	}
-	if _, ok := s.Params[resource.MemoryMB]; ok {
+	if s.Has(resource.MemoryMB) {
 		out.Memory = fmt.Sprintf("%sMB", trimFloat(alloc.MemoryMB))
 	}
-	if _, ok := s.Params[resource.DiskGB]; ok {
+	if s.Has(resource.DiskGB) {
 		out.Disk = fmt.Sprintf("%sGB", trimFloat(alloc.DiskGB))
 	}
-	if _, ok := s.Params[resource.BandwidthMbps]; ok {
+	if s.Has(resource.BandwidthMbps) {
 		nq := &NetworkQoS{
 			SourceIP:  s.SourceIP,
 			DestIP:    s.DestIP,
@@ -69,50 +69,53 @@ func EncodeServiceSpecific(s Spec, alloc resource.Capacity) ServiceSpecificXML {
 // describes plus the network constraints.
 func DecodeServiceSpecific(doc ServiceSpecificXML) (resource.Capacity, Spec, error) {
 	var (
-		cap  resource.Capacity
-		spec = Spec{Params: make(map[resource.Kind]Param)}
+		cap    resource.Capacity
+		buf    [len(resource.Kinds)]Param
+		params = buf[:0]
+		spec   Spec
 	)
 	if doc.CPU != "" {
 		v, err := ParseQuantity(doc.CPU)
 		if err != nil {
-			return cap, spec, fmt.Errorf("sla: CPU-QoS: %w", err)
+			return cap, Spec{}, fmt.Errorf("sla: CPU-QoS: %w", err)
 		}
 		cap.CPU = v
-		spec.Params[resource.CPU] = Exact(resource.CPU, v)
+		params = append(params, Exact(resource.CPU, v))
 	}
 	if doc.Memory != "" {
 		v, err := ParseQuantity(doc.Memory)
 		if err != nil {
-			return cap, spec, fmt.Errorf("sla: Memory-QoS: %w", err)
+			return cap, Spec{}, fmt.Errorf("sla: Memory-QoS: %w", err)
 		}
 		cap.MemoryMB = v
-		spec.Params[resource.MemoryMB] = Exact(resource.MemoryMB, v)
+		params = append(params, Exact(resource.MemoryMB, v))
 	}
 	if doc.Disk != "" {
 		v, err := ParseQuantity(doc.Disk)
 		if err != nil {
-			return cap, spec, fmt.Errorf("sla: Disk-QoS: %w", err)
+			return cap, Spec{}, fmt.Errorf("sla: Disk-QoS: %w", err)
 		}
 		cap.DiskGB = v
-		spec.Params[resource.DiskGB] = Exact(resource.DiskGB, v)
+		params = append(params, Exact(resource.DiskGB, v))
 	}
 	if doc.Network != nil {
 		v, err := ParseQuantity(doc.Network.Bandwidth)
 		if err != nil {
-			return cap, spec, fmt.Errorf("sla: Bandwidth: %w", err)
+			return cap, Spec{}, fmt.Errorf("sla: Bandwidth: %w", err)
 		}
 		cap.BandwidthMbps = v
-		spec.Params[resource.BandwidthMbps] = Exact(resource.BandwidthMbps, v)
+		params = append(params, Exact(resource.BandwidthMbps, v))
 		spec.SourceIP = strings.TrimSpace(doc.Network.SourceIP)
 		spec.DestIP = strings.TrimSpace(doc.Network.DestIP)
 		if doc.Network.PacketLoss != "" {
 			loss, err := ParseQuantity(doc.Network.PacketLoss)
 			if err != nil {
-				return cap, spec, fmt.Errorf("sla: Packet_Loss: %w", err)
+				return cap, Spec{}, fmt.Errorf("sla: Packet_Loss: %w", err)
 			}
 			spec.MaxPacketLossPct = loss
 		}
 	}
+	spec.Params = NewSpec(params...).Params
 	return cap, spec, nil
 }
 

@@ -10,7 +10,9 @@ import (
 
 	"gqosm/internal/core"
 	"gqosm/internal/registry"
+	"gqosm/internal/sla"
 	"gqosm/internal/soapx"
+	"gqosm/internal/xmlmsg"
 )
 
 // loadReportXML has the shape of core's unexported load_report reply;
@@ -41,7 +43,38 @@ func wireSamples() []any {
 			Filters: []registry.FilterXML{{Name: "cpu", Op: ">=", Value: "4"}, {Name: "os", Op: "=", Value: "linux"}}},
 		&registry.ServiceKeyXML{Key: "site-a-svc-1"},
 		&registry.ServiceListXML{Services: []registry.ServiceXML{service, {Name: "storage"}}},
+		// A request that repeats a kind: the later parameter replaces the
+		// earlier one, and the decoded spec holds the kind once.
+		&xmlmsg.ServiceRequestXML{Service: "simulation", Client: "client-8", Class: "Controlled-Load",
+			Params: []xmlmsg.QoSParamXML{{Name: "memory-mb", Exact: "512"}, {Name: "cpu", Exact: "4"},
+				{Name: "cpu", Min: "2", Max: "8"}},
+			Start: "2003-06-16T09:00:00Z", End: "2003-06-16T11:00:00Z"},
 	)
+}
+
+// checkSpec decodes the QoS parameters of a request or renegotiation the
+// way the broker's SOAP rows do: a spec xmlmsg.DecodeSpec accepts holds
+// one parameter per kind, in kind order.
+func checkSpec(t *testing.T, v any) {
+	t.Helper()
+	var (
+		spec sla.Spec
+		err  error
+	)
+	switch m := v.(type) {
+	case *xmlmsg.ServiceRequestXML:
+		spec, err = xmlmsg.DecodeSpec(m.Params, m.SourceIP, m.DestIP, m.MaxLoss)
+	case *xmlmsg.RenegotiateRequestXML:
+		spec, err = xmlmsg.DecodeSpec(m.Params, m.SourceIP, m.DestIP, m.MaxLoss)
+	default:
+		return
+	}
+	if err != nil {
+		return
+	}
+	if err := spec.Validate(); errors.Is(err, sla.ErrKindRepeated) || errors.Is(err, sla.ErrKindOrder) {
+		t.Fatalf("%T: DecodeSpec gave %v: %v", v, spec.Params, err)
+	}
 }
 
 // fresh returns a new zero value of v's type.
@@ -83,6 +116,7 @@ func TestWireTypesDecode(t *testing.T) {
 		if again, err := soapx.Marshal(got); err != nil || !bytes.Equal(again, data) {
 			t.Errorf("%T: re-encoded %s (%v), want %s", v, again, err, data)
 		}
+		checkSpec(t, got)
 	}
 }
 
@@ -122,6 +156,9 @@ func FuzzSOAPDecode(f *testing.F) {
 				t.Fatalf("%T: reader %v, encoding/xml %v", v, gotErr, wantErr)
 			case gotF != nil && *gotF != *wantF:
 				t.Fatalf("%T: fault: reader %+v, encoding/xml %+v", v, *gotF, *wantF)
+			}
+			if gotErr == nil {
+				checkSpec(t, got)
 			}
 		}
 	})

@@ -117,11 +117,9 @@ type LoadReportRequestXML struct {
 // form, one parameter per dimension in canonical order; DecodeSpec
 // converts back.
 func EncodeSpec(spec sla.Spec) []QoSParamXML {
-	kinds := spec.Kinds()
-	out := make([]QoSParamXML, 0, len(kinds))
-	for _, k := range kinds {
-		p := spec.Params[k]
-		x := QoSParamXML{Name: k.String()}
+	out := make([]QoSParamXML, 0, len(spec.Params))
+	for _, p := range spec.Params {
+		x := QoSParamXML{Name: p.Kind.String()}
 		switch p.Form {
 		case sla.FormExact:
 			x.Exact = trimFloat(p.Exact)
@@ -140,9 +138,11 @@ func EncodeSpec(spec sla.Spec) []QoSParamXML {
 }
 
 // DecodeSpec converts wire parameters back to an sla.Spec. A parameter
-// sets exactly one value form: Exact, Values, or Min/Max.
+// sets exactly one value form: Exact, Values, or Min/Max; a later
+// parameter for a dimension replaces an earlier one.
 func DecodeSpec(params []QoSParamXML, sourceIP, destIP, maxLoss string) (sla.Spec, error) {
-	spec := sla.Spec{Params: make(map[resource.Kind]sla.Param, len(params))}
+	var buf [len(resource.Kinds)]sla.Param
+	ps := buf[:0]
 	for _, x := range params {
 		kind, err := kindOf(x.Name)
 		if err != nil {
@@ -156,7 +156,7 @@ func DecodeSpec(params []QoSParamXML, sourceIP, destIP, maxLoss string) (sla.Spe
 			if err != nil {
 				return sla.Spec{}, err
 			}
-			spec.Params[kind] = sla.Exact(kind, v)
+			ps = append(ps, sla.Exact(kind, v))
 		case values:
 			var vals []float64
 			for _, part := range strings.Split(x.Values, ",") {
@@ -166,7 +166,7 @@ func DecodeSpec(params []QoSParamXML, sourceIP, destIP, maxLoss string) (sla.Spe
 				}
 				vals = append(vals, v)
 			}
-			spec.Params[kind] = sla.List(kind, vals...)
+			ps = append(ps, sla.List(kind, vals...))
 		case bounds:
 			min, err := sla.ParseQuantity(x.Min)
 			if err != nil {
@@ -176,11 +176,12 @@ func DecodeSpec(params []QoSParamXML, sourceIP, destIP, maxLoss string) (sla.Spe
 			if err != nil {
 				return sla.Spec{}, err
 			}
-			spec.Params[kind] = sla.Range(kind, min, max)
+			ps = append(ps, sla.Range(kind, min, max))
 		default:
 			return sla.Spec{}, fmt.Errorf("xmlmsg: parameter %q has no value form", x.Name)
 		}
 	}
+	spec := sla.NewSpec(ps...)
 	spec.SourceIP = strings.TrimSpace(sourceIP)
 	spec.DestIP = strings.TrimSpace(destIP)
 	if maxLoss != "" {
