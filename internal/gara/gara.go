@@ -24,8 +24,10 @@ package gara
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -342,6 +344,11 @@ func (s *System) Cancel(h Handle) error {
 			pairs = append(pairs, pair{rm: rm, token: token})
 		}
 	}
+	// Cancel in RM-type order, not map order, so the managers see one
+	// sequence and the first of several failures is the same one every
+	// run. The type (the managers' key), unlike the token two managers
+	// may both issue, is unique per part.
+	slices.SortFunc(pairs, func(a, b pair) int { return strings.Compare(a.rm.Type(), b.rm.Type()) })
 	s.mu.Unlock()
 
 	var firstErr error

@@ -542,3 +542,45 @@ func TestPruneCanceled(t *testing.T) {
 		t.Errorf("Reservations after prune = %d, want 1", n)
 	}
 }
+
+// cancelFailRM reserves anything under one token shared by every
+// instance and refuses every Cancel, logging the order it was asked in.
+type cancelFailRM struct {
+	typ string
+	log *[]string
+}
+
+func (m cancelFailRM) Type() string { return m.typ }
+func (m cancelFailRM) Reserve(*rsl.Node, time.Time, time.Time, string) (string, error) {
+	return "t1", nil
+}
+func (m cancelFailRM) Modify(string, *rsl.Node) error { return nil }
+func (m cancelFailRM) Cancel(string) error {
+	*m.log = append(*m.log, m.typ)
+	return fmt.Errorf("%s refused the cancel", m.typ)
+}
+
+// TestCancelPartsInTypeOrder: a co-allocation's parts are cancelled in
+// reservation-type order, whatever the map order of Parts, so with two
+// failing parts the same error comes back every time — even when both
+// managers issued the same token.
+func TestCancelPartsInTypeOrder(t *testing.T) {
+	const req = `+(&(reservation-type="network")(bandwidth=10))(&(reservation-type="compute")(count=1))`
+	for i := 0; i < 50; i++ {
+		var log []string
+		s := NewSystem()
+		s.RegisterManager(cancelFailRM{typ: "network", log: &log})
+		s.RegisterManager(cancelFailRM{typ: "compute", log: &log})
+		h, err := s.Create(req, t0, tEnd, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = s.Cancel(h)
+		if err == nil || err.Error() != "compute refused the cancel" {
+			t.Fatalf("run %d: Cancel = %v, want compute's refusal", i, err)
+		}
+		if strings.Join(log, ",") != "compute,network" {
+			t.Fatalf("run %d: cancel order %v, want compute then network", i, log)
+		}
+	}
+}

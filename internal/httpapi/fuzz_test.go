@@ -266,6 +266,11 @@ func FuzzJSONEncode(f *testing.F) {
 			Start: time.Unix(sec, int64(offset)).In(time.FixedZone("", int(offset))), End: time.Unix(sec/2, 0).UTC(),
 			Budget: budget, AcceptDegradation: flags&1 != 0, AcceptTermination: flags&2 != 0, PromotionOptIn: flags&4 != 0,
 		}
+		// The spec the codec has no name for is one Go callers can build,
+		// and Validate refuses it before it reaches a wire.
+		if unknown := mask&(1<<len(resource.Kinds)) != 0; unknown != errors.Is(r.Spec.Validate(), sla.ErrKindUnknown) {
+			t.Fatalf("spec %v: unknown kind %v, Validate() = %v", r.Spec.Params, unknown, r.Spec.Validate())
+		}
 		e := newRequestBody()
 		e.request(r)
 		wire := oracleRequest(r)

@@ -261,10 +261,13 @@ type Spec struct {
 }
 
 // Errors Spec.Validate returns, wrapped with the kinds involved, for a
-// Params slice that breaks the one-per-kind, kind-ordered invariant.
+// Params slice that breaks the one-per-kind, kind-ordered invariant or
+// names a kind outside resource.Kinds (Floor would drop it, Accepts
+// would hold it to 0, and no decoder reads its name back).
 var (
 	ErrKindRepeated = errors.New("sla: parameter kind repeated")
 	ErrKindOrder    = errors.New("sla: parameters out of kind order")
+	ErrKindUnknown  = errors.New("sla: parameter kind unknown")
 )
 
 // NewSpec builds a Spec from parameters in any order; a later parameter
@@ -298,9 +301,13 @@ func (s Spec) Has(k resource.Kind) bool {
 	return ok
 }
 
-// Validate checks the kind order and every parameter.
+// Validate checks the kinds first — each one of resource.Kinds, at most
+// once, in order — and then every parameter.
 func (s Spec) Validate() error {
 	for i, p := range s.Params {
+		if !slices.Contains(resource.Kinds[:], p.Kind) {
+			return fmt.Errorf("%w: %s", ErrKindUnknown, p.Kind)
+		}
 		if i > 0 {
 			switch prev := s.Params[i-1].Kind; {
 			case p.Kind == prev:
@@ -309,6 +316,8 @@ func (s Spec) Validate() error {
 				return fmt.Errorf("%w: %s after %s", ErrKindOrder, p.Kind, prev)
 			}
 		}
+	}
+	for _, p := range s.Params {
 		if err := p.Validate(); err != nil {
 			return err
 		}

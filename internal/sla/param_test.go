@@ -261,11 +261,13 @@ func TestNewSpecOrdersAndReplaces(t *testing.T) {
 	}
 }
 
-// TestSpecValidateKindOrder: a Spec literal can hold kinds out of order
-// or one kind twice, which Get, Floor and the encoders do not expect.
-// Validate names both.
+// TestSpecValidateKindOrder: a Spec literal can hold kinds out of order,
+// one kind twice, or a kind outside resource.Kinds, which Get, Floor and
+// the encoders do not expect. Validate names all three, and a kind error
+// comes before any parameter's own.
 func TestSpecValidateKindOrder(t *testing.T) {
 	cpu, mem, disk := Exact(resource.CPU, 4), Exact(resource.MemoryMB, 64), Exact(resource.DiskGB, 10)
+	nine := Exact(resource.Kind(9), 5)
 	tests := []struct {
 		name   string
 		params []Param
@@ -279,6 +281,12 @@ func TestSpecValidateKindOrder(t *testing.T) {
 		{"kind repeated last", []Param{cpu, mem, mem}, ErrKindRepeated},
 		{"two kinds swapped", []Param{mem, cpu}, ErrKindOrder},
 		{"kind repeated apart", []Param{cpu, mem, cpu}, ErrKindOrder},
+		{"unknown kind after cpu", NewSpec(Exact(resource.CPU, 2), nine).Params, ErrKindUnknown},
+		{"unknown kind alone", []Param{nine}, ErrKindUnknown},
+		{"kind zero", []Param{Exact(0, 1), cpu}, ErrKindUnknown},
+		{"negative kind", []Param{Exact(-1, 1)}, ErrKindUnknown},
+		{"one past the last kind", []Param{cpu, Exact(resource.BandwidthMbps+1, 1)}, ErrKindUnknown},
+		{"unknown kind after a bad parameter", []Param{Range(resource.CPU, 8, 1), nine}, ErrKindUnknown},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
