@@ -233,7 +233,8 @@ func TestGiveBack(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := h.pool.Release(resource.ReservationID(r.Parts["compute"])); err != nil {
+			token, _ := r.Token(gara.TypeCompute)
+			if err := h.pool.Release(resource.ReservationID(token)); err != nil {
 				t.Fatal(err)
 			}
 		}},

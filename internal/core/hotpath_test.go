@@ -751,7 +751,7 @@ func TestTerminateAllocGate(t *testing.T) {
 	b := miniBroker(t, clock, reg)
 	establish, guaranteed, controlled := allocGatePopulation(t, b)
 
-	const runs, gate = 20, 5 // measured 3 (go1.24); 4 while every release published the allocator's read view, 5 while the clearing line went through fmt, 54 with per-pass clones, 3207 with the old Greedy
+	const runs, gate = 20, 3 // measured 2 (go1.24); 3 while GARA's Cancel appended its (manager, token) pairs, 4 while every release published the allocator's read view, 5 while the clearing line went through fmt, 54 with per-pass clones, 3207 with the old Greedy
 	for i := 0; i < 16; i++ {
 		establish(controlled)
 	}
@@ -804,7 +804,7 @@ func TestLifecycleAllocGate(t *testing.T) {
 		establish(guaranteed)
 	}
 
-	const gate = 41 // measured 37 (go1.24); 40 while sla.Spec kept its parameters in a map, 42 while every grant and release published the allocator's read view, 49 while the job RSL carried the SLA ID, 63 while the activity-log lines went through fmt, 89 while the IDs and RSL did too
+	const gate = 35 // measured 32 (go1.24); 37 while GARA kept a reservation's parts in a map and a slice per tag, 40 while sla.Spec kept its parameters in a map, 42 while every grant and release published the allocator's read view, 49 while the job RSL carried the SLA ID, 63 while the activity-log lines went through fmt, 89 while the IDs and RSL did too
 	allocs := testing.AllocsPerRun(50, func() {
 		id := establish(guaranteed)
 		if _, err := b.Invoke(id); err != nil {
@@ -932,7 +932,7 @@ func TestDegradeRestoreAllocGate(t *testing.T) {
 		establish(guaranteed)
 	}
 
-	const gate = 10 // measured 8 (go1.24); 10 while every grant published the allocator's read view, 18 while the move line went through fmt, 30 while Capacity.String did too
+	const gate = 7 // measured 6 (go1.24); 8 while GARA's Modify appended its parts and looked them up in a map, 10 while every grant published the allocator's read view, 18 while the move line went through fmt, 30 while Capacity.String did too
 	allocs := testing.AllocsPerRun(50, func() {
 		if err := b.degradeToFloor(id); err != nil {
 			t.Fatal(err)

@@ -152,7 +152,7 @@ func (b *Broker) measureFlow(id sla.ID, handle gara.Handle) (nrm.Measurement, er
 	if err != nil {
 		return nrm.Measurement{}, err
 	}
-	token, ok := res.Parts[gara.TypeNetwork]
+	token, ok := res.Token(gara.TypeNetwork)
 	if !ok {
 		return nrm.Measurement{}, errNoNetworkPart
 	}

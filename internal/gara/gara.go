@@ -76,9 +76,25 @@ type Reservation struct {
 	// reservation whose create reply was lost instead of committing a
 	// second one.
 	Tag string
-	// Parts lists the component reservations: resource-manager type →
-	// manager-internal token. Single-type requests have one part.
-	Parts map[string]string
+	// Parts lists the component reservations, one per resource-manager
+	// type, sorted by Type. Single-type requests have one part.
+	Parts []Part
+}
+
+// Part is one component reservation: the reservation-type of the
+// manager holding it and that manager's internal token.
+type Part struct {
+	Type, Token string
+}
+
+// Token returns the token of the part held by the typ manager, if any.
+func (r *Reservation) Token(typ string) (string, bool) {
+	for _, p := range r.Parts {
+		if p.Type == typ {
+			return p.Token, true
+		}
+	}
+	return "", false
 }
 
 // GARA errors.
@@ -92,6 +108,9 @@ var (
 	ErrNotBound = errors.New("gara: reservation not bound")
 	// ErrCanceled is returned for operations on canceled reservations.
 	ErrCanceled = errors.New("gara: reservation canceled")
+	// ErrDuplicateType is returned by Create for a multirequest naming
+	// one reservation-type twice: a reservation holds one part per type.
+	ErrDuplicateType = errors.New("gara: reservation-type repeated in a multirequest")
 )
 
 // ResourceManager is the per-resource-type backend GARA routes requests
@@ -125,13 +144,20 @@ type System struct {
 	res      map[Handle]*Reservation
 	// byTag indexes live (non-canceled) reservations by their idempotency
 	// tag, so FindByTag — consulted on the admission hot path before every
-	// create attempt — is a map lookup, not a table scan. Entries are
-	// removed on Cancel; the slice is almost always length 1 (several live
-	// handles under one tag means a double-commit bug upstream).
-	byTag map[string][]Handle
+	// create attempt — is a map lookup, not a table scan. An entry is
+	// removed when its last live handle is cancelled.
+	byTag map[string]tagEntry
 	// met holds nil-safe reservation lifecycle counters; zero until
 	// Instrument is called.
 	met garaMetrics
+}
+
+// tagEntry is the tag index's record of one tag: its lowest-numbered
+// live handle and how many live handles it has. live is almost always 1;
+// more means a double-commit bug upstream.
+type tagEntry struct {
+	first Handle
+	live  int
 }
 
 type garaMetrics struct {
@@ -176,7 +202,7 @@ func NewSystem() *System {
 	return &System{
 		managers: make(map[string]ResourceManager),
 		res:      make(map[Handle]*Reservation),
-		byTag:    make(map[string][]Handle),
+		byTag:    make(map[string]tagEntry),
 	}
 }
 
@@ -192,7 +218,9 @@ func (s *System) RegisterManager(rm ResourceManager) {
 // request, routes each sub-request to the manager named by its
 // `reservation-type` attribute, and returns a handle. Multirequests are
 // co-allocated atomically: if any sub-request fails, the ones already made
-// are cancelled and the error returned.
+// are cancelled and the error returned. A multirequest naming one
+// reservation-type twice is refused with ErrDuplicateType before any
+// part is reserved.
 func (s *System) Create(reqRSL string, start, end time.Time, tag string) (Handle, error) {
 	h, err := s.create(reqRSL, start, end, tag)
 	if err != nil {
@@ -209,16 +237,27 @@ func (s *System) create(reqRSL string, start, end time.Time, tag string) (Handle
 		return "", fmt.Errorf("gara: %w", err)
 	}
 	subs := node.SubRequests()
-
-	type part struct {
-		rmType string
-		token  string
+	for i := 1; i < len(subs); i++ {
+		rmType := subs[i].Str("reservation-type", "")
+		if rmType == "" {
+			continue // refused below, as a request lacking its type
+		}
+		for _, prev := range subs[:i] {
+			if prev.Str("reservation-type", "") == rmType {
+				return "", fmt.Errorf("%w: %q", ErrDuplicateType, rmType)
+			}
+		}
 	}
-	parts := make([]part, 0, len(subs))
-	managers := make([]ResourceManager, 0, len(subs))
+
+	// parts becomes the Reservation's Parts, the one slice a create
+	// keeps; the managers for a rollback stay on the stack up to four
+	// parts. Both are in RSL order until every part is reserved.
+	parts := make([]Part, 0, len(subs))
+	var rmBuf [4]ResourceManager
+	managers := rmBuf[:0]
 	rollback := func() {
 		for i, p := range parts {
-			_ = managers[i].Cancel(p.token)
+			_ = managers[i].Cancel(p.Token)
 		}
 	}
 	for _, sub := range subs {
@@ -239,9 +278,10 @@ func (s *System) create(reqRSL string, start, end time.Time, tag string) (Handle
 			rollback()
 			return "", fmt.Errorf("gara: reserve %s: %w", rmType, err)
 		}
-		parts = append(parts, part{rmType: rmType, token: token})
+		parts = append(parts, Part{Type: rmType, Token: token})
 		managers = append(managers, rm)
 	}
+	slices.SortFunc(parts, func(a, b Part) int { return strings.Compare(a.Type, b.Type) })
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -252,14 +292,17 @@ func (s *System) create(reqRSL string, start, end time.Time, tag string) (Handle
 		Spec:   reqRSL,
 		Status: StatusReserved,
 		Tag:    tag,
-		Parts:  make(map[string]string, len(parts)),
-	}
-	for _, p := range parts {
-		r.Parts[p.rmType] = p.token
+		Parts:  parts,
 	}
 	s.res[h] = r
 	if tag != "" {
-		s.byTag[tag] = append(s.byTag[tag], h)
+		// Handles only grow, so an existing entry keeps its first.
+		e, ok := s.byTag[tag]
+		if !ok {
+			e.first = h
+		}
+		e.live++
+		s.byTag[tag] = e
 	}
 	return h, nil
 }
@@ -279,7 +322,8 @@ func (s *System) Bind(h Handle) error {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrCanceled, h)
 	}
-	binders := s.bindersLocked(r)
+	var buf [4]boundPart
+	binders := s.bindersLocked(buf[:0], r)
 	r.Status = StatusBound
 	s.mu.Unlock()
 
@@ -305,7 +349,8 @@ func (s *System) Unbind(h Handle) error {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %s is %s", ErrNotBound, h, r.Status)
 	}
-	binders := s.bindersLocked(r)
+	var buf [4]boundPart
+	binders := s.bindersLocked(buf[:0], r)
 	r.Status = StatusReserved
 	s.mu.Unlock()
 
@@ -338,17 +383,15 @@ func (s *System) Cancel(h Handle) error {
 		rm    ResourceManager
 		token string
 	}
-	var pairs []pair
-	for rmType, token := range r.Parts {
-		if rm, ok := s.managers[rmType]; ok {
-			pairs = append(pairs, pair{rm: rm, token: token})
+	// Parts is in type order, so the managers see one sequence and the
+	// first of several failures is the same one every run.
+	var buf [4]pair
+	pairs := buf[:0]
+	for _, p := range r.Parts {
+		if rm, ok := s.managers[p.Type]; ok {
+			pairs = append(pairs, pair{rm: rm, token: p.Token})
 		}
 	}
-	// Cancel in RM-type order, not map order, so the managers see one
-	// sequence and the first of several failures is the same one every
-	// run. The type (the managers' key), unlike the token two managers
-	// may both issue, is unique per part.
-	slices.SortFunc(pairs, func(a, b pair) int { return strings.Compare(a.rm.Type(), b.rm.Type()) })
 	s.mu.Unlock()
 
 	var firstErr error
@@ -385,11 +428,12 @@ func (s *System) Modify(h Handle, newRSL string) error {
 		token string
 		spec  *rsl.Node
 	}
-	var mods []mod
+	var buf [4]mod
+	mods := buf[:0]
 	standing := r.Spec
 	for _, sub := range node.SubRequests() {
 		rmType := sub.Str("reservation-type", "")
-		token, held := r.Parts[rmType]
+		token, held := r.Token(rmType)
 		if !held {
 			s.mu.Unlock()
 			return fmt.Errorf("%w: reservation %s holds no %q part", ErrUnknownType, h, rmType)
@@ -455,35 +499,32 @@ func (s *System) FindByTag(tag string) (Handle, bool) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var (
-		best  Handle
-		found bool
-	)
-	for _, h := range s.byTag[tag] {
-		if !found || handleLess(h, best) {
-			best, found = h, true
-		}
-	}
-	return best, found
+	e, ok := s.byTag[tag]
+	return e.first, ok
 }
 
-// dropTagLocked removes h from the tag index. Callers hold s.mu.
+// dropTagLocked removes the just-cancelled h from the tag index. Callers
+// hold s.mu. When a duplicated tag loses its lowest handle, the table is
+// scanned for the next lowest live one; only a double commit gets there.
 func (s *System) dropTagLocked(tag string, h Handle) {
 	if tag == "" {
 		return
 	}
-	live := s.byTag[tag]
-	for i, cand := range live {
-		if cand == h {
-			live = append(live[:i], live[i+1:]...)
-			break
+	e := s.byTag[tag]
+	e.live--
+	if e.live <= 0 {
+		delete(s.byTag, tag)
+		return
+	}
+	if e.first == h {
+		e.first = ""
+		for cand, r := range s.res {
+			if r.Tag == tag && r.Status != StatusCanceled && (e.first == "" || handleLess(cand, e.first)) {
+				e.first = cand
+			}
 		}
 	}
-	if len(live) == 0 {
-		delete(s.byTag, tag)
-	} else {
-		s.byTag[tag] = live
-	}
+	s.byTag[tag] = e
 }
 
 func handleLess(a, b Handle) bool {
@@ -521,12 +562,7 @@ func (s *System) Reservations() []Reservation {
 	for _, r := range s.res {
 		out = append(out, snapshot(r))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i].Handle) != len(out[j].Handle) {
-			return len(out[i].Handle) < len(out[j].Handle)
-		}
-		return out[i].Handle < out[j].Handle
-	})
+	sort.Slice(out, func(i, j int) bool { return handleLess(out[i].Handle, out[j].Handle) })
 	return out
 }
 
@@ -535,22 +571,20 @@ type boundPart struct {
 	token  string
 }
 
-func (s *System) bindersLocked(r *Reservation) []boundPart {
-	var out []boundPart
-	for rmType, token := range r.Parts {
-		if b, ok := s.managers[rmType].(Binder); ok {
-			out = append(out, boundPart{binder: b, token: token})
+// bindersLocked appends r's parts whose manager is a Binder to dst, in
+// type order like Cancel, so the first of several failures is the same
+// one every run.
+func (s *System) bindersLocked(dst []boundPart, r *Reservation) []boundPart {
+	for _, p := range r.Parts {
+		if b, ok := s.managers[p.Type].(Binder); ok {
+			dst = append(dst, boundPart{binder: b, token: p.Token})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].token < out[j].token })
-	return out
+	return dst
 }
 
 func snapshot(r *Reservation) Reservation {
 	c := *r
-	c.Parts = make(map[string]string, len(r.Parts))
-	for k, v := range r.Parts {
-		c.Parts[k] = v
-	}
+	c.Parts = slices.Clone(r.Parts)
 	return c
 }

@@ -368,11 +368,15 @@ func TestReservationsSnapshot(t *testing.T) {
 	if len(rs) != 3 {
 		t.Fatalf("Reservations = %d", len(rs))
 	}
-	// Mutating the snapshot must not affect the system.
-	rs[0].Parts["evil"] = "x"
-	again, _ := s.Get(rs[0].Handle)
-	if _, ok := again.Parts["evil"]; ok {
-		t.Error("snapshot shares Parts map")
+	// Mutating a snapshot must not affect the system.
+	rs[0].Parts[0].Token = "evil"
+	got, _ := s.Get(rs[0].Handle)
+	if got.Parts[0].Token == "evil" {
+		t.Error("Reservations shares Parts with the table")
+	}
+	got.Parts[0].Token = "evil"
+	if again, _ := s.Get(rs[0].Handle); again.Parts[0].Token == "evil" {
+		t.Error("Get shares Parts with the table")
 	}
 }
 
@@ -467,7 +471,10 @@ func TestNetworkManagerFlowFollowsAliases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	token := res.Parts[TypeNetwork]
+	token, ok := res.Token(TypeNetwork)
+	if !ok {
+		t.Fatalf("Parts = %v, want a network part", res.Parts)
+	}
 
 	// Two successive modifies re-issue the flow twice; the original
 	// token must still resolve through the alias table.
@@ -581,6 +588,36 @@ func TestCancelPartsInTypeOrder(t *testing.T) {
 		}
 		if strings.Join(log, ",") != "compute,network" {
 			t.Fatalf("run %d: cancel order %v, want compute then network", i, log)
+		}
+	}
+}
+
+// bindFailRM is cancelFailRM that is also a Binder refusing every Bind
+// and Unbind.
+type bindFailRM struct{ cancelFailRM }
+
+func (m bindFailRM) Bind(string) error   { return fmt.Errorf("%s refused the bind", m.typ) }
+func (m bindFailRM) Unbind(string) error { return fmt.Errorf("%s refused the unbind", m.typ) }
+
+// TestBindPartsInTypeOrder: Bind and Unbind walk a co-allocation's parts
+// in reservation-type order like Cancel, so with two failing binders that
+// issued the same token the same error comes back every time.
+func TestBindPartsInTypeOrder(t *testing.T) {
+	const req = `+(&(reservation-type="network")(bandwidth=10))(&(reservation-type="compute")(count=1))`
+	for i := 0; i < 50; i++ {
+		var log []string
+		s := NewSystem()
+		s.RegisterManager(bindFailRM{cancelFailRM{typ: "network", log: &log}})
+		s.RegisterManager(bindFailRM{cancelFailRM{typ: "compute", log: &log}})
+		h, err := s.Create(req, t0, tEnd, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Bind(h); err == nil || !strings.HasSuffix(err.Error(), ": compute refused the bind") {
+			t.Fatalf("run %d: Bind = %v, want compute's refusal", i, err)
+		}
+		if err := s.Unbind(h); err == nil || !strings.HasSuffix(err.Error(), ": compute refused the unbind") {
+			t.Fatalf("run %d: Unbind = %v, want compute's refusal", i, err)
 		}
 	}
 }
