@@ -11,9 +11,9 @@ import (
 )
 
 // The activity-log lines the broker writes on every session. Each is
-// appended into the caller's stack buffer and handed to logLine as one
-// string; the cold sites print through logf. Each renderer's comment
-// quotes the fmt format it reads as, byte for byte.
+// appended into the caller's stack buffer and copied by logLine into a
+// shared text block; the cold sites print through logf. Each renderer's
+// comment quotes the fmt format it reads as, byte for byte.
 
 // appendRequestLine: "client %q requests %q class=%s spec floor %v".
 func appendRequestLine(buf []byte, client, service string, class sla.Class, floor resource.Capacity) []byte {

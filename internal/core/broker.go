@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,9 +50,12 @@ type Finder interface {
 }
 
 // DefEventLogCap bounds the broker activity log when Config.EventLogCap
-// is unset: enough to hold the recent history of a busy domain while
-// keeping the ring's footprint fixed.
+// is unset: enough for the recent history of a busy domain in a bounded
+// footprint, the ring plus the text blocks its retained lines point into.
 const DefEventLogCap = 8192
+
+// evTextBlock sizes the shared text blocks logLine copies line bytes into.
+const evTextBlock = 16 << 10
 
 // Config assembles a Broker.
 type Config struct {
@@ -208,9 +212,12 @@ type Broker struct {
 	evBuf   []Event
 	evNext  int   // index the next event is written to
 	evTotal int64 // events ever logged, including evicted ones
+	// evText holds the newest lines' bytes; each Msg is a substring of a
+	// block that is written only within its capacity, never regrown.
+	evText strings.Builder
 	// evSnap caches the flattened, oldest-first snapshot Events() built
 	// last time, valid while evTotal == evSnapTotal. It is immutable once
-	// built — logf never writes into it, only into evBuf — so Events()
+	// built — logLine never writes into it, only into evBuf — so Events()
 	// can hand it out shared instead of copying the whole ring on every
 	// call (the invariant oracle reads it after every mutating op).
 	evSnap      []Event
@@ -571,20 +578,27 @@ func (b *Broker) PruneTerminal() int {
 	return len(ids)
 }
 
-// logf appends a line printed through fmt to the activity log. The lines
-// written on every session are appended without fmt (activity.go) and go
-// to logLine directly.
+// logf prints a line through fmt into a stack buffer and hands it to
+// logLine. The lines written on every session are appended without fmt
+// (activity.go) and go to logLine directly.
 func (b *Broker) logf(kind string, id sla.ID, format string, args ...any) {
 	var arr [128]byte
 	b.logLine(kind, id, fmt.Appendf(arr[:0], format, args...))
 }
 
-// logLine appends line to the activity log ring, evicting the oldest
-// entry when full. The log has its own leaf mutex, so this is safe with or
-// without mu held.
+// logLine copies line into the current text block, or a fresh one when
+// it has no room, and appends it to the ring, evicting the oldest entry
+// when full. Its own leaf mutex makes it safe with or without mu held.
 func (b *Broker) logLine(kind string, id sla.ID, line []byte) {
-	e := Event{At: b.clock.Now(), Kind: kind, SLA: id, Msg: string(line)}
+	at := b.clock.Now()
 	b.evMu.Lock()
+	if b.evText.Cap()-b.evText.Len() < len(line) {
+		b.evText.Reset()
+		b.evText.Grow(max(evTextBlock, len(line)))
+	}
+	start := b.evText.Len()
+	b.evText.Write(line)
+	e := Event{At: at, Kind: kind, SLA: id, Msg: b.evText.String()[start:]}
 	if len(b.evBuf) < cap(b.evBuf) {
 		b.evBuf = append(b.evBuf, e)
 	} else {
