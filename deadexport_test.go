@@ -8,6 +8,7 @@ import (
 	"go/types"
 	"io/fs"
 	"maps"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -585,6 +586,138 @@ func TestOneClearing(t *testing.T) {
 			if !seen[cancel+" in "+site] {
 				t.Errorf("%s no longer names %s: remove it from clearingSites", site, cancel)
 			}
+		}
+	}
+}
+
+// TestOpsCaptureNothing keeps RM calls free of closures: in non-test
+// internal/core the op of every call and callOnce is a func literal that
+// names no local variable of its enclosing function. Its inputs travel in
+// args, so the call allocates nothing (core's TestRMCallAllocGate); an op
+// that captured its inputs would be a heap closure on every call.
+func TestOpsCaptureNothing(t *testing.T) {
+	c := repoCensus(t)
+	calls := 0
+	for _, f := range c.files {
+		if !strings.HasPrefix(f.path, "internal/core/") {
+			continue
+		}
+		for _, decl := range f.file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				callee, ok := c.callee(call).(*types.Func)
+				if !ok || callee.Pkg() == nil || qualified(callee) != "core.call" && qualified(callee) != "core.callOnce" {
+					return true
+				}
+				calls++
+				site := c.fset.Position(call.Pos())
+				lit, ok := call.Args[len(call.Args)-1].(*ast.FuncLit)
+				if !ok {
+					t.Errorf("%s: the op of %s is not a func literal", site, callee.Name())
+					return true
+				}
+				ast.Inspect(lit.Body, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					v, ok := c.info.Uses[id].(*types.Var)
+					inFunc := ok && v.Pos() >= fn.Pos() && v.Pos() < fn.End()
+					if inFunc && !v.IsField() && (v.Pos() < lit.Pos() || v.Pos() >= lit.End()) {
+						t.Errorf("%s: the op of %s captures %s of %s: pass it in args", site, callee.Name(), id.Name, fn.Name.Name)
+					}
+					return true
+				})
+				return true
+			})
+		}
+	}
+	if calls == 0 {
+		t.Error("no call or callOnce in internal/core: the guard is watching the wrong functions")
+	}
+}
+
+// sizeCeilings is the size gate's table: non-test Go lines per package
+// outside bench/, and the bytes of the three long documents, as the last
+// change that moved them left them. TestSizeCeilings holds the tree to it
+// exactly, so no growth is silent: a change that grows a package raises
+// its ceiling and names the reason in CHANGES.md, and one that shrinks a
+// package lowers it.
+var sizeCeilings = map[string]int{
+	"DESIGN.md":                127382,
+	"EXPERIMENTS.md":           220423,
+	"README.md":                43341,
+	"gqosm":                    154,
+	"gqosm/cmd/aqosd":          208,
+	"gqosm/cmd/gridsim":        638,
+	"gqosm/cmd/qosctl":         356,
+	"gqosm/internal/clockx":    207,
+	"gqosm/internal/cluster":   336,
+	"gqosm/internal/core":      6790,
+	"gqosm/internal/dsrt":      311,
+	"gqosm/internal/faultx":    356,
+	"gqosm/internal/gara":      947,
+	"gqosm/internal/gram":      319,
+	"gqosm/internal/httpapi":   1286,
+	"gqosm/internal/invariant": 475,
+	"gqosm/internal/mds":       52,
+	"gqosm/internal/nrm":       535,
+	"gqosm/internal/obs":       361,
+	"gqosm/internal/pricing":   462,
+	"gqosm/internal/registry":  594,
+	"gqosm/internal/resource":  489,
+	"gqosm/internal/rsl":       564,
+	"gqosm/internal/sim":       3387,
+	"gqosm/internal/sla":       892,
+	"gqosm/internal/soapx":     1105,
+	"gqosm/internal/stack":     311,
+	"gqosm/internal/wal":       685,
+	"gqosm/internal/xmlmsg":    214,
+}
+
+// TestSizeCeilings gates size the way the allocation gates gate
+// allocations (ROADMAP item 36).
+func TestSizeCeilings(t *testing.T) {
+	c := repoCensus(t)
+	got := map[string]int{}
+	for _, f := range c.files {
+		if !strings.HasPrefix(f.path, "bench/") {
+			got[f.pkg.Path()] += c.fset.File(f.file.Pos()).LineCount()
+		}
+	}
+	for _, doc := range []string{"DESIGN.md", "EXPERIMENTS.md", "README.md"} {
+		info, err := os.Stat(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[doc] = int(info.Size())
+	}
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		ceiling, ok := sizeCeilings[name]
+		switch n := got[name]; {
+		case !ok:
+			t.Errorf("%s (%d) has no ceiling: add one", name, n)
+		case n > ceiling:
+			t.Errorf("%s grew to %d past its ceiling %d: raise the ceiling and name the reason in CHANGES.md", name, n, ceiling)
+		case n < ceiling:
+			t.Errorf("%s shrank to %d below its ceiling %d: lower the ceiling", name, n, ceiling)
+		}
+	}
+	for name := range sizeCeilings {
+		if _, ok := got[name]; !ok {
+			t.Errorf("%s is gone: remove its ceiling", name)
 		}
 	}
 }

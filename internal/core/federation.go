@@ -109,15 +109,13 @@ func (f *Federation) RequestService(req Request) (*FederatedOffer, error) {
 	peers := append([]Peer{f.home}, f.peers...)
 	f.mu.Unlock()
 
-	offer, n, err := WalkPeers(peers, func(n int, p Peer) (offer *Offer, err error) {
+	offer, n, err := WalkPeers(peers, func(n int, p Peer) (*Offer, error) {
 		if n == 0 {
 			return f.home.RequestService(req)
 		}
-		err = f.home.pol.call("peer.request", func() (perr error) {
-			offer, perr = p.PeerRequest(req)
-			return perr
+		return call(f.home.pol, "peer.request", peerArgs{p, req}, func(a peerArgs) (*Offer, error) {
+			return a.p.PeerRequest(a.req)
 		})
-		return offer, err
 	})
 	if err != nil {
 		return nil, err

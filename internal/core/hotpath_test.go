@@ -839,7 +839,7 @@ func TestTerminateAllocGate(t *testing.T) {
 	b := miniBroker(t, clock, reg)
 	establish, guaranteed, controlled := allocGatePopulation(t, b)
 
-	const runs, gate = 20, 2 // measured 1 (go1.24); 2 while each activity-log line was its own string, 3 while GARA's Cancel appended its (manager, token) pairs, 4 while every release published the allocator's read view, 5 while the clearing line went through fmt, 54 with per-pass clones, 3207 with the old Greedy
+	const runs, gate = 20, 0 // measured 0 (go1.24); 1 while each RM call allocated a closure, 2 while each activity-log line was its own string, 3 while GARA's Cancel appended its (manager, token) pairs, 4 while every release published the allocator's read view, 5 while the clearing line went through fmt, 54 with per-pass clones, 3207 with the old Greedy
 	for i := 0; i < 16; i++ {
 		establish(controlled)
 	}
@@ -892,7 +892,7 @@ func TestLifecycleAllocGate(t *testing.T) {
 		establish(guaranteed)
 	}
 
-	const gate = 30 // measured 27 (go1.24); 32 while each activity-log line was its own string, 37 while GARA kept a reservation's parts in a map and a slice per tag, 40 while sla.Spec kept its parameters in a map, 42 while every grant and release published the allocator's read view, 49 while the job RSL carried the SLA ID, 63 while the activity-log lines went through fmt, 89 while the IDs and RSL did too
+	const gate = 22 // measured 22 (go1.24); 27 while each RM call allocated a closure, 32 while each activity-log line was its own string, 37 while GARA kept a reservation's parts in a map and a slice per tag, 40 while sla.Spec kept its parameters in a map, 42 while every grant and release published the allocator's read view, 49 while the job RSL carried the SLA ID, 63 while the activity-log lines went through fmt, 89 while the IDs and RSL did too
 	allocs := testing.AllocsPerRun(50, func() {
 		id := establish(guaranteed)
 		if _, err := b.Invoke(id); err != nil {
@@ -935,7 +935,7 @@ func TestInvokeAllocGate(t *testing.T) {
 		ids = append(ids, establish(guaranteed))
 	}
 
-	const gate = 6 // measured 6 (go1.24); 7 while each activity-log line was its own string, 14 while the job RSL carried the SLA ID
+	const gate = 5 // measured 5 (go1.24); 6 while the bind allocated a closure, 7 while each activity-log line was its own string, 14 while the job RSL carried the SLA ID
 	allocs := testing.AllocsPerRun(runs, func() {
 		id := ids[0]
 		ids = ids[1:]
@@ -1020,7 +1020,7 @@ func TestDegradeRestoreAllocGate(t *testing.T) {
 		establish(guaranteed)
 	}
 
-	const gate = 5 // measured 4 (go1.24); 6 while each activity-log line was its own string, 8 while GARA's Modify appended its parts and looked them up in a map, 10 while every grant published the allocator's read view, 18 while the move line went through fmt, 30 while Capacity.String did too
+	const gate = 2 // measured 2 (go1.24); 4 while each modify allocated a closure, 6 while each activity-log line was its own string, 8 while GARA's Modify appended its parts and looked them up in a map, 10 while every grant published the allocator's read view, 18 while the move line went through fmt, 30 while Capacity.String did too
 	allocs := testing.AllocsPerRun(50, func() {
 		if err := b.degradeToFloor(id); err != nil {
 			t.Fatal(err)

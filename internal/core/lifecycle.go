@@ -50,8 +50,8 @@ func (b *Broker) Invoke(id sla.ID) (gram.Job, error) {
 	}
 	// Bind is idempotent on the GARA side, so retrying after a lost
 	// reply is safe.
-	if err := b.pol.call("gara.bind", func() error {
-		return b.cfg.GARA.Bind(handle)
+	if _, err := call(b.pol, "gara.bind", garaArgs{g: b.cfg.GARA, h: handle}, func(a garaArgs) (struct{}, error) {
+		return struct{}{}, a.g.Bind(a.h)
 	}); err != nil {
 		_ = b.cfg.GRAM.Cancel(job.ID)
 		return gram.Job{}, fmt.Errorf("core: bind %s: %w", id, err)
@@ -385,8 +385,8 @@ func (b *Broker) reallocate(id sla.ID, m move) (r reallocation, err error) {
 		return r, fmt.Errorf("%w: %s: capacity for %v no longer available", ErrBadState, id, m.target)
 	}
 	if !unchanged {
-		if err := b.pol.call("gara.modify", func() error {
-			return b.cfg.GARA.Modify(handle, rsl)
+		if _, err := call(b.pol, "gara.modify", garaArgs{g: b.cfg.GARA, h: handle, rsl: rsl}, func(a garaArgs) (struct{}, error) {
+			return struct{}{}, a.g.Modify(a.h, a.rsl)
 		}); err != nil {
 			// The document (and billing) keep the old quality, so the
 			// allocator must be walked back too or the books skew. The

@@ -361,8 +361,12 @@ func (b *Broker) commit(granted []*admission) {
 // back.
 func (b *Broker) reserve(id sla.ID, spec string, start, end time.Time) (gara.Handle, error) {
 	tag := string(id)
-	handle, err := b.pol.callCreate("gara.create", tag, func() (gara.Handle, error) {
-		return b.cfg.GARA.Create(spec, start, end, tag)
+	args := garaArgs{g: b.cfg.GARA, rsl: spec, tag: tag, start: start, end: end}
+	handle, err := call(b.pol, "gara.create", args, func(a garaArgs) (gara.Handle, error) {
+		if h, ok := a.g.FindByTag(a.tag); ok {
+			return h, nil // an earlier attempt committed it, then lost the reply
+		}
+		return a.g.Create(a.rsl, a.start, a.end, a.tag)
 	})
 	if err != nil {
 		_ = b.alloc.ReleaseGuaranteed(tag)

@@ -11,6 +11,7 @@ import (
 	"gqosm/internal/faultx"
 	"gqosm/internal/gara"
 	"gqosm/internal/obs"
+	"gqosm/internal/resource"
 	"gqosm/internal/sla"
 	"gqosm/internal/soapx"
 )
@@ -43,8 +44,8 @@ type RetryPolicy struct {
 	Attempts int
 	// Timeout bounds each attempt; 0 disables the per-attempt deadline.
 	// Timed-out attempts keep running in the background (the RM call
-	// cannot be interrupted) — their late side effects are what the
-	// tag-adoption and reconciliation paths exist for.
+	// cannot be interrupted) — their late side effects are what tag
+	// adoption, the late-create give-back and reconciliation exist for.
 	Timeout time.Duration
 	// Backoff is the base delay before the second attempt, doubling
 	// each retry up to 16×Backoff. 0 retries immediately — REQUIRED
@@ -119,24 +120,45 @@ func retryable(err error) bool {
 		errors.Is(err, ErrPeerUnavailable)
 }
 
-// call runs op at site under the full policy: per-attempt timeout,
-// Attempts tries, backoff between them. Returns nil, the first
+// An RM call's inputs travel to its op by value, so no op captures
+// anything and a call allocates nothing unless an attempt is timed.
+type (
+	garaArgs struct {
+		g          *gara.System
+		h          gara.Handle
+		rsl, tag   string
+		start, end time.Time
+	}
+	rectifyArgs struct {
+		rm       RMAdapter
+		id       sla.ID
+		doc      *sla.Document
+		measured resource.Capacity
+	}
+	peerArgs struct {
+		p   Peer
+		req Request
+	}
+)
+
+// call runs op(args) at site under the full policy: per-attempt timeout,
+// Attempts tries, backoff between them. Returns op's result, the first
 // non-transient error, or ErrRMUnavailable (wrapped) on budget
 // exhaustion.
-func (r *policyRunner) call(site string, op func() error) error {
-	return r.run(site, r.p.Attempts, op)
+func call[A, R any](r *policyRunner, site string, args A, op func(A) (R, error)) (R, error) {
+	return run(r, site, r.p.Attempts, args, op)
 }
 
-// callOnce runs op at site with the per-attempt timeout but no
-// retries: probe semantics, for calls where a second try has no value
-// (e.g. the RM rectify hook — the ladder continues either way).
-func (r *policyRunner) callOnce(site string, op func() error) error {
-	return r.run(site, 1, op)
+// callOnce is call with the per-attempt timeout but no retries: probe
+// semantics, for calls where a second try has no value (e.g. the RM
+// rectify hook — the ladder continues either way).
+func callOnce[A, R any](r *policyRunner, site string, args A, op func(A) (R, error)) (R, error) {
+	return run(r, site, 1, args, op)
 }
 
-func (r *policyRunner) run(site string, attempts int, op func() error) error {
+func run[A, R any](r *policyRunner, site string, attempts int, args A, op func(A) (R, error)) (res R, err error) {
 	m := r.metrics(site)
-	var lastErr error
+	var late []chan outcome[R] // attempts abandoned at their deadline
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			m.retries.Inc()
@@ -146,64 +168,97 @@ func (r *policyRunner) run(site string, attempts int, op func() error) error {
 			}
 		}
 		start := r.b.clock.Now()
-		err := r.attempt(site, op)
+		res, err = try(r, site, args, op, &late)
 		m.seconds.Observe(r.b.clock.Now().Sub(start).Seconds())
-		if err == nil {
-			return nil
+		if err == nil || !retryable(err) {
+			break
 		}
-		if errors.Is(err, faultx.ErrHang) {
+		hang := errors.Is(err, faultx.ErrHang)
+		if hang || errors.Is(err, errAttemptTimeout) {
+			m.timeouts.Inc()
+			r.timeouts.Add(1)
+		}
+		if hang && r.p.Timeout > 0 {
 			// Synchronous hang-until-deadline: the injector did not
 			// really block, so charge the attempt's full deadline to
 			// the virtual latency accounting.
-			m.timeouts.Inc()
-			r.timeouts.Add(1)
-			if r.p.Timeout > 0 {
-				r.b.cfg.Faults.RecordVirtual(r.p.Timeout)
-			}
-			lastErr = err
-			continue
+			r.b.cfg.Faults.RecordVirtual(r.p.Timeout)
 		}
-		if errors.Is(err, errAttemptTimeout) {
-			m.timeouts.Inc()
-			r.timeouts.Add(1)
-			lastErr = err
-			continue
-		}
-		if !retryable(err) {
-			return err
-		}
-		lastErr = err
 	}
-	m.unavailable.Inc()
-	r.unavailable.Add(1)
-	return fmt.Errorf("core: %s: %w after %d attempt(s): %v", site, ErrRMUnavailable, attempts, lastErr)
+	if err != nil && retryable(err) {
+		m.unavailable.Inc()
+		r.unavailable.Add(1)
+		res, err = *new(R), fmt.Errorf("core: %s: %w after %d attempt(s): %v", site, ErrRMUnavailable, attempts, err)
+	}
+	if late != nil {
+		settleLate(r, args, res, late)
+	}
+	return res, err
 }
 
-// attempt runs op once, under fault injection and the per-attempt
-// deadline. A timed-out op keeps running in its goroutine — RM calls
-// cannot be interrupted — and its eventual side effect is reconciled
-// by tag adoption or the reservation sweep.
-func (r *policyRunner) attempt(site string, op func() error) error {
-	wrapped := op
+// outcome is one attempt's result.
+type outcome[R any] struct {
+	res R
+	err error
+}
+
+// try runs op(args) once, under fault injection and, when late is not
+// nil, the per-attempt deadline; an abandoned attempt joins late.
+func try[A, R any](r *policyRunner, site string, args A, op func(A) (R, error), late *[]chan outcome[R]) (res R, err error) {
+	if late != nil && r.p.Timeout > 0 {
+		return timedOp(r, site, args, op, late)
+	}
 	if inj := r.b.cfg.Faults; inj != nil {
-		wrapped = func() error { return inj.Do(site, op) }
+		err = inj.Do(site, func() (err error) { res, err = op(args); return err })
+		return res, err
 	}
-	if r.p.Timeout <= 0 {
-		return wrapped()
-	}
-	done := make(chan error, 1)
-	go func() { done <- wrapped() }()
+	return op(args)
+}
+
+// timedOp is try under the deadline, in a function of its own because
+// its goroutine moves args to the heap. A timed-out op keeps running —
+// RM calls cannot be interrupted — and its outcome is settled once the
+// call has returned (settleLate).
+func timedOp[A, R any](r *policyRunner, site string, args A, op func(A) (R, error), late *[]chan outcome[R]) (R, error) {
+	done := make(chan outcome[R], 1)
+	go func() {
+		res, err := try(r, site, args, op, nil)
+		done <- outcome[R]{res, err}
+	}()
 	timedOut := make(chan struct{})
 	// AfterFunc + Stop, never After: a manual clock keeps abandoned
 	// After timers pending forever.
 	t := r.b.clock.AfterFunc(r.p.Timeout, func() { close(timedOut) })
 	select {
-	case err := <-done:
+	case o := <-done:
 		t.Stop()
-		return err
+		return o.res, o.err
 	case <-timedOut:
-		return fmt.Errorf("%w: %s after %v", errAttemptTimeout, site, r.p.Timeout)
+		*late = append(*late, done)
+		return *new(R), fmt.Errorf("%w: %s after %v", errAttemptTimeout, site, r.p.Timeout)
 	}
+}
+
+// settleLate waits out a call's abandoned attempts, in a goroutine that
+// ends when the last of their ops returns. A reservation one of them
+// created that is not final, the handle the call returned, is held by no
+// session: it goes back through giveBack, which parks it if the cancel
+// fails. Only gara.create returns a handle; its tag is the SLA ID. Other
+// late outcomes need nothing here: tag adoption, the stale mark and the
+// confirm window cover them.
+func settleLate[A, R any](r *policyRunner, args A, final R, late []chan outcome[R]) {
+	a, isGARA := any(args).(garaArgs)
+	kept, isCreate := any(final).(gara.Handle)
+	if !isGARA || !isCreate {
+		return
+	}
+	go func() {
+		for _, ch := range late {
+			if h := any((<-ch).res).(gara.Handle); h != "" && h != kept {
+				_ = r.b.giveBack(sla.ID(a.tag), h)
+			}
+		}
+	}()
 }
 
 // delay computes the backoff before retry number attempt (1-based):
@@ -220,30 +275,6 @@ func (r *policyRunner) sleep(d time.Duration) {
 	t := r.b.clock.AfterFunc(d, func() { close(ch) })
 	defer t.Stop()
 	<-ch
-}
-
-// callCreate is the idempotent-create variant of call for two-phase
-// reservations: tag is the idempotency key (the SLA ID). Before every
-// attempt the live reservation table is consulted, so a retry after a
-// lost create reply ADOPTS the committed reservation instead of
-// committing a second one.
-func (r *policyRunner) callCreate(site, tag string, create func() (gara.Handle, error)) (gara.Handle, error) {
-	var handle gara.Handle
-	err := r.call(site, func() error {
-		if h, ok := r.b.cfg.GARA.FindByTag(tag); ok {
-			handle = h
-			return nil
-		}
-		h, err := create()
-		if err == nil {
-			handle = h
-		}
-		return err
-	})
-	if err != nil {
-		return "", err
-	}
-	return handle, nil
 }
 
 // RetryStats returns the aggregate retry-budget totals across all
@@ -265,7 +296,9 @@ func givenBack(err error) bool {
 // reconciliation sweep and reported as ErrRMUnavailable; any other error
 // is returned as it stands.
 func (b *Broker) giveBack(id sla.ID, h gara.Handle) error {
-	err := b.pol.call("gara.cancel", func() error { return b.cfg.GARA.Cancel(h) })
+	_, err := call(b.pol, "gara.cancel", garaArgs{g: b.cfg.GARA, h: h}, func(a garaArgs) (struct{}, error) {
+		return struct{}{}, a.g.Cancel(a.h)
+	})
 	switch {
 	case givenBack(err):
 		return nil
@@ -331,7 +364,10 @@ func (b *Broker) sweepParked() int {
 		h := handles[id]
 		// Not giveBack: a handle still failing stays parked as it is, with
 		// no second park record.
-		if !givenBack(b.pol.call("gara.cancel", func() error { return b.cfg.GARA.Cancel(h) })) {
+		_, err := call(b.pol, "gara.cancel", garaArgs{g: b.cfg.GARA, h: h}, func(a garaArgs) (struct{}, error) {
+			return struct{}{}, a.g.Cancel(a.h)
+		})
+		if !givenBack(err) {
 			continue
 		}
 		b.pcMu.Lock()

@@ -115,10 +115,11 @@ func TestRetryBackoffParksOnTheClock(t *testing.T) {
 	var ran atomic.Int32
 	done := make(chan error, 1)
 	go func() {
-		done <- b.pol.call("test.op", func() error {
+		_, err := call(b.pol, "test.op", &ran, func(ran *atomic.Int32) (struct{}, error) {
 			ran.Add(1)
-			return fmt.Errorf("%w: still down", faultx.ErrInjected)
+			return struct{}{}, fmt.Errorf("%w: still down", faultx.ErrInjected)
 		})
+		done <- err
 	}()
 	// parked waits until the call has made n attempts and armed the
 	// timer of its next sleep.
@@ -178,7 +179,7 @@ func TestRetryExhaustionSurfacesErrRMUnavailable(t *testing.T) {
 	b, _ := newFaultBroker(t, clock, inj, RetryPolicy{Attempts: 3}, nil)
 
 	ran := 0
-	err := b.pol.call("test.op", func() error { ran++; return nil })
+	_, err := call(b.pol, "test.op", &ran, func(ran *int) (struct{}, error) { *ran++; return struct{}{}, nil })
 	if !errors.Is(err, ErrRMUnavailable) {
 		t.Fatalf("err = %v, want ErrRMUnavailable", err)
 	}
@@ -202,7 +203,7 @@ func TestRetryBusinessErrorPassesThrough(t *testing.T) {
 	b, _ := newFaultBroker(t, clock, nil, RetryPolicy{Attempts: 5}, nil)
 
 	ran := 0
-	err := b.pol.call("test.op", func() error { ran++; return gara.ErrUnknownHandle })
+	_, err := call(b.pol, "test.op", &ran, func(ran *int) (struct{}, error) { *ran++; return struct{}{}, gara.ErrUnknownHandle })
 	if !errors.Is(err, gara.ErrUnknownHandle) {
 		t.Fatalf("err = %v, want the business error itself", err)
 	}
@@ -227,7 +228,7 @@ func TestRetryHangChargesTimeout(t *testing.T) {
 	inj.SetPlan("test.op", faultx.Plan{Rate: 1, Kinds: []faultx.Kind{faultx.KindHang}})
 	b, _ := newFaultBroker(t, clock, inj, RetryPolicy{Attempts: 2, Timeout: 2 * time.Second}, nil)
 
-	err := b.pol.call("test.op", func() error { return nil })
+	_, err := call(b.pol, "test.op", struct{}{}, func(struct{}) (struct{}, error) { return struct{}{}, nil })
 	if !errors.Is(err, ErrRMUnavailable) {
 		t.Fatalf("err = %v, want ErrRMUnavailable", err)
 	}
@@ -239,73 +240,200 @@ func TestRetryHangChargesTimeout(t *testing.T) {
 	}
 }
 
+// TestRMCallAllocGate holds the runner's own cost to nothing: an op
+// takes its inputs in args and captures nothing, so under the zero
+// policy a call runs it directly and allocates nothing — nor does the
+// injector's wrapper when the injector has no plan for the site. Only a
+// timed attempt, whose goroutine takes args to the heap, allocates.
+func TestRMCallAllocGate(t *testing.T) {
+	if RaceEnabled() {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	clock := clockx.NewManual(t0)
+	for _, row := range []struct {
+		name string
+		inj  *faultx.Injector
+	}{{"no injector", nil}, {"injector with no plan for the site", faultx.New(1, clock)}} {
+		t.Run(row.name, func(t *testing.T) {
+			b, g := newFaultBroker(t, clock, row.inj, RetryPolicy{}, nil)
+			h, err := g.Create(computeRSL, t0, t5, "sla-1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			const gate = 0 // measured 0 (go1.24); 2, and 3 with the injector, while an op was a closure writing its result to a captured variable
+			allocs := testing.AllocsPerRun(100, func() {
+				got, err := call(b.pol, "gara.get", garaArgs{g: g, h: h}, func(a garaArgs) (gara.Handle, error) {
+					return a.h, nil
+				})
+				if err != nil || got != h {
+					t.Fatalf("call = %s, %v; want %s", got, err, h)
+				}
+			})
+			if allocs > gate {
+				t.Errorf("an RM call allocates %.0f objects, gate is %d", allocs, gate)
+			}
+		})
+	}
+}
+
 // TestCallCreateAdoptsCommittedReservation: a retried two-phase create
 // whose first reply was lost must find the committed reservation by its
-// idempotency tag and adopt it — the create function must not run
-// again.
+// idempotency tag and adopt it — reserve's op must not create again.
 func TestCallCreateAdoptsCommittedReservation(t *testing.T) {
 	clock := clockx.NewManual(t0)
 	b, g := newFaultBroker(t, clock, nil, RetryPolicy{Attempts: 3}, nil)
 
-	committed, err := g.Create(`&(reservation-type="compute")(count=1)`, t0, t5, "sla-42")
+	committed, err := g.Create(computeRSL, t0, t5, "sla-42")
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := b.pol.callCreate("gara.create", "sla-42", func() (gara.Handle, error) {
-		t.Fatal("create ran despite a live reservation with the tag")
-		return "", nil
-	})
+	h, err := b.reserve("sla-42", computeRSL, t0, t5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h != committed {
 		t.Fatalf("adopted handle %s, want %s", h, committed)
 	}
+	if n := len(g.Reservations()); n != 1 {
+		t.Fatalf("%d reservations after the call, want 1: create ran despite a live reservation with the tag", n)
+	}
+}
+
+// computeRSL is the one-node reservation the adoption tests create.
+const computeRSL = `&(reservation-type="compute")(count=1)`
+
+// countLive returns how many live reservations in g carry tag.
+func countLive(g *gara.System, tag string) int {
+	n := 0
+	for _, r := range g.Reservations() {
+		if r.Tag == tag && r.Status != gara.StatusCanceled {
+			n++
+		}
+	}
+	return n
 }
 
 // TestCallCreateNeverDoubleCommits: under a 100% partial-failure plan
-// (every create commits, every reply is lost) a budgeted callCreate
-// fails — but leaves exactly ONE committed reservation behind, because
-// the retry consulted the tag before re-creating. Once the fault
-// clears, the next call adopts that same reservation.
+// (every create commits, every reply is lost) a budgeted reserve fails —
+// but leaves exactly ONE committed reservation behind, because each
+// retry consulted the tag before re-creating, and parks it for the
+// sweep. Once the fault clears, the next call adopts that same
+// reservation.
 func TestCallCreateNeverDoubleCommits(t *testing.T) {
 	clock := clockx.NewManual(t0)
 	inj := faultx.New(1, clock)
 	inj.SetPlan("gara.create", faultx.Plan{Rate: 1, Kinds: []faultx.Kind{faultx.KindPartial}})
 	b, g := newFaultBroker(t, clock, inj, RetryPolicy{Attempts: 3}, nil)
 
-	create := func() (gara.Handle, error) {
-		return g.Create(`&(reservation-type="compute")(count=1)`, t0, t5, "sla-7")
-	}
-	if _, err := b.pol.callCreate("gara.create", "sla-7", create); !errors.Is(err, ErrRMUnavailable) {
+	if _, err := b.reserve("sla-7", computeRSL, t0, t5); !errors.Is(err, ErrRMUnavailable) {
 		t.Fatalf("err = %v, want ErrRMUnavailable under 100%% reply loss", err)
 	}
-	countLive := func() int {
-		n := 0
-		for _, r := range g.Reservations() {
-			if r.Tag == "sla-7" && r.Status != gara.StatusCanceled {
-				n++
-			}
-		}
-		return n
-	}
-	if n := countLive(); n != 1 {
+	if n := countLive(g, "sla-7"); n != 1 {
 		t.Fatalf("%d live reservation(s) tagged sla-7 after retries, want exactly 1", n)
+	}
+	if n := b.PendingCancels(); n != 1 {
+		t.Fatalf("%d parked cancel(s) after the failed create, want 1", n)
 	}
 
 	inj.SetPlan("gara.create", faultx.Plan{})
-	h, err := b.pol.callCreate("gara.create", "sla-7", func() (gara.Handle, error) {
-		t.Fatal("create ran again instead of adopting")
-		return "", nil
-	})
+	created := len(g.Reservations())
+	h, err := b.reserve("sla-7", computeRSL, t0, t5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want, _ := g.FindByTag("sla-7"); h != want {
 		t.Fatalf("adopted %s, want %s", h, want)
 	}
-	if n := countLive(); n != 1 {
+	if n := len(g.Reservations()); n != created {
+		t.Fatalf("%d reservations after the call, want %d: create ran again instead of adopting", n, created)
+	}
+	if n := countLive(g, "sla-7"); n != 1 {
 		t.Fatalf("%d live reservation(s) after adoption, want 1", n)
+	}
+}
+
+// lateCreate requests four nodes from a broker whose first GARA create
+// outlives its one-second attempt deadline, and returns the request's
+// outcome once the attempt has timed out and the create was let commit.
+func lateCreate(t *testing.T, attempts int) (b *Broker, g *gara.System, pool *resource.Pool, offer *Offer, err error) {
+	t.Helper()
+	clock := clockx.NewManual(t0)
+	b, g = newFaultBroker(t, clock, nil, RetryPolicy{Attempts: attempts, Timeout: time.Second}, nil)
+	pool = resource.NewPool("gated", resource.Capacity{CPU: 26, MemoryMB: 10240, DiskGB: 200})
+	rm := &heldRM{ResourceManager: gara.NewComputeManager(pool), entered: make(chan struct{}), release: make(chan struct{})}
+	rm.armed.Store(true)
+	g.RegisterManager(rm)
+
+	timers := clock.PendingTimers()
+	type result struct {
+		offer *Offer
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		offer, err := b.RequestService(Request{
+			Service: "simulation", Client: "c", Class: sla.ClassGuaranteed,
+			Spec:  sla.NewSpec(sla.Exact(resource.CPU, 4)),
+			Start: t0, End: t5,
+		})
+		done <- result{offer, err}
+	}()
+	<-rm.entered
+	eventually(t, "the attempt deadline to be armed", func() bool { return clock.PendingTimers() > timers })
+	clock.Advance(time.Second)
+	res := <-done // the call is over before the late create commits
+	close(rm.release)
+	return b, g, pool, res.offer, res.err
+}
+
+// eventually polls cond for up to five seconds of wall clock.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestLateCreateAfterFailedCallIsGivenBack: a gara.create that commits
+// after its only attempt timed out used to leave its reservation live
+// under the SLA's tag — four nodes held by no session, no parked cancel,
+// nothing the reconciliation sweep would ever free. The late handle is
+// not the one the call returned (it returned none), so it goes back.
+func TestLateCreateAfterFailedCallIsGivenBack(t *testing.T) {
+	b, g, pool, _, err := lateCreate(t, 1)
+	if !errors.Is(err, ErrRMUnavailable) {
+		t.Fatalf("err = %v, want ErrRMUnavailable after the timed-out create", err)
+	}
+	eventually(t, "the late reservation to commit and be given back", func() bool {
+		return len(g.Reservations()) == 1 && countLive(g, "site-a-sla-0001") == 0 && pool.InUse(t0).CPU == 0
+	})
+	if n := b.PendingCancels(); n != 0 {
+		t.Errorf("%d parked cancel(s), want 0: the cancel succeeded", n)
+	}
+}
+
+// TestLateCreateBesideRetriedCreateIsGivenBack: when the retry after a
+// timed-out create commits a second reservation, the late first one is
+// the orphan. The session keeps the handle the call returned, and the
+// late one goes back.
+func TestLateCreateBesideRetriedCreateIsGivenBack(t *testing.T) {
+	b, g, pool, offer, err := lateCreate(t, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.mu.Lock()
+	kept := b.sessions[offer.SLA.ID].handle
+	b.mu.Unlock()
+	eventually(t, "the late reservation to commit and be given back", func() bool {
+		return len(g.Reservations()) == 2 && countLive(g, string(offer.SLA.ID)) == 1 && pool.InUse(t0).CPU == 4
+	})
+	if h, _ := g.FindByTag(string(offer.SLA.ID)); h != kept {
+		t.Errorf("live reservation %s, want the session's %s", h, kept)
+	}
+	if n := b.PendingCancels(); n != 0 {
+		t.Errorf("%d parked cancel(s), want 0", n)
 	}
 }
 

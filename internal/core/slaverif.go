@@ -214,10 +214,8 @@ func (b *Broker) handleDegradation(id sla.ID, measured resource.Capacity) {
 	// loop, and a second probe has no value: either way the ladder
 	// continues as if the RM could not help.
 	if b.cfg.RM != nil {
-		rectified := false
-		err := b.pol.callOnce("rm.rectify", func() error {
-			rectified = b.cfg.RM.TryRectify(id, doc, measured)
-			return nil
+		rectified, err := callOnce(b.pol, "rm.rectify", rectifyArgs{b.cfg.RM, id, doc, measured}, func(a rectifyArgs) (bool, error) {
+			return a.rm.TryRectify(a.id, a.doc, a.measured), nil
 		})
 		if err != nil {
 			b.logf("adapt", id, "RM rectify probe failed (%v); continuing adaptation ladder", err)

@@ -240,6 +240,7 @@ func TestAdmissionCycleAllocGate(t *testing.T) {
 	if allocs > core.AdmissionCycleAllocGate {
 		t.Errorf("request+reject allocates %.0f objects per cycle, gate is %d", allocs, core.AdmissionCycleAllocGate)
 	}
+	t.Logf("request+reject on the stress cluster: %.0f allocs", allocs)
 }
 
 // BenchmarkSerialAdmission measures the admission path single-threaded.
